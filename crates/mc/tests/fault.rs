@@ -9,7 +9,8 @@
 #![cfg(feature = "fault-injection")]
 
 use bdps_mc::{explore, replay, CheckCell, Counterexample, ExploreBudget, McModel, ModelTopology};
-use bdps_sim::engine::InjectedFault;
+use bdps_sim::engine::{InjectedFault, SimulationOutcome};
+use bdps_sim::run_sharded;
 use bdps_sim::scenario::ScenarioAction;
 use bdps_types::id::LinkId;
 use bdps_types::time::Duration;
@@ -107,4 +108,78 @@ fn unfaulted_twins_of_the_fault_models_are_clean() {
             );
         }
     }
+}
+
+/// Line(4) split 2+2 whose cut link (l2, B1→B2) flaps while the t = 5 s
+/// publication is in flight on it (see `tests/shard_boundary.rs`), so both
+/// fault sites — the voided completion and the local deliveries — are hit
+/// by shard workers, not by the coordinator.
+fn sharded_flap_model() -> McModel {
+    let mut model = McModel::named("fault-across-shards", ModelTopology::Line(4));
+    model.publishers = vec![0];
+    model.subscribers = vec![2, 3, 3];
+    model.publications_per_publisher = 3;
+    model.publish_gap = Duration::from_secs(5);
+    model.events = vec![
+        (
+            Duration::from_millis(6_300),
+            ScenarioAction::LinkDown {
+                link: LinkId::new(2),
+            },
+        ),
+        (
+            Duration::from_millis(6_700),
+            ScenarioAction::LinkUp {
+                link: LinkId::new(2),
+            },
+        ),
+    ];
+    model
+}
+
+/// The sharded executor runs the engine's own handlers, fault sites
+/// included: an armed fault must break the same audit through
+/// `run_sharded` as it does in the sequential loop.
+#[test]
+fn injected_faults_cross_the_shard_boundary() {
+    let cell = CheckCell::all()[0];
+    let sharded = |fault: Option<InjectedFault>| -> SimulationOutcome {
+        let mut model = sharded_flap_model();
+        model.fault = fault;
+        run_sharded(model.build(cell), 2)
+    };
+
+    let clean = sharded(None);
+    assert!(
+        clean.requeued() > 0,
+        "the flap must void a cut-link transfer"
+    );
+    clean
+        .check_conservation()
+        .expect("unfaulted twin conserves");
+    clean
+        .check_no_duplicates()
+        .expect("unfaulted twin is duplicate-free");
+    let sequential = sharded_flap_model().build(cell).run();
+    let fingerprint = |o: &SimulationOutcome| {
+        (
+            (o.published, o.transmissions, o.completed_transfers),
+            (o.tracker.total_on_time(), o.tracker.total_late()),
+            o.tracker.total_earning().as_f64().to_bits(),
+            (o.requeued(), o.message_number(), o.events_processed),
+            o.finished_at,
+        )
+    };
+    assert_eq!(fingerprint(&clean), fingerprint(&sequential));
+
+    let vanished = sharded(Some(InjectedFault::VoidedTransferVanishes));
+    assert!(
+        vanished.check_conservation().is_err(),
+        "a voided copy vanishing inside a shard worker must break conservation"
+    );
+    let doubled = sharded(Some(InjectedFault::DoubleDelivery));
+    assert!(
+        doubled.check_no_duplicates().is_err(),
+        "deliveries doubled inside a shard worker must trip the duplicate audit"
+    );
 }

@@ -21,9 +21,7 @@
 //!   the oracle) and flow-level fair bandwidth sharing
 //!   ([`linkmodel::FairShare`]);
 //! * [`measure`] — simulated bandwidth probing feeding online estimators,
-//!   including deliberate estimation-error injection for ablation studies;
-//! * [`tcp`] — a Mathis-formula TCP throughput model used to derive
-//!   realistic per-KB rates from RTT and loss characteristics.
+//!   including deliberate estimation-error injection for ablation studies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +30,6 @@ pub mod bandwidth;
 pub mod link;
 pub mod linkmodel;
 pub mod measure;
-pub mod tcp;
 
 pub use bandwidth::{AnyBandwidth, BandwidthModel, FixedRate, NormalRate, ShiftedGammaRate};
 pub use link::{Link, LinkDirection, LinkQuality};
@@ -40,7 +37,6 @@ pub use linkmodel::{
     ConstantDelay, FairShare, LinkModel, LinkModelKind, LinkModelRegistry, LinkSharing,
 };
 pub use measure::{EstimationError, LinkEstimator};
-pub use tcp::TcpPathModel;
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
@@ -52,5 +48,4 @@ pub mod prelude {
         ConstantDelay, FairShare, LinkModel, LinkModelKind, LinkModelRegistry, LinkSharing,
     };
     pub use crate::measure::{EstimationError, LinkEstimator};
-    pub use crate::tcp::TcpPathModel;
 }

@@ -18,16 +18,12 @@
 //!   ([`TableLayout`], [`SparseTable`], the shared [`SharedPopulation`]
 //!   registry and the layout-agnostic [`BrokerTable`]): per-broker state
 //!   sublinear in the global population, pinned bit-identical to the dense
-//!   oracle;
-//! * [`multipath`] — a link-disjoint multi-path extension used as a baseline
-//!   (the DCP-style "send over all paths" alternative the paper contrasts
-//!   with).
+//!   oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graph;
-pub mod multipath;
 pub mod pathstats;
 pub mod routing;
 pub mod sparse;

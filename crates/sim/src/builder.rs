@@ -418,12 +418,8 @@ impl SimulationBuilder {
     /// [`SimulationReport`].
     pub fn report(&self) -> SimulationReport {
         let config = self.build_config();
-        let sim = self.build();
-        let outcome = if self.shards > 1 {
-            crate::shard::run_sharded(sim, self.shards)
-        } else {
-            sim.run()
-        };
+        // One shard is the sequential loop (the executor falls back to it).
+        let outcome = crate::shard::run_sharded(self.build(), self.shards);
         SimulationReport::from_outcome(
             &outcome,
             &config.scheduler.strategy,

@@ -27,9 +27,9 @@ use bdps_core::config::SchedulerConfig;
 use bdps_core::objective::ObjectiveTracker;
 use bdps_core::queue::QueuedMessage;
 use bdps_filter::index::MatchIndex;
-use bdps_filter::scope::{ScopeInterner, ScopeSet};
+use bdps_filter::scope::ScopeSet;
 use bdps_filter::subscription::Subscription;
-use bdps_net::linkmodel::{LinkModel, LinkModelKind, LinkSharing};
+use bdps_net::linkmodel::LinkModelKind;
 use bdps_net::measure::EstimationError;
 use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::routing::{RouteDelta, Routing};
@@ -50,7 +50,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use crate::scenario::{DynamicScenario, ScenarioAction};
-use crate::sched::{EventQueue, EventQueueKind, Scheduled};
+use crate::sched::{EventQueueKind, Scheduled};
+use crate::traffic::{Effect, EffectSink, Pending, Shared, Totals, TrafficCore};
 use crate::workload::WorkloadConfig;
 
 /// Canonical, partition-independent event keys.
@@ -499,7 +500,7 @@ pub struct PhaseOutcome {
 }
 
 impl PhaseOutcome {
-    fn new(label: String, start: SimTime) -> Self {
+    pub(crate) fn new(label: String, start: SimTime) -> Self {
         PhaseOutcome {
             label,
             start,
@@ -598,7 +599,7 @@ pub struct SimulationOutcome {
     /// The deepest the pending-event set ever got (scheduler load indicator).
     pub peak_pending_events: u64,
     /// Scope-set interns served / interns that reused an existing
-    /// allocation (see [`ScopeInterner`]).
+    /// allocation (see [`bdps_filter::scope::ScopeInterner`]).
     pub scope_interns: u64,
     /// Interner hits (shared allocations) out of [`scope_interns`](Self::scope_interns).
     pub scope_intern_hits: u64,
@@ -844,38 +845,21 @@ impl fmt::Display for DuplicateDeliveryViolation {
 }
 
 /// A fully constructed simulation, ready to [`run`](Simulation::run).
+///
+/// Its state is three groups split along who may write what while traffic
+/// flows (see `traffic.rs`) — the traffic `core`, the `shared` context
+/// only scenario actions mutate, and the order-sensitive `totals` — plus
+/// the population and routing state scenario application maintains.
 pub struct Simulation {
-    pub(crate) topology: Topology,
-    pub(crate) brokers: Vec<BrokerState>,
+    pub(crate) core: TrafficCore,
+    pub(crate) shared: Shared,
+    pub(crate) totals: Totals,
     subscriptions: Vec<(Subscription, BrokerId)>,
-    pub(crate) global_index: MatchIndex,
     /// The graph the schedulers and routing believe in (identical to the true
     /// graph unless an estimation error is configured). Kept so routing can
     /// be recomputed when links fail or recover.
     believed_graph: OverlayGraph,
     routing: Routing,
-    pub(crate) link_busy: Vec<bool>,
-    /// Which link transfer-time model this run uses (constant by default).
-    pub(crate) link_model_kind: LinkModelKind,
-    /// The model instance every transfer-time computation goes through —
-    /// stateless (all flow bookkeeping lives in the engine), so forks
-    /// rebuild it from `link_model_kind`.
-    pub(crate) link_model: Box<dyn LinkModel>,
-    /// In-flight flows per link under a sharing link model (always empty
-    /// under the exclusive constant-delay model, where `link_busy` and the
-    /// copy-carrying `SendComplete` event do the bookkeeping).
-    pub(crate) link_flows: Vec<Vec<LinkFlow>>,
-    /// When each link's in-flight set last changed — the left edge of the
-    /// open busy/flow-time integral interval in `link_load`.
-    pub(crate) link_last_change: Vec<SimTime>,
-    /// Per-link utilisation/queueing counters (see [`LinkLoad`]).
-    pub(crate) link_load: Vec<LinkLoad>,
-    /// Nested failure depth per link; a link is alive iff its depth is 0.
-    pub(crate) link_down_depth: Vec<u32>,
-    /// Failure generation per link, bumped on every `LinkDown`; a transfer
-    /// whose start generation differs at completion was interrupted by a
-    /// failure (even one that already recovered) and is void.
-    pub(crate) link_fail_gen: Vec<u64>,
     /// Set when link liveness changed since the last routing rebuild.
     routing_dirty: bool,
     /// Links whose liveness toggled since the last rebuild (deduplicated via
@@ -890,70 +874,13 @@ pub struct Simulation {
     /// How brokers materialise their subscription tables (dense replicated
     /// entries, or sparse covering aggregates over the shared registry).
     table_layout: TableLayout,
-    /// How publish-time matching scopes copies (exact subscription sets, or
-    /// covering aggregates expanded at the edge). `pub(crate)` so the
-    /// sharded executor can reject the aggregate mode up front.
-    pub(crate) forwarding: ForwardingMode,
-    /// Population epoch frozen per message at publication time (aggregate
-    /// forwarding only): edge expansion delivers only to members whose join
-    /// epoch is at or below the publish epoch, reproducing exact mode's
-    /// "a subscription joining a microsecond later must not receive this
-    /// message" freeze without materialising the member set.
-    publish_epoch: HashMap<MessageId, u64>,
-    /// The shared population registry (sparse layout only), referenced by
-    /// every broker's table.
-    population: Option<PopulationHandle>,
     /// Set once [`build_brokers`](Self::build_brokers) materialised the
     /// per-broker state for the configured layout.
     brokers_built: bool,
     tables_rebuilt_full: u64,
     entries_retargeted: u64,
-    pub(crate) link_of: Vec<Vec<Option<LinkId>>>,
-    pub(crate) workload: WorkloadConfig,
-    pub(crate) scheduler: SchedulerConfig,
     rng: SimRng,
-    /// Per-publisher RNG streams (publication gaps and message content) and
-    /// per-link streams (transfer-time sampling). Each stream has exactly
-    /// one owner entity, so the draw sequence it produces depends only on
-    /// the seed and that entity's own event history — never on how events of
-    /// *other* entities interleave. This is what lets the sharded executor
-    /// replay the sequential run bit-for-bit: a shard owns its entities'
-    /// streams outright.
-    pub(crate) publisher_rng: Vec<SimRng>,
-    pub(crate) link_rng: Vec<SimRng>,
-    pub(crate) events: Box<dyn EventQueue<EventKind> + Send>,
-    /// Which scheduler implementation `events` is — kept so [`fork`](Self::fork)
-    /// can rebuild an identical queue for the branch.
-    pub(crate) queue_kind: EventQueueKind,
-    pub(crate) events_processed: u64,
-    pub(crate) peak_pending_events: usize,
-    /// Hash-consing pool for copy scopes; all copies of one message (and all
-    /// messages matching the same population subset) share one allocation.
-    scope_interner: ScopeInterner,
-    /// Scratch id buffer reused across events so scope construction does not
-    /// allocate on the hot path.
-    scope_scratch: Vec<SubscriptionId>,
-    /// Per-publisher message counters ([`key::message_id`] combines the
-    /// publisher index and counter into the partition-independent id).
-    pub(crate) next_message: Vec<u64>,
-    pub(crate) end: SimTime,
     drain_grace: Duration,
-    pub(crate) tracker: ObjectiveTracker,
-    pub(crate) published: u64,
-    pub(crate) transmissions: u64,
-    pub(crate) completed_transfers: u64,
-    pub(crate) valid_delays_ms: Summary,
-    pub(crate) now: SimTime,
-    /// Per-publisher rate multiplier (scenario-controlled; 1.0 = base rate).
-    pub(crate) rate_multiplier: Vec<f64>,
-    /// Per-publisher rate generation; pending publish events from older
-    /// generations are ignored when popped.
-    pub(crate) publish_gen: Vec<u64>,
-    pub(crate) phases: Vec<PhaseOutcome>,
-    /// Deliberately broken invariant, if armed (see [`InjectedFault`]).
-    /// `None` keeps behaviour bit-identical to a build without the feature.
-    #[cfg(feature = "fault-injection")]
-    injected_fault: Option<InjectedFault>,
 }
 
 /// A deliberately broken protocol invariant, compiled in only under the
@@ -1127,11 +1054,6 @@ impl Simulation {
             link_of[l.from.index()][l.to.index()] = Some(l.id);
         }
         let link_count = topology.graph.link_count();
-        let link_busy = vec![false; link_count];
-        let link_down_depth = vec![0u32; topology.graph.link_count()];
-        let link_fail_gen = vec![0u64; topology.graph.link_count()];
-        let link_dirty = vec![false; topology.graph.link_count()];
-        let link_alive_at_rebuild = vec![true; topology.graph.link_count()];
 
         let publisher_slots = topology
             .publishers
@@ -1145,7 +1067,7 @@ impl Simulation {
             key::MAX_PUBLISHER_SLOTS
         );
         assert!(
-            topology.graph.link_count() <= key::MAX_LINKS,
+            link_count <= key::MAX_LINKS,
             "canonical event keys support at most {} links",
             key::MAX_LINKS
         );
@@ -1160,70 +1082,62 @@ impl Simulation {
         let publisher_rng: Vec<SimRng> = (0..publisher_slots)
             .map(|i| rng.split(PUBLISHER_STREAM_BASE + i as u64))
             .collect();
-        let link_rng: Vec<SimRng> = (0..topology.graph.link_count())
+        let link_rng: Vec<SimRng> = (0..link_count)
             .map(|i| rng.split(LINK_STREAM_BASE + i as u64))
             .collect();
 
-        let end = SimTime::ZERO + workload.duration;
         let mut sim = Simulation {
-            topology,
-            brokers: Vec::new(),
+            core: TrafficCore::new(
+                Pending::new(EventQueueKind::default()),
+                publisher_rng,
+                link_rng,
+                0,
+            ),
+            shared: Shared {
+                end: SimTime::ZERO + workload.duration,
+                topology,
+                global_index,
+                workload,
+                scheduler,
+                link_model: LinkModelKind::default().create().into(),
+                link_of,
+                link_down_depth: vec![0; link_count],
+                link_fail_gen: vec![0; link_count],
+                rate_multiplier: vec![1.0; publisher_slots],
+                publish_gen: vec![0; publisher_slots],
+                forwarding: ForwardingMode::default(),
+                population: None,
+                #[cfg(feature = "fault-injection")]
+                injected_fault: None,
+            },
+            totals: Totals {
+                tracker: ObjectiveTracker::new(),
+                phases: vec![PhaseOutcome::new("run".into(), SimTime::ZERO)],
+                valid_delays_ms: Summary::new(),
+                published: 0,
+                transmissions: 0,
+                completed_transfers: 0,
+            },
             subscriptions,
-            global_index,
             believed_graph,
             routing,
-            link_busy,
-            link_model_kind: LinkModelKind::default(),
-            link_model: LinkModelKind::default().create(),
-            link_flows: vec![Vec::new(); link_count],
-            link_last_change: vec![SimTime::ZERO; link_count],
-            link_load: vec![LinkLoad::default(); link_count],
-            link_down_depth,
-            link_fail_gen,
             routing_dirty: false,
             dirty_links: Vec::new(),
-            link_dirty,
-            link_alive_at_rebuild,
+            link_dirty: vec![false; link_count],
+            link_alive_at_rebuild: vec![true; link_count],
             rebuild_policy: RebuildPolicy::default(),
             table_layout: TableLayout::default(),
-            forwarding: ForwardingMode::default(),
-            publish_epoch: HashMap::new(),
-            population: None,
             brokers_built: false,
             tables_rebuilt_full: 0,
             entries_retargeted: 0,
-            link_of,
-            workload,
-            scheduler,
             rng,
-            publisher_rng,
-            link_rng,
-            events: EventQueueKind::default().create(),
-            queue_kind: EventQueueKind::default(),
-            events_processed: 0,
-            peak_pending_events: 0,
-            scope_interner: ScopeInterner::new(),
-            scope_scratch: Vec::new(),
-            next_message: vec![0; publisher_slots],
-            end,
             drain_grace: Duration::from_secs(120),
-            tracker: ObjectiveTracker::new(),
-            published: 0,
-            transmissions: 0,
-            completed_transfers: 0,
-            valid_delays_ms: Summary::new(),
-            now: SimTime::ZERO,
-            rate_multiplier: vec![1.0; publisher_slots],
-            publish_gen: vec![0; publisher_slots],
-            phases: vec![PhaseOutcome::new("run".into(), SimTime::ZERO)],
-            #[cfg(feature = "fault-injection")]
-            injected_fault: None,
         };
 
         // Scenario keys rank lowest, so at equal times a scenario action
         // applies before publications and transfers.
         for (idx, ev) in scenario_events.into_iter().enumerate() {
-            sim.push_event(
+            sim.core.push(
                 SimTime::ZERO + ev.at,
                 key::scenario(idx as u64),
                 EventKind::Scenario { action: ev.action },
@@ -1231,10 +1145,8 @@ impl Simulation {
         }
 
         // Seed the publishers.
-        let publishers: Vec<PublisherId> =
-            sim.topology.publishers.iter().map(|(p, _)| *p).collect();
-        for p in publishers {
-            sim.schedule_next_publication(p, SimTime::ZERO);
+        for &(publisher, _) in &sim.shared.topology.publishers {
+            sim.core.schedule_next_publication(&sim.shared, publisher);
         }
         sim
     }
@@ -1252,12 +1164,11 @@ impl Simulation {
     /// already-scheduled events (scenario stream, publisher seeds) carry
     /// over.
     pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
-        let mut replacement = kind.create();
-        while let Some(event) = self.events.pop() {
-            replacement.push(event);
+        let mut replacement = Pending::new(kind);
+        while let Some(event) = self.core.events.queue.pop() {
+            replacement.queue.push(event);
         }
-        self.events = replacement;
-        self.queue_kind = kind;
+        self.core.events = replacement;
         self
     }
 
@@ -1288,25 +1199,25 @@ impl Simulation {
 
     /// Selects the link transfer-time model (see
     /// [`LinkModelKind`]; constant delay by default). Every transfer-time
-    /// computation goes through the chosen [`LinkModel`] trait object —
-    /// the constant model is the differential oracle, bit-identical to the
+    /// computation goes through the chosen
+    /// [`LinkModel`](bdps_net::linkmodel::LinkModel) trait object — the
+    /// constant model is the differential oracle, bit-identical to the
     /// pre-trait engine (`tests/linkmodel_equivalence.rs` pins it) — so a
     /// direct `LinkQuality::sample_transfer` call in the engine would
     /// bypass the sharing discipline and is no longer allowed. Call before
     /// [`run`](Self::run), while no traffic has flowed.
     pub fn with_link_model(mut self, kind: LinkModelKind) -> Self {
         assert!(
-            self.transmissions == 0 && self.link_flows.iter().all(Vec::is_empty),
+            self.totals.transmissions == 0 && self.core.link_flows.iter().all(Vec::is_empty),
             "link model must be chosen before any transfer starts"
         );
-        self.link_model_kind = kind;
-        self.link_model = kind.create();
+        self.shared.link_model = kind.create().into();
         self
     }
 
     /// The link transfer-time model this run uses.
     pub fn link_model(&self) -> LinkModelKind {
-        self.link_model_kind
+        self.shared.link_model.kind()
     }
 
     /// Selects how publish-time matching scopes copies (see
@@ -1316,38 +1227,50 @@ impl Simulation {
     /// [`run`](Self::run).
     pub fn with_forwarding(mut self, mode: ForwardingMode) -> Self {
         assert!(
-            self.published == 0,
+            self.totals.published == 0,
             "forwarding mode must be chosen before any message is published"
         );
-        self.forwarding = mode;
+        self.shared.forwarding = mode;
         self
     }
 
     /// The forwarding mode this run uses.
     pub fn forwarding(&self) -> ForwardingMode {
-        self.forwarding
+        self.shared.forwarding
     }
 
     /// The objective bookkeeping accumulated so far — the mid-run view the
     /// model-checking explorer reads to collect terminal delivery sets.
     pub fn tracker(&self) -> &ObjectiveTracker {
-        &self.tracker
+        &self.totals.tracker
     }
 
     /// Materialises the per-broker state (tables and queues) for the
     /// configured layout. The builder calls this so construction cost is
     /// paid in the build phase rather than inside the first instants of
-    /// [`run`](Self::run); `run` calls it automatically when skipped.
+    /// [`run`](Self::run); `run` calls it automatically when skipped. A
+    /// configuration that cannot be materialised (see
+    /// [`SimError::AggregateForwardingNeedsSparseLayout`]) is left unbuilt
+    /// here and reported by [`try_run`](Self::try_run) /
+    /// [`try_apply`](Self::try_apply).
     pub fn prepare(mut self) -> Self {
-        self.build_brokers();
+        let _ = self.build_brokers();
         self
     }
 
-    pub(crate) fn build_brokers(&mut self) {
+    /// Builds broker state once; the one place the layout × forwarding
+    /// combination is admitted or rejected.
+    pub(crate) fn build_brokers(&mut self) -> Result<(), SimError> {
         if self.brokers_built {
-            return;
+            return Ok(());
+        }
+        if self.shared.forwarding == ForwardingMode::Aggregate
+            && self.table_layout == TableLayout::Dense
+        {
+            return Err(SimError::AggregateForwardingNeedsSparseLayout);
         }
         self.brokers_built = true;
+        let scheduler = &self.shared.scheduler;
         match self.table_layout {
             TableLayout::Dense => {
                 let tables = SubscriptionTable::build_all(
@@ -1355,14 +1278,14 @@ impl Simulation {
                     &self.routing,
                     &self.subscriptions,
                 );
-                self.brokers = tables
+                self.core.brokers = tables
                     .into_iter()
                     .map(|table| {
                         BrokerState::from_overlay(
                             &self.believed_graph,
                             table.broker(),
                             table,
-                            self.scheduler.clone(),
+                            scheduler.clone(),
                         )
                     })
                     .collect();
@@ -1371,20 +1294,21 @@ impl Simulation {
                 let population: PopulationHandle = Arc::new(RwLock::new(
                     SharedPopulation::from_population(&self.subscriptions),
                 ));
-                self.brokers = (0..self.believed_graph.broker_count())
+                self.core.brokers = (0..self.believed_graph.broker_count())
                     .map(|i| {
                         let id = BrokerId::new(i as u32);
                         BrokerState::from_overlay(
                             &self.believed_graph,
                             id,
                             SparseTable::build(id, &self.routing, &population),
-                            self.scheduler.clone(),
+                            scheduler.clone(),
                         )
                     })
                     .collect();
-                self.population = Some(population);
+                self.shared.population = Some(population);
             }
         }
+        Ok(())
     }
 
     /// The table layout this run uses.
@@ -1399,122 +1323,7 @@ impl Simulation {
 
     /// The scheduler configuration of this run.
     pub fn scheduler(&self) -> &SchedulerConfig {
-        &self.scheduler
-    }
-
-    fn push_event(&mut self, time: SimTime, key: u64, kind: EventKind) {
-        self.events.push(Scheduled {
-            time,
-            seq: key,
-            item: kind,
-        });
-        self.peak_pending_events = self.peak_pending_events.max(self.events.len());
-    }
-
-    fn schedule_next_publication(&mut self, publisher: PublisherId, after: SimTime) {
-        let multiplier = self.rate_multiplier[publisher.index()];
-        let Some(gap) = self
-            .workload
-            .next_publication_gap_scaled(multiplier, &mut self.publisher_rng[publisher.index()])
-        else {
-            return; // zero effective publishing rate: the chain goes dormant
-        };
-        let t = after + gap;
-        if t < self.end {
-            let gen = self.publish_gen[publisher.index()];
-            self.push_event(
-                t,
-                key::publish(publisher, gen),
-                EventKind::Publish { publisher, gen },
-            );
-        }
-    }
-
-    fn link_between(&self, from: BrokerId, to: BrokerId) -> Option<LinkId> {
-        self.link_of[from.index()][to.index()]
-    }
-
-    fn link_alive(&self, link: LinkId) -> bool {
-        self.link_down_depth[link.index()] == 0
-    }
-
-    fn current_phase(&mut self) -> &mut PhaseOutcome {
-        self.phases.last_mut().expect("at least one phase")
-    }
-
-    /// Advances `link`'s busy/flow-time integrals to `now` and, under a
-    /// sharing model, drains the equal share of elapsed service from every
-    /// active flow's remaining work. Must be called before the link's
-    /// in-flight set changes (flow admitted, completed or voided; exclusive
-    /// transfer started or finished).
-    fn touch_link(&mut self, link: LinkId, now: SimTime) {
-        let i = link.index();
-        let elapsed = now.duration_since(self.link_last_change[i]).as_micros();
-        self.link_last_change[i] = now;
-        if elapsed == 0 {
-            return;
-        }
-        // Under the exclusive model the busy flag is the flow count; under
-        // a sharing model the flow table is (and the flag stays false).
-        let active = self.link_flows[i].len().max(self.link_busy[i] as usize) as u64;
-        if active == 0 {
-            return;
-        }
-        let load = &mut self.link_load[i];
-        load.busy_us += elapsed;
-        load.flow_time_us += active * elapsed;
-        let share = elapsed as f64 / active as f64;
-        for f in &mut self.link_flows[i] {
-            f.remaining_us -= share;
-        }
-    }
-
-    /// Recomputes and (re-)schedules the completion of every active flow on
-    /// `link`. Assumes [`touch_link`](Self::touch_link) already advanced
-    /// remaining work to `now`: with `n` flows each receiving an equal
-    /// share, a flow owing `w` µs of dedicated service completes `w·n` µs
-    /// from now. A fresh [`EventKind::FlowComplete`] is pushed only for
-    /// flows whose completion time actually moved; the superseded event is
-    /// recognised (and ignored) at pop by its outdated `resched` stamp.
-    fn reschedule_flows(&mut self, link: LinkId, now: SimTime) {
-        let i = link.index();
-        let n = self.link_flows[i].len();
-        if n == 0 {
-            return;
-        }
-        let mut moved: Vec<(SimTime, MessageId, u64)> = Vec::new();
-        for f in &mut self.link_flows[i] {
-            let wait_us = f.remaining_us.max(0.0) * n as f64;
-            let completes = now + Duration::from_millis_f64(wait_us / 1_000.0);
-            if completes != f.completes_at {
-                f.resched += 1;
-                f.completes_at = completes;
-                moved.push((completes, f.queued.message.id, f.resched));
-            }
-        }
-        for (at, message, resched) in moved {
-            self.push_event(
-                at,
-                key::send(link, message),
-                EventKind::FlowComplete {
-                    link,
-                    message,
-                    resched,
-                },
-            );
-        }
-    }
-
-    /// Records the depth of the sender's output queue behind `link` into
-    /// the link's peak-queue counter — called wherever copies enter that
-    /// queue (enqueue after processing, requeue after a voided transfer).
-    fn note_queue_peak(&mut self, link: LinkId, from: BrokerId, to: BrokerId) {
-        let depth = self.brokers[from.index()]
-            .queue(to)
-            .map(|q| q.len() as u64)
-            .unwrap_or(0);
-        let load = &mut self.link_load[link.index()];
-        load.peak_queue = load.peak_queue.max(depth);
+        &self.shared.scheduler
     }
 
     /// Runs the simulation to completion and returns the outcome, panicking
@@ -1531,12 +1340,9 @@ impl Simulation {
     /// [`SimError`]s (e.g. a population registry lock poisoned by a sibling
     /// thread) instead of panicking.
     pub fn try_run(mut self) -> Result<SimulationOutcome, SimError> {
-        if self.forwarding == ForwardingMode::Aggregate && self.table_layout == TableLayout::Dense {
-            return Err(SimError::AggregateForwardingNeedsSparseLayout);
-        }
-        self.build_brokers();
+        self.build_brokers()?;
         let hard_stop = self.hard_stop();
-        while let Some(entry) = self.events.pop_if_at_or_before(hard_stop) {
+        while let Some(entry) = self.core.events.queue.pop_if_at_or_before(hard_stop) {
             self.try_apply(entry)?;
         }
         Ok(self.into_outcome())
@@ -1545,29 +1351,14 @@ impl Simulation {
     /// The time past which [`run`](Self::run) stops popping events: the end
     /// of the publication period plus the drain grace.
     pub fn hard_stop(&self) -> SimTime {
-        self.end + self.drain_grace
-    }
-
-    /// The current simulation time (the time of the last applied event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// The time of the earliest pending event at or before `limit`, if any.
-    pub fn peek_next_time(&self, limit: SimTime) -> Option<SimTime> {
-        self.events.peek().map(|(t, _)| t).filter(|&t| t <= limit)
+        self.shared.end + self.drain_grace
     }
 
     /// Pops and applies the next event if it is at or before `limit`.
     /// Returns false when nothing was applied (run over, or the next event
     /// is past the limit). The run loop is exactly `while self.step_next(..)`.
     pub fn step_next(&mut self, limit: SimTime) -> bool {
-        match self.events.pop_if_at_or_before(limit) {
+        match self.core.events.queue.pop_if_at_or_before(limit) {
             Some(entry) => {
                 self.apply(entry);
                 true
@@ -1584,18 +1375,19 @@ impl Simulation {
     /// [`apply`](Self::apply) must be re-inserted with
     /// [`push_back`](Self::push_back).
     ///
-    /// Requires [`prepare`](Self::prepare) (or a prior event) so broker
-    /// state exists before the first frontier is taken.
+    /// Materialises broker state if [`prepare`](Self::prepare) was skipped;
+    /// a configuration that cannot be materialised is reported when the
+    /// first event is [applied](Self::try_apply).
     pub fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<EventKind>> {
-        self.build_brokers();
-        self.events.take_frontier(limit)
+        let _ = self.build_brokers();
+        self.core.events.queue.take_frontier(limit)
     }
 
     /// Re-inserts an event taken with [`take_frontier`](Self::take_frontier)
     /// without assigning a new sequence number, so the deterministic
     /// `(time, seq)` order among the re-inserted events is preserved.
     pub fn push_back(&mut self, event: Scheduled<EventKind>) {
-        self.events.push(event);
+        self.core.events.queue.push(event);
     }
 
     /// Applies one event: advances the clock to the event's time and runs
@@ -1610,50 +1402,36 @@ impl Simulation {
     }
 
     /// Like [`apply`](Self::apply), but surfaces structured [`SimError`]s
-    /// instead of panicking.
+    /// instead of panicking. Traffic events run the shared handlers of
+    /// `traffic.rs` against this simulation's own core, with the
+    /// totals as the effect sink; scenario actions are applied here.
     pub fn try_apply(&mut self, entry: Scheduled<EventKind>) -> Result<(), SimError> {
-        debug_assert!(entry.time >= self.now, "events must not run backwards");
-        self.now = entry.time;
-        self.events_processed += 1;
-        let seq = entry.seq;
+        self.build_brokers()?;
         match entry.item {
-            EventKind::Publish { publisher, gen } => self.on_publish(publisher, gen, entry.time),
-            EventKind::Process {
-                broker,
-                message,
-                scope,
-            } => self.on_process(
-                broker,
-                message,
-                scope,
-                entry.time,
-                key::process_via_link(seq),
-            ),
-            EventKind::SendComplete { link, queued, gen } => {
-                self.on_send_complete(link, queued, gen, entry.time)
+            EventKind::Scenario { action } => {
+                self.core.begin_event(entry.time);
+                self.on_scenario(action, entry.time)
             }
-            EventKind::FlowComplete {
-                link,
-                message,
-                resched,
-            } => self.on_flow_complete(link, message, resched, entry.time),
-            EventKind::Scenario { action } => return self.on_scenario(action, entry.time),
+            _ => {
+                self.core.apply(&self.shared, &mut self.totals, entry);
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     /// Computes the end-of-run outcome from the current state without
     /// consuming the simulation — the explorer snapshots outcomes at
     /// quiescence while keeping the state for further checks.
     pub fn outcome_snapshot(&self) -> SimulationOutcome {
+        let core = &self.core;
         // End-of-run accounting for the conservation invariants: whatever is
         // left in the event queue is either in flight on a link or inside a
         // broker's processing module; whatever sits in output queues is
         // queued.
-        let queued_at_end: u64 = self.brokers.iter().map(|b| b.queued_total() as u64).sum();
+        let queued_at_end: u64 = core.brokers.iter().map(|b| b.queued_total() as u64).sum();
         let mut in_flight_at_end = 0u64;
         let mut pending_process_at_end = 0u64;
-        self.events.for_each(&mut |entry| match entry.item {
+        core.events.queue.for_each(&mut |entry| match entry.item {
             EventKind::SendComplete { .. } => in_flight_at_end += 1,
             EventKind::Process { .. } => pending_process_at_end += 1,
             // FlowComplete events are not counted: under a sharing model
@@ -1661,48 +1439,49 @@ impl Simulation {
             // would otherwise inflate the in-flight count).
             _ => {}
         });
-        in_flight_at_end += self.link_flows.iter().map(|f| f.len() as u64).sum::<u64>();
-        let mut phases = self.phases.clone();
+        in_flight_at_end += core.link_flows.iter().map(|f| f.len() as u64).sum::<u64>();
+        let mut phases = self.totals.phases.clone();
         for i in 0..phases.len() {
             phases[i].end = if i + 1 < phases.len() {
                 phases[i + 1].start
             } else {
-                self.now
+                core.now
             };
         }
 
-        let aggregate_entries: u64 = self
+        let aggregate_entries: u64 = core
             .brokers
             .iter()
             .map(|b| b.table().aggregate_entries())
             .sum();
-        let table_bytes_estimate: u64 = self
+        let table_bytes_estimate: u64 = core
             .brokers
             .iter()
             .map(|b| b.table().bytes_estimate())
             .sum::<u64>()
             + self
+                .shared
                 .population
                 .as_ref()
                 .map(|p| bdps_overlay::sparse::read_population(p).bytes_estimate())
                 .unwrap_or(0);
 
         SimulationOutcome {
-            tracker: self.tracker.clone(),
-            broker_counters: self.brokers.iter().map(|b| b.counters).collect(),
-            published: self.published,
-            transmissions: self.transmissions,
-            completed_transfers: self.completed_transfers,
-            valid_delays_ms: self.valid_delays_ms.clone(),
-            finished_at: self.now,
+            tracker: self.totals.tracker.clone(),
+            broker_counters: core.brokers.iter().map(|b| b.counters).collect(),
+            published: self.totals.published,
+            transmissions: self.totals.transmissions,
+            completed_transfers: self.totals.completed_transfers,
+            valid_delays_ms: self.totals.valid_delays_ms.clone(),
+            finished_at: core.now,
             queued_at_end,
             in_flight_at_end,
             pending_process_at_end,
             phases,
-            events_processed: self.events_processed,
-            peak_pending_events: self.peak_pending_events as u64,
-            scope_interns: self.scope_interner.interns(),
-            scope_intern_hits: self.scope_interner.hits(),
+            events_processed: core.events_processed,
+            peak_pending_events: core.peak_pending as u64,
+            scope_interns: core.scope_interner.interns(),
+            scope_intern_hits: core.scope_interner.hits(),
             tables_rebuilt_full: self.tables_rebuilt_full,
             entries_retargeted: self.entries_retargeted,
             aggregate_entries,
@@ -1715,23 +1494,16 @@ impl Simulation {
     /// closed at the current clock (the stored accumulators only advance
     /// when a link's in-flight set changes).
     fn link_loads_snapshot(&self) -> Vec<LinkLoad> {
-        self.link_load
-            .iter()
-            .enumerate()
-            .map(|(i, load)| {
-                let mut load = load.clone();
-                let elapsed = self
-                    .now
-                    .duration_since(self.link_last_change[i])
-                    .as_micros();
-                let active = self.link_flows[i].len().max(self.link_busy[i] as usize) as u64;
-                if elapsed > 0 && active > 0 {
-                    load.busy_us += elapsed;
-                    load.flow_time_us += active * elapsed;
-                }
-                load
-            })
-            .collect()
+        let core = &self.core;
+        let closed = |(i, load): (usize, &LinkLoad)| {
+            let mut load = load.clone();
+            let elapsed = core.now.duration_since(core.link_last_change[i]);
+            // Busy time accrues once however many flows share the link.
+            load.busy_us += elapsed.as_micros() * core.active_flows(i).min(1);
+            load.flow_time_us += elapsed.as_micros() * core.active_flows(i);
+            load
+        };
+        core.link_load.iter().enumerate().map(closed).collect()
     }
 
     /// Consumes the simulation and returns the outcome (the tail of
@@ -1747,76 +1519,38 @@ impl Simulation {
     /// perturb the original. This is the branching primitive of the
     /// model-checking explorer.
     pub fn fork(&self) -> Simulation {
-        let mut brokers = self.brokers.clone();
-        // The sparse layout shares one population registry behind an
-        // `Arc<RwLock>`; a branch must get its own deep copy, and every
-        // cloned broker table must be re-pointed at it.
-        let population = self.population.as_ref().map(|p| {
-            Arc::new(RwLock::new(
-                bdps_overlay::sparse::read_population(p).clone(),
-            )) as PopulationHandle
-        });
-        if let Some(pop) = &population {
-            for b in &mut brokers {
-                b.repoint_population(pop);
-            }
-        }
-        let mut events = self.queue_kind.create();
-        self.events.for_each(&mut |e| events.push(e.clone()));
-        Simulation {
-            topology: self.topology.clone(),
-            brokers,
+        let mut branch = Simulation {
+            core: self.core.clone(),
+            shared: self.shared.clone(),
+            totals: self.totals.clone(),
             subscriptions: self.subscriptions.clone(),
-            global_index: self.global_index.clone(),
             believed_graph: self.believed_graph.clone(),
             routing: self.routing.clone(),
-            link_busy: self.link_busy.clone(),
-            link_model_kind: self.link_model_kind,
-            link_model: self.link_model_kind.create(),
-            link_flows: self.link_flows.clone(),
-            link_last_change: self.link_last_change.clone(),
-            link_load: self.link_load.clone(),
-            link_down_depth: self.link_down_depth.clone(),
-            link_fail_gen: self.link_fail_gen.clone(),
             routing_dirty: self.routing_dirty,
             dirty_links: self.dirty_links.clone(),
             link_dirty: self.link_dirty.clone(),
             link_alive_at_rebuild: self.link_alive_at_rebuild.clone(),
             rebuild_policy: self.rebuild_policy,
             table_layout: self.table_layout,
-            forwarding: self.forwarding,
-            publish_epoch: self.publish_epoch.clone(),
-            population,
             brokers_built: self.brokers_built,
             tables_rebuilt_full: self.tables_rebuilt_full,
             entries_retargeted: self.entries_retargeted,
-            link_of: self.link_of.clone(),
-            workload: self.workload.clone(),
-            scheduler: self.scheduler.clone(),
             rng: self.rng.clone(),
-            publisher_rng: self.publisher_rng.clone(),
-            link_rng: self.link_rng.clone(),
-            events,
-            queue_kind: self.queue_kind,
-            events_processed: self.events_processed,
-            peak_pending_events: self.peak_pending_events,
-            scope_interner: self.scope_interner.clone(),
-            scope_scratch: Vec::new(),
-            next_message: self.next_message.clone(),
-            end: self.end,
             drain_grace: self.drain_grace,
-            tracker: self.tracker.clone(),
-            published: self.published,
-            transmissions: self.transmissions,
-            completed_transfers: self.completed_transfers,
-            valid_delays_ms: self.valid_delays_ms.clone(),
-            now: self.now,
-            rate_multiplier: self.rate_multiplier.clone(),
-            publish_gen: self.publish_gen.clone(),
-            phases: self.phases.clone(),
-            #[cfg(feature = "fault-injection")]
-            injected_fault: self.injected_fault,
+        };
+        // The sparse layout shares one population registry behind an
+        // `Arc<RwLock>`; a branch must get its own deep copy, and every
+        // cloned broker table must be re-pointed at it.
+        if let Some(shared) = &self.shared.population {
+            let own: PopulationHandle = Arc::new(RwLock::new(
+                bdps_overlay::sparse::read_population(shared).clone(),
+            ));
+            for b in &mut branch.core.brokers {
+                b.repoint_population(&own);
+            }
+            branch.shared.population = Some(own);
         }
+        branch
     }
 
     /// Hashes the complete *logical* state of the simulation — clock,
@@ -1832,24 +1566,24 @@ impl Simulation {
     /// same-instant events never narrows the set of explored behaviours.
     pub fn state_digest(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        h.write_u64(self.now.as_micros());
-        for &counter in &self.next_message {
+        h.write_u64(self.core.now.as_micros());
+        for &counter in &self.core.next_message {
             h.write_u64(counter);
         }
-        h.write_u64(self.published);
-        h.write_u64(self.transmissions);
-        h.write_u64(self.completed_transfers);
+        h.write_u64(self.totals.published);
+        h.write_u64(self.totals.transmissions);
+        h.write_u64(self.totals.completed_transfers);
         for r in std::iter::once(&self.rng)
-            .chain(self.publisher_rng.iter())
-            .chain(self.link_rng.iter())
+            .chain(self.core.publisher_rng.iter())
+            .chain(self.core.link_rng.iter())
         {
             for w in r.state_words() {
                 h.write_u64(w);
             }
         }
         // Pending events as a sorted multiset of (time, content digest).
-        let mut pending: Vec<(u64, u64)> = Vec::with_capacity(self.events.len());
-        self.events.for_each(&mut |e| {
+        let mut pending: Vec<(u64, u64)> = Vec::with_capacity(self.core.events.queue.len());
+        self.core.events.queue.for_each(&mut |e| {
             let mut eh = std::collections::hash_map::DefaultHasher::new();
             e.item.digest_into(&mut eh);
             pending.push((e.time.as_micros(), eh.finish()));
@@ -1861,13 +1595,13 @@ impl Simulation {
             h.write_u64(d);
         }
         // Link state.
-        for (i, busy) in self.link_busy.iter().enumerate() {
+        for (i, busy) in self.core.link_busy.iter().enumerate() {
             h.write_u8(*busy as u8);
-            h.write_u32(self.link_down_depth[i]);
-            h.write_u64(self.link_fail_gen[i]);
+            h.write_u32(self.shared.link_down_depth[i]);
+            h.write_u64(self.shared.link_fail_gen[i]);
             h.write_u8(self.link_alive_at_rebuild[i] as u8);
-            h.write_u64(self.link_last_change[i].as_micros());
-            let load = &self.link_load[i];
+            h.write_u64(self.core.link_last_change[i].as_micros());
+            let load = &self.core.link_load[i];
             h.write_u64(load.transmissions);
             h.write_u64(load.completed_transfers);
             h.write_u64(load.busy_us);
@@ -1877,7 +1611,7 @@ impl Simulation {
             h.write_u64(load.work_done_us.to_bits());
             // Flows as an id-sorted multiset: the Vec order is admission
             // order, which is not logical state.
-            let mut flows: Vec<&LinkFlow> = self.link_flows[i].iter().collect();
+            let mut flows: Vec<&LinkFlow> = self.core.link_flows[i].iter().collect();
             flows.sort_unstable_by_key(|f| f.queued.message.id.raw());
             h.write_usize(flows.len());
             for f in flows {
@@ -1888,12 +1622,13 @@ impl Simulation {
                 h.write_u64(f.completes_at.as_micros());
             }
         }
-        h.write_u8(self.link_model_kind as u8);
-        h.write_u8(self.forwarding as u8);
+        h.write_u8(self.shared.link_model.kind() as u8);
+        h.write_u8(self.shared.forwarding as u8);
         // Publish epochs as a sorted list (aggregate forwarding only; the
         // map is insertion-ordered-free but iteration order is not logical
         // state).
         let mut epochs: Vec<(u64, u64)> = self
+            .core
             .publish_epoch
             .iter()
             .map(|(m, e)| (m.raw(), *e))
@@ -1906,10 +1641,10 @@ impl Simulation {
         }
         h.write_u8(self.routing_dirty as u8);
         // Brokers: counters, queues and tables.
-        for b in &self.brokers {
+        for b in &self.core.brokers {
             h.write_u64(b.state_digest());
         }
-        if let Some(pop) = &self.population {
+        if let Some(pop) = &self.shared.population {
             h.write_u64(bdps_overlay::sparse::read_population(pop).state_digest());
         }
         // Population membership (the dense layout has no registry).
@@ -1918,7 +1653,7 @@ impl Simulation {
             h.write_u32(sub.id.raw());
             h.write_u32(edge.raw());
         }
-        h.write_u64(self.tracker.state_digest());
+        h.write_u64(self.totals.tracker.state_digest());
         h.finish()
     }
 
@@ -1940,7 +1675,7 @@ impl Simulation {
                     .to_string(),
             );
         }
-        for broker in &self.brokers {
+        for broker in &self.core.brokers {
             match broker.table() {
                 BrokerTable::Dense(table) => {
                     let fresh =
@@ -1994,336 +1729,13 @@ impl Simulation {
         Ok(())
     }
 
-    /// Total duplicate deliveries recorded so far (the mid-run view of the
-    /// audit behind [`SimulationOutcome::check_no_duplicates`]).
-    pub fn duplicate_deliveries_so_far(&self) -> u64 {
-        self.tracker.duplicate_deliveries()
-    }
-
     /// Arms a deliberately broken invariant, proving the model-checking
     /// explorer catches real violations (see `bdps-mc`'s fault-injection
     /// suite). Compiled only with the `fault-injection` feature; without the
     /// fault armed, behaviour is untouched.
     #[cfg(feature = "fault-injection")]
     pub fn inject_fault(&mut self, fault: InjectedFault) {
-        self.injected_fault = Some(fault);
-    }
-
-    fn on_publish(&mut self, publisher: PublisherId, gen: u64, time: SimTime) {
-        if self.publish_gen[publisher.index()] != gen {
-            return; // stale event from before a rate change
-        }
-        let Some(broker) = self.topology.publisher_broker(publisher) else {
-            return;
-        };
-        let counter = self.next_message[publisher.index()];
-        self.next_message[publisher.index()] += 1;
-        let id = key::message_id(publisher, counter);
-        let message = Arc::new(self.workload.generate_message(
-            id,
-            publisher,
-            time,
-            &mut self.publisher_rng[publisher.index()],
-        ));
-        self.published += 1;
-        self.current_phase().published += 1;
-
-        let scope = match self.forwarding {
-            ForwardingMode::Exact => {
-                // ts_i: how many subscribers are interested in this message.
-                // The matching set doubles as the copy's scope, freezing the
-                // interested population at publication time — under churn a
-                // subscription joining a microsecond later must not receive
-                // (nor re-route) this message.
-                let mut ids = std::mem::take(&mut self.scope_scratch);
-                self.global_index.matching_into(&message.head, &mut ids);
-                self.tracker.register_message(id, ids.len() as u32);
-                let scope = self.scope_interner.intern(&ids);
-                self.scope_scratch = ids;
-                scope
-            }
-            ForwardingMode::Aggregate => {
-                // No global index walk: consult only each edge group's
-                // covering summary — O(brokers), not O(population) — and
-                // scope the copy with one sentinel per candidate edge.
-                // Membership is frozen by epoch instead of by value; the
-                // interested count starts at 0 and accumulates as edges
-                // expand (see `on_process`).
-                let mut ids = std::mem::take(&mut self.scope_scratch);
-                ids.clear();
-                let epoch = {
-                    let pop = bdps_overlay::sparse::read_population(
-                        self.population
-                            .as_ref()
-                            .expect("aggregate forwarding runs on the sparse layout"),
-                    );
-                    // BTreeMap iteration is ascending in the edge broker id
-                    // and the sentinel encoding is monotone in it, so the
-                    // scope ids come out ascending as ScopeSet requires.
-                    for (dest, group) in pop.groups() {
-                        if group.summary_matches(&message.head) {
-                            ids.push(bdps_overlay::sparse::aggregate_scope_id(dest));
-                        }
-                    }
-                    pop.epoch()
-                };
-                self.tracker.register_message(id, 0);
-                self.publish_epoch.insert(id, epoch);
-                let scope = self.scope_interner.intern(&ids);
-                self.scope_scratch = ids;
-                scope
-            }
-        };
-
-        // Hand the message to the attached broker; processing takes PD.
-        let done = time + self.scheduler.processing_delay;
-        self.push_event(
-            done,
-            key::process(None, id),
-            EventKind::Process {
-                broker,
-                message,
-                scope,
-            },
-        );
-        self.schedule_next_publication(publisher, time);
-    }
-
-    fn on_process(
-        &mut self,
-        broker: BrokerId,
-        message: Arc<Message>,
-        scope: ScopeSet,
-        time: SimTime,
-        via_link: bool,
-    ) {
-        let outcome = match self.forwarding {
-            ForwardingMode::Exact => self.brokers[broker.index()].handle_arrival_scoped(
-                Arc::clone(&message),
-                time,
-                Some(&scope),
-            ),
-            ForwardingMode::Aggregate => {
-                let epoch = self.publish_epoch.get(&message.id).copied().unwrap_or(0);
-                let outcome = self.brokers[broker.index()].handle_arrival_aggregate(
-                    Arc::clone(&message),
-                    time,
-                    &scope,
-                    epoch,
-                    via_link,
-                );
-                // The interested count accumulates edge by edge: each
-                // expansion contributes exactly the members it resolved, so
-                // once every copy lands total_interested equals the delivered
-                // count (aggregate mode has no "interested but undelivered"
-                // notion — the oracle compares delivery sets, not rates).
-                self.tracker
-                    .add_interested(message.id, outcome.local.len() as u32);
-                outcome
-            }
-        };
-        for d in &outcome.local {
-            self.tracker
-                .record_delivery(message.id, d.subscriber, d.price, d.delay, d.on_time);
-            #[cfg(feature = "fault-injection")]
-            if self.injected_fault == Some(InjectedFault::DoubleDelivery) {
-                // Deliberately record the delivery a second time — the
-                // duplicate audit must flag this in every interleaving.
-                self.tracker
-                    .record_delivery(message.id, d.subscriber, d.price, d.delay, d.on_time);
-            }
-            let phase = self.phases.last_mut().expect("at least one phase");
-            if d.on_time {
-                phase.on_time += 1;
-                phase.delays_ms.observe(d.delay.as_millis_f64());
-                self.valid_delays_ms.observe(d.delay.as_millis_f64());
-            } else {
-                phase.late += 1;
-            }
-        }
-        for neighbor in outcome.enqueued_to {
-            if let Some(link) = self.link_between(broker, neighbor) {
-                self.note_queue_peak(link, broker, neighbor);
-            }
-            self.try_send(broker, neighbor, time);
-        }
-    }
-
-    fn on_send_complete(&mut self, link: LinkId, queued: QueuedMessage, gen: u64, time: SimTime) {
-        let (from, to) = {
-            let l = self.topology.graph.link(link);
-            (l.from, l.to)
-        };
-        self.touch_link(link, time);
-        self.link_busy[link.index()] = false;
-        if !self.link_alive(link) || gen != self.link_fail_gen[link.index()] {
-            #[cfg(feature = "fault-injection")]
-            if self.injected_fault == Some(InjectedFault::VoidedTransferVanishes) {
-                // Deliberately drop the voided copy instead of requeueing it
-                // — the transfer-balance conservation law must flag this.
-                return;
-            }
-            // The link died while the copy was in flight (possibly flapping
-            // back up before completion — the generation check catches that
-            // case): the transfer is void and the copy goes back into the
-            // sender's queue, where it waits for recovery (or a rerouted
-            // purge) like any other copy.
-            let accepted = self.brokers[from.index()].requeue(to, queued);
-            debug_assert!(accepted, "sender must have a queue for its own link");
-            self.note_queue_peak(link, from, to);
-            if self.link_alive(link) {
-                // Flap already over: restart the queue immediately.
-                self.try_send(from, to, time);
-            }
-            return;
-        }
-        self.completed_transfers += 1;
-        self.link_load[link.index()].completed_transfers += 1;
-        // The copy arrives at the downstream broker; processing takes PD.
-        // Target lists are built in ascending subscription order and every
-        // later mutation preserves it, so the ids intern without sorting;
-        // thanks to the hash-consing pool the scope of a copy travelling a
-        // multi-hop path is allocated once, not once per hop.
-        let mut ids = std::mem::take(&mut self.scope_scratch);
-        ids.clear();
-        ids.extend(queued.targets.iter().map(|t| t.subscription));
-        let scope = self.scope_interner.intern(&ids);
-        self.scope_scratch = ids;
-        let done = time + self.scheduler.processing_delay;
-        self.push_event(
-            done,
-            key::process(Some(link), queued.message.id),
-            EventKind::Process {
-                broker: to,
-                message: queued.message,
-                scope,
-            },
-        );
-        // Keep the link busy with the next scheduled message, if any.
-        self.try_send(from, to, time);
-    }
-
-    fn try_send(&mut self, from: BrokerId, to: BrokerId, now: SimTime) {
-        let Some(link) = self.link_between(from, to) else {
-            return;
-        };
-        if !self.link_alive(link) {
-            return;
-        }
-        match self.link_model.sharing() {
-            LinkSharing::Exclusive => {
-                if self.link_busy[link.index()] {
-                    return;
-                }
-                let decision = self.brokers[from.index()].next_to_send(to, now);
-                self.current_phase().dropped += decision.dropped.len() as u64;
-                let Some(queued) = decision.message else {
-                    return;
-                };
-                let transfer = {
-                    let l = self.topology.graph.link(link);
-                    self.link_model.sample_transfer(
-                        &l.quality,
-                        queued.message.size_kb,
-                        &mut self.link_rng[link.index()],
-                    )
-                };
-                self.touch_link(link, now);
-                self.link_busy[link.index()] = true;
-                let load = &mut self.link_load[link.index()];
-                load.transmissions += 1;
-                load.peak_flows = load.peak_flows.max(1);
-                self.transmissions += 1;
-                self.current_phase().transmissions += 1;
-                let gen = self.link_fail_gen[link.index()];
-                self.push_event(
-                    now + transfer,
-                    key::send(link, queued.message.id),
-                    EventKind::SendComplete { link, queued, gen },
-                );
-            }
-            LinkSharing::FairShare { max_flows } => {
-                // Admit queued copies as concurrent flows up to the cap;
-                // each admission slows every in-flight flow, so all
-                // completion times on the link are recomputed.
-                while self.link_flows[link.index()].len() < max_flows {
-                    let decision = self.brokers[from.index()].next_to_send(to, now);
-                    self.current_phase().dropped += decision.dropped.len() as u64;
-                    let Some(queued) = decision.message else {
-                        break;
-                    };
-                    let nominal = {
-                        let l = self.topology.graph.link(link);
-                        self.link_model.sample_transfer(
-                            &l.quality,
-                            queued.message.size_kb,
-                            &mut self.link_rng[link.index()],
-                        )
-                    };
-                    self.touch_link(link, now);
-                    let nominal_us = nominal.as_micros() as f64;
-                    self.link_flows[link.index()].push(LinkFlow {
-                        queued,
-                        nominal_us,
-                        remaining_us: nominal_us,
-                        resched: 0,
-                        completes_at: SimTime::MAX,
-                    });
-                    let flows = self.link_flows[link.index()].len() as u64;
-                    let load = &mut self.link_load[link.index()];
-                    load.transmissions += 1;
-                    load.peak_flows = load.peak_flows.max(flows);
-                    self.transmissions += 1;
-                    self.current_phase().transmissions += 1;
-                    self.reschedule_flows(link, now);
-                }
-            }
-        }
-    }
-
-    /// Completion of one flow under a sharing link model. A popped event
-    /// whose `resched` stamp no longer matches a live flow is stale — the
-    /// flow completed earlier, was voided by a link failure, or had its
-    /// completion moved by a later arrival/departure — and is ignored.
-    fn on_flow_complete(&mut self, link: LinkId, message: MessageId, resched: u64, time: SimTime) {
-        let i = link.index();
-        let Some(pos) = self.link_flows[i]
-            .iter()
-            .position(|f| f.queued.message.id == message && f.resched == resched)
-        else {
-            return; // stale completion event
-        };
-        self.touch_link(link, time);
-        let flow = self.link_flows[i].remove(pos);
-        let load = &mut self.link_load[i];
-        load.completed_transfers += 1;
-        load.work_done_us += flow.nominal_us - flow.remaining_us.max(0.0);
-        self.completed_transfers += 1;
-        let (from, to) = {
-            let l = self.topology.graph.link(link);
-            (l.from, l.to)
-        };
-        let queued = flow.queued;
-        // The copy arrives downstream exactly as in `on_send_complete`.
-        let mut ids = std::mem::take(&mut self.scope_scratch);
-        ids.clear();
-        ids.extend(queued.targets.iter().map(|t| t.subscription));
-        let scope = self.scope_interner.intern(&ids);
-        self.scope_scratch = ids;
-        let done = time + self.scheduler.processing_delay;
-        self.push_event(
-            done,
-            key::process(Some(link), queued.message.id),
-            EventKind::Process {
-                broker: to,
-                message: queued.message,
-                scope,
-            },
-        );
-        // The departure speeds up the remaining flows; then refill the
-        // freed admission slot from the sender's queue.
-        self.reschedule_flows(link, time);
-        self.try_send(from, to, time);
+        self.shared.injected_fault = Some(fault);
     }
 
     fn on_scenario(&mut self, action: ScenarioAction, time: SimTime) -> Result<(), SimError> {
@@ -2332,18 +1744,19 @@ impl Simulation {
                 subscription,
                 broker,
             } => {
-                self.global_index
+                self.shared
+                    .global_index
                     .insert(subscription.id, subscription.filter.clone());
                 match self.table_layout {
                     TableLayout::Dense => {
-                        for i in 0..self.brokers.len() {
+                        for i in 0..self.core.brokers.len() {
                             if let Some(entry) = SubscriptionTable::entry_for(
-                                self.brokers[i].id,
+                                self.core.brokers[i].id,
                                 &self.routing,
                                 &subscription,
                                 broker,
                             ) {
-                                self.brokers[i].insert_subscription(entry);
+                                self.core.brokers[i].insert_subscription(entry);
                             }
                         }
                     }
@@ -2355,7 +1768,8 @@ impl Simulation {
                         // half-registered subscription would desynchronise
                         // the registry from the broker tables — so surface
                         // it as a structured error instead of a panic.
-                        self.population
+                        self.shared
+                            .population
                             .as_ref()
                             .expect("sparse layout has a population registry")
                             .write()
@@ -2364,7 +1778,7 @@ impl Simulation {
                             })?
                             .insert(subscription.clone(), broker);
                         let routing = &self.routing;
-                        for b in &mut self.brokers {
+                        for b in &mut self.core.brokers {
                             if b.id == broker {
                                 b.insert_local_subscription(subscription.clone());
                             } else {
@@ -2376,7 +1790,7 @@ impl Simulation {
                 self.subscriptions.push((subscription, broker));
             }
             ScenarioAction::SubscriptionLeave { subscription } => {
-                self.global_index.remove(subscription);
+                self.shared.global_index.remove(subscription);
                 let mut edge = None;
                 if let Some(pos) = self
                     .subscriptions
@@ -2387,7 +1801,8 @@ impl Simulation {
                     self.subscriptions.remove(pos);
                 }
                 if self.table_layout == TableLayout::Sparse {
-                    self.population
+                    self.shared
+                        .population
                         .as_ref()
                         .expect("sparse layout has a population registry")
                         .write()
@@ -2402,7 +1817,7 @@ impl Simulation {
                 };
                 let routing = &self.routing;
                 let mut orphaned = 0;
-                for b in &mut self.brokers {
+                for b in &mut self.core.brokers {
                     // Strips the local/dense row and every queued copy's
                     // target under both layouts.
                     orphaned += b.remove_subscription(subscription);
@@ -2414,25 +1829,26 @@ impl Simulation {
                         }
                     }
                 }
-                self.current_phase().dropped += orphaned;
+                self.totals.emit(Effect::Dropped { count: orphaned });
             }
             ScenarioAction::PublisherRate {
                 publisher,
                 multiplier,
             } => {
+                let all = &self.shared.topology.publishers;
                 let targets: Vec<PublisherId> = match publisher {
                     Some(p) => vec![p],
-                    None => self.topology.publishers.iter().map(|(p, _)| *p).collect(),
+                    None => all.iter().map(|(p, _)| *p).collect(),
                 };
                 for p in targets {
-                    if p.index() >= self.rate_multiplier.len() {
+                    if p.index() >= self.shared.rate_multiplier.len() {
                         continue;
                     }
-                    self.rate_multiplier[p.index()] = multiplier.max(0.0);
+                    self.shared.rate_multiplier[p.index()] = multiplier.max(0.0);
                     // Invalidate the pending publication drawn at the old
                     // rate and restart the chain at the new one.
-                    self.publish_gen[p.index()] += 1;
-                    self.schedule_next_publication(p, time);
+                    self.shared.publish_gen[p.index()] += 1;
+                    self.core.schedule_next_publication(&self.shared, p);
                 }
             }
             ScenarioAction::LinkDown { link } => {
@@ -2440,36 +1856,33 @@ impl Simulation {
                 // now are voided when their SendComplete pops, even if the
                 // link flaps back up before they complete. Queued copies
                 // simply wait behind the dead link.
-                self.link_fail_gen[link.index()] += 1;
+                self.shared.link_fail_gen[link.index()] += 1;
                 // Under a sharing link model flows are voided eagerly: the
                 // copies return to the sender's queue at the failure
                 // instant (the sender knows its link died) and the pending
                 // FlowComplete events go stale — no live flow will match
                 // them at pop.
-                if !self.link_flows[link.index()].is_empty() {
-                    self.touch_link(link, time);
-                    let (from, to) = {
-                        let l = self.topology.graph.link(link);
-                        (l.from, l.to)
-                    };
-                    let flows = std::mem::take(&mut self.link_flows[link.index()]);
+                if !self.core.link_flows[link.index()].is_empty() {
+                    self.core.touch_link(link);
+                    let (from, to) = self.shared.endpoints(link);
+                    let flows = std::mem::take(&mut self.core.link_flows[link.index()]);
                     for flow in flows {
-                        self.link_load[link.index()].work_done_us +=
+                        self.core.link_load[link.index()].work_done_us +=
                             flow.nominal_us - flow.remaining_us.max(0.0);
-                        let accepted = self.brokers[from.index()].requeue(to, flow.queued);
+                        let accepted = self.core.brokers[from.index()].requeue(to, flow.queued);
                         debug_assert!(accepted, "sender must have a queue for its own link");
                     }
-                    self.note_queue_peak(link, from, to);
+                    self.core.note_queue_peak(link, from, to);
                 }
-                if self.link_down_depth[link.index()] == 0 {
+                if self.shared.link_down_depth[link.index()] == 0 {
                     self.routing_dirty = true;
                     self.mark_link_dirty(link);
                 }
-                self.link_down_depth[link.index()] += 1;
+                self.shared.link_down_depth[link.index()] += 1;
                 self.maybe_rebuild_routing();
             }
             ScenarioAction::LinkUp { link } => {
-                let depth = &mut self.link_down_depth[link.index()];
+                let depth = &mut self.shared.link_down_depth[link.index()];
                 if *depth > 0 {
                     *depth -= 1;
                     if *depth == 0 {
@@ -2478,17 +1891,14 @@ impl Simulation {
                     }
                 }
                 self.maybe_rebuild_routing();
-                if self.link_down_depth[link.index()] == 0 {
+                if self.shared.link_down_depth[link.index()] == 0 {
                     // Pump the queue that was waiting behind the outage.
-                    let (from, to) = {
-                        let l = self.topology.graph.link(link);
-                        (l.from, l.to)
-                    };
-                    self.try_send(from, to, time);
+                    let (from, to) = self.shared.endpoints(link);
+                    self.core.try_send(&self.shared, &mut self.totals, from, to);
                 }
             }
             ScenarioAction::PhaseMark { label } => {
-                self.phases.push(PhaseOutcome::new(label, time));
+                self.totals.phases.push(PhaseOutcome::new(label, time));
             }
         }
         Ok(())
@@ -2523,8 +1933,8 @@ impl Simulation {
         if !self.routing_dirty {
             return;
         }
-        if let Some((time, kind)) = self.events.peek() {
-            if time == self.now
+        if let Some((time, kind)) = self.core.events.queue.peek() {
+            if time == self.core.now
                 && matches!(
                     kind,
                     EventKind::Scenario {
@@ -2552,7 +1962,7 @@ impl Simulation {
         for &link in &self.dirty_links {
             let i = link.index();
             self.link_dirty[i] = false;
-            let alive = self.link_down_depth[i] == 0;
+            let alive = self.shared.link_down_depth[i] == 0;
             if alive == self.link_alive_at_rebuild[i] {
                 continue;
             }
@@ -2573,18 +1983,18 @@ impl Simulation {
     /// [`RebuildPolicy::Full`].
     fn rebuild_routing_full(&mut self) {
         let _ = self.drain_dirty_links(); // keep the snapshot coherent
-        let depth = std::mem::take(&mut self.link_down_depth);
+        let depth = std::mem::take(&mut self.shared.link_down_depth);
         self.routing = Routing::compute_filtered(&self.believed_graph, |l| depth[l.index()] == 0);
-        self.link_down_depth = depth;
+        self.shared.link_down_depth = depth;
         match self.table_layout {
             TableLayout::Dense => {
-                for i in 0..self.brokers.len() {
+                for i in 0..self.core.brokers.len() {
                     let table = SubscriptionTable::build(
-                        self.brokers[i].id,
+                        self.core.brokers[i].id,
                         &self.routing,
                         &self.subscriptions,
                     );
-                    self.brokers[i].set_table(table);
+                    self.core.brokers[i].set_table(table);
                 }
             }
             TableLayout::Sparse => {
@@ -2592,12 +2002,12 @@ impl Simulation {
                 // broker's aggregate set from scratch — `O(brokers ×
                 // destinations)` instead of `O(brokers × population)`.
                 let routing = &self.routing;
-                for b in &mut self.brokers {
+                for b in &mut self.core.brokers {
                     b.rebuild_aggregates(routing);
                 }
             }
         }
-        self.tables_rebuilt_full += self.brokers.len() as u64;
+        self.tables_rebuilt_full += self.core.brokers.len() as u64;
     }
 
     /// The incremental rebuild: recompute only the destination trees the
@@ -2609,14 +2019,14 @@ impl Simulation {
         if removed.is_empty() && added.is_empty() {
             return; // the batch was a net liveness no-op
         }
-        let depth = std::mem::take(&mut self.link_down_depth);
+        let depth = std::mem::take(&mut self.shared.link_down_depth);
         let delta = self.routing.update_for_link_change(
             &self.believed_graph,
             |l| depth[l.index()] == 0,
             &removed,
             &added,
         );
-        self.link_down_depth = depth;
+        self.shared.link_down_depth = depth;
         if delta.is_empty() {
             return;
         }
@@ -2635,7 +2045,7 @@ impl Simulation {
     fn patch_sparse_tables(&mut self, delta: &RouteDelta) {
         let routing = &self.routing;
         let mut patched = RetargetOutcome::default();
-        for (i, broker) in self.brokers.iter_mut().enumerate() {
+        for (i, broker) in self.core.brokers.iter_mut().enumerate() {
             let source = BrokerId::new(i as u32);
             for &dest in delta.changed_dests(source) {
                 patched.absorb(broker.sync_aggregate(routing, dest));
@@ -2663,7 +2073,7 @@ impl Simulation {
         let population = self.subscriptions.len();
         let mut patched = RetargetOutcome::default();
         let mut bulk_rebuilt = 0u64;
-        for (i, broker) in self.brokers.iter_mut().enumerate() {
+        for (i, broker) in self.core.brokers.iter_mut().enumerate() {
             let source = BrokerId::new(i as u32);
             let dests = delta.changed_dests(source);
             // Retargeting an entry in place is O(1), but a reachability

@@ -9,8 +9,17 @@
 //!
 //! * [`workload`] — workload configuration and generators (publishing rate,
 //!   message heads, subscription filters, PSD/SSD delay requirements);
-//! * [`engine`] — the event-driven simulation core (event queue, link
-//!   occupancy, broker driving, objective tracking);
+//! * [`engine`] — the [`Simulation`]: construction, run loop and stepping
+//!   API, scenario application, audits. Its state is three groups split by
+//!   who may write them while traffic flows: the **traffic core** (brokers,
+//!   event queue, per-publisher / per-link streams, link occupancy, clock),
+//!   the **shared context** only scenario actions mutate (topology, filter
+//!   index, link liveness, rates, population registry) and the
+//!   **order-sensitive totals** (objective tracker, phases, delay summary);
+//!   the traffic handlers are written once against (core, &shared, effect
+//!   sink) and run by both executors;
+//! * [`shard`] — the sharded executor: conservative `PD`-lookahead windows
+//!   over per-shard traffic cores running those same handlers;
 //! * [`sched`] — pluggable event schedulers behind the [`EventQueue`]
 //!   trait: the `O(log n)` binary-heap reference and the `O(1)`-amortised
 //!   calendar queue used by default, popping in bit-identical order;
@@ -35,6 +44,7 @@ pub mod runner;
 pub mod scenario;
 pub mod sched;
 pub mod shard;
+mod traffic;
 pub mod workload;
 
 pub use bdps_net::linkmodel::{LinkModel, LinkModelKind, LinkModelRegistry};

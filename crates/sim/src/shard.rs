@@ -13,13 +13,18 @@
 //!
 //! # Why the N-shard run is bit-identical to the sequential run
 //!
-//! * **Disjoint state.** Every traffic handler touches only the state of the
-//!   entity that owns the event — the publisher's RNG/counter for `Publish`,
-//!   the broker for `Process`, the link and its *sender* broker for
-//!   `SendComplete`/`try_send` — plus read-only shared context (topology,
-//!   routing tables, the global filter index). Publishers are homed with
-//!   their broker and links with their sender, so a shard's window never
-//!   writes another shard's state.
+//! * **Disjoint state, one set of handlers.** A shard is a
+//!   `TrafficCore` — the same type the sequential engine steps — holding
+//!   a contiguous block of the brokers, and its worker runs the engine's own
+//!   traffic handlers on it (`TrafficCore::apply`; there is no second copy
+//!   of the broker loop here). Every handler writes only the core state of
+//!   the entity that owns the event — the publisher's RNG/counter for
+//!   `Publish`, the broker for `Process`, the link and its *sender* broker
+//!   for `SendComplete`/`try_send` — and reads the `Shared` context
+//!   (topology, link liveness, the global filter index), which only
+//!   scenario barriers mutate. Publishers are homed with their broker and
+//!   links with their sender, so a shard's window never writes another
+//!   shard's state.
 //! * **Lookahead.** The only cross-shard edge is the `Process` event a
 //!   completed transfer schedules at the *receiving* broker, always at
 //!   `t + PD`. A window whose pop limit is `t₀ + PD − 1µs` therefore only
@@ -33,12 +38,13 @@
 //!   sequential run makes.
 //! * **Ordered effect replay.** Global accumulations whose result is
 //!   order-sensitive (the objective tracker's floating-point earning/delay
-//!   sums, the per-phase delay summaries) are not updated by workers.
-//!   Handlers emit an *effect log* entry stamped with the event's canonical
-//!   `(time, key)` and a per-event emission index; at every window barrier
-//!   the coordinator sorts the union of the logs by `(time, key, idx)` —
-//!   the exact order the sequential loop applies them in — and replays them
-//!   into the shared accumulators.
+//!   sums, the per-phase delay summaries) are reached by the handlers only
+//!   through an `EffectSink`. The sequential engine's sink is the totals
+//!   themselves; a worker's sink logs each effect stamped with the event's
+//!   canonical `(time, key)` and a per-event emission index, and at every
+//!   window barrier the coordinator sorts the union of the logs by
+//!   `(time, key, idx)` — the exact order the sequential loop applies them
+//!   in — and feeds them to the same `Totals::emit`.
 //! * **Scenario barriers.** Scenario events (rank-0 keys, always applied
 //!   before same-instant traffic) mutate genuinely global state: routing,
 //!   subscription tables, the shared population registry. The coordinator
@@ -52,32 +58,22 @@
 //! the paper's metrics — the peak queue length and the scope-interner
 //! hit-rate — are queue-shape-dependent and may differ from the sequential
 //! run; everything [`crate::report::SimulationReport`] is built from is
-//! reproduced exactly. The `fault-injection` test feature is not wired
-//! through the sharded path; the model-checking explorer drives the
-//! sequential loop.
+//! reproduced exactly. The scope-interner counters are summed over the
+//! shards' pools (each shard interns on its own, so the hit count depends on
+//! the partition).
 
+use std::iter::Peekable;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
 
-use bdps_core::broker::BrokerState;
-use bdps_core::objective::ObjectiveTracker;
-use bdps_core::queue::QueuedMessage;
-use bdps_filter::scope::{ScopeInterner, ScopeSet};
+use bdps_net::linkmodel::LinkModelKind;
 use bdps_stats::rng::SimRng;
-use bdps_stats::summary::Summary;
-use bdps_types::id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
-use bdps_types::message::Message;
-use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
-use std::sync::Arc;
 
-use bdps_net::linkmodel::{LinkModel, LinkModelKind};
-
-use crate::engine::{
-    key, EventKind, LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
-};
-use crate::sched::{EventQueue, Scheduled};
+use crate::engine::{EventKind, ForwardingMode, SimError, Simulation, SimulationOutcome};
+use crate::sched::Scheduled;
+use crate::traffic::{Effect, EffectSink, Pending, Shared, TrafficCore};
 
 /// Windows pop up to `W1 − ε` inclusive; one microsecond is the clock's
 /// resolution, so `W1 − ε` is "strictly before `W1`".
@@ -111,70 +107,68 @@ pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
 /// argument above does not hold. Aggregate-scoped forwarding is likewise
 /// rejected ([`SimError::ShardedForwardingUnsupported`]): edge expansion
 /// reads the shared population registry at delivery time, racing churn
-/// applied by sibling shards.
+/// applied by sibling shards. Both are decided from the configuration
+/// alone, before any broker table is built.
 pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationOutcome, SimError> {
-    sim.build_brokers();
-    let pd = sim.scheduler.processing_delay;
-    let n = shards.min(sim.brokers.len());
+    let pd = sim.shared.scheduler.processing_delay;
+    let n = shards.min(sim.shared.topology.graph.broker_count());
     if n <= 1 || pd == Duration::ZERO {
         return sim.try_run();
     }
-    if sim.link_model_kind != LinkModelKind::Constant {
+    let model = sim.shared.link_model.kind();
+    if model != LinkModelKind::Constant {
         return Err(SimError::ShardedLinkModelUnsupported {
-            model: sim.link_model_kind.name(),
+            model: model.name(),
         });
     }
-    if sim.forwarding == crate::engine::ForwardingMode::Aggregate {
-        // Edge expansion reads the shared population registry at delivery
-        // time; a shard expanding while another applies churn inside the
-        // same conservative window would race — reject instead of
-        // silently diverging from the sequential run.
+    if sim.shared.forwarding == ForwardingMode::Aggregate {
         return Err(SimError::ShardedForwardingUnsupported);
     }
+    sim.build_brokers()?;
 
     let homes = Homes::build(&sim, n);
     let hard_stop = sim.hard_stop();
-    let (mut cores, mut scenario_q) = init_cores(&mut sim, &homes, n);
+    let (mut shards, scenario_q) = init_shards(&mut sim, &homes, n);
+    let mut scenario_q = scenario_q.into_iter().peekable();
 
-    let mut cursor = 0usize;
     loop {
+        // Scenario keys rank lowest, so the windows stop strictly before the
+        // next scenario instant and its batch applies before any traffic at
+        // that instant — exactly the sequential pop order.
         let t_scen = scenario_q
-            .get(cursor)
+            .peek()
             .map(|e| e.time)
             .filter(|&t| t <= hard_stop);
-        let t_traffic = cores
-            .iter()
-            .filter_map(ShardCore::peek_time)
-            .filter(|&t| t <= hard_stop)
-            .min();
-        match (t_scen, t_traffic) {
-            (None, None) => break,
-            // Scenario keys rank lowest, so at an equal instant the scenario
-            // batch applies before any traffic — exactly the sequential
-            // pop order.
-            (Some(ts), tt) if tt.is_none_or(|t| ts <= t) => {
-                apply_scenario_instant(&mut sim, &mut cores, &scenario_q, &mut cursor, ts, &homes)?;
-            }
-            _ => run_era(&mut sim, &mut cores, &homes, t_scen, hard_stop, pd)?,
-        }
+        run_era(&mut sim, &mut shards, &homes, t_scen, hard_stop, pd)?;
+        let Some(t) = t_scen else { break };
+        apply_scenario_instant(&mut sim, &mut shards, &mut scenario_q, t, &homes)?;
     }
 
-    // Finalise: gather the shards back, return unprocessed events (past the
+    // Finalise: merge the shards back, return unprocessed events (past the
     // hard stop) to the global queue so the end-of-run conservation
     // accounting sees them, and advance the clock to the last applied event.
-    gather(&mut sim, &mut cores, &homes);
-    for core in &mut cores {
-        while let Some(e) = core.events.pop() {
-            sim.events.push(e);
+    gather(&mut sim, &mut shards, &homes);
+    let (mut interns, mut hits) = (0, 0);
+    for Shard { core, .. } in &mut shards {
+        while let Some(e) = core.events.queue.pop() {
+            sim.core.events.queue.push(e);
         }
-        sim.events_processed += core.events_processed;
-        sim.peak_pending_events = sim.peak_pending_events.max(core.peak_pending);
-        sim.now = sim.now.max(core.last_time);
+        sim.core.events_processed += core.events_processed;
+        sim.core.peak_pending = sim.core.peak_pending.max(core.peak_pending);
+        sim.core.now = sim.core.now.max(core.now);
+        interns += core.scope_interner.interns();
+        hits += core.scope_interner.hits();
     }
-    for e in scenario_q.drain(cursor..) {
-        sim.events.push(e);
+    for e in scenario_q {
+        sim.core.events.queue.push(e);
     }
-    Ok(sim.into_outcome())
+    // Every shard interned into its own pool; the outcome reports the
+    // traffic they served together (a partition-dependent value — a scope
+    // shared across shards is allocated once per shard).
+    let mut outcome = sim.into_outcome();
+    outcome.scope_interns += interns;
+    outcome.scope_intern_hits += hits;
+    Ok(outcome)
 }
 
 /// Where every entity lives: shard of each broker (contiguous blocks), of
@@ -184,227 +178,148 @@ struct Homes {
     shard_of_broker: Vec<usize>,
     publisher: Vec<usize>,
     link: Vec<usize>,
-    broker_lo: Vec<usize>,
-    broker_count: Vec<usize>,
 }
 
 impl Homes {
     fn build(sim: &Simulation, n: usize) -> Homes {
-        let b = sim.brokers.len();
+        let b = sim.core.brokers.len();
         let shard_of_broker: Vec<usize> = (0..b).map(|i| i * n / b).collect();
-        let mut broker_lo = vec![0usize; n];
-        let mut broker_count = vec![0usize; n];
-        for (i, &s) in shard_of_broker.iter().enumerate() {
-            if broker_count[s] == 0 {
-                broker_lo[s] = i;
-            }
-            broker_count[s] += 1;
-        }
-        let mut publisher = vec![0usize; sim.publisher_rng.len()];
-        for (p, broker) in &sim.topology.publishers {
+        let topology = &sim.shared.topology;
+        let mut publisher = vec![0usize; sim.core.publisher_rng.len()];
+        for (p, broker) in &topology.publishers {
             publisher[p.index()] = shard_of_broker[broker.index()];
         }
-        let mut link = vec![0usize; sim.link_rng.len()];
-        for l in sim.topology.graph.links() {
+        let mut link = vec![0usize; sim.core.link_rng.len()];
+        for l in topology.graph.links() {
             link[l.id.index()] = shard_of_broker[l.from.index()];
         }
         Homes {
             shard_of_broker,
             publisher,
             link,
-            broker_lo,
-            broker_count,
+        }
+    }
+
+    /// The shard that owns a traffic event: its publisher's, its broker's,
+    /// or its link's.
+    fn of(&self, kind: &EventKind) -> usize {
+        match kind {
+            EventKind::Publish { publisher, .. } => self.publisher[publisher.index()],
+            EventKind::Process { broker, .. } => self.shard_of_broker[broker.index()],
+            EventKind::SendComplete { link, .. } | EventKind::FlowComplete { link, .. } => {
+                self.link[link.index()]
+            }
+            EventKind::Scenario { .. } => unreachable!("scenario events are coordinator-owned"),
         }
     }
 }
 
-/// The state one shard owns outright: its brokers, its event queue, and the
-/// RNG streams / counters of the publishers and links homed to it.
-///
-/// `publisher_rng`, `link_rng`, `next_message`, `link_busy`,
-/// `link_last_change` and `link_load` are full-length vectors for direct
-/// indexing; only the slots of entities homed to this shard are live (the
-/// rest hold inert placeholders), and only live slots are exchanged with the
-/// [`Simulation`] at gather/scatter.
-struct ShardCore {
-    shard: usize,
-    broker_lo: usize,
-    brokers: Vec<BrokerState>,
-    events: Box<dyn EventQueue<EventKind> + Send>,
-    publisher_rng: Vec<SimRng>,
-    link_rng: Vec<SimRng>,
-    next_message: Vec<u64>,
-    link_busy: Vec<bool>,
-    link_last_change: Vec<SimTime>,
-    link_load: Vec<LinkLoad>,
-    scope_interner: ScopeInterner,
-    scope_scratch: Vec<SubscriptionId>,
-    effects: Vec<Logged>,
-    outbox: Vec<Scheduled<EventKind>>,
-    events_processed: u64,
-    peak_pending: usize,
-    last_time: SimTime,
-    /// `(time, key)` of the event currently being applied and the index of
-    /// the next effect it emits — the canonical replay coordinates.
-    cur_time: SimTime,
-    cur_key: u64,
-    effect_idx: u32,
+/// What one worker advances: a [`TrafficCore`] holding the shard's block of
+/// brokers (and the live slots of the publishers and links homed to it),
+/// plus the log its handlers' effects go to.
+struct Shard {
+    core: TrafficCore,
+    log: EffectLog,
 }
 
-/// Read-only context shared by every worker for one era: the simulation
-/// state that only scenario barriers mutate.
-#[derive(Clone, Copy)]
-struct ShardGlobals<'a> {
-    topology: &'a bdps_overlay::topology::Topology,
-    global_index: &'a bdps_filter::index::MatchIndex,
-    workload: &'a crate::workload::WorkloadConfig,
-    /// Always the constant-delay oracle (the guard in [`try_run_sharded`]
-    /// rejects sharing models), but sampling still goes through the trait so
-    /// the sharded path has no second transfer-time code path.
-    link_model: &'a dyn LinkModel,
-    processing_delay: Duration,
-    end: SimTime,
-    link_of: &'a [Vec<Option<LinkId>>],
-    link_down_depth: &'a [u32],
-    link_fail_gen: &'a [u64],
-    rate_multiplier: &'a [f64],
-    publish_gen: &'a [u64],
-    shard_of_broker: &'a [usize],
+impl Shard {
+    fn peek_time(&self) -> Option<SimTime> {
+        self.core.events.queue.peek().map(|(t, _)| t)
+    }
 }
 
-/// One order-sensitive global accumulation, deferred out of the worker and
-/// replayed by the coordinator in canonical order.
-enum Effect {
-    /// A message was published with `interested` matching subscriptions.
-    Published { message: MessageId, interested: u32 },
-    /// A copy reached a subscriber.
-    Delivery {
-        message: MessageId,
-        subscriber: SubscriberId,
-        price: Price,
-        delay: Duration,
-        on_time: bool,
-    },
-    /// A scheduling decision dropped `count` queued copies.
-    Dropped { count: u64 },
-    /// A link transmission started.
-    Transmission,
-    /// A link transmission completed (not voided by a failure).
-    CompletedTransfer,
+/// The workers' [`EffectSink`]: instead of touching the order-sensitive
+/// totals, stamp each effect with its canonical replay coordinates — the
+/// emitting event's `(time, key)` and the emission index within it.
+#[derive(Default)]
+struct EffectLog {
+    entries: Vec<(Stamp, Effect)>,
+    next: Stamp,
 }
 
-/// An [`Effect`] stamped with its canonical replay coordinates: the emitting
-/// event's `(time, key)` and the emission index within that event.
-struct Logged {
-    time: SimTime,
-    key: u64,
-    idx: u32,
-    effect: Effect,
+type Stamp = (SimTime, u64, u32);
+
+impl EffectSink for EffectLog {
+    fn emit(&mut self, effect: Effect) {
+        self.entries.push((self.next, effect));
+        self.next.2 += 1;
+    }
 }
 
 /// Builds the per-shard cores and splits the simulation's state into them.
 /// Scenario events — coordinator-owned — are returned separately, in
 /// `(time, key)` order.
-fn init_cores(
+fn init_shards(
     sim: &mut Simulation,
     homes: &Homes,
     n: usize,
-) -> (Vec<ShardCore>, Vec<Scheduled<EventKind>>) {
-    let slots = sim.publisher_rng.len();
-    let links = sim.link_rng.len();
-    let mut cores: Vec<ShardCore> = (0..n)
-        .map(|shard| ShardCore {
-            shard,
-            broker_lo: homes.broker_lo[shard],
-            brokers: Vec::with_capacity(homes.broker_count[shard]),
-            events: sim.queue_kind.create(),
-            publisher_rng: (0..slots).map(|_| SimRng::seed_from(0)).collect(),
-            link_rng: (0..links).map(|_| SimRng::seed_from(0)).collect(),
-            next_message: sim.next_message.clone(),
-            link_busy: sim.link_busy.clone(),
-            link_last_change: sim.link_last_change.clone(),
-            link_load: sim.link_load.clone(),
-            scope_interner: ScopeInterner::new(),
-            scope_scratch: Vec::new(),
-            effects: Vec::new(),
-            outbox: Vec::new(),
-            events_processed: 0,
-            peak_pending: 0,
-            last_time: SimTime::ZERO,
-            cur_time: SimTime::ZERO,
-            cur_key: 0,
-            effect_idx: 0,
+) -> (Vec<Shard>, Vec<Scheduled<EventKind>>) {
+    // Placeholder streams: only the slots of entities homed to a shard ever
+    // go live, by swapping with the simulation's (see `swap_entities`).
+    let idle = |len: usize| (0..len).map(|_| SimRng::seed_from(0)).collect();
+    let mut shards: Vec<Shard> = (0..n)
+        .map(|s| Shard {
+            core: TrafficCore::new(
+                Pending::new(sim.core.events.kind),
+                idle(sim.core.publisher_rng.len()),
+                idle(sim.core.link_rng.len()),
+                // n ≤ brokers, so every shard's block is non-empty.
+                homes.shard_of_broker.partition_point(|&home| home < s),
+            ),
+            log: EffectLog::default(),
         })
         .collect();
-    scatter(sim, &mut cores, homes);
+    scatter(sim, &mut shards, homes);
     let mut scenario_q = Vec::new();
-    while let Some(e) = sim.events.pop() {
+    while let Some(e) = sim.core.events.queue.pop() {
         if matches!(e.item, EventKind::Scenario { .. }) {
             scenario_q.push(e);
         } else {
-            route_event(&mut cores, homes, e);
+            shards[homes.of(&e.item)].core.accept(e);
         }
     }
-    (cores, scenario_q)
+    (shards, scenario_q)
 }
 
-/// Pushes a traffic event into the queue of the shard that owns it.
-fn route_event(cores: &mut [ShardCore], homes: &Homes, ev: Scheduled<EventKind>) {
-    let shard = match &ev.item {
-        EventKind::Publish { publisher, .. } => homes.publisher[publisher.index()],
-        EventKind::Process { broker, .. } => homes.shard_of_broker[broker.index()],
-        EventKind::SendComplete { link, .. } => homes.link[link.index()],
-        EventKind::FlowComplete { link, .. } => homes.link[link.index()],
-        EventKind::Scenario { .. } => unreachable!("scenario events are coordinator-owned"),
-    };
-    let core = &mut cores[shard];
-    core.events.push(ev);
-    core.peak_pending = core.peak_pending.max(core.events.len());
-}
-
-/// Moves the shard-owned state back into the simulation (for a scenario
-/// barrier or finalisation). Inverse of [`scatter`].
-fn gather(sim: &mut Simulation, cores: &mut [ShardCore], homes: &Homes) {
-    debug_assert!(sim.brokers.is_empty(), "gather on an un-scattered sim");
-    for core in cores.iter_mut() {
-        sim.brokers.append(&mut core.brokers);
-        debug_assert!(core.effects.is_empty() && core.outbox.is_empty());
-    }
+/// Swaps the per-publisher and per-link slots between the simulation's core
+/// and the core each entity is homed to — its own inverse, so it serves both
+/// directions: whichever side does not own a slot holds a value nobody
+/// reads. (Flow tables and publish epochs stay put: the guards in
+/// [`try_run_sharded`] keep both empty on a sharded run.)
+fn swap_entities(sim: &mut TrafficCore, shards: &mut [Shard], homes: &Homes) {
+    use std::mem::swap;
     for (i, &s) in homes.publisher.iter().enumerate() {
-        std::mem::swap(&mut sim.publisher_rng[i], &mut cores[s].publisher_rng[i]);
-        sim.next_message[i] = cores[s].next_message[i];
+        let core = &mut shards[s].core;
+        swap(&mut sim.publisher_rng[i], &mut core.publisher_rng[i]);
+        swap(&mut sim.next_message[i], &mut core.next_message[i]);
     }
     for (i, &s) in homes.link.iter().enumerate() {
-        std::mem::swap(&mut sim.link_rng[i], &mut cores[s].link_rng[i]);
-        sim.link_busy[i] = cores[s].link_busy[i];
-        sim.link_last_change[i] = cores[s].link_last_change[i];
-        sim.link_load[i] = cores[s].link_load[i].clone();
+        let core = &mut shards[s].core;
+        swap(&mut sim.link_rng[i], &mut core.link_rng[i]);
+        swap(&mut sim.link_busy[i], &mut core.link_busy[i]);
+        swap(&mut sim.link_last_change[i], &mut core.link_last_change[i]);
+        swap(&mut sim.link_load[i], &mut core.link_load[i]);
     }
 }
 
-/// Distributes the simulation's broker states and entity streams out to the
+/// Moves the shard-owned state back into the simulation's core (for a
+/// scenario barrier or finalisation). Inverse of [`scatter`].
+fn gather(sim: &mut Simulation, shards: &mut [Shard], homes: &Homes) {
+    debug_assert!(sim.core.brokers.is_empty(), "gather on an un-scattered sim");
+    for shard in shards.iter_mut() {
+        sim.core.brokers.append(&mut shard.core.brokers);
+        debug_assert!(shard.log.entries.is_empty() && shard.core.outbox.is_empty());
+    }
+    swap_entities(&mut sim.core, shards, homes);
+}
+
+/// Distributes the simulation's broker states and entity slots out to the
 /// shard cores. Inverse of [`gather`].
-fn scatter(sim: &mut Simulation, cores: &mut [ShardCore], homes: &Homes) {
-    let mut brokers = sim.brokers.drain(..);
-    for core in cores.iter_mut() {
-        debug_assert!(core.brokers.is_empty());
-        core.brokers
-            .extend(brokers.by_ref().take(homes.broker_count[core.shard]));
+fn scatter(sim: &mut Simulation, shards: &mut [Shard], homes: &Homes) {
+    for (broker, &s) in sim.core.brokers.drain(..).zip(&homes.shard_of_broker) {
+        shards[s].core.brokers.push(broker);
     }
-    debug_assert!(brokers.next().is_none());
-    drop(brokers);
-    for (i, &s) in homes.publisher.iter().enumerate() {
-        std::mem::swap(&mut cores[s].publisher_rng[i], &mut sim.publisher_rng[i]);
-    }
-    for (i, &s) in homes.link.iter().enumerate() {
-        std::mem::swap(&mut cores[s].link_rng[i], &mut sim.link_rng[i]);
-    }
-    for core in cores.iter_mut() {
-        core.next_message.copy_from_slice(&sim.next_message);
-        core.link_busy.copy_from_slice(&sim.link_busy);
-        core.link_last_change.copy_from_slice(&sim.link_last_change);
-        core.link_load.clone_from_slice(&sim.link_load);
-    }
+    swap_entities(&mut sim.core, shards, homes);
 }
 
 /// Applies the full scenario batch at instant `t` through the engine's own
@@ -415,35 +330,33 @@ fn scatter(sim: &mut Simulation, cores: &mut [ShardCore], homes: &Homes) {
 /// (rate-change publications, post-recovery transfers) and scatter back.
 fn apply_scenario_instant(
     sim: &mut Simulation,
-    cores: &mut [ShardCore],
-    scenario_q: &[Scheduled<EventKind>],
-    cursor: &mut usize,
+    shards: &mut [Shard],
+    scenario_q: &mut Peekable<impl Iterator<Item = Scheduled<EventKind>>>,
     t: SimTime,
     homes: &Homes,
 ) -> Result<(), SimError> {
-    gather(sim, cores, homes);
-    while *cursor < scenario_q.len() && scenario_q[*cursor].time == t {
-        sim.events.push(scenario_q[*cursor].clone());
-        *cursor += 1;
+    gather(sim, shards, homes);
+    while let Some(e) = scenario_q.next_if(|e| e.time == t) {
+        sim.core.events.queue.push(e);
     }
     loop {
         let next_is_scenario = matches!(
-            sim.events.peek(),
+            sim.core.events.queue.peek(),
             Some((pt, EventKind::Scenario { .. })) if pt == t
         );
         if !next_is_scenario {
             break;
         }
-        let e = sim.events.pop().expect("peeked event");
+        let e = sim.core.events.queue.pop().expect("peeked event");
         sim.try_apply(e)?;
     }
     // Whatever the batch scheduled is ordinary traffic owned by some shard;
     // hand it over for the following windows (its times are ≥ t, so the
     // next window cannot have passed it).
-    while let Some(e) = sim.events.pop() {
-        route_event(cores, homes, e);
+    while let Some(e) = sim.core.events.queue.pop() {
+        shards[homes.of(&e.item)].core.accept(e);
     }
-    scatter(sim, cores, homes);
+    scatter(sim, shards, homes);
     Ok(())
 }
 
@@ -451,81 +364,62 @@ fn apply_scenario_instant(
 /// or beyond the next scenario instant `t_scen`.
 ///
 /// Workers persist for the whole era: each owns a job channel over which the
-/// coordinator sends `(core, limit)` and a shared completion channel going
-/// back. A window sends only the cores with work at or before the limit;
-/// returned cores have their outboxes routed and their effect logs merged —
-/// sorted by `(time, key, idx)` — into the order-sensitive accumulators.
+/// coordinator sends `(shard, limit)` and a shared completion channel going
+/// back. A window sends only the shards with work at or before the limit;
+/// returned shards have their outboxes routed and their effect logs merged —
+/// sorted by `(time, key, idx)` — into the simulation's totals.
 fn run_era(
     sim: &mut Simulation,
-    cores: &mut Vec<ShardCore>,
+    shards: &mut Vec<Shard>,
     homes: &Homes,
     t_scen: Option<SimTime>,
     hard_stop: SimTime,
     pd: Duration,
 ) -> Result<(), SimError> {
-    let n = cores.len();
-    let globals = ShardGlobals {
-        topology: &sim.topology,
-        global_index: &sim.global_index,
-        workload: &sim.workload,
-        link_model: &*sim.link_model,
-        processing_delay: pd,
-        end: sim.end,
-        link_of: &sim.link_of,
-        link_down_depth: &sim.link_down_depth,
-        link_fail_gen: &sim.link_fail_gen,
-        rate_multiplier: &sim.rate_multiplier,
-        publish_gen: &sim.publish_gen,
-        shard_of_broker: &homes.shard_of_broker,
-    };
-    let tracker = &mut sim.tracker;
-    let phases = &mut sim.phases;
-    let valid_delays_ms = &mut sim.valid_delays_ms;
-    let published = &mut sim.published;
-    let transmissions = &mut sim.transmissions;
-    let completed_transfers = &mut sim.completed_transfers;
-
-    let mut slots: Vec<Option<ShardCore>> = cores.drain(..).map(Some).collect();
+    // Whether a window may start at `t0`: inside the run and strictly
+    // before the scenario instant. No such window — consecutive scenario
+    // instants, a drained run — means no era, and no threads.
+    let due = |t0: SimTime| t0 <= hard_stop && t_scen.is_none_or(|ts| t0 < ts);
+    if !shards.iter().filter_map(Shard::peek_time).any(due) {
+        return Ok(());
+    }
+    let n = shards.len();
+    let shared = &sim.shared;
+    let totals = &mut sim.totals;
+    let mut slots: Vec<Option<Shard>> = shards.drain(..).map(Some).collect();
 
     let result = thread::scope(|s| -> Result<(), SimError> {
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<ShardCore, String>)>();
-        let mut job_tx: Vec<mpsc::SyncSender<(ShardCore, SimTime)>> = Vec::with_capacity(n);
+        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Shard, String>)>();
+        let mut job_tx: Vec<mpsc::SyncSender<(Shard, SimTime)>> = Vec::with_capacity(n);
         for shard in 0..n {
-            let (tx, rx) = mpsc::sync_channel::<(ShardCore, SimTime)>(1);
+            let (tx, rx) = mpsc::sync_channel::<(Shard, SimTime)>(1);
             job_tx.push(tx);
             let done = done_tx.clone();
             s.spawn(move || {
-                while let Ok((mut core, limit)) = rx.recv() {
+                while let Ok((mut job, limit)) = rx.recv() {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        run_core_window(&mut core, &globals, limit);
-                        core
-                    }));
-                    match outcome {
-                        Ok(core) => {
-                            if done.send((shard, Ok(core))).is_err() {
-                                return;
-                            }
-                        }
-                        Err(payload) => {
-                            let _ = done.send((shard, Err(panic_message(payload))));
-                            return;
-                        }
+                        run_window(&mut job, shared, limit);
+                        job
+                    }))
+                    .map_err(panic_message);
+                    let died = outcome.is_err();
+                    if done.send((shard, outcome)).is_err() || died {
+                        return;
                     }
                 }
             });
         }
         drop(done_tx);
 
-        let mut merged: Vec<Logged> = Vec::new();
+        let mut merged: Vec<(Stamp, Effect)> = Vec::new();
         loop {
             let t0 = slots
                 .iter()
-                .filter_map(|c| c.as_ref().and_then(ShardCore::peek_time))
+                .filter_map(|c| c.as_ref().and_then(Shard::peek_time))
                 .min();
-            let Some(t0) = t0 else { break };
-            if t0 > hard_stop || t_scen.is_some_and(|ts| t0 >= ts) {
+            let Some(t0) = t0.filter(|&t0| due(t0)) else {
                 break;
-            }
+            };
             // Conservative window: every event popped at or before `limit`
             // schedules cross-shard work at ≥ t₀ + PD > limit.
             let mut limit = (t0 + pd) - EPSILON;
@@ -538,11 +432,11 @@ fn run_era(
             for (shard, tx) in job_tx.iter().enumerate() {
                 let due = slots[shard]
                     .as_ref()
-                    .and_then(ShardCore::peek_time)
+                    .and_then(Shard::peek_time)
                     .is_some_and(|t| t <= limit);
                 if due {
-                    let core = slots[shard].take().expect("core is home");
-                    if tx.send((core, limit)).is_err() {
+                    let job = slots[shard].take().expect("shard is home");
+                    if tx.send((job, limit)).is_err() {
                         return Err(SimError::WorkerPanicked {
                             shard,
                             message: "worker exited before the window was dispatched".into(),
@@ -551,131 +445,50 @@ fn run_era(
                     outstanding += 1;
                 }
             }
-            merged.clear();
             for _ in 0..outstanding {
                 let (shard, outcome) = done_rx.recv().map_err(|_| SimError::WorkerPanicked {
                     shard: usize::MAX,
                     message: "all workers exited mid-window".into(),
                 })?;
                 match outcome {
-                    Ok(mut core) => {
-                        merged.append(&mut core.effects);
-                        slots[shard] = Some(core);
+                    Ok(mut job) => {
+                        merged.append(&mut job.log.entries);
+                        slots[shard] = Some(job);
                     }
                     Err(message) => return Err(SimError::WorkerPanicked { shard, message }),
                 }
             }
-            merged.sort_by_key(|l| (l.time, l.key, l.idx));
-            apply_effects(
-                &merged,
-                tracker,
-                phases,
-                valid_delays_ms,
-                published,
-                transmissions,
-                completed_transfers,
-            );
+            // Replay in the exact order the sequential loop applies them,
+            // through the same update code.
+            merged.sort_by_key(|&(stamp, _)| stamp);
+            for (_, effect) in merged.drain(..) {
+                totals.emit(effect);
+            }
             for shard in 0..n {
-                let outbox = match slots[shard].as_mut() {
-                    Some(core) => std::mem::take(&mut core.outbox),
-                    None => Vec::new(),
-                };
-                for ev in outbox {
+                let home = slots[shard].as_mut().expect("every shard is home");
+                for ev in std::mem::take(&mut home.core.outbox) {
                     debug_assert!(ev.time > limit, "cross-shard event inside the window");
-                    let dest = match &ev.item {
-                        EventKind::Process { broker, .. } => homes.shard_of_broker[broker.index()],
-                        _ => unreachable!("only Process events cross shards"),
-                    };
-                    let core = slots[dest].as_mut().expect("destination core is home");
-                    core.events.push(ev);
-                    core.peak_pending = core.peak_pending.max(core.events.len());
+                    let dest = slots[homes.of(&ev.item)]
+                        .as_mut()
+                        .expect("every shard is home");
+                    dest.core.accept(ev);
                 }
             }
         }
         Ok(())
     });
 
-    cores.extend(slots.into_iter().flatten());
+    shards.extend(slots.into_iter().flatten());
     result
-}
-
-/// Replays a window's merged effect log — already in canonical
-/// `(time, key, idx)` order — into the order-sensitive accumulators,
-/// mirroring the sequential handlers' update order exactly.
-#[allow(clippy::too_many_arguments)]
-fn apply_effects(
-    effects: &[Logged],
-    tracker: &mut ObjectiveTracker,
-    phases: &mut [PhaseOutcome],
-    valid_delays_ms: &mut Summary,
-    published: &mut u64,
-    transmissions: &mut u64,
-    completed_transfers: &mut u64,
-) {
-    for logged in effects {
-        let phase = phases.last_mut().expect("at least one phase");
-        match &logged.effect {
-            Effect::Published {
-                message,
-                interested,
-            } => {
-                *published += 1;
-                phase.published += 1;
-                tracker.register_message(*message, *interested);
-            }
-            Effect::Delivery {
-                message,
-                subscriber,
-                price,
-                delay,
-                on_time,
-            } => {
-                tracker.record_delivery(*message, *subscriber, *price, *delay, *on_time);
-                if *on_time {
-                    phase.on_time += 1;
-                    phase.delays_ms.observe(delay.as_millis_f64());
-                    valid_delays_ms.observe(delay.as_millis_f64());
-                } else {
-                    phase.late += 1;
-                }
-            }
-            Effect::Dropped { count } => phase.dropped += count,
-            Effect::Transmission => {
-                *transmissions += 1;
-                phase.transmissions += 1;
-            }
-            Effect::CompletedTransfer => *completed_transfers += 1,
-        }
-    }
 }
 
 /// Pops and applies every event of one shard at or before `limit`,
 /// including the shard-local follow-ups those events schedule inside the
-/// window.
-fn run_core_window(core: &mut ShardCore, g: &ShardGlobals<'_>, limit: SimTime) {
-    while let Some(entry) = core.events.pop_if_at_or_before(limit) {
-        core.last_time = entry.time;
-        core.events_processed += 1;
-        core.cur_time = entry.time;
-        core.cur_key = entry.seq;
-        core.effect_idx = 0;
-        match entry.item {
-            EventKind::Publish { publisher, gen } => core.on_publish(g, publisher, gen, entry.time),
-            EventKind::Process {
-                broker,
-                message,
-                scope,
-            } => core.on_process(g, broker, message, scope, entry.time),
-            EventKind::SendComplete { link, queued, gen } => {
-                core.on_send_complete(g, link, queued, gen, entry.time)
-            }
-            EventKind::FlowComplete { .. } => {
-                unreachable!("sharded execution is guarded to the constant-delay link model")
-            }
-            EventKind::Scenario { .. } => {
-                unreachable!("scenario events never reach a shard queue")
-            }
-        }
+/// window — the engine's own handlers, run on this shard's core.
+fn run_window(shard: &mut Shard, shared: &Shared, limit: SimTime) {
+    while let Some(entry) = shard.core.events.queue.pop_if_at_or_before(limit) {
+        shard.log.next = (entry.time, entry.seq, 0);
+        shard.core.apply(shared, &mut shard.log, entry);
     }
 }
 
@@ -687,253 +500,5 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-// The handlers below mirror the sequential engine's exactly (see
-// `Simulation::on_publish` and friends); the differences are mechanical:
-// broker/RNG state comes from the shard core, global accumulator updates
-// become emitted [`Effect`]s, and the one cross-shard schedule — a completed
-// transfer's `Process` at the receiving broker — goes to the outbox when
-// the receiver is homed elsewhere.
-impl ShardCore {
-    fn peek_time(&self) -> Option<SimTime> {
-        self.events.peek().map(|(t, _)| t)
-    }
-
-    fn emit(&mut self, effect: Effect) {
-        self.effects.push(Logged {
-            time: self.cur_time,
-            key: self.cur_key,
-            idx: self.effect_idx,
-            effect,
-        });
-        self.effect_idx += 1;
-    }
-
-    fn broker_mut(&mut self, broker: BrokerId) -> &mut BrokerState {
-        &mut self.brokers[broker.index() - self.broker_lo]
-    }
-
-    /// Mirror of the engine's `touch_link` specialised to the exclusive
-    /// model the sharded path is guarded to: the flow table is always empty,
-    /// so the busy flag *is* the active-flow count.
-    fn touch_link(&mut self, li: usize, now: SimTime) {
-        let elapsed = now.duration_since(self.link_last_change[li]).as_micros();
-        self.link_last_change[li] = now;
-        if elapsed == 0 || !self.link_busy[li] {
-            return;
-        }
-        let load = &mut self.link_load[li];
-        load.busy_us += elapsed;
-        load.flow_time_us += elapsed;
-    }
-
-    /// Mirror of the engine's `note_queue_peak`; the sender broker is homed
-    /// with the link, so the queue is always shard-local.
-    fn note_queue_peak(&mut self, link: LinkId, from: BrokerId, to: BrokerId) {
-        let depth = self.brokers[from.index() - self.broker_lo]
-            .queue(to)
-            .map(|q| q.len() as u64)
-            .unwrap_or(0);
-        let load = &mut self.link_load[link.index()];
-        load.peak_queue = load.peak_queue.max(depth);
-    }
-
-    fn push_local(&mut self, time: SimTime, key: u64, kind: EventKind) {
-        self.events.push(Scheduled {
-            time,
-            seq: key,
-            item: kind,
-        });
-        self.peak_pending = self.peak_pending.max(self.events.len());
-    }
-
-    fn schedule_next_publication(
-        &mut self,
-        g: &ShardGlobals<'_>,
-        publisher: PublisherId,
-        after: SimTime,
-    ) {
-        let multiplier = g.rate_multiplier[publisher.index()];
-        let Some(gap) = g
-            .workload
-            .next_publication_gap_scaled(multiplier, &mut self.publisher_rng[publisher.index()])
-        else {
-            return; // zero effective publishing rate: the chain goes dormant
-        };
-        let t = after + gap;
-        if t < g.end {
-            let gen = g.publish_gen[publisher.index()];
-            self.push_local(
-                t,
-                key::publish(publisher, gen),
-                EventKind::Publish { publisher, gen },
-            );
-        }
-    }
-
-    fn on_publish(
-        &mut self,
-        g: &ShardGlobals<'_>,
-        publisher: PublisherId,
-        gen: u64,
-        time: SimTime,
-    ) {
-        if g.publish_gen[publisher.index()] != gen {
-            return; // stale event from before a rate change
-        }
-        let Some(broker) = g.topology.publisher_broker(publisher) else {
-            return;
-        };
-        let counter = self.next_message[publisher.index()];
-        self.next_message[publisher.index()] += 1;
-        let id = key::message_id(publisher, counter);
-        let message = Arc::new(g.workload.generate_message(
-            id,
-            publisher,
-            time,
-            &mut self.publisher_rng[publisher.index()],
-        ));
-        let mut ids = std::mem::take(&mut self.scope_scratch);
-        g.global_index.matching_into(&message.head, &mut ids);
-        self.emit(Effect::Published {
-            message: id,
-            interested: ids.len() as u32,
-        });
-        let scope = self.scope_interner.intern(&ids);
-        self.scope_scratch = ids;
-
-        // The publisher's broker is homed with the publisher: local push.
-        let done = time + g.processing_delay;
-        self.push_local(
-            done,
-            key::process(None, id),
-            EventKind::Process {
-                broker,
-                message,
-                scope,
-            },
-        );
-        self.schedule_next_publication(g, publisher, time);
-    }
-
-    fn on_process(
-        &mut self,
-        g: &ShardGlobals<'_>,
-        broker: BrokerId,
-        message: Arc<Message>,
-        scope: ScopeSet,
-        time: SimTime,
-    ) {
-        let outcome =
-            self.broker_mut(broker)
-                .handle_arrival_scoped(Arc::clone(&message), time, Some(&scope));
-        for d in &outcome.local {
-            self.emit(Effect::Delivery {
-                message: message.id,
-                subscriber: d.subscriber,
-                price: d.price,
-                delay: d.delay,
-                on_time: d.on_time,
-            });
-        }
-        for neighbor in outcome.enqueued_to {
-            if let Some(link) = g.link_of[broker.index()][neighbor.index()] {
-                self.note_queue_peak(link, broker, neighbor);
-            }
-            self.try_send(g, broker, neighbor, time);
-        }
-    }
-
-    fn on_send_complete(
-        &mut self,
-        g: &ShardGlobals<'_>,
-        link: LinkId,
-        queued: QueuedMessage,
-        gen: u64,
-        time: SimTime,
-    ) {
-        let (from, to) = {
-            let l = g.topology.graph.link(link);
-            (l.from, l.to)
-        };
-        let li = link.index();
-        self.touch_link(li, time);
-        self.link_busy[li] = false;
-        if g.link_down_depth[li] != 0 || gen != g.link_fail_gen[li] {
-            // Voided transfer: the copy returns to the sender's queue.
-            let accepted = self.broker_mut(from).requeue(to, queued);
-            debug_assert!(accepted, "sender must have a queue for its own link");
-            self.note_queue_peak(link, from, to);
-            if g.link_down_depth[li] == 0 {
-                self.try_send(g, from, to, time);
-            }
-            return;
-        }
-        self.emit(Effect::CompletedTransfer);
-        self.link_load[li].completed_transfers += 1;
-        let mut ids = std::mem::take(&mut self.scope_scratch);
-        ids.clear();
-        ids.extend(queued.targets.iter().map(|t| t.subscription));
-        let scope = self.scope_interner.intern(&ids);
-        self.scope_scratch = ids;
-        let done = time + g.processing_delay;
-        let ev = Scheduled {
-            time: done,
-            seq: key::process(Some(link), queued.message.id),
-            item: EventKind::Process {
-                broker: to,
-                message: queued.message,
-                scope,
-            },
-        };
-        // The one cross-shard edge: the receiving broker may be homed
-        // elsewhere. `done = t + PD ≥ W1` lands beyond the window limit, so
-        // the barrier merge delivers it before it is due.
-        if g.shard_of_broker[to.index()] == self.shard {
-            self.events.push(ev);
-            self.peak_pending = self.peak_pending.max(self.events.len());
-        } else {
-            self.outbox.push(ev);
-        }
-        // Keep the link busy with the next scheduled message, if any.
-        self.try_send(g, from, to, time);
-    }
-
-    fn try_send(&mut self, g: &ShardGlobals<'_>, from: BrokerId, to: BrokerId, now: SimTime) {
-        let Some(link) = g.link_of[from.index()][to.index()] else {
-            return;
-        };
-        let li = link.index();
-        if self.link_busy[li] || g.link_down_depth[li] != 0 {
-            return;
-        }
-        let decision = self.broker_mut(from).next_to_send(to, now);
-        if !decision.dropped.is_empty() {
-            self.emit(Effect::Dropped {
-                count: decision.dropped.len() as u64,
-            });
-        }
-        let Some(queued) = decision.message else {
-            return;
-        };
-        let transfer = {
-            let l = g.topology.graph.link(link);
-            g.link_model
-                .sample_transfer(&l.quality, queued.message.size_kb, &mut self.link_rng[li])
-        };
-        self.touch_link(li, now);
-        self.link_busy[li] = true;
-        let load = &mut self.link_load[li];
-        load.transmissions += 1;
-        load.peak_flows = load.peak_flows.max(1);
-        self.emit(Effect::Transmission);
-        let gen = g.link_fail_gen[li];
-        self.push_local(
-            now + transfer,
-            key::send(link, queued.message.id),
-            EventKind::SendComplete { link, queued, gen },
-        );
     }
 }

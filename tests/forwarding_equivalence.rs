@@ -198,6 +198,23 @@ fn aggregate_forwarding_rejects_the_dense_layout() {
         Err(SimError::AggregateForwardingNeedsSparseLayout) => {}
         other => panic!("dense aggregate run must be rejected, got {other:?}"),
     }
+    // The stepping API (the model checker, the benchmark's traced
+    // repetition) must surface the same error, not panic at the first
+    // publication.
+    let mut stepped = build(
+        &DynamicScenario::static_scenario(),
+        ForwardingMode::Aggregate,
+        TableLayout::Dense,
+        RebuildPolicy::Full,
+        EventQueueKind::Calendar,
+        1,
+    );
+    let hard_stop = stepped.hard_stop();
+    let first = stepped.take_frontier(hard_stop).remove(0);
+    assert_eq!(
+        stepped.try_apply(first),
+        Err(SimError::AggregateForwardingNeedsSparseLayout)
+    );
 }
 
 #[test]

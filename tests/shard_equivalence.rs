@@ -151,3 +151,29 @@ fn static_reports_are_shard_count_invariant_for_every_strategy() {
         }
     }
 }
+
+/// The scope-interner counters are introspection, and the hit count depends
+/// on the partition (every shard pools scopes on its own, so a scope shared
+/// across shards is allocated once per shard). But the shards run the
+/// engine's own handlers — one intern per publication and per completed
+/// transfer — so their counters must be summed into the outcome, not dropped
+/// with the shard cores: a sharded run used to report zero.
+#[test]
+fn sharded_outcome_sums_the_shards_scope_interner_traffic() {
+    let build = || {
+        Simulation::builder()
+            .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
+            .ssd(12.0)
+            .duration(Duration::from_secs(240))
+            .scenario_named("churn")
+            .expect("churn is a builtin scenario")
+            .seed(1)
+            .build()
+    };
+    let sequential = build().run();
+    let sharded = bdps::sim::run_sharded(build(), 2);
+    assert!(sharded.tracker.total_on_time() > 0, "the run must deliver");
+    assert!(sharded.scope_interns > 0, "sharded run reported no interns");
+    assert_eq!(sharded.scope_interns, sequential.scope_interns);
+    assert!(sharded.scope_intern_hits <= sharded.scope_interns);
+}
