@@ -20,7 +20,7 @@ use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::pathstats::PathStats;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{
-    aggregate_scope_dest, read_population, BrokerTable, PopulationHandle, QosEnvelope,
+    aggregate_scope_dest, read_population, BrokerTable, GroupStats, PopulationHandle, QosEnvelope,
     ResolvedEntry, TableLayout,
 };
 use bdps_overlay::subtable::{RetargetOutcome, SubTableEntry};
@@ -121,6 +121,10 @@ pub struct BrokerState {
     pub counters: BrokerCounters,
     table: BrokerTable,
     queues: HashMap<BrokerId, OutputQueue>,
+    /// Copies held across all output queues, kept in step at every push and
+    /// pop so a subscription leave can pass over the brokers — most of them,
+    /// at any instant — that hold nothing to strip.
+    queued: usize,
     config: SchedulerConfig,
 }
 
@@ -144,6 +148,7 @@ impl BrokerState {
             counters: BrokerCounters::default(),
             table: table.into(),
             queues,
+            queued: 0,
             config,
         }
     }
@@ -187,7 +192,11 @@ impl BrokerState {
 
     /// Total number of queued message copies across all output queues.
     pub fn queued_total(&self) -> usize {
-        self.queues.values().map(OutputQueue::len).sum()
+        debug_assert_eq!(
+            self.queued,
+            self.queues.values().map(OutputQueue::len).sum::<usize>()
+        );
+        self.queued
     }
 
     /// Re-points a sparse table at a different shared-registry handle (no-op
@@ -343,6 +352,7 @@ impl BrokerState {
                 targets,
                 enqueue_time: now,
             });
+            self.queued += 1;
             self.counters.enqueued += 1;
             outcome.enqueued_to.push(neighbor);
         }
@@ -490,6 +500,7 @@ impl BrokerState {
                 targets,
                 enqueue_time: now,
             });
+            self.queued += 1;
             self.counters.enqueued += 1;
             outcome.enqueued_to.push(neighbor);
         }
@@ -511,7 +522,9 @@ impl BrokerState {
             }
         }
         let message = queue.pop_next(now, &self.config);
+        self.queued -= dropped.len();
         if message.is_some() {
+            self.queued -= 1;
             self.counters.sent += 1;
         }
         NextSend { message, dropped }
@@ -581,8 +594,9 @@ impl BrokerState {
     }
 
     /// Brings the sparse aggregate towards `dest` in line with the current
-    /// routing and shared registry (see
-    /// [`SparseTable::sync_aggregate`](bdps_overlay::sparse::SparseTable::sync_aggregate))
+    /// routing and the destination group's stats, which the caller read from
+    /// the shared registry (see
+    /// [`SparseTable::sync_aggregate_with`](bdps_overlay::sparse::SparseTable::sync_aggregate_with))
     /// — the sparse analogue of [`retarget_entries`](Self::retarget_entries),
     /// patching one aggregate where the dense path patches one entry per
     /// subscription.
@@ -590,11 +604,16 @@ impl BrokerState {
     /// # Panics
     ///
     /// Panics when the broker uses the dense layout.
-    pub fn sync_aggregate(&mut self, routing: &Routing, dest: BrokerId) -> RetargetOutcome {
+    pub fn sync_aggregate(
+        &mut self,
+        routing: &Routing,
+        dest: BrokerId,
+        group: Option<GroupStats>,
+    ) -> RetargetOutcome {
         self.table
             .as_sparse_mut()
             .expect("sync_aggregate requires the sparse layout")
-            .sync_aggregate(routing, dest)
+            .sync_aggregate_with(routing, dest, group)
     }
 
     /// Rebuilds every sparse aggregate from scratch over the current routing
@@ -618,11 +637,22 @@ impl BrokerState {
     /// need routing).
     pub fn remove_subscription(&mut self, id: SubscriptionId) -> u64 {
         self.table.remove(id);
+        self.strip_queued(id)
+    }
+
+    /// The queue half of [`remove_subscription`](Self::remove_subscription),
+    /// for brokers known to hold no table row of `id` (under the sparse
+    /// layout, every broker but the subscription's edge).
+    pub fn strip_queued(&mut self, id: SubscriptionId) -> u64 {
+        if self.queued == 0 {
+            return 0;
+        }
         let orphaned: u64 = self
             .queues
             .values_mut()
             .map(|q| q.remove_subscription(id))
             .sum();
+        self.queued -= orphaned as usize;
         self.counters.dropped_unsubscribed += orphaned;
         orphaned
     }
@@ -642,6 +672,7 @@ impl BrokerState {
         match self.queues.get_mut(&neighbor) {
             Some(queue) => {
                 queue.push(item);
+                self.queued += 1;
                 self.counters.requeued += 1;
                 true
             }
@@ -1094,6 +1125,67 @@ mod tests {
         );
         assert!(outcome.local.is_empty());
         assert_eq!(b1.counters.false_positive_drops_at_edge, 1);
+    }
+
+    /// Every producer of queued copies — unscoped and scoped arrivals under
+    /// both layouts, and aggregate sentinels — leaves `targets` strictly
+    /// ascending by id, whatever order the population was registered in:
+    /// the invariant `OutputQueue::remove_subscription` binary-searches on
+    /// (`push` only `debug_assert!`s it).
+    #[test]
+    fn every_arrival_path_enqueues_strictly_ascending_targets() {
+        use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation, SparseTable};
+        use std::sync::RwLock;
+        let s = setup();
+        // Six remote subscriptions seen from B0, registered out of id order.
+        let subs: Vec<(Subscription, BrokerId)> = [(5, 2), (1, 1), (4, 1), (0, 2), (3, 2), (2, 1)]
+            .into_iter()
+            .map(|(id, edge)| {
+                let sub = Subscription::best_effort(
+                    SubscriptionId::new(id),
+                    SubscriberId::new(id),
+                    Filter::paper_conjunction(9.0, 9.0),
+                );
+                (sub, BrokerId::new(edge))
+            })
+            .collect();
+        let b0 = BrokerId::new(0);
+        let config = || SchedulerConfig::paper(StrategyKind::MaxEb);
+        let pop = Arc::new(RwLock::new(SharedPopulation::from_population(&subs)));
+        let epoch = pop.read().unwrap().epoch();
+        let dense = SubscriptionTable::build(b0, &s.routing, &subs);
+        let sparse = SparseTable::build(b0, &s.routing, &pop);
+        let mut brokers = [
+            BrokerState::from_overlay(&s.topo.graph, b0, dense, config()),
+            BrokerState::from_overlay(&s.topo.graph, b0, sparse, config()),
+        ];
+        let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
+        let sentinels = ScopeSet::from_sorted(vec![
+            aggregate_scope_id(BrokerId::new(1)),
+            aggregate_scope_id(BrokerId::new(2)),
+        ]);
+        let now = SimTime::from_millis(2);
+        for b in &mut brokers {
+            b.handle_arrival(msg(1, 1.0, 1.0, 0), now);
+            b.handle_arrival_scoped(msg(2, 1.0, 1.0, 0), now, Some(&scope));
+        }
+        brokers[1].handle_arrival_aggregate(msg(3, 1.0, 1.0, 0), now, &sentinels, epoch, false);
+        for b in &brokers {
+            let copies = b.queue(BrokerId::new(1)).unwrap().items();
+            assert_eq!(copies.len(), b.queued_total());
+            for copy in copies {
+                assert!(
+                    copy.targets.len() >= 2,
+                    "the copy must have an order to check"
+                );
+                assert!(copy
+                    .targets
+                    .windows(2)
+                    .all(|w| w[0].subscription < w[1].subscription));
+            }
+        }
+        assert_eq!(brokers[0].queued_total(), 2);
+        assert_eq!(brokers[1].queued_total(), 3);
     }
 
     /// A sparse broker processes the same arrivals into the same deliveries

@@ -59,6 +59,11 @@ pub struct QueuedMessage {
     /// The message itself (shared between queues).
     pub message: Arc<Message>,
     /// The subscriptions this copy still serves (all reachable via the queue's neighbour).
+    ///
+    /// **Invariant:** strictly ascending by subscription id. Every producer
+    /// builds the list from an id-ordered source (a frozen scope, the
+    /// matching index, or destination-monotone aggregate sentinels), and
+    /// [`OutputQueue::remove_subscription`] binary-searches it.
     pub targets: Vec<MatchedTarget>,
     /// When the message entered this queue.
     pub enqueue_time: SimTime,
@@ -163,8 +168,15 @@ impl OutputQueue {
         &self.items
     }
 
-    /// Enqueues a message copy.
+    /// Enqueues a message copy (also the path a requeued copy comes back
+    /// through).
     pub fn push(&mut self, item: QueuedMessage) {
+        debug_assert!(
+            item.targets
+                .windows(2)
+                .all(|w| w[0].subscription < w[1].subscription),
+            "targets must be strictly ascending by subscription id"
+        );
         self.items.push(item);
     }
 
@@ -247,10 +259,15 @@ impl OutputQueue {
     /// Removes one subscription from every queued copy's target set (used
     /// when a subscriber leaves mid-run). Copies left with no target are
     /// dropped entirely; the number of such orphaned copies is returned.
+    ///
+    /// `O(log targets)` per copy that does not serve `id` — the common case —
+    /// by the ascending-id invariant of [`QueuedMessage::targets`].
     pub fn remove_subscription(&mut self, id: SubscriptionId) -> u64 {
         let mut orphaned = 0;
         self.items.retain_mut(|item| {
-            item.targets.retain(|t| t.subscription != id);
+            if let Ok(pos) = item.targets.binary_search_by_key(&id, |t| t.subscription) {
+                item.targets.remove(pos);
+            }
             if item.targets.is_empty() {
                 orphaned += 1;
                 false
@@ -405,15 +422,14 @@ mod tests {
         let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
         // Message 1: one cheap target; message 2: three expensive targets.
         q.push(queued(msg(1, 0, None), vec![target(30, 1, 60.0, 1)], 0));
-        q.push(queued(
-            msg(2, 0, None),
-            vec![
-                target(30, 3, 60.0, 1),
-                target(30, 3, 60.0, 1),
-                target(30, 2, 60.0, 1),
-            ],
-            0,
-        ));
+        let targets = [3, 3, 2]
+            .into_iter()
+            .zip(0..)
+            .map(|(price, id)| MatchedTarget {
+                subscription: SubscriptionId::new(id),
+                ..target(30, price, 60.0, 1)
+            });
+        q.push(queued(msg(2, 0, None), targets.collect(), 0));
         let first = q.pop_next(SimTime::from_secs(1), &cfg).unwrap();
         assert_eq!(first.message.id, MessageId::new(2));
     }

@@ -47,9 +47,19 @@ impl ThresholdList {
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     }
 
-    /// Removes every entry of one subscription, preserving order.
-    fn remove_sub(&mut self, sub: SubscriptionId) {
-        self.entries.retain(|(_, s)| *s != sub);
+    /// Removes the entry one predicate `attr OP threshold` of `sub`
+    /// contributed, preserving order: a binary search to the run of equal
+    /// thresholds, then a scan of that run only (equal thresholds are in no
+    /// particular order of subscription).
+    fn remove(&mut self, threshold: f64, sub: SubscriptionId) {
+        let start = self.entries.partition_point(|(t, _)| *t < threshold);
+        let found = self.entries[start..]
+            .iter()
+            .take_while(|(t, _)| *t == threshold)
+            .position(|(_, s)| *s == sub);
+        if let Some(offset) = found {
+            self.entries.remove(start + offset);
+        }
     }
 
     /// Visits every subscription whose predicate `value OP threshold` is satisfied.
@@ -209,11 +219,10 @@ impl MatchIndex {
         }
     }
 
-    /// Removes a subscription surgically: only the per-attribute lists its
-    /// own predicates touch are scanned, so a removal is `O(entries of the
-    /// touched attributes)` and never clones the remaining filters. (The
-    /// previous implementation rebuilt the whole index per removal, which
-    /// made churn quadratic in the population.)
+    /// Removes a subscription surgically: each of its threshold predicates
+    /// is located in its sorted list by binary search (the threshold is in
+    /// hand), so a removal never scans a list and never clones the remaining
+    /// filters.
     pub fn remove(&mut self, id: SubscriptionId) -> Option<Filter> {
         let removed = self.filters.remove(&id)?;
         if removed.is_empty() {
@@ -226,10 +235,10 @@ impl MatchIndex {
                 continue;
             };
             match (pred.op, pred.value.as_f64()) {
-                (CompOp::Lt, Some(_)) => attr_index.lt.remove_sub(id),
-                (CompOp::Le, Some(_)) => attr_index.le.remove_sub(id),
-                (CompOp::Gt, Some(_)) => attr_index.gt.remove_sub(id),
-                (CompOp::Ge, Some(_)) => attr_index.ge.remove_sub(id),
+                (CompOp::Lt, Some(c)) => attr_index.lt.remove(c, id),
+                (CompOp::Le, Some(c)) => attr_index.le.remove(c, id),
+                (CompOp::Gt, Some(c)) => attr_index.gt.remove(c, id),
+                (CompOp::Ge, Some(c)) => attr_index.ge.remove(c, id),
                 _ => attr_index.other.retain(|(_, s)| *s != id),
             }
         }
@@ -485,6 +494,56 @@ mod tests {
         }
         assert_eq!(idx.len(), 100);
         assert!(idx.filter_of(id(200)).is_none());
+    }
+
+    #[test]
+    fn removal_by_threshold_matches_a_rebuilt_index_when_thresholds_are_shared() {
+        // Subscriptions 1 and 2 share both thresholds, 3 shares one of them,
+        // and 4 repeats a threshold inside its own filter.
+        let population = [
+            (id(1), Filter::paper_conjunction(5.0, 7.0)),
+            (id(2), Filter::paper_conjunction(5.0, 7.0)),
+            (id(3), Filter::paper_conjunction(5.0, 2.0)),
+            (
+                id(4),
+                Filter::new(vec![Predicate::lt("A1", 5.0), Predicate::lt("A1", 5.0)]),
+            ),
+            (id(5), Filter::paper_conjunction(1.0, 9.0)),
+        ];
+        let build = |without: &[u32]| {
+            MatchIndex::from_subscriptions(
+                population
+                    .iter()
+                    .filter(|(i, _)| !without.contains(&i.raw()))
+                    .map(|(i, f)| (*i, f)),
+            )
+        };
+        let heads = [
+            head(0.5, 0.5),
+            head(3.0, 1.0),
+            head(3.0, 6.0),
+            head(4.9, 8.0),
+        ];
+        // Incremental inserts order equal thresholds differently from the
+        // bulk sort, so cover both constructions.
+        let mut incremental = MatchIndex::new();
+        for (i, f) in &population {
+            incremental.insert(*i, f.clone());
+        }
+        for mut idx in [build(&[]), incremental] {
+            let mut gone = Vec::new();
+            for leaving in [2u32, 4, 1] {
+                assert!(idx.remove(id(leaving)).is_some());
+                gone.push(leaving);
+                let rebuilt = build(&gone);
+                for h in &heads {
+                    assert_eq!(idx.matching(h), rebuilt.matching(h), "after {gone:?}");
+                    assert_eq!(idx.matching(h), idx.matching_bruteforce(h));
+                }
+            }
+            // The survivors' entries are all still in place.
+            assert_eq!(idx.matching(&head(0.5, 0.5)), vec![id(3), id(5)]);
+        }
     }
 
     #[test]

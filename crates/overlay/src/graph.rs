@@ -39,6 +39,9 @@ pub struct OverlayGraph {
     links: Vec<Link>,
     /// Outgoing links per broker (indices into `links`).
     outgoing: Vec<Vec<LinkId>>,
+    /// Incoming links per broker, ascending by link id (`add_link` mints
+    /// ids in increasing order and appends).
+    incoming: Vec<Vec<LinkId>>,
 }
 
 impl OverlayGraph {
@@ -57,6 +60,7 @@ impl OverlayGraph {
             subscribers: Vec::new(),
         });
         self.outgoing.push(Vec::new());
+        self.incoming.push(Vec::new());
         id
     }
 
@@ -71,6 +75,7 @@ impl OverlayGraph {
         let id = LinkId::new(self.links.len() as u32);
         self.links.push(Link::new(id, from, to, quality));
         self.outgoing[from.index()].push(id);
+        self.incoming[to.index()].push(id);
         id
     }
 
@@ -134,6 +139,18 @@ impl OverlayGraph {
     /// Iterates over the outgoing links of a broker.
     pub fn outgoing(&self, broker: BrokerId) -> impl Iterator<Item = &Link> {
         self.outgoing[broker.index()]
+            .iter()
+            .map(move |id| &self.links[id.index()])
+    }
+
+    /// Iterates over the incoming links of a broker in `O(in-degree)`.
+    ///
+    /// **Order contract:** ascending link id — exactly the order
+    /// `links().filter(|l| l.to == broker)` yields. The routing Dijkstra
+    /// relaxes these and breaks equal-cost ties by first relaxation, so route
+    /// tables depend on this order.
+    pub fn incoming(&self, broker: BrokerId) -> impl Iterator<Item = &Link> {
+        self.incoming[broker.index()]
             .iter()
             .map(move |id| &self.links[id.index()])
     }
@@ -341,6 +358,37 @@ mod tests {
         disconnected.add_broker(None);
         assert!(!disconnected.is_connected());
         assert!(disconnected.validate().is_err());
+    }
+
+    #[test]
+    fn incoming_equals_the_filtered_link_scan_in_order() {
+        use bdps_stats::rng::SimRng;
+        for seed in 0..32u64 {
+            let mut rng = SimRng::seed_from(0x01C0_3146 + seed);
+            let mut g = OverlayGraph::new();
+            let n = rng.uniform_usize(2, 20);
+            for _ in 0..n {
+                g.add_broker(None);
+            }
+            for _ in 0..rng.uniform_usize(0, 5 * n) {
+                let picked = rng.choose_distinct(n, 2);
+                let (a, b) = (
+                    BrokerId::new(picked[0] as u32),
+                    BrokerId::new(picked[1] as u32),
+                );
+                if rng.chance(0.5) {
+                    g.add_link(a, b, quality(50.0));
+                } else {
+                    g.add_bidirectional_link(a, b, quality(50.0));
+                }
+            }
+            for v in 0..n {
+                let v = BrokerId::new(v as u32);
+                let fast: Vec<LinkId> = g.incoming(v).map(|l| l.id).collect();
+                let scan: Vec<LinkId> = g.links().filter(|l| l.to == v).map(|l| l.id).collect();
+                assert_eq!(fast, scan, "seed {seed} broker {v}");
+            }
+        }
     }
 
     #[test]

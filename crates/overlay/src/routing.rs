@@ -119,6 +119,23 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The working buffers of one shortest-path-tree computation, reused across
+/// destinations so a batch of trees allocates them once.
+#[derive(Default)]
+struct TreeScratch {
+    dist: Vec<f64>,
+    done: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+// Links pulled from the adjacency lists by `Routing::routes_towards` on
+// this thread — the complexity guard's counter (a scan of every link per
+// settled broker shows up here as `brokers × links`).
+#[cfg(test)]
+thread_local! {
+    static LINKS_EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Routing {
     /// Computes single-path routes for every (source, destination) pair.
     pub fn compute(graph: &OverlayGraph) -> Routing {
@@ -132,11 +149,15 @@ impl Routing {
     /// around outages instead of piling up behind them.
     pub fn compute_filtered(graph: &OverlayGraph, usable: impl Fn(LinkId) -> bool) -> Routing {
         let n = graph.broker_count();
-        let mut table = Vec::with_capacity(n);
-        for dest_raw in 0..n {
-            let dest = BrokerId::new(dest_raw as u32);
-            table.push(Self::routes_towards(graph, dest, &usable));
-        }
+        let mut scratch = TreeScratch::default();
+        let table = (0..n)
+            .map(|dest_raw| {
+                let mut row = Vec::new();
+                let dest = BrokerId::new(dest_raw as u32);
+                Self::routes_towards(graph, dest, &usable, &mut scratch, &mut row);
+                row
+            })
+            .collect();
         Routing {
             table,
             broker_count: n,
@@ -145,19 +166,35 @@ impl Routing {
 
     /// Dijkstra rooted at the destination over reversed links.
     ///
-    /// Returns, for every source broker, the first hop of its minimum
-    /// mean-rate path towards `dest` together with the accumulated path
-    /// statistics.
+    /// Fills `entry` with, for every source broker, the first hop of its
+    /// minimum mean-rate path towards `dest` together with the accumulated
+    /// path statistics (`None` for `dest` itself and for sources that cannot
+    /// reach it).
+    ///
+    /// **Complexity:** `O(E log V)` per tree — each settled broker relaxes
+    /// only its own incoming links ([`OverlayGraph::incoming`]), so every
+    /// link is examined at most once.
+    ///
+    /// **Order contract:** among equal-cost candidates with the same next
+    /// hop the first relaxation wins, and `incoming` yields ascending link
+    /// ids, so parallel equal-cost links resolve to the lowest id
+    /// ([`row_affected`](Self::row_affected) relies on this).
     fn routes_towards(
         graph: &OverlayGraph,
         dest: BrokerId,
         usable: &impl Fn(LinkId) -> bool,
-    ) -> Vec<Option<RouteEntry>> {
+        scratch: &mut TreeScratch,
+        entry: &mut Vec<Option<RouteEntry>>,
+    ) {
         let n = graph.broker_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut entry: Vec<Option<RouteEntry>> = vec![None; n];
-        let mut done = vec![false; n];
-        let mut heap = BinaryHeap::new();
+        let TreeScratch { dist, done, heap } = scratch;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        done.clear();
+        done.resize(n, false);
+        heap.clear();
+        entry.clear();
+        entry.resize(n, None);
 
         dist[dest.index()] = 0.0;
         heap.push(HeapEntry {
@@ -174,9 +211,11 @@ impl Routing {
                 continue;
             }
             done[v.index()] = true;
-            for link in graph.links().filter(|l| l.to == v && usable(l.id)) {
+            for link in graph.incoming(v) {
+                #[cfg(test)]
+                LINKS_EXAMINED.with(|c| c.set(c.get() + 1));
                 let u = link.from;
-                if done[u.index()] {
+                if done[u.index()] || !usable(link.id) {
                     continue;
                 }
                 let weight = link.quality.rate_distribution().mean();
@@ -209,7 +248,6 @@ impl Routing {
                 }
             }
         }
-        entry
     }
 
     /// Incrementally updates the routes after a batch of link liveness
@@ -251,15 +289,19 @@ impl Routing {
             per_source: vec![Vec::new(); n],
             ..RouteDelta::default()
         };
+        let mut scratch = TreeScratch::default();
+        // Holds the fresh tree, then (after the swap below) the replaced
+        // row, whose allocation the next recomputed destination reuses.
+        let mut row = Vec::new();
         for dest_raw in 0..n {
             let dest = BrokerId::new(dest_raw as u32);
             if !Self::row_affected(graph, &self.table[dest_raw], dest, removed, added) {
                 continue;
             }
             delta.dests_recomputed += 1;
-            let fresh = Self::routes_towards(graph, dest, &usable);
+            Self::routes_towards(graph, dest, &usable, &mut scratch, &mut row);
             let mut any_changed = false;
-            for (src_raw, (old, new)) in self.table[dest_raw].iter().zip(&fresh).enumerate() {
+            for (src_raw, (old, new)) in self.table[dest_raw].iter().zip(&row).enumerate() {
                 if old != new {
                     delta.per_source[src_raw].push(dest);
                     delta.changed_pairs += 1;
@@ -269,7 +311,7 @@ impl Routing {
             if any_changed {
                 delta.changed_dests.push(dest);
             }
-            self.table[dest_raw] = fresh;
+            std::mem::swap(&mut self.table[dest_raw], &mut row);
         }
         delta
     }
@@ -404,6 +446,7 @@ mod tests {
     use super::*;
     use bdps_net::bandwidth::FixedRate;
     use bdps_net::link::LinkQuality;
+    use bdps_stats::rng::SimRng;
 
     fn quality(rate: f64) -> LinkQuality {
         LinkQuality::new(FixedRate::new(rate))
@@ -696,6 +739,179 @@ mod tests {
         // the same batch shape the engine produces after coalescing.
         let delta = update_and_check(&g, &mut routing, &dead, &[], &[]);
         assert!(delta.is_empty());
+    }
+
+    /// The pre-adjacency Dijkstra, kept verbatim as the oracle: it finds a
+    /// settled broker's incoming links by scanning *every* link —
+    /// `O(V · E)` per tree — which fixes the relaxation order (ascending
+    /// link id) the adjacency-driven version must reproduce.
+    fn reference_routes_towards(
+        graph: &OverlayGraph,
+        dest: BrokerId,
+        usable: &impl Fn(LinkId) -> bool,
+    ) -> Vec<Option<RouteEntry>> {
+        let n = graph.broker_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut entry: Vec<Option<RouteEntry>> = vec![None; n];
+        let mut done = vec![false; n];
+        let mut heap = BinaryHeap::new();
+        dist[dest.index()] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            broker: dest,
+        });
+        while let Some(HeapEntry { dist: d, broker: v }) = heap.pop() {
+            if done[v.index()] {
+                continue;
+            }
+            done[v.index()] = true;
+            for link in graph.links().filter(|l| l.to == v && usable(l.id)) {
+                let u = link.from;
+                if done[u.index()] {
+                    continue;
+                }
+                let weight = link.quality.rate_distribution().mean();
+                let candidate = d + weight;
+                let better = candidate < dist[u.index()]
+                    || (candidate == dist[u.index()]
+                        && entry[u.index()].map(|e| v < e.next_hop).unwrap_or(true));
+                if better {
+                    dist[u.index()] = candidate;
+                    let downstream = match entry[v.index()] {
+                        Some(e) => e.stats,
+                        None => PathStats::local(),
+                    };
+                    let stats = PathStats {
+                        downstream_brokers: downstream.downstream_brokers + 1,
+                        rate: downstream
+                            .rate
+                            .add_independent(&link.quality.rate_distribution()),
+                    };
+                    entry[u.index()] = Some(RouteEntry {
+                        next_hop: v,
+                        next_link: link.id,
+                        stats,
+                    });
+                    heap.push(HeapEntry {
+                        dist: candidate,
+                        broker: u,
+                    });
+                }
+            }
+        }
+        entry
+    }
+
+    fn reference_compute(graph: &OverlayGraph, usable: impl Fn(LinkId) -> bool) -> Routing {
+        let n = graph.broker_count();
+        Routing {
+            table: (0..n)
+                .map(|d| reference_routes_towards(graph, BrokerId::new(d as u32), &usable))
+                .collect(),
+            broker_count: n,
+        }
+    }
+
+    /// A seeded random directed graph built to provoke every tie-break:
+    /// costs come from three values (equal-cost alternatives everywhere),
+    /// some links are one-way, some are exact parallel duplicates, and the
+    /// rates carry variance so `PathStats` differ between equal-cost trees.
+    fn random_graph(rng: &mut SimRng) -> OverlayGraph {
+        use bdps_net::bandwidth::NormalRate;
+        let mut g = OverlayGraph::new();
+        let n = rng.uniform_usize(3, 13);
+        let brokers: Vec<BrokerId> = (0..n).map(|_| g.add_broker(None)).collect();
+        for _ in 0..rng.uniform_usize(n, 4 * n) {
+            let picked = rng.choose_distinct(n, 2);
+            let (a, b) = (brokers[picked[0]], brokers[picked[1]]);
+            let mean = *rng.choose(&[20.0, 40.0, 60.0]);
+            let q = LinkQuality::new(NormalRate::new(mean, rng.uniform_range(1.0, 9.0)));
+            match rng.uniform_usize(0, 4) {
+                0 => {
+                    g.add_link(a, b, q); // one-way
+                }
+                1 => {
+                    g.add_link(a, b, q.clone());
+                    g.add_link(a, b, q); // parallel, equal cost
+                }
+                _ => {
+                    g.add_bidirectional_link(a, b, q);
+                }
+            }
+        }
+        g
+    }
+
+    fn random_dead_set(rng: &mut SimRng, links: usize) -> Vec<bool> {
+        let p = rng.uniform_range(0.0, 0.5);
+        (0..links).map(|_| rng.chance(p)).collect()
+    }
+
+    #[test]
+    fn adjacency_dijkstra_is_bit_identical_to_the_link_scan_reference() {
+        for seed in 0..64u64 {
+            let mut rng = SimRng::seed_from(0x00D1_7857 + seed);
+            let g = random_graph(&mut rng);
+            let mut dead = random_dead_set(&mut rng, g.link_count());
+            // `Routing: PartialEq` compares every entry including PathStats.
+            let mut routing = Routing::compute_filtered(&g, |l| !dead[l.index()]);
+            assert_eq!(
+                routing,
+                reference_compute(&g, |l| !dead[l.index()]),
+                "seed {seed}: scratch compute"
+            );
+            assert_eq!(Routing::compute(&g), reference_compute(&g, |_| true));
+            // A walk of random liveness batches through the incremental path.
+            for step in 0..8 {
+                let next = random_dead_set(&mut rng, g.link_count());
+                let toggled = |now_dead: bool| -> Vec<LinkId> {
+                    (0..g.link_count())
+                        .filter(|&i| dead[i] != next[i] && next[i] == now_dead)
+                        .map(|i| LinkId::new(i as u32))
+                        .collect()
+                };
+                let (removed, added) = (toggled(true), toggled(false));
+                dead = next;
+                routing.update_for_link_change(&g, |l| !dead[l.index()], &removed, &added);
+                assert_eq!(
+                    routing,
+                    reference_compute(&g, |l| !dead[l.index()]),
+                    "seed {seed} step {step}: incremental update"
+                );
+            }
+        }
+    }
+
+    /// Most links any one tree of `g` pulled from the adjacency lists.
+    fn max_links_examined_per_tree(g: &OverlayGraph, usable: impl Fn(LinkId) -> bool) -> usize {
+        let mut scratch = TreeScratch::default();
+        let mut row = Vec::new();
+        (0..g.broker_count())
+            .map(|d| {
+                LINKS_EXAMINED.with(|c| c.set(0));
+                let dest = BrokerId::new(d as u32);
+                Routing::routes_towards(g, dest, &usable, &mut scratch, &mut row);
+                LINKS_EXAMINED.with(|c| c.get()) as usize
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The regression this guards against is a scan of the whole link list
+    /// per settled broker: `settled × links` examined per tree, where the
+    /// adjacency walk examines each link at most once. Counted, not timed.
+    #[test]
+    fn a_tree_examines_each_link_at_most_once() {
+        for seed in 0..16u64 {
+            let mut rng = SimRng::seed_from(0xC057 + seed);
+            let g = random_graph(&mut rng);
+            // Everything alive: the bound is the usable-link count.
+            assert!(max_links_examined_per_tree(&g, |_| true) <= g.link_count() + 1);
+            // Dead links into a settled broker are still looked at (and
+            // skipped), so with outages the bound stays the link count.
+            let dead = random_dead_set(&mut rng, g.link_count());
+            assert!(max_links_examined_per_tree(&g, |l| !dead[l.index()]) <= g.link_count() + 1);
+        }
     }
 
     #[test]

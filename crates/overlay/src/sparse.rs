@@ -195,6 +195,19 @@ struct MemberQos {
     price: Price,
 }
 
+/// What an [`AggregateEntry`] records about its destination's group. The
+/// engine reads it once per membership or routing event and hands the same
+/// value to every broker's [`SparseTable::sync_aggregate_with`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GroupStats {
+    /// Members attached at the destination.
+    pub members: usize,
+    /// Size of the destination's covering set.
+    pub cover_roots: usize,
+    /// The QoS envelope over the current members.
+    pub envelope: QosEnvelope,
+}
+
 /// The subscriptions attached at one edge broker, with their covering set.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeGroup {
@@ -252,6 +265,15 @@ impl EdgeGroup {
     /// false positives are possible and bounded by the looseness gate.
     pub fn summary_matches(&self, head: &MessageHead) -> bool {
         self.summary.iter().any(|f| f.matches(head))
+    }
+
+    /// The sizes and envelope an aggregate towards this group carries.
+    pub fn stats(&self) -> GroupStats {
+        GroupStats {
+            members: self.len(),
+            cover_roots: self.forest.root_count(),
+            envelope: self.envelope(),
+        }
     }
 
     /// The QoS envelope over the group's **current** members.
@@ -481,6 +503,11 @@ impl SharedPopulation {
         self.by_edge.get(&edge)
     }
 
+    /// [`EdgeGroup::stats`] of the group at `edge` (`None` when empty).
+    pub fn group_stats(&self, edge: BrokerId) -> Option<GroupStats> {
+        self.by_edge.get(&edge).map(EdgeGroup::stats)
+    }
+
     /// Folds the QoS envelope of the members attached at `edge` whose
     /// `join_epoch` does not exceed `epoch`, directly from the member
     /// records in ascending id order — deliberately **not** via the group's
@@ -627,19 +654,14 @@ impl AggregateEntry {
     /// and member group — the single construction path the bulk build, the
     /// full rebuild and the incremental sync all share, so an aggregate can
     /// never differ by how it was produced.
-    fn fresh(
-        route: &crate::routing::RouteEntry,
-        members: usize,
-        cover_roots: usize,
-        envelope: QosEnvelope,
-    ) -> Self {
+    fn fresh(route: &crate::routing::RouteEntry, group: GroupStats) -> Self {
         AggregateEntry {
             next_hop: route.next_hop,
             next_link: route.next_link,
             stats: route.stats,
-            members,
-            cover_roots,
-            envelope,
+            members: group.members,
+            cover_roots: group.cover_roots,
+            envelope: group.envelope,
         }
     }
 }
@@ -819,18 +841,26 @@ impl SparseTable {
     /// group at `dest`. Returns the patch counters (at most one of
     /// retargeted / inserted / removed is 1).
     pub fn sync_aggregate(&mut self, routing: &Routing, dest: BrokerId) -> RetargetOutcome {
+        let group = read_population(&self.population).group_stats(dest);
+        self.sync_aggregate_with(routing, dest, group)
+    }
+
+    /// [`sync_aggregate`](Self::sync_aggregate) with the destination group's
+    /// stats supplied by the caller (`None` = the group is empty), so one
+    /// registry read serves every broker an event touches.
+    pub fn sync_aggregate_with(
+        &mut self,
+        routing: &Routing,
+        dest: BrokerId,
+        group: Option<GroupStats>,
+    ) -> RetargetOutcome {
         let mut outcome = RetargetOutcome::default();
         if dest == self.broker {
             return outcome; // locals carry no route and never move
         }
-        let group_sizes = {
-            let pop = read_population(&self.population);
-            pop.group(dest)
-                .map(|g| (g.len(), g.forest().root_count(), g.envelope()))
-        };
-        match (group_sizes, routing.route(self.broker, dest)) {
-            (Some((members, cover_roots, envelope)), Some(route)) => {
-                let fresh = AggregateEntry::fresh(route, members, cover_roots, envelope);
+        match (group, routing.route(self.broker, dest)) {
+            (Some(group), Some(route)) => {
+                let fresh = AggregateEntry::fresh(route, group);
                 match self.aggregates.insert(dest, fresh) {
                     Some(old) if old == fresh => {} // no-op patch
                     Some(_) => outcome.retargeted += 1,
@@ -857,15 +887,8 @@ impl SparseTable {
                 continue;
             }
             if let Some(route) = routing.route(self.broker, dest) {
-                self.aggregates.insert(
-                    dest,
-                    AggregateEntry::fresh(
-                        route,
-                        group.len(),
-                        group.forest().root_count(),
-                        group.envelope(),
-                    ),
-                );
+                self.aggregates
+                    .insert(dest, AggregateEntry::fresh(route, group.stats()));
             }
         }
     }

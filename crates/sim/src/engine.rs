@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 use crate::scenario::{DynamicScenario, ScenarioAction};
 use crate::sched::{EventQueueKind, Scheduled};
@@ -162,6 +162,12 @@ pub enum SimError {
         /// Which mutation was abandoned.
         during: &'static str,
     },
+    /// A churn action found no population registry although the sparse
+    /// layout always builds one; the mutation was not applied.
+    PopulationMissing {
+        /// Which mutation was abandoned.
+        during: &'static str,
+    },
     /// A shard worker thread panicked mid-window (sharded executor only).
     WorkerPanicked {
         /// The shard whose worker died.
@@ -201,6 +207,11 @@ impl fmt::Display for SimError {
             SimError::PopulationPoisoned { during } => write!(
                 f,
                 "population registry lock poisoned during {during}; mutation abandoned"
+            ),
+            SimError::PopulationMissing { during } => write!(
+                f,
+                "sparse table layout has no population registry during {during}; \
+                 mutation abandoned"
             ),
             SimError::WorkerPanicked { shard, message } => {
                 write!(f, "shard {shard} worker panicked: {message}")
@@ -618,6 +629,16 @@ pub struct SimulationOutcome {
     /// entry per changed `(broker, destination)` pair, not one entry per
     /// subscription.
     pub entries_retargeted: u64,
+    /// Destination shortest-path trees the incremental rebuild recomputed
+    /// over the run (Σ [`RouteDelta::dests_recomputed`]) — the cost driver of
+    /// a link event, at `O(E log V)` each. Zero under
+    /// [`RebuildPolicy::Full`], which recomputes every tree on every batch
+    /// without going through a delta.
+    pub route_trees_recomputed: u64,
+    /// `(source, destination)` route entries those recomputes actually
+    /// changed (Σ [`RouteDelta::changed_pairs`]) — what
+    /// [`entries_retargeted`](Self::entries_retargeted) then has to patch.
+    pub route_pairs_changed: u64,
     /// Aggregate table entries held across all brokers when the run ended —
     /// non-zero only under [`TableLayout::Sparse`], where interior brokers
     /// store one covering-aggregated entry per reachable destination
@@ -844,6 +865,53 @@ impl fmt::Display for DuplicateDeliveryViolation {
     }
 }
 
+/// The subscription population, addressable by id.
+///
+/// `entries` is the slice [`Simulation::subscriptions`] exposes; `slot` maps
+/// an id to its position, so a leave is a hash lookup and a swap-remove
+/// instead of a scan and a `memmove` over 10⁵ entries. Entries are in
+/// insertion order until the first leave and in no particular order after
+/// it: every consumer keys or sorts by id (tables, the registry, the state
+/// digest).
+#[derive(Clone, Default)]
+struct Population {
+    entries: Vec<(Subscription, BrokerId)>,
+    slot: HashMap<SubscriptionId, usize>,
+}
+
+impl Population {
+    fn new(entries: Vec<(Subscription, BrokerId)>) -> Self {
+        let slot = entries
+            .iter()
+            .enumerate()
+            .map(|(i, (sub, _))| (sub.id, i))
+            .collect();
+        Population { entries, slot }
+    }
+
+    /// Adds a subscription attached at `edge`, replacing any entry with the
+    /// same id.
+    fn insert(&mut self, subscription: Subscription, edge: BrokerId) {
+        match self.slot.get(&subscription.id) {
+            Some(&i) => self.entries[i] = (subscription, edge),
+            None => {
+                self.slot.insert(subscription.id, self.entries.len());
+                self.entries.push((subscription, edge));
+            }
+        }
+    }
+
+    /// Removes a subscription, returning the edge broker it was attached at.
+    fn remove(&mut self, id: SubscriptionId) -> Option<BrokerId> {
+        let i = self.slot.remove(&id)?;
+        let (_, edge) = self.entries.swap_remove(i);
+        if let Some((moved, _)) = self.entries.get(i) {
+            self.slot.insert(moved.id, i);
+        }
+        Some(edge)
+    }
+}
+
 /// A fully constructed simulation, ready to [`run`](Simulation::run).
 ///
 /// Its state is three groups split along who may write what while traffic
@@ -854,7 +922,7 @@ pub struct Simulation {
     pub(crate) core: TrafficCore,
     pub(crate) shared: Shared,
     pub(crate) totals: Totals,
-    subscriptions: Vec<(Subscription, BrokerId)>,
+    subscriptions: Population,
     /// The graph the schedulers and routing believe in (identical to the true
     /// graph unless an estimation error is configured). Kept so routing can
     /// be recomputed when links fail or recover.
@@ -879,6 +947,8 @@ pub struct Simulation {
     brokers_built: bool,
     tables_rebuilt_full: u64,
     entries_retargeted: u64,
+    route_trees_recomputed: u64,
+    route_pairs_changed: u64,
     rng: SimRng,
     drain_grace: Duration,
 }
@@ -939,6 +1009,22 @@ fn compare_dense_tables(
         }
     }
     Ok(())
+}
+
+/// Write-locks the sparse layout's population registry for one churn
+/// mutation. Neither failure is recoverable here — a half-registered
+/// subscription would desynchronise the registry from the broker tables —
+/// so both surface as structured errors instead of panics.
+fn write_population<'a>(
+    shared: &'a Shared,
+    during: &'static str,
+) -> Result<RwLockWriteGuard<'a, SharedPopulation>, SimError> {
+    shared
+        .population
+        .as_ref()
+        .ok_or(SimError::PopulationMissing { during })?
+        .write()
+        .map_err(|_| SimError::PopulationPoisoned { during })
 }
 
 impl Simulation {
@@ -1118,7 +1204,7 @@ impl Simulation {
                 transmissions: 0,
                 completed_transfers: 0,
             },
-            subscriptions,
+            subscriptions: Population::new(subscriptions),
             believed_graph,
             routing,
             routing_dirty: false,
@@ -1130,6 +1216,8 @@ impl Simulation {
             brokers_built: false,
             tables_rebuilt_full: 0,
             entries_retargeted: 0,
+            route_trees_recomputed: 0,
+            route_pairs_changed: 0,
             rng,
             drain_grace: Duration::from_secs(120),
         };
@@ -1276,7 +1364,7 @@ impl Simulation {
                 let tables = SubscriptionTable::build_all(
                     &self.believed_graph,
                     &self.routing,
-                    &self.subscriptions,
+                    &self.subscriptions.entries,
                 );
                 self.core.brokers = tables
                     .into_iter()
@@ -1292,7 +1380,7 @@ impl Simulation {
             }
             TableLayout::Sparse => {
                 let population: PopulationHandle = Arc::new(RwLock::new(
-                    SharedPopulation::from_population(&self.subscriptions),
+                    SharedPopulation::from_population(&self.subscriptions.entries),
                 ));
                 self.core.brokers = (0..self.believed_graph.broker_count())
                     .map(|i| {
@@ -1316,9 +1404,10 @@ impl Simulation {
         self.table_layout
     }
 
-    /// The subscription population of this run (changes under churn).
+    /// The subscription population of this run (changes under churn; in no
+    /// particular order once a subscription has left).
     pub fn subscriptions(&self) -> &[(Subscription, BrokerId)] {
-        &self.subscriptions
+        &self.subscriptions.entries
     }
 
     /// The scheduler configuration of this run.
@@ -1484,6 +1573,8 @@ impl Simulation {
             scope_intern_hits: core.scope_interner.hits(),
             tables_rebuilt_full: self.tables_rebuilt_full,
             entries_retargeted: self.entries_retargeted,
+            route_trees_recomputed: self.route_trees_recomputed,
+            route_pairs_changed: self.route_pairs_changed,
             aggregate_entries,
             table_bytes_estimate,
             link_loads: self.link_loads_snapshot(),
@@ -1535,6 +1626,8 @@ impl Simulation {
             brokers_built: self.brokers_built,
             tables_rebuilt_full: self.tables_rebuilt_full,
             entries_retargeted: self.entries_retargeted,
+            route_trees_recomputed: self.route_trees_recomputed,
+            route_pairs_changed: self.route_pairs_changed,
             rng: self.rng.clone(),
             drain_grace: self.drain_grace,
         };
@@ -1647,11 +1740,19 @@ impl Simulation {
         if let Some(pop) = &self.shared.population {
             h.write_u64(bdps_overlay::sparse::read_population(pop).state_digest());
         }
-        // Population membership (the dense layout has no registry).
-        h.write_usize(self.subscriptions.len());
-        for (sub, edge) in &self.subscriptions {
-            h.write_u32(sub.id.raw());
-            h.write_u32(edge.raw());
+        // Population membership (the dense layout has no registry), in id
+        // order: the entry order is not logical state.
+        let mut members: Vec<(u32, u32)> = self
+            .subscriptions
+            .entries
+            .iter()
+            .map(|(sub, edge)| (sub.id.raw(), edge.raw()))
+            .collect();
+        members.sort_unstable();
+        h.write_usize(members.len());
+        for (id, edge) in members {
+            h.write_u32(id);
+            h.write_u32(edge);
         }
         h.write_u64(self.totals.tracker.state_digest());
         h.finish()
@@ -1678,8 +1779,11 @@ impl Simulation {
         for broker in &self.core.brokers {
             match broker.table() {
                 BrokerTable::Dense(table) => {
-                    let fresh =
-                        SubscriptionTable::build(broker.id, &self.routing, &self.subscriptions);
+                    let fresh = SubscriptionTable::build(
+                        broker.id,
+                        &self.routing,
+                        &self.subscriptions.entries,
+                    );
                     compare_dense_tables(broker.id, table, &fresh)?;
                 }
                 BrokerTable::Sparse(table) => {
@@ -1762,72 +1866,54 @@ impl Simulation {
                     }
                     TableLayout::Sparse => {
                         // Register once globally, expand only at the edge;
-                        // interior brokers just refresh their aggregate's
-                        // group size (and routed fields, unchanged here).
-                        // A poisoned write lock is not recoverable here — a
-                        // half-registered subscription would desynchronise
-                        // the registry from the broker tables — so surface
-                        // it as a structured error instead of a panic.
-                        self.shared
-                            .population
-                            .as_ref()
-                            .expect("sparse layout has a population registry")
-                            .write()
-                            .map_err(|_| SimError::PopulationPoisoned {
-                                during: "subscription join",
-                            })?
-                            .insert(subscription.clone(), broker);
+                        // interior brokers just refresh their aggregate from
+                        // the group's stats, read once for all of them.
+                        let group = {
+                            let mut population =
+                                write_population(&self.shared, "subscription join")?;
+                            population.insert(subscription.clone(), broker);
+                            population.group_stats(broker)
+                        };
                         let routing = &self.routing;
                         for b in &mut self.core.brokers {
                             if b.id == broker {
                                 b.insert_local_subscription(subscription.clone());
                             } else {
-                                b.sync_aggregate(routing, broker);
+                                b.sync_aggregate(routing, broker, group);
                             }
                         }
                     }
                 }
-                self.subscriptions.push((subscription, broker));
+                self.subscriptions.insert(subscription, broker);
             }
             ScenarioAction::SubscriptionLeave { subscription } => {
+                // An id nobody holds is in no index, table or queued copy.
+                let Some(edge) = self.subscriptions.remove(subscription) else {
+                    return Ok(());
+                };
                 self.shared.global_index.remove(subscription);
-                let mut edge = None;
-                if let Some(pos) = self
-                    .subscriptions
-                    .iter()
-                    .position(|(s, _)| s.id == subscription)
-                {
-                    edge = Some(self.subscriptions[pos].1);
-                    self.subscriptions.remove(pos);
-                }
-                if self.table_layout == TableLayout::Sparse {
-                    self.shared
-                        .population
-                        .as_ref()
-                        .expect("sparse layout has a population registry")
-                        .write()
-                        .map_err(|_| SimError::PopulationPoisoned {
-                            during: "subscription leave",
-                        })?
-                        .remove(subscription);
-                }
-                let sparse_edge = match self.table_layout {
-                    TableLayout::Sparse => edge,
+                // Under the sparse layout the aggregate towards the edge the
+                // subscription left shrinks (or goes) at every other broker.
+                let shrunk_group = match self.table_layout {
+                    TableLayout::Sparse => {
+                        let mut population = write_population(&self.shared, "subscription leave")?;
+                        population.remove(subscription);
+                        Some(population.group_stats(edge))
+                    }
                     TableLayout::Dense => None,
                 };
                 let routing = &self.routing;
                 let mut orphaned = 0;
                 for b in &mut self.core.brokers {
-                    // Strips the local/dense row and every queued copy's
-                    // target under both layouts.
-                    orphaned += b.remove_subscription(subscription);
-                    if let Some(dest) = sparse_edge {
-                        // Shrink (or drop) the aggregate towards the edge
-                        // the subscription left.
-                        if b.id != dest {
-                            b.sync_aggregate(routing, dest);
+                    // Every queued copy loses the target; the table row
+                    // lives at every broker (dense) or at the edge alone.
+                    orphaned += match shrunk_group {
+                        Some(group) if b.id != edge => {
+                            b.sync_aggregate(routing, edge, group);
+                            b.strip_queued(subscription)
                         }
-                    }
+                        _ => b.remove_subscription(subscription),
+                    };
                 }
                 self.totals.emit(Effect::Dropped { count: orphaned });
             }
@@ -1992,7 +2078,7 @@ impl Simulation {
                     let table = SubscriptionTable::build(
                         self.core.brokers[i].id,
                         &self.routing,
-                        &self.subscriptions,
+                        &self.subscriptions.entries,
                     );
                     self.core.brokers[i].set_table(table);
                 }
@@ -2027,6 +2113,8 @@ impl Simulation {
             &added,
         );
         self.shared.link_down_depth = depth;
+        self.route_trees_recomputed += delta.dests_recomputed() as u64;
+        self.route_pairs_changed += delta.changed_pairs() as u64;
         if delta.is_empty() {
             return;
         }
@@ -2041,14 +2129,19 @@ impl Simulation {
     /// total, with no population-grouping pass and no mass-transition
     /// fallback (removing or inserting an aggregate is `O(log dests)`, so
     /// the blackout worst case the dense path must special-case is already
-    /// cheap here).
+    /// cheap here). The registry is locked once for the whole patch.
     fn patch_sparse_tables(&mut self, delta: &RouteDelta) {
+        let Some(population) = &self.shared.population else {
+            return; // dense layout: no aggregates to patch
+        };
+        let population = bdps_overlay::sparse::read_population(population);
         let routing = &self.routing;
         let mut patched = RetargetOutcome::default();
         for (i, broker) in self.core.brokers.iter_mut().enumerate() {
             let source = BrokerId::new(i as u32);
             for &dest in delta.changed_dests(source) {
-                patched.absorb(broker.sync_aggregate(routing, dest));
+                let group = population.group_stats(dest);
+                patched.absorb(broker.sync_aggregate(routing, dest, group));
             }
         }
         self.entries_retargeted += patched.total();
@@ -2064,13 +2157,13 @@ impl Simulation {
             .iter()
             .map(|&dest| (dest, Vec::new()))
             .collect();
-        for (sub, edge) in &self.subscriptions {
+        for (sub, edge) in &self.subscriptions.entries {
             if let Some(list) = attached.get_mut(edge) {
                 list.push(sub);
             }
         }
         let routing = &self.routing;
-        let population = self.subscriptions.len();
+        let population = self.subscriptions.entries.len();
         let mut patched = RetargetOutcome::default();
         let mut bulk_rebuilt = 0u64;
         for (i, broker) in self.core.brokers.iter_mut().enumerate() {
@@ -2103,7 +2196,7 @@ impl Simulation {
                 }
             }
             if transitions * 8 >= population.max(1) {
-                let table = SubscriptionTable::build(source, routing, &self.subscriptions);
+                let table = SubscriptionTable::build(source, routing, &self.subscriptions.entries);
                 broker.set_table(table);
                 bulk_rebuilt += 1;
                 continue;

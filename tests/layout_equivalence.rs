@@ -165,6 +165,118 @@ fn flap_storm_is_layout_independent_across_policies_and_schedulers() {
     }
 }
 
+/// Members of the congested small-mesh population the hand-built churn
+/// scenarios below target (every run of one seed draws the same population,
+/// whatever the scenario).
+fn population(seed: u64) -> Vec<(Subscription, BrokerId)> {
+    Simulation::builder()
+        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
+        .ssd(12.0)
+        .seed(seed)
+        .build()
+        .subscriptions()
+        .to_vec()
+}
+
+/// Every layout × scheduler cell of one scenario, asserted equal; returns
+/// the common report.
+fn agreed_report(scenario: &DynamicScenario, seed: u64) -> SimulationReport {
+    let cell = |layout, queue| report(scenario, layout, RebuildPolicy::Incremental, queue, seed);
+    let reference = cell(TableLayout::Dense, EventQueueKind::BinaryHeap);
+    for layout in TableLayout::ALL {
+        for queue in EventQueueKind::ALL {
+            assert_eq!(
+                reference,
+                cell(layout, queue),
+                "{} drifted (seed {seed}, {} layout, {} queue)",
+                scenario,
+                layout.name(),
+                queue.name()
+            );
+        }
+    }
+    reference
+}
+
+#[test]
+fn leave_of_an_unknown_id_is_a_no_op_under_every_layout_and_scheduler() {
+    let seed = 6;
+    let members = population(seed);
+    // Real leaves while queues are loaded, so there is something to strip.
+    let mut leaves = DynamicScenario::named("leaves");
+    for (k, (sub, _)) in members.iter().take(12).enumerate() {
+        let at = Duration::from_secs(60 + 10 * k as u64);
+        leaves = leaves.at(
+            at,
+            ScenarioAction::SubscriptionLeave {
+                subscription: sub.id,
+            },
+        );
+    }
+    // The same, plus leaves of an id that never existed and a second leave
+    // of one that is already gone.
+    let never = SubscriptionId::new(members.len() as u32 + 1_000);
+    let strays = leaves
+        .clone()
+        .at(
+            Duration::from_secs(30),
+            ScenarioAction::SubscriptionLeave {
+                subscription: never,
+            },
+        )
+        .at(
+            Duration::from_secs(200),
+            ScenarioAction::SubscriptionLeave {
+                subscription: never,
+            },
+        )
+        .at(
+            Duration::from_secs(200),
+            ScenarioAction::SubscriptionLeave {
+                subscription: members[0].0.id,
+            },
+        );
+    let without = agreed_report(&leaves, seed);
+    let with = agreed_report(&strays, seed);
+    assert_eq!(
+        without, with,
+        "a leave of an unknown id must change nothing"
+    );
+    assert!(
+        without.dropped_unsubscribed > 0,
+        "the real leaves must orphan queued copies, or nothing was stripped"
+    );
+}
+
+#[test]
+fn leave_then_rejoin_at_one_instant_is_layout_and_scheduler_independent() {
+    let seed = 6;
+    let members = population(seed);
+    let mut leave_only = DynamicScenario::named("leave-rejoin");
+    let mut rejoin = DynamicScenario::named("leave-rejoin");
+    for (k, (sub, edge)) in members.iter().take(12).enumerate() {
+        let at = Duration::from_secs(60 + 10 * k as u64);
+        let leave = ScenarioAction::SubscriptionLeave {
+            subscription: sub.id,
+        };
+        leave_only = leave_only.at(at, leave.clone());
+        rejoin = rejoin.at(at, leave).at(
+            at,
+            ScenarioAction::SubscriptionJoin {
+                subscription: sub.clone(),
+                broker: *edge,
+            },
+        );
+    }
+    let left = agreed_report(&leave_only, seed);
+    let rejoined = agreed_report(&rejoin, seed);
+    // Both halves must take effect: the leave strips queued copies, the
+    // rejoin puts the subscriber back in scope of later publications.
+    assert!(rejoined.dropped_unsubscribed > 0);
+    assert!(rejoined.interested > left.interested);
+    assert_eq!(rejoined.duplicate_deliveries, 0);
+}
+
 #[test]
 fn sparse_runs_report_aggregate_counters() {
     // The observability half of the layout: aggregates exist, every local

@@ -45,10 +45,14 @@ fn random_target(rng: &mut SimRng) -> MatchedTarget {
     }
 }
 
+/// A queued copy whose targets honour the queue's invariant: strictly
+/// ascending subscription ids.
 fn random_item(id: u64, rng: &mut SimRng) -> QueuedMessage {
-    let targets = (0..rng.uniform_usize(1, 6))
+    let mut targets: Vec<MatchedTarget> = (0..rng.uniform_usize(1, 6))
         .map(|_| random_target(rng))
         .collect();
+    targets.sort_by_key(|t| t.subscription);
+    targets.dedup_by_key(|t| t.subscription);
     QueuedMessage {
         message: Arc::new(
             Message::builder(MessageId::new(id), PublisherId::new(0))
@@ -135,6 +139,46 @@ fn fifo_pop_order_matches_enqueue_order() {
 
 /// The registry round-trips every built-in name: resolving a name yields a
 /// strategy whose display label resolves back to the same strategy.
+/// `OutputQueue::remove_subscription` locates the id by binary search over
+/// the ascending targets; the reference strips with a linear `retain`. Both
+/// must agree on the orphan count and on every surviving copy — which
+/// copies, which targets, in which order — wherever the id sits in a copy:
+/// absent, first, last, in the middle, or its sole target.
+#[test]
+fn remove_subscription_matches_the_retain_reference() {
+    check(0x5781, 300, |rng| {
+        let items: Vec<QueuedMessage> = (0..rng.uniform_usize(1, 10) as u64)
+            .map(|i| random_item(i, rng))
+            .collect();
+        let picked = &rng.choose(&items).targets;
+        let id = match rng.uniform_usize(0, 4) {
+            0 => SubscriptionId::new(1_000), // held by nobody
+            1 => picked[0].subscription,
+            2 => picked[picked.len() - 1].subscription,
+            _ => rng.choose(picked).subscription,
+        };
+
+        let mut queue = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        for item in &items {
+            queue.push(item.clone());
+        }
+        let orphaned = queue.remove_subscription(id);
+
+        let mut expected = items;
+        for item in &mut expected {
+            item.targets.retain(|t| t.subscription != id);
+        }
+        let before = expected.len();
+        expected.retain(|item| !item.targets.is_empty());
+        assert_eq!(orphaned as usize, before - expected.len());
+        assert_eq!(queue.len(), expected.len());
+        for (got, want) in queue.items().iter().zip(&expected) {
+            assert_eq!(got.message.id, want.message.id);
+            assert_eq!(got.targets, want.targets);
+        }
+    });
+}
+
 #[test]
 fn registry_round_trips_every_builtin_name() {
     let registry = StrategyRegistry::builtin();

@@ -123,6 +123,34 @@ fn flap_storm_is_policy_and_scheduler_independent() {
 }
 
 #[test]
+fn route_delta_counters_are_scheduler_independent_and_zero_under_full_rebuild() {
+    let storm = flap_storm(7, small_mesh_link_count(), 240);
+    let outcome = |policy: RebuildPolicy, queue: EventQueueKind| {
+        Simulation::builder()
+            .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
+            .ssd(12.0)
+            .duration(Duration::from_secs(240))
+            .strategy(StrategyKind::MaxEbpc)
+            .scenario(storm.clone())
+            .rebuild_policy(policy)
+            .event_queue(queue)
+            .seed(7)
+            .build()
+            .run()
+    };
+    let delta_counters = |o: &SimulationOutcome| (o.route_trees_recomputed, o.route_pairs_changed);
+    let heap = outcome(RebuildPolicy::Incremental, EventQueueKind::BinaryHeap);
+    let calendar = outcome(RebuildPolicy::Incremental, EventQueueKind::Calendar);
+    assert_eq!(delta_counters(&heap), delta_counters(&calendar));
+    let (trees, pairs) = delta_counters(&calendar);
+    assert!(trees > 0 && pairs > 0, "the storm must move routes");
+    // The full rebuild recomputes everything without ever forming a delta.
+    let full = outcome(RebuildPolicy::Full, EventQueueKind::Calendar);
+    assert_eq!(delta_counters(&full), (0, 0));
+    assert_eq!(full.entries_retargeted, 0);
+}
+
+#[test]
 fn rebuild_policy_round_trips_through_config_and_registry_names() {
     let config = Simulation::builder()
         .rebuild_policy(RebuildPolicy::Full)
