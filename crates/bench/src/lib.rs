@@ -1,7 +1,6 @@
 //! # bdps-bench
 //!
-//! The experiment harness reproducing the paper's evaluation section plus a
-//! set of Criterion micro/macro benchmarks.
+//! The experiment harness reproducing the paper's evaluation section.
 //!
 //! Each figure of the paper has a binary that regenerates its series:
 //!
@@ -15,7 +14,6 @@
 //! | `ablation_estimation` | effect of bandwidth-estimation error |
 //! | `ablation_scheddelay` | multi-seed variance of the headline comparison |
 //! | `dynamics` | beyond the paper: strategies under churn, bursts, link failures |
-//! | `scale` | beyond the paper: engine events/sec from 160 to 10⁵ subscribers, heap vs calendar scheduler, `BENCH_scale.json` for CI |
 //!
 //! By default the binaries run a shortened publication period so that the
 //! whole suite finishes in minutes; pass `--full` for the paper's 2-hour

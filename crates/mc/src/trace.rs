@@ -6,7 +6,7 @@
 //! ordered branch [`ChoiceRecord`]s. Traces serialise to a single JSON
 //! object so CI can upload them as artifacts; the JSON is hand-rolled
 //! against a minimal parser because the vendored `serde` is a marker-only
-//! stand-in (the same precedent as the `scale` bench reports).
+//! stand-in.
 
 use std::fmt::Write as _;
 

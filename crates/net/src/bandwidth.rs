@@ -5,14 +5,13 @@
 //! 1. *What does the scheduler believe?* — [`BandwidthModel::rate_distribution`]
 //!    returns the normal distribution of the per-KB transmission rate that the
 //!    EB/PC/EBPC metrics plug into equation (5). Models that are not natively
-//!    normal (fixed rate, shifted gamma) return their moment-matched normal,
-//!    which is exactly what a broker estimating mean/variance from
-//!    measurements would arrive at.
+//!    normal (fixed rate) return their moment-matched normal, which is
+//!    exactly what a broker estimating mean/variance from measurements would
+//!    arrive at.
 //! 2. *What does the simulated network actually do?* —
 //!    [`BandwidthModel::sample_transfer_ms`] draws the actual time to push a
 //!    message of a given size over the link.
 
-use bdps_stats::gamma::ShiftedGamma;
 use bdps_stats::normal::Normal;
 use bdps_stats::rng::SimRng;
 use serde::{Deserialize, Serialize};
@@ -94,35 +93,6 @@ impl BandwidthModel for FixedRate {
     }
 }
 
-/// A per-KB rate following a shifted gamma distribution, matching the shape
-/// reported by the Internet delay-measurement studies the paper cites
-/// \[17, 18\]: a hard propagation floor plus a right-skewed queueing tail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShiftedGammaRate {
-    rate: ShiftedGamma,
-}
-
-impl ShiftedGammaRate {
-    /// Creates a shifted-gamma rate from its minimum, mean and standard
-    /// deviation in ms/KB.
-    pub fn from_min_mean_std(min: f64, mean: f64, std_dev: f64) -> Self {
-        ShiftedGammaRate {
-            rate: ShiftedGamma::from_min_mean_std(min, mean, std_dev),
-        }
-    }
-}
-
-impl BandwidthModel for ShiftedGammaRate {
-    fn rate_distribution(&self) -> Normal {
-        // Moment-matched normal: what a mean/variance estimator would report.
-        Normal::from_mean_variance(self.rate.mean(), self.rate.variance())
-    }
-
-    fn sample_transfer_ms(&self, size_kb: f64, rng: &mut SimRng) -> f64 {
-        self.rate.sample(rng).max(MIN_RATE_MS_PER_KB) * size_kb
-    }
-}
-
 /// A type-erased, clonable bandwidth model handle used by link structures.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum AnyBandwidth {
@@ -130,8 +100,6 @@ pub enum AnyBandwidth {
     Normal(NormalRate),
     /// Deterministic fixed rate.
     Fixed(FixedRate),
-    /// Shifted-gamma rate.
-    ShiftedGamma(ShiftedGammaRate),
 }
 
 impl BandwidthModel for AnyBandwidth {
@@ -139,7 +107,6 @@ impl BandwidthModel for AnyBandwidth {
         match self {
             AnyBandwidth::Normal(m) => m.rate_distribution(),
             AnyBandwidth::Fixed(m) => m.rate_distribution(),
-            AnyBandwidth::ShiftedGamma(m) => m.rate_distribution(),
         }
     }
 
@@ -147,7 +114,6 @@ impl BandwidthModel for AnyBandwidth {
         match self {
             AnyBandwidth::Normal(m) => m.sample_transfer_ms(size_kb, rng),
             AnyBandwidth::Fixed(m) => m.sample_transfer_ms(size_kb, rng),
-            AnyBandwidth::ShiftedGamma(m) => m.sample_transfer_ms(size_kb, rng),
         }
     }
 }
@@ -161,12 +127,6 @@ impl From<NormalRate> for AnyBandwidth {
 impl From<FixedRate> for AnyBandwidth {
     fn from(m: FixedRate) -> Self {
         AnyBandwidth::Fixed(m)
-    }
-}
-
-impl From<ShiftedGammaRate> for AnyBandwidth {
-    fn from(m: ShiftedGammaRate) -> Self {
-        AnyBandwidth::ShiftedGamma(m)
     }
 }
 
@@ -231,24 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn shifted_gamma_rate_moments_and_floor() {
-        let m = ShiftedGammaRate::from_min_mean_std(50.0, 70.0, 10.0);
-        let d = m.rate_distribution();
-        assert!((d.mean() - 70.0).abs() < 1e-9);
-        assert!((d.std_dev() - 10.0).abs() < 1e-9);
-        let mut rng = SimRng::seed_from(6);
-        for _ in 0..2_000 {
-            assert!(m.sample_transfer_ms(1.0, &mut rng) >= 50.0);
-        }
-    }
-
-    #[test]
     fn any_bandwidth_dispatch() {
         let mut rng = SimRng::seed_from(7);
         let models: Vec<AnyBandwidth> = vec![
             NormalRate::new(60.0, 10.0).into(),
             FixedRate::new(60.0).into(),
-            ShiftedGammaRate::from_min_mean_std(40.0, 60.0, 10.0).into(),
         ];
         for m in &models {
             assert!((m.mean_rate() - 60.0).abs() < 1e-9);

@@ -12,15 +12,6 @@ use bdps_types::id::{BrokerId, LinkId};
 use bdps_types::time::Duration;
 use serde::{Deserialize, Serialize};
 
-/// Which direction of a broker pair a link carries traffic in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LinkDirection {
-    /// From the lower-numbered broker towards the higher-numbered one.
-    Forward,
-    /// From the higher-numbered broker towards the lower-numbered one.
-    Reverse,
-}
-
 /// The quality of one link: its bandwidth model plus a fixed propagation latency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinkQuality {
@@ -129,10 +120,5 @@ mod tests {
         assert_eq!(l.mean_transfer(50.0), Duration::from_millis(3_000));
         assert_eq!(l.from, BrokerId::new(1));
         assert_eq!(l.to, BrokerId::new(2));
-    }
-
-    #[test]
-    fn directions_are_distinct() {
-        assert_ne!(LinkDirection::Forward, LinkDirection::Reverse);
     }
 }

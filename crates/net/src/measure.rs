@@ -1,69 +1,14 @@
-//! Simulated bandwidth measurement and estimation.
+//! Bandwidth-estimation error.
 //!
 //! The paper assumes each broker estimates the `N(μ, σ²)` parameters of every
 //! outgoing link "by some tools of network measurement" and then schedules
-//! against the *estimated* distribution. [`LinkEstimator`] reproduces that
-//! loop: it probes a true bandwidth model a number of times (or ingests
-//! transfer observations from live traffic) and exposes the estimated normal
-//! distribution. [`EstimationError`] deliberately perturbs the estimate so
-//! that the `ablation_estimation` experiment can quantify how sensitive the
-//! EB/PC/EBPC strategies are to mis-estimated link parameters.
+//! against the *estimated* distribution. [`EstimationError`] deliberately
+//! perturbs the estimate so that the `ablation_estimation` experiment can
+//! quantify how sensitive the EB/PC/EBPC strategies are to mis-estimated link
+//! parameters.
 
-use crate::bandwidth::BandwidthModel;
-use bdps_stats::estimator::WelfordEstimator;
 use bdps_stats::normal::Normal;
-use bdps_stats::rng::SimRng;
 use serde::{Deserialize, Serialize};
-
-/// An online estimator of one link's per-KB transmission rate.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LinkEstimator {
-    welford: WelfordEstimator,
-}
-
-impl LinkEstimator {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Actively probes the given true model `n` times with `probe_kb`-sized
-    /// probes, feeding the observed per-KB rates into the estimator.
-    pub fn probe(&mut self, model: &dyn BandwidthModel, n: usize, probe_kb: f64, rng: &mut SimRng) {
-        assert!(probe_kb > 0.0, "probe size must be positive");
-        for _ in 0..n {
-            let ms = model.sample_transfer_ms(probe_kb, rng);
-            self.observe_transfer(probe_kb, ms);
-        }
-    }
-
-    /// Ingests one passive observation: `size_kb` kilobytes took `ms` milliseconds.
-    pub fn observe_transfer(&mut self, size_kb: f64, ms: f64) {
-        if size_kb > 0.0 && ms.is_finite() && ms >= 0.0 {
-            self.welford.observe(ms / size_kb);
-        }
-    }
-
-    /// Number of observations ingested so far.
-    pub fn observations(&self) -> u64 {
-        self.welford.count()
-    }
-
-    /// The estimated rate distribution, or `None` before the estimator has
-    /// seen at least two observations (variance undefined).
-    pub fn estimated_rate(&self) -> Option<Normal> {
-        if self.welford.count() < 2 {
-            return None;
-        }
-        Some(Normal::new(self.welford.mean(), self.welford.std_dev()))
-    }
-
-    /// The estimated rate, falling back to the given prior when there is not
-    /// yet enough data.
-    pub fn estimated_rate_or(&self, prior: Normal) -> Normal {
-        self.estimated_rate().unwrap_or(prior)
-    }
-}
 
 /// A deliberate perturbation of estimated link parameters (for ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -107,61 +52,6 @@ impl EstimationError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::{FixedRate, NormalRate};
-
-    #[test]
-    fn probing_converges_to_true_parameters() {
-        let true_model = NormalRate::new(75.0, 20.0);
-        let mut est = LinkEstimator::new();
-        let mut rng = SimRng::seed_from(1);
-        est.probe(&true_model, 5_000, 50.0, &mut rng);
-        let d = est.estimated_rate().unwrap();
-        assert!((d.mean() - 75.0).abs() < 1.0, "mean = {}", d.mean());
-        assert!((d.std_dev() - 20.0).abs() < 1.0, "std = {}", d.std_dev());
-        assert_eq!(est.observations(), 5_000);
-    }
-
-    #[test]
-    fn passive_observation_normalises_by_size() {
-        let mut est = LinkEstimator::new();
-        est.observe_transfer(50.0, 3_000.0); // 60 ms/KB
-        est.observe_transfer(25.0, 1_500.0); // 60 ms/KB
-        est.observe_transfer(10.0, 700.0); // 70 ms/KB
-        let d = est.estimated_rate().unwrap();
-        assert!((d.mean() - 63.333).abs() < 0.01);
-    }
-
-    #[test]
-    fn not_enough_data_yields_none_and_prior_fallback() {
-        let mut est = LinkEstimator::new();
-        assert!(est.estimated_rate().is_none());
-        est.observe_transfer(1.0, 50.0);
-        assert!(est.estimated_rate().is_none());
-        let prior = Normal::new(75.0, 20.0);
-        assert_eq!(est.estimated_rate_or(prior).mean(), 75.0);
-        est.observe_transfer(1.0, 70.0);
-        assert!(est.estimated_rate().is_some());
-    }
-
-    #[test]
-    fn invalid_observations_are_ignored() {
-        let mut est = LinkEstimator::new();
-        est.observe_transfer(0.0, 100.0);
-        est.observe_transfer(10.0, f64::NAN);
-        est.observe_transfer(10.0, -5.0);
-        assert_eq!(est.observations(), 0);
-    }
-
-    #[test]
-    fn fixed_rate_estimation_has_zero_variance() {
-        let true_model = FixedRate::new(80.0);
-        let mut est = LinkEstimator::new();
-        let mut rng = SimRng::seed_from(2);
-        est.probe(&true_model, 100, 10.0, &mut rng);
-        let d = est.estimated_rate().unwrap();
-        assert!((d.mean() - 80.0).abs() < 1e-9);
-        assert!(d.std_dev() < 1e-9);
-    }
 
     #[test]
     fn estimation_error_biases_parameters() {

@@ -409,8 +409,8 @@ impl SimulationBuilder {
             sim = sim.with_drain_grace(grace);
         }
         // Materialise broker state here so its cost lands in the build
-        // phase (what the scale bench reports as build time), not in the
-        // first instants of `run`.
+        // phase (what the benchmark reports as `setup_s`), not in the first
+        // instants of `run`.
         sim.prepare()
     }
 

@@ -604,8 +604,7 @@ pub struct SimulationOutcome {
     pub pending_process_at_end: u64,
     /// Per-phase metric breakdown (a single "run" phase for static scenarios).
     pub phases: Vec<PhaseOutcome>,
-    /// Total events the loop processed — the numerator of the events/sec
-    /// throughput metric the `scale` bench tracks.
+    /// Total events the loop processed.
     pub events_processed: u64,
     /// The deepest the pending-event set ever got (scheduler load indicator).
     pub peak_pending_events: u64,
@@ -646,8 +645,7 @@ pub struct SimulationOutcome {
     pub aggregate_entries: u64,
     /// Rough bytes of subscription-table state at the end of the run: the
     /// sum of every broker's own table plus (under the sparse layout) the
-    /// shared population registry, counted once. The memory axis the
-    /// `scale` bench tracks per layout.
+    /// shared population registry, counted once.
     pub table_bytes_estimate: u64,
     /// Per-link utilisation/queueing counters, indexed by link id, with
     /// the busy/flow-time integrals closed at `finished_at`.

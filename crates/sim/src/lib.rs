@@ -32,7 +32,7 @@
 //! * [`runner`] — thin wrappers over the builder: one-call execution of a
 //!   materialised config plus parallel parameter sweeps across strategies,
 //!   rates and seeds;
-//! * [`report`] — result records and Markdown/CSV rendering helpers.
+//! * [`report`] — result records and Markdown rendering helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +56,7 @@ pub use engine::{
     ConservationBalance, ConservationViolation, DuplicateDeliveryViolation, ForwardingMode,
     LinkLoad, PhaseOutcome, RebuildPolicy, SimError, Simulation, SimulationOutcome,
 };
-pub use report::{render_csv, render_markdown_table, LinkReport, PhaseReport, SimulationReport};
+pub use report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
 pub use runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
 pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
 pub use sched::{BinaryHeapQueue, CalendarQueue, EventQueue, EventQueueKind, Scheduled};
@@ -73,9 +73,7 @@ pub mod prelude {
         ForwardingMode, LinkLoad, PhaseOutcome, RebuildPolicy, SimError, Simulation,
         SimulationOutcome,
     };
-    pub use crate::report::{
-        render_csv, render_markdown_table, LinkReport, PhaseReport, SimulationReport,
-    };
+    pub use crate::report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
     pub use crate::runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
     pub use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
     pub use crate::sched::{EventQueue, EventQueueKind};

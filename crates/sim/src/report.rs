@@ -341,18 +341,6 @@ pub fn render_markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders rows as CSV (no quoting — intended for plain numeric tables).
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,13 +357,6 @@ mod tests {
         assert_eq!(lines[0], "| rate | EB | FIFO |");
         assert_eq!(lines[1], "|---|---|---|");
         assert!(lines[2].starts_with("| 3 |"));
-    }
-
-    #[test]
-    fn csv_shape() {
-        let rows = vec![vec!["1".to_string(), "2".to_string()]];
-        let c = render_csv(&["a", "b"], &rows);
-        assert_eq!(c, "a,b\n1,2\n");
     }
 
     fn sample_report() -> SimulationReport {

@@ -349,8 +349,7 @@ impl LinkFailureConfig {
 
     /// A link-flap storm: a failure every two seconds, ~five seconds down,
     /// so outages overlap and routing is in near-constant flux. The
-    /// scenario that makes the rebuild path the bottleneck — the `scale`
-    /// bench uses it to compare the rebuild policies at 10⁵ subscribers.
+    /// scenario that makes the rebuild path the bottleneck.
     pub fn storm() -> Self {
         LinkFailureConfig {
             mean_time_between_failures_secs: 2.0,

@@ -10,44 +10,30 @@
 //!   function and their inverses, implemented from scratch;
 //! * [`normal`] — the normal distribution (pdf, cdf, quantile, sampling,
 //!   closure under addition and positive scaling, truncation at zero);
-//! * [`gamma`] — the gamma and *shifted* gamma distributions used by the
-//!   paper's Internet-delay citations \[17, 18\];
-//! * [`estimator`] — Welford online mean/variance, EWMA and sliding-window
-//!   estimators used by the simulated bandwidth-measurement tools;
-//! * [`process`] — arrival processes (Poisson, deterministic, uniform-jitter)
-//!   used by workload generators;
+//! * [`process`] — the Poisson arrival process used by workload generators;
 //! * [`rng`] — a seedable, reproducible RNG wrapper shared by all crates;
-//! * [`summary`] — streaming summaries, fixed-bin histograms and confidence
-//!   intervals for reporting simulation results.
+//! * [`summary`] — streaming summaries for reporting simulation results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod erf;
-pub mod estimator;
-pub mod gamma;
 pub mod normal;
 pub mod process;
 pub mod rng;
 pub mod summary;
 
 pub use erf::{erf, erfc, inverse_erf};
-pub use estimator::{EwmaEstimator, SlidingWindowEstimator, WelfordEstimator};
-pub use gamma::{GammaDist, ShiftedGamma};
 pub use normal::Normal;
-pub use process::{ArrivalProcess, DeterministicArrivals, PoissonArrivals, UniformJitterArrivals};
+pub use process::{ArrivalProcess, PoissonArrivals};
 pub use rng::SimRng;
-pub use summary::{ConfidenceInterval, Histogram, Summary};
+pub use summary::Summary;
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
     pub use crate::erf::{erf, erfc, inverse_erf};
-    pub use crate::estimator::{EwmaEstimator, SlidingWindowEstimator, WelfordEstimator};
-    pub use crate::gamma::{GammaDist, ShiftedGamma};
     pub use crate::normal::Normal;
-    pub use crate::process::{
-        ArrivalProcess, DeterministicArrivals, PoissonArrivals, UniformJitterArrivals,
-    };
+    pub use crate::process::{ArrivalProcess, PoissonArrivals};
     pub use crate::rng::SimRng;
-    pub use crate::summary::{ConfidenceInterval, Histogram, Summary};
+    pub use crate::summary::Summary;
 }

@@ -3,9 +3,7 @@
 //! The paper states that "each publisher continuously publishes messages at a
 //! certain rate", parameterised by the *publishing rate* (messages per
 //! publisher per minute). The standard stochastic reading of continuous
-//! publication is a Poisson process; a deterministic (fixed-interval) process
-//! and a uniform-jitter process are provided as alternatives so experiments
-//! can check sensitivity to the arrival model.
+//! publication is a Poisson process.
 
 use crate::rng::SimRng;
 use bdps_types::time::{Duration, SimTime};
@@ -72,81 +70,6 @@ impl ArrivalProcess for PoissonArrivals {
     }
 }
 
-/// Deterministic arrivals: fixed inter-arrival gap.
-#[derive(Debug, Clone)]
-pub struct DeterministicArrivals {
-    gap: Duration,
-}
-
-impl DeterministicArrivals {
-    /// Creates a process with the given fixed gap.
-    pub fn with_gap(gap: Duration) -> Self {
-        DeterministicArrivals { gap }
-    }
-
-    /// Creates a process with the given rate in events per minute.
-    pub fn per_minute(rate_per_min: f64) -> Self {
-        if rate_per_min <= 0.0 {
-            return DeterministicArrivals {
-                gap: Duration::ZERO,
-            };
-        }
-        DeterministicArrivals {
-            gap: Duration::from_secs_f64(60.0 / rate_per_min),
-        }
-    }
-}
-
-impl ArrivalProcess for DeterministicArrivals {
-    fn next_gap(&mut self, _now: SimTime, _rng: &mut SimRng) -> Duration {
-        self.gap
-    }
-
-    fn rate_per_sec(&self) -> f64 {
-        if self.gap.is_zero() {
-            0.0
-        } else {
-            1.0 / self.gap.as_secs_f64()
-        }
-    }
-}
-
-/// Arrivals with a nominal gap perturbed by uniform jitter of ±`jitter_frac`.
-#[derive(Debug, Clone)]
-pub struct UniformJitterArrivals {
-    nominal_gap: Duration,
-    jitter_frac: f64,
-}
-
-impl UniformJitterArrivals {
-    /// Creates a process with the given nominal gap and relative jitter in `[0, 1)`.
-    pub fn new(nominal_gap: Duration, jitter_frac: f64) -> Self {
-        assert!((0.0..1.0).contains(&jitter_frac));
-        UniformJitterArrivals {
-            nominal_gap,
-            jitter_frac,
-        }
-    }
-}
-
-impl ArrivalProcess for UniformJitterArrivals {
-    fn next_gap(&mut self, _now: SimTime, rng: &mut SimRng) -> Duration {
-        if self.nominal_gap.is_zero() {
-            return Duration::ZERO;
-        }
-        let factor = rng.uniform_range(1.0 - self.jitter_frac, 1.0 + self.jitter_frac);
-        self.nominal_gap.mul_f64(factor)
-    }
-
-    fn rate_per_sec(&self) -> f64 {
-        if self.nominal_gap.is_zero() {
-            0.0
-        } else {
-            1.0 / self.nominal_gap.as_secs_f64()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,34 +95,6 @@ mod tests {
         assert!(proc
             .arrivals_in(SimTime::ZERO, SimTime::from_secs(100), &mut rng)
             .is_empty());
-        let mut det = DeterministicArrivals::per_minute(0.0);
-        assert!(det
-            .arrivals_in(SimTime::ZERO, SimTime::from_secs(100), &mut rng)
-            .is_empty());
-        assert_eq!(det.rate_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn deterministic_arrivals_are_evenly_spaced() {
-        let mut proc = DeterministicArrivals::per_minute(6.0); // every 10 s
-        let mut rng = SimRng::seed_from(3);
-        let arrivals = proc.arrivals_in(SimTime::ZERO, SimTime::from_secs(60), &mut rng);
-        assert_eq!(arrivals.len(), 5); // 10,20,30,40,50
-        assert_eq!(arrivals[0], SimTime::from_secs(10));
-        assert_eq!(arrivals[4], SimTime::from_secs(50));
-        assert!((proc.rate_per_sec() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jittered_arrivals_stay_within_bounds() {
-        let mut proc = UniformJitterArrivals::new(Duration::from_secs(10), 0.2);
-        let mut rng = SimRng::seed_from(4);
-        for _ in 0..200 {
-            let gap = proc.next_gap(SimTime::ZERO, &mut rng);
-            let secs = gap.as_secs_f64();
-            assert!((8.0..=12.0).contains(&secs), "gap = {secs}");
-        }
-        assert!((proc.rate_per_sec() - 0.1).abs() < 1e-12);
     }
 
     #[test]

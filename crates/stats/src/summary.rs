@@ -1,4 +1,4 @@
-//! Streaming summaries, histograms and confidence intervals for reporting.
+//! Streaming summaries for reporting.
 //!
 //! Experiment runs aggregate per-message delivery latencies, queue lengths
 //! and per-cell results across seeds. These helpers provide the descriptive
@@ -128,141 +128,6 @@ impl Summary {
     pub fn median(&mut self) -> f64 {
         self.quantile(0.5)
     }
-
-    /// A normal-approximation confidence interval for the mean at the given
-    /// level (e.g. 0.95).
-    pub fn confidence_interval(&self, level: f64) -> ConfidenceInterval {
-        ConfidenceInterval::for_mean(self.mean(), self.std_dev(), self.count(), level)
-    }
-}
-
-/// A confidence interval for a mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConfidenceInterval {
-    /// Point estimate.
-    pub mean: f64,
-    /// Lower bound.
-    pub lower: f64,
-    /// Upper bound.
-    pub upper: f64,
-    /// Confidence level (e.g. 0.95).
-    pub level: f64,
-}
-
-impl ConfidenceInterval {
-    /// Builds a normal-approximation interval `mean ± z · s/√n`.
-    pub fn for_mean(mean: f64, std_dev: f64, n: usize, level: f64) -> Self {
-        let level = level.clamp(0.0, 0.999_999);
-        if n < 2 {
-            return ConfidenceInterval {
-                mean,
-                lower: mean,
-                upper: mean,
-                level,
-            };
-        }
-        let z = crate::normal::Normal::standard().quantile(0.5 + level / 2.0);
-        let half = z * std_dev / (n as f64).sqrt();
-        ConfidenceInterval {
-            mean,
-            lower: mean - half,
-            upper: mean + half,
-            level,
-        }
-    }
-
-    /// Half-width of the interval.
-    pub fn half_width(&self) -> f64 {
-        (self.upper - self.lower) / 2.0
-    }
-
-    /// Returns true if the interval contains `x`.
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lower && x <= self.upper
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo && bins >= 1, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total number of observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Counts per bin (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Number of observations below the lower bound.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Number of observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The fraction of in-range observations at or below `x` (empirical CDF).
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut below = self.underflow;
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let bin_hi = self.lo + (i as f64 + 1.0) * width;
-            if bin_hi <= x {
-                below += c;
-            }
-        }
-        if x >= self.hi {
-            below += self.overflow;
-        }
-        below as f64 / self.count as f64
-    }
 }
 
 #[cfg(test)]
@@ -312,54 +177,5 @@ mod tests {
         assert_eq!(s.try_min(), Some(1.0));
         assert_eq!(s.try_max(), Some(4.0));
         assert_eq!(s.try_quantile(0.5), Some(3.0));
-    }
-
-    #[test]
-    fn confidence_interval_sanity() {
-        let mut s = Summary::new();
-        s.extend((0..100).map(|i| i as f64));
-        let ci = s.confidence_interval(0.95);
-        assert!(ci.contains(s.mean()));
-        assert!(ci.lower < s.mean() && ci.upper > s.mean());
-        assert!(ci.half_width() > 0.0);
-        // Wider confidence level -> wider interval.
-        let ci99 = s.confidence_interval(0.99);
-        assert!(ci99.half_width() > ci.half_width());
-    }
-
-    #[test]
-    fn confidence_interval_degenerate() {
-        let ci = ConfidenceInterval::for_mean(5.0, 1.0, 1, 0.95);
-        assert_eq!(ci.lower, 5.0);
-        assert_eq!(ci.upper, 5.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.observe(i as f64 + 0.5);
-        }
-        h.observe(-1.0);
-        h.observe(42.0);
-        h.observe(f64::NAN);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert!(h.bins().iter().all(|&c| c == 1));
-        assert!((h.cdf(5.0) - 6.0 / 12.0).abs() < 1e-12); // underflow + 5 bins
-        assert!((h.cdf(10.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_empty_cdf_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.cdf(0.5), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 }

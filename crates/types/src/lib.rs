@@ -25,7 +25,7 @@ pub use error::{BdpsError, Result};
 pub use id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
 pub use message::{Message, MessageBuilder, MessageHead};
 pub use money::{Earning, Price};
-pub use qos::{DelayBound, DelayRequirement, QosClass, QosProfile};
+pub use qos::{DelayBound, QosClass};
 pub use time::{Duration, SimTime};
 pub use value::{AttrName, AttrValue};
 
@@ -35,7 +35,7 @@ pub mod prelude {
     pub use crate::id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
     pub use crate::message::{Message, MessageBuilder, MessageHead};
     pub use crate::money::{Earning, Price};
-    pub use crate::qos::{DelayBound, DelayRequirement, QosClass, QosProfile};
+    pub use crate::qos::{DelayBound, QosClass};
     pub use crate::time::{Duration, SimTime};
     pub use crate::value::{AttrName, AttrValue};
 }

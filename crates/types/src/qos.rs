@@ -6,11 +6,6 @@
 //!   delay to each message; subscribers specify nothing.
 //! * **SSD** (subscriber-specified delay): each subscription carries its own
 //!   allowed delay together with the price paid per valid message.
-//!
-//! The paper also notes that the model "can easily be extended to the case
-//! where both publishers and subscribers specify their delay requirements";
-//! [`DelayRequirement::effective_deadline`] implements that combined case by
-//! taking the tighter of the two bounds.
 
 use crate::money::Price;
 use crate::time::Duration;
@@ -71,98 +66,6 @@ impl QosClass {
     }
 }
 
-/// The delay requirements that apply to a particular (message, subscription) pair.
-///
-/// Either side may leave its bound unspecified; the scheduler always works
-/// with the *effective* deadline, which is the tighter of the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DelayRequirement {
-    /// Delay bound attached to the message by its publisher, if any (PSD).
-    pub publisher_bound: Option<DelayBound>,
-    /// Delay bound attached to the subscription by its subscriber, if any (SSD).
-    pub subscriber_bound: Option<DelayBound>,
-}
-
-impl DelayRequirement {
-    /// A requirement where neither side specified a bound.
-    pub const NONE: DelayRequirement = DelayRequirement {
-        publisher_bound: None,
-        subscriber_bound: None,
-    };
-
-    /// Creates a PSD-style requirement (publisher bound only).
-    pub fn publisher(bound: DelayBound) -> Self {
-        DelayRequirement {
-            publisher_bound: Some(bound),
-            subscriber_bound: None,
-        }
-    }
-
-    /// Creates a SSD-style requirement (subscriber bound only).
-    pub fn subscriber(bound: DelayBound) -> Self {
-        DelayRequirement {
-            publisher_bound: None,
-            subscriber_bound: Some(bound),
-        }
-    }
-
-    /// Creates a combined requirement with both bounds.
-    pub fn both(publisher: DelayBound, subscriber: DelayBound) -> Self {
-        DelayRequirement {
-            publisher_bound: Some(publisher),
-            subscriber_bound: Some(subscriber),
-        }
-    }
-
-    /// The effective allowed delay: the tighter of the specified bounds, or
-    /// `None` when neither side specified one (best-effort delivery).
-    pub fn effective_bound(&self) -> Option<DelayBound> {
-        match (self.publisher_bound, self.subscriber_bound) {
-            (Some(p), Some(s)) => Some(DelayBound(p.0.min(s.0))),
-            (Some(p), None) => Some(p),
-            (None, Some(s)) => Some(s),
-            (None, None) => None,
-        }
-    }
-
-    /// The effective allowed delay as a duration, treating "unspecified" as unbounded.
-    pub fn effective_deadline(&self) -> Duration {
-        self.effective_bound()
-            .map(DelayBound::duration)
-            .unwrap_or(Duration::MAX)
-    }
-
-    /// Returns true if any bound was specified.
-    pub fn is_bounded(&self) -> bool {
-        self.effective_bound().is_some()
-    }
-}
-
-/// The scenario-level QoS profile used when generating workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QosProfile {
-    /// Publisher-specified delay: every message carries a bound, subscriptions do not.
-    PublisherSpecified,
-    /// Subscriber-specified delay: every subscription carries a bound and a price.
-    SubscriberSpecified,
-    /// Both sides specify bounds (paper's "easily extended" combined case).
-    Combined,
-    /// No delay bounds at all (plain best-effort pub/sub).
-    BestEffort,
-}
-
-impl QosProfile {
-    /// Whether messages should carry a publisher delay bound under this profile.
-    pub fn publisher_bounded(self) -> bool {
-        matches!(self, QosProfile::PublisherSpecified | QosProfile::Combined)
-    }
-
-    /// Whether subscriptions should carry a delay bound (and price) under this profile.
-    pub fn subscriber_bounded(self) -> bool {
-        matches!(self, QosProfile::SubscriberSpecified | QosProfile::Combined)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,45 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn effective_bound_takes_the_tighter_one() {
-        let req = DelayRequirement::both(DelayBound::from_secs(30), DelayBound::from_secs(10));
-        assert_eq!(
-            req.effective_bound().unwrap().duration(),
-            Duration::from_secs(10)
-        );
-        assert_eq!(req.effective_deadline(), Duration::from_secs(10));
-        assert!(req.is_bounded());
-    }
-
-    #[test]
-    fn single_sided_requirements() {
-        let psd = DelayRequirement::publisher(DelayBound::from_secs(20));
-        assert_eq!(psd.effective_deadline(), Duration::from_secs(20));
-        let ssd = DelayRequirement::subscriber(DelayBound::from_secs(60));
-        assert_eq!(ssd.effective_deadline(), Duration::from_secs(60));
-    }
-
-    #[test]
-    fn unspecified_is_unbounded() {
-        assert_eq!(DelayRequirement::NONE.effective_deadline(), Duration::MAX);
-        assert!(!DelayRequirement::NONE.is_bounded());
-        assert_eq!(DelayBound::UNBOUNDED.duration(), Duration::MAX);
-    }
-
-    #[test]
-    fn profile_flags() {
-        assert!(QosProfile::PublisherSpecified.publisher_bounded());
-        assert!(!QosProfile::PublisherSpecified.subscriber_bounded());
-        assert!(QosProfile::SubscriberSpecified.subscriber_bounded());
-        assert!(QosProfile::Combined.publisher_bounded());
-        assert!(QosProfile::Combined.subscriber_bounded());
-        assert!(!QosProfile::BestEffort.publisher_bounded());
-    }
-
-    #[test]
     fn best_effort_class() {
         let c = QosClass::best_effort();
         assert_eq!(c.delay, DelayBound::UNBOUNDED);
+        assert_eq!(DelayBound::UNBOUNDED.duration(), Duration::MAX);
         assert_eq!(c.price, Price::unit());
     }
 }

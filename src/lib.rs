@@ -4,9 +4,9 @@
 //! tour and the individual crates for details:
 //!
 //! * [`types`] — identifiers, simulated time, attribute values, QoS.
-//! * [`stats`] — probability distributions, estimators, arrival processes.
+//! * [`stats`] — the normal distribution, Poisson arrivals, the seedable RNG.
 //! * [`filter`] — content-based subscription language and matching index.
-//! * [`net`] — link bandwidth models and bandwidth measurement.
+//! * [`net`] — link bandwidth models, link-sharing models, estimation error.
 //! * [`overlay`] — broker overlay, topologies, routing, subscription tables.
 //! * [`core`] — the pluggable `SchedulingStrategy` surface with the paper's
 //!   EB / PC / EBPC strategies, the FIFO / RL baselines and the strategy

@@ -1,7 +1,7 @@
 //! Congested-cell golden: the FIFO-degradation fix, regression-locked.
 //!
-//! The 992-subscriber churn cell of the scale bench is the configuration
-//! where aggregate forwarding used to collapse: before aggregate entries
+//! This 992-subscriber congested churn cell is the configuration where
+//! aggregate forwarding used to collapse: before aggregate entries
 //! carried QoS envelopes, every interior copy was stamped `Price::ZERO`
 //! and `Duration::MAX`, so under saturation every strategy degenerated to
 //! FIFO over interior copies and expiry-based shedding never fired —
@@ -10,18 +10,15 @@
 //! allowed delay = min member bound) the same cell recovers to 19,226
 //! on-time while exact mode is bit-identical to the pre-envelope run.
 //!
-//! This test pins those counts exactly, replicating `run_cell` from
-//! `crates/bench/src/bin/scale.rs` (mesh_for(992) → layers [4,4,15,31],
-//! 32 subscribers per edge, ssd 30/min, 300 s, EB strategy, calendar
-//! queue, incremental rebuilds, sparse tables, constant links, seed 42).
-//! Any change that silently alters congested aggregate behaviour —
-//! envelope folds, stamping, strategy scoring over stamped copies,
-//! shedding — shows up as a loud diff instead of a quiet drift. When a
-//! change is *intended* to shift these numbers, rerun the bench cell
-//! (`cargo run --release -p bdps-bench --bin scale -- --populations 992
-//! --scenarios churn --queues calendar --passes 1 --table-layout sparse
-//! --forwarding exact,aggregate --seed 42`) and update the table in the
-//! same commit.
+//! This test pins those counts exactly; the cell is defined here and
+//! nowhere else (layers [4,4,15,31], 32 subscribers per edge, ssd 30/min,
+//! 300 s, EB strategy, calendar queue, incremental rebuilds, sparse
+//! tables, constant links, seed 42). Any change that silently alters
+//! congested aggregate behaviour — envelope folds, stamping, strategy
+//! scoring over stamped copies, shedding — shows up as a loud diff
+//! instead of a quiet drift. When a change is *intended* to shift these
+//! numbers, take the new counts from the failing assertion and update
+//! the table in the same commit.
 
 use bdps::overlay::sparse::TableLayout;
 use bdps::overlay::topology::LayeredMeshConfig;
@@ -36,7 +33,7 @@ struct Golden {
     false_positive_forwards: u64,
 }
 
-/// The exact mesh `mesh_for(992)` builds in the scale bench.
+/// 992 subscribers on 54 brokers (31 edge brokers × 32 subscribers each).
 fn congested_mesh() -> LayeredMeshConfig {
     let config = LayeredMeshConfig {
         layer_sizes: vec![4, 4, 15, 31],

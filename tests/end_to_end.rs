@@ -317,3 +317,65 @@ fn smaller_mesh_and_best_effort_scenario_work() {
     assert_eq!(report.dropped_unlikely, 0);
     assert!(report.delivery_rate > 0.9);
 }
+
+/// The names that follow `flag` in `text` (`--bin dynamics` → `dynamics`);
+/// placeholders such as `--workload <name>` yield nothing.
+fn names_after<'a>(text: &'a str, flag: &'a str) -> impl Iterator<Item = &'a str> {
+    text.match_indices(flag).filter_map(move |(at, _)| {
+        let rest = text[at + flag.len()..].strip_prefix(' ')?;
+        let end = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+            .unwrap_or(rest.len());
+        (end > 0).then(|| &rest[..end])
+    })
+}
+
+/// Drift guard for the commands the docs and CI cite: every cargo target
+/// they name must exist and every `--workload` must be in `BENCHMARK.json`,
+/// so a retired tool cannot live on in a command line nobody runs.
+#[test]
+fn documented_commands_name_existing_targets_and_workloads() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    let catalogue = read("BENCHMARK.json");
+    let workloads = catalogue
+        .split_once("\"workloads\"")
+        .and_then(|(_, rest)| rest.split_once("\"end_to_end\""))
+        .expect("BENCHMARK.json lists workloads before end_to_end")
+        .0;
+    // Flag → the directories one of which must hold `<name>.rs`.
+    let targets: [(&str, &[&str]); 4] = [
+        ("--bin", &["crates/bench/src/bin"]),
+        ("--example", &["examples"]),
+        ("--test", &["tests", "crates/mc/tests"]),
+        ("--bench", &["crates/bench/benches"]),
+    ];
+    let mut cited = 0;
+    for doc in [
+        "README.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    ] {
+        let text = read(doc);
+        for (flag, dirs) in targets {
+            for name in names_after(&text, flag) {
+                cited += 1;
+                let file = format!("{name}.rs");
+                assert!(
+                    dirs.iter().any(|dir| root.join(dir).join(&file).is_file()),
+                    "{doc} cites `{flag} {name}`, but no {file} exists under {dirs:?}"
+                );
+            }
+        }
+        for name in names_after(&text, "--workload") {
+            cited += 1;
+            assert!(
+                workloads.contains(&format!("{{\"name\": \"{name}\"")),
+                "{doc} cites `--workload {name}`, which BENCHMARK.json does not list"
+            );
+        }
+    }
+    assert!(cited >= 30, "only {cited} citations: the guard is vacuous");
+}

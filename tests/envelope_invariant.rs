@@ -12,10 +12,6 @@
 //! cadence plus at quiescence — the scale where prefix-rebuild bugs that
 //! tiny models cannot reach (long member lists, interleaved joins and
 //! leaves on one edge group, epoch reuse across retargets) would surface.
-//!
-//! The `bench-perf` CI job runs this suite in release mode before the
-//! gated throughput bench, so an envelope regression fails CI before it
-//! can masquerade as a performance change.
 
 use bdps::overlay::sparse::TableLayout;
 use bdps::overlay::topology::LayeredMeshConfig;

@@ -23,19 +23,46 @@ fn churn_10k(queue: EventQueueKind, seed: u64) -> SimulationOutcome {
     churn_10k_layout(queue, seed, TableLayout::Dense)
 }
 
-fn churn_10k_layout(queue: EventQueueKind, seed: u64, layout: TableLayout) -> SimulationOutcome {
+/// 60 s at 10k subscribers with 1 %/min of the population joining and 1 %/min
+/// leaving (the share the benchmark's `churn1pct` uses). The registry's
+/// `churn` is one join and one leave per minute *system-wide* — at this
+/// duration a Poisson mean of one event each, and none at all on one seed in
+/// seven — so it cannot carry a suite that promises invariants under churn.
+fn churn_10k_sim(queue: EventQueueKind, seed: u64, layout: TableLayout) -> Simulation {
     Simulation::builder()
         .layered_mesh(mesh_10k())
         .ssd(6.0)
         .duration(Duration::from_secs(60))
         .strategy(StrategyKind::MaxEb)
-        .scenario_named("churn")
-        .expect("churn is a builtin scenario")
+        .scenario(DynamicScenario::named("churn").with_churn(ChurnConfig {
+            joins_per_min: 100.0,
+            leaves_per_min: 100.0,
+        }))
         .event_queue(queue)
         .table_layout(layout)
         .seed(seed)
         .build()
-        .run()
+}
+
+/// Runs [`churn_10k_sim`] with the engine's own loop (`run` is exactly
+/// `while step_next`; the builder has already materialised the brokers) so
+/// the final population can be held to a traffic floor: the run must really
+/// have admitted joins and applied leaves.
+fn churn_10k_layout(queue: EventQueueKind, seed: u64, layout: TableLayout) -> SimulationOutcome {
+    let mut sim = churn_10k_sim(queue, seed, layout);
+    let limit = sim.hard_stop();
+    while sim.step_next(limit) {}
+    let population = sim.subscriptions();
+    let joined = population
+        .iter()
+        .filter(|(s, _)| s.id.raw() >= 10_000)
+        .count();
+    let gone = 10_000 - (population.len() - joined);
+    assert!(
+        joined >= 50 && gone >= 50,
+        "seed {seed}: 10k churn must churn: {joined} joined ids present, {gone} initial ids gone"
+    );
+    sim.into_outcome()
 }
 
 /// 10k-subscriber churn smoke: copy conservation, no duplicate deliveries,
@@ -105,23 +132,13 @@ fn ten_thousand_subscriber_sparse_layout_replays_the_dense_oracle() {
 /// The sharded executor at 10k subscribers: an 8-shard run must match the
 /// sequential loop on every outcome metric at a population where each
 /// window carries real load (the small-mesh equivalence suite pins
-/// bit-identical reports; this pins the behaviour at bench scale).
+/// bit-identical reports; this pins the behaviour at 10k).
 #[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
 #[test]
 fn ten_thousand_subscriber_sharded_run_matches_sequential() {
     let sequential = churn_10k_layout(EventQueueKind::Calendar, 4, TableLayout::Sparse);
     let sharded = bdps::sim::run_sharded(
-        Simulation::builder()
-            .layered_mesh(mesh_10k())
-            .ssd(6.0)
-            .duration(Duration::from_secs(60))
-            .strategy(StrategyKind::MaxEb)
-            .scenario_named("churn")
-            .expect("churn is a builtin scenario")
-            .event_queue(EventQueueKind::Calendar)
-            .table_layout(TableLayout::Sparse)
-            .seed(4)
-            .build(),
+        churn_10k_sim(EventQueueKind::Calendar, 4, TableLayout::Sparse),
         8,
     );
     assert_outcomes_identical(&sequential, &sharded, "10k churn sharded");
@@ -252,7 +269,7 @@ fn event_queue_choice_round_trips_through_config() {
     assert_eq!(default_config.event_queue, EventQueueKind::Calendar);
 }
 
-/// The perf counters the scale bench publishes are populated and coherent.
+/// The scheduler-load counters of an outcome are populated and coherent.
 #[test]
 fn outcome_reports_scheduler_load_counters() {
     let outcome = Simulation::builder()
