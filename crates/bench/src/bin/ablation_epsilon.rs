@@ -9,7 +9,7 @@ use bdps_sim::runner::SweepCell;
 use bdps_types::time::Duration;
 
 fn main() {
-    let opts = ExperimentOptions::from_args();
+    let opts = ExperimentOptions::from_args(&[]);
     println!(
         "{}",
         opts.banner("Ablation — invalid-message detection policy (EB strategy, SSD, rate 12)")

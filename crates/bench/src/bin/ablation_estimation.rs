@@ -12,7 +12,7 @@ use bdps_sim::report::render_markdown_table;
 use bdps_types::time::Duration;
 
 fn main() {
-    let opts = ExperimentOptions::from_args();
+    let opts = ExperimentOptions::from_args(&[]);
     println!(
         "{}",
         opts.banner("Ablation — bandwidth-estimation error (EB strategy, SSD, rate 12)")

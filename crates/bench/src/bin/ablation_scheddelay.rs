@@ -5,7 +5,7 @@
 //! This binary repeats the PSD rate-12 comparison over several seeds and
 //! reports mean ± std of the delivery rate per strategy.
 
-use bdps_bench::{f1, run_cells, ExperimentOptions, PAPER_STRATEGIES};
+use bdps_bench::{f1, run_cells, ExperimentOptions, Selection, PAPER_STRATEGIES};
 use bdps_sim::engine::Simulation;
 use bdps_sim::report::render_markdown_table;
 use bdps_sim::runner::SweepCell;
@@ -13,7 +13,7 @@ use bdps_stats::summary::Summary;
 use bdps_types::time::Duration;
 
 fn main() {
-    let opts = ExperimentOptions::from_args();
+    let opts = ExperimentOptions::from_args(&[Selection::Strategies]);
     println!(
         "{}",
         opts.banner("Ablation — multi-seed variability of the PSD comparison (rate 12)")

@@ -26,13 +26,20 @@
 //! [--scenarios static,churn,flash-crowd,link-flap,blackout,chaos]
 //! [--link-model constant,fair-share] [--forwarding exact,aggregate]`.
 
-use bdps_bench::{f1, run_cells, ArgParser, ExperimentOptions, COMMON_FLAGS_HELP};
+use bdps_bench::{f1, flags_help, run_cells, ArgParser, ExperimentOptions, Selection};
 use bdps_core::config::StrategyKind;
 use bdps_sim::prelude::*;
 use bdps_types::time::Duration;
 use std::collections::HashMap;
 
 const DEFAULT_SCENARIOS: [&str; 5] = ["static", "churn", "flash-crowd", "link-flap", "chaos"];
+
+/// The shared selection flags this binary reads: all of them.
+const SELECTIONS: [Selection; 3] = [
+    Selection::Strategies,
+    Selection::Scenarios,
+    Selection::LinkModels,
+];
 
 struct DynamicsOptions {
     common: ExperimentOptions,
@@ -56,7 +63,7 @@ impl DynamicsOptions {
         };
         let result = (|| -> Result<(), String> {
             while let Some(flag) = parser.next_flag() {
-                if opts.common.apply(&flag, &mut parser)? {
+                if opts.common.apply(&flag, &mut parser, &SELECTIONS)? {
                     continue;
                 }
                 match flag.as_str() {
@@ -84,8 +91,9 @@ impl DynamicsOptions {
                     }
                     _ => {
                         return Err(format!(
-                            "unknown flag {flag:?}; known: {COMMON_FLAGS_HELP} | --rate <msgs/min> \
-                             | --forwarding <exact,aggregate>"
+                            "unknown flag {flag:?}; known: {} | --rate <msgs/min> \
+                             | --forwarding <exact,aggregate>",
+                            flags_help(&SELECTIONS)
                         ))
                     }
                 }
@@ -148,7 +156,6 @@ fn main() {
                         .strategy(strategy.clone())
                         .scenario(scenario.clone())
                         .link_model(model)
-                        .table_layout(TableLayout::Sparse)
                         .forwarding(ForwardingMode::Aggregate)
                         .seed(opts.common.seed)
                         .build_config();

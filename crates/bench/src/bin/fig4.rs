@@ -72,7 +72,7 @@ fn panel(ssd: bool, opts: &ExperimentOptions) -> String {
 }
 
 fn main() {
-    let opts = ExperimentOptions::from_args();
+    let opts = ExperimentOptions::from_args(&[]);
     println!(
         "{}",
         opts.banner("Figure 4 — EB / PC / EBPC comparison vs the EB weight r (publishing rate 10)")

@@ -6,12 +6,14 @@
 //! Usage: `cargo run --release -p bdps-bench --bin fig6 [--full] [--seed N]
 //! [--strategies eb,pc,fifo,rl,composite]`.
 
-use bdps_bench::{f1, run_cells, series_table, ExperimentOptions, PAPER_RATES, PAPER_STRATEGIES};
+use bdps_bench::{
+    f1, run_cells, series_table, ExperimentOptions, Selection, PAPER_RATES, PAPER_STRATEGIES,
+};
 use bdps_sim::runner::strategy_rate_grid_with;
 use std::collections::HashMap;
 
 fn main() {
-    let opts = ExperimentOptions::from_args();
+    let opts = ExperimentOptions::from_args(&[Selection::Strategies]);
     println!(
         "{}",
         opts.banner("Figure 6 — PSD scenario: delivery rate and message number vs publishing rate")

@@ -17,9 +17,11 @@
 //!
 //! By default the binaries run a shortened publication period so that the
 //! whole suite finishes in minutes; pass `--full` for the paper's 2-hour
-//! runs. The comparison binaries accept `--strategies <a,b,c>` with names
-//! resolved through the [`StrategyRegistry`] (`fifo`, `rl`, `eb`, `pc`,
-//! `ebpc`, `composite`, or their display labels).
+//! runs. The comparison binaries (`fig5`, `fig6`, `ablation_scheddelay`,
+//! `dynamics`) accept `--strategies <a,b,c>` with names resolved through the
+//! [`StrategyRegistry`] (`fifo`, `rl`, `eb`, `pc`, `ebpc`, `composite`, or
+//! their display labels); `--scenarios` and `--link-model` belong to
+//! `dynamics` alone. A flag a binary does not read is an error, not a no-op.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -122,48 +124,100 @@ impl ArgParser {
     }
 }
 
-/// The flags every experiment binary accepts (kept next to
-/// [`ExperimentOptions::apply`] so usage strings stay truthful).
-pub const COMMON_FLAGS_HELP: &str = "--full | --duration <secs> | --seed <n> | --threads <n> \
-     | --strategies <a,b,c> | --scenarios <a,b,c> | --link-model <a,b>";
+/// One of the shared selection flags. A binary names the ones it reads; the
+/// others are unknown flags to it, exactly like a typo — a figure binary
+/// that accepted `--link-model` and then ran the paper's links would have
+/// quietly run its defaults.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Selection {
+    /// `--strategies <a,b,c>`, read back with
+    /// [`strategies_or`](ExperimentOptions::strategies_or).
+    Strategies,
+    /// `--scenarios <a,b,c>`, read back with
+    /// [`scenarios_or`](ExperimentOptions::scenarios_or).
+    Scenarios,
+    /// `--link-model <a,b>`, read back with
+    /// [`link_models_or`](ExperimentOptions::link_models_or).
+    LinkModels,
+}
+
+impl Selection {
+    fn usage(self) -> &'static str {
+        match self {
+            Selection::Strategies => "--strategies <a,b,c>",
+            Selection::Scenarios => "--scenarios <a,b,c>",
+            Selection::LinkModels => "--link-model <a,b>",
+        }
+    }
+}
+
+/// The flags every experiment binary accepts.
+const RUN_FLAGS_HELP: &str = "--full | --duration <secs> | --seed <n> | --threads <n>";
+
+/// The shared flags a binary reading `selections` accepts, for its usage and
+/// unknown-flag messages (built from the same list [`ExperimentOptions::apply`]
+/// consults, so the message cannot name a flag the binary ignores).
+pub fn flags_help(selections: &[Selection]) -> String {
+    selections
+        .iter()
+        .fold(RUN_FLAGS_HELP.to_string(), |help, s| {
+            help + " | " + s.usage()
+        })
+}
 
 impl ExperimentOptions {
-    /// Parses the shared flags (`--full`, `--duration <secs>`, `--seed <n>`,
-    /// `--threads <n>`, `--strategies <a,b,c>`, `--scenarios <a,b,c>`) from
-    /// the process arguments. An unknown flag is a **hard error** listing
-    /// the accepted ones — a typo like `--scenario` used to be silently
-    /// ignored, which meant a bench quietly ran its defaults.
-    pub fn from_args() -> Self {
-        let mut parser = ArgParser::from_env();
-        let mut opts = ExperimentOptions::default();
-        let result = (|| -> Result<(), String> {
-            while let Some(flag) = parser.next_flag() {
-                if !opts.apply(&flag, &mut parser)? {
-                    return Err(format!("unknown flag {flag:?}; known: {COMMON_FLAGS_HELP}"));
-                }
-            }
-            Ok(())
-        })();
-        if let Err(message) = result {
+    /// Parses the process arguments: the run-size flags (`--full`,
+    /// `--duration <secs>`, `--seed <n>`, `--threads <n>`) plus the
+    /// `selections` this binary reads. Any other flag is a **hard error**
+    /// (exit 2) listing the accepted ones — a typo like `--scenario` used to
+    /// be silently ignored, which meant a bench quietly ran its defaults.
+    pub fn from_args(selections: &[Selection]) -> Self {
+        Self::parse(ArgParser::from_env(), selections).unwrap_or_else(|message| {
             eprintln!("{message}");
             std::process::exit(2);
+        })
+    }
+
+    /// [`from_args`](Self::from_args) over an explicit parser, returning the
+    /// diagnostic instead of exiting.
+    fn parse(mut parser: ArgParser, selections: &[Selection]) -> Result<Self, String> {
+        let mut opts = ExperimentOptions::default();
+        while let Some(flag) = parser.next_flag() {
+            if !opts.apply(&flag, &mut parser, selections)? {
+                return Err(format!(
+                    "unknown flag {flag:?}; known: {}",
+                    flags_help(selections)
+                ));
+            }
         }
-        opts
+        Ok(opts)
     }
 
     /// Tries to consume one shared flag; returns `Ok(false)` when the flag
-    /// is not one of the shared set (so the binary can try its own flags
-    /// before rejecting). Binary-specific parsers call this first and fall
-    /// through to their own `match`.
-    pub fn apply(&mut self, flag: &str, parser: &mut ArgParser) -> Result<bool, String> {
+    /// is neither a run-size flag nor one of `selections` (so the binary can
+    /// try its own flags before rejecting). Binary-specific parsers call
+    /// this first and fall through to their own `match`.
+    pub fn apply(
+        &mut self,
+        flag: &str,
+        parser: &mut ArgParser,
+        selections: &[Selection],
+    ) -> Result<bool, String> {
+        let reads = |selection| selections.contains(&selection);
         match flag {
             "--full" => self.duration_secs = 7_200,
             "--duration" => self.duration_secs = parser.parse_value(flag)?,
             "--seed" => self.seed = parser.parse_value(flag)?,
             "--threads" => self.threads = parser.parse_value(flag)?,
-            "--strategies" => self.strategies = parser.list_value(flag)?,
-            "--scenarios" => self.scenarios = parser.list_value(flag)?,
-            "--link-model" => self.link_models = parser.list_value(flag)?,
+            "--strategies" if reads(Selection::Strategies) => {
+                self.strategies = parser.list_value(flag)?
+            }
+            "--scenarios" if reads(Selection::Scenarios) => {
+                self.scenarios = parser.list_value(flag)?
+            }
+            "--link-model" if reads(Selection::LinkModels) => {
+                self.link_models = parser.list_value(flag)?
+            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -293,11 +347,6 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
-/// Formats a float with two decimals.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,31 +419,34 @@ mod tests {
         assert!(t.contains("| 6 | 1-EB | 1-FIFO |"));
     }
 
-    fn parse_all(args: &[&str]) -> Result<ExperimentOptions, String> {
-        let mut parser = ArgParser::new(args.iter().map(|s| s.to_string()).collect());
-        let mut opts = ExperimentOptions::default();
-        while let Some(flag) = parser.next_flag() {
-            if !opts.apply(&flag, &mut parser)? {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-        }
-        Ok(opts)
+    const ALL: [Selection; 3] = [
+        Selection::Strategies,
+        Selection::Scenarios,
+        Selection::LinkModels,
+    ];
+
+    fn parse(args: &[&str], selections: &[Selection]) -> Result<ExperimentOptions, String> {
+        let args = args.iter().map(|s| s.to_string()).collect();
+        ExperimentOptions::parse(ArgParser::new(args), selections)
     }
 
     #[test]
     fn shared_flags_parse_and_unknown_flags_are_rejected() {
-        let opts = parse_all(&[
-            "--duration",
-            "240",
-            "--seed",
-            "7",
-            "--scenarios",
-            "churn, chaos,",
-            "--strategies",
-            "eb,fifo",
-            "--link-model",
-            "fair-share,constant",
-        ])
+        let opts = parse(
+            &[
+                "--duration",
+                "240",
+                "--seed",
+                "7",
+                "--scenarios",
+                "churn, chaos,",
+                "--strategies",
+                "eb,fifo",
+                "--link-model",
+                "fair-share,constant",
+            ],
+            &ALL,
+        )
         .unwrap();
         assert_eq!(opts.duration_secs, 240);
         assert_eq!(opts.seed, 7);
@@ -404,19 +456,40 @@ mod tests {
 
         // The historical silent-skip bug: a singular "--scenario" typo must
         // be an error, not an ignored token.
-        let err = parse_all(&["--scenario", "churn"]).unwrap_err();
+        let err = parse(&["--scenario", "churn"], &ALL).unwrap_err();
         assert!(err.contains("--scenario"), "{err}");
         // Missing and malformed values are diagnosed by flag name.
-        let err = parse_all(&["--seed"]).unwrap_err();
+        let err = parse(&["--seed"], &ALL).unwrap_err();
         assert!(err.contains("--seed requires a value"), "{err}");
-        let err = parse_all(&["--duration", "soon"]).unwrap_err();
+        let err = parse(&["--duration", "soon"], &ALL).unwrap_err();
         assert!(err.contains("--duration"), "{err}");
+    }
+
+    #[test]
+    fn a_selection_flag_the_binary_does_not_read_is_an_unknown_flag() {
+        // `fig5 --link-model fair-share --scenarios blackout` used to print
+        // the constant-delay static figure without a word.
+        let fig5 = [Selection::Strategies];
+        let err = parse(&["--link-model", "fair-share"], &fig5).unwrap_err();
+        assert!(
+            err.contains("unknown flag \"--link-model\""),
+            "the rejected flag is named: {err}"
+        );
+        assert!(
+            err.contains("--strategies <a,b,c>") && !err.contains("--scenarios"),
+            "the message lists what this binary reads, and only that: {err}"
+        );
+        assert!(parse(&["--scenarios", "blackout"], &fig5).is_err());
+        assert!(parse(&["--strategies", "eb", "--seed", "3"], &fig5).is_ok());
+        // fig4 and the ε / estimation ablations fix their own strategies.
+        let err = parse(&["--strategies", "eb"], &[]).unwrap_err();
+        assert!(err.ends_with(RUN_FLAGS_HELP), "{err}");
+        assert_eq!(parse(&["--full"], &[]).unwrap().duration_secs, 7_200);
     }
 
     #[test]
     fn formatting_helpers() {
         assert_eq!(f1(1.26), "1.3");
-        assert_eq!(f2(1.005), "1.00");
         assert_eq!(PAPER_RATES.len(), 6);
         assert_eq!(PAPER_STRATEGIES.len(), 4);
     }

@@ -570,36 +570,12 @@ impl BrokerState {
             .insert_local(subscription);
     }
 
-    /// Patches the dense table entries towards one edge broker after a
-    /// routing change (see
-    /// [`SubscriptionTable::retarget_entries`](bdps_overlay::subtable::SubscriptionTable::retarget_entries))
-    /// — the
-    /// incremental alternative to [`set_table`](Self::set_table). Queues and
-    /// counters are untouched, exactly like a full table swap.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the broker uses the sparse layout (whose analogue is
-    /// [`sync_aggregate`](Self::sync_aggregate)).
-    pub fn retarget_entries<'a>(
-        &mut self,
-        routing: &Routing,
-        dest: BrokerId,
-        attached: impl IntoIterator<Item = &'a Subscription>,
-    ) -> RetargetOutcome {
-        self.table
-            .as_dense_mut()
-            .expect("retarget_entries requires the dense layout")
-            .retarget_entries(routing, dest, attached)
-    }
-
     /// Brings the sparse aggregate towards `dest` in line with the current
     /// routing and the destination group's stats, which the caller read from
     /// the shared registry (see
     /// [`SparseTable::sync_aggregate_with`](bdps_overlay::sparse::SparseTable::sync_aggregate_with))
-    /// — the sparse analogue of [`retarget_entries`](Self::retarget_entries),
-    /// patching one aggregate where the dense path patches one entry per
-    /// subscription.
+    /// — one aggregate patched for every subscription attached at `dest`.
+    /// Queues and counters are untouched, exactly like a full table swap.
     ///
     /// # Panics
     ///
@@ -614,19 +590,6 @@ impl BrokerState {
             .as_sparse_mut()
             .expect("sync_aggregate requires the sparse layout")
             .sync_aggregate_with(routing, dest, group)
-    }
-
-    /// Rebuilds every sparse aggregate from scratch over the current routing
-    /// — the sparse analogue of a full table rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the broker uses the dense layout.
-    pub fn rebuild_aggregates(&mut self, routing: &Routing) {
-        self.table
-            .as_sparse_mut()
-            .expect("rebuild_aggregates requires the sparse layout")
-            .rebuild_aggregates(routing);
     }
 
     /// Removes a subscription mid-run: drops its materialised table row

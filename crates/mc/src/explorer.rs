@@ -63,10 +63,6 @@ pub struct ExploreStats {
     pub max_frontier: usize,
     /// Deepest path explored, in applied events.
     pub max_depth: usize,
-    /// Sorted distinct digests of the terminal states. A model whose
-    /// interleavings all commute converges to a single digest; comparing
-    /// the set across scheduler cells asserts layout equivalence.
-    pub terminal_digests: Vec<u64>,
     /// Distinct delivered `(message, subscriber)` pair sets observed at the
     /// terminals, as raw id pairs in sorted order. Unlike the full digests —
     /// which legitimately differ between forwarding modes (traffic counters,
@@ -144,7 +140,7 @@ impl fmt::Display for InvariantViolation {
 /// The outcome of exhaustively exploring one model under one cell.
 #[derive(Debug, Clone)]
 pub struct Exploration {
-    /// The {scheduler × policy × layout} cell explored.
+    /// The cell explored.
     pub cell: CheckCell,
     /// Search accounting.
     pub stats: ExploreStats,
@@ -179,11 +175,7 @@ pub fn explore(model: &McModel, cell: CheckCell, budget: &ExploreBudget) -> Expl
         require_quiescence: model.require_quiescence,
     };
     let result = dfs(model.build(cell), 0, &mut ctx);
-    let Ctx {
-        mut stats, path, ..
-    } = ctx;
-    stats.terminal_digests.sort_unstable();
-    stats.terminal_digests.dedup();
+    let Ctx { stats, path, .. } = ctx;
     let counterexample = result
         .err()
         .map(|violation| build_counterexample(model, cell, violation, path));
@@ -208,10 +200,6 @@ fn dfs(mut sim: Simulation, mut depth: usize, ctx: &mut Ctx<'_>) -> Result<(), I
         let frontier = sim.take_frontier(sim.hard_stop());
         if frontier.is_empty() {
             ctx.stats.terminals += 1;
-            let digest = sim.state_digest();
-            if !ctx.stats.terminal_digests.contains(&digest) {
-                ctx.stats.terminal_digests.push(digest);
-            }
             ctx.stats.terminal_delivery_sets.insert(
                 sim.tracker()
                     .delivered_pairs()

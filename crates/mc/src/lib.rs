@@ -27,11 +27,11 @@
 //! a full-state digest that includes broker tables, queues, link state, the
 //! RNG stream position and the delivery audit trail.
 //!
-//! The same model is explored under the full cross-product of
-//! {event scheduler × rebuild policy × table layout}
-//! ([`CheckCell::all`]), so the differential-oracle configurations the
-//! integration suites sample are themselves exhaustively cross-checked at
-//! small scale.
+//! The same model is explored under every engine configuration
+//! ([`CheckCell::all`]: the dense full-rebuild reference, the sparse
+//! incremental production engine, and the latter under aggregate
+//! forwarding), so what the integration suites sample by seed is
+//! exhaustively cross-checked at small scale.
 //!
 //! On a violation the explorer emits a [`Counterexample`]: the exact branch
 //! choices taken (greedily minimised back towards the default order), the

@@ -1,5 +1,5 @@
-//! Tiny checkable models and the {scheduler × policy × layout} cells they
-//! are explored under.
+//! Tiny checkable models and the {layout × forwarding} cells they are
+//! explored under.
 //!
 //! A [`McModel`] is a complete, deterministic description of a miniature
 //! BDPS deployment: a line or star of at most [`MAX_BROKERS`] brokers with
@@ -10,10 +10,10 @@
 //! simultaneous events within the configured budgets.
 //!
 //! [`McModel::build`] materialises the model into a [`Simulation`] for one
-//! [`CheckCell`] — a point of the {event scheduler × rebuild policy × table
-//! layout} cross-product. Exploring every cell of [`CheckCell::all`]
-//! exhaustively cross-checks the configurations the integration-level
-//! differential oracles only sample.
+//! [`CheckCell`] — the reference engine, the production engine, or the
+//! production engine under aggregate forwarding. Exploring every cell of
+//! [`CheckCell::all`] exhaustively cross-checks the configurations the
+//! integration-level differential oracles only sample.
 
 use bdps_core::config::{SchedulerConfig, StrategyKind};
 use bdps_net::bandwidth::FixedRate;
@@ -22,9 +22,8 @@ use bdps_net::linkmodel::LinkModelKind;
 use bdps_net::measure::EstimationError;
 use bdps_overlay::sparse::TableLayout;
 use bdps_overlay::topology::Topology;
-use bdps_sim::engine::{ForwardingMode, RebuildPolicy, Simulation};
+use bdps_sim::engine::{ForwardingMode, Simulation};
 use bdps_sim::scenario::{DynamicScenario, ScenarioAction};
-use bdps_sim::sched::EventQueueKind;
 use bdps_sim::workload::{ArrivalKind, WorkloadConfig};
 use bdps_stats::rng::SimRng;
 use bdps_types::id::{BrokerId, PublisherId, SubscriberId};
@@ -60,77 +59,44 @@ impl ModelTopology {
     }
 }
 
-/// One point of the {event scheduler × rebuild policy × table layout ×
-/// forwarding mode} cross-product a model is checked under.
+/// One engine configuration a model is checked under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CheckCell {
-    /// The event scheduler implementation.
-    pub queue: EventQueueKind,
-    /// The routing/table rebuild policy.
-    pub policy: RebuildPolicy,
-    /// The subscription-table layout.
+    /// The subscription-table layout, which selects the engine: dense is
+    /// the full-rebuild reference, sparse the incremental production path.
     pub layout: TableLayout,
     /// How publish-time matching scopes copies. Aggregate forwarding only
     /// pairs with the sparse layout (the dense combination is rejected by
-    /// the engine), so [`all`](Self::all) skips aggregate × dense.
+    /// the engine), so [`all`](Self::all) has no aggregate × dense cell.
     pub forwarding: ForwardingMode,
 }
 
 impl CheckCell {
-    /// Every cell of the cross-product, oracle configurations first: 2
-    /// schedulers × 2 policies × 2 layouts under exact forwarding (8 cells)
-    /// plus 2 schedulers × 2 policies under aggregate × sparse (4 cells) —
-    /// 12 in total.
+    /// Every cell, reference first: `dense`, `sparse`, `sparse/aggregate`.
     pub fn all() -> Vec<CheckCell> {
-        let mut cells = Vec::with_capacity(12);
-        for forwarding in ForwardingMode::ALL {
-            for queue in EventQueueKind::ALL {
-                for policy in RebuildPolicy::ALL {
-                    for layout in TableLayout::ALL {
-                        if forwarding == ForwardingMode::Aggregate && layout == TableLayout::Dense {
-                            continue; // rejected by the engine up front
-                        }
-                        cells.push(CheckCell {
-                            queue,
-                            policy,
-                            layout,
-                            forwarding,
-                        });
-                    }
-                }
-            }
-        }
-        cells
+        let cell = |layout, forwarding| CheckCell { layout, forwarding };
+        vec![
+            cell(TableLayout::Dense, ForwardingMode::Exact),
+            cell(TableLayout::Sparse, ForwardingMode::Exact),
+            cell(TableLayout::Sparse, ForwardingMode::Aggregate),
+        ]
     }
 
-    /// Stable cell name, `"<queue>/<policy>/<layout>"` for exact forwarding
-    /// (unchanged from before the forwarding axis existed) with a fourth
-    /// `"/aggregate"` part under aggregate forwarding (e.g.
-    /// `"calendar/incremental/sparse/aggregate"`).
+    /// Stable cell name: the layout's, with an `"/aggregate"` part under
+    /// aggregate forwarding.
     pub fn name(&self) -> String {
         match self.forwarding {
-            ForwardingMode::Exact => format!(
-                "{}/{}/{}",
-                self.queue.name(),
-                self.policy.name(),
-                self.layout.name()
-            ),
-            ForwardingMode::Aggregate => format!(
-                "{}/{}/{}/{}",
-                self.queue.name(),
-                self.policy.name(),
-                self.layout.name(),
-                self.forwarding.name()
-            ),
+            ForwardingMode::Exact => self.layout.name().to_string(),
+            ForwardingMode::Aggregate => {
+                format!("{}/{}", self.layout.name(), self.forwarding.name())
+            }
         }
     }
 
-    /// Parses a [`name`](Self::name)-formatted cell (the fourth, forwarding
-    /// part is optional and defaults to exact).
+    /// Parses a [`name`](Self::name)-formatted cell (the forwarding part is
+    /// optional and defaults to exact).
     pub fn from_name(name: &str) -> Option<CheckCell> {
         let mut parts = name.split('/');
-        let queue = EventQueueKind::from_name(parts.next()?)?;
-        let policy = RebuildPolicy::from_name(parts.next()?)?;
         let layout = TableLayout::from_name(parts.next()?)?;
         let forwarding = match parts.next() {
             Some(part) => ForwardingMode::from_name(part)?,
@@ -139,12 +105,7 @@ impl CheckCell {
         if parts.next().is_some() {
             return None;
         }
-        Some(CheckCell {
-            queue,
-            policy,
-            layout,
-            forwarding,
-        })
+        Some(CheckCell { layout, forwarding })
     }
 }
 
@@ -277,7 +238,7 @@ impl McModel {
     }
 
     /// Materialises the model into a ready-to-explore [`Simulation`] for one
-    /// cell of the cross-product.
+    /// cell.
     ///
     /// # Panics
     ///
@@ -328,8 +289,6 @@ impl McModel {
             EstimationError::NONE,
             scenario,
         )
-        .with_event_queue(cell.queue)
-        .with_rebuild_policy(cell.policy)
         .with_table_layout(cell.layout)
         .with_link_model(self.link_model)
         .with_forwarding(cell.forwarding)
@@ -354,24 +313,16 @@ mod tests {
     }
 
     #[test]
-    fn cell_cross_product_has_twelve_named_round_tripping_cells() {
+    fn the_three_cells_are_named_and_round_trip() {
         let cells = CheckCell::all();
-        assert_eq!(cells.len(), 12);
-        let names: std::collections::HashSet<String> = cells.iter().map(|c| c.name()).collect();
-        assert_eq!(names.len(), 12, "cell names must be distinct");
+        let names: Vec<String> = cells.iter().map(|c| c.name()).collect();
+        assert_eq!(names, ["dense", "sparse", "sparse/aggregate"]);
         for cell in &cells {
             assert_eq!(CheckCell::from_name(&cell.name()), Some(*cell));
         }
-        // Aggregate forwarding never pairs with the dense layout.
-        assert!(cells
-            .iter()
-            .all(|c| c.forwarding == ForwardingMode::Exact || c.layout == TableLayout::Sparse));
-        // Pre-forwarding three-part names still parse, as exact cells.
-        let legacy = CheckCell::from_name("calendar/incremental/sparse").unwrap();
-        assert_eq!(legacy.forwarding, ForwardingMode::Exact);
-        assert!(CheckCell::from_name("calendar/incremental").is_none());
-        assert!(CheckCell::from_name("bogus/full/dense").is_none());
-        assert!(CheckCell::from_name("calendar/incremental/sparse/aggregate/extra").is_none());
+        assert!(CheckCell::from_name("bogus").is_none());
+        assert!(CheckCell::from_name("sparse/bogus").is_none());
+        assert!(CheckCell::from_name("sparse/aggregate/extra").is_none());
     }
 
     #[test]

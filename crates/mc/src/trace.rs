@@ -1,8 +1,8 @@
 //! Replayable counterexample traces.
 //!
 //! A [`Counterexample`] pins everything needed to re-drive the engine down
-//! the violating path: the model name and seed, the
-//! {scheduler × policy × layout} cell, the violated invariant, and the
+//! the violating path: the model name and seed, the [`CheckCell`](crate::CheckCell)
+//! name, the violated invariant, and the
 //! ordered branch [`ChoiceRecord`]s. Traces serialise to a single JSON
 //! object so CI can upload them as artifacts; the JSON is hand-rolled
 //! against a minimal parser because the vendored `serde` is a marker-only
@@ -370,7 +370,7 @@ mod tests {
         Counterexample {
             model: "nested-flap".into(),
             seed: 7,
-            cell: "calendar/incremental/sparse".into(),
+            cell: "sparse".into(),
             kind: "conservation".into(),
             violation: "transfer balance broke: \"in flight\" copy vanished".into(),
             choices: vec![

@@ -6,13 +6,13 @@
 //! never change is the *delivery set* — the exact set of `(message,
 //! subscriber)` pairs delivered. The integration oracle
 //! (`tests/forwarding_equivalence.rs`) samples that claim over seeded runs;
-//! this suite proves it exhaustively on tiny models: for every interleaving
-//! of every {scheduler × policy} cell, the set of terminal delivery sets
-//! reached under aggregate forwarding equals the set reached under exact
+//! this suite proves it exhaustively on tiny models: over every
+//! interleaving, the set of terminal delivery sets the production engine
+//! reaches under aggregate forwarding equals the set it reaches under exact
 //! forwarding — including under mid-run subscription churn, where the
 //! publish-epoch freeze must reproduce exact mode's frozen-scope semantics.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use bdps_mc::{explore, CheckCell, ExploreBudget, McModel, ModelTopology};
 use bdps_overlay::sparse::TableLayout;
@@ -84,17 +84,17 @@ fn leave_before_expansion_model() -> McModel {
     model
 }
 
-/// Explores `model` under every sparse-layout cell and asserts that, for
-/// each {scheduler × policy} point, aggregate forwarding reaches exactly
-/// the same set of terminal delivery sets as exact forwarding.
+/// Explores `model` on the production engine under both forwarding modes
+/// and asserts that aggregate forwarding reaches exactly the same set of
+/// terminal delivery sets as exact forwarding.
 fn assert_delivery_sets_match(model: &McModel) {
     model.validate().expect("model is in bounds");
     let budget = ExploreBudget::default();
-    let mut by_mode: HashMap<(&str, &str, &str), DeliverySets> = HashMap::new();
-    for cell in CheckCell::all() {
-        if cell.layout != TableLayout::Sparse {
-            continue;
-        }
+    let delivery_sets = |forwarding: ForwardingMode| -> DeliverySets {
+        let cell = CheckCell {
+            layout: TableLayout::Sparse,
+            forwarding,
+        };
         let exploration = explore(model, cell, &budget);
         if let Some(cex) = &exploration.counterexample {
             panic!(
@@ -109,29 +109,17 @@ fn assert_delivery_sets_match(model: &McModel) {
             "{}: no terminal delivery set collected",
             cell.name()
         );
-        by_mode.insert(
-            (
-                cell.queue.name(),
-                cell.policy.name(),
-                cell.forwarding.name(),
-            ),
-            exploration.stats.terminal_delivery_sets.clone(),
-        );
-    }
-    for ((queue, policy, forwarding), sets) in &by_mode {
-        if *forwarding != ForwardingMode::Aggregate.name() {
-            continue;
-        }
-        let exact = &by_mode[&(*queue, *policy, ForwardingMode::Exact.name())];
-        assert_eq!(
-            exact, sets,
-            "delivery sets diverged between exact and aggregate forwarding \
-             under queue={queue} policy={policy}"
-        );
-    }
+        exploration.stats.terminal_delivery_sets
+    };
+    let exact = delivery_sets(ForwardingMode::Exact);
+    assert_eq!(
+        exact,
+        delivery_sets(ForwardingMode::Aggregate),
+        "delivery sets diverged between exact and aggregate forwarding"
+    );
     // Sanity: something was actually delivered, in at least one terminal.
     assert!(
-        by_mode.values().flatten().any(|set| !set.is_empty()),
+        exact.iter().any(|set| !set.is_empty()),
         "model never delivered anything — the oracle is vacuous"
     );
 }

@@ -4,10 +4,11 @@
 //! * **Calendar rewidth on sparse pops** — the calendar queue once
 //!   mis-resized its buckets when a dense burst of events was followed by a
 //!   long silent stretch ending in one far-future event, perturbing pop
-//!   order relative to the binary heap. The model packs eight publications
-//!   into the first seconds and parks one scenario event minutes later;
-//!   the regression holds iff the heap and calendar cells reach identical
-//!   terminal-state sets.
+//!   order. The model packs eight publications into the first seconds and
+//!   parks one scenario event minutes later; every invariant must hold in
+//!   every interleaving. (The pop-order half of the regression — the
+//!   calendar queue against the binary heap on this event shape — lives
+//!   with the queue, in `bdps_sim::sched`'s tests.)
 //! * **Nested flap contained in a transfer** — a link that failed *and*
 //!   recovered (twice, nested) entirely within one copy's transfer window
 //!   once confused the generation check that voids stale completions,
@@ -39,7 +40,7 @@ fn calendar_rewidth_model() -> McModel {
 }
 
 #[test]
-fn calendar_rewidth_on_sparse_pops_matches_the_heap_everywhere() {
+fn calendar_rewidth_on_sparse_pops_upholds_every_invariant() {
     let model = calendar_rewidth_model();
     model.validate().expect("model is in bounds");
     let budget = ExploreBudget::default();
@@ -51,19 +52,6 @@ fn calendar_rewidth_on_sparse_pops_matches_the_heap_everywhere() {
             cell.name(),
             exploration.counterexample.unwrap().to_json()
         );
-        if cell.queue.name() == "calendar" {
-            let heap_cell = CheckCell {
-                queue: bdps_sim::sched::EventQueueKind::BinaryHeap,
-                ..cell
-            };
-            let heap = explore(&model, heap_cell, &budget);
-            assert_eq!(
-                heap.stats.terminal_digests,
-                exploration.stats.terminal_digests,
-                "calendar rewidth perturbed terminal states for {}",
-                cell.name()
-            );
-        }
     }
 }
 

@@ -4,9 +4,9 @@
 //! Each model is checked two ways:
 //!
 //! 1. **Exhaustively** — the explorer enumerates every ordering of
-//!    simultaneous events under every `{scheduler × policy × layout}` cell,
-//!    holding the standard invariants (conservation, no duplicates,
-//!    quiescence) after every event. This pins the *sequential* semantics.
+//!    simultaneous events under every cell, holding the standard invariants
+//!    (conservation, no duplicates, quiescence) after every event. This
+//!    pins the *sequential* semantics.
 //! 2. **Differentially** — the same model is run through
 //!    [`bdps_sim::run_sharded`] at every shard count from 2 up to one shard
 //!    per broker, and the outcome must match the sequential run on every

@@ -46,13 +46,10 @@ pub struct RouteDelta {
     /// `per_source[source]` — destinations whose route from `source`
     /// changed, in ascending destination order.
     per_source: Vec<Vec<BrokerId>>,
-    /// Every destination that appears in at least one changed pair.
-    changed_dests: Vec<BrokerId>,
     /// Total number of changed `(source, destination)` pairs.
     changed_pairs: usize,
-    /// Destinations whose shortest-path tree was recomputed (a superset of
-    /// [`changed_dests`](Self::changed_dests): a recompute can find the tree
-    /// unchanged).
+    /// Destinations whose shortest-path tree was recomputed (a recompute can
+    /// find the tree unchanged, so not all of them appear in a changed pair).
     dests_recomputed: usize,
 }
 
@@ -78,11 +75,6 @@ impl RouteDelta {
             .get(source.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Every destination involved in at least one changed pair, ascending.
-    pub fn changed_dests_union(&self) -> &[BrokerId] {
-        &self.changed_dests
     }
 
     /// Iterates over every changed `(source, destination)` pair.
@@ -300,16 +292,11 @@ impl Routing {
             }
             delta.dests_recomputed += 1;
             Self::routes_towards(graph, dest, &usable, &mut scratch, &mut row);
-            let mut any_changed = false;
             for (src_raw, (old, new)) in self.table[dest_raw].iter().zip(&row).enumerate() {
                 if old != new {
                     delta.per_source[src_raw].push(dest);
                     delta.changed_pairs += 1;
-                    any_changed = true;
                 }
-            }
-            if any_changed {
-                delta.changed_dests.push(dest);
             }
             std::mem::swap(&mut self.table[dest_raw], &mut row);
         }

@@ -24,11 +24,11 @@
 //! Per-broker state therefore drops from `O(subscriptions)` to
 //! `O(local + brokers)`, and the registry is counted once instead of once
 //! per broker. Both layouts produce **bit-identical** simulation results —
-//! the dense layout survives as the differential oracle
+//! the dense layout survives as the reference engine
 //! (`tests/layout_equivalence.rs`); the sparse resolution path reads the
 //! same routed fields the dense table materialises, because the engine
-//! keeps aggregates in lock-step with routing exactly where it used to keep
-//! dense entries.
+//! keeps aggregates in lock-step with routing exactly where the reference
+//! rebuilds its dense entries.
 
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
@@ -46,31 +46,32 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock};
 
-/// How a broker materialises its subscription table.
+/// How a broker materialises its subscription table — and with it which of
+/// the simulator's two engines runs.
 ///
-/// Mirrors the simulator's `RebuildPolicy` axis: both layouts produce
-/// bit-identical simulation reports — the dense layout is the differential
-/// oracle the sparse layout is pinned against — so the choice trades memory
-/// and maintenance cost, never results.
+/// Both layouts produce bit-identical simulation reports — the dense layout
+/// is the reference the sparse layout is pinned against — so the choice
+/// trades memory and maintenance cost, never results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TableLayout {
-    /// Every broker stores one full entry per subscription — the reference
-    /// implementation, kept as the oracle. `O(brokers × subscriptions)`
-    /// memory.
-    #[default]
+    /// Every broker stores one full entry per subscription, and the
+    /// simulator rebuilds routing and every table from scratch after link
+    /// events — the reference engine. `O(brokers × subscriptions)` memory.
     Dense,
     /// Brokers store full entries only for locally attached subscribers plus
-    /// one covering-aggregated entry per remote destination; subscription
-    /// metadata lives once in a shared registry. `O(population + brokers²)`
-    /// memory globally.
+    /// one covering-aggregated entry per remote destination, patched
+    /// incrementally after link events; subscription metadata lives once in
+    /// a shared registry. `O(population + brokers²)` memory globally. The
+    /// production engine, and the default.
+    #[default]
     Sparse,
 }
 
 impl TableLayout {
-    /// Every selectable layout, oracle first.
+    /// Both layouts, reference first.
     pub const ALL: [TableLayout; 2] = [TableLayout::Dense, TableLayout::Sparse];
 
-    /// Stable CLI/report name (`"dense"` / `"sparse"`).
+    /// Stable report name (`"dense"` / `"sparse"`).
     pub fn name(self) -> &'static str {
         match self {
             TableLayout::Dense => "dense",
@@ -78,12 +79,12 @@ impl TableLayout {
         }
     }
 
-    /// Resolves a CLI name (case-insensitive): `"dense"` (alias
-    /// `"replicated"`) or `"sparse"` (aliases `"aggregated"`, `"covering"`).
+    /// Resolves a [`name`](Self::name), case-insensitively (`bdps-mc` cell
+    /// names carry it).
     pub fn from_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
-            "dense" | "replicated" => Some(TableLayout::Dense),
-            "sparse" | "aggregated" | "covering" => Some(TableLayout::Sparse),
+            "dense" => Some(TableLayout::Dense),
+            "sparse" => Some(TableLayout::Sparse),
             _ => None,
         }
     }
@@ -651,9 +652,9 @@ pub struct AggregateEntry {
 
 impl AggregateEntry {
     /// Builds the aggregate towards a destination from its current route
-    /// and member group — the single construction path the bulk build, the
-    /// full rebuild and the incremental sync all share, so an aggregate can
-    /// never differ by how it was produced.
+    /// and member group — the single construction path the bulk build and
+    /// the incremental sync share, so an aggregate can never differ by how
+    /// it was produced.
     fn fresh(route: &crate::routing::RouteEntry, group: GroupStats) -> Self {
         AggregateEntry {
             next_hop: route.next_hop,
@@ -834,12 +835,12 @@ impl SparseTable {
     }
 
     /// Brings the aggregate entry towards `dest` in line with the current
-    /// routing and registry — the sparse analogue of
-    /// [`SubscriptionTable::retarget_entries`], patching **one aggregate**
-    /// where the dense path patches one entry per subscription. Called after
-    /// a routing delta names `dest`, and after a join/leave changes the
-    /// group at `dest`. Returns the patch counters (at most one of
-    /// retargeted / inserted / removed is 1).
+    /// routing and registry: **one aggregate** stands in for every
+    /// subscription attached at `dest`, so this is the whole incremental
+    /// patch for one `(broker, destination)` pair. Called after a routing
+    /// delta names `dest`, and after a join/leave changes the group at
+    /// `dest`. Returns the patch counters (at most one of retargeted /
+    /// inserted / removed is 1).
     pub fn sync_aggregate(&mut self, routing: &Routing, dest: BrokerId) -> RetargetOutcome {
         let group = read_population(&self.population).group_stats(dest);
         self.sync_aggregate_with(routing, dest, group)
@@ -876,10 +877,9 @@ impl SparseTable {
         outcome
     }
 
-    /// Rebuilds every aggregate from scratch over the current routing and
-    /// registry — the sparse analogue of a full table rebuild, used by the
-    /// full rebuild policy and by mass liveness transitions.
-    pub fn rebuild_aggregates(&mut self, routing: &Routing) {
+    /// Builds every aggregate from scratch over the current routing and
+    /// registry.
+    fn rebuild_aggregates(&mut self, routing: &Routing) {
         self.aggregates.clear();
         let pop = read_population(&self.population);
         for (dest, group) in pop.groups() {
@@ -1602,16 +1602,9 @@ mod tests {
         for layout in TableLayout::ALL {
             assert_eq!(TableLayout::from_name(layout.name()), Some(layout));
         }
-        assert_eq!(
-            TableLayout::from_name("COVERING"),
-            Some(TableLayout::Sparse)
-        );
-        assert_eq!(
-            TableLayout::from_name("replicated"),
-            Some(TableLayout::Dense)
-        );
+        assert_eq!(TableLayout::from_name("SPARSE"), Some(TableLayout::Sparse));
         assert!(TableLayout::from_name("bogus").is_none());
-        assert_eq!(TableLayout::default(), TableLayout::Dense);
+        assert_eq!(TableLayout::default(), TableLayout::Sparse);
         assert_eq!(TableLayout::Sparse.to_string(), "sparse");
     }
 

@@ -42,13 +42,11 @@ impl SubTableEntry {
 }
 
 /// Counters of one incremental table patch
-/// ([`SubscriptionTable::retarget_entries`] /
-/// [`SubscriptionTable::apply_route_delta`]).
+/// ([`SparseTable::sync_aggregate`](crate::sparse::SparseTable::sync_aggregate)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetargetOutcome {
-    /// Entries whose routed fields (next hop, link, path statistics) were
-    /// rewritten in place — the matching index is untouched and the filter
-    /// is not recloned.
+    /// Entries whose routed fields (next hop, link, path statistics) or
+    /// group statistics were rewritten in place.
     pub retargeted: u64,
     /// Entries inserted because their edge broker became reachable.
     pub inserted: u64,
@@ -252,87 +250,6 @@ impl SubscriptionTable {
         }
     }
 
-    /// Re-routes this table's entries for the subscriptions attached at one
-    /// edge broker after a routing change — the incremental alternative to
-    /// rebuilding the whole table with [`build`](Self::build).
-    ///
-    /// For every subscription in `attached` (the full population attached at
-    /// `dest`), the entry is brought in line with `routing`:
-    ///
-    /// * still reachable and present → the routed fields (next hop, link,
-    ///   path statistics) are rewritten **in place**; the matching index is
-    ///   untouched and the `Arc`-backed filter is not recloned;
-    /// * newly reachable → a fresh entry is inserted (index updated);
-    /// * newly unreachable → the entry is removed (index updated).
-    ///
-    /// Patching with the exact set of changed destinations (a
-    /// [`RouteDelta`](crate::routing::RouteDelta)) leaves the table equal to
-    /// a from-scratch [`build`](Self::build) over the same routing —
-    /// membership, fields and matching results alike; `tests/properties.rs`
-    /// pins this against the full-rebuild oracle.
-    pub fn retarget_entries<'a>(
-        &mut self,
-        routing: &Routing,
-        dest: BrokerId,
-        attached: impl IntoIterator<Item = &'a Subscription>,
-    ) -> RetargetOutcome {
-        let mut outcome = RetargetOutcome::default();
-        if dest == self.broker {
-            // Local entries carry no route and never move.
-            return outcome;
-        }
-        match routing.route(self.broker, dest) {
-            Some(route) => {
-                for sub in attached {
-                    match self.by_id.get(&sub.id) {
-                        Some(&i) => {
-                            let entry = &mut self.entries[i];
-                            debug_assert_eq!(entry.edge_broker, dest);
-                            entry.next_hop = Some(route.next_hop);
-                            entry.next_link = Some(route.next_link);
-                            entry.stats = route.stats;
-                            outcome.retargeted += 1;
-                        }
-                        None => {
-                            self.insert(SubTableEntry {
-                                subscription: sub.clone(),
-                                edge_broker: dest,
-                                next_hop: Some(route.next_hop),
-                                next_link: Some(route.next_link),
-                                stats: route.stats,
-                            });
-                            outcome.inserted += 1;
-                        }
-                    }
-                }
-            }
-            None => {
-                for sub in attached {
-                    if self.remove(sub.id).is_some() {
-                        outcome.removed += 1;
-                    }
-                }
-            }
-        }
-        outcome
-    }
-
-    /// Applies a routing delta to this table: one
-    /// [`retarget_entries`](Self::retarget_entries) call per changed
-    /// destination, with `changed` supplying the subscriptions attached at
-    /// each. Returns the accumulated patch counters.
-    pub fn apply_route_delta<'a>(
-        &mut self,
-        routing: &Routing,
-        changed: impl IntoIterator<Item = (BrokerId, &'a [Subscription])>,
-    ) -> RetargetOutcome {
-        let mut outcome = RetargetOutcome::default();
-        for (dest, attached) in changed {
-            outcome.absorb(self.retarget_entries(routing, dest, attached));
-        }
-        outcome
-    }
-
     /// Builds the tables of every broker in the graph.
     pub fn build_all(
         graph: &OverlayGraph,
@@ -515,111 +432,6 @@ mod tests {
         let local = SubscriptionTable::entry_for(BrokerId::new(2), &routing, sub0, *edge0).unwrap();
         assert!(local.is_local());
         assert_eq!(local.stats, PathStats::local());
-    }
-
-    #[test]
-    fn retarget_rewrites_routes_in_place_without_index_churn() {
-        // Line B0 - B1 - B2 with a direct expensive B0 -> B2 shortcut so a
-        // middle-link failure changes B0's next hop towards B2 instead of
-        // severing it.
-        let mut rng = SimRng::seed_from(3);
-        let mut topo = Topology::line(3, &mut rng, fixed_quality);
-        topo.graph.add_link(
-            BrokerId::new(0),
-            BrokerId::new(2),
-            LinkQuality::new(FixedRate::new(500.0)),
-        );
-        let s0 = SubscriberId::new(0);
-        topo.graph.attach_subscriber(BrokerId::new(2), s0);
-        let subs = vec![(
-            Subscription::best_effort(
-                SubscriptionId::new(0),
-                s0,
-                Filter::paper_conjunction(5.0, 5.0),
-            ),
-            BrokerId::new(2),
-        )];
-        let healthy = Routing::compute(&topo.graph);
-        let mut table = SubscriptionTable::build(BrokerId::new(0), &healthy, &subs);
-        assert_eq!(
-            table.entry(SubscriptionId::new(0)).unwrap().next_hop,
-            Some(BrokerId::new(1))
-        );
-
-        // Fail B1 -> B2: B0 must detour over the shortcut.
-        let b1_to_b2 = topo
-            .graph
-            .link_between(BrokerId::new(1), BrokerId::new(2))
-            .unwrap()
-            .id;
-        let degraded = Routing::compute_filtered(&topo.graph, |l| l != b1_to_b2);
-        let attached: Vec<Subscription> = subs.iter().map(|(s, _)| s.clone()).collect();
-        let outcome = table.retarget_entries(&degraded, BrokerId::new(2), &attached);
-        assert_eq!(outcome.retargeted, 1);
-        assert_eq!(outcome.inserted + outcome.removed, 0);
-        assert_eq!(outcome.total(), 1);
-        let patched = table.entry(SubscriptionId::new(0)).unwrap();
-        assert_eq!(patched.next_hop, Some(BrokerId::new(2)));
-        assert!((patched.stats.mean_rate() - 500.0).abs() < 1e-9);
-        // The patched table equals a from-scratch build over the new routing.
-        let rebuilt = SubscriptionTable::build(BrokerId::new(0), &degraded, &subs);
-        assert_eq!(
-            table.matching(&head(1.0, 1.0)).len(),
-            rebuilt.matching(&head(1.0, 1.0)).len()
-        );
-        let fresh = rebuilt.entry(SubscriptionId::new(0)).unwrap();
-        assert_eq!(patched.next_hop, fresh.next_hop);
-        assert_eq!(patched.next_link, fresh.next_link);
-        assert_eq!(patched.stats, fresh.stats);
-    }
-
-    #[test]
-    fn retarget_handles_reachability_transitions() {
-        let (topo, healthy, subs) = line_setup();
-        let mut table = SubscriptionTable::build(BrokerId::new(0), &healthy, &subs);
-        assert_eq!(table.len(), 2);
-        let attached_b2: Vec<Subscription> = vec![subs[0].0.clone()];
-
-        // Sever B1 <-> B2 entirely: subscription 0 (edge B2) becomes
-        // unreachable from B0 and its entry must disappear.
-        let cut: Vec<_> = topo
-            .graph
-            .links()
-            .filter(|l| {
-                (l.from == BrokerId::new(1) && l.to == BrokerId::new(2))
-                    || (l.from == BrokerId::new(2) && l.to == BrokerId::new(1))
-            })
-            .map(|l| l.id)
-            .collect();
-        let severed = Routing::compute_filtered(&topo.graph, |l| !cut.contains(&l));
-        let outcome = table.retarget_entries(&severed, BrokerId::new(2), &attached_b2);
-        assert_eq!(outcome.removed, 1);
-        assert!(table.entry(SubscriptionId::new(0)).is_none());
-        assert_eq!(table.len(), 1);
-        // Matching no longer returns the removed subscription.
-        assert_eq!(table.matching(&head(1.0, 1.0)).len(), 1);
-
-        // Restore: apply_route_delta re-inserts the entry, and the table
-        // matches a fresh build again.
-        let outcome =
-            table.apply_route_delta(&healthy, [(BrokerId::new(2), attached_b2.as_slice())]);
-        assert_eq!(outcome.inserted, 1);
-        let patched = table.entry(SubscriptionId::new(0)).unwrap().clone();
-        let rebuilt = SubscriptionTable::build(BrokerId::new(0), &healthy, &subs);
-        let fresh = rebuilt.entry(SubscriptionId::new(0)).unwrap();
-        assert_eq!(patched.next_hop, fresh.next_hop);
-        assert_eq!(patched.stats, fresh.stats);
-        assert_eq!(table.matching(&head(1.0, 1.0)).len(), 2);
-    }
-
-    #[test]
-    fn retarget_towards_own_broker_is_a_no_op() {
-        let (_topo, routing, subs) = line_setup();
-        let mut table = SubscriptionTable::build(BrokerId::new(2), &routing, &subs);
-        let attached: Vec<Subscription> = vec![subs[0].0.clone()];
-        let outcome = table.retarget_entries(&routing, BrokerId::new(2), &attached);
-        assert_eq!(outcome, RetargetOutcome::default());
-        assert!(table.entry(SubscriptionId::new(0)).unwrap().is_local());
     }
 
     #[test]

@@ -32,11 +32,10 @@ use bdps_stats::rng::SimRng;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::time::Duration;
 
-use crate::engine::{ForwardingMode, RebuildPolicy, Simulation};
+use crate::engine::{ForwardingMode, Simulation};
 use crate::report::SimulationReport;
 use crate::runner::{SimulationConfig, TopologySpec};
 use crate::scenario::{DynamicScenario, ScenarioRegistry};
-use crate::sched::EventQueueKind;
 use crate::workload::WorkloadConfig;
 use bdps_overlay::sparse::TableLayout;
 
@@ -63,8 +62,6 @@ pub struct SimulationBuilder {
     estimation_error: EstimationError,
     drain_grace: Option<Duration>,
     scenario: DynamicScenario,
-    event_queue: EventQueueKind,
-    rebuild_policy: RebuildPolicy,
     table_layout: TableLayout,
     link_model: LinkModelKind,
     forwarding: ForwardingMode,
@@ -83,8 +80,6 @@ impl Default for SimulationBuilder {
             estimation_error: EstimationError::NONE,
             drain_grace: None,
             scenario: DynamicScenario::static_scenario(),
-            event_queue: EventQueueKind::default(),
-            rebuild_policy: RebuildPolicy::default(),
             table_layout: TableLayout::default(),
             link_model: LinkModelKind::default(),
             forwarding: ForwardingMode::default(),
@@ -112,8 +107,6 @@ impl SimulationBuilder {
             estimation_error: config.estimation_error,
             drain_grace: None,
             scenario: config.scenario.clone(),
-            event_queue: config.event_queue,
-            rebuild_policy: config.rebuild_policy,
             table_layout: config.table_layout,
             link_model: config.link_model,
             forwarding: config.forwarding,
@@ -246,38 +239,21 @@ impl SimulationBuilder {
         Ok(self)
     }
 
-    /// Selects the event-scheduler implementation (calendar queue by
-    /// default). Both [`EventQueueKind`]s pop in identical `(time, seq)`
-    /// order, so this changes wall-clock throughput, never results — the
-    /// golden tests pin that equivalence.
-    pub fn event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.event_queue = kind;
-        self
-    }
-
-    /// Selects the routing/table rebuild policy applied after link events
-    /// (incremental by default). Both [`RebuildPolicy`]s produce
-    /// bit-identical reports — the full rebuild is kept as the differential
-    /// oracle (`tests/rebuild_equivalence.rs`) — so this changes wall-clock
-    /// throughput under link-failure scenarios, never results.
-    pub fn rebuild_policy(mut self, policy: RebuildPolicy) -> Self {
-        self.rebuild_policy = policy;
-        self
-    }
-
-    /// Selects how brokers materialise their subscription tables (dense
-    /// replicated entries by default). Both [`TableLayout`]s produce
-    /// bit-identical reports — the dense layout is kept as the differential
-    /// oracle (`tests/layout_equivalence.rs`) — so this trades table memory
-    /// and maintenance cost, never results.
+    /// Selects the engine: [`TableLayout::Sparse`] (the default) is the
+    /// production engine — covering-aggregated tables patched incrementally
+    /// after link events, what the benchmark measures —
+    /// [`TableLayout::Dense`] the reference engine — replicated tables and
+    /// routing rebuilt from scratch on every link batch. Both produce
+    /// bit-identical reports (`tests/layout_equivalence.rs`), so this trades
+    /// table memory and link-event cost, never results.
     pub fn table_layout(mut self, layout: TableLayout) -> Self {
         self.table_layout = layout;
         self
     }
 
     /// Selects the link transfer-time model (constant delay by default —
-    /// the paper's one-transfer-at-a-time sampled rate). Unlike the rebuild
-    /// policy and table layout this axis *changes results*:
+    /// the paper's one-transfer-at-a-time sampled rate). Unlike the table
+    /// layout this axis *changes results*:
     /// [`LinkModelKind::FairShare`] shares each link's bandwidth equally
     /// among concurrent flows, so congested links genuinely slow down.
     /// Fair-share runs require `shards(1)` — the sharded executor returns a
@@ -370,8 +346,6 @@ impl SimulationBuilder {
             seed: self.seed,
             estimation_error: self.estimation_error,
             scenario: self.scenario.clone(),
-            event_queue: self.event_queue,
-            rebuild_policy: self.rebuild_policy,
             table_layout: self.table_layout,
             link_model: self.link_model,
             forwarding: self.forwarding,
@@ -398,10 +372,6 @@ impl SimulationBuilder {
             config.estimation_error,
             config.scenario,
         );
-        if config.event_queue != EventQueueKind::default() {
-            sim = sim.with_event_queue(config.event_queue);
-        }
-        sim = sim.with_rebuild_policy(config.rebuild_policy);
         sim = sim.with_table_layout(config.table_layout);
         sim = sim.with_link_model(config.link_model);
         sim = sim.with_forwarding(config.forwarding);

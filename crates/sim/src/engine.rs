@@ -50,8 +50,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 use crate::scenario::{DynamicScenario, ScenarioAction};
-use crate::sched::{EventQueueKind, Scheduled};
-use crate::traffic::{Effect, EffectSink, Pending, Shared, Totals, TrafficCore};
+use crate::sched::{EventQueue, Scheduled};
+use crate::traffic::{Effect, EffectSink, Shared, Totals, TrafficCore};
 use crate::workload::WorkloadConfig;
 
 /// Canonical, partition-independent event keys.
@@ -386,60 +386,13 @@ impl EventKind {
     }
 }
 
-/// How the simulator brings routing and subscription tables back in line
-/// after link liveness changes.
-///
-/// Both policies produce **bit-identical** simulation results — the
-/// incremental path recomputes exactly the destinations a link batch can
-/// affect and patches exactly the entries whose route entry changed, so the
-/// full rebuild survives as the differential oracle
-/// (`tests/rebuild_equivalence.rs` pins report equality per seed × scenario
-/// × scheduler). The difference is pure wall-clock: a full rebuild is
-/// `O(brokers × subscriptions)` per link batch, the incremental patch is
-/// proportional to what actually changed plus one `O(subscriptions)`
-/// grouping pass per coalesced batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RebuildPolicy {
-    /// Recompute all-pairs routes and rebuild every broker's table from the
-    /// full population — the reference implementation, kept as the oracle.
-    Full,
-    /// Recompute only the affected destination trees
-    /// ([`Routing::update_for_link_change`]) and patch only the table
-    /// entries whose next hop or path statistics moved — the default.
-    #[default]
-    Incremental,
-}
-
-impl RebuildPolicy {
-    /// Every selectable policy, oracle first.
-    pub const ALL: [RebuildPolicy; 2] = [RebuildPolicy::Full, RebuildPolicy::Incremental];
-
-    /// Stable CLI/report name (`"full"` / `"incremental"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RebuildPolicy::Full => "full",
-            RebuildPolicy::Incremental => "incremental",
-        }
-    }
-
-    /// Resolves a CLI name (case-insensitive): `"full"` (alias `"rebuild"`)
-    /// or `"incremental"` (aliases `"inc"`, `"delta"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "full" | "rebuild" => Some(RebuildPolicy::Full),
-            "incremental" | "inc" | "delta" => Some(RebuildPolicy::Incremental),
-            _ => None,
-        }
-    }
-}
-
 /// How publish-time matching scopes message copies.
 ///
-/// Unlike [`RebuildPolicy`] and [`TableLayout`], the two modes are **not**
+/// Unlike the two [`TableLayout`]s, the two modes are **not**
 /// bit-identical: covering aggregates admit false positives, so aggregate
 /// forwarding may push copies down subtrees that end up serving nobody. What
 /// is preserved — and what `tests/forwarding_equivalence.rs` pins per seed ×
-/// scenario × scheduler — is the *delivery set*: the exact set of
+/// scenario — is the *delivery set*: the exact set of
 /// `(message, subscriber)` pairs delivered, the earning, and the
 /// conservation/duplicate audits. Hop counts, traffic and per-message
 /// interested counts may legitimately differ.
@@ -613,30 +566,25 @@ pub struct SimulationOutcome {
     pub scope_interns: u64,
     /// Interner hits (shared allocations) out of [`scope_interns`](Self::scope_interns).
     pub scope_intern_hits: u64,
-    /// Broker tables rebuilt from the full population after link events:
-    /// every broker on every coalesced link batch under
-    /// [`RebuildPolicy::Full`], plus the brokers whose mass reachability
-    /// transitions the incremental path chose to bulk-rebuild (cheaper than
-    /// entry-at-a-time patching when most destinations moved at once).
-    /// Under [`TableLayout::Sparse`] the rebuilt unit is the broker's
-    /// aggregate set.
+    /// Broker tables rebuilt from the full population after link events.
+    /// [`TableLayout::Dense`] (the reference engine): every broker, on every
+    /// coalesced link batch. [`TableLayout::Sparse`] (the production
+    /// engine): always zero — it only ever patches.
     pub tables_rebuilt_full: u64,
-    /// Table entries patched by the incremental rebuild path — retargeted in
-    /// place, inserted on recovered reachability or removed on lost
-    /// reachability (non-zero only under [`RebuildPolicy::Incremental`]).
-    /// Under [`TableLayout::Sparse`] the patched unit is one aggregate
-    /// entry per changed `(broker, destination)` pair, not one entry per
-    /// subscription.
+    /// Table entries patched in place after link events. `Sparse`: one
+    /// aggregate entry per changed `(broker, destination)` pair —
+    /// retargeted, inserted on recovered reachability or removed on lost
+    /// reachability — not one entry per subscription. `Dense`: always zero.
     pub entries_retargeted: u64,
-    /// Destination shortest-path trees the incremental rebuild recomputed
-    /// over the run (Σ [`RouteDelta::dests_recomputed`]) — the cost driver of
-    /// a link event, at `O(E log V)` each. Zero under
-    /// [`RebuildPolicy::Full`], which recomputes every tree on every batch
-    /// without going through a delta.
+    /// Destination shortest-path trees recomputed through a route delta over
+    /// the run (Σ [`RouteDelta::dests_recomputed`]) — the cost driver of a
+    /// link event, at `O(E log V)` each. `Sparse` only; `Dense` recomputes
+    /// every tree on every batch without forming a delta and reports zero.
     pub route_trees_recomputed: u64,
     /// `(source, destination)` route entries those recomputes actually
     /// changed (Σ [`RouteDelta::changed_pairs`]) — what
-    /// [`entries_retargeted`](Self::entries_retargeted) then has to patch.
+    /// [`entries_retargeted`](Self::entries_retargeted) then has to patch
+    /// (zero under `Dense`, like the tree count).
     pub route_pairs_changed: u64,
     /// Aggregate table entries held across all brokers when the run ended —
     /// non-zero only under [`TableLayout::Sparse`], where interior brokers
@@ -935,8 +883,6 @@ pub struct Simulation {
     link_dirty: Vec<bool>,
     /// Per-link liveness as of the last routing rebuild.
     link_alive_at_rebuild: Vec<bool>,
-    /// How routing and tables are brought in line after link events.
-    rebuild_policy: RebuildPolicy,
     /// How brokers materialise their subscription tables (dense replicated
     /// entries, or sparse covering aggregates over the shared registry).
     table_layout: TableLayout,
@@ -1122,8 +1068,8 @@ impl Simulation {
         // Per-broker subscription tables and broker state machines are built
         // lazily (see [`build_brokers`](Self::build_brokers)): the layout may
         // still change through `with_table_layout`, and at 10⁵+ subscribers
-        // building dense tables only to discard them for sparse ones would
-        // dominate construction. Both are built from the believed graph
+        // building one layout's tables only to discard them for the other's
+        // would dominate construction. Both are built from the believed graph
         // (what measurement reports), while actual transfer times are
         // sampled from the true graph.
 
@@ -1171,12 +1117,7 @@ impl Simulation {
             .collect();
 
         let mut sim = Simulation {
-            core: TrafficCore::new(
-                Pending::new(EventQueueKind::default()),
-                publisher_rng,
-                link_rng,
-                0,
-            ),
+            core: TrafficCore::new(publisher_rng, link_rng, 0),
             shared: Shared {
                 end: SimTime::ZERO + workload.duration,
                 topology,
@@ -1209,7 +1150,6 @@ impl Simulation {
             dirty_links: Vec::new(),
             link_dirty: vec![false; link_count],
             link_alive_at_rebuild: vec![true; link_count],
-            rebuild_policy: RebuildPolicy::default(),
             table_layout: TableLayout::default(),
             brokers_built: false,
             tables_rebuilt_full: 0,
@@ -1244,35 +1184,14 @@ impl Simulation {
         self
     }
 
-    /// Swaps the event scheduler implementation (see [`EventQueueKind`]).
-    /// Both schedulers pop in identical `(time, seq)` order, so the choice
-    /// changes throughput, never results. Call before [`run`](Self::run);
-    /// already-scheduled events (scenario stream, publisher seeds) carry
-    /// over.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
-        let mut replacement = Pending::new(kind);
-        while let Some(event) = self.core.events.queue.pop() {
-            replacement.queue.push(event);
-        }
-        self.core.events = replacement;
-        self
-    }
-
-    /// Selects the routing/table rebuild policy applied after link events
-    /// (see [`RebuildPolicy`]; incremental by default). Both policies yield
-    /// bit-identical results, so the choice only affects wall-clock time —
-    /// the equivalence suite runs the same seeds under both.
-    pub fn with_rebuild_policy(mut self, policy: RebuildPolicy) -> Self {
-        self.rebuild_policy = policy;
-        self
-    }
-
-    /// Selects how brokers materialise their subscription tables (see
-    /// [`TableLayout`]; dense by default). Both layouts yield bit-identical
-    /// results — the dense replicated table survives as the differential
-    /// oracle (`tests/layout_equivalence.rs`) — so the choice trades memory
-    /// (`O(brokers × subscriptions)` dense vs `O(population + brokers²)`
-    /// sparse) and maintenance cost, never outcomes. Call before
+    /// Selects the engine (see [`TableLayout`]; sparse by default): sparse
+    /// covering-aggregated tables patched incrementally after link events —
+    /// the production engine, the one the benchmark measures — or dense
+    /// replicated tables rebuilt from scratch with the routing on every link
+    /// batch — the reference engine. Both yield bit-identical results
+    /// (`tests/layout_equivalence.rs` compares whole reports), so the choice
+    /// trades memory (`O(brokers × subscriptions)` dense vs `O(population +
+    /// brokers²)` sparse) and link-event cost, never outcomes. Call before
     /// [`run`](Self::run) or [`prepare`](Self::prepare).
     pub fn with_table_layout(mut self, layout: TableLayout) -> Self {
         assert!(
@@ -1429,7 +1348,7 @@ impl Simulation {
     pub fn try_run(mut self) -> Result<SimulationOutcome, SimError> {
         self.build_brokers()?;
         let hard_stop = self.hard_stop();
-        while let Some(entry) = self.core.events.queue.pop_if_at_or_before(hard_stop) {
+        while let Some(entry) = self.core.events.pop_if_at_or_before(hard_stop) {
             self.try_apply(entry)?;
         }
         Ok(self.into_outcome())
@@ -1445,7 +1364,7 @@ impl Simulation {
     /// Returns false when nothing was applied (run over, or the next event
     /// is past the limit). The run loop is exactly `while self.step_next(..)`.
     pub fn step_next(&mut self, limit: SimTime) -> bool {
-        match self.core.events.queue.pop_if_at_or_before(limit) {
+        match self.core.events.pop_if_at_or_before(limit) {
             Some(entry) => {
                 self.apply(entry);
                 true
@@ -1467,14 +1386,14 @@ impl Simulation {
     /// first event is [applied](Self::try_apply).
     pub fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<EventKind>> {
         let _ = self.build_brokers();
-        self.core.events.queue.take_frontier(limit)
+        self.core.events.take_frontier(limit)
     }
 
     /// Re-inserts an event taken with [`take_frontier`](Self::take_frontier)
     /// without assigning a new sequence number, so the deterministic
     /// `(time, seq)` order among the re-inserted events is preserved.
     pub fn push_back(&mut self, event: Scheduled<EventKind>) {
-        self.core.events.queue.push(event);
+        self.core.events.push(event);
     }
 
     /// Applies one event: advances the clock to the event's time and runs
@@ -1518,7 +1437,7 @@ impl Simulation {
         let queued_at_end: u64 = core.brokers.iter().map(|b| b.queued_total() as u64).sum();
         let mut in_flight_at_end = 0u64;
         let mut pending_process_at_end = 0u64;
-        core.events.queue.for_each(&mut |entry| match entry.item {
+        core.events.for_each(&mut |entry| match entry.item {
             EventKind::SendComplete { .. } => in_flight_at_end += 1,
             EventKind::Process { .. } => pending_process_at_end += 1,
             // FlowComplete events are not counted: under a sharing model
@@ -1619,7 +1538,6 @@ impl Simulation {
             dirty_links: self.dirty_links.clone(),
             link_dirty: self.link_dirty.clone(),
             link_alive_at_rebuild: self.link_alive_at_rebuild.clone(),
-            rebuild_policy: self.rebuild_policy,
             table_layout: self.table_layout,
             brokers_built: self.brokers_built,
             tables_rebuilt_full: self.tables_rebuilt_full,
@@ -1673,8 +1591,8 @@ impl Simulation {
             }
         }
         // Pending events as a sorted multiset of (time, content digest).
-        let mut pending: Vec<(u64, u64)> = Vec::with_capacity(self.core.events.queue.len());
-        self.core.events.queue.for_each(&mut |e| {
+        let mut pending: Vec<(u64, u64)> = Vec::with_capacity(self.core.events.len());
+        self.core.events.for_each(&mut |e| {
             let mut eh = std::collections::hash_map::DefaultHasher::new();
             e.item.digest_into(&mut eh);
             pending.push((e.time.as_micros(), eh.finish()));
@@ -2008,16 +1926,16 @@ impl Simulation {
     /// that last event is itself a liveness no-op (e.g. the second down of a
     /// nested failure).
     ///
-    /// Under [`RebuildPolicy::Full`] routing is recomputed from scratch and
-    /// every table rebuilt from the full population; under
-    /// [`RebuildPolicy::Incremental`] only the destinations the batch can
-    /// affect are recomputed and only the entries whose route entry changed
-    /// are patched. Both paths leave routing and tables in identical states.
+    /// The reference engine ([`TableLayout::Dense`]) recomputes routing from
+    /// scratch and rebuilds every table from the full population; the
+    /// production engine ([`TableLayout::Sparse`]) recomputes only the
+    /// destinations the batch can affect and patches only the aggregates
+    /// whose route entry changed. Both leave routing in identical states.
     fn maybe_rebuild_routing(&mut self) {
         if !self.routing_dirty {
             return;
         }
-        if let Some((time, kind)) = self.core.events.queue.peek() {
+        if let Some((time, kind)) = self.core.events.peek() {
             if time == self.core.now
                 && matches!(
                     kind,
@@ -2030,9 +1948,9 @@ impl Simulation {
             }
         }
         self.routing_dirty = false;
-        match self.rebuild_policy {
-            RebuildPolicy::Full => self.rebuild_routing_full(),
-            RebuildPolicy::Incremental => self.rebuild_routing_incremental(),
+        match self.table_layout {
+            TableLayout::Dense => self.rebuild_routing_full(),
+            TableLayout::Sparse => self.rebuild_routing_incremental(),
         }
     }
 
@@ -2061,43 +1979,29 @@ impl Simulation {
         (removed, added)
     }
 
-    /// The original rebuild: all-pairs routing recompute plus a from-scratch
-    /// table rebuild on every broker — `O(brokers × subscriptions)` per
-    /// coalesced link batch. Kept as the differential oracle behind
-    /// [`RebuildPolicy::Full`].
+    /// The reference engine's rebuild: all-pairs routing recompute plus a
+    /// from-scratch table rebuild on every broker — `O(brokers ×
+    /// subscriptions)` per coalesced link batch, and nothing to get wrong.
     fn rebuild_routing_full(&mut self) {
         let _ = self.drain_dirty_links(); // keep the snapshot coherent
         let depth = std::mem::take(&mut self.shared.link_down_depth);
         self.routing = Routing::compute_filtered(&self.believed_graph, |l| depth[l.index()] == 0);
         self.shared.link_down_depth = depth;
-        match self.table_layout {
-            TableLayout::Dense => {
-                for i in 0..self.core.brokers.len() {
-                    let table = SubscriptionTable::build(
-                        self.core.brokers[i].id,
-                        &self.routing,
-                        &self.subscriptions.entries,
-                    );
-                    self.core.brokers[i].set_table(table);
-                }
-            }
-            TableLayout::Sparse => {
-                // The sparse analogue of a full table rebuild: every
-                // broker's aggregate set from scratch — `O(brokers ×
-                // destinations)` instead of `O(brokers × population)`.
-                let routing = &self.routing;
-                for b in &mut self.core.brokers {
-                    b.rebuild_aggregates(routing);
-                }
-            }
+        for i in 0..self.core.brokers.len() {
+            let table = SubscriptionTable::build(
+                self.core.brokers[i].id,
+                &self.routing,
+                &self.subscriptions.entries,
+            );
+            self.core.brokers[i].set_table(table);
         }
         self.tables_rebuilt_full += self.core.brokers.len() as u64;
     }
 
-    /// The incremental rebuild: recompute only the destination trees the
-    /// link batch can affect, then patch only the `(broker, destination)`
-    /// table entries whose route entry changed — work proportional to the
-    /// change, not the population.
+    /// The production engine's rebuild: recompute only the destination trees
+    /// the link batch can affect, then patch only the `(broker,
+    /// destination)` aggregates whose route entry changed — work
+    /// proportional to the change, not the population.
     fn rebuild_routing_incremental(&mut self) {
         let (removed, added) = self.drain_dirty_links();
         if removed.is_empty() && added.is_empty() {
@@ -2113,24 +2017,19 @@ impl Simulation {
         self.shared.link_down_depth = depth;
         self.route_trees_recomputed += delta.dests_recomputed() as u64;
         self.route_pairs_changed += delta.changed_pairs() as u64;
-        if delta.is_empty() {
-            return;
-        }
-        match self.table_layout {
-            TableLayout::Dense => self.patch_dense_tables(&delta),
-            TableLayout::Sparse => self.patch_sparse_tables(&delta),
+        if !delta.is_empty() {
+            self.patch_sparse_tables(&delta);
         }
     }
 
-    /// The sparse incremental patch: one [`BrokerState::sync_aggregate`]
-    /// call per changed `(broker, destination)` pair — `O(changed pairs)`
-    /// total, with no population-grouping pass and no mass-transition
-    /// fallback (removing or inserting an aggregate is `O(log dests)`, so
-    /// the blackout worst case the dense path must special-case is already
-    /// cheap here). The registry is locked once for the whole patch.
+    /// One [`BrokerState::sync_aggregate`] call per changed `(broker,
+    /// destination)` pair — `O(changed pairs)` total, with no
+    /// population-grouping pass (removing or inserting an aggregate is
+    /// `O(log dests)`, so even a blackout's mass transition is cheap). The
+    /// registry is locked once for the whole patch.
     fn patch_sparse_tables(&mut self, delta: &RouteDelta) {
         let Some(population) = &self.shared.population else {
-            return; // dense layout: no aggregates to patch
+            return; // broker state not materialised yet: nothing to patch
         };
         let population = bdps_overlay::sparse::read_population(population);
         let routing = &self.routing;
@@ -2143,69 +2042,6 @@ impl Simulation {
             }
         }
         self.entries_retargeted += patched.total();
-    }
-
-    /// The dense incremental patch (see [`SubscriptionTable::retarget_entries`]).
-    fn patch_dense_tables(&mut self, delta: &RouteDelta) {
-        // Group the population by edge broker, but only for the destinations
-        // that actually appear in the delta — one pass over the population
-        // instead of one pass per broker.
-        let mut attached: HashMap<BrokerId, Vec<&Subscription>> = delta
-            .changed_dests_union()
-            .iter()
-            .map(|&dest| (dest, Vec::new()))
-            .collect();
-        for (sub, edge) in &self.subscriptions.entries {
-            if let Some(list) = attached.get_mut(edge) {
-                list.push(sub);
-            }
-        }
-        let routing = &self.routing;
-        let population = self.subscriptions.entries.len();
-        let mut patched = RetargetOutcome::default();
-        let mut bulk_rebuilt = 0u64;
-        for (i, broker) in self.core.brokers.iter_mut().enumerate() {
-            let source = BrokerId::new(i as u32);
-            let dests = delta.changed_dests(source);
-            // Retargeting an entry in place is O(1), but a reachability
-            // transition removes or inserts it — O(population) each through
-            // the ordered entry vector and the matching index, O(n²) across
-            // a mass transition (a blackout severing everything, a
-            // partition healing). Estimate the transition volume first:
-            // reachability is per (broker, destination), so probing one
-            // subscription per changed destination classifies the whole
-            // group. When transitions reach an eighth of the population,
-            // one bulk O(n log n) rebuild is cheaper than patching — and
-            // produces the identical table, so the fallback can never
-            // change results, only wall-clock.
-            let mut transitions = 0usize;
-            for &dest in dests {
-                let subs = attached.get(&dest).map(Vec::as_slice).unwrap_or(&[]);
-                let Some(first) = subs.first() else { continue };
-                let present = broker
-                    .table()
-                    .as_dense()
-                    .expect("dense patch path runs under the dense layout")
-                    .entry(first.id)
-                    .is_some();
-                let reachable = dest == source || routing.route(source, dest).is_some();
-                if present != reachable {
-                    transitions += subs.len();
-                }
-            }
-            if transitions * 8 >= population.max(1) {
-                let table = SubscriptionTable::build(source, routing, &self.subscriptions.entries);
-                broker.set_table(table);
-                bulk_rebuilt += 1;
-                continue;
-            }
-            for &dest in dests {
-                let subs = attached.get(&dest).map(Vec::as_slice).unwrap_or(&[]);
-                patched.absorb(broker.retarget_entries(routing, dest, subs.iter().copied()));
-            }
-        }
-        self.entries_retargeted += patched.total();
-        self.tables_rebuilt_full += bulk_rebuilt;
     }
 }
 
@@ -2703,158 +2539,93 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_policies_agree_and_report_their_counters() {
-        let run = |policy: RebuildPolicy| {
-            let topo = small_topology(26);
-            let mut w = WorkloadConfig::paper_ssd(10.0);
-            w.duration = Duration::from_secs(300);
-            let flaky = DynamicScenario::named("flaky").with_link_failures(LinkFailureConfig {
-                mean_time_between_failures_secs: 15.0,
-                mean_downtime_secs: 15.0,
-            });
-            Simulation::with_scenario(
-                topo,
-                w,
-                SchedulerConfig::paper(StrategyKind::MaxEb),
-                SimRng::seed_from(26),
-                EstimationError::NONE,
-                flaky,
-            )
-            .with_rebuild_policy(policy)
-            .run()
-        };
-        let full = run(RebuildPolicy::Full);
-        let incremental = run(RebuildPolicy::Incremental);
-        // Bit-identical results whichever policy rebuilds the tables.
-        assert_eq!(full.published, incremental.published);
-        assert_eq!(full.transmissions, incremental.transmissions);
-        assert_eq!(full.message_number(), incremental.message_number());
-        assert_eq!(
-            full.tracker.total_on_time(),
-            incremental.tracker.total_on_time()
-        );
-        assert_eq!(
-            full.tracker.total_earning().millis(),
-            incremental.tracker.total_earning().millis()
-        );
-        assert_eq!(full.queued_at_end, incremental.queued_at_end);
-        assert_eq!(full.requeued(), incremental.requeued());
-        // The oracle only ever rebuilds whole tables; the incremental path
-        // does the bulk of its work through in-place retargets and falls
-        // back to bulk rebuilds only for brokers caught in reachability
-        // transitions — always strictly fewer than rebuilding everyone on
-        // every batch.
-        assert!(full.tables_rebuilt_full > 0);
-        assert_eq!(full.entries_retargeted, 0);
-        assert!(incremental.entries_retargeted > 0);
-        assert!(incremental.tables_rebuilt_full < full.tables_rebuilt_full);
-        incremental.check_conservation().unwrap();
-    }
-
-    #[test]
-    fn blackouts_trigger_the_bulk_rebuild_fallback_with_identical_results() {
-        // A blackout flips every broker's routes towards (almost) every
-        // destination at once — the mass-transition case the incremental
-        // path hands to the bulk table builder instead of patching entry by
-        // entry (`O(n²)` in removals at scale). Results must stay
-        // bit-identical to the full-rebuild oracle.
-        let run = |policy: RebuildPolicy| {
-            let blackout = DynamicScenario::named("blackout").with_blackout(BlackoutWindow {
-                start_frac: 0.3,
-                duration_frac: 0.2,
-            });
-            let topo = small_topology(27);
-            let mut w = WorkloadConfig::paper_ssd(10.0);
-            w.duration = Duration::from_secs(300);
-            Simulation::with_scenario(
-                topo,
-                w,
-                SchedulerConfig::paper(StrategyKind::MaxEb),
-                SimRng::seed_from(27),
-                EstimationError::NONE,
-                blackout,
-            )
-            .with_rebuild_policy(policy)
-            .run()
-        };
-        let full = run(RebuildPolicy::Full);
-        let incremental = run(RebuildPolicy::Incremental);
-        assert_eq!(full.published, incremental.published);
-        assert_eq!(full.transmissions, incremental.transmissions);
-        assert_eq!(
-            full.tracker.total_on_time(),
-            incremental.tracker.total_on_time()
-        );
-        assert_eq!(full.queued_at_end, incremental.queued_at_end);
-        assert!(
-            incremental.tables_rebuilt_full > 0,
-            "an every-link outage must route through the bulk fallback"
-        );
-        incremental.check_conservation().unwrap();
-    }
-
-    #[test]
     fn table_layouts_agree_and_report_their_counters() {
-        let run = |layout: TableLayout| {
-            let topo = small_topology(28);
-            let mut w = WorkloadConfig::paper_ssd(10.0);
-            w.duration = Duration::from_secs(300);
-            let registry = ScenarioRegistry::builtin();
-            Simulation::with_scenario(
-                topo,
-                w,
-                SchedulerConfig::paper(StrategyKind::MaxEb),
-                SimRng::seed_from(28),
-                EstimationError::NONE,
-                registry.resolve("chaos").expect("chaos is builtin"),
-            )
-            .with_table_layout(layout)
-            .run()
-        };
-        let dense = run(TableLayout::Dense);
-        let sparse = run(TableLayout::Sparse);
-        // Bit-identical results whichever layout the brokers store.
-        assert_eq!(dense.published, sparse.published);
-        assert_eq!(dense.transmissions, sparse.transmissions);
-        assert_eq!(dense.message_number(), sparse.message_number());
-        assert_eq!(
-            dense.tracker.total_on_time(),
-            sparse.tracker.total_on_time()
-        );
-        assert_eq!(dense.tracker.total_late(), sparse.tracker.total_late());
-        assert_eq!(
-            dense.tracker.total_earning().millis(),
-            sparse.tracker.total_earning().millis()
-        );
-        assert_eq!(dense.queued_at_end, sparse.queued_at_end);
-        assert_eq!(dense.requeued(), sparse.requeued());
-        assert_eq!(
-            dense.dropped_unsubscribed(),
-            sparse.dropped_unsubscribed(),
-            "churn bookkeeping must match across layouts"
-        );
-        sparse.check_conservation().unwrap();
-        // Layout observability: only the sparse run stores aggregates and
-        // expands them at edge brokers; its tables are much smaller.
-        assert_eq!(dense.aggregate_entries, 0);
-        assert_eq!(dense.expanded_at_edge(), 0);
-        assert!(sparse.aggregate_entries > 0);
-        assert_eq!(
-            sparse.expanded_at_edge(),
-            sparse.tracker.total_on_time() + sparse.tracker.total_late(),
-            "every sparse local delivery is an edge expansion"
-        );
-        // The factor is modest only because this model is tiny: the
-        // registry's fixed per-member cost (including the QoS envelope
-        // bookkeeping, paid once globally) dominates at this size, while the
-        // dense layout's per-broker replication dominates at scale (173x at
-        // 100k; see README).
-        assert!(
-            sparse.table_bytes_estimate * 3 / 2 <= dense.table_bytes_estimate,
-            "sparse tables must be substantially smaller: {} vs {}",
-            sparse.table_bytes_estimate,
-            dense.table_bytes_estimate
-        );
+        // Chaos drives every table-maintenance path at once; the blackout is
+        // the mass transition — every route towards (almost) every
+        // destination flips at one instant, twice.
+        let chaos = ScenarioRegistry::builtin()
+            .resolve("chaos")
+            .expect("chaos is builtin");
+        let blackout = DynamicScenario::named("blackout").with_blackout(BlackoutWindow {
+            start_frac: 0.3,
+            duration_frac: 0.2,
+        });
+        for (scenario, seed) in [(chaos, 28), (blackout, 27)] {
+            let name = scenario.name.clone();
+            let run = |layout: TableLayout| {
+                let mut w = WorkloadConfig::paper_ssd(10.0);
+                w.duration = Duration::from_secs(300);
+                Simulation::with_scenario(
+                    small_topology(seed),
+                    w,
+                    SchedulerConfig::paper(StrategyKind::MaxEb),
+                    SimRng::seed_from(seed),
+                    EstimationError::NONE,
+                    scenario.clone(),
+                )
+                .with_table_layout(layout)
+                .run()
+            };
+            let dense = run(TableLayout::Dense);
+            let sparse = run(TableLayout::Sparse);
+            // Bit-identical results whichever engine runs.
+            assert_eq!(dense.published, sparse.published, "{name}");
+            assert_eq!(dense.transmissions, sparse.transmissions, "{name}");
+            assert_eq!(dense.message_number(), sparse.message_number(), "{name}");
+            assert_eq!(
+                dense.tracker.total_on_time(),
+                sparse.tracker.total_on_time(),
+                "{name}"
+            );
+            assert_eq!(
+                dense.tracker.total_late(),
+                sparse.tracker.total_late(),
+                "{name}"
+            );
+            assert_eq!(
+                dense.tracker.total_earning().millis(),
+                sparse.tracker.total_earning().millis(),
+                "{name}"
+            );
+            assert_eq!(dense.queued_at_end, sparse.queued_at_end, "{name}");
+            assert_eq!(dense.requeued(), sparse.requeued(), "{name}");
+            assert_eq!(
+                dense.dropped_unsubscribed(),
+                sparse.dropped_unsubscribed(),
+                "{name}: churn bookkeeping must match across layouts"
+            );
+            sparse.check_conservation().unwrap();
+            // The reference only ever rebuilds whole tables and never forms
+            // a route delta; the production engine only ever patches.
+            assert!(dense.tables_rebuilt_full > 0, "{name}");
+            assert_eq!(dense.entries_retargeted, 0, "{name}");
+            assert_eq!(dense.route_trees_recomputed, 0, "{name}");
+            assert_eq!(dense.route_pairs_changed, 0, "{name}");
+            assert!(sparse.entries_retargeted > 0, "{name}");
+            assert_eq!(sparse.tables_rebuilt_full, 0, "{name}");
+            assert!(sparse.route_trees_recomputed > 0, "{name}");
+            assert!(sparse.route_pairs_changed > 0, "{name}");
+            // Layout observability: only the sparse run stores aggregates
+            // and expands them at edge brokers; its tables are much smaller.
+            assert_eq!(dense.aggregate_entries, 0, "{name}");
+            assert_eq!(dense.expanded_at_edge(), 0, "{name}");
+            assert!(sparse.aggregate_entries > 0, "{name}");
+            assert_eq!(
+                sparse.expanded_at_edge(),
+                sparse.tracker.total_on_time() + sparse.tracker.total_late(),
+                "{name}: every sparse local delivery is an edge expansion"
+            );
+            // The factor is modest only because this model is tiny: the
+            // registry's fixed per-member cost (including the QoS envelope
+            // bookkeeping, paid once globally) dominates at this size, while
+            // the dense layout's per-broker replication dominates at scale.
+            assert!(
+                sparse.table_bytes_estimate * 3 / 2 <= dense.table_bytes_estimate,
+                "{name}: sparse tables must be substantially smaller: {} vs {}",
+                sparse.table_bytes_estimate,
+                dense.table_bytes_estimate
+            );
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   sink) and run by both executors;
 //! * [`shard`] — the sharded executor: conservative `PD`-lookahead windows
 //!   over per-shard traffic cores running those same handlers;
-//! * [`sched`] — pluggable event schedulers behind the [`EventQueue`]
-//!   trait: the `O(log n)` binary-heap reference and the `O(1)`-amortised
-//!   calendar queue used by default, popping in bit-identical order;
+//! * [`sched`] — the event scheduler: the `O(1)`-amortised
+//!   [`CalendarQueue`] every engine runs on, behind the [`EventQueue`]
+//!   contract its tests hold it to against a binary-heap reference;
 //! * [`scenario`] — dynamic scenarios (subscription churn, publisher
 //!   bursts, link failures, blackouts) materialised into a deterministic
 //!   event stream, plus the name-based [`ScenarioRegistry`];
@@ -54,12 +54,12 @@ pub use builder::SimulationBuilder;
 pub use engine::InjectedFault;
 pub use engine::{
     ConservationBalance, ConservationViolation, DuplicateDeliveryViolation, ForwardingMode,
-    LinkLoad, PhaseOutcome, RebuildPolicy, SimError, Simulation, SimulationOutcome,
+    LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
 };
 pub use report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
 pub use runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
 pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
-pub use sched::{BinaryHeapQueue, CalendarQueue, EventQueue, EventQueueKind, Scheduled};
+pub use sched::{CalendarQueue, EventQueue, Scheduled};
 pub use shard::{run_sharded, try_run_sharded};
 pub use workload::{
     ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
@@ -70,13 +70,12 @@ pub use workload::{
 pub mod prelude {
     pub use crate::builder::SimulationBuilder;
     pub use crate::engine::{
-        ForwardingMode, LinkLoad, PhaseOutcome, RebuildPolicy, SimError, Simulation,
-        SimulationOutcome,
+        ForwardingMode, LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
     };
     pub use crate::report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
     pub use crate::runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
     pub use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
-    pub use crate::sched::{EventQueue, EventQueueKind};
+    pub use crate::sched::EventQueue;
     pub use crate::workload::{
         ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
         WorkloadConfig,

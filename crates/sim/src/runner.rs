@@ -22,10 +22,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 use crate::builder::SimulationBuilder;
-use crate::engine::{ForwardingMode, RebuildPolicy};
+use crate::engine::ForwardingMode;
 use crate::report::SimulationReport;
 use crate::scenario::DynamicScenario;
-use crate::sched::EventQueueKind;
 use crate::workload::WorkloadConfig;
 
 /// Which overlay topology a run uses.
@@ -71,29 +70,20 @@ pub struct SimulationConfig {
     /// Dynamic scenario applied to the run (static by default; see
     /// [`crate::scenario`]).
     pub scenario: DynamicScenario,
-    /// Which event-scheduler implementation drives the run (calendar queue
-    /// by default; both pop in identical order, see [`crate::sched`]).
-    pub event_queue: EventQueueKind,
-    /// How routing and subscription tables are rebuilt after link events
-    /// (incremental by default; both policies yield bit-identical results,
-    /// see [`RebuildPolicy`]).
-    pub rebuild_policy: RebuildPolicy,
-    /// How brokers materialise their subscription tables (dense replicated
-    /// by default; both layouts yield bit-identical results, see
-    /// [`TableLayout`]).
+    /// Which engine runs: sparse covering-aggregated tables patched
+    /// incrementally after link events (the default, and what the benchmark
+    /// measures) or the dense full-rebuild reference; both yield
+    /// bit-identical results, see [`TableLayout`].
     pub table_layout: TableLayout,
     /// The link transfer-time model (constant delay by default — the
-    /// paper's one-transfer-at-a-time sampled rate). Unlike the two axes
-    /// above this one *changes results*: fair-share runs model congestion.
-    /// Defaults on deserialisation so pre-existing configs keep their
-    /// constant-delay meaning.
+    /// paper's one-transfer-at-a-time sampled rate). Unlike the layout this
+    /// one *changes results*: fair-share runs model congestion.
     #[serde(default)]
     pub link_model: LinkModelKind,
     /// How publish-time matching scopes copies (exact by default — the
     /// `O(population)` global-index freeze). Aggregate forwarding preserves
     /// the delivery set but not traffic, and requires the sparse table
-    /// layout (see [`ForwardingMode`]). Defaults on deserialisation so
-    /// pre-existing configs keep their exact-matching meaning.
+    /// layout (see [`ForwardingMode`]).
     #[serde(default)]
     pub forwarding: ForwardingMode,
     /// How many broker shards advance the event loop (1 = the sequential

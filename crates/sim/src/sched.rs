@@ -1,28 +1,23 @@
-//! Pluggable event schedulers for the discrete-event core.
+//! The event scheduler of the discrete-event core.
 //!
 //! The simulator's pending-event set is the one data structure every single
-//! event passes through. A [`BinaryHeap`] costs `O(log n)` per operation and
+//! event passes through. A binary heap costs `O(log n)` per operation and
 //! its comparison-heavy pops dominate the loop once the horizon holds
-//! hundreds of thousands of events (10⁵-subscriber runs). The classic
-//! alternative is Brown's **calendar queue** (CACM 1988, the scheduler of
-//! most production DES engines): events hash into time-bucketed "days" of a
+//! hundreds of thousands of events (10⁵-subscriber runs), so the engine
+//! runs on Brown's **calendar queue** (CACM 1988, the scheduler of most
+//! production DES engines): events hash into time-bucketed "days" of a
 //! circular "year", giving `O(1)` amortised enqueue/dequeue as long as the
 //! bucket width tracks the event density — which the implementation
 //! maintains by resizing when the population doubles or collapses.
 //!
-//! Both schedulers implement [`EventQueue`] and pop in **exactly** the same
-//! order — ascending `(time, seq)`, the engine's deterministic tie-break —
-//! so a run is bit-for-bit identical whichever is plugged in; the golden
-//! and property suites assert that. [`EventQueueKind`] selects the
-//! implementation through
-//! [`SimulationBuilder::event_queue`](crate::builder::SimulationBuilder::event_queue)
-//! and is carried by [`SimulationConfig`](crate::runner::SimulationConfig).
+//! [`CalendarQueue`] is the only scheduler an engine can be built with: the
+//! traffic core holds it by value, so the hot path dispatches statically.
+//! The [`EventQueue`] trait names its contract — pop in ascending
+//! `(time, seq)` order, the engine's deterministic tie-break — and the
+//! binary heap survives in this module's tests as the reference every
+//! operation of the calendar queue is compared against, step by step.
 
 use bdps_types::time::SimTime;
-use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::fmt;
 
 /// One scheduled event: a payload tagged with its firing time and a `u64`
 /// key (the deterministic tie-break for simultaneous events).
@@ -91,81 +86,6 @@ pub trait EventQueue<T> {
     /// bounded exhaustive search replays every permutation of each frontier.
     /// Callers re-insert unconsumed frontier events with
     /// [`push`](Self::push), preserving their original `seq`.
-    fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<T>>;
-}
-
-// ---------------------------------------------------------------------------
-// Binary heap (the original scheduler, kept as the reference fallback).
-// ---------------------------------------------------------------------------
-
-/// Max-heap wrapper inverting the order so the earliest `(time, seq)` pops
-/// first.
-struct HeapEntry<T>(Scheduled<T>);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
-}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The `O(log n)`-per-operation reference scheduler: a [`BinaryHeap`] keyed
-/// by `(time, seq)`.
-pub struct BinaryHeapQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-}
-
-impl<T> BinaryHeapQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T> Default for BinaryHeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> for BinaryHeapQueue<T> {
-    fn push(&mut self, event: Scheduled<T>) {
-        self.heap.push(HeapEntry(event));
-    }
-
-    fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<Scheduled<T>> {
-        if self.heap.peek()?.0.time > limit {
-            return None;
-        }
-        self.heap.pop().map(|e| e.0)
-    }
-
-    fn peek(&self) -> Option<(SimTime, &T)> {
-        self.heap.peek().map(|e| (e.0.time, &e.0.item))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&Scheduled<T>)) {
-        for e in self.heap.iter() {
-            f(&e.0);
-        }
-    }
-
     fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<T>> {
         let mut frontier = Vec::new();
         let Some((head, _)) = self.peek() else {
@@ -174,16 +94,15 @@ impl<T> EventQueue<T> for BinaryHeapQueue<T> {
         if head > limit {
             return frontier;
         }
+        // In the calendar queue same-instant events hash into the same day
+        // and buckets are kept sorted, so after the first pop locates the
+        // day the rest of the frontier drains from the front of one bucket.
         while let Some(e) = self.pop_if_at_or_before(head) {
             frontier.push(e);
         }
         frontier
     }
 }
-
-// ---------------------------------------------------------------------------
-// Calendar queue.
-// ---------------------------------------------------------------------------
 
 /// Smallest number of buckets (power of two for mask-based indexing).
 const MIN_BUCKETS: usize = 16;
@@ -202,6 +121,7 @@ const INITIAL_WIDTH_MICROS: u64 = 1_000;
 /// resize — doubling or halving the bucket count and re-estimating the width
 /// from the live span — whenever the population outgrows or underflows the
 /// current calendar.
+#[derive(Clone)]
 pub struct CalendarQueue<T> {
     buckets: Vec<Vec<Scheduled<T>>>,
     /// Power of two; `bucket_mask = buckets.len() - 1`.
@@ -417,81 +337,77 @@ impl<T> EventQueue<T> for CalendarQueue<T> {
             }
         }
     }
-
-    fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<T>> {
-        let mut frontier = Vec::new();
-        let Some((head, _)) = self.peek() else {
-            return frontier;
-        };
-        if head > limit {
-            return frontier;
-        }
-        // Same-instant events hash into the same day and buckets are kept
-        // sorted, so after the first pop locates the day the rest of the
-        // frontier drains from the front of one bucket.
-        while let Some(e) = self.pop_if_at_or_before(head) {
-            frontier.push(e);
-        }
-        frontier
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Selection.
-// ---------------------------------------------------------------------------
-
-/// Which scheduler implementation a simulation uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EventQueueKind {
-    /// The original [`BinaryHeapQueue`] (`O(log n)` per operation).
-    BinaryHeap,
-    /// The [`CalendarQueue`] (`O(1)` amortised) — the default.
-    #[default]
-    Calendar,
-}
-
-impl EventQueueKind {
-    /// Every selectable kind, in comparison order for benches.
-    pub const ALL: [EventQueueKind; 2] = [EventQueueKind::BinaryHeap, EventQueueKind::Calendar];
-
-    /// Stable CLI/report name (`"heap"` / `"calendar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventQueueKind::BinaryHeap => "heap",
-            EventQueueKind::Calendar => "calendar",
-        }
-    }
-
-    /// Resolves a CLI name (case-insensitive; `"heap"`, `"binary-heap"`,
-    /// `"calendar"`, `"cq"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binaryheap" => Some(EventQueueKind::BinaryHeap),
-            "calendar" | "calendar-queue" | "cq" => Some(EventQueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// Instantiates an empty scheduler of this kind. The queue is `Send` so
-    /// the sharded executor can hand per-shard queues to worker threads.
-    pub fn create<T: Send + 'static>(self) -> Box<dyn EventQueue<T> + Send> {
-        match self {
-            EventQueueKind::BinaryHeap => Box::new(BinaryHeapQueue::new()),
-            EventQueueKind::Calendar => Box::new(CalendarQueue::new()),
-        }
-    }
-}
-
-impl fmt::Display for EventQueueKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bdps_stats::rng::SimRng;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// Max-heap wrapper inverting the order so the earliest `(time, seq)` pops
+    /// first.
+    struct HeapEntry<T>(Scheduled<T>);
+
+    impl<T> PartialEq for HeapEntry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.0.key() == other.0.key()
+        }
+    }
+    impl<T> Eq for HeapEntry<T> {}
+    impl<T> Ord for HeapEntry<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.0.key().cmp(&self.0.key())
+        }
+    }
+    impl<T> PartialOrd for HeapEntry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The `O(log n)`-per-operation reference scheduler: a [`BinaryHeap`]
+    /// keyed by `(time, seq)`. The engine's original queue, kept here as the
+    /// oracle the calendar queue is compared against operation by operation.
+    struct BinaryHeapQueue<T> {
+        heap: BinaryHeap<HeapEntry<T>>,
+    }
+
+    impl<T> BinaryHeapQueue<T> {
+        fn new() -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+            }
+        }
+    }
+
+    impl<T> EventQueue<T> for BinaryHeapQueue<T> {
+        fn push(&mut self, event: Scheduled<T>) {
+            self.heap.push(HeapEntry(event));
+        }
+
+        fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<Scheduled<T>> {
+            if self.heap.peek()?.0.time > limit {
+                return None;
+            }
+            self.heap.pop().map(|e| e.0)
+        }
+
+        fn peek(&self) -> Option<(SimTime, &T)> {
+            self.heap.peek().map(|e| (e.0.time, &e.0.item))
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn for_each(&self, f: &mut dyn FnMut(&Scheduled<T>)) {
+            for e in self.heap.iter() {
+                f(&e.0);
+            }
+        }
+    }
 
     fn ev(time_us: u64, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -499,6 +415,15 @@ mod tests {
             seq,
             item: seq,
         }
+    }
+
+    /// The reference and the engine's queue, for the tests that hold both to
+    /// the same hand-written expectations.
+    fn both_queues() -> [(&'static str, Box<dyn EventQueue<u64>>); 2] {
+        [
+            ("heap", Box::new(BinaryHeapQueue::new())),
+            ("calendar", Box::new(CalendarQueue::new())),
+        ]
     }
 
     fn drain<T>(q: &mut dyn EventQueue<T>) -> Vec<(SimTime, u64)> {
@@ -509,10 +434,55 @@ mod tests {
         out
     }
 
+    fn keys(events: &[Scheduled<u64>]) -> Vec<(SimTime, u64)> {
+        events.iter().map(Scheduled::key).collect()
+    }
+
+    /// The pending set as a sorted multiset of keys (`for_each` visits in
+    /// unspecified order).
+    fn pending(q: &dyn EventQueue<u64>) -> Vec<(SimTime, u64)> {
+        let mut out = Vec::with_capacity(q.len());
+        q.for_each(&mut |e| out.push(e.key()));
+        out.sort_unstable();
+        out
+    }
+
+    /// The heap and the calendar queue driven through the same operations.
+    struct Pair {
+        heap: BinaryHeapQueue<u64>,
+        calendar: CalendarQueue<u64>,
+        seq: u64,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            Pair {
+                heap: BinaryHeapQueue::new(),
+                calendar: CalendarQueue::new(),
+                seq: 0,
+            }
+        }
+
+        /// Pushes a fresh event at `time_us` on both queues.
+        fn push(&mut self, time_us: u64) {
+            self.seq += 1;
+            self.heap.push(ev(time_us, self.seq));
+            self.calendar.push(ev(time_us, self.seq));
+        }
+
+        /// Pops both queues up to `limit`, requires the same answer and
+        /// returns the popped time.
+        fn pop(&mut self, limit: SimTime, ctx: impl std::fmt::Debug) -> Option<u64> {
+            let a = self.heap.pop_if_at_or_before(limit).map(|e| e.key());
+            let b = self.calendar.pop_if_at_or_before(limit).map(|e| e.key());
+            assert_eq!(a, b, "pop up to {limit:?} disagrees ({ctx:?})");
+            a.map(|(time, _)| time.as_micros())
+        }
+    }
+
     #[test]
-    fn both_kinds_pop_in_time_then_seq_order() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
+    fn both_queues_pop_in_time_then_seq_order() {
+        for (name, mut q) in both_queues() {
             q.push(ev(50, 3));
             q.push(ev(10, 4));
             q.push(ev(50, 1));
@@ -521,7 +491,7 @@ mod tests {
             let order = drain(q.as_mut());
             let mut sorted = order.clone();
             sorted.sort();
-            assert_eq!(order, sorted, "{}", kind.name());
+            assert_eq!(order, sorted, "{name}");
             assert_eq!(order.len(), 5);
             assert_eq!(order[0], (SimTime::ZERO, 5));
         }
@@ -529,14 +499,12 @@ mod tests {
 
     #[test]
     fn pop_respects_the_limit() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
+        for (name, mut q) in both_queues() {
             q.push(ev(100, 1));
             q.push(ev(300, 2));
             assert!(
                 q.pop_if_at_or_before(SimTime::from_micros(50)).is_none(),
-                "{}",
-                kind.name()
+                "{name}"
             );
             assert_eq!(q.len(), 2);
             let first = q.pop_if_at_or_before(SimTime::from_micros(100)).unwrap();
@@ -548,90 +516,213 @@ mod tests {
 
     #[test]
     fn peek_matches_pop_and_never_removes() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
+        for (name, mut q) in both_queues() {
             assert!(q.peek().is_none());
             q.push(ev(70, 1));
             q.push(ev(20, 2));
             let (t, item) = q.peek().expect("non-empty");
             assert_eq!((t, *item), (SimTime::from_micros(20), 2));
             assert_eq!(q.len(), 2);
-            assert_eq!(q.pop().unwrap().seq, 2, "{}", kind.name());
+            assert_eq!(q.pop().unwrap().seq, 2, "{name}");
         }
     }
 
     #[test]
     fn for_each_visits_every_pending_event() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
+        for (name, mut q) in both_queues() {
             for seq in 0..100 {
                 q.push(ev(seq * 37 % 1000, seq));
             }
             let mut seen = 0u64;
             q.for_each(&mut |e| seen += e.item);
-            assert_eq!(seen, (0..100).sum::<u64>(), "{}", kind.name());
+            assert_eq!(seen, (0..100).sum::<u64>(), "{name}");
         }
     }
 
-    /// The headline property: the calendar queue replays the heap's order
-    /// exactly under an interleaved, clustered, monotone-pop workload shaped
-    /// like the simulator's (pushes only at or after the last popped time).
+    /// The headline property, and since the engine can no longer be built on
+    /// the heap the only place it is checked: the calendar queue answers
+    /// **every** operation the engine, the sharded executor and `bdps-mc`
+    /// call exactly like the heap, at every step of an interleaved,
+    /// clustered, monotone workload shaped like the simulator's (pushes only
+    /// at or after the last popped time).
     #[test]
-    fn calendar_and_heap_orders_are_identical() {
-        for seed in 1..=5u64 {
+    fn calendar_matches_the_heap_on_every_operation_the_engine_calls() {
+        // A pop limit around the earliest pending time: one microsecond
+        // short of it (refused) or a little past it (served).
+        fn limit_near_head(q: &Pair, rng: &mut SimRng) -> SimTime {
+            let head = q.heap.peek().map_or(0, |(time, _)| time.as_micros());
+            SimTime::from_micros(if rng.chance(0.5) {
+                head.saturating_sub(1)
+            } else {
+                head + rng.uniform_usize(0, 1_500) as u64
+            })
+        }
+        for seed in 1..=6u64 {
             let mut rng = SimRng::seed_from(seed);
-            let mut heap = BinaryHeapQueue::new();
-            let mut calendar = CalendarQueue::new();
-            let mut seq = 0u64;
+            let mut q = Pair::new();
             let mut now = 0u64;
-            let mut heap_order = Vec::new();
-            let mut calendar_order = Vec::new();
+            let (mut refused, mut frontiers, mut repushed) = (0u32, 0u32, 0u32);
+            let (mut grown, mut shrunk) = (MIN_BUCKETS, false);
             // Far-future batch first (a materialised scenario stream), so
             // later near-term pushes land behind the resize-anchored cursor
             // — the regression the engine's blackout scenario caught.
             for k in 0..50 {
-                seq += 1;
-                let e = ev(120_000_000 + k * 1_000_000, seq);
-                heap.push(e.clone());
-                calendar.push(e);
+                q.push(120_000_000 + k * 1_000_000);
             }
-            for _ in 0..5_000 {
-                let burst = rng.uniform_usize(0, 4);
-                for _ in 0..burst {
-                    seq += 1;
-                    // Clustered offsets: many ties, a few far-future tails.
-                    let offset = match rng.uniform_usize(0, 10) {
-                        0 => 0,
-                        1..=6 => rng.uniform_usize(0, 2_000) as u64,
-                        _ => rng.uniform_usize(0, 2_000_000) as u64,
-                    };
-                    let e = ev(now + offset, seq);
-                    heap.push(e.clone());
-                    calendar.push(e);
-                }
-                if rng.uniform_usize(0, 3) > 0 {
-                    let a = heap.pop();
-                    let b = calendar.pop();
-                    match (a, b) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.key(), b.key(), "seed {seed}");
-                            now = a.time.as_micros();
-                            heap_order.push(a.key());
-                            calendar_order.push(b.key());
+            for step in 0..5_000 {
+                let ctx = (seed, step);
+                // Growth and drain phases alternate, so the calendar resizes
+                // both ways mid-run and not only in the final drain.
+                let growing = step / 1_000 % 2 == 0;
+                grown = grown.max(q.calendar.buckets.len());
+                shrunk |= q.calendar.buckets.len() < grown;
+                match rng.uniform_usize(0, 10) {
+                    // Scheduling: clustered offsets, many ties, a few
+                    // far-future tails.
+                    0..=3 if growing => {
+                        for _ in 0..rng.uniform_usize(1, 4) {
+                            let offset = match rng.uniform_usize(0, 10) {
+                                0 => 0,
+                                1..=6 => rng.uniform_usize(0, 2_000) as u64,
+                                _ => rng.uniform_usize(0, 2_000_000) as u64,
+                            };
+                            q.push(now + offset);
                         }
-                        (a, b) => panic!(
-                            "queues disagree on emptiness: heap={:?} calendar={:?}",
-                            a.map(|e| e.key()),
-                            b.map(|e| e.key())
-                        ),
+                    }
+                    // The run loop's pop (no limit in sight).
+                    0..=5 => now = q.pop(SimTime::MAX, ctx).unwrap_or(now),
+                    // A window's pop: the limit stops just short of the head as
+                    // often as not, and a refusal must leave both queues alone.
+                    6 => match q.pop(limit_near_head(&q, &mut rng), ctx) {
+                        Some(time) => now = time,
+                        None => refused += 1,
+                    },
+                    // The rebuild-coalescing peek and the peak-pending len.
+                    7 => {
+                        let a = q.heap.peek().map(|(t, item)| (t, *item));
+                        let b = q.calendar.peek().map(|(t, item)| (t, *item));
+                        assert_eq!(a, b, "peek ({ctx:?})");
+                        assert_eq!(q.heap.len(), q.calendar.len(), "len ({ctx:?})");
+                        assert_eq!(q.heap.is_empty(), q.calendar.is_empty());
+                    }
+                    // End-of-run accounting and the state digest.
+                    8 => assert_eq!(pending(&q.heap), pending(&q.calendar), "for_each ({ctx:?})"),
+                    // The explorer's branch point: take the same-instant
+                    // frontier, apply some of it, push the rest back under
+                    // their original keys.
+                    _ => {
+                        let limit = match rng.uniform_usize(0, 4) {
+                            0 => limit_near_head(&q, &mut rng),
+                            _ => SimTime::MAX,
+                        };
+                        let a = q.heap.take_frontier(limit);
+                        let b = q.calendar.take_frontier(limit);
+                        assert_eq!(keys(&a), keys(&b), "take_frontier ({ctx:?})");
+                        assert!(a.windows(2).all(|w| w[0].time == w[1].time));
+                        if let Some(first) = a.first() {
+                            now = first.time.as_micros();
+                            frontiers += 1;
+                        }
+                        for (x, y) in a.into_iter().zip(b) {
+                            if rng.chance(0.5) {
+                                q.heap.push(x);
+                                q.calendar.push(y);
+                                repushed += 1;
+                            }
+                        }
                     }
                 }
             }
-            let rest_a = drain(&mut heap);
-            let rest_b = drain(&mut calendar);
-            assert_eq!(rest_a, rest_b, "seed {seed}");
-            assert_eq!(heap_order, calendar_order, "seed {seed}");
+            assert_eq!(pending(&q.heap), pending(&q.calendar), "seed {seed}");
+            assert_eq!(drain(&mut q.heap), drain(&mut q.calendar), "seed {seed}");
+            // Every arm must have done its work, or the equality is vacuous.
+            assert!(
+                refused > 50 && frontiers > 200 && repushed > 100,
+                "seed {seed}: {refused} refusals, {frontiers} frontiers, {repushed} re-pushes"
+            );
+            assert!(
+                grown > MIN_BUCKETS && shrunk,
+                "seed {seed}: the calendar must resize both ways mid-run"
+            );
+        }
+    }
+
+    /// The `calendar-rewidth` regression (found by `bdps-mc`'s model of the
+    /// same name): eight events clustered in the first seconds, one parked
+    /// at 300 s, and a level population — every pop schedules one follow-up
+    /// — so no growth or shrink resize ever refreshes the initial 1 ms
+    /// width. Every pop then misses the year scan, and the eighth
+    /// consecutive miss must re-estimate the width without perturbing the
+    /// pop order.
+    #[test]
+    fn level_population_rewidth_on_sparse_pops_matches_the_heap() {
+        let mut q = Pair::new();
+        for second in 1..=4u64 {
+            q.push(second * 1_000_000);
+            q.push(second * 1_000_000);
+        }
+        q.push(300_000_000);
+        let mut rewidths = 0u32;
+        for step in 0..40u64 {
+            let due_for_rewidth = q.calendar.sparse_pops >= SPARSE_POPS_BEFORE_REWIDTH;
+            let width_before = q.calendar.width;
+            let now = q
+                .pop(SimTime::MAX, step)
+                .expect("the population stays level");
+            if due_for_rewidth {
+                assert_ne!(q.calendar.width, width_before, "step {step}: no re-width");
+                rewidths += 1;
+            }
+            // One follow-up per pop, a hop (0.5–1.5 s) later.
+            q.push(now + 500_000 + (step * 7 % 11) * 100_000);
+            assert_eq!(q.calendar.len(), 9);
+            assert_eq!(q.calendar.buckets.len(), MIN_BUCKETS, "population is level");
+        }
+        assert!(
+            rewidths > 0,
+            "the sequence never reached the sparse-pop re-width it exists to cover"
+        );
+        assert_eq!(drain(&mut q.heap), drain(&mut q.calendar));
+    }
+
+    /// `Simulation::fork` clones the queue as it stands — cursor mid-year,
+    /// buckets resized, sparse-pop count and all. The clone must pop exactly
+    /// what the original pops from there on, under the same later pushes.
+    #[test]
+    fn a_calendar_cloned_mid_sequence_pops_like_its_original() {
+        for seed in 1..=5u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut original = CalendarQueue::new();
+            let mut now = 0u64;
+            let mut seq = 0u64;
+            let mut schedule = |q: &mut CalendarQueue<u64>, now: u64, rng: &mut SimRng| {
+                seq += 1;
+                let e = ev(now + rng.uniform_usize(0, 3_000_000) as u64, seq);
+                q.push(e.clone());
+                e
+            };
+            for _ in 0..200 {
+                schedule(&mut original, now, &mut rng);
+            }
+            for _ in 0..120 {
+                now = original.pop().expect("events pending").time.as_micros();
+                if rng.chance(0.3) {
+                    schedule(&mut original, now, &mut rng);
+                }
+            }
+            let mut fork = original.clone();
+            assert_eq!(pending(&original), pending(&fork), "seed {seed}");
+            for _ in 0..300 {
+                if rng.chance(0.4) {
+                    let e = schedule(&mut original, now, &mut rng);
+                    fork.push(e);
+                } else {
+                    let a = original.pop().map(|e| e.key());
+                    assert_eq!(a, fork.pop().map(|e| e.key()), "seed {seed}");
+                    now = a.map_or(now, |(time, _)| time.as_micros());
+                }
+            }
+            assert_eq!(drain(&mut original), drain(&mut fork), "seed {seed}");
         }
     }
 
@@ -642,31 +733,21 @@ mod tests {
     /// cursor far past the first day must still pop in exact heap order.
     #[test]
     fn t0_enqueues_behind_an_advanced_cursor_match_the_heap() {
-        let mut heap = BinaryHeapQueue::new();
-        let mut calendar = CalendarQueue::new();
-        let mut seq = 0u64;
+        let mut q = Pair::new();
         for k in 0..100u64 {
-            seq += 1;
-            let e = ev(10_000 + k * 1_000, seq);
-            heap.push(e.clone());
-            calendar.push(e);
+            q.push(10_000 + k * 1_000);
         }
         // Drain most of the population so the committed cursor sits many
         // days past t=0 (and shrink resizes re-anchor it along the way).
         for _ in 0..80 {
-            let a = heap.pop().expect("heap has events");
-            let b = calendar.pop().expect("calendar has events");
-            assert_eq!(a.key(), b.key());
+            q.pop(SimTime::MAX, "drain").expect("events pending");
         }
         // Now enqueue at and around t=0 — a day strictly before the
         // cursor's, exactly the pull-back case.
         for t in [0u64, 0, 1, 5, 0, 3] {
-            seq += 1;
-            let e = ev(t, seq);
-            heap.push(e.clone());
-            calendar.push(e);
+            q.push(t);
         }
-        assert_eq!(drain(&mut heap), drain(&mut calendar));
+        assert_eq!(drain(&mut q.heap), drain(&mut q.calendar));
     }
 
     /// The construction-order variant: a sparse far-future stream first
@@ -675,23 +756,15 @@ mod tests {
     /// t=0 enqueues that must surface before everything else.
     #[test]
     fn wide_resize_then_t0_burst_matches_the_heap() {
-        let mut heap = BinaryHeapQueue::new();
-        let mut calendar = CalendarQueue::new();
-        let mut seq = 0u64;
+        let mut q = Pair::new();
         for k in 0..40u64 {
-            seq += 1;
-            let e = ev(3_600_000_000 * (k + 1), seq);
-            heap.push(e.clone());
-            calendar.push(e);
+            q.push(3_600_000_000 * (k + 1));
         }
         for _ in 0..10 {
-            seq += 1;
-            let e = ev(0, seq);
-            heap.push(e.clone());
-            calendar.push(e);
+            q.push(0);
         }
-        let order = drain(&mut calendar);
-        assert_eq!(order, drain(&mut heap));
+        let order = drain(&mut q.calendar);
+        assert_eq!(order, drain(&mut q.heap));
         assert!(
             order[..10].iter().all(|&(t, _)| t == SimTime::ZERO),
             "the t=0 burst must pop first: {order:?}"
@@ -726,8 +799,7 @@ mod tests {
 
     #[test]
     fn take_frontier_returns_all_same_instant_events_in_seq_order() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
+        for (name, mut q) in both_queues() {
             q.push(ev(100, 3));
             q.push(ev(100, 1));
             q.push(ev(200, 2));
@@ -736,47 +808,30 @@ mod tests {
             assert_eq!(
                 frontier.iter().map(|e| e.seq).collect::<Vec<_>>(),
                 vec![1, 3, 4],
-                "{}",
-                kind.name()
+                "{name}"
             );
             assert!(frontier.iter().all(|e| e.time.as_micros() == 100));
-            assert_eq!(q.len(), 1, "{}", kind.name());
+            assert_eq!(q.len(), 1, "{name}");
             // Re-inserting with the original seq restores the pop order.
             for e in frontier {
                 q.push(e);
             }
-            assert_eq!(q.pop().unwrap().seq, 1, "{}", kind.name());
+            assert_eq!(q.pop().unwrap().seq, 1, "{name}");
         }
     }
 
     #[test]
     fn take_frontier_respects_the_limit_and_empty_queue() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
-            assert!(q.take_frontier(SimTime::MAX).is_empty(), "{}", kind.name());
+        for (name, mut q) in both_queues() {
+            assert!(q.take_frontier(SimTime::MAX).is_empty(), "{name}");
             q.push(ev(500, 1));
             assert!(
                 q.take_frontier(SimTime::from_micros(499)).is_empty(),
-                "{}",
-                kind.name()
+                "{name}"
             );
             assert_eq!(q.len(), 1);
             assert_eq!(q.take_frontier(SimTime::from_micros(500)).len(), 1);
-            assert!(q.is_empty(), "{}", kind.name());
+            assert!(q.is_empty(), "{name}");
         }
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in EventQueueKind::ALL {
-            assert_eq!(EventQueueKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(
-            EventQueueKind::from_name("CQ"),
-            Some(EventQueueKind::Calendar)
-        );
-        assert!(EventQueueKind::from_name("bogus").is_none());
-        assert_eq!(EventQueueKind::default(), EventQueueKind::Calendar);
-        assert_eq!(EventQueueKind::Calendar.to_string(), "calendar");
     }
 }

@@ -72,8 +72,8 @@ use bdps_stats::rng::SimRng;
 use bdps_types::time::{Duration, SimTime};
 
 use crate::engine::{EventKind, ForwardingMode, SimError, Simulation, SimulationOutcome};
-use crate::sched::Scheduled;
-use crate::traffic::{Effect, EffectSink, Pending, Shared, TrafficCore};
+use crate::sched::{EventQueue, Scheduled};
+use crate::traffic::{Effect, EffectSink, Shared, TrafficCore};
 
 /// Windows pop up to `W1 − ε` inclusive; one microsecond is the clock's
 /// resolution, so `W1 − ε` is "strictly before `W1`".
@@ -150,8 +150,8 @@ pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationO
     gather(&mut sim, &mut shards, &homes);
     let (mut interns, mut hits) = (0, 0);
     for Shard { core, .. } in &mut shards {
-        while let Some(e) = core.events.queue.pop() {
-            sim.core.events.queue.push(e);
+        while let Some(e) = core.events.pop() {
+            sim.core.events.push(e);
         }
         sim.core.events_processed += core.events_processed;
         sim.core.peak_pending = sim.core.peak_pending.max(core.peak_pending);
@@ -160,7 +160,7 @@ pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationO
         hits += core.scope_interner.hits();
     }
     for e in scenario_q {
-        sim.core.events.queue.push(e);
+        sim.core.events.push(e);
     }
     // Every shard interned into its own pool; the outcome reports the
     // traffic they served together (a partition-dependent value — a scope
@@ -224,7 +224,7 @@ struct Shard {
 
 impl Shard {
     fn peek_time(&self) -> Option<SimTime> {
-        self.core.events.queue.peek().map(|(t, _)| t)
+        self.core.events.peek().map(|(t, _)| t)
     }
 }
 
@@ -260,7 +260,6 @@ fn init_shards(
     let mut shards: Vec<Shard> = (0..n)
         .map(|s| Shard {
             core: TrafficCore::new(
-                Pending::new(sim.core.events.kind),
                 idle(sim.core.publisher_rng.len()),
                 idle(sim.core.link_rng.len()),
                 // n ≤ brokers, so every shard's block is non-empty.
@@ -271,7 +270,7 @@ fn init_shards(
         .collect();
     scatter(sim, &mut shards, homes);
     let mut scenario_q = Vec::new();
-    while let Some(e) = sim.core.events.queue.pop() {
+    while let Some(e) = sim.core.events.pop() {
         if matches!(e.item, EventKind::Scenario { .. }) {
             scenario_q.push(e);
         } else {
@@ -337,23 +336,23 @@ fn apply_scenario_instant(
 ) -> Result<(), SimError> {
     gather(sim, shards, homes);
     while let Some(e) = scenario_q.next_if(|e| e.time == t) {
-        sim.core.events.queue.push(e);
+        sim.core.events.push(e);
     }
     loop {
         let next_is_scenario = matches!(
-            sim.core.events.queue.peek(),
+            sim.core.events.peek(),
             Some((pt, EventKind::Scenario { .. })) if pt == t
         );
         if !next_is_scenario {
             break;
         }
-        let e = sim.core.events.queue.pop().expect("peeked event");
+        let e = sim.core.events.pop().expect("peeked event");
         sim.try_apply(e)?;
     }
     // Whatever the batch scheduled is ordinary traffic owned by some shard;
     // hand it over for the following windows (its times are ≥ t, so the
     // next window cannot have passed it).
-    while let Some(e) = sim.core.events.queue.pop() {
+    while let Some(e) = sim.core.events.pop() {
         shards[homes.of(&e.item)].core.accept(e);
     }
     scatter(sim, shards, homes);
@@ -486,7 +485,7 @@ fn run_era(
 /// including the shard-local follow-ups those events schedule inside the
 /// window — the engine's own handlers, run on this shard's core.
 fn run_window(shard: &mut Shard, shared: &Shared, limit: SimTime) {
-    while let Some(entry) = shard.core.events.queue.pop_if_at_or_before(limit) {
+    while let Some(entry) = shard.core.events.pop_if_at_or_before(limit) {
         shard.log.next = (entry.time, entry.seq, 0);
         shard.core.apply(shared, &mut shard.log, entry);
     }

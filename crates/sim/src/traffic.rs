@@ -34,31 +34,8 @@ use std::sync::Arc;
 #[cfg(feature = "fault-injection")]
 use crate::engine::InjectedFault;
 use crate::engine::{key, EventKind, ForwardingMode, LinkFlow, LinkLoad, PhaseOutcome};
-use crate::sched::{EventQueue, EventQueueKind, Scheduled};
+use crate::sched::{CalendarQueue, EventQueue, Scheduled};
 use crate::workload::WorkloadConfig;
-
-/// A pending-event set that remembers which scheduler it is, so cloning it
-/// (forking a simulation) rebuilds an identical queue and a shard can be
-/// given an empty one of the same kind.
-pub(crate) struct Pending {
-    pub(crate) kind: EventQueueKind,
-    pub(crate) queue: Box<dyn EventQueue<EventKind> + Send>,
-}
-
-impl Pending {
-    pub(crate) fn new(kind: EventQueueKind) -> Self {
-        let queue = kind.create();
-        Pending { kind, queue }
-    }
-}
-
-impl Clone for Pending {
-    fn clone(&self) -> Self {
-        let mut copy = Pending::new(self.kind);
-        self.queue.for_each(&mut |e| copy.queue.push(e.clone()));
-        copy
-    }
-}
 
 /// One update of the order-sensitive [`Totals`], named by a traffic handler
 /// and applied by whichever [`EffectSink`] the executor supplies.
@@ -206,7 +183,7 @@ impl Shared {
 pub(crate) struct TrafficCore {
     pub(crate) brokers: Vec<BrokerState>,
     pub(crate) broker_lo: usize,
-    pub(crate) events: Pending,
+    pub(crate) events: CalendarQueue<EventKind>,
     /// `Process` events for brokers outside `brokers`, awaiting the window
     /// barrier (always empty in the sequential engine).
     pub(crate) outbox: Vec<Scheduled<EventKind>>,
@@ -251,17 +228,12 @@ pub(crate) struct TrafficCore {
 impl TrafficCore {
     /// An idle core for `publishers` publisher slots and `links` links, with
     /// no brokers yet (see `Simulation::build_brokers` / `shard`'s scatter).
-    pub(crate) fn new(
-        events: Pending,
-        publisher_rng: Vec<SimRng>,
-        link_rng: Vec<SimRng>,
-        broker_lo: usize,
-    ) -> Self {
+    pub(crate) fn new(publisher_rng: Vec<SimRng>, link_rng: Vec<SimRng>, broker_lo: usize) -> Self {
         let (publishers, links) = (publisher_rng.len(), link_rng.len());
         TrafficCore {
             brokers: Vec::new(),
             broker_lo,
-            events,
+            events: CalendarQueue::new(),
             outbox: Vec::new(),
             publisher_rng,
             link_rng,
@@ -312,8 +284,8 @@ impl TrafficCore {
 
     /// Takes an already-stamped event into this core's own queue.
     pub(crate) fn accept(&mut self, event: Scheduled<EventKind>) {
-        self.events.queue.push(event);
-        self.peak_pending = self.peak_pending.max(self.events.queue.len());
+        self.events.push(event);
+        self.peak_pending = self.peak_pending.max(self.events.len());
     }
 
     /// Advances the clock to `time` and counts the event.

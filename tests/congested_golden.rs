@@ -12,18 +12,16 @@
 //!
 //! This test pins those counts exactly; the cell is defined here and
 //! nowhere else (layers [4,4,15,31], 32 subscribers per edge, ssd 30/min,
-//! 300 s, EB strategy, calendar queue, incremental rebuilds, sparse
-//! tables, constant links, seed 42). Any change that silently alters
-//! congested aggregate behaviour — envelope folds, stamping, strategy
-//! scoring over stamped copies, shedding — shows up as a loud diff
-//! instead of a quiet drift. When a change is *intended* to shift these
+//! 300 s, EB strategy, sparse tables, constant links, seed 42). Any
+//! change that silently alters congested aggregate behaviour — envelope
+//! folds, stamping, strategy scoring over stamped copies, shedding —
+//! shows up as a loud diff instead of a quiet drift. When a change is *intended* to shift these
 //! numbers, take the new counts from the failing assertion and update
 //! the table in the same commit.
 
 use bdps::overlay::sparse::TableLayout;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
@@ -53,8 +51,6 @@ fn congested_run(forwarding: ForwardingMode) -> SimulationReport {
         .strategy(StrategyKind::MaxEb)
         .scenario_named("churn")
         .expect("churn is builtin")
-        .event_queue(EventQueueKind::Calendar)
-        .rebuild_policy(RebuildPolicy::Incremental)
         .table_layout(TableLayout::Sparse)
         .link_model(LinkModelKind::Constant)
         .forwarding(forwarding)

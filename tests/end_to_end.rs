@@ -318,6 +318,31 @@ fn smaller_mesh_and_best_effort_scenario_work() {
     assert!(report.delivery_rate > 0.9);
 }
 
+/// Tripwire on the knob count: every `SimulationConfig` field, by name, with
+/// no `..` — so a new field does not compile until someone has read this.
+///
+/// The rule (simplicity guide, "Options"): each independent option doubles
+/// the configurations the suites and the benchmark must cover, so a new
+/// field needs two non-test callers that set it to different values *and* a
+/// benchmark workload on each side of the choice. A value the engine can
+/// work out from its inputs, or that only ever takes one value outside the
+/// tests, is a constant, not a field.
+#[test]
+fn simulation_config_has_ten_fields() {
+    let SimulationConfig {
+        topology: _,
+        workload: _,
+        scheduler: _,
+        seed: _,
+        estimation_error: _,
+        scenario: _,
+        table_layout: _,
+        link_model: _,
+        forwarding: _,
+        shards: _,
+    } = Simulation::builder().build_config();
+}
+
 /// The names that follow `flag` in `text` (`--bin dynamics` → `dynamics`);
 /// placeholders such as `--workload <name>` yield nothing.
 fn names_after<'a>(text: &'a str, flag: &'a str) -> impl Iterator<Item = &'a str> {

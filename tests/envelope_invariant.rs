@@ -13,10 +13,8 @@
 //! tiny models cannot reach (long member lists, interleaved joins and
 //! leaves on one edge group, epoch reuse across retargets) would surface.
 
-use bdps::overlay::sparse::TableLayout;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 /// Steps `sim` to quiescence, auditing tables (routing, per-broker table
 /// rebuild equality, aggregate envelopes vs member records) every
@@ -52,8 +50,6 @@ fn congested_aggregate(scenario: &str, seed: u64) -> Simulation {
         .strategy(StrategyKind::MaxEb)
         .scenario_named(scenario)
         .expect("scenario is builtin")
-        .event_queue(EventQueueKind::Calendar)
-        .table_layout(TableLayout::Sparse)
         .forwarding(ForwardingMode::Aggregate)
         .seed(seed)
         .build()

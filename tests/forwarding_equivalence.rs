@@ -9,8 +9,8 @@
 //! per-phase counters may legitimately differ. What must never differ is
 //! the *delivery set*: the exact set of `(message, subscriber)` pairs
 //! delivered, and with it the total earning. This suite holds aggregate
-//! forwarding to that claim across {scenario × scheduler × rebuild policy}
-//! seeds, with the exact mode (both layouts) as the oracle.
+//! forwarding to that claim across scenarios and seeds, with the exact mode
+//! (on both engines) as the oracle.
 //!
 //! The sweep runs on uncongested fixed-rate links so that no copy expires
 //! or is shed as unlikely in either mode — expiry under congestion is
@@ -20,7 +20,6 @@
 
 use bdps::overlay::topology::{LayeredMeshConfig, Topology};
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 use bdps::sim::try_run_sharded;
 
 mod common;
@@ -40,8 +39,6 @@ fn build(
     scenario: &DynamicScenario,
     forwarding: ForwardingMode,
     layout: TableLayout,
-    policy: RebuildPolicy,
-    queue: EventQueueKind,
     seed: u64,
 ) -> Simulation {
     let mut workload = WorkloadConfig::paper_ssd(8.0);
@@ -56,8 +53,6 @@ fn build(
         scenario.clone(),
     )
     .with_table_layout(layout)
-    .with_rebuild_policy(policy)
-    .with_event_queue(queue)
     .with_forwarding(forwarding)
 }
 
@@ -68,10 +63,10 @@ fn audited(sim: Simulation) -> SimulationOutcome {
     outcome
 }
 
-/// The tentpole oracle: for every {scenario × policy × scheduler × seed}
-/// point, aggregate forwarding over the sparse layout delivers exactly the
-/// `(message, subscriber)` pairs — and earns exactly the money — of exact
-/// forwarding over both layouts.
+/// The tentpole oracle: for every {scenario × seed} point, aggregate
+/// forwarding over the sparse layout delivers exactly the `(message,
+/// subscriber)` pairs — and earns exactly the money — of exact forwarding
+/// over both layouts.
 #[test]
 fn aggregate_forwarding_preserves_delivery_set_and_earning() {
     let registry = ScenarioRegistry::builtin();
@@ -81,79 +76,50 @@ fn aggregate_forwarding_preserves_delivery_set_and_earning() {
         ("churn", churn),
     ];
     for (scenario_name, scenario) in &scenarios {
-        for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                for seed in 1..=4u64 {
-                    let exact = audited(build(
-                        scenario,
-                        ForwardingMode::Exact,
-                        TableLayout::Sparse,
-                        policy,
-                        queue,
-                        seed,
-                    ));
-                    let aggregate = audited(build(
-                        scenario,
-                        ForwardingMode::Aggregate,
-                        TableLayout::Sparse,
-                        policy,
-                        queue,
-                        seed,
-                    ));
-                    let dense = audited(build(
-                        scenario,
-                        ForwardingMode::Exact,
-                        TableLayout::Dense,
-                        policy,
-                        queue,
-                        seed,
-                    ));
+        for seed in 1..=4u64 {
+            let run = |forwarding, layout| audited(build(scenario, forwarding, layout, seed));
+            let exact = run(ForwardingMode::Exact, TableLayout::Sparse);
+            let aggregate = run(ForwardingMode::Aggregate, TableLayout::Sparse);
+            let dense = run(ForwardingMode::Exact, TableLayout::Dense);
 
-                    let pairs = delivered_pairs(&exact);
-                    let ctx = format!(
-                        "({scenario_name}, seed {seed}, {} policy, {} queue)",
-                        policy.name(),
-                        queue.name()
-                    );
-                    // Meaningful run: something delivered, nothing expired or
-                    // shed in the oracle — otherwise the equality is vacuous.
-                    assert!(!pairs.is_empty(), "oracle delivered nothing {ctx}");
-                    assert_eq!(exact.dropped_expired(), 0, "oracle congested {ctx}");
-                    assert_eq!(exact.dropped_unlikely(), 0, "oracle shed copies {ctx}");
-                    assert_eq!(exact.tracker.total_late(), 0, "oracle ran late {ctx}");
+            let pairs = delivered_pairs(&exact);
+            let ctx = format!("({scenario_name}, seed {seed})");
+            // Meaningful run: something delivered, nothing expired or
+            // shed in the oracle — otherwise the equality is vacuous.
+            assert!(!pairs.is_empty(), "oracle delivered nothing {ctx}");
+            assert_eq!(exact.dropped_expired(), 0, "oracle congested {ctx}");
+            assert_eq!(exact.dropped_unlikely(), 0, "oracle shed copies {ctx}");
+            assert_eq!(exact.tracker.total_late(), 0, "oracle ran late {ctx}");
 
-                    assert_eq!(
-                        pairs,
-                        delivered_pairs(&aggregate),
-                        "aggregate forwarding changed the delivery set {ctx}"
-                    );
-                    assert_eq!(
-                        pairs,
-                        delivered_pairs(&dense),
-                        "dense oracle disagrees with the sparse oracle {ctx}"
-                    );
-                    assert_eq!(
-                        exact.tracker.total_earning(),
-                        aggregate.tracker.total_earning(),
-                        "aggregate forwarding changed the earning {ctx}"
-                    );
-                    assert_eq!(
-                        aggregate.tracker.total_late(),
-                        0,
-                        "aggregate ran late while the oracle did not {ctx}"
-                    );
-                    // Exact mode never records false-positive traffic.
-                    assert_eq!(exact.false_positive_forwards(), 0);
-                    assert_eq!(exact.false_positive_drops_at_edge(), 0);
-                    // Every false-positive forward ends as an edge drop, so
-                    // the forward count is bounded by the drop count.
-                    assert!(
-                        aggregate.false_positive_forwards()
-                            <= aggregate.false_positive_drops_at_edge(),
-                        "unaccounted false-positive traffic {ctx}"
-                    );
-                }
-            }
+            assert_eq!(
+                pairs,
+                delivered_pairs(&aggregate),
+                "aggregate forwarding changed the delivery set {ctx}"
+            );
+            assert_eq!(
+                pairs,
+                delivered_pairs(&dense),
+                "dense oracle disagrees with the sparse oracle {ctx}"
+            );
+            assert_eq!(
+                exact.tracker.total_earning(),
+                aggregate.tracker.total_earning(),
+                "aggregate forwarding changed the earning {ctx}"
+            );
+            assert_eq!(
+                aggregate.tracker.total_late(),
+                0,
+                "aggregate ran late while the oracle did not {ctx}"
+            );
+            // Exact mode never records false-positive traffic.
+            assert_eq!(exact.false_positive_forwards(), 0);
+            assert_eq!(exact.false_positive_drops_at_edge(), 0);
+            // Every false-positive forward ends as an edge drop, so
+            // the forward count is bounded by the drop count.
+            assert!(
+                aggregate.false_positive_forwards() <= aggregate.false_positive_drops_at_edge(),
+                "unaccounted false-positive traffic {ctx}"
+            );
         }
     }
 }
@@ -171,13 +137,11 @@ fn forwarding_mode_round_trips_through_names_and_config() {
 
     let config = Simulation::builder()
         .forwarding(ForwardingMode::Aggregate)
-        .table_layout(TableLayout::Sparse)
         .build_config();
     assert_eq!(config.forwarding, ForwardingMode::Aggregate);
     let rebuilt = SimulationBuilder::from_config(&config).build_config();
     assert_eq!(rebuilt, config);
-    // The default stays exact (the oracle); configs predating the field
-    // deserialise to it via `#[serde(default)]`.
+    // The default stays exact (the oracle).
     assert_eq!(
         Simulation::builder().build_config().forwarding,
         ForwardingMode::Exact
@@ -190,8 +154,6 @@ fn aggregate_forwarding_rejects_the_dense_layout() {
         &DynamicScenario::static_scenario(),
         ForwardingMode::Aggregate,
         TableLayout::Dense,
-        RebuildPolicy::Full,
-        EventQueueKind::Calendar,
         1,
     );
     match sim.try_run() {
@@ -205,8 +167,6 @@ fn aggregate_forwarding_rejects_the_dense_layout() {
         &DynamicScenario::static_scenario(),
         ForwardingMode::Aggregate,
         TableLayout::Dense,
-        RebuildPolicy::Full,
-        EventQueueKind::Calendar,
         1,
     );
     let hard_stop = stepped.hard_stop();
@@ -223,8 +183,6 @@ fn aggregate_forwarding_rejects_sharded_execution() {
         &DynamicScenario::static_scenario(),
         ForwardingMode::Aggregate,
         TableLayout::Sparse,
-        RebuildPolicy::Full,
-        EventQueueKind::Calendar,
         1,
     );
     match try_run_sharded(sim, 2) {

@@ -224,47 +224,35 @@ fn link_flap_golden_table() -> Vec<(StrategyKind, LinkFlapGolden)> {
 #[test]
 fn seed_42_link_flap_metrics_are_pinned_under_both_rebuild_policies_schedulers_and_layouts() {
     // A link-failure scenario drives the routing/table rebuild machinery;
-    // the pinned metrics must be reproduced by every rebuild policy × event
-    // scheduler × table layout combination — the full rebuild is the oracle
-    // the incremental path must match bit-for-bit, neither scheduler may
-    // reorder the same-instant link batches it coalesces over, and the
-    // sparse covering-aggregated tables must resolve every arrival exactly
-    // like the dense replicated oracle.
-    use bdps::sim::sched::EventQueueKind;
-    use bdps::sim::{RebuildPolicy, TableLayout};
+    // the pinned metrics must be reproduced by both engines — the dense
+    // reference rebuilds routing and every table from scratch, the sparse
+    // production engine patches incrementally and must resolve every
+    // arrival exactly like the replicated tables.
+    use bdps::sim::TableLayout;
     for (strategy, expected) in link_flap_golden_table() {
-        for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                for layout in TableLayout::ALL {
-                    let report = Simulation::builder()
-                        .layered_mesh(LayeredMeshConfig::small())
-                        .ssd(20.0)
-                        .duration(Duration::from_secs(300))
-                        .strategy(strategy)
-                        .scenario_named("link-flap")
-                        .expect("link-flap is a builtin scenario")
-                        .rebuild_policy(policy)
-                        .event_queue(queue)
-                        .table_layout(layout)
-                        .seed(42)
-                        .report();
-                    assert_eq!(report.dynamics, "link-flap");
-                    let observed = LinkFlapGolden {
-                        golden: observed(&report),
-                        requeued: report.requeued,
-                    };
-                    assert_eq!(
-                        observed,
-                        expected,
-                        "{} under {} rebuild / {} scheduler / {} layout drifted from the \
-                         link-flap goldens",
-                        strategy.label(),
-                        policy.name(),
-                        queue.name(),
-                        layout.name()
-                    );
-                }
-            }
+        for layout in TableLayout::ALL {
+            let report = Simulation::builder()
+                .layered_mesh(LayeredMeshConfig::small())
+                .ssd(20.0)
+                .duration(Duration::from_secs(300))
+                .strategy(strategy)
+                .scenario_named("link-flap")
+                .expect("link-flap is a builtin scenario")
+                .table_layout(layout)
+                .seed(42)
+                .report();
+            assert_eq!(report.dynamics, "link-flap");
+            let observed = LinkFlapGolden {
+                golden: observed(&report),
+                requeued: report.requeued,
+            };
+            assert_eq!(
+                observed,
+                expected,
+                "{} under the {} layout drifted from the link-flap goldens",
+                strategy.label(),
+                layout.name()
+            );
         }
     }
 }
@@ -353,33 +341,6 @@ fn seed_42_chaos_metrics_are_pinned_under_both_table_layouts() {
                 "{} under the {} layout drifted from the chaos goldens",
                 strategy.label(),
                 layout.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn seed_42_reports_are_bit_identical_under_both_event_schedulers() {
-    // The calendar queue and the binary heap must pop in exactly the same
-    // (time, seq) order, so the whole golden table — not just aggregate
-    // counters — is reproduced whichever scheduler drives the run.
-    use bdps::sim::sched::EventQueueKind;
-    for (strategy, expected) in golden_table() {
-        for queue in EventQueueKind::ALL {
-            let report = Simulation::builder()
-                .layered_mesh(LayeredMeshConfig::small())
-                .ssd(20.0)
-                .duration(Duration::from_secs(300))
-                .strategy(strategy)
-                .seed(42)
-                .event_queue(queue)
-                .report();
-            assert_eq!(
-                observed(&report),
-                expected,
-                "{} under the {} scheduler drifted from the golden table",
-                strategy.label(),
-                queue.name()
             );
         }
     }

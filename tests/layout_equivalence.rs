@@ -1,38 +1,34 @@
-//! Differential-oracle suite for the sparse covering-aggregated table
-//! layout.
+//! Differential-oracle suite: the production engine against the reference
+//! engine, whole report by whole report.
 //!
-//! Brokers materialise their subscription tables under one of two
-//! [`TableLayout`]s: `Dense` (one replicated entry per subscription on every
-//! broker — the original implementation, kept as the reference) and `Sparse`
-//! (full entries only for locally attached subscribers, one covering
-//! aggregate per remote destination, subscription metadata in a shared
-//! registry). The two are claimed to be **bit-identical**; this suite holds
-//! the sparse layout to that claim the same way `tests/rebuild_equivalence.rs`
-//! holds the incremental rebuild to the full-rebuild oracle: run the same
-//! seeds through the most adversarial dynamic scenarios under both layouts
-//! and require the *entire* [`SimulationReport`] — per-phase breakdowns
-//! included — to be equal.
+//! [`TableLayout`] selects one of two engines. `Dense` is the reference: one
+//! replicated entry per subscription on every broker, and after every
+//! coalesced link batch routing is recomputed from scratch and every table
+//! rebuilt from the full population — the original implementation, with
+//! nothing incremental to get wrong. `Sparse` is the production engine, the
+//! one the benchmark measures: full entries only for locally attached
+//! subscribers, one covering aggregate per remote destination, subscription
+//! metadata in a shared registry, and link batches applied as a route delta
+//! plus one aggregate patch per changed `(broker, destination)` pair. The
+//! two are claimed to be **bit-identical**; this suite holds the production
+//! engine to that claim by running the same seeds through the most
+//! adversarial dynamic scenarios on both and requiring the *entire*
+//! [`SimulationReport`] — per-phase breakdowns included — to be equal.
+//! (`tests/rebuild_equivalence.rs` audits the production engine's tables
+//! state by state on the same scenarios and seeds.)
 //!
-//! The layout axis is crossed with the two existing differential axes —
-//! rebuild policy and event scheduler — because the sparse layout rewrites
-//! exactly the paths those axes exercise: link events patch aggregates
-//! instead of per-subscription entries, and churn updates the shared
-//! registry instead of every broker's table. A drift that only shows up
-//! under (sparse × incremental × calendar) must still fail loudly here.
+//! The hand-built "flap storm" scenario is the adversarial case the random
+//! processes do not reach: hundreds of link events stacked on the *same
+//! instant* (exercising the engine's rebuild coalescing), nested multi-depth
+//! failures (a link downed twice needs two recoveries), flaps fully
+//! contained between two events, and links left dead at the horizon.
 
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 mod common;
 use common::{delivered_pairs, flap_storm, small_mesh_link_count};
 
-fn report(
-    scenario: &DynamicScenario,
-    layout: TableLayout,
-    policy: RebuildPolicy,
-    queue: EventQueueKind,
-    seed: u64,
-) -> SimulationReport {
+fn report(scenario: &DynamicScenario, layout: TableLayout, seed: u64) -> SimulationReport {
     Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
@@ -40,36 +36,30 @@ fn report(
         .strategy(StrategyKind::MaxEbpc)
         .scenario(scenario.clone())
         .table_layout(layout)
-        .rebuild_policy(policy)
-        .event_queue(queue)
         .seed(seed)
         .report()
 }
 
-/// Runs one scenario over a seed range and asserts dense-vs-sparse report
-/// equality, crossed with both event schedulers and both rebuild policies
-/// (every combination must reproduce the dense report of the same
-/// scheduler × policy cell).
+/// Runs one scenario on both engines, asserts report equality and returns
+/// the common report.
+fn agreed_report(scenario: &DynamicScenario, seed: u64) -> SimulationReport {
+    let dense = report(scenario, TableLayout::Dense, seed);
+    let sparse = report(scenario, TableLayout::Sparse, seed);
+    assert_eq!(
+        dense, sparse,
+        "the sparse engine drifted from the dense reference ({scenario}, seed {seed})"
+    );
+    dense
+}
+
+/// Runs one registry scenario over a seed range on both engines.
 fn assert_layouts_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
     let registry = ScenarioRegistry::builtin();
     let scenario = registry
         .resolve(scenario_name)
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
     for seed in seeds {
-        for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                let dense = report(&scenario, TableLayout::Dense, policy, queue, seed);
-                let sparse = report(&scenario, TableLayout::Sparse, policy, queue, seed);
-                assert_eq!(
-                    dense,
-                    sparse,
-                    "sparse layout drifted from the dense-table oracle \
-                     ({scenario_name}, seed {seed}, {} policy, {} queue)",
-                    policy.name(),
-                    queue.name()
-                );
-            }
-        }
+        agreed_report(&scenario, seed);
     }
 }
 
@@ -103,61 +93,15 @@ fn chaos_reports_are_layout_independent_on_seeds_1_to_10() {
 }
 
 #[test]
-fn chaos_is_layout_policy_and_scheduler_independent() {
-    // The full cross: every layout × rebuild policy × event scheduler
-    // combination must reproduce one reference report.
-    let registry = ScenarioRegistry::builtin();
-    let chaos = registry.resolve("chaos").expect("chaos is builtin");
-    for seed in [4u64, 9] {
-        let reference = report(
-            &chaos,
-            TableLayout::Dense,
-            RebuildPolicy::Full,
-            EventQueueKind::BinaryHeap,
-            seed,
-        );
-        for layout in TableLayout::ALL {
-            for policy in RebuildPolicy::ALL {
-                for queue in EventQueueKind::ALL {
-                    let candidate = report(&chaos, layout, policy, queue, seed);
-                    assert_eq!(
-                        reference,
-                        candidate,
-                        "chaos drifted (seed {seed}, {} layout, {} policy, {} queue)",
-                        layout.name(),
-                        policy.name(),
-                        queue.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn flap_storm_is_layout_independent_across_policies_and_schedulers() {
+    // The small mesh has 68 directed links; the storm's same-instant floods
+    // are where a from-scratch rebuild and an incremental patch are furthest
+    // apart in what they do, and must still end in the same tables.
     let links = small_mesh_link_count();
-    for seed in [3u64, 7] {
-        let storm = flap_storm(seed, links, 240);
-        let reference = report(
-            &storm,
-            TableLayout::Dense,
-            RebuildPolicy::Full,
-            EventQueueKind::BinaryHeap,
-            seed,
-        );
-        for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                let candidate = report(&storm, TableLayout::Sparse, policy, queue, seed);
-                assert_eq!(
-                    reference,
-                    candidate,
-                    "flap storm drifted (seed {seed}, sparse layout, {} policy, {} queue)",
-                    policy.name(),
-                    queue.name()
-                );
-            }
-        }
+    for seed in [3u64, 7, 11] {
+        let reference = agreed_report(&flap_storm(seed, links, 240), seed);
+        // The storm must actually stress the rebuild machinery: link events
+        // void transfers (requeues) in a congested mesh.
         assert!(
             reference.requeued > 0,
             "storm seed {seed} never caught a transfer in flight"
@@ -176,26 +120,6 @@ fn population(seed: u64) -> Vec<(Subscription, BrokerId)> {
         .build()
         .subscriptions()
         .to_vec()
-}
-
-/// Every layout × scheduler cell of one scenario, asserted equal; returns
-/// the common report.
-fn agreed_report(scenario: &DynamicScenario, seed: u64) -> SimulationReport {
-    let cell = |layout, queue| report(scenario, layout, RebuildPolicy::Incremental, queue, seed);
-    let reference = cell(TableLayout::Dense, EventQueueKind::BinaryHeap);
-    for layout in TableLayout::ALL {
-        for queue in EventQueueKind::ALL {
-            assert_eq!(
-                reference,
-                cell(layout, queue),
-                "{} drifted (seed {seed}, {} layout, {} queue)",
-                scenario,
-                layout.name(),
-                queue.name()
-            );
-        }
-    }
-    reference
 }
 
 #[test]
@@ -313,22 +237,19 @@ fn sparse_runs_report_aggregate_counters() {
 #[test]
 fn table_layout_round_trips_through_config_and_registry_names() {
     let config = Simulation::builder()
-        .table_layout(TableLayout::Sparse)
+        .table_layout(TableLayout::Dense)
         .build_config();
-    assert_eq!(config.table_layout, TableLayout::Sparse);
+    assert_eq!(config.table_layout, TableLayout::Dense);
     let rebuilt = SimulationBuilder::from_config(&config).build_config();
     assert_eq!(rebuilt, config);
-    // Default stays dense (the oracle).
+    // The default is the engine the benchmark measures; the reference is
+    // only ever reached by asking for it.
     assert_eq!(
         Simulation::builder().build_config().table_layout,
-        TableLayout::Dense
+        TableLayout::Sparse
     );
     for layout in TableLayout::ALL {
         assert_eq!(TableLayout::from_name(layout.name()), Some(layout));
     }
-    assert_eq!(
-        TableLayout::from_name("covering"),
-        Some(TableLayout::Sparse)
-    );
     assert!(TableLayout::from_name("bogus").is_none());
 }

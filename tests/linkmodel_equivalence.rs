@@ -10,11 +10,11 @@
 //! 1. **The trait path is invisible.** A builder that never mentions link
 //!    models and one that selects `constant` explicitly (by kind, by name,
 //!    and through a [`LinkModelRegistry`]) produce bit-identical
-//!    [`SimulationReport`]s across seeds × adversarial scenarios ×
-//!    schedulers × layouts. (`tests/golden.rs` separately pins the absolute
-//!    numbers, so together these prove the trait dispatch changed nothing.)
+//!    [`SimulationReport`]s across seeds × adversarial scenarios × layouts.
+//!    (`tests/golden.rs` separately pins the absolute numbers, so together
+//!    these prove the trait dispatch changed nothing.)
 //! 2. **Fair sharing is deterministic and conservative.** Reports are
-//!    scheduler- and layout-independent, every delivered copy is accounted
+//!    layout-independent, every delivered copy is accounted
 //!    for, and on a drained run each link's busy time equals the dedicated
 //!    service it handed out (`busy_us ≈ work_done_us`): equal sharing moves
 //!    completion instants around but never creates or destroys service.
@@ -23,7 +23,6 @@
 //!    × multi-shard is a structured [`SimError`], not silent drift.
 
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 use bdps::sim::try_run_sharded;
 
 mod common;
@@ -34,7 +33,7 @@ use common::{flap_storm, small_mesh_link_count};
 /// copies, chaos interleaves both with bursts.
 const SCENARIOS: [&str; 3] = ["churn", "link-flap", "chaos"];
 
-fn builder(scenario_name: &str, queue: EventQueueKind, layout: TableLayout) -> SimulationBuilder {
+fn builder(scenario_name: &str, layout: TableLayout) -> SimulationBuilder {
     Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
@@ -42,7 +41,6 @@ fn builder(scenario_name: &str, queue: EventQueueKind, layout: TableLayout) -> S
         .strategy(StrategyKind::MaxEbpc)
         .scenario_named(scenario_name)
         .unwrap_or_else(|_| panic!("{scenario_name} is a builtin scenario"))
-        .event_queue(queue)
         .table_layout(layout)
 }
 
@@ -55,37 +53,34 @@ fn constant_delay_through_the_trait_is_bit_identical_to_the_default() {
     let registry = LinkModelRegistry::default();
     for scenario in SCENARIOS {
         for seed in 1..=10 {
-            for queue in EventQueueKind::ALL {
-                for layout in TableLayout::ALL {
-                    let implicit = builder(scenario, queue, layout).seed(seed).report();
-                    let typed = builder(scenario, queue, layout)
-                        .link_model(LinkModelKind::Constant)
-                        .seed(seed)
-                        .report();
-                    assert_eq!(
-                        implicit,
-                        typed,
-                        "explicit constant kind drifted from the default \
-                         ({scenario}, seed {seed}, {} queue, {} layout)",
-                        queue.name(),
-                        layout.name()
-                    );
-                    let named = builder(scenario, queue, layout)
-                        .link_model_named("delay")
-                        .expect("`delay` is a builtin alias")
-                        .seed(seed)
-                        .report();
-                    assert_eq!(implicit, named, "name-based selection drifted ({scenario})");
-                    let via_registry = builder(scenario, queue, layout)
-                        .link_model_from(&registry, "CONSTANT")
-                        .expect("registry lookup is case-insensitive")
-                        .seed(seed)
-                        .report();
-                    assert_eq!(
-                        implicit, via_registry,
-                        "registry selection drifted ({scenario})"
-                    );
-                }
+            for layout in TableLayout::ALL {
+                let implicit = builder(scenario, layout).seed(seed).report();
+                let typed = builder(scenario, layout)
+                    .link_model(LinkModelKind::Constant)
+                    .seed(seed)
+                    .report();
+                assert_eq!(
+                    implicit,
+                    typed,
+                    "explicit constant kind drifted from the default \
+                     ({scenario}, seed {seed}, {} layout)",
+                    layout.name()
+                );
+                let named = builder(scenario, layout)
+                    .link_model_named("delay")
+                    .expect("`delay` is a builtin alias")
+                    .seed(seed)
+                    .report();
+                assert_eq!(implicit, named, "name-based selection drifted ({scenario})");
+                let via_registry = builder(scenario, layout)
+                    .link_model_from(&registry, "CONSTANT")
+                    .expect("registry lookup is case-insensitive")
+                    .seed(seed)
+                    .report();
+                assert_eq!(
+                    implicit, via_registry,
+                    "registry selection drifted ({scenario})"
+                );
             }
         }
     }
@@ -96,9 +91,7 @@ fn constant_delay_links_are_exclusive_and_accounted() {
     // The exclusive model's counters are degenerate by construction: never
     // more than one flow in flight, mean concurrency exactly 1 while busy.
     for scenario in SCENARIOS {
-        let report = builder(scenario, EventQueueKind::default(), TableLayout::Dense)
-            .seed(3)
-            .report();
+        let report = builder(scenario, TableLayout::Sparse).seed(3).report();
         assert!(!report.links.is_empty(), "per-link counters are reported");
         for link in &report.links {
             assert!(link.peak_flows <= 1, "exclusive model admits one flow");
@@ -118,29 +111,20 @@ fn constant_delay_links_are_exclusive_and_accounted() {
 fn fair_share_reports_are_scheduler_and_layout_independent() {
     // Flow re-scheduling leans on the engine's stale-event design: a
     // re-scheduled completion leaves the superseded event in the queue as a
-    // no-op. Both schedulers must pop the live ones in the same (time, key)
-    // order, and the sparse layout must not perturb which copies contend.
+    // no-op, and the sparse layout must not perturb which copies contend.
     for scenario in SCENARIOS {
         for seed in [2u64, 5, 8] {
-            let reference = builder(scenario, EventQueueKind::BinaryHeap, TableLayout::Dense)
-                .link_model(LinkModelKind::FairShare)
-                .seed(seed)
-                .report();
-            for queue in EventQueueKind::ALL {
-                for layout in TableLayout::ALL {
-                    let candidate = builder(scenario, queue, layout)
-                        .link_model(LinkModelKind::FairShare)
-                        .seed(seed)
-                        .report();
-                    assert_eq!(
-                        reference,
-                        candidate,
-                        "fair-share drifted ({scenario}, seed {seed}, {} queue, {} layout)",
-                        queue.name(),
-                        layout.name()
-                    );
-                }
-            }
+            let fair = |layout| {
+                builder(scenario, layout)
+                    .link_model(LinkModelKind::FairShare)
+                    .seed(seed)
+                    .report()
+            };
+            assert_eq!(
+                fair(TableLayout::Dense),
+                fair(TableLayout::Sparse),
+                "fair-share drifted between layouts ({scenario}, seed {seed})"
+            );
         }
     }
 }
@@ -154,7 +138,7 @@ fn fair_share_conserves_link_service_on_drained_runs() {
     // quantises each re-scheduled completion instant by — give each
     // transfer a generous 16 µs of slack.
     for scenario in ["static", "churn", "flash-crowd"] {
-        let outcome = builder(scenario, EventQueueKind::default(), TableLayout::Dense)
+        let outcome = builder(scenario, TableLayout::Sparse)
             .link_model(LinkModelKind::FairShare)
             .seed(7)
             .build()
@@ -193,7 +177,7 @@ fn fair_share_saturates_a_link_under_flash_crowd() {
     // report's utilisation and queueing counters. The publishing rate is
     // doubled relative to the differential runs above — the point here is
     // congestion, not equivalence.
-    let report = builder("flash-crowd", EventQueueKind::default(), TableLayout::Dense)
+    let report = builder("flash-crowd", TableLayout::Sparse)
         .ssd(24.0)
         .link_model(LinkModelKind::FairShare)
         .seed(7)
@@ -232,37 +216,23 @@ fn fair_share_under_the_flap_storm_stays_deterministic_and_conservative() {
     let links = small_mesh_link_count();
     for seed in [3u64, 7] {
         let storm = flap_storm(seed, links, 240);
-        let reference = builder("static", EventQueueKind::BinaryHeap, TableLayout::Dense)
-            .scenario(storm.clone())
-            .link_model(LinkModelKind::FairShare)
-            .seed(seed)
-            .report();
+        let fair = |layout| {
+            builder("static", layout)
+                .scenario(storm.clone())
+                .link_model(LinkModelKind::FairShare)
+                .seed(seed)
+        };
+        let reference = fair(TableLayout::Dense).report();
         assert!(
             reference.requeued > 0,
             "storm seed {seed} never caught a flow in flight"
         );
-        for queue in EventQueueKind::ALL {
-            for layout in TableLayout::ALL {
-                let candidate = builder("static", queue, layout)
-                    .scenario(storm.clone())
-                    .link_model(LinkModelKind::FairShare)
-                    .seed(seed)
-                    .report();
-                assert_eq!(
-                    reference,
-                    candidate,
-                    "storm drifted (seed {seed}, {} queue, {} layout)",
-                    queue.name(),
-                    layout.name()
-                );
-            }
-        }
-        let outcome = builder("static", EventQueueKind::BinaryHeap, TableLayout::Dense)
-            .scenario(storm)
-            .link_model(LinkModelKind::FairShare)
-            .seed(seed)
-            .build()
-            .run();
+        assert_eq!(
+            reference,
+            fair(TableLayout::Sparse).report(),
+            "storm drifted between layouts (seed {seed})"
+        );
+        let outcome = fair(TableLayout::Sparse).build().run();
         outcome.check_conservation().unwrap();
         outcome.check_no_duplicates().unwrap();
     }
@@ -274,7 +244,7 @@ fn sharded_execution_rejects_non_constant_models_up_front() {
     // cross-shard arrival inside the PD-lookahead window, so the sharded
     // executor refuses the combination with a structured error instead of
     // silently diverging.
-    let sim = builder("chaos", EventQueueKind::default(), TableLayout::Dense)
+    let sim = builder("chaos", TableLayout::Sparse)
         .link_model(LinkModelKind::FairShare)
         .seed(1)
         .build();
@@ -287,11 +257,9 @@ fn sharded_execution_rejects_non_constant_models_up_front() {
     }
     // The constant model keeps its multi-core path, and a single fair-share
     // shard is just the sequential loop — both stay fine.
-    let constant = builder("chaos", EventQueueKind::default(), TableLayout::Dense)
-        .seed(1)
-        .build();
+    let constant = builder("chaos", TableLayout::Sparse).seed(1).build();
     assert!(try_run_sharded(constant, 4).is_ok());
-    let fair_sequential = builder("chaos", EventQueueKind::default(), TableLayout::Dense)
+    let fair_sequential = builder("chaos", TableLayout::Sparse)
         .link_model(LinkModelKind::FairShare)
         .seed(1)
         .build();
@@ -306,8 +274,7 @@ fn link_model_round_trips_through_config_registry_and_names() {
     assert_eq!(config.link_model, LinkModelKind::FairShare);
     let rebuilt = SimulationBuilder::from_config(&config).build_config();
     assert_eq!(rebuilt, config);
-    // The default stays the oracle, so configs written before the link-model
-    // axis existed keep their original meaning.
+    // The default stays the paper's model.
     assert_eq!(
         Simulation::builder().build_config().link_model,
         LinkModelKind::Constant

@@ -497,7 +497,8 @@ fn scenario_phase_breakdowns_partition_the_run() {
 /// routing is **bit-identical** to a from-scratch
 /// [`Routing::compute_filtered`] over the surviving links, and the reported
 /// delta names exactly the `(source, destination)` pairs whose entry
-/// changed — the table-level oracle behind `RebuildPolicy::Incremental`.
+/// changed — the routing-level oracle behind the production engine's
+/// incremental rebuild.
 #[test]
 fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
     check(0xD317A, 40, |rng| {
@@ -548,95 +549,6 @@ fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
                 }
             }
             assert_eq!(delta.changed_pairs(), expected);
-        }
-    });
-}
-
-/// A subscription table patched through `apply_route_delta` equals a
-/// from-scratch `SubscriptionTable::build` over the new routing: same
-/// membership, and every entry's next hop, link and path statistics agree
-/// with the fresh routing.
-#[test]
-fn patched_tables_agree_with_fresh_routing() {
-    check(0x7AB1E, 25, |rng| {
-        let n = rng.uniform_usize(5, 10);
-        let mut topo_rng = SimRng::seed_from(rng.next_u64());
-        let topo = Topology::random_mesh(n, 3.0, &mut topo_rng, LinkQuality::paper_random);
-        let links = topo.graph.link_count();
-        // A population of subscriptions attached to random brokers.
-        let subs: Vec<(Subscription, BrokerId)> = (0..rng.uniform_usize(5, 25) as u32)
-            .map(|i| {
-                (
-                    Subscription::best_effort(
-                        SubscriptionId::new(i),
-                        SubscriberId::new(i),
-                        Filter::paper_conjunction(
-                            rng.uniform_range(0.0, 10.0),
-                            rng.uniform_range(0.0, 10.0),
-                        ),
-                    ),
-                    BrokerId::new(rng.uniform_usize(0, n) as u32),
-                )
-            })
-            .collect();
-        let mut alive = vec![true; links];
-        let mut routing = Routing::compute(&topo.graph);
-        let mut tables: Vec<SubscriptionTable> = (0..n)
-            .map(|b| SubscriptionTable::build(BrokerId::new(b as u32), &routing, &subs))
-            .collect();
-
-        for _ in 0..rng.uniform_usize(1, 4) {
-            let mut removed = Vec::new();
-            let mut added = Vec::new();
-            let mut touched = std::collections::HashSet::new();
-            for _ in 0..rng.uniform_usize(1, 4) {
-                let link = rng.uniform_usize(0, links);
-                if !touched.insert(link) {
-                    continue;
-                }
-                alive[link] = !alive[link];
-                if alive[link] {
-                    added.push(LinkId::new(link as u32));
-                } else {
-                    removed.push(LinkId::new(link as u32));
-                }
-            }
-            let delta =
-                routing.update_for_link_change(&topo.graph, |l| alive[l.index()], &removed, &added);
-            for (b, table) in tables.iter_mut().enumerate() {
-                let source = BrokerId::new(b as u32);
-                for &dest in delta.changed_dests(source) {
-                    let attached: Vec<Subscription> = subs
-                        .iter()
-                        .filter(|(_, edge)| *edge == dest)
-                        .map(|(s, _)| s.clone())
-                        .collect();
-                    table.retarget_entries(&routing, dest, &attached);
-                }
-                // Oracle: the patched table equals a fresh build.
-                let fresh = SubscriptionTable::build(source, &routing, &subs);
-                assert_eq!(table.len(), fresh.len(), "membership drifted at {source}");
-                for entry in fresh.entries() {
-                    let patched = table
-                        .entry(entry.subscription.id)
-                        .unwrap_or_else(|| panic!("missing entry at {source}"));
-                    assert_eq!(patched.next_hop, entry.next_hop, "next hop at {source}");
-                    assert_eq!(patched.next_link, entry.next_link, "next link at {source}");
-                    assert_eq!(patched.stats, entry.stats, "stats at {source}");
-                    assert_eq!(patched.edge_broker, entry.edge_broker);
-                    // Every patched next hop agrees with the fresh routing.
-                    match routing.route(source, entry.edge_broker) {
-                        Some(route) => {
-                            assert_eq!(patched.next_hop, Some(route.next_hop));
-                            assert_eq!(patched.stats, route.stats);
-                        }
-                        None => assert!(
-                            patched.is_local(),
-                            "unreachable non-local entry survived at {source}"
-                        ),
-                    }
-                }
-            }
         }
     });
 }

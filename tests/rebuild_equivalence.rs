@@ -1,15 +1,23 @@
-//! Differential-oracle suite for the incremental routing/table rebuild.
+//! State-level audit of the production engine's incremental rebuild.
 //!
-//! The engine rebuilds routing and subscription tables after link events
-//! under one of two [`RebuildPolicy`]s: `Full` (recompute everything from
-//! the whole population — the original implementation, kept as the
-//! reference) and `Incremental` (recompute only the affected destination
-//! trees and patch only the entries whose route entry changed). The two are
-//! claimed to be **bit-identical**; this suite holds the incremental path to
-//! that claim the same way the scheduler suite holds the calendar queue to
-//! the binary heap: run the same seeds through the most adversarial
-//! link-dynamics scenarios under both policies and require the *entire*
-//! [`SimulationReport`] — per-phase breakdowns included — to be equal.
+//! After link events the production engine ([`TableLayout::Sparse`])
+//! recomputes only the affected destination trees and patches only the
+//! aggregates whose route entry changed; the reference engine
+//! ([`TableLayout::Dense`]) recomputes and rebuilds everything from
+//! scratch. `tests/layout_equivalence.rs` compares the two report by report.
+//! This suite looks *inside* the production run instead: it steps the
+//! engine through the most adversarial link-dynamics scenarios and, at every
+//! instant that holds a scenario event, calls
+//! [`Simulation::audit_tables`] after every event of the instant — routing
+//! must equal a from-scratch `Routing::compute_filtered`, every broker's
+//! sparse table a from-scratch `SparseTable::build`, every envelope the fold
+//! over its members. A patch that skips one destination fails here at the
+//! instant it happens, not whenever a report first shows it.
+//!
+//! The stepped run must also end in exactly the reference engine's report,
+//! so the stepping harness provably did not perturb the run it audited and
+//! the rebuild policy — from scratch or incremental — stays invisible in
+//! the results.
 //!
 //! The hand-built "flap storm" scenario is the adversarial case the random
 //! processes do not reach: hundreds of link events stacked on the *same
@@ -18,157 +26,127 @@
 //! contained between two events, and links left dead at the horizon.
 
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
+use bdps::sim::engine::EventKind;
 
 mod common;
 use common::{flap_storm, small_mesh_link_count};
 
-fn report(
-    scenario: &DynamicScenario,
-    policy: RebuildPolicy,
-    queue: EventQueueKind,
-    seed: u64,
-) -> SimulationReport {
+fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
     Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
         .duration(Duration::from_secs(240))
         .strategy(StrategyKind::MaxEbpc)
         .scenario(scenario.clone())
-        .rebuild_policy(policy)
-        .event_queue(queue)
         .seed(seed)
-        .report()
 }
 
-/// Runs one scenario over a seed range and asserts full-vs-incremental
-/// report equality (calendar queue — the default scheduler).
-fn assert_policies_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
-    let registry = ScenarioRegistry::builtin();
-    let scenario = registry
+/// Steps the production engine through one run, auditing its routing and
+/// tables against a from-scratch rebuild after every event of every instant
+/// that holds a scenario event, then holds the stepped run's report to the
+/// reference engine's. Returns the outcome.
+fn audited_run(scenario: &DynamicScenario, seed: u64) -> SimulationOutcome {
+    let production = builder(scenario, seed).table_layout(TableLayout::Sparse);
+    let mut sim = production.build();
+    let stop = sim.hard_stop();
+    loop {
+        // Look at the next instant and put it back whole, so the engine's
+        // same-instant rebuild coalescing peeks at the batch it sees in
+        // `run`.
+        let frontier = sim.take_frontier(stop);
+        let Some(now) = frontier.first().map(|e| e.time) else {
+            break;
+        };
+        let has_scenario = frontier
+            .iter()
+            .any(|e| matches!(e.item, EventKind::Scenario { .. }));
+        for event in frontier {
+            sim.push_back(event);
+        }
+        while sim.step_next(now) {
+            if has_scenario {
+                sim.audit_tables().unwrap_or_else(|e| {
+                    panic!("{scenario}, seed {seed}: table audit failed at {now}: {e}")
+                });
+            }
+        }
+    }
+    let outcome = sim.into_outcome();
+    let config = production.build_config();
+    let stepped = SimulationReport::from_outcome(
+        &outcome,
+        &config.scheduler.strategy,
+        config.scheduler.ebpc_weight,
+        config.workload.scenario,
+        &config.scenario.name,
+        &config.workload,
+        config.seed,
+    );
+    let reference = builder(scenario, seed)
+        .table_layout(TableLayout::Dense)
+        .report();
+    assert_eq!(
+        reference, stepped,
+        "the stepped production run drifted from the reference engine ({scenario}, seed {seed})"
+    );
+    outcome
+}
+
+/// Audits one registry scenario over a seed range. The seeds together must
+/// have moved routes (every such move happened at an audited instant), or
+/// the audit is vacuous.
+fn audit_scenario(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
+    let scenario = ScenarioRegistry::builtin()
         .resolve(scenario_name)
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
-    for seed in seeds {
-        let full = report(
-            &scenario,
-            RebuildPolicy::Full,
-            EventQueueKind::Calendar,
-            seed,
-        );
-        let incremental = report(
-            &scenario,
-            RebuildPolicy::Incremental,
-            EventQueueKind::Calendar,
-            seed,
-        );
-        assert_eq!(
-            full, incremental,
-            "incremental rebuild drifted from the full-rebuild oracle \
-             ({scenario_name}, seed {seed})"
-        );
-    }
+    let (trees, pairs) = seeds.fold((0, 0), |(trees, pairs), seed| {
+        let outcome = audited_run(&scenario, seed);
+        (
+            trees + outcome.route_trees_recomputed,
+            pairs + outcome.route_pairs_changed,
+        )
+    });
+    assert!(
+        trees > 0 && pairs > 0,
+        "{scenario_name} never moved a route"
+    );
 }
 
 #[test]
 fn link_flap_reports_are_policy_independent_on_seeds_1_to_10() {
-    assert_policies_agree("link-flap", 1..=10);
+    audit_scenario("link-flap", 1..=10);
 }
 
 #[test]
 fn blackout_reports_are_policy_independent_on_seeds_1_to_10() {
-    assert_policies_agree("blackout", 1..=10);
+    // The mass transition: every aggregate disappears when the mesh goes
+    // dark and must reappear with fresh routed fields on recovery.
+    audit_scenario("blackout", 1..=10);
 }
 
 #[test]
 fn chaos_reports_are_policy_independent_on_seeds_1_to_10() {
-    // Chaos combines churn, bursts and link failures, so the oracle also
+    // Chaos combines churn, bursts and link failures, so the audit also
     // covers subscription joins/leaves interleaved with rebuilds (a join
-    // during an outage must patch in on recovery identically under both
-    // policies).
-    assert_policies_agree("chaos", 1..=10);
+    // during an outage must patch in on recovery).
+    audit_scenario("chaos", 1..=10);
 }
 
 #[test]
 fn flap_storm_is_policy_and_scheduler_independent() {
-    // The small mesh has 68 directed links; the storm spans every policy ×
-    // scheduler combination and every report must come out identical.
+    // The small mesh has 68 directed links.
     let links = small_mesh_link_count();
     for seed in [3u64, 7, 11] {
-        let storm = flap_storm(seed, links, 240);
-        let reference = report(
-            &storm,
-            RebuildPolicy::Full,
-            EventQueueKind::BinaryHeap,
-            seed,
-        );
-        for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                let candidate = report(&storm, policy, queue, seed);
-                assert_eq!(
-                    reference,
-                    candidate,
-                    "flap storm drifted (seed {seed}, {} policy, {} queue)",
-                    policy.name(),
-                    queue.name()
-                );
-            }
-        }
+        let outcome = audited_run(&flap_storm(seed, links, 240), seed);
         // The storm must actually stress the rebuild machinery: link events
-        // void transfers (requeues) in a congested mesh.
+        // void transfers (requeues) in a congested mesh, and move routes.
         assert!(
-            reference.requeued > 0,
+            outcome.requeued() > 0,
             "storm seed {seed} never caught a transfer in flight"
         );
+        assert!(
+            outcome.route_trees_recomputed > 0 && outcome.route_pairs_changed > 0,
+            "storm seed {seed} never moved a route"
+        );
     }
-}
-
-#[test]
-fn route_delta_counters_are_scheduler_independent_and_zero_under_full_rebuild() {
-    let storm = flap_storm(7, small_mesh_link_count(), 240);
-    let outcome = |policy: RebuildPolicy, queue: EventQueueKind| {
-        Simulation::builder()
-            .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-            .ssd(12.0)
-            .duration(Duration::from_secs(240))
-            .strategy(StrategyKind::MaxEbpc)
-            .scenario(storm.clone())
-            .rebuild_policy(policy)
-            .event_queue(queue)
-            .seed(7)
-            .build()
-            .run()
-    };
-    let delta_counters = |o: &SimulationOutcome| (o.route_trees_recomputed, o.route_pairs_changed);
-    let heap = outcome(RebuildPolicy::Incremental, EventQueueKind::BinaryHeap);
-    let calendar = outcome(RebuildPolicy::Incremental, EventQueueKind::Calendar);
-    assert_eq!(delta_counters(&heap), delta_counters(&calendar));
-    let (trees, pairs) = delta_counters(&calendar);
-    assert!(trees > 0 && pairs > 0, "the storm must move routes");
-    // The full rebuild recomputes everything without ever forming a delta.
-    let full = outcome(RebuildPolicy::Full, EventQueueKind::Calendar);
-    assert_eq!(delta_counters(&full), (0, 0));
-    assert_eq!(full.entries_retargeted, 0);
-}
-
-#[test]
-fn rebuild_policy_round_trips_through_config_and_registry_names() {
-    let config = Simulation::builder()
-        .rebuild_policy(RebuildPolicy::Full)
-        .build_config();
-    assert_eq!(config.rebuild_policy, RebuildPolicy::Full);
-    let rebuilt = SimulationBuilder::from_config(&config).build_config();
-    assert_eq!(rebuilt, config);
-    // Default stays incremental.
-    assert_eq!(
-        Simulation::builder().build_config().rebuild_policy,
-        RebuildPolicy::Incremental
-    );
-    for policy in RebuildPolicy::ALL {
-        assert_eq!(RebuildPolicy::from_name(policy.name()), Some(policy));
-    }
-    assert_eq!(
-        RebuildPolicy::from_name("inc"),
-        Some(RebuildPolicy::Incremental)
-    );
-    assert!(RebuildPolicy::from_name("bogus").is_none());
 }

@@ -1,15 +1,12 @@
 //! Scale invariants: the engine at populations far beyond the paper's 160
-//! subscribers, and the equivalence of the two event-scheduler
-//! implementations.
+//! subscribers.
 //!
-//! The heavy 10k-subscriber smoke test runs in release builds only (debug
-//! executions would dominate the suite); the replay-equivalence tests run
-//! everywhere.
+//! The heavy 10k-subscriber suites run in release builds only (debug
+//! executions would dominate the suite).
 
 use bdps::core::config::StrategyKind;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 /// The paper's mesh shape with 625 subscribers per edge broker: 10 000
 /// subscribers on 32 brokers.
@@ -19,16 +16,12 @@ fn mesh_10k() -> LayeredMeshConfig {
     config
 }
 
-fn churn_10k(queue: EventQueueKind, seed: u64) -> SimulationOutcome {
-    churn_10k_layout(queue, seed, TableLayout::Dense)
-}
-
 /// 60 s at 10k subscribers with 1 %/min of the population joining and 1 %/min
 /// leaving (the share the benchmark's `churn1pct` uses). The registry's
 /// `churn` is one join and one leave per minute *system-wide* — at this
 /// duration a Poisson mean of one event each, and none at all on one seed in
 /// seven — so it cannot carry a suite that promises invariants under churn.
-fn churn_10k_sim(queue: EventQueueKind, seed: u64, layout: TableLayout) -> Simulation {
+fn churn_10k_sim(seed: u64, layout: TableLayout) -> Simulation {
     Simulation::builder()
         .layered_mesh(mesh_10k())
         .ssd(6.0)
@@ -38,7 +31,6 @@ fn churn_10k_sim(queue: EventQueueKind, seed: u64, layout: TableLayout) -> Simul
             joins_per_min: 100.0,
             leaves_per_min: 100.0,
         }))
-        .event_queue(queue)
         .table_layout(layout)
         .seed(seed)
         .build()
@@ -48,8 +40,8 @@ fn churn_10k_sim(queue: EventQueueKind, seed: u64, layout: TableLayout) -> Simul
 /// `while step_next`; the builder has already materialised the brokers) so
 /// the final population can be held to a traffic floor: the run must really
 /// have admitted joins and applied leaves.
-fn churn_10k_layout(queue: EventQueueKind, seed: u64, layout: TableLayout) -> SimulationOutcome {
-    let mut sim = churn_10k_sim(queue, seed, layout);
+fn churn_10k_layout(seed: u64, layout: TableLayout) -> SimulationOutcome {
+    let mut sim = churn_10k_sim(seed, layout);
     let limit = sim.hard_stop();
     while sim.step_next(limit) {}
     let population = sim.subscriptions();
@@ -71,7 +63,7 @@ fn churn_10k_layout(queue: EventQueueKind, seed: u64, layout: TableLayout) -> Si
 #[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
 #[test]
 fn ten_thousand_subscriber_churn_keeps_invariants() {
-    let outcome = churn_10k(EventQueueKind::Calendar, 1);
+    let outcome = churn_10k_layout(1, TableLayout::Sparse);
     outcome.check_conservation().expect("copy conservation");
     assert_eq!(outcome.tracker.duplicate_deliveries(), 0);
     assert!(outcome.published > 0);
@@ -90,43 +82,32 @@ fn ten_thousand_subscriber_churn_keeps_invariants() {
     assert!(outcome.scope_interns > 0);
 }
 
-/// The same 10k churn run is bit-identical under both schedulers.
-#[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
-#[test]
-fn ten_thousand_subscriber_run_is_queue_independent() {
-    let heap = churn_10k(EventQueueKind::BinaryHeap, 2);
-    let calendar = churn_10k(EventQueueKind::Calendar, 2);
-    assert_outcomes_identical(&heap, &calendar, "10k churn");
-}
-
-/// Sparse-vs-dense replay equivalence at 10k subscribers across both
-/// schedulers: the sparse covering-aggregated layout must reproduce the
-/// dense oracle's outcome bit-for-bit at a population where the dense table
-/// replicates 320k entries — and do it with a fraction of the table memory.
+/// Sparse-vs-dense replay equivalence at 10k subscribers: the production
+/// engine must reproduce the dense reference's outcome bit-for-bit at a
+/// population where the dense table replicates 320k entries — and do it
+/// with a fraction of the table memory.
 #[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
 #[test]
 fn ten_thousand_subscriber_sparse_layout_replays_the_dense_oracle() {
-    for queue in EventQueueKind::ALL {
-        let dense = churn_10k_layout(queue, 3, TableLayout::Dense);
-        let sparse = churn_10k_layout(queue, 3, TableLayout::Sparse);
-        assert_outcomes_identical(&dense, &sparse, &format!("10k churn ({queue:?})"));
-        assert_eq!(
-            dense.tracker.total_interested(),
-            sparse.tracker.total_interested()
-        );
-        assert!(sparse.aggregate_entries > 0);
-        assert_eq!(
-            sparse.expanded_at_edge(),
-            sparse.tracker.total_on_time() + sparse.tracker.total_late()
-        );
-        assert!(
-            sparse.table_bytes_estimate * 5 <= dense.table_bytes_estimate,
-            "sparse tables must be ≥5x smaller at 10k: {} vs {} bytes",
-            sparse.table_bytes_estimate,
-            dense.table_bytes_estimate
-        );
-        sparse.check_conservation().expect("copy conservation");
-    }
+    let dense = churn_10k_layout(3, TableLayout::Dense);
+    let sparse = churn_10k_layout(3, TableLayout::Sparse);
+    assert_outcomes_identical(&dense, &sparse, "10k churn");
+    assert_eq!(
+        dense.tracker.total_interested(),
+        sparse.tracker.total_interested()
+    );
+    assert!(sparse.aggregate_entries > 0);
+    assert_eq!(
+        sparse.expanded_at_edge(),
+        sparse.tracker.total_on_time() + sparse.tracker.total_late()
+    );
+    assert!(
+        sparse.table_bytes_estimate * 5 <= dense.table_bytes_estimate,
+        "sparse tables must be ≥5x smaller at 10k: {} vs {} bytes",
+        sparse.table_bytes_estimate,
+        dense.table_bytes_estimate
+    );
+    sparse.check_conservation().expect("copy conservation");
 }
 
 /// The sharded executor at 10k subscribers: an 8-shard run must match the
@@ -136,11 +117,8 @@ fn ten_thousand_subscriber_sparse_layout_replays_the_dense_oracle() {
 #[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
 #[test]
 fn ten_thousand_subscriber_sharded_run_matches_sequential() {
-    let sequential = churn_10k_layout(EventQueueKind::Calendar, 4, TableLayout::Sparse);
-    let sharded = bdps::sim::run_sharded(
-        churn_10k_sim(EventQueueKind::Calendar, 4, TableLayout::Sparse),
-        8,
-    );
+    let sequential = churn_10k_layout(4, TableLayout::Sparse);
+    let sharded = bdps::sim::run_sharded(churn_10k_sim(4, TableLayout::Sparse), 8);
     assert_outcomes_identical(&sequential, &sharded, "10k churn sharded");
     sharded.check_conservation().expect("copy conservation");
     assert_eq!(sharded.tracker.duplicate_deliveries(), 0);
@@ -226,47 +204,6 @@ fn assert_outcomes_identical(a: &SimulationOutcome, b: &SimulationOutcome, label
             "{label}: phase transmissions"
         );
     }
-}
-
-/// Replay equivalence on seeds 1–5: the calendar queue must reproduce the
-/// heap's results bit-for-bit through the most adversarial scenario (chaos:
-/// churn + bursts + link failures, i.e. every event kind and same-instant
-/// event floods).
-#[test]
-fn heap_and_calendar_replay_identically_on_seeds_1_to_5() {
-    for seed in 1..=5u64 {
-        let run = |queue: EventQueueKind| {
-            Simulation::builder()
-                .layered_mesh(LayeredMeshConfig::small())
-                .ssd(12.0)
-                .duration(Duration::from_secs(180))
-                .strategy(StrategyKind::MaxEbpc)
-                .scenario_named("chaos")
-                .expect("chaos is a builtin scenario")
-                .event_queue(queue)
-                .seed(seed)
-                .build()
-                .run()
-        };
-        let heap = run(EventQueueKind::BinaryHeap);
-        let calendar = run(EventQueueKind::Calendar);
-        assert_outcomes_identical(&heap, &calendar, &format!("chaos seed {seed}"));
-    }
-}
-
-/// The queue kind threads through the config layer and round-trips.
-#[test]
-fn event_queue_choice_round_trips_through_config() {
-    let config = Simulation::builder()
-        .layered_mesh(LayeredMeshConfig::small())
-        .event_queue(EventQueueKind::BinaryHeap)
-        .build_config();
-    assert_eq!(config.event_queue, EventQueueKind::BinaryHeap);
-    let rebuilt = SimulationBuilder::from_config(&config).build_config();
-    assert_eq!(rebuilt, config);
-    // Default stays the calendar queue.
-    let default_config = Simulation::builder().build_config();
-    assert_eq!(default_config.event_queue, EventQueueKind::Calendar);
 }
 
 /// The scheduler-load counters of an outcome are populated and coherent.

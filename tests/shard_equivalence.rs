@@ -2,91 +2,55 @@
 //!
 //! The conservative time-window executor (`bdps::sim::shard`) partitions the
 //! brokers into N shards advanced by worker threads; the single-threaded
-//! loop is retained as the reference, exactly like `RebuildPolicy::Full` and
-//! `TableLayout::Dense` before it. The claim this suite enforces: for any
+//! loop is retained as the reference, exactly like `TableLayout::Dense`
+//! before it. The claim this suite enforces: for any
 //! seed × scenario × strategy, an N-shard run produces a **bit-identical**
 //! [`SimulationReport`] to the 1-shard run — per-phase breakdowns, earning
 //! sums and delay summaries included, which pins the executor's effect-log
 //! replay to the sequential floating-point accumulation order.
 //!
-//! The shard axis is crossed with the existing differential axes (event
-//! scheduler, table layout) because the sharded path leans on exactly what
-//! they vary: per-shard calendar/heap queues must pop in the same
-//! `(time, key)` order, and the sparse layout's shared population registry
-//! is read concurrently by shard workers mid-window.
+//! The shard axis is crossed with the table layout because the sharded path
+//! leans on exactly what it varies: scenario barriers run the engine's own
+//! rebuild (from scratch on the reference, incremental in production), and
+//! the sparse layout's shared population registry is read concurrently by
+//! shard workers mid-window.
 
 use bdps::core::config::StrategyKind;
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 /// Shard counts the suite holds to the sequential oracle. 1 is the oracle
 /// itself (and exercises the builder's fallback path); 8 exceeds the small
 /// mesh's per-layer broker counts, so some shards own a single broker.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-#[allow(clippy::too_many_arguments)]
-fn report(
-    scenario_name: &str,
-    shards: usize,
-    layout: TableLayout,
-    queue: EventQueueKind,
-    policy: RebuildPolicy,
-    strategy: StrategyKind,
-    seed: u64,
-) -> SimulationReport {
+fn report(scenario_name: &str, shards: usize, layout: TableLayout, seed: u64) -> SimulationReport {
     Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
         .duration(Duration::from_secs(240))
-        .strategy(strategy)
+        .strategy(StrategyKind::MaxEbpc)
         .scenario_named(scenario_name)
         .unwrap_or_else(|_| panic!("{scenario_name} is a builtin scenario"))
         .table_layout(layout)
-        .event_queue(queue)
-        .rebuild_policy(policy)
         .shards(shards)
         .seed(seed)
         .report()
 }
 
 /// Runs one scenario over a seed range and asserts that every shard count
-/// reproduces the sequential report bit-for-bit, crossed with the full
-/// {event scheduler × rebuild policy × table layout} cell cross-product.
+/// reproduces the sequential report bit-for-bit, on both engines.
 fn assert_shards_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
     for seed in seeds {
-        for queue in EventQueueKind::ALL {
-            for policy in RebuildPolicy::ALL {
-                for layout in TableLayout::ALL {
-                    let oracle = report(
-                        scenario_name,
-                        1,
-                        layout,
-                        queue,
-                        policy,
-                        StrategyKind::MaxEbpc,
-                        seed,
-                    );
-                    for shards in SHARD_COUNTS {
-                        let sharded = report(
-                            scenario_name,
-                            shards,
-                            layout,
-                            queue,
-                            policy,
-                            StrategyKind::MaxEbpc,
-                            seed,
-                        );
-                        assert_eq!(
-                            sharded,
-                            oracle,
-                            "{scenario_name} seed {seed}: {shards}-shard run drifted from the \
-                             sequential oracle under the {} scheduler / {} policy / {} layout",
-                            queue.name(),
-                            policy.name(),
-                            layout.name()
-                        );
-                    }
-                }
+        for layout in TableLayout::ALL {
+            let oracle = report(scenario_name, 1, layout, seed);
+            for shards in SHARD_COUNTS {
+                assert_eq!(
+                    report(scenario_name, shards, layout, seed),
+                    oracle,
+                    "{scenario_name} seed {seed}: {shards}-shard run drifted from the \
+                     sequential oracle under the {} layout",
+                    layout.name()
+                );
             }
         }
     }
