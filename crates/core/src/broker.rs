@@ -13,7 +13,7 @@
 //! [`BrokerState::next_to_send`].
 
 use crate::config::SchedulerConfig;
-use crate::queue::{DropReason, DropRecord, MatchedTarget, OutputQueue, QueuedMessage};
+use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage};
 use bdps_filter::scope::ScopeSet;
 use bdps_filter::subscription::Subscription;
 use bdps_overlay::graph::OverlayGraph;
@@ -29,7 +29,7 @@ use bdps_types::message::Message;
 use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A delivery to a subscriber attached to this broker.
@@ -275,8 +275,10 @@ impl BrokerState {
     /// trusts the scope and does *not* re-match: because a live
     /// subscription's filter never changes, presence in this broker's table
     /// is the only remaining condition, which turns arrival processing into
-    /// `O(|scope|)` id lookups — independent of the total population — where
-    /// it used to re-match the full table and then intersect linearly.
+    /// one pass over the scope, independent of the total population: per id
+    /// one registry probe and one append to its next hop's copy; per *run*
+    /// of ids behind one edge broker one aggregate lookup; per `(edge
+    /// broker, QoS bound)` one success class opened.
     pub fn handle_arrival_scoped(
         &mut self,
         message: Arc<Message>,
@@ -285,78 +287,38 @@ impl BrokerState {
     ) -> ArrivalOutcome {
         self.counters.received += 1;
         let mut outcome = ArrivalOutcome::default();
-        let mut local: Vec<ResolvedEntry> = Vec::new();
-        // BTreeMap keeps the neighbour groups in ascending broker order, so
-        // forwarding work is deterministic without a post-hoc sort. The rows
-        // are layout-agnostic [`ResolvedEntry`]s: dense tables copy their
-        // materialised entries, sparse tables assemble them from the local
-        // table, the shared registry and the per-destination aggregate — in
-        // the same order, with the same routed fields, so both layouts feed
-        // the scheduling pipeline identical inputs.
-        let mut remote: BTreeMap<BrokerId, Vec<ResolvedEntry>> = BTreeMap::new();
-        let mut push = |e: ResolvedEntry| match e.next_hop {
-            None => local.push(e),
-            Some(nb) => remote.entry(nb).or_default().push(e),
+        let mut copies = Vec::new();
+        // One pass: each resolved row is delivered or appended to its next
+        // hop's copy as the scope is walked. The rows are layout-agnostic
+        // [`ResolvedEntry`]s — dense tables copy their materialised entries,
+        // sparse tables assemble them from the local table, the shared
+        // registry and the per-destination aggregate, in the same order with
+        // the same routed fields — so both layouts feed the scheduling
+        // pipeline identical inputs.
+        let counters = &mut self.counters;
+        let mut place = |e: ResolvedEntry| match e.next_hop {
+            None => deliver_local(counters, &mut outcome.local, &message, now, &e),
+            Some(neighbor) => {
+                let copy = copy_towards(&mut copies, neighbor, &message, now);
+                let bound = effective_allowed_delay(&message, e.allowed_delay);
+                let class = copy.class_for(e.stats, bound);
+                copy.push_target(e.subscription, e.subscriber, e.price, class);
+            }
         };
         match scope {
-            Some(scope) => self.table.resolve_scope(scope, &mut push),
-            None => {
-                for e in self.table.matching_all(&message.head) {
-                    push(e);
-                }
-            }
+            Some(scope) => self.table.resolve_scope(scope, &mut place),
+            None => self
+                .table
+                .matching_all(&message.head)
+                .into_iter()
+                .for_each(&mut place),
         }
         if self.table.layout() == TableLayout::Sparse {
             // Under the sparse layout a local delivery is an aggregate
             // expansion at the edge broker.
-            self.counters.expanded_at_edge += local.len() as u64;
+            self.counters.expanded_at_edge += outcome.local.len() as u64;
         }
-
-        for entry in local {
-            let allowed_delay = effective_allowed_delay(&message, entry.allowed_delay);
-            let delay = message.elapsed(now);
-            let on_time = delay <= allowed_delay;
-            if on_time {
-                self.counters.delivered_on_time += 1;
-            } else {
-                self.counters.delivered_late += 1;
-            }
-            outcome.local.push(LocalDelivery {
-                subscription: entry.subscription,
-                subscriber: entry.subscriber,
-                price: entry.price,
-                delay,
-                allowed_delay,
-                on_time,
-            });
-        }
-
-        for (neighbor, entries) in remote {
-            let Some(queue) = self.queues.get_mut(&neighbor) else {
-                // Routing pointed at a neighbour we have no link to; this
-                // indicates an inconsistent setup and is simply skipped.
-                continue;
-            };
-            let targets: Vec<MatchedTarget> = entries
-                .iter()
-                .map(|e| MatchedTarget {
-                    subscription: e.subscription,
-                    subscriber: e.subscriber,
-                    price: e.price,
-                    allowed_delay: effective_allowed_delay(&message, e.allowed_delay),
-                    stats: e.stats,
-                })
-                .collect();
-            queue.push(QueuedMessage {
-                message: Arc::clone(&message),
-                targets,
-                enqueue_time: now,
-            });
-            self.queued += 1;
-            self.counters.enqueued += 1;
-            outcome.enqueued_to.push(neighbor);
-        }
-        outcome.enqueued_to.sort_unstable();
+        self.enqueue(copies, &mut outcome);
         outcome
     }
 
@@ -406,11 +368,7 @@ impl BrokerState {
             .table
             .as_sparse()
             .expect("aggregate forwarding requires the sparse layout");
-        let mut local: Vec<ResolvedEntry> = Vec::new();
-        // Like handle_arrival_scoped, the BTreeMap keeps neighbour groups in
-        // ascending broker order; sentinels are monotone in the destination,
-        // so each copy's target list stays ascending too.
-        let mut remote: BTreeMap<BrokerId, Vec<MatchedTarget>> = BTreeMap::new();
+        let mut copies = Vec::new();
         {
             let pop = read_population(table.population());
             for id in scope.iter() {
@@ -419,7 +377,7 @@ impl BrokerState {
                     continue;
                 };
                 if dest == self.id {
-                    let before = local.len();
+                    let before = outcome.local.len();
                     if let Some(group) = pop.group(dest) {
                         for &member in group.ids() {
                             let record = pop.member(member).expect("group member registered");
@@ -429,7 +387,7 @@ impl BrokerState {
                             if !record.subscription.filter.matches(&message.head) {
                                 continue;
                             }
-                            local.push(ResolvedEntry {
+                            let entry = ResolvedEntry {
                                 subscription: member,
                                 subscriber: record.subscription.subscriber,
                                 price: record.subscription.price,
@@ -437,10 +395,12 @@ impl BrokerState {
                                 next_hop: None,
                                 next_link: None,
                                 stats: PathStats::local(),
-                            });
+                            };
+                            let local = &mut outcome.local;
+                            deliver_local(&mut self.counters, local, &message, now, &entry);
                         }
                     }
-                    if local.len() == before {
+                    if outcome.local.len() == before {
                         self.counters.false_positive_drops_at_edge += 1;
                         if via_link {
                             self.counters.false_positive_forwards += 1;
@@ -457,55 +417,45 @@ impl BrokerState {
                     if envelope.is_empty() {
                         continue; // no epoch-visible member: nothing to deliver
                     }
-                    remote.entry(agg.next_hop).or_default().push(MatchedTarget {
-                        subscription: id,
-                        subscriber: SubscriberId::new(dest.raw()),
-                        price: envelope.earning_sum,
-                        allowed_delay: effective_allowed_delay(
-                            &message,
-                            envelope.min_allowed_delay,
-                        ),
-                        stats: agg.stats,
-                    });
+                    // Sentinels are monotone in the destination, so each
+                    // copy's target list stays ascending.
+                    let copy = copy_towards(&mut copies, agg.next_hop, &message, now);
+                    let bound = effective_allowed_delay(&message, envelope.min_allowed_delay);
+                    let class = copy.open_class(agg.stats, bound);
+                    let subscriber = SubscriberId::new(dest.raw());
+                    copy.push_target(id, subscriber, envelope.earning_sum, class);
                 }
             }
         }
-        self.counters.expanded_at_edge += local.len() as u64;
+        self.counters.expanded_at_edge += outcome.local.len() as u64;
+        self.enqueue(copies, &mut outcome);
+        outcome
+    }
 
-        for entry in local {
-            let allowed_delay = effective_allowed_delay(&message, entry.allowed_delay);
-            let delay = message.elapsed(now);
-            let on_time = delay <= allowed_delay;
-            if on_time {
-                self.counters.delivered_on_time += 1;
-            } else {
-                self.counters.delivered_late += 1;
-            }
-            outcome.local.push(LocalDelivery {
-                subscription: entry.subscription,
-                subscriber: entry.subscriber,
-                price: entry.price,
-                delay,
-                allowed_delay,
-                on_time,
-            });
-        }
-
-        for (neighbor, targets) in remote {
+    /// Pushes the copies an arrival built onto their neighbours' queues, in
+    /// ascending neighbour order so forwarding work is deterministic.
+    fn enqueue(
+        &mut self,
+        mut copies: Vec<(BrokerId, QueuedMessage)>,
+        outcome: &mut ArrivalOutcome,
+    ) {
+        copies.sort_unstable_by_key(|(neighbor, _)| *neighbor);
+        for (neighbor, mut copy) in copies {
             let Some(queue) = self.queues.get_mut(&neighbor) else {
+                // Routing pointed at a neighbour we have no link to; this
+                // indicates an inconsistent setup and is simply skipped.
                 continue;
             };
-            queue.push(QueuedMessage {
-                message: Arc::clone(&message),
-                targets,
-                enqueue_time: now,
-            });
+            // A copy waits in queues and in flight for seconds: give back
+            // the slack its vectors grew with.
+            copy.targets.shrink_to_fit();
+            copy.classes.shrink_to_fit();
+            queue.push(copy);
             self.queued += 1;
             self.counters.enqueued += 1;
             outcome.enqueued_to.push(neighbor);
         }
-        outcome.enqueued_to.sort_unstable();
-        outcome
+        debug_assert!(outcome.enqueued_to.windows(2).all(|w| w[0] < w[1]));
     }
 
     /// Chooses the next message to transmit towards `neighbor`, applying the
@@ -650,6 +600,51 @@ impl BrokerState {
             .map(|q| !q.is_empty())
             .unwrap_or(false)
     }
+}
+
+/// The copy an arrival is building towards `neighbor`, opened on first use.
+/// A broker has a handful of neighbours, and id-ordered scopes arrive in
+/// runs of one edge broker — hence of one next hop — so the scan is short.
+fn copy_towards<'a>(
+    copies: &'a mut Vec<(BrokerId, QueuedMessage)>,
+    neighbor: BrokerId,
+    message: &Arc<Message>,
+    now: SimTime,
+) -> &'a mut QueuedMessage {
+    let pos = match copies.iter().rposition(|(nb, _)| *nb == neighbor) {
+        Some(pos) => pos,
+        None => {
+            copies.push((neighbor, QueuedMessage::new(Arc::clone(message), now)));
+            copies.len() - 1
+        }
+    };
+    &mut copies[pos].1
+}
+
+/// Delivers `message` to the locally attached subscription `entry` resolved.
+fn deliver_local(
+    counters: &mut BrokerCounters,
+    local: &mut Vec<LocalDelivery>,
+    message: &Message,
+    now: SimTime,
+    entry: &ResolvedEntry,
+) {
+    let allowed_delay = effective_allowed_delay(message, entry.allowed_delay);
+    let delay = message.elapsed(now);
+    let on_time = delay <= allowed_delay;
+    if on_time {
+        counters.delivered_on_time += 1;
+    } else {
+        counters.delivered_late += 1;
+    }
+    local.push(LocalDelivery {
+        subscription: entry.subscription,
+        subscriber: entry.subscriber,
+        price: entry.price,
+        delay,
+        allowed_delay,
+        on_time,
+    });
 }
 
 /// The effective allowed delay of a (message, subscription) pair: the tighter
@@ -812,8 +807,8 @@ mod tests {
         assert_eq!(outcome.local[0].allowed_delay, Duration::from_secs(5));
         // Remote targets carry the same effective bound.
         let q = b0.queue(BrokerId::new(1)).unwrap();
-        for t in &q.items()[0].targets {
-            assert!(t.allowed_delay <= Duration::from_secs(5));
+        for c in &q.items()[0].classes {
+            assert!(c.allowed_delay <= Duration::from_secs(5));
         }
     }
 
@@ -1039,10 +1034,11 @@ mod tests {
         // Interior targets are stamped from the destination group's QoS
         // envelope: B1 holds only the best-effort S1 (unbounded, unit
         // price); B2 holds S0 (10 s bound, price 3).
+        let copy = &q.items()[0];
         assert_eq!(targets[0].price, Price::unit());
-        assert_eq!(targets[0].allowed_delay, Duration::MAX);
+        assert_eq!(copy.classes[0].allowed_delay, Duration::MAX);
         assert_eq!(targets[1].price, Price::from_units(3));
-        assert_eq!(targets[1].allowed_delay, Duration::from_secs(10));
+        assert_eq!(copy.classes[1].allowed_delay, Duration::from_secs(10));
         assert_eq!(b0.counters.expanded_at_edge, 1);
         assert_eq!(b0.counters.false_positive_drops_at_edge, 0);
 
@@ -1151,6 +1147,98 @@ mod tests {
         assert_eq!(brokers[1].queued_total(), 3);
     }
 
+    /// The cost of an arrival, certified as a count instead of timed: in the
+    /// shape of the benchmark's arrival probe (sparse table, one frozen
+    /// scope, the publisher-side broker) a copy holds one class per
+    /// `(edge broker, QoS bound)` it serves — never one per target — and an
+    /// aggregate-mode copy holds exactly one per pseudo-target.
+    #[test]
+    fn an_arrival_opens_classes_per_edge_and_bound_not_per_target() {
+        use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation, SparseTable};
+        use std::collections::BTreeMap;
+        use std::sync::RwLock;
+        const PER_EDGE: u32 = 256;
+        let mut rng = SimRng::seed_from(21);
+        let topo = Topology::acyclic_tree(4, 2, 0, &mut rng, LinkQuality::paper_random);
+        let routing = Routing::compute(&topo.graph);
+        let root = topo.publishers[0].1;
+        let edges: Vec<BrokerId> = (7..15).map(BrokerId::new).collect(); // the 8 leaves
+                                                                         // Ids run edge by edge, as the topology mints them; bounds cycle
+                                                                         // through three QoS classes within every edge.
+        let subs: Vec<(Subscription, BrokerId)> = (0..PER_EDGE * edges.len() as u32)
+            .map(|id| {
+                let filter = Filter::paper_conjunction(9.0, 9.0);
+                let (sid, sub) = (SubscriptionId::new(id), SubscriberId::new(id));
+                let qos = |secs, units| {
+                    QosClass::new(DelayBound::from_secs(secs), Price::from_units(units))
+                };
+                let subscription = match id % 3 {
+                    0 => Subscription::with_qos(sid, sub, filter, qos(10, 3)),
+                    1 => Subscription::with_qos(sid, sub, filter, qos(30, 2)),
+                    _ => Subscription::best_effort(sid, sub, filter),
+                };
+                (subscription, edges[(id / PER_EDGE) as usize])
+            })
+            .collect();
+        assert!(subs.len() >= 2_000 && edges.len() >= 8);
+        let pop = Arc::new(RwLock::new(SharedPopulation::from_population(&subs)));
+        let epoch = pop.read().unwrap().epoch();
+        let table = SparseTable::build(root, &routing, &pop);
+        let mut edges_via: BTreeMap<BrokerId, usize> = BTreeMap::new();
+        for (_, aggregate) in table.aggregates() {
+            *edges_via.entry(aggregate.next_hop).or_default() += 1;
+        }
+        let config = SchedulerConfig::paper(StrategyKind::MaxEb);
+        let mut broker = BrokerState::from_overlay(&topo.graph, root, table, config);
+        let now = SimTime::from_millis(2);
+
+        let scope = ScopeSet::from_sorted(subs.iter().map(|(s, _)| s.id).collect::<Vec<_>>());
+        let outcome = broker.handle_arrival_scoped(msg(1, 1.0, 1.0, 0), now, Some(&scope));
+        assert_eq!(
+            outcome.enqueued_to,
+            broker.neighbors(),
+            "both subtrees are served"
+        );
+        let (mut classes, mut targets) = (0, 0);
+        for neighbor in broker.neighbors() {
+            let copy = &broker.queue(neighbor).unwrap().items()[0];
+            assert!(
+                copy.classes.len() <= 3 * edges_via[&neighbor],
+                "towards {neighbor}"
+            );
+            assert!(copy
+                .targets
+                .windows(2)
+                .all(|w| w[0].subscription < w[1].subscription));
+            assert!(copy.classes.iter().all(|c| c.live > 0));
+            classes += copy.classes.len();
+            targets += copy.targets.len();
+        }
+        assert_eq!(targets, subs.len());
+        assert!(
+            classes * 10 <= targets,
+            "{classes} classes for {targets} targets"
+        );
+
+        let sentinels = ScopeSet::from_sorted(
+            edges
+                .iter()
+                .map(|e| aggregate_scope_id(*e))
+                .collect::<Vec<_>>(),
+        );
+        broker.handle_arrival_aggregate(msg(2, 1.0, 1.0, 0), now, &sentinels, epoch, false);
+        let mut pseudo_targets = 0;
+        for neighbor in broker.neighbors() {
+            let copy = &broker.queue(neighbor).unwrap().items()[1];
+            assert_eq!(copy.classes.len(), copy.targets.len(), "towards {neighbor}");
+            for (i, t) in copy.targets.iter().enumerate() {
+                assert_eq!((t.class as usize, copy.classes[i].live), (i, 1));
+            }
+            pseudo_targets += copy.targets.len();
+        }
+        assert_eq!(pseudo_targets, edges.len());
+    }
+
     /// A sparse broker processes the same arrivals into the same deliveries
     /// and queue contents as its dense twin — the broker-level seed of the
     /// engine-wide layout differential oracle.
@@ -1204,6 +1292,7 @@ mod tests {
                 assert_eq!(dq.items().len(), sq.items().len());
                 for (di, si) in dq.items().iter().zip(sq.items().iter()) {
                     assert_eq!(di.targets, si.targets, "broker {id} queue to {nb}");
+                    assert_eq!(di.classes, si.classes, "broker {id} queue to {nb}");
                 }
             }
             // Edge expansions are counted only on the sparse side, and only

@@ -10,10 +10,11 @@
 //!   delay `PD` and the average message size used for the `FT` estimate;
 //! * [`metrics`] — the success probability (eq. 5), Expected Benefit
 //!   (eq. 3), delayed Expected Benefit `EB'` (eq. 8), Postponing Cost
-//!   (eq. 9) and EBPC (eq. 10) computations;
-//! * [`queue`] — per-neighbour output queues of [`QueuedMessage`]s with
-//!   strategy-driven selection and expired/unlikely-message purging
-//!   (eq. 11);
+//!   (eq. 9) and EBPC (eq. 10) computations, evaluated once per
+//!   [`SuccessClass`] of a queued copy;
+//! * [`queue`] — per-neighbour output queues of [`QueuedMessage`]s (targets
+//!   grouped into success classes) with strategy-driven selection and
+//!   expired/unlikely-message purging (eq. 11);
 //! * [`strategy`] — the pluggable scheduling surface: the
 //!   [`SchedulingStrategy`] trait (per-item `priority` plus a batch
 //!   `score_all` hot-path hook), the five paper strategies (FIFO, minimum
@@ -43,10 +44,10 @@ pub use broker::{ArrivalOutcome, BrokerCounters, BrokerState, LocalDelivery, Nex
 pub use config::{InvalidDetection, SchedulerConfig, StrategyKind};
 pub use metrics::{
     expected_benefit, expected_benefit_delayed, max_success_probability, postponing_cost,
-    success_probability,
+    success_probability, ClassScratch,
 };
 pub use objective::ObjectiveTracker;
-pub use queue::{DropReason, DropRecord, MatchedTarget, OutputQueue, QueuedMessage};
+pub use queue::{DropReason, DropRecord, MatchedTarget, OutputQueue, QueuedMessage, SuccessClass};
 pub use strategy::{
     Fifo, MaxEb, MaxEbpc, MaxPc, RemainingLifetime, ScheduleContext, SchedulingStrategy,
     StrategyHandle, StrategyRegistry, WeightedComposite,

@@ -11,29 +11,50 @@
 use bdps_types::id::{MessageId, SubscriberId};
 use bdps_types::money::{Earning, Price};
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-message delivery bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct MessageStat {
+    id: MessageId,
     interested: u32,
     delivered_on_time: u32,
     delivered_late: u32,
+    /// Bit `s` is set once subscriber `s` received the message — the audit
+    /// trail behind the no-duplicate-delivery invariant, which dynamic
+    /// scenarios (churn, link failures with requeues) could otherwise
+    /// silently break. Grown on demand to the highest delivered index:
+    /// subscriber ids are minted densely from zero (topology, then churn),
+    /// and every workload generator draws `A_i < U` conjunctions whose mean
+    /// selectivity is ≈ 25 %, so a message reaches far more than the 1/128
+    /// of the id range below which 16-byte `(message, subscriber)` pairs in
+    /// a hash set would be the smaller record.
+    delivered: Vec<u64>,
+}
+
+impl MessageStat {
+    /// The subscribers the message reached, ascending.
+    fn reached(&self) -> impl Iterator<Item = SubscriberId> + '_ {
+        self.delivered.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |bit| word >> bit & 1 != 0)
+                .map(move |bit| SubscriberId::new((w * 64 + bit) as u32))
+        })
+    }
 }
 
 /// Tracks the paper's objective functions over a run.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectiveTracker {
-    messages: HashMap<MessageId, MessageStat>,
-    per_subscriber_valid: HashMap<SubscriberId, u64>,
+    messages: Vec<MessageStat>,
+    /// Message id → position in `messages`.
+    slots: HashMap<MessageId, usize>,
+    /// Position of the message touched last: one arrival's deliveries all
+    /// name the same message, so the map is probed once per batch.
+    last: usize,
     total_earning: Earning,
     delay_sum_ms: f64,
     delay_count: u64,
-    /// Every (message, subscriber) pair seen so far — the audit trail behind
-    /// the no-duplicate-delivery invariant, which dynamic scenarios (churn,
-    /// link failures with requeues) could otherwise silently break.
-    seen_pairs: HashSet<(MessageId, SubscriberId)>,
     duplicate_deliveries: u64,
     /// The first few offending pairs (capped at
     /// [`DUPLICATE_SAMPLE_CAP`]), so violation reports can name the exact
@@ -51,11 +72,28 @@ impl ObjectiveTracker {
         Self::default()
     }
 
+    /// The bookkeeping of one message, created on first mention.
+    fn stat(&mut self, id: MessageId) -> &mut MessageStat {
+        if self.messages.get(self.last).is_none_or(|m| m.id != id) {
+            self.last = *self.slots.entry(id).or_insert_with(|| {
+                self.messages.push(MessageStat {
+                    id,
+                    interested: 0,
+                    delivered_on_time: 0,
+                    delivered_late: 0,
+                    delivered: Vec::new(),
+                });
+                self.messages.len() - 1
+            });
+        }
+        &mut self.messages[self.last]
+    }
+
     /// Registers a published message together with the number of subscribers
     /// interested in it (`ts_i`), evaluated against the global subscription
     /// population at publication time.
     pub fn register_message(&mut self, id: MessageId, interested: u32) {
-        self.messages.entry(id).or_default().interested = interested;
+        self.stat(id).interested = interested;
     }
 
     /// Adds to a message's interested count after registration. Aggregate
@@ -65,7 +103,14 @@ impl ObjectiveTracker {
     /// counts only members whose copies reached their edge — a lower bound
     /// on the exact mode's `ts_i`.
     pub fn add_interested(&mut self, id: MessageId, n: u32) {
-        self.messages.entry(id).or_default().interested += n;
+        self.stat(id).interested += n;
+    }
+
+    /// The per-message records in ascending message id order.
+    fn in_id_order(&self) -> Vec<&MessageStat> {
+        let mut order: Vec<&MessageStat> = self.messages.iter().collect();
+        order.sort_unstable_by_key(|m| m.id);
+        order
     }
 
     /// Every (message, subscriber) pair delivered so far — on time or late —
@@ -73,9 +118,9 @@ impl ObjectiveTracker {
     /// differ in traffic, hops and timing, but must deliver exactly the same
     /// pair set.
     pub fn delivered_pairs(&self) -> Vec<(MessageId, SubscriberId)> {
-        let mut pairs: Vec<(MessageId, SubscriberId)> = self.seen_pairs.iter().copied().collect();
-        pairs.sort_unstable();
-        pairs
+        let order = self.in_id_order();
+        let pairs = order.iter().flat_map(|m| m.reached().map(|s| (m.id, s)));
+        pairs.collect()
     }
 
     /// Records a delivery attempt that reached the subscriber.
@@ -87,48 +132,45 @@ impl ObjectiveTracker {
         delay: Duration,
         on_time: bool,
     ) {
-        if !self.seen_pairs.insert((message, subscriber)) {
-            self.duplicate_deliveries += 1;
-            if self.duplicate_pairs.len() < DUPLICATE_SAMPLE_CAP {
-                self.duplicate_pairs.push((message, subscriber));
-            }
+        let stat = self.stat(message);
+        let (word, bit) = (subscriber.index() / 64, 1u64 << (subscriber.index() % 64));
+        if stat.delivered.len() <= word {
+            stat.delivered.resize(word + 1, 0);
         }
-        let stat = self.messages.entry(message).or_default();
+        let duplicate = stat.delivered[word] & bit != 0;
+        stat.delivered[word] |= bit;
         if on_time {
             stat.delivered_on_time += 1;
-            *self.per_subscriber_valid.entry(subscriber).or_insert(0) += 1;
             self.total_earning.credit(price);
             self.delay_sum_ms += delay.as_millis_f64();
             self.delay_count += 1;
         } else {
             stat.delivered_late += 1;
         }
-    }
-
-    /// Number of registered (published) messages.
-    pub fn published_messages(&self) -> usize {
-        self.messages.len()
+        if duplicate {
+            self.duplicate_deliveries += 1;
+            if self.duplicate_pairs.len() < DUPLICATE_SAMPLE_CAP {
+                self.duplicate_pairs.push((message, subscriber));
+            }
+        }
     }
 
     /// Total interested (message, subscriber) pairs — `Σ ts_i`.
     pub fn total_interested(&self) -> u64 {
-        self.messages.values().map(|m| m.interested as u64).sum()
+        self.messages.iter().map(|m| m.interested as u64).sum()
     }
 
     /// Total on-time deliveries — `Σ ds_i`.
     pub fn total_on_time(&self) -> u64 {
         self.messages
-            .values()
+            .iter()
             .map(|m| m.delivered_on_time as u64)
             .sum()
     }
 
     /// Total deliveries that arrived after their deadline.
     pub fn total_late(&self) -> u64 {
-        self.messages
-            .values()
-            .map(|m| m.delivered_late as u64)
-            .sum()
+        self.messages.iter().map(|m| m.delivered_late as u64).sum()
     }
 
     /// The delivery rate of eq. (1), in `[0, 1]`; zero when nothing was published.
@@ -145,14 +187,6 @@ impl ObjectiveTracker {
         self.total_earning
     }
 
-    /// Valid deliveries per subscriber (`msg(s_i)`).
-    pub fn valid_deliveries_of(&self, subscriber: SubscriberId) -> u64 {
-        self.per_subscriber_valid
-            .get(&subscriber)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Number of deliveries that reached a (message, subscriber) pair more
     /// than once. Single-path scoped forwarding guarantees this stays zero,
     /// including under churn and link failures; the invariant tests assert it.
@@ -167,38 +201,28 @@ impl ObjectiveTracker {
     }
 
     /// Hashes the tracker's complete delivery bookkeeping (message stats,
-    /// per-subscriber counts, earning, delay accumulators and the duplicate
-    /// audit) in deterministic sorted order, for the model-checking
-    /// explorer's state deduplication.
+    /// earning, delay accumulators and the duplicate audit) in deterministic
+    /// sorted order, for the model-checking explorer's state deduplication.
     pub fn state_digest(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        let mut msgs: Vec<(&MessageId, &MessageStat)> = self.messages.iter().collect();
-        msgs.sort_unstable_by_key(|(id, _)| **id);
+        let msgs = self.in_id_order();
         h.write_usize(msgs.len());
-        for (id, stat) in msgs {
-            h.write_u64(id.raw());
+        for stat in &msgs {
+            h.write_u64(stat.id.raw());
             h.write_u32(stat.interested);
             h.write_u32(stat.delivered_on_time);
             h.write_u32(stat.delivered_late);
-        }
-        let mut subs: Vec<(&SubscriberId, &u64)> = self.per_subscriber_valid.iter().collect();
-        subs.sort_unstable_by_key(|(s, _)| **s);
-        h.write_usize(subs.len());
-        for (s, n) in subs {
-            h.write_u32(s.raw());
-            h.write_u64(*n);
         }
         h.write_u64(self.total_earning.as_f64().to_bits());
         h.write_u64(self.delay_sum_ms.to_bits());
         h.write_u64(self.delay_count);
         h.write_u64(self.duplicate_deliveries);
-        let mut pairs: Vec<&(MessageId, SubscriberId)> = self.seen_pairs.iter().collect();
-        pairs.sort_unstable();
-        h.write_usize(pairs.len());
-        for (m, s) in pairs {
-            h.write_u64(m.raw());
-            h.write_u32(s.raw());
+        for stat in &msgs {
+            for subscriber in stat.reached() {
+                h.write_u64(stat.id.raw());
+                h.write_u32(subscriber.raw());
+            }
         }
         h.finish()
     }
@@ -209,36 +233,6 @@ impl ObjectiveTracker {
             0.0
         } else {
             self.delay_sum_ms / self.delay_count as f64
-        }
-    }
-
-    /// Merges another tracker (e.g. from a parallel shard) into this one.
-    pub fn merge(&mut self, other: &ObjectiveTracker) {
-        for (id, stat) in &other.messages {
-            let mine = self.messages.entry(*id).or_default();
-            mine.interested = mine.interested.max(stat.interested);
-            mine.delivered_on_time += stat.delivered_on_time;
-            mine.delivered_late += stat.delivered_late;
-        }
-        for (s, n) in &other.per_subscriber_valid {
-            *self.per_subscriber_valid.entry(*s).or_insert(0) += n;
-        }
-        self.total_earning += other.total_earning;
-        self.delay_sum_ms += other.delay_sum_ms;
-        self.delay_count += other.delay_count;
-        self.duplicate_deliveries += other.duplicate_deliveries;
-        for pair in &other.duplicate_pairs {
-            if self.duplicate_pairs.len() < DUPLICATE_SAMPLE_CAP {
-                self.duplicate_pairs.push(*pair);
-            }
-        }
-        for pair in &other.seen_pairs {
-            if !self.seen_pairs.insert(*pair) {
-                self.duplicate_deliveries += 1;
-                if self.duplicate_pairs.len() < DUPLICATE_SAMPLE_CAP {
-                    self.duplicate_pairs.push(*pair);
-                }
-            }
         }
     }
 }
@@ -273,7 +267,6 @@ mod tests {
         assert_eq!(t.total_on_time(), 3);
         assert_eq!(t.total_late(), 1);
         assert!((t.delivery_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(t.published_messages(), 2);
     }
 
     #[test]
@@ -312,9 +305,7 @@ mod tests {
             false,
         );
         assert_eq!(t.total_earning().as_f64(), 7.0);
-        assert_eq!(t.valid_deliveries_of(SubscriberId::new(0)), 2);
-        assert_eq!(t.valid_deliveries_of(SubscriberId::new(1)), 1);
-        assert_eq!(t.valid_deliveries_of(SubscriberId::new(7)), 0);
+        assert_eq!(t.total_on_time(), 3);
     }
 
     #[test]
@@ -344,14 +335,84 @@ mod tests {
         assert_eq!(t.duplicate_deliveries(), 0);
         deliver(&mut t, 0); // the same pair again
         assert_eq!(t.duplicate_deliveries(), 1);
-        // Merging two shards that saw the same pair also counts it.
-        let mut a = ObjectiveTracker::new();
-        a.register_message(MessageId::new(2), 1);
-        deliver(&mut a, 5);
-        let mut b = ObjectiveTracker::new();
-        deliver(&mut b, 5);
-        a.merge(&b);
-        assert_eq!(a.duplicate_deliveries(), 1);
+        assert_eq!(
+            t.duplicate_samples(),
+            [(MessageId::new(1), SubscriberId::new(0))]
+        );
+        // The audit is per message: the same subscriber under another
+        // message is a first delivery, wherever it falls in the bitset.
+        t.record_delivery(
+            MessageId::new(2),
+            SubscriberId::new(0),
+            Price::unit(),
+            Duration::from_secs(1),
+            false,
+        );
+        deliver(&mut t, 700);
+        assert_eq!(t.duplicate_deliveries(), 1);
+        // Beyond the cap only the count grows.
+        for _ in 0..2 * DUPLICATE_SAMPLE_CAP {
+            deliver(&mut t, 700);
+        }
+        assert_eq!(
+            t.duplicate_deliveries(),
+            1 + 2 * DUPLICATE_SAMPLE_CAP as u64
+        );
+        assert_eq!(t.duplicate_samples().len(), DUPLICATE_SAMPLE_CAP);
+    }
+
+    /// The bitsets enumerate in the sorted `(message, subscriber)` order the
+    /// pair set used to be sorted into, whatever order deliveries came in,
+    /// and the digest sees exactly that set.
+    #[test]
+    fn delivered_pairs_are_sorted_and_digested() {
+        let deliveries = [
+            (9u64, 130u32),
+            (2, 64),
+            (9, 3),
+            (2, 63),
+            (2, 1_000),
+            (9, 129),
+        ];
+        let mut t = ObjectiveTracker::new();
+        for (m, s) in deliveries {
+            let (m, s) = (MessageId::new(m), SubscriberId::new(s));
+            t.record_delivery(
+                m,
+                s,
+                Price::unit(),
+                Duration::from_secs(1),
+                s.raw() % 2 == 0,
+            );
+        }
+        let mut expected: Vec<_> = deliveries
+            .iter()
+            .map(|&(m, s)| (MessageId::new(m), SubscriberId::new(s)))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(t.delivered_pairs(), expected);
+        assert_eq!(t.total_on_time() + t.total_late(), 6);
+        // Same deliveries in another order: same digest; one more: another.
+        let mut u = ObjectiveTracker::new();
+        for &(m, s) in deliveries.iter().rev() {
+            let (m, s) = (MessageId::new(m), SubscriberId::new(s));
+            u.record_delivery(
+                m,
+                s,
+                Price::unit(),
+                Duration::from_secs(1),
+                s.raw() % 2 == 0,
+            );
+        }
+        assert_eq!(u.delivered_pairs(), expected);
+        assert_eq!(t.state_digest(), u.state_digest());
+        let late = |t: &mut ObjectiveTracker, s| {
+            let (m, s) = (MessageId::new(2), SubscriberId::new(s));
+            t.record_delivery(m, s, Price::unit(), Duration::from_secs(1), false)
+        };
+        late(&mut t, 5);
+        late(&mut u, 6);
+        assert_ne!(t.state_digest(), u.state_digest());
     }
 
     #[test]
@@ -373,33 +434,5 @@ mod tests {
             false,
         );
         assert!((t.mean_valid_delay_ms() - 1_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines_shards() {
-        let mut a = ObjectiveTracker::new();
-        a.register_message(MessageId::new(1), 4);
-        a.record_delivery(
-            MessageId::new(1),
-            SubscriberId::new(0),
-            Price::from_units(2),
-            Duration::from_secs(1),
-            true,
-        );
-        let mut b = ObjectiveTracker::new();
-        b.register_message(MessageId::new(1), 4);
-        b.record_delivery(
-            MessageId::new(1),
-            SubscriberId::new(1),
-            Price::from_units(2),
-            Duration::from_secs(3),
-            true,
-        );
-        a.merge(&b);
-        assert_eq!(a.total_on_time(), 2);
-        assert_eq!(a.total_interested(), 4);
-        assert_eq!(a.total_earning().as_f64(), 4.0);
-        assert!((a.delivery_rate() - 0.5).abs() < 1e-12);
-        assert!((a.mean_valid_delay_ms() - 2_000.0).abs() < 1e-9);
     }
 }

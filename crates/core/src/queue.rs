@@ -4,6 +4,18 @@
 //! queued message carries the set of *targets* — the matching subscriptions
 //! reachable through that neighbour — because every scheduling metric of the
 //! paper is a sum over exactly that set.
+//!
+//! # Success classes
+//!
+//! `success(s_i, m)` (eq. 5) depends on a target only through its path
+//! statistics and its effective allowed delay, and a copy holds far fewer
+//! distinct such pairs than targets: every subscriber behind one edge broker
+//! shares that edge's path statistics, and a workload has a handful of QoS
+//! bounds. A copy therefore keeps one [`SuccessClass`] per distinct pair,
+//! each target names its class, and [`metrics`] evaluates the
+//! probability once per live class instead of once per target. An
+//! envelope-stamped aggregate pseudo-target is always its own class: its
+//! bound is a per-destination fold, so there is nothing to group.
 
 use crate::config::{InvalidDetection, SchedulerConfig};
 use crate::metrics;
@@ -17,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One subscription a queued message still has to reach via this queue's neighbour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MatchedTarget {
     /// The subscription's identifier.
     pub subscription: SubscriptionId,
@@ -25,16 +37,28 @@ pub struct MatchedTarget {
     pub subscriber: SubscriberId,
     /// The price paid per valid delivery (`pr`).
     pub price: Price,
-    /// The *effective* allowed end-to-end delay for this (message, subscription)
-    /// pair: the tighter of the publisher bound and the subscription bound.
-    pub allowed_delay: Duration,
-    /// Path statistics from the current broker to the subscriber (`NN_p`, `μ_p`, `σ_p²`).
-    pub stats: PathStats,
+    /// Index of the target's [`SuccessClass`] in [`QueuedMessage::classes`].
+    pub class: u32,
 }
 
-impl MatchedTarget {
-    /// Remaining lifetime of the message with respect to this target at `now`:
-    /// `allowed_delay − hdl`, floored at zero. An unbounded target stays at
+/// What `success(s_i, m)` reads of a target, shared by every target of a
+/// copy with the same values.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SuccessClass {
+    /// Path statistics from the current broker to the subscriber (`NN_p`, `μ_p`, `σ_p²`).
+    pub stats: PathStats,
+    /// The *effective* allowed end-to-end delay: the tighter of the
+    /// publisher bound and the subscription bound.
+    pub allowed_delay: Duration,
+    /// Targets of the copy still in this class. A class whose last member
+    /// unsubscribed stays in the table (target indices are positions) but
+    /// takes part in no metric and no ε-test.
+    pub live: u32,
+}
+
+impl SuccessClass {
+    /// Remaining lifetime of the message with respect to this class at `now`:
+    /// `allowed_delay − hdl`, floored at zero. An unbounded class stays at
     /// `Duration::MAX` for any elapsed time — subtracting from the sentinel
     /// would silently yield a huge-but-finite bound, so callers mapping
     /// `Duration::MAX` to infinity (e.g.
@@ -47,11 +71,18 @@ impl MatchedTarget {
         self.allowed_delay.saturating_sub(message.elapsed(now))
     }
 
-    /// Returns true when the target's deadline has already passed at `now`.
+    /// Returns true when the class's deadline has already passed at `now`.
     pub fn is_expired(&self, message: &Message, now: SimTime) -> bool {
         self.allowed_delay != Duration::MAX && message.elapsed(now) > self.allowed_delay
     }
 }
+
+/// How many of a copy's most recently opened classes
+/// [`QueuedMessage::class_for`] compares a new target with. Id-ordered
+/// scopes arrive in runs of one edge broker, so a run's few classes (one per
+/// QoS bound) sit at the tail; the cap keeps a population with one bound per
+/// subscriber linear.
+const CLASS_PROBE: usize = 8;
 
 /// A message waiting in an output queue.
 #[derive(Debug, Clone)]
@@ -65,11 +96,70 @@ pub struct QueuedMessage {
     /// matching index, or destination-monotone aggregate sentinels), and
     /// [`OutputQueue::remove_subscription`] binary-searches it.
     pub targets: Vec<MatchedTarget>,
+    /// The distinct `(path statistics, effective allowed delay)` pairs of
+    /// `targets`, with live-member counts (see the module docs).
+    pub classes: Vec<SuccessClass>,
     /// When the message entered this queue.
     pub enqueue_time: SimTime,
 }
 
 impl QueuedMessage {
+    /// A copy with no target yet; fill it with
+    /// [`push_target`](Self::push_target) in ascending subscription order.
+    pub fn new(message: Arc<Message>, enqueue_time: SimTime) -> Self {
+        QueuedMessage {
+            message,
+            targets: Vec::new(),
+            classes: Vec::new(),
+            enqueue_time,
+        }
+    }
+
+    /// The class a target with these values joins: the one among the copy's
+    /// last eight (`CLASS_PROBE`) that shares its `stats` run and `allowed_delay`,
+    /// or a [new](Self::open_class) one.
+    pub fn class_for(&mut self, stats: PathStats, allowed_delay: Duration) -> u32 {
+        let probe = self.classes.iter().rev().take(CLASS_PROBE);
+        let mut run = probe.take_while(|c| c.stats == stats);
+        match run.position(|c| c.allowed_delay == allowed_delay) {
+            Some(back) => (self.classes.len() - 1 - back) as u32,
+            None => self.open_class(stats, allowed_delay),
+        }
+    }
+
+    /// Opens a class without looking for an equal one — what an
+    /// envelope-stamped aggregate pseudo-target always gets.
+    pub fn open_class(&mut self, stats: PathStats, allowed_delay: Duration) -> u32 {
+        self.classes.push(SuccessClass {
+            stats,
+            allowed_delay,
+            live: 0,
+        });
+        self.classes.len() as u32 - 1
+    }
+
+    /// Appends a target as a member of `class`.
+    pub fn push_target(
+        &mut self,
+        subscription: SubscriptionId,
+        subscriber: SubscriberId,
+        price: Price,
+        class: u32,
+    ) {
+        self.classes[class as usize].live += 1;
+        self.targets.push(MatchedTarget {
+            subscription,
+            subscriber,
+            price,
+            class,
+        });
+    }
+
+    /// The classes that still have a member.
+    pub fn live_classes(&self) -> impl Iterator<Item = &SuccessClass> + '_ {
+        self.classes.iter().filter(|c| c.live > 0)
+    }
+
     /// Average remaining lifetime over all targets (the paper's RL tie-break
     /// for messages with several subscribers, §6.1), in milliseconds.
     pub fn avg_remaining_lifetime_ms(&self, now: SimTime) -> f64 {
@@ -80,7 +170,7 @@ impl QueuedMessage {
             .targets
             .iter()
             .map(|t| {
-                let rl = t.remaining_lifetime(&self.message, now);
+                let rl = self.classes[t.class as usize].remaining_lifetime(&self.message, now);
                 if rl == Duration::MAX {
                     f64::INFINITY
                 } else {
@@ -95,9 +185,8 @@ impl QueuedMessage {
     pub fn fully_expired(&self, now: SimTime) -> bool {
         !self.targets.is_empty()
             && self
-                .targets
-                .iter()
-                .all(|t| t.is_expired(&self.message, now))
+                .live_classes()
+                .all(|c| c.is_expired(&self.message, now))
     }
 }
 
@@ -192,31 +281,24 @@ impl OutputQueue {
         let mut dropped = Vec::new();
         let pd = config.processing_delay;
         self.items.retain(|item| {
-            let keep = match config.invalid_detection {
-                InvalidDetection::Off => true,
-                InvalidDetection::ExpiredOnly => !item.fully_expired(now),
-                InvalidDetection::Epsilon(eps) => {
-                    if item.fully_expired(now) {
-                        false
-                    } else {
-                        metrics::max_success_probability(&item.message, &item.targets, now, pd)
-                            >= eps
-                    }
+            let reason = match config.invalid_detection {
+                InvalidDetection::Off => None,
+                _ if item.fully_expired(now) => Some(DropReason::Expired),
+                InvalidDetection::Epsilon(eps)
+                    if metrics::max_success_probability(item, now, pd) < eps =>
+                {
+                    Some(DropReason::Unlikely)
                 }
+                _ => None,
             };
-            if !keep {
-                let reason = if item.fully_expired(now) {
-                    DropReason::Expired
-                } else {
-                    DropReason::Unlikely
-                };
+            if let Some(reason) = reason {
                 dropped.push(DropRecord {
                     message: item.message.id,
                     reason,
                     targets: item.targets.len() as u32,
                 });
             }
-            keep
+            reason.is_none()
         });
         dropped
     }
@@ -266,7 +348,8 @@ impl OutputQueue {
         let mut orphaned = 0;
         self.items.retain_mut(|item| {
             if let Ok(pos) = item.targets.binary_search_by_key(&id, |t| t.subscription) {
-                item.targets.remove(pos);
+                let gone = item.targets.remove(pos);
+                item.classes[gone.class as usize].live -= 1;
             }
             if item.targets.is_empty() {
                 orphaned += 1;
@@ -288,7 +371,10 @@ impl OutputQueue {
 mod tests {
     use super::*;
     use crate::config::StrategyKind;
+    use crate::metrics::reference::{self, FlatTarget};
+    use crate::strategy::StrategyRegistry;
     use bdps_stats::normal::Normal;
+    use bdps_stats::rng::SimRng;
     use bdps_types::id::PublisherId;
     use bdps_types::qos::DelayBound;
 
@@ -302,12 +388,12 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn target(allowed_secs: u64, price: i64, mean_rate: f64, hops: u32) -> MatchedTarget {
+    fn target(allowed_secs: u64, price: i64, mean_rate: f64, hops: u32) -> FlatTarget {
         let mut stats = PathStats::local();
         for _ in 0..hops {
             stats = stats.extend(Normal::new(mean_rate, 20.0));
         }
-        MatchedTarget {
+        FlatTarget {
             subscription: SubscriptionId::new(0),
             subscriber: SubscriberId::new(0),
             price: Price::from_units(price),
@@ -316,12 +402,8 @@ mod tests {
         }
     }
 
-    fn queued(m: Arc<Message>, targets: Vec<MatchedTarget>, enqueue_secs: u64) -> QueuedMessage {
-        QueuedMessage {
-            message: m,
-            targets,
-            enqueue_time: SimTime::from_secs(enqueue_secs),
-        }
+    fn queued(m: Arc<Message>, targets: Vec<FlatTarget>, enqueue_secs: u64) -> QueuedMessage {
+        reference::queued(&m, &targets, SimTime::from_secs(enqueue_secs))
     }
 
     fn config(strategy: StrategyKind) -> SchedulerConfig {
@@ -331,15 +413,15 @@ mod tests {
     #[test]
     fn matched_target_lifetime_and_expiry() {
         let m = msg(1, 100, None);
-        let t = target(10, 1, 60.0, 1);
+        let t = queued(Arc::clone(&m), vec![target(10, 1, 60.0, 1)], 100).classes[0];
         let now = SimTime::from_secs(104);
         assert_eq!(t.remaining_lifetime(&m, now), Duration::from_secs(6));
         assert!(!t.is_expired(&m, now));
         assert!(t.is_expired(&m, SimTime::from_secs(111)));
         // Unbounded targets never expire.
-        let unbounded = MatchedTarget {
+        let unbounded = SuccessClass {
             allowed_delay: Duration::MAX,
-            ..target(10, 1, 60.0, 1)
+            ..t
         };
         assert!(!unbounded.is_expired(&m, SimTime::from_secs(10_000)));
     }
@@ -425,11 +507,12 @@ mod tests {
         let targets = [3, 3, 2]
             .into_iter()
             .zip(0..)
-            .map(|(price, id)| MatchedTarget {
+            .map(|(price, id)| FlatTarget {
                 subscription: SubscriptionId::new(id),
                 ..target(30, price, 60.0, 1)
             });
         q.push(queued(msg(2, 0, None), targets.collect(), 0));
+        assert_eq!(q.items()[1].classes.len(), 1, "three targets, one class");
         let first = q.pop_next(SimTime::from_secs(1), &cfg).unwrap();
         assert_eq!(first.message.id, MessageId::new(2));
     }
@@ -437,7 +520,7 @@ mod tests {
     #[test]
     fn remove_subscription_strips_targets_and_drops_orphans() {
         let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
-        let t_keep = MatchedTarget {
+        let t_keep = FlatTarget {
             subscription: SubscriptionId::new(7),
             ..target(30, 1, 60.0, 1)
         };
@@ -473,5 +556,249 @@ mod tests {
         let drained = q.drain();
         assert_eq!(drained.len(), 2);
         assert!(q.is_empty());
+    }
+
+    /// The trap a class table introduces: a class keeps its slot after its
+    /// last member left, and must stop vouching for the copy — the ε-test
+    /// and the expiry test go by live counts, not by table length.
+    #[test]
+    fn a_class_emptied_by_a_leave_no_longer_vouches_for_the_copy() {
+        let now = SimTime::from_secs(8);
+        let leaver = SubscriptionId::new(1);
+        // (policy, the member that stays, the most promising member, verdict once it left)
+        let cases = [
+            (
+                InvalidDetection::PAPER,
+                target(10, 1, 90.0, 4),
+                target(120, 1, 60.0, 1),
+                DropReason::Unlikely,
+            ),
+            (
+                InvalidDetection::ExpiredOnly,
+                target(5, 1, 60.0, 1),
+                target(120, 1, 60.0, 1),
+                DropReason::Expired,
+            ),
+        ];
+        for (policy, stays, leaves, verdict) in cases {
+            let cfg = config(StrategyKind::MaxEb).with_invalid_detection(policy);
+            let leaves = FlatTarget {
+                subscription: leaver,
+                ..leaves
+            };
+            let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 90.0);
+            q.push(queued(msg(1, 0, None), vec![stays.clone(), leaves], 0));
+            assert!(
+                q.clone().purge(now, &cfg).is_empty(),
+                "the copy is worth sending"
+            );
+            assert_eq!(q.remove_subscription(leaver), 0);
+            let copy = &q.items()[0];
+            assert_eq!((copy.classes.len(), copy.live_classes().count()), (2, 1));
+            let flat = (msg(1, 0, None), vec![stays], SimTime::ZERO);
+            assert_eq!(
+                reference_drop(policy, &flat, now, cfg.processing_delay),
+                Some(verdict)
+            );
+            let dropped = q.purge(now, &cfg);
+            assert_eq!(dropped.len(), 1);
+            assert_eq!((dropped[0].reason, dropped[0].targets), (verdict, 1));
+        }
+    }
+
+    /// One copy before it has classes: message, flat targets, enqueue time.
+    type FlatItem = (Arc<Message>, Vec<FlatTarget>, SimTime);
+
+    /// A queue of 1–8 copies of 1–300 targets over 1–12 `(stats, bound)`
+    /// pairs each: zero-σ local paths, unbounded members, members expired
+    /// before any `now` the test uses, and — on a third of the messages — a
+    /// publisher bound tighter than most subscriber bounds. Targets mostly
+    /// come in runs of one path, as id-ordered scopes do, but not always.
+    fn random_flat_queue(rng: &mut SimRng) -> Vec<FlatItem> {
+        (0..rng.uniform_usize(1, 9) as u64)
+            .map(|id| {
+                let publisher_bound = rng.chance(0.33).then(|| rng.uniform_usize(5, 40) as u64);
+                let message = msg(id, rng.uniform_usize(0, 5) as u64, publisher_bound);
+                let pairs: Vec<(PathStats, Duration)> = (0..rng.uniform_usize(1, 13))
+                    .map(|_| {
+                        let mut stats = PathStats::local();
+                        for _ in 0..rng.uniform_usize(0, 4) {
+                            stats = stats.extend(Normal::new(rng.uniform_range(50.0, 100.0), 20.0));
+                        }
+                        let bound = match rng.uniform_usize(0, 6) {
+                            0 => Duration::MAX,
+                            1 => Duration::from_secs(rng.uniform_usize(1, 4) as u64),
+                            _ => Duration::from_millis(rng.uniform_usize(8_000, 90_000) as u64),
+                        };
+                        let tightest = publisher_bound.map_or(Duration::MAX, Duration::from_secs);
+                        (stats, bound.min(tightest))
+                    })
+                    .collect();
+                let mut pair = *rng.choose(&pairs);
+                let targets = (0..rng.uniform_usize(1, 301) as u32)
+                    .map(|id| {
+                        if rng.chance(0.2) {
+                            pair = *rng.choose(&pairs);
+                        } else if rng.chance(0.5) {
+                            // Same path, another QoS bound: what a run of one
+                            // edge broker's subscribers looks like.
+                            pair.1 = rng.choose(&pairs).1;
+                        }
+                        FlatTarget {
+                            subscription: SubscriptionId::new(id),
+                            subscriber: SubscriberId::new(id),
+                            price: Price::from_units(rng.uniform_usize(1, 4) as i64),
+                            allowed_delay: pair.1,
+                            stats: pair.0,
+                        }
+                    })
+                    .collect();
+                (
+                    message,
+                    targets,
+                    SimTime::from_secs(rng.uniform_usize(5, 10) as u64),
+                )
+            })
+            .collect()
+    }
+
+    /// The six built-in priorities written out per target.
+    fn reference_score(
+        label: &str,
+        ctx: &ScheduleContext,
+        (m, targets, enqueued): &FlatItem,
+    ) -> f64 {
+        let pd = ctx.processing_delay;
+        let eb = reference::expected_benefit(m, targets, ctx.now, pd);
+        let pc = eb
+            - reference::expected_benefit_delayed(
+                m,
+                targets,
+                ctx.now,
+                pd,
+                ctx.first_send_estimate_ms,
+            );
+        let rl_ms = reference::avg_remaining_lifetime_ms(m, targets, ctx.now);
+        match label {
+            "FIFO" => -(enqueued.as_micros() as f64),
+            "RL" => -rl_ms,
+            "EB" => eb,
+            "PC" => pc,
+            "EBPC" => ctx.ebpc_weight * eb + (1.0 - ctx.ebpc_weight) * pc,
+            "COMPOSITE" => 0.5 * eb + (1.0 - 0.5) * (1.0 / (1.0 + rl_ms / 1_000.0)),
+            other => panic!("no reference for {other}"),
+        }
+    }
+
+    /// §5.4 written out per target: why a copy is dropped, if it is.
+    fn reference_drop(
+        policy: InvalidDetection,
+        (m, targets, _): &FlatItem,
+        now: SimTime,
+        pd: Duration,
+    ) -> Option<DropReason> {
+        let expired = !targets.is_empty() && targets.iter().all(|t| t.is_expired(m, now));
+        match policy {
+            InvalidDetection::Off => None,
+            _ if expired => Some(DropReason::Expired),
+            InvalidDetection::Epsilon(eps)
+                if reference::max_success_probability(m, targets, now, pd) < eps =>
+            {
+                Some(DropReason::Unlikely)
+            }
+            _ => None,
+        }
+    }
+
+    /// Class scoring *is* the per-target formula: over seeded random queues,
+    /// for every built-in strategy and every invalid-message policy, each
+    /// score agrees with the flat reference to the bit, `purge` drops the
+    /// same copies for the same reasons and `pop_next` picks the same copy.
+    #[test]
+    fn class_scoring_is_the_per_target_formula_bit_for_bit() {
+        let policies = [
+            InvalidDetection::Off,
+            InvalidDetection::ExpiredOnly,
+            InvalidDetection::PAPER,
+            InvalidDetection::Epsilon(0.4),
+        ];
+        let (mut unlikely, mut expired, mut grouped) = (0, 0, 0);
+        for case in 0..240u64 {
+            let mut rng = SimRng::seed_from(0xC1A55).split(case);
+            let full = random_flat_queue(&mut rng);
+            let now = SimTime::from_secs(rng.uniform_usize(10, 40) as u64);
+            let policy = policies[case as usize % policies.len()];
+            // A few leaves before selection: classes that lose their last
+            // member must stop counting, exactly as if never opened.
+            let gone: Vec<SubscriptionId> = (0..rng.uniform_usize(0, 4))
+                .map(|_| SubscriptionId::new(rng.uniform_usize(0, 300) as u32))
+                .collect();
+            let mut flat = full.clone();
+            for (_, targets, _) in &mut flat {
+                targets.retain(|t| !gone.contains(&t.subscription));
+            }
+            flat.retain(|(_, targets, _)| !targets.is_empty());
+            for name in StrategyRegistry::builtin().names() {
+                let strategy = StrategyRegistry::builtin().resolve(name).unwrap();
+                let cfg = SchedulerConfig::paper(strategy.clone()).with_invalid_detection(policy);
+                let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+                for (m, targets, at) in &full {
+                    q.push(reference::queued(m, targets, *at));
+                }
+                for id in &gone {
+                    q.remove_subscription(*id);
+                }
+                assert_eq!(q.len(), flat.len());
+                for (item, (_, targets, _)) in q.items().iter().zip(&flat) {
+                    grouped += usize::from(item.live_classes().count() * 4 <= targets.len());
+                }
+                let ctx = ScheduleContext::new(now, &cfg, q.first_send_estimate_ms(&cfg));
+                let mut scores = Vec::new();
+                strategy.score_all(&ctx, q.items(), &mut scores);
+                for ((item, copy), score) in flat.iter().zip(q.items()).zip(&scores) {
+                    let want = reference_score(strategy.label(), &ctx, item);
+                    let what = format!("case {case} {name} copy {}", item.0.id);
+                    assert_eq!(score.to_bits(), want.to_bits(), "score_all, {what}");
+                    let single = strategy.priority(&ctx, copy);
+                    assert_eq!(single.to_bits(), want.to_bits(), "priority, {what}");
+                }
+
+                let mut want_dropped = Vec::new();
+                let mut survivors: Vec<&FlatItem> = Vec::new();
+                for item in &flat {
+                    match reference_drop(policy, item, now, cfg.processing_delay) {
+                        Some(reason) => want_dropped.push(DropRecord {
+                            message: item.0.id,
+                            reason,
+                            targets: item.1.len() as u32,
+                        }),
+                        None => survivors.push(item),
+                    }
+                }
+                assert_eq!(q.purge(now, &cfg), want_dropped, "case {case} {name}");
+                let dropped_as = |r| want_dropped.iter().filter(|d| d.reason == r).count();
+                unlikely += dropped_as(DropReason::Unlikely);
+                expired += dropped_as(DropReason::Expired);
+                // Strictly greater keeps the first of equal scores.
+                let mut best = (survivors.first(), f64::NEG_INFINITY);
+                for item in &survivors {
+                    let score = reference_score(strategy.label(), &ctx, item);
+                    if score > best.1 {
+                        best = (Some(item), score);
+                    }
+                }
+                let popped = q.pop_next(now, &cfg).map(|copy| copy.message.id);
+                assert_eq!(popped, best.0.map(|item| item.0.id), "case {case} {name}");
+            }
+        }
+        // The generator reaches every branch the comparison is about.
+        assert!(
+            unlikely > 50 && expired > 50,
+            "{unlikely} unlikely, {expired} expired"
+        );
+        assert!(
+            grouped > 1_000,
+            "classes must actually group targets: {grouped}"
+        );
     }
 }

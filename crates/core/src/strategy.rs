@@ -10,7 +10,10 @@
 //! * [`SchedulingStrategy`] — the trait a strategy implements: a per-item
 //!   [`priority`](SchedulingStrategy::priority) plus an optional batch
 //!   [`score_all`](SchedulingStrategy::score_all) hook the queue calls on the
-//!   hot path so a strategy can amortise per-queue work;
+//!   hot path so a strategy can amortise per-queue work — the built-in EB /
+//!   PC / EBPC / COMPOSITE override it to score a whole queue through one
+//!   [`ClassScratch`], evaluating `success` once per
+//!   [success class](crate::queue) of each copy;
 //! * [`StrategyHandle`] — a cheaply clonable, type-erased handle
 //!   (`Arc<dyn SchedulingStrategy>`) threaded through
 //!   [`SchedulerConfig`], the output queues
@@ -30,9 +33,9 @@
 //! Under aggregate-scoped forwarding an interior copy carries one
 //! pseudo-target per destination edge broker instead of one per
 //! subscription. That target is stamped from the destination group's
-//! [`QosEnvelope`](bdps_overlay::sparse::QosEnvelope): its `allowed_delay`
-//! is the envelope's **minimum member bound** (tightened by the publisher
-//! bound) and its `price` is the envelope's **earning sum**. Strategies
+//! [`QosEnvelope`](bdps_overlay::sparse::QosEnvelope): its (own) class's
+//! `allowed_delay` is the envelope's **minimum member bound** (tightened by
+//! the publisher bound) and its `price` is the envelope's **earning sum**. Strategies
 //! need no aggregate-specific code — the stamped target flows through the
 //! same formulas — but the semantics per strategy are deliberate:
 //!
@@ -59,7 +62,7 @@
 //! `tests/forwarding_equivalence.rs`).
 
 use crate::config::SchedulerConfig;
-use crate::metrics;
+use crate::metrics::{self, ClassScratch};
 use crate::queue::QueuedMessage;
 use bdps_types::time::{Duration, SimTime};
 use std::fmt;
@@ -182,7 +185,13 @@ impl SchedulingStrategy for MaxEb {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        metrics::expected_benefit(&item.message, &item.targets, ctx.now, ctx.processing_delay)
+        metrics::expected_benefit(item, ctx.now, ctx.processing_delay)
+    }
+
+    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
+        score_all_with(items, scores, |scratch, item| {
+            scratch.expected_benefit(item, ctx.now, ctx.processing_delay)
+        });
     }
 }
 
@@ -196,13 +205,15 @@ impl SchedulingStrategy for MaxPc {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        metrics::postponing_cost(
-            &item.message,
-            &item.targets,
-            ctx.now,
-            ctx.processing_delay,
-            ctx.first_send_estimate_ms,
-        )
+        let ft = ctx.first_send_estimate_ms;
+        metrics::postponing_cost(item, ctx.now, ctx.processing_delay, ft)
+    }
+
+    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
+        let ft = ctx.first_send_estimate_ms;
+        score_all_with(items, scores, |scratch, item| {
+            scratch.postponing_cost(item, ctx.now, ctx.processing_delay, ft)
+        });
     }
 }
 
@@ -218,14 +229,15 @@ impl SchedulingStrategy for MaxEbpc {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        metrics::ebpc(
-            &item.message,
-            &item.targets,
-            ctx.now,
-            ctx.processing_delay,
-            ctx.first_send_estimate_ms,
-            ctx.ebpc_weight,
-        )
+        let (ft, r) = (ctx.first_send_estimate_ms, ctx.ebpc_weight);
+        metrics::ebpc(item, ctx.now, ctx.processing_delay, ft, r)
+    }
+
+    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
+        let (ft, r) = (ctx.first_send_estimate_ms, ctx.ebpc_weight);
+        score_all_with(items, scores, |scratch, item| {
+            scratch.ebpc(item, ctx.now, ctx.processing_delay, ft, r)
+        });
     }
 }
 
@@ -259,19 +271,42 @@ impl Default for WeightedComposite {
     }
 }
 
+impl WeightedComposite {
+    fn blend(&self, eb: f64, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
+        // `avg_remaining_lifetime_ms` is +∞ for purely best-effort targets,
+        // for which the urgency term cleanly vanishes.
+        let urgency = 1.0 / (1.0 + item.avg_remaining_lifetime_ms(ctx.now) / 1_000.0);
+        self.eb_weight * eb + (1.0 - self.eb_weight) * urgency
+    }
+}
+
 impl SchedulingStrategy for WeightedComposite {
     fn name(&self) -> &str {
         "COMPOSITE"
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        let eb =
-            metrics::expected_benefit(&item.message, &item.targets, ctx.now, ctx.processing_delay);
-        // `avg_remaining_lifetime_ms` is +∞ for purely best-effort targets,
-        // for which the urgency term cleanly vanishes.
-        let urgency = 1.0 / (1.0 + item.avg_remaining_lifetime_ms(ctx.now) / 1_000.0);
-        self.eb_weight * eb + (1.0 - self.eb_weight) * urgency
+        let eb = metrics::expected_benefit(item, ctx.now, ctx.processing_delay);
+        self.blend(eb, ctx, item)
     }
+
+    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
+        score_all_with(items, scores, |scratch, item| {
+            let eb = scratch.expected_benefit(item, ctx.now, ctx.processing_delay);
+            self.blend(eb, ctx, item)
+        });
+    }
+}
+
+/// The `score_all` of every built-in strategy that evaluates `success`: one
+/// [`ClassScratch`] serves the whole selection.
+fn score_all_with(
+    items: &[QueuedMessage],
+    scores: &mut Vec<f64>,
+    mut score: impl FnMut(&mut ClassScratch, &QueuedMessage) -> f64,
+) {
+    let mut scratch = ClassScratch::default();
+    scores.extend(items.iter().map(|item| score(&mut scratch, item)));
 }
 
 /// A cheaply clonable, type-erased handle to a scheduling strategy.
@@ -455,7 +490,7 @@ impl fmt::Debug for StrategyRegistry {
 mod tests {
     use super::*;
     use crate::config::StrategyKind;
-    use crate::queue::MatchedTarget;
+    use crate::metrics::reference::{queued, FlatTarget};
     use bdps_overlay::pathstats::PathStats;
     use bdps_stats::normal::Normal;
     use bdps_types::id::{MessageId, PublisherId, SubscriberId, SubscriptionId};
@@ -468,22 +503,36 @@ mod tests {
         for _ in 0..hops {
             stats = stats.extend(Normal::new(60.0, 20.0));
         }
-        QueuedMessage {
-            message: Arc::new(
-                Message::builder(MessageId::new(id), PublisherId::new(0))
-                    .publish_time(SimTime::ZERO)
-                    .size_kb(50.0)
-                    .build(),
-            ),
-            targets: vec![MatchedTarget {
-                subscription: SubscriptionId::new(0),
-                subscriber: SubscriberId::new(0),
-                price: Price::from_units(price),
-                allowed_delay: Duration::from_secs(allowed_secs),
-                stats,
-            }],
-            enqueue_time: SimTime::from_secs(enqueue_secs),
-        }
+        stamped_at(
+            id,
+            Duration::from_secs(allowed_secs),
+            Price::from_units(price),
+            stats,
+            SimTime::from_secs(enqueue_secs),
+        )
+    }
+
+    fn stamped_at(
+        id: u64,
+        allowed_delay: Duration,
+        price: Price,
+        stats: PathStats,
+        enqueue_time: SimTime,
+    ) -> QueuedMessage {
+        let message = Arc::new(
+            Message::builder(MessageId::new(id), PublisherId::new(0))
+                .publish_time(SimTime::ZERO)
+                .size_kb(50.0)
+                .build(),
+        );
+        let target = FlatTarget {
+            subscription: SubscriptionId::new(0),
+            subscriber: SubscriberId::new(0),
+            price,
+            allowed_delay,
+            stats,
+        };
+        queued(&message, &[target], enqueue_time)
     }
 
     fn ctx() -> ScheduleContext {
@@ -584,22 +633,8 @@ mod tests {
     /// aggregate targets (`Duration::MAX`, `Price::ZERO`) and
     /// envelope-stamped ones (min member bound, earning sum).
     fn stamped(id: u64, allowed: Duration, price: Price) -> QueuedMessage {
-        QueuedMessage {
-            message: Arc::new(
-                Message::builder(MessageId::new(id), PublisherId::new(0))
-                    .publish_time(SimTime::ZERO)
-                    .size_kb(50.0)
-                    .build(),
-            ),
-            targets: vec![MatchedTarget {
-                subscription: SubscriptionId::new(0),
-                subscriber: SubscriberId::new(0),
-                price,
-                allowed_delay: allowed,
-                stats: PathStats::local().extend(Normal::new(60.0, 20.0)),
-            }],
-            enqueue_time: SimTime::ZERO,
-        }
+        let stats = PathStats::local().extend(Normal::new(60.0, 20.0));
+        stamped_at(id, allowed, price, stats, SimTime::ZERO)
     }
 
     /// Regression (sentinel-era arithmetic audit): a copy stamped with the
@@ -676,7 +711,7 @@ mod tests {
         // purgeable under ExpiredOnly detection — the shedding the sentinel
         // era could never trigger for aggregate copies.
         let dead = stamped(5, Duration::from_secs(1), Price::from_units(5));
-        assert!(dead.targets[0].is_expired(&dead.message, c.now));
+        assert!(dead.classes[0].is_expired(&dead.message, c.now));
         assert!(dead.fully_expired(c.now));
     }
 

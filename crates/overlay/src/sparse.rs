@@ -43,7 +43,7 @@ use bdps_types::message::MessageHead;
 use bdps_types::money::Price;
 use bdps_types::time::Duration;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 /// How a broker materialises its subscription table — and with it which of
@@ -368,7 +368,13 @@ impl EdgeGroup {
 /// is the memory the dense layout replicates `brokers` times.
 #[derive(Debug, Clone)]
 pub struct SharedPopulation {
-    members: HashMap<SubscriptionId, MemberRecord>,
+    /// One slot per subscription id. Ids are minted densely from zero (the
+    /// topology, then churn), every arrival looks up each id of its scope,
+    /// and scopes are id-ordered: a slot vector turns that walk into an
+    /// ascending scan where a hash map paid a hash and a cache miss per id.
+    members: Vec<Option<MemberRecord>>,
+    /// Occupied slots of `members`.
+    registered: usize,
     by_edge: BTreeMap<BrokerId, EdgeGroup>,
     /// Monotone membership-change counter: bumped on every insert. Publish
     /// paths snapshot it to freeze "who had joined by then" without
@@ -387,7 +393,8 @@ pub const DEFAULT_COVER_LOOSENESS: f64 = 0.05;
 impl Default for SharedPopulation {
     fn default() -> Self {
         SharedPopulation {
-            members: HashMap::new(),
+            members: Vec::new(),
+            registered: 0,
             by_edge: BTreeMap::new(),
             epoch: 0,
             // The paper-workload model knows A1/A2. Unknown attributes
@@ -422,6 +429,10 @@ impl SharedPopulation {
     /// epoch earlier never delivers to it.
     pub fn insert(&mut self, subscription: Subscription, edge: BrokerId) {
         let id = subscription.id;
+        assert!(
+            aggregate_scope_dest(id).is_none(),
+            "{id} carries the aggregate sentinel bit"
+        );
         self.remove(id);
         self.epoch += 1;
         let group = self.by_edge.entry(edge).or_default();
@@ -435,19 +446,21 @@ impl SharedPopulation {
             allowed_delay: subscription.allowed_delay(),
             price: subscription.price,
         });
-        self.members.insert(
-            id,
-            MemberRecord {
-                subscription,
-                edge,
-                join_epoch: self.epoch,
-            },
-        );
+        if self.members.len() <= id.index() {
+            self.members.resize_with(id.index() + 1, || None);
+        }
+        self.members[id.index()] = Some(MemberRecord {
+            subscription,
+            edge,
+            join_epoch: self.epoch,
+        });
+        self.registered += 1;
     }
 
     /// Unregisters a subscription, returning its record when present.
     pub fn remove(&mut self, id: SubscriptionId) -> Option<MemberRecord> {
-        let record = self.members.remove(&id)?;
+        let record = self.members.get_mut(id.index())?.take()?;
+        self.registered -= 1;
         if let Some(group) = self.by_edge.get_mut(&record.edge) {
             if let Ok(pos) = group.ids.binary_search(&id) {
                 group.ids.remove(pos);
@@ -486,17 +499,17 @@ impl SharedPopulation {
 
     /// Total registered subscriptions.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.registered
     }
 
     /// Returns true when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.registered == 0
     }
 
     /// The record of one subscription.
     pub fn member(&self, id: SubscriptionId) -> Option<&MemberRecord> {
-        self.members.get(&id)
+        self.members.get(id.index())?.as_ref()
     }
 
     /// The group attached at one edge broker (absent when empty).
@@ -522,7 +535,7 @@ impl SharedPopulation {
         };
         let mut acc = QosEnvelope::EMPTY;
         for &id in &group.ids {
-            let record = &self.members[&id];
+            let record = self.member(id).expect("group member registered");
             if record.join_epoch <= epoch {
                 acc = acc.fold(
                     record.subscription.allowed_delay(),
@@ -552,7 +565,11 @@ impl SharedPopulation {
             h.write_usize(group.ids.len());
             for id in &group.ids {
                 h.write_u32(id.raw());
-                h.write_u64(self.members[id].join_epoch);
+                h.write_u64(
+                    self.member(*id)
+                        .expect("group member registered")
+                        .join_epoch,
+                );
             }
         }
     }
@@ -570,7 +587,7 @@ impl SharedPopulation {
     /// where the dense layout pays its per-entry cost on every broker).
     pub fn bytes_estimate(&self) -> u64 {
         let member_bytes =
-            (std::mem::size_of::<MemberRecord>() + HASH_SLOT_OVERHEAD) * self.members.len();
+            (std::mem::size_of::<MemberRecord>() + MEMBER_SLOT_OVERHEAD) * self.registered;
         let group_bytes: usize = self
             .by_edge
             .values()
@@ -607,8 +624,9 @@ pub fn read_population(p: &PopulationHandle) -> std::sync::RwLockReadGuard<'_, S
     p.read().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Approximate per-entry bookkeeping overhead of a hash-map slot.
-const HASH_SLOT_OVERHEAD: usize = 48;
+/// Approximate per-member overhead of the registry's slot vector: growth
+/// slack and the holes leaves leave behind.
+const MEMBER_SLOT_OVERHEAD: usize = 48;
 /// Approximate per-member overhead of a covering-forest node (filter handle,
 /// parent pointer, child-set slot).
 const FOREST_NODE_OVERHEAD: usize = 72;
@@ -902,15 +920,30 @@ impl SparseTable {
     /// would not hold.
     pub fn resolve_scope(&self, scope: &ScopeSet, mut f: impl FnMut(ResolvedEntry)) {
         let pop = read_population(&self.population);
+        let has_locals = !self.local.is_empty();
+        // Ids are minted edge by edge, so an id-ordered scope comes in runs
+        // of one edge broker: the aggregate of the previous row usually
+        // serves this one.
+        let mut run: Option<(BrokerId, Option<&AggregateEntry>)> = None;
         for id in scope.iter() {
-            if let Some(e) = self.local.entry(id) {
-                f(ResolvedEntry::from_entry(e));
-                continue;
+            if has_locals {
+                if let Some(e) = self.local.entry(id) {
+                    f(ResolvedEntry::from_entry(e));
+                    continue;
+                }
             }
             let Some(record) = pop.member(id) else {
                 continue; // left the population since the scope froze
             };
-            let Some(agg) = self.aggregates.get(&record.edge) else {
+            let agg = match run {
+                Some((edge, agg)) if edge == record.edge => agg,
+                _ => {
+                    let agg = self.aggregates.get(&record.edge);
+                    run = Some((record.edge, agg));
+                    agg
+                }
+            };
+            let Some(agg) = agg else {
                 continue; // unreachable (or local-but-removed): not served here
             };
             f(ResolvedEntry {

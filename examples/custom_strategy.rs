@@ -29,8 +29,9 @@ impl SchedulingStrategy for DeadlineAwareValue {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        let eb =
-            metrics::expected_benefit(&item.message, &item.targets, ctx.now, ctx.processing_delay);
+        // Item-level metric: `success` is evaluated once per class of the
+        // copy's targets, then summed over the targets.
+        let eb = metrics::expected_benefit(item, ctx.now, ctx.processing_delay);
         // Transmission cost estimate: message size at the queue's mean rate
         // (the same FT estimate the paper's PC metric uses, per KB).
         let send_ms =

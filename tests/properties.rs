@@ -7,7 +7,7 @@
 //! on panic).
 
 use bdps::core::metrics;
-use bdps::core::queue::{MatchedTarget, OutputQueue};
+use bdps::core::queue::{OutputQueue, SuccessClass};
 use bdps::core::strategy::{ScheduleContext, StrategyRegistry};
 use bdps::overlay::pathstats::PathStats;
 use bdps::overlay::routing::Routing;
@@ -30,39 +30,49 @@ fn head(a1: f64, a2: f64) -> MessageHead {
     h
 }
 
-fn random_target(rng: &mut SimRng) -> MatchedTarget {
+/// A target as the arrival path resolves it, before it joins a copy:
+/// `(subscription, subscriber, price, effective allowed delay, path stats)`.
+type ResolvedTarget = (SubscriptionId, SubscriberId, Price, Duration, PathStats);
+
+fn random_target(rng: &mut SimRng) -> ResolvedTarget {
     let hops = rng.uniform_usize(1, 4);
     let mut stats = PathStats::local();
     for _ in 0..hops {
         stats = stats.extend(Normal::new(rng.uniform_range(50.0, 100.0), 20.0));
     }
-    MatchedTarget {
-        subscription: SubscriptionId::new(rng.uniform_usize(0, 100) as u32),
-        subscriber: SubscriberId::new(rng.uniform_usize(0, 100) as u32),
-        price: Price::from_units(rng.uniform_usize(1, 4) as i64),
-        allowed_delay: Duration::from_secs(rng.uniform_usize(1, 90) as u64),
+    (
+        SubscriptionId::new(rng.uniform_usize(0, 100) as u32),
+        SubscriberId::new(rng.uniform_usize(0, 100) as u32),
+        Price::from_units(rng.uniform_usize(1, 4) as i64),
+        Duration::from_secs(rng.uniform_usize(1, 90) as u64),
         stats,
+    )
+}
+
+/// The copy of `message` serving `targets`, built the way the broker does.
+fn copy_of(message: Message, targets: &[ResolvedTarget], enqueue_time: SimTime) -> QueuedMessage {
+    let mut item = QueuedMessage::new(Arc::new(message), enqueue_time);
+    for &(subscription, subscriber, price, allowed_delay, stats) in targets {
+        let class = item.class_for(stats, allowed_delay);
+        item.push_target(subscription, subscriber, price, class);
     }
+    item
 }
 
 /// A queued copy whose targets honour the queue's invariant: strictly
 /// ascending subscription ids.
 fn random_item(id: u64, rng: &mut SimRng) -> QueuedMessage {
-    let mut targets: Vec<MatchedTarget> = (0..rng.uniform_usize(1, 6))
+    let mut targets: Vec<ResolvedTarget> = (0..rng.uniform_usize(1, 6))
         .map(|_| random_target(rng))
         .collect();
-    targets.sort_by_key(|t| t.subscription);
-    targets.dedup_by_key(|t| t.subscription);
-    QueuedMessage {
-        message: Arc::new(
-            Message::builder(MessageId::new(id), PublisherId::new(0))
-                .publish_time(SimTime::from_millis(rng.uniform_usize(0, 5_000) as u64))
-                .size_kb(rng.uniform_range(10.0, 100.0))
-                .build(),
-        ),
-        targets,
-        enqueue_time: SimTime::from_secs(rng.uniform_usize(5, 10) as u64),
-    }
+    targets.sort_by_key(|t| t.0);
+    targets.dedup_by_key(|t| t.0);
+    let message = Message::builder(MessageId::new(id), PublisherId::new(0))
+        .publish_time(SimTime::from_millis(rng.uniform_usize(0, 5_000) as u64))
+        .size_kb(rng.uniform_range(10.0, 100.0))
+        .build();
+    let enqueue_time = SimTime::from_secs(rng.uniform_usize(5, 10) as u64);
+    copy_of(message, &targets, enqueue_time)
 }
 
 fn random_ctx(rng: &mut SimRng) -> ScheduleContext {
@@ -175,6 +185,12 @@ fn remove_subscription_matches_the_retain_reference() {
         for (got, want) in queue.items().iter().zip(&expected) {
             assert_eq!(got.message.id, want.message.id);
             assert_eq!(got.targets, want.targets);
+            // Live counts follow the targets: a class is dead exactly when
+            // its last member was stripped.
+            for (class, c) in got.classes.iter().enumerate() {
+                let members = got.targets.iter().filter(|t| t.class as usize == class);
+                assert_eq!(c.live as usize, members.count());
+            }
         }
     });
 }
@@ -279,12 +295,10 @@ fn success_probability_monotonicity() {
         for _ in 0..hops {
             stats = stats.extend(Normal::new(rate, 20.0));
         }
-        let target = |allowed: u64| MatchedTarget {
-            subscription: SubscriptionId::new(0),
-            subscriber: SubscriberId::new(0),
-            price: Price::unit(),
-            allowed_delay: Duration::from_secs(allowed),
+        let target = |allowed: u64| SuccessClass {
             stats,
+            allowed_delay: Duration::from_secs(allowed),
+            live: 1,
         };
         let pd = Duration::from_millis(2);
         let (early, late) = if elapsed_a <= elapsed_b {
@@ -321,27 +335,31 @@ fn success_probability_monotonicity() {
 #[test]
 fn eb_and_pc_bounds() {
     check(0xEBC, 300, |rng| {
-        let message = Arc::new(
-            Message::builder(MessageId::new(1), PublisherId::new(0))
-                .publish_time(SimTime::ZERO)
-                .size_kb(50.0)
-                .build(),
-        );
-        let targets: Vec<MatchedTarget> = (0..rng.uniform_usize(1, 6))
-            .map(|_| MatchedTarget {
-                subscription: SubscriptionId::new(0),
-                subscriber: SubscriberId::new(0),
-                price: Price::from_units(rng.uniform_usize(1, 4) as i64),
-                allowed_delay: Duration::from_secs(rng.uniform_usize(1, 90) as u64),
-                stats: PathStats::from_links([&Normal::new(75.0, 20.0), &Normal::new(60.0, 20.0)]),
+        let message = Message::builder(MessageId::new(1), PublisherId::new(0))
+            .publish_time(SimTime::ZERO)
+            .size_kb(50.0)
+            .build();
+        let stats = PathStats::from_links([&Normal::new(75.0, 20.0), &Normal::new(60.0, 20.0)]);
+        let targets: Vec<ResolvedTarget> = (0..rng.uniform_usize(1, 6))
+            .map(|_| {
+                let price = Price::from_units(rng.uniform_usize(1, 4) as i64);
+                let allowed = Duration::from_secs(rng.uniform_usize(1, 90) as u64);
+                (
+                    SubscriptionId::new(0),
+                    SubscriberId::new(0),
+                    price,
+                    allowed,
+                    stats,
+                )
             })
             .collect();
+        let item = copy_of(message, &targets, SimTime::ZERO);
         let ft = rng.uniform_range(0.0, 10_000.0);
         let pd = Duration::from_millis(2);
         let now = SimTime::from_secs(1);
-        let eb = metrics::expected_benefit(&message, &targets, now, pd);
-        let pc = metrics::postponing_cost(&message, &targets, now, pd, ft);
-        let total_price: f64 = targets.iter().map(|t| t.price.as_f64()).sum();
+        let eb = metrics::expected_benefit(&item, now, pd);
+        let pc = metrics::postponing_cost(&item, now, pd, ft);
+        let total_price: f64 = item.targets.iter().map(|t| t.price.as_f64()).sum();
         assert!(eb >= -1e-12);
         assert!(eb <= total_price + 1e-9);
         assert!(pc >= -1e-9);
