@@ -11,7 +11,10 @@
 //!
 //! [`McModel::build`] materialises the model into a [`Simulation`] for one
 //! [`CheckCell`] — the reference engine, the production engine, or the
-//! production engine under aggregate forwarding. Exploring every cell of
+//! production engine under aggregate forwarding — through the same
+//! `SimulationBuilder` every other run uses (`try_build_on` over the
+//! hand-made line or star, `drain_grace` set on the builder because a
+//! `SimulationConfig` does not carry it). Exploring every cell of
 //! [`CheckCell::all`] exhaustively cross-checks the configurations the
 //! integration-level differential oracles only sample.
 
@@ -19,7 +22,6 @@ use bdps_core::config::{SchedulerConfig, StrategyKind};
 use bdps_net::bandwidth::FixedRate;
 use bdps_net::link::LinkQuality;
 use bdps_net::linkmodel::LinkModelKind;
-use bdps_net::measure::EstimationError;
 use bdps_overlay::sparse::TableLayout;
 use bdps_overlay::topology::Topology;
 use bdps_sim::engine::{ForwardingMode, Simulation};
@@ -242,8 +244,10 @@ impl McModel {
     ///
     /// # Panics
     ///
-    /// Panics when [`validate`](Self::validate) fails — model bounds are
-    /// authoring errors, not runtime conditions.
+    /// Panics when [`validate`](Self::validate) fails or the engine rejects
+    /// the configuration (an aggregate × dense cell, a scenario event naming
+    /// a link the shape does not have) — model bounds are authoring errors,
+    /// not runtime conditions.
     pub fn build(&self, cell: CheckCell) -> Simulation {
         self.validate().expect("invalid mc model");
         let rate = self.link_rate_ms_per_kb;
@@ -281,18 +285,16 @@ impl McModel {
         }
 
         #[allow(unused_mut)]
-        let mut sim = Simulation::with_scenario(
-            topo,
-            workload,
-            SchedulerConfig::paper(self.strategy),
-            SimRng::seed_from(self.seed),
-            EstimationError::NONE,
-            scenario,
-        )
-        .with_table_layout(cell.layout)
-        .with_link_model(self.link_model)
-        .with_forwarding(cell.forwarding)
-        .with_drain_grace(self.drain_grace);
+        let mut sim = Simulation::builder()
+            .workload(workload)
+            .scheduler(SchedulerConfig::paper(self.strategy))
+            .scenario(scenario)
+            .table_layout(cell.layout)
+            .link_model(self.link_model)
+            .forwarding(cell.forwarding)
+            .drain_grace(self.drain_grace)
+            .try_build_on(topo, SimRng::seed_from(self.seed))
+            .unwrap_or_else(|e| panic!("invalid mc model: {e}"));
         #[cfg(feature = "fault-injection")]
         if let Some(fault) = self.fault {
             sim.inject_fault(fault);

@@ -18,26 +18,45 @@
 //! println!("delivery rate: {:.1} %", report.delivery_rate_percent());
 //! ```
 //!
+//! The builder is also the only way to *make* a [`Simulation`]:
+//! [`try_build`](SimulationBuilder::try_build) validates the whole
+//! configuration — workload, scheduler, mesh, layout × forwarding, every
+//! materialised scenario event — and returns either a complete simulation or
+//! a [`SimError`]; [`try_report`](SimulationBuilder::try_report) also runs it,
+//! so the executor's two combination guards arrive as `Err` too.
+//! [`build`](SimulationBuilder::build) and
+//! [`report`](SimulationBuilder::report) are the same calls for callers who
+//! would rather panic, and
+//! [`try_build_on`](SimulationBuilder::try_build_on) takes a hand-made
+//! [`Topology`] in place of the [`TopologySpec`].
+//!
 //! [`run`](crate::runner::run) and [`sweep`](crate::runner::sweep) are thin
 //! wrappers over this builder; a materialised [`SimulationConfig`] and the
 //! builder that produced it yield bit-identical results because both go
-//! through [`SimulationBuilder::build`] with the same RNG stream discipline.
+//! through [`SimulationBuilder::try_build`] with the same RNG stream
+//! discipline — with one exception: the config does not carry
+//! [`drain_grace`](SimulationBuilder::drain_grace), so a builder that set it
+//! is reproduced with the two-minute default.
 
 use bdps_core::config::{InvalidDetection, SchedulerConfig};
 use bdps_core::strategy::{StrategyHandle, StrategyRegistry};
 use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
 use bdps_net::measure::EstimationError;
-use bdps_overlay::topology::LayeredMeshConfig;
+use bdps_overlay::topology::{LayeredMeshConfig, Topology};
 use bdps_stats::rng::SimRng;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::time::Duration;
 
-use crate::engine::{ForwardingMode, Simulation};
+use crate::engine::{ForwardingMode, SimError, Simulation};
 use crate::report::SimulationReport;
 use crate::runner::{SimulationConfig, TopologySpec};
 use crate::scenario::{DynamicScenario, ScenarioRegistry};
 use crate::workload::WorkloadConfig;
 use bdps_overlay::sparse::TableLayout;
+
+/// How long past the publication period a run keeps draining unless
+/// [`SimulationBuilder::drain_grace`] says otherwise.
+const DEFAULT_DRAIN_GRACE: Duration = Duration::from_secs(120);
 
 /// Fluent construction of one simulation run.
 ///
@@ -47,9 +66,9 @@ use bdps_overlay::sparse::TableLayout;
 /// paper's scheduler settings, seed 0.
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
-    topology: TopologySpec,
-    workload: WorkloadConfig,
-    scheduler: SchedulerConfig,
+    /// The run as the setters left it; [`build_config`](Self::build_config)
+    /// finishes it (detection rule, duration override).
+    config: SimulationConfig,
     /// Whether the user pinned the detection policy (or supplied a whole
     /// scheduler config); when they did not, the §5.4 paper rule applies:
     /// strategies without a link model only delete already-expired messages.
@@ -58,32 +77,27 @@ pub struct SimulationBuilder {
     /// the workload so it survives a later `.workload()`/`.psd()`/`.ssd()`
     /// call (setter order must not matter).
     duration_override: Option<Duration>,
-    seed: u64,
-    estimation_error: EstimationError,
-    drain_grace: Option<Duration>,
-    scenario: DynamicScenario,
-    table_layout: TableLayout,
-    link_model: LinkModelKind,
-    forwarding: ForwardingMode,
-    shards: usize,
+    drain_grace: Duration,
 }
 
 impl Default for SimulationBuilder {
     fn default() -> Self {
         SimulationBuilder {
-            topology: TopologySpec::Paper,
-            workload: WorkloadConfig::paper_psd(10.0),
-            scheduler: SchedulerConfig::default(),
+            config: SimulationConfig {
+                topology: TopologySpec::Paper,
+                workload: WorkloadConfig::paper_psd(10.0),
+                scheduler: SchedulerConfig::default(),
+                seed: 0,
+                estimation_error: EstimationError::NONE,
+                scenario: DynamicScenario::static_scenario(),
+                table_layout: TableLayout::default(),
+                link_model: LinkModelKind::default(),
+                forwarding: ForwardingMode::default(),
+                shards: 1,
+            },
             detection_pinned: false,
             duration_override: None,
-            seed: 0,
-            estimation_error: EstimationError::NONE,
-            drain_grace: None,
-            scenario: DynamicScenario::static_scenario(),
-            table_layout: TableLayout::default(),
-            link_model: LinkModelKind::default(),
-            forwarding: ForwardingMode::default(),
-            shards: 1,
+            drain_grace: DEFAULT_DRAIN_GRACE,
         }
     }
 }
@@ -98,25 +112,16 @@ impl SimulationBuilder {
     /// result reproduces `runner::run(&config)` exactly.
     pub fn from_config(config: &SimulationConfig) -> Self {
         SimulationBuilder {
-            topology: config.topology.clone(),
-            workload: config.workload.clone(),
-            scheduler: config.scheduler.clone(),
+            config: config.clone(),
             detection_pinned: true,
             duration_override: None,
-            seed: config.seed,
-            estimation_error: config.estimation_error,
-            drain_grace: None,
-            scenario: config.scenario.clone(),
-            table_layout: config.table_layout,
-            link_model: config.link_model,
-            forwarding: config.forwarding,
-            shards: config.shards,
+            drain_grace: DEFAULT_DRAIN_GRACE,
         }
     }
 
     /// Sets the overlay topology specification.
     pub fn topology(mut self, spec: TopologySpec) -> Self {
-        self.topology = spec;
+        self.config.topology = spec;
         self
     }
 
@@ -132,7 +137,7 @@ impl SimulationBuilder {
 
     /// Sets the full workload configuration.
     pub fn workload(mut self, workload: WorkloadConfig) -> Self {
-        self.workload = workload;
+        self.config.workload = workload;
         self
     }
 
@@ -160,7 +165,7 @@ impl SimulationBuilder {
     /// [`StrategyHandle`], or any type implementing
     /// [`SchedulingStrategy`](bdps_core::strategy::SchedulingStrategy).
     pub fn strategy(mut self, strategy: impl Into<StrategyHandle>) -> Self {
-        self.scheduler.strategy = strategy.into();
+        self.config.scheduler.strategy = strategy.into();
         self
     }
 
@@ -181,20 +186,20 @@ impl SimulationBuilder {
                 registry.names().join(", ")
             ))
         })?;
-        self.scheduler.strategy = handle;
+        self.config.scheduler.strategy = handle;
         Ok(self)
     }
 
     /// Sets the EBPC weight `r` (eq. 10).
     pub fn ebpc_weight(mut self, r: f64) -> Self {
-        self.scheduler.ebpc_weight = r;
+        self.config.scheduler.ebpc_weight = r;
         self
     }
 
     /// Pins the invalid-message detection policy, overriding the §5.4
     /// default that link-model-free strategies only delete expired messages.
     pub fn invalid_detection(mut self, policy: InvalidDetection) -> Self {
-        self.scheduler.invalid_detection = policy;
+        self.config.scheduler.invalid_detection = policy;
         self.detection_pinned = true;
         self
     }
@@ -202,7 +207,7 @@ impl SimulationBuilder {
     /// Replaces the whole scheduler configuration (strategy, `r`, ε, `PD`,
     /// average message size). Implies the detection policy is pinned.
     pub fn scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
+        self.config.scheduler = scheduler;
         self.detection_pinned = true;
         self
     }
@@ -214,7 +219,7 @@ impl SimulationBuilder {
     /// scenario's randomness derives from the run's seed, so scenario runs
     /// replay bit-for-bit.
     pub fn scenario(mut self, scenario: DynamicScenario) -> Self {
-        self.scenario = scenario;
+        self.config.scenario = scenario;
         self
     }
 
@@ -235,7 +240,7 @@ impl SimulationBuilder {
                 registry.names().join(", ")
             ))
         })?;
-        self.scenario = scenario;
+        self.config.scenario = scenario;
         Ok(self)
     }
 
@@ -247,7 +252,7 @@ impl SimulationBuilder {
     /// bit-identical reports (`tests/layout_equivalence.rs`), so this trades
     /// table memory and link-event cost, never results.
     pub fn table_layout(mut self, layout: TableLayout) -> Self {
-        self.table_layout = layout;
+        self.config.table_layout = layout;
         self
     }
 
@@ -259,7 +264,7 @@ impl SimulationBuilder {
     /// Fair-share runs require `shards(1)` — the sharded executor returns a
     /// structured error for non-constant models.
     pub fn link_model(mut self, model: LinkModelKind) -> Self {
-        self.link_model = model;
+        self.config.link_model = model;
         self
     }
 
@@ -280,7 +285,7 @@ impl SimulationBuilder {
                 registry.names().join(", ")
             ))
         })?;
-        self.link_model = model;
+        self.config.link_model = model;
         Ok(self)
     }
 
@@ -291,14 +296,14 @@ impl SimulationBuilder {
     /// earning and audits (`tests/forwarding_equivalence.rs` pins this) but
     /// not traffic, and requires [`TableLayout::Sparse`] and `shards(1)`.
     pub fn forwarding(mut self, mode: ForwardingMode) -> Self {
-        self.forwarding = mode;
+        self.config.forwarding = mode;
         self
     }
 
     /// Sets the root RNG seed; topology, workload, scheduling and scenario
     /// randomness all derive from it.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
@@ -306,14 +311,14 @@ impl SimulationBuilder {
     /// schedulers' beliefs use perturbed link parameters while transfers
     /// follow the true model (the `ablation_estimation` experiment).
     pub fn estimation_error(mut self, error: EstimationError) -> Self {
-        self.estimation_error = error;
+        self.config.estimation_error = error;
         self
     }
 
     /// Sets how long after the publication period in-flight messages keep
     /// being processed (default two minutes).
     pub fn drain_grace(mut self, grace: Duration) -> Self {
-        self.drain_grace = Some(grace);
+        self.drain_grace = grace;
         self
     }
 
@@ -322,75 +327,55 @@ impl SimulationBuilder {
     /// conservative time-window executor ([`crate::shard`]) on `n` worker
     /// threads; every shard count produces a bit-identical report.
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
+        self.config.shards = n.max(1);
         self
     }
 
     /// Materialises the run as a serialisable [`SimulationConfig`] (the form
     /// sweeps and experiment binaries pass around).
     pub fn build_config(&self) -> SimulationConfig {
-        let mut scheduler = self.scheduler.clone();
-        if !self.detection_pinned && !scheduler.strategy.uses_link_model() {
+        let mut config = self.config.clone();
+        if !self.detection_pinned && !config.scheduler.strategy.uses_link_model() {
             // §5.4: FIFO and RL have no probabilistic model to consult, so
             // they only delete already-expired messages.
-            scheduler.invalid_detection = InvalidDetection::ExpiredOnly;
+            config.scheduler.invalid_detection = InvalidDetection::ExpiredOnly;
         }
-        let mut workload = self.workload.clone();
         if let Some(duration) = self.duration_override {
-            workload.duration = duration;
+            config.workload.duration = duration;
         }
-        SimulationConfig {
-            topology: self.topology.clone(),
-            workload,
-            scheduler,
-            seed: self.seed,
-            estimation_error: self.estimation_error,
-            scenario: self.scenario.clone(),
-            table_layout: self.table_layout,
-            link_model: self.link_model,
-            forwarding: self.forwarding,
-            shards: self.shards,
-        }
+        config
     }
 
-    /// Builds the simulation, ready to [`run`](Simulation::run).
+    /// Builds the simulation, ready to [`run`](Simulation::run), or says
+    /// what is wrong with the configuration.
     ///
     /// The root seed is split into independent streams — stream 0 for
     /// topology construction, stream 1 for simulation dynamics — so changing
     /// the workload never perturbs the topology.
-    pub fn build(&self) -> Simulation {
-        let config = self.build_config();
-        let root = SimRng::seed_from(config.seed);
-        let mut topo_rng = root.split(0);
-        let sim_rng = root.split(1);
-        let topology = config.topology.build(&mut topo_rng);
-        let mut sim = Simulation::with_scenario(
-            topology,
-            config.workload,
-            config.scheduler,
-            sim_rng,
-            config.estimation_error,
-            config.scenario,
-        );
-        sim = sim.with_table_layout(config.table_layout);
-        sim = sim.with_link_model(config.link_model);
-        sim = sim.with_forwarding(config.forwarding);
-        if let Some(grace) = self.drain_grace {
-            sim = sim.with_drain_grace(grace);
-        }
-        // Materialise broker state here so its cost lands in the build
-        // phase (what the benchmark reports as `setup_s`), not in the first
-        // instants of `run`.
-        sim.prepare()
+    pub fn try_build(&self) -> std::result::Result<Simulation, SimError> {
+        let root = SimRng::seed_from(self.config.seed);
+        let topology = self.config.topology.try_build(&mut root.split(0))?;
+        self.try_build_on(topology, root.split(1))
     }
 
-    /// Builds, runs to completion and wraps the outcome in a
+    /// Like [`try_build`](Self::try_build) over a hand-made `topology`
+    /// (which replaces the [`TopologySpec`]) with all simulation randomness
+    /// derived from `sim_rng` (which replaces the seed's stream 1).
+    pub fn try_build_on(
+        &self,
+        topology: Topology,
+        sim_rng: SimRng,
+    ) -> std::result::Result<Simulation, SimError> {
+        Simulation::try_new(topology, self.build_config(), sim_rng, self.drain_grace)
+    }
+
+    /// Builds, runs to completion on the configured number of shards (one
+    /// shard is the sequential loop) and wraps the outcome in a
     /// [`SimulationReport`].
-    pub fn report(&self) -> SimulationReport {
+    pub fn try_report(&self) -> std::result::Result<SimulationReport, SimError> {
         let config = self.build_config();
-        // One shard is the sequential loop (the executor falls back to it).
-        let outcome = crate::shard::run_sharded(self.build(), self.shards);
-        SimulationReport::from_outcome(
+        let outcome = crate::shard::try_run_sharded(self.try_build()?, config.shards)?;
+        Ok(SimulationReport::from_outcome(
             &outcome,
             &config.scheduler.strategy,
             config.scheduler.ebpc_weight,
@@ -398,7 +383,19 @@ impl SimulationBuilder {
             &config.scenario.name,
             &config.workload,
             config.seed,
-        )
+        ))
+    }
+
+    /// [`try_build`](Self::try_build), panicking with the [`SimError`] on an
+    /// invalid configuration.
+    pub fn build(&self) -> Simulation {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`try_report`](Self::try_report), panicking with the [`SimError`] on
+    /// an invalid configuration or a failed run.
+    pub fn report(&self) -> SimulationReport {
+        self.try_report().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

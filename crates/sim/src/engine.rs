@@ -30,7 +30,6 @@ use bdps_filter::index::MatchIndex;
 use bdps_filter::scope::ScopeSet;
 use bdps_filter::subscription::Subscription;
 use bdps_net::linkmodel::LinkModelKind;
-use bdps_net::measure::EstimationError;
 use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::routing::{RouteDelta, Routing};
 use bdps_overlay::sparse::{
@@ -40,6 +39,7 @@ use bdps_overlay::subtable::{RetargetOutcome, SubscriptionTable};
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_stats::summary::Summary;
+use bdps_types::error::BdpsError;
 use bdps_types::id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
 use bdps_types::message::Message;
 use bdps_types::time::{Duration, SimTime};
@@ -49,10 +49,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
-use crate::scenario::{DynamicScenario, ScenarioAction};
+use crate::runner::SimulationConfig;
+use crate::scenario::ScenarioAction;
 use crate::sched::{EventQueue, Scheduled};
 use crate::traffic::{Effect, EffectSink, Shared, Totals, TrafficCore};
-use crate::workload::WorkloadConfig;
 
 /// Canonical, partition-independent event keys.
 ///
@@ -156,14 +156,20 @@ pub(crate) mod key {
 /// this error instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
+    /// The configuration cannot be built into a run: an out-of-range
+    /// workload or scheduler value, a malformed mesh, an overlay past the
+    /// canonical event-key limits, or a scenario event naming a link or
+    /// broker the graph does not have. Decided before any event is applied.
+    InvalidConfig(BdpsError),
     /// The shared population registry's write lock was poisoned by a panic
     /// in another thread; the pending mutation was not applied.
     PopulationPoisoned {
         /// Which mutation was abandoned.
         during: &'static str,
     },
-    /// A churn action found no population registry although the sparse
-    /// layout always builds one; the mutation was not applied.
+    /// A churn action or a link-event table patch found no population
+    /// registry although the sparse layout always builds one; the mutation
+    /// was not applied.
     PopulationMissing {
         /// Which mutation was abandoned.
         during: &'static str,
@@ -204,6 +210,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimError::InvalidConfig(e) => e.fmt(f),
             SimError::PopulationPoisoned { during } => write!(
                 f,
                 "population registry lock poisoned during {during}; mutation abandoned"
@@ -241,6 +248,12 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+impl From<BdpsError> for SimError {
+    fn from(e: BdpsError) -> Self {
+        SimError::InvalidConfig(e)
+    }
+}
 
 /// One kind of pending simulation event.
 ///
@@ -886,9 +899,6 @@ pub struct Simulation {
     /// How brokers materialise their subscription tables (dense replicated
     /// entries, or sparse covering aggregates over the shared registry).
     table_layout: TableLayout,
-    /// Set once [`build_brokers`](Self::build_brokers) materialised the
-    /// per-broker state for the configured layout.
-    brokers_built: bool,
     tables_rebuilt_full: u64,
     entries_retargeted: u64,
     route_trees_recomputed: u64,
@@ -972,56 +982,59 @@ fn write_population<'a>(
 }
 
 impl Simulation {
-    /// Builds a simulation over the given topology, workload and scheduler
-    /// configuration. All randomness is derived from `rng`.
-    pub fn new(
+    /// The one constructor, reached through [`SimulationBuilder`]'s
+    /// `try_build` / `try_build_on`: validates everything the configuration
+    /// decides, then builds routing, the population, the event stream and
+    /// the per-broker state for the configured layout, so a `Simulation` is
+    /// complete the moment it exists.
+    ///
+    /// `config.topology`, `config.seed` and `config.shards` are the
+    /// caller's business (it already turned the first two into `topology`
+    /// and `rng`, and it picks the executor). All randomness is derived
+    /// from `rng`; the scenario draws from a stream split off its seed, so
+    /// the main simulation stream is the same whatever the scenario does.
+    /// The routing tables, path statistics and `FT` estimates are computed
+    /// from link parameters biased by `config.estimation_error` while
+    /// transfers follow the true link model.
+    ///
+    /// [`SimulationBuilder`]: crate::builder::SimulationBuilder
+    pub(crate) fn try_new(
         topology: Topology,
-        workload: WorkloadConfig,
-        scheduler: SchedulerConfig,
-        rng: SimRng,
-    ) -> Self {
-        Self::with_estimation_error(topology, workload, scheduler, rng, EstimationError::NONE)
-    }
-
-    /// Like [`new`](Self::new), but the routing tables, path statistics and
-    /// `FT` estimates are computed from *biased* link parameters while the
-    /// actual transfers still follow the true link model — reproducing a
-    /// system whose bandwidth measurement is systematically wrong (the
-    /// `ablation_estimation` experiment).
-    pub fn with_estimation_error(
-        topology: Topology,
-        workload: WorkloadConfig,
-        scheduler: SchedulerConfig,
-        rng: SimRng,
-        estimation_error: EstimationError,
-    ) -> Self {
-        Self::with_scenario(
-            topology,
+        config: SimulationConfig,
+        mut rng: SimRng,
+        drain_grace: Duration,
+    ) -> Result<Self, SimError> {
+        let SimulationConfig {
             workload,
             scheduler,
-            rng,
             estimation_error,
-            DynamicScenario::static_scenario(),
-        )
-    }
-
-    /// The full constructor: like
-    /// [`with_estimation_error`](Self::with_estimation_error) plus a
-    /// [`DynamicScenario`] whose materialised events are injected into the
-    /// event loop. The scenario draws from an RNG stream derived from `rng`'s
-    /// seed, so the main simulation stream is untouched — a static scenario
-    /// run is bit-for-bit identical to one built through
-    /// [`new`](Self::new).
-    pub fn with_scenario(
-        topology: Topology,
-        workload: WorkloadConfig,
-        scheduler: SchedulerConfig,
-        mut rng: SimRng,
-        estimation_error: EstimationError,
-        scenario: DynamicScenario,
-    ) -> Self {
-        workload.validate().expect("invalid workload");
-        scheduler.validate().expect("invalid scheduler config");
+            scenario,
+            table_layout,
+            link_model,
+            forwarding,
+            ..
+        } = config;
+        workload.validate()?;
+        scheduler.validate()?;
+        if forwarding == ForwardingMode::Aggregate && table_layout == TableLayout::Dense {
+            return Err(SimError::AggregateForwardingNeedsSparseLayout);
+        }
+        let link_count = topology.graph.link_count();
+        let publisher_slots = topology
+            .publishers
+            .iter()
+            .map(|(p, _)| p.index() + 1)
+            .max()
+            .unwrap_or(0);
+        if publisher_slots > key::MAX_PUBLISHER_SLOTS || link_count > key::MAX_LINKS {
+            return Err(BdpsError::InvalidConfig(format!(
+                "canonical event keys support at most {} publisher slots and {} links, \
+                 the overlay has {publisher_slots} and {link_count}",
+                key::MAX_PUBLISHER_SLOTS,
+                key::MAX_LINKS
+            ))
+            .into());
+        }
 
         // The graph the *schedulers believe in*: identical structure, link
         // rate parameters perturbed by the estimation error. Link identifiers
@@ -1064,14 +1077,7 @@ impl Simulation {
         // randomness (replay stays exact whatever the scenario does).
         let mut scenario_rng = rng.split(0x5CE7_A210);
         let scenario_events = scenario.materialize(&topology, &workload, &mut scenario_rng);
-
-        // Per-broker subscription tables and broker state machines are built
-        // lazily (see [`build_brokers`](Self::build_brokers)): the layout may
-        // still change through `with_table_layout`, and at 10⁵+ subscribers
-        // building one layout's tables only to discard them for the other's
-        // would dominate construction. Both are built from the believed graph
-        // (what measurement reports), while actual transfer times are
-        // sampled from the true graph.
+        crate::scenario::validate_events(&scenario_events, &topology.graph)?;
 
         // Global filter index used to count ts_i at publication time.
         let global_index =
@@ -1083,24 +1089,6 @@ impl Simulation {
         for l in topology.graph.links() {
             link_of[l.from.index()][l.to.index()] = Some(l.id);
         }
-        let link_count = topology.graph.link_count();
-
-        let publisher_slots = topology
-            .publishers
-            .iter()
-            .map(|(p, _)| p.index() + 1)
-            .max()
-            .unwrap_or(0);
-        assert!(
-            publisher_slots <= key::MAX_PUBLISHER_SLOTS,
-            "canonical event keys support at most {} publisher slots",
-            key::MAX_PUBLISHER_SLOTS
-        );
-        assert!(
-            link_count <= key::MAX_LINKS,
-            "canonical event keys support at most {} links",
-            key::MAX_LINKS
-        );
 
         // One independent, seed-derived RNG stream per publisher and per
         // link (`SimRng::split` derives from the seed alone, so the streams
@@ -1124,13 +1112,13 @@ impl Simulation {
                 global_index,
                 workload,
                 scheduler,
-                link_model: LinkModelKind::default().create().into(),
+                link_model: link_model.create().into(),
                 link_of,
                 link_down_depth: vec![0; link_count],
                 link_fail_gen: vec![0; link_count],
                 rate_multiplier: vec![1.0; publisher_slots],
                 publish_gen: vec![0; publisher_slots],
-                forwarding: ForwardingMode::default(),
+                forwarding,
                 population: None,
                 #[cfg(feature = "fault-injection")]
                 injected_fault: None,
@@ -1150,14 +1138,13 @@ impl Simulation {
             dirty_links: Vec::new(),
             link_dirty: vec![false; link_count],
             link_alive_at_rebuild: vec![true; link_count],
-            table_layout: TableLayout::default(),
-            brokers_built: false,
+            table_layout,
             tables_rebuilt_full: 0,
             entries_retargeted: 0,
             route_trees_recomputed: 0,
             route_pairs_changed: 0,
             rng,
-            drain_grace: Duration::from_secs(120),
+            drain_grace,
         };
 
         // Scenario keys rank lowest, so at equal times a scenario action
@@ -1174,107 +1161,15 @@ impl Simulation {
         for &(publisher, _) in &sim.shared.topology.publishers {
             sim.core.schedule_next_publication(&sim.shared, publisher);
         }
-        sim
-    }
-
-    /// Sets how long after the publication period the simulator keeps
-    /// processing in-flight messages (default two minutes).
-    pub fn with_drain_grace(mut self, grace: Duration) -> Self {
-        self.drain_grace = grace;
-        self
-    }
-
-    /// Selects the engine (see [`TableLayout`]; sparse by default): sparse
-    /// covering-aggregated tables patched incrementally after link events —
-    /// the production engine, the one the benchmark measures — or dense
-    /// replicated tables rebuilt from scratch with the routing on every link
-    /// batch — the reference engine. Both yield bit-identical results
-    /// (`tests/layout_equivalence.rs` compares whole reports), so the choice
-    /// trades memory (`O(brokers × subscriptions)` dense vs `O(population +
-    /// brokers²)` sparse) and link-event cost, never outcomes. Call before
-    /// [`run`](Self::run) or [`prepare`](Self::prepare).
-    pub fn with_table_layout(mut self, layout: TableLayout) -> Self {
-        assert!(
-            !self.brokers_built,
-            "table layout must be chosen before broker state is materialised"
-        );
-        self.table_layout = layout;
-        self
-    }
-
-    /// Selects the link transfer-time model (see
-    /// [`LinkModelKind`]; constant delay by default). Every transfer-time
-    /// computation goes through the chosen
-    /// [`LinkModel`](bdps_net::linkmodel::LinkModel) trait object — the
-    /// constant model is the differential oracle, bit-identical to the
-    /// pre-trait engine (`tests/linkmodel_equivalence.rs` pins it) — so a
-    /// direct `LinkQuality::sample_transfer` call in the engine would
-    /// bypass the sharing discipline and is no longer allowed. Call before
-    /// [`run`](Self::run), while no traffic has flowed.
-    pub fn with_link_model(mut self, kind: LinkModelKind) -> Self {
-        assert!(
-            self.totals.transmissions == 0 && self.core.link_flows.iter().all(Vec::is_empty),
-            "link model must be chosen before any transfer starts"
-        );
-        self.shared.link_model = kind.create().into();
-        self
-    }
-
-    /// The link transfer-time model this run uses.
-    pub fn link_model(&self) -> LinkModelKind {
-        self.shared.link_model.kind()
-    }
-
-    /// Selects how publish-time matching scopes copies (see
-    /// [`ForwardingMode`]; exact by default). Aggregate forwarding requires
-    /// the sparse table layout — the combination with a dense layout is
-    /// rejected as a structured error when the run starts. Call before
-    /// [`run`](Self::run).
-    pub fn with_forwarding(mut self, mode: ForwardingMode) -> Self {
-        assert!(
-            self.totals.published == 0,
-            "forwarding mode must be chosen before any message is published"
-        );
-        self.shared.forwarding = mode;
-        self
-    }
-
-    /// The forwarding mode this run uses.
-    pub fn forwarding(&self) -> ForwardingMode {
-        self.shared.forwarding
-    }
-
-    /// The objective bookkeeping accumulated so far — the mid-run view the
-    /// model-checking explorer reads to collect terminal delivery sets.
-    pub fn tracker(&self) -> &ObjectiveTracker {
-        &self.totals.tracker
+        sim.build_brokers();
+        Ok(sim)
     }
 
     /// Materialises the per-broker state (tables and queues) for the
-    /// configured layout. The builder calls this so construction cost is
-    /// paid in the build phase rather than inside the first instants of
-    /// [`run`](Self::run); `run` calls it automatically when skipped. A
-    /// configuration that cannot be materialised (see
-    /// [`SimError::AggregateForwardingNeedsSparseLayout`]) is left unbuilt
-    /// here and reported by [`try_run`](Self::try_run) /
-    /// [`try_apply`](Self::try_apply).
-    pub fn prepare(mut self) -> Self {
-        let _ = self.build_brokers();
-        self
-    }
-
-    /// Builds broker state once; the one place the layout × forwarding
-    /// combination is admitted or rejected.
-    pub(crate) fn build_brokers(&mut self) -> Result<(), SimError> {
-        if self.brokers_built {
-            return Ok(());
-        }
-        if self.shared.forwarding == ForwardingMode::Aggregate
-            && self.table_layout == TableLayout::Dense
-        {
-            return Err(SimError::AggregateForwardingNeedsSparseLayout);
-        }
-        self.brokers_built = true;
+    /// configured layout — the constructor's last step. Tables are built
+    /// from the believed graph (what measurement reports), while transfer
+    /// times are sampled from the true graph.
+    fn build_brokers(&mut self) {
         let scheduler = &self.shared.scheduler;
         match self.table_layout {
             TableLayout::Dense => {
@@ -1313,7 +1208,22 @@ impl Simulation {
                 self.shared.population = Some(population);
             }
         }
-        Ok(())
+    }
+
+    /// The link transfer-time model this run uses.
+    pub fn link_model(&self) -> LinkModelKind {
+        self.shared.link_model.kind()
+    }
+
+    /// The forwarding mode this run uses.
+    pub fn forwarding(&self) -> ForwardingMode {
+        self.shared.forwarding
+    }
+
+    /// The objective bookkeeping accumulated so far — the mid-run view the
+    /// model-checking explorer reads to collect terminal delivery sets.
+    pub fn tracker(&self) -> &ObjectiveTracker {
+        &self.totals.tracker
     }
 
     /// The table layout this run uses.
@@ -1346,7 +1256,6 @@ impl Simulation {
     /// [`SimError`]s (e.g. a population registry lock poisoned by a sibling
     /// thread) instead of panicking.
     pub fn try_run(mut self) -> Result<SimulationOutcome, SimError> {
-        self.build_brokers()?;
         let hard_stop = self.hard_stop();
         while let Some(entry) = self.core.events.pop_if_at_or_before(hard_stop) {
             self.try_apply(entry)?;
@@ -1380,12 +1289,7 @@ impl Simulation {
     /// permutation is a distinct legal interleaving. Events not chosen for
     /// [`apply`](Self::apply) must be re-inserted with
     /// [`push_back`](Self::push_back).
-    ///
-    /// Materialises broker state if [`prepare`](Self::prepare) was skipped;
-    /// a configuration that cannot be materialised is reported when the
-    /// first event is [applied](Self::try_apply).
     pub fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<EventKind>> {
-        let _ = self.build_brokers();
         self.core.events.take_frontier(limit)
     }
 
@@ -1412,7 +1316,6 @@ impl Simulation {
     /// `traffic.rs` against this simulation's own core, with the
     /// totals as the effect sink; scenario actions are applied here.
     pub fn try_apply(&mut self, entry: Scheduled<EventKind>) -> Result<(), SimError> {
-        self.build_brokers()?;
         match entry.item {
             EventKind::Scenario { action } => {
                 self.core.begin_event(entry.time);
@@ -1539,7 +1442,6 @@ impl Simulation {
             link_dirty: self.link_dirty.clone(),
             link_alive_at_rebuild: self.link_alive_at_rebuild.clone(),
             table_layout: self.table_layout,
-            brokers_built: self.brokers_built,
             tables_rebuilt_full: self.tables_rebuilt_full,
             entries_retargeted: self.entries_retargeted,
             route_trees_recomputed: self.route_trees_recomputed,
@@ -1881,7 +1783,7 @@ impl Simulation {
                     self.mark_link_dirty(link);
                 }
                 self.shared.link_down_depth[link.index()] += 1;
-                self.maybe_rebuild_routing();
+                self.maybe_rebuild_routing()?;
             }
             ScenarioAction::LinkUp { link } => {
                 let depth = &mut self.shared.link_down_depth[link.index()];
@@ -1892,7 +1794,7 @@ impl Simulation {
                         self.mark_link_dirty(link);
                     }
                 }
-                self.maybe_rebuild_routing();
+                self.maybe_rebuild_routing()?;
                 if self.shared.link_down_depth[link.index()] == 0 {
                     // Pump the queue that was waiting behind the outage.
                     let (from, to) = self.shared.endpoints(link);
@@ -1931,9 +1833,9 @@ impl Simulation {
     /// production engine ([`TableLayout::Sparse`]) recomputes only the
     /// destinations the batch can affect and patches only the aggregates
     /// whose route entry changed. Both leave routing in identical states.
-    fn maybe_rebuild_routing(&mut self) {
+    fn maybe_rebuild_routing(&mut self) -> Result<(), SimError> {
         if !self.routing_dirty {
-            return;
+            return Ok(());
         }
         if let Some((time, kind)) = self.core.events.peek() {
             if time == self.core.now
@@ -1944,14 +1846,15 @@ impl Simulation {
                     }
                 )
             {
-                return;
+                return Ok(());
             }
         }
         self.routing_dirty = false;
         match self.table_layout {
             TableLayout::Dense => self.rebuild_routing_full(),
-            TableLayout::Sparse => self.rebuild_routing_incremental(),
+            TableLayout::Sparse => self.rebuild_routing_incremental()?,
         }
+        Ok(())
     }
 
     /// Resolves the dirty-link set against the liveness snapshot of the last
@@ -2002,10 +1905,10 @@ impl Simulation {
     /// the link batch can affect, then patch only the `(broker,
     /// destination)` aggregates whose route entry changed — work
     /// proportional to the change, not the population.
-    fn rebuild_routing_incremental(&mut self) {
+    fn rebuild_routing_incremental(&mut self) -> Result<(), SimError> {
         let (removed, added) = self.drain_dirty_links();
         if removed.is_empty() && added.is_empty() {
-            return; // the batch was a net liveness no-op
+            return Ok(()); // the batch was a net liveness no-op
         }
         let depth = std::mem::take(&mut self.shared.link_down_depth);
         let delta = self.routing.update_for_link_change(
@@ -2017,9 +1920,10 @@ impl Simulation {
         self.shared.link_down_depth = depth;
         self.route_trees_recomputed += delta.dests_recomputed() as u64;
         self.route_pairs_changed += delta.changed_pairs() as u64;
-        if !delta.is_empty() {
-            self.patch_sparse_tables(&delta);
+        if delta.is_empty() {
+            return Ok(());
         }
+        self.patch_sparse_tables(&delta)
     }
 
     /// One [`BrokerState::sync_aggregate`] call per changed `(broker,
@@ -2027,10 +1931,10 @@ impl Simulation {
     /// population-grouping pass (removing or inserting an aggregate is
     /// `O(log dests)`, so even a blackout's mass transition is cheap). The
     /// registry is locked once for the whole patch.
-    fn patch_sparse_tables(&mut self, delta: &RouteDelta) {
-        let Some(population) = &self.shared.population else {
-            return; // broker state not materialised yet: nothing to patch
-        };
+    fn patch_sparse_tables(&mut self, delta: &RouteDelta) -> Result<(), SimError> {
+        let during = "link-event table patch";
+        let population = self.shared.population.as_ref();
+        let population = population.ok_or(SimError::PopulationMissing { during })?;
         let population = bdps_overlay::sparse::read_population(population);
         let routing = &self.routing;
         let mut patched = RetargetOutcome::default();
@@ -2042,15 +1946,18 @@ impl Simulation {
             }
         }
         self.entries_retargeted += patched.total();
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioRegistry;
+    use crate::builder::SimulationBuilder;
+    use crate::scenario::{DynamicScenario, ScenarioRegistry};
     use crate::workload::{
         ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
+        WorkloadConfig,
     };
     use bdps_core::config::StrategyKind;
     use bdps_net::bandwidth::FixedRate;
@@ -2083,6 +1990,49 @@ mod tests {
         w
     }
 
+    /// The builder every test here goes through: `workload`, the paper
+    /// scheduler for `strategy` exactly as `SchedulerConfig::paper` spells
+    /// it (so the detection policy is pinned), and `scenario`.
+    fn configured(
+        workload: WorkloadConfig,
+        strategy: StrategyKind,
+        scenario: DynamicScenario,
+    ) -> SimulationBuilder {
+        Simulation::builder()
+            .workload(workload)
+            .scheduler(SchedulerConfig::paper(strategy))
+            .scenario(scenario)
+    }
+
+    /// A simulation over a hand-made topology, all randomness from `seed`.
+    fn build_on(
+        topo: Topology,
+        workload: WorkloadConfig,
+        strategy: StrategyKind,
+        seed: u64,
+        scenario: DynamicScenario,
+    ) -> Simulation {
+        configured(workload, strategy, scenario)
+            .try_build_on(topo, SimRng::seed_from(seed))
+            .expect("valid test configuration")
+    }
+
+    /// [`build_on`] under the static scenario.
+    fn plain(
+        topo: Topology,
+        workload: WorkloadConfig,
+        strategy: StrategyKind,
+        seed: u64,
+    ) -> Simulation {
+        build_on(
+            topo,
+            workload,
+            strategy,
+            seed,
+            DynamicScenario::static_scenario(),
+        )
+    }
+
     fn scenario_run(
         scenario: DynamicScenario,
         strategy: StrategyKind,
@@ -2091,27 +2041,14 @@ mod tests {
         let topo = small_topology(seed);
         let mut w = WorkloadConfig::paper_ssd(8.0);
         w.duration = Duration::from_secs(300);
-        Simulation::with_scenario(
-            topo,
-            w,
-            SchedulerConfig::paper(strategy),
-            SimRng::seed_from(seed),
-            EstimationError::NONE,
-            scenario,
-        )
-        .run()
+        build_on(topo, w, strategy, seed, scenario).run()
     }
 
     #[test]
     fn uncongested_run_delivers_almost_everything() {
         let topo = small_topology(1);
         let workload = short_workload(Scenario::PublisherSpecified, 4.0);
-        let sim = Simulation::new(
-            topo,
-            workload,
-            SchedulerConfig::paper(StrategyKind::MaxEb),
-            SimRng::seed_from(2),
-        );
+        let sim = plain(topo, workload, StrategyKind::MaxEb, 2);
         let out = sim.run();
         assert!(out.published > 0);
         assert!(out.tracker.total_interested() > 0);
@@ -2140,13 +2077,7 @@ mod tests {
         let run = |seed: u64| {
             let topo = small_topology(seed);
             let workload = short_workload(Scenario::SubscriberSpecified, 6.0);
-            Simulation::new(
-                topo,
-                workload,
-                SchedulerConfig::paper(StrategyKind::MaxEbpc),
-                SimRng::seed_from(seed),
-            )
-            .run()
+            plain(topo, workload, StrategyKind::MaxEbpc, seed).run()
         };
         let a = run(7);
         let b = run(7);
@@ -2169,13 +2100,7 @@ mod tests {
     fn zero_rate_produces_no_traffic() {
         let topo = small_topology(3);
         let workload = short_workload(Scenario::PublisherSpecified, 0.0);
-        let out = Simulation::new(
-            topo,
-            workload,
-            SchedulerConfig::paper(StrategyKind::Fifo),
-            SimRng::seed_from(4),
-        )
-        .run();
+        let out = plain(topo, workload, StrategyKind::Fifo, 4).run();
         assert_eq!(out.published, 0);
         assert_eq!(out.message_number(), 0);
         assert_eq!(out.tracker.delivery_rate(), 0.0);
@@ -2185,13 +2110,7 @@ mod tests {
     fn ssd_earning_is_positive_and_bounded_by_perfect_delivery() {
         let topo = small_topology(5);
         let workload = short_workload(Scenario::SubscriberSpecified, 6.0);
-        let out = Simulation::new(
-            topo,
-            workload,
-            SchedulerConfig::paper(StrategyKind::MaxEb),
-            SimRng::seed_from(6),
-        )
-        .run();
+        let out = plain(topo, workload, StrategyKind::MaxEb, 6).run();
         let earning = out.tracker.total_earning().as_f64();
         assert!(earning > 0.0);
         // Perfect delivery would earn at most 3 units per interested pair.
@@ -2209,13 +2128,7 @@ mod tests {
         // pairs (ts_i counts exactly the matching subscribers).
         let topo = small_topology(9);
         let workload = short_workload(Scenario::PublisherSpecified, 8.0);
-        let out = Simulation::new(
-            topo,
-            workload,
-            SchedulerConfig::paper(StrategyKind::Fifo),
-            SimRng::seed_from(10),
-        )
-        .run();
+        let out = plain(topo, workload, StrategyKind::Fifo, 10).run();
         let delivered = out.tracker.total_on_time() + out.tracker.total_late();
         assert!(
             delivered <= out.tracker.total_interested(),
@@ -2239,13 +2152,7 @@ mod tests {
             .unwrap();
             let mut w = WorkloadConfig::paper_psd(12.0);
             w.duration = Duration::from_secs(600);
-            Simulation::new(
-                topo,
-                w,
-                SchedulerConfig::paper(strategy),
-                SimRng::seed_from(12),
-            )
-            .run()
+            plain(topo, w, strategy, 12).run()
         };
         let eb = make(StrategyKind::MaxEb);
         let fifo = make(StrategyKind::Fifo);
@@ -2266,12 +2173,7 @@ mod tests {
         let topo = small_topology(13);
         let n_subs = topo.subscribers.len();
         let workload = short_workload(Scenario::SubscriberSpecified, 1.0);
-        let sim = Simulation::new(
-            topo,
-            workload,
-            SchedulerConfig::paper(StrategyKind::MaxPc),
-            SimRng::seed_from(14),
-        );
+        let sim = plain(topo, workload, StrategyKind::MaxPc, 14);
         assert_eq!(sim.subscriptions().len(), n_subs);
         assert_eq!(sim.scheduler().strategy, StrategyKind::MaxPc);
         // Each subscription belongs to a distinct subscriber.
@@ -2391,6 +2293,96 @@ mod tests {
     }
 
     #[test]
+    fn scenario_events_are_checked_against_the_overlay_at_construction() {
+        let (links, brokers) = {
+            let graph = small_topology(23).graph;
+            (graph.link_count() as u32, graph.broker_count() as u32)
+        };
+        // A valid event first, so the reported index is the offender's.
+        let rejection = |action: ScenarioAction| {
+            let scenario = DynamicScenario::named("bad")
+                .at(
+                    Duration::from_secs(10),
+                    ScenarioAction::LinkDown {
+                        link: LinkId::new(links - 1),
+                    },
+                )
+                .at(Duration::from_secs(20), action);
+            let built = configured(WorkloadConfig::paper_ssd(8.0), StrategyKind::Fifo, scenario)
+                .try_build_on(small_topology(23), SimRng::seed_from(23));
+            match built.err() {
+                Some(SimError::InvalidConfig(e)) => e.to_string(),
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        };
+        let joiner = WorkloadConfig::paper_ssd(8.0).generate_subscription(
+            SubscriptionId::new(500),
+            SubscriberId::new(500),
+            &mut SimRng::seed_from(1),
+        );
+        let cases = [
+            (
+                ScenarioAction::LinkDown {
+                    link: LinkId::new(links),
+                },
+                format!("link-down:l{links}"),
+            ),
+            (
+                ScenarioAction::LinkUp {
+                    link: LinkId::new(9_999),
+                },
+                "link-up:l9999".to_string(),
+            ),
+            (
+                ScenarioAction::SubscriptionJoin {
+                    subscription: joiner,
+                    broker: BrokerId::new(brokers),
+                },
+                format!("join:f500@b{brokers}"),
+            ),
+            (
+                ScenarioAction::PublisherRate {
+                    publisher: None,
+                    multiplier: f64::NAN,
+                },
+                "rate:all:NaN".to_string(),
+            ),
+        ];
+        for (action, label) in cases {
+            let message = rejection(action);
+            assert!(
+                message.contains("scenario event 1") && message.contains(&label),
+                "{label}: {message}"
+            );
+        }
+
+        // The documented no-ops stay no-ops: a leave of an id nobody holds
+        // and a rate change for a publisher the topology does not have.
+        let no_ops = DynamicScenario::named("no-ops")
+            .at(
+                Duration::from_secs(100),
+                ScenarioAction::SubscriptionLeave {
+                    subscription: SubscriptionId::new(9_999),
+                },
+            )
+            .at(
+                Duration::from_secs(100),
+                ScenarioAction::PublisherRate {
+                    publisher: Some(PublisherId::new(999)),
+                    multiplier: 5.0,
+                },
+            );
+        let out = scenario_run(no_ops, StrategyKind::Fifo, 23);
+        let baseline = scenario_run(DynamicScenario::static_scenario(), StrategyKind::Fifo, 23);
+        assert_eq!(out.published, baseline.published);
+        assert_eq!(out.transmissions, baseline.transmissions);
+        assert_eq!(
+            out.tracker.delivered_pairs(),
+            baseline.tracker.delivered_pairs()
+        );
+    }
+
+    #[test]
     fn link_failures_requeue_in_flight_copies_and_recover() {
         // Slow links (50 KB × 80 ms/KB = 4 s per hop) keep links busy, so a
         // failure almost always catches a copy mid-transfer.
@@ -2406,15 +2398,7 @@ mod tests {
             mean_time_between_failures_secs: 10.0,
             mean_downtime_secs: 10.0,
         });
-        let out = Simulation::with_scenario(
-            topo,
-            w,
-            SchedulerConfig::paper(StrategyKind::MaxEb),
-            SimRng::seed_from(24),
-            EstimationError::NONE,
-            flaky,
-        )
-        .run();
+        let out = build_on(topo, w, StrategyKind::MaxEb, 24, flaky).run();
         out.check_conservation().unwrap();
         assert_eq!(out.tracker.duplicate_deliveries(), 0);
         assert!(out.requeued() > 0, "flaky links should void some transfers");
@@ -2487,15 +2471,7 @@ mod tests {
                 );
             }
         }
-        let out = Simulation::with_scenario(
-            topo,
-            w,
-            SchedulerConfig::paper(StrategyKind::MaxEb),
-            SimRng::seed_from(41),
-            EstimationError::NONE,
-            scenario,
-        )
-        .run();
+        let out = build_on(topo, w, StrategyKind::MaxEb, 41, scenario).run();
         assert!(
             out.tracker.total_on_time() > 0,
             "messages must detour via B2 after the cheap path dies"
@@ -2521,15 +2497,7 @@ mod tests {
             start_frac: 0.1,
             duration_frac: 0.004, // 1.2 s, far below the 4 s per-hop transfer
         });
-        let out = Simulation::with_scenario(
-            topo,
-            w,
-            SchedulerConfig::paper(StrategyKind::MaxEb),
-            SimRng::seed_from(42),
-            EstimationError::NONE,
-            blink,
-        )
-        .run();
+        let out = build_on(topo, w, StrategyKind::MaxEb, 42, blink).run();
         assert!(
             out.requeued() > 0,
             "transfers spanning the blink must be voided and requeued"
@@ -2555,16 +2523,11 @@ mod tests {
             let run = |layout: TableLayout| {
                 let mut w = WorkloadConfig::paper_ssd(10.0);
                 w.duration = Duration::from_secs(300);
-                Simulation::with_scenario(
-                    small_topology(seed),
-                    w,
-                    SchedulerConfig::paper(StrategyKind::MaxEb),
-                    SimRng::seed_from(seed),
-                    EstimationError::NONE,
-                    scenario.clone(),
-                )
-                .with_table_layout(layout)
-                .run()
+                configured(w, StrategyKind::MaxEb, scenario.clone())
+                    .table_layout(layout)
+                    .try_build_on(small_topology(seed), SimRng::seed_from(seed))
+                    .unwrap()
+                    .run()
             };
             let dense = run(TableLayout::Dense);
             let sparse = run(TableLayout::Sparse);
@@ -2649,41 +2612,5 @@ mod tests {
             );
             assert_eq!(a.queued_at_end, b.queued_at_end, "{name}");
         }
-    }
-
-    #[test]
-    fn static_scenario_is_bit_identical_to_plain_construction() {
-        let plain = {
-            let topo = small_topology(33);
-            Simulation::new(
-                topo,
-                short_workload(Scenario::SubscriberSpecified, 6.0),
-                SchedulerConfig::paper(StrategyKind::MaxEb),
-                SimRng::seed_from(33),
-            )
-            .run()
-        };
-        let via_scenario = {
-            let topo = small_topology(33);
-            Simulation::with_scenario(
-                topo,
-                short_workload(Scenario::SubscriberSpecified, 6.0),
-                SchedulerConfig::paper(StrategyKind::MaxEb),
-                SimRng::seed_from(33),
-                EstimationError::NONE,
-                DynamicScenario::static_scenario(),
-            )
-            .run()
-        };
-        assert_eq!(plain.published, via_scenario.published);
-        assert_eq!(plain.transmissions, via_scenario.transmissions);
-        assert_eq!(
-            plain.tracker.total_on_time(),
-            via_scenario.tracker.total_on_time()
-        );
-        assert_eq!(
-            plain.tracker.total_earning().millis(),
-            via_scenario.tracker.total_earning().millis()
-        );
     }
 }

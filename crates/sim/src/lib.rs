@@ -9,8 +9,10 @@
 //!
 //! * [`workload`] — workload configuration and generators (publishing rate,
 //!   message heads, subscription filters, PSD/SSD delay requirements);
-//! * [`engine`] — the [`Simulation`]: construction, run loop and stepping
-//!   API, scenario application, audits. Its state is three groups split by
+//! * [`engine`] — the [`Simulation`]: its one fallible constructor
+//!   (crate-private, reached through the builder, so a `Simulation` is
+//!   complete the moment it exists), run loop and stepping API, scenario
+//!   application, audits. Its state is three groups split by
 //!   who may write them while traffic flows: the **traffic core** (brokers,
 //!   event queue, per-publisher / per-link streams, link occupancy, clock),
 //!   the **shared context** only scenario actions mutate (topology, filter
@@ -28,10 +30,13 @@
 //!   event stream, plus the name-based [`ScenarioRegistry`];
 //! * [`builder`] — the fluent [`SimulationBuilder`] experiment API
 //!   (`Simulation::builder().topology(..).workload(..).strategy(..).scenario(..).seed(..)`),
-//!   the one place runs are assembled;
+//!   the one place runs are assembled and validated: `try_build` /
+//!   `try_build_on` / `try_report` return a misconfiguration as a
+//!   [`SimError`], `build` / `report` panic with it;
 //! * [`runner`] — thin wrappers over the builder: one-call execution of a
-//!   materialised config plus parallel parameter sweeps across strategies,
-//!   rates and seeds;
+//!   materialised config (which reproduces its builder bit for bit, bar the
+//!   `drain_grace` it does not carry) plus parallel parameter sweeps across
+//!   strategies, rates and seeds;
 //! * [`report`] — result records and Markdown rendering helpers.
 
 #![forbid(unsafe_code)]

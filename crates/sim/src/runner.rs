@@ -3,7 +3,11 @@
 //! [`run`] and [`sweep`] are thin wrappers over the fluent
 //! [`SimulationBuilder`]: a
 //! [`SimulationConfig`] is just a materialised builder, so both entry points
-//! produce bit-identical results for the same configuration. The paper's
+//! produce bit-identical results for the same configuration — except for a
+//! builder's `drain_grace`, which the config does not carry (a config runs
+//! with the two-minute default). Both panic on a configuration the builder's
+//! `try_report` would return as a [`SimError`](crate::engine::SimError);
+//! `sweep` collects those per cell. The paper's
 //! figures are produced by sweeping a grid of (strategy, publishing rate) or
 //! (strategy, EBPC weight) cells; each cell is an independent simulation, so
 //! the sweep runs cells on scoped worker threads with one RNG stream per
@@ -38,20 +42,26 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Materialises the topology with randomness drawn from `rng`.
-    pub fn build(&self, rng: &mut SimRng) -> Topology {
+    /// Materialises the topology with randomness drawn from `rng`; a
+    /// malformed mesh configuration is an error.
+    pub fn try_build(&self, rng: &mut SimRng) -> Result<Topology> {
         match self {
-            TopologySpec::Paper => Topology::paper_topology(rng),
+            TopologySpec::Paper => Ok(Topology::paper_topology(rng)),
             TopologySpec::LayeredMesh(cfg) => {
                 Topology::layered_mesh(cfg, rng, LinkQuality::paper_random)
-                    .expect("invalid layered mesh configuration")
             }
         }
+    }
+
+    /// [`try_build`](Self::try_build), panicking on a malformed mesh
+    /// configuration.
+    pub fn build(&self, rng: &mut SimRng) -> Topology {
+        self.try_build(rng).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 /// The full configuration of one simulation run — a materialised
-/// [`SimulationBuilder`].
+/// [`SimulationBuilder`], minus its `drain_grace`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationConfig {
     /// Topology specification.

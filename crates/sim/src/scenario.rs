@@ -28,8 +28,11 @@ use crate::workload::{
     BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, WorkloadConfig,
 };
 use bdps_filter::subscription::Subscription;
+use bdps_overlay::graph::OverlayGraph;
+use bdps_overlay::sparse::aggregate_scope_dest;
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
+use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, LinkId, PublisherId, SubscriberId, SubscriptionId};
 use bdps_types::time::Duration;
 use serde::{Deserialize, Serialize};
@@ -117,6 +120,43 @@ pub struct ScenarioEvent {
     pub at: Duration,
     /// What happens.
     pub action: ScenarioAction,
+}
+
+/// Checks a materialised event stream against the overlay it will run on:
+/// a link event must name a link of `graph`, a join a broker of `graph` (and
+/// an id without the aggregate sentinel bit), a rate change a finite
+/// multiplier. Unchecked, those surface mid-run — as an index panic, a
+/// subscriber no route reaches, a muted publisher. A leave of an id nobody
+/// holds and a rate change for a publisher the topology does not have are
+/// no-ops by design and pass.
+pub(crate) fn validate_events(events: &[ScenarioEvent], graph: &OverlayGraph) -> Result<()> {
+    let (links, brokers) = (graph.link_count(), graph.broker_count());
+    for (index, event) in events.iter().enumerate() {
+        let problem = match &event.action {
+            ScenarioAction::LinkDown { link } | ScenarioAction::LinkUp { link }
+                if link.index() >= links =>
+            {
+                format!("the graph has {links} links")
+            }
+            ScenarioAction::SubscriptionJoin { broker, .. } if broker.index() >= brokers => {
+                format!("the graph has {brokers} brokers")
+            }
+            ScenarioAction::SubscriptionJoin { subscription, .. }
+                if aggregate_scope_dest(subscription.id).is_some() =>
+            {
+                "the subscription id carries the aggregate sentinel bit".into()
+            }
+            ScenarioAction::PublisherRate { multiplier, .. } if !multiplier.is_finite() => {
+                "the rate multiplier must be finite".into()
+            }
+            _ => continue,
+        };
+        return Err(BdpsError::InvalidConfig(format!(
+            "scenario event {index} ({}): {problem}",
+            event.action.label()
+        )));
+    }
+    Ok(())
 }
 
 /// A declarative description of a run's dynamics.

@@ -107,8 +107,8 @@ pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
 /// argument above does not hold. Aggregate-scoped forwarding is likewise
 /// rejected ([`SimError::ShardedForwardingUnsupported`]): edge expansion
 /// reads the shared population registry at delivery time, racing churn
-/// applied by sibling shards. Both are decided from the configuration
-/// alone, before any broker table is built.
+/// applied by sibling shards. Both are decided from the configuration and
+/// the shard count alone, before any event is applied.
 pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationOutcome, SimError> {
     let pd = sim.shared.scheduler.processing_delay;
     let n = shards.min(sim.shared.topology.graph.broker_count());
@@ -124,7 +124,6 @@ pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationO
     if sim.shared.forwarding == ForwardingMode::Aggregate {
         return Err(SimError::ShardedForwardingUnsupported);
     }
-    sim.build_brokers()?;
 
     let homes = Homes::build(&sim, n);
     let hard_stop = sim.hard_stop();

@@ -111,9 +111,9 @@ impl WorkloadConfig {
                 "publishing rate must be non-negative".into(),
             ));
         }
-        if self.message_size_kb <= 0.0 {
+        if !(self.message_size_kb > 0.0 && self.message_size_kb.is_finite()) {
             return Err(BdpsError::InvalidConfig(
-                "message size must be positive".into(),
+                "message size must be positive and finite".into(),
             ));
         }
         if self.num_attributes == 0 {
@@ -121,14 +121,16 @@ impl WorkloadConfig {
                 "at least one attribute is required".into(),
             ));
         }
-        if self.attribute_range.1 <= self.attribute_range.0 {
+        let (lo, hi) = self.attribute_range;
+        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
             return Err(BdpsError::InvalidConfig(
-                "attribute range must be non-empty".into(),
+                "attribute range must be finite and non-empty".into(),
             ));
         }
-        if self.psd_delay_range_secs.1 < self.psd_delay_range_secs.0 {
+        let (lo, hi) = self.psd_delay_range_secs;
+        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
             return Err(BdpsError::InvalidConfig(
-                "PSD delay range must be ordered".into(),
+                "PSD delay range must be finite and ordered".into(),
             ));
         }
         if self.scenario == Scenario::SubscriberSpecified && self.ssd_classes.is_empty() {
@@ -431,6 +433,26 @@ mod tests {
         let mut w = WorkloadConfig::paper_psd(10.0);
         w.num_attributes = 0;
         assert!(w.validate().is_err());
+        // NaN compares false with everything, so a bare `x <= 0.0` test
+        // passes it: every float field must also be asked `is_finite`.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let edits: [fn(&mut WorkloadConfig, f64); 6] = [
+                |w, x| w.publishing_rate_per_min = x,
+                |w, x| w.message_size_kb = x,
+                |w, x| w.attribute_range.0 = x,
+                |w, x| w.attribute_range.1 = x,
+                |w, x| w.psd_delay_range_secs.0 = x,
+                |w, x| w.psd_delay_range_secs.1 = x,
+            ];
+            for (field, edit) in edits.iter().enumerate() {
+                let mut w = WorkloadConfig::paper_psd(10.0);
+                edit(&mut w, bad);
+                assert!(
+                    w.validate().is_err(),
+                    "field {field} = {bad} must be rejected"
+                );
+            }
+        }
     }
 
     #[test]

@@ -404,3 +404,50 @@ fn documented_commands_name_existing_targets_and_workloads() {
     }
     assert!(cited >= 30, "only {cited} citations: the guard is vacuous");
 }
+
+/// The robustness census as a test: the places library code may unwind —
+/// `unwrap()`, `.expect(`, `panic!(` and non-debug `assert…!(`, outside
+/// comments, before each file's first `#[cfg(test)]` — counted per file and
+/// held to the committed number. A new site either becomes a `SimError` or
+/// raises the number here, with the invariant it asserts in the commit.
+#[test]
+fn library_panic_sites_do_not_grow() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let library_code = |rel: &str| {
+        let text = std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        let code: Vec<String> = text
+            .lines()
+            .take_while(|line| line.trim_start() != "#[cfg(test)]")
+            .map(|line| line.split("//").next().unwrap_or("").to_string())
+            .collect();
+        code.join("\n")
+    };
+    // engine.rs: the documented panicking wrappers `run` and `apply`, and
+    // `key::message_id`'s counter-overflow assert. builder.rs: `build` and
+    // `report`. runner.rs: `TopologySpec::build`, `sweep`'s casualty list and
+    // its filled-slot invariant.
+    let committed = [
+        ("crates/sim/src/engine.rs", 3),
+        ("crates/sim/src/builder.rs", 2),
+        ("crates/sim/src/runner.rs", 3),
+        ("crates/sim/src/shard.rs", 5),
+        ("crates/sim/src/traffic.rs", 2),
+        ("crates/core/src/broker.rs", 5),
+        ("crates/overlay/src/sparse.rs", 5),
+    ];
+    for (file, allowed) in committed {
+        let code = library_code(file);
+        let asserts = ["assert!(", "assert_eq!(", "assert_ne!("]
+            .map(|a| code.matches(a).count() - code.matches(&format!("debug_{a}")).count());
+        let sites = ["unwrap()", ".expect(", "panic!("].map(|s| code.matches(s).count());
+        let found: usize = sites.iter().chain(&asserts).sum();
+        assert!(
+            found <= allowed,
+            "{file} has {found} unwind sites (unwrap/expect/panic {sites:?}, asserts \
+             {asserts:?}), {allowed} committed"
+        );
+    }
+    // One way in: the builder. A `with_*` setter on `Simulation` would be a
+    // second, unvalidated one.
+    assert!(!library_code("crates/sim/src/engine.rs").contains("pub fn with_"));
+}

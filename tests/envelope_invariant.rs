@@ -20,7 +20,6 @@ use bdps::prelude::*;
 /// rebuild equality, aggregate envelopes vs member records) every
 /// `cadence` events and once more at the end. Returns the outcome.
 fn run_audited(mut sim: Simulation, cadence: u64) -> SimulationOutcome {
-    sim = sim.prepare();
     let limit = sim.hard_stop();
     let mut applied = 0u64;
     while sim.step_next(limit) {

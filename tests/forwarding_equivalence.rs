@@ -35,25 +35,31 @@ fn small_topology(seed: u64) -> Topology {
     .unwrap()
 }
 
+fn try_build(
+    scenario: &DynamicScenario,
+    forwarding: ForwardingMode,
+    layout: TableLayout,
+    seed: u64,
+) -> std::result::Result<Simulation, SimError> {
+    let mut workload = WorkloadConfig::paper_ssd(8.0);
+    workload.duration = Duration::from_secs(300);
+    workload.arrivals = ArrivalKind::Deterministic;
+    Simulation::builder()
+        .workload(workload)
+        .scheduler(SchedulerConfig::paper(StrategyKind::MaxEbpc))
+        .scenario(scenario.clone())
+        .table_layout(layout)
+        .forwarding(forwarding)
+        .try_build_on(small_topology(seed), SimRng::seed_from(seed))
+}
+
 fn build(
     scenario: &DynamicScenario,
     forwarding: ForwardingMode,
     layout: TableLayout,
     seed: u64,
 ) -> Simulation {
-    let mut workload = WorkloadConfig::paper_ssd(8.0);
-    workload.duration = Duration::from_secs(300);
-    workload.arrivals = ArrivalKind::Deterministic;
-    Simulation::with_scenario(
-        small_topology(seed),
-        workload,
-        SchedulerConfig::paper(StrategyKind::MaxEbpc),
-        SimRng::seed_from(seed),
-        EstimationError::NONE,
-        scenario.clone(),
-    )
-    .with_table_layout(layout)
-    .with_forwarding(forwarding)
+    try_build(scenario, forwarding, layout, seed).expect("valid oracle configuration")
 }
 
 fn audited(sim: Simulation) -> SimulationOutcome {
@@ -150,30 +156,18 @@ fn forwarding_mode_round_trips_through_names_and_config() {
 
 #[test]
 fn aggregate_forwarding_rejects_the_dense_layout() {
-    let sim = build(
+    // Decided by the constructor: no half-built simulation exists for
+    // `try_run` or the stepping API (the model checker, the benchmark's
+    // traced repetition) to trip over at the first publication.
+    let built = try_build(
         &DynamicScenario::static_scenario(),
         ForwardingMode::Aggregate,
         TableLayout::Dense,
         1,
     );
-    match sim.try_run() {
-        Err(SimError::AggregateForwardingNeedsSparseLayout) => {}
-        other => panic!("dense aggregate run must be rejected, got {other:?}"),
-    }
-    // The stepping API (the model checker, the benchmark's traced
-    // repetition) must surface the same error, not panic at the first
-    // publication.
-    let mut stepped = build(
-        &DynamicScenario::static_scenario(),
-        ForwardingMode::Aggregate,
-        TableLayout::Dense,
-        1,
-    );
-    let hard_stop = stepped.hard_stop();
-    let first = stepped.take_frontier(hard_stop).remove(0);
     assert_eq!(
-        stepped.try_apply(first),
-        Err(SimError::AggregateForwardingNeedsSparseLayout)
+        built.err(),
+        Some(SimError::AggregateForwardingNeedsSparseLayout)
     );
 }
 

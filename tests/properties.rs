@@ -511,6 +511,190 @@ fn scenario_phase_breakdowns_partition_the_run() {
     });
 }
 
+/// A value that is usually `valid` and now and then one of the four values
+/// range checks get wrong: zero, a negative, NaN, ∞.
+fn hazardous(rng: &mut SimRng, valid: f64) -> f64 {
+    match rng.uniform_usize(0, 40) {
+        0 => 0.0,
+        1 => -valid,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        _ => valid,
+    }
+}
+
+/// One hand-placed scenario action over ids drawn from ranges that straddle
+/// what the mesh has (`brokers`, `links`, ≤ 6 publishers, ≤ 9 initial
+/// subscriptions), so known, unknown and duplicate ids all occur.
+fn random_action(rng: &mut SimRng, brokers: usize, links: usize) -> ScenarioAction {
+    match rng.uniform_usize(0, 6) {
+        0 => ScenarioAction::LinkDown {
+            link: LinkId::new(rng.uniform_usize(0, links + 2) as u32),
+        },
+        1 => ScenarioAction::LinkUp {
+            link: LinkId::new(rng.uniform_usize(0, links + 2) as u32),
+        },
+        2 => {
+            let id = match rng.uniform_usize(0, 30) {
+                0 => (1 << 31) | 3, // the aggregate sentinel bit
+                _ => rng.uniform_usize(0, 24) as u32,
+            };
+            ScenarioAction::SubscriptionJoin {
+                subscription: WorkloadConfig::paper_ssd(1.0).generate_subscription(
+                    SubscriptionId::new(id),
+                    SubscriberId::new(id & 0xff),
+                    rng,
+                ),
+                broker: BrokerId::new(rng.uniform_usize(0, brokers + 2) as u32),
+            }
+        }
+        3 => ScenarioAction::SubscriptionLeave {
+            subscription: SubscriptionId::new(rng.uniform_usize(0, 24) as u32),
+        },
+        4 => ScenarioAction::PublisherRate {
+            publisher: rng
+                .chance(0.7)
+                .then(|| PublisherId::new(rng.uniform_usize(0, 9) as u32)),
+            multiplier: hazardous(rng, 3.0),
+        },
+        _ => ScenarioAction::PhaseMark {
+            label: "mark".into(),
+        },
+    }
+}
+
+/// A random run description: mostly sound, with every front-door hazard —
+/// degenerate meshes, out-of-range rates and sizes, zero duration and `PD`,
+/// every layout × link model × forwarding × shard-count combination,
+/// scenario events naming things the overlay may not have — mixed in.
+fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
+    use bdps::overlay::topology::LayeredMeshConfig;
+    let layers = [1, 2, 2, 3, 3][rng.uniform_usize(0, 5)];
+    let layer_sizes: Vec<usize> = (0..layers).map(|_| rng.uniform_usize(1, 4)).collect();
+    let mut mesh = LayeredMeshConfig {
+        // Mostly full fan-in: a sparse random one often disconnects a mesh
+        // this small, which is a (structured) error of its own.
+        fan_in: (1..layers)
+            .map(|i| match rng.chance(0.7) {
+                true => 0,
+                false => rng.uniform_usize(1, layer_sizes[i - 1] + 1),
+            })
+            .collect(),
+        layer_sizes,
+        publishers_per_first_layer_broker: rng.uniform_usize(0, 3),
+        subscribers_per_edge_broker: rng.uniform_usize(0, 4),
+    };
+    let brokers = mesh.broker_count();
+    // Directed links: a lower-layer broker pairs with `fan_in` upper ones
+    // (all of them when `fan_in` is 0), both directions.
+    let links: usize = (1..layers)
+        .map(|i| match mesh.fan_in[i - 1] {
+            0 => 2 * mesh.layer_sizes[i] * mesh.layer_sizes[i - 1],
+            fan_in => 2 * mesh.layer_sizes[i] * fan_in,
+        })
+        .sum();
+    match rng.uniform_usize(0, 40) {
+        0 => mesh.layer_sizes.clear(),
+        1 => mesh.layer_sizes[0] = 0,
+        2 => mesh.fan_in.push(1),
+        3 if layers > 1 => mesh.fan_in[0] = mesh.layer_sizes[0] + 1,
+        _ => {}
+    }
+
+    let mut workload = if rng.chance(0.5) {
+        WorkloadConfig::paper_ssd(0.0)
+    } else {
+        WorkloadConfig::paper_psd(0.0)
+    };
+    let rate = rng.uniform_range(2.0, 30.0);
+    workload.publishing_rate_per_min = hazardous(rng, rate);
+    workload.message_size_kb = hazardous(rng, 50.0);
+    workload.duration = match rng.uniform_usize(0, 10) {
+        0 => Duration::ZERO,
+        _ => Duration::from_secs(rng.uniform_usize(20, 90) as u64),
+    };
+
+    let mut scheduler =
+        SchedulerConfig::paper(StrategyKind::ALL[rng.uniform_usize(0, StrategyKind::ALL.len())]);
+    if rng.chance(0.15) {
+        scheduler.processing_delay = Duration::ZERO;
+    }
+
+    let mut scenario = DynamicScenario::named("front-door");
+    if rng.chance(0.5) {
+        for _ in 0..rng.uniform_usize(1, 4) {
+            let at = Duration::from_secs(rng.uniform_usize(0, 60) as u64);
+            scenario = scenario.at(at, random_action(rng, brokers, links));
+        }
+    }
+
+    let shards = match rng.uniform_usize(0, 2) {
+        0 => 1,
+        _ => rng.uniform_usize(0, 2 * brokers + 1),
+    };
+    Simulation::builder()
+        .layered_mesh(mesh)
+        .workload(workload)
+        .scheduler(scheduler)
+        .scenario(scenario)
+        .table_layout(TableLayout::ALL[rng.uniform_usize(0, 2)])
+        .link_model(LinkModelKind::ALL[rng.uniform_usize(0, 2)])
+        .forwarding(ForwardingMode::ALL[rng.uniform_usize(0, 2)])
+        .shards(shards)
+        .seed(rng.uniform_usize(0, 1_000) as u64)
+}
+
+/// The front door never unwinds: whatever the builder is handed,
+/// `try_report` answers `Ok` or a structured `SimError`, and every run it
+/// accepts also conserves copies and delivers no pair twice when built and
+/// run sequentially.
+#[test]
+fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let (mut ok, mut err) = (0, 0);
+    let mut variants_seen = [false; 4];
+    let mut case = 0;
+    check(0xF00D, 400, |rng| {
+        case += 1;
+        let builder = random_front_door(rng);
+        let config = builder.build_config();
+        let answer = catch_unwind(AssertUnwindSafe(|| {
+            let report = builder.try_report()?;
+            let outcome = builder.try_build()?.try_run()?;
+            Ok::<_, SimError>((report, outcome))
+        }))
+        .unwrap_or_else(|_| panic!("case {case} unwound: {config:?}"));
+        match answer {
+            Ok((report, outcome)) => {
+                ok += 1;
+                outcome
+                    .check_conservation()
+                    .unwrap_or_else(|v| panic!("case {case}: {v}: {config:?}"));
+                outcome
+                    .check_no_duplicates()
+                    .unwrap_or_else(|v| panic!("case {case}: {v}: {config:?}"));
+                assert_eq!(report.duplicate_deliveries, 0, "case {case}");
+            }
+            Err(e) => {
+                err += 1;
+                let variant = match e {
+                    SimError::InvalidConfig(_) => 0,
+                    SimError::AggregateForwardingNeedsSparseLayout => 1,
+                    SimError::ShardedLinkModelUnsupported { .. } => 2,
+                    SimError::ShardedForwardingUnsupported => 3,
+                    other => panic!("case {case}: not a configuration error: {other}"),
+                };
+                variants_seen[variant] = true;
+            }
+        }
+    });
+    assert!(ok > 50 && err > 50, "vacuous mix: {ok} Ok, {err} Err");
+    assert_eq!(
+        variants_seen, [true; 4],
+        "a configuration variant never fired"
+    );
+}
+
 /// After any sequence of link-liveness delta batches, incrementally updated
 /// routing is **bit-identical** to a from-scratch
 /// [`Routing::compute_filtered`] over the surviving links, and the reported
