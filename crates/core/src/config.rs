@@ -144,12 +144,6 @@ impl SchedulerConfig {
         }
     }
 
-    /// Replaces the scheduling strategy.
-    pub fn with_strategy(mut self, strategy: impl Into<StrategyHandle>) -> Self {
-        self.strategy = strategy.into();
-        self
-    }
-
     /// Sets the EBPC weight `r`.
     pub fn with_ebpc_weight(mut self, r: f64) -> Self {
         self.ebpc_weight = r;

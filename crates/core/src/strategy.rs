@@ -325,11 +325,6 @@ impl StrategyHandle {
         StrategyHandle(Arc::new(strategy))
     }
 
-    /// Wraps an already shared strategy.
-    pub fn from_arc(strategy: Arc<dyn SchedulingStrategy>) -> Self {
-        StrategyHandle(strategy)
-    }
-
     /// Short label used in experiment tables ("EB", "PC", "EBPC", "FIFO",
     /// "RL", ...).
     pub fn label(&self) -> &str {

@@ -306,19 +306,6 @@ impl MatchIndex {
     }
 }
 
-/// A message head value paired with the operators it satisfies — exposed for
-/// benchmarking the raw threshold lists.
-#[doc(hidden)]
-pub fn __bench_threshold_probe(constants: &[f64], value: f64) -> usize {
-    let mut list = ThresholdList::default();
-    for (i, &c) in constants.iter().enumerate() {
-        list.insert(c, SubscriptionId::new(i as u32));
-    }
-    let mut n = 0;
-    list.for_each_satisfied(CompOp::Lt, value, |_| n += 1);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

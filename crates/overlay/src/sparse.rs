@@ -1057,14 +1057,6 @@ impl BrokerTable {
         }
     }
 
-    /// The dense table, when this is the dense layout.
-    pub fn as_dense(&self) -> Option<&SubscriptionTable> {
-        match self {
-            BrokerTable::Dense(t) => Some(t),
-            BrokerTable::Sparse(_) => None,
-        }
-    }
-
     /// Mutable dense access (engine maintenance paths).
     pub fn as_dense_mut(&mut self) -> Option<&mut SubscriptionTable> {
         match self {

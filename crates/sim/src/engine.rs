@@ -1,403 +1,57 @@
-//! The discrete-event simulation core.
+//! The [`Simulation`]: its one fallible constructor and the run loop.
 //!
-//! The simulator drives a set of [`BrokerState`]s through four kinds of
-//! events, processed in strict time order with deterministic tie-breaking:
+//! A run is events popped in strict `(time, key)` order with deterministic
+//! tie-breaking, each handed to one of two cores:
 //!
-//! * **Publish** — a publisher emits a new message and hands it to its
-//!   attached broker (local hand-off, no overlay link involved);
-//! * **Process** — a broker finishes the processing module for a received
-//!   message (arrival time + `PD`), delivers local matches and enqueues
-//!   copies to downstream output queues;
-//! * **SendComplete** — a link finishes transmitting a message copy; the
-//!   copy is handed to the receiving broker and the link immediately pulls
-//!   the next message chosen by the scheduling strategy;
-//! * **Scenario** — a [`ScenarioAction`] fires: a subscription joins or
-//!   leaves, a publisher's rate changes, a link fails or recovers, or a new
-//!   reporting phase begins (see [`crate::scenario`]).
+//! * **traffic** (`traffic.rs`, the paper's broker loop) — *Publish*: a
+//!   publisher emits a message and hands it to its attached broker;
+//!   *Process*: a broker finishes the processing module for a received copy
+//!   (arrival + `PD`), delivers local matches and enqueues copies
+//!   downstream; *SendComplete* / *FlowComplete*: a link finishes a copy, the
+//!   receiver takes it and the link pulls the next one its strategy picks;
+//! * **scenario** (`scenario_apply.rs`, everything around the paper) — a
+//!   [`ScenarioAction`](crate::scenario::ScenarioAction) fires: a
+//!   subscription joins or leaves, a publisher's rate changes, a link fails
+//!   or recovers (routing and tables are repaired), a reporting phase begins.
 //!
-//! Every message copy carries the set of subscription identifiers it is
-//! responsible for, so single-path routing never produces duplicate
-//! deliveries (see [`BrokerState::handle_arrival_scoped`]). Under dynamic
-//! scenarios the subscription tables, routing and link liveness all update
-//! in place mid-run; the scenario event stream is materialised up front from
-//! a seed-derived RNG stream, so runs stay bit-for-bit reproducible.
+//! State is four groups — traffic core, shared context, totals, scenario
+//! core (see [`Simulation`]) — and both cores reach the totals only through
+//! one effect sink. Every message copy carries the set of subscription ids
+//! it is responsible for, so single-path routing never delivers a pair
+//! twice; the scenario event stream is materialised up front from a
+//! seed-derived RNG stream, so runs stay bit-for-bit reproducible. Events,
+//! errors, outcome types and the audits live in modules of their own and
+//! are re-exported here.
 
-use bdps_core::broker::{BrokerCounters, BrokerState};
 use bdps_core::config::SchedulerConfig;
 use bdps_core::objective::ObjectiveTracker;
-use bdps_core::queue::QueuedMessage;
 use bdps_filter::index::MatchIndex;
-use bdps_filter::scope::ScopeSet;
 use bdps_filter::subscription::Subscription;
 use bdps_net::linkmodel::LinkModelKind;
-use bdps_overlay::graph::OverlayGraph;
-use bdps_overlay::routing::{RouteDelta, Routing};
-use bdps_overlay::sparse::{
-    BrokerTable, PopulationHandle, SharedPopulation, SparseTable, TableLayout,
-};
-use bdps_overlay::subtable::{RetargetOutcome, SubscriptionTable};
+use bdps_overlay::sparse::{read_population, TableLayout};
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_stats::summary::Summary;
 use bdps_types::error::BdpsError;
-use bdps_types::id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
-use bdps_types::message::Message;
+use bdps_types::id::{BrokerId, SubscriptionId};
 use bdps_types::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
+#[cfg(feature = "fault-injection")]
+pub use crate::audit::InjectedFault;
+pub use crate::error::SimError;
+pub use crate::event::EventKind;
+pub use crate::outcome::{
+    ConservationBalance, ConservationViolation, DuplicateDeliveryViolation, LinkLoad, PhaseOutcome,
+    SimulationOutcome,
+};
+
+use crate::event::key;
 use crate::runner::SimulationConfig;
-use crate::scenario::ScenarioAction;
+use crate::scenario_apply::ScenarioCore;
 use crate::sched::{EventQueue, Scheduled};
-use crate::traffic::{Effect, EffectSink, Shared, Totals, TrafficCore};
-
-/// Canonical, partition-independent event keys.
-///
-/// [`Scheduled::seq`] is not a global insertion counter but a key derived
-/// from the event's *content*, so the total `(time, key)` order is the same
-/// no matter which shard scheduled the event — the property that makes the
-/// sharded executor ([`crate::shard`]) bit-identical to the sequential loop.
-/// Layout: the event rank in the top two bits (scenario < publish < process
-/// < send at equal times, so scenario actions always apply before traffic at
-/// the same instant), discriminating content in the low bits.
-///
-/// Uniqueness among pending events at one instant:
-/// * **scenario** — the materialization index is globally unique;
-/// * **publish** — at most one publication is pending per
-///   (publisher, rate generation);
-/// * **process** — `via` names the delivering link (or 0 for the
-///   publisher-side hand-off), a link completes one transfer at a time and a
-///   local hand-off is a fresh message, so `(via, message)` never repeats at
-///   an instant;
-/// * **send** — a link carries at most one in-flight copy *per message*:
-///   under the exclusive (constant-delay) link model at most one transfer is
-///   in flight per link (`link_busy`), and under a sharing model
-///   ([`bdps_net::linkmodel::FairShare`]) concurrent flows on one link are
-///   distinct messages (single-path routing enqueues one copy of a message
-///   per link), so `(link, message)` stays unique. A rescheduled flow
-///   completion leaves stale events behind at *different* times (the engine
-///   only re-pushes when the completion time moved), so equal `(time, key)`
-///   pairs never coexist — and even a popped stale event is a no-op, making
-///   pop order among hypothetical duplicates irrelevant.
-pub(crate) mod key {
-    use bdps_types::id::{LinkId, MessageId, PublisherId};
-
-    /// Publisher index bits inside a [`MessageId`] (the counter gets the
-    /// low 29 bits, the publisher the bits above).
-    const MESSAGE_COUNTER_BITS: u32 = 29;
-    /// Low-bit width of the message discriminator inside process/send keys:
-    /// 12 publisher bits + 29 counter bits.
-    const MESSAGE_BITS: u32 = 41;
-
-    /// Most publisher slots the key layout supports (12 bits).
-    pub(crate) const MAX_PUBLISHER_SLOTS: usize = 1 << 12;
-    /// Most links the key layout supports (21 bits, minus the hand-off
-    /// sentinel).
-    pub(crate) const MAX_LINKS: usize = (1 << 21) - 1;
-
-    /// The per-publisher message id: publisher index in the high bits,
-    /// per-publisher counter in the low bits. Partition-independent — a
-    /// publisher mints the same ids whichever shard it is homed to.
-    pub(crate) fn message_id(publisher: PublisherId, counter: u64) -> MessageId {
-        debug_assert!(publisher.index() < MAX_PUBLISHER_SLOTS);
-        assert!(
-            counter < 1 << MESSAGE_COUNTER_BITS,
-            "per-publisher message counter overflowed the canonical key layout"
-        );
-        MessageId::new(((publisher.index() as u64) << MESSAGE_COUNTER_BITS) | counter)
-    }
-
-    /// Key of a scenario event: its materialization index (rank 0).
-    pub(crate) fn scenario(index: u64) -> u64 {
-        debug_assert!(index < 1 << 62);
-        index
-    }
-
-    /// Key of a publication event (rank 1).
-    pub(crate) fn publish(publisher: PublisherId, gen: u64) -> u64 {
-        debug_assert!(gen < 1 << 40, "rate generation overflowed the key layout");
-        (1 << 62) | ((publisher.index() as u64) << 40) | gen
-    }
-
-    /// Key of a processing-done event (rank 2). `via` is the link that
-    /// delivered the copy, or `None` for the publisher-side hand-off.
-    pub(crate) fn process(via: Option<LinkId>, message: MessageId) -> u64 {
-        let via = via.map(|l| l.index() as u64 + 1).unwrap_or(0);
-        debug_assert!(via <= MAX_LINKS as u64);
-        debug_assert!(message.raw() < 1 << MESSAGE_BITS);
-        (2 << 62) | (via << MESSAGE_BITS) | message.raw()
-    }
-
-    /// Key of a transfer-complete event (rank 3).
-    pub(crate) fn send(link: LinkId, message: MessageId) -> u64 {
-        debug_assert!(message.raw() < 1 << MESSAGE_BITS);
-        (3 << 62) | ((link.index() as u64) << MESSAGE_BITS) | message.raw()
-    }
-
-    /// Whether a process-event key's copy arrived over a link (as opposed to
-    /// the publisher-side hand-off, whose `via` field is 0). Recovered from
-    /// the key rather than stored in the event so [`super::EventKind`] and
-    /// its digests stay unchanged.
-    pub(crate) fn process_via_link(seq: u64) -> bool {
-        ((seq >> MESSAGE_BITS) & ((1 << 21) - 1)) != 0
-    }
-}
-
-/// A structured, recoverable simulation failure.
-///
-/// The engine used to turn a poisoned population lock into a second panic
-/// (`.expect("population lock")`), so one panicking `sweep` worker cascaded
-/// into every sibling cell sharing the registry. Read paths now recover the
-/// guard ([`bdps_overlay::sparse::read_population`]); write paths — where a
-/// half-applied churn action could leave the registry inconsistent — surface
-/// this error instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// The configuration cannot be built into a run: an out-of-range
-    /// workload or scheduler value, a malformed mesh, an overlay past the
-    /// canonical event-key limits, or a scenario event naming a link or
-    /// broker the graph does not have. Decided before any event is applied.
-    InvalidConfig(BdpsError),
-    /// The shared population registry's write lock was poisoned by a panic
-    /// in another thread; the pending mutation was not applied.
-    PopulationPoisoned {
-        /// Which mutation was abandoned.
-        during: &'static str,
-    },
-    /// A churn action or a link-event table patch found no population
-    /// registry although the sparse layout always builds one; the mutation
-    /// was not applied.
-    PopulationMissing {
-        /// Which mutation was abandoned.
-        during: &'static str,
-    },
-    /// A shard worker thread panicked mid-window (sharded executor only).
-    WorkerPanicked {
-        /// The shard whose worker died.
-        shard: usize,
-        /// The payload of the worker's panic.
-        message: String,
-    },
-    /// The sharded executor was asked to run a non-constant link model.
-    ///
-    /// Fair-share completion re-scheduling can move an already-scheduled
-    /// cross-shard arrival inside the current conservative time window,
-    /// which breaks the PD-lookahead soundness argument the sharded
-    /// executor rests on — so the combination is rejected up front as a
-    /// structured error instead of silently diverging from the sequential
-    /// run.
-    ShardedLinkModelUnsupported {
-        /// The rejected link model's registry name.
-        model: &'static str,
-    },
-    /// Aggregate-scoped forwarding ([`ForwardingMode::Aggregate`]) was
-    /// requested together with the dense table layout. Aggregate publishing
-    /// matches against the edge groups of the shared population registry and
-    /// expands at the edge via that same registry — state only the sparse
-    /// layout maintains — so the combination is rejected up front.
-    AggregateForwardingNeedsSparseLayout,
-    /// The sharded executor was asked to run aggregate-scoped forwarding
-    /// across more than one shard. Edge expansion reads the shared
-    /// population registry at delivery time, which would race with churn
-    /// applied by other shards inside the same conservative window — run
-    /// with shards = 1 (or exact forwarding).
-    ShardedForwardingUnsupported,
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::InvalidConfig(e) => e.fmt(f),
-            SimError::PopulationPoisoned { during } => write!(
-                f,
-                "population registry lock poisoned during {during}; mutation abandoned"
-            ),
-            SimError::PopulationMissing { during } => write!(
-                f,
-                "sparse table layout has no population registry during {during}; \
-                 mutation abandoned"
-            ),
-            SimError::WorkerPanicked { shard, message } => {
-                write!(f, "shard {shard} worker panicked: {message}")
-            }
-            SimError::ShardedLinkModelUnsupported { model } => write!(
-                f,
-                "sharded execution supports only the constant-delay link model \
-                 (got `{model}`): flow completion re-scheduling can move a \
-                 cross-shard arrival inside the PD-lookahead window — run with \
-                 shards = 1"
-            ),
-            SimError::AggregateForwardingNeedsSparseLayout => write!(
-                f,
-                "aggregate-scoped forwarding requires the sparse table layout: \
-                 publish-time matching and edge expansion both read the shared \
-                 population registry, which the dense layout does not maintain"
-            ),
-            SimError::ShardedForwardingUnsupported => write!(
-                f,
-                "sharded execution does not support aggregate-scoped \
-                 forwarding: edge expansion reads the shared population \
-                 registry at delivery time, racing cross-shard churn — run \
-                 with shards = 1 (or exact forwarding)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-impl From<BdpsError> for SimError {
-    fn from(e: BdpsError) -> Self {
-        SimError::InvalidConfig(e)
-    }
-}
-
-/// One kind of pending simulation event.
-///
-/// The engine itself never exposes events mid-run; this type is public so
-/// the model-checking explorer (`bdps-mc`) can hold a same-instant frontier
-/// taken with [`Simulation::take_frontier`], re-insert the unconsumed events
-/// with [`Simulation::push_back`] and apply a chosen one with
-/// [`Simulation::apply`]. Treat it as opaque outside those calls.
-#[derive(Clone)]
-pub enum EventKind {
-    /// A publisher emits its next message. `gen` is the publisher's rate
-    /// generation: a rate change bumps it, invalidating pending publications
-    /// so the new rate takes effect immediately instead of after one more
-    /// old-rate gap.
-    Publish {
-        /// The emitting publisher.
-        publisher: PublisherId,
-        /// The publisher's rate generation when this event was scheduled.
-        gen: u64,
-    },
-    /// A broker finishes processing a received message copy. The scope — the
-    /// interned set of subscription ids the copy serves, frozen at
-    /// publication time — is an `Arc`-backed [`ScopeSet`], so every hop of
-    /// every copy of a message shares one allocation.
-    Process {
-        /// The broker whose processing module finishes.
-        broker: BrokerId,
-        /// The processed message.
-        message: Arc<Message>,
-        /// The subscription ids this copy serves.
-        scope: ScopeSet,
-    },
-    /// A link finishes transmitting a message copy (targets included so the
-    /// copy can be requeued intact if the link died mid-transfer). `gen` is
-    /// the link's failure generation when the transfer started: if the link
-    /// failed at any point while the copy was in flight — even if it also
-    /// recovered before completion — the generation has moved on and the
-    /// transfer is void.
-    SendComplete {
-        /// The transmitting link.
-        link: LinkId,
-        /// The copy in flight, targets included.
-        queued: QueuedMessage,
-        /// The link's failure generation when the transfer started.
-        gen: u64,
-    },
-    /// A flow finishes under a sharing link model
-    /// ([`bdps_net::linkmodel::FairShare`]). Unlike [`SendComplete`]
-    /// (whose one-shot schedule can carry the copy itself), the copy stays
-    /// in the engine's per-link flow table — completion re-scheduling would
-    /// otherwise clone the copy's target list once per recompute. `resched`
-    /// stamps which (re-)schedule this event belongs to: the engine bumps
-    /// the flow's stamp whenever its completion time moves, so a popped
-    /// event with an outdated stamp (or no live flow at all) is stale and
-    /// ignored.
-    ///
-    /// [`SendComplete`]: EventKind::SendComplete
-    FlowComplete {
-        /// The transmitting link.
-        link: LinkId,
-        /// The message whose copy is in flight on the link.
-        message: MessageId,
-        /// The flow's re-schedule stamp when this event was pushed.
-        resched: u64,
-    },
-    /// A scenario action fires.
-    Scenario {
-        /// The action.
-        action: ScenarioAction,
-    },
-}
-
-impl EventKind {
-    /// A short human-readable label identifying the event — used by the
-    /// model-checking explorer to render branch choices in counterexample
-    /// traces (`publish:p0`, `process:b2:m5`, `send:l3:m5`,
-    /// `scenario:link-down:l1`, ...).
-    pub fn label(&self) -> String {
-        match self {
-            EventKind::Publish { publisher, .. } => format!("publish:p{}", publisher.index()),
-            EventKind::Process {
-                broker, message, ..
-            } => {
-                format!("process:b{}:m{}", broker.index(), message.id.raw())
-            }
-            EventKind::SendComplete { link, queued, .. } => {
-                format!("send:l{}:m{}", link.index(), queued.message.id.raw())
-            }
-            EventKind::FlowComplete { link, message, .. } => {
-                format!("flow:l{}:m{}", link.index(), message.raw())
-            }
-            EventKind::Scenario { action } => format!("scenario:{}", action.label()),
-        }
-    }
-
-    /// Hashes the event's logical content (ignoring scheduling sequence
-    /// numbers) into `h` — the per-event ingredient of
-    /// [`Simulation::state_digest`].
-    fn digest_into(&self, h: &mut impl Hasher) {
-        match self {
-            EventKind::Publish { publisher, gen } => {
-                h.write_u8(1);
-                h.write_u32(publisher.raw());
-                h.write_u64(*gen);
-            }
-            EventKind::Process {
-                broker,
-                message,
-                scope,
-            } => {
-                h.write_u8(2);
-                h.write_u32(broker.raw());
-                h.write_u64(message.id.raw());
-                for id in scope.iter() {
-                    h.write_u32(id.raw());
-                }
-            }
-            EventKind::SendComplete { link, queued, gen } => {
-                h.write_u8(3);
-                h.write_u32(link.raw());
-                h.write_u64(queued.message.id.raw());
-                h.write_u64(*gen);
-                h.write_u64(queued.enqueue_time.as_micros());
-                for t in &queued.targets {
-                    h.write_u32(t.subscription.raw());
-                }
-            }
-            EventKind::Scenario { action } => {
-                h.write_u8(4);
-                h.write(action.label().as_bytes());
-            }
-            EventKind::FlowComplete {
-                link,
-                message,
-                resched,
-            } => {
-                h.write_u8(5);
-                h.write_u32(link.raw());
-                h.write_u64(message.raw());
-                h.write_u64(*resched);
-            }
-        }
-    }
-}
+use crate::traffic::{Shared, Totals, TrafficCore};
 
 /// How publish-time matching scopes message copies.
 ///
@@ -453,532 +107,18 @@ impl fmt::Display for ForwardingMode {
     }
 }
 
-/// Per-phase metric accumulation (see [`ScenarioAction::PhaseMark`]).
-#[derive(Debug, Clone)]
-pub struct PhaseOutcome {
-    /// The phase label ("run" for the implicit first phase).
-    pub label: String,
-    /// When the phase began.
-    pub start: SimTime,
-    /// When the phase ended (start of the next phase, or end of run).
-    pub end: SimTime,
-    /// Messages published during the phase.
-    pub published: u64,
-    /// On-time local deliveries during the phase.
-    pub on_time: u64,
-    /// Late local deliveries during the phase.
-    pub late: u64,
-    /// Copies dropped during the phase (expired, unlikely or unsubscribed).
-    pub dropped: u64,
-    /// Link transmissions started during the phase.
-    pub transmissions: u64,
-    /// End-to-end delays of on-time deliveries in the phase (ms).
-    pub delays_ms: Summary,
-}
-
-impl PhaseOutcome {
-    pub(crate) fn new(label: String, start: SimTime) -> Self {
-        PhaseOutcome {
-            label,
-            start,
-            end: start,
-            published: 0,
-            on_time: 0,
-            late: 0,
-            dropped: 0,
-            transmissions: 0,
-            delays_ms: Summary::new(),
-        }
-    }
-}
-
-/// Per-link utilisation and queueing counters, accumulated by the engine
-/// at every transfer start/completion (and, under a sharing link model, at
-/// every flow arrival/departure). Time integrals are kept in integer
-/// microseconds so the sharded executor reproduces them exactly.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LinkLoad {
-    /// Transfers started on this link.
-    pub transmissions: u64,
-    /// Transfers whose copy reached the downstream broker.
-    pub completed_transfers: u64,
-    /// Microseconds the link spent with at least one transfer in flight.
-    /// Utilisation = `busy_us` / run duration; a saturated link stays busy
-    /// (almost) the whole run.
-    pub busy_us: u64,
-    /// Integral of the in-flight flow count over time, in flow-µs —
-    /// `flow_time_us / busy_us` is the mean concurrency while busy (always
-    /// 1 under the exclusive constant-delay model).
-    pub flow_time_us: u64,
-    /// Most flows ever concurrently in flight (1 under the exclusive
-    /// model; up to the admission cap under fair sharing).
-    pub peak_flows: u64,
-    /// Deepest the sender's output queue behind this link ever got —
-    /// the queueing counter: a saturated link grows a backlog here.
-    pub peak_queue: u64,
-    /// Dedicated-link service consumed by flows under a sharing model, µs
-    /// (each completed or voided flow contributes its sampled service time
-    /// minus what it still owed). Zero under the exclusive model, where
-    /// `busy_us` plays this role directly. With equal sharing the link
-    /// serves at unit aggregate rate whenever busy, so `work_done_us ≈
-    /// busy_us` once drained — the flow-level conservation law
-    /// `tests/linkmodel_equivalence.rs` checks.
-    pub work_done_us: f64,
-}
-
-/// One in-flight flow on a link under a sharing link model. The engine
-/// keeps these per link; the pending [`EventKind::FlowComplete`] whose
-/// `resched` stamp matches is the flow's live completion event.
-#[derive(Clone)]
-pub(crate) struct LinkFlow {
-    /// The copy in flight, targets included (requeued intact on failure).
-    pub(crate) queued: QueuedMessage,
-    /// Sampled dedicated-link service requirement, µs.
-    pub(crate) nominal_us: f64,
-    /// Dedicated-link service still owed, µs (drains at `elapsed / flows`).
-    pub(crate) remaining_us: f64,
-    /// Re-schedule stamp of the live completion event.
-    pub(crate) resched: u64,
-    /// When the live completion event is scheduled.
-    pub(crate) completes_at: SimTime,
-}
-
-/// Aggregate results of one simulation run.
-#[derive(Debug, Clone)]
-pub struct SimulationOutcome {
-    /// The paper's objective bookkeeping (delivery rate, earning).
-    pub tracker: ObjectiveTracker,
-    /// Per-broker counters, indexed by broker id.
-    pub broker_counters: Vec<BrokerCounters>,
-    /// Number of messages published.
-    pub published: u64,
-    /// Number of link transmissions started.
-    pub transmissions: u64,
-    /// Transmissions whose copy reached the downstream broker (the rest were
-    /// requeued after a link failure or were still in flight at the end).
-    pub completed_transfers: u64,
-    /// Summary of end-to-end delays of on-time deliveries (ms).
-    pub valid_delays_ms: Summary,
-    /// The simulated time at which the run ended.
-    pub finished_at: SimTime,
-    /// Copies still waiting in output queues when the run ended.
-    pub queued_at_end: u64,
-    /// Copies still in flight on links when the run ended.
-    pub in_flight_at_end: u64,
-    /// Copies received but still inside a broker's processing module (`PD`)
-    /// when the run ended.
-    pub pending_process_at_end: u64,
-    /// Per-phase metric breakdown (a single "run" phase for static scenarios).
-    pub phases: Vec<PhaseOutcome>,
-    /// Total events the loop processed.
-    pub events_processed: u64,
-    /// The deepest the pending-event set ever got (scheduler load indicator).
-    pub peak_pending_events: u64,
-    /// Scope-set interns served / interns that reused an existing
-    /// allocation (see [`bdps_filter::scope::ScopeInterner`]).
-    pub scope_interns: u64,
-    /// Interner hits (shared allocations) out of [`scope_interns`](Self::scope_interns).
-    pub scope_intern_hits: u64,
-    /// Broker tables rebuilt from the full population after link events.
-    /// [`TableLayout::Dense`] (the reference engine): every broker, on every
-    /// coalesced link batch. [`TableLayout::Sparse`] (the production
-    /// engine): always zero — it only ever patches.
-    pub tables_rebuilt_full: u64,
-    /// Table entries patched in place after link events. `Sparse`: one
-    /// aggregate entry per changed `(broker, destination)` pair —
-    /// retargeted, inserted on recovered reachability or removed on lost
-    /// reachability — not one entry per subscription. `Dense`: always zero.
-    pub entries_retargeted: u64,
-    /// Destination shortest-path trees recomputed through a route delta over
-    /// the run (Σ [`RouteDelta::dests_recomputed`]) — the cost driver of a
-    /// link event, at `O(E log V)` each. `Sparse` only; `Dense` recomputes
-    /// every tree on every batch without forming a delta and reports zero.
-    pub route_trees_recomputed: u64,
-    /// `(source, destination)` route entries those recomputes actually
-    /// changed (Σ [`RouteDelta::changed_pairs`]) — what
-    /// [`entries_retargeted`](Self::entries_retargeted) then has to patch
-    /// (zero under `Dense`, like the tree count).
-    pub route_pairs_changed: u64,
-    /// Aggregate table entries held across all brokers when the run ended —
-    /// non-zero only under [`TableLayout::Sparse`], where interior brokers
-    /// store one covering-aggregated entry per reachable destination
-    /// instead of one entry per subscription.
-    pub aggregate_entries: u64,
-    /// Rough bytes of subscription-table state at the end of the run: the
-    /// sum of every broker's own table plus (under the sparse layout) the
-    /// shared population registry, counted once.
-    pub table_bytes_estimate: u64,
-    /// Per-link utilisation/queueing counters, indexed by link id, with
-    /// the busy/flow-time integrals closed at `finished_at`.
-    pub link_loads: Vec<LinkLoad>,
-}
-
-impl SimulationOutcome {
-    /// The paper's "message number" metric: total messages received by all brokers.
-    pub fn message_number(&self) -> u64 {
-        self.broker_counters.iter().map(|c| c.received).sum()
-    }
-
-    /// Total copies dropped because they expired.
-    pub fn dropped_expired(&self) -> u64 {
-        self.broker_counters.iter().map(|c| c.dropped_expired).sum()
-    }
-
-    /// Total copies dropped as unlikely to make their deadline (eq. 11).
-    pub fn dropped_unlikely(&self) -> u64 {
-        self.broker_counters
-            .iter()
-            .map(|c| c.dropped_unlikely)
-            .sum()
-    }
-
-    /// Total copies dropped because every target unsubscribed mid-run.
-    pub fn dropped_unsubscribed(&self) -> u64 {
-        self.broker_counters
-            .iter()
-            .map(|c| c.dropped_unsubscribed)
-            .sum()
-    }
-
-    /// Total copies enqueued towards downstream neighbours.
-    pub fn enqueued(&self) -> u64 {
-        self.broker_counters.iter().map(|c| c.enqueued).sum()
-    }
-
-    /// Total copies requeued after their link failed mid-transfer.
-    pub fn requeued(&self) -> u64 {
-        self.broker_counters.iter().map(|c| c.requeued).sum()
-    }
-
-    /// Total local deliveries produced by expanding a covering aggregate at
-    /// an edge broker — non-zero only under [`TableLayout::Sparse`], where
-    /// it equals the local delivery count (interior brokers route on
-    /// aggregates, only edge brokers expand to concrete subscribers).
-    pub fn expanded_at_edge(&self) -> u64 {
-        self.broker_counters
-            .iter()
-            .map(|c| c.expanded_at_edge)
-            .sum()
-    }
-
-    /// Total copies handed to links.
-    pub fn sent(&self) -> u64 {
-        self.broker_counters.iter().map(|c| c.sent).sum()
-    }
-
-    /// Copies that crossed at least one link only to expand to zero members
-    /// at their edge broker — the traffic cost of covering-aggregate false
-    /// positives (non-zero only under [`ForwardingMode::Aggregate`]).
-    pub fn false_positive_forwards(&self) -> u64 {
-        self.broker_counters
-            .iter()
-            .map(|c| c.false_positive_forwards)
-            .sum()
-    }
-
-    /// Edge expansions that resolved zero members (includes the publisher's
-    /// own broker, where no link was wasted; always ≥
-    /// [`false_positive_forwards`](Self::false_positive_forwards)).
-    pub fn false_positive_drops_at_edge(&self) -> u64 {
-        self.broker_counters
-            .iter()
-            .map(|c| c.false_positive_drops_at_edge)
-            .sum()
-    }
-
-    /// Checks the copy-conservation invariants and returns a structured
-    /// report of the first violated one, if any. Two balances must hold at
-    /// the end of every run, static or dynamic:
-    ///
-    /// 1. **Queue balance** — every copy put into an output queue (enqueued
-    ///    or requeued) was either transmitted, dropped (expired / unlikely /
-    ///    unsubscribed) or is still queued;
-    /// 2. **Transfer balance** — every transmission either completed,
-    ///    was requeued after a link failure, or is still in flight.
-    pub fn check_conservation(&self) -> Result<(), ConservationViolation> {
-        let inserted = self.enqueued() + self.requeued();
-        let removed = self.sent()
-            + self.dropped_expired()
-            + self.dropped_unlikely()
-            + self.dropped_unsubscribed()
-            + self.queued_at_end;
-        if inserted != removed {
-            return Err(ConservationViolation {
-                balance: ConservationBalance::Queue,
-                inserted,
-                removed,
-                terms: vec![
-                    ("enqueued", self.enqueued()),
-                    ("requeued", self.requeued()),
-                    ("sent", self.sent()),
-                    ("dropped_expired", self.dropped_expired()),
-                    ("dropped_unlikely", self.dropped_unlikely()),
-                    ("dropped_unsubscribed", self.dropped_unsubscribed()),
-                    ("queued_at_end", self.queued_at_end),
-                ],
-            });
-        }
-        let transfers = self.completed_transfers + self.requeued() + self.in_flight_at_end;
-        if self.transmissions != transfers {
-            return Err(ConservationViolation {
-                balance: ConservationBalance::Transfer,
-                inserted: self.transmissions,
-                removed: transfers,
-                terms: vec![
-                    ("transmissions", self.transmissions),
-                    ("completed_transfers", self.completed_transfers),
-                    ("requeued", self.requeued()),
-                    ("in_flight_at_end", self.in_flight_at_end),
-                ],
-            });
-        }
-        Ok(())
-    }
-
-    /// Checks the no-duplicate-delivery audit: every (message, subscriber)
-    /// pair was delivered at most once. Returns a structured report naming
-    /// the offending pairs (up to the tracker's sample cap) on violation.
-    pub fn check_no_duplicates(&self) -> Result<(), DuplicateDeliveryViolation> {
-        let count = self.tracker.duplicate_deliveries();
-        if count == 0 {
-            return Ok(());
-        }
-        Err(DuplicateDeliveryViolation {
-            count,
-            samples: self.tracker.duplicate_samples().to_vec(),
-        })
-    }
-}
-
-/// Which conservation balance a [`ConservationViolation`] broke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConservationBalance {
-    /// Copies inserted into output queues vs copies leaving them.
-    Queue,
-    /// Transmissions started vs transfers completed / requeued / in flight.
-    Transfer,
-}
-
-impl ConservationBalance {
-    /// Stable report name (`"queue"` / `"transfer"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ConservationBalance::Queue => "queue",
-            ConservationBalance::Transfer => "transfer",
-        }
-    }
-}
-
-/// A violated copy-conservation balance, with the counters behind it —
-/// self-explaining in test failures and machine-readable in model-checking
-/// counterexample traces (see `bdps-mc`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConservationViolation {
-    /// Which balance broke.
-    pub balance: ConservationBalance,
-    /// The insertion side of the balance (what went in / started).
-    pub inserted: u64,
-    /// The removal side of the balance (where every copy must be accounted).
-    pub removed: u64,
-    /// Every counter contributing to the balance, by name — the full
-    /// breakdown, so a report never needs re-deriving from the outcome.
-    pub terms: Vec<(&'static str, u64)>,
-}
-
-impl fmt::Display for ConservationViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} balance violated: {} inserted != {} accounted (",
-            self.balance.name(),
-            self.inserted,
-            self.removed
-        )?;
-        for (i, (name, value)) in self.terms.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{name} {value}")?;
-        }
-        write!(f, ")")
-    }
-}
-
-/// A violated no-duplicate-delivery audit: at least one (message,
-/// subscriber) pair was delivered more than once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DuplicateDeliveryViolation {
-    /// Total duplicate deliveries recorded.
-    pub count: u64,
-    /// The first few offending (message, subscriber) pairs.
-    pub samples: Vec<(MessageId, SubscriberId)>,
-}
-
-impl fmt::Display for DuplicateDeliveryViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} duplicate deliveries (first pairs:", self.count)?;
-        for (m, s) in &self.samples {
-            write!(f, " {m}->{s}")?;
-        }
-        write!(f, ")")
-    }
-}
-
-/// The subscription population, addressable by id.
-///
-/// `entries` is the slice [`Simulation::subscriptions`] exposes; `slot` maps
-/// an id to its position, so a leave is a hash lookup and a swap-remove
-/// instead of a scan and a `memmove` over 10⁵ entries. Entries are in
-/// insertion order until the first leave and in no particular order after
-/// it: every consumer keys or sorts by id (tables, the registry, the state
-/// digest).
-#[derive(Clone, Default)]
-struct Population {
-    entries: Vec<(Subscription, BrokerId)>,
-    slot: HashMap<SubscriptionId, usize>,
-}
-
-impl Population {
-    fn new(entries: Vec<(Subscription, BrokerId)>) -> Self {
-        let slot = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (sub, _))| (sub.id, i))
-            .collect();
-        Population { entries, slot }
-    }
-
-    /// Adds a subscription attached at `edge`, replacing any entry with the
-    /// same id.
-    fn insert(&mut self, subscription: Subscription, edge: BrokerId) {
-        match self.slot.get(&subscription.id) {
-            Some(&i) => self.entries[i] = (subscription, edge),
-            None => {
-                self.slot.insert(subscription.id, self.entries.len());
-                self.entries.push((subscription, edge));
-            }
-        }
-    }
-
-    /// Removes a subscription, returning the edge broker it was attached at.
-    fn remove(&mut self, id: SubscriptionId) -> Option<BrokerId> {
-        let i = self.slot.remove(&id)?;
-        let (_, edge) = self.entries.swap_remove(i);
-        if let Some((moved, _)) = self.entries.get(i) {
-            self.slot.insert(moved.id, i);
-        }
-        Some(edge)
-    }
-}
-
 /// A fully constructed simulation, ready to [`run`](Simulation::run).
 ///
-/// Its state is three groups split along who may write what while traffic
-/// flows (see `traffic.rs`) — the traffic `core`, the `shared` context
-/// only scenario actions mutate, and the order-sensitive `totals` — plus
-/// the population and routing state scenario application maintains.
+/// Its state is four groups split along who may write what: the traffic
+/// `core`, the `shared` context only scenario actions mutate, the
+/// order-sensitive `totals` both reach through an effect sink, and the
+/// `scenario` core — population and routing, which traffic never touches.
 pub struct Simulation {
     pub(crate) core: TrafficCore,
     pub(crate) shared: Shared,
     pub(crate) totals: Totals,
-    subscriptions: Population,
-    /// The graph the schedulers and routing believe in (identical to the true
-    /// graph unless an estimation error is configured). Kept so routing can
-    /// be recomputed when links fail or recover.
-    believed_graph: OverlayGraph,
-    routing: Routing,
-    /// Set when link liveness changed since the last routing rebuild.
-    routing_dirty: bool,
-    /// Links whose liveness toggled since the last rebuild (deduplicated via
-    /// `link_dirty`); the incremental path diffs them against
-    /// `link_alive_at_rebuild` to find the net removed/restored sets.
-    dirty_links: Vec<LinkId>,
-    link_dirty: Vec<bool>,
-    /// Per-link liveness as of the last routing rebuild.
-    link_alive_at_rebuild: Vec<bool>,
-    /// How brokers materialise their subscription tables (dense replicated
-    /// entries, or sparse covering aggregates over the shared registry).
-    table_layout: TableLayout,
-    tables_rebuilt_full: u64,
-    entries_retargeted: u64,
-    route_trees_recomputed: u64,
-    route_pairs_changed: u64,
-    rng: SimRng,
-    drain_grace: Duration,
-}
-
-/// A deliberately broken protocol invariant, compiled in only under the
-/// `fault-injection` feature and armed via [`Simulation::inject_fault`].
-///
-/// The faults recreate the *classes* of the two historical oracle-found bugs
-/// so the model-checking explorer (`bdps-mc`) can prove it detects real
-/// violations: a conservation break (copies vanishing) and a duplicate
-/// delivery. An unarmed build behaves bit-identically to one without the
-/// feature.
-#[cfg(feature = "fault-injection")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// A transfer voided by a link failure silently drops its copy instead
-    /// of requeueing it — breaking the transfer-balance conservation law
-    /// (the historical flap-voiding bug class).
-    VoidedTransferVanishes,
-    /// Every local delivery is recorded twice — breaking the
-    /// no-duplicate-delivery audit.
-    DoubleDelivery,
-}
-
-/// Compares a broker's live dense (or sparse-local) table against a
-/// from-scratch rebuild, reporting the first divergent entry. Entries are
-/// matched by subscription id; the routed fields (edge broker, next hop,
-/// next link, path statistics) must agree exactly.
-fn compare_dense_tables(
-    broker: BrokerId,
-    live: &SubscriptionTable,
-    fresh: &SubscriptionTable,
-) -> Result<(), String> {
-    if live.len() != fresh.len() {
-        return Err(format!(
-            "broker {broker} table holds {} entries, scratch rebuild has {}",
-            live.len(),
-            fresh.len()
-        ));
-    }
-    for e in fresh.entries() {
-        let id = e.subscription.id;
-        let Some(l) = live.entry(id) else {
-            return Err(format!(
-                "broker {broker} table is missing entry {id} present in a scratch rebuild"
-            ));
-        };
-        if l.edge_broker != e.edge_broker
-            || l.next_hop != e.next_hop
-            || l.next_link != e.next_link
-            || l.stats != e.stats
-        {
-            return Err(format!(
-                "broker {broker} entry {id} drifted from the scratch rebuild: \
-                 live (edge {}, hop {:?}, link {:?}) vs fresh (edge {}, hop {:?}, link {:?})",
-                l.edge_broker, l.next_hop, l.next_link, e.edge_broker, e.next_hop, e.next_link
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Write-locks the sparse layout's population registry for one churn
-/// mutation. Neither failure is recoverable here — a half-registered
-/// subscription would desynchronise the registry from the broker tables —
-/// so both surface as structured errors instead of panics.
-fn write_population<'a>(
-    shared: &'a Shared,
-    during: &'static str,
-) -> Result<RwLockWriteGuard<'a, SharedPopulation>, SimError> {
-    shared
-        .population
-        .as_ref()
-        .ok_or(SimError::PopulationMissing { during })?
-        .write()
-        .map_err(|_| SimError::PopulationPoisoned { during })
+    pub(crate) scenario: ScenarioCore,
+    pub(crate) drain_grace: Duration,
 }
 
 impl Simulation {
@@ -1059,8 +199,6 @@ impl Simulation {
             g
         };
 
-        let routing = Routing::compute(&believed_graph);
-
         // Subscription population: one subscription per subscriber.
         let mut subscriptions = Vec::with_capacity(topology.subscribers.len());
         for (i, (subscriber, broker)) in topology.subscribers.iter().enumerate() {
@@ -1131,19 +269,7 @@ impl Simulation {
                 transmissions: 0,
                 completed_transfers: 0,
             },
-            subscriptions: Population::new(subscriptions),
-            believed_graph,
-            routing,
-            routing_dirty: false,
-            dirty_links: Vec::new(),
-            link_dirty: vec![false; link_count],
-            link_alive_at_rebuild: vec![true; link_count],
-            table_layout,
-            tables_rebuilt_full: 0,
-            entries_retargeted: 0,
-            route_trees_recomputed: 0,
-            route_pairs_changed: 0,
-            rng,
+            scenario: ScenarioCore::new(believed_graph, subscriptions),
             drain_grace,
         };
 
@@ -1161,53 +287,9 @@ impl Simulation {
         for &(publisher, _) in &sim.shared.topology.publishers {
             sim.core.schedule_next_publication(&sim.shared, publisher);
         }
-        sim.build_brokers();
+        let (scenario, scheduler) = (&sim.scenario, &sim.shared.scheduler);
+        (sim.core.brokers, sim.shared.population) = scenario.build_brokers(table_layout, scheduler);
         Ok(sim)
-    }
-
-    /// Materialises the per-broker state (tables and queues) for the
-    /// configured layout — the constructor's last step. Tables are built
-    /// from the believed graph (what measurement reports), while transfer
-    /// times are sampled from the true graph.
-    fn build_brokers(&mut self) {
-        let scheduler = &self.shared.scheduler;
-        match self.table_layout {
-            TableLayout::Dense => {
-                let tables = SubscriptionTable::build_all(
-                    &self.believed_graph,
-                    &self.routing,
-                    &self.subscriptions.entries,
-                );
-                self.core.brokers = tables
-                    .into_iter()
-                    .map(|table| {
-                        BrokerState::from_overlay(
-                            &self.believed_graph,
-                            table.broker(),
-                            table,
-                            scheduler.clone(),
-                        )
-                    })
-                    .collect();
-            }
-            TableLayout::Sparse => {
-                let population: PopulationHandle = Arc::new(RwLock::new(
-                    SharedPopulation::from_population(&self.subscriptions.entries),
-                ));
-                self.core.brokers = (0..self.believed_graph.broker_count())
-                    .map(|i| {
-                        let id = BrokerId::new(i as u32);
-                        BrokerState::from_overlay(
-                            &self.believed_graph,
-                            id,
-                            SparseTable::build(id, &self.routing, &population),
-                            scheduler.clone(),
-                        )
-                    })
-                    .collect();
-                self.shared.population = Some(population);
-            }
-        }
     }
 
     /// The link transfer-time model this run uses.
@@ -1226,15 +308,10 @@ impl Simulation {
         &self.totals.tracker
     }
 
-    /// The table layout this run uses.
-    pub fn table_layout(&self) -> TableLayout {
-        self.table_layout
-    }
-
     /// The subscription population of this run (changes under churn; in no
     /// particular order once a subscription has left).
     pub fn subscriptions(&self) -> &[(Subscription, BrokerId)] {
-        &self.subscriptions.entries
+        &self.scenario.subscriptions.entries
     }
 
     /// The scheduler configuration of this run.
@@ -1246,10 +323,7 @@ impl Simulation {
     /// on the (thread-environment-only) failures [`try_run`](Self::try_run)
     /// surfaces as [`SimError`].
     pub fn run(self) -> SimulationOutcome {
-        match self.try_run() {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the simulation to completion, surfacing structured
@@ -1306,23 +380,21 @@ impl Simulation {
     /// model-checking explorer calls it directly with events chosen from a
     /// [`take_frontier`](Self::take_frontier) batch.
     pub fn apply(&mut self, entry: Scheduled<EventKind>) {
-        if let Err(e) = self.try_apply(entry) {
-            panic!("{e}");
-        }
+        self.try_apply(entry).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`apply`](Self::apply), but surfaces structured [`SimError`]s
-    /// instead of panicking. Traffic events run the shared handlers of
-    /// `traffic.rs` against this simulation's own core, with the
-    /// totals as the effect sink; scenario actions are applied here.
+    /// instead of panicking. Traffic events run the handlers of
+    /// `traffic.rs`, scenario actions those of `scenario_apply.rs`, both
+    /// with the totals as the effect sink.
     pub fn try_apply(&mut self, entry: Scheduled<EventKind>) -> Result<(), SimError> {
+        let (core, shared, totals) = (&mut self.core, &mut self.shared, &mut self.totals);
         match entry.item {
-            EventKind::Scenario { action } => {
-                self.core.begin_event(entry.time);
-                self.on_scenario(action, entry.time)
-            }
+            EventKind::Scenario { action } => self
+                .scenario
+                .apply(core, shared, totals, action, entry.time),
             _ => {
-                self.core.apply(&self.shared, &mut self.totals, entry);
+                core.apply(shared, totals, entry);
                 Ok(())
             }
         }
@@ -1332,7 +404,7 @@ impl Simulation {
     /// consuming the simulation — the explorer snapshots outcomes at
     /// quiescence while keeping the state for further checks.
     pub fn outcome_snapshot(&self) -> SimulationOutcome {
-        let core = &self.core;
+        let (core, repairs) = (&self.core, self.scenario.counters);
         // End-of-run accounting for the conservation invariants: whatever is
         // left in the event queue is either in flight on a link or inside a
         // broker's processing module; whatever sits in output queues is
@@ -1363,17 +435,13 @@ impl Simulation {
             .iter()
             .map(|b| b.table().aggregate_entries())
             .sum();
-        let table_bytes_estimate: u64 = core
-            .brokers
-            .iter()
-            .map(|b| b.table().bytes_estimate())
-            .sum::<u64>()
-            + self
-                .shared
-                .population
-                .as_ref()
-                .map(|p| bdps_overlay::sparse::read_population(p).bytes_estimate())
-                .unwrap_or(0);
+        let registry = self.shared.population.as_ref();
+        let table_bytes_estimate = registry.map_or(0, |p| read_population(p).bytes_estimate())
+            + core
+                .brokers
+                .iter()
+                .map(|b| b.table().bytes_estimate())
+                .sum::<u64>();
 
         SimulationOutcome {
             tracker: self.totals.tracker.clone(),
@@ -1391,10 +459,10 @@ impl Simulation {
             peak_pending_events: core.peak_pending as u64,
             scope_interns: core.scope_interner.interns(),
             scope_intern_hits: core.scope_interner.hits(),
-            tables_rebuilt_full: self.tables_rebuilt_full,
-            entries_retargeted: self.entries_retargeted,
-            route_trees_recomputed: self.route_trees_recomputed,
-            route_pairs_changed: self.route_pairs_changed,
+            tables_rebuilt_full: repairs.tables_rebuilt_full,
+            entries_retargeted: repairs.entries_retargeted,
+            route_trees_recomputed: repairs.route_trees_recomputed,
+            route_pairs_changed: repairs.route_pairs_changed,
             aggregate_entries,
             table_bytes_estimate,
             link_loads: self.link_loads_snapshot(),
@@ -1422,539 +490,13 @@ impl Simulation {
     pub fn into_outcome(self) -> SimulationOutcome {
         self.outcome_snapshot()
     }
-
-    /// Deep-clones the simulation into an independent branch: every piece of
-    /// mutable state — broker tables and queues, the event set, the RNG, the
-    /// objective tracker, and (under the sparse layout) the shared
-    /// population registry — is copied, so stepping the branch can never
-    /// perturb the original. This is the branching primitive of the
-    /// model-checking explorer.
-    pub fn fork(&self) -> Simulation {
-        let mut branch = Simulation {
-            core: self.core.clone(),
-            shared: self.shared.clone(),
-            totals: self.totals.clone(),
-            subscriptions: self.subscriptions.clone(),
-            believed_graph: self.believed_graph.clone(),
-            routing: self.routing.clone(),
-            routing_dirty: self.routing_dirty,
-            dirty_links: self.dirty_links.clone(),
-            link_dirty: self.link_dirty.clone(),
-            link_alive_at_rebuild: self.link_alive_at_rebuild.clone(),
-            table_layout: self.table_layout,
-            tables_rebuilt_full: self.tables_rebuilt_full,
-            entries_retargeted: self.entries_retargeted,
-            route_trees_recomputed: self.route_trees_recomputed,
-            route_pairs_changed: self.route_pairs_changed,
-            rng: self.rng.clone(),
-            drain_grace: self.drain_grace,
-        };
-        // The sparse layout shares one population registry behind an
-        // `Arc<RwLock>`; a branch must get its own deep copy, and every
-        // cloned broker table must be re-pointed at it.
-        if let Some(shared) = &self.shared.population {
-            let own: PopulationHandle = Arc::new(RwLock::new(
-                bdps_overlay::sparse::read_population(shared).clone(),
-            ));
-            for b in &mut branch.core.brokers {
-                b.repoint_population(&own);
-            }
-            branch.shared.population = Some(own);
-        }
-        branch
-    }
-
-    /// Hashes the complete *logical* state of the simulation — clock,
-    /// pending events (ignoring scheduling sequence numbers), broker
-    /// counters, queues and tables, link liveness, RNG stream position and
-    /// objective bookkeeping — into one `u64`. Two states with equal digests
-    /// behave identically under any same-instant frontier permutation, which
-    /// is what lets the model-checking explorer deduplicate branches that
-    /// converge after commuting events.
-    ///
-    /// Sequence numbers are deliberately excluded: the explorer enumerates
-    /// every frontier permutation anyway, so the relative seq order of
-    /// same-instant events never narrows the set of explored behaviours.
-    pub fn state_digest(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        h.write_u64(self.core.now.as_micros());
-        for &counter in &self.core.next_message {
-            h.write_u64(counter);
-        }
-        h.write_u64(self.totals.published);
-        h.write_u64(self.totals.transmissions);
-        h.write_u64(self.totals.completed_transfers);
-        for r in std::iter::once(&self.rng)
-            .chain(self.core.publisher_rng.iter())
-            .chain(self.core.link_rng.iter())
-        {
-            for w in r.state_words() {
-                h.write_u64(w);
-            }
-        }
-        // Pending events as a sorted multiset of (time, content digest).
-        let mut pending: Vec<(u64, u64)> = Vec::with_capacity(self.core.events.len());
-        self.core.events.for_each(&mut |e| {
-            let mut eh = std::collections::hash_map::DefaultHasher::new();
-            e.item.digest_into(&mut eh);
-            pending.push((e.time.as_micros(), eh.finish()));
-        });
-        pending.sort_unstable();
-        h.write_usize(pending.len());
-        for (t, d) in pending {
-            h.write_u64(t);
-            h.write_u64(d);
-        }
-        // Link state.
-        for (i, busy) in self.core.link_busy.iter().enumerate() {
-            h.write_u8(*busy as u8);
-            h.write_u32(self.shared.link_down_depth[i]);
-            h.write_u64(self.shared.link_fail_gen[i]);
-            h.write_u8(self.link_alive_at_rebuild[i] as u8);
-            h.write_u64(self.core.link_last_change[i].as_micros());
-            let load = &self.core.link_load[i];
-            h.write_u64(load.transmissions);
-            h.write_u64(load.completed_transfers);
-            h.write_u64(load.busy_us);
-            h.write_u64(load.flow_time_us);
-            h.write_u64(load.peak_flows);
-            h.write_u64(load.peak_queue);
-            h.write_u64(load.work_done_us.to_bits());
-            // Flows as an id-sorted multiset: the Vec order is admission
-            // order, which is not logical state.
-            let mut flows: Vec<&LinkFlow> = self.core.link_flows[i].iter().collect();
-            flows.sort_unstable_by_key(|f| f.queued.message.id.raw());
-            h.write_usize(flows.len());
-            for f in flows {
-                h.write_u64(f.queued.message.id.raw());
-                h.write_u64(f.nominal_us.to_bits());
-                h.write_u64(f.remaining_us.to_bits());
-                h.write_u64(f.resched);
-                h.write_u64(f.completes_at.as_micros());
-            }
-        }
-        h.write_u8(self.shared.link_model.kind() as u8);
-        h.write_u8(self.shared.forwarding as u8);
-        // Publish epochs as a sorted list (aggregate forwarding only; the
-        // map is insertion-ordered-free but iteration order is not logical
-        // state).
-        let mut epochs: Vec<(u64, u64)> = self
-            .core
-            .publish_epoch
-            .iter()
-            .map(|(m, e)| (m.raw(), *e))
-            .collect();
-        epochs.sort_unstable();
-        h.write_usize(epochs.len());
-        for (m, e) in epochs {
-            h.write_u64(m);
-            h.write_u64(e);
-        }
-        h.write_u8(self.routing_dirty as u8);
-        // Brokers: counters, queues and tables.
-        for b in &self.core.brokers {
-            h.write_u64(b.state_digest());
-        }
-        if let Some(pop) = &self.shared.population {
-            h.write_u64(bdps_overlay::sparse::read_population(pop).state_digest());
-        }
-        // Population membership (the dense layout has no registry), in id
-        // order: the entry order is not logical state.
-        let mut members: Vec<(u32, u32)> = self
-            .subscriptions
-            .entries
-            .iter()
-            .map(|(sub, edge)| (sub.id.raw(), edge.raw()))
-            .collect();
-        members.sort_unstable();
-        h.write_usize(members.len());
-        for (id, edge) in members {
-            h.write_u32(id);
-            h.write_u32(edge);
-        }
-        h.write_u64(self.totals.tracker.state_digest());
-        h.finish()
-    }
-
-    /// Verifies that routing and every broker's subscription table agree
-    /// with a from-scratch rebuild — the table/routing-consistency invariant
-    /// the model checker asserts in every interleaving.
-    ///
-    /// The reference point is the link liveness **as of the last rebuild**
-    /// (`link_alive_at_rebuild`): while a coalesced same-instant link batch
-    /// is still in flight the engine intentionally defers the rebuild, so
-    /// tables lag the instantaneous liveness but must always equal what a
-    /// scratch rebuild at the last-rebuilt liveness produces.
-    pub fn audit_tables(&self) -> Result<(), String> {
-        let alive = &self.link_alive_at_rebuild;
-        let fresh_routing = Routing::compute_filtered(&self.believed_graph, |l| alive[l.index()]);
-        if fresh_routing != self.routing {
-            return Err(
-                "routing disagrees with a from-scratch recompute at the last-rebuilt liveness"
-                    .to_string(),
-            );
-        }
-        for broker in &self.core.brokers {
-            match broker.table() {
-                BrokerTable::Dense(table) => {
-                    let fresh = SubscriptionTable::build(
-                        broker.id,
-                        &self.routing,
-                        &self.subscriptions.entries,
-                    );
-                    compare_dense_tables(broker.id, table, &fresh)?;
-                }
-                BrokerTable::Sparse(table) => {
-                    let fresh = SparseTable::build(broker.id, &self.routing, table.population());
-                    compare_dense_tables(broker.id, table.local(), fresh.local())?;
-                    let current: Vec<_> = table.aggregates().collect();
-                    let rebuilt: Vec<_> = fresh.aggregates().collect();
-                    if current.len() != rebuilt.len() {
-                        return Err(format!(
-                            "broker {} holds {} aggregates, scratch rebuild has {}",
-                            broker.id,
-                            current.len(),
-                            rebuilt.len()
-                        ));
-                    }
-                    for ((dest_a, a), (dest_b, b)) in current.iter().zip(rebuilt.iter()) {
-                        if dest_a != dest_b || a != b {
-                            return Err(format!(
-                                "broker {} aggregate for {} drifted from the scratch rebuild",
-                                broker.id, dest_a
-                            ));
-                        }
-                    }
-                    // Envelope-vs-members invariant: every aggregate's QoS
-                    // envelope must be *exactly* the fold over the
-                    // destination group's current members. The scratch fold
-                    // iterates member records directly — independent of the
-                    // prefix-fold machinery the table's envelope came from —
-                    // so a prefix-maintenance bug cannot agree with it.
-                    {
-                        let pop = bdps_overlay::sparse::read_population(table.population());
-                        let epoch = pop.epoch();
-                        for (dest, a) in &current {
-                            let scratch = pop.scratch_envelope(*dest, epoch);
-                            if a.envelope != scratch {
-                                return Err(format!(
-                                    "broker {} envelope for {} is {:?}, but the fold over \
-                                     current members gives {:?}",
-                                    broker.id, dest, a.envelope, scratch
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Arms a deliberately broken invariant, proving the model-checking
-    /// explorer catches real violations (see `bdps-mc`'s fault-injection
-    /// suite). Compiled only with the `fault-injection` feature; without the
-    /// fault armed, behaviour is untouched.
-    #[cfg(feature = "fault-injection")]
-    pub fn inject_fault(&mut self, fault: InjectedFault) {
-        self.shared.injected_fault = Some(fault);
-    }
-
-    fn on_scenario(&mut self, action: ScenarioAction, time: SimTime) -> Result<(), SimError> {
-        match action {
-            ScenarioAction::SubscriptionJoin {
-                subscription,
-                broker,
-            } => {
-                self.shared
-                    .global_index
-                    .insert(subscription.id, subscription.filter.clone());
-                match self.table_layout {
-                    TableLayout::Dense => {
-                        for i in 0..self.core.brokers.len() {
-                            if let Some(entry) = SubscriptionTable::entry_for(
-                                self.core.brokers[i].id,
-                                &self.routing,
-                                &subscription,
-                                broker,
-                            ) {
-                                self.core.brokers[i].insert_subscription(entry);
-                            }
-                        }
-                    }
-                    TableLayout::Sparse => {
-                        // Register once globally, expand only at the edge;
-                        // interior brokers just refresh their aggregate from
-                        // the group's stats, read once for all of them.
-                        let group = {
-                            let mut population =
-                                write_population(&self.shared, "subscription join")?;
-                            population.insert(subscription.clone(), broker);
-                            population.group_stats(broker)
-                        };
-                        let routing = &self.routing;
-                        for b in &mut self.core.brokers {
-                            if b.id == broker {
-                                b.insert_local_subscription(subscription.clone());
-                            } else {
-                                b.sync_aggregate(routing, broker, group);
-                            }
-                        }
-                    }
-                }
-                self.subscriptions.insert(subscription, broker);
-            }
-            ScenarioAction::SubscriptionLeave { subscription } => {
-                // An id nobody holds is in no index, table or queued copy.
-                let Some(edge) = self.subscriptions.remove(subscription) else {
-                    return Ok(());
-                };
-                self.shared.global_index.remove(subscription);
-                // Under the sparse layout the aggregate towards the edge the
-                // subscription left shrinks (or goes) at every other broker.
-                let shrunk_group = match self.table_layout {
-                    TableLayout::Sparse => {
-                        let mut population = write_population(&self.shared, "subscription leave")?;
-                        population.remove(subscription);
-                        Some(population.group_stats(edge))
-                    }
-                    TableLayout::Dense => None,
-                };
-                let routing = &self.routing;
-                let mut orphaned = 0;
-                for b in &mut self.core.brokers {
-                    // Every queued copy loses the target; the table row
-                    // lives at every broker (dense) or at the edge alone.
-                    orphaned += match shrunk_group {
-                        Some(group) if b.id != edge => {
-                            b.sync_aggregate(routing, edge, group);
-                            b.strip_queued(subscription)
-                        }
-                        _ => b.remove_subscription(subscription),
-                    };
-                }
-                self.totals.emit(Effect::Dropped { count: orphaned });
-            }
-            ScenarioAction::PublisherRate {
-                publisher,
-                multiplier,
-            } => {
-                let all = &self.shared.topology.publishers;
-                let targets: Vec<PublisherId> = match publisher {
-                    Some(p) => vec![p],
-                    None => all.iter().map(|(p, _)| *p).collect(),
-                };
-                for p in targets {
-                    if p.index() >= self.shared.rate_multiplier.len() {
-                        continue;
-                    }
-                    self.shared.rate_multiplier[p.index()] = multiplier.max(0.0);
-                    // Invalidate the pending publication drawn at the old
-                    // rate and restart the chain at the new one.
-                    self.shared.publish_gen[p.index()] += 1;
-                    self.core.schedule_next_publication(&self.shared, p);
-                }
-            }
-            ScenarioAction::LinkDown { link } => {
-                // Bump the failure generation so transfers in flight right
-                // now are voided when their SendComplete pops, even if the
-                // link flaps back up before they complete. Queued copies
-                // simply wait behind the dead link.
-                self.shared.link_fail_gen[link.index()] += 1;
-                // Under a sharing link model flows are voided eagerly: the
-                // copies return to the sender's queue at the failure
-                // instant (the sender knows its link died) and the pending
-                // FlowComplete events go stale — no live flow will match
-                // them at pop.
-                if !self.core.link_flows[link.index()].is_empty() {
-                    self.core.touch_link(link);
-                    let (from, to) = self.shared.endpoints(link);
-                    let flows = std::mem::take(&mut self.core.link_flows[link.index()]);
-                    for flow in flows {
-                        self.core.link_load[link.index()].work_done_us +=
-                            flow.nominal_us - flow.remaining_us.max(0.0);
-                        let accepted = self.core.brokers[from.index()].requeue(to, flow.queued);
-                        debug_assert!(accepted, "sender must have a queue for its own link");
-                    }
-                    self.core.note_queue_peak(link, from, to);
-                }
-                if self.shared.link_down_depth[link.index()] == 0 {
-                    self.routing_dirty = true;
-                    self.mark_link_dirty(link);
-                }
-                self.shared.link_down_depth[link.index()] += 1;
-                self.maybe_rebuild_routing()?;
-            }
-            ScenarioAction::LinkUp { link } => {
-                let depth = &mut self.shared.link_down_depth[link.index()];
-                if *depth > 0 {
-                    *depth -= 1;
-                    if *depth == 0 {
-                        self.routing_dirty = true;
-                        self.mark_link_dirty(link);
-                    }
-                }
-                self.maybe_rebuild_routing()?;
-                if self.shared.link_down_depth[link.index()] == 0 {
-                    // Pump the queue that was waiting behind the outage.
-                    let (from, to) = self.shared.endpoints(link);
-                    self.core.try_send(&self.shared, &mut self.totals, from, to);
-                }
-            }
-            ScenarioAction::PhaseMark { label } => {
-                self.totals.phases.push(PhaseOutcome::new(label, time));
-            }
-        }
-        Ok(())
-    }
-
-    /// Records a link whose liveness just toggled, for the incremental
-    /// rebuild's net removed/restored diff.
-    fn mark_link_dirty(&mut self, link: LinkId) {
-        if !self.link_dirty[link.index()] {
-            self.link_dirty[link.index()] = true;
-            self.dirty_links.push(link);
-        }
-    }
-
-    /// Brings routing and every broker's subscription table back in line
-    /// with current link liveness (queues and counters untouched), if any
-    /// link's liveness changed since the last rebuild.
-    ///
-    /// Every link event calls this; when the immediately following event is
-    /// another link change at the same instant (a blackout floods hundreds
-    /// of them), the rebuild is deferred to the batch's last link event —
-    /// pure coalescing, the dirty flag guarantees it cannot be lost even if
-    /// that last event is itself a liveness no-op (e.g. the second down of a
-    /// nested failure).
-    ///
-    /// The reference engine ([`TableLayout::Dense`]) recomputes routing from
-    /// scratch and rebuilds every table from the full population; the
-    /// production engine ([`TableLayout::Sparse`]) recomputes only the
-    /// destinations the batch can affect and patches only the aggregates
-    /// whose route entry changed. Both leave routing in identical states.
-    fn maybe_rebuild_routing(&mut self) -> Result<(), SimError> {
-        if !self.routing_dirty {
-            return Ok(());
-        }
-        if let Some((time, kind)) = self.core.events.peek() {
-            if time == self.core.now
-                && matches!(
-                    kind,
-                    EventKind::Scenario {
-                        action: ScenarioAction::LinkDown { .. } | ScenarioAction::LinkUp { .. }
-                    }
-                )
-            {
-                return Ok(());
-            }
-        }
-        self.routing_dirty = false;
-        match self.table_layout {
-            TableLayout::Dense => self.rebuild_routing_full(),
-            TableLayout::Sparse => self.rebuild_routing_incremental()?,
-        }
-        Ok(())
-    }
-
-    /// Resolves the dirty-link set against the liveness snapshot of the last
-    /// rebuild, returning the links that net-failed and net-recovered since
-    /// then (a link that flapped down and back up within one coalesced batch
-    /// appears in neither) and refreshing the snapshot.
-    fn drain_dirty_links(&mut self) -> (Vec<LinkId>, Vec<LinkId>) {
-        let mut removed = Vec::new();
-        let mut added = Vec::new();
-        for &link in &self.dirty_links {
-            let i = link.index();
-            self.link_dirty[i] = false;
-            let alive = self.shared.link_down_depth[i] == 0;
-            if alive == self.link_alive_at_rebuild[i] {
-                continue;
-            }
-            self.link_alive_at_rebuild[i] = alive;
-            if alive {
-                added.push(link);
-            } else {
-                removed.push(link);
-            }
-        }
-        self.dirty_links.clear();
-        (removed, added)
-    }
-
-    /// The reference engine's rebuild: all-pairs routing recompute plus a
-    /// from-scratch table rebuild on every broker — `O(brokers ×
-    /// subscriptions)` per coalesced link batch, and nothing to get wrong.
-    fn rebuild_routing_full(&mut self) {
-        let _ = self.drain_dirty_links(); // keep the snapshot coherent
-        let depth = std::mem::take(&mut self.shared.link_down_depth);
-        self.routing = Routing::compute_filtered(&self.believed_graph, |l| depth[l.index()] == 0);
-        self.shared.link_down_depth = depth;
-        for i in 0..self.core.brokers.len() {
-            let table = SubscriptionTable::build(
-                self.core.brokers[i].id,
-                &self.routing,
-                &self.subscriptions.entries,
-            );
-            self.core.brokers[i].set_table(table);
-        }
-        self.tables_rebuilt_full += self.core.brokers.len() as u64;
-    }
-
-    /// The production engine's rebuild: recompute only the destination trees
-    /// the link batch can affect, then patch only the `(broker,
-    /// destination)` aggregates whose route entry changed — work
-    /// proportional to the change, not the population.
-    fn rebuild_routing_incremental(&mut self) -> Result<(), SimError> {
-        let (removed, added) = self.drain_dirty_links();
-        if removed.is_empty() && added.is_empty() {
-            return Ok(()); // the batch was a net liveness no-op
-        }
-        let depth = std::mem::take(&mut self.shared.link_down_depth);
-        let delta = self.routing.update_for_link_change(
-            &self.believed_graph,
-            |l| depth[l.index()] == 0,
-            &removed,
-            &added,
-        );
-        self.shared.link_down_depth = depth;
-        self.route_trees_recomputed += delta.dests_recomputed() as u64;
-        self.route_pairs_changed += delta.changed_pairs() as u64;
-        if delta.is_empty() {
-            return Ok(());
-        }
-        self.patch_sparse_tables(&delta)
-    }
-
-    /// One [`BrokerState::sync_aggregate`] call per changed `(broker,
-    /// destination)` pair — `O(changed pairs)` total, with no
-    /// population-grouping pass (removing or inserting an aggregate is
-    /// `O(log dests)`, so even a blackout's mass transition is cheap). The
-    /// registry is locked once for the whole patch.
-    fn patch_sparse_tables(&mut self, delta: &RouteDelta) -> Result<(), SimError> {
-        let during = "link-event table patch";
-        let population = self.shared.population.as_ref();
-        let population = population.ok_or(SimError::PopulationMissing { during })?;
-        let population = bdps_overlay::sparse::read_population(population);
-        let routing = &self.routing;
-        let mut patched = RetargetOutcome::default();
-        for (i, broker) in self.core.brokers.iter_mut().enumerate() {
-            let source = BrokerId::new(i as u32);
-            for &dest in delta.changed_dests(source) {
-                let group = population.group_stats(dest);
-                patched.absorb(broker.sync_aggregate(routing, dest, group));
-            }
-        }
-        self.entries_retargeted += patched.total();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::SimulationBuilder;
-    use crate::scenario::{DynamicScenario, ScenarioRegistry};
+    use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioRegistry};
     use crate::workload::{
         ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
         WorkloadConfig,
@@ -1963,7 +505,7 @@ mod tests {
     use bdps_net::bandwidth::FixedRate;
     use bdps_net::link::LinkQuality;
     use bdps_overlay::topology::LayeredMeshConfig;
-    use bdps_types::id::SubscriberId;
+    use bdps_types::id::{LinkId, PublisherId, SubscriberId};
 
     fn fast_quality(_rng: &mut SimRng) -> LinkQuality {
         // 10 ms/KB -> a 50 KB message takes 500 ms per hop.

@@ -11,15 +11,18 @@
 //!   message heads, subscription filters, PSD/SSD delay requirements);
 //! * [`engine`] — the [`Simulation`]: its one fallible constructor
 //!   (crate-private, reached through the builder, so a `Simulation` is
-//!   complete the moment it exists), run loop and stepping API, scenario
-//!   application, audits. Its state is three groups split by
-//!   who may write them while traffic flows: the **traffic core** (brokers,
-//!   event queue, per-publisher / per-link streams, link occupancy, clock),
-//!   the **shared context** only scenario actions mutate (topology, filter
-//!   index, link liveness, rates, population registry) and the
-//!   **order-sensitive totals** (objective tracker, phases, delay summary);
-//!   the traffic handlers are written once against (core, &shared, effect
-//!   sink) and run by both executors;
+//!   complete the moment it exists), the run loop and the stepping API;
+//!   events, errors, outcome types and the audits are private modules
+//!   re-exported from it. State is four groups split by who may write them:
+//!   the **traffic core** (brokers, event queue, per-publisher / per-link
+//!   streams, link occupancy, clock), the **shared context** only scenario
+//!   actions mutate (topology, filter index, link liveness, rates,
+//!   population registry), the **scenario core** traffic never touches
+//!   (population, routing and its repair) and the **order-sensitive totals**
+//!   (objective tracker, phases, delay summary). Two cores, one sink: the
+//!   traffic handlers (the paper's broker loop) and the scenario handlers
+//!   (everything around it, every dense / sparse arm included) are each
+//!   written once against (core, shared, effect sink);
 //! * [`shard`] — the sharded executor: conservative `PD`-lookahead windows
 //!   over per-shard traffic cores running those same handlers;
 //! * [`sched`] — the event scheduler: the `O(1)`-amortised
@@ -42,11 +45,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod audit;
 pub mod builder;
 pub mod engine;
+mod error;
+mod event;
+mod outcome;
 pub mod report;
 pub mod runner;
 pub mod scenario;
+mod scenario_apply;
 pub mod sched;
 pub mod shard;
 mod traffic;

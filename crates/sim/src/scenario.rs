@@ -42,7 +42,13 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ScenarioAction {
     /// A new subscription joins at the given edge broker. The subscription is
-    /// fully materialised (id, filter, QoS) so replays are exact.
+    /// fully materialised (id, filter, QoS) so replays are exact. A join of
+    /// an id that is already live is exactly a [`SubscriptionLeave`] of that
+    /// id followed by this join at the same instant: the old edge loses the
+    /// row, queued copies lose the target (and are counted as dropped when
+    /// left with none), then the subscription attaches at `broker`.
+    ///
+    /// [`SubscriptionLeave`]: ScenarioAction::SubscriptionLeave
     SubscriptionJoin {
         /// The joining subscription.
         subscription: Subscription,

@@ -27,7 +27,7 @@ pub struct Scheduled<T> {
     pub time: SimTime,
     /// Tie-break key; lower keys pop first among equal times. The engine
     /// derives it canonically from the event's content (see
-    /// `engine::key`), so the `(time, seq)` total order is independent of
+    /// `event::key`), so the `(time, seq)` total order is independent of
     /// scheduling order — and of which shard scheduled the event.
     pub seq: u64,
     /// The event payload.

@@ -1,17 +1,18 @@
 //! The traffic core: the paper's broker loop (receive → match → enqueue →
 //! pick the next copy → send), written once and run by every executor.
 //!
-//! A run's state is three groups, split by who may write it while traffic
-//! flows: the [`TrafficCore`] (everything the owner of an event mutates),
-//! the [`Shared`] context (read by every handler, written only by scenario
-//! actions) and the order-sensitive [`Totals`], which handlers reach only
-//! through an [`EffectSink`]. The handlers are methods of the core taking
-//! `(&Shared, &mut impl EffectSink)`: the sequential engine is one core
-//! owning every broker whose sink *is* the totals (static dispatch, so an
-//! emit compiles to the field update it names); a shard worker
-//! ([`crate::shard`]) runs the same methods on its block of brokers with a
-//! sink that logs the effects for ordered replay through the same
-//! `Totals::emit`.
+//! A run's state is four groups, split by who may write it: the
+//! [`TrafficCore`] (everything the owner of a traffic event mutates), the
+//! [`Shared`] context (read by every traffic handler, written only by
+//! scenario actions), the scenario core (`scenario_apply.rs`: population and
+//! routing, which traffic never touches) and the order-sensitive [`Totals`],
+//! which both cores reach only through an [`EffectSink`]. The traffic
+//! handlers are methods of the core taking `(&Shared, &mut impl
+//! EffectSink)`: the sequential engine is one core owning every broker whose
+//! sink *is* the totals (static dispatch, so an emit compiles to the field
+//! update it names); a shard worker ([`crate::shard`]) runs the same methods
+//! on its block of brokers with a sink that logs the effects for ordered
+//! replay through the same `Totals::emit`.
 
 use bdps_core::broker::BrokerState;
 use bdps_core::config::SchedulerConfig;
@@ -32,13 +33,16 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 #[cfg(feature = "fault-injection")]
-use crate::engine::InjectedFault;
-use crate::engine::{key, EventKind, ForwardingMode, LinkFlow, LinkLoad, PhaseOutcome};
+use crate::audit::InjectedFault;
+use crate::engine::ForwardingMode;
+use crate::event::{key, EventKind};
+use crate::outcome::{LinkFlow, LinkLoad, PhaseOutcome};
 use crate::sched::{CalendarQueue, EventQueue, Scheduled};
 use crate::workload::WorkloadConfig;
 
-/// One update of the order-sensitive [`Totals`], named by a traffic handler
-/// and applied by whichever [`EffectSink`] the executor supplies.
+/// One update of the order-sensitive [`Totals`], named by a traffic or
+/// scenario handler and applied by whichever [`EffectSink`] the executor
+/// supplies.
 pub(crate) enum Effect {
     /// A message was published with `interested` matching subscriptions.
     Published { message: MessageId, interested: u32 },
@@ -59,9 +63,12 @@ pub(crate) enum Effect {
     Transmission,
     /// A link transmission completed (not voided by a failure).
     CompletedTransfer,
+    /// A reporting phase began (`ScenarioAction::PhaseMark`). The label is
+    /// boxed so this rare arm does not widen the enum.
+    PhaseStarted { label: Box<str>, at: SimTime },
 }
 
-/// Where a traffic handler's [`Effect`]s go. Handlers are generic over the
+/// Where a handler's [`Effect`]s go. Handlers are generic over the
 /// sink, so the sequential engine's choice ([`Totals`] itself) inlines to
 /// direct field updates.
 pub(crate) trait EffectSink {
@@ -118,6 +125,9 @@ impl EffectSink for Totals {
                 phase.transmissions += 1;
             }
             Effect::CompletedTransfer => self.completed_transfers += 1,
+            Effect::PhaseStarted { label, at } => {
+                self.phases.push(PhaseOutcome::new(label.into(), at))
+            }
         }
     }
 }
@@ -150,8 +160,9 @@ pub(crate) struct Shared {
     pub(crate) publish_gen: Vec<u64>,
     /// How publish-time matching scopes copies.
     pub(crate) forwarding: ForwardingMode,
-    /// The shared population registry (sparse layout only), referenced by
-    /// every broker's table.
+    /// The population registry every sparse broker table references — and
+    /// the one record of the run's layout: `None` is the dense reference
+    /// engine (see `scenario_apply.rs`, which holds every layout arm).
     pub(crate) population: Option<PopulationHandle>,
     /// Deliberately broken invariant, if armed (see [`InjectedFault`]).
     /// `None` keeps behaviour bit-identical to a build without the feature.
@@ -227,7 +238,7 @@ pub(crate) struct TrafficCore {
 
 impl TrafficCore {
     /// An idle core for `publishers` publisher slots and `links` links, with
-    /// no brokers yet (see `Simulation::build_brokers` / `shard`'s scatter).
+    /// no brokers yet (see `ScenarioCore::build_brokers` / `shard`'s scatter).
     pub(crate) fn new(publisher_rng: Vec<SimRng>, link_rng: Vec<SimRng>, broker_lo: usize) -> Self {
         let (publishers, links) = (publisher_rng.len(), link_rng.len());
         TrafficCore {
@@ -297,7 +308,7 @@ impl TrafficCore {
 
     /// Applies one traffic event: advances the clock and runs its handler,
     /// scheduling any follow-up events. Scenario events are not traffic —
-    /// the engine applies them itself.
+    /// `ScenarioCore::apply` is their entry point.
     pub(crate) fn apply(
         &mut self,
         sh: &Shared,
@@ -728,5 +739,14 @@ impl TrafficCore {
             sink.emit(Effect::Transmission);
             self.reschedule_flows(link);
         }
+    }
+}
+#[cfg(test)]
+mod tests {
+    /// A shard worker logs one stamped `Effect` per delivery and the barrier
+    /// sorts the log, so the enum stays at the size of its `Delivery` arm.
+    #[test]
+    fn an_effect_is_no_wider_than_a_delivery() {
+        assert_eq!(std::mem::size_of::<super::Effect>(), 32);
     }
 }

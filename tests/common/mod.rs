@@ -3,6 +3,7 @@
 //! `forwarding_equivalence.rs`).
 
 use bdps::prelude::*;
+use bdps::sim::engine::EventKind;
 
 /// The delivery set of a finished run: every `(message, subscriber)` pair
 /// delivered (on time or late), sorted. This is the oracle currency of the
@@ -106,4 +107,36 @@ pub fn flap_storm(seed: u64, links: u32, horizon_secs: u64) -> DynamicScenario {
     }
     assert!(events >= 300, "the storm must be a storm, got {events}");
     scenario
+}
+
+/// Runs `sim` to its hard stop with the engine's own stepping, calling
+/// [`Simulation::audit_tables`] after every event of every instant that
+/// holds a scenario event — routing must equal a from-scratch
+/// `Routing::compute_filtered`, every broker's table a from-scratch build,
+/// every envelope the fold over its members.
+#[allow(dead_code)] // each test binary uses its own subset of the helpers
+pub fn run_with_table_audits(mut sim: Simulation, what: &str) -> SimulationOutcome {
+    let stop = sim.hard_stop();
+    loop {
+        // Look at the next instant and put it back whole, so the engine's
+        // same-instant rebuild coalescing peeks at the batch it sees in
+        // `run`.
+        let frontier = sim.take_frontier(stop);
+        let Some(now) = frontier.first().map(|e| e.time) else {
+            break;
+        };
+        let has_scenario = frontier
+            .iter()
+            .any(|e| matches!(e.item, EventKind::Scenario { .. }));
+        for event in frontier {
+            sim.push_back(event);
+        }
+        while sim.step_next(now) {
+            if has_scenario {
+                sim.audit_tables()
+                    .unwrap_or_else(|e| panic!("{what}: table audit failed at {now}: {e}"));
+            }
+        }
+    }
+    sim.into_outcome()
 }

@@ -222,7 +222,7 @@ fn link_flap_golden_table() -> Vec<(StrategyKind, LinkFlapGolden)> {
 }
 
 #[test]
-fn seed_42_link_flap_metrics_are_pinned_under_both_rebuild_policies_schedulers_and_layouts() {
+fn seed_42_link_flap_metrics_are_pinned_under_both_table_layouts() {
     // A link-failure scenario drives the routing/table rebuild machinery;
     // the pinned metrics must be reproduced by both engines — the dense
     // reference rebuilds routing and every table from scratch, the sparse

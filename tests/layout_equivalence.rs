@@ -26,18 +26,20 @@
 use bdps::prelude::*;
 
 mod common;
-use common::{delivered_pairs, flap_storm, small_mesh_link_count};
+use common::{delivered_pairs, flap_storm, run_with_table_audits, small_mesh_link_count};
 
-fn report(scenario: &DynamicScenario, layout: TableLayout, seed: u64) -> SimulationReport {
+fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
     Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
         .duration(Duration::from_secs(240))
         .strategy(StrategyKind::MaxEbpc)
         .scenario(scenario.clone())
-        .table_layout(layout)
         .seed(seed)
-        .report()
+}
+
+fn report(scenario: &DynamicScenario, layout: TableLayout, seed: u64) -> SimulationReport {
+    builder(scenario, seed).table_layout(layout).report()
 }
 
 /// Runs one scenario on both engines, asserts report equality and returns
@@ -93,7 +95,7 @@ fn chaos_reports_are_layout_independent_on_seeds_1_to_10() {
 }
 
 #[test]
-fn flap_storm_is_layout_independent_across_policies_and_schedulers() {
+fn flap_storm_is_layout_independent() {
     // The small mesh has 68 directed links; the storm's same-instant floods
     // are where a from-scratch rebuild and an incremental patch are furthest
     // apart in what they do, and must still end in the same tables.
@@ -123,7 +125,7 @@ fn population(seed: u64) -> Vec<(Subscription, BrokerId)> {
 }
 
 #[test]
-fn leave_of_an_unknown_id_is_a_no_op_under_every_layout_and_scheduler() {
+fn leave_of_an_unknown_id_is_a_no_op_under_every_layout() {
     let seed = 6;
     let members = population(seed);
     // Real leaves while queues are loaded, so there is something to strip.
@@ -173,7 +175,7 @@ fn leave_of_an_unknown_id_is_a_no_op_under_every_layout_and_scheduler() {
 }
 
 #[test]
-fn leave_then_rejoin_at_one_instant_is_layout_and_scheduler_independent() {
+fn leave_then_rejoin_at_one_instant_is_layout_independent() {
     let seed = 6;
     let members = population(seed);
     let mut leave_only = DynamicScenario::named("leave-rejoin");
@@ -199,6 +201,41 @@ fn leave_then_rejoin_at_one_instant_is_layout_and_scheduler_independent() {
     assert!(rejoined.dropped_unsubscribed > 0);
     assert!(rejoined.interested > left.interested);
     assert_eq!(rejoined.duplicate_deliveries, 0);
+}
+
+#[test]
+fn join_of_a_live_id_at_another_edge_is_a_leave_then_the_join_under_every_layout() {
+    let seed = 6;
+    let members = population(seed);
+    // Twelve live ids re-homed while queues are loaded, with no leave: the
+    // join itself must take the id away from its old edge.
+    let mut rehome = DynamicScenario::named("re-home");
+    for (k, (sub, edge)) in members.iter().take(12).enumerate() {
+        let elsewhere = members
+            .iter()
+            .map(|(_, other)| *other)
+            .find(|other| other != edge)
+            .expect("the population spans more than one edge");
+        rehome = rehome.at(
+            Duration::from_secs(60 + 10 * k as u64),
+            ScenarioAction::SubscriptionJoin {
+                subscription: sub.clone(),
+                broker: elsewhere,
+            },
+        );
+    }
+    let moved = agreed_report(&rehome, seed);
+    assert!(
+        moved.dropped_unsubscribed > 0,
+        "the implied leaves must orphan queued copies, or nothing was stripped"
+    );
+    assert_eq!(moved.duplicate_deliveries, 0);
+    // State by state: the old edge lost its row and every other broker
+    // re-synced its aggregate towards the group that shrank.
+    for forwarding in ForwardingMode::ALL {
+        let production = builder(&rehome, seed).forwarding(forwarding);
+        run_with_table_audits(production.build(), &format!("re-home, {forwarding}"));
+    }
 }
 
 #[test]

@@ -108,7 +108,7 @@ fn constant_delay_links_are_exclusive_and_accounted() {
 }
 
 #[test]
-fn fair_share_reports_are_scheduler_and_layout_independent() {
+fn fair_share_reports_are_layout_independent() {
     // Flow re-scheduling leans on the engine's stale-event design: a
     // re-scheduled completion leaves the superseded event in the queue as a
     // no-op, and the sparse layout must not perturb which copies contend.

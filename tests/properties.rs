@@ -646,8 +646,8 @@ fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
 
 /// The front door never unwinds: whatever the builder is handed,
 /// `try_report` answers `Ok` or a structured `SimError`, and every run it
-/// accepts also conserves copies and delivers no pair twice when built and
-/// run sequentially.
+/// accepts also conserves copies, delivers no pair twice and ends with
+/// tables equal to a from-scratch rebuild when built and run sequentially.
 #[test]
 fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -660,13 +660,19 @@ fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
         let config = builder.build_config();
         let answer = catch_unwind(AssertUnwindSafe(|| {
             let report = builder.try_report()?;
-            let outcome = builder.try_build()?.try_run()?;
-            Ok::<_, SimError>((report, outcome))
+            // `run`'s own loop, kept open so the tables can be audited
+            // before the simulation is consumed.
+            let mut sim = builder.try_build()?;
+            let stop = sim.hard_stop();
+            while sim.step_next(stop) {}
+            let tables = sim.audit_tables();
+            Ok::<_, SimError>((report, sim.into_outcome(), tables))
         }))
         .unwrap_or_else(|_| panic!("case {case} unwound: {config:?}"));
         match answer {
-            Ok((report, outcome)) => {
+            Ok((report, outcome, tables)) => {
                 ok += 1;
+                tables.unwrap_or_else(|e| panic!("case {case}: {e}: {config:?}"));
                 outcome
                     .check_conservation()
                     .unwrap_or_else(|v| panic!("case {case}: {v}: {config:?}"));

@@ -26,10 +26,9 @@
 //! contained between two events, and links left dead at the horizon.
 
 use bdps::prelude::*;
-use bdps::sim::engine::EventKind;
 
 mod common;
-use common::{flap_storm, small_mesh_link_count};
+use common::{flap_storm, run_with_table_audits, small_mesh_link_count};
 
 fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
     Simulation::builder()
@@ -47,31 +46,8 @@ fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
 /// reference engine's. Returns the outcome.
 fn audited_run(scenario: &DynamicScenario, seed: u64) -> SimulationOutcome {
     let production = builder(scenario, seed).table_layout(TableLayout::Sparse);
-    let mut sim = production.build();
-    let stop = sim.hard_stop();
-    loop {
-        // Look at the next instant and put it back whole, so the engine's
-        // same-instant rebuild coalescing peeks at the batch it sees in
-        // `run`.
-        let frontier = sim.take_frontier(stop);
-        let Some(now) = frontier.first().map(|e| e.time) else {
-            break;
-        };
-        let has_scenario = frontier
-            .iter()
-            .any(|e| matches!(e.item, EventKind::Scenario { .. }));
-        for event in frontier {
-            sim.push_back(event);
-        }
-        while sim.step_next(now) {
-            if has_scenario {
-                sim.audit_tables().unwrap_or_else(|e| {
-                    panic!("{scenario}, seed {seed}: table audit failed at {now}: {e}")
-                });
-            }
-        }
-    }
-    let outcome = sim.into_outcome();
+    let what = format!("{scenario}, seed {seed}");
+    let outcome = run_with_table_audits(production.build(), &what);
     let config = production.build_config();
     let stepped = SimulationReport::from_outcome(
         &outcome,
@@ -113,19 +89,19 @@ fn audit_scenario(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
 }
 
 #[test]
-fn link_flap_reports_are_policy_independent_on_seeds_1_to_10() {
+fn link_flap_reports_are_engine_independent_on_seeds_1_to_10() {
     audit_scenario("link-flap", 1..=10);
 }
 
 #[test]
-fn blackout_reports_are_policy_independent_on_seeds_1_to_10() {
+fn blackout_reports_are_engine_independent_on_seeds_1_to_10() {
     // The mass transition: every aggregate disappears when the mesh goes
     // dark and must reappear with fresh routed fields on recovery.
     audit_scenario("blackout", 1..=10);
 }
 
 #[test]
-fn chaos_reports_are_policy_independent_on_seeds_1_to_10() {
+fn chaos_reports_are_engine_independent_on_seeds_1_to_10() {
     // Chaos combines churn, bursts and link failures, so the audit also
     // covers subscription joins/leaves interleaved with rebuilds (a join
     // during an outage must patch in on recovery).
@@ -133,7 +109,7 @@ fn chaos_reports_are_policy_independent_on_seeds_1_to_10() {
 }
 
 #[test]
-fn flap_storm_is_policy_and_scheduler_independent() {
+fn flap_storm_is_engine_independent() {
     // The small mesh has 68 directed links.
     let links = small_mesh_link_count();
     for seed in [3u64, 7, 11] {
@@ -149,4 +125,31 @@ fn flap_storm_is_policy_and_scheduler_independent() {
             "storm seed {seed} never moved a route"
         );
     }
+}
+
+#[test]
+fn a_batch_that_nets_to_nothing_recomputes_no_tree() {
+    // Every link downed and restored at one instant: the coalesced batch
+    // leaves liveness where the last rebuild saw it, so the production
+    // engine's diff against that snapshot is empty and routing is untouched.
+    let mut blink = DynamicScenario::named("blink");
+    for up in [false, true] {
+        for raw in 0..small_mesh_link_count() {
+            let link = LinkId::new(raw);
+            let action = if up {
+                ScenarioAction::LinkUp { link }
+            } else {
+                ScenarioAction::LinkDown { link }
+            };
+            blink = blink.at(Duration::from_secs(90), action);
+        }
+    }
+    let outcome = audited_run(&blink, 5);
+    assert_eq!(outcome.route_trees_recomputed, 0);
+    assert_eq!(outcome.route_pairs_changed, 0);
+    assert_eq!(outcome.entries_retargeted, 0);
+    assert!(
+        outcome.requeued() > 0,
+        "the blink must still void the transfers it caught in flight"
+    );
 }
