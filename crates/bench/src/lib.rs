@@ -19,19 +19,39 @@
 //! whole suite finishes in minutes; pass `--full` for the paper's 2-hour
 //! runs. The comparison binaries (`fig5`, `fig6`, `ablation_scheddelay`,
 //! `dynamics`) accept `--strategies <a,b,c>` with names resolved through the
-//! [`StrategyRegistry`] (`fifo`, `rl`, `eb`, `pc`, `ebpc`, `composite`, or
-//! their display labels); `--scenarios` and `--link-model` belong to
-//! `dynamics` alone. A flag a binary does not read is an error, not a no-op.
+//! [`StrategyRegistry`](bdps_core::strategy::StrategyRegistry) (`fifo`, `rl`,
+//! `eb`, `pc`, `ebpc`, `composite`, or their display labels); `--scenarios`
+//! and `--link-model` belong to `dynamics` alone. A flag a binary does not
+//! read is an error, not a no-op.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use bdps_core::config::StrategyKind;
-use bdps_core::strategy::{StrategyHandle, StrategyRegistry};
-use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
+use bdps_core::strategy::StrategyHandle;
+use bdps_net::linkmodel::LinkModelKind;
 use bdps_sim::report::{render_markdown_table, SimulationReport};
 use bdps_sim::runner::{sweep, SweepCell};
-use bdps_sim::scenario::{DynamicScenario, ScenarioRegistry};
+use bdps_sim::scenario::DynamicScenario;
+use bdps_types::registry::{Builtins, Registry};
+use std::fmt;
+
+/// Resolves every name through `T`'s built-in registry; an unknown name
+/// prints the registered ones and exits with status 2.
+fn resolve_or_exit<T: Builtins + fmt::Display>(what: &str, names: &[impl AsRef<str>]) -> Vec<T> {
+    let registry = Registry::<T>::builtin();
+    names
+        .iter()
+        .map(|name| {
+            registry
+                .try_resolve(what, name.as_ref())
+                .unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                })
+        })
+        .collect()
+}
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,13 +63,13 @@ pub struct ExperimentOptions {
     /// Worker threads for the sweep.
     pub threads: usize,
     /// Strategy names selected with `--strategies` (resolved through the
-    /// [`StrategyRegistry`]); empty means "use the binary's paper default".
+    /// `StrategyRegistry`); empty means "use the binary's paper default".
     pub strategies: Vec<String>,
     /// Dynamic-scenario names selected with `--scenarios` (resolved through
-    /// the [`ScenarioRegistry`]); empty means "use the binary's default set".
+    /// the `ScenarioRegistry`); empty means "use the binary's default set".
     pub scenarios: Vec<String>,
     /// Link-model names selected with `--link-model` (resolved through the
-    /// [`LinkModelRegistry`]); empty means "use the binary's default"
+    /// `LinkModelRegistry`); empty means "use the binary's default"
     /// (usually the paper's constant-delay model).
     pub link_models: Vec<String>,
 }
@@ -224,74 +244,37 @@ impl ExperimentOptions {
     }
 
     /// The strategies a comparison binary should run: the names given with
-    /// `--strategies`, resolved through the built-in [`StrategyRegistry`],
+    /// `--strategies`, resolved through the built-in `StrategyRegistry`,
     /// or `default` when none were selected. Exits with a diagnostic on an
     /// unknown name, listing the registered ones.
     pub fn strategies_or(&self, default: &[StrategyKind]) -> Vec<StrategyHandle> {
         if self.strategies.is_empty() {
             return default.iter().map(|s| s.resolve()).collect();
         }
-        let registry = StrategyRegistry::builtin();
-        self.strategies
-            .iter()
-            .map(|name| {
-                registry.resolve(name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown strategy {name:?}; registered: {}",
-                        registry.names().join(", ")
-                    );
-                    std::process::exit(2);
-                })
-            })
-            .collect()
+        resolve_or_exit("strategy", &self.strategies)
     }
 
     /// The dynamic scenarios a binary should run: the names given with
-    /// `--scenarios`, resolved through the built-in [`ScenarioRegistry`],
+    /// `--scenarios`, resolved through the built-in `ScenarioRegistry`,
     /// or `default` when none were selected. Exits with a diagnostic on an
     /// unknown name.
     pub fn scenarios_or(&self, default: &[&str]) -> Vec<DynamicScenario> {
-        let registry = ScenarioRegistry::builtin();
-        let names: Vec<&str> = if self.scenarios.is_empty() {
-            default.to_vec()
+        if self.scenarios.is_empty() {
+            resolve_or_exit("scenario", default)
         } else {
-            self.scenarios.iter().map(|s| s.as_str()).collect()
-        };
-        names
-            .iter()
-            .map(|name| {
-                registry.resolve(name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown scenario {name:?}; registered: {}",
-                        registry.names().join(", ")
-                    );
-                    std::process::exit(2);
-                })
-            })
-            .collect()
+            resolve_or_exit("scenario", &self.scenarios)
+        }
     }
 
     /// The link models a binary should run: the names given with
-    /// `--link-model`, resolved through the built-in [`LinkModelRegistry`],
+    /// `--link-model`, resolved through the built-in `LinkModelRegistry`,
     /// or `default` when none were selected. Exits with a diagnostic on an
     /// unknown name, listing the registered ones — never silently defaults.
     pub fn link_models_or(&self, default: &[LinkModelKind]) -> Vec<LinkModelKind> {
         if self.link_models.is_empty() {
             return default.to_vec();
         }
-        let registry = LinkModelRegistry::builtin();
-        self.link_models
-            .iter()
-            .map(|name| {
-                registry.resolve(name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown link model {name:?}; registered: {}",
-                        registry.names().join(", ")
-                    );
-                    std::process::exit(2);
-                })
-            })
-            .collect()
+        resolve_or_exit("link model", &self.link_models)
     }
 
     /// A banner describing the run parameters.

@@ -28,7 +28,6 @@ use bdps_types::id::{BrokerId, LinkId, SubscriberId, SubscriptionId};
 use bdps_types::message::Message;
 use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -69,7 +68,7 @@ pub struct NextSend {
 
 /// Per-broker counters; `received` across all brokers is the paper's
 /// "message number" traffic metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerCounters {
     /// Messages received (from publishers or upstream brokers).
     pub received: u64,

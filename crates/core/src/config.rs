@@ -10,7 +10,6 @@
 use crate::strategy::{Fifo, MaxEb, MaxEbpc, MaxPc, RemainingLifetime, StrategyHandle};
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five scheduling strategies evaluated by the paper.
@@ -21,7 +20,7 @@ use std::fmt;
 /// implementation. New strategies do not extend this enum — they implement
 /// the trait and register with the
 /// [`StrategyRegistry`](crate::strategy::StrategyRegistry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// First-in, first-out (baseline).
     Fifo,
@@ -92,7 +91,7 @@ impl fmt::Display for StrategyKind {
 }
 
 /// How a broker decides to delete queued messages early (§5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InvalidDetection {
     /// Never delete anything before transmission (lower bound baseline).
     Off,
@@ -114,7 +113,7 @@ impl InvalidDetection {
 /// `strategy` is a shared handle on a `dyn SchedulingStrategy`, so cloning a
 /// configuration is cheap and every broker of a run scores against the same
 /// strategy instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
     /// The scheduling strategy (built-in kind or user-defined implementation).
     pub strategy: StrategyHandle,

@@ -25,11 +25,10 @@ use bdps_types::id::{BrokerId, LinkId, MessageId, SubscriberId, SubscriptionId};
 use bdps_types::message::Message;
 use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One subscription a queued message still has to reach via this queue's neighbour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchedTarget {
     /// The subscription's identifier.
     pub subscription: SubscriptionId,
@@ -43,7 +42,7 @@ pub struct MatchedTarget {
 
 /// What `success(s_i, m)` reads of a target, shared by every target of a
 /// copy with the same values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuccessClass {
     /// Path statistics from the current broker to the subscriber (`NN_p`, `μ_p`, `σ_p²`).
     pub stats: PathStats,
@@ -191,7 +190,7 @@ impl QueuedMessage {
 }
 
 /// Why a queued message was dropped before transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// Every target deadline had already passed.
     Expired,
@@ -200,7 +199,7 @@ pub enum DropReason {
 }
 
 /// A record of one dropped message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropRecord {
     /// The dropped message.
     pub message: MessageId,

@@ -64,6 +64,7 @@
 use crate::config::SchedulerConfig;
 use crate::metrics::{self, ClassScratch};
 use crate::queue::QueuedMessage;
+use bdps_types::registry::{Builtins, Registry};
 use bdps_types::time::{Duration, SimTime};
 use std::fmt;
 use std::ops::Deref;
@@ -376,36 +377,17 @@ impl<S: SchedulingStrategy + 'static> From<S> for StrategyHandle {
     }
 }
 
-type StrategyFactory = Box<dyn Fn() -> StrategyHandle + Send + Sync>;
-
-struct RegistryEntry {
-    name: String,
-    aliases: Vec<String>,
-    factory: StrategyFactory,
-}
-
 /// Name-based strategy lookup for command-line binaries and sweeps.
 ///
-/// [`StrategyRegistry::builtin`] knows every strategy shipped with the crate;
-/// applications [`register`](StrategyRegistry::register) their own on top.
-/// Lookups are case-insensitive and also match a strategy's display label,
-/// so `"eb"`, `"EB"` and `"Eb"` all resolve the same.
-pub struct StrategyRegistry {
-    entries: Vec<RegistryEntry>,
-}
+/// [`StrategyRegistry::builtin`] knows every strategy shipped with the crate,
+/// under the canonical names `fifo`, `rl`, `eb`, `pc`, `ebpc` and
+/// `composite`; applications [`register`](Registry::register) their own on
+/// top. Lookups are case-insensitive and also match a strategy's display
+/// label, so `"eb"`, `"EB"` and `"Eb"` all resolve the same.
+pub type StrategyRegistry = Registry<StrategyHandle>;
 
-impl StrategyRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        StrategyRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry containing every built-in strategy, under the canonical
-    /// names `fifo`, `rl`, `eb`, `pc`, `ebpc` and `composite`.
-    pub fn builtin() -> Self {
-        let mut r = StrategyRegistry::new();
+impl Builtins for StrategyHandle {
+    fn register_builtins(r: &mut StrategyRegistry) {
         r.register_with_aliases("fifo", &[], || StrategyHandle::new(Fifo));
         r.register_with_aliases("rl", &["remaining-lifetime"], || {
             StrategyHandle::new(RemainingLifetime)
@@ -416,68 +398,6 @@ impl StrategyRegistry {
         r.register_with_aliases("composite", &["weighted", "weighted-composite"], || {
             StrategyHandle::new(WeightedComposite::default())
         });
-        r
-    }
-
-    /// Registers a strategy factory under a canonical name. A later
-    /// registration under the same name shadows an earlier one.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn() -> StrategyHandle + Send + Sync + 'static,
-    ) {
-        self.register_with_aliases(name, &[], factory);
-    }
-
-    /// Registers a strategy factory under a canonical name plus aliases.
-    pub fn register_with_aliases(
-        &mut self,
-        name: impl Into<String>,
-        aliases: &[&str],
-        factory: impl Fn() -> StrategyHandle + Send + Sync + 'static,
-    ) {
-        self.entries.push(RegistryEntry {
-            name: name.into().to_ascii_lowercase(),
-            aliases: aliases.iter().map(|a| a.to_ascii_lowercase()).collect(),
-            factory: Box::new(factory),
-        });
-    }
-
-    /// Resolves a name (canonical, alias or display label, case-insensitive)
-    /// to a fresh strategy handle.
-    pub fn resolve(&self, name: &str) -> Option<StrategyHandle> {
-        let wanted = name.to_ascii_lowercase();
-        // Later registrations shadow earlier ones.
-        for entry in self.entries.iter().rev() {
-            if entry.name == wanted || entry.aliases.contains(&wanted) {
-                return Some((entry.factory)());
-            }
-        }
-        for entry in self.entries.iter().rev() {
-            if (entry.factory)().label().to_ascii_lowercase() == wanted {
-                return Some((entry.factory)());
-            }
-        }
-        None
-    }
-
-    /// The canonical names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-}
-
-impl Default for StrategyRegistry {
-    fn default() -> Self {
-        StrategyRegistry::builtin()
-    }
-}
-
-impl fmt::Debug for StrategyRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StrategyRegistry")
-            .field("names", &self.names())
-            .finish()
     }
 }
 

@@ -8,7 +8,6 @@
 
 use crate::predicate::{CompOp, Predicate};
 use bdps_types::message::MessageHead;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,7 +30,7 @@ use std::sync::Arc;
 /// subscribers those copies dominated construction time and memory. Cloning
 /// a filter is a reference-count bump; the rare mutation
 /// ([`and`](Self::and)) copies on write.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Filter {
     predicates: Arc<Vec<Predicate>>,
 }
@@ -190,7 +189,7 @@ impl From<Predicate> for Filter {
 }
 
 /// A general boolean filter expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FilterExpr {
     /// The expression that matches everything.
     True,

@@ -2,12 +2,11 @@
 
 use bdps_types::message::MessageHead;
 use bdps_types::value::{AttrName, AttrValue};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompOp {
     /// `<`
     Lt,
@@ -85,7 +84,7 @@ impl fmt::Display for CompOp {
 /// message head or when its type cannot be compared with the constant —
 /// content-based pub/sub treats non-comparable as non-matching rather than
 /// erroring at runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// The attribute the predicate constrains.
     pub attr: AttrName,

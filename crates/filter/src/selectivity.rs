@@ -8,11 +8,10 @@
 
 use crate::filter::Filter;
 use crate::predicate::{CompOp, Predicate};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The assumed marginal distribution of one message-head attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttributeModel {
     /// Uniformly distributed on `[lo, hi)` (the paper's attributes are U(0, 10)).
     Uniform {
@@ -77,7 +76,7 @@ impl AttributeModel {
 }
 
 /// A collection of per-attribute models used to estimate filter selectivity.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SelectivityModel {
     attributes: HashMap<String, AttributeModel>,
 }

@@ -10,11 +10,10 @@ use bdps_types::id::{SubscriberId, SubscriptionId};
 use bdps_types::money::Price;
 use bdps_types::qos::{DelayBound, QosClass};
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A subscription registered by a subscriber.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     /// Unique subscription identifier.
     pub id: SubscriptionId,

@@ -4,9 +4,9 @@
 //! the violating path: the model name and seed, the [`CheckCell`](crate::CheckCell)
 //! name, the violated invariant, and the
 //! ordered branch [`ChoiceRecord`]s. Traces serialise to a single JSON
-//! object so CI can upload them as artifacts; the JSON is hand-rolled
-//! against a minimal parser because the vendored `serde` is a marker-only
-//! stand-in.
+//! object so CI can upload them as artifacts; the writer and its minimal
+//! parser are hand-written here (the workspace has no external packages),
+//! and this is the repository's only wire format.
 
 use std::fmt::Write as _;
 

@@ -14,7 +14,6 @@
 
 use bdps_stats::normal::Normal;
 use bdps_stats::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Minimum physically plausible per-KB rate (ms/KB) used to truncate samples.
 const MIN_RATE_MS_PER_KB: f64 = 0.01;
@@ -36,7 +35,7 @@ pub trait BandwidthModel: std::fmt::Debug + Send + Sync {
 
 /// The paper's model: `TR ~ N(μ, σ²)` ms/KB, sampled per message and
 /// truncated at a small positive rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalRate {
     rate: Normal,
 }
@@ -70,7 +69,7 @@ impl BandwidthModel for NormalRate {
 
 /// A deterministic fixed rate — the "available bandwidth of each link is
 /// fixed" assumption the paper attributes to QRON-style overlay QoS work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedRate {
     ms_per_kb: f64,
 }
@@ -94,7 +93,7 @@ impl BandwidthModel for FixedRate {
 }
 
 /// A type-erased, clonable bandwidth model handle used by link structures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AnyBandwidth {
     /// Normally distributed rate (the paper's model).
     Normal(NormalRate),

@@ -10,10 +10,9 @@ use bdps_stats::normal::Normal;
 use bdps_stats::rng::SimRng;
 use bdps_types::id::{BrokerId, LinkId};
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// The quality of one link: its bandwidth model plus a fixed propagation latency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkQuality {
     /// The bandwidth model governing per-message transfer times.
     pub bandwidth: AnyBandwidth,
@@ -56,7 +55,7 @@ impl LinkQuality {
 }
 
 /// A directed link between two brokers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// Unique identifier of the link.
     pub id: LinkId,

@@ -31,8 +31,8 @@
 use std::fmt;
 
 use bdps_stats::rng::SimRng;
+use bdps_types::registry::{Builtins, Registry};
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
 
 use crate::link::LinkQuality;
 
@@ -143,14 +143,14 @@ impl LinkModel for FairShare {
     }
 }
 
-/// The selectable link models, as a serializable configuration tag.
+/// The selectable link models, as a plain configuration tag.
 ///
 /// This is the compat shim between name-based configuration
 /// (`SimulationConfig`, CLI `--link-model`) and the [`LinkModel`] trait
 /// objects the engine runs — the same pattern `StrategyKind` uses for
 /// scheduling strategies: [`create`](Self::create) resolves the tag to a
 /// fresh model instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum LinkModelKind {
     /// [`ConstantDelay`] — the pre-trait behaviour, kept as the oracle.
     #[default]
@@ -171,15 +171,11 @@ impl LinkModelKind {
         }
     }
 
-    /// Resolves a CLI name (case-insensitive): `"constant"` (aliases
-    /// `"const"`, `"delay"`) or `"fair-share"` (aliases `"fairshare"`,
-    /// `"fair"`, `"fs"`).
+    /// Resolves a CLI name through the built-in [`LinkModelRegistry`]
+    /// (case-insensitive): `"constant"` (aliases `"const"`, `"delay"`) or
+    /// `"fair-share"` (aliases `"fairshare"`, `"fair"`, `"fs"`).
     pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "constant" | "const" | "delay" => Some(LinkModelKind::Constant),
-            "fair-share" | "fairshare" | "fair" | "fs" => Some(LinkModelKind::FairShare),
-            _ => None,
-        }
+        LinkModelRegistry::builtin().resolve(name)
     }
 
     /// Materialises a fresh model instance for this tag.
@@ -197,83 +193,25 @@ impl fmt::Display for LinkModelKind {
     }
 }
 
-struct RegistryEntry {
-    name: String,
-    aliases: Vec<String>,
-    kind: LinkModelKind,
-}
+/// Name-based link-model lookup for command-line binaries and sweeps — the
+/// same [`Registry`] strategies and scenarios resolve through. Strict CLI
+/// parsers list [`names`](Registry::names) on an unknown `--link-model`
+/// instead of silently defaulting.
+///
+/// [`LinkModelRegistry::builtin`] holds:
+///
+/// | name | sharing |
+/// |------|---------|
+/// | `constant` | one sampled-rate transfer in flight per link (the paper's setting, the oracle) |
+/// | `fair-share` | flow-level equal sharing among concurrent transfers, completions rescheduled at every arrival/departure |
+pub type LinkModelRegistry = Registry<LinkModelKind>;
 
-/// Name-based link-model lookup for command-line binaries and sweeps,
-/// mirroring `StrategyRegistry`/`ScenarioRegistry`: case-insensitive
-/// canonical names plus aliases, later registrations shadowing earlier
-/// ones. Strict CLI parsers list [`names`](Self::names) on an unknown
-/// `--link-model` instead of silently defaulting.
-pub struct LinkModelRegistry {
-    entries: Vec<RegistryEntry>,
-}
-
-impl LinkModelRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        LinkModelRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry with every built-in model:
-    ///
-    /// | name | sharing |
-    /// |------|---------|
-    /// | `constant` | one sampled-rate transfer in flight per link (the paper's setting, the oracle) |
-    /// | `fair-share` | flow-level equal sharing among concurrent transfers, completions rescheduled at every arrival/departure |
-    pub fn builtin() -> Self {
-        let mut r = LinkModelRegistry::new();
-        r.register("constant", &["const", "delay"], LinkModelKind::Constant);
-        r.register(
-            "fair-share",
-            &["fairshare", "fair", "fs"],
-            LinkModelKind::FairShare,
-        );
-        r
-    }
-
-    /// Registers a model tag under a canonical name plus aliases.
-    pub fn register(&mut self, name: impl Into<String>, aliases: &[&str], kind: LinkModelKind) {
-        self.entries.push(RegistryEntry {
-            name: name.into().to_ascii_lowercase(),
-            aliases: aliases.iter().map(|a| a.to_ascii_lowercase()).collect(),
-            kind,
+impl Builtins for LinkModelKind {
+    fn register_builtins(r: &mut LinkModelRegistry) {
+        r.register_with_aliases("constant", &["const", "delay"], || LinkModelKind::Constant);
+        r.register_with_aliases("fair-share", &["fairshare", "fair", "fs"], || {
+            LinkModelKind::FairShare
         });
-    }
-
-    /// Resolves a name (canonical or alias, case-insensitive) to its tag.
-    pub fn resolve(&self, name: &str) -> Option<LinkModelKind> {
-        let wanted = name.to_ascii_lowercase();
-        for entry in self.entries.iter().rev() {
-            if entry.name == wanted || entry.aliases.contains(&wanted) {
-                return Some(entry.kind);
-            }
-        }
-        None
-    }
-
-    /// The canonical names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-}
-
-impl Default for LinkModelRegistry {
-    fn default() -> Self {
-        LinkModelRegistry::builtin()
-    }
-}
-
-impl fmt::Debug for LinkModelRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LinkModelRegistry")
-            .field("names", &self.names())
-            .finish()
     }
 }
 

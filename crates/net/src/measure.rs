@@ -8,10 +8,9 @@
 //! parameters.
 
 use bdps_stats::normal::Normal;
-use serde::{Deserialize, Serialize};
 
 /// A deliberate perturbation of estimated link parameters (for ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimationError {
     /// Relative bias applied to the mean (+0.2 → the scheduler believes links
     /// are 20 % slower than they really are).

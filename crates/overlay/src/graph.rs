@@ -3,11 +3,10 @@
 use bdps_net::link::{Link, LinkQuality};
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, LinkId, PublisherId, SubscriberId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// One broker of the overlay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BrokerNode {
     /// The broker's identifier (equal to its index in the graph).
     pub id: BrokerId,
@@ -33,7 +32,7 @@ impl BrokerNode {
 }
 
 /// The overlay network: brokers plus directed links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OverlayGraph {
     brokers: Vec<BrokerNode>,
     links: Vec<Link>,

@@ -9,10 +9,9 @@
 
 use bdps_stats::normal::Normal;
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Statistics of the path from one broker to a subscriber's edge broker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathStats {
     /// The number of brokers that still have to process the message after the
     /// current one — the paper's `NN_p`. Equal to the number of links on the

@@ -13,12 +13,11 @@ use crate::graph::OverlayGraph;
 use crate::pathstats::PathStats;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, LinkId};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The routing decision of one broker for one destination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteEntry {
     /// The neighbour to forward to (the paper's `nb`).
     pub next_hop: BrokerId,
@@ -29,7 +28,7 @@ pub struct RouteEntry {
 }
 
 /// All-pairs single-path routes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Routing {
     /// `table[dest][source]` — the route entry at `source` towards `dest`
     /// (`None` when `source == dest` or `dest` is unreachable from `source`).

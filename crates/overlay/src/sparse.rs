@@ -42,7 +42,6 @@ use bdps_types::id::{BrokerId, LinkId, SubscriberId, SubscriptionId};
 use bdps_types::message::MessageHead;
 use bdps_types::money::Price;
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -52,7 +51,7 @@ use std::sync::{Arc, RwLock};
 /// Both layouts produce bit-identical simulation reports — the dense layout
 /// is the reference the sparse layout is pinned against — so the choice
 /// trades memory and maintenance cost, never results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TableLayout {
     /// Every broker stores one full entry per subscription, and the
     /// simulator rebuilds routing and every table from scratch after link

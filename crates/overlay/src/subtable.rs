@@ -15,11 +15,10 @@ use bdps_filter::index::MatchIndex;
 use bdps_filter::subscription::Subscription;
 use bdps_types::id::{BrokerId, LinkId, SubscriptionId};
 use bdps_types::message::MessageHead;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One entry of a broker's subscription table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubTableEntry {
     /// The subscription (subscriber, filter, delay bound `dl`, price `pr`).
     pub subscription: Subscription,

@@ -14,10 +14,9 @@ use bdps_net::link::LinkQuality;
 use bdps_stats::rng::SimRng;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, PublisherId, SubscriberId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a layered mesh topology in the style of the paper's Fig. 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayeredMeshConfig {
     /// Number of brokers in each layer, from the publisher side (layer 0)
     /// down to the subscriber side.
@@ -96,7 +95,7 @@ impl LayeredMeshConfig {
 }
 
 /// A constructed topology: the overlay graph plus the publisher/subscriber population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     /// The broker overlay.
     pub graph: OverlayGraph,

@@ -20,10 +20,11 @@
 //!
 //! The builder is also the only way to *make* a [`Simulation`]:
 //! [`try_build`](SimulationBuilder::try_build) validates the whole
-//! configuration — workload, scheduler, mesh, layout × forwarding, every
-//! materialised scenario event — and returns either a complete simulation or
-//! a [`SimError`]; [`try_report`](SimulationBuilder::try_report) also runs it,
-//! so the executor's two combination guards arrive as `Err` too.
+//! configuration — workload, scheduler, mesh, layout × forwarding, the
+//! scenario processes' parameters and every materialised scenario event —
+//! and returns either a complete simulation or a [`SimError`];
+//! [`try_report`](SimulationBuilder::try_report) also runs it, so the
+//! executor's two combination guards arrive as `Err` too.
 //! [`build`](SimulationBuilder::build) and
 //! [`report`](SimulationBuilder::report) are the same calls for callers who
 //! would rather panic, and
@@ -44,7 +45,7 @@ use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
 use bdps_net::measure::EstimationError;
 use bdps_overlay::topology::{LayeredMeshConfig, Topology};
 use bdps_stats::rng::SimRng;
-use bdps_types::error::{BdpsError, Result};
+use bdps_types::error::Result;
 use bdps_types::time::Duration;
 
 use crate::engine::{ForwardingMode, SimError, Simulation};
@@ -125,11 +126,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Uses the paper's 32-broker layered mesh (the default).
-    pub fn paper_topology(self) -> Self {
-        self.topology(TopologySpec::Paper)
-    }
-
     /// Uses a layered mesh with the given configuration.
     pub fn layered_mesh(self, config: LayeredMeshConfig) -> Self {
         self.topology(TopologySpec::LayeredMesh(config))
@@ -173,21 +169,7 @@ impl SimulationBuilder {
     /// [`StrategyRegistry`] (`"fifo"`, `"rl"`, `"eb"`, `"pc"`, `"ebpc"`,
     /// `"composite"`, their aliases or display labels).
     pub fn strategy_named(self, name: &str) -> Result<Self> {
-        self.strategy_from(&StrategyRegistry::builtin(), name)
-    }
-
-    /// Resolves a strategy by name through a caller-supplied registry, so
-    /// user-registered strategies are reachable from configuration files and
-    /// command lines.
-    pub fn strategy_from(mut self, registry: &StrategyRegistry, name: &str) -> Result<Self> {
-        let handle = registry.resolve(name).ok_or_else(|| {
-            BdpsError::InvalidConfig(format!(
-                "unknown strategy {name:?} (known: {})",
-                registry.names().join(", ")
-            ))
-        })?;
-        self.config.scheduler.strategy = handle;
-        Ok(self)
+        Ok(self.strategy(StrategyRegistry::builtin().try_resolve("strategy", name)?))
     }
 
     /// Sets the EBPC weight `r` (eq. 10).
@@ -227,21 +209,7 @@ impl SimulationBuilder {
     /// [`ScenarioRegistry`] (`"static"`, `"churn"`, `"flash-crowd"`,
     /// `"link-flap"`, `"blackout"`, `"chaos"`, or their aliases).
     pub fn scenario_named(self, name: &str) -> Result<Self> {
-        self.scenario_from(&ScenarioRegistry::builtin(), name)
-    }
-
-    /// Resolves a scenario by name through a caller-supplied registry, so
-    /// user-registered scenarios are reachable from configuration files and
-    /// command lines.
-    pub fn scenario_from(mut self, registry: &ScenarioRegistry, name: &str) -> Result<Self> {
-        let scenario = registry.resolve(name).ok_or_else(|| {
-            BdpsError::InvalidConfig(format!(
-                "unknown scenario {name:?} (known: {})",
-                registry.names().join(", ")
-            ))
-        })?;
-        self.config.scenario = scenario;
-        Ok(self)
+        Ok(self.scenario(ScenarioRegistry::builtin().try_resolve("scenario", name)?))
     }
 
     /// Selects the engine: [`TableLayout::Sparse`] (the default) is the
@@ -272,21 +240,7 @@ impl SimulationBuilder {
     /// [`LinkModelRegistry`] (`"constant"`, `"fair-share"`, or their
     /// aliases).
     pub fn link_model_named(self, name: &str) -> Result<Self> {
-        self.link_model_from(&LinkModelRegistry::builtin(), name)
-    }
-
-    /// Resolves a link model by name through a caller-supplied registry, so
-    /// user-registered aliases are reachable from configuration files and
-    /// command lines.
-    pub fn link_model_from(mut self, registry: &LinkModelRegistry, name: &str) -> Result<Self> {
-        let model = registry.resolve(name).ok_or_else(|| {
-            BdpsError::InvalidConfig(format!(
-                "unknown link model {name:?} (known: {})",
-                registry.names().join(", ")
-            ))
-        })?;
-        self.config.link_model = model;
-        Ok(self)
+        Ok(self.link_model(LinkModelRegistry::builtin().try_resolve("link model", name)?))
     }
 
     /// Selects how publish-time matching scopes copies (exact by default —
@@ -331,7 +285,7 @@ impl SimulationBuilder {
         self
     }
 
-    /// Materialises the run as a serialisable [`SimulationConfig`] (the form
+    /// Materialises the run as a plain-data [`SimulationConfig`] (the form
     /// sweeps and experiment binaries pass around).
     pub fn build_config(&self) -> SimulationConfig {
         let mut config = self.config.clone();

@@ -35,7 +35,6 @@ use bdps_stats::summary::Summary;
 use bdps_types::error::BdpsError;
 use bdps_types::id::{BrokerId, SubscriptionId};
 use bdps_types::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 #[cfg(feature = "fault-injection")]
@@ -63,7 +62,7 @@ use crate::traffic::{Shared, Totals, TrafficCore};
 /// `(message, subscriber)` pairs delivered, the earning, and the
 /// conservation/duplicate audits. Hop counts, traffic and per-message
 /// interested counts may legitimately differ.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ForwardingMode {
     /// Freeze the exact matching subscription set at publication time by
     /// walking the global filter index — `O(population)` per publish. The
@@ -156,6 +155,7 @@ impl Simulation {
         } = config;
         workload.validate()?;
         scheduler.validate()?;
+        scenario.validate()?;
         if forwarding == ForwardingMode::Aggregate && table_layout == TableLayout::Dense {
             return Err(SimError::AggregateForwardingNeedsSparseLayout);
         }
@@ -832,6 +832,74 @@ mod tests {
             .phases
             .iter()
             .any(|p| p.label == "resumed" && p.published > 0));
+    }
+
+    #[test]
+    fn scenario_process_parameters_are_checked_at_construction() {
+        // Every process at once, all valid: chaos plus a blackout window.
+        let base = || {
+            let chaos = ScenarioRegistry::builtin().resolve("chaos").unwrap();
+            chaos.with_blackout(BlackoutWindow {
+                start_frac: 0.3,
+                duration_frac: 0.2,
+            })
+        };
+        assert!(base().validate().is_ok());
+        type Set = fn(&mut DynamicScenario, f64);
+        let fields: [(&str, Set); 9] = [
+            ("churn.joins_per_min", |s, x| {
+                s.churn.as_mut().unwrap().joins_per_min = x
+            }),
+            ("churn.leaves_per_min", |s, x| {
+                s.churn.as_mut().unwrap().leaves_per_min = x
+            }),
+            ("bursts.mean_calm_secs", |s, x| {
+                s.bursts.as_mut().unwrap().mean_calm_secs = x
+            }),
+            ("bursts.mean_burst_secs", |s, x| {
+                s.bursts.as_mut().unwrap().mean_burst_secs = x
+            }),
+            ("bursts.multiplier", |s, x| {
+                s.bursts.as_mut().unwrap().multiplier = x
+            }),
+            ("link_failures.mean_time_between_failures_secs", |s, x| {
+                s.link_failures
+                    .as_mut()
+                    .unwrap()
+                    .mean_time_between_failures_secs = x
+            }),
+            ("link_failures.mean_downtime_secs", |s, x| {
+                s.link_failures.as_mut().unwrap().mean_downtime_secs = x
+            }),
+            ("blackout.start_frac", |s, x| s.blackouts[0].start_frac = x),
+            ("blackout.duration_frac", |s, x| {
+                s.blackouts[0].duration_frac = x
+            }),
+        ];
+        for (field, set) in fields {
+            // Before `DynamicScenario::validate` a NaN or infinite mean
+            // unwound out of `SimRng::exponential`, and a NaN blackout start
+            // ran as a zero-length outage at t = 0.
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut scenario = base();
+                set(&mut scenario, bad);
+                let built =
+                    configured(WorkloadConfig::paper_ssd(8.0), StrategyKind::Fifo, scenario)
+                        .try_build_on(small_topology(23), SimRng::seed_from(23));
+                match built.err() {
+                    Some(SimError::InvalidConfig(e)) => {
+                        assert!(e.to_string().contains(field), "{field} = {bad}: {e}")
+                    }
+                    other => panic!("{field} = {bad}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+            // Zero is a quiet process for a rate, the multiplier or a
+            // fraction, and an error for a mean the sampler divides by.
+            let mut scenario = base();
+            set(&mut scenario, 0.0);
+            let rejected = scenario.validate().is_err();
+            assert_eq!(rejected, field.contains("mean_"), "{field} = 0");
+        }
     }
 
     #[test]

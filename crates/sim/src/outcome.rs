@@ -7,7 +7,6 @@ use bdps_core::queue::QueuedMessage;
 use bdps_stats::summary::Summary;
 use bdps_types::id::{MessageId, SubscriberId};
 use bdps_types::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 #[cfg(doc)]
@@ -313,7 +312,7 @@ impl SimulationOutcome {
 }
 
 /// Which conservation balance a [`ConservationViolation`] broke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConservationBalance {
     /// Copies inserted into output queues vs copies leaving them.
     Queue,
@@ -334,7 +333,7 @@ impl ConservationBalance {
 /// A violated copy-conservation balance, with the counters behind it —
 /// self-explaining in test failures and machine-readable in model-checking
 /// counterexample traces (see `bdps-mc`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConservationViolation {
     /// Which balance broke.
     pub balance: ConservationBalance,
@@ -368,7 +367,7 @@ impl fmt::Display for ConservationViolation {
 
 /// A violated no-duplicate-delivery audit: at least one (message,
 /// subscriber) pair was delivered more than once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DuplicateDeliveryViolation {
     /// Total duplicate deliveries recorded.
     pub count: u64,

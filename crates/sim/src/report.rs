@@ -1,7 +1,6 @@
 //! Result records and rendering helpers.
 
 use bdps_core::strategy::StrategyHandle;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{LinkLoad, PhaseOutcome, SimulationOutcome};
 use crate::workload::{Scenario, WorkloadConfig};
@@ -10,7 +9,7 @@ use bdps_types::time::SimTime;
 /// Per-phase metrics of one run, with NaN-free statistics: a phase during
 /// which nothing was delivered (an all-links-down blackout, say) reports
 /// zero delays rather than NaN percentiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
     /// The phase label ("run", "burst", "blackout", ...).
     pub label: String,
@@ -59,7 +58,7 @@ impl PhaseReport {
 /// engine's [`LinkLoad`] counters. All fields are deterministic: the
 /// underlying counters are integer microseconds, so the sharded executor
 /// reproduces them bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkReport {
     /// The link's index (see `Topology::graph`).
     pub link: usize,
@@ -110,7 +109,7 @@ impl LinkReport {
 }
 
 /// The flat record an experiment binary prints for one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// Strategy label ("EB", "PC", "EBPC", "FIFO", "RL").
     pub strategy: String,
@@ -152,15 +151,10 @@ pub struct SimulationReport {
     pub duplicate_deliveries: u64,
     /// Copies that crossed at least one link only to expand to zero members
     /// at their edge broker — the false-positive traffic of aggregate-scoped
-    /// forwarding (always 0 under exact forwarding). Defaults on
-    /// deserialisation so reports serialised before the forwarding axis
-    /// existed still load.
-    #[serde(default)]
+    /// forwarding (always 0 under exact forwarding).
     pub false_positive_forwards: u64,
     /// Edge expansions that resolved zero members (includes the publisher's
-    /// own broker; ≥ `false_positive_forwards`). Defaults on deserialisation
-    /// like the field above.
-    #[serde(default)]
+    /// own broker; ≥ `false_positive_forwards`).
     pub false_positive_drops_at_edge: u64,
     /// Link transmissions performed.
     pub transmissions: u64,
@@ -168,10 +162,7 @@ pub struct SimulationReport {
     pub mean_valid_delay_ms: f64,
     /// Per-phase breakdown (a single "run" phase for static scenarios).
     pub phases: Vec<PhaseReport>,
-    /// Per-link utilisation/queueing breakdown, indexed by link id. Defaults
-    /// on deserialisation so reports serialised before the link-model axis
-    /// existed still load.
-    #[serde(default)]
+    /// Per-link utilisation/queueing breakdown, indexed by link id.
     pub links: Vec<LinkReport>,
 }
 

@@ -13,8 +13,8 @@
 //! the sweep runs cells on scoped worker threads with one RNG stream per
 //! cell.
 
-use bdps_core::config::{SchedulerConfig, StrategyKind};
-use bdps_core::strategy::{StrategyHandle, StrategyRegistry};
+use bdps_core::config::SchedulerConfig;
+use bdps_core::strategy::StrategyHandle;
 use bdps_net::link::LinkQuality;
 use bdps_net::linkmodel::LinkModelKind;
 use bdps_net::measure::EstimationError;
@@ -22,7 +22,6 @@ use bdps_overlay::sparse::TableLayout;
 use bdps_overlay::topology::{LayeredMeshConfig, Topology};
 use bdps_stats::rng::SimRng;
 use bdps_types::error::Result;
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 use crate::builder::SimulationBuilder;
@@ -32,7 +31,7 @@ use crate::scenario::DynamicScenario;
 use crate::workload::WorkloadConfig;
 
 /// Which overlay topology a run uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// The paper's 32-broker, 4-publisher, 160-subscriber layered mesh with
     /// per-link mean rates drawn uniformly from [50, 100] ms/KB and σ = 20 ms/KB.
@@ -62,7 +61,7 @@ impl TopologySpec {
 
 /// The full configuration of one simulation run — a materialised
 /// [`SimulationBuilder`], minus its `drain_grace`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Topology specification.
     pub topology: TopologySpec,
@@ -88,13 +87,11 @@ pub struct SimulationConfig {
     /// The link transfer-time model (constant delay by default — the
     /// paper's one-transfer-at-a-time sampled rate). Unlike the layout this
     /// one *changes results*: fair-share runs model congestion.
-    #[serde(default)]
     pub link_model: LinkModelKind,
     /// How publish-time matching scopes copies (exact by default — the
     /// `O(population)` global-index freeze). Aggregate forwarding preserves
     /// the delivery set but not traffic, and requires the sparse table
     /// layout (see [`ForwardingMode`]).
-    #[serde(default)]
     pub forwarding: ForwardingMode,
     /// How many broker shards advance the event loop (1 = the sequential
     /// reference loop; N > 1 runs the conservative time-window executor on
@@ -221,20 +218,8 @@ fn run_cell(cell: &SweepCell) -> std::result::Result<(String, SimulationReport),
 }
 
 /// Builds the sweep cells for a strategy × publishing-rate grid over the
-/// paper's topology and workload (`ssd = true` for the SSD scenario).
-pub fn strategy_rate_grid(
-    strategies: &[StrategyKind],
-    rates: &[f64],
-    ssd: bool,
-    duration_secs: u64,
-    seed: u64,
-) -> Vec<SweepCell> {
-    let handles: Vec<StrategyHandle> = strategies.iter().map(|s| s.resolve()).collect();
-    strategy_rate_grid_with(&handles, rates, ssd, duration_secs, seed)
-}
-
-/// Like [`strategy_rate_grid`], but over arbitrary strategy handles (so
-/// user-defined strategies can ride the same sweep helpers).
+/// paper's topology and workload (`ssd = true` for the SSD scenario). Takes
+/// strategy handles, so user-defined strategies ride the same sweep helpers.
 pub fn strategy_rate_grid_with(
     strategies: &[StrategyHandle],
     rates: &[f64],
@@ -263,42 +248,11 @@ pub fn strategy_rate_grid_with(
     cells
 }
 
-/// Resolves strategy names through a registry and builds the corresponding
-/// strategy × rate grid — the entry point used by the CLI binaries'
-/// `--strategies` flag.
-pub fn strategy_rate_grid_named(
-    registry: &StrategyRegistry,
-    names: &[&str],
-    rates: &[f64],
-    ssd: bool,
-    duration_secs: u64,
-    seed: u64,
-) -> Result<Vec<SweepCell>> {
-    let handles: Vec<StrategyHandle> = names
-        .iter()
-        .map(|name| {
-            registry.resolve(name).ok_or_else(|| {
-                bdps_types::error::BdpsError::InvalidConfig(format!(
-                    "unknown strategy {name:?} (known: {})",
-                    registry.names().join(", ")
-                ))
-            })
-        })
-        .collect::<Result<_>>()?;
-    Ok(strategy_rate_grid_with(
-        &handles,
-        rates,
-        ssd,
-        duration_secs,
-        seed,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::Scenario;
-    use bdps_core::config::InvalidDetection;
+    use bdps_core::config::{InvalidDetection, StrategyKind};
     use bdps_types::time::Duration;
 
     fn quick_config(strategy: StrategyKind, rate: f64, ssd: bool, seed: u64) -> SimulationConfig {
@@ -454,8 +408,8 @@ mod tests {
 
     #[test]
     fn grid_builder_covers_the_cross_product() {
-        let cells = strategy_rate_grid(
-            &[StrategyKind::MaxEb, StrategyKind::Fifo],
+        let cells = strategy_rate_grid_with(
+            &[StrategyKind::MaxEb.resolve(), StrategyKind::Fifo.resolve()],
             &[3.0, 6.0, 9.0],
             true,
             600,
@@ -471,17 +425,6 @@ mod tests {
         assert!(cells
             .iter()
             .all(|c| c.config.workload.duration == Duration::from_secs(600)));
-    }
-
-    #[test]
-    fn named_grid_resolves_through_the_registry() {
-        let registry = StrategyRegistry::builtin();
-        let cells = strategy_rate_grid_named(&registry, &["eb", "composite"], &[3.0], true, 600, 1)
-            .unwrap();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].config.scheduler.strategy.label(), "EB");
-        assert_eq!(cells[1].config.scheduler.strategy.label(), "COMPOSITE");
-        assert!(strategy_rate_grid_named(&registry, &["nope"], &[3.0], true, 600, 1).is_err());
     }
 
     #[test]

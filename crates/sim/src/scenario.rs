@@ -14,15 +14,14 @@
 //! * [`ScenarioAction`] / [`ScenarioEvent`] — the primitive mutations the
 //!   engine knows how to apply (subscription join/leave, publisher rate
 //!   change, link down/up, phase marks for reporting);
-//! * [`DynamicScenario`] — a serialisable scenario description combining
+//! * [`DynamicScenario`] — a plain-data scenario description combining
 //!   explicit events with stochastic processes
 //!   ([`ChurnConfig`],
 //!   [`BurstConfig`],
 //!   [`LinkFailureConfig`],
 //!   [`BlackoutWindow`]);
-//! * [`ScenarioRegistry`] — name-based lookup mirroring
-//!   [`StrategyRegistry`](bdps_core::strategy::StrategyRegistry), so CLI
-//!   binaries and config files can say `--scenario chaos`.
+//! * [`ScenarioRegistry`] — the name-based lookup strategies use too
+//!   ([`Registry`]), so CLI binaries can say `--scenarios chaos`.
 
 use crate::workload::{
     BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, WorkloadConfig,
@@ -34,12 +33,12 @@ use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, LinkId, PublisherId, SubscriberId, SubscriptionId};
+use bdps_types::registry::{Builtins, Registry};
 use bdps_types::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One primitive mutation the simulation engine can apply mid-run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioAction {
     /// A new subscription joins at the given edge broker. The subscription is
     /// fully materialised (id, filter, QoS) so replays are exact. A join of
@@ -120,7 +119,7 @@ impl ScenarioAction {
 }
 
 /// A [`ScenarioAction`] scheduled at an offset from the start of the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioEvent {
     /// When the action fires, relative to simulation start.
     pub at: Duration,
@@ -172,7 +171,7 @@ pub(crate) fn validate_events(events: &[ScenarioEvent], graph: &OverlayGraph) ->
 /// freely; everything is expanded by [`materialize`](Self::materialize)
 /// before the run starts, so the same `(scenario, topology, workload, seed)`
 /// quadruple always yields the same event stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicScenario {
     /// Display name carried into reports ("static", "chaos", ...).
     pub name: String,
@@ -255,6 +254,52 @@ impl DynamicScenario {
     pub fn with_blackout(mut self, window: BlackoutWindow) -> Self {
         self.blackouts.push(window);
         self
+    }
+
+    /// Checks the stochastic processes' own parameters, so that
+    /// [`materialize`](Self::materialize) never hands a sampler a value it
+    /// asserts on (a NaN, infinite or non-positive mean) or silently
+    /// degenerates over (a NaN blackout fraction clamps to a zero-length
+    /// outage at t = 0). Every float must be finite; the means the samplers
+    /// divide by must be positive, rates and the burst multiplier
+    /// non-negative, blackout fractions in [0, 1].
+    pub fn validate(&self) -> Result<()> {
+        type Range = (&'static str, fn(f64) -> bool);
+        const POSITIVE: Range = ("positive and finite", |x| x > 0.0 && x.is_finite());
+        const NON_NEGATIVE: Range = ("non-negative and finite", |x| x >= 0.0 && x.is_finite());
+        const FRACTION: Range = ("in [0, 1]", |x| (0.0..=1.0).contains(&x));
+        let check = |field: &str, value: f64, (range, ok): Range| match ok(value) {
+            true => Ok(()),
+            false => Err(BdpsError::InvalidConfig(format!(
+                "scenario {field} must be {range}, got {value}"
+            ))),
+        };
+        if let Some(c) = &self.churn {
+            check("churn.joins_per_min", c.joins_per_min, NON_NEGATIVE)?;
+            check("churn.leaves_per_min", c.leaves_per_min, NON_NEGATIVE)?;
+        }
+        if let Some(b) = &self.bursts {
+            check("bursts.mean_calm_secs", b.mean_calm_secs, POSITIVE)?;
+            check("bursts.mean_burst_secs", b.mean_burst_secs, POSITIVE)?;
+            check("bursts.multiplier", b.multiplier, NON_NEGATIVE)?;
+        }
+        if let Some(f) = &self.link_failures {
+            check(
+                "link_failures.mean_time_between_failures_secs",
+                f.mean_time_between_failures_secs,
+                POSITIVE,
+            )?;
+            check(
+                "link_failures.mean_downtime_secs",
+                f.mean_downtime_secs,
+                POSITIVE,
+            )?;
+        }
+        for w in &self.blackouts {
+            check("blackout.start_frac", w.start_frac, FRACTION)?;
+            check("blackout.duration_frac", w.duration_frac, FRACTION)?;
+        }
+        Ok(())
     }
 
     /// Returns true when the scenario introduces no dynamics at all.
@@ -430,43 +475,24 @@ impl DynamicScenario {
     }
 }
 
-type ScenarioFactory = Box<dyn Fn() -> DynamicScenario + Send + Sync>;
+/// Name-based scenario lookup for command-line binaries and sweeps — the
+/// same [`Registry`] strategies and link models resolve through.
+///
+/// [`ScenarioRegistry::builtin`] holds:
+///
+/// | name | dynamics |
+/// |------|----------|
+/// | `static` | none (the paper's setting) |
+/// | `churn` | subscription joins and leaves, one of each per minute |
+/// | `flash-crowd` | MMPP publisher bursts at 4× the base rate |
+/// | `link-flap` | random link failures, ~30 s downtime each |
+/// | `link-storm` | a failure every ~2 s, overlapping ~5 s outages |
+/// | `blackout` | every link down for the middle 15% of the run |
+/// | `chaos` | churn + flash-crowd + link-flap combined |
+pub type ScenarioRegistry = Registry<DynamicScenario>;
 
-struct RegistryEntry {
-    name: String,
-    aliases: Vec<String>,
-    factory: ScenarioFactory,
-}
-
-/// Name-based scenario lookup for command-line binaries and sweeps,
-/// mirroring [`StrategyRegistry`](bdps_core::strategy::StrategyRegistry):
-/// case-insensitive canonical names plus aliases, open for user
-/// registrations, later registrations shadowing earlier ones.
-pub struct ScenarioRegistry {
-    entries: Vec<RegistryEntry>,
-}
-
-impl ScenarioRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        ScenarioRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry with every built-in scenario:
-    ///
-    /// | name | dynamics |
-    /// |------|----------|
-    /// | `static` | none (the paper's setting) |
-    /// | `churn` | subscription joins and leaves, one of each per minute |
-    /// | `flash-crowd` | MMPP publisher bursts at 4× the base rate |
-    /// | `link-flap` | random link failures, ~30 s downtime each |
-    /// | `link-storm` | a failure every ~2 s, overlapping ~5 s outages |
-    /// | `blackout` | every link down for the middle 15% of the run |
-    /// | `chaos` | churn + flash-crowd + link-flap combined |
-    pub fn builtin() -> Self {
-        let mut r = ScenarioRegistry::new();
+impl Builtins for DynamicScenario {
+    fn register_builtins(r: &mut ScenarioRegistry) {
         r.register("static", DynamicScenario::static_scenario);
         r.register_with_aliases("churn", &["subscription-churn"], || {
             DynamicScenario::named("churn").with_churn(ChurnConfig::moderate())
@@ -492,66 +518,6 @@ impl ScenarioRegistry {
                 .with_bursts(BurstConfig::flash_crowd())
                 .with_link_failures(LinkFailureConfig::flaky())
         });
-        r
-    }
-
-    /// Registers a scenario factory under a canonical name.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn() -> DynamicScenario + Send + Sync + 'static,
-    ) {
-        self.register_with_aliases(name, &[], factory);
-    }
-
-    /// Registers a scenario factory under a canonical name plus aliases.
-    pub fn register_with_aliases(
-        &mut self,
-        name: impl Into<String>,
-        aliases: &[&str],
-        factory: impl Fn() -> DynamicScenario + Send + Sync + 'static,
-    ) {
-        self.entries.push(RegistryEntry {
-            name: name.into().to_ascii_lowercase(),
-            aliases: aliases.iter().map(|a| a.to_ascii_lowercase()).collect(),
-            factory: Box::new(factory),
-        });
-    }
-
-    /// Resolves a name (canonical, alias or scenario display name,
-    /// case-insensitive) to a fresh scenario.
-    pub fn resolve(&self, name: &str) -> Option<DynamicScenario> {
-        let wanted = name.to_ascii_lowercase();
-        for entry in self.entries.iter().rev() {
-            if entry.name == wanted || entry.aliases.contains(&wanted) {
-                return Some((entry.factory)());
-            }
-        }
-        for entry in self.entries.iter().rev() {
-            if (entry.factory)().name.to_ascii_lowercase() == wanted {
-                return Some((entry.factory)());
-            }
-        }
-        None
-    }
-
-    /// The canonical names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-}
-
-impl Default for ScenarioRegistry {
-    fn default() -> Self {
-        ScenarioRegistry::builtin()
-    }
-}
-
-impl fmt::Debug for ScenarioRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScenarioRegistry")
-            .field("names", &self.names())
-            .finish()
     }
 }
 

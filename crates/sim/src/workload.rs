@@ -10,10 +10,9 @@ use bdps_types::id::{MessageId, PublisherId, SubscriberId, SubscriptionId};
 use bdps_types::message::{Message, MessageHead};
 use bdps_types::qos::{DelayBound, QosClass};
 use bdps_types::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which side specifies the delay requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// Publisher-specified delay (PSD): each message carries a bound drawn
     /// uniformly from the configured range; subscriptions are best effort.
@@ -40,7 +39,7 @@ impl Scenario {
 }
 
 /// How publication instants are generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalKind {
     /// Poisson process at the configured rate (default reading of
     /// "continuously publishes messages at a certain rate").
@@ -50,7 +49,7 @@ pub enum ArrivalKind {
 }
 
 /// The workload of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// The delay-requirement scenario.
     pub scenario: Scenario,
@@ -246,7 +245,7 @@ impl WorkloadConfig {
 /// A subscription churn process: joins and leaves arrive as independent
 /// Poisson streams over the publication period (the paper's population is
 /// the static special case with both rates zero).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnConfig {
     /// New subscriptions per minute (system-wide).
     pub joins_per_min: f64,
@@ -284,7 +283,7 @@ impl ChurnConfig {
 /// base rate alternate with bursts at `multiplier` times the base rate, both
 /// with exponentially distributed lengths (a Markov-modulated Poisson
 /// process, the standard flash-crowd model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstConfig {
     /// Mean length of a calm period, in seconds.
     pub mean_calm_secs: f64,
@@ -332,7 +331,7 @@ impl BurstConfig {
 
 /// A link failure process: each failure takes one randomly chosen broker
 /// pair down (both directions) for an exponentially distributed repair time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkFailureConfig {
     /// Mean time between failures, in seconds (system-wide).
     pub mean_time_between_failures_secs: f64,
@@ -386,7 +385,7 @@ impl LinkFailureConfig {
 /// worst-case scenario behind the empty-phase report edge cases. Expressed
 /// as fractions of the publication period so registry-built scenarios work
 /// at any duration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlackoutWindow {
     /// Start of the outage as a fraction of the publication period, in [0, 1].
     pub start_frac: f64,

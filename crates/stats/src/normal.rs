@@ -8,11 +8,10 @@
 
 use crate::erf::{erf, inverse_erf};
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, SQRT_2};
 
 /// A normal distribution parameterised by mean and standard deviation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
     std_dev: f64,

@@ -4,11 +4,9 @@
 //! and per-cell results across seeds. These helpers provide the descriptive
 //! statistics printed in EXPERIMENTS.md and by the figure binaries.
 
-use serde::{Deserialize, Serialize};
-
 /// A summary of a set of observations kept in full (suitable for the modest
 /// sample counts of a simulation run) with percentile support.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     values: Vec<f64>,
     sorted: bool,

@@ -6,9 +6,8 @@
 //! fixed-point money for the SSD (subscriber-specified delay) pricing model,
 //! QoS descriptors and the common error type.
 //!
-//! The crate is deliberately dependency-light (only `bytes` and `serde`) so
-//! that every other crate can depend on it without pulling in the simulator
-//! or the statistics substrate.
+//! The crate depends on nothing but `std`, so every other crate can depend
+//! on it without pulling in the simulator or the statistics substrate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +17,7 @@ pub mod id;
 pub mod message;
 pub mod money;
 pub mod qos;
+pub mod registry;
 pub mod time;
 pub mod value;
 

@@ -1,18 +1,15 @@
 //! Messages and message heads.
 //!
-//! A published message consists of a *head* — a small set of attribute/value
-//! pairs that content filters are evaluated against — and an opaque payload.
-//! Following the paper's delay model the scheduler only ever needs the
-//! message size (in kilobytes), its publication time and its
-//! publisher-specified delay bound (PSD scenario), all of which live in the
-//! [`Message`] metadata.
+//! A published message is a *head* — a small set of attribute/value pairs
+//! that content filters are evaluated against — plus the metadata the
+//! paper's delay model prices it by: its size (in kilobytes), its
+//! publication time and its publisher-specified delay bound (PSD scenario).
+//! Brokers never open a payload, so [`Message`] carries none.
 
 use crate::id::{MessageId, PublisherId};
 use crate::qos::DelayBound;
 use crate::time::{Duration, SimTime};
 use crate::value::{AttrName, AttrValue};
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -21,7 +18,7 @@ use std::sync::Arc;
 /// Heads are small (two attributes in the paper's workload, rarely more than
 /// a dozen in practice), so a sorted `Vec` of pairs beats a hash map both in
 /// memory and in lookup time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MessageHead {
     attrs: Vec<(AttrName, AttrValue)>,
 }
@@ -109,9 +106,8 @@ impl fmt::Display for MessageHead {
 /// A published message.
 ///
 /// Messages are reference-counted ([`Arc`]) by brokers so that a single copy
-/// can sit in many output queues at once; cloning a `Message` is cheap
-/// because the payload is a [`Bytes`] handle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// can sit in many output queues at once.
+#[derive(Debug, Clone)]
 pub struct Message {
     /// Globally unique, publication-ordered identifier.
     pub id: MessageId,
@@ -125,9 +121,6 @@ pub struct Message {
     pub publisher_bound: Option<DelayBound>,
     /// The content-addressable head.
     pub head: MessageHead,
-    /// Opaque payload (not inspected by brokers).
-    #[serde(skip)]
-    pub payload: Bytes,
 }
 
 impl Message {
@@ -177,7 +170,6 @@ pub struct MessageBuilder {
     size_kb: f64,
     publisher_bound: Option<DelayBound>,
     head: MessageHead,
-    payload: Bytes,
 }
 
 impl MessageBuilder {
@@ -190,7 +182,6 @@ impl MessageBuilder {
             size_kb: 50.0,
             publisher_bound: None,
             head: MessageHead::new(),
-            payload: Bytes::new(),
         }
     }
 
@@ -224,12 +215,6 @@ impl MessageBuilder {
         self
     }
 
-    /// Sets the payload.
-    pub fn payload(mut self, payload: Bytes) -> Self {
-        self.payload = payload;
-        self
-    }
-
     /// Finishes building the message.
     pub fn build(self) -> Message {
         Message {
@@ -239,7 +224,6 @@ impl MessageBuilder {
             size_kb: self.size_kb,
             publisher_bound: self.publisher_bound,
             head: self.head,
-            payload: self.payload,
         }
     }
 }
@@ -317,7 +301,6 @@ mod tests {
         assert_eq!(m.size_kb, 50.0);
         assert_eq!(m.publish_time, SimTime::ZERO);
         assert!(m.head.is_empty());
-        assert!(m.payload.is_empty());
     }
 
     #[test]

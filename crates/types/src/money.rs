@@ -7,7 +7,6 @@
 //! long simulation runs accumulate without floating-point drift and compare
 //! exactly across strategies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -16,9 +15,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 const MILLIS_PER_UNIT: i64 = 1_000;
 
 /// The price a subscriber pays per valid message (non-negative).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Price(i64);
 
 impl Price {
@@ -82,9 +79,7 @@ impl fmt::Display for Price {
 }
 
 /// Accumulated earnings of the system (sum of prices of valid deliveries).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Earning(i64);
 
 impl Earning {

@@ -9,10 +9,9 @@
 
 use crate::money::Price;
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// The maximum allowed end-to-end delivery delay for a message or subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DelayBound(pub Duration);
 
 impl DelayBound {
@@ -36,7 +35,7 @@ impl DelayBound {
 }
 
 /// A (delay bound, price) pair offered by a subscriber in the SSD scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosClass {
     /// The allowed delay for messages delivered to this subscription.
     pub delay: DelayBound,

@@ -8,7 +8,6 @@
 //! below the smallest constant of the paper's model (the 2 ms per-broker
 //! processing delay), so no modelled quantity is quantized noticeably.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -19,9 +18,7 @@ const MICROS_PER_MS: u64 = 1_000;
 const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// A span of simulated time (non-negative), stored in microseconds.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -180,9 +177,7 @@ impl fmt::Display for Duration {
 }
 
 /// An absolute instant of simulated time (microseconds since simulation start).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -7,13 +7,12 @@
 //! and booleans so the filter language is useful for realistic applications
 //! (stock symbols, road names, severity flags, ...).
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 
 /// The name of a message-head attribute.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AttrName(String);
 
 impl AttrName {
@@ -58,7 +57,7 @@ impl Borrow<str> for AttrName {
 /// to a double before comparison). Strings compare lexicographically and
 /// booleans only support equality-style comparison; cross-type comparison
 /// returns `None`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AttrValue {
     /// 64-bit floating point value (the paper's evaluation uses doubles).
     Float(f64),

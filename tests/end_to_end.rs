@@ -355,6 +355,30 @@ fn names_after<'a>(text: &'a str, flag: &'a str) -> impl Iterator<Item = &'a str
     })
 }
 
+/// The workspace depends on nothing but itself: every package the root lock
+/// file names is a `bdps*` member and there is no `vendor/` for a stand-in
+/// of a crates.io package to grow back in.
+#[test]
+fn the_workspace_has_no_third_party_packages() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("root Cargo.lock");
+    let packages: Vec<&str> = lock
+        .split("[[package]]")
+        .skip(1)
+        .map(|entry| {
+            let name = entry
+                .split_once("name = \"")
+                .expect("a package has a name")
+                .1;
+            name.split_once('"').expect("closing quote").0
+        })
+        .collect();
+    assert!(packages.len() >= 9, "lock file not parsed: {packages:?}");
+    let foreign: Vec<&&str> = packages.iter().filter(|p| !p.starts_with("bdps")).collect();
+    assert!(foreign.is_empty(), "third-party packages: {foreign:?}");
+    assert!(!root.join("vendor").exists(), "vendor/ is back");
+}
+
 /// Drift guard for the commands the docs and CI cite: every cargo target
 /// they name must exist and every `--workload` must be in `BENCHMARK.json`,
 /// so a retired tool cannot live on in a command line nobody runs.

@@ -73,8 +73,11 @@ fn constant_delay_through_the_trait_is_bit_identical_to_the_default() {
                     .report();
                 assert_eq!(implicit, named, "name-based selection drifted ({scenario})");
                 let via_registry = builder(scenario, layout)
-                    .link_model_from(&registry, "CONSTANT")
-                    .expect("registry lookup is case-insensitive")
+                    .link_model(
+                        registry
+                            .resolve("CONSTANT")
+                            .expect("registry lookup is case-insensitive"),
+                    )
                     .seed(seed)
                     .report();
                 assert_eq!(

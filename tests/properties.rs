@@ -566,7 +566,9 @@ fn random_action(rng: &mut SimRng, brokers: usize, links: usize) -> ScenarioActi
 /// A random run description: mostly sound, with every front-door hazard —
 /// degenerate meshes, out-of-range rates and sizes, zero duration and `PD`,
 /// every layout × link model × forwarding × shard-count combination,
-/// scenario events naming things the overlay may not have — mixed in.
+/// scenario events naming things the overlay may not have, churn / burst /
+/// link-failure / blackout processes with NaN, ∞, negative and zero
+/// parameters — mixed in.
 fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
     use bdps::overlay::topology::LayeredMeshConfig;
     let layers = [1, 2, 2, 3, 3][rng.uniform_usize(0, 5)];
@@ -626,6 +628,33 @@ fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
             let at = Duration::from_secs(rng.uniform_usize(0, 60) as u64);
             scenario = scenario.at(at, random_action(rng, brokers, links));
         }
+    }
+
+    // The stochastic processes, their own parameters hazardous too.
+    if rng.chance(0.2) {
+        scenario = scenario.with_churn(ChurnConfig {
+            joins_per_min: hazardous(rng, 4.0),
+            leaves_per_min: hazardous(rng, 4.0),
+        });
+    }
+    if rng.chance(0.2) {
+        scenario = scenario.with_bursts(BurstConfig {
+            mean_calm_secs: hazardous(rng, 20.0),
+            mean_burst_secs: hazardous(rng, 10.0),
+            multiplier: hazardous(rng, 3.0),
+        });
+    }
+    if rng.chance(0.2) {
+        scenario = scenario.with_link_failures(LinkFailureConfig {
+            mean_time_between_failures_secs: hazardous(rng, 15.0),
+            mean_downtime_secs: hazardous(rng, 5.0),
+        });
+    }
+    if rng.chance(0.2) {
+        scenario = scenario.with_blackout(BlackoutWindow {
+            start_frac: hazardous(rng, 0.3),
+            duration_frac: hazardous(rng, 0.2),
+        });
     }
 
     let shards = match rng.uniform_usize(0, 2) {
