@@ -14,32 +14,54 @@
 //! predicate. Equality and string predicates fall back to a per-attribute
 //! linear scan, and non-indexable situations are handled by a residual
 //! re-check, so the index is *exact*: [`MatchIndex::matching`] returns the
-//! same set a brute-force evaluation would.
+//! same set a brute-force evaluation would, NaN included — no ordering
+//! predicate holds for a NaN head value, so it skips the sorted lists, and a
+//! NaN threshold is indexed with the predicates evaluated directly.
+//!
+//! # Slots
+//!
+//! Each indexed subscription owns a *slot*, a dense position in a per-index
+//! table that holds its id, the number of predicates it needs and its
+//! filter. The sorted lists and the directly evaluated predicates name
+//! slots, not ids, so a match counts into one `Vec` entry per slot and reads
+//! the matches off in one pass in slot order: no hashing on the publish
+//! path. Slots are not raw ids because every broker's local subscription
+//! table owns an index holding a handful of ids drawn from the whole
+//! population's range, and a table sized by the largest id would cost each
+//! of them as much as the global index. Slots are append-only: a removal
+//! leaves a tombstone and an insert takes a new slot, so the table grows
+//! with the inserts ever made, as `SharedPopulation::members` grows with the
+//! ids ever joined. Ids are minted in ascending order, so slot order is id
+//! order and the final sort is a linear check; only re-inserting a live id,
+//! or inserting ids out of order, leaves it work to do.
+//! Matching is deterministic: its output is sorted, and counting is
+//! independent of the order the predicates are visited in.
 
 use crate::filter::Filter;
 use crate::predicate::{CompOp, Predicate};
 use bdps_types::id::SubscriptionId;
 use bdps_types::message::MessageHead;
+use bdps_types::value::AttrName;
 use std::collections::HashMap;
 
 /// Per-(attribute, operator) sorted list of numeric thresholds.
 #[derive(Debug, Default, Clone)]
 struct ThresholdList {
-    /// (threshold, subscription) pairs sorted by threshold.
-    entries: Vec<(f64, SubscriptionId)>,
+    /// (threshold, slot) pairs sorted by threshold; no threshold is NaN.
+    entries: Vec<(f64, u32)>,
 }
 
 impl ThresholdList {
-    fn insert(&mut self, threshold: f64, sub: SubscriptionId) {
+    fn insert(&mut self, threshold: f64, slot: u32) {
         let pos = self.entries.partition_point(|(t, _)| *t < threshold);
-        self.entries.insert(pos, (threshold, sub));
+        self.entries.insert(pos, (threshold, slot));
     }
 
     /// Appends without maintaining order — bulk construction pushes
     /// everything first and [`sort`](Self::sort)s once, turning the
     /// quadratic build (one `memmove` per sorted insert) into `O(n log n)`.
-    fn push_unsorted(&mut self, threshold: f64, sub: SubscriptionId) {
-        self.entries.push((threshold, sub));
+    fn push_unsorted(&mut self, threshold: f64, slot: u32) {
+        self.entries.push((threshold, slot));
     }
 
     fn sort(&mut self) {
@@ -47,54 +69,38 @@ impl ThresholdList {
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     }
 
-    /// Removes the entry one predicate `attr OP threshold` of `sub`
+    /// Removes the entry one predicate `attr OP threshold` of `slot`
     /// contributed, preserving order: a binary search to the run of equal
     /// thresholds, then a scan of that run only (equal thresholds are in no
-    /// particular order of subscription).
-    fn remove(&mut self, threshold: f64, sub: SubscriptionId) {
+    /// particular order of slot).
+    fn remove(&mut self, threshold: f64, slot: u32) {
         let start = self.entries.partition_point(|(t, _)| *t < threshold);
         let found = self.entries[start..]
             .iter()
             .take_while(|(t, _)| *t == threshold)
-            .position(|(_, s)| *s == sub);
+            .position(|(_, s)| *s == slot);
         if let Some(offset) = found {
             self.entries.remove(start + offset);
         }
     }
 
-    /// Visits every subscription whose predicate `value OP threshold` is satisfied.
-    fn for_each_satisfied(&self, op: CompOp, value: f64, mut f: impl FnMut(SubscriptionId)) {
-        let n = self.entries.len();
-        match op {
+    /// Visits every slot whose predicate `value OP threshold` is satisfied.
+    /// `value` must not be NaN: every list boundary below assumes it is
+    /// ordered against the thresholds.
+    fn for_each_satisfied(&self, op: CompOp, value: f64, mut f: impl FnMut(u32)) {
+        let satisfied = match op {
             // value < threshold  -> thresholds strictly greater than value.
-            CompOp::Lt => {
-                let start = self.entries.partition_point(|(t, _)| *t <= value);
-                for &(_, sub) in &self.entries[start..n] {
-                    f(sub);
-                }
-            }
+            CompOp::Lt => &self.entries[self.entries.partition_point(|(t, _)| *t <= value)..],
             // value <= threshold -> thresholds >= value.
-            CompOp::Le => {
-                let start = self.entries.partition_point(|(t, _)| *t < value);
-                for &(_, sub) in &self.entries[start..n] {
-                    f(sub);
-                }
-            }
+            CompOp::Le => &self.entries[self.entries.partition_point(|(t, _)| *t < value)..],
             // value > threshold  -> thresholds strictly less than value.
-            CompOp::Gt => {
-                let end = self.entries.partition_point(|(t, _)| *t < value);
-                for &(_, sub) in &self.entries[..end] {
-                    f(sub);
-                }
-            }
+            CompOp::Gt => &self.entries[..self.entries.partition_point(|(t, _)| *t < value)],
             // value >= threshold -> thresholds <= value.
-            CompOp::Ge => {
-                let end = self.entries.partition_point(|(t, _)| *t <= value);
-                for &(_, sub) in &self.entries[..end] {
-                    f(sub);
-                }
-            }
+            CompOp::Ge => &self.entries[..self.entries.partition_point(|(t, _)| *t <= value)],
             CompOp::Eq | CompOp::Ne => unreachable!("equality handled separately"),
+        };
+        for &(_, slot) in satisfied {
+            f(slot);
         }
     }
 }
@@ -107,20 +113,50 @@ struct AttrIndex {
     le: ThresholdList,
     gt: ThresholdList,
     ge: ThresholdList,
-    /// Equality/inequality and non-numeric predicates, evaluated directly.
-    other: Vec<(Predicate, SubscriptionId)>,
+    /// Equality/inequality, non-numeric and NaN-threshold predicates,
+    /// evaluated directly.
+    other: Vec<(Predicate, u32)>,
+}
+
+impl AttrIndex {
+    /// The sorted list `pred` is indexed in, with its threshold; `None` when
+    /// it belongs in [`other`](Self::other).
+    fn list_for(&mut self, pred: &Predicate) -> Option<(&mut ThresholdList, f64)> {
+        let threshold = pred.value.as_f64().filter(|c| !c.is_nan())?;
+        let list = match pred.op {
+            CompOp::Lt => &mut self.lt,
+            CompOp::Le => &mut self.le,
+            CompOp::Gt => &mut self.gt,
+            CompOp::Ge => &mut self.ge,
+            CompOp::Eq | CompOp::Ne => return None,
+        };
+        Some((list, threshold))
+    }
+}
+
+/// The `needed` count of a removed subscription's slot: no count reaches it.
+const TOMBSTONE: u32 = u32::MAX;
+
+/// One indexed subscription (see the module docs on slots).
+#[derive(Debug, Clone)]
+struct Slot {
+    id: SubscriptionId,
+    /// Predicates a message must satisfy: 0 for a match-all filter,
+    /// [`TOMBSTONE`] once removed.
+    needed: u32,
+    /// `None` once removed.
+    filter: Option<Filter>,
 }
 
 /// An exact matching index over a set of subscriptions.
 #[derive(Debug, Default, Clone)]
 pub struct MatchIndex {
-    attrs: HashMap<String, AttrIndex>,
-    /// Number of predicates per subscription (the match target of the counting algorithm).
-    pred_counts: HashMap<SubscriptionId, usize>,
-    /// Subscriptions with an empty filter: they match every message.
-    match_all: Vec<SubscriptionId>,
-    /// Original filters, kept so that removal can rebuild and callers can inspect.
-    filters: HashMap<SubscriptionId, Filter>,
+    /// Per-attribute predicate indexes, sorted by name like a message head.
+    attrs: Vec<(AttrName, AttrIndex)>,
+    slots: Vec<Slot>,
+    /// Each indexed id's live slot. Consulted by `insert`, `remove` and
+    /// `filter_of` only, never by a match.
+    slot_of: HashMap<SubscriptionId, u32>,
 }
 
 impl MatchIndex {
@@ -135,20 +171,23 @@ impl MatchIndex {
     /// threshold list is sorted once at the end, so building over `n`
     /// subscriptions costs `O(n log n)` instead of the `O(n²)` of repeated
     /// sorted inserts — the difference between seconds and hours at 10⁵
-    /// subscriptions.
+    /// subscriptions. A repeated id keeps its last filter.
     pub fn from_subscriptions<'a>(
         subs: impl IntoIterator<Item = (SubscriptionId, &'a Filter)>,
     ) -> Self {
         let mut idx = MatchIndex::new();
         for (id, filter) in subs {
-            if idx.filters.contains_key(&id) {
-                // Duplicate id in the input: keep replace semantics.
-                idx.remove(id);
-            }
-            idx.index_filter_unsorted(id, filter);
-            idx.filters.insert(id, filter.clone());
+            // Nothing is indexed yet, so removing a repeated id's earlier
+            // filter only tombstones its slot: the last filter wins.
+            idx.remove(id);
+            idx.push_slot(id, filter.clone());
         }
-        for attr_index in idx.attrs.values_mut() {
+        for slot in 0..idx.slots.len() {
+            if let Some(filter) = idx.slots[slot].filter.clone() {
+                idx.index_predicates(slot as u32, &filter, false);
+            }
+        }
+        for (_, attr_index) in &mut idx.attrs {
             attr_index.lt.sort();
             attr_index.le.sort();
             attr_index.gt.sort();
@@ -159,62 +198,57 @@ impl MatchIndex {
 
     /// Number of indexed subscriptions.
     pub fn len(&self) -> usize {
-        self.filters.len()
+        self.slot_of.len()
     }
 
     /// Returns true when no subscription is indexed.
     pub fn is_empty(&self) -> bool {
-        self.filters.is_empty()
+        self.slot_of.is_empty()
     }
 
     /// Returns the filter registered for a subscription, if present.
     pub fn filter_of(&self, id: SubscriptionId) -> Option<&Filter> {
-        self.filters.get(&id)
+        let slot = *self.slot_of.get(&id)?;
+        self.slots[slot as usize].filter.as_ref()
     }
 
     /// Inserts (or replaces) a subscription's filter.
     pub fn insert(&mut self, id: SubscriptionId, filter: Filter) {
-        if self.filters.contains_key(&id) {
-            self.remove(id);
-        }
-        self.index_filter(id, &filter);
-        self.filters.insert(id, filter);
+        self.remove(id);
+        let slot = self.push_slot(id, filter.clone());
+        self.index_predicates(slot, &filter, true);
     }
 
-    fn index_filter(&mut self, id: SubscriptionId, filter: &Filter) {
-        if filter.is_empty() {
-            self.match_all.push(id);
-            return;
-        }
-        self.pred_counts.insert(id, filter.len());
-        for pred in filter.predicates() {
-            let attr_index = self.attrs.entry(pred.attr.as_str().to_owned()).or_default();
-            match (pred.op, pred.value.as_f64()) {
-                (CompOp::Lt, Some(c)) => attr_index.lt.insert(c, id),
-                (CompOp::Le, Some(c)) => attr_index.le.insert(c, id),
-                (CompOp::Gt, Some(c)) => attr_index.gt.insert(c, id),
-                (CompOp::Ge, Some(c)) => attr_index.ge.insert(c, id),
-                _ => attr_index.other.push((pred.clone(), id)),
-            }
-        }
+    /// Appends a slot holding `filter` as `id`'s live slot, without
+    /// indexing any predicate.
+    fn push_slot(&mut self, id: SubscriptionId, filter: Filter) -> u32 {
+        let slot = self.slots.len() as u32;
+        self.slot_of.insert(id, slot);
+        self.slots.push(Slot {
+            id,
+            needed: filter.len() as u32,
+            filter: Some(filter),
+        });
+        slot
     }
 
-    /// Like [`index_filter`](Self::index_filter) but without maintaining
-    /// threshold order; the bulk constructor sorts once afterwards.
-    fn index_filter_unsorted(&mut self, id: SubscriptionId, filter: &Filter) {
-        if filter.is_empty() {
-            self.match_all.push(id);
-            return;
-        }
-        self.pred_counts.insert(id, filter.len());
+    /// Indexes every predicate of `filter` under `slot`, keeping the
+    /// threshold lists sorted or (bulk construction) appending to them.
+    fn index_predicates(&mut self, slot: u32, filter: &Filter, sorted: bool) {
         for pred in filter.predicates() {
-            let attr_index = self.attrs.entry(pred.attr.as_str().to_owned()).or_default();
-            match (pred.op, pred.value.as_f64()) {
-                (CompOp::Lt, Some(c)) => attr_index.lt.push_unsorted(c, id),
-                (CompOp::Le, Some(c)) => attr_index.le.push_unsorted(c, id),
-                (CompOp::Gt, Some(c)) => attr_index.gt.push_unsorted(c, id),
-                (CompOp::Ge, Some(c)) => attr_index.ge.push_unsorted(c, id),
-                _ => attr_index.other.push((pred.clone(), id)),
+            let at = match self.attrs.binary_search_by(|(n, _)| n.cmp(&pred.attr)) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.attrs
+                        .insert(at, (pred.attr.clone(), AttrIndex::default()));
+                    at
+                }
+            };
+            let attr_index = &mut self.attrs[at].1;
+            match attr_index.list_for(pred) {
+                Some((list, c)) if sorted => list.insert(c, slot),
+                Some((list, c)) => list.push_unsorted(c, slot),
+                None => attr_index.other.push((pred.clone(), slot)),
             }
         }
     }
@@ -222,24 +256,20 @@ impl MatchIndex {
     /// Removes a subscription surgically: each of its threshold predicates
     /// is located in its sorted list by binary search (the threshold is in
     /// hand), so a removal never scans a list and never clones the remaining
-    /// filters.
+    /// filters. The slot stays behind as a tombstone.
     pub fn remove(&mut self, id: SubscriptionId) -> Option<Filter> {
-        let removed = self.filters.remove(&id)?;
-        if removed.is_empty() {
-            self.match_all.retain(|s| *s != id);
-            return Some(removed);
-        }
-        self.pred_counts.remove(&id);
+        let slot = self.slot_of.remove(&id)?;
+        let entry = &mut self.slots[slot as usize];
+        entry.needed = TOMBSTONE;
+        let removed = entry.filter.take()?;
         for pred in removed.predicates() {
-            let Some(attr_index) = self.attrs.get_mut(pred.attr.as_str()) else {
+            let Ok(at) = self.attrs.binary_search_by(|(n, _)| n.cmp(&pred.attr)) else {
                 continue;
             };
-            match (pred.op, pred.value.as_f64()) {
-                (CompOp::Lt, Some(c)) => attr_index.lt.remove(c, id),
-                (CompOp::Le, Some(c)) => attr_index.le.remove(c, id),
-                (CompOp::Gt, Some(c)) => attr_index.gt.remove(c, id),
-                (CompOp::Ge, Some(c)) => attr_index.ge.remove(c, id),
-                _ => attr_index.other.retain(|(_, s)| *s != id),
+            let attr_index = &mut self.attrs[at].1;
+            match attr_index.list_for(pred) {
+                Some((list, c)) => list.remove(c, slot),
+                None => attr_index.other.retain(|(_, s)| *s != slot),
             }
         }
         Some(removed)
@@ -258,48 +288,49 @@ impl MatchIndex {
     /// messages.
     pub fn matching_into(&self, head: &MessageHead, out: &mut Vec<SubscriptionId>) {
         out.clear();
-        let mut counts: HashMap<SubscriptionId, usize> = HashMap::new();
-
+        let mut counts = vec![0u32; self.slots.len()];
         for (name, value) in head.iter() {
-            let Some(attr_index) = self.attrs.get(name.as_str()) else {
+            let Ok(at) = self.attrs.binary_search_by(|(n, _)| n.cmp(name)) else {
                 continue;
             };
-            if let Some(v) = value.as_f64() {
+            let attr_index = &self.attrs[at].1;
+            // No ordering predicate holds for a NaN value; `!=` in `other` may.
+            if let Some(v) = value.as_f64().filter(|v| !v.is_nan()) {
                 for (list, op) in [
                     (&attr_index.lt, CompOp::Lt),
                     (&attr_index.le, CompOp::Le),
                     (&attr_index.gt, CompOp::Gt),
                     (&attr_index.ge, CompOp::Ge),
                 ] {
-                    list.for_each_satisfied(op, v, |sub| {
-                        *counts.entry(sub).or_insert(0) += 1;
-                    });
+                    list.for_each_satisfied(op, v, |slot| counts[slot as usize] += 1);
                 }
             }
-            for (pred, sub) in &attr_index.other {
+            for (pred, slot) in &attr_index.other {
                 if pred.matches_value(value) {
-                    *counts.entry(*sub).or_insert(0) += 1;
+                    counts[*slot as usize] += 1;
                 }
             }
         }
-
-        out.extend(counts.into_iter().filter_map(|(sub, count)| {
-            let needed = *self.pred_counts.get(&sub)?;
-            (count >= needed).then_some(sub)
-        }));
-        out.extend(self.match_all.iter().copied());
+        out.extend(
+            self.slots
+                .iter()
+                .zip(&counts)
+                .filter(|(slot, &count)| count >= slot.needed)
+                .map(|(slot, _)| slot.id),
+        );
+        // Slot order is id order unless an id was re-inserted or inserted
+        // out of order; on ascending input the sort is one linear pass.
         out.sort_unstable();
-        out.dedup();
     }
 
     /// Brute-force matching used as the reference implementation in tests and
     /// to cross-check the index in property tests.
     pub fn matching_bruteforce(&self, head: &MessageHead) -> Vec<SubscriptionId> {
         let mut result: Vec<SubscriptionId> = self
-            .filters
+            .slots
             .iter()
-            .filter(|(_, f)| f.matches(head))
-            .map(|(id, _)| *id)
+            .filter(|slot| slot.filter.as_ref().is_some_and(|f| f.matches(head)))
+            .map(|slot| slot.id)
             .collect();
         result.sort_unstable();
         result
@@ -368,6 +399,21 @@ mod tests {
         assert_eq!(at(4.0), vec![id(1), id(2), id(6)]);
         assert_eq!(at(5.0), vec![id(2), id(4), id(5)]);
         assert_eq!(at(6.0), vec![id(3), id(4), id(6)]);
+        // NaN is unordered: of the six, only `!=` holds.
+        assert_eq!(at(f64::NAN), vec![id(6)]);
+    }
+
+    #[test]
+    fn sparse_ids_cost_slots_not_their_range() {
+        // An index keyed by raw id would allocate a counter per id up to 4e9.
+        let mut idx = MatchIndex::new();
+        idx.insert(id(4_000_000_000), Filter::paper_conjunction(5.0, 5.0));
+        idx.insert(id(3), Filter::match_all());
+        assert_eq!(
+            idx.matching(&head(1.0, 1.0)),
+            vec![id(3), id(4_000_000_000)]
+        );
+        assert_eq!(idx.matching(&head(9.0, 1.0)), vec![id(3)]);
     }
 
     #[test]

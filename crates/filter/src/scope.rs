@@ -14,12 +14,21 @@
 //! message — and all messages matching the same population subset — share a
 //! single allocation. Under churn the live population drifts, so the
 //! interner periodically drops entries nobody references anymore.
+//!
+//! The pool hashes with `IdHasher`, a fixed-key multiplicative hash of one
+//! multiply per two ids, instead of the standard library's SipHash, which
+//! costs several times that on every forwarded copy's full target list. It
+//! is not resistant to crafted collisions and need not be: every id it sees
+//! was minted by the simulator, never read from outside the program. A
+//! collision costs a slice comparison, never a wrong set, because pool
+//! equality is full-slice. With no random key, the pool is deterministic
+//! like everything else in a run.
 
 use bdps_types::id::SubscriptionId;
 use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// An immutable, sorted, deduplicated set of subscription identifiers.
@@ -123,6 +132,44 @@ impl fmt::Debug for ScopeSet {
 /// How many interns happen between two purges of dead entries.
 const PURGE_INTERVAL: u64 = 4_096;
 
+/// FxHash-style hasher for the pool (see the module docs for why a fixed
+/// key is enough here).
+#[derive(Default)]
+struct IdHasher {
+    hash: u64,
+    /// An id waiting for its partner: ids are mixed in two to a multiply,
+    /// which halves the dependent chain a long scope hashes through.
+    pending: Option<u32>,
+}
+
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.hash = mix(self.hash, u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        match self.pending.take() {
+            Some(low) => self.hash = mix(self.hash, u64::from(low) | u64::from(n) << 32),
+            None => self.pending = Some(n),
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let hash = self
+            .pending
+            .map_or(self.hash, |low| mix(self.hash, u64::from(low)));
+        // The product's high bits are the well-mixed ones; the table indexes
+        // buckets by the low bits.
+        hash.rotate_left(26)
+    }
+}
+
 /// A hash-consing pool of [`ScopeSet`]s.
 ///
 /// [`intern`](Self::intern) returns the existing allocation when an equal
@@ -132,7 +179,7 @@ const PURGE_INTERVAL: u64 = 4_096;
 /// pool proportional to the *live* scope population under churn.
 #[derive(Debug, Clone, Default)]
 pub struct ScopeInterner {
-    sets: HashSet<ScopeSet>,
+    sets: HashSet<ScopeSet, BuildHasherDefault<IdHasher>>,
     interns: u64,
     hits: u64,
 }
@@ -249,6 +296,53 @@ mod tests {
         let c = pool.intern(&ids(&[4]));
         assert!(!Arc::ptr_eq(&a.0, &c.0));
         assert_eq!(pool.len(), 2);
+    }
+
+    #[test]
+    fn the_pool_hash_is_not_its_identity() {
+        // Many small ascending sets over 48 ids, each with a twin of the
+        // same length that differs in its last id, interned twice over.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as u32
+        };
+        let mut sets = Vec::new();
+        for _ in 0..2_000 {
+            let mut raw: Vec<u32> = (0..next(8)).map(|_| next(48)).collect();
+            raw.sort_unstable();
+            raw.dedup();
+            let mut twin = raw.clone();
+            if let Some(last) = twin.last_mut() {
+                *last += 1 + next(3);
+            }
+            sets.push(ids(&raw));
+            sets.push(ids(&twin));
+        }
+        let mut pool = ScopeInterner::new();
+        let mut first: std::collections::BTreeMap<Vec<SubscriptionId>, ScopeSet> =
+            Default::default();
+        let mut hits = 0;
+        for set in sets.iter().chain(&sets) {
+            let got = pool.intern(set);
+            assert_eq!(got.ids(), set.as_slice());
+            match first.get(set) {
+                Some(earlier) => {
+                    assert!(Arc::ptr_eq(&got.0, &earlier.0), "{set:?} not shared");
+                    hits += 1;
+                }
+                None => {
+                    first.insert(set.clone(), got);
+                }
+            }
+        }
+        assert_eq!(pool.hits(), hits);
+        assert_eq!(pool.interns(), 2 * sets.len() as u64);
+        let allocations: HashSet<*const [SubscriptionId]> =
+            first.values().map(|s| Arc::as_ptr(&s.0)).collect();
+        assert_eq!(allocations.len(), first.len(), "two sets share storage");
     }
 
     #[test]

@@ -215,23 +215,95 @@ fn registry_round_trips_every_builtin_name() {
     }
 }
 
-/// The matching index agrees with brute-force filter evaluation.
+/// A head value or threshold: NaN sometimes, an integer (so thresholds and
+/// values tie) often.
+fn index_number(rng: &mut SimRng) -> f64 {
+    match rng.uniform_usize(0, 8) {
+        0 => f64::NAN,
+        1..=3 => rng.uniform_usize(0, 10) as f64,
+        _ => rng.uniform_range(0.0, 10.0),
+    }
+}
+
+fn index_predicate(rng: &mut SimRng) -> Predicate {
+    use CompOp::*;
+    let op = *rng.choose(&[Lt, Le, Gt, Ge, Eq, Ne]);
+    match rng.uniform_usize(0, 4) {
+        0 => Predicate::new("A1", op, index_number(rng)),
+        1 => Predicate::new("A2", op, index_number(rng)),
+        2 => Predicate::new("tag", op, *rng.choose(&["x", "y"])),
+        _ => Predicate::new("flag", op, rng.chance(0.5)),
+    }
+}
+
+fn index_filter(rng: &mut SimRng) -> Filter {
+    match rng.uniform_usize(0, 8) {
+        0 => Filter::match_all(),
+        // The same predicate twice: a match must count both.
+        1 => {
+            let p = index_predicate(rng);
+            Filter::new(vec![p.clone(), p])
+        }
+        _ => Filter::new(
+            (0..rng.uniform_usize(1, 4))
+                .map(|_| index_predicate(rng))
+                .collect(),
+        ),
+    }
+}
+
+fn index_head(rng: &mut SimRng) -> MessageHead {
+    let mut h = MessageHead::new();
+    for attr in ["A1", "A2"] {
+        if rng.chance(0.9) {
+            h.set(attr, index_number(rng));
+        }
+    }
+    if rng.chance(0.7) {
+        h.set("tag", *rng.choose(&["x", "y"]));
+    }
+    if rng.chance(0.7) {
+        h.set("flag", rng.chance(0.5));
+    }
+    h
+}
+
+/// The matching index agrees with brute-force filter evaluation after every
+/// insert, remove and re-insert of a live or removed id — all six operators,
+/// match-all filters, a repeated predicate, string / bool predicates, NaN
+/// head values and thresholds, ids anywhere up to `u32::MAX - 1` — and its
+/// output is strictly ascending.
 #[test]
 fn index_matches_bruteforce() {
     check(0x1DE, 150, |rng| {
         let mut index = MatchIndex::new();
-        for i in 0..rng.uniform_usize(1, 40) {
-            index.insert(
-                SubscriptionId::new(i as u32),
-                Filter::paper_conjunction(
-                    rng.uniform_range(0.0, 10.0),
-                    rng.uniform_range(0.0, 10.0),
-                ),
-            );
-        }
-        for _ in 0..rng.uniform_usize(1, 20) {
-            let h = head(rng.uniform_range(0.0, 10.0), rng.uniform_range(0.0, 10.0));
-            assert_eq!(index.matching(&h), index.matching_bruteforce(&h));
+        let mut seen: Vec<SubscriptionId> = Vec::new();
+        for _ in 0..rng.uniform_usize(1, 60) {
+            match rng.uniform_usize(0, 4) {
+                0 | 1 => {
+                    let id = if rng.chance(0.5) {
+                        SubscriptionId::new(seen.len() as u32)
+                    } else {
+                        SubscriptionId::new(rng.uniform_usize(0, u32::MAX as usize) as u32)
+                    };
+                    seen.push(id);
+                    index.insert(id, index_filter(rng));
+                }
+                2 if !seen.is_empty() => {
+                    index.remove(*rng.choose(&seen));
+                }
+                _ if !seen.is_empty() => {
+                    let id = *rng.choose(&seen);
+                    index.insert(id, index_filter(rng));
+                }
+                _ => continue,
+            }
+            for _ in 0..3 {
+                let h = index_head(rng);
+                let matched = index.matching(&h);
+                assert!(matched.windows(2).all(|w| w[0] < w[1]), "{matched:?}");
+                assert_eq!(matched, index.matching_bruteforce(&h), "head {h}");
+            }
         }
     });
 }
