@@ -20,7 +20,7 @@ use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::pathstats::PathStats;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{
-    aggregate_scope_dest, read_population, BrokerTable, GroupStats, PopulationHandle, QosEnvelope,
+    aggregate_scope_dest, read_population, BrokerTable, PopulationHandle, QosEnvelope,
     ResolvedEntry, TableLayout,
 };
 use bdps_overlay::subtable::{RetargetOutcome, SubTableEntry};
@@ -102,13 +102,6 @@ pub struct BrokerCounters {
     /// matches (including publisher-local ones that never crossed a link).
     /// Always ≥ `false_positive_forwards`.
     pub false_positive_drops_at_edge: u64,
-}
-
-impl BrokerCounters {
-    /// Copies dropped for any reason before transmission.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_expired + self.dropped_unlikely + self.dropped_unsubscribed
-    }
 }
 
 /// The state of one broker.
@@ -520,8 +513,8 @@ impl BrokerState {
     }
 
     /// Brings the sparse aggregate towards `dest` in line with the current
-    /// routing and the destination group's stats, which the caller read from
-    /// the shared registry (see
+    /// routing and whether the destination group is populated, which the
+    /// caller read from the shared registry (see
     /// [`SparseTable::sync_aggregate_with`](bdps_overlay::sparse::SparseTable::sync_aggregate_with))
     /// — one aggregate patched for every subscription attached at `dest`.
     /// Queues and counters are untouched, exactly like a full table swap.
@@ -533,12 +526,12 @@ impl BrokerState {
         &mut self,
         routing: &Routing,
         dest: BrokerId,
-        group: Option<GroupStats>,
+        populated: bool,
     ) -> RetargetOutcome {
         self.table
             .as_sparse_mut()
             .expect("sync_aggregate requires the sparse layout")
-            .sync_aggregate_with(routing, dest, group)
+            .sync_aggregate_with(routing, dest, populated)
     }
 
     /// Removes a subscription mid-run: drops its materialised table row
@@ -590,14 +583,6 @@ impl BrokerState {
             }
             None => false,
         }
-    }
-
-    /// Returns true when the queue towards `neighbor` holds at least one message.
-    pub fn has_pending(&self, neighbor: BrokerId) -> bool {
-        self.queues
-            .get(&neighbor)
-            .map(|q| !q.is_empty())
-            .unwrap_or(false)
     }
 }
 
@@ -817,14 +802,14 @@ mod tests {
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
         b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
         b0.handle_arrival(msg(2, 2.0, 2.0, 0), SimTime::from_millis(4));
-        assert!(b0.has_pending(BrokerId::new(1)));
+        assert_eq!(b0.queue(BrokerId::new(1)).unwrap().len(), 2);
         let send = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(10));
         assert!(send.message.is_some());
         assert!(send.dropped.is_empty());
         assert_eq!(b0.counters.sent, 1);
         let send2 = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(12));
         assert!(send2.message.is_some());
-        assert!(!b0.has_pending(BrokerId::new(1)));
+        assert!(b0.queue(BrokerId::new(1)).unwrap().is_empty());
         let send3 = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(14));
         assert!(send3.message.is_none());
         // Unknown neighbour: graceful empty result.
@@ -958,7 +943,11 @@ mod tests {
         assert!(b0.requeue(BrokerId::new(1), copy));
         assert_eq!(b0.queued_total(), 1);
         assert_eq!(b0.counters.requeued, 1);
-        assert_eq!(b0.counters.dropped_total(), 0);
+        let c = b0.counters;
+        assert_eq!(
+            c.dropped_expired + c.dropped_unlikely + c.dropped_unsubscribed,
+            0
+        );
         // Requeueing towards an unknown neighbour is reported, not counted.
         let send = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(12));
         assert!(!b0.requeue(BrokerId::new(9), send.message.unwrap()));

@@ -246,11 +246,6 @@ impl OutputQueue {
         self.items.is_empty()
     }
 
-    /// Total queued bytes (KB), a congestion indicator.
-    pub fn queued_kb(&self) -> f64 {
-        self.items.iter().map(|m| m.message.size_kb).sum()
-    }
-
     /// The queued messages (FIFO order of arrival).
     pub fn items(&self) -> &[QueuedMessage] {
         &self.items
@@ -548,7 +543,6 @@ mod tests {
         q.push(queued(msg(1, 0, None), vec![target(30, 1, 60.0, 1)], 0));
         q.push(queued(msg(2, 0, None), vec![target(30, 1, 60.0, 1)], 0));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.queued_kb(), 100.0);
         assert_eq!(q.items().len(), 2);
         let cfg = config(StrategyKind::MaxEb);
         assert_eq!(q.first_send_estimate_ms(&cfg), 50.0 * 80.0);

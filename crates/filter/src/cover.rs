@@ -59,18 +59,6 @@ impl CoverForest {
         CoverForest::default()
     }
 
-    /// Builds a forest from a member list (any order; insertion is
-    /// order-insensitive for the soundness invariant, though the concrete
-    /// tree shape depends on it — callers wanting reproducible shapes should
-    /// feed ids in ascending order, as every population builder does).
-    pub fn from_members(members: impl IntoIterator<Item = (SubscriptionId, Filter)>) -> Self {
-        let mut forest = CoverForest::new();
-        for (id, filter) in members {
-            forest.insert(id, filter);
-        }
-        forest
-    }
-
     /// Number of member filters.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -429,7 +417,10 @@ mod tests {
             let members: Vec<(SubscriptionId, Filter)> = (0..n as u32)
                 .map(|i| (sid(i), random_filter(rng)))
                 .collect();
-            let forest = CoverForest::from_members(members.iter().cloned());
+            let mut forest = CoverForest::new();
+            for (id, filter) in &members {
+                forest.insert(*id, filter.clone());
+            }
             forest.check_invariants().unwrap();
             assert_eq!(forest.len(), n);
             assert!(forest.root_count() <= n);

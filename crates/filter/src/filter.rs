@@ -6,7 +6,7 @@
 //! and are normalised into a disjunction of conjunctions before being
 //! registered with a broker.
 
-use crate::predicate::{CompOp, Predicate};
+use crate::predicate::Predicate;
 use bdps_types::message::MessageHead;
 use std::fmt;
 use std::sync::Arc;
@@ -89,27 +89,6 @@ impl Filter {
         self.predicates
             .iter()
             .all(|mine| other.predicates.iter().any(|theirs| theirs.implies(mine)))
-    }
-
-    /// Returns true when the two filters are provably disjoint (no message
-    /// can match both). Conservative: `false` means "possibly overlapping".
-    pub fn disjoint_with(&self, other: &Filter) -> bool {
-        self.predicates
-            .iter()
-            .any(|a| other.predicates.iter().any(|b| a.contradicts(b)))
-    }
-
-    /// Returns true when the two filters may both match some message
-    /// (the complement of [`disjoint_with`](Self::disjoint_with)).
-    pub fn may_overlap(&self, other: &Filter) -> bool {
-        !self.disjoint_with(other)
-    }
-
-    /// The conjunction of two filters.
-    pub fn intersect(&self, other: &Filter) -> Filter {
-        let mut preds = (*self.predicates).clone();
-        preds.extend(other.predicates.iter().cloned());
-        Filter::new(preds)
     }
 
     /// Returns true when the two filters cover each other — equivalent under
@@ -355,14 +334,6 @@ impl fmt::Display for FilterExpr {
     }
 }
 
-/// Builds the half-open range filter `lo <= attr < hi`.
-pub fn range_filter(attr: &str, lo: f64, hi: f64) -> Filter {
-    Filter::new(vec![
-        Predicate::new(attr, CompOp::Ge, lo),
-        Predicate::new(attr, CompOp::Lt, hi),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,29 +399,6 @@ mod tests {
         let extra = narrow.clone().and(Predicate::gt("A3", 0.0));
         assert!(narrow.covers(&extra));
         assert!(!extra.covers(&narrow));
-    }
-
-    #[test]
-    fn disjointness() {
-        let low = Filter::from(Predicate::lt("A1", 2.0));
-        let high = Filter::from(Predicate::gt("A1", 5.0));
-        assert!(low.disjoint_with(&high));
-        assert!(!low.may_overlap(&high));
-        let mid = Filter::from(Predicate::lt("A1", 6.0));
-        assert!(mid.may_overlap(&high));
-        // Different attributes can always overlap.
-        let other = Filter::from(Predicate::gt("A2", 9.0));
-        assert!(low.may_overlap(&other));
-    }
-
-    #[test]
-    fn intersect_combines_predicates() {
-        let a = Filter::from(Predicate::lt("A1", 5.0));
-        let b = Filter::from(Predicate::ge("A2", 1.0));
-        let c = a.intersect(&b);
-        assert_eq!(c.len(), 2);
-        assert!(c.matches(&head(4.0, 1.0)));
-        assert!(!c.matches(&head(4.0, 0.5)));
     }
 
     #[test]
@@ -563,15 +511,6 @@ mod tests {
         assert_eq!(again[0], f);
         let all: FilterExpr = Filter::match_all().into();
         assert_eq!(all, FilterExpr::True);
-    }
-
-    #[test]
-    fn range_helper() {
-        let f = range_filter("A1", 2.0, 4.0);
-        assert!(f.matches(&head(2.0, 0.0)));
-        assert!(f.matches(&head(3.9, 0.0)));
-        assert!(!f.matches(&head(4.0, 0.0)));
-        assert!(!f.matches(&head(1.9, 0.0)));
     }
 
     #[test]

@@ -47,18 +47,6 @@ impl CompOp {
         }
     }
 
-    /// The operator with operands swapped (`a < b` ⇔ `b > a`).
-    pub fn flipped(self) -> CompOp {
-        match self {
-            CompOp::Lt => CompOp::Gt,
-            CompOp::Le => CompOp::Ge,
-            CompOp::Gt => CompOp::Lt,
-            CompOp::Ge => CompOp::Le,
-            CompOp::Eq => CompOp::Eq,
-            CompOp::Ne => CompOp::Ne,
-        }
-    }
-
     /// The logical negation of the operator (`!(a < b)` ⇔ `a >= b`).
     pub fn negated(self) -> CompOp {
         match self {
@@ -196,37 +184,6 @@ impl Predicate {
             _ => false,
         }
     }
-
-    /// Returns true when no value can satisfy both predicates (conservative:
-    /// `false` means "possibly compatible").
-    pub fn contradicts(&self, other: &Predicate) -> bool {
-        if self.attr != other.attr {
-            return false;
-        }
-        let cmp = match self.value.partial_cmp_value(&other.value) {
-            Some(c) => c,
-            None => return false,
-        };
-        use CompOp::*;
-        match (self.op, other.op) {
-            (Eq, Eq) => cmp != Ordering::Equal,
-            (Eq, Ne) | (Ne, Eq) => cmp == Ordering::Equal,
-            // x < a contradicts x > b when a <= b (no value below a exceeds b).
-            (Lt, Gt) | (Lt, Ge) | (Le, Gt) => cmp != Ordering::Greater,
-            (Le, Ge) => cmp == Ordering::Less,
-            (Gt, Lt) | (Ge, Lt) | (Gt, Le) => cmp != Ordering::Less,
-            (Ge, Le) => cmp == Ordering::Greater,
-            (Eq, Lt) => cmp != Ordering::Less,
-            (Eq, Le) => cmp == Ordering::Greater,
-            (Eq, Gt) => cmp != Ordering::Greater,
-            (Eq, Ge) => cmp == Ordering::Less,
-            (Lt, Eq) => cmp != Ordering::Greater,
-            (Le, Eq) => cmp == Ordering::Less,
-            (Gt, Eq) => cmp != Ordering::Less,
-            (Ge, Eq) => cmp == Ordering::Greater,
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -299,9 +256,6 @@ mod tests {
 
     #[test]
     fn operator_helpers() {
-        assert_eq!(CompOp::Lt.flipped(), CompOp::Gt);
-        assert_eq!(CompOp::Le.flipped(), CompOp::Ge);
-        assert_eq!(CompOp::Eq.flipped(), CompOp::Eq);
         assert_eq!(CompOp::Lt.negated(), CompOp::Ge);
         assert_eq!(CompOp::Ne.negated(), CompOp::Eq);
         assert_eq!(CompOp::Ge.as_str(), ">=");
@@ -328,19 +282,6 @@ mod tests {
         // Identity.
         let p = Predicate::ge("A1", 2.0);
         assert!(p.implies(&p));
-    }
-
-    #[test]
-    fn contradiction() {
-        assert!(Predicate::lt("A1", 3.0).contradicts(&Predicate::gt("A1", 5.0)));
-        assert!(Predicate::lt("A1", 3.0).contradicts(&Predicate::ge("A1", 3.0)));
-        assert!(!Predicate::lt("A1", 5.0).contradicts(&Predicate::gt("A1", 3.0)));
-        assert!(Predicate::eq("A1", 1.0).contradicts(&Predicate::eq("A1", 2.0)));
-        assert!(Predicate::eq("A1", 1.0).contradicts(&Predicate::ne("A1", 1.0)));
-        assert!(!Predicate::eq("A1", 1.0).contradicts(&Predicate::le("A1", 1.0)));
-        assert!(Predicate::eq("A1", 5.0).contradicts(&Predicate::lt("A1", 5.0)));
-        // Different attributes never contradict.
-        assert!(!Predicate::lt("A1", 3.0).contradicts(&Predicate::gt("A2", 5.0)));
     }
 
     #[test]

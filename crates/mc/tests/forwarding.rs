@@ -61,11 +61,12 @@ fn churn_model() -> McModel {
 /// t = 5.2 s with every copy still in flight. Subscription 2 shares edge B1
 /// with the leaver, so the group survives and its QoS envelope must
 /// *change* (the earning sum always shrinks when a member leaves, the min
-/// bound may widen). The engine's per-event table audit recomputes every
-/// aggregate's envelope from the current member records, so a
-/// `sync_aggregate` that lagged the member removal by even one event —
-/// leaving a stale envelope while the member list already shrank — fails
-/// the exploration at the leave event itself, in every interleaving.
+/// bound may widen). The envelope lives once, in the registry group, and
+/// shrinks with the member list in one `remove`; the engine's per-event
+/// table audit recomputes every group's envelope from the current member
+/// records, so a prefix fold that kept the leaver fails the exploration at
+/// the leave event itself, in every interleaving. Interior brokers' routes
+/// towards B1 must stay as they were: the group never empties.
 fn leave_before_expansion_model() -> McModel {
     let mut model = McModel::named(
         "forwarding-leave-preexpansion-line3",

@@ -77,12 +77,6 @@ impl Link {
             quality,
         }
     }
-
-    /// The mean time to transfer a message of `size_kb` kilobytes over this link.
-    pub fn mean_transfer(&self, size_kb: f64) -> Duration {
-        self.quality.propagation
-            + Duration::from_millis_f64(self.quality.rate_distribution().mean() * size_kb)
-    }
 }
 
 #[cfg(test)]
@@ -106,18 +100,5 @@ mod tests {
         let d = q.rate_distribution();
         assert!((50.0..100.0).contains(&d.mean()));
         assert_eq!(q.propagation, Duration::ZERO);
-    }
-
-    #[test]
-    fn link_mean_transfer() {
-        let l = Link::new(
-            LinkId::new(0),
-            BrokerId::new(1),
-            BrokerId::new(2),
-            LinkQuality::new(FixedRate::new(60.0)),
-        );
-        assert_eq!(l.mean_transfer(50.0), Duration::from_millis(3_000));
-        assert_eq!(l.from, BrokerId::new(1));
-        assert_eq!(l.to, BrokerId::new(2));
     }
 }

@@ -201,30 +201,6 @@ impl OverlayGraph {
             .map(|b| b.id)
     }
 
-    /// All subscribers in the system with the broker they attach to.
-    pub fn all_subscribers(&self) -> Vec<(SubscriberId, BrokerId)> {
-        let mut out = Vec::new();
-        for b in &self.brokers {
-            for &s in &b.subscribers {
-                out.push((s, b.id));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// All publishers in the system with the broker they attach to.
-    pub fn all_publishers(&self) -> Vec<(PublisherId, BrokerId)> {
-        let mut out = Vec::new();
-        for b in &self.brokers {
-            for &p in &b.publishers {
-                out.push((p, b.id));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Checks structural validity: at least one broker, no duplicate directed
     /// links, and (weak) connectivity when treating links as undirected.
     pub fn validate(&self) -> Result<()> {
@@ -331,8 +307,6 @@ mod tests {
             g.subscriber_broker(SubscriberId::new(1)),
             Some(BrokerId::new(2))
         );
-        assert_eq!(g.all_subscribers().len(), 2);
-        assert_eq!(g.all_publishers().len(), 1);
     }
 
     #[test]

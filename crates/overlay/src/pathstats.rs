@@ -57,11 +57,6 @@ impl PathStats {
         self.rate.mean()
     }
 
-    /// Variance of the per-KB rate of the path, `σ_p²`.
-    pub fn rate_variance(&self) -> f64 {
-        self.rate.variance()
-    }
-
     /// The distribution of the *propagation delay* (ms) of a message of
     /// `size_kb` kilobytes along this path: `size · TR_p`.
     pub fn propagation_delay_ms(&self, size_kb: f64) -> Normal {
@@ -74,11 +69,6 @@ impl PathStats {
     pub fn future_delay_ms(&self, size_kb: f64, processing_delay: Duration) -> Normal {
         let processing_ms = processing_delay.as_millis_f64() * self.downstream_brokers as f64;
         self.propagation_delay_ms(size_kb).shift(processing_ms)
-    }
-
-    /// Mean of the future delay (ms), convenient for reports.
-    pub fn mean_future_delay_ms(&self, size_kb: f64, processing_delay: Duration) -> f64 {
-        self.future_delay_ms(size_kb, processing_delay).mean()
     }
 
     /// The probability that the future delay fits into the remaining budget —
@@ -106,7 +96,8 @@ mod tests {
         let p = PathStats::local();
         assert_eq!(p.downstream_brokers, 0);
         assert_eq!(p.mean_rate(), 0.0);
-        assert_eq!(p.mean_future_delay_ms(50.0, Duration::from_millis(2)), 0.0);
+        let pd = Duration::from_millis(2);
+        assert_eq!(p.future_delay_ms(50.0, pd).mean(), 0.0);
         assert_eq!(
             p.success_probability(50.0, Duration::from_millis(2), Duration::from_secs(1)),
             1.0
@@ -121,7 +112,7 @@ mod tests {
         assert_eq!(p.downstream_brokers, 2);
         assert_eq!(p.hops(), 2);
         assert!((p.mean_rate() - 130.0).abs() < 1e-9);
-        assert!((p.rate_variance() - 800.0).abs() < 1e-9);
+        assert!((p.rate.variance() - 800.0).abs() < 1e-9);
         let from_links = PathStats::from_links([&l1, &l2]);
         assert_eq!(from_links, p);
     }

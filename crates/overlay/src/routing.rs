@@ -11,7 +11,6 @@
 
 use crate::graph::OverlayGraph;
 use crate::pathstats::PathStats;
-use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, LinkId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -369,19 +368,6 @@ impl Routing {
             .and_then(|e| e.as_ref())
     }
 
-    /// The route entry, returning an error for unreachable destinations.
-    pub fn route_or_err(&self, from: BrokerId, to: BrokerId) -> Result<&RouteEntry> {
-        if from == to {
-            return Err(BdpsError::InvalidConfig(format!(
-                "no route needed from {from} to itself"
-            )));
-        }
-        self.route(from, to).ok_or(BdpsError::Unreachable {
-            from: from.raw(),
-            to: to.raw(),
-        })
-    }
-
     /// The full broker path from `from` to `to` (both endpoints included),
     /// or `None` when unreachable. `from == to` yields a single-element path.
     pub fn path(&self, from: BrokerId, to: BrokerId) -> Option<Vec<BrokerId>> {
@@ -485,7 +471,6 @@ mod tests {
             r.path_stats(BrokerId::new(2), BrokerId::new(2)),
             Some(PathStats::local())
         );
-        assert!(r.route_or_err(BrokerId::new(2), BrokerId::new(2)).is_err());
 
         // A graph with an isolated broker: unreachable routes are None.
         let mut g2 = OverlayGraph::new();
@@ -495,10 +480,6 @@ mod tests {
         g2.add_bidirectional_link(a, b, quality(50.0));
         let r2 = Routing::compute(&g2);
         assert!(r2.route(BrokerId::new(0), BrokerId::new(2)).is_none());
-        assert!(matches!(
-            r2.route_or_err(BrokerId::new(0), BrokerId::new(2)),
-            Err(BdpsError::Unreachable { from: 0, to: 2 })
-        ));
         assert!(r2.path(BrokerId::new(0), BrokerId::new(2)).is_none());
     }
 

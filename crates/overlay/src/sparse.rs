@@ -13,13 +13,13 @@
 //!
 //! * each broker keeps **full entries only for locally attached
 //!   subscribers** (the edge expansion set);
-//! * per remote destination it keeps one **aggregate entry** — the routed
-//!   fields towards that edge broker plus the size of the member group and
-//!   its covering set;
+//! * per remote destination it keeps one **aggregate entry** — the route
+//!   towards that edge broker, and nothing else;
 //! * the subscription metadata itself (filter, subscriber, QoS) lives once,
 //!   globally, in a [`SharedPopulation`] registry every broker references
-//!   through an `Arc` — including one [`CoverForest`] per edge broker, the
-//!   covering set interior brokers route on for raw (unscoped) messages.
+//!   through an `Arc` — including, per edge broker, the member group's
+//!   [`CoverForest`] (the covering set interior brokers route on for raw,
+//!   unscoped messages) and its [`QosEnvelope`].
 //!
 //! Per-broker state therefore drops from `O(subscriptions)` to
 //! `O(local + brokers)`, and the registry is counted once instead of once
@@ -131,10 +131,11 @@ pub fn aggregate_scope_dest(id: SubscriptionId) -> Option<BrokerId> {
     (id.raw() & AGGREGATE_SCOPE_BIT != 0).then(|| BrokerId::new(id.raw() & !AGGREGATE_SCOPE_BIT))
 }
 
-/// The QoS bounds an edge group's members collectively promise — the
-/// metadata an interior [`AggregateEntry`] carries so scheduling strategies
-/// can rank and shed aggregate copies without enumerating the members
-/// (ROADMAP item 2(a)). Folded over the group's *epoch-visible* members:
+/// The QoS bounds an edge group's members collectively promise, kept once
+/// per group in the registry ([`EdgeGroup::envelope_at`]). Aggregate
+/// forwarding stamps each interior copy from it, so scheduling strategies
+/// can rank and shed aggregate copies without enumerating the members.
+/// Folded over the group's *epoch-visible* members:
 ///
 /// * `min_allowed_delay` — the tightest subscriber-specified bound in the
 ///   group (`Duration::MAX` while every member is best-effort). A copy
@@ -143,8 +144,6 @@ pub fn aggregate_scope_dest(id: SubscriptionId) -> Option<BrokerId> {
 /// * `earning_sum` — the total price the group pays if the copy reaches
 ///   every member on time: the upper bound on what the copy can earn, and
 ///   the value EB/PC/EBPC score it by.
-/// * `earning_max` — the single largest member price, for audits and for
-///   strategies that want a per-member rather than per-group bound.
 /// * `members` — how many members the fold covered (0 = empty envelope).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosEnvelope {
@@ -152,8 +151,6 @@ pub struct QosEnvelope {
     pub min_allowed_delay: Duration,
     /// Sum of member prices (saturating).
     pub earning_sum: Price,
-    /// Maximum single member price.
-    pub earning_max: Price,
     /// Number of members folded in.
     pub members: usize,
 }
@@ -163,7 +160,6 @@ impl QosEnvelope {
     pub const EMPTY: QosEnvelope = QosEnvelope {
         min_allowed_delay: Duration::MAX,
         earning_sum: Price::ZERO,
-        earning_max: Price::ZERO,
         members: 0,
     };
 
@@ -172,7 +168,6 @@ impl QosEnvelope {
         QosEnvelope {
             min_allowed_delay: self.min_allowed_delay.min(allowed_delay),
             earning_sum: self.earning_sum.saturating_add(price),
-            earning_max: self.earning_max.max(price),
             members: self.members + 1,
         }
     }
@@ -193,19 +188,6 @@ struct MemberQos {
     join_epoch: u64,
     allowed_delay: Duration,
     price: Price,
-}
-
-/// What an [`AggregateEntry`] records about its destination's group. The
-/// engine reads it once per membership or routing event and hands the same
-/// value to every broker's [`SparseTable::sync_aggregate_with`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupStats {
-    /// Members attached at the destination.
-    pub members: usize,
-    /// Size of the destination's covering set.
-    pub cover_roots: usize,
-    /// The QoS envelope over the current members.
-    pub envelope: QosEnvelope,
 }
 
 /// The subscriptions attached at one edge broker, with their covering set.
@@ -265,15 +247,6 @@ impl EdgeGroup {
     /// false positives are possible and bounded by the looseness gate.
     pub fn summary_matches(&self, head: &MessageHead) -> bool {
         self.summary.iter().any(|f| f.matches(head))
-    }
-
-    /// The sizes and envelope an aggregate towards this group carries.
-    pub fn stats(&self) -> GroupStats {
-        GroupStats {
-            members: self.len(),
-            cover_roots: self.forest.root_count(),
-            envelope: self.envelope(),
-        }
     }
 
     /// The QoS envelope over the group's **current** members.
@@ -516,18 +489,13 @@ impl SharedPopulation {
         self.by_edge.get(&edge)
     }
 
-    /// [`EdgeGroup::stats`] of the group at `edge` (`None` when empty).
-    pub fn group_stats(&self, edge: BrokerId) -> Option<GroupStats> {
-        self.by_edge.get(&edge).map(EdgeGroup::stats)
-    }
-
     /// Folds the QoS envelope of the members attached at `edge` whose
     /// `join_epoch` does not exceed `epoch`, directly from the member
     /// records in ascending id order — deliberately **not** via the group's
     /// prefix-fold machinery, so audits comparing it against
     /// [`EdgeGroup::envelope_at`] exercise an independent derivation.
-    /// Commutative folds (min / saturating sum / max) make the different
-    /// iteration orders agree exactly.
+    /// Commutative folds (min / saturating sum) make the different iteration
+    /// orders agree exactly.
     pub fn scratch_envelope(&self, edge: BrokerId, epoch: u64) -> QosEnvelope {
         let Some(group) = self.by_edge.get(&edge) else {
             return QosEnvelope::EMPTY;
@@ -640,12 +608,15 @@ pub fn dense_bytes_estimate(table: &SubscriptionTable) -> u64 {
     (table.len() * (std::mem::size_of::<SubTableEntry>() + DENSE_ENTRY_OVERHEAD)) as u64
 }
 
-/// One broker's aggregate entry towards a remote destination: the routed
-/// fields every subscription attached there shares, plus the group's size
-/// and covering-set size. This is the *whole* per-subscription state an
-/// interior broker keeps for that destination — the merged path-stat
-/// envelope is exact because single-path routing gives all members of a
-/// destination the same remaining path.
+/// One broker's aggregate entry towards a remote destination: the route
+/// every subscription attached there shares. This is the *whole*
+/// per-subscription state an interior broker keeps for that destination —
+/// one path-stat envelope is exact because single-path routing gives all
+/// members of a destination the same remaining path. The group itself
+/// (members, covering set, QoS envelope) lives once, in the
+/// [`SharedPopulation`]: the entry exists while the group is populated and
+/// reachable, and a join or leave that neither opens nor empties the group
+/// leaves it untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateEntry {
     /// The neighbour matching messages are forwarded to (`nb`).
@@ -654,32 +625,17 @@ pub struct AggregateEntry {
     pub next_link: LinkId,
     /// Statistics of the remaining path to the destination.
     pub stats: PathStats,
-    /// Members attached at the destination.
-    pub members: usize,
-    /// Size of the destination's covering set (observability only).
-    pub cover_roots: usize,
-    /// The QoS bounds the destination's current members collectively
-    /// promise (min allowed delay, earning sum/max, member count), kept in
-    /// lock-step with the member list by the same rebuild/sync paths that
-    /// maintain the routed fields. Publish stamps interior copies from
-    /// [`EdgeGroup::envelope_at`] (the epoch-consistent fold), not from this
-    /// field; this copy powers audits and observability.
-    pub envelope: QosEnvelope,
 }
 
 impl AggregateEntry {
-    /// Builds the aggregate towards a destination from its current route
-    /// and member group — the single construction path the bulk build and
-    /// the incremental sync share, so an aggregate can never differ by how
-    /// it was produced.
-    fn fresh(route: &crate::routing::RouteEntry, group: GroupStats) -> Self {
+    /// The aggregate along a route — the single construction path the bulk
+    /// build and the incremental sync share, so an aggregate can never
+    /// differ by how it was produced.
+    fn fresh(route: &crate::routing::RouteEntry) -> Self {
         AggregateEntry {
             next_hop: route.next_hop,
             next_link: route.next_link,
             stats: route.stats,
-            members: group.members,
-            cover_roots: group.cover_roots,
-            envelope: group.envelope,
         }
     }
 }
@@ -735,7 +691,7 @@ pub struct SparseTable {
     /// Aggregate entries keyed by destination edge broker. Invariant: an
     /// entry exists iff the destination has at least one member, is not
     /// this broker, and is currently reachable; its fields equal
-    /// `routing.route(self.broker, dest)` and the group's current sizes.
+    /// `routing.route(self.broker, dest)`.
     aggregates: BTreeMap<BrokerId, AggregateEntry>,
     population: PopulationHandle,
 }
@@ -811,9 +767,9 @@ impl SparseTable {
     }
 
     /// Hashes the table's routed content — the local edge-expansion entries
-    /// plus every aggregate's routed fields and sizes, in ascending
-    /// destination order. The shared registry is digested separately by its
-    /// owner (one copy globally), not per broker.
+    /// plus every aggregate's route, in ascending destination order. The
+    /// shared registry is digested separately by its owner (one copy
+    /// globally), not per broker.
     pub fn digest_into(&self, h: &mut impl std::hash::Hasher) {
         self.local.digest_into(h);
         h.write_usize(self.aggregates.len());
@@ -824,12 +780,6 @@ impl SparseTable {
             h.write_u32(a.stats.downstream_brokers);
             h.write_u64(a.stats.rate.mean().to_bits());
             h.write_u64(a.stats.rate.variance().to_bits());
-            h.write_usize(a.members);
-            h.write_usize(a.cover_roots);
-            h.write_u64(a.envelope.min_allowed_delay.as_micros());
-            h.write_i64(a.envelope.earning_sum.millis());
-            h.write_i64(a.envelope.earning_max.millis());
-            h.write_usize(a.envelope.members);
         }
     }
 
@@ -855,37 +805,37 @@ impl SparseTable {
     /// routing and registry: **one aggregate** stands in for every
     /// subscription attached at `dest`, so this is the whole incremental
     /// patch for one `(broker, destination)` pair. Called after a routing
-    /// delta names `dest`, and after a join/leave changes the group at
-    /// `dest`. Returns the patch counters (at most one of retargeted /
-    /// inserted / removed is 1).
+    /// delta names `dest`, and after a join opens or a leave empties the
+    /// group at `dest`. Returns the patch counters (at most one of
+    /// retargeted / inserted / removed is 1).
     pub fn sync_aggregate(&mut self, routing: &Routing, dest: BrokerId) -> RetargetOutcome {
-        let group = read_population(&self.population).group_stats(dest);
-        self.sync_aggregate_with(routing, dest, group)
+        let populated = read_population(&self.population).group(dest).is_some();
+        self.sync_aggregate_with(routing, dest, populated)
     }
 
-    /// [`sync_aggregate`](Self::sync_aggregate) with the destination group's
-    /// stats supplied by the caller (`None` = the group is empty), so one
-    /// registry read serves every broker an event touches.
+    /// [`sync_aggregate`](Self::sync_aggregate) with whether the destination
+    /// group has members supplied by the caller, so one registry read serves
+    /// every broker an event touches.
     pub fn sync_aggregate_with(
         &mut self,
         routing: &Routing,
         dest: BrokerId,
-        group: Option<GroupStats>,
+        populated: bool,
     ) -> RetargetOutcome {
         let mut outcome = RetargetOutcome::default();
         if dest == self.broker {
             return outcome; // locals carry no route and never move
         }
-        match (group, routing.route(self.broker, dest)) {
-            (Some(group), Some(route)) => {
-                let fresh = AggregateEntry::fresh(route, group);
+        match routing.route(self.broker, dest).filter(|_| populated) {
+            Some(route) => {
+                let fresh = AggregateEntry::fresh(route);
                 match self.aggregates.insert(dest, fresh) {
                     Some(old) if old == fresh => {} // no-op patch
                     Some(_) => outcome.retargeted += 1,
                     None => outcome.inserted += 1,
                 }
             }
-            _ => {
+            None => {
                 if self.aggregates.remove(&dest).is_some() {
                     outcome.removed += 1;
                 }
@@ -899,13 +849,12 @@ impl SparseTable {
     fn rebuild_aggregates(&mut self, routing: &Routing) {
         self.aggregates.clear();
         let pop = read_population(&self.population);
-        for (dest, group) in pop.groups() {
+        for (dest, _) in pop.groups() {
             if dest == self.broker {
                 continue;
             }
             if let Some(route) = routing.route(self.broker, dest) {
-                self.aggregates
-                    .insert(dest, AggregateEntry::fresh(route, group.stats()));
+                self.aggregates.insert(dest, AggregateEntry::fresh(route));
             }
         }
     }
@@ -1257,8 +1206,6 @@ mod tests {
         let route = routing.route(BrokerId::new(0), dest).unwrap();
         assert_eq!(agg.next_hop, route.next_hop);
         assert_eq!(agg.stats, route.stats);
-        assert_eq!(agg.members, 1);
-        assert!(agg.cover_roots >= 1);
     }
 
     #[test]
@@ -1464,7 +1411,6 @@ mod tests {
         let now = group.envelope();
         assert_eq!(now.min_allowed_delay, Duration::from_secs(10));
         assert_eq!(now.earning_sum, Price::from_units(5));
-        assert_eq!(now.earning_max, Price::from_units(3));
         assert_eq!(now.members, 3);
         // Every epoch prefix agrees with the independent scratch fold.
         for epoch in 0..=pop.epoch() {
@@ -1522,26 +1468,38 @@ mod tests {
     }
 
     #[test]
-    fn sync_aggregate_tracks_envelope_changes() {
+    fn a_join_into_a_populated_group_leaves_every_aggregate_as_it_was() {
         let (_topo, routing, subs) = line_setup();
         let pop = handle(&subs);
-        let mut table = SparseTable::build(BrokerId::new(0), &routing, &pop);
-        let before = table.aggregate(BrokerId::new(2)).unwrap().envelope;
-        assert_eq!(before.min_allowed_delay, Duration::from_secs(10));
-        assert_eq!(before.earning_sum, Price::from_units(3));
-        assert_eq!(before.members, 1);
-        // A looser member joins at B2: same route, changed envelope — the
-        // sync must patch the aggregate (counted as a retarget).
-        pop.write()
-            .unwrap()
-            .insert(qos_sub(7, 60, 2), BrokerId::new(2));
-        let outcome = table.sync_aggregate(&routing, BrokerId::new(2));
-        assert_eq!(outcome.retargeted, 1);
-        let after = table.aggregate(BrokerId::new(2)).unwrap().envelope;
-        assert_eq!(after.min_allowed_delay, Duration::from_secs(10));
-        assert_eq!(after.earning_sum, Price::from_units(5));
-        assert_eq!(after.earning_max, Price::from_units(3));
-        assert_eq!(after.members, 2);
+        let edge = BrokerId::new(2);
+        let mut tables: Vec<SparseTable> = (0..3)
+            .map(|b| SparseTable::build(BrokerId::new(b), &routing, &pop))
+            .collect();
+        let snapshot = |t: &SparseTable| t.aggregates().map(|(d, a)| (d, *a)).collect::<Vec<_>>();
+        let before: Vec<_> = tables.iter().map(snapshot).collect();
+        // A looser member joins B2's group and the tight one leaves it: the
+        // group's envelope moves twice, but the group is never opened or
+        // emptied, so no broker's route towards it has anything to change.
+        {
+            let mut p = pop.write().unwrap();
+            p.insert(qos_sub(7, 60, 2), edge);
+            p.remove(SubscriptionId::new(0));
+            let envelope = p.group(edge).unwrap().envelope();
+            assert_eq!(envelope.min_allowed_delay, Duration::from_secs(60));
+            assert_eq!(envelope.earning_sum, Price::from_units(2));
+        }
+        for (table, before) in tables.iter_mut().zip(&before) {
+            let outcome = table.sync_aggregate(&routing, edge);
+            assert_eq!(outcome, RetargetOutcome::default(), "at {}", table.broker());
+            assert_eq!(&snapshot(table), before, "at {}", table.broker());
+            let fresh = SparseTable::build(table.broker(), &routing, &pop);
+            assert_eq!(
+                snapshot(&fresh),
+                *before,
+                "scratch build at {}",
+                table.broker()
+            );
+        }
     }
 
     #[test]

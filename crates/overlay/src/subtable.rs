@@ -33,19 +33,12 @@ pub struct SubTableEntry {
     pub stats: PathStats,
 }
 
-impl SubTableEntry {
-    /// Returns true when the subscriber is served locally by this broker.
-    pub fn is_local(&self) -> bool {
-        self.next_hop.is_none()
-    }
-}
-
 /// Counters of one incremental table patch
 /// ([`SparseTable::sync_aggregate`](crate::sparse::SparseTable::sync_aggregate)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetargetOutcome {
-    /// Entries whose routed fields (next hop, link, path statistics) or
-    /// group statistics were rewritten in place.
+    /// Entries whose routed fields (next hop, link, path statistics) were
+    /// rewritten in place.
     pub retargeted: u64,
     /// Entries inserted because their edge broker became reachable.
     pub inserted: u64,
@@ -326,7 +319,7 @@ mod tests {
         assert_eq!(e0.edge_broker, BrokerId::new(2));
         assert_eq!(e0.stats.downstream_brokers, 2);
         assert!((e0.stats.mean_rate() - 120.0).abs() < 1e-9);
-        assert!(!e0.is_local());
+        assert!(e0.next_hop.is_some());
         assert_eq!(e0.subscription.price, Price::from_units(3));
 
         let e1 = table.entry(SubscriptionId::new(1)).unwrap();
@@ -339,7 +332,7 @@ mod tests {
         let (_topo, routing, subs) = line_setup();
         let table = SubscriptionTable::build(BrokerId::new(2), &routing, &subs);
         let e0 = table.entry(SubscriptionId::new(0)).unwrap();
-        assert!(e0.is_local());
+        assert!(e0.next_hop.is_none());
         assert_eq!(e0.stats, PathStats::local());
         // Subscription 1 lives on broker 1, reached via broker 1.
         let e1 = table.entry(SubscriptionId::new(1)).unwrap();
@@ -429,7 +422,7 @@ mod tests {
             SubscriptionTable::entry_for(BrokerId::new(0), &routing, sub0, *edge0).unwrap();
         assert_eq!(remote.next_hop, Some(BrokerId::new(1)));
         let local = SubscriptionTable::entry_for(BrokerId::new(2), &routing, sub0, *edge0).unwrap();
-        assert!(local.is_local());
+        assert!(local.next_hop.is_none());
         assert_eq!(local.stats, PathStats::local());
     }
 
@@ -479,6 +472,6 @@ mod tests {
         }
         // First-layer brokers must route everything downstream (no local subscribers).
         let first_layer = &tables[0];
-        assert!(first_layer.entries().iter().all(|e| !e.is_local()));
+        assert!(first_layer.entries().iter().all(|e| e.next_hop.is_some()));
     }
 }

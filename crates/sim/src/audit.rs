@@ -260,24 +260,25 @@ impl Simulation {
                             ));
                         }
                     }
-                    // Envelope-vs-members invariant: every aggregate's QoS
-                    // envelope must be *exactly* the fold over the
-                    // destination group's current members. The scratch fold
-                    // iterates member records directly — independent of the
-                    // prefix-fold machinery the table's envelope came from —
-                    // so a prefix-maintenance bug cannot agree with it.
-                    let pop = read_population(table.population());
-                    let epoch = pop.epoch();
-                    for (dest, a) in &current {
-                        let scratch = pop.scratch_envelope(*dest, epoch);
-                        if a.envelope != scratch {
-                            return Err(format!(
-                                "broker {} envelope for {} is {:?}, but the fold over \
-                                 current members gives {:?}",
-                                broker.id, dest, a.envelope, scratch
-                            ));
-                        }
-                    }
+                }
+            }
+        }
+        // Envelope-vs-members invariant, once per group: the QoS envelope
+        // publish stamps aggregate copies from must be *exactly* the fold
+        // over the group's current members. The scratch fold iterates member
+        // records directly — independent of the prefix-fold machinery the
+        // group's envelope came from — so a prefix-maintenance bug cannot
+        // agree with it.
+        if let Some(population) = &self.shared.population {
+            let pop = read_population(population);
+            let epoch = pop.epoch();
+            for (edge, group) in pop.groups() {
+                let (kept, scratch) = (group.envelope(), pop.scratch_envelope(edge, epoch));
+                if kept != scratch {
+                    return Err(format!(
+                        "the envelope of {edge}'s group is {kept:?}, but the fold over \
+                         its current members gives {scratch:?}"
+                    ));
                 }
             }
         }

@@ -175,6 +175,26 @@ impl Simulation {
             ))
             .into());
         }
+        // A hand-made topology can home an entity at a broker the graph
+        // lacks: that publisher's messages would never be processed, that
+        // subscription never reached by a route.
+        let brokers = topology.graph.broker_count();
+        let stray = |home: &BrokerId| home.index() >= brokers;
+        let stray_home = topology
+            .publishers
+            .iter()
+            .find(|(_, home)| stray(home))
+            .map(|(p, home)| (format!("publisher {p}"), *home))
+            .or_else(|| {
+                let (s, home) = topology.subscribers.iter().find(|(_, home)| stray(home))?;
+                Some((format!("subscriber {s}"), *home))
+            });
+        if let Some((who, home)) = stray_home {
+            return Err(BdpsError::InvalidConfig(format!(
+                "{who} is homed at broker {home}, but the graph has {brokers} brokers"
+            ))
+            .into());
+        }
 
         // The graph the *schedulers believe in*: identical structure, link
         // rate parameters perturbed by the estimation error. Link identifiers
@@ -990,6 +1010,47 @@ mod tests {
             out.tracker.delivered_pairs(),
             baseline.tracker.delivered_pairs()
         );
+    }
+
+    #[test]
+    fn entity_homes_are_checked_against_the_overlay_at_construction() {
+        let brokers = small_topology(23).graph.broker_count() as u32;
+        let build = |topology: Topology| {
+            let scenario = DynamicScenario::static_scenario();
+            configured(WorkloadConfig::paper_ssd(8.0), StrategyKind::Fifo, scenario)
+                .try_build_on(topology, SimRng::seed_from(23))
+        };
+        assert!(build(small_topology(23)).is_ok());
+        // Unchecked, a stray publisher's messages are counted as published
+        // and then vanish, and a stray subscription is registered at an edge
+        // no route reaches.
+        let mut stray_publisher = small_topology(23);
+        stray_publisher.publishers[0].1 = BrokerId::new(brokers);
+        let mut stray_subscriber = small_topology(23);
+        let (subscriber, home) = stray_subscriber.subscribers.last_mut().unwrap();
+        *home = BrokerId::new(brokers + 7);
+        let subscriber = *subscriber;
+        let cases = [
+            (
+                stray_publisher,
+                format!("publisher P0 is homed at broker B{brokers}"),
+            ),
+            (
+                stray_subscriber,
+                format!(
+                    "subscriber {subscriber} is homed at broker B{}",
+                    brokers + 7
+                ),
+            ),
+        ];
+        for (topology, expected) in cases {
+            match build(topology).err() {
+                Some(SimError::InvalidConfig(e)) => {
+                    assert!(e.to_string().contains(&expected), "{expected}: {e}")
+                }
+                other => panic!("{expected}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

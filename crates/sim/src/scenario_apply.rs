@@ -286,19 +286,20 @@ impl ScenarioCore {
                 }
             }
             Some(population) => {
-                // Register once globally, expand only at the edge; interior
-                // brokers just refresh their aggregate from the group's
-                // stats, read once for all of them.
-                let group = {
+                // Register once globally, expand only at the edge. Interior
+                // brokers hold a route towards the edge while its group is
+                // populated, so only a join that opens the group adds one.
+                let opened = {
                     let mut population = write_population(population, "subscription join")?;
+                    let opened = population.group(broker).is_none();
                     population.insert(subscription.clone(), broker);
-                    population.group_stats(broker)
+                    opened
                 };
                 for b in &mut core.brokers {
                     if b.id == broker {
                         b.insert_local_subscription(subscription.clone());
-                    } else {
-                        b.sync_aggregate(&self.routing, broker, group);
+                    } else if opened {
+                        b.sync_aggregate(&self.routing, broker, true);
                     }
                 }
             }
@@ -319,13 +320,13 @@ impl ScenarioCore {
             return Ok(());
         };
         shared.global_index.remove(id);
-        // Under the sparse layout the aggregate towards the edge the
-        // subscription left shrinks (or goes) at every other broker.
-        let shrunk_group = match &shared.population {
+        // Under the sparse layout every other broker's route towards the
+        // edge goes only if this leave emptied the edge's group.
+        let emptied = match &shared.population {
             Some(population) => {
                 let mut population = write_population(population, "subscription leave")?;
                 population.remove(id);
-                Some(population.group_stats(edge))
+                Some(population.group(edge).is_none())
             }
             None => None,
         };
@@ -333,9 +334,11 @@ impl ScenarioCore {
         for b in &mut core.brokers {
             // Every queued copy loses the target; the table row lives at
             // every broker (dense) or at the edge alone.
-            orphaned += match shrunk_group {
-                Some(group) if b.id != edge => {
-                    b.sync_aggregate(&self.routing, edge, group);
+            orphaned += match emptied {
+                Some(emptied) if b.id != edge => {
+                    if emptied {
+                        b.sync_aggregate(&self.routing, edge, false);
+                    }
                     b.strip_queued(id)
                 }
                 _ => b.remove_subscription(id),
@@ -418,8 +421,8 @@ impl ScenarioCore {
         let mut patched = RetargetOutcome::default();
         for b in &mut core.brokers {
             for &dest in delta.changed_dests(b.id) {
-                let group = population.group_stats(dest);
-                patched.absorb(b.sync_aggregate(&self.routing, dest, group));
+                let populated = population.group(dest).is_some();
+                patched.absorb(b.sync_aggregate(&self.routing, dest, populated));
             }
         }
         self.counters.entries_retargeted += patched.total();

@@ -665,28 +665,32 @@ impl TrafficCore {
                 scope,
             },
         );
-        // The departure speeds up any flows still sharing the link; then
-        // keep the link busy with the next scheduled copy, if any.
-        self.reschedule_flows(link);
-        self.try_send(sh, sink, from, to);
+        // Keep the link busy with the next scheduled copy, if any. The
+        // departure speeds up any flows still sharing the link: when no
+        // admission rescheduled them, that is done here.
+        if !self.try_send(sh, sink, from, to) {
+            self.reschedule_flows(link);
+        }
     }
 
     /// Starts as many transfers `from → to` as the link model admits: one
     /// when the link is idle under the exclusive model, queued copies up to
-    /// the flow cap under fair sharing (each admission slows every
-    /// in-flight flow, so all completion times on the link are recomputed).
+    /// the flow cap under fair sharing. Each admission slows every in-flight
+    /// flow, so once the admissions are done every completion time on the
+    /// link is recomputed — once, not once per admitted flow. Returns
+    /// whether any transfer started.
     pub(crate) fn try_send(
         &mut self,
         sh: &Shared,
         sink: &mut impl EffectSink,
         from: BrokerId,
         to: BrokerId,
-    ) {
+    ) -> bool {
         let Some(link) = sh.link_of[from.index()][to.index()] else {
-            return;
+            return false;
         };
         if !sh.link_alive(link) {
-            return;
+            return false;
         }
         let li = link.index();
         let sharing = sh.link_model.sharing();
@@ -694,6 +698,7 @@ impl TrafficCore {
             LinkSharing::Exclusive => 1,
             LinkSharing::FairShare { max_flows } => max_flows as u64,
         };
+        let mut admitted = false;
         while self.active_flows(li) < max_flows {
             let now = self.now;
             let decision = self.broker_mut(from).next_to_send(to, now);
@@ -703,7 +708,7 @@ impl TrafficCore {
                 });
             }
             let Some(queued) = decision.message else {
-                return;
+                break;
             };
             let transfer = sh.link_model.sample_transfer(
                 &sh.topology.graph.link(link).quality,
@@ -737,8 +742,12 @@ impl TrafficCore {
             load.transmissions += 1;
             load.peak_flows = load.peak_flows.max(flows);
             sink.emit(Effect::Transmission);
+            admitted = true;
+        }
+        if admitted {
             self.reschedule_flows(link);
         }
+        admitted
     }
 }
 #[cfg(test)]

@@ -215,16 +215,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// The mean gap between publications of one publisher.
-    pub fn mean_publication_gap(&self) -> Option<Duration> {
-        self.mean_gap_secs(1.0).map(Duration::from_secs_f64)
-    }
-
-    /// Draws the gap until a publisher's next publication.
-    pub fn next_publication_gap(&self, rng: &mut SimRng) -> Option<Duration> {
-        self.next_publication_gap_scaled(1.0, rng)
-    }
-
     /// Draws the gap until a publisher's next publication with the base rate
     /// scaled by `multiplier` — the hook dynamic scenarios use to model
     /// bursts (multiplier > 1) and lulls or pauses (multiplier in [0, 1)).
@@ -536,10 +526,13 @@ mod tests {
     fn publication_gaps_follow_the_rate() {
         let w = WorkloadConfig::paper_psd(6.0); // every 10 s on average
         let mut rng = SimRng::seed_from(6);
-        assert_eq!(w.mean_publication_gap(), Some(Duration::from_secs(10)));
         let n = 5_000;
         let mean: f64 = (0..n)
-            .map(|_| w.next_publication_gap(&mut rng).unwrap().as_secs_f64())
+            .map(|_| {
+                w.next_publication_gap_scaled(1.0, &mut rng)
+                    .unwrap()
+                    .as_secs_f64()
+            })
             .sum::<f64>()
             / n as f64;
         assert!((mean - 10.0).abs() < 0.5, "mean = {mean}");
@@ -547,12 +540,12 @@ mod tests {
         let mut det = w.clone();
         det.arrivals = ArrivalKind::Deterministic;
         assert_eq!(
-            det.next_publication_gap(&mut rng),
+            det.next_publication_gap_scaled(1.0, &mut rng),
             Some(Duration::from_secs(10))
         );
 
         let zero = WorkloadConfig::paper_psd(0.0);
-        assert_eq!(zero.next_publication_gap(&mut rng), None);
+        assert_eq!(zero.next_publication_gap_scaled(1.0, &mut rng), None);
     }
 
     #[test]

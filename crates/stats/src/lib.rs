@@ -7,7 +7,7 @@
 //! message is a sum of normal tail probabilities. This crate provides:
 //!
 //! * special functions ([`mod@erf`]) — error function, complementary error
-//!   function and their inverses, implemented from scratch;
+//!   function and the inverse error function, implemented from scratch;
 //! * [`normal`] — the normal distribution (pdf, cdf, quantile, sampling,
 //!   closure under addition and positive scaling, truncation at zero);
 //! * [`process`] — the Poisson arrival process used by workload generators;

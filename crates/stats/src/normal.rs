@@ -76,11 +76,6 @@ impl Normal {
         0.5 * (1.0 + erf((x - self.mean) / (self.std_dev * SQRT_2)))
     }
 
-    /// Survival function `P(X > x) = 1 − cdf(x)`.
-    pub fn sf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
-    }
-
     /// Quantile (inverse CDF): the `p`-quantile of the distribution.
     ///
     /// `p` outside `[0, 1]` is clamped. `p = 0` and `p = 1` map to −∞/+∞ for
@@ -253,13 +248,5 @@ mod tests {
     #[should_panic]
     fn negative_std_dev_panics() {
         let _ = Normal::new(0.0, -1.0);
-    }
-
-    #[test]
-    fn sf_complements_cdf() {
-        let n = Normal::new(1.0, 2.0);
-        for x in [-3.0, 0.0, 1.0, 4.0] {
-            assert!((n.cdf(x) + n.sf(x) - 1.0).abs() < 1e-12);
-        }
     }
 }

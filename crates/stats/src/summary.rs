@@ -87,18 +87,6 @@ impl Summary {
         }
     }
 
-    /// Minimum observation, `None` when empty (NaN-free alternative to
-    /// [`min`](Self::min)).
-    pub fn try_min(&self) -> Option<f64> {
-        self.values.iter().copied().reduce(f64::min)
-    }
-
-    /// Maximum observation, `None` when empty (NaN-free alternative to
-    /// [`max`](Self::max)).
-    pub fn try_max(&self) -> Option<f64> {
-        self.values.iter().copied().reduce(f64::max)
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) using linear interpolation between order
     /// statistics; NaN when empty.
     pub fn quantile(&mut self, q: f64) -> f64 {
@@ -162,18 +150,14 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert!(s.quantile(0.5).is_nan());
         assert!(s.min().is_nan());
-        // The NaN-free accessors report absence instead.
+        // The NaN-free accessor reports absence instead.
         assert_eq!(s.try_quantile(0.5), None);
-        assert_eq!(s.try_min(), None);
-        assert_eq!(s.try_max(), None);
     }
 
     #[test]
-    fn try_accessors_match_plain_ones_when_non_empty() {
+    fn try_quantile_matches_quantile_when_non_empty() {
         let mut s = Summary::new();
         s.extend([4.0, 1.0, 3.0]);
-        assert_eq!(s.try_min(), Some(1.0));
-        assert_eq!(s.try_max(), Some(4.0));
         assert_eq!(s.try_quantile(0.5), Some(3.0));
     }
 }

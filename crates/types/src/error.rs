@@ -19,13 +19,6 @@ pub enum BdpsError {
     },
     /// A topology was structurally invalid (disconnected, self-loop, ...).
     InvalidTopology(String),
-    /// A route lookup failed because the destination is unreachable.
-    Unreachable {
-        /// Origin broker (raw id).
-        from: u32,
-        /// Destination broker (raw id).
-        to: u32,
-    },
     /// A configuration value was out of range or inconsistent.
     InvalidConfig(String),
     /// An entity id was unknown in the current context.
@@ -42,9 +35,6 @@ impl fmt::Display for BdpsError {
                 write!(f, "type mismatch on attribute '{attribute}': {detail}")
             }
             BdpsError::InvalidTopology(msg) => write!(f, "invalid topology: {msg}"),
-            BdpsError::Unreachable { from, to } => {
-                write!(f, "broker B{to} is unreachable from B{from}")
-            }
             BdpsError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             BdpsError::UnknownEntity(msg) => write!(f, "unknown entity: {msg}"),
             BdpsError::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
@@ -63,10 +53,6 @@ mod tests {
         assert_eq!(
             BdpsError::FilterParse("unexpected token".into()).to_string(),
             "filter parse error: unexpected token"
-        );
-        assert_eq!(
-            BdpsError::Unreachable { from: 1, to: 9 }.to_string(),
-            "broker B9 is unreachable from B1"
         );
         assert!(BdpsError::InvalidTopology("x".into())
             .to_string()

@@ -35,8 +35,7 @@ impl Price {
     }
 
     /// Creates a price from a raw milli-unit count (the inverse of
-    /// [`Price::millis`]), used when folding stored prices back into an
-    /// aggregate envelope.
+    /// [`Price::millis`]).
     pub const fn from_millis(millis: i64) -> Self {
         Price(millis)
     }
@@ -45,15 +44,6 @@ impl Price {
     /// earning sums over large edge groups must never wrap.
     pub const fn saturating_add(self, rhs: Price) -> Price {
         Price(self.0.saturating_add(rhs.0))
-    }
-
-    /// Creates a price from fractional units, rounding to the nearest milli-unit.
-    /// Negative or non-finite input saturates to zero.
-    pub fn from_units_f64(units: f64) -> Self {
-        if !units.is_finite() || units <= 0.0 {
-            return Price::ZERO;
-        }
-        Price((units * MILLIS_PER_UNIT as f64).round() as i64)
     }
 
     /// Returns the price in fractional units.
@@ -167,9 +157,6 @@ mod tests {
     fn price_construction() {
         assert_eq!(Price::from_units(3).as_f64(), 3.0);
         assert_eq!(Price::unit().as_f64(), 1.0);
-        assert_eq!(Price::from_units_f64(2.5).millis(), 2_500);
-        assert_eq!(Price::from_units_f64(-1.0), Price::ZERO);
-        assert_eq!(Price::from_units_f64(f64::NAN), Price::ZERO);
         assert!(Price::ZERO.is_zero());
     }
 
@@ -177,14 +164,14 @@ mod tests {
     fn earning_accumulates_exactly() {
         let mut e = Earning::ZERO;
         for _ in 0..1_000 {
-            e.credit(Price::from_units_f64(0.1));
+            e.credit(Price::from_millis(100));
         }
         assert_eq!(e.as_f64(), 100.0);
     }
 
     #[test]
     fn price_millis_round_trip_and_saturating_sum() {
-        assert_eq!(Price::from_millis(2_500), Price::from_units_f64(2.5));
+        assert_eq!(Price::from_millis(2_500).millis(), 2_500);
         assert_eq!(
             Price::from_units(3).saturating_add(Price::from_units(2)),
             Price::from_units(5)

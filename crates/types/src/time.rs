@@ -226,12 +226,6 @@ impl SimTime {
     pub fn duration_since(self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Returns the remaining duration until `deadline`, or zero if the
-    /// deadline has already passed.
-    pub fn remaining_until(self, deadline: SimTime) -> Duration {
-        deadline.duration_since(self)
-    }
 }
 
 impl Add<Duration> for SimTime {
@@ -306,7 +300,6 @@ mod tests {
         assert_eq!(t1.duration_since(t0), Duration::from_millis(250));
         assert_eq!(t0.duration_since(t1), Duration::ZERO);
         assert_eq!(t1 - t0, Duration::from_millis(250));
-        assert_eq!(t0.remaining_until(t1), Duration::from_millis(250));
     }
 
     #[test]

@@ -87,19 +87,6 @@ impl AttrValue {
         }
     }
 
-    /// Returns the value as a boolean if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Returns true if the value is numeric (`Float` or `Int`).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, AttrValue::Float(_) | AttrValue::Int(_))
-    }
-
     /// Compares two values, returning `None` when the types are not comparable
     /// (e.g. a string against a number) or when a float comparison involves a NaN.
     pub fn partial_cmp_value(&self, other: &AttrValue) -> Option<Ordering> {
@@ -120,16 +107,6 @@ impl AttrValue {
     /// of [`partial_cmp_value`](Self::partial_cmp_value).
     pub fn value_eq(&self, other: &AttrValue) -> bool {
         self.partial_cmp_value(other) == Some(Ordering::Equal)
-    }
-
-    /// A short name for the value's type, used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            AttrValue::Float(_) => "float",
-            AttrValue::Int(_) => "int",
-            AttrValue::Str(_) => "string",
-            AttrValue::Bool(_) => "bool",
-        }
     }
 }
 
@@ -229,9 +206,7 @@ mod tests {
         assert_eq!(AttrValue::Int(7).as_f64(), Some(7.0));
         assert_eq!(AttrValue::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(AttrValue::from("x").as_str(), Some("x"));
-        assert_eq!(AttrValue::from(true).as_bool(), Some(true));
-        assert!(AttrValue::Int(1).is_numeric());
-        assert!(!AttrValue::from("x").is_numeric());
+        assert_eq!(AttrValue::from(true).as_f64(), None);
     }
 
     #[test]
@@ -239,13 +214,5 @@ mod tests {
         assert_eq!(AttrValue::Float(1.5).to_string(), "1.5");
         assert_eq!(AttrValue::from("hi").to_string(), "\"hi\"");
         assert_eq!(AttrName::new("A1").to_string(), "A1");
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(AttrValue::Int(1).type_name(), "int");
-        assert_eq!(AttrValue::Float(1.0).type_name(), "float");
-        assert_eq!(AttrValue::from("s").type_name(), "string");
-        assert_eq!(AttrValue::Bool(false).type_name(), "bool");
     }
 }

@@ -1,9 +1,10 @@
 //! QoS-envelope consistency under live churn, at integration scale.
 //!
-//! Every [`AggregateEntry`] carries a `QosEnvelope` — the min remaining
-//! allowed delay, earning sum/max and member count over its edge group —
-//! maintained incrementally by epoch-indexed prefix folds as members join
-//! and leave. The engine's table audit recomputes each envelope from the
+//! Every edge group in the shared registry keeps one `QosEnvelope` — the
+//! min remaining allowed delay, earning sum and member count over its
+//! members — maintained incrementally by epoch-indexed prefix folds as
+//! members join and leave; aggregate forwarding stamps interior copies from
+//! it. The engine's table audit recomputes each group's envelope from the
 //! raw member records (an independent fold, not the prefix machinery) and
 //! fails on any divergence; the model checker runs that audit after every
 //! event of every interleaving on tiny models. This suite runs the same
@@ -17,7 +18,7 @@ use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
 
 /// Steps `sim` to quiescence, auditing tables (routing, per-broker table
-/// rebuild equality, aggregate envelopes vs member records) every
+/// rebuild equality, group envelopes vs member records) every
 /// `cadence` events and once more at the end. Returns the outcome.
 fn run_audited(mut sim: Simulation, cadence: u64) -> SimulationOutcome {
     let limit = sim.hard_stop();
@@ -71,8 +72,8 @@ fn envelopes_stay_consistent_under_churn() {
 }
 
 /// Chaos layers link failures and bursts on top of churn: retargets
-/// rebuild aggregates (fresh envelopes from current members) while
-/// leaves shrink them in place — the two maintenance paths interleave.
+/// rewrite the routes towards edge groups while leaves shrink the groups'
+/// envelopes in place — the two maintenance paths interleave.
 #[test]
 fn envelopes_stay_consistent_under_chaos() {
     let outcome = run_audited(congested_aggregate("chaos", 20060816), 32);

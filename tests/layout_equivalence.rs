@@ -239,6 +239,48 @@ fn join_of_a_live_id_at_another_edge_is_a_leave_then_the_join_under_every_layout
 }
 
 #[test]
+fn an_edge_group_emptied_then_refilled_is_layout_independent() {
+    let seed = 6;
+    let members = population(seed);
+    // The smallest edge group: every one of its members leaves while queues
+    // are loaded, so interior brokers must drop their route towards the
+    // edge; later they all rejoin, so every interior broker must add it back.
+    let mut groups: std::collections::BTreeMap<BrokerId, Vec<&Subscription>> = Default::default();
+    for (sub, edge) in &members {
+        groups.entry(*edge).or_default().push(sub);
+    }
+    let (edge, group) = groups
+        .iter()
+        .min_by_key(|(_, group)| group.len())
+        .expect("the population has an edge group");
+    let mut emptied = DynamicScenario::named("empty-refill");
+    for (k, sub) in group.iter().enumerate() {
+        let leave = ScenarioAction::SubscriptionLeave {
+            subscription: sub.id,
+        };
+        emptied = emptied.at(Duration::from_secs(60 + k as u64), leave);
+    }
+    let mut refilled = emptied.clone();
+    for (k, sub) in group.iter().enumerate() {
+        let join = ScenarioAction::SubscriptionJoin {
+            subscription: (*sub).clone(),
+            broker: *edge,
+        };
+        refilled = refilled.at(Duration::from_secs(150 + k as u64), join);
+    }
+    let left = agreed_report(&emptied, seed);
+    let back = agreed_report(&refilled, seed);
+    assert!(
+        back.interested > left.interested,
+        "the refilled group must be in scope of later publications again"
+    );
+    assert_eq!(back.duplicate_deliveries, 0);
+    // State by state: after the last leave no broker holds a route towards
+    // the edge, after the first rejoin every broker that reaches it does.
+    run_with_table_audits(builder(&refilled, seed).build(), "empty-refill");
+}
+
+#[test]
 fn sparse_runs_report_aggregate_counters() {
     // The observability half of the layout: aggregates exist, every local
     // delivery is an edge expansion, and the memory estimate shrinks.
