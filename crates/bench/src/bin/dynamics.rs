@@ -14,8 +14,8 @@
 //! fig5-style view of which strategies survive a saturated mesh.
 //!
 //! With `--forwarding exact,aggregate` every strategy × scenario cell is
-//! additionally run under aggregate-scoped forwarding over the sparse
-//! layout, and an **on-time delivery** comparison table reports both
+//! additionally run under aggregate-scoped forwarding, and an **on-time
+//! delivery** comparison table reports both
 //! modes' counts per cell — the QoS-fidelity view of the aggregation
 //! trade-off, now that aggregate entries carry QoS envelopes (interior
 //! copies are ranked and shed by their edge group's deadline/earning
@@ -48,7 +48,7 @@ struct DynamicsOptions {
     rate: f64,
     /// Forwarding modes selected with `--forwarding`. When `aggregate` is
     /// present, every strategy × scenario cell also runs under
-    /// aggregate-scoped forwarding (sparse layout) and the on-time
+    /// aggregate-scoped forwarding and the on-time
     /// comparison section is printed.
     forwardings: Vec<ForwardingMode>,
 }
@@ -145,11 +145,9 @@ fn main() {
                     config,
                 });
                 if aggregate {
-                    // The envelope-aware twin: same cell under
-                    // aggregate-scoped forwarding (which requires the
-                    // sparse layout). Table layouts are delivery-
-                    // equivalent, so its on-time count is directly
-                    // comparable to the exact cell above.
+                    // The envelope-aware twin: the same cell under
+                    // aggregate-scoped forwarding, so its on-time count is
+                    // directly comparable to the exact cell above.
                     let config = Simulation::builder()
                         .ssd(opts.rate)
                         .duration(Duration::from_secs(opts.common.duration_secs))

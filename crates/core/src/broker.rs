@@ -20,10 +20,10 @@ use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::pathstats::PathStats;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{
-    aggregate_scope_dest, read_population, BrokerTable, PopulationHandle, QosEnvelope,
-    ResolvedEntry, TableLayout,
+    aggregate_scope_dest, read_population, PopulationHandle, QosEnvelope, ResolvedEntry,
+    SparseTable,
 };
-use bdps_overlay::subtable::{RetargetOutcome, SubTableEntry};
+use bdps_overlay::subtable::RetargetOutcome;
 use bdps_types::id::{BrokerId, LinkId, SubscriberId, SubscriptionId};
 use bdps_types::message::Message;
 use bdps_types::money::Price;
@@ -89,9 +89,9 @@ pub struct BrokerCounters {
     /// Local deliveries that missed their deadline.
     pub delivered_late: u64,
     /// Local deliveries resolved by expanding a covering aggregate at this
-    /// edge broker — non-zero only under [`TableLayout::Sparse`], where
-    /// interior brokers route on aggregates and only edge brokers expand to
-    /// concrete subscribers.
+    /// edge broker: interior brokers route on aggregates and only edge
+    /// brokers expand to concrete subscribers, so this is every local
+    /// delivery.
     pub expanded_at_edge: u64,
     /// Aggregate-scoped copies that crossed at least one link to this edge
     /// broker and then expanded to **zero** member matches — the traffic a
@@ -111,7 +111,7 @@ pub struct BrokerState {
     pub id: BrokerId,
     /// The broker's counters.
     pub counters: BrokerCounters,
-    table: BrokerTable,
+    table: SparseTable,
     queues: HashMap<BrokerId, OutputQueue>,
     /// Copies held across all output queues, kept in step at every push and
     /// pop so a subscription leave can pass over the brokers — most of them,
@@ -122,12 +122,10 @@ pub struct BrokerState {
 
 impl BrokerState {
     /// Creates a broker with explicit outgoing links
-    /// (`(neighbour, link, mean ms/KB rate)`). The table may use either
-    /// layout ([`SubscriptionTable`](bdps_overlay::subtable::SubscriptionTable)
-    /// and [`SparseTable`](bdps_overlay::sparse::SparseTable) both convert).
+    /// (`(neighbour, link, mean ms/KB rate)`).
     pub fn new(
         id: BrokerId,
-        table: impl Into<BrokerTable>,
+        table: SparseTable,
         outgoing: impl IntoIterator<Item = (BrokerId, LinkId, f64)>,
         config: SchedulerConfig,
     ) -> Self {
@@ -138,7 +136,7 @@ impl BrokerState {
         BrokerState {
             id,
             counters: BrokerCounters::default(),
-            table: table.into(),
+            table,
             queues,
             queued: 0,
             config,
@@ -150,7 +148,7 @@ impl BrokerState {
     pub fn from_overlay(
         graph: &OverlayGraph,
         id: BrokerId,
-        table: impl Into<BrokerTable>,
+        table: SparseTable,
         config: SchedulerConfig,
     ) -> Self {
         let outgoing: Vec<(BrokerId, LinkId, f64)> = graph
@@ -165,8 +163,8 @@ impl BrokerState {
         &self.config
     }
 
-    /// The broker's subscription table (either layout).
-    pub fn table(&self) -> &BrokerTable {
+    /// The broker's subscription table.
+    pub fn table(&self) -> &SparseTable {
         &self.table
     }
 
@@ -191,14 +189,12 @@ impl BrokerState {
         self.queued
     }
 
-    /// Re-points a sparse table at a different shared-registry handle (no-op
-    /// under the dense layout). Used when a simulation is forked for model
-    /// checking: every cloned broker must reference the branch's own
-    /// deep-cloned registry (see [`bdps_overlay::sparse::SparseTable::set_population`]).
+    /// Re-points the table at a different shared-registry handle. Used when
+    /// a simulation is forked for model checking: every cloned broker must
+    /// reference the branch's own deep-cloned registry (see
+    /// [`SparseTable::set_population`]).
     pub fn repoint_population(&mut self, population: &PopulationHandle) {
-        if let Some(t) = self.table.as_sparse_mut() {
-            t.set_population(population);
-        }
+        self.table.set_population(population);
     }
 
     /// Hashes the broker's complete logical state — counters, table content
@@ -281,12 +277,9 @@ impl BrokerState {
         let mut outcome = ArrivalOutcome::default();
         let mut copies = Vec::new();
         // One pass: each resolved row is delivered or appended to its next
-        // hop's copy as the scope is walked. The rows are layout-agnostic
-        // [`ResolvedEntry`]s — dense tables copy their materialised entries,
-        // sparse tables assemble them from the local table, the shared
-        // registry and the per-destination aggregate, in the same order with
-        // the same routed fields — so both layouts feed the scheduling
-        // pipeline identical inputs.
+        // hop's copy as the scope is walked. A row is a [`ResolvedEntry`]
+        // assembled from the local table, or from the shared registry and
+        // the per-destination aggregate.
         let counters = &mut self.counters;
         let mut place = |e: ResolvedEntry| match e.next_hop {
             None => deliver_local(counters, &mut outcome.local, &message, now, &e),
@@ -305,11 +298,8 @@ impl BrokerState {
                 .into_iter()
                 .for_each(&mut place),
         }
-        if self.table.layout() == TableLayout::Sparse {
-            // Under the sparse layout a local delivery is an aggregate
-            // expansion at the edge broker.
-            self.counters.expanded_at_edge += outcome.local.len() as u64;
-        }
+        // A local delivery is an aggregate expansion at the edge broker.
+        self.counters.expanded_at_edge += outcome.local.len() as u64;
         self.enqueue(copies, &mut outcome);
         outcome
     }
@@ -341,11 +331,6 @@ impl BrokerState {
     /// `via_link` is true when the copy arrived over a link (false for the
     /// publisher hand-off) and attributes zero-match expansions to
     /// `false_positive_forwards`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the broker uses the dense layout — aggregate forwarding
-    /// requires the shared registry.
     pub fn handle_arrival_aggregate(
         &mut self,
         message: Arc<Message>,
@@ -356,10 +341,7 @@ impl BrokerState {
     ) -> ArrivalOutcome {
         self.counters.received += 1;
         let mut outcome = ArrivalOutcome::default();
-        let table = self
-            .table
-            .as_sparse()
-            .expect("aggregate forwarding requires the sparse layout");
+        let table = &self.table;
         let mut copies = Vec::new();
         {
             let pop = read_population(table.population());
@@ -472,82 +454,42 @@ impl BrokerState {
         NextSend { message, dropped }
     }
 
-    /// Replaces the broker's subscription table in place, keeping queues and
-    /// counters. The simulator calls this after recomputing routes when a
-    /// link fails or recovers mid-run.
-    pub fn set_table(&mut self, table: impl Into<BrokerTable>) {
-        let table = table.into();
-        debug_assert_eq!(table.broker(), self.id, "table belongs to another broker");
-        self.table = table;
-    }
-
-    /// Adds (or replaces) one dense subscription-table entry mid-run — the
-    /// incremental half of subscription churn under the dense layout.
-    /// Messages already queued are unaffected; messages processed from now
-    /// on match the new entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the broker uses the sparse layout (use
-    /// [`insert_local_subscription`](Self::insert_local_subscription) and
-    /// [`sync_aggregate`](Self::sync_aggregate) there).
-    pub fn insert_subscription(&mut self, entry: SubTableEntry) {
-        self.table
-            .as_dense_mut()
-            .expect("insert_subscription requires the dense layout")
-            .insert(entry);
-    }
-
     /// Adds a locally attached subscription's full entry — the edge-broker
-    /// half of a join under the sparse layout (interior brokers only sync
-    /// their aggregate for the edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the broker uses the dense layout.
+    /// half of a join (interior brokers only sync their aggregate for the
+    /// edge). Messages already queued are unaffected; messages processed
+    /// from now on match the new entry.
     pub fn insert_local_subscription(&mut self, subscription: Subscription) {
-        self.table
-            .as_sparse_mut()
-            .expect("insert_local_subscription requires the sparse layout")
-            .insert_local(subscription);
+        self.table.insert_local(subscription);
     }
 
-    /// Brings the sparse aggregate towards `dest` in line with the current
-    /// routing and whether the destination group is populated, which the
-    /// caller read from the shared registry (see
-    /// [`SparseTable::sync_aggregate_with`](bdps_overlay::sparse::SparseTable::sync_aggregate_with))
-    /// — one aggregate patched for every subscription attached at `dest`.
-    /// Queues and counters are untouched, exactly like a full table swap.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the broker uses the dense layout.
+    /// Brings the aggregate towards `dest` in line with the current routing
+    /// and whether the destination group is populated, which the caller
+    /// read from the shared registry (see
+    /// [`SparseTable::sync_aggregate_with`]) — one aggregate patched for
+    /// every subscription attached at `dest`. Queues and counters are
+    /// untouched.
     pub fn sync_aggregate(
         &mut self,
         routing: &Routing,
         dest: BrokerId,
         populated: bool,
     ) -> RetargetOutcome {
-        self.table
-            .as_sparse_mut()
-            .expect("sync_aggregate requires the sparse layout")
-            .sync_aggregate_with(routing, dest, populated)
+        self.table.sync_aggregate_with(routing, dest, populated)
     }
 
-    /// Removes a subscription mid-run: drops its materialised table row
-    /// (dense entry, or sparse local entry) and strips it from every queued
-    /// copy's target set. Copies left with no target are discarded and
-    /// counted under `dropped_unsubscribed`; the number of such orphaned
-    /// copies is returned. Sparse aggregates are synced separately (they
-    /// need routing).
+    /// Removes a subscription mid-run: drops its local table row and strips
+    /// it from every queued copy's target set. Copies left with no target
+    /// are discarded and counted under `dropped_unsubscribed`; the number of
+    /// such orphaned copies is returned. Aggregates are synced separately
+    /// (they need routing).
     pub fn remove_subscription(&mut self, id: SubscriptionId) -> u64 {
-        self.table.remove(id);
+        self.table.remove_local(id);
         self.strip_queued(id)
     }
 
     /// The queue half of [`remove_subscription`](Self::remove_subscription),
-    /// for brokers known to hold no table row of `id` (under the sparse
-    /// layout, every broker but the subscription's edge).
+    /// for brokers known to hold no table row of `id` (every broker but the
+    /// subscription's edge).
     pub fn strip_queued(&mut self, id: SubscriptionId) -> u64 {
         if self.queued == 0 {
             return 0;
@@ -648,11 +590,12 @@ mod tests {
     use bdps_filter::subscription::Subscription;
     use bdps_net::bandwidth::FixedRate;
     use bdps_net::link::LinkQuality;
-    use bdps_overlay::subtable::SubscriptionTable;
+    use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation};
     use bdps_overlay::topology::Topology;
     use bdps_stats::rng::SimRng;
     use bdps_types::id::{MessageId, PublisherId};
     use bdps_types::qos::{DelayBound, QosClass};
+    use std::sync::RwLock;
 
     fn fixed_quality(_rng: &mut SimRng) -> LinkQuality {
         LinkQuality::new(FixedRate::new(60.0))
@@ -664,6 +607,12 @@ mod tests {
         topo: Topology,
         routing: Routing,
         subs: Vec<(Subscription, BrokerId)>,
+        pop: PopulationHandle,
+    }
+
+    /// The shared registry over `subs`.
+    fn registry(subs: &[(Subscription, BrokerId)]) -> PopulationHandle {
+        Arc::new(RwLock::new(SharedPopulation::from_population(subs)))
     }
 
     fn setup() -> Setup {
@@ -707,13 +656,14 @@ mod tests {
         Setup {
             topo,
             routing,
+            pop: registry(&subs),
             subs,
         }
     }
 
     fn broker(setup: &Setup, id: u32, strategy: StrategyKind) -> BrokerState {
         let id = BrokerId::new(id);
-        let table = SubscriptionTable::build(id, &setup.routing, &setup.subs);
+        let table = SparseTable::build(id, &setup.routing, &setup.pop);
         BrokerState::from_overlay(
             &setup.topo.graph,
             id,
@@ -849,8 +799,8 @@ mod tests {
         // B2, two hops away). A 50 KB message needs ~6 s on average over the
         // two 60 ms/KB hops, so with only 1 s of budget left the success
         // probability is far below epsilon — but the message is not expired.
-        let only_s0 = vec![s.subs[0].clone()];
-        let table = SubscriptionTable::build(BrokerId::new(0), &s.routing, &only_s0);
+        let only_s0 = registry(&s.subs[..1]);
+        let table = SparseTable::build(BrokerId::new(0), &s.routing, &only_s0);
         let mut b0 = BrokerState::from_overlay(
             &s.topo.graph,
             BrokerId::new(0),
@@ -907,27 +857,40 @@ mod tests {
     fn mid_run_subscription_churn_updates_matching_and_queues() {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
+        // A leave as the engine applies it at an interior broker: the
+        // registry forgets the id, the queues lose it, and the route towards
+        // its edge goes once the edge's group is empty.
+        let leave = |b0: &mut BrokerState, id: u32, edge: u32| {
+            let emptied = {
+                let mut pop = s.pop.write().unwrap();
+                pop.remove(SubscriptionId::new(id));
+                pop.group(BrokerId::new(edge)).is_none()
+            };
+            let orphaned = b0.remove_subscription(SubscriptionId::new(id));
+            b0.sync_aggregate(&s.routing, BrokerId::new(edge), !emptied);
+            orphaned
+        };
         // Enqueue a copy serving S0 and S1 (both via B1).
         b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
         assert_eq!(b0.queued_total(), 1);
         // S1 leaves: the queued copy keeps serving S0.
-        b0.remove_subscription(SubscriptionId::new(1));
+        assert_eq!(leave(&mut b0, 1, 1), 0);
         assert_eq!(b0.queued_total(), 1);
         assert_eq!(b0.counters.dropped_unsubscribed, 0);
         // S0 leaves too: the copy is orphaned and discarded.
-        b0.remove_subscription(SubscriptionId::new(0));
+        assert_eq!(leave(&mut b0, 0, 2), 1);
         assert_eq!(b0.queued_total(), 0);
         assert_eq!(b0.counters.dropped_unsubscribed, 1);
         // Only S2 (local) is left in the table: new arrivals deliver locally
         // and enqueue nothing.
+        assert_eq!(b0.table().aggregate_count(), 0);
         let outcome = b0.handle_arrival(msg(2, 1.0, 1.0, 0), SimTime::from_millis(4));
         assert_eq!(outcome.local.len(), 1);
         assert!(outcome.enqueued_to.is_empty());
         // A join re-adds S0 and downstream forwarding resumes.
-        let entry = s.subs[0].clone();
-        let routing = &s.routing;
-        let rebuilt = SubscriptionTable::entry_for(b0.id, routing, &entry.0, entry.1).unwrap();
-        b0.insert_subscription(rebuilt);
+        let (sub, edge) = s.subs[0].clone();
+        s.pop.write().unwrap().insert(sub, edge);
+        b0.sync_aggregate(&s.routing, edge, true);
         let outcome = b0.handle_arrival(msg(3, 1.0, 1.0, 0), SimTime::from_millis(6));
         assert_eq!(outcome.enqueued_to, vec![BrokerId::new(1)]);
     }
@@ -960,11 +923,9 @@ mod tests {
         let b1 = broker(&s, 1, StrategyKind::Fifo);
         assert_eq!(b1.neighbors(), vec![BrokerId::new(0), BrokerId::new(2)]);
         assert_eq!(b1.config().strategy, StrategyKind::Fifo);
-        assert_eq!(b1.table().stored_rows(), 3);
-        assert_eq!(
-            b1.table().layout(),
-            bdps_overlay::sparse::TableLayout::Dense
-        );
+        // S1 is local; S0 and S2 are one aggregate each, towards B2 and B0.
+        assert_eq!(b1.table().local().len(), 1);
+        assert_eq!(b1.table().aggregate_count(), 2);
     }
 
     /// Aggregate-scoped arrivals: edge expansion delivers exactly the
@@ -973,20 +934,9 @@ mod tests {
     /// positives.
     #[test]
     fn aggregate_arrival_expands_at_the_edge_and_counts_false_positives() {
-        use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation, SparseTable};
-        use std::sync::RwLock;
         let s = setup();
-        let pop = Arc::new(RwLock::new(SharedPopulation::from_population(&s.subs)));
-        let publish_epoch = pop.read().unwrap().epoch();
-        let make = |id: u32| {
-            let id = BrokerId::new(id);
-            BrokerState::from_overlay(
-                &s.topo.graph,
-                id,
-                SparseTable::build(id, &s.routing, &pop),
-                SchedulerConfig::paper(StrategyKind::MaxEb),
-            )
-        };
+        let publish_epoch = s.pop.read().unwrap().epoch();
+        let make = |id: u32| broker(&s, id, StrategyKind::MaxEb);
         // Scope: all three edge groups (B0, B1, B2), ascending — sentinels
         // are monotone in the destination.
         let scope = ScopeSet::from_sorted(vec![
@@ -1074,15 +1024,13 @@ mod tests {
         assert_eq!(b1.counters.false_positive_drops_at_edge, 1);
     }
 
-    /// Every producer of queued copies — unscoped and scoped arrivals under
-    /// both layouts, and aggregate sentinels — leaves `targets` strictly
-    /// ascending by id, whatever order the population was registered in:
-    /// the invariant `OutputQueue::remove_subscription` binary-searches on
-    /// (`push` only `debug_assert!`s it).
+    /// Every producer of queued copies — unscoped and scoped arrivals, and
+    /// aggregate sentinels — leaves `targets` strictly ascending by id,
+    /// whatever order the population was registered in: the invariant
+    /// `OutputQueue::remove_subscription` binary-searches on (`push` only
+    /// `debug_assert!`s it).
     #[test]
     fn every_arrival_path_enqueues_strictly_ascending_targets() {
-        use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation, SparseTable};
-        use std::sync::RwLock;
         let s = setup();
         // Six remote subscriptions seen from B0, registered out of id order.
         let subs: Vec<(Subscription, BrokerId)> = [(5, 2), (1, 1), (4, 1), (0, 2), (3, 2), (2, 1)]
@@ -1097,42 +1045,33 @@ mod tests {
             })
             .collect();
         let b0 = BrokerId::new(0);
-        let config = || SchedulerConfig::paper(StrategyKind::MaxEb);
-        let pop = Arc::new(RwLock::new(SharedPopulation::from_population(&subs)));
+        let pop = registry(&subs);
         let epoch = pop.read().unwrap().epoch();
-        let dense = SubscriptionTable::build(b0, &s.routing, &subs);
-        let sparse = SparseTable::build(b0, &s.routing, &pop);
-        let mut brokers = [
-            BrokerState::from_overlay(&s.topo.graph, b0, dense, config()),
-            BrokerState::from_overlay(&s.topo.graph, b0, sparse, config()),
-        ];
+        let table = SparseTable::build(b0, &s.routing, &pop);
+        let config = SchedulerConfig::paper(StrategyKind::MaxEb);
+        let mut broker = BrokerState::from_overlay(&s.topo.graph, b0, table, config);
         let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
         let sentinels = ScopeSet::from_sorted(vec![
             aggregate_scope_id(BrokerId::new(1)),
             aggregate_scope_id(BrokerId::new(2)),
         ]);
         let now = SimTime::from_millis(2);
-        for b in &mut brokers {
-            b.handle_arrival(msg(1, 1.0, 1.0, 0), now);
-            b.handle_arrival_scoped(msg(2, 1.0, 1.0, 0), now, Some(&scope));
+        broker.handle_arrival(msg(1, 1.0, 1.0, 0), now);
+        broker.handle_arrival_scoped(msg(2, 1.0, 1.0, 0), now, Some(&scope));
+        broker.handle_arrival_aggregate(msg(3, 1.0, 1.0, 0), now, &sentinels, epoch, false);
+        let copies = broker.queue(BrokerId::new(1)).unwrap().items();
+        assert_eq!(copies.len(), 3);
+        assert_eq!(broker.queued_total(), 3);
+        for copy in copies {
+            assert!(
+                copy.targets.len() >= 2,
+                "the copy must have an order to check"
+            );
+            assert!(copy
+                .targets
+                .windows(2)
+                .all(|w| w[0].subscription < w[1].subscription));
         }
-        brokers[1].handle_arrival_aggregate(msg(3, 1.0, 1.0, 0), now, &sentinels, epoch, false);
-        for b in &brokers {
-            let copies = b.queue(BrokerId::new(1)).unwrap().items();
-            assert_eq!(copies.len(), b.queued_total());
-            for copy in copies {
-                assert!(
-                    copy.targets.len() >= 2,
-                    "the copy must have an order to check"
-                );
-                assert!(copy
-                    .targets
-                    .windows(2)
-                    .all(|w| w[0].subscription < w[1].subscription));
-            }
-        }
-        assert_eq!(brokers[0].queued_total(), 2);
-        assert_eq!(brokers[1].queued_total(), 3);
     }
 
     /// The cost of an arrival, certified as a count instead of timed: in the
@@ -1142,9 +1081,7 @@ mod tests {
     /// aggregate-mode copy holds exactly one per pseudo-target.
     #[test]
     fn an_arrival_opens_classes_per_edge_and_bound_not_per_target() {
-        use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation, SparseTable};
         use std::collections::BTreeMap;
-        use std::sync::RwLock;
         const PER_EDGE: u32 = 256;
         let mut rng = SimRng::seed_from(21);
         let topo = Topology::acyclic_tree(4, 2, 0, &mut rng, LinkQuality::paper_random);
@@ -1169,7 +1106,7 @@ mod tests {
             })
             .collect();
         assert!(subs.len() >= 2_000 && edges.len() >= 8);
-        let pop = Arc::new(RwLock::new(SharedPopulation::from_population(&subs)));
+        let pop = registry(&subs);
         let epoch = pop.read().unwrap().epoch();
         let table = SparseTable::build(root, &routing, &pop);
         let mut edges_via: BTreeMap<BrokerId, usize> = BTreeMap::new();
@@ -1225,71 +1162,5 @@ mod tests {
             pseudo_targets += copy.targets.len();
         }
         assert_eq!(pseudo_targets, edges.len());
-    }
-
-    /// A sparse broker processes the same arrivals into the same deliveries
-    /// and queue contents as its dense twin — the broker-level seed of the
-    /// engine-wide layout differential oracle.
-    #[test]
-    fn sparse_broker_matches_dense_broker_on_arrivals() {
-        use bdps_overlay::sparse::{SharedPopulation, SparseTable};
-        use std::sync::{Arc, RwLock};
-        let s = setup();
-        let make_dense = |id: u32| broker(&s, id, StrategyKind::MaxEb);
-        let pop = Arc::new(RwLock::new(SharedPopulation::from_population(&s.subs)));
-        let make_sparse = |id: u32| {
-            let id = BrokerId::new(id);
-            BrokerState::from_overlay(
-                &s.topo.graph,
-                id,
-                SparseTable::build(id, &s.routing, &pop),
-                SchedulerConfig::paper(StrategyKind::MaxEb),
-            )
-        };
-        for id in 0..3u32 {
-            let mut dense = make_dense(id);
-            let mut sparse = make_sparse(id);
-            for (i, (scoped, a1)) in [(false, 1.0), (true, 1.0), (true, 7.0)].iter().enumerate() {
-                let m = msg(i as u64, *a1, *a1, 0);
-                let scope = ScopeSet::from_unsorted(
-                    s.subs
-                        .iter()
-                        .filter(|(sub, _)| sub.filter.matches(&m.head))
-                        .map(|(sub, _)| sub.id)
-                        .collect::<Vec<_>>(),
-                );
-                let now = SimTime::from_millis(2 + i as u64);
-                let (a, b) = if *scoped {
-                    (
-                        dense.handle_arrival_scoped(Arc::clone(&m), now, Some(&scope)),
-                        sparse.handle_arrival_scoped(m, now, Some(&scope)),
-                    )
-                } else {
-                    (
-                        dense.handle_arrival(Arc::clone(&m), now),
-                        sparse.handle_arrival(m, now),
-                    )
-                };
-                assert_eq!(a.local, b.local, "broker {id} arrival {i}");
-                assert_eq!(a.enqueued_to, b.enqueued_to, "broker {id} arrival {i}");
-            }
-            assert_eq!(dense.queued_total(), sparse.queued_total(), "broker {id}");
-            for nb in dense.neighbors() {
-                let dq = dense.queue(nb).unwrap();
-                let sq = sparse.queue(nb).unwrap();
-                assert_eq!(dq.items().len(), sq.items().len());
-                for (di, si) in dq.items().iter().zip(sq.items().iter()) {
-                    assert_eq!(di.targets, si.targets, "broker {id} queue to {nb}");
-                    assert_eq!(di.classes, si.classes, "broker {id} queue to {nb}");
-                }
-            }
-            // Edge expansions are counted only on the sparse side, and only
-            // for locally delivered copies.
-            assert_eq!(
-                sparse.counters.expanded_at_edge,
-                sparse.counters.delivered_on_time + sparse.counters.delivered_late
-            );
-            assert_eq!(dense.counters.expanded_at_edge, 0);
-        }
     }
 }

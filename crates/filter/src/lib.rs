@@ -10,7 +10,7 @@
 //!   covering / overlap relations used when aggregating subscriptions;
 //! * [`cover`] — incremental covering-set maintenance ([`CoverForest`]):
 //!   the maximal filters under the covering relation, the aggregate interior
-//!   brokers route on when subscription tables use the sparse layout;
+//!   brokers route on;
 //! * [`parser`] — a small recursive-descent parser for the textual filter
 //!   syntax (`"A1 < 5 && A2 < 2"`), so examples and tests can write filters
 //!   the way the paper writes them;

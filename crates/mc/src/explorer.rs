@@ -1,7 +1,7 @@
 //! The bounded exhaustive DFS explorer and the counterexample replayer.
 //!
 //! [`explore`] walks **every** ordering of same-instant pending events of a
-//! [`McModel`] under one [`CheckCell`], checking the protocol invariants
+//! [`McModel`] under one cell (a [`ForwardingMode`]), checking the protocol invariants
 //! after every applied event and at every quiescent terminal. Branches that
 //! converge onto an already-visited full-state digest are pruned, so
 //! commuting event pairs cost one exploration instead of two.
@@ -21,10 +21,12 @@
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
-use bdps_sim::engine::{ConservationViolation, DuplicateDeliveryViolation, EventKind, Simulation};
+use bdps_sim::engine::{
+    ConservationViolation, DuplicateDeliveryViolation, EventKind, ForwardingMode, Simulation,
+};
 use bdps_sim::sched::Scheduled;
 
-use crate::model::{CheckCell, McModel};
+use crate::model::McModel;
 use crate::trace::{ChoiceRecord, Counterexample};
 
 /// Exploration budgets. Tiny models finish far inside the defaults; hitting
@@ -141,7 +143,7 @@ impl fmt::Display for InvariantViolation {
 #[derive(Debug, Clone)]
 pub struct Exploration {
     /// The cell explored.
-    pub cell: CheckCell,
+    pub cell: ForwardingMode,
     /// Search accounting.
     pub stats: ExploreStats,
     /// The first violation found, minimised and replayable; `None` when
@@ -166,7 +168,7 @@ struct Ctx<'a> {
 
 /// Exhaustively explores every same-instant interleaving of `model` under
 /// `cell`, checking every invariant after every event.
-pub fn explore(model: &McModel, cell: CheckCell, budget: &ExploreBudget) -> Exploration {
+pub fn explore(model: &McModel, cell: ForwardingMode, budget: &ExploreBudget) -> Exploration {
     let mut ctx = Ctx {
         budget,
         stats: ExploreStats::default(),
@@ -312,7 +314,7 @@ fn check_terminal(sim: &Simulation, require_quiescence: bool) -> Result<(), Inva
 /// `None` when the path upholds every invariant.
 pub fn replay(
     model: &McModel,
-    cell: CheckCell,
+    cell: ForwardingMode,
     choices: &[ChoiceRecord],
 ) -> Option<InvariantViolation> {
     let mut sim = model.build(cell);
@@ -347,7 +349,7 @@ pub fn replay(
 
 fn build_counterexample(
     model: &McModel,
-    cell: CheckCell,
+    cell: ForwardingMode,
     violation: InvariantViolation,
     mut choices: Vec<ChoiceRecord>,
 ) -> Counterexample {
@@ -359,7 +361,7 @@ fn build_counterexample(
     Counterexample {
         model: model.name.clone(),
         seed: model.seed,
-        cell: cell.name(),
+        cell: cell.name().to_string(),
         kind: violation.kind().to_string(),
         violation: violation.to_string(),
         choices,
@@ -373,7 +375,7 @@ fn build_counterexample(
 /// records anyway).
 fn minimize(
     model: &McModel,
-    cell: CheckCell,
+    cell: ForwardingMode,
     violation: &InvariantViolation,
     mut choices: Vec<ChoiceRecord>,
 ) -> Vec<ChoiceRecord> {
@@ -414,8 +416,7 @@ mod tests {
     #[test]
     fn symmetric_publishers_branch_and_uphold_every_invariant() {
         let model = two_publisher_line();
-        let cell = CheckCell::all()[0];
-        let exploration = explore(&model, cell, &ExploreBudget::default());
+        let exploration = explore(&model, ForwardingMode::Exact, &ExploreBudget::default());
         assert!(
             exploration.ok(),
             "unexpected violation: {:?}",
@@ -436,15 +437,15 @@ mod tests {
     #[test]
     fn default_replay_of_a_clean_model_reports_no_violation() {
         let model = two_publisher_line();
-        for cell in CheckCell::all() {
-            assert!(replay(&model, cell, &[]).is_none(), "{}", cell.name());
+        for cell in ForwardingMode::ALL {
+            assert!(replay(&model, cell, &[]).is_none(), "{cell}");
         }
     }
 
     #[test]
     fn budget_exhaustion_is_reported_not_silently_truncated() {
         let model = two_publisher_line();
-        let cell = CheckCell::all()[0];
+        let cell = ForwardingMode::Exact;
         let tiny = ExploreBudget {
             max_depth: 4_096,
             max_states: 3,

@@ -27,11 +27,10 @@
 //! a full-state digest that includes broker tables, queues, link state, the
 //! RNG stream position and the delivery audit trail.
 //!
-//! The same model is explored under every engine configuration
-//! ([`CheckCell::all`]: the dense full-rebuild reference, the sparse
-//! incremental production engine, and the latter under aggregate
-//! forwarding), so what the integration suites sample by seed is
-//! exhaustively cross-checked at small scale.
+//! The same model is explored under both cells — exact and aggregate
+//! forwarding ([`ForwardingMode::ALL`](bdps_sim::engine::ForwardingMode::ALL))
+//! — so what the integration suites sample by seed is exhaustively
+//! cross-checked at small scale.
 //!
 //! On a violation the explorer emits a [`Counterexample`]: the exact branch
 //! choices taken (greedily minimised back towards the default order), the
@@ -47,5 +46,5 @@ pub mod model;
 pub mod trace;
 
 pub use explorer::{explore, replay, Exploration, ExploreBudget, ExploreStats, InvariantViolation};
-pub use model::{CheckCell, McModel, ModelTopology};
+pub use model::{McModel, ModelTopology};
 pub use trace::{ChoiceRecord, Counterexample};

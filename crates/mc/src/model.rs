@@ -1,5 +1,5 @@
-//! Tiny checkable models and the {layout × forwarding} cells they are
-//! explored under.
+//! Tiny checkable models and the cells they are explored under — one per
+//! [`ForwardingMode`].
 //!
 //! A [`McModel`] is a complete, deterministic description of a miniature
 //! BDPS deployment: a line or star of at most [`MAX_BROKERS`] brokers with
@@ -10,19 +10,17 @@
 //! simultaneous events within the configured budgets.
 //!
 //! [`McModel::build`] materialises the model into a [`Simulation`] for one
-//! [`CheckCell`] — the reference engine, the production engine, or the
-//! production engine under aggregate forwarding — through the same
+//! cell — exact or aggregate forwarding — through the same
 //! `SimulationBuilder` every other run uses (`try_build_on` over the
 //! hand-made line or star, `drain_grace` set on the builder because a
-//! `SimulationConfig` does not carry it). Exploring every cell of
-//! [`CheckCell::all`] exhaustively cross-checks the configurations the
+//! `SimulationConfig` does not carry it). Exploring both cells of
+//! [`ForwardingMode::ALL`] exhaustively cross-checks the configurations the
 //! integration-level differential oracles only sample.
 
 use bdps_core::config::{SchedulerConfig, StrategyKind};
 use bdps_net::bandwidth::FixedRate;
 use bdps_net::link::LinkQuality;
 use bdps_net::linkmodel::LinkModelKind;
-use bdps_overlay::sparse::TableLayout;
 use bdps_overlay::topology::Topology;
 use bdps_sim::engine::{ForwardingMode, Simulation};
 use bdps_sim::scenario::{DynamicScenario, ScenarioAction};
@@ -58,62 +56,6 @@ impl ModelTopology {
         match self {
             ModelTopology::Line(n) | ModelTopology::Star(n) => n,
         }
-    }
-}
-
-/// One engine configuration a model is checked under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CheckCell {
-    /// The subscription-table layout, which selects the engine: dense is
-    /// the full-rebuild reference, sparse the incremental production path.
-    pub layout: TableLayout,
-    /// How publish-time matching scopes copies. Aggregate forwarding only
-    /// pairs with the sparse layout (the dense combination is rejected by
-    /// the engine), so [`all`](Self::all) has no aggregate × dense cell.
-    pub forwarding: ForwardingMode,
-}
-
-impl CheckCell {
-    /// Every cell, reference first: `dense`, `sparse`, `sparse/aggregate`.
-    pub fn all() -> Vec<CheckCell> {
-        let cell = |layout, forwarding| CheckCell { layout, forwarding };
-        vec![
-            cell(TableLayout::Dense, ForwardingMode::Exact),
-            cell(TableLayout::Sparse, ForwardingMode::Exact),
-            cell(TableLayout::Sparse, ForwardingMode::Aggregate),
-        ]
-    }
-
-    /// Stable cell name: the layout's, with an `"/aggregate"` part under
-    /// aggregate forwarding.
-    pub fn name(&self) -> String {
-        match self.forwarding {
-            ForwardingMode::Exact => self.layout.name().to_string(),
-            ForwardingMode::Aggregate => {
-                format!("{}/{}", self.layout.name(), self.forwarding.name())
-            }
-        }
-    }
-
-    /// Parses a [`name`](Self::name)-formatted cell (the forwarding part is
-    /// optional and defaults to exact).
-    pub fn from_name(name: &str) -> Option<CheckCell> {
-        let mut parts = name.split('/');
-        let layout = TableLayout::from_name(parts.next()?)?;
-        let forwarding = match parts.next() {
-            Some(part) => ForwardingMode::from_name(part)?,
-            None => ForwardingMode::Exact,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(CheckCell { layout, forwarding })
-    }
-}
-
-impl std::fmt::Display for CheckCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name())
     }
 }
 
@@ -245,10 +187,9 @@ impl McModel {
     /// # Panics
     ///
     /// Panics when [`validate`](Self::validate) fails or the engine rejects
-    /// the configuration (an aggregate × dense cell, a scenario event naming
-    /// a link the shape does not have) — model bounds are authoring errors,
-    /// not runtime conditions.
-    pub fn build(&self, cell: CheckCell) -> Simulation {
+    /// the configuration (a scenario event naming a link the shape does not
+    /// have) — model bounds are authoring errors, not runtime conditions.
+    pub fn build(&self, cell: ForwardingMode) -> Simulation {
         self.validate().expect("invalid mc model");
         let rate = self.link_rate_ms_per_kb;
         let mut topo_rng = SimRng::seed_from(self.seed);
@@ -289,9 +230,8 @@ impl McModel {
             .workload(workload)
             .scheduler(SchedulerConfig::paper(self.strategy))
             .scenario(scenario)
-            .table_layout(cell.layout)
             .link_model(self.link_model)
-            .forwarding(cell.forwarding)
+            .forwarding(cell)
             .drain_grace(self.drain_grace)
             .try_build_on(topo, SimRng::seed_from(self.seed))
             .unwrap_or_else(|e| panic!("invalid mc model: {e}"));
@@ -312,19 +252,6 @@ mod tests {
         m.publishers = vec![0, 2];
         m.subscribers = vec![0, 1, 1, 2];
         m
-    }
-
-    #[test]
-    fn the_three_cells_are_named_and_round_trip() {
-        let cells = CheckCell::all();
-        let names: Vec<String> = cells.iter().map(|c| c.name()).collect();
-        assert_eq!(names, ["dense", "sparse", "sparse/aggregate"]);
-        for cell in &cells {
-            assert_eq!(CheckCell::from_name(&cell.name()), Some(*cell));
-        }
-        assert!(CheckCell::from_name("bogus").is_none());
-        assert!(CheckCell::from_name("sparse/bogus").is_none());
-        assert!(CheckCell::from_name("sparse/aggregate/extra").is_none());
     }
 
     #[test]
@@ -353,7 +280,7 @@ mod tests {
     #[test]
     fn built_model_publishes_exactly_the_declared_events() {
         let m = tiny();
-        for cell in CheckCell::all() {
+        for cell in ForwardingMode::ALL {
             let out = m.build(cell).run();
             assert_eq!(
                 out.published,

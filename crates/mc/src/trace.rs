@@ -1,9 +1,9 @@
 //! Replayable counterexample traces.
 //!
 //! A [`Counterexample`] pins everything needed to re-drive the engine down
-//! the violating path: the model name and seed, the [`CheckCell`](crate::CheckCell)
-//! name, the violated invariant, and the
-//! ordered branch [`ChoiceRecord`]s. Traces serialise to a single JSON
+//! the violating path: the model name and seed, the cell's
+//! [`ForwardingMode`](bdps_sim::engine::ForwardingMode) name, the violated
+//! invariant, and the ordered branch [`ChoiceRecord`]s. Traces serialise to a single JSON
 //! object so CI can upload them as artifacts; the writer and its minimal
 //! parser are hand-written here (the workspace has no external packages),
 //! and this is the repository's only wire format.
@@ -30,7 +30,7 @@ pub struct Counterexample {
     pub model: String,
     /// The model seed (filters and message contents derive from it).
     pub seed: u64,
-    /// The cell name, parseable with `CheckCell::from_name`.
+    /// The cell name, parseable with `ForwardingMode::from_name`.
     pub cell: String,
     /// Machine-readable violation discriminant (`InvariantViolation::kind`).
     pub kind: String,
@@ -370,7 +370,7 @@ mod tests {
         Counterexample {
             model: "nested-flap".into(),
             seed: 7,
-            cell: "sparse".into(),
+            cell: "exact".into(),
             kind: "conservation".into(),
             violation: "transfer balance broke: \"in flight\" copy vanished".into(),
             choices: vec![

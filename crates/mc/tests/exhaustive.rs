@@ -1,11 +1,11 @@
 //! The acceptance model of the `bdps-mc` subsystem: a 3-broker line with
 //! two symmetric publishers (same deterministic gap, so every publication
 //! instant is a genuine same-instant collision), four subscriptions and
-//! eight publications, exhaustively explored under **every** cell: the
-//! reference engine, the production engine, and the production engine
-//! under aggregate forwarding.
+//! eight publications, exhaustively explored under **every** cell: exact
+//! and aggregate forwarding.
 
-use bdps_mc::{explore, CheckCell, ExploreBudget, McModel, ModelTopology};
+use bdps_mc::{explore, ExploreBudget, McModel, ModelTopology};
+use bdps_sim::engine::ForwardingMode;
 
 fn acceptance_model() -> McModel {
     let mut model = McModel::named("acceptance-line3", ModelTopology::Line(3));
@@ -24,9 +24,7 @@ fn every_cell_upholds_every_invariant_in_every_interleaving() {
     model.validate().expect("acceptance model is in bounds");
     let budget = ExploreBudget::default();
 
-    let cells = CheckCell::all();
-    assert_eq!(cells.len(), 3, "dense, sparse, sparse/aggregate");
-    for cell in cells {
+    for cell in ForwardingMode::ALL {
         let exploration = explore(&model, cell, &budget);
         if let Some(cex) = &exploration.counterexample {
             panic!(

@@ -8,8 +8,8 @@
 
 #![cfg(feature = "fault-injection")]
 
-use bdps_mc::{explore, replay, CheckCell, Counterexample, ExploreBudget, McModel, ModelTopology};
-use bdps_sim::engine::{InjectedFault, SimulationOutcome};
+use bdps_mc::{explore, replay, Counterexample, ExploreBudget, McModel, ModelTopology};
+use bdps_sim::engine::{ForwardingMode, InjectedFault, SimulationOutcome};
 use bdps_sim::run_sharded;
 use bdps_sim::scenario::ScenarioAction;
 use bdps_types::id::LinkId;
@@ -55,8 +55,7 @@ fn flap_model() -> McModel {
 /// to the same violation.
 fn assert_caught_and_replayable(mut model: McModel, fault: InjectedFault, expect_kind: &str) {
     model.fault = Some(fault);
-    let cell = CheckCell::all()[0];
-    let exploration = explore(&model, cell, &ExploreBudget::default());
+    let exploration = explore(&model, ForwardingMode::Exact, &ExploreBudget::default());
     let cex = exploration
         .counterexample
         .unwrap_or_else(|| panic!("{fault:?} must be caught by the explorer"));
@@ -68,7 +67,7 @@ fn assert_caught_and_replayable(mut model: McModel, fault: InjectedFault, expect
         Counterexample::from_json(&cex.to_json()).expect("emitted counterexample must parse back");
     assert_eq!(parsed, cex, "JSON round trip must be lossless");
 
-    let replay_cell = CheckCell::from_name(&parsed.cell).expect("cell name must parse");
+    let replay_cell = ForwardingMode::from_name(&parsed.cell).expect("cell name must parse");
     let violation = replay(&model, replay_cell, &parsed.choices)
         .expect("replaying the trace must reproduce the violation");
     assert_eq!(violation.kind(), expect_kind);
@@ -97,7 +96,7 @@ fn unfaulted_twins_of_the_fault_models_are_clean() {
     // Guard against the faults "passing" only because the base models are
     // broken: with no fault armed both models must explore clean.
     for model in [delivery_model(), flap_model()] {
-        for cell in CheckCell::all() {
+        for cell in ForwardingMode::ALL {
             let exploration = explore(&model, cell, &ExploreBudget::default());
             assert!(
                 exploration.ok(),
@@ -142,7 +141,7 @@ fn sharded_flap_model() -> McModel {
 /// `run_sharded` as it does in the sequential loop.
 #[test]
 fn injected_faults_cross_the_shard_boundary() {
-    let cell = CheckCell::all()[0];
+    let cell = ForwardingMode::Exact;
     let sharded = |fault: Option<InjectedFault>| -> SimulationOutcome {
         let mut model = sharded_flap_model();
         model.fault = fault;

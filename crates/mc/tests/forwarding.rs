@@ -14,8 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use bdps_mc::{explore, CheckCell, ExploreBudget, McModel, ModelTopology};
-use bdps_overlay::sparse::TableLayout;
+use bdps_mc::{explore, ExploreBudget, McModel, ModelTopology};
 use bdps_sim::engine::ForwardingMode;
 use bdps_sim::scenario::ScenarioAction;
 use bdps_types::id::SubscriptionId;
@@ -85,17 +84,13 @@ fn leave_before_expansion_model() -> McModel {
     model
 }
 
-/// Explores `model` on the production engine under both forwarding modes
+/// Explores `model` under both forwarding modes
 /// and asserts that aggregate forwarding reaches exactly the same set of
 /// terminal delivery sets as exact forwarding.
 fn assert_delivery_sets_match(model: &McModel) {
     model.validate().expect("model is in bounds");
     let budget = ExploreBudget::default();
-    let delivery_sets = |forwarding: ForwardingMode| -> DeliverySets {
-        let cell = CheckCell {
-            layout: TableLayout::Sparse,
-            forwarding,
-        };
+    let delivery_sets = |cell: ForwardingMode| -> DeliverySets {
         let exploration = explore(model, cell, &budget);
         if let Some(cex) = &exploration.counterexample {
             panic!(

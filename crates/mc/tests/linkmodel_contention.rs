@@ -7,8 +7,9 @@
 //! ordering of the same-instant events under every cell and checks the
 //! engine's invariants in each.
 
-use bdps_mc::{explore, CheckCell, ExploreBudget, McModel, ModelTopology};
+use bdps_mc::{explore, ExploreBudget, McModel, ModelTopology};
 use bdps_net::linkmodel::LinkModelKind;
+use bdps_sim::engine::ForwardingMode;
 
 /// Two same-broker publishers, one two-broker line: every publication
 /// instant puts two copies in front of the same link.
@@ -31,7 +32,7 @@ fn fair_share_contention_upholds_every_invariant_in_every_interleaving() {
     model.validate().expect("contention model is in bounds");
     let budget = ExploreBudget::default();
 
-    for cell in CheckCell::all() {
+    for cell in ForwardingMode::ALL {
         let exploration = explore(&model, cell, &budget);
         if let Some(cex) = &exploration.counterexample {
             panic!(
@@ -57,7 +58,7 @@ fn fair_share_actually_contends_and_constant_delay_serialises() {
     // difference between the models: fair-share admits both same-instant
     // copies as concurrent flows, the exclusive oracle never has more than
     // one in flight.
-    let cell = CheckCell::all()[0];
+    let cell = ForwardingMode::Exact;
     let fair = contention_model(LinkModelKind::FairShare).build(cell).run();
     let peak_fair = fair.link_loads.iter().map(|l| l.peak_flows).max().unwrap();
     assert!(

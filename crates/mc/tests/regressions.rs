@@ -16,7 +16,8 @@
 //!   first-hop link inside a 1-second transfer; conservation must hold
 //!   after every event in every interleaving.
 
-use bdps_mc::{explore, CheckCell, ExploreBudget, McModel, ModelTopology};
+use bdps_mc::{explore, ExploreBudget, McModel, ModelTopology};
+use bdps_sim::engine::ForwardingMode;
 use bdps_sim::scenario::ScenarioAction;
 use bdps_types::id::LinkId;
 use bdps_types::time::Duration;
@@ -44,7 +45,7 @@ fn calendar_rewidth_on_sparse_pops_upholds_every_invariant() {
     let model = calendar_rewidth_model();
     model.validate().expect("model is in bounds");
     let budget = ExploreBudget::default();
-    for cell in CheckCell::all() {
+    for cell in ForwardingMode::ALL {
         let exploration = explore(&model, cell, &budget);
         assert!(
             exploration.ok(),
@@ -103,7 +104,7 @@ fn nested_flap_contained_in_a_transfer_conserves_every_copy() {
     // The regression only bites if the flap actually voids a transfer: the
     // default-order run must exercise the requeue path, otherwise the model
     // has drifted away from the bug it encodes.
-    let probe = model.build(CheckCell::all()[0]).run();
+    let probe = model.build(ForwardingMode::Exact).run();
     assert!(probe.transmissions > 0, "model must put copies on the wire");
     assert!(
         probe.requeued() > 0,
@@ -111,7 +112,7 @@ fn nested_flap_contained_in_a_transfer_conserves_every_copy() {
     );
 
     let budget = ExploreBudget::default();
-    for cell in CheckCell::all() {
+    for cell in ForwardingMode::ALL {
         let exploration = explore(&model, cell, &budget);
         assert!(
             exploration.ok(),

@@ -19,7 +19,7 @@
 //! kills exactly that cut link mid-transfer, so the voided-transfer requeue
 //! and the scenario barrier both happen at the boundary.
 
-use bdps_mc::{explore, CheckCell, ExploreBudget, McModel, ModelTopology};
+use bdps_mc::{explore, ExploreBudget, McModel, ModelTopology};
 use bdps_sim::engine::{ForwardingMode, SimulationOutcome};
 use bdps_sim::run_sharded;
 use bdps_sim::scenario::ScenarioAction;
@@ -99,7 +99,7 @@ fn fingerprint(out: &SimulationOutcome) -> Fingerprint {
 fn check_boundary_model(model: &McModel) {
     model.validate().expect("model is in bounds");
     let budget = ExploreBudget::default();
-    for cell in CheckCell::all() {
+    for cell in ForwardingMode::ALL {
         let exploration = explore(model, cell, &budget);
         assert!(
             exploration.ok(),
@@ -110,7 +110,7 @@ fn check_boundary_model(model: &McModel) {
         );
 
         let oracle = fingerprint(&model.build(cell).run());
-        if cell.forwarding == ForwardingMode::Aggregate {
+        if cell == ForwardingMode::Aggregate {
             // The sharded executor rejects aggregate forwarding (edge
             // expansion would race cross-shard churn); those cells are
             // covered by the exhaustive pass above only.
@@ -182,7 +182,7 @@ fn boundary_flap_voids_transfers_without_drifting_from_the_oracle() {
     // The model only earns its keep if the flap actually voids a copy on
     // the cut link — otherwise it has drifted away from the boundary
     // behaviour it is meant to pin.
-    let probe = model.build(CheckCell::all()[0]).run();
+    let probe = model.build(ForwardingMode::Exact).run();
     assert!(
         probe.requeued() > 0,
         "the flap must void and requeue at least one boundary transfer"

@@ -13,8 +13,8 @@
 //!
 //! * [`ConstantDelay`] — the original behaviour, bit-for-bit: one sampled
 //!   rate per transfer, one transfer in flight per link. Retained as the
-//!   differential oracle (same pattern as `TableLayout::Dense`;
-//!   `tests/linkmodel_equivalence.rs` pins report equality).
+//!   differential oracle (`tests/linkmodel_equivalence.rs` pins report
+//!   equality).
 //! * [`FairShare`] — flow-level bandwidth sharing, the standard network
 //!   model of flow-level network/cloud simulators: up to
 //!   [`FairShare::max_flows`] transfers progress concurrently on a link,

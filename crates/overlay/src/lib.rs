@@ -12,13 +12,14 @@
 //! * [`pathstats`] — per-path `(NN_p, μ_p, σ_p²)` statistics (§4.2);
 //! * [`routing`] — destination-rooted Dijkstra over mean link rates, giving
 //!   every broker a consistent next hop and path statistics per destination;
-//! * [`subtable`] — construction of each broker's subscription table
-//!   `{(subscriber, filter, dl, pr, nb, NN_p, μ_p, σ_p²)}`;
-//! * [`sparse`] — the sparse covering-aggregated table layout
-//!   ([`TableLayout`], [`SparseTable`], the shared [`SharedPopulation`]
-//!   registry and the layout-agnostic [`BrokerTable`]): per-broker state
-//!   sublinear in the global population, pinned bit-identical to the dense
-//!   oracle.
+//! * [`subtable`] — the full subscription table
+//!   `{(subscriber, filter, dl, pr, nb, NN_p, μ_p, σ_p²)}`: each broker's
+//!   local (edge-expansion) entries, and built over the whole population
+//!   the table-level oracle sparse resolution is checked against;
+//! * [`sparse`] — the table every broker holds ([`SparseTable`] over the
+//!   shared [`SharedPopulation`] registry): full entries for local
+//!   subscribers, one route per remote destination edge, so per-broker
+//!   state is sublinear in the global population.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +35,7 @@ pub use graph::{BrokerNode, OverlayGraph};
 pub use pathstats::PathStats;
 pub use routing::{RouteDelta, RouteEntry, Routing};
 pub use sparse::{
-    AggregateEntry, BrokerTable, PopulationHandle, QosEnvelope, ResolvedEntry, SharedPopulation,
-    SparseTable, TableLayout,
+    AggregateEntry, PopulationHandle, QosEnvelope, ResolvedEntry, SharedPopulation, SparseTable,
 };
 pub use subtable::{RetargetOutcome, SubTableEntry, SubscriptionTable};
 pub use topology::{LayeredMeshConfig, Topology};
@@ -46,8 +46,7 @@ pub mod prelude {
     pub use crate::pathstats::PathStats;
     pub use crate::routing::{RouteDelta, RouteEntry, Routing};
     pub use crate::sparse::{
-        BrokerTable, PopulationHandle, QosEnvelope, ResolvedEntry, SharedPopulation, SparseTable,
-        TableLayout,
+        PopulationHandle, QosEnvelope, ResolvedEntry, SharedPopulation, SparseTable,
     };
     pub use crate::subtable::{RetargetOutcome, SubTableEntry, SubscriptionTable};
     pub use crate::topology::{LayeredMeshConfig, Topology};

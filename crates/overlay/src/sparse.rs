@@ -1,18 +1,16 @@
 //! Sparse covering-aggregated subscription tables.
 //!
-//! The dense layout ([`SubscriptionTable`]) replicates one entry per
-//! subscription on **every** broker — `O(brokers × subscriptions)` memory,
-//! ~12 GB at 10⁵ subscribers on the grown mesh. The paper's §4.2 tables only
-//! need, per broker, enough to pick the next hop and the remaining-path
-//! statistics for each matching message, and those routed fields depend on
-//! the *destination edge broker*, not on the individual subscription: every
-//! subscription attached at the same edge shares one `(next hop, link, path
-//! stats)` triple.
-//!
-//! The sparse layout exploits exactly that:
+//! The paper's §4.2 tables only need, per broker, enough to pick the next
+//! hop and the remaining-path statistics for each matching message, and
+//! those routed fields depend on the *destination edge broker*, not on the
+//! individual subscription: every subscription attached at the same edge
+//! shares one `(next hop, link, path stats)` triple. Replicating one full
+//! entry per subscription on every broker would cost
+//! `O(brokers × subscriptions)` memory (~12 GB at 10⁵ subscribers on the
+//! grown mesh); a [`SparseTable`] stores exactly the shared part:
 //!
 //! * each broker keeps **full entries only for locally attached
-//!   subscribers** (the edge expansion set);
+//!   subscribers** (the edge expansion set, a [`SubscriptionTable`]);
 //! * per remote destination it keeps one **aggregate entry** — the route
 //!   towards that edge broker, and nothing else;
 //! * the subscription metadata itself (filter, subscriber, QoS) lives once,
@@ -21,14 +19,13 @@
 //!   [`CoverForest`] (the covering set interior brokers route on for raw,
 //!   unscoped messages) and its [`QosEnvelope`].
 //!
-//! Per-broker state therefore drops from `O(subscriptions)` to
-//! `O(local + brokers)`, and the registry is counted once instead of once
-//! per broker. Both layouts produce **bit-identical** simulation results —
-//! the dense layout survives as the reference engine
-//! (`tests/layout_equivalence.rs`); the sparse resolution path reads the
-//! same routed fields the dense table materialises, because the engine
-//! keeps aggregates in lock-step with routing exactly where the reference
-//! rebuilds its dense entries.
+//! Per-broker state is therefore `O(local + brokers)`, and the registry is
+//! counted once instead of once per broker. A from-scratch
+//! [`SubscriptionTable::build`] over the whole population stays the
+//! table-level oracle: resolving a scope through a sparse table must yield
+//! exactly the rows that replicated table would hold (this module's tests
+//! and `tests/properties.rs`), and the engine's table audit holds every
+//! incrementally maintained table to a from-scratch [`SparseTable::build`].
 
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
@@ -44,56 +41,6 @@ use bdps_types::money::Price;
 use bdps_types::time::Duration;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
-
-/// How a broker materialises its subscription table — and with it which of
-/// the simulator's two engines runs.
-///
-/// Both layouts produce bit-identical simulation reports — the dense layout
-/// is the reference the sparse layout is pinned against — so the choice
-/// trades memory and maintenance cost, never results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum TableLayout {
-    /// Every broker stores one full entry per subscription, and the
-    /// simulator rebuilds routing and every table from scratch after link
-    /// events — the reference engine. `O(brokers × subscriptions)` memory.
-    Dense,
-    /// Brokers store full entries only for locally attached subscribers plus
-    /// one covering-aggregated entry per remote destination, patched
-    /// incrementally after link events; subscription metadata lives once in
-    /// a shared registry. `O(population + brokers²)` memory globally. The
-    /// production engine, and the default.
-    #[default]
-    Sparse,
-}
-
-impl TableLayout {
-    /// Both layouts, reference first.
-    pub const ALL: [TableLayout; 2] = [TableLayout::Dense, TableLayout::Sparse];
-
-    /// Stable report name (`"dense"` / `"sparse"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            TableLayout::Dense => "dense",
-            TableLayout::Sparse => "sparse",
-        }
-    }
-
-    /// Resolves a [`name`](Self::name), case-insensitively (`bdps-mc` cell
-    /// names carry it).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "dense" => Some(TableLayout::Dense),
-            "sparse" => Some(TableLayout::Sparse),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for TableLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One subscription's global record in the shared registry.
 #[derive(Debug, Clone)]
@@ -334,10 +281,10 @@ impl EdgeGroup {
     }
 }
 
-/// The population-wide registry the sparse layout shares across brokers:
-/// one record per subscription plus one [`EdgeGroup`] (member list +
-/// covering forest + summary) per edge broker. Stored once globally — this
-/// is the memory the dense layout replicates `brokers` times.
+/// The population-wide registry every broker's [`SparseTable`] shares: one
+/// record per subscription plus one [`EdgeGroup`] (member list + covering
+/// forest + summary) per edge broker. Stored once globally, not once per
+/// broker.
 #[derive(Debug, Clone)]
 pub struct SharedPopulation {
     /// One slot per subscription id. Ids are minted densely from zero (the
@@ -550,8 +497,7 @@ impl SharedPopulation {
         h.finish()
     }
 
-    /// Rough bytes consumed by the registry (counted **once** globally,
-    /// where the dense layout pays its per-entry cost on every broker).
+    /// Rough bytes consumed by the registry (counted **once** globally).
     pub fn bytes_estimate(&self) -> u64 {
         let member_bytes =
             (std::mem::size_of::<MemberRecord>() + MEMBER_SLOT_OVERHEAD) * self.registered;
@@ -597,15 +543,15 @@ const MEMBER_SLOT_OVERHEAD: usize = 48;
 /// Approximate per-member overhead of a covering-forest node (filter handle,
 /// parent pointer, child-set slot).
 const FOREST_NODE_OVERHEAD: usize = 72;
-/// Approximate per-entry overhead of the dense table's id map + match-index
+/// Approximate per-entry overhead of the local table's id map + match-index
 /// threshold rows.
-const DENSE_ENTRY_OVERHEAD: usize = 64;
+const LOCAL_ENTRY_OVERHEAD: usize = 64;
 /// Approximate per-aggregate overhead of the ordered destination map.
 const AGGREGATE_SLOT_OVERHEAD: usize = 32;
 
-/// Rough bytes consumed by one dense table (entries + id map + match index).
-pub fn dense_bytes_estimate(table: &SubscriptionTable) -> u64 {
-    (table.len() * (std::mem::size_of::<SubTableEntry>() + DENSE_ENTRY_OVERHEAD)) as u64
+/// Rough bytes consumed by a local table (entries + id map + match index).
+fn local_bytes_estimate(table: &SubscriptionTable) -> u64 {
+    (table.len() * (std::mem::size_of::<SubTableEntry>() + LOCAL_ENTRY_OVERHEAD)) as u64
 }
 
 /// One broker's aggregate entry towards a remote destination: the route
@@ -640,11 +586,10 @@ impl AggregateEntry {
     }
 }
 
-/// A layout-independent view of one table row, resolved at arrival time —
-/// everything the broker state machine needs to deliver locally or build a
-/// queued copy's target. Dense tables copy it out of their materialised
-/// entries; sparse tables assemble it from the local table, the shared
-/// registry and the per-destination aggregate.
+/// One table row, resolved at arrival time — everything the broker state
+/// machine needs to deliver locally or build a queued copy's target. Local
+/// rows are copied out of their materialised entries; remote rows are
+/// assembled from the shared registry and the per-destination aggregate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolvedEntry {
     /// The subscription this row serves.
@@ -685,8 +630,7 @@ impl ResolvedEntry {
 pub struct SparseTable {
     broker: BrokerId,
     /// Full entries for locally attached subscriptions (the edge-expansion
-    /// set), reusing the dense machinery — including its matching index for
-    /// unscoped arrivals.
+    /// set), with the matching index unscoped arrivals use.
     local: SubscriptionTable,
     /// Aggregate entries keyed by destination edge broker. Invariant: an
     /// entry exists iff the destination has at least one member, is not
@@ -864,8 +808,8 @@ impl SparseTable {
     /// path. Locals resolve through the local table; remotes through the
     /// registry (one read-lock for the whole scope) and the per-destination
     /// aggregate. A subscription that has left the population, or whose edge
-    /// broker is unreachable, is skipped — exactly the rows the dense table
-    /// would not hold.
+    /// broker is unreachable, is skipped — exactly the rows a
+    /// [`SubscriptionTable::build`] over the population would not hold.
     pub fn resolve_scope(&self, scope: &ScopeSet, mut f: impl FnMut(ResolvedEntry)) {
         let pop = read_population(&self.population);
         let has_locals = !self.local.is_empty();
@@ -948,156 +892,10 @@ impl SparseTable {
     /// Rough bytes of this broker's own state (locals + aggregates); the
     /// shared registry is counted separately, once.
     pub fn bytes_estimate(&self) -> u64 {
-        dense_bytes_estimate(&self.local)
+        local_bytes_estimate(&self.local)
             + (self.aggregates.len()
                 * (std::mem::size_of::<AggregateEntry>() + AGGREGATE_SLOT_OVERHEAD))
                 as u64
-    }
-}
-
-/// A broker's subscription table under either layout. The broker state
-/// machine resolves arrivals through this enum so the scheduling pipeline
-/// downstream is completely layout-agnostic — which is what makes the
-/// dense-vs-sparse differential oracle meaningful.
-#[derive(Debug, Clone)]
-pub enum BrokerTable {
-    /// The dense replicated table (the oracle).
-    Dense(SubscriptionTable),
-    /// The sparse covering-aggregated table.
-    Sparse(SparseTable),
-}
-
-impl From<SubscriptionTable> for BrokerTable {
-    fn from(t: SubscriptionTable) -> Self {
-        BrokerTable::Dense(t)
-    }
-}
-
-impl From<SparseTable> for BrokerTable {
-    fn from(t: SparseTable) -> Self {
-        BrokerTable::Sparse(t)
-    }
-}
-
-impl BrokerTable {
-    /// The broker this table belongs to.
-    pub fn broker(&self) -> BrokerId {
-        match self {
-            BrokerTable::Dense(t) => t.broker(),
-            BrokerTable::Sparse(t) => t.broker(),
-        }
-    }
-
-    /// Which layout this table uses.
-    pub fn layout(&self) -> TableLayout {
-        match self {
-            BrokerTable::Dense(_) => TableLayout::Dense,
-            BrokerTable::Sparse(_) => TableLayout::Sparse,
-        }
-    }
-
-    /// Rows this broker actually stores: dense entries, or local entries
-    /// plus aggregates — the memory-relevant count.
-    pub fn stored_rows(&self) -> usize {
-        match self {
-            BrokerTable::Dense(t) => t.len(),
-            BrokerTable::Sparse(t) => t.local().len() + t.aggregate_count(),
-        }
-    }
-
-    /// Mutable dense access (engine maintenance paths).
-    pub fn as_dense_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        match self {
-            BrokerTable::Dense(t) => Some(t),
-            BrokerTable::Sparse(_) => None,
-        }
-    }
-
-    /// The sparse table, when this is the sparse layout.
-    pub fn as_sparse(&self) -> Option<&SparseTable> {
-        match self {
-            BrokerTable::Sparse(t) => Some(t),
-            BrokerTable::Dense(_) => None,
-        }
-    }
-
-    /// Mutable sparse access (engine maintenance paths).
-    pub fn as_sparse_mut(&mut self) -> Option<&mut SparseTable> {
-        match self {
-            BrokerTable::Sparse(t) => Some(t),
-            BrokerTable::Dense(_) => None,
-        }
-    }
-
-    /// Hashes the table's routed content under either layout (see
-    /// [`SubscriptionTable::digest_into`] and [`SparseTable::digest_into`]).
-    pub fn digest_into(&self, h: &mut impl std::hash::Hasher) {
-        match self {
-            BrokerTable::Dense(t) => {
-                h.write_u8(0);
-                t.digest_into(h);
-            }
-            BrokerTable::Sparse(t) => {
-                h.write_u8(1);
-                t.digest_into(h);
-            }
-        }
-    }
-
-    /// Resolves a frozen scope in scope order (see
-    /// [`SparseTable::resolve_scope`]); dense tables resolve by id lookup.
-    pub fn resolve_scope(&self, scope: &ScopeSet, mut f: impl FnMut(ResolvedEntry)) {
-        match self {
-            BrokerTable::Dense(t) => {
-                for id in scope.iter() {
-                    if let Some(e) = t.entry(id) {
-                        f(ResolvedEntry::from_entry(e));
-                    }
-                }
-            }
-            BrokerTable::Sparse(t) => t.resolve_scope(scope, f),
-        }
-    }
-
-    /// All rows matching a raw message head, ascending by subscription id
-    /// under both layouts.
-    pub fn matching_all(&self, head: &MessageHead) -> Vec<ResolvedEntry> {
-        match self {
-            // The dense matching index returns ascending ids already.
-            BrokerTable::Dense(t) => t
-                .matching(head)
-                .into_iter()
-                .map(ResolvedEntry::from_entry)
-                .collect(),
-            BrokerTable::Sparse(t) => t.matching_all(head),
-        }
-    }
-
-    /// Removes a subscription's materialised row (dense entry, or sparse
-    /// local entry), returning true when one was removed. Sparse aggregates
-    /// are synced separately by the engine (they need routing).
-    pub fn remove(&mut self, id: SubscriptionId) -> bool {
-        match self {
-            BrokerTable::Dense(t) => t.remove(id).is_some(),
-            BrokerTable::Sparse(t) => t.remove_local(id),
-        }
-    }
-
-    /// Aggregate entries held (0 under the dense layout).
-    pub fn aggregate_entries(&self) -> u64 {
-        match self {
-            BrokerTable::Dense(_) => 0,
-            BrokerTable::Sparse(t) => t.aggregate_count() as u64,
-        }
-    }
-
-    /// Rough bytes of this broker's own table state (the sparse layout's
-    /// shared registry is counted separately, once).
-    pub fn bytes_estimate(&self) -> u64 {
-        match self {
-            BrokerTable::Dense(t) => dense_bytes_estimate(t),
-            BrokerTable::Sparse(t) => t.bytes_estimate(),
-        }
     }
 }
 
@@ -1162,7 +960,7 @@ mod tests {
     }
 
     /// Resolution oracle: the sparse table resolves every scope id exactly
-    /// as the dense table materialises it.
+    /// as a full-population [`SubscriptionTable::build`] materialises it.
     fn assert_matches_dense(
         broker: BrokerId,
         routing: &Routing,
@@ -1214,10 +1012,15 @@ mod tests {
         let pop = handle(&subs);
         for b in 0..3u32 {
             let broker = BrokerId::new(b);
-            let dense: BrokerTable = SubscriptionTable::build(broker, &routing, &subs).into();
-            let sparse: BrokerTable = SparseTable::build(broker, &routing, &pop).into();
+            let dense = SubscriptionTable::build(broker, &routing, &subs);
+            let sparse = SparseTable::build(broker, &routing, &pop);
             for h in [head(1.0, 1.0), head(7.0, 7.0), head(9.5, 9.5)] {
-                let d = dense.matching_all(&h);
+                // The full table's matching index returns ascending ids.
+                let d: Vec<ResolvedEntry> = dense
+                    .matching(&h)
+                    .into_iter()
+                    .map(ResolvedEntry::from_entry)
+                    .collect();
                 let s = sparse.matching_all(&h);
                 assert_eq!(d, s, "unscoped matching drifted at {broker}");
             }
@@ -1580,21 +1383,10 @@ mod tests {
     }
 
     #[test]
-    fn layout_names_round_trip() {
-        for layout in TableLayout::ALL {
-            assert_eq!(TableLayout::from_name(layout.name()), Some(layout));
-        }
-        assert_eq!(TableLayout::from_name("SPARSE"), Some(TableLayout::Sparse));
-        assert!(TableLayout::from_name("bogus").is_none());
-        assert_eq!(TableLayout::default(), TableLayout::Sparse);
-        assert_eq!(TableLayout::Sparse.to_string(), "sparse");
-    }
-
-    #[test]
-    fn bytes_estimates_favour_sparse_interior_brokers() {
-        // 4-broker star with everything attached at the leaves: the hub's
-        // dense table holds every subscription; its sparse table holds only
-        // aggregates.
+    fn interior_brokers_store_aggregates_not_members() {
+        // 4-broker star with everything attached at the leaves: the hub
+        // holds one aggregate per leaf and no member, each leaf its own ten
+        // members plus aggregates towards the other two.
         let mut rng = SimRng::seed_from(7);
         let mut topo = Topology::star(4, &mut rng, fixed_quality);
         let mut subs = Vec::new();
@@ -1613,13 +1405,12 @@ mod tests {
         let routing = Routing::compute(&topo.graph);
         let pop = handle(&subs);
         let hub = BrokerId::new(0);
-        let dense: BrokerTable = SubscriptionTable::build(hub, &routing, &subs).into();
-        let sparse: BrokerTable = SparseTable::build(hub, &routing, &pop).into();
-        assert_eq!(dense.stored_rows(), 30);
-        assert_eq!(sparse.stored_rows(), 3, "one aggregate per leaf");
-        assert!(sparse.bytes_estimate() * 5 <= dense.bytes_estimate());
-        assert_eq!(sparse.aggregate_entries(), 3);
-        assert_eq!(dense.aggregate_entries(), 0);
+        let sparse = SparseTable::build(hub, &routing, &pop);
+        assert_eq!(sparse.local().len(), 0);
+        assert_eq!(sparse.aggregate_count(), 3, "one aggregate per leaf");
+        let leaf = SparseTable::build(BrokerId::new(1), &routing, &pop);
+        assert_eq!((leaf.local().len(), leaf.aggregate_count()), (10, 2));
+        assert!(sparse.bytes_estimate() * 3 <= leaf.bytes_estimate());
         assert_matches_dense(hub, &routing, &subs, &pop);
     }
 }

@@ -1,14 +1,18 @@
 //! Broker subscription tables.
 //!
-//! Every broker keeps a subscription table (paper §4.2) whose entries are
+//! The paper's subscription table (§4.2) has entries
 //! `{(subscriber, filter, dl, pr, nb, NN_p, μ_p, σ_p²)}`: the subscription
 //! itself, the neighbour `nb` through which the subscriber is reached, and
 //! the statistics of the remaining path. Tables are built centrally here from
 //! the topology and routing — equivalent to the subscription-propagation
 //! protocol a deployed system would run, but deterministic and
 //! side-effect-free, which keeps the simulator honest.
+//!
+//! A broker holds such a table for its locally attached subscribers only
+//! (inside its [`SparseTable`](crate::sparse::SparseTable)); built over the
+//! whole population, [`SubscriptionTable::build`] is the oracle that sparse
+//! resolution is tested against.
 
-use crate::graph::OverlayGraph;
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
 use bdps_filter::index::MatchIndex;
@@ -241,22 +245,12 @@ impl SubscriptionTable {
             index,
         }
     }
-
-    /// Builds the tables of every broker in the graph.
-    pub fn build_all(
-        graph: &OverlayGraph,
-        routing: &Routing,
-        subscriptions: &[(Subscription, BrokerId)],
-    ) -> Vec<SubscriptionTable> {
-        (0..graph.broker_count())
-            .map(|i| SubscriptionTable::build(BrokerId::new(i as u32), routing, subscriptions))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::OverlayGraph;
     use crate::topology::Topology;
     use bdps_filter::filter::Filter;
     use bdps_net::bandwidth::FixedRate;
@@ -370,17 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn build_all_covers_every_broker() {
-        let (topo, routing, subs) = line_setup();
-        let tables = SubscriptionTable::build_all(&topo.graph, &routing, &subs);
-        assert_eq!(tables.len(), 3);
-        for (i, t) in tables.iter().enumerate() {
-            assert_eq!(t.broker(), BrokerId::new(i as u32));
-            assert_eq!(t.len(), 2, "broker {i} should see every subscription");
-        }
-    }
-
-    #[test]
     fn insert_replaces_existing_entry() {
         let (_topo, routing, subs) = line_setup();
         let mut table = SubscriptionTable::build(BrokerId::new(0), &routing, &subs);
@@ -466,7 +449,9 @@ mod tests {
             })
             .collect();
         // Every broker must be able to reach every subscriber in the paper's mesh.
-        let tables = SubscriptionTable::build_all(&topo.graph, &routing, &subs);
+        let tables: Vec<SubscriptionTable> = (0..topo.graph.broker_count())
+            .map(|i| SubscriptionTable::build(BrokerId::new(i as u32), &routing, &subs))
+            .collect();
         for t in &tables {
             assert_eq!(t.len(), 160, "broker {} table incomplete", t.broker());
         }

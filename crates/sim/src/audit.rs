@@ -4,10 +4,11 @@
 //! violations.
 
 use bdps_overlay::routing::Routing;
-use bdps_overlay::sparse::{read_population, BrokerTable, PopulationHandle, SparseTable};
+use bdps_overlay::sparse::{read_population, PopulationHandle, SparseTable};
 use bdps_overlay::subtable::SubscriptionTable;
-use bdps_types::id::BrokerId;
+use bdps_types::id::{BrokerId, SubscriptionId};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::{Arc, RwLock};
 
@@ -35,11 +36,11 @@ pub enum InjectedFault {
     DoubleDelivery,
 }
 
-/// Compares a broker's live dense (or sparse-local) table against a
-/// from-scratch rebuild, reporting the first divergent entry. Entries are
-/// matched by subscription id; the routed fields (edge broker, next hop,
-/// next link, path statistics) must agree exactly.
-fn compare_dense_tables(
+/// Compares a broker's live local table against a from-scratch rebuild,
+/// reporting the first divergent entry. Entries are matched by subscription
+/// id; the routed fields (edge broker, next hop, next link, path statistics)
+/// must agree exactly.
+fn compare_local_tables(
     broker: BrokerId,
     live: &SubscriptionTable,
     fresh: &SubscriptionTable,
@@ -76,10 +77,9 @@ fn compare_dense_tables(
 impl Simulation {
     /// Deep-clones the simulation into an independent branch: every piece of
     /// mutable state — broker tables and queues, the event set, the RNG, the
-    /// objective tracker, and (under the sparse layout) the shared
-    /// population registry — is copied, so stepping the branch can never
-    /// perturb the original. This is the branching primitive of the
-    /// model-checking explorer.
+    /// objective tracker and the shared population registry — is copied, so
+    /// stepping the branch can never perturb the original. This is the
+    /// branching primitive of the model-checking explorer.
     pub fn fork(&self) -> Simulation {
         let mut branch = Simulation {
             core: self.core.clone(),
@@ -88,16 +88,16 @@ impl Simulation {
             scenario: self.scenario.clone(),
             drain_grace: self.drain_grace,
         };
-        // The sparse layout shares one population registry behind an
+        // The tables share one population registry behind an
         // `Arc<RwLock>`; a branch must get its own deep copy, and every
         // cloned broker table must be re-pointed at it.
-        if let Some(shared) = &self.shared.population {
-            let own: PopulationHandle = Arc::new(RwLock::new(read_population(shared).clone()));
-            for b in &mut branch.core.brokers {
-                b.repoint_population(&own);
-            }
-            branch.shared.population = Some(own);
+        let own: PopulationHandle = Arc::new(RwLock::new(
+            read_population(&self.shared.population).clone(),
+        ));
+        for b in &mut branch.core.brokers {
+            b.repoint_population(&own);
         }
+        branch.shared.population = own;
         branch
     }
 
@@ -189,11 +189,9 @@ impl Simulation {
         for b in &self.core.brokers {
             h.write_u64(b.state_digest());
         }
-        if let Some(pop) = &self.shared.population {
-            h.write_u64(read_population(pop).state_digest());
-        }
-        // Population membership (the dense layout has no registry), in id
-        // order: the entry order is not logical state.
+        h.write_u64(read_population(&self.shared.population).state_digest());
+        // Population membership, in id order: the entry order is not logical
+        // state.
         let mut members: Vec<(u32, u32)> = self
             .subscriptions()
             .iter()
@@ -211,7 +209,10 @@ impl Simulation {
 
     /// Verifies that routing and every broker's subscription table agree
     /// with a from-scratch rebuild — the table/routing-consistency invariant
-    /// the model checker asserts in every interleaving.
+    /// the model checker asserts in every interleaving. The registry the
+    /// tables are rebuilt from is itself first held to the scenario core's
+    /// own population list, so the two records of who is subscribed where
+    /// cannot drift apart unnoticed.
     ///
     /// The reference point is the link liveness **as of the last rebuild**
     /// (`link_alive_at_rebuild`): while a coalesced same-instant link batch
@@ -228,38 +229,27 @@ impl Simulation {
                     .to_string(),
             );
         }
+        self.audit_registry()?;
         for broker in &self.core.brokers {
-            match broker.table() {
-                BrokerTable::Dense(table) => {
-                    let fresh = SubscriptionTable::build(
-                        broker.id,
-                        &self.scenario.routing,
-                        &self.scenario.subscriptions.entries,
-                    );
-                    compare_dense_tables(broker.id, table, &fresh)?;
-                }
-                BrokerTable::Sparse(table) => {
-                    let fresh =
-                        SparseTable::build(broker.id, &self.scenario.routing, table.population());
-                    compare_dense_tables(broker.id, table.local(), fresh.local())?;
-                    let current: Vec<_> = table.aggregates().collect();
-                    let rebuilt: Vec<_> = fresh.aggregates().collect();
-                    if current.len() != rebuilt.len() {
-                        return Err(format!(
-                            "broker {} holds {} aggregates, scratch rebuild has {}",
-                            broker.id,
-                            current.len(),
-                            rebuilt.len()
-                        ));
-                    }
-                    for ((dest_a, a), (dest_b, b)) in current.iter().zip(rebuilt.iter()) {
-                        if dest_a != dest_b || a != b {
-                            return Err(format!(
-                                "broker {} aggregate for {} drifted from the scratch rebuild",
-                                broker.id, dest_a
-                            ));
-                        }
-                    }
+            let table = broker.table();
+            let fresh = SparseTable::build(broker.id, &self.scenario.routing, table.population());
+            compare_local_tables(broker.id, table.local(), fresh.local())?;
+            let current: Vec<_> = table.aggregates().collect();
+            let rebuilt: Vec<_> = fresh.aggregates().collect();
+            if current.len() != rebuilt.len() {
+                return Err(format!(
+                    "broker {} holds {} aggregates, scratch rebuild has {}",
+                    broker.id,
+                    current.len(),
+                    rebuilt.len()
+                ));
+            }
+            for ((dest_a, a), (dest_b, b)) in current.iter().zip(rebuilt.iter()) {
+                if dest_a != dest_b || a != b {
+                    return Err(format!(
+                        "broker {} aggregate for {} drifted from the scratch rebuild",
+                        broker.id, dest_a
+                    ));
                 }
             }
         }
@@ -269,16 +259,61 @@ impl Simulation {
         // records directly — independent of the prefix-fold machinery the
         // group's envelope came from — so a prefix-maintenance bug cannot
         // agree with it.
-        if let Some(population) = &self.shared.population {
-            let pop = read_population(population);
-            let epoch = pop.epoch();
-            for (edge, group) in pop.groups() {
-                let (kept, scratch) = (group.envelope(), pop.scratch_envelope(edge, epoch));
-                if kept != scratch {
-                    return Err(format!(
-                        "the envelope of {edge}'s group is {kept:?}, but the fold over \
-                         its current members gives {scratch:?}"
-                    ));
+        let pop = read_population(&self.shared.population);
+        let epoch = pop.epoch();
+        for (edge, group) in pop.groups() {
+            let (kept, scratch) = (group.envelope(), pop.scratch_envelope(edge, epoch));
+            if kept != scratch {
+                return Err(format!(
+                    "the envelope of {edge}'s group is {kept:?}, but the fold over \
+                     its current members gives {scratch:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Holds the shared registry to the scenario core's population list:
+    /// each edge group's member ids, and each member's recorded edge, must
+    /// be exactly what the list says. The table audit rebuilds from the
+    /// registry, so without this a registry that kept (or lost) a member the
+    /// list disagrees on would rebuild into the same wrong tables.
+    fn audit_registry(&self) -> Result<(), String> {
+        let mut listed: BTreeMap<BrokerId, Vec<SubscriptionId>> = BTreeMap::new();
+        for (sub, edge) in &self.scenario.subscriptions.entries {
+            listed.entry(*edge).or_default().push(sub.id);
+        }
+        let pop = read_population(&self.shared.population);
+        let registered: BTreeMap<BrokerId, &[SubscriptionId]> = pop
+            .groups()
+            .map(|(edge, group)| (edge, group.ids()))
+            .collect();
+        let members = self.scenario.subscriptions.entries.len();
+        if registered.len() != listed.len() || pop.len() != members {
+            return Err(format!(
+                "the registry has {} members in {} edge groups, the population list {} in {}",
+                pop.len(),
+                registered.len(),
+                members,
+                listed.len()
+            ));
+        }
+        for ((edge, ids), (listed_edge, listed_ids)) in registered.iter().zip(&mut listed) {
+            listed_ids.sort_unstable();
+            if edge != listed_edge || ids != listed_ids {
+                return Err(format!(
+                    "the registry's group at {edge} holds {ids:?}, the population list \
+                     has {listed_ids:?} at {listed_edge}"
+                ));
+            }
+            for &id in *ids {
+                match pop.member(id).map(|record| record.edge) {
+                    Some(recorded) if recorded == *edge => {}
+                    other => {
+                        return Err(format!(
+                            "member {id} of {edge}'s group is recorded at {other:?}"
+                        ))
+                    }
                 }
             }
         }

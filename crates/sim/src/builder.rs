@@ -20,8 +20,8 @@
 //!
 //! The builder is also the only way to *make* a [`Simulation`]:
 //! [`try_build`](SimulationBuilder::try_build) validates the whole
-//! configuration — workload, scheduler, mesh, layout × forwarding, the
-//! scenario processes' parameters and every materialised scenario event —
+//! configuration — workload, scheduler, mesh, the scenario processes'
+//! parameters and every materialised scenario event —
 //! and returns either a complete simulation or a [`SimError`];
 //! [`try_report`](SimulationBuilder::try_report) also runs it, so the
 //! executor's two combination guards arrive as `Err` too.
@@ -53,11 +53,23 @@ use crate::report::SimulationReport;
 use crate::runner::{SimulationConfig, TopologySpec};
 use crate::scenario::{DynamicScenario, ScenarioRegistry};
 use crate::workload::WorkloadConfig;
-use bdps_overlay::sparse::TableLayout;
 
 /// How long past the publication period a run keeps draining unless
 /// [`SimulationBuilder::drain_grace`] says otherwise.
 const DEFAULT_DRAIN_GRACE: Duration = Duration::from_secs(120);
+
+/// The subscription-table layout, which has one value: every broker holds
+/// full entries for its local subscribers and one route per remote
+/// destination edge ([`bdps_overlay::sparse::SparseTable`]).
+///
+/// Kept only because the benchmark harness under `benchmark/` calls
+/// `.table_layout(TableLayout::Sparse)`; ROADMAP item 1d deletes it together
+/// with [`SimulationBuilder::table_layout`].
+#[derive(Debug, Clone, Copy)]
+pub enum TableLayout {
+    /// The only layout.
+    Sparse,
+}
 
 /// Fluent construction of one simulation run.
 ///
@@ -91,7 +103,6 @@ impl Default for SimulationBuilder {
                 seed: 0,
                 estimation_error: EstimationError::NONE,
                 scenario: DynamicScenario::static_scenario(),
-                table_layout: TableLayout::default(),
                 link_model: LinkModelKind::default(),
                 forwarding: ForwardingMode::default(),
                 shards: 1,
@@ -212,22 +223,15 @@ impl SimulationBuilder {
         Ok(self.scenario(ScenarioRegistry::builtin().try_resolve("scenario", name)?))
     }
 
-    /// Selects the engine: [`TableLayout::Sparse`] (the default) is the
-    /// production engine — covering-aggregated tables patched incrementally
-    /// after link events, what the benchmark measures —
-    /// [`TableLayout::Dense`] the reference engine — replicated tables and
-    /// routing rebuilt from scratch on every link batch. Both produce
-    /// bit-identical reports (`tests/layout_equivalence.rs`), so this trades
-    /// table memory and link-event cost, never results.
-    pub fn table_layout(mut self, layout: TableLayout) -> Self {
-        self.config.table_layout = layout;
+    /// Does nothing: there is one [`TableLayout`]. Kept only for the
+    /// benchmark harness under `benchmark/`; ROADMAP item 1d deletes it.
+    pub fn table_layout(self, _layout: TableLayout) -> Self {
         self
     }
 
     /// Selects the link transfer-time model (constant delay by default —
-    /// the paper's one-transfer-at-a-time sampled rate). Unlike the table
-    /// layout this axis *changes results*:
-    /// [`LinkModelKind::FairShare`] shares each link's bandwidth equally
+    /// the paper's one-transfer-at-a-time sampled rate). This axis *changes
+    /// results*: [`LinkModelKind::FairShare`] shares each link's bandwidth equally
     /// among concurrent flows, so congested links genuinely slow down.
     /// Fair-share runs require `shards(1)` — the sharded executor returns a
     /// structured error for non-constant models.
@@ -248,7 +252,7 @@ impl SimulationBuilder {
     /// [`ForwardingMode::Aggregate`] matches only against per-edge covering
     /// summaries and expands at the edge; it preserves the delivery set,
     /// earning and audits (`tests/forwarding_equivalence.rs` pins this) but
-    /// not traffic, and requires [`TableLayout::Sparse`] and `shards(1)`.
+    /// not traffic, and requires `shards(1)`.
     pub fn forwarding(mut self, mode: ForwardingMode) -> Self {
         self.config.forwarding = mode;
         self

@@ -28,7 +28,7 @@ use bdps_core::objective::ObjectiveTracker;
 use bdps_filter::index::MatchIndex;
 use bdps_filter::subscription::Subscription;
 use bdps_net::linkmodel::LinkModelKind;
-use bdps_overlay::sparse::{read_population, TableLayout};
+use bdps_overlay::sparse::read_population;
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_stats::summary::Summary;
@@ -54,8 +54,8 @@ use crate::traffic::{Shared, Totals, TrafficCore};
 
 /// How publish-time matching scopes message copies.
 ///
-/// Unlike the two [`TableLayout`]s, the two modes are **not**
-/// bit-identical: covering aggregates admit false positives, so aggregate
+/// The two modes are **not** bit-identical: covering aggregates admit
+/// false positives, so aggregate
 /// forwarding may push copies down subtrees that end up serving nobody. What
 /// is preserved — and what `tests/forwarding_equivalence.rs` pins per seed ×
 /// scenario — is the *delivery set*: the exact set of
@@ -72,8 +72,7 @@ pub enum ForwardingMode {
     /// Match the publication against each edge broker's covering-aggregate
     /// summary only — `O(brokers)` per publish — and carry the aggregate as
     /// the copy's scope. Concrete subscribers are resolved once, at the edge
-    /// broker, against the membership frozen at the publish epoch. Requires
-    /// [`TableLayout::Sparse`].
+    /// broker, against the membership frozen at the publish epoch.
     Aggregate,
 }
 
@@ -124,8 +123,8 @@ impl Simulation {
     /// The one constructor, reached through [`SimulationBuilder`]'s
     /// `try_build` / `try_build_on`: validates everything the configuration
     /// decides, then builds routing, the population, the event stream and
-    /// the per-broker state for the configured layout, so a `Simulation` is
-    /// complete the moment it exists.
+    /// the per-broker state, so a `Simulation` is complete the moment it
+    /// exists.
     ///
     /// `config.topology`, `config.seed` and `config.shards` are the
     /// caller's business (it already turned the first two into `topology`
@@ -148,7 +147,6 @@ impl Simulation {
             scheduler,
             estimation_error,
             scenario,
-            table_layout,
             link_model,
             forwarding,
             ..
@@ -156,9 +154,6 @@ impl Simulation {
         workload.validate()?;
         scheduler.validate()?;
         scenario.validate()?;
-        if forwarding == ForwardingMode::Aggregate && table_layout == TableLayout::Dense {
-            return Err(SimError::AggregateForwardingNeedsSparseLayout);
-        }
         let link_count = topology.graph.link_count();
         let publisher_slots = topology
             .publishers
@@ -262,6 +257,8 @@ impl Simulation {
             .map(|i| rng.split(LINK_STREAM_BASE + i as u64))
             .collect();
 
+        let scenario = ScenarioCore::new(believed_graph, subscriptions);
+        let (brokers, population) = scenario.build_brokers(&scheduler);
         let mut sim = Simulation {
             core: TrafficCore::new(publisher_rng, link_rng, 0),
             shared: Shared {
@@ -277,7 +274,7 @@ impl Simulation {
                 rate_multiplier: vec![1.0; publisher_slots],
                 publish_gen: vec![0; publisher_slots],
                 forwarding,
-                population: None,
+                population,
                 #[cfg(feature = "fault-injection")]
                 injected_fault: None,
             },
@@ -289,9 +286,10 @@ impl Simulation {
                 transmissions: 0,
                 completed_transfers: 0,
             },
-            scenario: ScenarioCore::new(believed_graph, subscriptions),
+            scenario,
             drain_grace,
         };
+        sim.core.brokers = brokers;
 
         // Scenario keys rank lowest, so at equal times a scenario action
         // applies before publications and transfers.
@@ -307,8 +305,6 @@ impl Simulation {
         for &(publisher, _) in &sim.shared.topology.publishers {
             sim.core.schedule_next_publication(&sim.shared, publisher);
         }
-        let (scenario, scheduler) = (&sim.scenario, &sim.shared.scheduler);
-        (sim.core.brokers, sim.shared.population) = scenario.build_brokers(table_layout, scheduler);
         Ok(sim)
     }
 
@@ -453,10 +449,9 @@ impl Simulation {
         let aggregate_entries: u64 = core
             .brokers
             .iter()
-            .map(|b| b.table().aggregate_entries())
+            .map(|b| b.table().aggregate_count() as u64)
             .sum();
-        let registry = self.shared.population.as_ref();
-        let table_bytes_estimate = registry.map_or(0, |p| read_population(p).bytes_estimate())
+        let table_bytes_estimate = read_population(&self.shared.population).bytes_estimate()
             + core
                 .brokers
                 .iter()
@@ -479,7 +474,7 @@ impl Simulation {
             peak_pending_events: core.peak_pending as u64,
             scope_interns: core.scope_interner.interns(),
             scope_intern_hits: core.scope_interner.hits(),
-            tables_rebuilt_full: repairs.tables_rebuilt_full,
+            tables_rebuilt_full: 0,
             entries_retargeted: repairs.entries_retargeted,
             route_trees_recomputed: repairs.route_trees_recomputed,
             route_pairs_changed: repairs.route_pairs_changed,
@@ -1175,91 +1170,6 @@ mod tests {
         );
         out.check_conservation().unwrap();
         assert_eq!(out.tracker.duplicate_deliveries(), 0);
-    }
-
-    #[test]
-    fn table_layouts_agree_and_report_their_counters() {
-        // Chaos drives every table-maintenance path at once; the blackout is
-        // the mass transition — every route towards (almost) every
-        // destination flips at one instant, twice.
-        let chaos = ScenarioRegistry::builtin()
-            .resolve("chaos")
-            .expect("chaos is builtin");
-        let blackout = DynamicScenario::named("blackout").with_blackout(BlackoutWindow {
-            start_frac: 0.3,
-            duration_frac: 0.2,
-        });
-        for (scenario, seed) in [(chaos, 28), (blackout, 27)] {
-            let name = scenario.name.clone();
-            let run = |layout: TableLayout| {
-                let mut w = WorkloadConfig::paper_ssd(10.0);
-                w.duration = Duration::from_secs(300);
-                configured(w, StrategyKind::MaxEb, scenario.clone())
-                    .table_layout(layout)
-                    .try_build_on(small_topology(seed), SimRng::seed_from(seed))
-                    .unwrap()
-                    .run()
-            };
-            let dense = run(TableLayout::Dense);
-            let sparse = run(TableLayout::Sparse);
-            // Bit-identical results whichever engine runs.
-            assert_eq!(dense.published, sparse.published, "{name}");
-            assert_eq!(dense.transmissions, sparse.transmissions, "{name}");
-            assert_eq!(dense.message_number(), sparse.message_number(), "{name}");
-            assert_eq!(
-                dense.tracker.total_on_time(),
-                sparse.tracker.total_on_time(),
-                "{name}"
-            );
-            assert_eq!(
-                dense.tracker.total_late(),
-                sparse.tracker.total_late(),
-                "{name}"
-            );
-            assert_eq!(
-                dense.tracker.total_earning().millis(),
-                sparse.tracker.total_earning().millis(),
-                "{name}"
-            );
-            assert_eq!(dense.queued_at_end, sparse.queued_at_end, "{name}");
-            assert_eq!(dense.requeued(), sparse.requeued(), "{name}");
-            assert_eq!(
-                dense.dropped_unsubscribed(),
-                sparse.dropped_unsubscribed(),
-                "{name}: churn bookkeeping must match across layouts"
-            );
-            sparse.check_conservation().unwrap();
-            // The reference only ever rebuilds whole tables and never forms
-            // a route delta; the production engine only ever patches.
-            assert!(dense.tables_rebuilt_full > 0, "{name}");
-            assert_eq!(dense.entries_retargeted, 0, "{name}");
-            assert_eq!(dense.route_trees_recomputed, 0, "{name}");
-            assert_eq!(dense.route_pairs_changed, 0, "{name}");
-            assert!(sparse.entries_retargeted > 0, "{name}");
-            assert_eq!(sparse.tables_rebuilt_full, 0, "{name}");
-            assert!(sparse.route_trees_recomputed > 0, "{name}");
-            assert!(sparse.route_pairs_changed > 0, "{name}");
-            // Layout observability: only the sparse run stores aggregates
-            // and expands them at edge brokers; its tables are much smaller.
-            assert_eq!(dense.aggregate_entries, 0, "{name}");
-            assert_eq!(dense.expanded_at_edge(), 0, "{name}");
-            assert!(sparse.aggregate_entries > 0, "{name}");
-            assert_eq!(
-                sparse.expanded_at_edge(),
-                sparse.tracker.total_on_time() + sparse.tracker.total_late(),
-                "{name}: every sparse local delivery is an edge expansion"
-            );
-            // The factor is modest only because this model is tiny: the
-            // registry's fixed per-member cost (including the QoS envelope
-            // bookkeeping, paid once globally) dominates at this size, while
-            // the dense layout's per-broker replication dominates at scale.
-            assert!(
-                sparse.table_bytes_estimate * 3 / 2 <= dense.table_bytes_estimate,
-                "{name}: sparse tables must be substantially smaller: {} vs {}",
-                sparse.table_bytes_estimate,
-                dense.table_bytes_estimate
-            );
-        }
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub enum SimError {
         /// The rejected link model's registry name.
         model: &'static str,
     },
-    /// Aggregate-scoped forwarding ([`ForwardingMode::Aggregate`](crate::engine::ForwardingMode::Aggregate)) was
-    /// requested together with the dense table layout. Aggregate publishing
-    /// matches against the edge groups of the shared population registry and
-    /// expands at the edge via that same registry — state only the sparse
-    /// layout maintains — so the combination is rejected up front.
-    AggregateForwardingNeedsSparseLayout,
     /// The sharded executor was asked to run aggregate-scoped forwarding
     /// across more than one shard. Edge expansion reads the shared
     /// population registry at delivery time, which would race with churn
@@ -74,12 +68,6 @@ impl fmt::Display for SimError {
                  (got `{model}`): flow completion re-scheduling can move a \
                  cross-shard arrival inside the PD-lookahead window — run with \
                  shards = 1"
-            ),
-            SimError::AggregateForwardingNeedsSparseLayout => write!(
-                f,
-                "aggregate-scoped forwarding requires the sparse table layout: \
-                 publish-time matching and edge expansion both read the shared \
-                 population registry, which the dense layout does not maintain"
             ),
             SimError::ShardedForwardingUnsupported => write!(
                 f,

@@ -21,8 +21,8 @@
 //!   (population, routing and its repair) and the **order-sensitive totals**
 //!   (objective tracker, phases, delay summary). Two cores, one sink: the
 //!   traffic handlers (the paper's broker loop) and the scenario handlers
-//!   (everything around it, every dense / sparse arm included) are each
-//!   written once against (core, shared, effect sink);
+//!   (everything around it) are each written once against (core, shared,
+//!   effect sink);
 //! * [`shard`] — the sharded executor: conservative `PD`-lookahead windows
 //!   over per-shard traffic cores running those same handlers;
 //! * [`sched`] — the event scheduler: the `O(1)`-amortised
@@ -61,8 +61,7 @@ mod traffic;
 pub mod workload;
 
 pub use bdps_net::linkmodel::{LinkModel, LinkModelKind, LinkModelRegistry};
-pub use bdps_overlay::sparse::TableLayout;
-pub use builder::SimulationBuilder;
+pub use builder::{SimulationBuilder, TableLayout};
 #[cfg(feature = "fault-injection")]
 pub use engine::InjectedFault;
 pub use engine::{
@@ -81,7 +80,7 @@ pub use workload::{
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
-    pub use crate::builder::SimulationBuilder;
+    pub use crate::builder::{SimulationBuilder, TableLayout};
     pub use crate::engine::{
         ForwardingMode, LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
     };
@@ -94,5 +93,4 @@ pub mod prelude {
         WorkloadConfig,
     };
     pub use bdps_net::linkmodel::{LinkModel, LinkModelKind, LinkModelRegistry};
-    pub use bdps_overlay::sparse::TableLayout;
 }

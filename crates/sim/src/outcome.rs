@@ -12,7 +12,7 @@ use std::fmt;
 #[cfg(doc)]
 use crate::{engine::ForwardingMode, event::EventKind, scenario::ScenarioAction};
 #[cfg(doc)]
-use bdps_overlay::{routing::RouteDelta, sparse::TableLayout};
+use bdps_overlay::routing::RouteDelta;
 
 /// Per-phase metric accumulation (see [`ScenarioAction::PhaseMark`]).
 #[derive(Debug, Clone)]
@@ -140,34 +140,30 @@ pub struct SimulationOutcome {
     pub scope_interns: u64,
     /// Interner hits (shared allocations) out of [`scope_interns`](Self::scope_interns).
     pub scope_intern_hits: u64,
-    /// Broker tables rebuilt from the full population after link events.
-    /// [`TableLayout::Dense`] (the reference engine): every broker, on every
-    /// coalesced link batch. [`TableLayout::Sparse`] (the production
-    /// engine): always zero — it only ever patches.
+    /// Always 0: no table is ever rebuilt from the full population, link
+    /// events only patch. Kept only because the benchmark harness under
+    /// `benchmark/` reads it; ROADMAP item 1d deletes it.
     pub tables_rebuilt_full: u64,
-    /// Table entries patched in place after link events. `Sparse`: one
-    /// aggregate entry per changed `(broker, destination)` pair —
-    /// retargeted, inserted on recovered reachability or removed on lost
-    /// reachability — not one entry per subscription. `Dense`: always zero.
+    /// Table entries patched in place after link events: one aggregate entry
+    /// per changed `(broker, destination)` pair — retargeted, inserted on
+    /// recovered reachability or removed on lost reachability — not one
+    /// entry per subscription.
     pub entries_retargeted: u64,
     /// Destination shortest-path trees recomputed through a route delta over
     /// the run (Σ [`RouteDelta::dests_recomputed`]) — the cost driver of a
-    /// link event, at `O(E log V)` each. `Sparse` only; `Dense` recomputes
-    /// every tree on every batch without forming a delta and reports zero.
+    /// link event, at `O(E log V)` each.
     pub route_trees_recomputed: u64,
     /// `(source, destination)` route entries those recomputes actually
     /// changed (Σ [`RouteDelta::changed_pairs`]) — what
-    /// [`entries_retargeted`](Self::entries_retargeted) then has to patch
-    /// (zero under `Dense`, like the tree count).
+    /// [`entries_retargeted`](Self::entries_retargeted) then has to patch.
     pub route_pairs_changed: u64,
-    /// Aggregate table entries held across all brokers when the run ended —
-    /// non-zero only under [`TableLayout::Sparse`], where interior brokers
-    /// store one covering-aggregated entry per reachable destination
-    /// instead of one entry per subscription.
+    /// Aggregate table entries held across all brokers when the run ended:
+    /// interior brokers store one covering-aggregated entry per reachable
+    /// destination instead of one entry per subscription.
     pub aggregate_entries: u64,
     /// Rough bytes of subscription-table state at the end of the run: the
-    /// sum of every broker's own table plus (under the sparse layout) the
-    /// shared population registry, counted once.
+    /// sum of every broker's own table plus the shared population registry,
+    /// counted once.
     pub table_bytes_estimate: u64,
     /// Per-link utilisation/queueing counters, indexed by link id, with
     /// the busy/flow-time integrals closed at `finished_at`.
@@ -212,9 +208,9 @@ impl SimulationOutcome {
     }
 
     /// Total local deliveries produced by expanding a covering aggregate at
-    /// an edge broker — non-zero only under [`TableLayout::Sparse`], where
-    /// it equals the local delivery count (interior brokers route on
-    /// aggregates, only edge brokers expand to concrete subscribers).
+    /// an edge broker — the local delivery count, since interior brokers
+    /// route on aggregates and only edge brokers expand to concrete
+    /// subscribers.
     pub fn expanded_at_edge(&self) -> u64 {
         self.broker_counters
             .iter()

@@ -18,7 +18,6 @@ use bdps_core::strategy::StrategyHandle;
 use bdps_net::link::LinkQuality;
 use bdps_net::linkmodel::LinkModelKind;
 use bdps_net::measure::EstimationError;
-use bdps_overlay::sparse::TableLayout;
 use bdps_overlay::topology::{LayeredMeshConfig, Topology};
 use bdps_stats::rng::SimRng;
 use bdps_types::error::Result;
@@ -79,19 +78,13 @@ pub struct SimulationConfig {
     /// Dynamic scenario applied to the run (static by default; see
     /// [`crate::scenario`]).
     pub scenario: DynamicScenario,
-    /// Which engine runs: sparse covering-aggregated tables patched
-    /// incrementally after link events (the default, and what the benchmark
-    /// measures) or the dense full-rebuild reference; both yield
-    /// bit-identical results, see [`TableLayout`].
-    pub table_layout: TableLayout,
     /// The link transfer-time model (constant delay by default — the
-    /// paper's one-transfer-at-a-time sampled rate). Unlike the layout this
-    /// one *changes results*: fair-share runs model congestion.
+    /// paper's one-transfer-at-a-time sampled rate). Fair-share runs model
+    /// congestion, so this one *changes results*.
     pub link_model: LinkModelKind,
     /// How publish-time matching scopes copies (exact by default — the
     /// `O(population)` global-index freeze). Aggregate forwarding preserves
-    /// the delivery set but not traffic, and requires the sparse table
-    /// layout (see [`ForwardingMode`]).
+    /// the delivery set but not traffic (see [`ForwardingMode`]).
     pub forwarding: ForwardingMode,
     /// How many broker shards advance the event loop (1 = the sequential
     /// reference loop; N > 1 runs the conservative time-window executor on

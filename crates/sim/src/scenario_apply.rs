@@ -3,26 +3,20 @@
 //! component that owns its state and handles its own events.
 //! [`ScenarioCore::apply`] mirrors [`TrafficCore::apply`]: it takes the
 //! traffic core and the [`Shared`] context (which only it may write) and
-//! reaches the totals only through the [`EffectSink`]. Every dense / sparse
-//! arm of the engine is in this file: the layout is recorded once, in
-//! `Shared::population` (`None` is the dense reference engine), and each arm
-//! matches on that `Option` and so holds the registry handle it needs.
+//! reaches the totals only through the [`EffectSink`].
 
 use bdps_core::broker::BrokerState;
 use bdps_core::config::SchedulerConfig;
 use bdps_filter::subscription::Subscription;
 use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::routing::Routing;
-use bdps_overlay::sparse::{
-    read_population, PopulationHandle, SharedPopulation, SparseTable, TableLayout,
-};
-use bdps_overlay::subtable::{RetargetOutcome, SubscriptionTable};
+use bdps_overlay::sparse::{read_population, PopulationHandle, SharedPopulation, SparseTable};
+use bdps_overlay::subtable::RetargetOutcome;
 use bdps_types::id::{BrokerId, LinkId, PublisherId, SubscriptionId};
 use bdps_types::time::SimTime;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
-use crate::engine::Simulation;
 use crate::error::SimError;
 use crate::event::EventKind;
 use crate::scenario::ScenarioAction;
@@ -85,20 +79,9 @@ fn write_population<'a>(
         .map_err(|_| SimError::PopulationPoisoned { during })
 }
 
-impl Simulation {
-    /// The table layout this run uses, read off the one place it is recorded.
-    pub fn table_layout(&self) -> TableLayout {
-        match self.shared.population {
-            Some(_) => TableLayout::Sparse,
-            None => TableLayout::Dense,
-        }
-    }
-}
-
 /// Routing and table repair so far: the `SimulationOutcome` fields of the same names.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct ScenarioCounters {
-    pub(crate) tables_rebuilt_full: u64,
     pub(crate) entries_retargeted: u64,
     pub(crate) route_trees_recomputed: u64,
     pub(crate) route_pairs_changed: u64,
@@ -139,40 +122,26 @@ impl ScenarioCore {
         }
     }
 
-    /// Materialises the per-broker state (tables and queues) for `layout`,
-    /// and the population registry the sparse layout's tables share. Tables
-    /// are built from the believed graph (what measurement reports), while
-    /// transfer times are sampled from the true graph.
+    /// Materialises the per-broker state (tables and queues) and the
+    /// population registry the tables share. Tables are built from the
+    /// believed graph (what measurement reports), while transfer times are
+    /// sampled from the true graph.
     pub(crate) fn build_brokers(
         &self,
-        layout: TableLayout,
         scheduler: &SchedulerConfig,
-    ) -> (Vec<BrokerState>, Option<PopulationHandle>) {
+    ) -> (Vec<BrokerState>, PopulationHandle) {
         let graph = &self.believed_graph;
-        let members = &self.subscriptions.entries;
-        match layout {
-            TableLayout::Dense => {
-                let brokers = SubscriptionTable::build_all(graph, &self.routing, members)
-                    .into_iter()
-                    .map(|table| {
-                        BrokerState::from_overlay(graph, table.broker(), table, scheduler.clone())
-                    })
-                    .collect();
-                (brokers, None)
-            }
-            TableLayout::Sparse => {
-                let population: PopulationHandle =
-                    Arc::new(RwLock::new(SharedPopulation::from_population(members)));
-                let brokers = (0..graph.broker_count())
-                    .map(|i| {
-                        let id = BrokerId::new(i as u32);
-                        let table = SparseTable::build(id, &self.routing, &population);
-                        BrokerState::from_overlay(graph, id, table, scheduler.clone())
-                    })
-                    .collect();
-                (brokers, Some(population))
-            }
-        }
+        let population: PopulationHandle = Arc::new(RwLock::new(
+            SharedPopulation::from_population(&self.subscriptions.entries),
+        ));
+        let brokers = (0..graph.broker_count())
+            .map(|i| {
+                let id = BrokerId::new(i as u32);
+                let table = SparseTable::build(id, &self.routing, &population);
+                BrokerState::from_overlay(graph, id, table, scheduler.clone())
+            })
+            .collect();
+        (brokers, population)
     }
 
     /// Applies one scenario action at `time`: advances the clock and mutates
@@ -275,33 +244,20 @@ impl ScenarioCore {
         shared
             .global_index
             .insert(subscription.id, subscription.filter.clone());
-        match &shared.population {
-            None => {
-                for b in &mut core.brokers {
-                    let entry =
-                        SubscriptionTable::entry_for(b.id, &self.routing, &subscription, broker);
-                    if let Some(entry) = entry {
-                        b.insert_subscription(entry);
-                    }
-                }
-            }
-            Some(population) => {
-                // Register once globally, expand only at the edge. Interior
-                // brokers hold a route towards the edge while its group is
-                // populated, so only a join that opens the group adds one.
-                let opened = {
-                    let mut population = write_population(population, "subscription join")?;
-                    let opened = population.group(broker).is_none();
-                    population.insert(subscription.clone(), broker);
-                    opened
-                };
-                for b in &mut core.brokers {
-                    if b.id == broker {
-                        b.insert_local_subscription(subscription.clone());
-                    } else if opened {
-                        b.sync_aggregate(&self.routing, broker, true);
-                    }
-                }
+        // Register once globally, expand only at the edge. Interior brokers
+        // hold a route towards the edge while its group is populated, so only
+        // a join that opens the group adds one.
+        let opened = {
+            let mut population = write_population(&shared.population, "subscription join")?;
+            let opened = population.group(broker).is_none();
+            population.insert(subscription.clone(), broker);
+            opened
+        };
+        for b in &mut core.brokers {
+            if b.id == broker {
+                b.insert_local_subscription(subscription.clone());
+            } else if opened {
+                b.sync_aggregate(&self.routing, broker, true);
             }
         }
         self.subscriptions.insert(subscription, broker);
@@ -320,28 +276,24 @@ impl ScenarioCore {
             return Ok(());
         };
         shared.global_index.remove(id);
-        // Under the sparse layout every other broker's route towards the
-        // edge goes only if this leave emptied the edge's group.
-        let emptied = match &shared.population {
-            Some(population) => {
-                let mut population = write_population(population, "subscription leave")?;
-                population.remove(id);
-                Some(population.group(edge).is_none())
-            }
-            None => None,
+        // Every other broker's route towards the edge goes only if this
+        // leave emptied the edge's group.
+        let emptied = {
+            let mut population = write_population(&shared.population, "subscription leave")?;
+            population.remove(id);
+            population.group(edge).is_none()
         };
         let mut orphaned = 0;
         for b in &mut core.brokers {
-            // Every queued copy loses the target; the table row lives at
-            // every broker (dense) or at the edge alone.
-            orphaned += match emptied {
-                Some(emptied) if b.id != edge => {
-                    if emptied {
-                        b.sync_aggregate(&self.routing, edge, false);
-                    }
-                    b.strip_queued(id)
+            // Every queued copy loses the target; the table row lives at the
+            // edge alone.
+            orphaned += if b.id == edge {
+                b.remove_subscription(id)
+            } else {
+                if emptied {
+                    b.sync_aggregate(&self.routing, edge, false);
                 }
-                _ => b.remove_subscription(id),
+                b.strip_queued(id)
             };
         }
         sink.emit(Effect::Dropped { count: orphaned });
@@ -359,14 +311,11 @@ impl ScenarioCore {
     /// that last event is itself a liveness no-op (e.g. the second down of a
     /// nested failure).
     ///
-    /// The reference engine recomputes routing from scratch and rebuilds
-    /// every table from the full population — `O(brokers × subscriptions)`
-    /// per batch, and nothing to get wrong. The production engine recomputes
-    /// only the destination trees the batch can affect, then calls
-    /// [`BrokerState::sync_aggregate`] once per `(broker, destination)` pair
-    /// whose route entry changed — work proportional to the change, not the
-    /// population, with the registry locked once for the whole patch. Both
-    /// leave routing in identical states.
+    /// Only the destination trees the batch can affect are recomputed, then
+    /// [`BrokerState::sync_aggregate`] runs once per `(broker, destination)`
+    /// pair whose route entry changed — work proportional to the change, not
+    /// the population, with the registry locked once for the whole patch.
+    /// `Simulation::audit_tables` holds the result to a from-scratch rebuild.
     fn maybe_rebuild_routing(&mut self, core: &mut TrafficCore, shared: &Shared) {
         if !self.routing_dirty {
             return;
@@ -396,19 +345,10 @@ impl ScenarioCore {
                 }
             }
         }
-        let usable = |l: LinkId| shared.link_alive(l);
-        let Some(population) = &shared.population else {
-            self.routing = Routing::compute_filtered(&self.believed_graph, usable);
-            for b in &mut core.brokers {
-                let members = &self.subscriptions.entries;
-                b.set_table(SubscriptionTable::build(b.id, &self.routing, members));
-            }
-            self.counters.tables_rebuilt_full += core.brokers.len() as u64;
-            return;
-        };
         if removed.is_empty() && added.is_empty() {
             return; // the batch was a net liveness no-op
         }
+        let usable = |l: LinkId| shared.link_alive(l);
         let delta =
             self.routing
                 .update_for_link_change(&self.believed_graph, usable, &removed, &added);
@@ -417,7 +357,7 @@ impl ScenarioCore {
         if delta.is_empty() {
             return;
         }
-        let population = read_population(population);
+        let population = read_population(&shared.population);
         let mut patched = RetargetOutcome::default();
         for b in &mut core.brokers {
             for &dest in delta.changed_dests(b.id) {

@@ -21,7 +21,7 @@ use bdps_core::queue::QueuedMessage;
 use bdps_filter::index::MatchIndex;
 use bdps_filter::scope::{ScopeInterner, ScopeSet};
 use bdps_net::linkmodel::{LinkModel, LinkSharing};
-use bdps_overlay::sparse::PopulationHandle;
+use bdps_overlay::sparse::{aggregate_scope_id, read_population, PopulationHandle};
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_stats::summary::Summary;
@@ -160,10 +160,8 @@ pub(crate) struct Shared {
     pub(crate) publish_gen: Vec<u64>,
     /// How publish-time matching scopes copies.
     pub(crate) forwarding: ForwardingMode,
-    /// The population registry every sparse broker table references — and
-    /// the one record of the run's layout: `None` is the dense reference
-    /// engine (see `scenario_apply.rs`, which holds every layout arm).
-    pub(crate) population: Option<PopulationHandle>,
+    /// The population registry every broker table references.
+    pub(crate) population: PopulationHandle,
     /// Deliberately broken invariant, if armed (see [`InjectedFault`]).
     /// `None` keeps behaviour bit-identical to a build without the feature.
     #[cfg(feature = "fault-injection")]
@@ -480,17 +478,13 @@ impl TrafficCore {
                 // interested count starts at 0 and accumulates as edges
                 // expand (see `on_process`).
                 ids.clear();
-                let pop = bdps_overlay::sparse::read_population(
-                    sh.population
-                        .as_ref()
-                        .expect("aggregate forwarding runs on the sparse layout"),
-                );
+                let pop = read_population(&sh.population);
                 // BTreeMap iteration is ascending in the edge broker id
                 // and the sentinel encoding is monotone in it, so the
                 // scope ids come out ascending as ScopeSet requires.
                 for (dest, group) in pop.groups() {
                     if group.summary_matches(&message.head) {
-                        ids.push(bdps_overlay::sparse::aggregate_scope_id(dest));
+                        ids.push(aggregate_scope_id(dest));
                     }
                 }
                 self.publish_epoch.insert(id, pop.epoch());

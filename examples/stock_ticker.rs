@@ -5,13 +5,14 @@
 //!
 //! The example drives the broker state machine directly — without the
 //! simulator — to show how the public API fits together: topology, routing,
-//! subscription tables, brokers, and the scheduling decision on a busy link.
+//! the subscription registry and tables, brokers, and the scheduling
+//! decision on a busy link.
 //!
 //! Run with: `cargo run --release --example stock_ticker`
 
 use bdps::core::broker::BrokerState;
 use bdps::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 fn main() {
     // A small three-broker chain: exchange gateway -> regional hub -> edge.
@@ -47,9 +48,12 @@ fn main() {
         ),
     ];
 
+    // The subscriptions live once, in a registry every broker's table shares;
+    // the gateway's table holds one route per edge broker that has members.
     // The gateway broker runs the EB strategy.
-    let table =
-        bdps::overlay::subtable::SubscriptionTable::build(BrokerId::new(0), &routing, &subs);
+    let registry = bdps::overlay::sparse::SharedPopulation::from_population(&subs);
+    let registry: PopulationHandle = Arc::new(RwLock::new(registry));
+    let table = SparseTable::build(BrokerId::new(0), &routing, &registry);
     let mut gateway = BrokerState::from_overlay(
         &topo.graph,
         BrokerId::new(0),

@@ -1,6 +1,6 @@
 //! Helpers shared by the differential-oracle suites
-//! (`rebuild_equivalence.rs`, `layout_equivalence.rs`,
-//! `forwarding_equivalence.rs`).
+//! (`rebuild_equivalence.rs`, `forwarding_equivalence.rs`,
+//! `linkmodel_equivalence.rs`).
 
 use bdps::prelude::*;
 use bdps::sim::engine::EventKind;
@@ -8,8 +8,7 @@ use bdps::sim::engine::EventKind;
 /// The delivery set of a finished run: every `(message, subscriber)` pair
 /// delivered (on time or late), sorted. This is the oracle currency of the
 /// forwarding suite — aggregate forwarding may reshape traffic, but the
-/// delivery set must be exactly the exact-mode one — and doubles as a
-/// layout-independence check.
+/// delivery set must be exactly the exact-mode one.
 #[allow(dead_code)]
 pub fn delivered_pairs(outcome: &SimulationOutcome) -> Vec<(u64, u32)> {
     outcome

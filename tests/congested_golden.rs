@@ -19,7 +19,6 @@
 //! numbers, take the new counts from the failing assertion and update
 //! the table in the same commit.
 
-use bdps::overlay::sparse::TableLayout;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
 
@@ -51,7 +50,6 @@ fn congested_run(forwarding: ForwardingMode) -> SimulationReport {
         .strategy(StrategyKind::MaxEb)
         .scenario_named("churn")
         .expect("churn is builtin")
-        .table_layout(TableLayout::Sparse)
         .link_model(LinkModelKind::Constant)
         .forwarding(forwarding)
         .seed(42)

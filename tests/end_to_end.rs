@@ -328,7 +328,7 @@ fn smaller_mesh_and_best_effort_scenario_work() {
 /// work out from its inputs, or that only ever takes one value outside the
 /// tests, is a constant, not a field.
 #[test]
-fn simulation_config_has_ten_fields() {
+fn simulation_config_has_nine_fields() {
     let SimulationConfig {
         topology: _,
         workload: _,
@@ -336,7 +336,6 @@ fn simulation_config_has_ten_fields() {
         seed: _,
         estimation_error: _,
         scenario: _,
-        table_layout: _,
         link_model: _,
         forwarding: _,
         shards: _,
@@ -460,14 +459,14 @@ fn library_panic_sites_do_not_grow() {
         ("crates/sim/src/builder.rs", 2),
         ("crates/sim/src/runner.rs", 3),
         ("crates/sim/src/shard.rs", 5),
-        ("crates/sim/src/traffic.rs", 2),
-        ("crates/core/src/broker.rs", 5),
+        ("crates/sim/src/traffic.rs", 1),
+        ("crates/core/src/broker.rs", 1),
         ("crates/overlay/src/sparse.rs", 5),
     ];
     // The first six are what `engine.rs` alone was (3) before it was split:
     // a site must not escape the census by moving.
     assert!(committed[..6].iter().map(|(_, n)| n).sum::<usize>() <= 3);
-    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 25);
+    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 20);
     for (file, allowed) in committed {
         let code = library_code(file);
         let asserts = ["assert!(", "assert_eq!(", "assert_ne!("]
@@ -485,20 +484,17 @@ fn library_panic_sites_do_not_grow() {
     let engine = library_code("crates/sim/src/engine.rs");
     let engine_lines = engine.lines().count();
     assert!(engine_lines <= 700, "engine.rs has {engine_lines} lines");
-    // The layout is matched where it is applied (`scenario_apply.rs`),
-    // audited (`audit.rs`) or configured (`builder.rs`, `runner.rs`) and
-    // nowhere else, bar the constructor's aggregate-needs-sparse check.
+    // There is one table layout: nothing but the builder's vestigial
+    // setter (kept for the benchmark harness) names one.
     for entry in std::fs::read_dir(root.join("crates/sim/src")).expect("crates/sim/src") {
         let name = entry.expect("directory entry").file_name();
         let name = name.to_str().expect("utf-8 file name");
-        let allowed = match name {
-            "scenario_apply.rs" | "audit.rs" | "builder.rs" | "runner.rs" => continue,
-            "engine.rs" => 1,
-            _ => 0,
-        };
+        if name == "builder.rs" {
+            continue;
+        }
         let code = library_code(&format!("crates/sim/src/{name}"));
-        let arms = code.matches("TableLayout::").count() + code.matches("BrokerTable::").count();
-        assert!(arms <= allowed, "{name} names a table layout {arms} times");
+        let arms = code.matches("TableLayout::").count();
+        assert_eq!(arms, 0, "{name} names a table layout {arms} times");
     }
     // One way in: the builder. A `with_*` setter on `Simulation` would be a
     // second, unvalidated one.

@@ -4,13 +4,12 @@
 //! walks the global match index at publish time: it consults only the
 //! per-edge covering summaries, stamps interior copies with sentinel
 //! aggregate scopes, and leaves subscriber expansion to the edge brokers.
-//! Covers admit false positives, so unlike the table-layout axis the two
-//! modes are **not** bit-identical — hop traffic, drop breakdowns and
-//! per-phase counters may legitimately differ. What must never differ is
-//! the *delivery set*: the exact set of `(message, subscriber)` pairs
-//! delivered, and with it the total earning. This suite holds aggregate
-//! forwarding to that claim across scenarios and seeds, with the exact mode
-//! (on both engines) as the oracle.
+//! Covers admit false positives, so the two modes are **not**
+//! bit-identical — hop traffic, drop breakdowns and per-phase counters may
+//! legitimately differ. What must never differ is the *delivery set*: the
+//! exact set of `(message, subscriber)` pairs delivered, and with it the
+//! total earning. This suite holds aggregate forwarding to that claim across
+//! scenarios and seeds, with the exact mode as the oracle.
 //!
 //! The sweep runs on uncongested fixed-rate links so that no copy expires
 //! or is shed as unlikely in either mode — expiry under congestion is
@@ -35,12 +34,7 @@ fn small_topology(seed: u64) -> Topology {
     .unwrap()
 }
 
-fn try_build(
-    scenario: &DynamicScenario,
-    forwarding: ForwardingMode,
-    layout: TableLayout,
-    seed: u64,
-) -> std::result::Result<Simulation, SimError> {
+fn build(scenario: &DynamicScenario, forwarding: ForwardingMode, seed: u64) -> Simulation {
     let mut workload = WorkloadConfig::paper_ssd(8.0);
     workload.duration = Duration::from_secs(300);
     workload.arrivals = ArrivalKind::Deterministic;
@@ -48,18 +42,9 @@ fn try_build(
         .workload(workload)
         .scheduler(SchedulerConfig::paper(StrategyKind::MaxEbpc))
         .scenario(scenario.clone())
-        .table_layout(layout)
         .forwarding(forwarding)
         .try_build_on(small_topology(seed), SimRng::seed_from(seed))
-}
-
-fn build(
-    scenario: &DynamicScenario,
-    forwarding: ForwardingMode,
-    layout: TableLayout,
-    seed: u64,
-) -> Simulation {
-    try_build(scenario, forwarding, layout, seed).expect("valid oracle configuration")
+        .expect("valid oracle configuration")
 }
 
 fn audited(sim: Simulation) -> SimulationOutcome {
@@ -70,9 +55,8 @@ fn audited(sim: Simulation) -> SimulationOutcome {
 }
 
 /// The tentpole oracle: for every {scenario × seed} point, aggregate
-/// forwarding over the sparse layout delivers exactly the `(message,
-/// subscriber)` pairs — and earns exactly the money — of exact forwarding
-/// over both layouts.
+/// forwarding delivers exactly the `(message, subscriber)` pairs — and earns
+/// exactly the money — of exact forwarding.
 #[test]
 fn aggregate_forwarding_preserves_delivery_set_and_earning() {
     let registry = ScenarioRegistry::builtin();
@@ -83,10 +67,9 @@ fn aggregate_forwarding_preserves_delivery_set_and_earning() {
     ];
     for (scenario_name, scenario) in &scenarios {
         for seed in 1..=4u64 {
-            let run = |forwarding, layout| audited(build(scenario, forwarding, layout, seed));
-            let exact = run(ForwardingMode::Exact, TableLayout::Sparse);
-            let aggregate = run(ForwardingMode::Aggregate, TableLayout::Sparse);
-            let dense = run(ForwardingMode::Exact, TableLayout::Dense);
+            let run = |forwarding| audited(build(scenario, forwarding, seed));
+            let exact = run(ForwardingMode::Exact);
+            let aggregate = run(ForwardingMode::Aggregate);
 
             let pairs = delivered_pairs(&exact);
             let ctx = format!("({scenario_name}, seed {seed})");
@@ -101,11 +84,6 @@ fn aggregate_forwarding_preserves_delivery_set_and_earning() {
                 pairs,
                 delivered_pairs(&aggregate),
                 "aggregate forwarding changed the delivery set {ctx}"
-            );
-            assert_eq!(
-                pairs,
-                delivered_pairs(&dense),
-                "dense oracle disagrees with the sparse oracle {ctx}"
             );
             assert_eq!(
                 exact.tracker.total_earning(),
@@ -155,28 +133,10 @@ fn forwarding_mode_round_trips_through_names_and_config() {
 }
 
 #[test]
-fn aggregate_forwarding_rejects_the_dense_layout() {
-    // Decided by the constructor: no half-built simulation exists for
-    // `try_run` or the stepping API (the model checker, the benchmark's
-    // traced repetition) to trip over at the first publication.
-    let built = try_build(
-        &DynamicScenario::static_scenario(),
-        ForwardingMode::Aggregate,
-        TableLayout::Dense,
-        1,
-    );
-    assert_eq!(
-        built.err(),
-        Some(SimError::AggregateForwardingNeedsSparseLayout)
-    );
-}
-
-#[test]
 fn aggregate_forwarding_rejects_sharded_execution() {
     let sim = build(
         &DynamicScenario::static_scenario(),
         ForwardingMode::Aggregate,
-        TableLayout::Sparse,
         1,
     );
     match try_run_sharded(sim, 2) {

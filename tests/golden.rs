@@ -222,38 +222,30 @@ fn link_flap_golden_table() -> Vec<(StrategyKind, LinkFlapGolden)> {
 }
 
 #[test]
-fn seed_42_link_flap_metrics_are_pinned_under_both_table_layouts() {
-    // A link-failure scenario drives the routing/table rebuild machinery;
-    // the pinned metrics must be reproduced by both engines — the dense
-    // reference rebuilds routing and every table from scratch, the sparse
-    // production engine patches incrementally and must resolve every
-    // arrival exactly like the replicated tables.
-    use bdps::sim::TableLayout;
+fn seed_42_link_flap_metrics_are_pinned() {
+    // A link-failure scenario drives the routing/table repair machinery:
+    // route deltas and the aggregate patches that follow them.
     for (strategy, expected) in link_flap_golden_table() {
-        for layout in TableLayout::ALL {
-            let report = Simulation::builder()
-                .layered_mesh(LayeredMeshConfig::small())
-                .ssd(20.0)
-                .duration(Duration::from_secs(300))
-                .strategy(strategy)
-                .scenario_named("link-flap")
-                .expect("link-flap is a builtin scenario")
-                .table_layout(layout)
-                .seed(42)
-                .report();
-            assert_eq!(report.dynamics, "link-flap");
-            let observed = LinkFlapGolden {
-                golden: observed(&report),
-                requeued: report.requeued,
-            };
-            assert_eq!(
-                observed,
-                expected,
-                "{} under the {} layout drifted from the link-flap goldens",
-                strategy.label(),
-                layout.name()
-            );
-        }
+        let report = Simulation::builder()
+            .layered_mesh(LayeredMeshConfig::small())
+            .ssd(20.0)
+            .duration(Duration::from_secs(300))
+            .strategy(strategy)
+            .scenario_named("link-flap")
+            .expect("link-flap is a builtin scenario")
+            .seed(42)
+            .report();
+        assert_eq!(report.dynamics, "link-flap");
+        let observed = LinkFlapGolden {
+            golden: observed(&report),
+            requeued: report.requeued,
+        };
+        assert_eq!(
+            observed,
+            expected,
+            "{} drifted from the link-flap goldens",
+            strategy.label()
+        );
     }
 }
 
@@ -311,37 +303,30 @@ fn chaos_golden_table() -> Vec<(StrategyKind, ChaosGolden)> {
 }
 
 #[test]
-fn seed_42_chaos_metrics_are_pinned_under_both_table_layouts() {
+fn seed_42_chaos_metrics_are_pinned() {
     // Chaos drives churn (shared-registry inserts/removals, queue
-    // stripping) interleaved with link rebuilds (aggregate patching) — the
-    // exact paths the sparse layout rewrites. Both layouts must reproduce
-    // the pinned metrics bit-for-bit.
-    use bdps::sim::TableLayout;
+    // stripping) interleaved with link repairs (aggregate patching).
     for (strategy, expected) in chaos_golden_table() {
-        for layout in TableLayout::ALL {
-            let report = Simulation::builder()
-                .layered_mesh(LayeredMeshConfig::small())
-                .ssd(20.0)
-                .duration(Duration::from_secs(300))
-                .strategy(strategy)
-                .scenario_named("chaos")
-                .expect("chaos is a builtin scenario")
-                .table_layout(layout)
-                .seed(42)
-                .report();
-            assert_eq!(report.dynamics, "chaos");
-            let observed = ChaosGolden {
-                golden: observed(&report),
-                dropped_unsubscribed: report.dropped_unsubscribed,
-                requeued: report.requeued,
-            };
-            assert_eq!(
-                observed,
-                expected,
-                "{} under the {} layout drifted from the chaos goldens",
-                strategy.label(),
-                layout.name()
-            );
-        }
+        let report = Simulation::builder()
+            .layered_mesh(LayeredMeshConfig::small())
+            .ssd(20.0)
+            .duration(Duration::from_secs(300))
+            .strategy(strategy)
+            .scenario_named("chaos")
+            .expect("chaos is a builtin scenario")
+            .seed(42)
+            .report();
+        assert_eq!(report.dynamics, "chaos");
+        let observed = ChaosGolden {
+            golden: observed(&report),
+            dropped_unsubscribed: report.dropped_unsubscribed,
+            requeued: report.requeued,
+        };
+        assert_eq!(
+            observed,
+            expected,
+            "{} drifted from the chaos goldens",
+            strategy.label()
+        );
     }
 }

@@ -10,11 +10,11 @@
 //! 1. **The trait path is invisible.** A builder that never mentions link
 //!    models and one that selects `constant` explicitly (by kind, by name,
 //!    and through a [`LinkModelRegistry`]) produce bit-identical
-//!    [`SimulationReport`]s across seeds × adversarial scenarios × layouts.
+//!    [`SimulationReport`]s across seeds × adversarial scenarios.
 //!    (`tests/golden.rs` separately pins the absolute numbers, so together
 //!    these prove the trait dispatch changed nothing.)
-//! 2. **Fair sharing is deterministic and conservative.** Reports are
-//!    layout-independent, every delivered copy is accounted
+//! 2. **Fair sharing is deterministic and conservative.** Reports replay
+//!    exactly, every delivered copy is accounted
 //!    for, and on a drained run each link's busy time equals the dedicated
 //!    service it handed out (`busy_us ≈ work_done_us`): equal sharing moves
 //!    completion instants around but never creates or destroys service.
@@ -33,7 +33,7 @@ use common::{flap_storm, small_mesh_link_count};
 /// copies, chaos interleaves both with bursts.
 const SCENARIOS: [&str; 3] = ["churn", "link-flap", "chaos"];
 
-fn builder(scenario_name: &str, layout: TableLayout) -> SimulationBuilder {
+fn builder(scenario_name: &str) -> SimulationBuilder {
     Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
@@ -41,7 +41,6 @@ fn builder(scenario_name: &str, layout: TableLayout) -> SimulationBuilder {
         .strategy(StrategyKind::MaxEbpc)
         .scenario_named(scenario_name)
         .unwrap_or_else(|_| panic!("{scenario_name} is a builtin scenario"))
-        .table_layout(layout)
 }
 
 #[test]
@@ -53,38 +52,33 @@ fn constant_delay_through_the_trait_is_bit_identical_to_the_default() {
     let registry = LinkModelRegistry::default();
     for scenario in SCENARIOS {
         for seed in 1..=10 {
-            for layout in TableLayout::ALL {
-                let implicit = builder(scenario, layout).seed(seed).report();
-                let typed = builder(scenario, layout)
-                    .link_model(LinkModelKind::Constant)
-                    .seed(seed)
-                    .report();
-                assert_eq!(
-                    implicit,
-                    typed,
-                    "explicit constant kind drifted from the default \
-                     ({scenario}, seed {seed}, {} layout)",
-                    layout.name()
-                );
-                let named = builder(scenario, layout)
-                    .link_model_named("delay")
-                    .expect("`delay` is a builtin alias")
-                    .seed(seed)
-                    .report();
-                assert_eq!(implicit, named, "name-based selection drifted ({scenario})");
-                let via_registry = builder(scenario, layout)
-                    .link_model(
-                        registry
-                            .resolve("CONSTANT")
-                            .expect("registry lookup is case-insensitive"),
-                    )
-                    .seed(seed)
-                    .report();
-                assert_eq!(
-                    implicit, via_registry,
-                    "registry selection drifted ({scenario})"
-                );
-            }
+            let implicit = builder(scenario).seed(seed).report();
+            let typed = builder(scenario)
+                .link_model(LinkModelKind::Constant)
+                .seed(seed)
+                .report();
+            assert_eq!(
+                implicit, typed,
+                "explicit constant kind drifted from the default ({scenario}, seed {seed})"
+            );
+            let named = builder(scenario)
+                .link_model_named("delay")
+                .expect("`delay` is a builtin alias")
+                .seed(seed)
+                .report();
+            assert_eq!(implicit, named, "name-based selection drifted ({scenario})");
+            let via_registry = builder(scenario)
+                .link_model(
+                    registry
+                        .resolve("CONSTANT")
+                        .expect("registry lookup is case-insensitive"),
+                )
+                .seed(seed)
+                .report();
+            assert_eq!(
+                implicit, via_registry,
+                "registry selection drifted ({scenario})"
+            );
         }
     }
 }
@@ -94,7 +88,7 @@ fn constant_delay_links_are_exclusive_and_accounted() {
     // The exclusive model's counters are degenerate by construction: never
     // more than one flow in flight, mean concurrency exactly 1 while busy.
     for scenario in SCENARIOS {
-        let report = builder(scenario, TableLayout::Sparse).seed(3).report();
+        let report = builder(scenario).seed(3).report();
         assert!(!report.links.is_empty(), "per-link counters are reported");
         for link in &report.links {
             assert!(link.peak_flows <= 1, "exclusive model admits one flow");
@@ -111,28 +105,6 @@ fn constant_delay_links_are_exclusive_and_accounted() {
 }
 
 #[test]
-fn fair_share_reports_are_layout_independent() {
-    // Flow re-scheduling leans on the engine's stale-event design: a
-    // re-scheduled completion leaves the superseded event in the queue as a
-    // no-op, and the sparse layout must not perturb which copies contend.
-    for scenario in SCENARIOS {
-        for seed in [2u64, 5, 8] {
-            let fair = |layout| {
-                builder(scenario, layout)
-                    .link_model(LinkModelKind::FairShare)
-                    .seed(seed)
-                    .report()
-            };
-            assert_eq!(
-                fair(TableLayout::Dense),
-                fair(TableLayout::Sparse),
-                "fair-share drifted between layouts ({scenario}, seed {seed})"
-            );
-        }
-    }
-}
-
-#[test]
 fn fair_share_conserves_link_service_on_drained_runs() {
     // Flow-level conservation: once nothing is left in flight, the time a
     // link spent busy must equal the dedicated-link service it delivered.
@@ -141,7 +113,7 @@ fn fair_share_conserves_link_service_on_drained_runs() {
     // quantises each re-scheduled completion instant by — give each
     // transfer a generous 16 µs of slack.
     for scenario in ["static", "churn", "flash-crowd"] {
-        let outcome = builder(scenario, TableLayout::Sparse)
+        let outcome = builder(scenario)
             .link_model(LinkModelKind::FairShare)
             .seed(7)
             .build()
@@ -180,7 +152,7 @@ fn fair_share_saturates_a_link_under_flash_crowd() {
     // report's utilisation and queueing counters. The publishing rate is
     // doubled relative to the differential runs above — the point here is
     // congestion, not equivalence.
-    let report = builder("flash-crowd", TableLayout::Sparse)
+    let report = builder("flash-crowd")
         .ssd(24.0)
         .link_model(LinkModelKind::FairShare)
         .seed(7)
@@ -219,23 +191,23 @@ fn fair_share_under_the_flap_storm_stays_deterministic_and_conservative() {
     let links = small_mesh_link_count();
     for seed in [3u64, 7] {
         let storm = flap_storm(seed, links, 240);
-        let fair = |layout| {
-            builder("static", layout)
+        let fair = || {
+            builder("static")
                 .scenario(storm.clone())
                 .link_model(LinkModelKind::FairShare)
                 .seed(seed)
         };
-        let reference = fair(TableLayout::Dense).report();
+        let reference = fair().report();
         assert!(
             reference.requeued > 0,
             "storm seed {seed} never caught a flow in flight"
         );
         assert_eq!(
             reference,
-            fair(TableLayout::Sparse).report(),
-            "storm drifted between layouts (seed {seed})"
+            fair().report(),
+            "storm did not replay (seed {seed})"
         );
-        let outcome = fair(TableLayout::Sparse).build().run();
+        let outcome = fair().build().run();
         outcome.check_conservation().unwrap();
         outcome.check_no_duplicates().unwrap();
     }
@@ -247,7 +219,7 @@ fn sharded_execution_rejects_non_constant_models_up_front() {
     // cross-shard arrival inside the PD-lookahead window, so the sharded
     // executor refuses the combination with a structured error instead of
     // silently diverging.
-    let sim = builder("chaos", TableLayout::Sparse)
+    let sim = builder("chaos")
         .link_model(LinkModelKind::FairShare)
         .seed(1)
         .build();
@@ -260,9 +232,9 @@ fn sharded_execution_rejects_non_constant_models_up_front() {
     }
     // The constant model keeps its multi-core path, and a single fair-share
     // shard is just the sequential loop — both stay fine.
-    let constant = builder("chaos", TableLayout::Sparse).seed(1).build();
+    let constant = builder("chaos").seed(1).build();
     assert!(try_run_sharded(constant, 4).is_ok());
-    let fair_sequential = builder("chaos", TableLayout::Sparse)
+    let fair_sequential = builder("chaos")
         .link_model(LinkModelKind::FairShare)
         .seed(1)
         .build();

@@ -637,7 +637,7 @@ fn random_action(rng: &mut SimRng, brokers: usize, links: usize) -> ScenarioActi
 
 /// A random run description: mostly sound, with every front-door hazard —
 /// degenerate meshes, out-of-range rates and sizes, zero duration and `PD`,
-/// every layout × link model × forwarding × shard-count combination,
+/// every link model × forwarding × shard-count combination,
 /// scenario events naming things the overlay may not have, churn / burst /
 /// link-failure / blackout processes with NaN, ∞, negative and zero
 /// parameters — mixed in.
@@ -738,7 +738,6 @@ fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
         .workload(workload)
         .scheduler(scheduler)
         .scenario(scenario)
-        .table_layout(TableLayout::ALL[rng.uniform_usize(0, 2)])
         .link_model(LinkModelKind::ALL[rng.uniform_usize(0, 2)])
         .forwarding(ForwardingMode::ALL[rng.uniform_usize(0, 2)])
         .shards(shards)
@@ -753,7 +752,7 @@ fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
 fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let (mut ok, mut err) = (0, 0);
-    let mut variants_seen = [false; 4];
+    let mut variants_seen = [false; 3];
     let mut case = 0;
     check(0xF00D, 400, |rng| {
         case += 1;
@@ -786,9 +785,8 @@ fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
                 err += 1;
                 let variant = match e {
                     SimError::InvalidConfig(_) => 0,
-                    SimError::AggregateForwardingNeedsSparseLayout => 1,
-                    SimError::ShardedLinkModelUnsupported { .. } => 2,
-                    SimError::ShardedForwardingUnsupported => 3,
+                    SimError::ShardedLinkModelUnsupported { .. } => 1,
+                    SimError::ShardedForwardingUnsupported => 2,
                     other => panic!("case {case}: not a configuration error: {other}"),
                 };
                 variants_seen[variant] = true;
@@ -797,7 +795,7 @@ fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
     });
     assert!(ok > 50 && err > 50, "vacuous mix: {ok} Ok, {err} Err");
     assert_eq!(
-        variants_seen, [true; 4],
+        variants_seen, [true; 3],
         "a configuration variant never fired"
     );
 }
@@ -862,13 +860,14 @@ fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
     });
 }
 
-/// The table-level oracle of the sparse covering-aggregated layout: for
+/// The table-level oracle of the sparse covering-aggregated table: for
 /// random topologies, subscription populations and interleaved churn +
 /// link-delta sequences, (a) a sparse table maintained *incrementally*
 /// (registry churn + `sync_aggregate` on exactly the changed destinations)
 /// equals a from-scratch sparse build, and (b) the sparse table expanded at
-/// edges resolves exactly the dense table's delivery set — same rows, same
-/// routed fields, for scoped and unscoped arrivals alike.
+/// edges resolves exactly the delivery set of a dense table — one
+/// `SubscriptionTable::build` over the whole population — with the same
+/// rows and routed fields, for scoped and unscoped arrivals alike.
 #[test]
 fn sparse_tables_match_dense_and_incremental_matches_scratch() {
     use bdps::overlay::sparse::{ResolvedEntry, SharedPopulation, SparseTable};

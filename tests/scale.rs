@@ -21,7 +21,7 @@ fn mesh_10k() -> LayeredMeshConfig {
 /// `churn` is one join and one leave per minute *system-wide* — at this
 /// duration a Poisson mean of one event each, and none at all on one seed in
 /// seven — so it cannot carry a suite that promises invariants under churn.
-fn churn_10k_sim(seed: u64, layout: TableLayout) -> Simulation {
+fn churn_10k_sim(seed: u64) -> Simulation {
     Simulation::builder()
         .layered_mesh(mesh_10k())
         .ssd(6.0)
@@ -31,7 +31,6 @@ fn churn_10k_sim(seed: u64, layout: TableLayout) -> Simulation {
             joins_per_min: 100.0,
             leaves_per_min: 100.0,
         }))
-        .table_layout(layout)
         .seed(seed)
         .build()
 }
@@ -40,8 +39,8 @@ fn churn_10k_sim(seed: u64, layout: TableLayout) -> Simulation {
 /// `while step_next`; the builder has already materialised the brokers) so
 /// the final population can be held to a traffic floor: the run must really
 /// have admitted joins and applied leaves.
-fn churn_10k_layout(seed: u64, layout: TableLayout) -> SimulationOutcome {
-    let mut sim = churn_10k_sim(seed, layout);
+fn churn_10k(seed: u64) -> SimulationOutcome {
+    let mut sim = churn_10k_sim(seed);
     let limit = sim.hard_stop();
     while sim.step_next(limit) {}
     let population = sim.subscriptions();
@@ -63,7 +62,7 @@ fn churn_10k_layout(seed: u64, layout: TableLayout) -> SimulationOutcome {
 #[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
 #[test]
 fn ten_thousand_subscriber_churn_keeps_invariants() {
-    let outcome = churn_10k_layout(1, TableLayout::Sparse);
+    let outcome = churn_10k(1);
     outcome.check_conservation().expect("copy conservation");
     assert_eq!(outcome.tracker.duplicate_deliveries(), 0);
     assert!(outcome.published > 0);
@@ -80,34 +79,9 @@ fn ten_thousand_subscriber_churn_keeps_invariants() {
     assert!(outcome.peak_pending_events > 0);
     // Interning must be active on the hot path.
     assert!(outcome.scope_interns > 0);
-}
-
-/// Sparse-vs-dense replay equivalence at 10k subscribers: the production
-/// engine must reproduce the dense reference's outcome bit-for-bit at a
-/// population where the dense table replicates 320k entries — and do it
-/// with a fraction of the table memory.
-#[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
-#[test]
-fn ten_thousand_subscriber_sparse_layout_replays_the_dense_oracle() {
-    let dense = churn_10k_layout(3, TableLayout::Dense);
-    let sparse = churn_10k_layout(3, TableLayout::Sparse);
-    assert_outcomes_identical(&dense, &sparse, "10k churn");
-    assert_eq!(
-        dense.tracker.total_interested(),
-        sparse.tracker.total_interested()
-    );
-    assert!(sparse.aggregate_entries > 0);
-    assert_eq!(
-        sparse.expanded_at_edge(),
-        sparse.tracker.total_on_time() + sparse.tracker.total_late()
-    );
-    assert!(
-        sparse.table_bytes_estimate * 5 <= dense.table_bytes_estimate,
-        "sparse tables must be ≥5x smaller at 10k: {} vs {} bytes",
-        sparse.table_bytes_estimate,
-        dense.table_bytes_estimate
-    );
-    sparse.check_conservation().expect("copy conservation");
+    // Interior brokers route on aggregates; only edges expand.
+    assert!(outcome.aggregate_entries > 0);
+    assert_eq!(outcome.expanded_at_edge(), delivered);
 }
 
 /// The sharded executor at 10k subscribers: an 8-shard run must match the
@@ -117,8 +91,8 @@ fn ten_thousand_subscriber_sparse_layout_replays_the_dense_oracle() {
 #[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
 #[test]
 fn ten_thousand_subscriber_sharded_run_matches_sequential() {
-    let sequential = churn_10k_layout(4, TableLayout::Sparse);
-    let sharded = bdps::sim::run_sharded(churn_10k_sim(4, TableLayout::Sparse), 8);
+    let sequential = churn_10k(4);
+    let sharded = bdps::sim::run_sharded(churn_10k_sim(4), 8);
     assert_outcomes_identical(&sequential, &sharded, "10k churn sharded");
     sharded.check_conservation().expect("copy conservation");
     assert_eq!(sharded.tracker.duplicate_deliveries(), 0);
@@ -145,7 +119,6 @@ fn million_subscriber_sharded_churn_keeps_invariants() {
             .strategy(StrategyKind::MaxEb)
             .scenario_named("churn")
             .expect("churn is a builtin scenario")
-            .table_layout(TableLayout::Sparse)
             .seed(1)
             .build(),
         8,
