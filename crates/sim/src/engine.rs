@@ -28,7 +28,8 @@ use bdps_core::objective::ObjectiveTracker;
 use bdps_filter::index::MatchIndex;
 use bdps_filter::subscription::Subscription;
 use bdps_net::linkmodel::LinkModelKind;
-use bdps_overlay::sparse::read_population;
+use bdps_overlay::routing::Routing;
+use bdps_overlay::sparse::{read_population, SparseTable};
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_stats::summary::Summary;
@@ -328,6 +329,17 @@ impl Simulation {
     /// particular order once a subscription has left).
     pub fn subscriptions(&self) -> &[(Subscription, BrokerId)] {
         &self.scenario.subscriptions.entries
+    }
+
+    /// The routing every broker's table was last rebuilt against (it lags
+    /// link liveness while a same-instant link batch is still in flight).
+    pub fn routing(&self) -> &Routing {
+        &self.scenario.routing
+    }
+
+    /// Every broker's subscription table, in broker-id order.
+    pub fn tables(&self) -> impl Iterator<Item = &SparseTable> {
+        self.core.brokers.iter().map(|b| b.table())
     }
 
     /// The scheduler configuration of this run.

@@ -1,6 +1,6 @@
 //! Helpers shared by the differential-oracle suites
-//! (`rebuild_equivalence.rs`, `forwarding_equivalence.rs`,
-//! `linkmodel_equivalence.rs`).
+//! (`rebuild_equivalence.rs`, `layout_equivalence.rs`,
+//! `forwarding_equivalence.rs`, `linkmodel_equivalence.rs`).
 
 use bdps::prelude::*;
 use bdps::sim::engine::EventKind;
@@ -114,7 +114,19 @@ pub fn flap_storm(seed: u64, links: u32, horizon_secs: u64) -> DynamicScenario {
 /// `Routing::compute_filtered`, every broker's table a from-scratch build,
 /// every envelope the fold over its members.
 #[allow(dead_code)] // each test binary uses its own subset of the helpers
-pub fn run_with_table_audits(mut sim: Simulation, what: &str) -> SimulationOutcome {
+pub fn run_with_table_audits(sim: Simulation, what: &str) -> SimulationOutcome {
+    run_with_checks(sim, what, Simulation::audit_tables)
+}
+
+/// [`run_with_table_audits`] with the audit supplied: `check` runs after
+/// every event of every instant that holds a scenario event, and the run
+/// panics, naming `what` and the instant, on the first error it returns.
+#[allow(dead_code)] // each test binary uses its own subset of the helpers
+pub fn run_with_checks(
+    mut sim: Simulation,
+    what: &str,
+    mut check: impl FnMut(&Simulation) -> std::result::Result<(), String>,
+) -> SimulationOutcome {
     let stop = sim.hard_stop();
     loop {
         // Look at the next instant and put it back whole, so the engine's
@@ -132,8 +144,7 @@ pub fn run_with_table_audits(mut sim: Simulation, what: &str) -> SimulationOutco
         }
         while sim.step_next(now) {
             if has_scenario {
-                sim.audit_tables()
-                    .unwrap_or_else(|e| panic!("{what}: table audit failed at {now}: {e}"));
+                check(&sim).unwrap_or_else(|e| panic!("{what}: table audit failed at {now}: {e}"));
             }
         }
     }

@@ -1,21 +1,28 @@
-//! Differential-oracle suite: the production engine against the reference
-//! engine, whole report by whole report.
+//! Table-layout oracle: every broker's live table against the dense layout,
+//! state by state through whole runs.
 //!
-//! [`TableLayout`] selects one of two engines. `Dense` is the reference: one
-//! replicated entry per subscription on every broker, and after every
-//! coalesced link batch routing is recomputed from scratch and every table
-//! rebuilt from the full population — the original implementation, with
-//! nothing incremental to get wrong. `Sparse` is the production engine, the
-//! one the benchmark measures: full entries only for locally attached
-//! subscribers, one covering aggregate per remote destination, subscription
-//! metadata in a shared registry, and link batches applied as a route delta
-//! plus one aggregate patch per changed `(broker, destination)` pair. The
-//! two are claimed to be **bit-identical**; this suite holds the production
-//! engine to that claim by running the same seeds through the most
-//! adversarial dynamic scenarios on both and requiring the *entire*
-//! [`SimulationReport`] — per-phase breakdowns included — to be equal.
-//! (`tests/rebuild_equivalence.rs` audits the production engine's tables
-//! state by state on the same scenarios and seeds.)
+//! Two table layouts answer the question a broker asks on arrival — for each
+//! subscription a copy serves, which next hop and which remaining-path
+//! statistics it forwards with. The dense layout
+//! ([`SubscriptionTable::build`]) keeps one full entry per subscription on
+//! every broker, each routed on its own. The layout every broker runs
+//! ([`SparseTable`]) keeps full entries only for locally attached
+//! subscribers, one route per remote edge group, and the group's members in
+//! the shared registry. The dense layout is no longer an engine, but it stays
+//! the oracle of what a table must resolve: `tests/properties.rs` holds
+//! single tables to it on random populations, and this suite holds every
+//! broker of a running simulation to it through the most adversarial
+//! dynamic scenarios. At every instant that holds a scenario event, after
+//! every event of the instant, each broker's table must resolve the whole
+//! population list to exactly the dense table's rows, routed fields
+//! included, and match a fixed set of message heads to the same rows in the
+//! same order. (`tests/rebuild_equivalence.rs` audits the same runs against a
+//! from-scratch sparse rebuild.)
+//!
+//! The checked run must also end in exactly the report of a plain run built
+//! the way the benchmark harness builds its runs, naming
+//! `TableLayout::Sparse`, so the layout the benchmark selects is the one
+//! checked here.
 //!
 //! The hand-built "flap storm" scenario is the adversarial case the random
 //! processes do not reach: hundreds of link events stacked on the *same
@@ -23,10 +30,12 @@
 //! failures (a link downed twice needs two recoveries), flaps fully
 //! contained between two events, and links left dead at the horizon.
 
+use bdps::overlay::sparse::{ResolvedEntry, SparseTable};
+use bdps::overlay::subtable::SubscriptionTable;
 use bdps::prelude::*;
 
 mod common;
-use common::{delivered_pairs, flap_storm, run_with_table_audits, small_mesh_link_count};
+use common::{flap_storm, run_with_checks, small_mesh_link_count};
 
 fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
     Simulation::builder()
@@ -38,297 +47,139 @@ fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
         .seed(seed)
 }
 
-fn report(scenario: &DynamicScenario, layout: TableLayout, seed: u64) -> SimulationReport {
-    builder(scenario, seed).table_layout(layout).report()
+/// Holds one broker's live table to a dense table built from scratch over
+/// the population list, against the routing the live table was last
+/// rebuilt on: scoped resolution of every listed subscription, and unscoped
+/// matching of each of `heads`, must give the dense rows.
+fn table_matches_the_dense_layout(
+    table: &SparseTable,
+    routing: &bdps::overlay::routing::Routing,
+    subs: &[(Subscription, BrokerId)],
+    heads: &[MessageHead],
+) -> std::result::Result<(), String> {
+    let broker = table.broker();
+    let dense = SubscriptionTable::build(broker, routing, subs);
+    let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
+    let mut resolved: Vec<ResolvedEntry> = Vec::new();
+    table.resolve_scope(&scope, |e| resolved.push(e));
+    let expected: Vec<ResolvedEntry> = scope
+        .iter()
+        .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
+        .collect();
+    if resolved != expected {
+        let first = resolved.iter().zip(&expected).position(|(a, b)| a != b);
+        return Err(format!(
+            "broker {broker} resolves the population to {} rows, the dense layout to {} \
+             (first difference at row {first:?})",
+            resolved.len(),
+            expected.len()
+        ));
+    }
+    for head in heads {
+        let mut via_dense: Vec<ResolvedEntry> = dense
+            .matching(head)
+            .into_iter()
+            .map(ResolvedEntry::from_entry)
+            .collect();
+        via_dense.sort_unstable_by_key(|e| e.subscription);
+        if table.matching_all(head) != via_dense {
+            return Err(format!(
+                "broker {broker} matches {head:?} to other rows than the dense layout"
+            ));
+        }
+    }
+    Ok(())
 }
 
-/// Runs one scenario on both engines, asserts report equality and returns
-/// the common report.
-fn agreed_report(scenario: &DynamicScenario, seed: u64) -> SimulationReport {
-    let dense = report(scenario, TableLayout::Dense, seed);
-    let sparse = report(scenario, TableLayout::Sparse, seed);
-    assert_eq!(
-        dense, sparse,
-        "the sparse engine drifted from the dense reference ({scenario}, seed {seed})"
+/// Steps one run, holding every broker's table to the dense layout after
+/// every event of every instant that holds a scenario event, then holds the
+/// checked run's report to the benchmark-style build's. Returns the outcome
+/// and the report.
+fn checked_run(scenario: &DynamicScenario, seed: u64) -> (SimulationOutcome, SimulationReport) {
+    let build = builder(scenario, seed);
+    let config = build.build_config();
+    let mut rng = SimRng::seed_from(seed);
+    let heads: Vec<MessageHead> = (0..8)
+        .map(|_| config.workload.generate_head(&mut rng))
+        .collect();
+    let what = format!("{scenario}, seed {seed}");
+    let outcome = run_with_checks(build.build(), &what, |sim| {
+        sim.tables().try_for_each(|table| {
+            table_matches_the_dense_layout(table, sim.routing(), sim.subscriptions(), &heads)
+        })
+    });
+    let checked = SimulationReport::from_outcome(
+        &outcome,
+        &config.scheduler.strategy,
+        config.scheduler.ebpc_weight,
+        config.workload.scenario,
+        &config.scenario.name,
+        &config.workload,
+        config.seed,
     );
-    dense
+    let benchmarked = builder(scenario, seed)
+        .table_layout(TableLayout::Sparse)
+        .report();
+    assert_eq!(
+        benchmarked, checked,
+        "the layout-checked run drifted from the benchmark-style run ({scenario}, seed {seed})"
+    );
+    (outcome, checked)
 }
 
-/// Runs one registry scenario over a seed range on both engines.
-fn assert_layouts_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
-    let registry = ScenarioRegistry::builtin();
-    let scenario = registry
+/// Checks one registry scenario over a seed range. The seeds together must
+/// have moved routes (every such move happened at a checked instant), or
+/// the check never saw a table under repair.
+fn check_scenario(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
+    let scenario = ScenarioRegistry::builtin()
         .resolve(scenario_name)
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
+    let (mut trees, mut pairs) = (0, 0);
     for seed in seeds {
-        agreed_report(&scenario, seed);
+        let (outcome, _) = checked_run(&scenario, seed);
+        trees += outcome.route_trees_recomputed;
+        pairs += outcome.route_pairs_changed;
     }
+    assert!(
+        trees > 0 && pairs > 0,
+        "{scenario_name} never moved a route"
+    );
 }
 
 #[test]
 fn link_flap_reports_are_layout_independent_on_seeds_1_to_10() {
-    assert_layouts_agree("link-flap", 1..=10);
+    check_scenario("link-flap", 1..=10);
 }
 
 #[test]
 fn blackout_reports_are_layout_independent_on_seeds_1_to_10() {
-    // Blackouts are the mass-transition case: every aggregate disappears
+    // Blackouts are the mass-transition case: every remote route disappears
     // when the mesh goes dark and must reappear with fresh routed fields on
-    // recovery, exactly when the dense layout re-inserts every entry.
-    assert_layouts_agree("blackout", 1..=10);
-}
-
-#[test]
-fn churn_reports_are_layout_independent_on_seeds_1_to_10() {
-    // Churn exercises the shared-registry path: joins register once
-    // globally + expand at the edge, leaves must strip queued copies and
-    // shrink aggregates identically to the dense per-broker removals.
-    assert_layouts_agree("churn", 1..=10);
+    // recovery, exactly where the dense layout routes every entry anew.
+    check_scenario("blackout", 1..=10);
 }
 
 #[test]
 fn chaos_reports_are_layout_independent_on_seeds_1_to_10() {
     // Chaos interleaves churn, bursts and link failures — a join during an
-    // outage must become routable on recovery identically under both
-    // layouts.
-    assert_layouts_agree("chaos", 1..=10);
+    // outage must become routable on recovery exactly as a dense entry
+    // would.
+    check_scenario("chaos", 1..=10);
 }
 
 #[test]
 fn flap_storm_is_layout_independent() {
     // The small mesh has 68 directed links; the storm's same-instant floods
-    // are where a from-scratch rebuild and an incremental patch are furthest
-    // apart in what they do, and must still end in the same tables.
+    // are where an incremental patch does least like a from-scratch dense
+    // build, and must still resolve the same rows.
     let links = small_mesh_link_count();
     for seed in [3u64, 7, 11] {
-        let reference = agreed_report(&flap_storm(seed, links, 240), seed);
+        let (_, report) = checked_run(&flap_storm(seed, links, 240), seed);
         // The storm must actually stress the rebuild machinery: link events
         // void transfers (requeues) in a congested mesh.
         assert!(
-            reference.requeued > 0,
+            report.requeued > 0,
             "storm seed {seed} never caught a transfer in flight"
         );
     }
-}
-
-/// Members of the congested small-mesh population the hand-built churn
-/// scenarios below target (every run of one seed draws the same population,
-/// whatever the scenario).
-fn population(seed: u64) -> Vec<(Subscription, BrokerId)> {
-    Simulation::builder()
-        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-        .ssd(12.0)
-        .seed(seed)
-        .build()
-        .subscriptions()
-        .to_vec()
-}
-
-#[test]
-fn leave_of_an_unknown_id_is_a_no_op_under_every_layout() {
-    let seed = 6;
-    let members = population(seed);
-    // Real leaves while queues are loaded, so there is something to strip.
-    let mut leaves = DynamicScenario::named("leaves");
-    for (k, (sub, _)) in members.iter().take(12).enumerate() {
-        let at = Duration::from_secs(60 + 10 * k as u64);
-        leaves = leaves.at(
-            at,
-            ScenarioAction::SubscriptionLeave {
-                subscription: sub.id,
-            },
-        );
-    }
-    // The same, plus leaves of an id that never existed and a second leave
-    // of one that is already gone.
-    let never = SubscriptionId::new(members.len() as u32 + 1_000);
-    let strays = leaves
-        .clone()
-        .at(
-            Duration::from_secs(30),
-            ScenarioAction::SubscriptionLeave {
-                subscription: never,
-            },
-        )
-        .at(
-            Duration::from_secs(200),
-            ScenarioAction::SubscriptionLeave {
-                subscription: never,
-            },
-        )
-        .at(
-            Duration::from_secs(200),
-            ScenarioAction::SubscriptionLeave {
-                subscription: members[0].0.id,
-            },
-        );
-    let without = agreed_report(&leaves, seed);
-    let with = agreed_report(&strays, seed);
-    assert_eq!(
-        without, with,
-        "a leave of an unknown id must change nothing"
-    );
-    assert!(
-        without.dropped_unsubscribed > 0,
-        "the real leaves must orphan queued copies, or nothing was stripped"
-    );
-}
-
-#[test]
-fn leave_then_rejoin_at_one_instant_is_layout_independent() {
-    let seed = 6;
-    let members = population(seed);
-    let mut leave_only = DynamicScenario::named("leave-rejoin");
-    let mut rejoin = DynamicScenario::named("leave-rejoin");
-    for (k, (sub, edge)) in members.iter().take(12).enumerate() {
-        let at = Duration::from_secs(60 + 10 * k as u64);
-        let leave = ScenarioAction::SubscriptionLeave {
-            subscription: sub.id,
-        };
-        leave_only = leave_only.at(at, leave.clone());
-        rejoin = rejoin.at(at, leave).at(
-            at,
-            ScenarioAction::SubscriptionJoin {
-                subscription: sub.clone(),
-                broker: *edge,
-            },
-        );
-    }
-    let left = agreed_report(&leave_only, seed);
-    let rejoined = agreed_report(&rejoin, seed);
-    // Both halves must take effect: the leave strips queued copies, the
-    // rejoin puts the subscriber back in scope of later publications.
-    assert!(rejoined.dropped_unsubscribed > 0);
-    assert!(rejoined.interested > left.interested);
-    assert_eq!(rejoined.duplicate_deliveries, 0);
-}
-
-#[test]
-fn join_of_a_live_id_at_another_edge_is_a_leave_then_the_join_under_every_layout() {
-    let seed = 6;
-    let members = population(seed);
-    // Twelve live ids re-homed while queues are loaded, with no leave: the
-    // join itself must take the id away from its old edge.
-    let mut rehome = DynamicScenario::named("re-home");
-    for (k, (sub, edge)) in members.iter().take(12).enumerate() {
-        let elsewhere = members
-            .iter()
-            .map(|(_, other)| *other)
-            .find(|other| other != edge)
-            .expect("the population spans more than one edge");
-        rehome = rehome.at(
-            Duration::from_secs(60 + 10 * k as u64),
-            ScenarioAction::SubscriptionJoin {
-                subscription: sub.clone(),
-                broker: elsewhere,
-            },
-        );
-    }
-    let moved = agreed_report(&rehome, seed);
-    assert!(
-        moved.dropped_unsubscribed > 0,
-        "the implied leaves must orphan queued copies, or nothing was stripped"
-    );
-    assert_eq!(moved.duplicate_deliveries, 0);
-    // State by state: the old edge lost its row and every other broker
-    // re-synced its aggregate towards the group that shrank.
-    for forwarding in ForwardingMode::ALL {
-        let production = builder(&rehome, seed).forwarding(forwarding);
-        run_with_table_audits(production.build(), &format!("re-home, {forwarding}"));
-    }
-}
-
-#[test]
-fn an_edge_group_emptied_then_refilled_is_layout_independent() {
-    let seed = 6;
-    let members = population(seed);
-    // The smallest edge group: every one of its members leaves while queues
-    // are loaded, so interior brokers must drop their route towards the
-    // edge; later they all rejoin, so every interior broker must add it back.
-    let mut groups: std::collections::BTreeMap<BrokerId, Vec<&Subscription>> = Default::default();
-    for (sub, edge) in &members {
-        groups.entry(*edge).or_default().push(sub);
-    }
-    let (edge, group) = groups
-        .iter()
-        .min_by_key(|(_, group)| group.len())
-        .expect("the population has an edge group");
-    let mut emptied = DynamicScenario::named("empty-refill");
-    for (k, sub) in group.iter().enumerate() {
-        let leave = ScenarioAction::SubscriptionLeave {
-            subscription: sub.id,
-        };
-        emptied = emptied.at(Duration::from_secs(60 + k as u64), leave);
-    }
-    let mut refilled = emptied.clone();
-    for (k, sub) in group.iter().enumerate() {
-        let join = ScenarioAction::SubscriptionJoin {
-            subscription: (*sub).clone(),
-            broker: *edge,
-        };
-        refilled = refilled.at(Duration::from_secs(150 + k as u64), join);
-    }
-    let left = agreed_report(&emptied, seed);
-    let back = agreed_report(&refilled, seed);
-    assert!(
-        back.interested > left.interested,
-        "the refilled group must be in scope of later publications again"
-    );
-    assert_eq!(back.duplicate_deliveries, 0);
-    // State by state: after the last leave no broker holds a route towards
-    // the edge, after the first rejoin every broker that reaches it does.
-    run_with_table_audits(builder(&refilled, seed).build(), "empty-refill");
-}
-
-#[test]
-fn sparse_runs_report_aggregate_counters() {
-    // The observability half of the layout: aggregates exist, every local
-    // delivery is an edge expansion, and the memory estimate shrinks.
-    let run = |layout: TableLayout| {
-        Simulation::builder()
-            .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-            .ssd(10.0)
-            .duration(Duration::from_secs(180))
-            .strategy(StrategyKind::MaxEb)
-            .scenario_named("chaos")
-            .expect("chaos is builtin")
-            .table_layout(layout)
-            .seed(5)
-            .build()
-            .run()
-    };
-    let dense = run(TableLayout::Dense);
-    let sparse = run(TableLayout::Sparse);
-    // Bit-identical layouts also means bit-identical delivery sets — the
-    // same pair oracle the forwarding suite uses.
-    assert_eq!(delivered_pairs(&dense), delivered_pairs(&sparse));
-    assert_eq!(dense.aggregate_entries, 0);
-    assert_eq!(dense.expanded_at_edge(), 0);
-    assert!(sparse.aggregate_entries > 0);
-    assert_eq!(
-        sparse.expanded_at_edge(),
-        sparse.tracker.total_on_time() + sparse.tracker.total_late()
-    );
-    assert!(sparse.table_bytes_estimate < dense.table_bytes_estimate);
-    assert!(dense.table_bytes_estimate > 0);
-}
-
-#[test]
-fn table_layout_round_trips_through_config_and_registry_names() {
-    let config = Simulation::builder()
-        .table_layout(TableLayout::Dense)
-        .build_config();
-    assert_eq!(config.table_layout, TableLayout::Dense);
-    let rebuilt = SimulationBuilder::from_config(&config).build_config();
-    assert_eq!(rebuilt, config);
-    // The default is the engine the benchmark measures; the reference is
-    // only ever reached by asking for it.
-    assert_eq!(
-        Simulation::builder().build_config().table_layout,
-        TableLayout::Sparse
-    );
-    for layout in TableLayout::ALL {
-        assert_eq!(TableLayout::from_name(layout.name()), Some(layout));
-    }
-    assert!(TableLayout::from_name("bogus").is_none());
 }
