@@ -15,9 +15,7 @@
 use crate::config::SchedulerConfig;
 use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage};
 use bdps_filter::scope::ScopeSet;
-use bdps_filter::subscription::Subscription;
 use bdps_overlay::graph::OverlayGraph;
-use bdps_overlay::pathstats::PathStats;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{
     aggregate_scope_dest, read_population, PopulationHandle, QosEnvelope, ResolvedEntry,
@@ -278,8 +276,8 @@ impl BrokerState {
         let mut copies = Vec::new();
         // One pass: each resolved row is delivered or appended to its next
         // hop's copy as the scope is walked. A row is a [`ResolvedEntry`]
-        // assembled from the local table, or from the shared registry and
-        // the per-destination aggregate.
+        // assembled from the member's registry record, routed along the
+        // per-destination aggregate when the member is remote.
         let counters = &mut self.counters;
         let mut place = |e: ResolvedEntry| match e.next_hop {
             None => deliver_local(counters, &mut outcome.local, &message, now, &e),
@@ -361,15 +359,7 @@ impl BrokerState {
                             if !record.subscription.filter.matches(&message.head) {
                                 continue;
                             }
-                            let entry = ResolvedEntry {
-                                subscription: member,
-                                subscriber: record.subscription.subscriber,
-                                price: record.subscription.price,
-                                allowed_delay: record.subscription.allowed_delay(),
-                                next_hop: None,
-                                next_link: None,
-                                stats: PathStats::local(),
-                            };
+                            let entry = ResolvedEntry::local(record);
                             let local = &mut outcome.local;
                             deliver_local(&mut self.counters, local, &message, now, &entry);
                         }
@@ -454,14 +444,6 @@ impl BrokerState {
         NextSend { message, dropped }
     }
 
-    /// Adds a locally attached subscription's full entry — the edge-broker
-    /// half of a join (interior brokers only sync their aggregate for the
-    /// edge). Messages already queued are unaffected; messages processed
-    /// from now on match the new entry.
-    pub fn insert_local_subscription(&mut self, subscription: Subscription) {
-        self.table.insert_local(subscription);
-    }
-
     /// Brings the aggregate towards `dest` in line with the current routing
     /// and whether the destination group is populated, which the caller
     /// read from the shared registry (see
@@ -477,19 +459,11 @@ impl BrokerState {
         self.table.sync_aggregate_with(routing, dest, populated)
     }
 
-    /// Removes a subscription mid-run: drops its local table row and strips
-    /// it from every queued copy's target set. Copies left with no target
-    /// are discarded and counted under `dropped_unsubscribed`; the number of
-    /// such orphaned copies is returned. Aggregates are synced separately
-    /// (they need routing).
-    pub fn remove_subscription(&mut self, id: SubscriptionId) -> u64 {
-        self.table.remove_local(id);
-        self.strip_queued(id)
-    }
-
-    /// The queue half of [`remove_subscription`](Self::remove_subscription),
-    /// for brokers known to hold no table row of `id` (every broker but the
-    /// subscription's edge).
+    /// Removes a subscription mid-run — the whole broker half of a leave, as
+    /// the table holds no row of it: strips it from every queued copy's
+    /// target set. Copies left with no target are discarded and counted
+    /// under `dropped_unsubscribed`; the number of such orphaned copies is
+    /// returned. Aggregates are synced separately (they need routing).
     pub fn strip_queued(&mut self, id: SubscriptionId) -> u64 {
         if self.queued == 0 {
             return 0;
@@ -857,7 +831,7 @@ mod tests {
     fn mid_run_subscription_churn_updates_matching_and_queues() {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
-        // A leave as the engine applies it at an interior broker: the
+        // A leave as the engine applies it at every broker: the
         // registry forgets the id, the queues lose it, and the route towards
         // its edge goes once the edge's group is empty.
         let leave = |b0: &mut BrokerState, id: u32, edge: u32| {
@@ -866,7 +840,7 @@ mod tests {
                 pop.remove(SubscriptionId::new(id));
                 pop.group(BrokerId::new(edge)).is_none()
             };
-            let orphaned = b0.remove_subscription(SubscriptionId::new(id));
+            let orphaned = b0.strip_queued(SubscriptionId::new(id));
             b0.sync_aggregate(&s.routing, BrokerId::new(edge), !emptied);
             orphaned
         };
@@ -923,8 +897,7 @@ mod tests {
         let b1 = broker(&s, 1, StrategyKind::Fifo);
         assert_eq!(b1.neighbors(), vec![BrokerId::new(0), BrokerId::new(2)]);
         assert_eq!(b1.config().strategy, StrategyKind::Fifo);
-        // S1 is local; S0 and S2 are one aggregate each, towards B2 and B0.
-        assert_eq!(b1.table().local().len(), 1);
+        // S0 and S2 are one aggregate each, towards B2 and B0.
         assert_eq!(b1.table().aggregate_count(), 2);
     }
 

@@ -25,13 +25,13 @@
 //! filter. The sorted lists and the directly evaluated predicates name
 //! slots, not ids, so a match counts into one `Vec` entry per slot and reads
 //! the matches off in one pass in slot order: no hashing on the publish
-//! path. Slots are not raw ids because every broker's local subscription
-//! table owns an index holding a handful of ids drawn from the whole
-//! population's range, and a table sized by the largest id would cost each
-//! of them as much as the global index. Slots are append-only: a removal
-//! leaves a tombstone and an insert takes a new slot, so the table grows
-//! with the inserts ever made, as `SharedPopulation::members` grows with the
-//! ids ever joined. Ids are minted in ascending order, so slot order is id
+//! path. Slots are not raw ids because an index need not hold ids from zero:
+//! the dense table oracle builds one index per broker over the part of the
+//! population that broker reaches, and a table sized by the largest id would
+//! cost each of them as much as the global index. Slots are append-only: a
+//! removal leaves a tombstone instead of shifting later slots, and an insert
+//! takes a new slot, so the table grows with the inserts ever made, as
+//! `SharedPopulation::members` grows with the ids ever joined. Ids are minted in ascending order, so slot order is id
 //! order and the final sort is a linear check; only re-inserting a live id,
 //! or inserting ids out of order, leaves it work to do.
 //! Matching is deterministic: its output is sorted, and counting is

@@ -13,13 +13,13 @@
 //! * [`routing`] — destination-rooted Dijkstra over mean link rates, giving
 //!   every broker a consistent next hop and path statistics per destination;
 //! * [`subtable`] — the full subscription table
-//!   `{(subscriber, filter, dl, pr, nb, NN_p, μ_p, σ_p²)}`: each broker's
-//!   local (edge-expansion) entries, and built over the whole population
-//!   the table-level oracle sparse resolution is checked against;
+//!   `{(subscriber, filter, dl, pr, nb, NN_p, μ_p, σ_p²)}`, built over the
+//!   whole population: the table-level oracle sparse resolution is checked
+//!   against;
 //! * [`sparse`] — the table every broker holds ([`SparseTable`] over the
-//!   shared [`SharedPopulation`] registry): full entries for local
-//!   subscribers, one route per remote destination edge, so per-broker
-//!   state is sublinear in the global population.
+//!   shared [`SharedPopulation`] registry): one route per remote
+//!   destination edge and nothing else — local rows are built from the
+//!   registry — so per-broker state is independent of the population.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,27 +9,28 @@
 //! `O(brokers × subscriptions)` memory (~12 GB at 10⁵ subscribers on the
 //! grown mesh); a [`SparseTable`] stores exactly the shared part:
 //!
-//! * each broker keeps **full entries only for locally attached
-//!   subscribers** (the edge expansion set, a [`SubscriptionTable`]);
-//! * per remote destination it keeps one **aggregate entry** — the route
-//!   towards that edge broker, and nothing else;
-//! * the subscription metadata itself (filter, subscriber, QoS) lives once,
-//!   globally, in a [`SharedPopulation`] registry every broker references
-//!   through an `Arc` — including, per edge broker, the member group's
-//!   [`CoverForest`] (the covering set interior brokers route on for raw,
-//!   unscoped messages) and its [`QosEnvelope`].
+//! * per remote destination a broker keeps one **aggregate entry** — the
+//!   route towards that edge broker, and nothing else;
+//! * the subscriptions themselves (filter, subscriber, QoS, edge broker)
+//!   live once, globally, in a [`SharedPopulation`] registry every broker
+//!   references through an `Arc` — including, per edge broker, the member
+//!   group's [`CoverForest`] (the covering set interior brokers route on for
+//!   raw, unscoped messages) and its [`QosEnvelope`]. A row for a member
+//!   attached at the resolving broker carries no routed state, so it is
+//!   built from the registry record alone ([`ResolvedEntry::local`]).
 //!
-//! Per-broker state is therefore `O(local + brokers)`, and the registry is
-//! counted once instead of once per broker. A from-scratch
-//! [`SubscriptionTable::build`] over the whole population stays the
-//! table-level oracle: resolving a scope through a sparse table must yield
-//! exactly the rows that replicated table would hold (this module's tests
-//! and `tests/properties.rs`), and the engine's table audit holds every
-//! incrementally maintained table to a from-scratch [`SparseTable::build`].
+//! Per-broker state is therefore `O(brokers)`, and every subscription is
+//! stored once instead of once per broker. A from-scratch
+//! [`SubscriptionTable::build`](crate::subtable::SubscriptionTable::build)
+//! over the whole population stays the table-level oracle: resolving a
+//! scope through a sparse table must yield exactly the rows that replicated
+//! table would hold (this module's tests and `tests/properties.rs`), and the
+//! engine's table audit holds every incrementally maintained table to a
+//! from-scratch [`SparseTable::build`].
 
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
-use crate::subtable::{RetargetOutcome, SubTableEntry, SubscriptionTable};
+use crate::subtable::{RetargetOutcome, SubTableEntry};
 use bdps_filter::cover::CoverForest;
 use bdps_filter::filter::Filter;
 use bdps_filter::scope::ScopeSet;
@@ -543,16 +544,8 @@ const MEMBER_SLOT_OVERHEAD: usize = 48;
 /// Approximate per-member overhead of a covering-forest node (filter handle,
 /// parent pointer, child-set slot).
 const FOREST_NODE_OVERHEAD: usize = 72;
-/// Approximate per-entry overhead of the local table's id map + match-index
-/// threshold rows.
-const LOCAL_ENTRY_OVERHEAD: usize = 64;
 /// Approximate per-aggregate overhead of the ordered destination map.
 const AGGREGATE_SLOT_OVERHEAD: usize = 32;
-
-/// Rough bytes consumed by a local table (entries + id map + match index).
-fn local_bytes_estimate(table: &SubscriptionTable) -> u64 {
-    (table.len() * (std::mem::size_of::<SubTableEntry>() + LOCAL_ENTRY_OVERHEAD)) as u64
-}
 
 /// One broker's aggregate entry towards a remote destination: the route
 /// every subscription attached there shares. This is the *whole*
@@ -587,9 +580,9 @@ impl AggregateEntry {
 }
 
 /// One table row, resolved at arrival time — everything the broker state
-/// machine needs to deliver locally or build a queued copy's target. Local
-/// rows are copied out of their materialised entries; remote rows are
-/// assembled from the shared registry and the per-destination aggregate.
+/// machine needs to deliver locally or build a queued copy's target. Every
+/// row is assembled from the subscription's registry record; a remote row
+/// adds the per-destination aggregate's route.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolvedEntry {
     /// The subscription this row serves.
@@ -622,16 +615,41 @@ impl ResolvedEntry {
             stats: e.stats,
         }
     }
+
+    /// The row of a member attached at the resolving broker itself: no next
+    /// hop, no link, the statistics of a zero-hop path.
+    pub fn local(record: &MemberRecord) -> Self {
+        let sub = &record.subscription;
+        ResolvedEntry {
+            subscription: sub.id,
+            subscriber: sub.subscriber,
+            price: sub.price,
+            allowed_delay: sub.allowed_delay(),
+            next_hop: None,
+            next_link: None,
+            stats: PathStats::local(),
+        }
+    }
+
+    /// The row of a remote member: its fields, routed along the aggregate
+    /// towards its edge broker.
+    fn remote(record: &MemberRecord, route: &AggregateEntry) -> Self {
+        ResolvedEntry {
+            next_hop: Some(route.next_hop),
+            next_link: Some(route.next_link),
+            stats: route.stats,
+            ..ResolvedEntry::local(record)
+        }
+    }
 }
 
-/// The sparse table of one broker: full entries for locals, one aggregate
-/// per reachable remote destination, and a handle to the shared registry.
+/// The sparse table of one broker: one aggregate per reachable remote
+/// destination, and a handle to the shared registry. It stores no
+/// subscription: rows for members attached here are built from their
+/// registry records ([`ResolvedEntry::local`]).
 #[derive(Debug, Clone)]
 pub struct SparseTable {
     broker: BrokerId,
-    /// Full entries for locally attached subscriptions (the edge-expansion
-    /// set), with the matching index unscoped arrivals use.
-    local: SubscriptionTable,
     /// Aggregate entries keyed by destination edge broker. Invariant: an
     /// entry exists iff the destination has at least one member, is not
     /// this broker, and is currently reachable; its fields equal
@@ -646,27 +664,9 @@ impl SparseTable {
     pub fn build(broker: BrokerId, routing: &Routing, population: &PopulationHandle) -> Self {
         let mut table = SparseTable {
             broker,
-            local: SubscriptionTable::new(broker),
             aggregates: BTreeMap::new(),
             population: Arc::clone(population),
         };
-        {
-            let pop = read_population(population);
-            let mut locals = Vec::new();
-            if let Some(group) = pop.group(broker) {
-                for &id in group.ids() {
-                    let record = pop.member(id).expect("group member registered");
-                    locals.push(SubTableEntry {
-                        subscription: record.subscription.clone(),
-                        edge_broker: broker,
-                        next_hop: None,
-                        next_link: None,
-                        stats: PathStats::local(),
-                    });
-                }
-            }
-            table.local = SubscriptionTable::from_entries(broker, locals);
-        }
         table.rebuild_aggregates(routing);
         table
     }
@@ -674,11 +674,6 @@ impl SparseTable {
     /// The broker this table belongs to.
     pub fn broker(&self) -> BrokerId {
         self.broker
-    }
-
-    /// The local (edge-expansion) entries.
-    pub fn local(&self) -> &SubscriptionTable {
-        &self.local
     }
 
     /// The aggregate entries, keyed by destination, ascending.
@@ -710,12 +705,11 @@ impl SparseTable {
         self.population = Arc::clone(population);
     }
 
-    /// Hashes the table's routed content — the local edge-expansion entries
-    /// plus every aggregate's route, in ascending destination order. The
-    /// shared registry is digested separately by its owner (one copy
-    /// globally), not per broker.
+    /// Hashes the table's routed content — every aggregate's route, in
+    /// ascending destination order. The shared registry, local members
+    /// included, is digested separately by its owner (one copy globally),
+    /// not per broker.
     pub fn digest_into(&self, h: &mut impl std::hash::Hasher) {
-        self.local.digest_into(h);
         h.write_usize(self.aggregates.len());
         for (dest, a) in &self.aggregates {
             h.write_u32(dest.raw());
@@ -725,24 +719,6 @@ impl SparseTable {
             h.write_u64(a.stats.rate.mean().to_bits());
             h.write_u64(a.stats.rate.variance().to_bits());
         }
-    }
-
-    /// Adds a locally attached subscription's full entry (the edge half of a
-    /// join; the registry is updated by the caller).
-    pub fn insert_local(&mut self, subscription: Subscription) {
-        self.local.insert(SubTableEntry {
-            edge_broker: self.broker,
-            next_hop: None,
-            next_link: None,
-            stats: PathStats::local(),
-            subscription,
-        });
-    }
-
-    /// Removes a locally attached subscription's entry, returning true when
-    /// it was present.
-    pub fn remove_local(&mut self, id: SubscriptionId) -> bool {
-        self.local.remove(id).is_some()
     }
 
     /// Brings the aggregate entry towards `dest` in line with the current
@@ -768,7 +744,7 @@ impl SparseTable {
     ) -> RetargetOutcome {
         let mut outcome = RetargetOutcome::default();
         if dest == self.broker {
-            return outcome; // locals carry no route and never move
+            return outcome; // local rows carry no route and never move
         }
         match routing.route(self.broker, dest).filter(|_| populated) {
             Some(route) => {
@@ -805,28 +781,27 @@ impl SparseTable {
 
     /// Resolves every subscription of a frozen scope in scope order, calling
     /// `f` for each one this broker can currently serve — the sparse hot
-    /// path. Locals resolve through the local table; remotes through the
-    /// registry (one read-lock for the whole scope) and the per-destination
-    /// aggregate. A subscription that has left the population, or whose edge
-    /// broker is unreachable, is skipped — exactly the rows a
-    /// [`SubscriptionTable::build`] over the population would not hold.
+    /// path. Every id is one registry slot read (one read-lock for the whole
+    /// scope): a member attached here resolves from its record alone, a
+    /// remote one through the per-destination aggregate. A subscription that
+    /// has left the population, or whose edge broker is unreachable, is
+    /// skipped — exactly the rows a
+    /// [`SubscriptionTable::build`](crate::subtable::SubscriptionTable::build)
+    /// over the population would not hold.
     pub fn resolve_scope(&self, scope: &ScopeSet, mut f: impl FnMut(ResolvedEntry)) {
         let pop = read_population(&self.population);
-        let has_locals = !self.local.is_empty();
         // Ids are minted edge by edge, so an id-ordered scope comes in runs
         // of one edge broker: the aggregate of the previous row usually
         // serves this one.
         let mut run: Option<(BrokerId, Option<&AggregateEntry>)> = None;
         for id in scope.iter() {
-            if has_locals {
-                if let Some(e) = self.local.entry(id) {
-                    f(ResolvedEntry::from_entry(e));
-                    continue;
-                }
-            }
             let Some(record) = pop.member(id) else {
                 continue; // left the population since the scope froze
             };
+            if record.edge == self.broker {
+                f(ResolvedEntry::local(record));
+                continue;
+            }
             let agg = match run {
                 Some((edge, agg)) if edge == record.edge => agg,
                 _ => {
@@ -836,51 +811,38 @@ impl SparseTable {
                 }
             };
             let Some(agg) = agg else {
-                continue; // unreachable (or local-but-removed): not served here
+                continue; // unreachable: not served here
             };
-            f(ResolvedEntry {
-                subscription: id,
-                subscriber: record.subscription.subscriber,
-                price: record.subscription.price,
-                allowed_delay: record.subscription.allowed_delay(),
-                next_hop: Some(agg.next_hop),
-                next_link: Some(agg.next_link),
-                stats: agg.stats,
-            });
+            f(ResolvedEntry::remote(record, agg));
         }
     }
 
     /// All rows matching a raw (unscoped) message head, ascending by
-    /// subscription id — the covering-based routing path: per destination
-    /// the aggregate's covering set gates the check (sound, so no match is
-    /// missed), and only when a cover matches are the member filters
-    /// consulted, so a head matching no member is never delivered.
+    /// subscription id — the covering-based routing path, one pass over the
+    /// registry's edge groups: the own group gives local rows, a group with
+    /// an aggregate remote rows, and an unreachable group none. Per group
+    /// the covering set gates the check (sound, so no match is missed), and
+    /// only when a cover matches are the member filters consulted, so a head
+    /// matching no member is never delivered.
     pub fn matching_all(&self, head: &MessageHead) -> Vec<ResolvedEntry> {
         let pop = read_population(&self.population);
-        let mut out: Vec<ResolvedEntry> = self
-            .local
-            .matching(head)
-            .into_iter()
-            .map(ResolvedEntry::from_entry)
-            .collect();
-        for (&dest, agg) in &self.aggregates {
-            let Some(group) = pop.group(dest) else {
+        let mut out = Vec::new();
+        for (dest, group) in pop.groups() {
+            // No aggregate ever names this broker, so `None` here is either
+            // the own group or an unreachable one.
+            let route = self.aggregates.get(&dest);
+            if route.is_none() && dest != self.broker {
                 continue;
-            };
+            }
             if !group.forest().any_root_matches(head) {
-                continue; // the aggregate gate: no member can match
+                continue; // the covering gate: no member can match
             }
             for (id, filter) in group.forest().members() {
                 if filter.matches(head) {
                     let record = pop.member(id).expect("group member registered");
-                    out.push(ResolvedEntry {
-                        subscription: id,
-                        subscriber: record.subscription.subscriber,
-                        price: record.subscription.price,
-                        allowed_delay: record.subscription.allowed_delay(),
-                        next_hop: Some(agg.next_hop),
-                        next_link: Some(agg.next_link),
-                        stats: agg.stats,
+                    out.push(match route {
+                        Some(agg) => ResolvedEntry::remote(record, agg),
+                        None => ResolvedEntry::local(record),
                     });
                 }
             }
@@ -889,13 +851,11 @@ impl SparseTable {
         out
     }
 
-    /// Rough bytes of this broker's own state (locals + aggregates); the
-    /// shared registry is counted separately, once.
+    /// Rough bytes of this broker's own state — its aggregates; the shared
+    /// registry is counted separately, once.
     pub fn bytes_estimate(&self) -> u64 {
-        local_bytes_estimate(&self.local)
-            + (self.aggregates.len()
-                * (std::mem::size_of::<AggregateEntry>() + AGGREGATE_SLOT_OVERHEAD))
-                as u64
+        (self.aggregates.len() * (std::mem::size_of::<AggregateEntry>() + AGGREGATE_SLOT_OVERHEAD))
+            as u64
     }
 }
 
@@ -903,6 +863,7 @@ impl SparseTable {
 mod tests {
     use super::*;
     use crate::graph::OverlayGraph;
+    use crate::subtable::SubscriptionTable;
     use crate::topology::Topology;
     use bdps_filter::filter::Filter;
     use bdps_net::bandwidth::FixedRate;
@@ -994,10 +955,8 @@ mod tests {
         let (_topo, routing, subs) = line_setup();
         let pop = handle(&subs);
         let b0 = SparseTable::build(BrokerId::new(0), &routing, &pop);
-        assert_eq!(b0.local().len(), 0, "B0 has no locals");
         assert_eq!(b0.aggregate_count(), 2, "one aggregate per remote edge");
         let b2 = SparseTable::build(BrokerId::new(2), &routing, &pop);
-        assert_eq!(b2.local().len(), 1);
         assert_eq!(b2.aggregate_count(), 1);
         // Aggregate fields equal the routing towards the destination.
         let (dest, agg) = b0.aggregates().next().unwrap();
@@ -1116,7 +1075,6 @@ mod tests {
         let pop = handle(&subs);
         let table = SparseTable::build(a, &routing, &pop);
         assert_eq!(table.aggregate_count(), 0);
-        assert_eq!(table.local().len(), 0);
         assert!(table.matching_all(&head(1.0, 1.0)).is_empty());
     }
 
@@ -1383,10 +1341,12 @@ mod tests {
     }
 
     #[test]
-    fn interior_brokers_store_aggregates_not_members() {
-        // 4-broker star with everything attached at the leaves: the hub
-        // holds one aggregate per leaf and no member, each leaf its own ten
-        // members plus aggregates towards the other two.
+    fn brokers_store_aggregates_not_members() {
+        // 4-broker star with ten members attached at each leaf: the hub
+        // holds one aggregate per leaf, each leaf aggregates towards the
+        // other two. No broker stores a member, not even the leaf the
+        // members attach to, so a table costs the same per aggregate
+        // wherever it sits.
         let mut rng = SimRng::seed_from(7);
         let mut topo = Topology::star(4, &mut rng, fixed_quality);
         let mut subs = Vec::new();
@@ -1404,13 +1364,18 @@ mod tests {
         }
         let routing = Routing::compute(&topo.graph);
         let pop = handle(&subs);
-        let hub = BrokerId::new(0);
-        let sparse = SparseTable::build(hub, &routing, &pop);
-        assert_eq!(sparse.local().len(), 0);
-        assert_eq!(sparse.aggregate_count(), 3, "one aggregate per leaf");
-        let leaf = SparseTable::build(BrokerId::new(1), &routing, &pop);
-        assert_eq!((leaf.local().len(), leaf.aggregate_count()), (10, 2));
-        assert!(sparse.bytes_estimate() * 3 <= leaf.bytes_estimate());
+        let (hub, leaf) = (BrokerId::new(0), BrokerId::new(1));
+        let hub_table = SparseTable::build(hub, &routing, &pop);
+        assert_eq!(hub_table.aggregate_count(), 3, "one aggregate per leaf");
+        let leaf_table = SparseTable::build(leaf, &routing, &pop);
+        assert_eq!(leaf_table.aggregate_count(), 2);
+        assert_eq!(
+            2 * hub_table.bytes_estimate(),
+            3 * leaf_table.bytes_estimate(),
+            "a leaf pays nothing for its own members"
+        );
+        // The leaf's members resolve from the registry all the same.
         assert_matches_dense(hub, &routing, &subs, &pop);
+        assert_matches_dense(leaf, &routing, &subs, &pop);
     }
 }

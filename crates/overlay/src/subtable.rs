@@ -8,10 +8,10 @@
 //! protocol a deployed system would run, but deterministic and
 //! side-effect-free, which keeps the simulator honest.
 //!
-//! A broker holds such a table for its locally attached subscribers only
-//! (inside its [`SparseTable`](crate::sparse::SparseTable)); built over the
-//! whole population, [`SubscriptionTable::build`] is the oracle that sparse
-//! resolution is tested against.
+//! No broker holds one: a [`SparseTable`](crate::sparse::SparseTable) keeps
+//! routes only and builds every row from the shared registry. Built over the
+//! whole population, [`SubscriptionTable::build`] is the dense oracle that
+//! sparse resolution is tested against.
 
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
@@ -74,16 +74,6 @@ pub struct SubscriptionTable {
 }
 
 impl SubscriptionTable {
-    /// Creates an empty table for the given broker.
-    pub fn new(broker: BrokerId) -> Self {
-        SubscriptionTable {
-            broker,
-            entries: Vec::new(),
-            by_id: HashMap::new(),
-            index: MatchIndex::new(),
-        }
-    }
-
     /// The broker this table belongs to.
     pub fn broker(&self) -> BrokerId {
         self.broker
@@ -104,68 +94,9 @@ impl SubscriptionTable {
         &self.entries
     }
 
-    /// Hashes the table's routed content — per subscription (in ascending id
-    /// order, independent of physical entry order): edge broker, next hop,
-    /// next link and path statistics. Two tables with equal digests route
-    /// identically; the model-checking explorer uses this for state
-    /// deduplication across branches whose maintenance histories differ.
-    pub fn digest_into(&self, h: &mut impl std::hash::Hasher) {
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_unstable_by_key(|&i| self.entries[i].subscription.id);
-        h.write_usize(order.len());
-        for i in order {
-            let e = &self.entries[i];
-            h.write_u32(e.subscription.id.raw());
-            h.write_u32(e.edge_broker.raw());
-            h.write_u32(e.next_hop.map_or(u32::MAX, |b| b.raw()));
-            h.write_u32(e.next_link.map_or(u32::MAX, |l| l.raw()));
-            h.write_u32(e.stats.downstream_brokers);
-            h.write_u64(e.stats.rate.mean().to_bits());
-            h.write_u64(e.stats.rate.variance().to_bits());
-        }
-    }
-
-    /// The routed-content digest as one `u64` (see
-    /// [`digest_into`](Self::digest_into)).
-    pub fn state_digest(&self) -> u64 {
-        use std::hash::Hasher as _;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.digest_into(&mut h);
-        h.finish()
-    }
-
     /// The entry for a subscription id, if present.
     pub fn entry(&self, id: SubscriptionId) -> Option<&SubTableEntry> {
         self.by_id.get(&id).map(|&i| &self.entries[i])
-    }
-
-    /// Adds an entry (replacing any previous entry for the same subscription).
-    pub fn insert(&mut self, entry: SubTableEntry) {
-        let id = entry.subscription.id;
-        self.index.insert(id, entry.subscription.filter.clone());
-        match self.by_id.get(&id) {
-            Some(&i) => self.entries[i] = entry,
-            None => {
-                self.by_id.insert(id, self.entries.len());
-                self.entries.push(entry);
-            }
-        }
-    }
-
-    /// Removes a subscription's entry, returning it when present.
-    ///
-    /// Removal keeps the remaining entries in their original insertion order
-    /// so that matching output stays deterministic under churn.
-    pub fn remove(&mut self, id: SubscriptionId) -> Option<SubTableEntry> {
-        let idx = self.by_id.remove(&id)?;
-        self.index.remove(id);
-        let entry = self.entries.remove(idx);
-        for slot in self.by_id.values_mut() {
-            if *slot > idx {
-                *slot -= 1;
-            }
-        }
-        Some(entry)
     }
 
     /// Builds the entry this broker should hold for one subscription attached
@@ -361,40 +292,6 @@ mod tests {
         let (local, remote) = split(&head(9.5, 9.5));
         assert!(local.is_empty());
         assert!(remote.is_empty());
-    }
-
-    #[test]
-    fn insert_replaces_existing_entry() {
-        let (_topo, routing, subs) = line_setup();
-        let mut table = SubscriptionTable::build(BrokerId::new(0), &routing, &subs);
-        let mut replacement = table.entry(SubscriptionId::new(0)).unwrap().clone();
-        replacement.subscription.filter = Filter::match_all();
-        table.insert(replacement);
-        assert_eq!(table.len(), 2);
-        // Now every head matches subscription 0 at this broker.
-        let m = table.matching(&head(9.9, 9.9));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].subscription.id, SubscriptionId::new(0));
-    }
-
-    #[test]
-    fn remove_keeps_order_and_index_consistent() {
-        let (_topo, routing, subs) = line_setup();
-        let mut table = SubscriptionTable::build(BrokerId::new(0), &routing, &subs);
-        assert_eq!(table.len(), 2);
-        let removed = table.remove(SubscriptionId::new(0)).unwrap();
-        assert_eq!(removed.subscription.id, SubscriptionId::new(0));
-        assert_eq!(table.len(), 1);
-        assert!(table.entry(SubscriptionId::new(0)).is_none());
-        // The survivor is still reachable through id lookup and matching.
-        let e1 = table.entry(SubscriptionId::new(1)).unwrap();
-        assert_eq!(e1.subscription.id, SubscriptionId::new(1));
-        let m = table.matching(&head(1.0, 1.0));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].subscription.id, SubscriptionId::new(1));
-        // Removing an absent id is a no-op.
-        assert!(table.remove(SubscriptionId::new(42)).is_none());
-        assert_eq!(table.len(), 1);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{read_population, PopulationHandle, SparseTable};
-use bdps_overlay::subtable::SubscriptionTable;
 use bdps_types::id::{BrokerId, SubscriptionId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -34,44 +33,6 @@ pub enum InjectedFault {
     /// Every local delivery is recorded twice — breaking the
     /// no-duplicate-delivery audit.
     DoubleDelivery,
-}
-
-/// Compares a broker's live local table against a from-scratch rebuild,
-/// reporting the first divergent entry. Entries are matched by subscription
-/// id; the routed fields (edge broker, next hop, next link, path statistics)
-/// must agree exactly.
-fn compare_local_tables(
-    broker: BrokerId,
-    live: &SubscriptionTable,
-    fresh: &SubscriptionTable,
-) -> Result<(), String> {
-    if live.len() != fresh.len() {
-        return Err(format!(
-            "broker {broker} table holds {} entries, scratch rebuild has {}",
-            live.len(),
-            fresh.len()
-        ));
-    }
-    for e in fresh.entries() {
-        let id = e.subscription.id;
-        let Some(l) = live.entry(id) else {
-            return Err(format!(
-                "broker {broker} table is missing entry {id} present in a scratch rebuild"
-            ));
-        };
-        if l.edge_broker != e.edge_broker
-            || l.next_hop != e.next_hop
-            || l.next_link != e.next_link
-            || l.stats != e.stats
-        {
-            return Err(format!(
-                "broker {broker} entry {id} drifted from the scratch rebuild: \
-                 live (edge {}, hop {:?}, link {:?}) vs fresh (edge {}, hop {:?}, link {:?})",
-                l.edge_broker, l.next_hop, l.next_link, e.edge_broker, e.next_hop, e.next_link
-            ));
-        }
-    }
-    Ok(())
 }
 
 impl Simulation {
@@ -233,7 +194,6 @@ impl Simulation {
         for broker in &self.core.brokers {
             let table = broker.table();
             let fresh = SparseTable::build(broker.id, &self.scenario.routing, table.population());
-            compare_local_tables(broker.id, table.local(), fresh.local())?;
             let current: Vec<_> = table.aggregates().collect();
             let rebuilt: Vec<_> = fresh.aggregates().collect();
             if current.len() != rebuilt.len() {

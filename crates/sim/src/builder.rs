@@ -59,8 +59,8 @@ use crate::workload::WorkloadConfig;
 const DEFAULT_DRAIN_GRACE: Duration = Duration::from_secs(120);
 
 /// The subscription-table layout, which has one value: every broker holds
-/// full entries for its local subscribers and one route per remote
-/// destination edge ([`bdps_overlay::sparse::SparseTable`]).
+/// one route per remote destination edge and builds its local rows from the
+/// shared registry ([`bdps_overlay::sparse::SparseTable`]).
 ///
 /// Kept only because the benchmark harness under `benchmark/` calls
 /// `.table_layout(TableLayout::Sparse)`; ROADMAP item 1d deletes it together

@@ -244,19 +244,18 @@ impl ScenarioCore {
         shared
             .global_index
             .insert(subscription.id, subscription.filter.clone());
-        // Register once globally, expand only at the edge. Interior brokers
-        // hold a route towards the edge while its group is populated, so only
-        // a join that opens the group adds one.
+        // Register once globally: the edge resolves its rows from the
+        // registry. Every other broker holds a route towards the edge while
+        // its group is populated, so only a join that opens the group adds
+        // one (the edge's own sync is a no-op).
         let opened = {
             let mut population = write_population(&shared.population, "subscription join")?;
             let opened = population.group(broker).is_none();
             population.insert(subscription.clone(), broker);
             opened
         };
-        for b in &mut core.brokers {
-            if b.id == broker {
-                b.insert_local_subscription(subscription.clone());
-            } else if opened {
+        if opened {
+            for b in &mut core.brokers {
                 b.sync_aggregate(&self.routing, broker, true);
             }
         }
@@ -277,7 +276,7 @@ impl ScenarioCore {
         };
         shared.global_index.remove(id);
         // Every other broker's route towards the edge goes only if this
-        // leave emptied the edge's group.
+        // leave emptied the edge's group; no table holds a row of the id.
         let emptied = {
             let mut population = write_population(&shared.population, "subscription leave")?;
             population.remove(id);
@@ -285,16 +284,10 @@ impl ScenarioCore {
         };
         let mut orphaned = 0;
         for b in &mut core.brokers {
-            // Every queued copy loses the target; the table row lives at the
-            // edge alone.
-            orphaned += if b.id == edge {
-                b.remove_subscription(id)
-            } else {
-                if emptied {
-                    b.sync_aggregate(&self.routing, edge, false);
-                }
-                b.strip_queued(id)
-            };
+            if emptied {
+                b.sync_aggregate(&self.routing, edge, false);
+            }
+            orphaned += b.strip_queued(id);
         }
         sink.emit(Effect::Dropped { count: orphaned });
         Ok(())

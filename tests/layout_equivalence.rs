@@ -6,13 +6,13 @@
 //! statistics it forwards with. The dense layout
 //! ([`SubscriptionTable::build`]) keeps one full entry per subscription on
 //! every broker, each routed on its own. The layout every broker runs
-//! ([`SparseTable`]) keeps full entries only for locally attached
-//! subscribers, one route per remote edge group, and the group's members in
-//! the shared registry. The dense layout is no longer an engine, but it stays
-//! the oracle of what a table must resolve: `tests/properties.rs` holds
-//! single tables to it on random populations, and this suite holds every
-//! broker of a running simulation to it through the most adversarial
-//! dynamic scenarios. At every instant that holds a scenario event, after
+//! ([`SparseTable`]) keeps one route per remote edge group and nothing else:
+//! every subscription lives once, in the shared registry, and a locally
+//! attached one's row is built from it. The dense layout is no longer an
+//! engine, but it stays the oracle of what a table must resolve:
+//! `tests/properties.rs` holds single tables to it on random populations,
+//! and this suite holds every broker of a running simulation to it through
+//! the most adversarial dynamic scenarios. At every instant that holds a scenario event, after
 //! every event of the instant, each broker's table must resolve the whole
 //! population list to exactly the dense table's rows, routed fields
 //! included, and match a fixed set of message heads to the same rows in the

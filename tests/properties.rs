@@ -913,25 +913,20 @@ fn sparse_tables_match_dense_and_incremental_matches_scratch() {
             // One step: either a churn event or a link batch.
             if rng.chance(0.5) || links == 0 {
                 if !subs.is_empty() && rng.chance(0.4) {
-                    // Leave: registry once, local strip at the edge, one
-                    // aggregate sync per broker.
+                    // Leave: registry once, one aggregate sync per broker.
                     let victim = rng.uniform_usize(0, subs.len());
                     let (sub, edge) = subs.remove(victim);
                     population.write().unwrap().remove(sub.id);
                     for table in sparse.iter_mut() {
-                        table.remove_local(sub.id);
                         table.sync_aggregate(&routing, edge);
                     }
                 } else {
-                    // Join: registry once, full entry only at the edge.
+                    // Join: registry once, one aggregate sync per broker
+                    // (a no-op at the edge itself).
                     let (sub, edge) = make_sub(rng, &mut next_id);
                     population.write().unwrap().insert(sub.clone(), edge);
                     for table in sparse.iter_mut() {
-                        if table.broker() == edge {
-                            table.insert_local(sub.clone());
-                        } else {
-                            table.sync_aggregate(&routing, edge);
-                        }
+                        table.sync_aggregate(&routing, edge);
                     }
                     subs.push((sub, edge));
                 }
@@ -967,19 +962,13 @@ fn sparse_tables_match_dense_and_incremental_matches_scratch() {
             }
 
             // Oracle (a): incremental maintenance equals a from-scratch
-            // sparse build — locals, aggregates and routed fields alike.
+            // sparse build — aggregates and routed fields alike.
             for table in &sparse {
                 let scratch = SparseTable::build(table.broker(), &routing, &population);
                 assert_eq!(
                     table.aggregates().collect::<Vec<_>>(),
                     scratch.aggregates().collect::<Vec<_>>(),
                     "incremental aggregates drifted at {}",
-                    table.broker()
-                );
-                assert_eq!(
-                    table.local().len(),
-                    scratch.local().len(),
-                    "local membership drifted at {}",
                     table.broker()
                 );
             }
