@@ -16,10 +16,11 @@ use crate::config::SchedulerConfig;
 use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage};
 use bdps_filter::scope::ScopeSet;
 use bdps_overlay::graph::OverlayGraph;
+use bdps_overlay::pathstats::PathStats;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{
-    aggregate_scope_dest, read_population, PopulationHandle, QosEnvelope, ResolvedEntry,
-    SparseTable,
+    aggregate_scope_dest, read_population, MemberRecord, PopulationHandle, QosEnvelope,
+    ResolvedEntry, SparseTable,
 };
 use bdps_overlay::subtable::RetargetOutcome;
 use bdps_types::id::{BrokerId, LinkId, SubscriberId, SubscriptionId};
@@ -116,6 +117,8 @@ pub struct BrokerState {
     /// at any instant — that hold nothing to strip.
     queued: usize,
     config: SchedulerConfig,
+    /// The class lookups of the last arrival, kept for the next one.
+    scratch: RouterScratch,
 }
 
 impl BrokerState {
@@ -138,6 +141,7 @@ impl BrokerState {
             queues,
             queued: 0,
             config,
+            scratch: RouterScratch::default(),
         }
     }
 
@@ -262,9 +266,11 @@ impl BrokerState {
     /// subscription's filter never changes, presence in this broker's table
     /// is the only remaining condition, which turns arrival processing into
     /// one pass over the scope, independent of the total population: per id
-    /// one registry probe and one append to its next hop's copy; per *run*
-    /// of ids behind one edge broker one aggregate lookup; per `(edge
-    /// broker, QoS bound)` one success class opened.
+    /// one registry probe and one push; per *run* of ids behind one edge
+    /// broker one aggregate lookup and one copy; per `(run, QoS bound)` one
+    /// success class. A copy that crossed a link arrives through
+    /// [`handle_arrival_forwarded`](Self::handle_arrival_forwarded) instead,
+    /// which routes the same way without re-reading the registry.
     pub fn handle_arrival_scoped(
         &mut self,
         message: Arc<Message>,
@@ -272,40 +278,97 @@ impl BrokerState {
         scope: Option<&ScopeSet>,
     ) -> ArrivalOutcome {
         self.counters.received += 1;
-        let mut outcome = ArrivalOutcome::default();
-        let mut copies = Vec::new();
-        // One pass: each resolved row is delivered or appended to its next
-        // hop's copy as the scope is walked. A row is a [`ResolvedEntry`]
-        // assembled from the member's registry record, routed along the
-        // per-destination aggregate when the member is remote.
-        let counters = &mut self.counters;
-        let mut place = |e: ResolvedEntry| match e.next_hop {
-            None => deliver_local(counters, &mut outcome.local, &message, now, &e),
-            Some(neighbor) => {
-                let copy = copy_towards(&mut copies, neighbor, &message, now);
-                let bound = effective_allowed_delay(&message, e.allowed_delay);
-                let class = copy.class_for(e.stats, bound);
-                copy.push_target(e.subscription, e.subscriber, e.price, class);
+        let scratch = std::mem::take(&mut self.scratch);
+        let mut router = Router::new(self.id, &message, now, scratch, 0);
+        let mut place = |e: ResolvedEntry, incarnation: u32| {
+            if router.edge != Some(e.edge) {
+                router.enter_run(e.edge, e.next_hop.map(|nb| (nb, e.stats)));
             }
+            let row = Row {
+                subscription: e.subscription,
+                subscriber: e.subscriber,
+                price: e.price,
+                incarnation,
+                bound: effective_allowed_delay(&message, e.allowed_delay),
+            };
+            router.push(row, None);
         };
         match scope {
             Some(scope) => self.table.resolve_scope(scope, &mut place),
+            // An unscoped row carries no incarnation: the next broker
+            // re-resolves it from the registry.
             None => self
                 .table
                 .matching_all(&message.head)
                 .into_iter()
-                .for_each(&mut place),
+                .for_each(|e| place(e, 0)),
         }
-        // A local delivery is an aggregate expansion at the edge broker.
-        self.counters.expanded_at_edge += outcome.local.len() as u64;
-        self.enqueue(copies, &mut outcome);
-        outcome
+        self.finish_routed(router)
+    }
+
+    /// Processes a copy that crossed a link: the upstream broker's
+    /// [`QueuedMessage`] itself, whose targets are exactly the subscriptions
+    /// it grouped onto this broker, each with the subscriber, price and
+    /// effective bound it resolved.
+    ///
+    /// A target whose registry slot still has the incarnation the target
+    /// carries is routed as carried, plus the slot's edge broker — no record
+    /// is read. A slot that has gone vacant (the subscription left while
+    /// the copy was in flight) drops the target; a slot re-joined since
+    /// (a leave and a join of the same id, perhaps at another edge, price
+    /// or bound) is re-resolved from its record exactly as a scoped arrival
+    /// would. The rows then route as in
+    /// [`handle_arrival_scoped`](Self::handle_arrival_scoped): the outcome
+    /// equals a scoped arrival over the copy's target ids.
+    pub fn handle_arrival_forwarded(
+        &mut self,
+        copy: QueuedMessage,
+        now: SimTime,
+    ) -> ArrivalOutcome {
+        self.counters.received += 1;
+        let scratch = std::mem::take(&mut self.scratch);
+        let mut router = Router::new(self.id, &copy.message, now, scratch, copy.classes.len());
+        {
+            let pop = read_population(self.table.population());
+            for t in &copy.targets {
+                let Some(tag) = pop.slot(t.subscription) else {
+                    continue; // an id the registry never held
+                };
+                if tag.vacant() {
+                    continue; // left since the upstream broker resolved it
+                }
+                let (edge, row, carried) = if tag.incarnation() == t.incarnation {
+                    let row = Row {
+                        subscription: t.subscription,
+                        subscriber: t.subscriber,
+                        price: t.price,
+                        incarnation: t.incarnation,
+                        bound: copy.classes[t.class as usize].allowed_delay,
+                    };
+                    (tag.edge(), row, Some(t.class))
+                } else {
+                    let Some(record) = pop.member(t.subscription) else {
+                        debug_assert!(false, "a live slot holds no record");
+                        continue;
+                    };
+                    (record.edge, Row::of(record, &copy.message), None)
+                };
+                if router.edge != Some(edge) {
+                    let route = self.table.aggregate(edge).map(|a| (a.next_hop, a.stats));
+                    router.enter_run(edge, route);
+                }
+                router.push(row, carried);
+            }
+        }
+        self.finish_routed(router)
     }
 
     /// Processes an arriving message whose scope consists of **aggregate
     /// sentinels** (see [`bdps_overlay::sparse::aggregate_scope_id`]): one id
     /// per destination edge broker instead of one per subscription — the
-    /// aggregate-scoped forwarding hot path.
+    /// aggregate-scoped forwarding hot path. `ids` are the publication scope
+    /// at the publisher hand-off and the carried copy's target ids after a
+    /// link.
     ///
     /// A sentinel naming *this* broker expands here, once, at the edge:
     /// the shared registry's group is enumerated, members that joined after
@@ -333,45 +396,47 @@ impl BrokerState {
         &mut self,
         message: Arc<Message>,
         now: SimTime,
-        scope: &ScopeSet,
+        ids: impl IntoIterator<Item = SubscriptionId>,
         publish_epoch: u64,
         via_link: bool,
     ) -> ArrivalOutcome {
         self.counters.received += 1;
-        let mut outcome = ArrivalOutcome::default();
-        let table = &self.table;
+        let mut local = Vec::new();
         let mut copies = Vec::new();
         {
-            let pop = read_population(table.population());
-            for id in scope.iter() {
+            let pop = read_population(self.table.population());
+            for id in ids {
                 let Some(dest) = aggregate_scope_dest(id) else {
                     debug_assert!(false, "aggregate scope carries a member id {id}");
                     continue;
                 };
                 if dest == self.id {
-                    let before = outcome.local.len();
+                    let before = local.len();
                     if let Some(group) = pop.group(dest) {
                         for &member in group.ids() {
-                            let record = pop.member(member).expect("group member registered");
+                            // `audit_tables` holds every group id to a
+                            // registered member.
+                            let Some(record) = pop.member(member) else {
+                                debug_assert!(false, "group member {member} is not registered");
+                                continue;
+                            };
                             if record.join_epoch > publish_epoch {
                                 continue; // joined after the publish snapshot
                             }
                             if !record.subscription.filter.matches(&message.head) {
                                 continue;
                             }
-                            let entry = ResolvedEntry::local(record);
-                            let local = &mut outcome.local;
-                            deliver_local(&mut self.counters, local, &message, now, &entry);
+                            local.push(local_delivery(&message, now, Row::of(record, &message)));
                         }
                     }
-                    if outcome.local.len() == before {
+                    if local.len() == before {
                         self.counters.false_positive_drops_at_edge += 1;
                         if via_link {
                             self.counters.false_positive_forwards += 1;
                         }
                     }
                 } else {
-                    let Some(agg) = table.aggregate(dest) else {
+                    let Some(agg) = self.table.aggregate(dest) else {
                         continue; // group emptied or destination unreachable
                     };
                     let envelope = pop
@@ -383,15 +448,47 @@ impl BrokerState {
                     }
                     // Sentinels are monotone in the destination, so each
                     // copy's target list stays ascending.
-                    let copy = copy_towards(&mut copies, agg.next_hop, &message, now);
+                    let at = copy_towards(&mut copies, agg.next_hop, &message, now);
+                    let copy = &mut copies[at].1;
                     let bound = effective_allowed_delay(&message, envelope.min_allowed_delay);
                     let class = copy.open_class(agg.stats, bound);
                     let subscriber = SubscriberId::new(dest.raw());
-                    copy.push_target(id, subscriber, envelope.earning_sum, class);
+                    copy.push_target(id, subscriber, envelope.earning_sum, 0, class);
                 }
             }
         }
-        self.counters.expanded_at_edge += outcome.local.len() as u64;
+        self.finish_arrival(local, copies)
+    }
+
+    /// Finishes an arrival a [`Router`] routed, keeping its scratch for the
+    /// next one.
+    fn finish_routed(&mut self, router: Router) -> ArrivalOutcome {
+        let Router {
+            local,
+            copies,
+            scratch,
+            ..
+        } = router;
+        self.scratch = scratch;
+        self.finish_arrival(local, copies)
+    }
+
+    /// Counts an arrival's local deliveries — each one an aggregate
+    /// expansion at this edge broker — and pushes the copies it built onto
+    /// their neighbours' queues.
+    fn finish_arrival(
+        &mut self,
+        local: Vec<LocalDelivery>,
+        copies: Vec<(BrokerId, QueuedMessage)>,
+    ) -> ArrivalOutcome {
+        let on_time = local.iter().filter(|d| d.on_time).count() as u64;
+        self.counters.delivered_on_time += on_time;
+        self.counters.delivered_late += local.len() as u64 - on_time;
+        self.counters.expanded_at_edge += local.len() as u64;
+        let mut outcome = ArrivalOutcome {
+            local,
+            enqueued_to: Vec::new(),
+        };
         self.enqueue(copies, &mut outcome);
         outcome
     }
@@ -502,49 +599,195 @@ impl BrokerState {
     }
 }
 
-/// The copy an arrival is building towards `neighbor`, opened on first use.
-/// A broker has a handful of neighbours, and id-ordered scopes arrive in
-/// runs of one edge broker — hence of one next hop — so the scan is short.
-fn copy_towards<'a>(
-    copies: &'a mut Vec<(BrokerId, QueuedMessage)>,
+/// The position in `copies` of the copy an arrival is building towards
+/// `neighbor`, opened on first use. A broker has a handful of neighbours and
+/// an arrival looks one up per run of one edge broker, so the scan is short.
+fn copy_towards(
+    copies: &mut Vec<(BrokerId, QueuedMessage)>,
     neighbor: BrokerId,
     message: &Arc<Message>,
     now: SimTime,
-) -> &'a mut QueuedMessage {
-    let pos = match copies.iter().rposition(|(nb, _)| *nb == neighbor) {
-        Some(pos) => pos,
+) -> usize {
+    match copies.iter().rposition(|(nb, _)| *nb == neighbor) {
+        Some(at) => at,
         None => {
             copies.push((neighbor, QueuedMessage::new(Arc::clone(message), now)));
             copies.len() - 1
         }
-    };
-    &mut copies[pos].1
+    }
 }
 
-/// Delivers `message` to the locally attached subscription `entry` resolved.
-fn deliver_local(
-    counters: &mut BrokerCounters,
-    local: &mut Vec<LocalDelivery>,
-    message: &Message,
-    now: SimTime,
-    entry: &ResolvedEntry,
-) {
-    let allowed_delay = effective_allowed_delay(message, entry.allowed_delay);
-    let delay = message.elapsed(now);
-    let on_time = delay <= allowed_delay;
-    if on_time {
-        counters.delivered_on_time += 1;
-    } else {
-        counters.delivered_late += 1;
+/// One row an arrival routes: a target as resolved, with its effective
+/// allowed delay.
+#[derive(Clone, Copy)]
+struct Row {
+    subscription: SubscriptionId,
+    subscriber: SubscriberId,
+    price: Price,
+    /// The registry incarnation the row was resolved under.
+    incarnation: u32,
+    bound: Duration,
+}
+
+impl Row {
+    /// The row of a registry record, for `message`.
+    fn of(record: &MemberRecord, message: &Message) -> Self {
+        let sub = &record.subscription;
+        Row {
+            subscription: sub.id,
+            subscriber: sub.subscriber,
+            price: sub.price,
+            incarnation: record.incarnation,
+            bound: effective_allowed_delay(message, sub.allowed_delay()),
+        }
     }
-    local.push(LocalDelivery {
-        subscription: entry.subscription,
-        subscriber: entry.subscriber,
-        price: entry.price,
+}
+
+/// The delivery of `message` at `now` to the locally attached `row`.
+fn local_delivery(message: &Message, now: SimTime, row: Row) -> LocalDelivery {
+    let delay = message.elapsed(now);
+    LocalDelivery {
+        subscription: row.subscription,
+        subscriber: row.subscriber,
+        price: row.price,
         delay,
-        allowed_delay,
-        on_time,
-    });
+        allowed_delay: row.bound,
+        on_time: delay <= row.bound,
+    }
+}
+
+/// Where the rows of an arrival's current run go.
+#[derive(Clone, Copy)]
+enum RunDest {
+    /// The run's edge broker is this one: deliver.
+    Local,
+    /// Append to the copy at this position of `copies`, whose targets in
+    /// the run all share the aggregate's path statistics.
+    Copy { at: usize, stats: PathStats },
+    /// No route towards the run's edge broker: not served here.
+    Unserved,
+}
+
+/// Routes an arrival's rows onto local deliveries and per-neighbour copies.
+/// Rows come in ascending id order, and ids are minted edge by edge, so they
+/// arrive in runs of one edge broker: the route and the copy are settled
+/// once per run ([`enter_run`](Self::enter_run)), a success class once per
+/// `(run, bound)` — and looked up once per `(run, class)` of a forwarded
+/// copy — and a row is one push.
+struct Router<'a> {
+    broker: BrokerId,
+    message: &'a Arc<Message>,
+    now: SimTime,
+    local: Vec<LocalDelivery>,
+    copies: Vec<(BrokerId, QueuedMessage)>,
+    /// The current run's edge broker (`None` before the first row).
+    edge: Option<BrokerId>,
+    dest: RunDest,
+    /// Runs entered so far: the current run's number.
+    run: u32,
+    scratch: RouterScratch,
+}
+
+/// A router's class lookups, reused from arrival to arrival so that routing
+/// allocates nothing but the copies it builds.
+#[derive(Debug, Clone, Default)]
+struct RouterScratch {
+    /// The current run's classes, by effective bound.
+    classes: Vec<(Duration, u32)>,
+    /// Per class of the forwarded copy being routed: the last run a target
+    /// of it joined a class in, and that class.
+    carried: Vec<(u32, u32)>,
+}
+
+impl<'a> Router<'a> {
+    /// A router for an arrival whose rows come from a forwarded copy with
+    /// `carried` classes (0 for a publication).
+    fn new(
+        broker: BrokerId,
+        message: &'a Arc<Message>,
+        now: SimTime,
+        mut scratch: RouterScratch,
+        carried: usize,
+    ) -> Self {
+        scratch.carried.clear();
+        scratch.carried.resize(carried, (0, 0));
+        Router {
+            broker,
+            message,
+            now,
+            local: Vec::new(),
+            copies: Vec::new(),
+            edge: None,
+            dest: RunDest::Unserved,
+            run: 0,
+            scratch,
+        }
+    }
+
+    /// Starts the run of rows attached at `edge`, reached along `route`
+    /// (next hop, path statistics) when `edge` is remote; a remote edge
+    /// without a route is not served here.
+    fn enter_run(&mut self, edge: BrokerId, route: Option<(BrokerId, PathStats)>) {
+        self.edge = Some(edge);
+        self.run += 1;
+        self.scratch.classes.clear();
+        self.dest = match route {
+            _ if edge == self.broker => RunDest::Local,
+            Some((next_hop, stats)) => RunDest::Copy {
+                at: copy_towards(&mut self.copies, next_hop, self.message, self.now),
+                stats,
+            },
+            None => RunDest::Unserved,
+        };
+    }
+
+    /// Routes one row of the current run. `carried` names the row's class
+    /// in the forwarded copy it came in, when it is routed as carried.
+    fn push(&mut self, row: Row, carried: Option<u32>) {
+        match self.dest {
+            RunDest::Local => self.local.push(local_delivery(self.message, self.now, row)),
+            RunDest::Copy { at, stats } => {
+                let class = self.class_in_run(at, stats, row.bound, carried);
+                let copy = &mut self.copies[at].1;
+                let (id, subscriber, price) = (row.subscription, row.subscriber, row.price);
+                copy.push_target(id, subscriber, price, row.incarnation, class);
+            }
+            RunDest::Unserved => {}
+        }
+    }
+
+    /// The class a row with effective `bound` joins in the current run's
+    /// copy (at `at`, path `stats`): one of the run's classes, or one
+    /// [`QueuedMessage::class_for`] per `(run, bound)`. Every target of a
+    /// `carried` class has the same bound, so that class's answer is kept
+    /// for the rest of the run.
+    fn class_in_run(
+        &mut self,
+        at: usize,
+        stats: PathStats,
+        bound: Duration,
+        carried: Option<u32>,
+    ) -> u32 {
+        let scratch = &mut self.scratch;
+        if let Some(c) = carried {
+            let (run, class) = scratch.carried[c as usize];
+            if run == self.run {
+                return class;
+            }
+        }
+        let class = match scratch.classes.iter().find(|(b, _)| *b == bound) {
+            Some(&(_, class)) => class,
+            None => {
+                let class = self.copies[at].1.class_for(stats, bound);
+                scratch.classes.push((bound, class));
+                class
+            }
+        };
+        if let Some(c) = carried {
+            scratch.carried[c as usize] = (self.run, class);
+        }
+        class
+    }
 }
 
 /// The effective allowed delay of a (message, subscription) pair: the tighter
@@ -924,7 +1167,7 @@ mod tests {
         let outcome = b0.handle_arrival_aggregate(
             msg(1, 1.0, 1.0, 0),
             SimTime::from_millis(2),
-            &scope,
+            scope.iter(),
             publish_epoch,
             false,
         );
@@ -959,7 +1202,7 @@ mod tests {
         let outcome = b0.handle_arrival_aggregate(
             msg(2, 8.5, 8.5, 0),
             SimTime::from_millis(4),
-            &scope,
+            scope.iter(),
             publish_epoch,
             false,
         );
@@ -974,7 +1217,7 @@ mod tests {
         let outcome = b2.handle_arrival_aggregate(
             msg(2, 8.5, 8.5, 0),
             SimTime::from_millis(6),
-            &remote_scope,
+            remote_scope.iter(),
             publish_epoch,
             true,
         );
@@ -989,7 +1232,7 @@ mod tests {
         let outcome = b1.handle_arrival_aggregate(
             msg(3, 1.0, 1.0, 0),
             SimTime::from_millis(8),
-            &ScopeSet::from_sorted(vec![aggregate_scope_id(BrokerId::new(1))]),
+            [aggregate_scope_id(BrokerId::new(1))],
             0,
             true,
         );
@@ -1031,7 +1274,7 @@ mod tests {
         let now = SimTime::from_millis(2);
         broker.handle_arrival(msg(1, 1.0, 1.0, 0), now);
         broker.handle_arrival_scoped(msg(2, 1.0, 1.0, 0), now, Some(&scope));
-        broker.handle_arrival_aggregate(msg(3, 1.0, 1.0, 0), now, &sentinels, epoch, false);
+        broker.handle_arrival_aggregate(msg(3, 1.0, 1.0, 0), now, sentinels.iter(), epoch, false);
         let copies = broker.queue(BrokerId::new(1)).unwrap().items();
         assert_eq!(copies.len(), 3);
         assert_eq!(broker.queued_total(), 3);
@@ -1124,7 +1367,7 @@ mod tests {
                 .map(|e| aggregate_scope_id(*e))
                 .collect::<Vec<_>>(),
         );
-        broker.handle_arrival_aggregate(msg(2, 1.0, 1.0, 0), now, &sentinels, epoch, false);
+        broker.handle_arrival_aggregate(msg(2, 1.0, 1.0, 0), now, sentinels.iter(), epoch, false);
         let mut pseudo_targets = 0;
         for neighbor in broker.neighbors() {
             let copy = &broker.queue(neighbor).unwrap().items()[1];

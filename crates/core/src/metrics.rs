@@ -229,7 +229,7 @@ pub(crate) mod reference {
         let mut item = QueuedMessage::new(Arc::clone(message), enqueue_time);
         for t in targets {
             let class = item.class_for(t.stats, t.allowed_delay);
-            item.push_target(t.subscription, t.subscriber, t.price, class);
+            item.push_target(t.subscription, t.subscriber, t.price, 0, class);
         }
         item
     }

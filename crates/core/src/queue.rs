@@ -38,6 +38,12 @@ pub struct MatchedTarget {
     pub price: Price,
     /// Index of the target's [`SuccessClass`] in [`QueuedMessage::classes`].
     pub class: u32,
+    /// The registry incarnation the subscriber, price and class bound were
+    /// resolved under ([`SlotTag`](bdps_overlay::sparse::SlotTag)): while
+    /// the slot keeps it, the next broker routes the target without
+    /// re-reading the record. 0 for a target nobody resolved from the
+    /// registry, which every broker re-resolves.
+    pub incarnation: u32,
 }
 
 /// What `success(s_i, m)` reads of a target, shared by every target of a
@@ -137,12 +143,14 @@ impl QueuedMessage {
         self.classes.len() as u32 - 1
     }
 
-    /// Appends a target as a member of `class`.
+    /// Appends a target, resolved under registry `incarnation`, as a member
+    /// of `class`.
     pub fn push_target(
         &mut self,
         subscription: SubscriptionId,
         subscriber: SubscriberId,
         price: Price,
+        incarnation: u32,
         class: u32,
     ) {
         self.classes[class as usize].live += 1;
@@ -151,6 +159,7 @@ impl QueuedMessage {
             subscriber,
             price,
             class,
+            incarnation,
         });
     }
 
@@ -402,6 +411,13 @@ mod tests {
 
     fn config(strategy: StrategyKind) -> SchedulerConfig {
         SchedulerConfig::paper(strategy)
+    }
+
+    /// A copy holds one target per subscription it serves, so the
+    /// incarnation rides in what was padding.
+    #[test]
+    fn a_target_is_no_wider_than_before_it_carried_its_incarnation() {
+        assert_eq!(std::mem::size_of::<MatchedTarget>(), 24);
     }
 
     #[test]

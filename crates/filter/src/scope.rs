@@ -1,23 +1,22 @@
 //! Interned subscription-scope sets.
 //!
-//! Every message copy travelling through the overlay carries a *scope*: the
-//! set of subscription identifiers it is responsible for, frozen at
-//! publication time so churn can neither duplicate nor resurrect deliveries.
-//! At paper scale (160 subscribers) a `Vec<SubscriptionId>` per copy is
-//! harmless; at 10⁵ subscribers a single publication matches tens of
-//! thousands of subscriptions and the same set is re-materialised at every
-//! hop of every copy — the dominant allocation in the simulator's hot path.
+//! Every publication carries a *scope* to its publisher's broker: the set of
+//! subscription identifiers it is responsible for, frozen at publication
+//! time so churn can neither duplicate nor resurrect deliveries. At 10⁵
+//! subscribers a single publication matches tens of thousands of
+//! subscriptions. (Past the first broker a copy carries its own target
+//! list instead.)
 //!
 //! [`ScopeSet`] is an immutable, **sorted**, reference-counted slice of
 //! subscription ids: cloning is an `Arc` bump, membership is a binary
-//! search. [`ScopeInterner`] hash-conses the sets so that all copies of one
-//! message — and all messages matching the same population subset — share a
-//! single allocation. Under churn the live population drifts, so the
-//! interner periodically drops entries nobody references anymore.
+//! search. [`ScopeInterner`] hash-conses the sets so that all messages
+//! matching the same population subset share a single allocation. Under
+//! churn the live population drifts, so the interner periodically drops
+//! entries nobody references anymore.
 //!
 //! The pool hashes with `IdHasher`, a fixed-key multiplicative hash of one
 //! multiply per two ids, instead of the standard library's SipHash, which
-//! costs several times that on every forwarded copy's full target list. It
+//! costs several times that on every publication's full scope. It
 //! is not resistant to crafted collisions and need not be: every id it sees
 //! was minted by the simulator, never read from outside the program. A
 //! collision costs a slice comparison, never a wrong set, because pool
@@ -173,8 +172,8 @@ impl Hasher for IdHasher {
 /// A hash-consing pool of [`ScopeSet`]s.
 ///
 /// [`intern`](Self::intern) returns the existing allocation when an equal
-/// set is already pooled, so repeated scopes — one per hop per copy of every
-/// message — collapse to `Arc` clones. Entries whose only reference is the
+/// set is already pooled, so repeated scopes — every publication matching
+/// the same subscriptions — collapse to `Arc` clones. Entries whose only reference is the
 /// pool itself are dropped every 4096 interns, keeping the
 /// pool proportional to the *live* scope population under churn.
 #[derive(Debug, Clone, Default)]

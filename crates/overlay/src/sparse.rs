@@ -56,6 +56,58 @@ pub struct MemberRecord {
     /// only to members whose `join_epoch` does not exceed the registry epoch
     /// snapshotted when the message was published.
     pub join_epoch: u64,
+    /// The slot's incarnation when this record was inserted (see
+    /// [`SlotTag`]).
+    pub incarnation: u32,
+}
+
+/// What a link arrival reads of a subscription id's registry slot before it
+/// trusts a target the upstream broker resolved: the slot's compact tag,
+/// kept beside the full records so the check reads eight bytes per id
+/// instead of a record.
+///
+/// Every insert into a slot bumps its [`incarnation`](Self::incarnation),
+/// and a removal marks it [`vacant`](Self::vacant) without touching the
+/// rest. A target carries the incarnation it was resolved under, so an equal
+/// incarnation on a live slot means the record is still the one the target
+/// was built from: same subscriber, price and bound, attached at
+/// [`edge`](Self::edge).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotTag {
+    /// The incarnation, with [`VACANT`](Self::VACANT) set while no member
+    /// holds the slot.
+    word: u32,
+    edge: BrokerId,
+}
+
+impl SlotTag {
+    const VACANT: u32 = 1 << 31;
+
+    /// Inserts into the slot so far (modulo 2³¹); the first member of a slot
+    /// is incarnation 1, so a target stamped 0 never matches.
+    pub fn incarnation(self) -> u32 {
+        self.word & !Self::VACANT
+    }
+
+    /// The edge broker of the slot's member (of its last member while
+    /// vacant).
+    pub fn edge(self) -> BrokerId {
+        self.edge
+    }
+
+    /// True while no member holds the slot.
+    pub fn vacant(self) -> bool {
+        self.word & Self::VACANT != 0
+    }
+
+    /// The tag of the slot's next member, attached at `edge`.
+    fn next(self, edge: BrokerId) -> SlotTag {
+        let incarnation = (self.incarnation() + 1) & !Self::VACANT;
+        SlotTag {
+            word: incarnation.max(1),
+            edge,
+        }
+    }
 }
 
 /// Bit marking a *sentinel* subscription id inside a scope: the id names a
@@ -293,6 +345,9 @@ pub struct SharedPopulation {
     /// and scopes are id-ordered: a slot vector turns that walk into an
     /// ascending scan where a hash map paid a hash and a cache miss per id.
     members: Vec<Option<MemberRecord>>,
+    /// One [`SlotTag`] per slot of `members`: the compact array a link
+    /// arrival checks carried targets against.
+    tags: Vec<SlotTag>,
     /// Occupied slots of `members`.
     registered: usize,
     by_edge: BTreeMap<BrokerId, EdgeGroup>,
@@ -314,6 +369,7 @@ impl Default for SharedPopulation {
     fn default() -> Self {
         SharedPopulation {
             members: Vec::new(),
+            tags: Vec::new(),
             registered: 0,
             by_edge: BTreeMap::new(),
             epoch: 0,
@@ -368,11 +424,19 @@ impl SharedPopulation {
         });
         if self.members.len() <= id.index() {
             self.members.resize_with(id.index() + 1, || None);
+            let never_held = SlotTag {
+                word: SlotTag::VACANT,
+                edge,
+            };
+            self.tags.resize(id.index() + 1, never_held);
         }
+        let tag = self.tags[id.index()].next(edge);
+        self.tags[id.index()] = tag;
         self.members[id.index()] = Some(MemberRecord {
             subscription,
             edge,
             join_epoch: self.epoch,
+            incarnation: tag.incarnation(),
         });
         self.registered += 1;
     }
@@ -380,6 +444,7 @@ impl SharedPopulation {
     /// Unregisters a subscription, returning its record when present.
     pub fn remove(&mut self, id: SubscriptionId) -> Option<MemberRecord> {
         let record = self.members.get_mut(id.index())?.take()?;
+        self.tags[id.index()].word |= SlotTag::VACANT;
         self.registered -= 1;
         if let Some(group) = self.by_edge.get_mut(&record.edge) {
             if let Ok(pos) = group.ids.binary_search(&id) {
@@ -430,6 +495,41 @@ impl SharedPopulation {
     /// The record of one subscription.
     pub fn member(&self, id: SubscriptionId) -> Option<&MemberRecord> {
         self.members.get(id.index())?.as_ref()
+    }
+
+    /// The tag of one subscription id's slot — vacant ones included — or
+    /// `None` when no member ever held it.
+    pub fn slot(&self, id: SubscriptionId) -> Option<SlotTag> {
+        self.tags.get(id.index()).copied()
+    }
+
+    /// Holds the slot tags to the records: a slot is vacant exactly when it
+    /// holds no record, and an occupied slot's tag names its record's edge
+    /// and incarnation.
+    pub fn audit_slots(&self) -> Result<(), String> {
+        if self.tags.len() != self.members.len() {
+            return Err(format!(
+                "{} slot tags for {} registry slots",
+                self.tags.len(),
+                self.members.len()
+            ));
+        }
+        for (slot, (tag, record)) in self.tags.iter().zip(&self.members).enumerate() {
+            let agrees = match record {
+                None => tag.vacant(),
+                Some(r) => {
+                    !tag.vacant() && tag.edge == r.edge && tag.incarnation() == r.incarnation
+                }
+            };
+            if !agrees {
+                let held = record.as_ref().map(|r| (r.edge, r.incarnation));
+                return Err(format!(
+                    "slot {slot}'s tag {tag:?} disagrees with its record (edge, incarnation) \
+                     {held:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The group attached at one edge broker (absent when empty).
@@ -538,8 +638,8 @@ pub fn read_population(p: &PopulationHandle) -> std::sync::RwLockReadGuard<'_, S
     p.read().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Approximate per-member overhead of the registry's slot vector: growth
-/// slack and the holes leaves leave behind.
+/// Approximate per-member overhead of the registry's slot vectors: the slot
+/// tag, growth slack and the holes leaves leave behind.
 const MEMBER_SLOT_OVERHEAD: usize = 48;
 /// Approximate per-member overhead of a covering-forest node (filter handle,
 /// parent pointer, child-set slot).
@@ -587,6 +687,8 @@ impl AggregateEntry {
 pub struct ResolvedEntry {
     /// The subscription this row serves.
     pub subscription: SubscriptionId,
+    /// The edge broker it attaches to.
+    pub edge: BrokerId,
     /// The subscriber that owns it.
     pub subscriber: SubscriberId,
     /// The price paid per valid delivery.
@@ -607,6 +709,7 @@ impl ResolvedEntry {
     pub fn from_entry(e: &SubTableEntry) -> Self {
         ResolvedEntry {
             subscription: e.subscription.id,
+            edge: e.edge_broker,
             subscriber: e.subscription.subscriber,
             price: e.subscription.price,
             allowed_delay: e.subscription.allowed_delay(),
@@ -622,6 +725,7 @@ impl ResolvedEntry {
         let sub = &record.subscription;
         ResolvedEntry {
             subscription: sub.id,
+            edge: record.edge,
             subscriber: sub.subscriber,
             price: sub.price,
             allowed_delay: sub.allowed_delay(),
@@ -780,15 +884,16 @@ impl SparseTable {
     }
 
     /// Resolves every subscription of a frozen scope in scope order, calling
-    /// `f` for each one this broker can currently serve — the sparse hot
-    /// path. Every id is one registry slot read (one read-lock for the whole
-    /// scope): a member attached here resolves from its record alone, a
-    /// remote one through the per-destination aggregate. A subscription that
-    /// has left the population, or whose edge broker is unreachable, is
-    /// skipped — exactly the rows a
+    /// `f` with each row this broker can currently serve and the incarnation
+    /// of the record it was built from (see [`SlotTag`]) — the row source of
+    /// a publisher hand-off. Every id is one registry slot read (one
+    /// read-lock for the whole scope): a member attached here resolves from
+    /// its record alone, a remote one through the per-destination aggregate.
+    /// A subscription that has left the population, or whose edge broker is
+    /// unreachable, is skipped — exactly the rows a
     /// [`SubscriptionTable::build`](crate::subtable::SubscriptionTable::build)
     /// over the population would not hold.
-    pub fn resolve_scope(&self, scope: &ScopeSet, mut f: impl FnMut(ResolvedEntry)) {
+    pub fn resolve_scope(&self, scope: &ScopeSet, mut f: impl FnMut(ResolvedEntry, u32)) {
         let pop = read_population(&self.population);
         // Ids are minted edge by edge, so an id-ordered scope comes in runs
         // of one edge broker: the aggregate of the previous row usually
@@ -799,7 +904,7 @@ impl SparseTable {
                 continue; // left the population since the scope froze
             };
             if record.edge == self.broker {
-                f(ResolvedEntry::local(record));
+                f(ResolvedEntry::local(record), record.incarnation);
                 continue;
             }
             let agg = match run {
@@ -813,7 +918,7 @@ impl SparseTable {
             let Some(agg) = agg else {
                 continue; // unreachable: not served here
             };
-            f(ResolvedEntry::remote(record, agg));
+            f(ResolvedEntry::remote(record, agg), record.incarnation);
         }
     }
 
@@ -933,7 +1038,7 @@ mod tests {
         let all_ids: Vec<SubscriptionId> = subs.iter().map(|(s, _)| s.id).collect();
         let scope = ScopeSet::from_unsorted(all_ids);
         let mut resolved = Vec::new();
-        sparse.resolve_scope(&scope, |e| resolved.push(e));
+        sparse.resolve_scope(&scope, |e, _| resolved.push(e));
         let expected: Vec<ResolvedEntry> = scope
             .iter()
             .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
@@ -1010,7 +1115,7 @@ mod tests {
         // The scope no longer resolves the severed subscription.
         let scope = ScopeSet::from_unsorted(vec![SubscriptionId::new(0)]);
         let mut seen = 0;
-        table.resolve_scope(&scope, |_| seen += 1);
+        table.resolve_scope(&scope, |_, _| seen += 1);
         assert_eq!(seen, 0);
 
         // Restore: the aggregate reappears with fresh routed fields.
@@ -1140,6 +1245,39 @@ mod tests {
             BrokerId::new(1),
         );
         assert_eq!(pop.member(SubscriptionId::new(0)).unwrap().join_epoch, 3);
+    }
+
+    #[test]
+    fn a_slot_tag_follows_its_member_through_leave_and_rejoin() {
+        let mut pop = SharedPopulation::new();
+        let id = SubscriptionId::new(3);
+        assert_eq!(pop.slot(id), None, "no member ever held the slot");
+        let tag = |pop: &SharedPopulation| {
+            let tag = pop.slot(id).unwrap();
+            (tag.incarnation(), tag.edge().raw(), tag.vacant())
+        };
+        pop.insert(qos_sub(3, 10, 1), BrokerId::new(1));
+        assert_eq!(tag(&pop), (1, 1, false));
+        assert!(pop.slot(SubscriptionId::new(0)).unwrap().vacant());
+        // A leave keeps the incarnation, so a target resolved before it is
+        // only rejected by the vacancy.
+        pop.remove(id);
+        assert_eq!(tag(&pop), (1, 1, true));
+        pop.audit_slots().unwrap();
+        // Re-joining, here or elsewhere, is a new incarnation.
+        pop.insert(qos_sub(3, 30, 2), BrokerId::new(2));
+        assert_eq!(tag(&pop), (2, 2, false));
+        pop.insert(qos_sub(3, 30, 5), BrokerId::new(2));
+        assert_eq!(tag(&pop), (3, 2, false));
+        assert_eq!(pop.member(id).unwrap().incarnation, 3);
+        pop.audit_slots().unwrap();
+        // Incarnations wrap past 0, which no slot ever takes.
+        let last = SlotTag {
+            word: SlotTag::VACANT - 1,
+            edge: BrokerId::new(2),
+        };
+        assert_eq!(last.next(BrokerId::new(4)).incarnation(), 1);
+        assert_eq!(std::mem::size_of::<SlotTag>(), 8);
     }
 
     fn qos_sub(id: u32, edge_secs: u64, price_units: i64) -> Subscription {

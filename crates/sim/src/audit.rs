@@ -237,7 +237,8 @@ impl Simulation {
     /// each edge group's member ids, and each member's recorded edge, must
     /// be exactly what the list says. The table audit rebuilds from the
     /// registry, so without this a registry that kept (or lost) a member the
-    /// list disagrees on would rebuild into the same wrong tables.
+    /// list disagrees on would rebuild into the same wrong tables. The
+    /// registry's slot tags are then held to its records.
     fn audit_registry(&self) -> Result<(), String> {
         let mut listed: BTreeMap<BrokerId, Vec<SubscriptionId>> = BTreeMap::new();
         for (sub, edge) in &self.scenario.subscriptions.entries {
@@ -277,7 +278,8 @@ impl Simulation {
                 }
             }
         }
-        Ok(())
+        // The tags link arrivals trust carried targets by.
+        pop.audit_slots()
     }
 
     /// Arms a deliberately broken invariant, proving the model-checking

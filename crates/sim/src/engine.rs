@@ -41,7 +41,7 @@ use std::fmt;
 #[cfg(feature = "fault-injection")]
 pub use crate::audit::InjectedFault;
 pub use crate::error::SimError;
-pub use crate::event::EventKind;
+pub use crate::event::{Arrival, EventKind};
 pub use crate::outcome::{
     ConservationBalance, ConservationViolation, DuplicateDeliveryViolation, LinkLoad, PhaseOutcome,
     SimulationOutcome,

@@ -94,14 +94,6 @@ pub(crate) mod key {
         debug_assert!(message.raw() < 1 << MESSAGE_BITS);
         (3 << 62) | ((link.index() as u64) << MESSAGE_BITS) | message.raw()
     }
-
-    /// Whether a process-event key's copy arrived over a link (as opposed to
-    /// the publisher-side hand-off, whose `via` field is 0). Recovered from
-    /// the key rather than stored in the event so [`super::EventKind`] and
-    /// its digests stay unchanged.
-    pub(crate) fn process_via_link(seq: u64) -> bool {
-        ((seq >> MESSAGE_BITS) & ((1 << 21) - 1)) != 0
-    }
 }
 
 /// One kind of pending simulation event.
@@ -123,17 +115,13 @@ pub enum EventKind {
         /// The publisher's rate generation when this event was scheduled.
         gen: u64,
     },
-    /// A broker finishes processing a received message copy. The scope — the
-    /// interned set of subscription ids the copy serves, frozen at
-    /// publication time — is an `Arc`-backed [`ScopeSet`], so every hop of
-    /// every copy of a message shares one allocation.
+    /// A broker finishes processing what arrived: a publication handed over
+    /// by its publisher, or a copy that crossed a link.
     Process {
         /// The broker whose processing module finishes.
         broker: BrokerId,
-        /// The processed message.
-        message: Arc<Message>,
-        /// The subscription ids this copy serves.
-        scope: ScopeSet,
+        /// What arrived.
+        arrival: Arrival,
     },
     /// A link finishes transmitting a message copy (targets included so the
     /// copy can be requeued intact if the link died mid-transfer). `gen` is
@@ -175,6 +163,34 @@ pub enum EventKind {
     },
 }
 
+/// What a [`EventKind::Process`] hands its broker.
+#[derive(Clone)]
+pub enum Arrival {
+    /// The publisher hand-off: the message and its publication scope — the
+    /// subscription ids matching it at publication time, interned, so
+    /// publications matching the same population subset share one
+    /// allocation.
+    Published {
+        /// The published message.
+        message: Arc<Message>,
+        /// The subscription ids the message serves.
+        scope: ScopeSet,
+    },
+    /// A copy that crossed a link: the sender's queued copy itself, moved
+    /// out of its transfer, whose targets carry what the sender resolved.
+    Forwarded(QueuedMessage),
+}
+
+impl Arrival {
+    /// The message that arrived.
+    pub fn message(&self) -> &Arc<Message> {
+        match self {
+            Arrival::Published { message, .. } => message,
+            Arrival::Forwarded(copy) => &copy.message,
+        }
+    }
+}
+
 impl EventKind {
     /// A short human-readable label identifying the event — used by the
     /// model-checking explorer to render branch choices in counterexample
@@ -183,10 +199,12 @@ impl EventKind {
     pub fn label(&self) -> String {
         match self {
             EventKind::Publish { publisher, .. } => format!("publish:p{}", publisher.index()),
-            EventKind::Process {
-                broker, message, ..
-            } => {
-                format!("process:b{}:m{}", broker.index(), message.id.raw())
+            EventKind::Process { broker, arrival } => {
+                format!(
+                    "process:b{}:m{}",
+                    broker.index(),
+                    arrival.message().id.raw()
+                )
             }
             EventKind::SendComplete { link, queued, .. } => {
                 format!("send:l{}:m{}", link.index(), queued.message.id.raw())
@@ -208,16 +226,22 @@ impl EventKind {
                 h.write_u32(publisher.raw());
                 h.write_u64(*gen);
             }
-            EventKind::Process {
-                broker,
-                message,
-                scope,
-            } => {
+            EventKind::Process { broker, arrival } => {
                 h.write_u8(2);
                 h.write_u32(broker.raw());
-                h.write_u64(message.id.raw());
-                for id in scope.iter() {
-                    h.write_u32(id.raw());
+                h.write_u64(arrival.message().id.raw());
+                // The ids the arrival serves, whichever way they came.
+                match arrival {
+                    Arrival::Published { scope, .. } => {
+                        for id in scope.iter() {
+                            h.write_u32(id.raw());
+                        }
+                    }
+                    Arrival::Forwarded(copy) => {
+                        for t in &copy.targets {
+                            h.write_u32(t.subscription.raw());
+                        }
+                    }
                 }
             }
             EventKind::SendComplete { link, queued, gen } => {

@@ -135,8 +135,9 @@ pub struct SimulationOutcome {
     pub events_processed: u64,
     /// The deepest the pending-event set ever got (scheduler load indicator).
     pub peak_pending_events: u64,
-    /// Scope-set interns served / interns that reused an existing
-    /// allocation (see [`bdps_filter::scope::ScopeInterner`]).
+    /// Scope-set interns served — one per publication, since a forwarded
+    /// copy carries its targets instead of a scope (see
+    /// [`bdps_filter::scope::ScopeInterner`]).
     pub scope_interns: u64,
     /// Interner hits (shared allocations) out of [`scope_interns`](Self::scope_interns).
     pub scope_intern_hits: u64,

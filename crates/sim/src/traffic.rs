@@ -19,14 +19,13 @@ use bdps_core::config::SchedulerConfig;
 use bdps_core::objective::ObjectiveTracker;
 use bdps_core::queue::QueuedMessage;
 use bdps_filter::index::MatchIndex;
-use bdps_filter::scope::{ScopeInterner, ScopeSet};
+use bdps_filter::scope::ScopeInterner;
 use bdps_net::linkmodel::{LinkModel, LinkSharing};
 use bdps_overlay::sparse::{aggregate_scope_id, read_population, PopulationHandle};
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_stats::summary::Summary;
 use bdps_types::id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
-use bdps_types::message::Message;
 use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
 use std::collections::HashMap;
@@ -35,7 +34,7 @@ use std::sync::Arc;
 #[cfg(feature = "fault-injection")]
 use crate::audit::InjectedFault;
 use crate::engine::ForwardingMode;
-use crate::event::{key, EventKind};
+use crate::event::{key, Arrival, EventKind};
 use crate::outcome::{LinkFlow, LinkLoad, PhaseOutcome};
 use crate::sched::{CalendarQueue, EventQueue, Scheduled};
 use crate::workload::WorkloadConfig;
@@ -222,11 +221,12 @@ pub(crate) struct TrafficCore {
     /// "a subscription joining a microsecond later must not receive this
     /// message" freeze without materialising the member set.
     pub(crate) publish_epoch: HashMap<MessageId, u64>,
-    /// Hash-consing pool for copy scopes; all copies of one message (and all
-    /// messages matching the same population subset) share one allocation.
+    /// Hash-consing pool for publication scopes: publications matching the
+    /// same population subset share one allocation. A forwarded copy carries
+    /// its targets instead, so a scope is interned once per publication.
     pub(crate) scope_interner: ScopeInterner,
-    /// Scratch id buffer reused across events so scope construction does not
-    /// allocate on the hot path.
+    /// Scratch id buffer reused across publications so scope construction
+    /// does not allocate on the hot path.
     scope_scratch: Vec<SubscriptionId>,
     pub(crate) events_processed: u64,
     pub(crate) peak_pending: usize,
@@ -316,14 +316,7 @@ impl TrafficCore {
         self.begin_event(entry.time);
         match entry.item {
             EventKind::Publish { publisher, gen } => self.on_publish(sh, sink, publisher, gen),
-            EventKind::Process {
-                broker,
-                message,
-                scope,
-            } => {
-                let via_link = key::process_via_link(entry.seq);
-                self.on_process(sh, sink, broker, message, scope, via_link)
-            }
+            EventKind::Process { broker, arrival } => self.on_process(sh, sink, broker, arrival),
             EventKind::SendComplete { link, queued, gen } => {
                 self.on_send_complete(sh, sink, link, queued, gen)
             }
@@ -428,14 +421,6 @@ impl TrafficCore {
         load.peak_queue = load.peak_queue.max(depth);
     }
 
-    /// Interns `ids` (ascending) as a copy scope and keeps the buffer as
-    /// scratch for the next event.
-    fn intern_scope(&mut self, ids: Vec<SubscriptionId>) -> ScopeSet {
-        let scope = self.scope_interner.intern(&ids);
-        self.scope_scratch = ids;
-        scope
-    }
-
     fn on_publish(
         &mut self,
         sh: &Shared,
@@ -495,7 +480,8 @@ impl TrafficCore {
             message: id,
             interested,
         });
-        let scope = self.intern_scope(ids);
+        let scope = self.scope_interner.intern(&ids);
+        self.scope_scratch = ids;
 
         // Hand the message to the attached broker (homed with the
         // publisher); processing takes PD.
@@ -504,8 +490,7 @@ impl TrafficCore {
             key::process(None, id),
             EventKind::Process {
                 broker,
-                message,
-                scope,
+                arrival: Arrival::Published { message, scope },
             },
         );
         self.schedule_next_publication(sh, publisher);
@@ -516,26 +501,32 @@ impl TrafficCore {
         sh: &Shared,
         sink: &mut impl EffectSink,
         broker: BrokerId,
-        message: Arc<Message>,
-        scope: ScopeSet,
-        via_link: bool,
+        arrival: Arrival,
     ) {
         let now = self.now;
+        let message = Arc::clone(arrival.message());
         let outcome = match sh.forwarding {
-            ForwardingMode::Exact => self.broker_mut(broker).handle_arrival_scoped(
-                Arc::clone(&message),
-                now,
-                Some(&scope),
-            ),
+            ForwardingMode::Exact => {
+                let b = self.broker_mut(broker);
+                match arrival {
+                    Arrival::Published { message, scope } => {
+                        b.handle_arrival_scoped(message, now, Some(&scope))
+                    }
+                    Arrival::Forwarded(copy) => b.handle_arrival_forwarded(copy, now),
+                }
+            }
             ForwardingMode::Aggregate => {
                 let epoch = self.publish_epoch.get(&message.id).copied().unwrap_or(0);
-                let outcome = self.broker_mut(broker).handle_arrival_aggregate(
-                    Arc::clone(&message),
-                    now,
-                    &scope,
-                    epoch,
-                    via_link,
-                );
+                let b = self.broker_mut(broker);
+                let outcome = match arrival {
+                    Arrival::Published { message, scope } => {
+                        b.handle_arrival_aggregate(message, now, scope.iter(), epoch, false)
+                    }
+                    Arrival::Forwarded(copy) => {
+                        let ids = copy.targets.iter().map(|t| t.subscription);
+                        b.handle_arrival_aggregate(Arc::clone(&copy.message), now, ids, epoch, true)
+                    }
+                };
                 // The interested count accumulates edge by edge: each
                 // expansion contributes exactly the members it resolved, so
                 // once every copy lands total_interested equals the delivered
@@ -630,12 +621,10 @@ impl TrafficCore {
         self.finish_transfer(sh, sink, link, flow.queued);
     }
 
-    /// A copy finished crossing `link`: it arrives at the downstream broker,
-    /// where processing takes PD, and the link pulls its next copy. Target
-    /// lists are built in ascending subscription order and every later
-    /// mutation preserves it, so the ids intern without sorting; thanks to
-    /// the hash-consing pool the scope of a copy travelling a multi-hop
-    /// path is allocated once, not once per hop.
+    /// A copy finished crossing `link`: the copy itself arrives at the
+    /// downstream broker, where processing takes PD, and the link pulls its
+    /// next copy. Nothing is rebuilt or interned: the receiver routes the
+    /// carried targets ([`BrokerState::handle_arrival_forwarded`]).
     fn finish_transfer(
         &mut self,
         sh: &Shared,
@@ -646,17 +635,12 @@ impl TrafficCore {
         sink.emit(Effect::CompletedTransfer);
         self.link_load[link.index()].completed_transfers += 1;
         let (from, to) = sh.endpoints(link);
-        let mut ids = std::mem::take(&mut self.scope_scratch);
-        ids.clear();
-        ids.extend(queued.targets.iter().map(|t| t.subscription));
-        let scope = self.intern_scope(ids);
         self.push(
             self.now + sh.scheduler.processing_delay,
             key::process(Some(link), queued.message.id),
             EventKind::Process {
                 broker: to,
-                message: queued.message,
-                scope,
+                arrival: Arrival::Forwarded(queued),
             },
         );
         // Keep the link busy with the next scheduled copy, if any. The
@@ -751,5 +735,12 @@ mod tests {
     #[test]
     fn an_effect_is_no_wider_than_a_delivery() {
         assert_eq!(std::mem::size_of::<super::Effect>(), 32);
+    }
+
+    /// A link arrival carries the transferred copy, as `SendComplete` did
+    /// already: the event queue's entries are no wider for it.
+    #[test]
+    fn an_event_is_no_wider_than_a_transfer() {
+        assert_eq!(std::mem::size_of::<crate::event::EventKind>(), 80);
     }
 }

@@ -460,13 +460,13 @@ fn library_panic_sites_do_not_grow() {
         ("crates/sim/src/runner.rs", 3),
         ("crates/sim/src/shard.rs", 5),
         ("crates/sim/src/traffic.rs", 1),
-        ("crates/core/src/broker.rs", 1),
+        ("crates/core/src/broker.rs", 0),
         ("crates/overlay/src/sparse.rs", 4),
     ];
     // The first six are what `engine.rs` alone was (3) before it was split:
     // a site must not escape the census by moving.
     assert!(committed[..6].iter().map(|(_, n)| n).sum::<usize>() <= 3);
-    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 19);
+    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 18);
     for (file, allowed) in committed {
         let code = library_code(file);
         let asserts = ["assert!(", "assert_eq!(", "assert_ne!("]

@@ -61,7 +61,7 @@ fn table_matches_the_dense_layout(
     let dense = SubscriptionTable::build(broker, routing, subs);
     let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
     let mut resolved: Vec<ResolvedEntry> = Vec::new();
-    table.resolve_scope(&scope, |e| resolved.push(e));
+    table.resolve_scope(&scope, |e, _| resolved.push(e));
     let expected: Vec<ResolvedEntry> = scope
         .iter()
         .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Mutation census for the table-maintenance code. Applies every one-hunk
-# mutant in tests/mutants/*.patch, one at a time, to a scratch git worktree
-# of HEAD, runs `cargo test --workspace --release --offline --no-fail-fast`
-# there and writes the kill matrix — which tests fail under which mutant —
-# to tests/mutants/MATRIX.md.
+# Mutation census for the table-maintenance and arrival-routing code.
+# Applies every one-hunk mutant in tests/mutants/*.patch, one at a time, to
+# a scratch git worktree of HEAD, runs
+# `cargo test --workspace --release --offline --no-fail-fast` there and
+# writes the kill matrix — which tests fail under which mutant — to
+# tests/mutants/MATRIX.md.
 #
 #   tests/mutants/run.sh            # every mutant
 #   tests/mutants/run.sh 04 10      # the mutants whose file names start so

@@ -54,7 +54,7 @@ fn copy_of(message: Message, targets: &[ResolvedTarget], enqueue_time: SimTime) 
     let mut item = QueuedMessage::new(Arc::new(message), enqueue_time);
     for &(subscription, subscriber, price, allowed_delay, stats) in targets {
         let class = item.class_for(stats, allowed_delay);
-        item.push_target(subscription, subscriber, price, class);
+        item.push_target(subscription, subscriber, price, 0, class);
     }
     item
 }
@@ -980,7 +980,7 @@ fn sparse_tables_match_dense_and_incremental_matches_scratch() {
             for table in &sparse {
                 let dense = SubscriptionTable::build(table.broker(), &routing, &subs);
                 let mut resolved: Vec<ResolvedEntry> = Vec::new();
-                table.resolve_scope(&scope, |e| resolved.push(e));
+                table.resolve_scope(&scope, |e, _| resolved.push(e));
                 let expected: Vec<ResolvedEntry> = scope
                     .iter()
                     .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
@@ -1010,6 +1010,183 @@ fn sparse_tables_match_dense_and_incremental_matches_scratch() {
             }
         }
     });
+}
+
+/// A copy that crossed a link is routed by the receiver exactly as a scoped
+/// arrival over the copy's target ids would be, whatever churn happened
+/// while it was in flight. Seeded meshes and populations; broker A builds
+/// its copies with a scoped arrival; then, before the copies arrive, some of
+/// their ids leave, some re-join at another edge with another price and
+/// bound, some re-join at the same edge with another price, and fresh ids
+/// join. Every neighbour B then gets its copy as a link arrival, and the
+/// outcome must equal B's scoped arrival over the copy's ids: the same
+/// local deliveries, the same target ids per neighbour, and per target the
+/// same subscriber, price, incarnation, class statistics and class bound.
+#[test]
+fn a_link_arrival_routes_its_copy_as_a_scoped_arrival_would() {
+    use bdps::overlay::sparse::{PopulationHandle, SharedPopulation, SparseTable};
+    use std::sync::RwLock;
+
+    /// Per target of a queued copy: what scoring and the next hop read.
+    type Row = (
+        SubscriptionId,
+        SubscriberId,
+        Price,
+        u32,
+        PathStats,
+        Duration,
+    );
+    fn rows(copy: &QueuedMessage) -> Vec<Row> {
+        let row = |t: &MatchedTarget| {
+            let c = copy.classes[t.class as usize];
+            let (stats, bound) = (c.stats, c.allowed_delay);
+            (
+                t.subscription,
+                t.subscriber,
+                t.price,
+                t.incarnation,
+                stats,
+                bound,
+            )
+        };
+        copy.targets.iter().map(row).collect()
+    }
+    fn qos_sub(id: u32, rng: &mut SimRng) -> Subscription {
+        let (sid, who) = (SubscriptionId::new(id), SubscriberId::new(id));
+        if rng.chance(0.2) {
+            return Subscription::best_effort(sid, who, Filter::match_all());
+        }
+        let bound = DelayBound::from_secs(rng.uniform_usize(5, 40) as u64);
+        let price = Price::from_units(rng.uniform_usize(1, 5) as i64);
+        Subscription::with_qos(sid, who, Filter::match_all(), QosClass::new(bound, price))
+    }
+    /// `sub` with another price and bound.
+    fn requalified(sub: &Subscription) -> Subscription {
+        let bound = DelayBound::from_secs(sub.allowed_delay().as_secs_f64().min(60.0) as u64 + 7);
+        let price = sub.price.saturating_add(Price::from_units(1));
+        Subscription::with_qos(
+            sub.id,
+            sub.subscriber,
+            sub.filter.clone(),
+            QosClass::new(bound, price),
+        )
+    }
+
+    let (mut carried, mut rejoined_served, mut left_routable) = (0, 0, 0);
+    check(0x11_4C_A7, 40, |rng| {
+        let n = rng.uniform_usize(4, 9);
+        let mut topo_rng = SimRng::seed_from(rng.next_u64());
+        let topo = Topology::random_mesh(n, 3.0, &mut topo_rng, LinkQuality::paper_random);
+        let routing = Routing::compute(&topo.graph);
+        let edge_of = |rng: &mut SimRng| BrokerId::new(rng.uniform_usize(0, n) as u32);
+        let members = rng.uniform_usize(40, 120) as u32;
+        let subs: Vec<(Subscription, BrokerId)> = (0..members)
+            .map(|id| (qos_sub(id, rng), edge_of(rng)))
+            .collect();
+        let pop: PopulationHandle = Arc::new(RwLock::new(SharedPopulation::from_population(&subs)));
+        let config = SchedulerConfig::paper(StrategyKind::MaxEb);
+        let broker_at = |b: BrokerId| {
+            let table = SparseTable::build(b, &routing, &pop);
+            BrokerState::from_overlay(&topo.graph, b, table, config.clone())
+        };
+
+        let mut message = Message::builder(MessageId::new(1), PublisherId::new(0))
+            .publish_time(SimTime::ZERO)
+            .size_kb(50.0);
+        if rng.chance(0.3) {
+            message = message.publisher_bound(DelayBound::from_secs(15));
+        }
+        let message = Arc::new(message.build());
+        let scope_ids: Vec<SubscriptionId> = (0..members)
+            .filter(|_| rng.chance(0.8))
+            .map(SubscriptionId::new)
+            .collect();
+        let a = edge_of(rng);
+        let mut sender = broker_at(a);
+        let sent_at = SimTime::from_millis(rng.uniform_usize(1, 20_000) as u64);
+        let scope = ScopeSet::from_sorted(scope_ids.clone());
+        sender.handle_arrival_scoped(Arc::clone(&message), sent_at, Some(&scope));
+
+        // Churn while the copies are in flight.
+        let mut left = Vec::new();
+        let mut rejoined = Vec::new();
+        {
+            let mut p = pop.write().unwrap();
+            for &id in &scope_ids {
+                let roll = rng.uniform();
+                if roll < 0.1 {
+                    let record = p.remove(id).expect("registered");
+                    left.push((id, record.edge));
+                } else if roll < 0.2 {
+                    let record = p.remove(id).expect("registered");
+                    p.insert(requalified(&record.subscription), edge_of(rng));
+                    rejoined.push(id);
+                } else if roll < 0.25 {
+                    let record = p.remove(id).expect("registered");
+                    p.insert(requalified(&record.subscription), record.edge);
+                    rejoined.push(id);
+                }
+            }
+            for id in members..members + rng.uniform_usize(0, 6) as u32 {
+                p.insert(qos_sub(id, rng), edge_of(rng));
+            }
+        }
+
+        let arrived_at = sent_at + Duration::from_millis(rng.uniform_usize(1, 20_000) as u64);
+        for b in sender.neighbors() {
+            let Some(copy) = sender.queue(b).and_then(|q| q.items().first()) else {
+                continue;
+            };
+            let receiver = broker_at(b);
+            let (mut via_link, mut scoped) = (receiver.clone(), receiver.clone());
+            let link_outcome = via_link.handle_arrival_forwarded(copy.clone(), arrived_at);
+            let ids = ScopeSet::from_sorted(
+                copy.targets
+                    .iter()
+                    .map(|t| t.subscription)
+                    .collect::<Vec<_>>(),
+            );
+            let scope_outcome =
+                scoped.handle_arrival_scoped(Arc::clone(&message), arrived_at, Some(&ids));
+            let what = format!("{a} -> {b}");
+            assert_eq!(link_outcome.local, scope_outcome.local, "{what}");
+            assert_eq!(
+                link_outcome.enqueued_to, scope_outcome.enqueued_to,
+                "{what}"
+            );
+            assert_eq!(via_link.counters, scoped.counters, "{what}");
+            let mut served = Vec::new();
+            for nb in receiver.neighbors() {
+                let (q1, q2) = (via_link.queue(nb).unwrap(), scoped.queue(nb).unwrap());
+                assert_eq!(q1.len(), q2.len(), "{what} towards {nb}");
+                for (c1, c2) in q1.items().iter().zip(q2.items()) {
+                    assert_eq!(rows(c1), rows(c2), "{what} towards {nb}");
+                    served.extend(c2.targets.iter().map(|t| t.subscription));
+                }
+            }
+            served.extend(scope_outcome.local.iter().map(|d| d.subscription));
+            for t in &copy.targets {
+                let id = t.subscription;
+                if rejoined.contains(&id) {
+                    rejoined_served += usize::from(served.contains(&id));
+                } else if let Some(&(_, edge)) = left.iter().find(|(gone, _)| *gone == id) {
+                    let routable = edge == b || receiver.table().aggregate(edge).is_some();
+                    left_routable += usize::from(routable);
+                } else {
+                    carried += usize::from(served.contains(&id));
+                }
+            }
+        }
+    });
+    // Every path of the link arrival is exercised: targets routed as
+    // carried, re-joined ids re-resolved (another price, bound or edge), and
+    // ids that left while their old edge is still served from the receiver.
+    assert!(carried >= 1_000, "{carried} carried targets");
+    assert!(
+        rejoined_served >= 100,
+        "{rejoined_served} re-joined targets"
+    );
+    assert!(left_routable >= 100, "{left_routable} departed targets");
 }
 
 /// Routing on random meshes is consistent and path statistics equal the

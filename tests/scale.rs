@@ -195,6 +195,6 @@ fn outcome_reports_scheduler_load_counters() {
     assert!(outcome.scope_interns >= outcome.scope_intern_hits);
     assert!(
         outcome.scope_intern_hits > 0,
-        "multi-hop forwarding must reuse interned scopes"
+        "publications matching one subscription set must share its interned scope"
     );
 }

@@ -112,9 +112,9 @@ fn static_reports_are_shard_count_invariant_for_every_strategy() {
 /// The scope-interner counters are introspection, and the hit count depends
 /// on the partition (every shard pools scopes on its own, so a scope shared
 /// across shards is allocated once per shard). But the shards run the
-/// engine's own handlers — one intern per publication and per completed
-/// transfer — so their counters must be summed into the outcome, not dropped
-/// with the shard cores: a sharded run used to report zero.
+/// engine's own handlers — one intern per publication — so their counters
+/// must be summed into the outcome, not dropped with the shard cores: a
+/// sharded run used to report zero.
 #[test]
 fn sharded_outcome_sums_the_shards_scope_interner_traffic() {
     let build = || {
