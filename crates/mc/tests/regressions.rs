@@ -1,14 +1,13 @@
 //! Historical oracle-found bugs, re-encoded as tiny exhaustively-explored
 //! models so they can never silently return.
 //!
-//! * **Calendar rewidth on sparse pops** — the calendar queue once
-//!   mis-resized its buckets when a dense burst of events was followed by a
-//!   long silent stretch ending in one far-future event, perturbing pop
-//!   order. The model packs eight publications into the first seconds and
-//!   parks one scenario event minutes later; every invariant must hold in
-//!   every interleaving. (The pop-order half of the regression — the
-//!   calendar queue against the binary heap on this event shape — lives
-//!   with the queue, in `bdps_sim::sched`'s tests.)
+//! * **Calendar rewidth on sparse pops** — the calendar queue the engine
+//!   once ran on mis-resized its buckets when a dense burst of events was
+//!   followed by one far-future event, perturbing pop order. That queue is
+//!   gone; the model stays as an invariant check on the sparse-burst shape:
+//!   eight publications in the first seconds, one scenario event minutes
+//!   later, every invariant in every interleaving. (The event heap's pop
+//!   order on this shape is checked in `bdps_sim::sched`'s tests.)
 //! * **Nested flap contained in a transfer** — a link that failed *and*
 //!   recovered (twice, nested) entirely within one copy's transfer window
 //!   once confused the generation check that voids stale completions,

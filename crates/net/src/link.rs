@@ -11,29 +11,20 @@ use bdps_stats::rng::SimRng;
 use bdps_types::id::{BrokerId, LinkId};
 use bdps_types::time::Duration;
 
-/// The quality of one link: its bandwidth model plus a fixed propagation latency.
+/// The quality of one link: its bandwidth model. The paper folds
+/// propagation latency into the per-KB rate, so there is no separate term.
 #[derive(Debug, Clone)]
 pub struct LinkQuality {
     /// The bandwidth model governing per-message transfer times.
     pub bandwidth: AnyBandwidth,
-    /// A fixed propagation latency added to every transfer (defaults to zero;
-    /// the paper folds propagation into the per-KB rate).
-    pub propagation: Duration,
 }
 
 impl LinkQuality {
-    /// Creates a link quality from a bandwidth model with zero extra propagation delay.
+    /// Creates a link quality from a bandwidth model.
     pub fn new(bandwidth: impl Into<AnyBandwidth>) -> Self {
         LinkQuality {
             bandwidth: bandwidth.into(),
-            propagation: Duration::ZERO,
         }
-    }
-
-    /// Adds a fixed propagation latency.
-    pub fn with_propagation(mut self, propagation: Duration) -> Self {
-        self.propagation = propagation;
-        self
     }
 
     /// The paper's randomly drawn link quality (mean rate U\[50,100\] ms/KB, σ = 20 ms/KB).
@@ -46,11 +37,10 @@ impl LinkQuality {
         self.bandwidth.rate_distribution()
     }
 
-    /// Samples the full transfer time (propagation + serialisation) for a
-    /// message of `size_kb` kilobytes.
+    /// Samples the transfer (serialisation) time of a message of `size_kb`
+    /// kilobytes.
     pub fn sample_transfer(&self, size_kb: f64, rng: &mut SimRng) -> Duration {
-        let ms = self.bandwidth.sample_transfer_ms(size_kb, rng);
-        self.propagation + Duration::from_millis_f64(ms)
+        Duration::from_millis_f64(self.bandwidth.sample_transfer_ms(size_kb, rng))
     }
 }
 
@@ -82,16 +72,6 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::FixedRate;
-
-    #[test]
-    fn link_quality_sampling_includes_propagation() {
-        let q = LinkQuality::new(FixedRate::new(10.0)).with_propagation(Duration::from_millis(5));
-        let mut rng = SimRng::seed_from(1);
-        let t = q.sample_transfer(2.0, &mut rng);
-        assert_eq!(t, Duration::from_millis(25));
-        assert_eq!(q.rate_distribution().mean(), 10.0);
-    }
 
     #[test]
     fn paper_random_quality_is_in_range() {
@@ -99,6 +79,5 @@ mod tests {
         let q = LinkQuality::paper_random(&mut rng);
         let d = q.rate_distribution();
         assert!((50.0..100.0).contains(&d.mean()));
-        assert_eq!(q.propagation, Duration::ZERO);
     }
 }

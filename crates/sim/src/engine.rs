@@ -208,8 +208,7 @@ impl Simulation {
                     bdps_net::link::LinkQuality::new(bdps_net::bandwidth::NormalRate::new(
                         believed.mean().max(0.01),
                         believed.std_dev(),
-                    ))
-                    .with_propagation(l.quality.propagation);
+                    ));
                 g.add_link(l.from, l.to, quality);
             }
             g

@@ -25,9 +25,9 @@
 //!   effect sink);
 //! * [`shard`] — the sharded executor: conservative `PD`-lookahead windows
 //!   over per-shard traffic cores running those same handlers;
-//! * [`sched`] — the event scheduler: the `O(1)`-amortised
-//!   [`CalendarQueue`] every engine runs on, behind the [`EventQueue`]
-//!   contract its tests hold it to against a binary-heap reference;
+//! * [`sched`] — the event scheduler: the binary [`EventHeap`] every
+//!   engine runs on, behind the [`EventQueue`] contract its tests hold it to
+//!   against a plain `Vec` model;
 //! * [`scenario`] — dynamic scenarios (subscription churn, publisher
 //!   bursts, link failures, blackouts) materialised into a deterministic
 //!   event stream, plus the name-based [`ScenarioRegistry`];
@@ -71,7 +71,7 @@ pub use engine::{
 pub use report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
 pub use runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
 pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
-pub use sched::{CalendarQueue, EventQueue, Scheduled};
+pub use sched::{EventHeap, EventQueue, Scheduled};
 pub use shard::{run_sharded, try_run_sharded};
 pub use workload::{
     ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,

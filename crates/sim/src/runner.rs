@@ -137,46 +137,36 @@ pub struct SweepCell {
 /// is no silent partial result vector — either all cells succeeded or the
 /// call panics with the full casualty list.
 pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationReport)> {
-    let threads = threads.max(1);
-    let mut results: Vec<Option<(String, SimulationReport)>> = vec![None; cells.len()];
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    if threads == 1 || cells.len() <= 1 {
-        for (i, cell) in cells.iter().enumerate() {
-            match run_cell(cell) {
-                Ok(pair) => results[i] = Some(pair),
-                Err(msg) => failures.push((i, msg)),
-            }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    type Slot = Mutex<Option<std::result::Result<(String, SimulationReport), String>>>;
+    let slots: Vec<Slot> = (0..cells.len()).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1).min(cells.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= cells.len() {
+                    break;
+                }
+                let outcome = run_cell(&cells[i]);
+                // Recover from poisoning rather than double-panic: the only
+                // writer is this assignment, after which the value is
+                // complete, so a poisoned lock still holds good data.
+                *slots[i]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
+            });
         }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<std::result::Result<(String, SimulationReport), String>>>;
-        let slots: Vec<Slot> = (0..cells.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let outcome = run_cell(&cells[i]);
-                    // Recover from poisoning rather than double-panic: the
-                    // only writer is this assignment, after which the value
-                    // is complete, so a poisoned lock still holds good data.
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
-                });
-            }
-        });
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
-                Some(Ok(pair)) => results[i] = Some(pair),
-                Some(Err(msg)) => failures.push((i, msg)),
-                None => failures.push((i, "cell was never executed".to_owned())),
-            }
+    });
+    let mut results = Vec::with_capacity(cells.len());
+    let mut failures: Vec<(usize, String)> = Vec::new();
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
+            Some(Ok(pair)) => results.push(pair),
+            Some(Err(msg)) => failures.push((i, msg)),
+            None => failures.push((i, "cell was never executed".to_owned())),
         }
     }
     if !failures.is_empty() {
@@ -197,9 +187,6 @@ pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationRepo
         );
     }
     results
-        .into_iter()
-        .map(|r| r.expect("non-failing sweep filled every slot"))
-        .collect()
 }
 
 /// Runs one sweep cell, converting a panic into the cell's error string so
@@ -374,9 +361,8 @@ mod tests {
         }
     }
 
-    /// The threads=1 and threads=N paths (the two branches the panic fix
-    /// rewired) must agree bit-for-bit, including for cells that themselves
-    /// run the sharded executor.
+    /// One worker and several must agree bit-for-bit, including for cells
+    /// that themselves run the sharded executor.
     #[test]
     fn sweep_equality_across_thread_counts_with_sharded_cells() {
         let cells: Vec<SweepCell> = [1usize, 2, 4]

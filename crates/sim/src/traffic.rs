@@ -36,7 +36,7 @@ use crate::audit::InjectedFault;
 use crate::engine::ForwardingMode;
 use crate::event::{key, Arrival, EventKind};
 use crate::outcome::{LinkFlow, LinkLoad, PhaseOutcome};
-use crate::sched::{CalendarQueue, EventQueue, Scheduled};
+use crate::sched::{EventHeap, EventQueue, Scheduled};
 use crate::workload::WorkloadConfig;
 
 /// One update of the order-sensitive [`Totals`], named by a traffic or
@@ -191,7 +191,7 @@ impl Shared {
 pub(crate) struct TrafficCore {
     pub(crate) brokers: Vec<BrokerState>,
     pub(crate) broker_lo: usize,
-    pub(crate) events: CalendarQueue<EventKind>,
+    pub(crate) events: EventHeap<EventKind>,
     /// `Process` events for brokers outside `brokers`, awaiting the window
     /// barrier (always empty in the sequential engine).
     pub(crate) outbox: Vec<Scheduled<EventKind>>,
@@ -242,7 +242,7 @@ impl TrafficCore {
         TrafficCore {
             brokers: Vec::new(),
             broker_lo,
-            events: CalendarQueue::new(),
+            events: EventHeap::new(),
             outbox: Vec::new(),
             publisher_rng,
             link_rng,
