@@ -43,8 +43,8 @@ pub mod strategy;
 pub use broker::{ArrivalOutcome, BrokerCounters, BrokerState, LocalDelivery, NextSend};
 pub use config::{InvalidDetection, SchedulerConfig, StrategyKind};
 pub use metrics::{
-    expected_benefit, expected_benefit_delayed, max_success_probability, postponing_cost,
-    success_probability, ClassScratch,
+    expected_benefit, expected_benefit_delayed, is_likely, postponing_cost, success_probability,
+    ClassScratch,
 };
 pub use objective::ObjectiveTracker;
 pub use queue::{DropReason, DropRecord, MatchedTarget, OutputQueue, QueuedMessage, SuccessClass};

@@ -23,6 +23,7 @@
 //! (the test module's `reference`).
 
 use crate::queue::{QueuedMessage, SuccessClass};
+use bdps_stats::normal::CdfBatch;
 use bdps_types::message::Message;
 use bdps_types::time::{Duration, SimTime};
 
@@ -47,14 +48,11 @@ pub fn success_probability_with_extra_delay(
     processing_delay: Duration,
     extra_delay_ms: f64,
 ) -> f64 {
-    if class.allowed_delay == Duration::MAX {
-        return 1.0;
-    }
-    let elapsed = message.elapsed(now);
-    if elapsed > class.allowed_delay {
-        return 0.0;
-    }
-    let budget_ms = (class.allowed_delay - elapsed).as_millis_f64() - extra_delay_ms;
+    let remaining_ms = match remaining_budget_ms(message, class, now) {
+        Ok(ms) => ms,
+        Err(p) => return p,
+    };
+    let budget_ms = remaining_ms - extra_delay_ms;
     if budget_ms <= 0.0 {
         return 0.0;
     }
@@ -64,14 +62,83 @@ pub fn success_probability_with_extra_delay(
         .cdf(budget_ms)
 }
 
+/// Eq. 5 up to its delay budget: `Err(p)` when the class alone decides
+/// the probability (unbounded: 1, expired: 0), else what is left of its
+/// allowed delay at `now`, in ms.
+fn remaining_budget_ms(message: &Message, class: &SuccessClass, now: SimTime) -> Result<f64, f64> {
+    if class.allowed_delay == Duration::MAX {
+        return Err(1.0);
+    }
+    let elapsed = message.elapsed(now);
+    if elapsed > class.allowed_delay {
+        return Err(0.0);
+    }
+    Ok((class.allowed_delay - elapsed).as_millis_f64())
+}
+
 /// The per-class probabilities of the copy being scored. A strategy's
 /// [`score_all`](crate::strategy::SchedulingStrategy::score_all) keeps one
-/// for the whole selection, so scoring a queue allocates once, not once per
-/// copy; the item-level functions below use a fresh one per call.
+/// for the whole selection, so scoring a queue allocates its buffers once,
+/// not once per copy; the item-level functions below use a fresh one per
+/// call.
 #[derive(Debug, Clone, Default)]
-pub struct ClassScratch(Vec<f64>);
+pub struct ClassScratch {
+    /// `p[k·classes + i]`: class `i`'s success probability under the `k`-th
+    /// extra delay of the last [`fill`](Self::fill).
+    p: Vec<f64>,
+    batch: CdfBatch,
+}
 
 impl ClassScratch {
+    /// Evaluates every live class of `item` under each of `extra_delays_ms`
+    /// in one pass: the CDFs a class does not decide alone go through one
+    /// [`CdfBatch`], so the ones that still need erfc share its lanes.
+    fn fill(
+        &mut self,
+        item: &QueuedMessage,
+        now: SimTime,
+        processing_delay: Duration,
+        extra_delays_ms: &[f64],
+    ) {
+        let n = item.classes.len();
+        self.p.clear();
+        // No target names a dead class, so its slots are never read.
+        self.p.resize(n * extra_delays_ms.len(), 0.0);
+        for (i, class) in item.classes.iter().enumerate() {
+            if class.live == 0 {
+                continue;
+            }
+            let remaining_ms = match remaining_budget_ms(&item.message, class, now) {
+                Ok(ms) => ms,
+                Err(p) => {
+                    self.p[i..].iter_mut().step_by(n).for_each(|slot| *slot = p);
+                    continue;
+                }
+            };
+            let fdl = class
+                .stats
+                .future_delay_ms(item.message.size_kb, processing_delay);
+            for (k, extra) in extra_delays_ms.iter().enumerate() {
+                let budget_ms = remaining_ms - extra;
+                if budget_ms <= 0.0 {
+                    continue; // the slot's 0.0 stands
+                }
+                self.batch.push(&mut self.p, k * n + i, &fdl, budget_ms);
+            }
+        }
+        self.batch.flush(&mut self.p);
+    }
+
+    /// Eq. 3 over the probabilities of the `k`-th extra delay of the last
+    /// fill, folded over the targets in their ascending-id order.
+    fn benefit(&self, item: &QueuedMessage, k: usize) -> f64 {
+        let p = &self.p[k * item.classes.len()..];
+        item.targets
+            .iter()
+            .map(|t| p[t.class as usize] * t.price.as_f64())
+            .sum()
+    }
+
     /// The Expected Benefit of sending the message first (eq. 3).
     pub fn expected_benefit(
         &mut self,
@@ -91,22 +158,8 @@ impl ClassScratch {
         processing_delay: Duration,
         first_send_estimate_ms: f64,
     ) -> f64 {
-        self.0.clear();
-        // No target names a dead class, so its slot is never read.
-        self.0.extend(item.classes.iter().map(|c| match c.live {
-            0 => 0.0,
-            _ => success_probability_with_extra_delay(
-                &item.message,
-                c,
-                now,
-                processing_delay,
-                first_send_estimate_ms,
-            ),
-        }));
-        item.targets
-            .iter()
-            .map(|t| self.0[t.class as usize] * t.price.as_f64())
-            .sum()
+        self.fill(item, now, processing_delay, &[first_send_estimate_ms]);
+        self.benefit(item, 0)
     }
 
     /// The Postponing Cost `PC = EB − EB'` (eq. 9).
@@ -117,8 +170,8 @@ impl ClassScratch {
         processing_delay: Duration,
         first_send_estimate_ms: f64,
     ) -> f64 {
-        self.expected_benefit(item, now, processing_delay)
-            - self.expected_benefit_delayed(item, now, processing_delay, first_send_estimate_ms)
+        self.fill(item, now, processing_delay, &[0.0, first_send_estimate_ms]);
+        self.benefit(item, 0) - self.benefit(item, 1)
     }
 
     /// The combined metric `EBPC = r·EB + (1−r)·PC` (eq. 10).
@@ -130,10 +183,9 @@ impl ClassScratch {
         first_send_estimate_ms: f64,
         r: f64,
     ) -> f64 {
-        let eb = self.expected_benefit(item, now, processing_delay);
-        let eb_delayed =
-            self.expected_benefit_delayed(item, now, processing_delay, first_send_estimate_ms);
-        let pc = eb - eb_delayed;
+        self.fill(item, now, processing_delay, &[0.0, first_send_estimate_ms]);
+        let eb = self.benefit(item, 0);
+        let pc = eb - self.benefit(item, 1);
         r * eb + (1.0 - r) * pc
     }
 }
@@ -179,17 +231,21 @@ pub fn ebpc(
     ClassScratch::default().ebpc(item, now, processing_delay, first_send_estimate_ms, r)
 }
 
-/// The best success probability across the copy's live classes — the
-/// quantity compared to ε in the invalid-message test (eq. 11): the message
-/// is deleted when even its *most promising* target is below ε.
-pub fn max_success_probability(
+/// The invalid-message test (eq. 11), from the side that keeps the copy:
+/// whether some live class still succeeds with probability at least
+/// `epsilon`. It stops at the first class that does. For every ε in
+/// `[0, 1]` this is the paper's "delete when even the *most promising*
+/// target is below ε", without scoring the classes after that target.
+pub fn is_likely(
     item: &QueuedMessage,
     now: SimTime,
     processing_delay: Duration,
-) -> f64 {
-    item.live_classes()
-        .map(|c| success_probability(&item.message, c, now, processing_delay))
-        .fold(0.0, f64::max)
+    epsilon: f64,
+) -> bool {
+    epsilon <= 0.0
+        || item
+            .live_classes()
+            .any(|c| success_probability(&item.message, c, now, processing_delay) >= epsilon)
 }
 
 /// The flat per-target formulas the class-scored functions above replaced,
@@ -465,21 +521,21 @@ mod tests {
     }
 
     #[test]
-    fn max_success_probability_is_the_epsilon_test_quantity() {
+    fn is_likely_is_the_epsilon_test() {
         let m = msg(0);
         let good = target(60, 1, 1, 60.0);
         let bad = FlatTarget {
             allowed_delay: Duration::from_millis(5),
             ..target(1, 1, 3, 90.0)
         };
-        let p = max_success_probability(&copy(&m, &[bad.clone(), good]), SimTime::ZERO, PD);
-        assert!(p > 0.99);
-        let only_bad = max_success_probability(&copy(&m, &[bad]), SimTime::ZERO, PD);
-        assert!(only_bad < 5e-4, "only_bad = {only_bad}");
-        assert_eq!(
-            max_success_probability(&copy(&m, &[]), SimTime::ZERO, PD),
-            0.0
-        );
+        let both = copy(&m, &[bad.clone(), good]);
+        assert!(is_likely(&both, SimTime::ZERO, PD, 0.99));
+        let only_bad = copy(&m, &[bad]);
+        assert!(!is_likely(&only_bad, SimTime::ZERO, PD, 5e-4));
+        // ε = 0 keeps every copy, even one with no live class left.
+        assert!(is_likely(&only_bad, SimTime::ZERO, PD, 0.0));
+        assert!(is_likely(&copy(&m, &[]), SimTime::ZERO, PD, 0.0));
+        assert!(!is_likely(&copy(&m, &[]), SimTime::ZERO, PD, 5e-4));
     }
 
     #[test]

@@ -287,9 +287,7 @@ impl OutputQueue {
             let reason = match config.invalid_detection {
                 InvalidDetection::Off => None,
                 _ if item.fully_expired(now) => Some(DropReason::Expired),
-                InvalidDetection::Epsilon(eps)
-                    if metrics::max_success_probability(item, now, pd) < eps =>
-                {
+                InvalidDetection::Epsilon(eps) if !metrics::is_likely(item, now, pd, eps) => {
                     Some(DropReason::Unlikely)
                 }
                 _ => None,
@@ -725,13 +723,18 @@ mod tests {
     /// same copies for the same reasons and `pop_next` picks the same copy.
     #[test]
     fn class_scoring_is_the_per_target_formula_bit_for_bit() {
+        // ε = 0 and ε = 1 are the ends `SchedulerConfig::validate` admits;
+        // at ε = 1 a copy survives only on a class whose p is exactly 1.0
+        // (zero-σ local paths, unbounded members, saturated tails).
         let policies = [
             InvalidDetection::Off,
             InvalidDetection::ExpiredOnly,
             InvalidDetection::PAPER,
             InvalidDetection::Epsilon(0.4),
+            InvalidDetection::Epsilon(0.0),
+            InvalidDetection::Epsilon(1.0),
         ];
-        let (mut unlikely, mut expired, mut grouped) = (0, 0, 0);
+        let (mut unlikely, mut expired, mut grouped, mut certain) = (0, 0, 0, 0);
         for case in 0..240u64 {
             let mut rng = SimRng::seed_from(0xC1A55).split(case);
             let full = random_flat_queue(&mut rng);
@@ -785,6 +788,9 @@ mod tests {
                     }
                 }
                 assert_eq!(q.purge(now, &cfg), want_dropped, "case {case} {name}");
+                if policy == InvalidDetection::Epsilon(1.0) {
+                    certain += survivors.len();
+                }
                 let dropped_as = |r| want_dropped.iter().filter(|d| d.reason == r).count();
                 unlikely += dropped_as(DropReason::Unlikely);
                 expired += dropped_as(DropReason::Expired);
@@ -809,5 +815,30 @@ mod tests {
             grouped > 1_000,
             "classes must actually group targets: {grouped}"
         );
+        assert!(certain > 50, "{certain} copies kept at p = ε = 1");
+    }
+
+    /// The ε-test's boundary: a class that succeeds with probability
+    /// exactly ε keeps its copy, as "drop when the best class is below ε"
+    /// does. A zero-σ local path succeeds with probability exactly 1.0.
+    #[test]
+    fn a_class_at_exactly_epsilon_keeps_its_copy() {
+        let now = SimTime::from_secs(1);
+        let local = target(30, 1, 60.0, 0);
+        let item = (msg(1, 0, None), vec![local], SimTime::ZERO);
+        let certain = queued(Arc::clone(&item.0), item.1.clone(), 0);
+        let pd = SchedulerConfig::paper(StrategyKind::MaxEb).processing_delay;
+        assert_eq!(
+            metrics::success_probability(&certain.message, &certain.classes[0], now, pd),
+            1.0
+        );
+        for eps in [0.0, 5e-4, 1.0] {
+            let policy = InvalidDetection::Epsilon(eps);
+            let cfg = config(StrategyKind::MaxEb).with_invalid_detection(policy);
+            let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+            q.push(certain.clone());
+            assert_eq!(reference_drop(policy, &item, now, pd), None, "ε = {eps}");
+            assert!(q.purge(now, &cfg).is_empty(), "ε = {eps}");
+        }
     }
 }

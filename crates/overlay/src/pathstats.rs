@@ -70,21 +70,6 @@ impl PathStats {
         let processing_ms = processing_delay.as_millis_f64() * self.downstream_brokers as f64;
         self.propagation_delay_ms(size_kb).shift(processing_ms)
     }
-
-    /// The probability that the future delay fits into the remaining budget —
-    /// the building block of the paper's `success(s_i, m)` (eq. 5).
-    pub fn success_probability(
-        &self,
-        size_kb: f64,
-        processing_delay: Duration,
-        remaining_budget: Duration,
-    ) -> f64 {
-        if remaining_budget == Duration::MAX {
-            return 1.0;
-        }
-        self.future_delay_ms(size_kb, processing_delay)
-            .cdf(remaining_budget.as_millis_f64())
-    }
 }
 
 #[cfg(test)]
@@ -98,10 +83,6 @@ mod tests {
         assert_eq!(p.mean_rate(), 0.0);
         let pd = Duration::from_millis(2);
         assert_eq!(p.future_delay_ms(50.0, pd).mean(), 0.0);
-        assert_eq!(
-            p.success_probability(50.0, Duration::from_millis(2), Duration::from_secs(1)),
-            1.0
-        );
     }
 
     #[test]
@@ -126,32 +107,5 @@ mod tests {
         assert!((d.mean() - 5_004.0).abs() < 1e-9);
         // Variance scales with size^2: (10^2 + 10^2) * 50^2 = 500_000.
         assert!((d.variance() - 500_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn success_probability_behaviour() {
-        let p = PathStats::from_links([&Normal::new(60.0, 20.0)]);
-        let pd = Duration::from_millis(2);
-        // Mean transfer of a 50 KB message is 3002 ms.
-        let tight = p.success_probability(50.0, pd, Duration::from_millis(1_000));
-        let exact = p.success_probability(50.0, pd, Duration::from_millis(3_002));
-        let loose = p.success_probability(50.0, pd, Duration::from_secs(10));
-        assert!(tight < 0.05, "tight = {tight}");
-        assert!((exact - 0.5).abs() < 0.01, "exact = {exact}");
-        assert!(loose > 0.95, "loose = {loose}");
-        // Unbounded budget always succeeds.
-        assert_eq!(p.success_probability(50.0, pd, Duration::MAX), 1.0);
-    }
-
-    #[test]
-    fn success_probability_monotone_in_budget() {
-        let p = PathStats::from_links([&Normal::new(60.0, 20.0), &Normal::new(70.0, 20.0)]);
-        let pd = Duration::from_millis(2);
-        let mut last = 0.0;
-        for secs in [1u64, 3, 5, 7, 9, 12, 20] {
-            let prob = p.success_probability(50.0, pd, Duration::from_secs(secs));
-            assert!(prob >= last, "not monotone at {secs}s");
-            last = prob;
-        }
     }
 }

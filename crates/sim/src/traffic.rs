@@ -228,6 +228,9 @@ pub(crate) struct TrafficCore {
     /// Scratch id buffer reused across publications so scope construction
     /// does not allocate on the hot path.
     scope_scratch: Vec<SubscriptionId>,
+    /// Scratch `(completes, message, resched)` buffer reused across
+    /// `reschedule_flows` calls.
+    flow_scratch: Vec<(SimTime, MessageId, u64)>,
     pub(crate) events_processed: u64,
     pub(crate) peak_pending: usize,
     /// The time of the last applied event.
@@ -254,6 +257,7 @@ impl TrafficCore {
             publish_epoch: HashMap::new(),
             scope_interner: ScopeInterner::new(),
             scope_scratch: Vec::new(),
+            flow_scratch: Vec::new(),
             events_processed: 0,
             peak_pending: 0,
             now: SimTime::ZERO,
@@ -385,7 +389,7 @@ impl TrafficCore {
     fn reschedule_flows(&mut self, link: LinkId) {
         let i = link.index();
         let n = self.link_flows[i].len();
-        let mut moved: Vec<(SimTime, MessageId, u64)> = Vec::new();
+        let mut moved = std::mem::take(&mut self.flow_scratch);
         for f in &mut self.link_flows[i] {
             let wait_us = f.remaining_us.max(0.0) * n as f64;
             let completes = self.now + Duration::from_millis_f64(wait_us / 1_000.0);
@@ -395,7 +399,7 @@ impl TrafficCore {
                 moved.push((completes, f.queued.message.id, f.resched));
             }
         }
-        for (at, message, resched) in moved {
+        for (at, message, resched) in moved.drain(..) {
             self.push(
                 at,
                 key::send(link, message),
@@ -406,6 +410,7 @@ impl TrafficCore {
                 },
             );
         }
+        self.flow_scratch = moved;
     }
 
     /// Records the depth of the sender's output queue behind `link` into

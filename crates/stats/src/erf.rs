@@ -17,14 +17,23 @@ pub fn erf(x: f64) -> f64 {
 ///
 /// Uses a Chebyshev-fitted rational approximation on `t = 2/(2+|x|)`
 /// (Numerical Recipes, `erfcc`), then exploits the symmetry
-/// `erfc(−x) = 2 − erfc(x)`.
+/// `erfc(−x) = 2 − erfc(x)`. A NaN argument gives NaN.
 pub fn erfc(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    let z = x.abs();
-    let t = 2.0 / (2.0 + z);
-    let ty = 4.0 * t - 2.0;
+    erfc_lanes([x])[0]
+}
+
+/// [`erfc`] of `N` arguments at once, each lane bit-identical to its own
+/// scalar call.
+///
+/// The Clenshaw recurrence is one long dependency chain, so a lone
+/// evaluation waits on every multiply-add in turn. Stepping `N` chains in
+/// lockstep fills those waits with the other lanes' work; every lane still
+/// performs the same IEEE operations in the same order as `erfc`, which is
+/// the `N = 1` instance of this kernel.
+pub fn erfc_lanes<const N: usize>(x: [f64; N]) -> [f64; N] {
+    let z = x.map(f64::abs);
+    let t = z.map(|z| 2.0 / (2.0 + z));
+    let ty = t.map(|t| 4.0 * t - 2.0);
 
     // Chebyshev coefficients for erfc, from Numerical Recipes (3rd edition).
     const COF: [f64; 28] = [
@@ -58,19 +67,23 @@ pub fn erfc(x: f64) -> f64 {
         -2.8e-17,
     ];
 
-    let mut d = 0.0f64;
-    let mut dd = 0.0f64;
+    let mut d = [0.0f64; N];
+    let mut dd = [0.0f64; N];
     for &c in COF.iter().rev().take(COF.len() - 1) {
-        let tmp = d;
-        d = ty * d - dd + c;
-        dd = tmp;
+        for l in 0..N {
+            let tmp = d[l];
+            d[l] = ty[l] * d[l] - dd[l] + c;
+            dd[l] = tmp;
+        }
     }
-    let ans = t * (-z * z + 0.5 * (COF[0] + ty * d) - dd).exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
-    }
+    std::array::from_fn(|l| {
+        let ans = t[l] * (-z[l] * z[l] + 0.5 * (COF[0] + ty[l] * d[l]) - dd[l]).exp();
+        if x[l] >= 0.0 {
+            ans
+        } else {
+            2.0 - ans
+        }
+    })
 }
 
 /// The inverse error function: `inverse_erf(erf(x)) == x` for `x` in (−1, 1).
@@ -114,6 +127,7 @@ pub fn inverse_erf(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     /// Reference values computed with mpmath (50 digits).
     const ERF_TABLE: &[(f64, f64)] = &[
@@ -137,6 +151,34 @@ mod tests {
                 "erf({x}) = {got}, expected {expected}"
             );
         }
+    }
+
+    /// Four interleaved lanes are four scalar calls, to the bit: seeded
+    /// arguments of both signs across the whole useful range (and past the
+    /// point where the tail underflows), plus the reference table's points,
+    /// each tried in every lane position.
+    #[test]
+    fn erfc_lanes_match_scalar_erfc_bit_for_bit() {
+        let mut rng = SimRng::seed_from(0xE4FC);
+        let mut xs: Vec<f64> = (0..4_000)
+            .map(|i| match i % 3 {
+                0 => rng.uniform_range(-6.5, 6.5),
+                1 => rng.uniform_range(-1.0, 1.0),
+                _ => rng.uniform_range(-40.0, 40.0),
+            })
+            .collect();
+        xs.extend(ERF_TABLE.iter().map(|&(x, _)| x));
+        xs.extend([-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE]);
+        for shift in 0..4 {
+            xs.rotate_left(shift);
+            for chunk in xs.chunks_exact(4) {
+                let lanes = erfc_lanes::<4>([chunk[0], chunk[1], chunk[2], chunk[3]]);
+                for (x, got) in chunk.iter().zip(lanes) {
+                    assert_eq!(got.to_bits(), erfc(*x).to_bits(), "erfc({x})");
+                }
+            }
+        }
+        assert!(erfc_lanes([f64::NAN, 1.0])[0].is_nan());
     }
 
     #[test]

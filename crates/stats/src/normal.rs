@@ -6,9 +6,15 @@
 //! the distribution of a whole path: `TR_p ~ N(Σμ_i, Σσ_i²)` (§3.2). The
 //! success probability of a message (eq. 5) is a normal CDF evaluation.
 
-use crate::erf::{erf, inverse_erf};
+use crate::erf::{erfc, erfc_lanes, inverse_erf};
 use crate::rng::SimRng;
 use std::f64::consts::{PI, SQRT_2};
+
+/// Where `0.5·(1 + erf(z))` stops moving: for an erf argument `z ≥ 6` the
+/// formula rounds to exactly 1.0 and for `z ≤ −6` to exactly 0.0 (on a 1e-5
+/// grid the last arguments that round elsewhere are +5.8294 and −5.8636),
+/// so [`Normal::cdf`] returns those values without evaluating erf.
+const SATURATED_Z: f64 = 6.0;
 
 /// A normal distribution parameterised by mean and standard deviation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,10 +76,27 @@ impl Normal {
 
     /// Cumulative distribution function `P(X ≤ x)`.
     pub fn cdf(&self, x: f64) -> f64 {
-        if self.std_dev == 0.0 {
-            return if x >= self.mean { 1.0 } else { 0.0 };
+        match self.erf_arg(x) {
+            Ok(z) => cdf_from_erfc(erfc(z)),
+            Err(p) => p,
         }
-        0.5 * (1.0 + erf((x - self.mean) / (self.std_dev * SQRT_2)))
+    }
+
+    /// The erf argument `z = (x − μ)/(σ√2)` of `cdf(x)`, or `Err(cdf(x))`
+    /// when the value needs no erf: a point mass, or a saturated tail
+    /// (`|z| ≥ 6`, see `SATURATED_Z`).
+    fn erf_arg(&self, x: f64) -> Result<f64, f64> {
+        if self.std_dev == 0.0 {
+            return Err(if x >= self.mean { 1.0 } else { 0.0 });
+        }
+        let z = (x - self.mean) / (self.std_dev * SQRT_2);
+        if z >= SATURATED_Z {
+            Err(1.0)
+        } else if z <= -SATURATED_Z {
+            Err(0.0)
+        } else {
+            Ok(z)
+        }
     }
 
     /// Quantile (inverse CDF): the `p`-quantile of the distribution.
@@ -146,6 +169,58 @@ impl Normal {
     }
 }
 
+/// `0.5·(1 + erf(z))` from `erfc(z)`, with erf's own `1 − erfc`.
+fn cdf_from_erfc(erfc_z: f64) -> f64 {
+    0.5 * (1.0 + (1.0 - erfc_z))
+}
+
+/// How many erfc chains [`CdfBatch`] steps in lockstep.
+const LANES: usize = 4;
+
+/// Many [`Normal::cdf`] evaluations at once, each bit-identical to its own
+/// call. Point masses and saturated tails are written at once; the rest wait
+/// until [`flush`](Self::flush) sends them through erfc four lanes at a
+/// time.
+#[derive(Debug, Clone, Default)]
+pub struct CdfBatch {
+    /// `(slot, erf argument)` of every evaluation not yet written.
+    pending: Vec<(usize, f64)>,
+}
+
+impl CdfBatch {
+    /// Sets `out[slot]` to `normal.cdf(x)`, now or at the next flush.
+    pub fn push(&mut self, out: &mut [f64], slot: usize, normal: &Normal, x: f64) {
+        match normal.erf_arg(x) {
+            Ok(z) => self.pending.push((slot, z)),
+            Err(p) => out[slot] = p,
+        }
+    }
+
+    /// Writes every pending evaluation into `out`.
+    pub fn flush(&mut self, out: &mut [f64]) {
+        for chunk in self.pending.chunks(LANES) {
+            // A short last chunk runs only as wide as it is: a padding lane
+            // would still pay for its `exp`.
+            match chunk.len() {
+                4 => write_lanes::<4>(chunk, out),
+                3 => write_lanes::<3>(chunk, out),
+                2 => write_lanes::<2>(chunk, out),
+                _ => write_lanes::<1>(chunk, out),
+            }
+        }
+        self.pending.clear();
+    }
+}
+
+/// Evaluates `N` pending `(slot, erf argument)` pairs into `out` through one
+/// `erfc_lanes::<N>` call.
+fn write_lanes<const N: usize>(pending: &[(usize, f64)], out: &mut [f64]) {
+    let erfc_z = erfc_lanes::<N>(std::array::from_fn(|l| pending[l].1));
+    for (&(slot, _), c) in pending.iter().zip(erfc_z) {
+        out[slot] = cdf_from_erfc(c);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +232,64 @@ mod tests {
         assert!((n.cdf(1.0) - 0.8413447460685429).abs() < 1e-10);
         assert!((n.cdf(-1.0) - 0.15865525393145707).abs() < 1e-10);
         assert!((n.cdf(1.959963984540054) - 0.975).abs() < 1e-9);
+    }
+
+    /// The saturated tails are the unguarded formula's own values: on a
+    /// dense sweep past ±5.5 (well inside the last argument that still
+    /// rounds away from 0 or 1), at ±∞, and NaN stays NaN.
+    #[test]
+    fn cdf_equals_the_unguarded_formula_in_both_tails() {
+        let n = Normal::new(3.0, 1.5);
+        let unguarded = |z: f64| 0.5 * (1.0 + crate::erf::erf(z));
+        let x_of = |z: f64| 3.0 + z * (1.5 * SQRT_2);
+        for i in 0..=345_000 {
+            let z = 5.5 + i as f64 * 1e-4;
+            for z in [z, -z] {
+                let x = x_of(z);
+                let exact = (x - 3.0) / (1.5 * SQRT_2);
+                assert_eq!(
+                    n.cdf(x).to_bits(),
+                    unguarded(exact).to_bits(),
+                    "z = {exact}"
+                );
+            }
+        }
+        for x in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(n.cdf(x).to_bits(), unguarded(x).to_bits(), "x = {x}");
+        }
+        assert_eq!((n.cdf(f64::INFINITY), n.cdf(f64::NEG_INFINITY)), (1.0, 0.0));
+        assert!(n.cdf(f64::NAN).is_nan());
+    }
+
+    /// A batch writes what one call per slot would, to the bit, whatever
+    /// mix of point masses, saturated tails and erfc lanes it holds.
+    #[test]
+    fn a_batch_is_one_cdf_call_per_slot() {
+        let mut rng = SimRng::seed_from(0xBA7C);
+        let mut batch = CdfBatch::default();
+        for len in [0usize, 1, 2, 3, 4, 5, 6, 9, 64] {
+            let calls: Vec<(Normal, f64)> = (0..len)
+                .map(|_| {
+                    let sd = if rng.chance(0.2) {
+                        0.0
+                    } else {
+                        rng.uniform_range(1.0, 1_500.0)
+                    };
+                    (
+                        Normal::new(rng.uniform_range(0.0, 9_000.0), sd),
+                        rng.uniform_range(-2_000.0, 20_000.0),
+                    )
+                })
+                .collect();
+            let mut out = vec![f64::NAN; len];
+            for (slot, (normal, x)) in calls.iter().enumerate().rev() {
+                batch.push(&mut out, slot, normal, *x);
+            }
+            batch.flush(&mut out);
+            for ((normal, x), got) in calls.iter().zip(&out) {
+                assert_eq!(got.to_bits(), normal.cdf(*x).to_bits(), "{normal:?} at {x}");
+            }
+        }
     }
 
     #[test]
