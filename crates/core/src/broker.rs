@@ -13,7 +13,7 @@
 //! [`BrokerState::next_to_send`].
 
 use crate::config::SchedulerConfig;
-use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage};
+use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage, Stripped};
 use bdps_filter::scope::ScopeSet;
 use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::pathstats::PathStats;
@@ -453,7 +453,7 @@ impl BrokerState {
                     let bound = effective_allowed_delay(&message, envelope.min_allowed_delay);
                     let class = copy.open_class(agg.stats, bound);
                     let subscriber = SubscriberId::new(dest.raw());
-                    copy.push_target(id, subscriber, envelope.earning_sum, 0, class);
+                    copy.push_target(id, subscriber, envelope.earning_sum, 0, class, dest);
                 }
             }
         }
@@ -556,23 +556,24 @@ impl BrokerState {
         self.table.sync_aggregate_with(routing, dest, populated)
     }
 
-    /// Removes a subscription mid-run — the whole broker half of a leave, as
-    /// the table holds no row of it: strips it from every queued copy's
-    /// target set. Copies left with no target are discarded and counted
-    /// under `dropped_unsubscribed`; the number of such orphaned copies is
-    /// returned. Aggregates are synced separately (they need routing).
-    pub fn strip_queued(&mut self, id: SubscriptionId) -> u64 {
+    /// Removes a subscription attached at edge broker `edge` mid-run — the
+    /// whole broker half of a leave, as the table holds no row of it: strips
+    /// it from every queued copy's target set, searching only the copies
+    /// whose edge mask has `edge`'s bit
+    /// ([`OutputQueue::remove_subscription`]). Copies left with no target
+    /// are discarded and counted under `dropped_unsubscribed`. Aggregates
+    /// are synced separately (they need routing).
+    pub fn strip_queued(&mut self, id: SubscriptionId, edge: BrokerId) -> Stripped {
+        let mut stripped = Stripped::default();
         if self.queued == 0 {
-            return 0;
+            return stripped;
         }
-        let orphaned: u64 = self
-            .queues
-            .values_mut()
-            .map(|q| q.remove_subscription(id))
-            .sum();
-        self.queued -= orphaned as usize;
-        self.counters.dropped_unsubscribed += orphaned;
-        orphaned
+        for q in self.queues.values_mut() {
+            stripped.absorb(q.remove_subscription(id, edge));
+        }
+        self.queued -= stripped.orphaned as usize;
+        self.counters.dropped_unsubscribed += stripped.orphaned;
+        stripped
     }
 
     /// Puts a message copy back into the queue towards `neighbor` after a
@@ -580,15 +581,21 @@ impl BrokerState {
     /// copy keeps its original enqueue time so FIFO-style strategies do not
     /// treat the retry as fresh arrival.
     ///
+    /// The copy's edge mask widens to every edge: it was routed before its
+    /// transfer, and a target's subscription may have left and re-joined at
+    /// another edge while it was in flight (see the `queue` module docs on
+    /// edge masks).
+    ///
     /// Returns false — and drops the copy — when no queue towards `neighbor`
     /// exists; callers that believe the queue must exist (the simulator
     /// always requeues towards the link it just popped from) should assert
     /// on the result, because a silently lost copy breaks the transfer
     /// balance that `SimulationOutcome::check_conservation` enforces.
     #[must_use]
-    pub fn requeue(&mut self, neighbor: BrokerId, item: QueuedMessage) -> bool {
+    pub fn requeue(&mut self, neighbor: BrokerId, mut item: QueuedMessage) -> bool {
         match self.queues.get_mut(&neighbor) {
             Some(queue) => {
+                item.edges = u64::MAX;
                 queue.push(item);
                 self.queued += 1;
                 self.counters.requeued += 1;
@@ -662,8 +669,13 @@ enum RunDest {
     /// The run's edge broker is this one: deliver.
     Local,
     /// Append to the copy at this position of `copies`, whose targets in
-    /// the run all share the aggregate's path statistics.
-    Copy { at: usize, stats: PathStats },
+    /// the run all share the aggregate's path statistics and the run's
+    /// `edge`.
+    Copy {
+        at: usize,
+        stats: PathStats,
+        edge: BrokerId,
+    },
     /// No route towards the run's edge broker: not served here.
     Unserved,
 }
@@ -736,6 +748,7 @@ impl<'a> Router<'a> {
             Some((next_hop, stats)) => RunDest::Copy {
                 at: copy_towards(&mut self.copies, next_hop, self.message, self.now),
                 stats,
+                edge,
             },
             None => RunDest::Unserved,
         };
@@ -746,11 +759,11 @@ impl<'a> Router<'a> {
     fn push(&mut self, row: Row, carried: Option<u32>) {
         match self.dest {
             RunDest::Local => self.local.push(local_delivery(self.message, self.now, row)),
-            RunDest::Copy { at, stats } => {
+            RunDest::Copy { at, stats, edge } => {
                 let class = self.class_in_run(at, stats, row.bound, carried);
                 let copy = &mut self.copies[at].1;
                 let (id, subscriber, price) = (row.subscription, row.subscriber, row.price);
-                copy.push_target(id, subscriber, price, row.incarnation, class);
+                copy.push_target(id, subscriber, price, row.incarnation, class, edge);
             }
             RunDest::Unserved => {}
         }
@@ -1083,9 +1096,9 @@ mod tests {
                 pop.remove(SubscriptionId::new(id));
                 pop.group(BrokerId::new(edge)).is_none()
             };
-            let orphaned = b0.strip_queued(SubscriptionId::new(id));
+            let orphaned = b0.strip_queued(SubscriptionId::new(id), BrokerId::new(edge));
             b0.sync_aggregate(&s.routing, BrokerId::new(edge), !emptied);
-            orphaned
+            orphaned.orphaned
         };
         // Enqueue a copy serving S0 and S1 (both via B1).
         b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
@@ -1119,10 +1132,19 @@ mod tests {
         b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
         let send = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(10));
         let copy = send.message.unwrap();
+        // S0 sits behind B2 and S1 behind B1.
+        assert_eq!(copy.edges, 0b110);
         assert_eq!(b0.queued_total(), 0);
         assert!(b0.requeue(BrokerId::new(1), copy));
         assert_eq!(b0.queued_total(), 1);
         assert_eq!(b0.counters.requeued, 1);
+        // The requeued copy answers to every edge: its targets may have
+        // moved while it was in flight.
+        let requeued = b0.queue(BrokerId::new(1)).unwrap();
+        assert_eq!(
+            (requeued.items()[0].edges, requeued.edges()),
+            (u64::MAX, u64::MAX)
+        );
         let c = b0.counters;
         assert_eq!(
             c.dropped_expired + c.dropped_unlikely + c.dropped_unsubscribed,

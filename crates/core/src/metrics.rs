@@ -254,7 +254,7 @@ pub fn is_likely(
 pub(crate) mod reference {
     use crate::queue::QueuedMessage;
     use bdps_overlay::pathstats::PathStats;
-    use bdps_types::id::{SubscriberId, SubscriptionId};
+    use bdps_types::id::{BrokerId, SubscriberId, SubscriptionId};
     use bdps_types::message::Message;
     use bdps_types::money::Price;
     use bdps_types::time::{Duration, SimTime};
@@ -276,7 +276,11 @@ pub(crate) mod reference {
         }
     }
 
-    /// The class-carrying copy of `targets` (ascending ids).
+    /// The edge broker every reference target is attached at.
+    pub(crate) const EDGE: BrokerId = BrokerId::new(0);
+
+    /// The class-carrying copy of `targets` (ascending ids), all attached
+    /// at [`EDGE`].
     pub(crate) fn queued(
         message: &Arc<Message>,
         targets: &[FlatTarget],
@@ -285,7 +289,7 @@ pub(crate) mod reference {
         let mut item = QueuedMessage::new(Arc::clone(message), enqueue_time);
         for t in targets {
             let class = item.class_for(t.stats, t.allowed_delay);
-            item.push_target(t.subscription, t.subscriber, t.price, 0, class);
+            item.push_target(t.subscription, t.subscriber, t.price, 0, class, EDGE);
         }
         item
     }

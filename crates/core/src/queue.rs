@@ -16,6 +16,24 @@
 //! probability once per live class instead of once per target. An
 //! envelope-stamped aggregate pseudo-target is always its own class: its
 //! bound is a per-destination fold, so there is nothing to group.
+//!
+//! # Edge masks
+//!
+//! A leave has to find the copies that still serve the leaver, and only a
+//! handful of the copies queued system-wide do. Each copy therefore keeps
+//! [`QueuedMessage::edges`], one bit ([`edge_bit`]) per edge broker whose
+//! targets it carries, and each queue the OR of its copies' masks: a leave
+//! binary-searches only the copies, in only the queues, whose mask has the
+//! leaver's edge bit.
+//!
+//! **Invariant:** every target a queued copy holds, whose subscription is
+//! still registered, is attached at an edge whose bit the copy's mask has.
+//! [`QueuedMessage::push_target`] sets the bit of the edge it is given, so a
+//! copy cannot hold a target without it; a leave strips the id from every
+//! copy with its bit, so no copy keeps the id past its leave; and a copy
+//! that comes back from a failed link was never re-routed — its id may have
+//! left and re-joined at another edge while it was in flight — so
+//! `BrokerState::requeue` widens its mask to every edge.
 
 use crate::config::{InvalidDetection, SchedulerConfig};
 use crate::metrics;
@@ -89,6 +107,13 @@ impl SuccessClass {
 /// subscriber linear.
 const CLASS_PROBE: usize = 8;
 
+/// The bit of a copy's [`edges`](QueuedMessage::edges) mask that stands for
+/// edge broker `edge`: bit `edge % 64`. Brokers 64 apart share a bit, which
+/// costs a leave a binary search, never a missed target.
+pub fn edge_bit(edge: BrokerId) -> u64 {
+    1 << (edge.raw() % 64)
+}
+
 /// A message waiting in an output queue.
 #[derive(Debug, Clone)]
 pub struct QueuedMessage {
@@ -106,6 +131,10 @@ pub struct QueuedMessage {
     pub classes: Vec<SuccessClass>,
     /// When the message entered this queue.
     pub enqueue_time: SimTime,
+    /// The [`edge_bit`]s of the edge brokers whose targets the copy carries
+    /// (see the module docs on edge masks). A superset is sound: a target
+    /// that leaves does not clear its bit.
+    pub edges: u64,
 }
 
 impl QueuedMessage {
@@ -117,6 +146,7 @@ impl QueuedMessage {
             targets: Vec::new(),
             classes: Vec::new(),
             enqueue_time,
+            edges: 0,
         }
     }
 
@@ -143,8 +173,8 @@ impl QueuedMessage {
         self.classes.len() as u32 - 1
     }
 
-    /// Appends a target, resolved under registry `incarnation`, as a member
-    /// of `class`.
+    /// Appends a target attached at edge broker `edge`, resolved under
+    /// registry `incarnation`, as a member of `class`.
     pub fn push_target(
         &mut self,
         subscription: SubscriptionId,
@@ -152,7 +182,9 @@ impl QueuedMessage {
         price: Price,
         incarnation: u32,
         class: u32,
+        edge: BrokerId,
     ) {
+        self.edges |= edge_bit(edge);
         self.classes[class as usize].live += 1;
         self.targets.push(MatchedTarget {
             subscription,
@@ -207,6 +239,25 @@ pub enum DropReason {
     Unlikely,
 }
 
+/// What stripping one subscription from a queue's copies did
+/// ([`OutputQueue::remove_subscription`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stripped {
+    /// Copies left with no target, and dropped.
+    pub orphaned: u64,
+    /// Copies binary-searched for the id: those whose edge mask had the
+    /// leaver's bit.
+    pub scanned: u64,
+}
+
+impl Stripped {
+    /// Adds another strip's counts to these.
+    pub fn absorb(&mut self, other: Stripped) {
+        self.orphaned += other.orphaned;
+        self.scanned += other.scanned;
+    }
+}
+
 /// A record of one dropped message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropRecord {
@@ -228,6 +279,10 @@ pub struct OutputQueue {
     /// Mean per-KB rate of that link (ms/KB), used for the `FT` estimate of EB'.
     pub link_mean_rate_ms_per_kb: f64,
     items: Vec<QueuedMessage>,
+    /// The OR of the queued copies' [`edges`](QueuedMessage::edges) masks:
+    /// grown by every push, cleared when the queue empties and recomputed
+    /// from the survivors whenever a leave scans the queue.
+    edges: u64,
     /// Scratch buffer reused across selections so the batch-scoring hot path
     /// does not allocate per decision.
     scores: Vec<f64>,
@@ -241,6 +296,7 @@ impl OutputQueue {
             link,
             link_mean_rate_ms_per_kb,
             items: Vec::new(),
+            edges: 0,
             scores: Vec::new(),
         }
     }
@@ -260,6 +316,12 @@ impl OutputQueue {
         &self.items
     }
 
+    /// The queue's edge summary: it has every bit any queued copy's
+    /// [`edges`](QueuedMessage::edges) mask has.
+    pub fn edges(&self) -> u64 {
+        self.edges
+    }
+
     /// Enqueues a message copy (also the path a requeued copy comes back
     /// through).
     pub fn push(&mut self, item: QueuedMessage) {
@@ -269,7 +331,15 @@ impl OutputQueue {
                 .all(|w| w[0].subscription < w[1].subscription),
             "targets must be strictly ascending by subscription id"
         );
+        self.edges |= item.edges;
         self.items.push(item);
+    }
+
+    /// Clears the edge summary once nothing is queued.
+    fn forget_edges_if_empty(&mut self) {
+        if self.items.is_empty() {
+            self.edges = 0;
+        }
     }
 
     /// The `FT` estimate of §5.2 for this queue: average message size times
@@ -301,6 +371,7 @@ impl OutputQueue {
             }
             reason.is_none()
         });
+        self.forget_edges_if_empty();
         dropped
     }
 
@@ -336,34 +407,50 @@ impl OutputQueue {
             }
         }
         self.scores = scores;
-        Some(self.items.remove(best_idx))
+        let picked = self.items.remove(best_idx);
+        self.forget_edges_if_empty();
+        Some(picked)
     }
 
-    /// Removes one subscription from every queued copy's target set (used
-    /// when a subscriber leaves mid-run). Copies left with no target are
-    /// dropped entirely; the number of such orphaned copies is returned.
+    /// Removes one subscription, attached at edge broker `edge`, from every
+    /// queued copy's target set (used when a subscriber leaves mid-run).
+    /// Copies left with no target are dropped entirely and counted as
+    /// orphaned.
     ///
-    /// `O(log targets)` per copy that does not serve `id` — the common case —
-    /// by the ascending-id invariant of [`QueuedMessage::targets`].
-    pub fn remove_subscription(&mut self, id: SubscriptionId) -> u64 {
-        let mut orphaned = 0;
+    /// Nothing when the queue's summary lacks `edge`'s bit; otherwise one
+    /// pass that binary-searches — `O(log targets)`, by the ascending-id
+    /// invariant of [`QueuedMessage::targets`] — only the copies whose mask
+    /// has the bit (see the module docs on edge masks), and recomputes the
+    /// summary from the survivors.
+    pub fn remove_subscription(&mut self, id: SubscriptionId, edge: BrokerId) -> Stripped {
+        let bit = edge_bit(edge);
+        let mut stripped = Stripped::default();
+        if self.edges & bit == 0 {
+            return stripped;
+        }
+        let mut edges = 0;
         self.items.retain_mut(|item| {
-            if let Ok(pos) = item.targets.binary_search_by_key(&id, |t| t.subscription) {
-                let gone = item.targets.remove(pos);
-                item.classes[gone.class as usize].live -= 1;
+            if item.edges & bit != 0 {
+                stripped.scanned += 1;
+                if let Ok(pos) = item.targets.binary_search_by_key(&id, |t| t.subscription) {
+                    let gone = item.targets.remove(pos);
+                    item.classes[gone.class as usize].live -= 1;
+                    if item.targets.is_empty() {
+                        stripped.orphaned += 1;
+                        return false;
+                    }
+                }
             }
-            if item.targets.is_empty() {
-                orphaned += 1;
-                false
-            } else {
-                true
-            }
+            edges |= item.edges;
+            true
         });
-        orphaned
+        self.edges = edges;
+        stripped
     }
 
     /// Drains every queued message (used when tearing a simulation down).
     pub fn drain(&mut self) -> Vec<QueuedMessage> {
+        self.edges = 0;
         std::mem::take(&mut self.items)
     }
 }
@@ -539,15 +626,68 @@ mod tests {
             vec![target(30, 1, 60.0, 1), t_keep],
             0,
         ));
-        let orphaned = q.remove_subscription(SubscriptionId::new(0));
-        assert_eq!(orphaned, 1);
+        let stripped = q.remove_subscription(SubscriptionId::new(0), reference::EDGE);
+        assert_eq!(
+            stripped,
+            Stripped {
+                orphaned: 1,
+                scanned: 2
+            }
+        );
         assert_eq!(q.len(), 1);
         assert_eq!(q.items()[0].message.id, MessageId::new(2));
         assert_eq!(q.items()[0].targets.len(), 1);
         assert_eq!(q.items()[0].targets[0].subscription, SubscriptionId::new(7));
         // Removing an id nobody serves changes nothing.
-        assert_eq!(q.remove_subscription(SubscriptionId::new(99)), 0);
+        let stripped = q.remove_subscription(SubscriptionId::new(99), reference::EDGE);
+        assert_eq!(stripped.orphaned, 0);
         assert_eq!(q.len(), 1);
+    }
+
+    /// A leave searches only the copies that carry a target behind the
+    /// leaver's edge, and only in queues whose summary has its bit; the
+    /// summary forgets an edge once no copy carries it.
+    #[test]
+    fn a_leave_searches_only_copies_with_its_edge_bit() {
+        let (e1, e2, e65) = (BrokerId::new(1), BrokerId::new(2), BrokerId::new(65));
+        let copy = |id: u64, edge: BrokerId, subs: &[u32]| {
+            let mut item = QueuedMessage::new(msg(id, 0, None), SimTime::ZERO);
+            let class = item.open_class(PathStats::local(), Duration::MAX);
+            for &s in subs {
+                let (sub, subscriber) = (SubscriptionId::new(s), SubscriberId::new(s));
+                item.push_target(sub, subscriber, Price::unit(), 0, class, edge);
+            }
+            item
+        };
+        let mut q = OutputQueue::new(BrokerId::new(9), LinkId::new(0), 75.0);
+        q.push(copy(1, e1, &[3, 4]));
+        q.push(copy(2, e2, &[5]));
+        assert_eq!(q.edges(), edge_bit(e1) | edge_bit(e2));
+        // Broker 65 shares broker 1's bit: a search, never a miss.
+        assert_eq!(edge_bit(e65), edge_bit(e1));
+        let strip = |q: &mut OutputQueue, id: u32, edge| {
+            q.remove_subscription(SubscriptionId::new(id), edge)
+        };
+        assert_eq!(strip(&mut q, 3, BrokerId::new(7)), Stripped::default());
+        assert_eq!(
+            strip(&mut q, 3, e65),
+            Stripped {
+                orphaned: 0,
+                scanned: 1
+            }
+        );
+        assert_eq!(
+            strip(&mut q, 5, e2),
+            Stripped {
+                orphaned: 1,
+                scanned: 1
+            }
+        );
+        assert_eq!(q.edges(), edge_bit(e1), "the summary forgets broker 2");
+        assert_eq!(strip(&mut q, 5, e2), Stripped::default());
+        let cfg = config(StrategyKind::Fifo);
+        assert!(q.pop_next(SimTime::ZERO, &cfg).is_some());
+        assert_eq!(q.edges(), 0, "an empty queue summarises nothing");
     }
 
     #[test]
@@ -599,7 +739,7 @@ mod tests {
                 q.clone().purge(now, &cfg).is_empty(),
                 "the copy is worth sending"
             );
-            assert_eq!(q.remove_subscription(leaver), 0);
+            assert_eq!(q.remove_subscription(leaver, reference::EDGE).orphaned, 0);
             let copy = &q.items()[0];
             assert_eq!((copy.classes.len(), copy.live_classes().count()), (2, 1));
             let flat = (msg(1, 0, None), vec![stays], SimTime::ZERO);
@@ -758,7 +898,7 @@ mod tests {
                     q.push(reference::queued(m, targets, *at));
                 }
                 for id in &gone {
-                    q.remove_subscription(*id);
+                    q.remove_subscription(*id, reference::EDGE);
                 }
                 assert_eq!(q.len(), flat.len());
                 for (item, (_, targets, _)) in q.items().iter().zip(&flat) {

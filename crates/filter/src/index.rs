@@ -22,7 +22,7 @@
 //!
 //! Each indexed subscription owns a *slot*, a dense position in a per-index
 //! table that holds its id, the number of predicates it needs and its
-//! filter. The sorted lists and the directly evaluated predicates name
+//! filter. The threshold lists and the directly evaluated predicates name
 //! slots, not ids, so a match counts into one `Vec` entry per slot and reads
 //! the matches off in one pass in slot order: no hashing on the publish
 //! path. Slots are not raw ids because an index need not hold ids from zero:
@@ -31,9 +31,21 @@
 //! cost each of them as much as the global index. Slots are append-only: a
 //! removal leaves a tombstone instead of shifting later slots, and an insert
 //! takes a new slot, so the table grows with the inserts ever made, as
-//! `SharedPopulation::members` grows with the ids ever joined. Ids are minted in ascending order, so slot order is id
-//! order and the final sort is a linear check; only re-inserting a live id,
-//! or inserting ids out of order, leaves it work to do.
+//! `SharedPopulation::members` grows with the ids ever joined. Ids are
+//! minted in ascending order, so slot order is id order and the final sort
+//! is a linear check; only re-inserting a live id, or inserting ids out of
+//! order, leaves it work to do.
+//!
+//! # Threshold lists under churn
+//!
+//! A sorted list of 10⁵ thresholds must not shift on every join and leave.
+//! A removal therefore leaves its slot's threshold entries where they are:
+//! the tombstone's `needed` is unreachable, so they count into a slot that
+//! never matches, and they outlive their slot until their list next merges.
+//! An insert appends to a short unsorted tail that every match scans
+//! linearly; when the tail is full it merges into the sorted run in one
+//! pass, which also drops the entries of tombstoned slots.
+//!
 //! Matching is deterministic: its output is sorted, and counting is
 //! independent of the order the predicates are visited in.
 
@@ -44,65 +56,107 @@ use bdps_types::message::MessageHead;
 use bdps_types::value::AttrName;
 use std::collections::HashMap;
 
-/// Per-(attribute, operator) sorted list of numeric thresholds.
+/// Entries a threshold list's unsorted tail takes before it is merged into
+/// the sorted run: a scan of this many entries per list and publication
+/// against one linear merge per this many inserts.
+const TAIL_LEN: usize = 512;
+
+/// Per-(attribute, operator) list of numeric thresholds: a sorted run plus
+/// a short unsorted tail of recent inserts.
 #[derive(Debug, Default, Clone)]
 struct ThresholdList {
     /// (threshold, slot) pairs sorted by threshold; no threshold is NaN.
-    entries: Vec<(f64, u32)>,
+    sorted: Vec<(f64, u32)>,
+    /// (threshold, slot) pairs inserted since the last merge, in insertion
+    /// order; fewer than [`TAIL_LEN`].
+    tail: Vec<(f64, u32)>,
 }
 
 impl ThresholdList {
-    fn insert(&mut self, threshold: f64, slot: u32) {
-        let pos = self.entries.partition_point(|(t, _)| *t < threshold);
-        self.entries.insert(pos, (threshold, slot));
+    /// Appends to the tail, merging it into the sorted run once it is full.
+    /// `live` says which slots still hold a subscription: the merge drops
+    /// the entries of the others.
+    fn insert(&mut self, threshold: f64, slot: u32, live: impl Fn(u32) -> bool) {
+        self.tail.push((threshold, slot));
+        if self.tail.len() >= TAIL_LEN {
+            self.merge(live);
+        }
+    }
+
+    /// Merges the tail into the sorted run in one linear pass, dropping the
+    /// entries of slots that are no longer `live`.
+    fn merge(&mut self, live: impl Fn(u32) -> bool) {
+        self.tail.sort_unstable_by(by_threshold_then_slot);
+        let (run, tail) = (&self.sorted, &self.tail);
+        let mut merged = Vec::with_capacity(run.len() + tail.len());
+        let (mut i, mut j) = (0, 0);
+        while i < run.len() || j < tail.len() {
+            let from_run = j == tail.len()
+                || (i < run.len() && by_threshold_then_slot(&run[i], &tail[j]).is_le());
+            let entry = if from_run {
+                i += 1;
+                run[i - 1]
+            } else {
+                j += 1;
+                tail[j - 1]
+            };
+            if live(entry.1) {
+                merged.push(entry);
+            }
+        }
+        self.sorted = merged;
+        self.tail.clear();
     }
 
     /// Appends without maintaining order — bulk construction pushes
     /// everything first and [`sort`](Self::sort)s once, turning the
     /// quadratic build (one `memmove` per sorted insert) into `O(n log n)`.
     fn push_unsorted(&mut self, threshold: f64, slot: u32) {
-        self.entries.push((threshold, slot));
+        self.sorted.push((threshold, slot));
     }
 
     fn sort(&mut self) {
-        self.entries
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        self.sorted.sort_unstable_by(by_threshold_then_slot);
     }
 
-    /// Removes the entry one predicate `attr OP threshold` of `slot`
-    /// contributed, preserving order: a binary search to the run of equal
-    /// thresholds, then a scan of that run only (equal thresholds are in no
-    /// particular order of slot).
-    fn remove(&mut self, threshold: f64, slot: u32) {
-        let start = self.entries.partition_point(|(t, _)| *t < threshold);
-        let found = self.entries[start..]
-            .iter()
-            .take_while(|(t, _)| *t == threshold)
-            .position(|(_, s)| *s == slot);
-        if let Some(offset) = found {
-            self.entries.remove(start + offset);
-        }
-    }
-
-    /// Visits every slot whose predicate `value OP threshold` is satisfied.
-    /// `value` must not be NaN: every list boundary below assumes it is
-    /// ordered against the thresholds.
+    /// Visits every slot whose predicate `value OP threshold` is satisfied:
+    /// a binary search into the sorted run, then every tail entry tested
+    /// one by one. `value` must not be NaN: every run boundary below
+    /// assumes it is ordered against the thresholds.
     fn for_each_satisfied(&self, op: CompOp, value: f64, mut f: impl FnMut(u32)) {
+        let run = &self.sorted;
         let satisfied = match op {
             // value < threshold  -> thresholds strictly greater than value.
-            CompOp::Lt => &self.entries[self.entries.partition_point(|(t, _)| *t <= value)..],
+            CompOp::Lt => &run[run.partition_point(|(t, _)| *t <= value)..],
             // value <= threshold -> thresholds >= value.
-            CompOp::Le => &self.entries[self.entries.partition_point(|(t, _)| *t < value)..],
+            CompOp::Le => &run[run.partition_point(|(t, _)| *t < value)..],
             // value > threshold  -> thresholds strictly less than value.
-            CompOp::Gt => &self.entries[..self.entries.partition_point(|(t, _)| *t < value)],
+            CompOp::Gt => &run[..run.partition_point(|(t, _)| *t < value)],
             // value >= threshold -> thresholds <= value.
-            CompOp::Ge => &self.entries[..self.entries.partition_point(|(t, _)| *t <= value)],
+            CompOp::Ge => &run[..run.partition_point(|(t, _)| *t <= value)],
             CompOp::Eq | CompOp::Ne => unreachable!("equality handled separately"),
         };
         for &(_, slot) in satisfied {
             f(slot);
         }
+        for &(t, slot) in &self.tail {
+            let holds = match op {
+                CompOp::Lt => value < t,
+                CompOp::Le => value <= t,
+                CompOp::Gt => value > t,
+                CompOp::Ge => value >= t,
+                CompOp::Eq | CompOp::Ne => false,
+            };
+            if holds {
+                f(slot);
+            }
+        }
     }
+}
+
+/// The order of a sorted run: by threshold, equal thresholds by slot.
+fn by_threshold_then_slot(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
 }
 
 /// Predicates on one attribute.
@@ -232,9 +286,10 @@ impl MatchIndex {
         slot
     }
 
-    /// Indexes every predicate of `filter` under `slot`, keeping the
-    /// threshold lists sorted or (bulk construction) appending to them.
-    fn index_predicates(&mut self, slot: u32, filter: &Filter, sorted: bool) {
+    /// Indexes every predicate of `filter` under `slot`: into the threshold
+    /// lists' tails, or (bulk construction, `tail == false`) appended
+    /// unsorted to their runs for one sort at the end.
+    fn index_predicates(&mut self, slot: u32, filter: &Filter, tail: bool) {
         for pred in filter.predicates() {
             let at = match self.attrs.binary_search_by(|(n, _)| n.cmp(&pred.attr)) {
                 Ok(at) => at,
@@ -244,19 +299,21 @@ impl MatchIndex {
                     at
                 }
             };
+            let slots = &self.slots;
+            let live = |s: u32| slots[s as usize].needed != TOMBSTONE;
             let attr_index = &mut self.attrs[at].1;
             match attr_index.list_for(pred) {
-                Some((list, c)) if sorted => list.insert(c, slot),
+                Some((list, c)) if tail => list.insert(c, slot, live),
                 Some((list, c)) => list.push_unsorted(c, slot),
                 None => attr_index.other.push((pred.clone(), slot)),
             }
         }
     }
 
-    /// Removes a subscription surgically: each of its threshold predicates
-    /// is located in its sorted list by binary search (the threshold is in
-    /// hand), so a removal never scans a list and never clones the remaining
-    /// filters. The slot stays behind as a tombstone.
+    /// Removes a subscription: its slot becomes a tombstone, whose
+    /// `needed` no count reaches, so its threshold-list entries are inert
+    /// where they are and go at their list's next merge — a removal moves
+    /// no list entry. Only its directly evaluated predicates are dropped.
     pub fn remove(&mut self, id: SubscriptionId) -> Option<Filter> {
         let slot = self.slot_of.remove(&id)?;
         let entry = &mut self.slots[slot as usize];
@@ -267,9 +324,8 @@ impl MatchIndex {
                 continue;
             };
             let attr_index = &mut self.attrs[at].1;
-            match attr_index.list_for(pred) {
-                Some((list, c)) => list.remove(c, slot),
-                None => attr_index.other.retain(|(_, s)| *s != slot),
+            if attr_index.list_for(pred).is_none() {
+                attr_index.other.retain(|(_, s)| *s != slot);
             }
         }
         Some(removed)
@@ -509,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn surgical_removal_keeps_index_exact() {
+    fn tombstoned_removal_keeps_index_exact() {
         let mut rng = SmallLcg::new(0xACE5);
         let mut idx = MatchIndex::new();
         for i in 0..200u32 {
@@ -530,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn removal_by_threshold_matches_a_rebuilt_index_when_thresholds_are_shared() {
+    fn removal_matches_a_rebuilt_index_when_thresholds_are_shared() {
         // Subscriptions 1 and 2 share both thresholds, 3 shares one of them,
         // and 4 repeats a threshold inside its own filter.
         let population = [
@@ -579,6 +635,81 @@ mod tests {
         }
     }
 
+    /// A head value or threshold: NaN sometimes, a small integer (so values
+    /// and thresholds tie) often.
+    fn churn_number(rng: &mut SmallLcg) -> f64 {
+        match rng.below(10) {
+            0 => f64::NAN,
+            1..=4 => rng.below(10) as f64,
+            _ => rng.next_f64() * 10.0,
+        }
+    }
+
+    fn churn_filter(rng: &mut SmallLcg) -> Filter {
+        let predicates = (0..2 + rng.below(3))
+            .map(|_| {
+                let attr = if rng.below(2) == 0 { "A1" } else { "A2" };
+                let op = match rng.below(20) {
+                    0 => CompOp::Eq,
+                    1 => CompOp::Ne,
+                    k => [CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge][k as usize % 4],
+                };
+                Predicate::new(attr, op, churn_number(rng))
+            })
+            .collect();
+        Filter::new(predicates)
+    }
+
+    /// Inserts, removals, re-inserts of live ids and removals of absent
+    /// ids, over shared and NaN thresholds and heads: after every
+    /// operation the index answers as brute force does, and every
+    /// threshold list's tail merges at least twice along the way.
+    #[test]
+    fn index_agrees_with_bruteforce_under_churn() {
+        let mut rng = SmallLcg::new(0xC4C4);
+        let mut idx = MatchIndex::new();
+        let (mut live, mut next_id) = (Vec::new(), 0u32);
+        let mut tails = [[0usize; 4]; 2];
+        let mut merges = [[0u32; 4]; 2];
+        for step in 0..8_000 {
+            match rng.below(20) {
+                0..=8 => {
+                    idx.insert(id(next_id), churn_filter(&mut rng));
+                    live.push(next_id);
+                    next_id += 1;
+                }
+                9..=14 if !live.is_empty() => {
+                    let gone = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    assert!(idx.remove(id(gone)).is_some());
+                }
+                15..=17 if !live.is_empty() => {
+                    let again = live[rng.below(live.len() as u64) as usize];
+                    idx.insert(id(again), churn_filter(&mut rng));
+                }
+                _ => assert!(idx.remove(id(next_id + 7)).is_none()),
+            }
+            for (a, (_, attr)) in idx.attrs.iter().enumerate() {
+                for (k, list) in [&attr.lt, &attr.le, &attr.gt, &attr.ge]
+                    .into_iter()
+                    .enumerate()
+                {
+                    if list.tail.len() < tails[a][k] {
+                        merges[a][k] += 1;
+                    }
+                    tails[a][k] = list.tail.len();
+                }
+            }
+            let h = head(churn_number(&mut rng), churn_number(&mut rng));
+            assert_eq!(idx.matching(&h), idx.matching_bruteforce(&h), "step {step}");
+            assert_eq!(idx.len(), live.len());
+        }
+        assert_eq!(idx.attrs.len(), 2);
+        assert!(
+            merges.iter().flatten().all(|&m| m >= 2),
+            "merges per list: {merges:?}"
+        );
+    }
+
     #[test]
     fn matching_into_reuses_the_buffer() {
         let mut idx = MatchIndex::new();
@@ -617,6 +748,10 @@ mod tests {
         }
         fn next_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            (self.next_f64() * n as f64) as u64
         }
     }
 }

@@ -207,11 +207,12 @@ pub struct EdgeGroup {
     /// digests.
     summary: Vec<Filter>,
     /// Member QoS in ascending `join_epoch` order (epochs are minted
-    /// monotonically, so inserts append; a removal rebuilds the prefix).
+    /// monotonically, so inserts append).
     qos: Vec<MemberQos>,
     /// `qos_prefix[k]` is the envelope folded over `qos[..=k]` — the
     /// envelope of the group as of `qos[k].join_epoch`. Derived state,
-    /// rebuilt on removal, extended O(1) on insert.
+    /// re-folded from the removed member's position on removal, extended
+    /// O(1) on insert.
     qos_prefix: Vec<QosEnvelope>,
 }
 
@@ -284,20 +285,20 @@ impl EdgeGroup {
         self.qos_prefix.push(next);
     }
 
-    /// Drops one member's QoS contribution and re-derives the prefix folds,
+    /// Drops the QoS contribution of member `id`, which joined at
+    /// `join_epoch`, and re-derives the prefix folds from its position on,
     /// so the envelope shrinks in the same instant the member list does.
-    fn remove_qos(&mut self, id: SubscriptionId) {
-        if let Some(pos) = self.qos.iter().position(|m| m.id == id) {
-            self.qos.remove(pos);
-            self.rebuild_qos_prefix();
+    /// `qos` is epoch-ordered, so the member is found by binary search; the
+    /// folds before it do not include it and stay as they are.
+    fn remove_qos(&mut self, id: SubscriptionId, join_epoch: u64) {
+        let pos = self.qos.partition_point(|m| m.join_epoch < join_epoch);
+        if self.qos.get(pos).is_none_or(|m| m.id != id) {
+            return;
         }
-    }
-
-    /// Recomputes `qos_prefix` from `qos` (O(members)).
-    fn rebuild_qos_prefix(&mut self) {
-        self.qos_prefix.clear();
-        let mut acc = QosEnvelope::EMPTY;
-        for m in &self.qos {
+        self.qos.remove(pos);
+        self.qos_prefix.truncate(pos);
+        let mut acc = self.envelope();
+        for m in &self.qos[pos..] {
             acc = acc.fold(m.allowed_delay, m.price);
             self.qos_prefix.push(acc);
         }
@@ -451,7 +452,7 @@ impl SharedPopulation {
                 group.ids.remove(pos);
             }
             group.forest.remove(id);
-            group.remove_qos(id);
+            group.remove_qos(id, record.join_epoch);
             if group.is_empty() {
                 self.by_edge.remove(&record.edge);
             } else {

@@ -3,8 +3,9 @@
 //! from-scratch table audit, and the armed faults that prove both catch real
 //! violations.
 
+use bdps_core::queue::edge_bit;
 use bdps_overlay::routing::Routing;
-use bdps_overlay::sparse::{read_population, PopulationHandle, SparseTable};
+use bdps_overlay::sparse::{aggregate_scope_dest, read_population, PopulationHandle, SparseTable};
 use bdps_types::id::{BrokerId, SubscriptionId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -173,7 +174,8 @@ impl Simulation {
     /// the model checker asserts in every interleaving. The registry the
     /// tables are rebuilt from is itself first held to the scenario core's
     /// own population list, so the two records of who is subscribed where
-    /// cannot drift apart unnoticed.
+    /// cannot drift apart unnoticed. Last, the queued copies' edge masks are
+    /// held to the targets they carry.
     ///
     /// The reference point is the link liveness **as of the last rebuild**
     /// (`link_alive_at_rebuild`): while a coalesced same-instant link batch
@@ -228,6 +230,54 @@ impl Simulation {
                     "the envelope of {edge}'s group is {kept:?}, but the fold over \
                      its current members gives {scratch:?}"
                 ));
+            }
+        }
+        drop(pop);
+        self.audit_edge_masks()
+    }
+
+    /// Holds the edge masks a leave filters queued copies by to what the
+    /// copies carry: every queued target whose registry slot is live has its
+    /// slot's current edge bit in its copy's mask (an aggregate
+    /// pseudo-target, its destination's bit), and every queue's summary
+    /// covers its copies' masks. A leave skips a copy without the bit, so a
+    /// missing bit is a target no leave would strip.
+    fn audit_edge_masks(&self) -> Result<(), String> {
+        let pop = read_population(&self.shared.population);
+        for broker in &self.core.brokers {
+            for neighbor in broker.neighbors() {
+                let Some(queue) = broker.queue(neighbor) else {
+                    continue;
+                };
+                let mut masks = 0;
+                for copy in queue.items() {
+                    masks |= copy.edges;
+                    for t in &copy.targets {
+                        let edge = match (
+                            aggregate_scope_dest(t.subscription),
+                            pop.slot(t.subscription),
+                        ) {
+                            (Some(dest), _) => dest,
+                            (None, Some(tag)) if !tag.vacant() => tag.edge(),
+                            _ => continue,
+                        };
+                        if copy.edges & edge_bit(edge) == 0 {
+                            return Err(format!(
+                                "broker {}'s copy of {} towards {neighbor} holds {} of {edge} \
+                                 without that edge's bit (mask {:#x})",
+                                broker.id, copy.message.id, t.subscription, copy.edges
+                            ));
+                        }
+                    }
+                }
+                if queue.edges() & masks != masks {
+                    return Err(format!(
+                        "broker {}'s queue towards {neighbor} summarises {:#x}, its copies \
+                         carry {masks:#x}",
+                        broker.id,
+                        queue.edges()
+                    ));
+                }
             }
         }
         Ok(())

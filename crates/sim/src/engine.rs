@@ -489,6 +489,7 @@ impl Simulation {
             entries_retargeted: repairs.entries_retargeted,
             route_trees_recomputed: repairs.route_trees_recomputed,
             route_pairs_changed: repairs.route_pairs_changed,
+            copies_scanned_on_leave: repairs.copies_scanned_on_leave,
             aggregate_entries,
             table_bytes_estimate,
             link_loads: self.link_loads_snapshot(),
@@ -1181,6 +1182,98 @@ mod tests {
         );
         out.check_conservation().unwrap();
         assert_eq!(out.tracker.duplicate_deliveries(), 0);
+    }
+
+    /// The case a requeue widens its copy's edge mask for. A copy is in
+    /// flight when one of its targets' ids leaves and re-joins at an edge
+    /// the copy's mask lacks; the link fails and the copy comes back to its
+    /// queue holding that stale target. A second leave, filtered by the
+    /// id's new edge, must strip it exactly as a scan of every copy would:
+    /// stripping under all 64 edge bits afterwards changes nothing.
+    #[test]
+    fn a_requeued_copy_is_stripped_by_a_leave_at_its_ids_new_edge() {
+        use bdps_core::queue::edge_bit;
+        // Slow links (4 s per hop) keep copies in flight.
+        let topo = Topology::layered_mesh(
+            &LayeredMeshConfig::small(),
+            &mut SimRng::seed_from(24),
+            |_rng| LinkQuality::new(FixedRate::new(80.0)),
+        )
+        .unwrap();
+        let mut w = WorkloadConfig::paper_ssd(10.0);
+        w.duration = Duration::from_secs(300);
+        let static_scenario = DynamicScenario::static_scenario();
+        let mut sim = build_on(topo, w, StrategyKind::MaxEb, 24, static_scenario);
+        let edges: std::collections::BTreeSet<BrokerId> =
+            sim.subscriptions().iter().map(|(_, edge)| *edge).collect();
+        let stop = sim.hard_stop();
+        // The first transfer in flight with an edge its mask lacks.
+        let (link, done_at, message, id, moved_to) = loop {
+            assert!(sim.step_next(stop), "no transfer was ever in flight");
+            let mut found = None;
+            sim.core.events.for_each(&mut |e| {
+                if let EventKind::SendComplete { link, queued, .. } = &e.item {
+                    let elsewhere = edges.iter().find(|e| queued.edges & edge_bit(**e) == 0);
+                    if let (None, Some(&to)) = (&found, elsewhere) {
+                        let id = queued.targets[0].subscription;
+                        found = Some((*link, e.time, queued.message.id, id, to));
+                    }
+                }
+            });
+            if let Some(found) = found {
+                break found;
+            }
+        };
+        let subscription = sim
+            .subscriptions()
+            .iter()
+            .find(|(sub, _)| sub.id == id)
+            .map(|(sub, _)| sub.clone())
+            .unwrap();
+        let inject = |sim: &mut Simulation, k: u64, action: ScenarioAction| {
+            let (time, seq) = (sim.core.now, key::scenario((1 << 40) + k));
+            let item = EventKind::Scenario { action };
+            sim.push_back(Scheduled { time, seq, item });
+        };
+        inject(
+            &mut sim,
+            0,
+            ScenarioAction::SubscriptionLeave { subscription: id },
+        );
+        let join = ScenarioAction::SubscriptionJoin {
+            subscription,
+            broker: moved_to,
+        };
+        inject(&mut sim, 1, join);
+        inject(&mut sim, 2, ScenarioAction::LinkDown { link });
+        while sim.step_next(done_at) {}
+        let (from, to) = sim.shared.endpoints(link);
+        // Whether the requeued copy still holds the id.
+        let holds_id = |sim: &Simulation| {
+            let queue = sim.core.brokers[from.index()].queue(to).unwrap();
+            let mut copies = queue.items().iter().filter(|c| c.message.id == message);
+            copies.any(|copy| copy.targets.iter().any(|t| t.subscription == id))
+        };
+        assert!(holds_id(&sim), "the voided transfer came back holding {id}");
+        sim.audit_tables().unwrap();
+
+        let mut reference = sim.fork();
+        let leave = ScenarioAction::SubscriptionLeave { subscription: id };
+        for run in [&mut sim, &mut reference] {
+            inject(run, 3, leave.clone());
+            let now = run.core.now;
+            while run.step_next(now) {}
+        }
+        assert!(!holds_id(&sim), "the second leave left {id} queued");
+        sim.audit_tables().unwrap();
+        for b in &mut reference.core.brokers {
+            for bit in 0..64 {
+                b.strip_queued(id, BrokerId::new(bit));
+            }
+        }
+        let unsubscribed = |sim: &Simulation| sim.outcome_snapshot().dropped_unsubscribed();
+        assert_eq!(unsubscribed(&sim), unsubscribed(&reference));
+        assert_eq!(sim.state_digest(), reference.state_digest());
     }
 
     #[test]

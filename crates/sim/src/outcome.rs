@@ -158,6 +158,12 @@ pub struct SimulationOutcome {
     /// changed (Σ [`RouteDelta::changed_pairs`]) — what
     /// [`entries_retargeted`](Self::entries_retargeted) then has to patch.
     pub route_pairs_changed: u64,
+    /// Queued copies subscription leaves binary-searched for the leaver,
+    /// over every broker: only copies whose edge mask has the leaver's edge
+    /// bit are searched (see `bdps_core::queue`'s edge masks). Leaves apply
+    /// at scenario barriers, so a sharded run counts exactly what the
+    /// sequential one does.
+    pub copies_scanned_on_leave: u64,
     /// Aggregate table entries held across all brokers when the run ended:
     /// interior brokers store one covering-aggregated entry per reachable
     /// destination instead of one entry per subscription.

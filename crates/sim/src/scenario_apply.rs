@@ -7,6 +7,7 @@
 
 use bdps_core::broker::BrokerState;
 use bdps_core::config::SchedulerConfig;
+use bdps_core::queue::Stripped;
 use bdps_filter::subscription::Subscription;
 use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::routing::Routing;
@@ -79,12 +80,14 @@ fn write_population<'a>(
         .map_err(|_| SimError::PopulationPoisoned { during })
 }
 
-/// Routing and table repair so far: the `SimulationOutcome` fields of the same names.
+/// Routing and table repair, and leave work, so far: the `SimulationOutcome`
+/// fields of the same names.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct ScenarioCounters {
     pub(crate) entries_retargeted: u64,
     pub(crate) route_trees_recomputed: u64,
     pub(crate) route_pairs_changed: u64,
+    pub(crate) copies_scanned_on_leave: u64,
 }
 
 /// The state scenario actions maintain and traffic never touches: who is
@@ -282,14 +285,17 @@ impl ScenarioCore {
             population.remove(id);
             population.group(edge).is_none()
         };
-        let mut orphaned = 0;
+        let mut stripped = Stripped::default();
         for b in &mut core.brokers {
             if emptied {
                 b.sync_aggregate(&self.routing, edge, false);
             }
-            orphaned += b.strip_queued(id);
+            stripped.absorb(b.strip_queued(id, edge));
         }
-        sink.emit(Effect::Dropped { count: orphaned });
+        self.counters.copies_scanned_on_leave += stripped.scanned;
+        sink.emit(Effect::Dropped {
+            count: stripped.orphaned,
+        });
         Ok(())
     }
 

@@ -49,12 +49,19 @@ fn random_target(rng: &mut SimRng) -> ResolvedTarget {
     )
 }
 
+/// The edge broker a generated subscription is attached at: ids come in
+/// runs of four per edge, and edges 64 apart share a mask bit.
+fn edge_of(id: SubscriptionId) -> BrokerId {
+    BrokerId::new(id.raw() / 4 * 3)
+}
+
 /// The copy of `message` serving `targets`, built the way the broker does.
 fn copy_of(message: Message, targets: &[ResolvedTarget], enqueue_time: SimTime) -> QueuedMessage {
     let mut item = QueuedMessage::new(Arc::new(message), enqueue_time);
     for &(subscription, subscriber, price, allowed_delay, stats) in targets {
         let class = item.class_for(stats, allowed_delay);
-        item.push_target(subscription, subscriber, price, 0, class);
+        let edge = edge_of(subscription);
+        item.push_target(subscription, subscriber, price, 0, class, edge);
     }
     item
 }
@@ -147,17 +154,21 @@ fn fifo_pop_order_matches_enqueue_order() {
     });
 }
 
-/// The registry round-trips every built-in name: resolving a name yields a
-/// strategy whose display label resolves back to the same strategy.
-/// `OutputQueue::remove_subscription` locates the id by binary search over
-/// the ascending targets; the reference strips with a linear `retain`. Both
-/// must agree on the orphan count and on every surviving copy — which
-/// copies, which targets, in which order — wherever the id sits in a copy:
-/// absent, first, last, in the middle, or its sole target.
+/// `OutputQueue::remove_subscription` searches only the copies whose edge
+/// mask has the leaver's edge bit, and locates the id by binary search over
+/// their ascending targets; the reference ignores masks and strips every
+/// copy with a linear `retain`. Both must agree on the orphan count and on
+/// every surviving copy — which copies, which targets, in which order —
+/// wherever the id sits in a copy: absent, first, last, in the middle, or
+/// its sole target. Copies carry the masks their targets' edges give them,
+/// except requeued ones (all ones); an id that moved to another edge while
+/// copies holding it were in flight is held only by requeued copies, as in
+/// the engine.
 #[test]
 fn remove_subscription_matches_the_retain_reference() {
+    let (mut moved, mut skipped) = (0, 0);
     check(0x5781, 300, |rng| {
-        let items: Vec<QueuedMessage> = (0..rng.uniform_usize(1, 10) as u64)
+        let mut items: Vec<QueuedMessage> = (0..rng.uniform_usize(1, 10) as u64)
             .map(|i| random_item(i, rng))
             .collect();
         let picked = &rng.choose(&items).targets;
@@ -167,24 +178,45 @@ fn remove_subscription_matches_the_retain_reference() {
             2 => picked[picked.len() - 1].subscription,
             _ => rng.choose(picked).subscription,
         };
+        let holds = |item: &QueuedMessage| item.targets.iter().any(|t| t.subscription == id);
+        for item in &mut items {
+            if rng.chance(0.2) {
+                item.edges = u64::MAX; // requeued after a failed transfer
+            }
+        }
+        let mut edge = edge_of(id);
+        if rng.chance(0.25) {
+            // The id left and re-joined elsewhere while its copies were in
+            // flight: they all came back through a requeue.
+            edge = BrokerId::new(rng.uniform_usize(0, 200) as u32);
+            moved += 1;
+            for item in items.iter_mut().filter(|item| holds(item)) {
+                item.edges = u64::MAX;
+            }
+        }
 
         let mut queue = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
         for item in &items {
             queue.push(item.clone());
         }
-        let orphaned = queue.remove_subscription(id);
+        let stripped = queue.remove_subscription(id, edge);
 
         let mut expected = items;
+        let holders = expected.iter().filter(|item| holds(item)).count() as u64;
+        assert!(stripped.scanned >= holders && stripped.scanned <= expected.len() as u64);
+        skipped += expected.len() as u64 - stripped.scanned;
         for item in &mut expected {
             item.targets.retain(|t| t.subscription != id);
         }
         let before = expected.len();
         expected.retain(|item| !item.targets.is_empty());
-        assert_eq!(orphaned as usize, before - expected.len());
+        assert_eq!(stripped.orphaned as usize, before - expected.len());
         assert_eq!(queue.len(), expected.len());
+        let mut masks = 0;
         for (got, want) in queue.items().iter().zip(&expected) {
             assert_eq!(got.message.id, want.message.id);
             assert_eq!(got.targets, want.targets);
+            masks |= got.edges;
             // Live counts follow the targets: a class is dead exactly when
             // its last member was stripped.
             for (class, c) in got.classes.iter().enumerate() {
@@ -192,9 +224,20 @@ fn remove_subscription_matches_the_retain_reference() {
                 assert_eq!(c.live as usize, members.count());
             }
         }
+        assert_eq!(
+            queue.edges() & masks,
+            masks,
+            "the summary covers the survivors"
+        );
     });
+    assert!(
+        moved > 30 && skipped > 300,
+        "{moved} moved ids, {skipped} copies skipped"
+    );
 }
 
+/// The registry round-trips every built-in name: resolving a name yields a
+/// strategy whose display label resolves back to the same strategy.
 #[test]
 fn registry_round_trips_every_builtin_name() {
     let registry = StrategyRegistry::builtin();

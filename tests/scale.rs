@@ -98,6 +98,21 @@ fn ten_thousand_subscriber_sharded_run_matches_sequential() {
     assert_eq!(sharded.tracker.duplicate_deliveries(), 0);
 }
 
+/// The leave work counter at 10k: every leave applies at a scenario
+/// barrier, so a two-shard run searches exactly the queued copies the
+/// sequential run does.
+#[cfg_attr(debug_assertions, ignore = "10k-subscriber run; release builds only")]
+#[test]
+fn copies_scanned_on_leave_is_identical_sequential_and_two_shards() {
+    let sequential = churn_10k(4);
+    let sharded = bdps::sim::run_sharded(churn_10k_sim(4), 2);
+    assert_outcomes_identical(&sequential, &sharded, "10k churn, two shards");
+    assert!(
+        sequential.copies_scanned_on_leave > 0,
+        "no leave searched a copy"
+    );
+}
+
 /// One-million-subscriber churn through the 8-shard executor: the ROADMAP's
 /// production-scale north star. Ignored by default — minutes of wall time —
 /// run explicitly with `cargo test --release million_subscriber -- --ignored`.
@@ -165,6 +180,10 @@ fn assert_outcomes_identical(a: &SimulationOutcome, b: &SimulationOutcome, label
         "{label}: in flight at end"
     );
     assert_eq!(a.finished_at, b.finished_at, "{label}: finish time");
+    assert_eq!(
+        a.copies_scanned_on_leave, b.copies_scanned_on_leave,
+        "{label}: copies scanned on leave"
+    );
     assert_eq!(
         a.events_processed, b.events_processed,
         "{label}: events processed"
