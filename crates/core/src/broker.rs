@@ -8,9 +8,14 @@
 //! expired and unlikely messages (§5.4).
 //!
 //! The broker is a pure state machine: it never advances time and never
-//! performs I/O. The discrete-event simulator (and any real transport layer)
-//! drives it by calling [`BrokerState::handle_arrival`] and
-//! [`BrokerState::next_to_send`].
+//! performs I/O. The discrete-event simulator drives it through three
+//! arrival entry points — [`BrokerState::handle_arrival_scoped`] for a
+//! publication handed to its first broker,
+//! [`BrokerState::handle_arrival_forwarded`] for a copy that crossed a link
+//! and [`BrokerState::handle_arrival_aggregate`] under aggregate forwarding —
+//! and asks [`BrokerState::next_to_send`] whenever a link frees.
+//! [`BrokerState::handle_arrival`] (an unscoped arrival) is the entry point
+//! for code that holds a raw message and no precomputed scope.
 
 use crate::config::SchedulerConfig;
 use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage, Stripped};

@@ -1,10 +1,8 @@
-//! Filters: conjunctions of predicates and general boolean filter expressions.
+//! Filters: conjunctions of predicates.
 //!
 //! The paper's subscriptions are conjunctions (`A1 < x1 ∧ A2 < x2`), which is
-//! the canonical form content-based routing works with ([`Filter`]). General
-//! boolean expressions ([`FilterExpr`]) are supported for application code
-//! and are normalised into a disjunction of conjunctions before being
-//! registered with a broker.
+//! the canonical form content-based routing works with ([`Filter`]) and the
+//! only filter form the match index, cover forest and registry read.
 
 use crate::predicate::Predicate;
 use bdps_types::message::MessageHead;
@@ -21,9 +19,8 @@ use std::sync::Arc;
 /// [`cover_join`](Self::cover_join) with it yields the empty filter again —
 /// the top element of the covering order. Code that inspects
 /// [`is_empty`](Self::is_empty) or `predicates().is_empty()` must never read
-/// an empty predicate list as "matches nothing"; the matches-nothing case is
-/// [`FilterExpr::False`] (or an empty DNF), which deliberately has no
-/// `Filter` representation.
+/// an empty predicate list as "matches nothing". A filter that matches
+/// nothing deliberately has no `Filter` representation.
 ///
 /// The predicate list is shared behind an `Arc`: a filter is cloned into
 /// every broker's subscription table and matching index, and at 10⁵
@@ -167,173 +164,6 @@ impl From<Predicate> for Filter {
     }
 }
 
-/// A general boolean filter expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FilterExpr {
-    /// The expression that matches everything.
-    True,
-    /// The expression that matches nothing.
-    False,
-    /// An atomic predicate.
-    Pred(Predicate),
-    /// Conjunction of sub-expressions.
-    And(Vec<FilterExpr>),
-    /// Disjunction of sub-expressions.
-    Or(Vec<FilterExpr>),
-    /// Negation of a sub-expression.
-    Not(Box<FilterExpr>),
-}
-
-impl FilterExpr {
-    /// Evaluates the expression against a message head.
-    pub fn matches(&self, head: &MessageHead) -> bool {
-        match self {
-            FilterExpr::True => true,
-            FilterExpr::False => false,
-            FilterExpr::Pred(p) => p.matches(head),
-            FilterExpr::And(xs) => xs.iter().all(|x| x.matches(head)),
-            FilterExpr::Or(xs) => xs.iter().any(|x| x.matches(head)),
-            FilterExpr::Not(x) => !x.matches(head),
-        }
-    }
-
-    /// Pushes negations down to the predicate level (negation normal form).
-    ///
-    /// Comparison predicates have exact complements (`!(a < b)` is `a >= b`),
-    /// so the resulting expression contains no `Not` nodes.
-    /// Note: for heads where the attribute is *missing*, both a predicate and
-    /// its complement evaluate to false; routing treats missing attributes as
-    /// non-matching in either polarity, which is the conventional choice.
-    pub fn to_nnf(&self) -> FilterExpr {
-        match self {
-            FilterExpr::True | FilterExpr::False | FilterExpr::Pred(_) => self.clone(),
-            FilterExpr::And(xs) => FilterExpr::And(xs.iter().map(|x| x.to_nnf()).collect()),
-            FilterExpr::Or(xs) => FilterExpr::Or(xs.iter().map(|x| x.to_nnf()).collect()),
-            FilterExpr::Not(inner) => match &**inner {
-                FilterExpr::True => FilterExpr::False,
-                FilterExpr::False => FilterExpr::True,
-                FilterExpr::Pred(p) => FilterExpr::Pred(p.negated()),
-                FilterExpr::Not(x) => x.to_nnf(),
-                FilterExpr::And(xs) => FilterExpr::Or(
-                    xs.iter()
-                        .map(|x| FilterExpr::Not(Box::new(x.clone())).to_nnf())
-                        .collect(),
-                ),
-                FilterExpr::Or(xs) => FilterExpr::And(
-                    xs.iter()
-                        .map(|x| FilterExpr::Not(Box::new(x.clone())).to_nnf())
-                        .collect(),
-                ),
-            },
-        }
-    }
-
-    /// Normalises the expression into a disjunction of conjunctive [`Filter`]s.
-    ///
-    /// An empty vector means the expression is unsatisfiable (`False`);
-    /// a vector containing an empty filter means it matches everything.
-    pub fn to_dnf(&self) -> Vec<Filter> {
-        fn go(expr: &FilterExpr) -> Vec<Vec<Predicate>> {
-            match expr {
-                FilterExpr::True => vec![vec![]],
-                FilterExpr::False => vec![],
-                FilterExpr::Pred(p) => vec![vec![p.clone()]],
-                FilterExpr::Or(xs) => xs.iter().flat_map(go).collect(),
-                FilterExpr::And(xs) => {
-                    let mut acc: Vec<Vec<Predicate>> = vec![vec![]];
-                    for x in xs {
-                        let terms = go(x);
-                        let mut next = Vec::with_capacity(acc.len() * terms.len().max(1));
-                        for a in &acc {
-                            for t in &terms {
-                                let mut combined = a.clone();
-                                combined.extend(t.iter().cloned());
-                                next.push(combined);
-                            }
-                        }
-                        acc = next;
-                        if acc.is_empty() {
-                            break;
-                        }
-                    }
-                    acc
-                }
-                FilterExpr::Not(_) => go(&expr.to_nnf()),
-            }
-        }
-        go(&self.to_nnf()).into_iter().map(Filter::new).collect()
-    }
-
-    /// Convenience constructor for a conjunction of two expressions.
-    pub fn and(a: FilterExpr, b: FilterExpr) -> FilterExpr {
-        FilterExpr::And(vec![a, b])
-    }
-
-    /// Convenience constructor for a disjunction of two expressions.
-    pub fn or(a: FilterExpr, b: FilterExpr) -> FilterExpr {
-        FilterExpr::Or(vec![a, b])
-    }
-
-    /// Convenience constructor for a negation.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(a: FilterExpr) -> FilterExpr {
-        FilterExpr::Not(Box::new(a))
-    }
-}
-
-impl From<Predicate> for FilterExpr {
-    fn from(p: Predicate) -> Self {
-        FilterExpr::Pred(p)
-    }
-}
-
-impl From<Filter> for FilterExpr {
-    fn from(f: Filter) -> Self {
-        if f.is_empty() {
-            FilterExpr::True
-        } else {
-            FilterExpr::And(
-                f.predicates()
-                    .iter()
-                    .cloned()
-                    .map(FilterExpr::Pred)
-                    .collect(),
-            )
-        }
-    }
-}
-
-impl fmt::Display for FilterExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FilterExpr::True => f.write_str("true"),
-            FilterExpr::False => f.write_str("false"),
-            FilterExpr::Pred(p) => write!(f, "{p}"),
-            FilterExpr::And(xs) => {
-                f.write_str("(")?;
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(" && ")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                f.write_str(")")
-            }
-            FilterExpr::Or(xs) => {
-                f.write_str("(")?;
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(" || ")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                f.write_str(")")
-            }
-            FilterExpr::Not(x) => write!(f, "!({x})"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,106 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn expr_evaluation() {
-        let e = FilterExpr::or(
-            FilterExpr::and(
-                Predicate::lt("A1", 2.0).into(),
-                Predicate::lt("A2", 2.0).into(),
-            ),
-            FilterExpr::not(Predicate::lt("A2", 9.0).into()),
-        );
-        assert!(e.matches(&head(1.0, 1.0)));
-        assert!(e.matches(&head(5.0, 9.5)));
-        assert!(!e.matches(&head(5.0, 5.0)));
-        assert!(FilterExpr::True.matches(&head(0.0, 0.0)));
-        assert!(!FilterExpr::False.matches(&head(0.0, 0.0)));
-    }
-
-    #[test]
-    fn nnf_eliminates_not() {
-        let e = FilterExpr::not(FilterExpr::or(
-            Predicate::lt("A1", 2.0).into(),
-            FilterExpr::not(Predicate::ge("A2", 3.0).into()),
-        ));
-        let nnf = e.to_nnf();
-        fn has_not(e: &FilterExpr) -> bool {
-            match e {
-                FilterExpr::Not(_) => true,
-                FilterExpr::And(xs) | FilterExpr::Or(xs) => xs.iter().any(has_not),
-                _ => false,
-            }
-        }
-        assert!(!has_not(&nnf));
-        // Semantics preserved on heads with both attributes present.
-        for (a1, a2) in [(1.0, 5.0), (3.0, 5.0), (3.0, 1.0), (1.0, 1.0)] {
-            assert_eq!(e.matches(&head(a1, a2)), nnf.matches(&head(a1, a2)));
-        }
-    }
-
-    #[test]
-    fn dnf_of_conjunction_is_single_filter() {
-        let e = FilterExpr::and(
-            Predicate::lt("A1", 5.0).into(),
-            Predicate::lt("A2", 5.0).into(),
-        );
-        let dnf = e.to_dnf();
-        assert_eq!(dnf.len(), 1);
-        assert_eq!(dnf[0].len(), 2);
-    }
-
-    #[test]
-    fn dnf_distributes_or_over_and() {
-        // (p1 || p2) && (q1 || q2) -> 4 conjunctions.
-        let e = FilterExpr::and(
-            FilterExpr::or(
-                Predicate::lt("A1", 1.0).into(),
-                Predicate::gt("A1", 9.0).into(),
-            ),
-            FilterExpr::or(
-                Predicate::lt("A2", 1.0).into(),
-                Predicate::gt("A2", 9.0).into(),
-            ),
-        );
-        let dnf = e.to_dnf();
-        assert_eq!(dnf.len(), 4);
-        assert!(dnf.iter().all(|f| f.len() == 2));
-        // Semantics preserved.
-        for (a1, a2) in [(0.5, 0.5), (0.5, 9.5), (5.0, 0.5), (5.0, 5.0)] {
-            let direct = e.matches(&head(a1, a2));
-            let via_dnf = dnf.iter().any(|f| f.matches(&head(a1, a2)));
-            assert_eq!(direct, via_dnf, "a1={a1} a2={a2}");
-        }
-    }
-
-    #[test]
-    fn dnf_edge_cases() {
-        assert_eq!(FilterExpr::False.to_dnf().len(), 0);
-        let dnf_true = FilterExpr::True.to_dnf();
-        assert_eq!(dnf_true.len(), 1);
-        assert!(dnf_true[0].is_empty());
-        // And containing False collapses to empty DNF.
-        let e = FilterExpr::and(FilterExpr::False, Predicate::lt("A1", 1.0).into());
-        assert!(e.to_dnf().is_empty());
-    }
-
-    #[test]
-    fn filter_expr_round_trip_from_filter() {
-        let f = Filter::paper_conjunction(4.0, 6.0);
-        let e: FilterExpr = f.clone().into();
-        assert!(e.matches(&head(3.0, 5.0)));
-        assert!(!e.matches(&head(5.0, 5.0)));
-        let again = e.to_dnf();
-        assert_eq!(again.len(), 1);
-        assert_eq!(again[0], f);
-        let all: FilterExpr = Filter::match_all().into();
-        assert_eq!(all, FilterExpr::True);
-    }
-
-    #[test]
     fn display_round_trip_shape() {
         let f = Filter::paper_conjunction(5.0, 2.5);
         assert_eq!(f.to_string(), "A1 < 5 && A2 < 2.5");
-        let e = FilterExpr::or(Predicate::lt("A1", 1.0).into(), FilterExpr::True);
-        assert_eq!(e.to_string(), "(A1 < 1 || true)");
+        let f = Filter::new(vec![
+            Predicate::ge("congestion", 7.0),
+            Predicate::lt("region", 3.0),
+        ]);
+        assert_eq!(f.to_string(), "congestion >= 7 && region < 3");
     }
 }

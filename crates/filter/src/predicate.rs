@@ -46,18 +46,6 @@ impl CompOp {
             CompOp::Ne => "!=",
         }
     }
-
-    /// The logical negation of the operator (`!(a < b)` ⇔ `a >= b`).
-    pub fn negated(self) -> CompOp {
-        match self {
-            CompOp::Lt => CompOp::Ge,
-            CompOp::Le => CompOp::Gt,
-            CompOp::Gt => CompOp::Le,
-            CompOp::Ge => CompOp::Lt,
-            CompOp::Eq => CompOp::Ne,
-            CompOp::Ne => CompOp::Eq,
-        }
-    }
 }
 
 impl fmt::Display for CompOp {
@@ -136,15 +124,6 @@ impl Predicate {
             Some(ord) => self.op.eval_ordering(ord),
             // Non-comparable types: != is vacuously satisfied, everything else fails.
             None => self.op == CompOp::Ne,
-        }
-    }
-
-    /// The logical negation of this predicate.
-    pub fn negated(&self) -> Predicate {
-        Predicate {
-            attr: self.attr.clone(),
-            op: self.op.negated(),
-            value: self.value.clone(),
         }
     }
 
@@ -240,24 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn negation_is_complementary() {
-        let h = head(3.0, 7.0);
-        for p in [
-            Predicate::lt("A1", 5.0),
-            Predicate::le("A1", 2.0),
-            Predicate::gt("A2", 9.0),
-            Predicate::ge("A2", 7.0),
-            Predicate::eq("A1", 3.0),
-            Predicate::ne("A1", 3.0),
-        ] {
-            assert_ne!(p.matches(&h), p.negated().matches(&h), "predicate {p}");
-        }
-    }
-
-    #[test]
     fn operator_helpers() {
-        assert_eq!(CompOp::Lt.negated(), CompOp::Ge);
-        assert_eq!(CompOp::Ne.negated(), CompOp::Eq);
         assert_eq!(CompOp::Ge.as_str(), ">=");
     }
 

@@ -358,8 +358,6 @@ pub struct SharedPopulation {
     epoch: u64,
     /// The attribute model gating summary merges.
     selectivity: SelectivityModel,
-    /// Maximum estimated-selectivity slack a summary merge may introduce.
-    cover_looseness: f64,
 }
 
 /// Default looseness bound for summary merges: a join may widen the
@@ -376,10 +374,8 @@ impl Default for SharedPopulation {
             epoch: 0,
             // The paper-workload model knows A1/A2. Unknown attributes
             // estimate selectivity 1, so the gate is blind to widening
-            // among them and merges freely; install a richer model via
-            // `set_cover_policy` when the workload uses other attributes.
+            // among them and merges freely.
             selectivity: SelectivityModel::paper_workload(),
-            cover_looseness: DEFAULT_COVER_LOOSENESS,
         }
     }
 }
@@ -416,7 +412,7 @@ impl SharedPopulation {
         let pos = group.ids.partition_point(|&i| i < id);
         group.ids.insert(pos, id);
         group.forest.insert(id, subscription.filter.clone());
-        group.rebuild_summary(&self.selectivity, self.cover_looseness);
+        group.rebuild_summary(&self.selectivity, DEFAULT_COVER_LOOSENESS);
         group.push_qos(MemberQos {
             id,
             join_epoch: self.epoch,
@@ -456,7 +452,7 @@ impl SharedPopulation {
             if group.is_empty() {
                 self.by_edge.remove(&record.edge);
             } else {
-                group.rebuild_summary(&self.selectivity, self.cover_looseness);
+                group.rebuild_summary(&self.selectivity, DEFAULT_COVER_LOOSENESS);
             }
         }
         Some(record)
@@ -465,22 +461,6 @@ impl SharedPopulation {
     /// The current membership epoch (bumped on every insert).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Installs a different selectivity model and looseness bound for the
-    /// summary merge gate, recomputing every group's summary under the new
-    /// policy.
-    pub fn set_cover_policy(&mut self, model: SelectivityModel, looseness: f64) {
-        self.selectivity = model;
-        self.cover_looseness = looseness;
-        for group in self.by_edge.values_mut() {
-            group.rebuild_summary(&self.selectivity, self.cover_looseness);
-        }
-    }
-
-    /// The looseness bound currently gating summary merges.
-    pub fn cover_looseness(&self) -> f64 {
-        self.cover_looseness
     }
 
     /// Total registered subscriptions.
@@ -1444,12 +1424,11 @@ mod tests {
             }
         }
         // A strict gate (looseness 0) reproduces the covering set exactly.
-        pop.set_cover_policy(SelectivityModel::paper_workload(), 0.0);
-        let group = pop.group(BrokerId::new(0)).unwrap();
+        let mut group = group.clone();
+        group.rebuild_summary(&SelectivityModel::paper_workload(), 0.0);
         assert_eq!(group.summary().len(), group.forest().root_count());
         // A fully permissive gate collapses the group to one envelope.
-        pop.set_cover_policy(SelectivityModel::paper_workload(), 1.0);
-        let group = pop.group(BrokerId::new(0)).unwrap();
+        group.rebuild_summary(&SelectivityModel::paper_workload(), 1.0);
         assert_eq!(group.summary().len(), 1);
     }
 

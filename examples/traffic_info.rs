@@ -2,28 +2,36 @@
 //! subscriber-specified delays): subscribers close to an incident need the
 //! update quickly, distant ones can wait — and pay less.
 //!
-//! This example builds a custom filter workload over road-traffic attributes,
-//! registers subscriptions through the filter parser, and compares the EB
-//! strategy against FIFO on the same congested network.
+//! This example builds conjunctive filters over road-traffic attributes,
+//! wraps one in a tiered subscription, and compares the EB strategy against
+//! FIFO on the same congested network.
 //!
 //! Run with: `cargo run --release --example traffic_info`
 
-use bdps::filter::parser::parse_filter;
 use bdps::filter::subscription::Subscription;
 use bdps::prelude::*;
 
 fn main() {
-    // A few textual subscriptions, the way an application would express them.
+    // A few subscriptions over road-traffic attributes: each is a
+    // conjunction of range predicates, like the paper's `A1 < x1 && A2 < x2`.
+    let commuter = Filter::new(vec![
+        Predicate::ge("congestion", 7.0),
+        Predicate::lt("region", 3.0),
+    ]);
     let filters = [
-        ("city-centre commuter", "congestion >= 7 && region < 3"),
-        ("ring-road haulier", "congestion >= 5 && region >= 3"),
-        ("casual traveller", "congestion >= 9"),
+        ("city-centre commuter", commuter.clone()),
+        (
+            "ring-road haulier",
+            Filter::new(vec![
+                Predicate::ge("congestion", 5.0),
+                Predicate::ge("region", 3.0),
+            ]),
+        ),
+        ("casual traveller", Predicate::ge("congestion", 9.0).into()),
     ];
-    println!("parsed subscriptions:");
-    for (who, text) in &filters {
-        let expr = parse_filter(text).expect("valid filter");
-        let dnf = expr.to_dnf();
-        println!("  {who:20} {text}  ->  {} conjunction(s)", dnf.len());
+    println!("subscriptions:");
+    for (who, filter) in &filters {
+        println!("  {who:20} {filter}");
     }
 
     // Nearby subscribers demand 10 s delivery at price 3, distant ones 60 s at
@@ -32,10 +40,7 @@ fn main() {
     let example = Subscription::with_qos(
         SubscriptionId::new(0),
         SubscriberId::new(0),
-        parse_filter("congestion >= 7 && region < 3")
-            .unwrap()
-            .to_dnf()
-            .remove(0),
+        commuter,
         tiers[0],
     );
     println!("\nexample subscription: {example}\n");

@@ -5,7 +5,7 @@
 //!
 //! * [`types`] — identifiers, simulated time, attribute values, QoS.
 //! * [`stats`] — the normal distribution, Poisson arrivals, the seedable RNG.
-//! * [`filter`] — content-based subscription language and matching index.
+//! * [`filter`] — conjunctive content filters, covering and the matching index.
 //! * [`net`] — link bandwidth models, link-sharing models, estimation error.
 //! * [`overlay`] — broker overlay, topologies, routing, subscription tables.
 //! * [`core`] — the pluggable `SchedulingStrategy` surface with the paper's

@@ -380,7 +380,8 @@ fn the_workspace_has_no_third_party_packages() {
 
 /// Drift guard for the commands the docs and CI cite: every cargo target
 /// they name must exist and every `--workload` must be in `BENCHMARK.json`,
-/// so a retired tool cannot live on in a command line nobody runs.
+/// so a retired tool cannot live on in a command line nobody runs. The
+/// reverse holds for examples: each one is smoke-run by a `--example` in CI.
 #[test]
 fn documented_commands_name_existing_targets_and_workloads() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -426,6 +427,25 @@ fn documented_commands_name_existing_targets_and_workloads() {
         }
     }
     assert!(cited >= 30, "only {cited} citations: the guard is vacuous");
+    // The reverse for examples: CI smoke-runs every one of them.
+    let ci = read(".github/workflows/ci.yml");
+    let smoke_run: Vec<&str> = names_after(&ci, "--example").collect();
+    let mut examples = 0;
+    for entry in std::fs::read_dir(root.join("examples")).expect("examples/") {
+        let path = entry.expect("examples/ entry").path();
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            examples += 1;
+            let name = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .expect("UTF-8 name");
+            assert!(
+                smoke_run.contains(&name),
+                "examples/{name}.rs is not run by any `--example {name}` in ci.yml"
+            );
+        }
+    }
+    assert!(examples >= 6, "only {examples} examples found");
 }
 
 /// The robustness census as a test: the places library code may unwind —
