@@ -823,7 +823,6 @@ mod tests {
     use crate::config::{InvalidDetection, StrategyKind};
     use bdps_filter::filter::Filter;
     use bdps_filter::subscription::Subscription;
-    use bdps_net::bandwidth::FixedRate;
     use bdps_net::link::LinkQuality;
     use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation};
     use bdps_overlay::topology::Topology;
@@ -833,7 +832,7 @@ mod tests {
     use std::sync::RwLock;
 
     fn fixed_quality(_rng: &mut SimRng) -> LinkQuality {
-        LinkQuality::new(FixedRate::new(60.0))
+        LinkQuality::fixed(60.0)
     }
 
     /// Line B0 - B1 - B2; subscriber S0 on B2 (10 s, price 3), S1 on B1

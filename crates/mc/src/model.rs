@@ -18,7 +18,6 @@
 //! integration-level differential oracles only sample.
 
 use bdps_core::config::{SchedulerConfig, StrategyKind};
-use bdps_net::bandwidth::FixedRate;
 use bdps_net::link::LinkQuality;
 use bdps_net::linkmodel::LinkModelKind;
 use bdps_overlay::topology::Topology;
@@ -195,10 +194,10 @@ impl McModel {
         let mut topo_rng = SimRng::seed_from(self.seed);
         let mut topo = match self.topology {
             ModelTopology::Line(n) => {
-                Topology::line(n, &mut topo_rng, |_| LinkQuality::new(FixedRate::new(rate)))
+                Topology::line(n, &mut topo_rng, |_| LinkQuality::fixed(rate))
             }
             ModelTopology::Star(n) => {
-                Topology::star(n, &mut topo_rng, |_| LinkQuality::new(FixedRate::new(rate)))
+                Topology::star(n, &mut topo_rng, |_| LinkQuality::fixed(rate))
             }
         };
         for (i, &b) in self.publishers.iter().enumerate() {

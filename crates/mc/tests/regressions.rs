@@ -14,8 +14,16 @@
 //!   leaking or double-counting the in-flight copy. The model flaps the
 //!   first-hop link inside a 1-second transfer; conservation must hold
 //!   after every event in every interleaving.
+//! * **Stale completion of a re-admitted flow** — under fair sharing a
+//!   completion event was taken as live when its re-schedule stamp matched
+//!   the flow's. A flow voided by a link flap and re-admitted restarted its
+//!   stamp, so a stale event of the voided flow could complete the new one
+//!   while it still owed most of its service. The model voids two shared
+//!   flows and re-admits both; no copy may arrive before its re-admitted
+//!   transfer could have finished.
 
 use bdps_mc::{explore, ExploreBudget, McModel, ModelTopology};
+use bdps_net::linkmodel::LinkModelKind;
 use bdps_sim::engine::ForwardingMode;
 use bdps_sim::scenario::ScenarioAction;
 use bdps_types::id::LinkId;
@@ -123,6 +131,70 @@ fn nested_flap_contained_in_a_transfer_conserves_every_copy() {
             exploration.stats.terminals > 0,
             "{}: flapped link must still drain to quiescence",
             cell.name()
+        );
+    }
+}
+
+fn readmitted_flow_model() -> McModel {
+    let mut model = McModel::named("readmitted-flow", ModelTopology::Line(2));
+    model.publishers = vec![0];
+    model.subscribers = vec![1, 1, 1, 1];
+    model.link_model = LinkModelKind::FairShare;
+    // Publications at t = 0.5 s and 1.0 s, 1 s of dedicated service each
+    // (50 KB × 20 ms/KB): the second admission on l0 (B0→B1) slows the
+    // first, moving its completion from ≈ 1.5 s to ≈ 2.0 s, and the flap
+    // voids both flows before either finishes.
+    model.publications_per_publisher = 2;
+    model.publish_gap = Duration::from_millis(500);
+    model.events = vec![
+        (
+            Duration::from_millis(1_100),
+            ScenarioAction::LinkDown {
+                link: LinkId::new(0),
+            },
+        ),
+        (
+            Duration::from_millis(1_200),
+            ScenarioAction::LinkUp {
+                link: LinkId::new(0),
+            },
+        ),
+    ];
+    model
+}
+
+#[test]
+fn a_flow_readmitted_after_a_flap_is_not_completed_by_a_stale_event() {
+    let model = readmitted_flow_model();
+    model.validate().expect("model is in bounds");
+    // Both copies are re-admitted at the recovery and owe a full second of
+    // dedicated service from there, so none reaches B1 before 2.2 s: the
+    // later publication (1.0 s) cannot beat 1.2 s of delay.
+    let link_up_ms = 1_200.0;
+    let service_ms = model.message_size_kb * model.link_rate_ms_per_kb;
+    let last_publication_ms = 2.0 * model.publish_gap.as_millis_f64();
+    let floor_ms = link_up_ms + service_ms - last_publication_ms;
+    for cell in ForwardingMode::ALL {
+        let probe = model.build(cell).run();
+        assert!(
+            probe.requeued() >= 2,
+            "{}: the flap must void both shared flows",
+            cell.name()
+        );
+        assert!(probe.valid_delays_ms.count() > 0, "{}", cell.name());
+        let fastest = probe.valid_delays_ms.min();
+        assert!(
+            fastest >= floor_ms,
+            "{}: a copy arrived {fastest} ms after publication, before its \
+             re-admitted transfer could finish ({floor_ms} ms)",
+            cell.name()
+        );
+        let exploration = explore(&model, cell, &ExploreBudget::default());
+        assert!(
+            exploration.ok(),
+            "violation under {}: {}",
+            cell.name(),
+            exploration.counterexample.unwrap().to_json()
         );
     }
 }

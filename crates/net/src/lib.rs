@@ -9,37 +9,29 @@
 //! parameters each broker estimates "by some tools of network measurement".
 //! This crate provides:
 //!
-//! * [`bandwidth`] — pluggable per-link bandwidth models: the paper's
-//!   normally-distributed rate and a fixed rate (the assumption of the
-//!   QRON-style related work the paper contrasts with);
-//! * [`link`] — directed overlay links carrying a bandwidth model;
-//! * [`linkmodel`] — pluggable transfer-time models over those links: the
-//!   paper's one-transfer-at-a-time sampled delay ([`linkmodel::ConstantDelay`],
-//!   the oracle) and flow-level fair bandwidth sharing
-//!   ([`linkmodel::FairShare`]);
+//! * [`link`] — directed overlay links, each carrying one normal per-KB
+//!   rate ([`LinkQuality`]); a fixed rate (the assumption of the QRON-style
+//!   related work the paper contrasts with) is the `σ = 0` case;
+//! * [`linkmodel`] — the tag saying how a link shares itself among
+//!   transfers: the paper's one-transfer-at-a-time link
+//!   ([`LinkModelKind::Constant`], the oracle) or flow-level fair bandwidth
+//!   sharing ([`LinkModelKind::FairShare`]);
 //! * [`measure`] — deliberate estimation-error injection for ablation studies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bandwidth;
 pub mod link;
 pub mod linkmodel;
 pub mod measure;
 
-pub use bandwidth::{AnyBandwidth, BandwidthModel, FixedRate, NormalRate};
 pub use link::{Link, LinkQuality};
-pub use linkmodel::{
-    ConstantDelay, FairShare, LinkModel, LinkModelKind, LinkModelRegistry, LinkSharing,
-};
+pub use linkmodel::{LinkModelKind, LinkModelRegistry};
 pub use measure::EstimationError;
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
-    pub use crate::bandwidth::{AnyBandwidth, BandwidthModel, FixedRate, NormalRate};
     pub use crate::link::{Link, LinkQuality};
-    pub use crate::linkmodel::{
-        ConstantDelay, FairShare, LinkModel, LinkModelKind, LinkModelRegistry, LinkSharing,
-    };
+    pub use crate::linkmodel::{LinkModelKind, LinkModelRegistry};
     pub use crate::measure::EstimationError;
 }

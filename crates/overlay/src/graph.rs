@@ -87,7 +87,7 @@ impl OverlayGraph {
         b: BrokerId,
         quality: LinkQuality,
     ) -> (LinkId, LinkId) {
-        let forward = self.add_link(a, b, quality.clone());
+        let forward = self.add_link(a, b, quality);
         let reverse = self.add_link(b, a, quality);
         (forward, reverse)
     }
@@ -254,10 +254,9 @@ impl OverlayGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdps_net::bandwidth::FixedRate;
 
     fn quality(rate: f64) -> LinkQuality {
-        LinkQuality::new(FixedRate::new(rate))
+        LinkQuality::fixed(rate)
     }
 
     fn small_graph() -> OverlayGraph {

@@ -416,12 +416,11 @@ impl Routing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdps_net::bandwidth::FixedRate;
     use bdps_net::link::LinkQuality;
     use bdps_stats::rng::SimRng;
 
     fn quality(rate: f64) -> LinkQuality {
-        LinkQuality::new(FixedRate::new(rate))
+        LinkQuality::fixed(rate)
     }
 
     /// B0 - B1 - B3 and B0 - B2 - B3, where the B1 route is cheaper.
@@ -784,7 +783,6 @@ mod tests {
     /// some links are one-way, some are exact parallel duplicates, and the
     /// rates carry variance so `PathStats` differ between equal-cost trees.
     fn random_graph(rng: &mut SimRng) -> OverlayGraph {
-        use bdps_net::bandwidth::NormalRate;
         let mut g = OverlayGraph::new();
         let n = rng.uniform_usize(3, 13);
         let brokers: Vec<BrokerId> = (0..n).map(|_| g.add_broker(None)).collect();
@@ -792,13 +790,13 @@ mod tests {
             let picked = rng.choose_distinct(n, 2);
             let (a, b) = (brokers[picked[0]], brokers[picked[1]]);
             let mean = *rng.choose(&[20.0, 40.0, 60.0]);
-            let q = LinkQuality::new(NormalRate::new(mean, rng.uniform_range(1.0, 9.0)));
+            let q = LinkQuality::normal(mean, rng.uniform_range(1.0, 9.0));
             match rng.uniform_usize(0, 4) {
                 0 => {
                     g.add_link(a, b, q); // one-way
                 }
                 1 => {
-                    g.add_link(a, b, q.clone());
+                    g.add_link(a, b, q);
                     g.add_link(a, b, q); // parallel, equal cost
                 }
                 _ => {

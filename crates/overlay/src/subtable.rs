@@ -184,7 +184,6 @@ mod tests {
     use crate::graph::OverlayGraph;
     use crate::topology::Topology;
     use bdps_filter::filter::Filter;
-    use bdps_net::bandwidth::FixedRate;
     use bdps_net::link::LinkQuality;
     use bdps_stats::rng::SimRng;
     use bdps_types::id::SubscriberId;
@@ -192,7 +191,7 @@ mod tests {
     use bdps_types::qos::{DelayBound, QosClass};
 
     fn fixed_quality(_rng: &mut SimRng) -> LinkQuality {
-        LinkQuality::new(FixedRate::new(60.0))
+        LinkQuality::fixed(60.0)
     }
 
     fn head(a1: f64, a2: f64) -> MessageHead {

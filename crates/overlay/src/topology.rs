@@ -334,10 +334,9 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdps_net::bandwidth::FixedRate;
 
     fn fixed_quality(_rng: &mut SimRng) -> LinkQuality {
-        LinkQuality::new(FixedRate::new(60.0))
+        LinkQuality::fixed(60.0)
     }
 
     #[test]

@@ -125,11 +125,10 @@ impl Simulation {
                 h.write_u64(f.queued.message.id.raw());
                 h.write_u64(f.nominal_us.to_bits());
                 h.write_u64(f.remaining_us.to_bits());
-                h.write_u64(f.resched);
                 h.write_u64(f.completes_at.as_micros());
             }
         }
-        h.write_u8(self.shared.link_model.kind() as u8);
+        h.write_u8(self.shared.link_model as u8);
         h.write_u8(self.shared.forwarding as u8);
         // Publish epochs as a sorted list (aggregate forwarding only; the
         // map is insertion-ordered-free but iteration order is not logical

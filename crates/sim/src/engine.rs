@@ -27,6 +27,7 @@ use bdps_core::config::SchedulerConfig;
 use bdps_core::objective::ObjectiveTracker;
 use bdps_filter::index::MatchIndex;
 use bdps_filter::subscription::Subscription;
+use bdps_net::link::{LinkQuality, MIN_RATE_MS_PER_KB};
 use bdps_net::linkmodel::LinkModelKind;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{read_population, SparseTable};
@@ -204,11 +205,10 @@ impl Simulation {
             }
             for l in topology.graph.links() {
                 let believed = estimation_error.apply(l.quality.rate_distribution());
-                let quality =
-                    bdps_net::link::LinkQuality::new(bdps_net::bandwidth::NormalRate::new(
-                        believed.mean().max(0.01),
-                        believed.std_dev(),
-                    ));
+                let quality = LinkQuality::normal(
+                    believed.mean().max(MIN_RATE_MS_PER_KB),
+                    believed.std_dev(),
+                );
                 g.add_link(l.from, l.to, quality);
             }
             g
@@ -267,7 +267,7 @@ impl Simulation {
                 global_index,
                 workload,
                 scheduler,
-                link_model: link_model.create().into(),
+                link_model,
                 link_of,
                 link_down_depth: vec![0; link_count],
                 link_fail_gen: vec![0; link_count],
@@ -308,9 +308,9 @@ impl Simulation {
         Ok(sim)
     }
 
-    /// The link transfer-time model this run uses.
+    /// The link model this run uses.
     pub fn link_model(&self) -> LinkModelKind {
-        self.shared.link_model.kind()
+        self.shared.link_model
     }
 
     /// The forwarding mode this run uses.
@@ -529,14 +529,12 @@ mod tests {
         WorkloadConfig,
     };
     use bdps_core::config::StrategyKind;
-    use bdps_net::bandwidth::FixedRate;
-    use bdps_net::link::LinkQuality;
     use bdps_overlay::topology::LayeredMeshConfig;
     use bdps_types::id::{LinkId, PublisherId, SubscriberId};
 
     fn fast_quality(_rng: &mut SimRng) -> LinkQuality {
         // 10 ms/KB -> a 50 KB message takes 500 ms per hop.
-        LinkQuality::new(FixedRate::new(10.0))
+        LinkQuality::fixed(10.0)
     }
 
     fn small_topology(seed: u64) -> Topology {
@@ -711,7 +709,7 @@ mod tests {
     fn congestion_lowers_delivery_rate_and_eb_beats_fifo() {
         // Slow links + high rate -> congestion. EB should deliver at least as
         // much as FIFO (usually strictly more).
-        let slow_quality = |_rng: &mut SimRng| LinkQuality::new(FixedRate::new(80.0));
+        let slow_quality = |_rng: &mut SimRng| LinkQuality::fixed(80.0);
         let make = |strategy| {
             let topo = Topology::layered_mesh(
                 &LayeredMeshConfig::small(),
@@ -926,6 +924,11 @@ mod tests {
             set(&mut scenario, 0.0);
             let rejected = scenario.validate().is_err();
             assert_eq!(rejected, field.contains("mean_"), "{field} = 0");
+            // Above one is an error for a blackout fraction only.
+            let mut scenario = base();
+            set(&mut scenario, 1.5);
+            let rejected = scenario.validate().is_err();
+            assert_eq!(rejected, field.ends_with("_frac"), "{field} = 1.5");
         }
     }
 
@@ -1067,7 +1070,7 @@ mod tests {
         let topo = Topology::layered_mesh(
             &LayeredMeshConfig::small(),
             &mut SimRng::seed_from(24),
-            |_rng| LinkQuality::new(FixedRate::new(80.0)),
+            |_rng| LinkQuality::fixed(80.0),
         )
         .unwrap();
         let mut w = WorkloadConfig::paper_ssd(10.0);
@@ -1124,10 +1127,10 @@ mod tests {
         let b2 = graph.add_broker(None);
         let b3 = graph.add_broker(None);
         // Links 0..=1, 2..=3 form the cheap path; 4..=7 the detour.
-        graph.add_bidirectional_link(b0, b1, LinkQuality::new(FixedRate::new(40.0)));
-        graph.add_bidirectional_link(b1, b3, LinkQuality::new(FixedRate::new(40.0)));
-        graph.add_bidirectional_link(b0, b2, LinkQuality::new(FixedRate::new(60.0)));
-        graph.add_bidirectional_link(b2, b3, LinkQuality::new(FixedRate::new(60.0)));
+        graph.add_bidirectional_link(b0, b1, LinkQuality::fixed(40.0));
+        graph.add_bidirectional_link(b1, b3, LinkQuality::fixed(40.0));
+        graph.add_bidirectional_link(b0, b2, LinkQuality::fixed(60.0));
+        graph.add_bidirectional_link(b2, b3, LinkQuality::fixed(60.0));
         graph.attach_publisher(b0, PublisherId::new(0));
         let subscriber = bdps_types::id::SubscriberId::new(0);
         graph.attach_subscriber(b3, subscriber);
@@ -1166,7 +1169,7 @@ mod tests {
         let topo = Topology::layered_mesh(
             &LayeredMeshConfig::small(),
             &mut SimRng::seed_from(42),
-            |_rng| LinkQuality::new(FixedRate::new(80.0)),
+            |_rng| LinkQuality::fixed(80.0),
         )
         .unwrap();
         let mut w = WorkloadConfig::paper_ssd(10.0);
@@ -1197,7 +1200,7 @@ mod tests {
         let topo = Topology::layered_mesh(
             &LayeredMeshConfig::small(),
             &mut SimRng::seed_from(24),
-            |_rng| LinkQuality::new(FixedRate::new(80.0)),
+            |_rng| LinkQuality::fixed(80.0),
         )
         .unwrap();
         let mut w = WorkloadConfig::paper_ssd(10.0);

@@ -32,14 +32,15 @@ use crate::{engine::Simulation, sched::Scheduled};
 ///   an instant;
 /// * **send** — a link carries at most one in-flight copy *per message*:
 ///   under the exclusive (constant-delay) link model at most one transfer is
-///   in flight per link (`link_busy`), and under a sharing model
-///   ([`bdps_net::linkmodel::FairShare`]) concurrent flows on one link are
-///   distinct messages (single-path routing enqueues one copy of a message
-///   per link), so `(link, message)` stays unique. A rescheduled flow
-///   completion leaves stale events behind at *different* times (the engine
-///   only re-pushes when the completion time moved), so equal `(time, key)`
-///   pairs never coexist — and even a popped stale event is a no-op, making
-///   pop order among hypothetical duplicates irrelevant.
+///   in flight per link (`link_busy`), and under fair sharing
+///   ([`bdps_net::linkmodel::LinkModelKind::FairShare`]) concurrent flows
+///   on one link are distinct messages (single-path routing enqueues one
+///   copy of a message per link), so `(link, message)` stays unique. A
+///   rescheduled flow completion leaves stale events behind, possibly one
+///   at the live event's own instant (a completion moved away and back, or
+///   a voided flow re-admitted). Those are identical to the live event and
+///   only a flow completing at that instant is completed, so the first pop
+///   acts, the rest are no-ops and their order is irrelevant.
 pub(crate) mod key {
     use bdps_types::id::{LinkId, MessageId, PublisherId};
 
@@ -137,15 +138,15 @@ pub enum EventKind {
         /// The link's failure generation when the transfer started.
         gen: u64,
     },
-    /// A flow finishes under a sharing link model
-    /// ([`bdps_net::linkmodel::FairShare`]). Unlike [`SendComplete`]
-    /// (whose one-shot schedule can carry the copy itself), the copy stays
-    /// in the engine's per-link flow table — completion re-scheduling would
-    /// otherwise clone the copy's target list once per recompute. `resched`
-    /// stamps which (re-)schedule this event belongs to: the engine bumps
-    /// the flow's stamp whenever its completion time moves, so a popped
-    /// event with an outdated stamp (or no live flow at all) is stale and
-    /// ignored.
+    /// A flow may finish under fair sharing
+    /// ([`bdps_net::linkmodel::LinkModelKind::FairShare`]). Unlike
+    /// [`SendComplete`] (whose one-shot schedule can carry the copy itself),
+    /// the copy stays in the engine's per-link flow table — completion
+    /// re-scheduling would otherwise clone the copy's target list once per
+    /// recompute. The event is live iff the link still holds a flow of
+    /// `message` whose completion is scheduled for the instant the event
+    /// pops; otherwise (the flow completed, was voided by a link failure, or
+    /// had its completion moved) it is stale and ignored.
     ///
     /// [`SendComplete`]: EventKind::SendComplete
     FlowComplete {
@@ -153,8 +154,6 @@ pub enum EventKind {
         link: LinkId,
         /// The message whose copy is in flight on the link.
         message: MessageId,
-        /// The flow's re-schedule stamp when this event was pushed.
-        resched: u64,
     },
     /// A scenario action fires.
     Scenario {
@@ -258,15 +257,10 @@ impl EventKind {
                 h.write_u8(4);
                 h.write(action.label().as_bytes());
             }
-            EventKind::FlowComplete {
-                link,
-                message,
-                resched,
-            } => {
+            EventKind::FlowComplete { link, message } => {
                 h.write_u8(5);
                 h.write_u32(link.raw());
                 h.write_u64(message.raw());
-                h.write_u64(*resched);
             }
         }
     }

@@ -60,7 +60,7 @@ pub mod shard;
 mod traffic;
 pub mod workload;
 
-pub use bdps_net::linkmodel::{LinkModel, LinkModelKind, LinkModelRegistry};
+pub use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
 pub use builder::{SimulationBuilder, TableLayout};
 #[cfg(feature = "fault-injection")]
 pub use engine::InjectedFault;
@@ -92,5 +92,5 @@ pub mod prelude {
         ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
         WorkloadConfig,
     };
-    pub use bdps_net::linkmodel::{LinkModel, LinkModelKind, LinkModelRegistry};
+    pub use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
 }

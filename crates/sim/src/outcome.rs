@@ -87,9 +87,9 @@ pub struct LinkLoad {
     pub work_done_us: f64,
 }
 
-/// One in-flight flow on a link under a sharing link model. The engine
-/// keeps these per link; the pending [`EventKind::FlowComplete`] whose
-/// `resched` stamp matches is the flow's live completion event.
+/// One in-flight flow on a link under fair sharing. The engine keeps these
+/// per link; the pending [`EventKind::FlowComplete`] for its message at
+/// `completes_at` is the flow's live completion event.
 #[derive(Clone)]
 pub(crate) struct LinkFlow {
     /// The copy in flight, targets included (requeued intact on failure).
@@ -98,8 +98,6 @@ pub(crate) struct LinkFlow {
     pub(crate) nominal_us: f64,
     /// Dedicated-link service still owed, µs (drains at `elapsed / flows`).
     pub(crate) remaining_us: f64,
-    /// Re-schedule stamp of the live completion event.
-    pub(crate) resched: u64,
     /// When the live completion event is scheduled.
     pub(crate) completes_at: SimTime,
 }

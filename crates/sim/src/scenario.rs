@@ -524,7 +524,6 @@ impl Builtins for DynamicScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdps_net::bandwidth::FixedRate;
     use bdps_net::link::LinkQuality;
     use bdps_overlay::topology::LayeredMeshConfig;
 
@@ -532,7 +531,7 @@ mod tests {
         Topology::layered_mesh(
             &LayeredMeshConfig::small(),
             &mut SimRng::seed_from(seed),
-            |_rng| LinkQuality::new(FixedRate::new(10.0)),
+            |_rng| LinkQuality::fixed(10.0),
         )
         .unwrap()
     }

@@ -195,8 +195,8 @@ impl ScenarioCore {
                 // Under a sharing link model flows are voided eagerly: the
                 // copies return to the sender's queue at the failure
                 // instant (the sender knows its link died) and the pending
-                // FlowComplete events go stale — no live flow will match
-                // them at pop.
+                // FlowComplete events go stale: a copy re-admitted later is a
+                // new flow whose completion instant is its own.
                 if !core.link_flows[link.index()].is_empty() {
                     core.touch_link(link);
                     let (from, to) = shared.endpoints(link);

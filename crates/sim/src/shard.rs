@@ -115,7 +115,7 @@ pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationO
     if n <= 1 || pd == Duration::ZERO {
         return sim.try_run();
     }
-    let model = sim.shared.link_model.kind();
+    let model = sim.shared.link_model;
     if model != LinkModelKind::Constant {
         return Err(SimError::ShardedLinkModelUnsupported {
             model: model.name(),

@@ -20,7 +20,7 @@ use bdps_core::objective::ObjectiveTracker;
 use bdps_core::queue::QueuedMessage;
 use bdps_filter::index::MatchIndex;
 use bdps_filter::scope::ScopeInterner;
-use bdps_net::linkmodel::{LinkModel, LinkSharing};
+use bdps_net::linkmodel::LinkModelKind;
 use bdps_overlay::sparse::{aggregate_scope_id, read_population, PopulationHandle};
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
@@ -140,9 +140,9 @@ pub(crate) struct Shared {
     pub(crate) global_index: MatchIndex,
     pub(crate) workload: WorkloadConfig,
     pub(crate) scheduler: SchedulerConfig,
-    /// The model every transfer-time computation goes through — stateless
-    /// (all flow bookkeeping lives in the core), hence shareable.
-    pub(crate) link_model: Arc<dyn LinkModel>,
+    /// How each link shares itself among transfers (all flow bookkeeping
+    /// lives in the core).
+    pub(crate) link_model: LinkModelKind,
     /// End of the publication period.
     pub(crate) end: SimTime,
     pub(crate) link_of: Vec<Vec<Option<LinkId>>>,
@@ -207,8 +207,8 @@ pub(crate) struct TrafficCore {
     /// publisher index and counter into the partition-independent id).
     pub(crate) next_message: Vec<u64>,
     pub(crate) link_busy: Vec<bool>,
-    /// In-flight flows per link under a sharing link model (always empty
-    /// under the exclusive constant-delay model, where `link_busy` and the
+    /// In-flight flows per link under fair sharing (always empty under the
+    /// exclusive constant-delay model, where `link_busy` and the
     /// copy-carrying `SendComplete` event do the bookkeeping).
     pub(crate) link_flows: Vec<Vec<LinkFlow>>,
     /// When each link's in-flight set last changed — the left edge of the
@@ -228,9 +228,9 @@ pub(crate) struct TrafficCore {
     /// Scratch id buffer reused across publications so scope construction
     /// does not allocate on the hot path.
     scope_scratch: Vec<SubscriptionId>,
-    /// Scratch `(completes, message, resched)` buffer reused across
+    /// Scratch `(completes, message)` buffer reused across
     /// `reschedule_flows` calls.
-    flow_scratch: Vec<(SimTime, MessageId, u64)>,
+    flow_scratch: Vec<(SimTime, MessageId)>,
     pub(crate) events_processed: u64,
     pub(crate) peak_pending: usize,
     /// The time of the last applied event.
@@ -269,8 +269,8 @@ impl TrafficCore {
     }
 
     /// Flows (or the one exclusive transfer) currently in flight on link `i`:
-    /// under the exclusive model the busy flag is the flow count; under a
-    /// sharing model the flow table is (and the flag stays false).
+    /// under the exclusive model the busy flag is the flow count; under fair
+    /// sharing the flow table is (and the flag stays false).
     pub(crate) fn active_flows(&self, i: usize) -> u64 {
         self.link_flows[i].len().max(self.link_busy[i] as usize) as u64
     }
@@ -324,11 +324,9 @@ impl TrafficCore {
             EventKind::SendComplete { link, queued, gen } => {
                 self.on_send_complete(sh, sink, link, queued, gen)
             }
-            EventKind::FlowComplete {
-                link,
-                message,
-                resched,
-            } => self.on_flow_complete(sh, sink, link, message, resched),
+            EventKind::FlowComplete { link, message } => {
+                self.on_flow_complete(sh, sink, link, message)
+            }
             EventKind::Scenario { .. } => unreachable!("scenario events are not traffic"),
         }
     }
@@ -355,7 +353,7 @@ impl TrafficCore {
     }
 
     /// Advances `link`'s busy/flow-time integrals to the current instant
-    /// and, under a sharing model, drains the equal share of elapsed service
+    /// and, under fair sharing, drains the equal share of elapsed service
     /// from every active flow's remaining work. Must be called before the
     /// link's in-flight set changes (flow admitted, completed or voided;
     /// exclusive transfer started or finished).
@@ -385,7 +383,7 @@ impl TrafficCore {
     /// a flow owing `w` µs of dedicated service completes `w·n` µs from now.
     /// A fresh [`EventKind::FlowComplete`] is pushed only for flows whose
     /// completion time actually moved; the superseded event is recognised
-    /// (and ignored) at pop by its outdated `resched` stamp.
+    /// (and ignored) at pop because the flow no longer completes then.
     fn reschedule_flows(&mut self, link: LinkId) {
         let i = link.index();
         let n = self.link_flows[i].len();
@@ -394,20 +392,15 @@ impl TrafficCore {
             let wait_us = f.remaining_us.max(0.0) * n as f64;
             let completes = self.now + Duration::from_millis_f64(wait_us / 1_000.0);
             if completes != f.completes_at {
-                f.resched += 1;
                 f.completes_at = completes;
-                moved.push((completes, f.queued.message.id, f.resched));
+                moved.push((completes, f.queued.message.id));
             }
         }
-        for (at, message, resched) in moved.drain(..) {
+        for (at, message) in moved.drain(..) {
             self.push(
                 at,
                 key::send(link, message),
-                EventKind::FlowComplete {
-                    link,
-                    message,
-                    resched,
-                },
+                EventKind::FlowComplete { link, message },
             );
         }
         self.flow_scratch = moved;
@@ -601,27 +594,32 @@ impl TrafficCore {
         self.try_send(sh, sink, from, to);
     }
 
-    /// Completion of one flow under a sharing link model. A popped event
-    /// whose `resched` stamp no longer matches a live flow is stale — the
-    /// flow completed earlier, was voided by a link failure, or had its
-    /// completion moved by a later arrival/departure — and is ignored.
+    /// Completion of one flow under fair sharing: live iff the link holds a
+    /// flow of `message` completing now. Any other pop is stale — the flow
+    /// completed, was voided by a link failure (a re-admitted copy is a new
+    /// flow with its own completion), or was rescheduled — and is ignored.
     fn on_flow_complete(
         &mut self,
         sh: &Shared,
         sink: &mut impl EffectSink,
         link: LinkId,
         message: MessageId,
-        resched: u64,
     ) {
         let i = link.index();
+        let now = self.now;
         let Some(pos) = self.link_flows[i]
             .iter()
-            .position(|f| f.queued.message.id == message && f.resched == resched)
+            .position(|f| f.queued.message.id == message && f.completes_at == now)
         else {
             return; // stale completion event
         };
         self.touch_link(link);
         let flow = self.link_flows[i].remove(pos);
+        debug_assert!(
+            flow.remaining_us < 1.0,
+            "a completing flow owes {} µs of service",
+            flow.remaining_us
+        );
         self.link_load[i].work_done_us += flow.nominal_us - flow.remaining_us.max(0.0);
         self.finish_transfer(sh, sink, link, flow.queued);
     }
@@ -656,12 +654,13 @@ impl TrafficCore {
         }
     }
 
-    /// Starts as many transfers `from → to` as the link model admits: one
-    /// when the link is idle under the exclusive model, queued copies up to
-    /// the flow cap under fair sharing. Each admission slows every in-flight
-    /// flow, so once the admissions are done every completion time on the
-    /// link is recomputed — once, not once per admitted flow. Returns
-    /// whether any transfer started.
+    /// Starts as many transfers `from → to` as the link model admits
+    /// ([`LinkModelKind::max_flows`]): one when the link is idle under the
+    /// exclusive model, queued copies up to the flow cap under fair
+    /// sharing. Each admission slows every in-flight flow, so once the
+    /// admissions are done every completion time on the link is recomputed
+    /// — once, not once per admitted flow. Returns whether any transfer
+    /// started.
     pub(crate) fn try_send(
         &mut self,
         sh: &Shared,
@@ -676,11 +675,7 @@ impl TrafficCore {
             return false;
         }
         let li = link.index();
-        let sharing = sh.link_model.sharing();
-        let max_flows = match sharing {
-            LinkSharing::Exclusive => 1,
-            LinkSharing::FairShare { max_flows } => max_flows as u64,
-        };
+        let max_flows = sh.link_model.max_flows() as u64;
         let mut admitted = false;
         while self.active_flows(li) < max_flows {
             let now = self.now;
@@ -693,14 +688,11 @@ impl TrafficCore {
             let Some(queued) = decision.message else {
                 break;
             };
-            let transfer = sh.link_model.sample_transfer(
-                &sh.topology.graph.link(link).quality,
-                queued.message.size_kb,
-                &mut self.link_rng[li],
-            );
+            let quality = &sh.topology.graph.link(link).quality;
+            let transfer = quality.sample_transfer(queued.message.size_kb, &mut self.link_rng[li]);
             self.touch_link(link);
-            match sharing {
-                LinkSharing::Exclusive => {
+            match sh.link_model {
+                LinkModelKind::Constant => {
                     self.link_busy[li] = true;
                     let gen = sh.link_fail_gen[li];
                     self.push(
@@ -709,13 +701,12 @@ impl TrafficCore {
                         EventKind::SendComplete { link, queued, gen },
                     );
                 }
-                LinkSharing::FairShare { .. } => {
+                LinkModelKind::FairShare => {
                     let nominal_us = transfer.as_micros() as f64;
                     self.link_flows[li].push(LinkFlow {
                         queued,
                         nominal_us,
                         remaining_us: nominal_us,
-                        resched: 0,
                         completes_at: SimTime::MAX,
                     });
                 }

@@ -6,7 +6,7 @@
 //! * [`types`] — identifiers, simulated time, attribute values, QoS.
 //! * [`stats`] — the normal distribution, Poisson arrivals, the seedable RNG.
 //! * [`filter`] — conjunctive content filters, covering and the matching index.
-//! * [`net`] — link bandwidth models, link-sharing models, estimation error.
+//! * [`net`] — links with one normal per-KB rate, the link-sharing tag, estimation error.
 //! * [`overlay`] — broker overlay, topologies, routing, subscription tables.
 //! * [`core`] — the pluggable `SchedulingStrategy` surface with the paper's
 //!   EB / PC / EBPC strategies, the FIFO / RL baselines and the strategy

@@ -29,7 +29,7 @@ fn small_topology(seed: u64) -> Topology {
     Topology::layered_mesh(
         &LayeredMeshConfig::small(),
         &mut SimRng::seed_from(seed),
-        |_| LinkQuality::new(FixedRate::new(10.0)),
+        |_| LinkQuality::fixed(10.0),
     )
     .unwrap()
 }

@@ -1,18 +1,18 @@
-//! Differential-oracle suite for the pluggable link-model layer.
+//! Differential-oracle suite for the link-model axis.
 //!
-//! Transfer-time computation moved behind the [`LinkModel`] trait:
-//! `ConstantDelay` reproduces the original per-transfer sampled-rate
-//! behaviour (one RNG draw per transfer, exclusive link occupancy) and is
-//! the oracle; `FairShare` admits up to a cap of concurrent flows per link
-//! and recomputes every in-flight completion time at each flow arrival and
-//! departure. This suite holds the refactor to three claims:
+//! [`LinkModelKind::Constant`] reproduces the original per-transfer
+//! sampled-rate behaviour (one RNG draw per transfer, exclusive link
+//! occupancy) and is the oracle; [`LinkModelKind::FairShare`] admits up to
+//! a cap of concurrent flows per link and recomputes every in-flight
+//! completion time at each flow arrival and departure. This suite holds
+//! the axis to three claims:
 //!
-//! 1. **The trait path is invisible.** A builder that never mentions link
-//!    models and one that selects `constant` explicitly (by kind, by name,
-//!    and through a [`LinkModelRegistry`]) produce bit-identical
+//! 1. **Selecting the oracle is invisible.** A builder that never mentions
+//!    link models and one that selects `constant` explicitly (by kind, by
+//!    name, and through a [`LinkModelRegistry`]) produce bit-identical
 //!    [`SimulationReport`]s across seeds × adversarial scenarios.
 //!    (`tests/golden.rs` separately pins the absolute numbers, so together
-//!    these prove the trait dispatch changed nothing.)
+//!    these prove the selection path changes nothing.)
 //! 2. **Fair sharing is deterministic and conservative.** Reports replay
 //!    exactly, every delivered copy is accounted
 //!    for, and on a drained run each link's busy time equals the dedicated
@@ -44,7 +44,7 @@ fn builder(scenario_name: &str) -> SimulationBuilder {
 }
 
 #[test]
-fn constant_delay_through_the_trait_is_bit_identical_to_the_default() {
+fn constant_delay_by_kind_or_name_is_bit_identical_to_the_default() {
     // Every way of asking for the constant model — saying nothing, the
     // typed kind, the registry name, an alias, an explicit registry — must
     // produce the same report, whole-report compared (per-phase breakdowns
