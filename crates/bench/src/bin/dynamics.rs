@@ -75,7 +75,7 @@ impl DynamicsOptions {
                     }
                     "--forwarding" => {
                         opts.forwardings = parser
-                            .list_value(&flag)?
+                            .list_value(&flag, "mode")?
                             .iter()
                             .map(|name| {
                                 ForwardingMode::from_name(name).ok_or_else(|| {
@@ -85,9 +85,6 @@ impl DynamicsOptions {
                                 })
                             })
                             .collect::<Result<Vec<_>, _>>()?;
-                        if opts.forwardings.is_empty() {
-                            return Err("--forwarding needs at least one mode".to_string());
-                        }
                     }
                     _ => {
                         return Err(format!(

@@ -18,11 +18,11 @@
 //! By default the binaries run a shortened publication period so that the
 //! whole suite finishes in minutes; pass `--full` for the paper's 2-hour
 //! runs. The comparison binaries (`fig5`, `fig6`, `ablation_scheddelay`,
-//! `dynamics`) accept `--strategies <a,b,c>` with names resolved through the
-//! [`StrategyRegistry`](bdps_core::strategy::StrategyRegistry) (`fifo`, `rl`,
-//! `eb`, `pc`, `ebpc`, `composite`, or their display labels); `--scenarios`
-//! and `--link-model` belong to `dynamics` alone. A flag a binary does not
-//! read is an error, not a no-op.
+//! `dynamics`) accept `--strategies <a,b,c>` with names resolved through
+//! [`StrategyHandle::from_name`] (`fifo`, `rl`, `eb`, `pc`, `ebpc`,
+//! `composite`, their aliases or display labels); `--scenarios` and
+//! `--link-model` belong to `dynamics` alone. A flag a binary does not read
+//! is an error, not a no-op, and so is a selection flag given an empty list.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,22 +33,24 @@ use bdps_net::linkmodel::LinkModelKind;
 use bdps_sim::report::{render_markdown_table, SimulationReport};
 use bdps_sim::runner::{sweep, SweepCell};
 use bdps_sim::scenario::DynamicScenario;
-use bdps_types::registry::{Builtins, Registry};
-use std::fmt;
+use bdps_types::error::BdpsError;
 
-/// Resolves every name through `T`'s built-in registry; an unknown name
-/// prints the registered ones and exits with status 2.
-fn resolve_or_exit<T: Builtins + fmt::Display>(what: &str, names: &[impl AsRef<str>]) -> Vec<T> {
-    let registry = Registry::<T>::builtin();
+/// Resolves every name through `from_name`; an unknown name prints the
+/// `known` ones and exits with status 2.
+fn resolve_or_exit<T>(
+    what: &str,
+    names: &[impl AsRef<str>],
+    from_name: fn(&str) -> Option<T>,
+    known: &[&str],
+) -> Vec<T> {
     names
         .iter()
         .map(|name| {
-            registry
-                .try_resolve(what, name.as_ref())
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
+            let name = name.as_ref();
+            from_name(name).unwrap_or_else(|| {
+                eprintln!("{}", BdpsError::unknown_name(what, name, known));
+                std::process::exit(2);
+            })
         })
         .collect()
 }
@@ -62,14 +64,16 @@ pub struct ExperimentOptions {
     pub seed: u64,
     /// Worker threads for the sweep.
     pub threads: usize,
-    /// Strategy names selected with `--strategies` (resolved through the
-    /// `StrategyRegistry`); empty means "use the binary's paper default".
+    /// Strategy names selected with `--strategies` (resolved through
+    /// [`StrategyHandle::from_name`]); empty means the flag was not given:
+    /// "use the binary's paper default".
     pub strategies: Vec<String>,
     /// Dynamic-scenario names selected with `--scenarios` (resolved through
-    /// the `ScenarioRegistry`); empty means "use the binary's default set".
+    /// [`DynamicScenario::from_name`]); empty means "use the binary's
+    /// default set".
     pub scenarios: Vec<String>,
-    /// Link-model names selected with `--link-model` (resolved through the
-    /// `LinkModelRegistry`); empty means "use the binary's default"
+    /// Link-model names selected with `--link-model` (resolved through
+    /// [`LinkModelKind::from_name`]); empty means "use the binary's default"
     /// (usually the paper's constant-delay model).
     pub link_models: Vec<String>,
 }
@@ -133,14 +137,20 @@ impl ArgParser {
             .map_err(|_| format!("{flag} got invalid value {raw:?}"))
     }
 
-    /// A comma-separated list value (`a,b,c`), trimmed, empties dropped.
-    pub fn list_value(&mut self, flag: &str) -> Result<Vec<String>, String> {
-        Ok(self
+    /// A comma-separated list value (`a,b,c`), trimmed, empties dropped. A
+    /// list with nothing left (`,` or an empty string) is a diagnostic
+    /// saying the flag needs at least one `what`.
+    pub fn list_value(&mut self, flag: &str, what: &str) -> Result<Vec<String>, String> {
+        let list: Vec<String> = self
             .value(flag)?
             .split(',')
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
-            .collect())
+            .collect();
+        if list.is_empty() {
+            return Err(format!("{flag} needs at least one {what}"));
+        }
+        Ok(list)
     }
 }
 
@@ -230,13 +240,13 @@ impl ExperimentOptions {
             "--seed" => self.seed = parser.parse_value(flag)?,
             "--threads" => self.threads = parser.parse_value(flag)?,
             "--strategies" if reads(Selection::Strategies) => {
-                self.strategies = parser.list_value(flag)?
+                self.strategies = parser.list_value(flag, "strategy")?
             }
             "--scenarios" if reads(Selection::Scenarios) => {
-                self.scenarios = parser.list_value(flag)?
+                self.scenarios = parser.list_value(flag, "scenario")?
             }
             "--link-model" if reads(Selection::LinkModels) => {
-                self.link_models = parser.list_value(flag)?
+                self.link_models = parser.list_value(flag, "link model")?
             }
             _ => return Ok(false),
         }
@@ -244,37 +254,54 @@ impl ExperimentOptions {
     }
 
     /// The strategies a comparison binary should run: the names given with
-    /// `--strategies`, resolved through the built-in `StrategyRegistry`,
-    /// or `default` when none were selected. Exits with a diagnostic on an
-    /// unknown name, listing the registered ones.
+    /// `--strategies`, resolved through [`StrategyHandle::from_name`], or
+    /// `default` when the flag was not given. Exits with a diagnostic on an
+    /// unknown name, listing the known ones.
     pub fn strategies_or(&self, default: &[StrategyKind]) -> Vec<StrategyHandle> {
         if self.strategies.is_empty() {
             return default.iter().map(|s| s.resolve()).collect();
         }
-        resolve_or_exit("strategy", &self.strategies)
+        resolve_or_exit(
+            "strategy",
+            &self.strategies,
+            StrategyHandle::from_name,
+            &StrategyHandle::NAMES,
+        )
     }
 
     /// The dynamic scenarios a binary should run: the names given with
-    /// `--scenarios`, resolved through the built-in `ScenarioRegistry`,
-    /// or `default` when none were selected. Exits with a diagnostic on an
+    /// `--scenarios`, resolved through [`DynamicScenario::from_name`], or
+    /// `default` when the flag was not given. Exits with a diagnostic on an
     /// unknown name.
     pub fn scenarios_or(&self, default: &[&str]) -> Vec<DynamicScenario> {
-        if self.scenarios.is_empty() {
-            resolve_or_exit("scenario", default)
+        let selected: Vec<&str> = self.scenarios.iter().map(String::as_str).collect();
+        let names = if selected.is_empty() {
+            default
         } else {
-            resolve_or_exit("scenario", &self.scenarios)
-        }
+            &selected
+        };
+        resolve_or_exit(
+            "scenario",
+            names,
+            DynamicScenario::from_name,
+            &DynamicScenario::NAMES,
+        )
     }
 
     /// The link models a binary should run: the names given with
-    /// `--link-model`, resolved through the built-in `LinkModelRegistry`,
-    /// or `default` when none were selected. Exits with a diagnostic on an
-    /// unknown name, listing the registered ones — never silently defaults.
+    /// `--link-model`, resolved through [`LinkModelKind::from_name`], or
+    /// `default` when the flag was not given. Exits with a diagnostic on an
+    /// unknown name, listing the known ones — never silently defaults.
     pub fn link_models_or(&self, default: &[LinkModelKind]) -> Vec<LinkModelKind> {
         if self.link_models.is_empty() {
             return default.to_vec();
         }
-        resolve_or_exit("link model", &self.link_models)
+        resolve_or_exit(
+            "link model",
+            &self.link_models,
+            LinkModelKind::from_name,
+            &LinkModelKind::NAMES,
+        )
     }
 
     /// A banner describing the run parameters.
@@ -446,6 +473,22 @@ mod tests {
         assert!(err.contains("--seed requires a value"), "{err}");
         let err = parse(&["--duration", "soon"], &ALL).unwrap_err();
         assert!(err.contains("--duration"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_selection_list_is_an_error_not_the_defaults() {
+        // `dynamics --strategies , --link-model ,` used to run every default
+        // strategy on the constant model.
+        for (flag, what) in [
+            ("--strategies", "strategy"),
+            ("--scenarios", "scenario"),
+            ("--link-model", "link model"),
+        ] {
+            for empty in [",", "", " , "] {
+                let err = parse(&["--seed", "3", flag, empty], &ALL).unwrap_err();
+                assert_eq!(err, format!("{flag} needs at least one {what}"));
+            }
+        }
     }
 
     #[test]

@@ -3,19 +3,22 @@
 //! A broker (Fig. 2) receives messages, matches them against its subscription
 //! table, delivers matches to locally attached subscribers, and places one
 //! copy per relevant downstream neighbour into that neighbour's output queue.
+//! Here the match happens once, when a message is published: every arrival
+//! carries the subscriptions it is for — the publish-time scope or the
+//! targets an upstream broker resolved — and the broker only resolves them
+//! against its table.
 //! Whenever a link becomes free the broker asks the corresponding queue for
 //! the next message under the configured scheduling strategy, after purging
 //! expired and unlikely messages (§5.4).
 //!
 //! The broker is a pure state machine: it never advances time and never
 //! performs I/O. The discrete-event simulator drives it through three
-//! arrival entry points — [`BrokerState::handle_arrival_scoped`] for a
-//! publication handed to its first broker,
-//! [`BrokerState::handle_arrival_forwarded`] for a copy that crossed a link
-//! and [`BrokerState::handle_arrival_aggregate`] under aggregate forwarding —
-//! and asks [`BrokerState::next_to_send`] whenever a link frees.
-//! [`BrokerState::handle_arrival`] (an unscoped arrival) is the entry point
-//! for code that holds a raw message and no precomputed scope.
+//! arrival entry points, one per arrival kind —
+//! [`BrokerState::handle_arrival_scoped`] for a publication handed to its
+//! first broker, [`BrokerState::handle_arrival_forwarded`] for a copy that
+//! crossed a link and [`BrokerState::handle_arrival_aggregate`] under
+//! aggregate forwarding — and asks [`BrokerState::next_to_send`] whenever a
+//! link frees.
 
 use crate::config::SchedulerConfig;
 use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage, Stripped};
@@ -246,25 +249,22 @@ impl BrokerState {
         h.finish()
     }
 
-    /// Processes an arriving message: local deliveries plus enqueueing one
-    /// copy per relevant downstream neighbour. `now` is the time at which the
-    /// processing module finishes (i.e. arrival time plus `PD`).
-    pub fn handle_arrival(&mut self, message: Arc<Message>, now: SimTime) -> ArrivalOutcome {
-        self.handle_arrival_scoped(message, now, None)
-    }
-
-    /// Like [`handle_arrival`](Self::handle_arrival), but restricted to the
-    /// given subscriptions.
+    /// Processes a publication at its first broker: local deliveries plus
+    /// enqueueing one copy per relevant downstream neighbour, for exactly the
+    /// subscriptions in `scope`. `now` is the time at which the processing
+    /// module finishes (i.e. arrival time plus `PD`).
     ///
     /// Under the paper's single-path routing a message copy forwarded to a
     /// neighbour is responsible for exactly the subscriptions the upstream
     /// broker grouped onto that neighbour; the copy therefore carries that
     /// subscription set and the receiving broker must not re-expand it (doing
     /// so would create duplicate deliveries along alternative mesh paths).
-    /// `scope = None` means "all matching subscriptions" and is used when a
-    /// raw message enters the system without a precomputed scope.
+    /// `scope = None` resolves nothing: the arrival is counted and routes no
+    /// row. The engine always passes `Some`; the `Option` is kept only
+    /// because the benchmark harness calls this with one; ROADMAP item 1d
+    /// removes it.
     ///
-    /// **Contract:** a `Some` scope must consist of subscription ids whose
+    /// **Contract:** the scope must consist of subscription ids whose
     /// filters matched the message when the scope was frozen (the simulator
     /// freezes it at publication time against the global index). The broker
     /// trusts the scope and does *not* re-match: because a live
@@ -298,15 +298,8 @@ impl BrokerState {
             };
             router.push(row, None);
         };
-        match scope {
-            Some(scope) => self.table.resolve_scope(scope, &mut place),
-            // An unscoped row carries no incarnation: the next broker
-            // re-resolves it from the registry.
-            None => self
-                .table
-                .matching_all(&message.head)
-                .into_iter()
-                .for_each(|e| place(e, 0)),
+        if let Some(scope) = scope {
+            self.table.resolve_scope(scope, &mut place);
         }
         self.finish_routed(router)
     }
@@ -917,11 +910,26 @@ mod tests {
         )
     }
 
+    /// A publication as the engine hands it to its first broker: scoped to
+    /// every registered id whose filter matches the head.
+    fn arrive(b: &mut BrokerState, message: Arc<Message>, now: SimTime) -> ArrivalOutcome {
+        let scope = {
+            let pop = read_population(b.table().population());
+            let matching = pop
+                .groups()
+                .flat_map(|(_, group)| group.forest().members())
+                .filter(|(_, filter)| filter.matches(&message.head))
+                .map(|(id, _)| id);
+            ScopeSet::from_unsorted(matching.collect())
+        };
+        b.handle_arrival_scoped(message, now, Some(&scope))
+    }
+
     #[test]
     fn arrival_delivers_locally_and_enqueues_downstream() {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
-        let outcome = b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
+        let outcome = arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
         // Local subscriber S2 matches (filter 8,8); on time.
         assert_eq!(outcome.local.len(), 1);
         assert_eq!(outcome.local[0].subscriber, SubscriberId::new(2));
@@ -940,7 +948,7 @@ mod tests {
     fn non_matching_message_goes_nowhere() {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
-        let outcome = b0.handle_arrival(msg(1, 9.5, 9.5, 0), SimTime::from_millis(2));
+        let outcome = arrive(&mut b0, msg(1, 9.5, 9.5, 0), SimTime::from_millis(2));
         assert!(outcome.local.is_empty());
         assert!(outcome.enqueued_to.is_empty());
         assert_eq!(b0.counters.received, 1);
@@ -952,7 +960,7 @@ mod tests {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
         // Message published 40 s ago; S2's bound is 30 s.
-        let outcome = b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_secs(40));
+        let outcome = arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_secs(40));
         assert_eq!(outcome.local.len(), 1);
         assert!(!outcome.local[0].on_time);
         assert_eq!(b0.counters.delivered_late, 1);
@@ -970,7 +978,7 @@ mod tests {
                 .attr("A2", 1.0)
                 .build(),
         );
-        let outcome = b0.handle_arrival(m, SimTime::from_millis(2));
+        let outcome = arrive(&mut b0, m, SimTime::from_millis(2));
         // Local S2 allowed delay is min(5 s, 30 s) = 5 s.
         assert_eq!(outcome.local[0].allowed_delay, Duration::from_secs(5));
         // Remote targets carry the same effective bound.
@@ -984,8 +992,8 @@ mod tests {
     fn next_to_send_sends_and_counts() {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
-        b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
-        b0.handle_arrival(msg(2, 2.0, 2.0, 0), SimTime::from_millis(4));
+        arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
+        arrive(&mut b0, msg(2, 2.0, 2.0, 0), SimTime::from_millis(4));
         assert_eq!(b0.queue(BrokerId::new(1)).unwrap().len(), 2);
         let send = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(10));
         assert!(send.message.is_some());
@@ -1005,7 +1013,7 @@ mod tests {
     fn expired_messages_are_dropped_not_sent() {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
-        b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
+        arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
         // S0's bound is 10 s and S1 is best-effort, so the queued copy keeps a
         // live target even after a minute; force expiry via a publisher bound.
         let m = Arc::new(
@@ -1016,7 +1024,7 @@ mod tests {
                 .attr("A2", 1.0)
                 .build(),
         );
-        b0.handle_arrival(m, SimTime::from_millis(4));
+        arrive(&mut b0, m, SimTime::from_millis(4));
         let send = b0.next_to_send(BrokerId::new(1), SimTime::from_secs(60));
         // The publisher-bounded copy is dropped as expired; the other one
         // still has the best-effort target so it is transmitted.
@@ -1041,7 +1049,7 @@ mod tests {
             table.clone(),
             SchedulerConfig::paper(StrategyKind::MaxEb),
         );
-        let arrived = b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_secs(9));
+        let arrived = arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_secs(9));
         assert_eq!(arrived.enqueued_to, vec![BrokerId::new(1)]);
         let decision = b0.next_to_send(BrokerId::new(1), SimTime::from_secs(9));
         assert!(decision.message.is_none());
@@ -1057,7 +1065,7 @@ mod tests {
             SchedulerConfig::paper(StrategyKind::MaxEb)
                 .with_invalid_detection(InvalidDetection::Off),
         );
-        b0_off.handle_arrival(msg(2, 1.0, 1.0, 0), SimTime::from_secs(9));
+        arrive(&mut b0_off, msg(2, 1.0, 1.0, 0), SimTime::from_secs(9));
         let decision = b0_off.next_to_send(BrokerId::new(1), SimTime::from_secs(9));
         assert!(decision.message.is_some());
     }
@@ -1105,7 +1113,7 @@ mod tests {
             orphaned.orphaned
         };
         // Enqueue a copy serving S0 and S1 (both via B1).
-        b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
+        arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
         assert_eq!(b0.queued_total(), 1);
         // S1 leaves: the queued copy keeps serving S0.
         assert_eq!(leave(&mut b0, 1, 1), 0);
@@ -1118,14 +1126,14 @@ mod tests {
         // Only S2 (local) is left in the table: new arrivals deliver locally
         // and enqueue nothing.
         assert_eq!(b0.table().aggregate_count(), 0);
-        let outcome = b0.handle_arrival(msg(2, 1.0, 1.0, 0), SimTime::from_millis(4));
+        let outcome = arrive(&mut b0, msg(2, 1.0, 1.0, 0), SimTime::from_millis(4));
         assert_eq!(outcome.local.len(), 1);
         assert!(outcome.enqueued_to.is_empty());
         // A join re-adds S0 and downstream forwarding resumes.
         let (sub, edge) = s.subs[0].clone();
         s.pop.write().unwrap().insert(sub, edge);
         b0.sync_aggregate(&s.routing, edge, true);
-        let outcome = b0.handle_arrival(msg(3, 1.0, 1.0, 0), SimTime::from_millis(6));
+        let outcome = arrive(&mut b0, msg(3, 1.0, 1.0, 0), SimTime::from_millis(6));
         assert_eq!(outcome.enqueued_to, vec![BrokerId::new(1)]);
     }
 
@@ -1133,7 +1141,7 @@ mod tests {
     fn requeue_counts_and_preserves_the_copy() {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::Fifo);
-        b0.handle_arrival(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
+        arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_millis(2));
         let send = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(10));
         let copy = send.message.unwrap();
         // S0 sits behind B2 and S1 behind B1.
@@ -1266,8 +1274,9 @@ mod tests {
         assert_eq!(b1.counters.false_positive_drops_at_edge, 1);
     }
 
-    /// Every producer of queued copies — unscoped and scoped arrivals, and
-    /// aggregate sentinels — leaves `targets` strictly ascending by id,
+    /// Every producer of queued copies — scoped arrivals (the publish-time
+    /// scope and one in registration order) and aggregate sentinels —
+    /// leaves `targets` strictly ascending by id,
     /// whatever order the population was registered in: the invariant
     /// `OutputQueue::remove_subscription` binary-searches on (`push` only
     /// `debug_assert!`s it).
@@ -1298,7 +1307,7 @@ mod tests {
             aggregate_scope_id(BrokerId::new(2)),
         ]);
         let now = SimTime::from_millis(2);
-        broker.handle_arrival(msg(1, 1.0, 1.0, 0), now);
+        arrive(&mut broker, msg(1, 1.0, 1.0, 0), now);
         broker.handle_arrival_scoped(msg(2, 1.0, 1.0, 0), now, Some(&scope));
         broker.handle_arrival_aggregate(msg(3, 1.0, 1.0, 0), now, sentinels.iter(), epoch, false);
         let copies = broker.queue(BrokerId::new(1)).unwrap().items();

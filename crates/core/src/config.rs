@@ -18,8 +18,7 @@ use std::fmt;
 /// [`SchedulingStrategy`](crate::strategy::SchedulingStrategy) trait, and a
 /// kind simply [`resolve`](StrategyKind::resolve)s to the corresponding boxed
 /// implementation. New strategies do not extend this enum — they implement
-/// the trait and register with the
-/// [`StrategyRegistry`](crate::strategy::StrategyRegistry).
+/// the trait and are passed as a [`StrategyHandle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// First-in, first-out (baseline).

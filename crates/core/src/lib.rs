@@ -20,8 +20,8 @@
 //!   `score_all` hot-path hook), the five paper strategies (FIFO, minimum
 //!   Remaining Lifetime first, maximum EB first, maximum PC first, maximum
 //!   EBPC first), the non-paper [`WeightedComposite`] blend, the type-erased
-//!   [`StrategyHandle`] threaded through configs/queues/brokers, and the
-//!   name-based [`StrategyRegistry`] used by CLI binaries and sweeps.
+//!   [`StrategyHandle`] threaded through configs/queues/brokers, whose
+//!   [`from_name`](StrategyHandle::from_name) CLI binaries and sweeps use.
 //!   User-defined strategies implement the trait outside this crate and plug
 //!   in through a handle — no core changes required;
 //! * [`broker`] — the broker state machine of Fig. 2: matching arrivals
@@ -50,7 +50,7 @@ pub use objective::ObjectiveTracker;
 pub use queue::{DropReason, DropRecord, MatchedTarget, OutputQueue, QueuedMessage, SuccessClass};
 pub use strategy::{
     Fifo, MaxEb, MaxEbpc, MaxPc, RemainingLifetime, ScheduleContext, SchedulingStrategy,
-    StrategyHandle, StrategyRegistry, WeightedComposite,
+    StrategyHandle, WeightedComposite,
 };
 
 /// Convenience prelude re-exporting the most common items.
@@ -60,6 +60,6 @@ pub mod prelude {
     pub use crate::objective::ObjectiveTracker;
     pub use crate::queue::{DropReason, DropRecord, MatchedTarget, OutputQueue, QueuedMessage};
     pub use crate::strategy::{
-        ScheduleContext, SchedulingStrategy, StrategyHandle, StrategyRegistry, WeightedComposite,
+        ScheduleContext, SchedulingStrategy, StrategyHandle, WeightedComposite,
     };
 }

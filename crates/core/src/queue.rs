@@ -460,7 +460,7 @@ mod tests {
     use super::*;
     use crate::config::StrategyKind;
     use crate::metrics::reference::{self, FlatTarget};
-    use crate::strategy::StrategyRegistry;
+    use crate::strategy::StrategyHandle;
     use bdps_stats::normal::Normal;
     use bdps_stats::rng::SimRng;
     use bdps_types::id::PublisherId;
@@ -890,8 +890,8 @@ mod tests {
                 targets.retain(|t| !gone.contains(&t.subscription));
             }
             flat.retain(|(_, targets, _)| !targets.is_empty());
-            for name in StrategyRegistry::builtin().names() {
-                let strategy = StrategyRegistry::builtin().resolve(name).unwrap();
+            for name in StrategyHandle::NAMES {
+                let strategy = StrategyHandle::from_name(name).unwrap();
                 let cfg = SchedulerConfig::paper(strategy.clone()).with_invalid_detection(policy);
                 let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
                 for (m, targets, at) in &full {

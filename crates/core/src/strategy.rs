@@ -18,8 +18,8 @@
 //!   (`Arc<dyn SchedulingStrategy>`) threaded through
 //!   [`SchedulerConfig`], the output queues
 //!   and the broker state machine;
-//! * [`StrategyRegistry`] — name-based lookup used by command-line binaries
-//!   and sweep helpers, open for user-defined registrations.
+//! * [`StrategyHandle::from_name`] — the name lookup command-line binaries
+//!   and sweep helpers use, one `match` over the built-ins.
 //!
 //! The five paper strategies ([`Fifo`], [`RemainingLifetime`], [`MaxEb`],
 //! [`MaxPc`], [`MaxEbpc`]) are provided here, plus [`WeightedComposite`], a
@@ -64,7 +64,6 @@
 use crate::config::SchedulerConfig;
 use crate::metrics::{self, ClassScratch};
 use crate::queue::QueuedMessage;
-use bdps_types::registry::{Builtins, Registry};
 use bdps_types::time::{Duration, SimTime};
 use std::fmt;
 use std::ops::Deref;
@@ -111,7 +110,7 @@ impl ScheduleContext {
 /// (messages whose targets carry bounded deadlines), because the queue
 /// compares scores with `>` and ties are broken by arrival order.
 pub trait SchedulingStrategy: Send + Sync + fmt::Debug {
-    /// The strategy's display name (e.g. `"EB"`), used in reports, registry
+    /// The strategy's display name (e.g. `"EB"`), used in reports, name
     /// lookups and equality checks between handles.
     fn name(&self) -> &str;
 
@@ -249,8 +248,8 @@ impl SchedulingStrategy for MaxEbpc {
 /// EB alone starves messages whose success probability has decayed but that
 /// could still be rescued; pure RL ignores value. The blend sends valuable
 /// messages early while still bumping urgent ones up the queue. It exists
-/// mainly to demonstrate that the strategy family is open — it is registered
-/// under `"composite"` in [`StrategyRegistry::builtin`].
+/// mainly to demonstrate that the strategy family is open — it is selectable
+/// as `"composite"` through [`StrategyHandle::from_name`].
 #[derive(Debug, Clone, Copy)]
 pub struct WeightedComposite {
     /// Weight of the EB term, in `[0, 1]`.
@@ -331,6 +330,30 @@ impl StrategyHandle {
     pub fn label(&self) -> &str {
         self.0.name()
     }
+
+    /// The built-in strategies' canonical CLI names, in the order an
+    /// unknown-name error lists them.
+    pub const NAMES: [&'static str; 6] = ["fifo", "rl", "eb", "pc", "ebpc", "composite"];
+
+    /// Resolves a CLI name (case-insensitive) to a fresh built-in strategy:
+    /// `"fifo"`, `"rl"` (alias `"remaining-lifetime"`), `"eb"`
+    /// (`"expected-benefit"`), `"pc"` (`"postponing-cost"`), `"ebpc"` or
+    /// `"composite"` (`"weighted"`, `"weighted-composite"`). A built-in's
+    /// display label is its canonical name in upper case, so labels resolve
+    /// too.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "fifo" => StrategyHandle::new(Fifo),
+            "rl" | "remaining-lifetime" => StrategyHandle::new(RemainingLifetime),
+            "eb" | "expected-benefit" => StrategyHandle::new(MaxEb),
+            "pc" | "postponing-cost" => StrategyHandle::new(MaxPc),
+            "ebpc" => StrategyHandle::new(MaxEbpc),
+            "composite" | "weighted" | "weighted-composite" => {
+                StrategyHandle::new(WeightedComposite::default())
+            }
+            _ => return None,
+        })
+    }
 }
 
 impl Deref for StrategyHandle {
@@ -374,30 +397,6 @@ impl PartialEq<crate::config::StrategyKind> for StrategyHandle {
 impl<S: SchedulingStrategy + 'static> From<S> for StrategyHandle {
     fn from(strategy: S) -> Self {
         StrategyHandle::new(strategy)
-    }
-}
-
-/// Name-based strategy lookup for command-line binaries and sweeps.
-///
-/// [`StrategyRegistry::builtin`] knows every strategy shipped with the crate,
-/// under the canonical names `fifo`, `rl`, `eb`, `pc`, `ebpc` and
-/// `composite`; applications [`register`](Registry::register) their own on
-/// top. Lookups are case-insensitive and also match a strategy's display
-/// label, so `"eb"`, `"EB"` and `"Eb"` all resolve the same.
-pub type StrategyRegistry = Registry<StrategyHandle>;
-
-impl Builtins for StrategyHandle {
-    fn register_builtins(r: &mut StrategyRegistry) {
-        r.register_with_aliases("fifo", &[], || StrategyHandle::new(Fifo));
-        r.register_with_aliases("rl", &["remaining-lifetime"], || {
-            StrategyHandle::new(RemainingLifetime)
-        });
-        r.register_with_aliases("eb", &["expected-benefit"], || StrategyHandle::new(MaxEb));
-        r.register_with_aliases("pc", &["postponing-cost"], || StrategyHandle::new(MaxPc));
-        r.register_with_aliases("ebpc", &[], || StrategyHandle::new(MaxEbpc));
-        r.register_with_aliases("composite", &["weighted", "weighted-composite"], || {
-            StrategyHandle::new(WeightedComposite::default())
-        });
     }
 }
 
@@ -648,23 +647,43 @@ mod tests {
         assert_eq!(light.clone(), light);
     }
 
+    /// Every name the lookup accepts — canonical, alias, upper case and
+    /// display label — resolves to the strategy it always has.
     #[test]
-    fn registry_resolves_builtins_and_custom_registrations() {
-        let mut registry = StrategyRegistry::builtin();
-        for name in ["fifo", "rl", "eb", "pc", "ebpc", "composite"] {
-            let handle = registry.resolve(name).expect(name);
-            assert!(registry.resolve(handle.label()).is_some(), "{name} label");
-        }
-        // Aliases and case-insensitivity.
+    fn from_name_accepts_every_builtin_name_alias_and_label() {
+        let table: [(&str, &[&str], StrategyHandle); 6] = [
+            ("fifo", &[], StrategyHandle::new(Fifo)),
+            ("rl", &["remaining-lifetime"], RemainingLifetime.into()),
+            ("eb", &["expected-benefit"], MaxEb.into()),
+            ("pc", &["postponing-cost"], MaxPc.into()),
+            ("ebpc", &[], MaxEbpc.into()),
+            (
+                "composite",
+                &["weighted", "weighted-composite"],
+                WeightedComposite::default().into(),
+            ),
+        ];
         assert_eq!(
-            registry.resolve("REMAINING-LIFETIME").unwrap(),
+            table.each_ref().map(|(name, _, _)| *name),
+            StrategyHandle::NAMES
+        );
+        for (name, aliases, expected) in &table {
+            let names = [*name, expected.label()]
+                .into_iter()
+                .chain(aliases.iter().copied());
+            for accepted in names.flat_map(|n| [n.to_string(), n.to_ascii_uppercase()]) {
+                assert_eq!(
+                    StrategyHandle::from_name(&accepted).as_ref(),
+                    Some(expected),
+                    "{accepted}"
+                );
+            }
+        }
+        assert_eq!(
+            StrategyHandle::from_name("Remaining-Lifetime").unwrap(),
             StrategyKind::RemainingLifetime
         );
-        assert_eq!(registry.resolve("Weighted").unwrap().label(), "COMPOSITE");
-        assert!(registry.resolve("nope").is_none());
-        // Custom registration shadows by name.
-        registry.register("eb", || StrategyHandle::new(Fifo));
-        assert_eq!(registry.resolve("eb").unwrap().label(), "FIFO");
-        assert_eq!(registry.names().len(), 7);
+        assert!(StrategyHandle::from_name("nope").is_none());
+        assert!(StrategyHandle::from_name("").is_none());
     }
 }

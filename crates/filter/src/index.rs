@@ -25,12 +25,11 @@
 //! filter. The threshold lists and the directly evaluated predicates name
 //! slots, not ids, so a match counts into one `Vec` entry per slot and reads
 //! the matches off in one pass in slot order: no hashing on the publish
-//! path. Slots are not raw ids because an index need not hold ids from zero:
-//! the dense table oracle builds one index per broker over the part of the
-//! population that broker reaches, and a table sized by the largest id would
-//! cost each of them as much as the global index. Slots are append-only: a
-//! removal leaves a tombstone instead of shifting later slots, and an insert
-//! takes a new slot, so the table grows with the inserts ever made, as
+//! path. Slots are not raw ids because they are append-only: a removal
+//! leaves a tombstone instead of shifting later slots, and an insert takes a
+//! new slot — a re-joined id too, so the threshold entries its earlier slot
+//! left behind (see below) count into the tombstone, never into the live
+//! subscription. The table grows with the inserts ever made, as
 //! `SharedPopulation::members` grows with the ids ever joined. Ids are
 //! minted in ascending order, so slot order is id order and the final sort
 //! is a linear check; only re-inserting a live id, or inserting ids out of

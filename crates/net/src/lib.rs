@@ -26,12 +26,12 @@ pub mod linkmodel;
 pub mod measure;
 
 pub use link::{Link, LinkQuality};
-pub use linkmodel::{LinkModelKind, LinkModelRegistry};
+pub use linkmodel::LinkModelKind;
 pub use measure::EstimationError;
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
     pub use crate::link::{Link, LinkQuality};
-    pub use crate::linkmodel::{LinkModelKind, LinkModelRegistry};
+    pub use crate::linkmodel::LinkModelKind;
     pub use crate::measure::EstimationError;
 }

@@ -19,7 +19,6 @@
 use std::fmt;
 
 use bdps_stats::rng::SimRng;
-use bdps_types::registry::{Builtins, Registry};
 use bdps_types::time::Duration;
 
 use crate::link::LinkQuality;
@@ -53,11 +52,20 @@ impl LinkModelKind {
         }
     }
 
-    /// Resolves a CLI name through the built-in [`LinkModelRegistry`]
-    /// (case-insensitive): `"constant"` (aliases `"const"`, `"delay"`) or
-    /// `"fair-share"` (aliases `"fairshare"`, `"fair"`, `"fs"`).
+    /// The canonical CLI names, in [`ALL`](Self::ALL) order: what an
+    /// unknown-name error lists.
+    pub const NAMES: [&'static str; 2] = ["constant", "fair-share"];
+
+    /// Resolves a CLI name (case-insensitive): `"constant"` (aliases
+    /// `"const"`, `"delay"`) or `"fair-share"` (aliases `"fairshare"`,
+    /// `"fair"`, `"fs"`). Strict CLI parsers list [`NAMES`](Self::NAMES) on
+    /// an unknown `--link-model` instead of silently defaulting.
     pub fn from_name(name: &str) -> Option<Self> {
-        LinkModelRegistry::builtin().resolve(name)
+        match name.to_ascii_lowercase().as_str() {
+            "constant" | "const" | "delay" => Some(LinkModelKind::Constant),
+            "fair-share" | "fairshare" | "fair" | "fs" => Some(LinkModelKind::FairShare),
+            _ => None,
+        }
     }
 
     /// How many transfers may be in flight on one link at once: 1 for
@@ -94,28 +102,6 @@ impl fmt::Display for LinkModelKind {
     }
 }
 
-/// Name-based link-model lookup for command-line binaries and sweeps — the
-/// same [`Registry`] strategies and scenarios resolve through. Strict CLI
-/// parsers list [`names`](Registry::names) on an unknown `--link-model`
-/// instead of silently defaulting.
-///
-/// [`LinkModelRegistry::builtin`] holds:
-///
-/// | name | sharing |
-/// |------|---------|
-/// | `constant` | one sampled-rate transfer in flight per link (the paper's setting, the oracle) |
-/// | `fair-share` | flow-level equal sharing among concurrent transfers, completions rescheduled at every arrival/departure |
-pub type LinkModelRegistry = Registry<LinkModelKind>;
-
-impl Builtins for LinkModelKind {
-    fn register_builtins(r: &mut LinkModelRegistry) {
-        r.register_with_aliases("constant", &["const", "delay"], || LinkModelKind::Constant);
-        r.register_with_aliases("fair-share", &["fairshare", "fair", "fs"], || {
-            LinkModelKind::FairShare
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,26 +119,39 @@ mod tests {
         assert_eq!(LinkModelKind::from_name("token-bucket"), None);
     }
 
+    /// Every name the lookup accepts — canonical, alias, upper case and
+    /// display label — resolves to the model it always has.
     #[test]
-    fn registry_resolves_names_and_aliases() {
-        let r = LinkModelRegistry::builtin();
-        for kind in LinkModelKind::ALL {
-            assert_eq!(r.resolve(kind.name()), Some(kind));
+    fn from_name_accepts_every_builtin_name_alias_and_label() {
+        let table: [(&str, &[&str], LinkModelKind); 2] = [
+            ("constant", &["const", "delay"], LinkModelKind::Constant),
+            (
+                "fair-share",
+                &["fairshare", "fair", "fs"],
+                LinkModelKind::FairShare,
+            ),
+        ];
+        assert_eq!(table.map(|(name, _, _)| name), LinkModelKind::NAMES);
+        assert_eq!(table.map(|(_, _, kind)| kind), LinkModelKind::ALL);
+        for (name, aliases, kind) in table {
+            assert_eq!(kind.name(), name);
+            let label = kind.to_string();
+            let names = [name, label.as_str()]
+                .into_iter()
+                .chain(aliases.iter().copied());
+            for accepted in names.flat_map(|n| [n.to_string(), n.to_ascii_uppercase()]) {
+                assert_eq!(
+                    LinkModelKind::from_name(&accepted),
+                    Some(kind),
+                    "{accepted}"
+                );
+            }
         }
-        assert_eq!(r.resolve("fs"), Some(LinkModelKind::FairShare));
-        assert_eq!(r.resolve("DELAY"), Some(LinkModelKind::Constant));
-        assert_eq!(r.resolve("nope"), None);
-        assert_eq!(r.names(), vec!["constant", "fair-share"]);
-    }
-
-    #[test]
-    fn registry_round_trips_every_builtin_name() {
-        let r = LinkModelRegistry::builtin();
-        for name in r.names() {
-            let kind = r.resolve(name).expect("registry name resolves");
-            assert_eq!(kind.name(), name, "canonical name survives the round trip");
-            assert_eq!(LinkModelKind::from_name(name), Some(kind));
-        }
+        assert_eq!(
+            LinkModelKind::from_name("Fair-Share"),
+            Some(LinkModelKind::FairShare)
+        );
+        assert_eq!(LinkModelKind::from_name("nope"), None);
     }
 
     #[test]

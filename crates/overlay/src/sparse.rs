@@ -14,8 +14,8 @@
 //! * the subscriptions themselves (filter, subscriber, QoS, edge broker)
 //!   live once, globally, in a [`SharedPopulation`] registry every broker
 //!   references through an `Arc` — including, per edge broker, the member
-//!   group's [`CoverForest`] (the covering set interior brokers route on for
-//!   raw, unscoped messages) and its [`QosEnvelope`]. A row for a member
+//!   group's [`CoverForest`] (the covering set its publish-time summary is
+//!   built from) and its [`QosEnvelope`]. A row for a member
 //!   attached at the resolving broker carries no routed state, so it is
 //!   built from the registry record alone ([`ResolvedEntry::local`]).
 //!
@@ -903,40 +903,6 @@ impl SparseTable {
         }
     }
 
-    /// All rows matching a raw (unscoped) message head, ascending by
-    /// subscription id — the covering-based routing path, one pass over the
-    /// registry's edge groups: the own group gives local rows, a group with
-    /// an aggregate remote rows, and an unreachable group none. Per group
-    /// the covering set gates the check (sound, so no match is missed), and
-    /// only when a cover matches are the member filters consulted, so a head
-    /// matching no member is never delivered.
-    pub fn matching_all(&self, head: &MessageHead) -> Vec<ResolvedEntry> {
-        let pop = read_population(&self.population);
-        let mut out = Vec::new();
-        for (dest, group) in pop.groups() {
-            // No aggregate ever names this broker, so `None` here is either
-            // the own group or an unreachable one.
-            let route = self.aggregates.get(&dest);
-            if route.is_none() && dest != self.broker {
-                continue;
-            }
-            if !group.forest().any_root_matches(head) {
-                continue; // the covering gate: no member can match
-            }
-            for (id, filter) in group.forest().members() {
-                if filter.matches(head) {
-                    let record = pop.member(id).expect("group member registered");
-                    out.push(match route {
-                        Some(agg) => ResolvedEntry::remote(record, agg),
-                        None => ResolvedEntry::local(record),
-                    });
-                }
-            }
-        }
-        out.sort_unstable_by_key(|e| e.subscription);
-        out
-    }
-
     /// Rough bytes of this broker's own state — its aggregates; the shared
     /// registry is counted separately, once.
     pub fn bytes_estimate(&self) -> u64 {
@@ -1051,27 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn unscoped_matching_agrees_with_dense_and_orders_by_id() {
-        let (_topo, routing, subs) = line_setup();
-        let pop = handle(&subs);
-        for b in 0..3u32 {
-            let broker = BrokerId::new(b);
-            let dense = SubscriptionTable::build(broker, &routing, &subs);
-            let sparse = SparseTable::build(broker, &routing, &pop);
-            for h in [head(1.0, 1.0), head(7.0, 7.0), head(9.5, 9.5)] {
-                // The full table's matching index returns ascending ids.
-                let d: Vec<ResolvedEntry> = dense
-                    .matching(&h)
-                    .into_iter()
-                    .map(ResolvedEntry::from_entry)
-                    .collect();
-                let s = sparse.matching_all(&h);
-                assert_eq!(d, s, "unscoped matching drifted at {broker}");
-            }
-        }
-    }
-
-    #[test]
     fn sync_aggregate_follows_link_changes() {
         let (topo, healthy, subs) = line_setup();
         let pop = handle(&subs);
@@ -1160,7 +1105,12 @@ mod tests {
         let pop = handle(&subs);
         let table = SparseTable::build(a, &routing, &pop);
         assert_eq!(table.aggregate_count(), 0);
-        assert!(table.matching_all(&head(1.0, 1.0)).is_empty());
+        let mut resolved = Vec::new();
+        table.resolve_scope(
+            &ScopeSet::from_sorted(vec![SubscriptionId::new(0)]),
+            |e, _| resolved.push(e),
+        );
+        assert!(resolved.is_empty());
     }
 
     #[test]

@@ -15,10 +15,8 @@
 
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
-use bdps_filter::index::MatchIndex;
 use bdps_filter::subscription::Subscription;
 use bdps_types::id::{BrokerId, LinkId, SubscriptionId};
-use bdps_types::message::MessageHead;
 use std::collections::HashMap;
 
 /// One entry of a broker's subscription table.
@@ -70,7 +68,6 @@ pub struct SubscriptionTable {
     broker: BrokerId,
     entries: Vec<SubTableEntry>,
     by_id: HashMap<SubscriptionId, usize>,
-    index: MatchIndex,
 }
 
 impl SubscriptionTable {
@@ -128,19 +125,11 @@ impl SubscriptionTable {
         }
     }
 
-    /// Entries whose filter matches the message head.
-    pub fn matching(&self, head: &MessageHead) -> Vec<&SubTableEntry> {
-        self.index
-            .matching(head)
-            .into_iter()
-            .filter_map(|id| self.entry(id))
-            .collect()
-    }
-
     /// Builds the table of `broker` for a population of subscriptions, each
     /// attached at its edge broker. Subscriptions whose edge broker is
     /// unreachable from this broker are skipped (they can never be served
-    /// from here).
+    /// from here). Subscription ids must be distinct — every population
+    /// builder in the workspace guarantees that.
     pub fn build(
         broker: BrokerId,
         routing: &Routing,
@@ -150,30 +139,16 @@ impl SubscriptionTable {
             .iter()
             .filter_map(|(sub, edge)| Self::entry_for(broker, routing, sub, *edge))
             .collect();
-        Self::from_entries(broker, entries)
-    }
-
-    /// Builds a table directly from a prepared entry list, constructing the
-    /// matching index in one bulk pass (`O(n log n)`) instead of `n` sorted
-    /// inserts (`O(n²)`). Entries must have distinct subscription ids —
-    /// every population builder in the workspace guarantees that.
-    pub fn from_entries(broker: BrokerId, entries: Vec<SubTableEntry>) -> SubscriptionTable {
         let by_id: HashMap<SubscriptionId, usize> = entries
             .iter()
             .enumerate()
             .map(|(i, e)| (e.subscription.id, i))
             .collect();
         debug_assert_eq!(by_id.len(), entries.len(), "duplicate subscription ids");
-        let index = MatchIndex::from_subscriptions(
-            entries
-                .iter()
-                .map(|e| (e.subscription.id, &e.subscription.filter)),
-        );
         SubscriptionTable {
             broker,
             entries,
             by_id,
-            index,
         }
     }
 }
@@ -192,12 +167,6 @@ mod tests {
 
     fn fixed_quality(_rng: &mut SimRng) -> LinkQuality {
         LinkQuality::fixed(60.0)
-    }
-
-    fn head(a1: f64, a2: f64) -> MessageHead {
-        let mut h = MessageHead::new();
-        h.set("A1", a1).set("A2", a2);
-        h
     }
 
     /// A line B0 - B1 - B2 with a subscriber on B2 and one on B1.
@@ -261,36 +230,6 @@ mod tests {
         // Subscription 1 lives on broker 1, reached via broker 1.
         let e1 = table.entry(SubscriptionId::new(1)).unwrap();
         assert_eq!(e1.next_hop, Some(BrokerId::new(1)));
-    }
-
-    #[test]
-    fn matching_and_grouping() {
-        let (_topo, routing, subs) = line_setup();
-        let table = SubscriptionTable::build(BrokerId::new(1), &routing, &subs);
-        let split = |h: &MessageHead| {
-            let mut local = Vec::new();
-            let mut remote: HashMap<BrokerId, Vec<&SubTableEntry>> = HashMap::new();
-            for e in table.matching(h) {
-                match e.next_hop {
-                    None => local.push(e),
-                    Some(nb) => remote.entry(nb).or_default().push(e),
-                }
-            }
-            (local, remote)
-        };
-        // A head matching both filters.
-        let (local, remote) = split(&head(1.0, 1.0));
-        assert_eq!(local.len(), 1); // subscription 1 is local to broker 1
-        assert_eq!(remote.len(), 1);
-        assert_eq!(remote[&BrokerId::new(2)].len(), 1);
-        // A head matching only the wide filter.
-        let (local, remote) = split(&head(7.0, 7.0));
-        assert_eq!(local.len(), 1);
-        assert!(remote.is_empty());
-        // A head matching nothing.
-        let (local, remote) = split(&head(9.5, 9.5));
-        assert!(local.is_empty());
-        assert!(remote.is_empty());
     }
 
     #[test]

@@ -40,18 +40,18 @@
 //! is reproduced with the two-minute default.
 
 use bdps_core::config::{InvalidDetection, SchedulerConfig};
-use bdps_core::strategy::{StrategyHandle, StrategyRegistry};
-use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
+use bdps_core::strategy::StrategyHandle;
+use bdps_net::linkmodel::LinkModelKind;
 use bdps_net::measure::EstimationError;
 use bdps_overlay::topology::{LayeredMeshConfig, Topology};
 use bdps_stats::rng::SimRng;
-use bdps_types::error::Result;
+use bdps_types::error::{BdpsError, Result};
 use bdps_types::time::Duration;
 
 use crate::engine::{ForwardingMode, SimError, Simulation};
 use crate::report::SimulationReport;
 use crate::runner::{SimulationConfig, TopologySpec};
-use crate::scenario::{DynamicScenario, ScenarioRegistry};
+use crate::scenario::DynamicScenario;
 use crate::workload::WorkloadConfig;
 
 /// How long past the publication period a run keeps draining unless
@@ -176,11 +176,13 @@ impl SimulationBuilder {
         self
     }
 
-    /// Resolves a strategy by name through the built-in
-    /// [`StrategyRegistry`] (`"fifo"`, `"rl"`, `"eb"`, `"pc"`, `"ebpc"`,
-    /// `"composite"`, their aliases or display labels).
+    /// Resolves a strategy by name through [`StrategyHandle::from_name`]
+    /// (`"fifo"`, `"rl"`, `"eb"`, `"pc"`, `"ebpc"`, `"composite"`, their
+    /// aliases or display labels).
     pub fn strategy_named(self, name: &str) -> Result<Self> {
-        Ok(self.strategy(StrategyRegistry::builtin().try_resolve("strategy", name)?))
+        let strategy = StrategyHandle::from_name(name)
+            .ok_or_else(|| BdpsError::unknown_name("strategy", name, &StrategyHandle::NAMES))?;
+        Ok(self.strategy(strategy))
     }
 
     /// Sets the EBPC weight `r` (eq. 10).
@@ -216,11 +218,13 @@ impl SimulationBuilder {
         self
     }
 
-    /// Resolves a scenario by name through the built-in
-    /// [`ScenarioRegistry`] (`"static"`, `"churn"`, `"flash-crowd"`,
-    /// `"link-flap"`, `"blackout"`, `"chaos"`, or their aliases).
+    /// Resolves a scenario by name through [`DynamicScenario::from_name`]
+    /// (`"static"`, `"churn"`, `"flash-crowd"`, `"link-flap"`,
+    /// `"link-storm"`, `"blackout"`, `"chaos"`, or their aliases).
     pub fn scenario_named(self, name: &str) -> Result<Self> {
-        Ok(self.scenario(ScenarioRegistry::builtin().try_resolve("scenario", name)?))
+        let scenario = DynamicScenario::from_name(name)
+            .ok_or_else(|| BdpsError::unknown_name("scenario", name, &DynamicScenario::NAMES))?;
+        Ok(self.scenario(scenario))
     }
 
     /// Does nothing: there is one [`TableLayout`]. Kept only for the
@@ -240,11 +244,12 @@ impl SimulationBuilder {
         self
     }
 
-    /// Resolves a link model by name through the built-in
-    /// [`LinkModelRegistry`] (`"constant"`, `"fair-share"`, or their
-    /// aliases).
+    /// Resolves a link model by name through [`LinkModelKind::from_name`]
+    /// (`"constant"`, `"fair-share"`, or their aliases).
     pub fn link_model_named(self, name: &str) -> Result<Self> {
-        Ok(self.link_model(LinkModelRegistry::builtin().try_resolve("link model", name)?))
+        let model = LinkModelKind::from_name(name)
+            .ok_or_else(|| BdpsError::unknown_name("link model", name, &LinkModelKind::NAMES))?;
+        Ok(self.link_model(model))
     }
 
     /// Selects how publish-time matching scopes copies (exact by default —

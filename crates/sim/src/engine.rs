@@ -523,7 +523,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::builder::SimulationBuilder;
-    use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioRegistry};
+    use crate::scenario::{DynamicScenario, ScenarioAction};
     use crate::workload::{
         ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
         WorkloadConfig,
@@ -863,7 +863,7 @@ mod tests {
     fn scenario_process_parameters_are_checked_at_construction() {
         // Every process at once, all valid: chaos plus a blackout window.
         let base = || {
-            let chaos = ScenarioRegistry::builtin().resolve("chaos").unwrap();
+            let chaos = DynamicScenario::from_name("chaos").unwrap();
             chaos.with_blackout(BlackoutWindow {
                 start_frac: 0.3,
                 duration_frac: 0.2,
@@ -1281,10 +1281,10 @@ mod tests {
 
     #[test]
     fn scenario_runs_replay_bit_for_bit() {
-        let registry = ScenarioRegistry::builtin();
         for name in ["churn", "flash-crowd", "link-flap", "chaos"] {
-            let a = scenario_run(registry.resolve(name).unwrap(), StrategyKind::MaxEbpc, 31);
-            let b = scenario_run(registry.resolve(name).unwrap(), StrategyKind::MaxEbpc, 31);
+            let scenario = || DynamicScenario::from_name(name).unwrap();
+            let a = scenario_run(scenario(), StrategyKind::MaxEbpc, 31);
+            let b = scenario_run(scenario(), StrategyKind::MaxEbpc, 31);
             assert_eq!(a.published, b.published, "{name}");
             assert_eq!(a.transmissions, b.transmissions, "{name}");
             assert_eq!(a.message_number(), b.message_number(), "{name}");

@@ -30,7 +30,8 @@
 //!   against a plain `Vec` model;
 //! * [`scenario`] — dynamic scenarios (subscription churn, publisher
 //!   bursts, link failures, blackouts) materialised into a deterministic
-//!   event stream, plus the name-based [`ScenarioRegistry`];
+//!   event stream, and the built-ins by name
+//!   ([`DynamicScenario::from_name`]);
 //! * [`builder`] — the fluent [`SimulationBuilder`] experiment API
 //!   (`Simulation::builder().topology(..).workload(..).strategy(..).scenario(..).seed(..)`),
 //!   the one place runs are assembled and validated: `try_build` /
@@ -60,7 +61,7 @@ pub mod shard;
 mod traffic;
 pub mod workload;
 
-pub use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
+pub use bdps_net::linkmodel::LinkModelKind;
 pub use builder::{SimulationBuilder, TableLayout};
 #[cfg(feature = "fault-injection")]
 pub use engine::InjectedFault;
@@ -70,7 +71,7 @@ pub use engine::{
 };
 pub use report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
 pub use runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
-pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
+pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent};
 pub use sched::{EventHeap, EventQueue, Scheduled};
 pub use shard::{run_sharded, try_run_sharded};
 pub use workload::{
@@ -86,11 +87,11 @@ pub mod prelude {
     };
     pub use crate::report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
     pub use crate::runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
-    pub use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
+    pub use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioEvent};
     pub use crate::sched::EventQueue;
     pub use crate::workload::{
         ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
         WorkloadConfig,
     };
-    pub use bdps_net::linkmodel::{LinkModelKind, LinkModelRegistry};
+    pub use bdps_net::linkmodel::LinkModelKind;
 }

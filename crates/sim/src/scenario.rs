@@ -20,8 +20,8 @@
 //!   [`BurstConfig`],
 //!   [`LinkFailureConfig`],
 //!   [`BlackoutWindow`]);
-//! * [`ScenarioRegistry`] — the name-based lookup strategies use too
-//!   ([`Registry`]), so CLI binaries can say `--scenarios chaos`.
+//! * [`DynamicScenario::from_name`] — the built-in scenarios by name, so
+//!   CLI binaries can say `--scenarios chaos`.
 
 use crate::workload::{
     BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, WorkloadConfig,
@@ -33,7 +33,6 @@ use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, LinkId, PublisherId, SubscriberId, SubscriptionId};
-use bdps_types::registry::{Builtins, Registry};
 use bdps_types::time::Duration;
 use std::fmt;
 
@@ -215,6 +214,56 @@ impl DynamicScenario {
     /// The static scenario (no dynamics) — the paper's evaluation setting.
     pub fn static_scenario() -> Self {
         Self::default()
+    }
+
+    /// The built-in scenarios' canonical CLI names, in the order an
+    /// unknown-name error lists them.
+    pub const NAMES: [&'static str; 7] = [
+        "static",
+        "churn",
+        "flash-crowd",
+        "link-flap",
+        "link-storm",
+        "blackout",
+        "chaos",
+    ];
+
+    /// Resolves a CLI name (case-insensitive) to a built-in scenario, named
+    /// by its canonical name:
+    ///
+    /// | name | aliases | dynamics |
+    /// |------|---------|----------|
+    /// | `static` | | none (the paper's setting) |
+    /// | `churn` | `subscription-churn` | subscription joins and leaves, one of each per minute |
+    /// | `flash-crowd` | `bursts`, `burst` | MMPP publisher bursts at 4× the base rate |
+    /// | `link-flap` | `link-failures` | random link failures, ~30 s downtime each |
+    /// | `link-storm` | `flap-storm`, `storm` | a failure every ~2 s, overlapping ~5 s outages |
+    /// | `blackout` | | every link down for the middle 15% of the run |
+    /// | `chaos` | `all`, `everything` | churn + flash-crowd + link-flap combined |
+    pub fn from_name(name: &str) -> Option<Self> {
+        let named = DynamicScenario::named;
+        Some(match name.to_ascii_lowercase().as_str() {
+            "static" => DynamicScenario::static_scenario(),
+            "churn" | "subscription-churn" => named("churn").with_churn(ChurnConfig::moderate()),
+            "flash-crowd" | "bursts" | "burst" => {
+                named("flash-crowd").with_bursts(BurstConfig::flash_crowd())
+            }
+            "link-flap" | "link-failures" => {
+                named("link-flap").with_link_failures(LinkFailureConfig::flaky())
+            }
+            "link-storm" | "flap-storm" | "storm" => {
+                named("link-storm").with_link_failures(LinkFailureConfig::storm())
+            }
+            "blackout" => named("blackout").with_blackout(BlackoutWindow {
+                start_frac: 0.4,
+                duration_frac: 0.15,
+            }),
+            "chaos" | "all" | "everything" => named("chaos")
+                .with_churn(ChurnConfig::moderate())
+                .with_bursts(BurstConfig::flash_crowd())
+                .with_link_failures(LinkFailureConfig::flaky()),
+            _ => return None,
+        })
     }
 
     /// Adds an explicit event at the given offset.
@@ -475,52 +524,6 @@ impl DynamicScenario {
     }
 }
 
-/// Name-based scenario lookup for command-line binaries and sweeps — the
-/// same [`Registry`] strategies and link models resolve through.
-///
-/// [`ScenarioRegistry::builtin`] holds:
-///
-/// | name | dynamics |
-/// |------|----------|
-/// | `static` | none (the paper's setting) |
-/// | `churn` | subscription joins and leaves, one of each per minute |
-/// | `flash-crowd` | MMPP publisher bursts at 4× the base rate |
-/// | `link-flap` | random link failures, ~30 s downtime each |
-/// | `link-storm` | a failure every ~2 s, overlapping ~5 s outages |
-/// | `blackout` | every link down for the middle 15% of the run |
-/// | `chaos` | churn + flash-crowd + link-flap combined |
-pub type ScenarioRegistry = Registry<DynamicScenario>;
-
-impl Builtins for DynamicScenario {
-    fn register_builtins(r: &mut ScenarioRegistry) {
-        r.register("static", DynamicScenario::static_scenario);
-        r.register_with_aliases("churn", &["subscription-churn"], || {
-            DynamicScenario::named("churn").with_churn(ChurnConfig::moderate())
-        });
-        r.register_with_aliases("flash-crowd", &["bursts", "burst"], || {
-            DynamicScenario::named("flash-crowd").with_bursts(BurstConfig::flash_crowd())
-        });
-        r.register_with_aliases("link-flap", &["link-failures"], || {
-            DynamicScenario::named("link-flap").with_link_failures(LinkFailureConfig::flaky())
-        });
-        r.register_with_aliases("link-storm", &["flap-storm", "storm"], || {
-            DynamicScenario::named("link-storm").with_link_failures(LinkFailureConfig::storm())
-        });
-        r.register("blackout", || {
-            DynamicScenario::named("blackout").with_blackout(BlackoutWindow {
-                start_frac: 0.4,
-                duration_frac: 0.15,
-            })
-        });
-        r.register_with_aliases("chaos", &["all", "everything"], || {
-            DynamicScenario::named("chaos")
-                .with_churn(ChurnConfig::moderate())
-                .with_bursts(BurstConfig::flash_crowd())
-                .with_link_failures(LinkFailureConfig::flaky())
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,37 +666,65 @@ mod tests {
         assert!(down_counts.values().all(|&c| c == 0));
     }
 
+    /// Every name the lookup accepts — canonical, alias, upper case and
+    /// display label — resolves to the scenario it always has.
     #[test]
-    fn registry_resolves_builtins_and_custom_registrations() {
-        let registry = ScenarioRegistry::builtin();
-        let names = registry.names();
-        for expected in [
-            "static",
-            "churn",
-            "flash-crowd",
-            "link-flap",
-            "blackout",
-            "chaos",
-        ] {
-            assert!(names.contains(&expected), "{expected} missing");
-            let s = registry.resolve(expected).unwrap();
-            assert_eq!(s.name, expected);
+    fn from_name_accepts_every_builtin_name_alias_and_label() {
+        let table: [(&str, &[&str], DynamicScenario); 7] = [
+            ("static", &[], DynamicScenario::named("static")),
+            (
+                "churn",
+                &["subscription-churn"],
+                DynamicScenario::named("churn").with_churn(ChurnConfig::moderate()),
+            ),
+            (
+                "flash-crowd",
+                &["bursts", "burst"],
+                DynamicScenario::named("flash-crowd").with_bursts(BurstConfig::flash_crowd()),
+            ),
+            (
+                "link-flap",
+                &["link-failures"],
+                DynamicScenario::named("link-flap").with_link_failures(LinkFailureConfig::flaky()),
+            ),
+            (
+                "link-storm",
+                &["flap-storm", "storm"],
+                DynamicScenario::named("link-storm").with_link_failures(LinkFailureConfig::storm()),
+            ),
+            (
+                "blackout",
+                &[],
+                DynamicScenario::named("blackout").with_blackout(BlackoutWindow {
+                    start_frac: 0.4,
+                    duration_frac: 0.15,
+                }),
+            ),
+            (
+                "chaos",
+                &["all", "everything"],
+                DynamicScenario::named("chaos")
+                    .with_churn(ChurnConfig::moderate())
+                    .with_bursts(BurstConfig::flash_crowd())
+                    .with_link_failures(LinkFailureConfig::flaky()),
+            ),
+        ];
+        let names: Vec<&str> = table.iter().map(|(name, _, _)| *name).collect();
+        assert_eq!(names, DynamicScenario::NAMES);
+        for (name, aliases, expected) in &table {
+            assert_eq!(expected.to_string(), *name, "the display label is the name");
+            let names = [*name].into_iter().chain(aliases.iter().copied());
+            for accepted in names.flat_map(|n| [n.to_string(), n.to_ascii_uppercase()]) {
+                assert_eq!(
+                    DynamicScenario::from_name(&accepted).as_ref(),
+                    Some(expected),
+                    "{accepted}"
+                );
+            }
         }
-        // Aliases and case-insensitivity.
-        assert_eq!(registry.resolve("BURSTS").unwrap().name, "flash-crowd");
-        assert_eq!(registry.resolve("ALL").unwrap().name, "chaos");
-        assert!(registry.resolve("bogus").is_none());
-        assert!(registry.resolve("static").unwrap().is_static());
-        assert!(!registry.resolve("chaos").unwrap().is_static());
-
-        let mut registry = registry;
-        registry.register("my-chaos", || {
-            DynamicScenario::named("my-chaos").with_churn(ChurnConfig::moderate())
-        });
-        assert!(registry.resolve("my-chaos").is_some());
-        // Shadowing: a later "churn" registration wins.
-        registry.register("churn", DynamicScenario::static_scenario);
-        assert!(registry.resolve("churn").unwrap().is_static());
+        assert!(DynamicScenario::from_name("static").unwrap().is_static());
+        assert!(!DynamicScenario::from_name("chaos").unwrap().is_static());
+        assert!(DynamicScenario::from_name("bogus").is_none());
     }
 
     #[test]

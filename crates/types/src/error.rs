@@ -14,6 +14,17 @@ pub enum BdpsError {
     InvalidConfig(String),
 }
 
+impl BdpsError {
+    /// The error for a name no lookup knows: `unknown {what} {name:?}
+    /// (known: …)`, listing the canonical names the lookup accepts.
+    pub fn unknown_name(what: &str, name: &str, known: &[&str]) -> Self {
+        BdpsError::InvalidConfig(format!(
+            "unknown {what} {name:?} (known: {})",
+            known.join(", ")
+        ))
+    }
+}
+
 impl fmt::Display for BdpsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -38,6 +49,10 @@ mod tests {
         assert_eq!(
             BdpsError::InvalidConfig("rate < 0".into()).to_string(),
             "invalid configuration: rate < 0"
+        );
+        assert_eq!(
+            BdpsError::unknown_name("link model", "fs2", &["constant", "fair-share"]).to_string(),
+            "invalid configuration: unknown link model \"fs2\" (known: constant, fair-share)"
         );
     }
 

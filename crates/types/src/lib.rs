@@ -17,7 +17,6 @@ pub mod id;
 pub mod message;
 pub mod money;
 pub mod qos;
-pub mod registry;
 pub mod time;
 pub mod value;
 

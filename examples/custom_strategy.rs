@@ -5,9 +5,9 @@
 //! it scores a message by its expected benefit per unit of transmission time
 //! (a bang-for-the-buck heuristic the paper does not evaluate), with a boost
 //! for messages entering their final seconds. It implements
-//! [`SchedulingStrategy`], is wrapped in a [`StrategyHandle`], registered in
-//! a [`StrategyRegistry`] under `"dav"`, and run through the full
-//! `BrokerState`/`Simulation` pipeline next to the built-in strategies.
+//! [`SchedulingStrategy`], is wrapped in a [`StrategyHandle`] and run
+//! through the full `BrokerState`/`Simulation` pipeline next to the built-in
+//! strategies.
 //!
 //! Run with: `cargo run --release --example custom_strategy`
 
@@ -49,18 +49,11 @@ impl SchedulingStrategy for DeadlineAwareValue {
 }
 
 fn main() {
-    // The custom strategy can be registered for name-based lookup (config
-    // files, CLI flags) exactly like the built-ins...
-    let mut registry = StrategyRegistry::builtin();
-    registry.register("dav", || {
-        StrategyHandle::new(DeadlineAwareValue { panic_secs: 5.0 })
-    });
-    let dav = registry.resolve("dav").expect("registered");
-
-    // ...and dropped into the same sweep helpers as the paper strategies.
+    // The custom strategy, behind a handle, drops into the same sweep
+    // helpers as the paper strategies.
     let strategies = vec![
         StrategyKind::MaxEb.resolve(),
-        dav,
+        StrategyHandle::new(DeadlineAwareValue { panic_secs: 5.0 }),
         StrategyHandle::new(WeightedComposite::default()),
         StrategyKind::Fifo.resolve(),
     ];

@@ -13,7 +13,7 @@ use bdps::prelude::*;
 
 fn main() {
     // A "chaos" scenario assembled by hand; `scenario_named("chaos")` gives
-    // a canned equivalent via the ScenarioRegistry.
+    // a canned equivalent by name.
     let chaos = DynamicScenario::named("chaos-demo")
         // ~2 subscriptions join and ~2 leave per minute.
         .with_churn(ChurnConfig {
@@ -58,7 +58,7 @@ fn main() {
     // never NaN.
     println!("\nPer-phase breakdown:\n\n{}", report.phase_table());
 
-    // Registry-based wiring for CLI-style selection — and proof of replay:
+    // Name-based wiring for CLI-style selection — and proof of replay:
     // the same name and seed reproduce the run bit-for-bit.
     let a = Simulation::builder()
         .ssd(10.0)

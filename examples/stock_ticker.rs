@@ -78,7 +78,15 @@ fn main() {
                 .attr("volume", volume)
                 .build(),
         );
-        let outcome = gateway.handle_arrival(msg, now);
+        // A message is matched once, at publication: the gateway receives
+        // each quote with its scope, the subscriptions whose filters match.
+        let scope = ScopeSet::from_unsorted(
+            subs.iter()
+                .filter(|(sub, _)| sub.filter.matches(&msg.head))
+                .map(|(sub, _)| sub.id)
+                .collect(),
+        );
+        let outcome = gateway.handle_arrival_scoped(msg, now, Some(&scope));
         println!(
             "quote {id}: matched {} downstream target(s), enqueued towards {:?}",
             gateway

@@ -59,8 +59,7 @@ fn audited(sim: Simulation) -> SimulationOutcome {
 /// exactly the money — of exact forwarding.
 #[test]
 fn aggregate_forwarding_preserves_delivery_set_and_earning() {
-    let registry = ScenarioRegistry::builtin();
-    let churn = registry.resolve("churn").expect("churn is builtin");
+    let churn = DynamicScenario::from_name("churn").expect("churn is builtin");
     let scenarios = [
         ("static", DynamicScenario::static_scenario()),
         ("churn", churn),

@@ -9,7 +9,7 @@
 //!
 //! 1. **Selecting the oracle is invisible.** A builder that never mentions
 //!    link models and one that selects `constant` explicitly (by kind, by
-//!    name, and through a [`LinkModelRegistry`]) produce bit-identical
+//!    an alias, and through [`LinkModelKind::from_name`]) produce bit-identical
 //!    [`SimulationReport`]s across seeds × adversarial scenarios.
 //!    (`tests/golden.rs` separately pins the absolute numbers, so together
 //!    these prove the selection path changes nothing.)
@@ -46,10 +46,9 @@ fn builder(scenario_name: &str) -> SimulationBuilder {
 #[test]
 fn constant_delay_by_kind_or_name_is_bit_identical_to_the_default() {
     // Every way of asking for the constant model — saying nothing, the
-    // typed kind, the registry name, an alias, an explicit registry — must
-    // produce the same report, whole-report compared (per-phase breakdowns
-    // and the new per-link counters included).
-    let registry = LinkModelRegistry::default();
+    // typed kind, an alias through the builder, the upper-case name through
+    // `from_name` — must produce the same report, whole-report compared
+    // (per-phase breakdowns and the new per-link counters included).
     for scenario in SCENARIOS {
         for seed in 1..=10 {
             let implicit = builder(scenario).seed(seed).report();
@@ -67,17 +66,15 @@ fn constant_delay_by_kind_or_name_is_bit_identical_to_the_default() {
                 .seed(seed)
                 .report();
             assert_eq!(implicit, named, "name-based selection drifted ({scenario})");
-            let via_registry = builder(scenario)
+            let via_from_name = builder(scenario)
                 .link_model(
-                    registry
-                        .resolve("CONSTANT")
-                        .expect("registry lookup is case-insensitive"),
+                    LinkModelKind::from_name("CONSTANT").expect("the lookup is case-insensitive"),
                 )
                 .seed(seed)
                 .report();
             assert_eq!(
-                implicit, via_registry,
-                "registry selection drifted ({scenario})"
+                implicit, via_from_name,
+                "from_name selection drifted ({scenario})"
             );
         }
     }
@@ -257,22 +254,19 @@ fn link_model_round_trips_through_config_registry_and_names() {
     for kind in LinkModelKind::ALL {
         assert_eq!(LinkModelKind::from_name(kind.name()), Some(kind));
     }
-    let registry = LinkModelRegistry::default();
     for (alias, kind) in [
         ("const", LinkModelKind::Constant),
         ("Fair-Share", LinkModelKind::FairShare),
         ("fs", LinkModelKind::FairShare),
     ] {
-        assert_eq!(registry.resolve(alias), Some(kind), "alias {alias}");
+        assert_eq!(LinkModelKind::from_name(alias), Some(kind), "alias {alias}");
     }
-    assert!(registry.resolve("token-bucket").is_none());
+    assert!(LinkModelKind::from_name("token-bucket").is_none());
     let err = Simulation::builder()
         .link_model_named("token-bucket")
         .expect_err("unknown model is an error");
-    for known in registry.names() {
-        assert!(
-            err.to_string().contains(known),
-            "the error lists the registry: {err}"
-        );
-    }
+    assert_eq!(
+        err.to_string(),
+        "invalid configuration: unknown link model \"token-bucket\" (known: constant, fair-share)"
+    );
 }

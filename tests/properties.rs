@@ -8,7 +8,7 @@
 
 use bdps::core::metrics;
 use bdps::core::queue::{OutputQueue, SuccessClass};
-use bdps::core::strategy::{ScheduleContext, StrategyRegistry};
+use bdps::core::strategy::ScheduleContext;
 use bdps::overlay::pathstats::PathStats;
 use bdps::overlay::routing::Routing;
 use bdps::overlay::topology::Topology;
@@ -92,21 +92,19 @@ fn random_ctx(rng: &mut SimRng) -> ScheduleContext {
     }
 }
 
-/// For every registered strategy: `priority` is deterministic, finite for
+/// For every built-in strategy: `priority` is deterministic, finite for
 /// valid (bounded-deadline) inputs, and `score_all` agrees with per-item
 /// scoring.
 #[test]
 fn every_registered_strategy_is_deterministic_and_finite() {
-    let registry = StrategyRegistry::builtin();
-    let names = registry.names();
-    assert!(!names.is_empty());
+    let names = StrategyHandle::NAMES;
     check(0xBD_05, 200, |rng| {
         let items: Vec<QueuedMessage> = (0..rng.uniform_usize(1, 8) as u64)
             .map(|i| random_item(i, rng))
             .collect();
         let ctx = random_ctx(rng);
         for name in &names {
-            let strategy = registry.resolve(name).expect("builtin resolves");
+            let strategy = StrategyHandle::from_name(name).expect("builtin resolves");
             let mut scores = Vec::new();
             strategy.score_all(&ctx, &items, &mut scores);
             assert_eq!(scores.len(), items.len(), "{name}: one score per item");
@@ -236,25 +234,21 @@ fn remove_subscription_matches_the_retain_reference() {
     );
 }
 
-/// The registry round-trips every built-in name: resolving a name yields a
-/// strategy whose display label resolves back to the same strategy.
+/// The strategy lookup round-trips every built-in name: resolving a name
+/// yields a strategy whose display label resolves back to the same strategy.
 #[test]
 fn registry_round_trips_every_builtin_name() {
-    let registry = StrategyRegistry::builtin();
-    for name in registry.names() {
-        let strategy = registry
-            .resolve(name)
-            .unwrap_or_else(|| panic!("{name} resolves"));
-        let via_label = registry
-            .resolve(strategy.label())
+    for name in StrategyHandle::NAMES {
+        let strategy = StrategyHandle::from_name(name).unwrap_or_else(|| panic!("{name} resolves"));
+        let via_label = StrategyHandle::from_name(strategy.label())
             .unwrap_or_else(|| panic!("label {} resolves", strategy.label()));
         assert_eq!(strategy.label(), via_label.label(), "round trip of {name}");
         // Case-insensitive.
-        assert!(registry.resolve(&name.to_ascii_uppercase()).is_some());
+        assert!(StrategyHandle::from_name(&name.to_ascii_uppercase()).is_some());
     }
     // The five paper kinds are all reachable by their labels.
     for kind in StrategyKind::ALL {
-        assert_eq!(registry.resolve(kind.label()).unwrap(), kind);
+        assert_eq!(StrategyHandle::from_name(kind.label()).unwrap(), kind);
     }
 }
 
@@ -910,7 +904,7 @@ fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
 /// equals a from-scratch sparse build, and (b) the sparse table expanded at
 /// edges resolves exactly the delivery set of a dense table — one
 /// `SubscriptionTable::build` over the whole population — with the same
-/// rows and routed fields, for scoped and unscoped arrivals alike.
+/// rows and routed fields.
 #[test]
 fn sparse_tables_match_dense_and_incremental_matches_scratch() {
     use bdps::overlay::sparse::{ResolvedEntry, SharedPopulation, SparseTable};
@@ -1032,22 +1026,6 @@ fn sparse_tables_match_dense_and_incremental_matches_scratch() {
                     resolved,
                     expected,
                     "scoped resolution drifted at {}",
-                    table.broker()
-                );
-                // Unscoped matching (the covering-gated path) delivers the
-                // same rows in the same ascending order.
-                let h = head(rng.uniform_range(0.0, 10.0), rng.uniform_range(0.0, 10.0));
-                let via_sparse = table.matching_all(&h);
-                let mut via_dense: Vec<ResolvedEntry> = dense
-                    .matching(&h)
-                    .into_iter()
-                    .map(ResolvedEntry::from_entry)
-                    .collect();
-                via_dense.sort_unstable_by_key(|e| e.subscription);
-                assert_eq!(
-                    via_sparse,
-                    via_dense,
-                    "unscoped matching drifted at {}",
                     table.broker()
                 );
             }

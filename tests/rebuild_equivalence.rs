@@ -70,8 +70,7 @@ fn audited_run(scenario: &DynamicScenario, seed: u64) -> (SimulationOutcome, Sim
 /// have done what the scenario is for — moved routes, or (for churn) let
 /// subscriptions go — at an audited instant, or the audit is vacuous.
 fn audit_scenario(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
-    let scenario = ScenarioRegistry::builtin()
-        .resolve(scenario_name)
+    let scenario = DynamicScenario::from_name(scenario_name)
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
     let (mut trees, mut pairs, mut unsubscribed) = (0, 0, 0);
     for seed in seeds {

@@ -134,3 +134,56 @@ fn sharded_outcome_sums_the_shards_scope_interner_traffic() {
     assert_eq!(sharded.scope_interns, sequential.scope_interns);
     assert!(sharded.scope_intern_hits <= sharded.scope_interns);
 }
+
+/// Same-instant effects replay in the sequential order. On the workloads
+/// above two events almost never share an instant, so they cannot tell the
+/// replay key `(time, key, idx)` from another order of its parts. Here every
+/// delivery instant is shared: publications are evenly spaced and
+/// simultaneous at both ends of a two-broker line, and a link transfer
+/// takes one publication gap minus `PD`. A copy therefore arrives exactly
+/// as the next local publication at its receiver is processed, so at one
+/// instant two brokers each deliver locally (delay `PD`) and remotely
+/// (one gap more). The outcome's delay summaries keep observations in the
+/// order they were applied, so they must match the sequential run's
+/// value for value.
+#[test]
+fn same_instant_effects_replay_in_the_sequential_order() {
+    const GAP_MS: f64 = 6_000.0;
+    let build = || {
+        // 1 KB messages, so the fixed rate is the transfer time itself.
+        let transfer_ms = GAP_MS - 2.0;
+        let mut rng = SimRng::seed_from(0);
+        let mut topo = bdps::overlay::topology::Topology::line(2, &mut rng, |_| {
+            LinkQuality::fixed(transfer_ms)
+        });
+        for b in 0..2 {
+            let (publisher, broker) = (PublisherId::new(b), BrokerId::new(b));
+            topo.graph.attach_publisher(broker, publisher);
+            topo.publishers.push((publisher, broker));
+        }
+        for s in 0..16 {
+            let (subscriber, broker) = (SubscriberId::new(s), BrokerId::new(s % 2));
+            topo.graph.attach_subscriber(broker, subscriber);
+            topo.subscribers.push((subscriber, broker));
+        }
+        let mut workload = WorkloadConfig::paper_ssd(60_000.0 / GAP_MS);
+        workload.arrivals = ArrivalKind::Deterministic;
+        workload.message_size_kb = 1.0;
+        workload.duration = Duration::from_secs(120);
+        Simulation::builder()
+            .workload(workload)
+            .strategy(StrategyKind::Fifo)
+            .try_build_on(topo, SimRng::seed_from(1))
+            .expect("valid two-broker run")
+    };
+    let sequential = build().run();
+    let delays = &sequential.valid_delays_ms;
+    assert!(
+        delays.min() == 2.0 && delays.max() == GAP_MS + 2.0,
+        "the run must deliver both locally and one gap later: {} .. {} ms",
+        delays.min(),
+        delays.max()
+    );
+    let sharded = bdps::sim::run_sharded(build(), 2);
+    assert_eq!(sharded.valid_delays_ms, sequential.valid_delays_ms);
+}
