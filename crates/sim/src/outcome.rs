@@ -148,11 +148,14 @@ pub struct SimulationOutcome {
     /// recovered reachability or removed on lost reachability — not one
     /// entry per subscription.
     pub entries_retargeted: u64,
-    /// Destination shortest-path trees recomputed through a route delta over
-    /// the run (Σ [`RouteDelta::dests_recomputed`]) — the cost driver of a
-    /// link event, at `O(E log V)` each.
+    /// Destination shortest-path trees repaired through a route delta over
+    /// the run (Σ [`RouteDelta::dests_repaired`]) — the cost driver of a
+    /// link event. A repair examines at most `|added| + Σ (in-degree +
+    /// out-degree)` links over the sources it touches (plus their in-degree
+    /// again for sources a removal cut off), not the `O(E log V)` of a
+    /// fresh tree.
     pub route_trees_recomputed: u64,
-    /// `(source, destination)` route entries those recomputes actually
+    /// `(source, destination)` route entries those repairs actually
     /// changed (Σ [`RouteDelta::changed_pairs`]) — what
     /// [`entries_retargeted`](Self::entries_retargeted) then has to patch.
     pub route_pairs_changed: u64,

@@ -97,7 +97,7 @@ pub(crate) struct ScenarioCore {
     pub(crate) subscriptions: Population,
     /// The graph the schedulers and routing believe in (identical to the true
     /// graph unless an estimation error is configured). Kept so routing can
-    /// be recomputed when links fail or recover.
+    /// be repaired when links fail or recover.
     pub(crate) believed_graph: OverlayGraph,
     pub(crate) routing: Routing,
     /// Set when link liveness changed since the last routing rebuild.
@@ -310,7 +310,10 @@ impl ScenarioCore {
     /// that last event is itself a liveness no-op (e.g. the second down of a
     /// nested failure).
     ///
-    /// Only the destination trees the batch can affect are recomputed, then
+    /// Only the destination trees the batch can affect are repaired, each in
+    /// place over the sources it touches (`Routing::update_for_link_change`:
+    /// at most `|added| + Σ (in-degree + out-degree)` links per tree over
+    /// those sources, not a fresh Dijkstra), then
     /// [`BrokerState::sync_aggregate`] runs once per `(broker, destination)`
     /// pair whose route entry changed — work proportional to the change, not
     /// the population, with the registry locked once for the whole patch.
@@ -351,7 +354,7 @@ impl ScenarioCore {
         let delta =
             self.routing
                 .update_for_link_change(&self.believed_graph, usable, &removed, &added);
-        self.counters.route_trees_recomputed += delta.dests_recomputed() as u64;
+        self.counters.route_trees_recomputed += delta.dests_repaired() as u64;
         self.counters.route_pairs_changed += delta.changed_pairs() as u64;
         if delta.is_empty() {
             return;

@@ -9,6 +9,11 @@
 #   tests/mutants/run.sh            # every mutant
 #   tests/mutants/run.sh 04 10      # the mutants whose file names start so
 #
+# A subset run replaces only its own rows of MATRIX.md (rows of deleted
+# patches are dropped) and recounts the total over every row. The script
+# exits 1 when a mutant it ran survived or did not apply, and 2 when a
+# prefix names no mutant.
+#
 # The worktree, the one CARGO_TARGET_DIR every mutant shares and the
 # per-mutant test logs live under $MUTANTS_SCRATCH (default: a fresh mktemp
 # directory). Not part of CI: every mutant rebuilds and reruns the whole
@@ -22,17 +27,22 @@ mkdir -p "$scratch"
 export CARGO_TARGET_DIR="$scratch/target"
 tree="$scratch/tree"
 
-git -C "$root" worktree add --detach --force "$tree" HEAD >/dev/null
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
-
 patches=()
 if [ $# -eq 0 ]; then
     patches=("$here"/*.patch)
 else
     for prefix in "$@"; do
-        patches+=("$here/$prefix"*.patch)
+        matched=("$here/$prefix"*.patch)
+        if [ ! -e "${matched[0]}" ]; then
+            echo "no mutant in $here starts with \`$prefix\`" >&2
+            exit 2
+        fi
+        patches+=("${matched[@]}")
     done
 fi
+
+git -C "$root" worktree add --detach --force "$tree" HEAD >/dev/null
+trap 'git -C "$root" worktree remove --force "$tree"' EXIT
 
 # `Running <target> (target/release/deps/<binary>-<hash>)` names the test
 # binary the following results belong to; `test <name> ... FAILED` is one
@@ -45,15 +55,25 @@ failing_tests() {
     ' "$1" | sort -u
 }
 
-rows=()
-killed=0
+# The matrix row of every mutant, by name: the committed rows first, then
+# this run's rows over them.
+declare -A row_of
+if [ -f "$here/MATRIX.md" ]; then
+    while IFS= read -r line; do
+        name=${line#'| `'}
+        row_of[${name%%'`'*}]=$line
+    done < <(grep '^| `' "$here/MATRIX.md")
+fi
+
+failed=0
 for patch in "${patches[@]}"; do
     name=$(basename "$patch" .patch)
     what=$(head -n 1 "$patch" | sed 's/^Mutant: //')
     log="$scratch/$name.log"
     git -C "$tree" reset --hard --quiet HEAD
     if ! git -C "$tree" apply "$patch"; then
-        rows+=("| \`$name\` | $what | — | does not apply: regenerate the patch |")
+        row_of[$name]="| \`$name\` | $what | — | does not apply: regenerate the patch |"
+        failed=1
         continue
     fi
     echo "== $name" >&2
@@ -62,17 +82,33 @@ for patch in "${patches[@]}"; do
     secs=$((SECONDS - start))
     failures=$(failing_tests "$log")
     if [ -n "$failures" ]; then
-        killed=$((killed + 1))
         count=$(printf '%s\n' "$failures" | wc -l | tr -d ' ')
         list=$(printf '%s\n' "$failures" | sed 's/.*/`&`/' | paste -sd ',' - | sed 's/,/, /g')
-        rows+=("| \`$name\` | $what | $count | $list |")
+        row_of[$name]="| \`$name\` | $what | $count | $list |"
     elif grep -q '^error: could not compile' "$log"; then
-        killed=$((killed + 1))
-        rows+=("| \`$name\` | $what | — | the compiler (see $name.log) |")
+        row_of[$name]="| \`$name\` | $what | — | the compiler (see $name.log) |"
     else
-        rows+=("| \`$name\` | $what | 0 | **survived** |")
+        row_of[$name]="| \`$name\` | $what | 0 | **survived** |"
+        failed=1
     fi
     echo "   ${secs}s" >&2
+done
+
+# One row per patch in the directory; a patch no run has reached yet
+# counts as not killed.
+rows=()
+killed=0
+total=0
+for patch in "$here"/*.patch; do
+    name=$(basename "$patch" .patch)
+    what=$(head -n 1 "$patch" | sed 's/^Mutant: //')
+    row=${row_of[$name]:-"| \`$name\` | $what | — | not run yet |"}
+    rows+=("$row")
+    total=$((total + 1))
+    case $row in
+        *'**survived** |' | *'does not apply: regenerate the patch |' | *'not run yet |') ;;
+        *) killed=$((killed + 1)) ;;
+    esac
 done
 
 {
@@ -84,10 +120,11 @@ done
     echo "killed when at least one test fails. Tests are named"
     echo "\`<test binary>::<test>\`; a crate name is that crate's unit tests."
     echo
-    echo "**$killed of ${#patches[@]} mutants killed.**"
+    echo "**$killed of $total mutants killed.**"
     echo
     echo "| mutant | what it breaks | failing tests | killed by |"
     echo "|---|---|---|---|"
     printf '%s\n' "${rows[@]}"
 } >"$here/MATRIX.md"
-echo "wrote $here/MATRIX.md ($killed of ${#patches[@]} killed)" >&2
+echo "wrote $here/MATRIX.md ($killed of $total killed)" >&2
+exit "$failed"

@@ -897,6 +897,111 @@ fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
     });
 }
 
+/// The routing oracle where the repair walks deep subtrees: a 108-broker
+/// layered mesh under link-storm batches, each netted like the engine's
+/// coalesced batch (a per-link down depth, compared with the liveness at
+/// the last update). Events take both directions of a pair down or up
+/// together, or one direction alone; downs nest (a second down of a dead
+/// link needs a second up), and one batch may restore some links while it
+/// cuts others. Half the cases draw link means from three values, so
+/// equal-cost trees and their tie-breaks are everywhere. After every batch
+/// the repaired routing equals [`Routing::compute_filtered`] and the delta
+/// names exactly the changed pairs.
+#[test]
+fn repaired_routing_equals_scratch_on_a_layered_mesh_under_storm_batches() {
+    use bdps::overlay::topology::LayeredMeshConfig;
+    let config = LayeredMeshConfig {
+        layer_sizes: vec![4, 8, 32, 64],
+        fan_in: vec![0, 2, 2],
+        publishers_per_first_layer_broker: 1,
+        subscribers_per_edge_broker: 1,
+    };
+    check(0x5702_3B7A, 4, |rng| {
+        let tie_heavy = rng.chance(0.5);
+        let mut topo_rng = SimRng::seed_from(rng.next_u64());
+        let topo = Topology::layered_mesh(&config, &mut topo_rng, |r| match tie_heavy {
+            true => {
+                LinkQuality::normal(*r.choose(&[50.0, 75.0, 100.0]), r.uniform_range(1.0, 20.0))
+            }
+            false => LinkQuality::paper_random(r),
+        })
+        .unwrap();
+        let graph = &topo.graph;
+        let (n, links) = (graph.broker_count(), graph.link_count());
+        assert!(n >= 100);
+        // Bidirectional links come in id pairs (2k, 2k + 1).
+        let mut depth = vec![0u32; links];
+        let mut alive = vec![true; links];
+        let mut routing = Routing::compute(graph);
+        let (mut mixed, mut nested, mut changed_pairs) = (0, 0, 0);
+        for _ in 0..12 {
+            for _ in 0..rng.uniform_usize(1, 7) {
+                // Restore a down link's pair, take one down again (a
+                // nested down), or take a pair down — half of those in the
+                // 48 upper-tier pairs, whose cuts are the deepest.
+                let down_links: Vec<usize> = (0..links).filter(|&i| depth[i] > 0).collect();
+                let roll = rng.uniform_usize(0, 10);
+                let restore = roll < 4 && !down_links.is_empty();
+                let pair = match roll {
+                    0..=5 if !down_links.is_empty() => {
+                        down_links[rng.uniform_usize(0, down_links.len())] / 2
+                    }
+                    0..=7 => rng.uniform_usize(0, 48),
+                    _ => rng.uniform_usize(0, links / 2),
+                };
+                let ids = match rng.uniform_usize(0, 4) {
+                    0 => vec![2 * pair],
+                    1 => vec![2 * pair + 1],
+                    _ => vec![2 * pair, 2 * pair + 1],
+                };
+                for i in ids {
+                    if restore {
+                        depth[i] = depth[i].saturating_sub(1);
+                    } else {
+                        depth[i] += 1;
+                    }
+                }
+            }
+            let (mut removed, mut added) = (Vec::new(), Vec::new());
+            for i in 0..links {
+                if (depth[i] == 0) != alive[i] {
+                    alive[i] = !alive[i];
+                    let list = if alive[i] { &mut added } else { &mut removed };
+                    list.push(LinkId::new(i as u32));
+                }
+            }
+            let before = routing.clone();
+            let delta =
+                routing.update_for_link_change(graph, |l| alive[l.index()], &removed, &added);
+            let scratch = Routing::compute_filtered(graph, |l| alive[l.index()]);
+            assert_eq!(routing, scratch, "repaired routing drifted from the oracle");
+            let mut expected = 0usize;
+            for src in 0..n {
+                let s = BrokerId::new(src as u32);
+                let reported = delta.changed_dests(s);
+                for dest in 0..n {
+                    let d = BrokerId::new(dest as u32);
+                    let changed = before.route(s, d) != scratch.route(s, d);
+                    assert_eq!(
+                        reported.binary_search(&d).is_ok(),
+                        changed,
+                        "delta mismatch for ({s}, {d})"
+                    );
+                    expected += changed as usize;
+                }
+            }
+            assert_eq!(delta.changed_pairs(), expected);
+            mixed += (!removed.is_empty() && !added.is_empty()) as usize;
+            nested += depth.iter().filter(|&&d| d > 1).count();
+            changed_pairs += expected;
+        }
+        assert!(
+            mixed > 0 && nested > 0 && changed_pairs > 0,
+            "a vacuous storm: {mixed} mixed batches, {nested} nested downs"
+        );
+    });
+}
+
 /// The table-level oracle of the sparse covering-aggregated table: for
 /// random topologies, subscription populations and interleaved churn +
 /// link-delta sequences, (a) a sparse table maintained *incrementally*
