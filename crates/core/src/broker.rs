@@ -27,7 +27,7 @@ use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::pathstats::PathStats;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{
-    aggregate_scope_dest, read_population, MemberRecord, PopulationHandle, QosEnvelope,
+    aggregate_scope_dest, read_population, EdgeGroup, MemberRecord, PopulationHandle, QosEnvelope,
     ResolvedEntry, SparseTable,
 };
 use bdps_overlay::subtable::RetargetOutcome;
@@ -377,7 +377,7 @@ impl BrokerState {
     /// is forwarded as-is: one pseudo-target per destination, grouped per
     /// next hop, carrying the aggregate's path stats and the destination
     /// group's **QoS envelope** sampled epoch-consistently
-    /// ([`EdgeGroup::envelope_at`](bdps_overlay::sparse::EdgeGroup::envelope_at)
+    /// ([`GroupCovers::envelope_at`](bdps_overlay::sparse::GroupCovers::envelope_at)
     /// at `publish_epoch`): the target's price is the envelope's earning sum
     /// (the copy's earning upper bound — edge expansion still does the
     /// actual earning) and its allowed delay is the envelope's minimum
@@ -437,9 +437,12 @@ impl BrokerState {
                     let Some(agg) = self.table.aggregate(dest) else {
                         continue; // group emptied or destination unreachable
                     };
+                    // The registry of an aggregate run keeps every
+                    // group's covers (`audit_tables` holds it to that).
                     let envelope = pop
                         .group(dest)
-                        .map(|g| g.envelope_at(publish_epoch))
+                        .and_then(EdgeGroup::covers)
+                        .map(|c| c.envelope_at(publish_epoch))
                         .unwrap_or(QosEnvelope::EMPTY);
                     if envelope.is_empty() {
                         continue; // no epoch-visible member: nothing to deliver
@@ -917,9 +920,12 @@ mod tests {
             let pop = read_population(b.table().population());
             let matching = pop
                 .groups()
-                .flat_map(|(_, group)| group.forest().members())
-                .filter(|(_, filter)| filter.matches(&message.head))
-                .map(|(id, _)| id);
+                .flat_map(|(_, group)| group.ids())
+                .copied()
+                .filter(|&id| {
+                    pop.member(id)
+                        .is_some_and(|r| r.subscription.filter.matches(&message.head))
+                });
             ScopeSet::from_unsorted(matching.collect())
         };
         b.handle_arrival_scoped(message, now, Some(&scope))

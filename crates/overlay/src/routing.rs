@@ -306,7 +306,7 @@ impl Routing {
     ///   source `x`, which never undercuts `x`'s current cost.
     ///
     /// Destinations failing these checks are repaired by
-    /// [`repair_row`](Self::repair_row), which touches only the sources
+    /// `repair_row`, which touches only the sources
     /// below a removed tree edge and those whose entry improves; the delta
     /// diffs exactly those sources (statistics included — an equal-cost
     /// tree swap still changes downstream variance), so it is exact. A

@@ -14,7 +14,8 @@
 //! * the subscriptions themselves (filter, subscriber, QoS, edge broker)
 //!   live once, globally, in a [`SharedPopulation`] registry every broker
 //!   references through an `Arc` — including, per edge broker, the member
-//!   group's [`CoverForest`] (the covering set its publish-time summary is
+//!   group and, when aggregate forwarding reads them, its [`GroupCovers`]:
+//!   the [`CoverForest`] (the covering set its publish-time summary is
 //!   built from) and its [`QosEnvelope`]. A row for a member
 //!   attached at the resolving broker carries no routed state, so it is
 //!   built from the registry record alone ([`ResolvedEntry::local`]).
@@ -132,7 +133,7 @@ pub fn aggregate_scope_dest(id: SubscriptionId) -> Option<BrokerId> {
 }
 
 /// The QoS bounds an edge group's members collectively promise, kept once
-/// per group in the registry ([`EdgeGroup::envelope_at`]). Aggregate
+/// per group in the registry ([`GroupCovers::envelope_at`]). Aggregate
 /// forwarding stamps each interior copy from it, so scheduling strategies
 /// can rank and shed aggregate copies without enumerating the members.
 /// Folded over the group's *epoch-visible* members:
@@ -181,7 +182,7 @@ impl QosEnvelope {
 
 /// One member's QoS contribution, kept in join-epoch order so the envelope
 /// of any epoch prefix can be answered without re-folding (see
-/// [`EdgeGroup::envelope_at`]).
+/// [`GroupCovers::envelope_at`]).
 #[derive(Debug, Clone, Copy)]
 struct MemberQos {
     id: SubscriptionId,
@@ -190,11 +191,13 @@ struct MemberQos {
     price: Price,
 }
 
-/// The subscriptions attached at one edge broker, with their covering set.
+/// What aggregate forwarding reads of one edge group and exact forwarding
+/// never does: the covering forest over the members' filters, the
+/// publish-time summary derived from it, and the QoS envelope folds. A
+/// registry that keeps covers holds one per group; one that does not holds
+/// none (see [`SharedPopulation::without_covers`]).
 #[derive(Debug, Clone, Default)]
-pub struct EdgeGroup {
-    /// Member ids, ascending.
-    ids: Vec<SubscriptionId>,
+pub struct GroupCovers {
     /// The covering forest over the members' filters.
     forest: CoverForest,
     /// The selectivity-gated merge of the forest's roots — the compact
@@ -216,22 +219,7 @@ pub struct EdgeGroup {
     qos_prefix: Vec<QosEnvelope>,
 }
 
-impl EdgeGroup {
-    /// Number of members attached at this edge.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns true when no member is attached.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Member ids, ascending.
-    pub fn ids(&self) -> &[SubscriptionId] {
-        &self.ids
-    }
-
+impl GroupCovers {
     /// The covering forest over the members' filters.
     pub fn forest(&self) -> &CoverForest {
         &self.forest
@@ -273,24 +261,35 @@ impl EdgeGroup {
         }
     }
 
-    /// Appends one member's QoS (caller guarantees `join_epoch` exceeds
-    /// every recorded one — registry epochs are minted monotonically).
-    fn push_qos(&mut self, member: MemberQos) {
+    /// Adds member `id` to the forest and appends its QoS (caller guarantees
+    /// `join_epoch` exceeds every recorded one — registry epochs are minted
+    /// monotonically). The summary is the caller's to rebuild.
+    fn insert(&mut self, subscription: &Subscription, join_epoch: u64) {
+        self.forest
+            .insert(subscription.id, subscription.filter.clone());
         debug_assert!(self
             .qos
             .last()
-            .is_none_or(|last| last.join_epoch < member.join_epoch));
-        let next = self.envelope().fold(member.allowed_delay, member.price);
-        self.qos.push(member);
+            .is_none_or(|last| last.join_epoch < join_epoch));
+        let next = self
+            .envelope()
+            .fold(subscription.allowed_delay(), subscription.price);
+        self.qos.push(MemberQos {
+            id: subscription.id,
+            join_epoch,
+            allowed_delay: subscription.allowed_delay(),
+            price: subscription.price,
+        });
         self.qos_prefix.push(next);
     }
 
-    /// Drops the QoS contribution of member `id`, which joined at
-    /// `join_epoch`, and re-derives the prefix folds from its position on,
-    /// so the envelope shrinks in the same instant the member list does.
+    /// Drops member `id`, which joined at `join_epoch`, from the forest and
+    /// its QoS contribution, re-deriving the prefix folds from its position
+    /// on, so the envelope shrinks in the same instant the member list does.
     /// `qos` is epoch-ordered, so the member is found by binary search; the
     /// folds before it do not include it and stay as they are.
-    fn remove_qos(&mut self, id: SubscriptionId, join_epoch: u64) {
+    fn remove(&mut self, id: SubscriptionId, join_epoch: u64) {
+        self.forest.remove(id);
         let pos = self.qos.partition_point(|m| m.join_epoch < join_epoch);
         if self.qos.get(pos).is_none_or(|m| m.id != id) {
             return;
@@ -333,12 +332,69 @@ impl EdgeGroup {
             }
         }
     }
+
+    /// Rough bytes of the forest and the QoS folds.
+    fn bytes_estimate(&self) -> usize {
+        self.forest.len() * FOREST_NODE_OVERHEAD
+            + self.qos.len() * std::mem::size_of::<MemberQos>()
+            + self.qos_prefix.len() * std::mem::size_of::<QosEnvelope>()
+    }
+}
+
+/// The subscriptions attached at one edge broker: their ids, and — only in
+/// a registry that keeps covers, i.e. one aggregate forwarding reads — the
+/// group's [`GroupCovers`].
+#[derive(Debug, Clone)]
+pub struct EdgeGroup {
+    /// Member ids, ascending.
+    ids: Vec<SubscriptionId>,
+    /// Present exactly when the registry keeps covers.
+    covers: Option<GroupCovers>,
+}
+
+impl EdgeGroup {
+    /// Number of members attached at this edge.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Returns true when no member is attached.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Member ids, ascending.
+    pub fn ids(&self) -> &[SubscriptionId] {
+        &self.ids
+    }
+
+    /// The group's covering state, or `None` in a registry that keeps no
+    /// covers (exact forwarding).
+    pub fn covers(&self) -> Option<&GroupCovers> {
+        self.covers.as_ref()
+    }
+
+    /// The aggregate-level publish gate ([`GroupCovers::summary_matches`]).
+    /// A group without covers cannot rule the head out, so it answers true:
+    /// the gate stays sound, never a silent "no".
+    pub fn summary_matches(&self, head: &MessageHead) -> bool {
+        self.covers
+            .as_ref()
+            .is_none_or(|covers| covers.summary_matches(head))
+    }
 }
 
 /// The population-wide registry every broker's [`SparseTable`] shares: one
-/// record per subscription plus one [`EdgeGroup`] (member list + covering
-/// forest + summary) per edge broker. Stored once globally, not once per
-/// broker.
+/// record per subscription plus one [`EdgeGroup`] per edge broker. Stored
+/// once globally, not once per broker.
+///
+/// What a registry builds depends on who reads it. Exact forwarding reads
+/// records, slot tags, group member ids and the epoch, and
+/// [`without_covers`](Self::without_covers) keeps only those: a join or
+/// leave touches nothing else. Aggregate forwarding also reads every
+/// group's [`GroupCovers`] (covering forest, summary, QoS envelope), which
+/// [`from_population`](Self::from_population) and [`new`](Self::new) keep
+/// up to date on every membership change.
 #[derive(Debug, Clone)]
 pub struct SharedPopulation {
     /// One slot per subscription id. Ids are minted densely from zero (the
@@ -356,8 +412,12 @@ pub struct SharedPopulation {
     /// paths snapshot it to freeze "who had joined by then" without
     /// enumerating the population.
     epoch: u64,
-    /// The attribute model gating summary merges.
-    selectivity: SelectivityModel,
+    /// The attribute model gating summary merges — `Some` exactly when the
+    /// registry keeps covers.
+    selectivity: Option<SelectivityModel>,
+    /// Group summaries rebuilt by [`insert`](Self::insert) and
+    /// [`remove`](Self::remove) (a bulk build is not counted).
+    summary_rebuilds: u64,
 }
 
 /// Default looseness bound for summary merges: a join may widen the
@@ -375,25 +435,60 @@ impl Default for SharedPopulation {
             // The paper-workload model knows A1/A2. Unknown attributes
             // estimate selectivity 1, so the gate is blind to widening
             // among them and merges freely.
-            selectivity: SelectivityModel::paper_workload(),
+            selectivity: Some(SelectivityModel::paper_workload()),
+            summary_rebuilds: 0,
         }
     }
 }
 
 impl SharedPopulation {
-    /// Creates an empty registry.
+    /// Creates an empty registry that keeps covers.
     pub fn new() -> Self {
         SharedPopulation::default()
     }
 
-    /// Builds the registry from a population (the engine's subscription
-    /// list; ids must be distinct).
+    /// Builds the registry, covers included, from a population (the
+    /// engine's subscription list; ids must be distinct). Each group's
+    /// summary is built once, after its last member.
     pub fn from_population(subscriptions: &[(Subscription, BrokerId)]) -> Self {
         let mut pop = SharedPopulation::new();
         for (sub, edge) in subscriptions {
-            pop.insert(sub.clone(), *edge);
+            pop.register(sub.clone(), *edge);
+        }
+        if let Some(model) = &pop.selectivity {
+            for group in pop.by_edge.values_mut() {
+                if let Some(covers) = &mut group.covers {
+                    covers.rebuild_summary(model, DEFAULT_COVER_LOOSENESS);
+                }
+            }
         }
         pop
+    }
+
+    /// Builds a registry that keeps no covers: records, slot tags, group
+    /// member ids and the epoch only — everything exact forwarding reads.
+    pub fn without_covers(subscriptions: &[(Subscription, BrokerId)]) -> Self {
+        let mut pop = SharedPopulation {
+            selectivity: None,
+            ..SharedPopulation::default()
+        };
+        for (sub, edge) in subscriptions {
+            pop.register(sub.clone(), *edge);
+        }
+        pop
+    }
+
+    /// Returns true when every group holds its [`GroupCovers`].
+    pub fn keeps_covers(&self) -> bool {
+        self.selectivity.is_some()
+    }
+
+    /// Group summaries rebuilt by churn so far: one per
+    /// [`insert`](Self::insert), and one per [`remove`](Self::remove) that
+    /// leaves its group non-empty, in a registry that keeps covers; always 0
+    /// in one that does not.
+    pub fn summary_rebuilds(&self) -> u64 {
+        self.summary_rebuilds
     }
 
     /// Registers a subscription attached at `edge` (replacing any previous
@@ -401,6 +496,12 @@ impl SharedPopulation {
     /// `join_epoch` is the bumped value, so a publish that snapshotted the
     /// epoch earlier never delivers to it.
     pub fn insert(&mut self, subscription: Subscription, edge: BrokerId) {
+        self.register(subscription, edge);
+        self.refresh_summary(edge);
+    }
+
+    /// [`insert`](Self::insert) without the summary rebuild.
+    fn register(&mut self, subscription: Subscription, edge: BrokerId) {
         let id = subscription.id;
         assert!(
             aggregate_scope_dest(id).is_none(),
@@ -408,17 +509,16 @@ impl SharedPopulation {
         );
         self.remove(id);
         self.epoch += 1;
-        let group = self.by_edge.entry(edge).or_default();
+        let keeps_covers = self.keeps_covers();
+        let group = self.by_edge.entry(edge).or_insert_with(|| EdgeGroup {
+            ids: Vec::new(),
+            covers: keeps_covers.then(GroupCovers::default),
+        });
         let pos = group.ids.partition_point(|&i| i < id);
         group.ids.insert(pos, id);
-        group.forest.insert(id, subscription.filter.clone());
-        group.rebuild_summary(&self.selectivity, DEFAULT_COVER_LOOSENESS);
-        group.push_qos(MemberQos {
-            id,
-            join_epoch: self.epoch,
-            allowed_delay: subscription.allowed_delay(),
-            price: subscription.price,
-        });
+        if let Some(covers) = &mut group.covers {
+            covers.insert(&subscription, self.epoch);
+        }
         if self.members.len() <= id.index() {
             self.members.resize_with(id.index() + 1, || None);
             let never_held = SlotTag {
@@ -447,15 +547,28 @@ impl SharedPopulation {
             if let Ok(pos) = group.ids.binary_search(&id) {
                 group.ids.remove(pos);
             }
-            group.forest.remove(id);
-            group.remove_qos(id, record.join_epoch);
+            if let Some(covers) = &mut group.covers {
+                covers.remove(id, record.join_epoch);
+            }
             if group.is_empty() {
                 self.by_edge.remove(&record.edge);
             } else {
-                group.rebuild_summary(&self.selectivity, DEFAULT_COVER_LOOSENESS);
+                self.refresh_summary(record.edge);
             }
         }
         Some(record)
+    }
+
+    /// Rebuilds the summary of the group at `edge`, if the registry keeps
+    /// covers and the group is populated.
+    fn refresh_summary(&mut self, edge: BrokerId) {
+        let (Some(model), Some(group)) = (&self.selectivity, self.by_edge.get_mut(&edge)) else {
+            return;
+        };
+        if let Some(covers) = &mut group.covers {
+            covers.rebuild_summary(model, DEFAULT_COVER_LOOSENESS);
+            self.summary_rebuilds += 1;
+        }
     }
 
     /// The current membership epoch (bumped on every insert).
@@ -513,6 +626,36 @@ impl SharedPopulation {
         Ok(())
     }
 
+    /// Holds the covering state to the member records: a registry that
+    /// keeps covers has them on every group, one that does not on none, and
+    /// every kept QoS envelope is *exactly* the fold over the group's
+    /// current members ([`scratch_envelope`](Self::scratch_envelope), an
+    /// independent derivation — not the prefix-fold machinery — so a
+    /// prefix-maintenance bug cannot agree with it).
+    pub fn audit_covers(&self) -> Result<(), String> {
+        for (edge, group) in self.groups() {
+            let Some(covers) = group.covers() else {
+                if self.keeps_covers() {
+                    return Err(format!("{edge}'s group holds no covers"));
+                }
+                continue;
+            };
+            if !self.keeps_covers() {
+                return Err(format!(
+                    "{edge}'s group holds covers the registry does not keep"
+                ));
+            }
+            let (kept, scratch) = (covers.envelope(), self.scratch_envelope(edge, self.epoch));
+            if kept != scratch {
+                return Err(format!(
+                    "the envelope of {edge}'s group is {kept:?}, but the fold over \
+                     its current members gives {scratch:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The group attached at one edge broker (absent when empty).
     pub fn group(&self, edge: BrokerId) -> Option<&EdgeGroup> {
         self.by_edge.get(&edge)
@@ -522,7 +665,7 @@ impl SharedPopulation {
     /// `join_epoch` does not exceed `epoch`, directly from the member
     /// records in ascending id order — deliberately **not** via the group's
     /// prefix-fold machinery, so audits comparing it against
-    /// [`EdgeGroup::envelope_at`] exercise an independent derivation.
+    /// [`GroupCovers::envelope_at`] exercise an independent derivation.
     /// Commutative folds (min / saturating sum) make the different iteration
     /// orders agree exactly.
     pub fn scratch_envelope(&self, edge: BrokerId, epoch: u64) -> QosEnvelope {
@@ -551,8 +694,9 @@ impl SharedPopulation {
     /// at which edge broker — into `h`, iterating the edge map in its sorted
     /// order so the digest is deterministic. Filters are identified by
     /// subscription id: within one run an id never changes its filter, so
-    /// membership pins the registry's full content. Used by the
-    /// model-checking explorer's state deduplication.
+    /// membership pins the registry's full content. Covers are derived
+    /// state and stay out, so a registry digests the same with or without
+    /// them. Used by the model-checking explorer's state deduplication.
     pub fn digest_into(&self, h: &mut impl std::hash::Hasher) {
         h.write_u64(self.epoch);
         h.write_usize(self.by_edge.len());
@@ -579,7 +723,8 @@ impl SharedPopulation {
         h.finish()
     }
 
-    /// Rough bytes consumed by the registry (counted **once** globally).
+    /// Rough bytes the registry holds (counted **once** globally): records
+    /// and member ids always, covers only where they are kept.
     pub fn bytes_estimate(&self) -> u64 {
         let member_bytes =
             (std::mem::size_of::<MemberRecord>() + MEMBER_SLOT_OVERHEAD) * self.registered;
@@ -588,9 +733,7 @@ impl SharedPopulation {
             .values()
             .map(|g| {
                 g.ids.len() * std::mem::size_of::<SubscriptionId>()
-                    + g.forest.len() * FOREST_NODE_OVERHEAD
-                    + g.qos.len() * std::mem::size_of::<MemberQos>()
-                    + g.qos_prefix.len() * std::mem::size_of::<QosEnvelope>()
+                    + g.covers.as_ref().map_or(0, GroupCovers::bytes_estimate)
             })
             .sum();
         (member_bytes + group_bytes) as u64
@@ -971,6 +1114,11 @@ mod tests {
         Arc::new(RwLock::new(SharedPopulation::from_population(subs)))
     }
 
+    /// The covers of the group at `edge`, in a registry that keeps them.
+    fn covers_at(pop: &SharedPopulation, edge: BrokerId) -> &GroupCovers {
+        pop.group(edge).and_then(EdgeGroup::covers).unwrap()
+    }
+
     /// Resolution oracle: the sparse table resolves every scope id exactly
     /// as a full-population [`SubscriptionTable::build`] materialises it.
     fn assert_matches_dense(
@@ -1070,11 +1218,13 @@ mod tests {
             assert_eq!(p.group(BrokerId::new(2)).unwrap().len(), 2);
             p.group(BrokerId::new(2))
                 .unwrap()
+                .covers()
+                .unwrap()
                 .forest()
                 .check_invariants()
                 .unwrap();
             // The narrow newcomer is covered by the wider resident filter.
-            assert_eq!(p.group(BrokerId::new(2)).unwrap().forest().root_count(), 1);
+            assert_eq!(covers_at(&p, BrokerId::new(2)).forest().root_count(), 1);
             p.remove(SubscriptionId::new(0));
             assert_eq!(p.group(BrokerId::new(2)).unwrap().len(), 1);
             p.remove(SubscriptionId::new(2));
@@ -1086,6 +1236,105 @@ mod tests {
         assert_eq!(table.aggregate_count(), 1);
         let outcome = table.sync_aggregate(&routing, BrokerId::new(2));
         assert_eq!(outcome, RetargetOutcome::default());
+    }
+
+    /// Paper-family members with QoS over four edges, ids ascending.
+    fn paper_members(n: u32, seed: u64) -> Vec<(Subscription, BrokerId)> {
+        let mut rng = SimRng::seed_from(seed);
+        (0..n)
+            .map(|i| {
+                let filter = Filter::paper_conjunction(
+                    rng.uniform_range(0.0, 10.0),
+                    rng.uniform_range(0.0, 10.0),
+                );
+                let qos = QosClass::new(
+                    DelayBound::from_secs(rng.uniform_usize(5, 40) as u64),
+                    Price::from_units(rng.uniform_usize(1, 5) as i64),
+                );
+                let sub = Subscription::with_qos(
+                    SubscriptionId::new(i),
+                    SubscriberId::new(i),
+                    filter,
+                    qos,
+                );
+                (sub, BrokerId::new(rng.uniform_usize(0, 4) as u32))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_bulk_build_summarises_like_one_insert_at_a_time() {
+        let subs = paper_members(200, 3);
+        let bulk = SharedPopulation::from_population(&subs);
+        let mut one_by_one = SharedPopulation::new();
+        for (sub, edge) in &subs {
+            one_by_one.insert(sub.clone(), *edge);
+        }
+        assert_eq!(bulk.summary_rebuilds(), 0, "a bulk build is not churn");
+        assert_eq!(one_by_one.summary_rebuilds(), 200, "one per insert");
+        assert_eq!(bulk.state_digest(), one_by_one.state_digest());
+        for ((edge, a), (_, b)) in bulk.groups().zip(one_by_one.groups()) {
+            let (a, b) = (a.covers().unwrap(), b.covers().unwrap());
+            assert_eq!(a.summary(), b.summary(), "summary at {edge}");
+            assert_eq!(a.forest().root_count(), b.forest().root_count());
+            assert_eq!(a.envelope(), b.envelope(), "envelope at {edge}");
+        }
+    }
+
+    #[test]
+    fn a_registry_without_covers_holds_records_only() {
+        let subs = paper_members(120, 5);
+        let mut exact = SharedPopulation::without_covers(&subs);
+        let mut full = SharedPopulation::from_population(&subs);
+        assert!(!exact.keeps_covers() && full.keeps_covers());
+        for pop in [&mut exact, &mut full] {
+            pop.remove(SubscriptionId::new(7));
+            pop.insert(subs[7].0.clone(), BrokerId::new(9));
+            pop.remove(SubscriptionId::new(3));
+        }
+        assert_eq!(exact.summary_rebuilds(), 0);
+        assert_eq!(
+            full.summary_rebuilds(),
+            3,
+            "two leaves from populated groups, one join"
+        );
+        assert_eq!(exact.state_digest(), full.state_digest());
+        assert!(exact.groups().all(|(_, g)| g.covers().is_none()));
+        assert!(exact.bytes_estimate() < full.bytes_estimate());
+        // Without covers the publish gate cannot rule a group out.
+        assert!(exact
+            .groups()
+            .all(|(_, g)| g.summary_matches(&head(99.0, 99.0))));
+        exact.audit_covers().unwrap();
+        full.audit_covers().unwrap();
+    }
+
+    #[test]
+    fn the_cover_audit_holds_envelopes_and_presence_to_the_registry() {
+        let subs = paper_members(60, 9);
+        let edge = subs[0].1;
+        let mut full = SharedPopulation::from_population(&subs);
+        full.audit_covers().unwrap();
+        // An envelope that kept a leaver's earning.
+        let covers = full
+            .by_edge
+            .get_mut(&edge)
+            .unwrap()
+            .covers
+            .as_mut()
+            .unwrap();
+        let last = covers.qos_prefix.last_mut().unwrap();
+        last.earning_sum = last.earning_sum.saturating_add(Price::from_units(1));
+        let err = full.audit_covers().unwrap_err();
+        assert!(err.contains("envelope"), "{err}");
+        // A group of a covering registry without covers, and a group of a
+        // registry without covers holding some.
+        let mut full = SharedPopulation::from_population(&subs);
+        full.by_edge.get_mut(&edge).unwrap().covers = None;
+        assert!(full.audit_covers().unwrap_err().contains("no covers"));
+        let mut exact = SharedPopulation::without_covers(&subs);
+        exact.by_edge.get_mut(&edge).unwrap().covers = Some(GroupCovers::default());
+        assert!(exact.audit_covers().unwrap_err().contains("does not keep"));
     }
 
     #[test]
@@ -1236,22 +1485,21 @@ mod tests {
             ),
             edge,
         ); // epoch 3, unbounded, unit price
-        let group = pop.group(edge).unwrap();
-        let now = group.envelope();
+        let now = covers_at(&pop, edge).envelope();
         assert_eq!(now.min_allowed_delay, Duration::from_secs(10));
         assert_eq!(now.earning_sum, Price::from_units(5));
         assert_eq!(now.members, 3);
         // Every epoch prefix agrees with the independent scratch fold.
         for epoch in 0..=pop.epoch() {
             assert_eq!(
-                pop.group(edge).unwrap().envelope_at(epoch),
+                covers_at(&pop, edge).envelope_at(epoch),
                 pop.scratch_envelope(edge, epoch),
                 "prefix fold drifted from scratch fold at epoch {epoch}"
             );
         }
-        assert_eq!(pop.group(edge).unwrap().envelope_at(0), QosEnvelope::EMPTY);
+        assert_eq!(covers_at(&pop, edge).envelope_at(0), QosEnvelope::EMPTY);
         assert_eq!(
-            pop.group(edge).unwrap().envelope_at(1).earning_sum,
+            covers_at(&pop, edge).envelope_at(1).earning_sum,
             Price::from_units(1)
         );
     }
@@ -1267,8 +1515,7 @@ mod tests {
         // — including ones sampled before the leave — immediately stops
         // counting it. No one-event lag between member list and envelope.
         pop.remove(SubscriptionId::new(0));
-        let group = pop.group(edge).unwrap();
-        let after = group.envelope_at(snapshot);
+        let after = covers_at(&pop, edge).envelope_at(snapshot);
         assert_eq!(after.min_allowed_delay, Duration::from_secs(30));
         assert_eq!(after.earning_sum, Price::from_units(1));
         assert_eq!(after.members, 1);
@@ -1284,7 +1531,7 @@ mod tests {
         let snapshot = pop.epoch();
         pop.remove(SubscriptionId::new(0));
         pop.insert(qos_sub(0, 10, 3), edge); // rejoin under a fresh epoch
-        let group = pop.group(edge).unwrap();
+        let group = covers_at(&pop, edge);
         // A publication frozen at `snapshot` must not see the rejoined
         // member: its new join_epoch exceeds the snapshot.
         let old = group.envelope_at(snapshot);
@@ -1313,7 +1560,7 @@ mod tests {
             let mut p = pop.write().unwrap();
             p.insert(qos_sub(7, 60, 2), edge);
             p.remove(SubscriptionId::new(0));
-            let envelope = p.group(edge).unwrap().envelope();
+            let envelope = covers_at(&p, edge).envelope();
             assert_eq!(envelope.min_allowed_delay, Duration::from_secs(60));
             assert_eq!(envelope.earning_sum, Price::from_units(2));
         }
@@ -1356,7 +1603,7 @@ mod tests {
                 BrokerId::new(0),
             );
         }
-        let group = pop.group(BrokerId::new(0)).unwrap();
+        let group = covers_at(&pop, BrokerId::new(0));
         assert_eq!(group.forest().root_count(), 3);
         assert_eq!(group.summary().len(), 2, "tight pair merges, wide stays");
         // Soundness: any head matching a member matches the summary.

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::{Arc, RwLock};
 
-use crate::engine::Simulation;
+use crate::engine::{ForwardingMode, Simulation};
 use crate::outcome::LinkFlow;
 use crate::sched::EventQueue;
 
@@ -129,7 +129,7 @@ impl Simulation {
             }
         }
         h.write_u8(self.shared.link_model as u8);
-        h.write_u8(self.shared.forwarding as u8);
+        h.write_u8(self.shared.forwarding.mode() as u8);
         // Publish epochs as a sorted list (aggregate forwarding only; the
         // map is insertion-ordered-free but iteration order is not logical
         // state).
@@ -214,24 +214,6 @@ impl Simulation {
                 }
             }
         }
-        // Envelope-vs-members invariant, once per group: the QoS envelope
-        // publish stamps aggregate copies from must be *exactly* the fold
-        // over the group's current members. The scratch fold iterates member
-        // records directly — independent of the prefix-fold machinery the
-        // group's envelope came from — so a prefix-maintenance bug cannot
-        // agree with it.
-        let pop = read_population(&self.shared.population);
-        let epoch = pop.epoch();
-        for (edge, group) in pop.groups() {
-            let (kept, scratch) = (group.envelope(), pop.scratch_envelope(edge, epoch));
-            if kept != scratch {
-                return Err(format!(
-                    "the envelope of {edge}'s group is {kept:?}, but the fold over \
-                     its current members gives {scratch:?}"
-                ));
-            }
-        }
-        drop(pop);
         self.audit_edge_masks()
     }
 
@@ -287,7 +269,8 @@ impl Simulation {
     /// be exactly what the list says. The table audit rebuilds from the
     /// registry, so without this a registry that kept (or lost) a member the
     /// list disagrees on would rebuild into the same wrong tables. The
-    /// registry's slot tags are then held to its records.
+    /// registry's slot tags are then held to its records, and its covers —
+    /// kept exactly when the run forwards by aggregate — to its members.
     fn audit_registry(&self) -> Result<(), String> {
         let mut listed: BTreeMap<BrokerId, Vec<SubscriptionId>> = BTreeMap::new();
         for (sub, edge) in &self.scenario.subscriptions.entries {
@@ -328,7 +311,19 @@ impl Simulation {
             }
         }
         // The tags link arrivals trust carried targets by.
-        pop.audit_slots()
+        pop.audit_slots()?;
+        // The registry keeps covers exactly when the run forwards by
+        // aggregate, and then every group's QoS envelope — what publish
+        // stamps aggregate copies from — must be the fold over its members.
+        let aggregate = self.shared.forwarding.mode() == ForwardingMode::Aggregate;
+        if pop.keeps_covers() != aggregate {
+            return Err(format!(
+                "{} forwarding runs on a registry that {} covers",
+                self.shared.forwarding.mode(),
+                if aggregate { "keeps no" } else { "keeps" }
+            ));
+        }
+        pop.audit_covers()
     }
 
     /// Arms a deliberately broken invariant, proving the model-checking

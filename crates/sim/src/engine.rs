@@ -25,7 +25,6 @@
 
 use bdps_core::config::SchedulerConfig;
 use bdps_core::objective::ObjectiveTracker;
-use bdps_filter::index::MatchIndex;
 use bdps_filter::subscription::Subscription;
 use bdps_net::link::{LinkQuality, MIN_RATE_MS_PER_KB};
 use bdps_net::linkmodel::LinkModelKind;
@@ -68,13 +67,23 @@ use crate::traffic::{Shared, Totals, TrafficCore};
 pub enum ForwardingMode {
     /// Freeze the exact matching subscription set at publication time by
     /// walking the global filter index — `O(population)` per publish. The
-    /// reference implementation, kept as the delivery-set oracle.
+    /// reference implementation, kept as the delivery-set oracle. Builds the
+    /// global filter index and a registry without covers
+    /// ([`SharedPopulation::without_covers`]): records, slot tags, group
+    /// member ids and the epoch, which is all a join or leave then updates.
+    ///
+    /// [`SharedPopulation::without_covers`]: bdps_overlay::sparse::SharedPopulation::without_covers
     #[default]
     Exact,
     /// Match the publication against each edge broker's covering-aggregate
     /// summary only — `O(brokers)` per publish — and carry the aggregate as
     /// the copy's scope. Concrete subscribers are resolved once, at the edge
-    /// broker, against the membership frozen at the publish epoch.
+    /// broker, against the membership frozen at the publish epoch. Builds no
+    /// global filter index; the registry keeps every group's
+    /// [`GroupCovers`] (covering forest, summary, QoS envelope folds), and
+    /// every join or leave updates them.
+    ///
+    /// [`GroupCovers`]: bdps_overlay::sparse::GroupCovers
     Aggregate,
 }
 
@@ -232,10 +241,6 @@ impl Simulation {
         let scenario_events = scenario.materialize(&topology, &workload, &mut scenario_rng);
         crate::scenario::validate_events(&scenario_events, &topology.graph)?;
 
-        // Global filter index used to count ts_i at publication time.
-        let global_index =
-            MatchIndex::from_subscriptions(subscriptions.iter().map(|(s, _)| (s.id, &s.filter)));
-
         // Link bookkeeping.
         let n = topology.graph.broker_count();
         let mut link_of = vec![vec![None; n]; n];
@@ -258,13 +263,12 @@ impl Simulation {
             .collect();
 
         let scenario = ScenarioCore::new(believed_graph, subscriptions);
-        let (brokers, population) = scenario.build_brokers(&scheduler);
+        let (brokers, population, forwarding) = scenario.build_brokers(&scheduler, forwarding);
         let mut sim = Simulation {
             core: TrafficCore::new(publisher_rng, link_rng, 0),
             shared: Shared {
                 end: SimTime::ZERO + workload.duration,
                 topology,
-                global_index,
                 workload,
                 scheduler,
                 link_model,
@@ -315,7 +319,7 @@ impl Simulation {
 
     /// The forwarding mode this run uses.
     pub fn forwarding(&self) -> ForwardingMode {
-        self.shared.forwarding
+        self.shared.forwarding.mode()
     }
 
     /// The objective bookkeeping accumulated so far — the mid-run view the
@@ -462,7 +466,8 @@ impl Simulation {
             .iter()
             .map(|b| b.table().aggregate_count() as u64)
             .sum();
-        let table_bytes_estimate = read_population(&self.shared.population).bytes_estimate()
+        let population = read_population(&self.shared.population);
+        let table_bytes_estimate = population.bytes_estimate()
             + core
                 .brokers
                 .iter()
@@ -490,6 +495,7 @@ impl Simulation {
             route_trees_recomputed: repairs.route_trees_recomputed,
             route_pairs_changed: repairs.route_pairs_changed,
             copies_scanned_on_leave: repairs.copies_scanned_on_leave,
+            summary_rebuilds: population.summary_rebuilds(),
             aggregate_entries,
             table_bytes_estimate,
             link_loads: self.link_loads_snapshot(),

@@ -165,6 +165,13 @@ pub struct SimulationOutcome {
     /// at scenario barriers, so a sharded run counts exactly what the
     /// sequential one does.
     pub copies_scanned_on_leave: u64,
+    /// Edge-group summaries churn rebuilt
+    /// ([`SharedPopulation::summary_rebuilds`](bdps_overlay::sparse::SharedPopulation::summary_rebuilds)):
+    /// one per join and one per leave that leaves its group non-empty under
+    /// aggregate forwarding, and 0 under exact forwarding, whose registry
+    /// keeps no covers. Churn applies to the one registry at scenario
+    /// barriers, so a sharded run counts what the sequential one does.
+    pub summary_rebuilds: u64,
     /// Aggregate table entries held across all brokers when the run ended:
     /// interior brokers store one covering-aggregated entry per reachable
     /// destination instead of one entry per subscription.

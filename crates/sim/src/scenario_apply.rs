@@ -8,6 +8,7 @@
 use bdps_core::broker::BrokerState;
 use bdps_core::config::SchedulerConfig;
 use bdps_core::queue::Stripped;
+use bdps_filter::index::MatchIndex;
 use bdps_filter::subscription::Subscription;
 use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::routing::Routing;
@@ -18,11 +19,12 @@ use bdps_types::time::SimTime;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
+use crate::engine::ForwardingMode;
 use crate::error::SimError;
 use crate::event::EventKind;
 use crate::scenario::ScenarioAction;
 use crate::sched::EventQueue;
-use crate::traffic::{Effect, EffectSink, Shared, TrafficCore};
+use crate::traffic::{Effect, EffectSink, Forwarding, Shared, TrafficCore};
 
 /// The subscription population, addressable by id.
 ///
@@ -125,18 +127,36 @@ impl ScenarioCore {
         }
     }
 
-    /// Materialises the per-broker state (tables and queues) and the
-    /// population registry the tables share. Tables are built from the
-    /// believed graph (what measurement reports), while transfer times are
-    /// sampled from the true graph.
+    /// Materialises the per-broker state (tables and queues), the
+    /// population registry the tables share and the publish-time matching
+    /// state. Tables are built from the believed graph (what measurement
+    /// reports), while transfer times are sampled from the true graph.
+    ///
+    /// The one place the forwarding mode picks the state it reads: exact
+    /// forwarding gets the global filter index and a registry without
+    /// covers, aggregate forwarding a registry that keeps every group's
+    /// covers and no index. Joins and leaves then maintain only what was
+    /// built.
     pub(crate) fn build_brokers(
         &self,
         scheduler: &SchedulerConfig,
-    ) -> (Vec<BrokerState>, PopulationHandle) {
+        forwarding: ForwardingMode,
+    ) -> (Vec<BrokerState>, PopulationHandle, Forwarding) {
         let graph = &self.believed_graph;
-        let population: PopulationHandle = Arc::new(RwLock::new(
-            SharedPopulation::from_population(&self.subscriptions.entries),
-        ));
+        let entries = &self.subscriptions.entries;
+        let (registry, forwarding) = match forwarding {
+            ForwardingMode::Exact => (
+                SharedPopulation::without_covers(entries),
+                Forwarding::Exact(MatchIndex::from_subscriptions(
+                    entries.iter().map(|(s, _)| (s.id, &s.filter)),
+                )),
+            ),
+            ForwardingMode::Aggregate => (
+                SharedPopulation::from_population(entries),
+                Forwarding::Aggregate,
+            ),
+        };
+        let population: PopulationHandle = Arc::new(RwLock::new(registry));
         let brokers = (0..graph.broker_count())
             .map(|i| {
                 let id = BrokerId::new(i as u32);
@@ -144,7 +164,7 @@ impl ScenarioCore {
                 BrokerState::from_overlay(graph, id, table, scheduler.clone())
             })
             .collect();
-        (brokers, population)
+        (brokers, population, forwarding)
     }
 
     /// Applies one scenario action at `time`: advances the clock and mutates
@@ -244,9 +264,9 @@ impl ScenarioCore {
     ) -> Result<(), SimError> {
         // An id that is already live moves: it leaves its old edge first.
         self.leave(core, shared, sink, subscription.id)?;
-        shared
-            .global_index
-            .insert(subscription.id, subscription.filter.clone());
+        if let Forwarding::Exact(index) = &mut shared.forwarding {
+            index.insert(subscription.id, subscription.filter.clone());
+        }
         // Register once globally: the edge resolves its rows from the
         // registry. Every other broker holds a route towards the edge while
         // its group is populated, so only a join that opens the group adds
@@ -277,7 +297,9 @@ impl ScenarioCore {
         let Some(edge) = self.subscriptions.remove(id) else {
             return Ok(());
         };
-        shared.global_index.remove(id);
+        if let Forwarding::Exact(index) = &mut shared.forwarding {
+            index.remove(id);
+        }
         // Every other broker's route towards the edge goes only if this
         // leave emptied the edge's group; no table holds a row of the id.
         let emptied = {

@@ -121,7 +121,7 @@ pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationO
             model: model.name(),
         });
     }
-    if sim.shared.forwarding == ForwardingMode::Aggregate {
+    if sim.shared.forwarding.mode() == ForwardingMode::Aggregate {
         return Err(SimError::ShardedForwardingUnsupported);
     }
 

@@ -136,8 +136,6 @@ impl EffectSink for Totals {
 #[derive(Clone)]
 pub(crate) struct Shared {
     pub(crate) topology: Topology,
-    /// Global filter index used to count `ts_i` at publication time.
-    pub(crate) global_index: MatchIndex,
     pub(crate) workload: WorkloadConfig,
     pub(crate) scheduler: SchedulerConfig,
     /// How each link shares itself among transfers (all flow bookkeeping
@@ -157,14 +155,36 @@ pub(crate) struct Shared {
     /// Per-publisher rate generation; pending publish events from older
     /// generations are ignored when popped.
     pub(crate) publish_gen: Vec<u64>,
-    /// How publish-time matching scopes copies.
-    pub(crate) forwarding: ForwardingMode,
+    /// How publish-time matching scopes copies, with the state only that
+    /// mode reads.
+    pub(crate) forwarding: Forwarding,
     /// The population registry every broker table references.
     pub(crate) population: PopulationHandle,
     /// Deliberately broken invariant, if armed (see [`InjectedFault`]).
     /// `None` keeps behaviour bit-identical to a build without the feature.
     #[cfg(feature = "fault-injection")]
     pub(crate) injected_fault: Option<InjectedFault>,
+}
+
+/// A [`ForwardingMode`] with the publish-time state only it reads.
+#[derive(Clone)]
+pub(crate) enum Forwarding {
+    /// Exact forwarding and its global filter index, which counts `ts_i`
+    /// and freezes each publication's scope. Joins and leaves keep it
+    /// current.
+    Exact(MatchIndex),
+    /// Aggregate forwarding reads the registry's group summaries instead
+    /// and holds no index.
+    Aggregate,
+}
+
+impl Forwarding {
+    pub(crate) fn mode(&self) -> ForwardingMode {
+        match self {
+            Forwarding::Exact(_) => ForwardingMode::Exact,
+            Forwarding::Aggregate => ForwardingMode::Aggregate,
+        }
+    }
 }
 
 impl Shared {
@@ -443,17 +463,17 @@ impl TrafficCore {
         ));
 
         let mut ids = std::mem::take(&mut self.scope_scratch);
-        let interested = match sh.forwarding {
-            ForwardingMode::Exact => {
+        let interested = match &sh.forwarding {
+            Forwarding::Exact(index) => {
                 // ts_i: how many subscribers are interested in this message.
                 // The matching set doubles as the copy's scope, freezing the
                 // interested population at publication time — under churn a
                 // subscription joining a microsecond later must not receive
                 // (nor re-route) this message.
-                sh.global_index.matching_into(&message.head, &mut ids);
+                index.matching_into(&message.head, &mut ids);
                 ids.len() as u32
             }
-            ForwardingMode::Aggregate => {
+            Forwarding::Aggregate => {
                 // No global index walk: consult only each edge group's
                 // covering summary — O(brokers), not O(population) — and
                 // scope the copy with one sentinel per candidate edge.
@@ -504,7 +524,7 @@ impl TrafficCore {
         let now = self.now;
         let message = Arc::clone(arrival.message());
         let outcome = match sh.forwarding {
-            ForwardingMode::Exact => {
+            Forwarding::Exact(_) => {
                 let b = self.broker_mut(broker);
                 match arrival {
                     Arrival::Published { message, scope } => {
@@ -513,7 +533,7 @@ impl TrafficCore {
                     Arrival::Forwarded(copy) => b.handle_arrival_forwarded(copy, now),
                 }
             }
-            ForwardingMode::Aggregate => {
+            Forwarding::Aggregate => {
                 let epoch = self.publish_epoch.get(&message.id).copied().unwrap_or(0);
                 let b = self.broker_mut(broker);
                 let outcome = match arrival {

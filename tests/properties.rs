@@ -1138,6 +1138,104 @@ fn sparse_tables_match_dense_and_incremental_matches_scratch() {
     });
 }
 
+/// A registry without covers (exact forwarding's) and a full one driven
+/// through the same random joins, leaves and re-joins of live ids agree
+/// after every step on everything exact forwarding reads: group ids and
+/// members, slot tags, records, the epoch and the state digest. The one
+/// without covers never holds cover state or rebuilds a summary; the full
+/// one rebuilds one per join and per leave that leaves its group populated.
+#[test]
+fn a_registry_without_covers_tracks_the_full_one_through_churn() {
+    use bdps::overlay::sparse::{MemberRecord, SharedPopulation};
+
+    fn sub(id: u32, rng: &mut SimRng) -> Subscription {
+        let (sid, who) = (SubscriptionId::new(id), SubscriberId::new(id));
+        let filter =
+            Filter::paper_conjunction(rng.uniform_range(0.0, 10.0), rng.uniform_range(0.0, 10.0));
+        if rng.chance(0.2) {
+            return Subscription::best_effort(sid, who, filter);
+        }
+        let bound = DelayBound::from_secs(rng.uniform_usize(5, 40) as u64);
+        let price = Price::from_units(rng.uniform_usize(1, 5) as i64);
+        Subscription::with_qos(sid, who, filter, QosClass::new(bound, price))
+    }
+    fn record(r: &MemberRecord) -> (&Subscription, BrokerId, u64, u32) {
+        (&r.subscription, r.edge, r.join_epoch, r.incarnation)
+    }
+
+    let (mut steps, mut rejoins) = (0, 0);
+    check(0xC0_7E25, 40, |rng| {
+        let edges = rng.uniform_usize(1, 6);
+        let edge_of = |rng: &mut SimRng| BrokerId::new(rng.uniform_usize(0, edges) as u32);
+        let mut next_id = rng.uniform_usize(0, 30) as u32;
+        let initial: Vec<(Subscription, BrokerId)> = (0..next_id)
+            .map(|id| (sub(id, rng), edge_of(rng)))
+            .collect();
+        let mut exact = SharedPopulation::without_covers(&initial);
+        let mut full = SharedPopulation::from_population(&initial);
+        let mut rebuilds = 0u64;
+        for _ in 0..rng.uniform_usize(20, 80) {
+            // A join leaves its group populated; a leave (also the implied
+            // one of a live id's re-join) does when its group had company.
+            let populated_after_leave = |pop: &SharedPopulation, id: SubscriptionId| {
+                pop.member(id)
+                    .and_then(|r| pop.group(r.edge))
+                    .is_some_and(|g| g.len() > 1)
+            };
+            let roll = rng.uniform();
+            if roll < 0.4 {
+                let (s, edge) = (sub(next_id, rng), edge_of(rng));
+                next_id += 1;
+                exact.insert(s.clone(), edge);
+                full.insert(s, edge);
+                rebuilds += 1;
+            } else if roll < 0.75 {
+                let id = SubscriptionId::new(rng.uniform_usize(0, next_id as usize + 1) as u32);
+                rebuilds += u64::from(populated_after_leave(&exact, id));
+                let (a, b) = (exact.remove(id), full.remove(id));
+                assert_eq!(a.as_ref().map(record), b.as_ref().map(record));
+            } else {
+                let id = rng.uniform_usize(0, next_id as usize + 1) as u32;
+                let (s, edge) = (sub(id, rng), edge_of(rng));
+                rejoins += usize::from(exact.member(s.id).is_some());
+                rebuilds += 1 + u64::from(populated_after_leave(&exact, s.id));
+                next_id = next_id.max(id + 1);
+                exact.insert(s.clone(), edge);
+                full.insert(s, edge);
+            }
+            steps += 1;
+
+            assert_eq!(exact.epoch(), full.epoch());
+            assert_eq!(exact.state_digest(), full.state_digest());
+            assert_eq!(exact.len(), full.len());
+            let members = |pop: &SharedPopulation| -> Vec<(BrokerId, Vec<SubscriptionId>)> {
+                pop.groups().map(|(e, g)| (e, g.ids().to_vec())).collect()
+            };
+            assert_eq!(members(&exact), members(&full));
+            for id in (0..=next_id).map(SubscriptionId::new) {
+                assert_eq!(exact.slot(id), full.slot(id), "slot {id}");
+                assert_eq!(
+                    exact.member(id).map(record),
+                    full.member(id).map(record),
+                    "record {id}"
+                );
+            }
+            assert!(!exact.keeps_covers() && full.keeps_covers());
+            assert!(exact.groups().all(|(_, g)| g.covers().is_none()));
+            assert!(full.groups().all(|(_, g)| g.covers().is_some()));
+            exact.audit_slots().unwrap();
+            exact.audit_covers().unwrap();
+            full.audit_covers().unwrap();
+            assert_eq!(exact.summary_rebuilds(), 0);
+            assert_eq!(full.summary_rebuilds(), rebuilds);
+        }
+    });
+    assert!(
+        steps >= 1_000 && rejoins >= 100,
+        "{steps} steps, {rejoins} re-joins of live ids"
+    );
+}
+
 /// A copy that crossed a link is routed by the receiver exactly as a scoped
 /// arrival over the copy's target ids would be, whatever churn happened
 /// while it was in flight. Seeded meshes and populations; broker A builds

@@ -113,6 +113,101 @@ fn copies_scanned_on_leave_is_identical_sequential_and_two_shards() {
     );
 }
 
+/// The registry-upkeep certificate, a count rather than a timing. Exact
+/// forwarding reads no covers, so its registry keeps none and 10k-subscriber
+/// churn rebuilds no summary; the aggregate twin (same inputs) rebuilds one
+/// per join and one per leave that leaves its group populated, counted here
+/// from the scenario's own join and leave events. Runs in debug builds too:
+/// a change that brings cover upkeep back to exact runs fails tier 1.
+#[test]
+fn summary_rebuilds_certify_that_only_aggregate_runs_maintain_covers() {
+    use bdps::sim::engine::EventKind;
+    use std::collections::HashMap;
+
+    let sim = |forwarding| {
+        Simulation::builder()
+            .layered_mesh(mesh_10k())
+            .ssd(0.5)
+            .duration(Duration::from_secs(20))
+            .strategy(StrategyKind::MaxEb)
+            .scenario(DynamicScenario::named("churn").with_churn(ChurnConfig {
+                joins_per_min: 600.0,
+                leaves_per_min: 600.0,
+            }))
+            .forwarding(forwarding)
+            .seed(3)
+            .build()
+    };
+    assert_eq!(sim(ForwardingMode::Exact).run().summary_rebuilds, 0);
+
+    /// Who is attached where, and the summary rebuilds that churn costs.
+    #[derive(Default)]
+    struct Model {
+        edge_of: HashMap<SubscriptionId, BrokerId>,
+        members: HashMap<BrokerId, usize>,
+        rebuilds: u64,
+    }
+    impl Model {
+        fn attach(&mut self, id: SubscriptionId, edge: BrokerId) {
+            self.edge_of.insert(id, edge);
+            *self.members.entry(edge).or_default() += 1;
+        }
+        fn leave(&mut self, id: SubscriptionId) {
+            if let Some(edge) = self.edge_of.remove(&id) {
+                let left = self.members.get_mut(&edge).expect("attached edge");
+                *left -= 1;
+                self.rebuilds += u64::from(*left > 0);
+            }
+        }
+    }
+
+    let mut sim = sim(ForwardingMode::Aggregate);
+    let mut model = Model::default();
+    for (sub, edge) in sim.subscriptions() {
+        model.attach(sub.id, *edge);
+    }
+    let (mut joins, mut leaves) = (0, 0);
+    let stop = sim.hard_stop();
+    loop {
+        let frontier = sim.take_frontier(stop);
+        let Some(now) = frontier.first().map(|e| e.time) else {
+            break;
+        };
+        for event in &frontier {
+            match &event.item {
+                EventKind::Scenario {
+                    action:
+                        ScenarioAction::SubscriptionJoin {
+                            subscription,
+                            broker,
+                        },
+                } => {
+                    joins += 1;
+                    model.leave(subscription.id);
+                    model.attach(subscription.id, *broker);
+                    model.rebuilds += 1;
+                }
+                EventKind::Scenario {
+                    action: ScenarioAction::SubscriptionLeave { subscription },
+                } => {
+                    leaves += 1;
+                    model.leave(*subscription);
+                }
+                _ => {}
+            }
+        }
+        for event in frontier {
+            sim.push_back(event);
+        }
+        while sim.step_next(now) {}
+    }
+    assert!(
+        joins >= 100 && leaves >= 100,
+        "{joins} joins, {leaves} leaves"
+    );
+    assert_eq!(sim.into_outcome().summary_rebuilds, model.rebuilds);
+}
+
 /// One-million-subscriber churn through the 8-shard executor: the ROADMAP's
 /// production-scale north star. Ignored by default — minutes of wall time —
 /// run explicitly with `cargo test --release million_subscriber -- --ignored`.
