@@ -27,13 +27,12 @@ fn main() {
         .iter()
         .map(|(label, policy)| SweepCell {
             label: (*label).to_string(),
-            config: Simulation::builder()
+            builder: Simulation::builder()
                 .ssd(12.0)
                 .duration(Duration::from_secs(opts.duration_secs))
                 .strategy(StrategyKind::MaxEb)
                 .invalid_detection(*policy)
-                .seed(opts.seed)
-                .build_config(),
+                .seed(opts.seed),
         })
         .collect();
 

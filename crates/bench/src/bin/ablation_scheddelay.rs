@@ -26,12 +26,11 @@ fn main() {
         for &seed in &seeds {
             cells.push(SweepCell {
                 label: format!("{}#{}", strategy.label(), seed),
-                config: Simulation::builder()
+                builder: Simulation::builder()
                     .psd(12.0)
                     .duration(Duration::from_secs(opts.duration_secs))
                     .strategy(strategy.clone())
-                    .seed(seed)
-                    .build_config(),
+                    .seed(seed),
             });
         }
     }

@@ -129,31 +129,21 @@ fn main() {
     for &model in &link_models {
         for scenario in &scenarios {
             for strategy in &strategies {
-                let config = Simulation::builder()
+                let base = Simulation::builder()
                     .ssd(opts.rate)
                     .duration(Duration::from_secs(opts.common.duration_secs))
                     .strategy(strategy.clone())
                     .scenario(scenario.clone())
                     .link_model(model)
-                    .seed(opts.common.seed)
-                    .build_config();
+                    .seed(opts.common.seed);
                 cells.push(SweepCell {
                     label: format!("{}@{}#{}", strategy.label(), scenario.name, model.name()),
-                    config,
+                    builder: base.clone(),
                 });
                 if aggregate {
                     // The envelope-aware twin: the same cell under
                     // aggregate-scoped forwarding, so its on-time count is
                     // directly comparable to the exact cell above.
-                    let config = Simulation::builder()
-                        .ssd(opts.rate)
-                        .duration(Duration::from_secs(opts.common.duration_secs))
-                        .strategy(strategy.clone())
-                        .scenario(scenario.clone())
-                        .link_model(model)
-                        .forwarding(ForwardingMode::Aggregate)
-                        .seed(opts.common.seed)
-                        .build_config();
                     cells.push(SweepCell {
                         label: format!(
                             "{}@{}#{}!aggregate",
@@ -161,7 +151,7 @@ fn main() {
                             scenario.name,
                             model.name()
                         ),
-                        config,
+                        builder: base.forwarding(ForwardingMode::Aggregate),
                     });
                 }
             }

@@ -29,17 +29,17 @@ fn cells_for(ssd: bool, opts: &ExperimentOptions) -> Vec<SweepCell> {
     let mut cells = vec![
         SweepCell {
             label: "EB".into(),
-            config: base(StrategyKind::MaxEb).build_config(),
+            builder: base(StrategyKind::MaxEb),
         },
         SweepCell {
             label: "PC".into(),
-            config: base(StrategyKind::MaxPc).build_config(),
+            builder: base(StrategyKind::MaxPc),
         },
     ];
     for r in R_VALUES {
         cells.push(SweepCell {
             label: format!("EBPC@r{}", (r * 100.0).round() as u32),
-            config: base(StrategyKind::MaxEbpc).ebpc_weight(r).build_config(),
+            builder: base(StrategyKind::MaxEbpc).ebpc_weight(r),
         });
     }
     cells

@@ -12,10 +12,9 @@
 //! [`McModel::build`] materialises the model into a [`Simulation`] for one
 //! cell — exact or aggregate forwarding — through the same
 //! `SimulationBuilder` every other run uses (`try_build_on` over the
-//! hand-made line or star, `drain_grace` set on the builder because a
-//! `SimulationConfig` does not carry it). Exploring both cells of
-//! [`ForwardingMode::ALL`] exhaustively cross-checks the configurations the
-//! integration-level differential oracles only sample.
+//! hand-made line or star, with the model's `drain_grace`). Exploring both
+//! cells of [`ForwardingMode::ALL`] exhaustively cross-checks the
+//! configurations the integration-level differential oracles only sample.
 
 use bdps_core::config::{SchedulerConfig, StrategyKind};
 use bdps_net::link::LinkQuality;

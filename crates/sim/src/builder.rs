@@ -23,21 +23,18 @@
 //! configuration — workload, scheduler, mesh, the scenario processes'
 //! parameters and every materialised scenario event —
 //! and returns either a complete simulation or a [`SimError`];
-//! [`try_report`](SimulationBuilder::try_report) also runs it, so the
-//! executor's two combination guards arrive as `Err` too.
+//! [`try_report`](SimulationBuilder::try_report) also runs it on the
+//! sequential loop.
 //! [`build`](SimulationBuilder::build) and
 //! [`report`](SimulationBuilder::report) are the same calls for callers who
 //! would rather panic, and
 //! [`try_build_on`](SimulationBuilder::try_build_on) takes a hand-made
 //! [`Topology`] in place of the [`TopologySpec`].
 //!
-//! [`run`](crate::runner::run) and [`sweep`](crate::runner::sweep) are thin
-//! wrappers over this builder; a materialised [`SimulationConfig`] and the
-//! builder that produced it yield bit-identical results because both go
-//! through [`SimulationBuilder::try_build`] with the same RNG stream
-//! discipline — with one exception: the config does not carry
-//! [`drain_grace`](SimulationBuilder::drain_grace), so a builder that set it
-//! is reproduced with the two-minute default.
+//! A builder is the whole description of a run: a
+//! [`sweep`](crate::runner::sweep) cell carries one, and the sharded
+//! executor takes what it builds
+//! (`try_run_sharded(builder.try_build()?, n)`, see [`crate::shard`]).
 
 use bdps_core::config::{InvalidDetection, SchedulerConfig};
 use bdps_core::strategy::StrategyHandle;
@@ -105,7 +102,6 @@ impl Default for SimulationBuilder {
                 scenario: DynamicScenario::static_scenario(),
                 link_model: LinkModelKind::default(),
                 forwarding: ForwardingMode::default(),
-                shards: 1,
             },
             detection_pinned: false,
             duration_override: None,
@@ -118,17 +114,6 @@ impl SimulationBuilder {
     /// Starts from the paper defaults (equivalent to `Simulation::builder()`).
     pub fn new() -> Self {
         SimulationBuilder::default()
-    }
-
-    /// Reconstructs a builder from a materialised configuration. Running the
-    /// result reproduces `runner::run(&config)` exactly.
-    pub fn from_config(config: &SimulationConfig) -> Self {
-        SimulationBuilder {
-            config: config.clone(),
-            detection_pinned: true,
-            duration_override: None,
-            drain_grace: DEFAULT_DRAIN_GRACE,
-        }
     }
 
     /// Sets the overlay topology specification.
@@ -237,8 +222,8 @@ impl SimulationBuilder {
     /// the paper's one-transfer-at-a-time sampled rate). This axis *changes
     /// results*: [`LinkModelKind::FairShare`] shares each link's bandwidth equally
     /// among concurrent flows, so congested links genuinely slow down.
-    /// Fair-share runs require `shards(1)` — the sharded executor returns a
-    /// structured error for non-constant models.
+    /// The sharded executor ([`try_run_sharded`](crate::shard::try_run_sharded))
+    /// returns a structured error for non-constant models.
     pub fn link_model(mut self, model: LinkModelKind) -> Self {
         self.config.link_model = model;
         self
@@ -257,7 +242,7 @@ impl SimulationBuilder {
     /// [`ForwardingMode::Aggregate`] matches only against per-edge covering
     /// summaries and expands at the edge; it preserves the delivery set,
     /// earning and audits (`tests/forwarding_equivalence.rs` pins this) but
-    /// not traffic, and requires `shards(1)`.
+    /// not traffic, and the sharded executor rejects it.
     pub fn forwarding(mut self, mode: ForwardingMode) -> Self {
         self.config.forwarding = mode;
         self
@@ -285,17 +270,8 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets how many broker shards advance the event loop (default 1, the
-    /// sequential reference loop). With `n > 1` the run uses the
-    /// conservative time-window executor ([`crate::shard`]) on `n` worker
-    /// threads; every shard count produces a bit-identical report.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.config.shards = n.max(1);
-        self
-    }
-
-    /// Materialises the run as a plain-data [`SimulationConfig`] (the form
-    /// sweeps and experiment binaries pass around).
+    /// Materialises the run as the plain-data [`SimulationConfig`] the
+    /// engine consumes (everything but the drain grace).
     pub fn build_config(&self) -> SimulationConfig {
         let mut config = self.config.clone();
         if !self.detection_pinned && !config.scheduler.strategy.uses_link_model() {
@@ -332,20 +308,13 @@ impl SimulationBuilder {
         Simulation::try_new(topology, self.build_config(), sim_rng, self.drain_grace)
     }
 
-    /// Builds, runs to completion on the configured number of shards (one
-    /// shard is the sequential loop) and wraps the outcome in a
-    /// [`SimulationReport`].
+    /// Builds, runs to completion on the sequential loop and wraps the
+    /// outcome in a [`SimulationReport`].
     pub fn try_report(&self) -> std::result::Result<SimulationReport, SimError> {
         let config = self.build_config();
-        let outcome = crate::shard::try_run_sharded(self.try_build()?, config.shards)?;
         Ok(SimulationReport::from_outcome(
-            &outcome,
-            &config.scheduler.strategy,
-            config.scheduler.ebpc_weight,
-            config.workload.scenario,
-            &config.scenario.name,
-            &config.workload,
-            config.seed,
+            &self.try_build()?.try_run()?,
+            &config,
         ))
     }
 
@@ -372,7 +341,6 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner;
     use bdps_core::config::StrategyKind;
 
     fn small(strategy: StrategyKind) -> SimulationBuilder {
@@ -385,20 +353,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_runner_run_exactly() {
-        for strategy in StrategyKind::ALL {
-            let builder = small(strategy);
-            let via_builder = builder.report();
-            let via_runner = runner::run(&builder.build_config());
-            assert_eq!(via_builder, via_runner, "{}", strategy.label());
-        }
-    }
-
-    #[test]
     fn paper_detection_rule_applies_unless_pinned() {
         let fifo = small(StrategyKind::Fifo).build_config();
         assert_eq!(
             fifo.scheduler.invalid_detection,
+            InvalidDetection::ExpiredOnly
+        );
+        let rl = small(StrategyKind::RemainingLifetime).build_config();
+        assert_eq!(
+            rl.scheduler.invalid_detection,
             InvalidDetection::ExpiredOnly
         );
         let eb = small(StrategyKind::MaxEb).build_config();
@@ -427,13 +390,6 @@ mod tests {
             .workload(WorkloadConfig::paper_ssd(10.0))
             .build_config();
         assert_eq!(own.workload.duration, Duration::from_secs(2 * 3600));
-    }
-
-    #[test]
-    fn from_config_round_trips() {
-        let config = small(StrategyKind::MaxEbpc).ebpc_weight(0.8).build_config();
-        let rebuilt = SimulationBuilder::from_config(&config).build_config();
-        assert_eq!(config, rebuilt);
     }
 
     #[test]

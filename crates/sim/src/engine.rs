@@ -137,11 +137,11 @@ impl Simulation {
     /// the per-broker state, so a `Simulation` is complete the moment it
     /// exists.
     ///
-    /// `config.topology`, `config.seed` and `config.shards` are the
-    /// caller's business (it already turned the first two into `topology`
-    /// and `rng`, and it picks the executor). All randomness is derived
-    /// from `rng`; the scenario draws from a stream split off its seed, so
-    /// the main simulation stream is the same whatever the scenario does.
+    /// `config.topology` and `config.seed` are the caller's business (it
+    /// already turned them into `topology` and `rng`). All randomness is
+    /// derived from `rng`; the scenario draws from a stream split off its
+    /// seed, so the main simulation stream is the same whatever the scenario
+    /// does.
     /// The routing tables, path statistics and `FT` estimates are computed
     /// from link parameters biased by `config.estimation_error` while
     /// transfers follow the true link model.

@@ -37,10 +37,9 @@
 //!   the one place runs are assembled and validated: `try_build` /
 //!   `try_build_on` / `try_report` return a misconfiguration as a
 //!   [`SimError`], `build` / `report` panic with it;
-//! * [`runner`] — thin wrappers over the builder: one-call execution of a
-//!   materialised config (which reproduces its builder bit for bit, bar the
-//!   `drain_grace` it does not carry) plus parallel parameter sweeps across
-//!   strategies, rates and seeds;
+//! * [`runner`] — parallel parameter sweeps over builders (one
+//!   [`SweepCell`] per run) across strategies, rates and seeds, and the
+//!   plain-data [`SimulationConfig`] a builder materialises;
 //! * [`report`] — result records and Markdown rendering helpers.
 
 #![forbid(unsafe_code)]
@@ -70,7 +69,7 @@ pub use engine::{
     LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
 };
 pub use report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
-pub use runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
+pub use runner::{sweep, SimulationConfig, SweepCell, TopologySpec};
 pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent};
 pub use sched::{EventHeap, EventQueue, Scheduled};
 pub use shard::{run_sharded, try_run_sharded};
@@ -86,7 +85,7 @@ pub mod prelude {
         ForwardingMode, LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
     };
     pub use crate::report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
-    pub use crate::runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
+    pub use crate::runner::{sweep, SimulationConfig, SweepCell, TopologySpec};
     pub use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioEvent};
     pub use crate::sched::EventQueue;
     pub use crate::workload::{

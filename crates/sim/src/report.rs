@@ -1,9 +1,7 @@
 //! Result records and rendering helpers.
 
-use bdps_core::strategy::StrategyHandle;
-
 use crate::engine::{LinkLoad, PhaseOutcome, SimulationOutcome};
-use crate::workload::{Scenario, WorkloadConfig};
+use crate::runner::SimulationConfig;
 use bdps_types::time::SimTime;
 
 /// Per-phase metrics of one run, with NaN-free statistics: a phase during
@@ -167,23 +165,16 @@ pub struct SimulationReport {
 }
 
 impl SimulationReport {
-    /// Builds a report from a finished simulation.
-    pub fn from_outcome(
-        outcome: &SimulationOutcome,
-        strategy: &StrategyHandle,
-        ebpc_weight: f64,
-        scenario: Scenario,
-        dynamics: &str,
-        workload: &WorkloadConfig,
-        seed: u64,
-    ) -> Self {
+    /// Builds a report from a finished simulation and the configuration it
+    /// ran.
+    pub fn from_outcome(outcome: &SimulationOutcome, config: &SimulationConfig) -> Self {
         SimulationReport {
-            strategy: strategy.label().to_owned(),
-            scenario: scenario.label().to_owned(),
-            dynamics: dynamics.to_owned(),
-            publishing_rate: workload.publishing_rate_per_min,
-            ebpc_weight,
-            seed,
+            strategy: config.scheduler.strategy.label().to_owned(),
+            scenario: config.workload.scenario.label().to_owned(),
+            dynamics: config.scenario.name.clone(),
+            publishing_rate: config.workload.publishing_rate_per_min,
+            ebpc_weight: config.scheduler.ebpc_weight,
+            seed: config.seed,
             published: outcome.published,
             interested: outcome.tracker.total_interested(),
             on_time: outcome.tracker.total_on_time(),

@@ -1,17 +1,12 @@
-//! One-call experiment execution and parallel parameter sweeps.
+//! Parallel parameter sweeps over builders.
 //!
-//! [`run`] and [`sweep`] are thin wrappers over the fluent
-//! [`SimulationBuilder`]: a
-//! [`SimulationConfig`] is just a materialised builder, so both entry points
-//! produce bit-identical results for the same configuration — except for a
-//! builder's `drain_grace`, which the config does not carry (a config runs
-//! with the two-minute default). Both panic on a configuration the builder's
-//! `try_report` would return as a [`SimError`](crate::engine::SimError);
-//! `sweep` collects those per cell. The paper's
-//! figures are produced by sweeping a grid of (strategy, publishing rate) or
-//! (strategy, EBPC weight) cells; each cell is an independent simulation, so
-//! the sweep runs cells on scoped worker threads with one RNG stream per
-//! cell.
+//! A [`SweepCell`] is a label plus the [`SimulationBuilder`] that describes
+//! its run, and [`sweep`] runs each cell through the builder's
+//! `try_report`, so a cell reports exactly what its builder reports. The
+//! paper's figures are produced by sweeping a grid of (strategy, publishing
+//! rate) or (strategy, EBPC weight) cells; each cell is an independent
+//! simulation, so the sweep runs cells on scoped worker threads with one RNG
+//! stream per cell.
 
 use bdps_core::config::SchedulerConfig;
 use bdps_core::strategy::StrategyHandle;
@@ -58,8 +53,9 @@ impl TopologySpec {
     }
 }
 
-/// The full configuration of one simulation run — a materialised
-/// [`SimulationBuilder`], minus its `drain_grace`.
+/// The plain data the engine builds a run from, as
+/// [`SimulationBuilder::build_config`] materialises it (the builder also
+/// holds the run's `drain_grace`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Topology specification.
@@ -86,56 +82,26 @@ pub struct SimulationConfig {
     /// `O(population)` global-index freeze). Aggregate forwarding preserves
     /// the delivery set but not traffic (see [`ForwardingMode`]).
     pub forwarding: ForwardingMode,
-    /// How many broker shards advance the event loop (1 = the sequential
-    /// reference loop; N > 1 runs the conservative time-window executor on
-    /// N worker threads, see [`crate::shard`]). Every shard count yields
-    /// bit-identical reports.
-    pub shards: usize,
 }
 
-impl SimulationConfig {
-    /// The paper's setup for the given strategy, scenario workload and seed.
-    ///
-    /// Following §5.4 the ε-based early deletion applies to the proposed
-    /// strategies; the FIFO and RL baselines only delete already-expired
-    /// messages (they have no probabilistic model to consult).
-    pub fn paper(strategy: impl Into<StrategyHandle>, workload: WorkloadConfig, seed: u64) -> Self {
-        SimulationBuilder::new()
-            .workload(workload)
-            .strategy(strategy)
-            .seed(seed)
-            .build_config()
-    }
-
-    /// Overrides the EBPC weight `r`.
-    pub fn with_ebpc_weight(mut self, r: f64) -> Self {
-        self.scheduler.ebpc_weight = r;
-        self
-    }
-}
-
-/// Runs one simulation and returns its report.
-pub fn run(config: &SimulationConfig) -> SimulationReport {
-    SimulationBuilder::from_config(config).report()
-}
-
-/// One cell of a sweep: a configuration plus an arbitrary label.
+/// One cell of a sweep: a run plus an arbitrary label.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Free-form label carried through to the result (e.g. "rate=15").
     pub label: String,
-    /// The configuration to run.
-    pub config: SimulationConfig,
+    /// The run.
+    pub builder: SimulationBuilder,
 }
 
 /// Runs every cell, using up to `threads` worker threads, and returns
 /// `(label, report)` pairs in the order the cells were given.
 ///
-/// A panicking cell does not take the sweep down with it mid-flight: every
-/// remaining cell still runs to completion, and only then does `sweep`
-/// re-panic with a message naming each failed cell (label and seed). There
-/// is no silent partial result vector — either all cells succeeded or the
-/// call panics with the full casualty list.
+/// A failing cell — a [`SimError`](crate::engine::SimError) or a panic —
+/// does not take the sweep down with it mid-flight: every remaining cell
+/// still runs to completion, and only then does `sweep` panic with a message
+/// naming each failed cell (label and seed) and its error. There is no
+/// silent partial result vector — either all cells succeeded or the call
+/// panics with the full casualty list.
 pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationReport)> {
     let next = std::sync::atomic::AtomicUsize::new(0);
     type Slot = Mutex<Option<std::result::Result<(String, SimulationReport), String>>>;
@@ -173,14 +139,13 @@ pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationRepo
         let detail: Vec<String> = failures
             .iter()
             .map(|(i, msg)| {
-                format!(
-                    "cell {:?} (seed {}): {msg}",
-                    cells[*i].label, cells[*i].config.seed
-                )
+                let cell = &cells[*i];
+                let seed = cell.builder.build_config().seed;
+                format!("cell {:?} (seed {seed}): {msg}", cell.label)
             })
             .collect();
         panic!(
-            "sweep: {} of {} cells panicked — {}",
+            "sweep: {} of {} cells failed — {}",
             failures.len(),
             cells.len(),
             detail.join("; ")
@@ -189,12 +154,14 @@ pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationRepo
     results
 }
 
-/// Runs one sweep cell, converting a panic into the cell's error string so
-/// the sweep can keep draining its queue.
+/// Runs one sweep cell, converting its `SimError` or panic into the cell's
+/// error string so the sweep can keep draining its queue.
 fn run_cell(cell: &SweepCell) -> std::result::Result<(String, SimulationReport), String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&cell.config)))
-        .map(|report| (cell.label.clone(), report))
-        .map_err(crate::shard::panic_message)
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell.builder.try_report())) {
+        Ok(Ok(report)) => Ok((cell.label.clone(), report)),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(payload) => Err(crate::shard::panic_message(payload)),
+    }
 }
 
 /// Builds the sweep cells for a strategy × publishing-rate grid over the
@@ -221,7 +188,7 @@ pub fn strategy_rate_grid_with(
                 .seed(seed);
             cells.push(SweepCell {
                 label: format!("{}@rate{}", strategy.label(), rate),
-                config: builder.build_config(),
+                builder,
             });
         }
     }
@@ -232,25 +199,26 @@ pub fn strategy_rate_grid_with(
 mod tests {
     use super::*;
     use crate::workload::Scenario;
-    use bdps_core::config::{InvalidDetection, StrategyKind};
+    use bdps_core::config::StrategyKind;
     use bdps_types::time::Duration;
 
-    fn quick_config(strategy: StrategyKind, rate: f64, ssd: bool, seed: u64) -> SimulationConfig {
-        let workload = if ssd {
-            WorkloadConfig::paper_ssd(rate)
+    fn quick(strategy: StrategyKind, rate: f64, ssd: bool, seed: u64) -> SimulationBuilder {
+        let builder = SimulationBuilder::new().layered_mesh(LayeredMeshConfig::small());
+        let builder = if ssd {
+            builder.ssd(rate)
         } else {
-            WorkloadConfig::paper_psd(rate)
-        }
-        .with_duration(Duration::from_secs(180));
-        let mut cfg = SimulationConfig::paper(strategy, workload, seed);
-        cfg.topology = TopologySpec::LayeredMesh(LayeredMeshConfig::small());
-        cfg
+            builder.psd(rate)
+        };
+        builder
+            .duration(Duration::from_secs(180))
+            .strategy(strategy)
+            .seed(seed)
     }
 
     #[test]
     fn run_produces_consistent_report() {
-        let cfg = quick_config(StrategyKind::MaxEb, 6.0, false, 1);
-        let report = run(&cfg);
+        let builder = quick(StrategyKind::MaxEb, 6.0, false, 1);
+        let report = builder.report();
         assert_eq!(report.strategy, "EB");
         assert_eq!(report.scenario, Scenario::PublisherSpecified.label());
         assert!(report.published > 0);
@@ -258,28 +226,8 @@ mod tests {
         assert!(report.message_number >= report.published);
         assert_eq!(report.seed, 1);
         // Deterministic.
-        let again = run(&cfg);
+        let again = builder.report();
         assert_eq!(report, again);
-    }
-
-    #[test]
-    fn baseline_strategies_use_expired_only_detection() {
-        let eb = SimulationConfig::paper(StrategyKind::MaxEb, WorkloadConfig::paper_psd(1.0), 1);
-        assert_eq!(eb.scheduler.invalid_detection, InvalidDetection::PAPER);
-        let fifo = SimulationConfig::paper(StrategyKind::Fifo, WorkloadConfig::paper_psd(1.0), 1);
-        assert_eq!(
-            fifo.scheduler.invalid_detection,
-            InvalidDetection::ExpiredOnly
-        );
-        let rl = SimulationConfig::paper(
-            StrategyKind::RemainingLifetime,
-            WorkloadConfig::paper_psd(1.0),
-            1,
-        );
-        assert_eq!(
-            rl.scheduler.invalid_detection,
-            InvalidDetection::ExpiredOnly
-        );
     }
 
     #[test]
@@ -288,7 +236,7 @@ mod tests {
             .iter()
             .map(|&s| SweepCell {
                 label: s.label().to_string(),
-                config: quick_config(s, 6.0, true, 3),
+                builder: quick(s, 6.0, true, 3),
             })
             .collect();
         let parallel = sweep(&cells, 4);
@@ -302,20 +250,19 @@ mod tests {
         }
     }
 
-    /// A cell whose topology spec cannot be materialised (panics inside
-    /// `run`): the sweep must name the cell and its seed in the propagated
-    /// panic, and every sibling cell must still have executed first.
+    /// A cell whose topology spec cannot be materialised (its builder
+    /// returns a `SimError`): the sweep must name the cell and its seed in
+    /// the propagated panic, and every sibling cell must still have executed
+    /// first.
     fn poisoned_cell(seed: u64) -> SweepCell {
-        let mut cfg = quick_config(StrategyKind::MaxEb, 6.0, false, seed);
-        cfg.topology = TopologySpec::LayeredMesh(LayeredMeshConfig {
-            layer_sizes: vec![],
-            fan_in: vec![],
-            publishers_per_first_layer_broker: 1,
-            subscribers_per_edge_broker: 1,
-        });
         SweepCell {
             label: format!("bad-seed{seed}"),
-            config: cfg,
+            builder: quick(StrategyKind::MaxEb, 6.0, false, seed).layered_mesh(LayeredMeshConfig {
+                layer_sizes: vec![],
+                fan_in: vec![],
+                publishers_per_first_layer_broker: 1,
+                subscribers_per_edge_broker: 1,
+            }),
         }
     }
 
@@ -333,19 +280,19 @@ mod tests {
         let cells = vec![
             SweepCell {
                 label: "good-a".into(),
-                config: quick_config(StrategyKind::MaxEb, 6.0, false, 11),
+                builder: quick(StrategyKind::MaxEb, 6.0, false, 11),
             },
             poisoned_cell(97),
             SweepCell {
                 label: "good-b".into(),
-                config: quick_config(StrategyKind::Fifo, 6.0, false, 12),
+                builder: quick(StrategyKind::Fifo, 6.0, false, 12),
             },
             poisoned_cell(98),
         ];
         for threads in [1, 3] {
             let msg = sweep_panic_message(&cells, threads);
             assert!(
-                msg.contains("2 of 4 cells panicked"),
+                msg.contains("2 of 4 cells failed"),
                 "threads={threads}: expected the full casualty count, got: {msg}"
             );
             for (label, seed) in [("bad-seed97", 97), ("bad-seed98", 98)] {
@@ -361,30 +308,6 @@ mod tests {
         }
     }
 
-    /// One worker and several must agree bit-for-bit, including for cells
-    /// that themselves run the sharded executor.
-    #[test]
-    fn sweep_equality_across_thread_counts_with_sharded_cells() {
-        let cells: Vec<SweepCell> = [1usize, 2, 4]
-            .iter()
-            .map(|&shards| {
-                let mut cfg = quick_config(StrategyKind::MaxEbpc, 6.0, true, 7);
-                cfg.shards = shards;
-                SweepCell {
-                    label: format!("shards{shards}"),
-                    config: cfg,
-                }
-            })
-            .collect();
-        let serial = sweep(&cells, 1);
-        let parallel = sweep(&cells, 3);
-        assert_eq!(serial, parallel);
-        // The cells only differ in shard count, so the executor-equivalence
-        // invariant makes all three reports identical too.
-        assert_eq!(serial[0].1, serial[1].1);
-        assert_eq!(serial[0].1, serial[2].1);
-    }
-
     #[test]
     fn grid_builder_covers_the_cross_product() {
         let cells = strategy_rate_grid_with(
@@ -395,23 +318,14 @@ mod tests {
             42,
         );
         assert_eq!(cells.len(), 6);
-        assert!(cells
-            .iter()
-            .all(|c| c.config.topology == TopologySpec::Paper));
+        let configs: Vec<SimulationConfig> =
+            cells.iter().map(|c| c.builder.build_config()).collect();
+        assert!(configs.iter().all(|c| c.topology == TopologySpec::Paper));
         assert!(cells
             .iter()
             .any(|c| c.label == "EB@rate3" || c.label == "EB@rate3.0"));
-        assert!(cells
+        assert!(configs
             .iter()
-            .all(|c| c.config.workload.duration == Duration::from_secs(600)));
-    }
-
-    #[test]
-    fn ebpc_weight_override() {
-        let cfg = quick_config(StrategyKind::MaxEbpc, 3.0, true, 5).with_ebpc_weight(0.8);
-        assert_eq!(cfg.scheduler.ebpc_weight, 0.8);
-        let report = run(&cfg);
-        assert_eq!(report.ebpc_weight, 0.8);
-        assert_eq!(report.strategy, "EBPC");
+            .all(|c| c.workload.duration == Duration::from_secs(600)));
     }
 }

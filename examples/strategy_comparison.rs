@@ -17,12 +17,11 @@ fn main() {
         .iter()
         .map(|strategy| SweepCell {
             label: strategy.label().to_string(),
-            config: Simulation::builder()
+            builder: Simulation::builder()
                 .psd(rate)
                 .duration(Duration::from_secs(600))
                 .strategy(strategy.clone())
-                .seed(2026)
-                .build_config(),
+                .seed(2026),
         })
         .collect();
 

@@ -47,12 +47,12 @@ fn main() {
 
     // Run the paper's SSD workload at a congesting rate under both strategies.
     for strategy in [StrategyKind::MaxEb, StrategyKind::Fifo] {
-        let config = SimulationConfig::paper(
-            strategy,
-            WorkloadConfig::paper_ssd(12.0).with_duration(Duration::from_secs(600)),
-            7,
-        );
-        let report = bdps::sim::runner::run(&config);
+        let report = Simulation::builder()
+            .ssd(12.0)
+            .duration(Duration::from_secs(600))
+            .strategy(strategy)
+            .seed(7)
+            .report();
         println!(
             "{:4}  earning {:8.1}  delivery rate {:5.1} %  traffic {:6} receptions",
             report.strategy,

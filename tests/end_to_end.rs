@@ -5,16 +5,18 @@ use bdps::core::strategy::ScheduleContext;
 use bdps::overlay::routing::Routing;
 use bdps::overlay::topology::{LayeredMeshConfig, Topology};
 use bdps::prelude::*;
-use bdps::sim::runner::{run, sweep, SweepCell, TopologySpec};
+use bdps::sim::runner::{sweep, SweepCell, TopologySpec};
 
-fn quick(strategy: StrategyKind, ssd: bool, rate: f64, seed: u64) -> SimulationConfig {
-    let workload = if ssd {
-        WorkloadConfig::paper_ssd(rate)
+fn quick(strategy: StrategyKind, ssd: bool, rate: f64, seed: u64) -> SimulationBuilder {
+    let builder = if ssd {
+        Simulation::builder().ssd(rate)
     } else {
-        WorkloadConfig::paper_psd(rate)
-    }
-    .with_duration(Duration::from_secs(420));
-    SimulationConfig::paper(strategy, workload, seed)
+        Simulation::builder().psd(rate)
+    };
+    builder
+        .duration(Duration::from_secs(420))
+        .strategy(strategy)
+        .seed(seed)
 }
 
 #[test]
@@ -39,7 +41,7 @@ fn paper_topology_routes_are_complete_and_consistent() {
 
 #[test]
 fn paper_scale_run_is_sane_under_the_eb_strategy() {
-    let report = run(&quick(StrategyKind::MaxEb, true, 10.0, 31));
+    let report = quick(StrategyKind::MaxEb, true, 10.0, 31).report();
     // 4 publishers x 10 msg/min x 7 minutes ~ 280 messages.
     assert!(
         report.published > 150 && report.published < 450,
@@ -54,7 +56,7 @@ fn paper_scale_run_is_sane_under_the_eb_strategy() {
     );
     assert!(report.delivery_rate > 0.0 && report.delivery_rate <= 1.0);
     assert!(report.total_earning > 0.0);
-    assert!(report.message_number > report.published as u64);
+    assert!(report.message_number > report.published);
     // No (message, subscriber) pair can be delivered twice.
     assert!(report.on_time + report.late <= report.interested);
 }
@@ -72,7 +74,7 @@ fn congestion_ordering_matches_the_paper() {
     .iter()
     .map(|&s| SweepCell {
         label: s.label().into(),
-        config: quick(s, false, 12.0, 77),
+        builder: quick(s, false, 12.0, 77),
     })
     .collect();
     let results = sweep(&cells, 4);
@@ -93,8 +95,8 @@ fn congestion_ordering_matches_the_paper() {
 
 #[test]
 fn ssd_earning_favours_eb_over_fifo_under_load() {
-    let eb = run(&quick(StrategyKind::MaxEb, true, 12.0, 13));
-    let fifo = run(&quick(StrategyKind::Fifo, true, 12.0, 13));
+    let eb = quick(StrategyKind::MaxEb, true, 12.0, 13).report();
+    let fifo = quick(StrategyKind::Fifo, true, 12.0, 13).report();
     assert!(
         eb.total_earning > fifo.total_earning,
         "EB earning {} should exceed FIFO earning {}",
@@ -109,8 +111,10 @@ fn ssd_earning_favours_eb_over_fifo_under_load() {
 #[test]
 fn ebpc_extreme_weight_equals_eb() {
     // r = 1 makes EBPC identical to EB, so the whole simulation must agree.
-    let eb = run(&quick(StrategyKind::MaxEb, true, 9.0, 5));
-    let ebpc = run(&quick(StrategyKind::MaxEbpc, true, 9.0, 5).with_ebpc_weight(1.0));
+    let eb = quick(StrategyKind::MaxEb, true, 9.0, 5).report();
+    let ebpc = quick(StrategyKind::MaxEbpc, true, 9.0, 5)
+        .ebpc_weight(1.0)
+        .report();
     assert_eq!(eb.on_time, ebpc.on_time);
     assert_eq!(eb.total_earning, ebpc.total_earning);
     assert_eq!(eb.message_number, ebpc.message_number);
@@ -118,44 +122,71 @@ fn ebpc_extreme_weight_equals_eb() {
 
 #[test]
 fn runs_are_reproducible_across_processes_and_parallelism() {
-    let cfg = quick(StrategyKind::MaxEbpc, false, 9.0, 99);
-    let a = run(&cfg);
-    let b = run(&cfg);
+    let builder = quick(StrategyKind::MaxEbpc, false, 9.0, 99);
+    let a = builder.report();
+    let b = builder.report();
     assert_eq!(a, b);
     // The same cell inside a parallel sweep gives the same numbers.
     let cells = vec![
         SweepCell {
             label: "x".into(),
-            config: cfg.clone(),
+            builder,
         },
         SweepCell {
             label: "y".into(),
-            config: quick(StrategyKind::Fifo, false, 9.0, 99),
+            builder: quick(StrategyKind::Fifo, false, 9.0, 99),
         },
     ];
     let swept = sweep(&cells, 2);
     assert_eq!(swept[0].1, a);
 }
 
+/// A sweep cell runs its builder as given: every setter reaches the report,
+/// including the drain grace, which a sweep once reset to its two-minute
+/// default.
+#[test]
+fn a_sweep_honours_every_builder_setter() {
+    let base = Simulation::builder()
+        .layered_mesh(LayeredMeshConfig::small())
+        .ssd(12.0)
+        .duration(Duration::from_secs(180))
+        .strategy(StrategyKind::MaxEbpc)
+        .ebpc_weight(0.7)
+        .seed(4);
+    let cells = vec![
+        SweepCell {
+            label: "no-grace".into(),
+            builder: base.clone().drain_grace(Duration::ZERO),
+        },
+        SweepCell {
+            label: "default-grace".into(),
+            builder: base,
+        },
+    ];
+    let swept = sweep(&cells, 2);
+    for ((label, report), cell) in swept.iter().zip(&cells) {
+        assert_eq!(*label, cell.label);
+        assert_eq!(*report, cell.builder.report(), "{label}");
+        assert_eq!(report.ebpc_weight, 0.7, "{label}");
+    }
+    assert_ne!(
+        swept[0].1, swept[1].1,
+        "the drain grace must change the report, or this test is vacuous"
+    );
+}
+
 #[test]
 fn builder_path_matches_enum_path_for_all_paper_strategies() {
-    // Acceptance: the five paper strategies must produce identical sweep
-    // results (delivery rate / total earning) through the trait + builder
-    // path as through the `StrategyKind` compatibility path.
+    // Acceptance: the five paper strategies must produce identical results
+    // (delivery rate / total earning) through the trait-object handle as
+    // through the `StrategyKind` compatibility path.
     for strategy in StrategyKind::ALL {
         for ssd in [false, true] {
-            let enum_path = run(&quick(strategy, ssd, 10.0, 21));
-            let builder_path = Simulation::builder()
-                .workload(if ssd {
-                    WorkloadConfig::paper_ssd(10.0)
-                } else {
-                    WorkloadConfig::paper_psd(10.0)
-                })
-                .duration(Duration::from_secs(420))
-                .strategy(strategy)
-                .seed(21)
+            let enum_path = quick(strategy, ssd, 10.0, 21).report();
+            let handle_path = quick(strategy, ssd, 10.0, 21)
+                .strategy(strategy.resolve())
                 .report();
-            assert_eq!(enum_path, builder_path, "{} ssd={ssd}", strategy.label());
+            assert_eq!(enum_path, handle_path, "{} ssd={ssd}", strategy.label());
         }
     }
 }
@@ -288,29 +319,28 @@ fn registry_scenarios_run_through_the_builder() {
 fn static_scenario_reproduces_pre_scenario_behaviour() {
     // The scenario subsystem must not perturb the paper evaluation: a run
     // with the default (static) scenario equals one with an explicitly
-    // constructed empty scenario, through both the builder and the runner.
-    let cfg = quick(StrategyKind::MaxEb, true, 10.0, 77);
-    assert!(cfg.scenario.is_static());
-    let via_runner = run(&cfg);
-    let via_builder = Simulation::builder()
-        .ssd(10.0)
-        .duration(Duration::from_secs(420))
-        .strategy(StrategyKind::MaxEb)
+    // constructed empty scenario.
+    let default = quick(StrategyKind::MaxEb, true, 10.0, 77);
+    assert!(default.build_config().scenario.is_static());
+    let explicit = default
+        .clone()
         .scenario(DynamicScenario::static_scenario())
-        .seed(77)
         .report();
-    assert_eq!(via_runner, via_builder);
-    assert_eq!(via_builder.phases.len(), 1);
-    assert_eq!(via_builder.phases[0].label, "run");
+    assert_eq!(default.report(), explicit);
+    assert_eq!(explicit.phases.len(), 1);
+    assert_eq!(explicit.phases[0].label, "run");
 }
 
 #[test]
 fn smaller_mesh_and_best_effort_scenario_work() {
     let mut workload = WorkloadConfig::paper_psd(6.0).with_duration(Duration::from_secs(300));
     workload.scenario = Scenario::BestEffort;
-    let mut cfg = SimulationConfig::paper(StrategyKind::Fifo, workload, 3);
-    cfg.topology = TopologySpec::LayeredMesh(LayeredMeshConfig::small());
-    let report = run(&cfg);
+    let report = Simulation::builder()
+        .topology(TopologySpec::LayeredMesh(LayeredMeshConfig::small()))
+        .workload(workload)
+        .strategy(StrategyKind::Fifo)
+        .seed(3)
+        .report();
     // Without bounds nothing can ever be late or dropped as expired.
     assert_eq!(report.late, 0);
     assert_eq!(report.dropped_expired, 0);
@@ -328,7 +358,7 @@ fn smaller_mesh_and_best_effort_scenario_work() {
 /// work out from its inputs, or that only ever takes one value outside the
 /// tests, is a constant, not a field.
 #[test]
-fn simulation_config_has_nine_fields() {
+fn simulation_config_has_eight_fields() {
     let SimulationConfig {
         topology: _,
         workload: _,
@@ -338,7 +368,6 @@ fn simulation_config_has_nine_fields() {
         scenario: _,
         link_model: _,
         forwarding: _,
-        shards: _,
     } = Simulation::builder().build_config();
 }
 
@@ -528,4 +557,14 @@ fn library_panic_sites_do_not_grow() {
     // One way in: the builder. A `with_*` setter on `Simulation` would be a
     // second, unvalidated one.
     assert!(!engine.contains("pub fn with_"));
+    // One description of a run: the builder. A run function or constructors
+    // over the plain config, a `from_*` conversion into a builder or a shard
+    // count on it would each be a second one (the sharded executor takes a
+    // built `Simulation`).
+    let runner = library_code("crates/sim/src/runner.rs");
+    assert!(!runner.contains("pub fn run("));
+    assert!(!runner.contains("impl SimulationConfig"));
+    let builder = library_code("crates/sim/src/builder.rs");
+    assert!(!builder.contains("fn from_"));
+    assert!(!builder.contains("pub fn shards"));
 }

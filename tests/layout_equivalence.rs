@@ -83,22 +83,13 @@ fn table_matches_the_dense_layout(
 /// and the report.
 fn checked_run(scenario: &DynamicScenario, seed: u64) -> (SimulationOutcome, SimulationReport) {
     let build = builder(scenario, seed);
-    let config = build.build_config();
     let what = format!("{scenario}, seed {seed}");
     let outcome = run_with_checks(build.build(), &what, |sim| {
         sim.tables().try_for_each(|table| {
             table_matches_the_dense_layout(table, sim.routing(), sim.subscriptions())
         })
     });
-    let checked = SimulationReport::from_outcome(
-        &outcome,
-        &config.scheduler.strategy,
-        config.scheduler.ebpc_weight,
-        config.workload.scenario,
-        &config.scenario.name,
-        &config.workload,
-        config.seed,
-    );
+    let checked = SimulationReport::from_outcome(&outcome, &build.build_config());
     let benchmarked = builder(scenario, seed)
         .table_layout(TableLayout::Sparse)
         .report();

@@ -672,13 +672,13 @@ fn random_action(rng: &mut SimRng, brokers: usize, links: usize) -> ScenarioActi
     }
 }
 
-/// A random run description: mostly sound, with every front-door hazard —
-/// degenerate meshes, out-of-range rates and sizes, zero duration and `PD`,
-/// every link model × forwarding × shard-count combination,
-/// scenario events naming things the overlay may not have, churn / burst /
-/// link-failure / blackout processes with NaN, ∞, negative and zero
-/// parameters — mixed in.
-fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
+/// A random run description and the shard count to run it on: mostly
+/// sound, with every front-door hazard — degenerate meshes, out-of-range
+/// rates and sizes, zero duration and `PD`, every link model × forwarding ×
+/// shard-count combination, scenario events naming things the overlay may
+/// not have, churn / burst / link-failure / blackout processes with NaN, ∞,
+/// negative and zero parameters — mixed in.
+fn random_front_door(rng: &mut SimRng) -> (SimulationBuilder, usize) {
     use bdps::overlay::topology::LayeredMeshConfig;
     let layers = [1, 2, 2, 3, 3][rng.uniform_usize(0, 5)];
     let layer_sizes: Vec<usize> = (0..layers).map(|_| rng.uniform_usize(1, 4)).collect();
@@ -770,21 +770,22 @@ fn random_front_door(rng: &mut SimRng) -> SimulationBuilder {
         0 => 1,
         _ => rng.uniform_usize(0, 2 * brokers + 1),
     };
-    Simulation::builder()
+    let builder = Simulation::builder()
         .layered_mesh(mesh)
         .workload(workload)
         .scheduler(scheduler)
         .scenario(scenario)
         .link_model(LinkModelKind::ALL[rng.uniform_usize(0, 2)])
         .forwarding(ForwardingMode::ALL[rng.uniform_usize(0, 2)])
-        .shards(shards)
-        .seed(rng.uniform_usize(0, 1_000) as u64)
+        .seed(rng.uniform_usize(0, 1_000) as u64);
+    (builder, shards)
 }
 
-/// The front door never unwinds: whatever the builder is handed,
-/// `try_report` answers `Ok` or a structured `SimError`, and every run it
-/// accepts also conserves copies, delivers no pair twice and ends with
-/// tables equal to a from-scratch rebuild when built and run sequentially.
+/// The front door never unwinds: whatever the builder is handed, building
+/// it and running the result on the drawn shard count answers `Ok` or a
+/// structured `SimError`, and every run it accepts also conserves copies,
+/// delivers no pair twice and ends with tables equal to a from-scratch
+/// rebuild when built and run sequentially.
 #[test]
 fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -793,10 +794,11 @@ fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
     let mut case = 0;
     check(0xF00D, 400, |rng| {
         case += 1;
-        let builder = random_front_door(rng);
+        let (builder, shards) = random_front_door(rng);
         let config = builder.build_config();
         let answer = catch_unwind(AssertUnwindSafe(|| {
-            let report = builder.try_report()?;
+            let outcome = bdps::sim::try_run_sharded(builder.try_build()?, shards)?;
+            let report = SimulationReport::from_outcome(&outcome, &config);
             // `run`'s own loop, kept open so the tables can be audited
             // before the simulation is consumed.
             let mut sim = builder.try_build()?;
@@ -805,7 +807,7 @@ fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
             let tables = sim.audit_tables();
             Ok::<_, SimError>((report, sim.into_outcome(), tables))
         }))
-        .unwrap_or_else(|_| panic!("case {case} unwound: {config:?}"));
+        .unwrap_or_else(|_| panic!("case {case} unwound on {shards} shards: {config:?}"));
         match answer {
             Ok((report, outcome, tables)) => {
                 ok += 1;

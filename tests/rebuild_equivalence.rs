@@ -48,16 +48,7 @@ fn audited_run(scenario: &DynamicScenario, seed: u64) -> (SimulationOutcome, Sim
     let build = builder(scenario, seed);
     let what = format!("{scenario}, seed {seed}");
     let outcome = run_with_table_audits(build.build(), &what);
-    let config = build.build_config();
-    let stepped = SimulationReport::from_outcome(
-        &outcome,
-        &config.scheduler.strategy,
-        config.scheduler.ebpc_weight,
-        config.workload.scenario,
-        &config.scenario.name,
-        &config.workload,
-        config.seed,
-    );
+    let stepped = SimulationReport::from_outcome(&outcome, &build.build_config());
     assert_eq!(
         build.report(),
         stepped,

@@ -16,21 +16,27 @@ use bdps::core::config::StrategyKind;
 use bdps::prelude::*;
 
 /// Shard counts the suite holds to the sequential oracle. 1 is the oracle
-/// itself (and exercises the builder's fallback path); 8 exceeds the small
-/// mesh's per-layer broker counts, so some shards own a single broker.
+/// itself (and exercises the executor's fallback to the sequential loop); 8
+/// exceeds the small mesh's per-layer broker counts, so some shards own a
+/// single broker.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// The report of `builder`'s run on `shards` shards.
+fn sharded_report(builder: &SimulationBuilder, shards: usize) -> SimulationReport {
+    let outcome = bdps::sim::run_sharded(builder.build(), shards);
+    SimulationReport::from_outcome(&outcome, &builder.build_config())
+}
+
 fn report(scenario_name: &str, shards: usize, seed: u64) -> SimulationReport {
-    Simulation::builder()
+    let builder = Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
         .duration(Duration::from_secs(240))
         .strategy(StrategyKind::MaxEbpc)
         .scenario_named(scenario_name)
         .unwrap_or_else(|_| panic!("{scenario_name} is a builtin scenario"))
-        .shards(shards)
-        .seed(seed)
-        .report()
+        .seed(seed);
+    sharded_report(&builder, shards)
 }
 
 /// Runs one scenario over a seed range and asserts that every shard count
@@ -82,22 +88,15 @@ fn static_reports_are_shard_count_invariant_for_every_strategy() {
         StrategyKind::RemainingLifetime,
     ] {
         for seed in 1..=3 {
-            let oracle = Simulation::builder()
+            let builder = Simulation::builder()
                 .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
                 .ssd(20.0)
                 .duration(Duration::from_secs(240))
                 .strategy(strategy)
-                .seed(seed)
-                .report();
+                .seed(seed);
+            let oracle = builder.report();
             for shards in [2, 4, 8] {
-                let sharded = Simulation::builder()
-                    .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-                    .ssd(20.0)
-                    .duration(Duration::from_secs(240))
-                    .strategy(strategy)
-                    .shards(shards)
-                    .seed(seed)
-                    .report();
+                let sharded = sharded_report(&builder, shards);
                 assert_eq!(
                     sharded,
                     oracle,
