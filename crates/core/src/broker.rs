@@ -1068,8 +1068,10 @@ mod tests {
             &s.topo.graph,
             BrokerId::new(0),
             table,
-            SchedulerConfig::paper(StrategyKind::MaxEb)
-                .with_invalid_detection(InvalidDetection::Off),
+            SchedulerConfig {
+                invalid_detection: InvalidDetection::Off,
+                ..SchedulerConfig::paper(StrategyKind::MaxEb)
+            },
         );
         arrive(&mut b0_off, msg(2, 1.0, 1.0, 0), SimTime::from_secs(9));
         let decision = b0_off.next_to_send(BrokerId::new(1), SimTime::from_secs(9));

@@ -1,5 +1,11 @@
 //! Scheduler configuration.
 //!
+//! Only what a run may choose is a field: the strategy, the EBPC weight and
+//! the invalid-message policy. The paper's evaluation fixes the rest of the
+//! model (§6.1), so eq. 4–10 read it from constants: the processing delay
+//! [`PROCESSING_DELAY`] and the message size [`PAPER_MESSAGE_SIZE_KB`] behind
+//! the first-send estimate `FT`.
+//!
 //! The scheduling strategy itself is pluggable: [`SchedulerConfig::strategy`]
 //! holds a [`StrategyHandle`] (a shared `dyn SchedulingStrategy`), so any
 //! implementation of the trait — built-in or user-defined — can be threaded
@@ -89,6 +95,14 @@ impl fmt::Display for StrategyKind {
     }
 }
 
+/// The per-broker, per-message processing delay `PD` (§3.2; 2 ms in the
+/// paper's evaluation). Every hop adds it before a copy is queued.
+pub const PROCESSING_DELAY: Duration = Duration::from_millis(2);
+
+/// The message size in KB behind the first-send estimate `FT`: the time to
+/// send the (not yet chosen) first message when computing `EB'` (§5.2).
+pub const PAPER_MESSAGE_SIZE_KB: f64 = 50.0;
+
 /// How a broker decides to delete queued messages early (§5.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InvalidDetection {
@@ -121,12 +135,6 @@ pub struct SchedulerConfig {
     pub ebpc_weight: f64,
     /// The invalid-message detection policy.
     pub invalid_detection: InvalidDetection,
-    /// The per-broker, per-message processing delay `PD` (§3.2; 2 ms in the
-    /// paper's evaluation).
-    pub processing_delay: Duration,
-    /// Average message size in KB, used to estimate `FT` — the time to send
-    /// the (not yet chosen) first message when computing `EB'` (§5.2).
-    pub avg_message_size_kb: f64,
 }
 
 impl SchedulerConfig {
@@ -137,21 +145,7 @@ impl SchedulerConfig {
             strategy: strategy.into(),
             ebpc_weight: 0.5,
             invalid_detection: InvalidDetection::PAPER,
-            processing_delay: Duration::from_millis(2),
-            avg_message_size_kb: 50.0,
         }
-    }
-
-    /// Sets the EBPC weight `r`.
-    pub fn with_ebpc_weight(mut self, r: f64) -> Self {
-        self.ebpc_weight = r;
-        self
-    }
-
-    /// Sets the invalid-detection policy.
-    pub fn with_invalid_detection(mut self, policy: InvalidDetection) -> Self {
-        self.invalid_detection = policy;
-        self
     }
 
     /// Validates the configuration.
@@ -168,11 +162,6 @@ impl SchedulerConfig {
                     "epsilon must be in [0, 1], got {eps}"
                 )));
             }
-        }
-        if self.avg_message_size_kb <= 0.0 || !self.avg_message_size_kb.is_finite() {
-            return Err(BdpsError::InvalidConfig(
-                "average message size must be positive".into(),
-            ));
         }
         Ok(())
     }
@@ -192,8 +181,6 @@ mod tests {
     fn paper_defaults() {
         let c = SchedulerConfig::paper(StrategyKind::MaxEb);
         assert_eq!(c.strategy, StrategyKind::MaxEb);
-        assert_eq!(c.processing_delay, Duration::from_millis(2));
-        assert_eq!(c.avg_message_size_kb, 50.0);
         assert_eq!(c.invalid_detection, InvalidDetection::Epsilon(5e-4));
         assert!(c.validate().is_ok());
         assert_eq!(SchedulerConfig::default().strategy, StrategyKind::MaxEb);
@@ -211,24 +198,14 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_values() {
-        let mut c = SchedulerConfig::paper(StrategyKind::MaxEbpc).with_ebpc_weight(1.5);
+        let mut c = SchedulerConfig::paper(StrategyKind::MaxEbpc);
+        c.ebpc_weight = 1.5;
         assert!(c.validate().is_err());
         c.ebpc_weight = 0.3;
         assert!(c.validate().is_ok());
-        c = c.with_invalid_detection(InvalidDetection::Epsilon(2.0));
+        c.invalid_detection = InvalidDetection::Epsilon(2.0);
         assert!(c.validate().is_err());
-        c = c.with_invalid_detection(InvalidDetection::Off);
+        c.invalid_detection = InvalidDetection::Off;
         assert!(c.validate().is_ok());
-        c.avg_message_size_kb = 0.0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn builder_helpers() {
-        let c = SchedulerConfig::paper(StrategyKind::MaxEbpc)
-            .with_ebpc_weight(0.8)
-            .with_invalid_detection(InvalidDetection::ExpiredOnly);
-        assert_eq!(c.ebpc_weight, 0.8);
-        assert_eq!(c.invalid_detection, InvalidDetection::ExpiredOnly);
     }
 }

@@ -13,6 +13,9 @@
 //! * `PC_m = EB_m − EB'_m` — eq. (9);
 //! * `EBPC_m = r·EB_m + (1−r)·PC_m` — eq. (10).
 //!
+//! `PD` is the model constant [`PROCESSING_DELAY`]; `FT` is the caller's,
+//! the queue's [`first_send_estimate_ms`](crate::queue::OutputQueue::first_send_estimate_ms).
+//!
 //! `success` reads only a target's [`SuccessClass`], so every function here
 //! evaluates it **once per live class** of the copy and then folds the
 //! targets reading `p[class]`. The fold still runs over the targets in their
@@ -22,6 +25,7 @@
 //! the same order keeps every score bit-identical to the per-target formula
 //! (the test module's `reference`).
 
+use crate::config::PROCESSING_DELAY;
 use crate::queue::{QueuedMessage, SuccessClass};
 use bdps_stats::normal::CdfBatch;
 use bdps_types::message::Message;
@@ -29,13 +33,8 @@ use bdps_types::time::{Duration, SimTime};
 
 /// The probability that `message` reaches a subscriber of `class` within its
 /// allowed delay, assuming every remaining broker sends it first (eq. 5).
-pub fn success_probability(
-    message: &Message,
-    class: &SuccessClass,
-    now: SimTime,
-    processing_delay: Duration,
-) -> f64 {
-    success_probability_with_extra_delay(message, class, now, processing_delay, 0.0)
+pub fn success_probability(message: &Message, class: &SuccessClass, now: SimTime) -> f64 {
+    success_probability_with_extra_delay(message, class, now, 0.0)
 }
 
 /// Like [`success_probability`] but with `extra_delay_ms` added to the future
@@ -45,7 +44,6 @@ pub fn success_probability_with_extra_delay(
     message: &Message,
     class: &SuccessClass,
     now: SimTime,
-    processing_delay: Duration,
     extra_delay_ms: f64,
 ) -> f64 {
     let remaining_ms = match remaining_budget_ms(message, class, now) {
@@ -58,7 +56,7 @@ pub fn success_probability_with_extra_delay(
     }
     class
         .stats
-        .future_delay_ms(message.size_kb, processing_delay)
+        .future_delay_ms(message.size_kb, PROCESSING_DELAY)
         .cdf(budget_ms)
 }
 
@@ -93,13 +91,7 @@ impl ClassScratch {
     /// Evaluates every live class of `item` under each of `extra_delays_ms`
     /// in one pass: the CDFs a class does not decide alone go through one
     /// [`CdfBatch`], so the ones that still need erfc share its lanes.
-    fn fill(
-        &mut self,
-        item: &QueuedMessage,
-        now: SimTime,
-        processing_delay: Duration,
-        extra_delays_ms: &[f64],
-    ) {
+    fn fill(&mut self, item: &QueuedMessage, now: SimTime, extra_delays_ms: &[f64]) {
         let n = item.classes.len();
         self.p.clear();
         // No target names a dead class, so its slots are never read.
@@ -117,7 +109,7 @@ impl ClassScratch {
             };
             let fdl = class
                 .stats
-                .future_delay_ms(item.message.size_kb, processing_delay);
+                .future_delay_ms(item.message.size_kb, PROCESSING_DELAY);
             for (k, extra) in extra_delays_ms.iter().enumerate() {
                 let budget_ms = remaining_ms - extra;
                 if budget_ms <= 0.0 {
@@ -140,13 +132,8 @@ impl ClassScratch {
     }
 
     /// The Expected Benefit of sending the message first (eq. 3).
-    pub fn expected_benefit(
-        &mut self,
-        item: &QueuedMessage,
-        now: SimTime,
-        processing_delay: Duration,
-    ) -> f64 {
-        self.expected_benefit_delayed(item, now, processing_delay, 0.0)
+    pub fn expected_benefit(&mut self, item: &QueuedMessage, now: SimTime) -> f64 {
+        self.expected_benefit_delayed(item, now, 0.0)
     }
 
     /// The Expected Benefit of sending the message *second* on the current
@@ -155,10 +142,9 @@ impl ClassScratch {
         &mut self,
         item: &QueuedMessage,
         now: SimTime,
-        processing_delay: Duration,
         first_send_estimate_ms: f64,
     ) -> f64 {
-        self.fill(item, now, processing_delay, &[first_send_estimate_ms]);
+        self.fill(item, now, &[first_send_estimate_ms]);
         self.benefit(item, 0)
     }
 
@@ -167,10 +153,9 @@ impl ClassScratch {
         &mut self,
         item: &QueuedMessage,
         now: SimTime,
-        processing_delay: Duration,
         first_send_estimate_ms: f64,
     ) -> f64 {
-        self.fill(item, now, processing_delay, &[0.0, first_send_estimate_ms]);
+        self.fill(item, now, &[0.0, first_send_estimate_ms]);
         self.benefit(item, 0) - self.benefit(item, 1)
     }
 
@@ -179,11 +164,10 @@ impl ClassScratch {
         &mut self,
         item: &QueuedMessage,
         now: SimTime,
-        processing_delay: Duration,
         first_send_estimate_ms: f64,
         r: f64,
     ) -> f64 {
-        self.fill(item, now, processing_delay, &[0.0, first_send_estimate_ms]);
+        self.fill(item, now, &[0.0, first_send_estimate_ms]);
         let eb = self.benefit(item, 0);
         let pc = eb - self.benefit(item, 1);
         r * eb + (1.0 - r) * pc
@@ -191,44 +175,27 @@ impl ClassScratch {
 }
 
 /// [`ClassScratch::expected_benefit`] of one copy.
-pub fn expected_benefit(item: &QueuedMessage, now: SimTime, processing_delay: Duration) -> f64 {
-    ClassScratch::default().expected_benefit(item, now, processing_delay)
+pub fn expected_benefit(item: &QueuedMessage, now: SimTime) -> f64 {
+    ClassScratch::default().expected_benefit(item, now)
 }
 
 /// [`ClassScratch::expected_benefit_delayed`] of one copy.
 pub fn expected_benefit_delayed(
     item: &QueuedMessage,
     now: SimTime,
-    processing_delay: Duration,
     first_send_estimate_ms: f64,
 ) -> f64 {
-    ClassScratch::default().expected_benefit_delayed(
-        item,
-        now,
-        processing_delay,
-        first_send_estimate_ms,
-    )
+    ClassScratch::default().expected_benefit_delayed(item, now, first_send_estimate_ms)
 }
 
 /// [`ClassScratch::postponing_cost`] of one copy.
-pub fn postponing_cost(
-    item: &QueuedMessage,
-    now: SimTime,
-    processing_delay: Duration,
-    first_send_estimate_ms: f64,
-) -> f64 {
-    ClassScratch::default().postponing_cost(item, now, processing_delay, first_send_estimate_ms)
+pub fn postponing_cost(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64) -> f64 {
+    ClassScratch::default().postponing_cost(item, now, first_send_estimate_ms)
 }
 
 /// [`ClassScratch::ebpc`] of one copy.
-pub fn ebpc(
-    item: &QueuedMessage,
-    now: SimTime,
-    processing_delay: Duration,
-    first_send_estimate_ms: f64,
-    r: f64,
-) -> f64 {
-    ClassScratch::default().ebpc(item, now, processing_delay, first_send_estimate_ms, r)
+pub fn ebpc(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64, r: f64) -> f64 {
+    ClassScratch::default().ebpc(item, now, first_send_estimate_ms, r)
 }
 
 /// The invalid-message test (eq. 11), from the side that keeps the copy:
@@ -236,22 +203,18 @@ pub fn ebpc(
 /// `epsilon`. It stops at the first class that does. For every ε in
 /// `[0, 1]` this is the paper's "delete when even the *most promising*
 /// target is below ε", without scoring the classes after that target.
-pub fn is_likely(
-    item: &QueuedMessage,
-    now: SimTime,
-    processing_delay: Duration,
-    epsilon: f64,
-) -> bool {
+pub fn is_likely(item: &QueuedMessage, now: SimTime, epsilon: f64) -> bool {
     epsilon <= 0.0
         || item
             .live_classes()
-            .any(|c| success_probability(&item.message, c, now, processing_delay) >= epsilon)
+            .any(|c| success_probability(&item.message, c, now) >= epsilon)
 }
 
 /// The flat per-target formulas the class-scored functions above replaced,
 /// verbatim — the reference the crate's tests hold them to, bit for bit.
 #[cfg(test)]
 pub(crate) mod reference {
+    use crate::config::PROCESSING_DELAY;
     use crate::queue::QueuedMessage;
     use bdps_overlay::pathstats::PathStats;
     use bdps_types::id::{BrokerId, SubscriberId, SubscriptionId};
@@ -298,7 +261,6 @@ pub(crate) mod reference {
         message: &Message,
         target: &FlatTarget,
         now: SimTime,
-        processing_delay: Duration,
         extra_delay_ms: f64,
     ) -> f64 {
         if target.allowed_delay == Duration::MAX {
@@ -314,7 +276,7 @@ pub(crate) mod reference {
         }
         target
             .stats
-            .future_delay_ms(message.size_kb, processing_delay)
+            .future_delay_ms(message.size_kb, PROCESSING_DELAY)
             .cdf(budget_ms)
     }
 
@@ -322,41 +284,29 @@ pub(crate) mod reference {
         message: &Message,
         targets: &[FlatTarget],
         now: SimTime,
-        processing_delay: Duration,
         first_send_estimate_ms: f64,
     ) -> f64 {
         targets
             .iter()
             .map(|t| {
-                success_probability_with_extra_delay(
-                    message,
-                    t,
-                    now,
-                    processing_delay,
-                    first_send_estimate_ms,
-                ) * t.price.as_f64()
+                success_probability_with_extra_delay(message, t, now, first_send_estimate_ms)
+                    * t.price.as_f64()
             })
             .sum()
     }
 
-    pub(crate) fn expected_benefit(
-        message: &Message,
-        targets: &[FlatTarget],
-        now: SimTime,
-        processing_delay: Duration,
-    ) -> f64 {
-        expected_benefit_delayed(message, targets, now, processing_delay, 0.0)
+    pub(crate) fn expected_benefit(message: &Message, targets: &[FlatTarget], now: SimTime) -> f64 {
+        expected_benefit_delayed(message, targets, now, 0.0)
     }
 
     pub(crate) fn max_success_probability(
         message: &Message,
         targets: &[FlatTarget],
         now: SimTime,
-        processing_delay: Duration,
     ) -> f64 {
         targets
             .iter()
-            .map(|t| success_probability_with_extra_delay(message, t, now, processing_delay, 0.0))
+            .map(|t| success_probability_with_extra_delay(message, t, now, 0.0))
             .fold(0.0, f64::max)
     }
 
@@ -394,8 +344,6 @@ mod tests {
     use bdps_types::money::Price;
     use std::sync::Arc;
 
-    const PD: Duration = Duration::from_millis(2);
-
     fn msg(publish_secs: u64) -> Arc<Message> {
         Arc::new(
             Message::builder(MessageId::new(1), PublisherId::new(0))
@@ -412,7 +360,7 @@ mod tests {
 
     /// Success of a single-target copy (one class).
     fn success(m: &Arc<Message>, t: &FlatTarget, now: SimTime) -> f64 {
-        success_probability(m, &copy(m, std::slice::from_ref(t)).classes[0], now, PD)
+        success_probability(m, &copy(m, std::slice::from_ref(t)).classes[0], now)
     }
 
     fn target(allowed_secs: u64, price: i64, hops: u32, rate: f64) -> FlatTarget {
@@ -472,16 +420,16 @@ mod tests {
             allowed_delay: Duration::from_millis(10),
             ..target(1, 2, 4, 90.0)
         };
-        let eb = expected_benefit(&copy(&m, &[sure.clone(), hopeless]), SimTime::ZERO, PD);
+        let eb = expected_benefit(&copy(&m, &[sure.clone(), hopeless]), SimTime::ZERO);
         assert!((eb - 3.0).abs() < 1e-3, "eb = {eb}");
         // EB scales with price.
         let pricier = FlatTarget {
             price: Price::from_units(6),
             ..sure
         };
-        let eb2 = expected_benefit(&copy(&m, &[pricier]), SimTime::ZERO, PD);
+        let eb2 = expected_benefit(&copy(&m, &[pricier]), SimTime::ZERO);
         assert!((eb2 - 6.0).abs() < 2e-3);
-        assert_eq!(expected_benefit(&copy(&m, &[]), SimTime::ZERO, PD), 0.0);
+        assert_eq!(expected_benefit(&copy(&m, &[]), SimTime::ZERO), 0.0);
     }
 
     #[test]
@@ -492,8 +440,8 @@ mod tests {
         let urgent = target(4, 1, 1, 60.0);
         // Relaxed: plenty of slack.
         let relaxed = target(60, 1, 1, 60.0);
-        let pc_urgent = postponing_cost(&copy(&m, &[urgent]), SimTime::ZERO, PD, ft);
-        let pc_relaxed = postponing_cost(&copy(&m, &[relaxed]), SimTime::ZERO, PD, ft);
+        let pc_urgent = postponing_cost(&copy(&m, &[urgent]), SimTime::ZERO, ft);
+        let pc_relaxed = postponing_cost(&copy(&m, &[relaxed]), SimTime::ZERO, ft);
         assert!(pc_urgent >= 0.0);
         assert!(pc_relaxed >= 0.0);
         assert!(
@@ -505,7 +453,7 @@ mod tests {
             allowed_delay: Duration::from_millis(1),
             ..target(1, 1, 3, 90.0)
         };
-        let pc_hopeless = postponing_cost(&copy(&m, &[hopeless]), SimTime::ZERO, PD, ft);
+        let pc_hopeless = postponing_cost(&copy(&m, &[hopeless]), SimTime::ZERO, ft);
         assert!(pc_hopeless.abs() < 1e-9);
     }
 
@@ -514,11 +462,11 @@ mod tests {
         let m = msg(0);
         let ft = 3_750.0;
         let targets = copy(&m, &[target(15, 2, 2, 60.0), target(30, 1, 1, 60.0)]);
-        let eb = expected_benefit(&targets, SimTime::ZERO, PD);
-        let pc = postponing_cost(&targets, SimTime::ZERO, PD, ft);
-        let at_zero = ebpc(&targets, SimTime::ZERO, PD, ft, 0.0);
-        let at_one = ebpc(&targets, SimTime::ZERO, PD, ft, 1.0);
-        let mid = ebpc(&targets, SimTime::ZERO, PD, ft, 0.5);
+        let eb = expected_benefit(&targets, SimTime::ZERO);
+        let pc = postponing_cost(&targets, SimTime::ZERO, ft);
+        let at_zero = ebpc(&targets, SimTime::ZERO, ft, 0.0);
+        let at_one = ebpc(&targets, SimTime::ZERO, ft, 1.0);
+        let mid = ebpc(&targets, SimTime::ZERO, ft, 0.5);
         assert!((at_zero - pc).abs() < 1e-12);
         assert!((at_one - eb).abs() < 1e-12);
         assert!((mid - 0.5 * (eb + pc)).abs() < 1e-12);
@@ -533,13 +481,13 @@ mod tests {
             ..target(1, 1, 3, 90.0)
         };
         let both = copy(&m, &[bad.clone(), good]);
-        assert!(is_likely(&both, SimTime::ZERO, PD, 0.99));
+        assert!(is_likely(&both, SimTime::ZERO, 0.99));
         let only_bad = copy(&m, &[bad]);
-        assert!(!is_likely(&only_bad, SimTime::ZERO, PD, 5e-4));
+        assert!(!is_likely(&only_bad, SimTime::ZERO, 5e-4));
         // ε = 0 keeps every copy, even one with no live class left.
-        assert!(is_likely(&only_bad, SimTime::ZERO, PD, 0.0));
-        assert!(is_likely(&copy(&m, &[]), SimTime::ZERO, PD, 0.0));
-        assert!(!is_likely(&copy(&m, &[]), SimTime::ZERO, PD, 5e-4));
+        assert!(is_likely(&only_bad, SimTime::ZERO, 0.0));
+        assert!(is_likely(&copy(&m, &[]), SimTime::ZERO, 0.0));
+        assert!(!is_likely(&copy(&m, &[]), SimTime::ZERO, 5e-4));
     }
 
     #[test]
@@ -547,8 +495,8 @@ mod tests {
         let m = msg(0);
         for allowed in [3u64, 5, 10, 30, 60] {
             let t = copy(&m, &[target(allowed, 2, 2, 75.0)]);
-            let eb = expected_benefit(&t, SimTime::ZERO, PD);
-            let ebd = expected_benefit_delayed(&t, SimTime::ZERO, PD, 3_750.0);
+            let eb = expected_benefit(&t, SimTime::ZERO);
+            let ebd = expected_benefit_delayed(&t, SimTime::ZERO, 3_750.0);
             assert!(ebd <= eb + 1e-12, "allowed {allowed}: {ebd} > {eb}");
         }
     }

@@ -35,7 +35,7 @@
 //! left and re-joined at another edge while it was in flight — so
 //! `BrokerState::requeue` widens its mask to every edge.
 
-use crate::config::{InvalidDetection, SchedulerConfig};
+use crate::config::{InvalidDetection, SchedulerConfig, PAPER_MESSAGE_SIZE_KB};
 use crate::metrics;
 use crate::strategy::ScheduleContext;
 use bdps_overlay::pathstats::PathStats;
@@ -342,22 +342,21 @@ impl OutputQueue {
         }
     }
 
-    /// The `FT` estimate of §5.2 for this queue: average message size times
-    /// the mean per-KB rate of the link.
-    pub fn first_send_estimate_ms(&self, config: &SchedulerConfig) -> f64 {
-        config.avg_message_size_kb * self.link_mean_rate_ms_per_kb
+    /// The `FT` estimate of §5.2 for this queue: the paper's message size
+    /// ([`PAPER_MESSAGE_SIZE_KB`]) times the mean per-KB rate of the link.
+    pub fn first_send_estimate_ms(&self) -> f64 {
+        PAPER_MESSAGE_SIZE_KB * self.link_mean_rate_ms_per_kb
     }
 
     /// Removes expired and (depending on the policy) unlikely messages,
     /// returning a record per removal (§5.4).
     pub fn purge(&mut self, now: SimTime, config: &SchedulerConfig) -> Vec<DropRecord> {
         let mut dropped = Vec::new();
-        let pd = config.processing_delay;
         self.items.retain(|item| {
             let reason = match config.invalid_detection {
                 InvalidDetection::Off => None,
                 _ if item.fully_expired(now) => Some(DropReason::Expired),
-                InvalidDetection::Epsilon(eps) if !metrics::is_likely(item, now, pd, eps) => {
+                InvalidDetection::Epsilon(eps) if !metrics::is_likely(item, now, eps) => {
                     Some(DropReason::Unlikely)
                 }
                 _ => None,
@@ -388,7 +387,7 @@ impl OutputQueue {
         if self.items.is_empty() {
             return None;
         }
-        let ctx = ScheduleContext::new(now, config, self.first_send_estimate_ms(config));
+        let ctx = ScheduleContext::new(now, config, self.first_send_estimate_ms());
         let mut scores = std::mem::take(&mut self.scores);
         scores.clear();
         config.strategy.score_all(&ctx, &self.items, &mut scores);
@@ -545,7 +544,10 @@ mod tests {
 
     #[test]
     fn purge_off_keeps_everything() {
-        let cfg = config(StrategyKind::Fifo).with_invalid_detection(InvalidDetection::Off);
+        let cfg = SchedulerConfig {
+            invalid_detection: InvalidDetection::Off,
+            ..config(StrategyKind::Fifo)
+        };
         let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
         q.push(queued(msg(1, 0, None), vec![target(10, 1, 60.0, 1)], 0));
         assert!(q.purge(SimTime::from_secs(500), &cfg).is_empty());
@@ -566,7 +568,10 @@ mod tests {
         // The same situation with detection limited to expiry keeps the message.
         let mut q2 = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 90.0);
         q2.push(queued(msg(1, 0, None), vec![target(10, 1, 90.0, 4)], 0));
-        let cfg2 = cfg.with_invalid_detection(InvalidDetection::ExpiredOnly);
+        let cfg2 = SchedulerConfig {
+            invalid_detection: InvalidDetection::ExpiredOnly,
+            ..cfg
+        };
         assert!(q2.purge(now, &cfg2).is_empty());
     }
 
@@ -698,8 +703,7 @@ mod tests {
         q.push(queued(msg(2, 0, None), vec![target(30, 1, 60.0, 1)], 0));
         assert_eq!(q.len(), 2);
         assert_eq!(q.items().len(), 2);
-        let cfg = config(StrategyKind::MaxEb);
-        assert_eq!(q.first_send_estimate_ms(&cfg), 50.0 * 80.0);
+        assert_eq!(q.first_send_estimate_ms(), 50.0 * 80.0);
         let drained = q.drain();
         assert_eq!(drained.len(), 2);
         assert!(q.is_empty());
@@ -728,7 +732,10 @@ mod tests {
             ),
         ];
         for (policy, stays, leaves, verdict) in cases {
-            let cfg = config(StrategyKind::MaxEb).with_invalid_detection(policy);
+            let cfg = SchedulerConfig {
+                invalid_detection: policy,
+                ..config(StrategyKind::MaxEb)
+            };
             let leaves = FlatTarget {
                 subscription: leaver,
                 ..leaves
@@ -743,10 +750,7 @@ mod tests {
             let copy = &q.items()[0];
             assert_eq!((copy.classes.len(), copy.live_classes().count()), (2, 1));
             let flat = (msg(1, 0, None), vec![stays], SimTime::ZERO);
-            assert_eq!(
-                reference_drop(policy, &flat, now, cfg.processing_delay),
-                Some(verdict)
-            );
+            assert_eq!(reference_drop(policy, &flat, now), Some(verdict));
             let dropped = q.purge(now, &cfg);
             assert_eq!(dropped.len(), 1);
             assert_eq!((dropped[0].reason, dropped[0].targets), (verdict, 1));
@@ -815,16 +819,9 @@ mod tests {
         ctx: &ScheduleContext,
         (m, targets, enqueued): &FlatItem,
     ) -> f64 {
-        let pd = ctx.processing_delay;
-        let eb = reference::expected_benefit(m, targets, ctx.now, pd);
+        let eb = reference::expected_benefit(m, targets, ctx.now);
         let pc = eb
-            - reference::expected_benefit_delayed(
-                m,
-                targets,
-                ctx.now,
-                pd,
-                ctx.first_send_estimate_ms,
-            );
+            - reference::expected_benefit_delayed(m, targets, ctx.now, ctx.first_send_estimate_ms);
         let rl_ms = reference::avg_remaining_lifetime_ms(m, targets, ctx.now);
         match label {
             "FIFO" => -(enqueued.as_micros() as f64),
@@ -842,14 +839,13 @@ mod tests {
         policy: InvalidDetection,
         (m, targets, _): &FlatItem,
         now: SimTime,
-        pd: Duration,
     ) -> Option<DropReason> {
         let expired = !targets.is_empty() && targets.iter().all(|t| t.is_expired(m, now));
         match policy {
             InvalidDetection::Off => None,
             _ if expired => Some(DropReason::Expired),
             InvalidDetection::Epsilon(eps)
-                if reference::max_success_probability(m, targets, now, pd) < eps =>
+                if reference::max_success_probability(m, targets, now) < eps =>
             {
                 Some(DropReason::Unlikely)
             }
@@ -892,7 +888,10 @@ mod tests {
             flat.retain(|(_, targets, _)| !targets.is_empty());
             for name in StrategyHandle::NAMES {
                 let strategy = StrategyHandle::from_name(name).unwrap();
-                let cfg = SchedulerConfig::paper(strategy.clone()).with_invalid_detection(policy);
+                let cfg = SchedulerConfig {
+                    invalid_detection: policy,
+                    ..SchedulerConfig::paper(strategy.clone())
+                };
                 let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
                 for (m, targets, at) in &full {
                     q.push(reference::queued(m, targets, *at));
@@ -904,7 +903,7 @@ mod tests {
                 for (item, (_, targets, _)) in q.items().iter().zip(&flat) {
                     grouped += usize::from(item.live_classes().count() * 4 <= targets.len());
                 }
-                let ctx = ScheduleContext::new(now, &cfg, q.first_send_estimate_ms(&cfg));
+                let ctx = ScheduleContext::new(now, &cfg, q.first_send_estimate_ms());
                 let mut scores = Vec::new();
                 strategy.score_all(&ctx, q.items(), &mut scores);
                 for ((item, copy), score) in flat.iter().zip(q.items()).zip(&scores) {
@@ -918,7 +917,7 @@ mod tests {
                 let mut want_dropped = Vec::new();
                 let mut survivors: Vec<&FlatItem> = Vec::new();
                 for item in &flat {
-                    match reference_drop(policy, item, now, cfg.processing_delay) {
+                    match reference_drop(policy, item, now) {
                         Some(reason) => want_dropped.push(DropRecord {
                             message: item.0.id,
                             reason,
@@ -967,17 +966,19 @@ mod tests {
         let local = target(30, 1, 60.0, 0);
         let item = (msg(1, 0, None), vec![local], SimTime::ZERO);
         let certain = queued(Arc::clone(&item.0), item.1.clone(), 0);
-        let pd = SchedulerConfig::paper(StrategyKind::MaxEb).processing_delay;
         assert_eq!(
-            metrics::success_probability(&certain.message, &certain.classes[0], now, pd),
+            metrics::success_probability(&certain.message, &certain.classes[0], now),
             1.0
         );
         for eps in [0.0, 5e-4, 1.0] {
             let policy = InvalidDetection::Epsilon(eps);
-            let cfg = config(StrategyKind::MaxEb).with_invalid_detection(policy);
+            let cfg = SchedulerConfig {
+                invalid_detection: policy,
+                ..config(StrategyKind::MaxEb)
+            };
             let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
             q.push(certain.clone());
-            assert_eq!(reference_drop(policy, &item, now, pd), None, "ε = {eps}");
+            assert_eq!(reference_drop(policy, &item, now), None, "ε = {eps}");
             assert!(q.purge(now, &cfg).is_empty(), "ε = {eps}");
         }
     }

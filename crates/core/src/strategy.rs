@@ -64,7 +64,7 @@
 use crate::config::SchedulerConfig;
 use crate::metrics::{self, ClassScratch};
 use crate::queue::QueuedMessage;
-use bdps_types::time::{Duration, SimTime};
+use bdps_types::time::SimTime;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -78,13 +78,10 @@ use std::sync::Arc;
 pub struct ScheduleContext {
     /// The current simulated time.
     pub now: SimTime,
-    /// The per-broker, per-message processing delay `PD` (§3.2).
-    pub processing_delay: Duration,
     /// The EB weight `r` of the EBPC metric (eq. 10).
     pub ebpc_weight: f64,
-    /// Average message size in KB (used for the `FT` estimate).
-    pub avg_message_size_kb: f64,
-    /// The `FT` estimate for the queue being scheduled (average message size
+    /// The `FT` estimate for the queue being scheduled
+    /// ([`PAPER_MESSAGE_SIZE_KB`](crate::config::PAPER_MESSAGE_SIZE_KB)
     /// times the link's mean per-KB rate), used by PC and EBPC.
     pub first_send_estimate_ms: f64,
 }
@@ -95,9 +92,7 @@ impl ScheduleContext {
     pub fn new(now: SimTime, config: &SchedulerConfig, first_send_estimate_ms: f64) -> Self {
         ScheduleContext {
             now,
-            processing_delay: config.processing_delay,
             ebpc_weight: config.ebpc_weight,
-            avg_message_size_kb: config.avg_message_size_kb,
             first_send_estimate_ms,
         }
     }
@@ -185,12 +180,12 @@ impl SchedulingStrategy for MaxEb {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        metrics::expected_benefit(item, ctx.now, ctx.processing_delay)
+        metrics::expected_benefit(item, ctx.now)
     }
 
     fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
         score_all_with(items, scores, |scratch, item| {
-            scratch.expected_benefit(item, ctx.now, ctx.processing_delay)
+            scratch.expected_benefit(item, ctx.now)
         });
     }
 }
@@ -206,13 +201,13 @@ impl SchedulingStrategy for MaxPc {
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
         let ft = ctx.first_send_estimate_ms;
-        metrics::postponing_cost(item, ctx.now, ctx.processing_delay, ft)
+        metrics::postponing_cost(item, ctx.now, ft)
     }
 
     fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
         let ft = ctx.first_send_estimate_ms;
         score_all_with(items, scores, |scratch, item| {
-            scratch.postponing_cost(item, ctx.now, ctx.processing_delay, ft)
+            scratch.postponing_cost(item, ctx.now, ft)
         });
     }
 }
@@ -230,13 +225,13 @@ impl SchedulingStrategy for MaxEbpc {
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
         let (ft, r) = (ctx.first_send_estimate_ms, ctx.ebpc_weight);
-        metrics::ebpc(item, ctx.now, ctx.processing_delay, ft, r)
+        metrics::ebpc(item, ctx.now, ft, r)
     }
 
     fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
         let (ft, r) = (ctx.first_send_estimate_ms, ctx.ebpc_weight);
         score_all_with(items, scores, |scratch, item| {
-            scratch.ebpc(item, ctx.now, ctx.processing_delay, ft, r)
+            scratch.ebpc(item, ctx.now, ft, r)
         });
     }
 }
@@ -286,13 +281,13 @@ impl SchedulingStrategy for WeightedComposite {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        let eb = metrics::expected_benefit(item, ctx.now, ctx.processing_delay);
+        let eb = metrics::expected_benefit(item, ctx.now);
         self.blend(eb, ctx, item)
     }
 
     fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
         score_all_with(items, scores, |scratch, item| {
-            let eb = scratch.expected_benefit(item, ctx.now, ctx.processing_delay);
+            let eb = scratch.expected_benefit(item, ctx.now);
             self.blend(eb, ctx, item)
         });
     }
@@ -452,9 +447,7 @@ mod tests {
     fn ctx() -> ScheduleContext {
         ScheduleContext {
             now: SimTime::from_secs(2),
-            processing_delay: Duration::from_millis(2),
             ebpc_weight: 0.5,
-            avg_message_size_kb: 50.0,
             first_send_estimate_ms: 50.0 * 75.0,
         }
     }

@@ -218,7 +218,7 @@ impl Routing {
     /// **Order contract:** among equal-cost candidates with the same next
     /// hop the first relaxation wins, and `incoming` yields ascending link
     /// ids, so parallel equal-cost links resolve to the lowest id
-    /// ([`row_affected`](Self::row_affected) relies on this).
+    /// ([`repair_row`](Self::repair_row)'s tie-break relies on this).
     fn routes_towards(
         graph: &OverlayGraph,
         dest: BrokerId,
@@ -285,9 +285,8 @@ impl Routing {
     }
 
     /// Incrementally updates the routes after a batch of link liveness
-    /// changes, repairing in place only the destination trees the batch can
-    /// actually affect, and returns the set of `(source, destination)` pairs
-    /// whose route entry changed.
+    /// changes, repairing every destination tree in place, and returns the
+    /// set of `(source, destination)` pairs whose route entry changed.
     ///
     /// `removed` are links that were usable when this routing was last
     /// computed and are not any more; `added` the reverse; `usable` must
@@ -305,8 +304,11 @@ impl Routing {
     ///   the new link costs at least `cost(x, u) + cost(u, dest)` for every
     ///   source `x`, which never undercuts `x`'s current cost.
     ///
-    /// Destinations failing these checks are repaired by
-    /// `repair_row`, which touches only the sources
+    /// `repair_row` makes exactly these two checks before anything else
+    /// (its steps 1 and 3), so a tree that passes both costs
+    /// `|removed| + |added|` link lookups and is neither touched nor counted
+    /// in [`RouteDelta::dests_repaired()`]. A tree that fails one is repaired:
+    /// the repair touches only the sources
     /// below a removed tree edge and those whose entry improves; the delta
     /// diffs exactly those sources (statistics included — an equal-cost
     /// tree swap still changes downstream variance), so it is exact. A
@@ -345,11 +347,11 @@ impl Routing {
         scratch.flags.resize(n, 0);
         for (dest_raw, row) in self.table.iter_mut().enumerate() {
             let dest = BrokerId::new(dest_raw as u32);
-            if !Self::row_affected(graph, row, dest, removed, added) {
+            Self::repair_row(graph, dest, &usable, removed, added, row, &mut scratch);
+            if scratch.touched.is_empty() {
                 continue;
             }
             delta.dests_repaired += 1;
-            Self::repair_row(graph, dest, &usable, removed, added, row, &mut scratch);
             for &(src, before) in &scratch.touched {
                 if row[src.index()] != before {
                     delta.per_source[src.index()].push(dest);
@@ -513,59 +515,6 @@ impl Routing {
         for &(x, _) in touched.iter() {
             flags[x.index()] = 0;
         }
-    }
-
-    /// Returns true when the batch of link changes can affect `dest`'s
-    /// shortest-path tree (see [`update_for_link_change`](Self::update_for_link_change)).
-    fn row_affected(
-        graph: &OverlayGraph,
-        row: &[Option<RouteEntry>],
-        dest: BrokerId,
-        removed: &[LinkId],
-        added: &[LinkId],
-    ) -> bool {
-        for &id in removed {
-            let link = graph.link(id);
-            if row[link.from.index()].is_some_and(|e| e.next_link == id) {
-                return true; // a tree edge died
-            }
-        }
-        for &id in added {
-            let link = graph.link(id);
-            let (u, v) = (link.from, link.to);
-            if u == dest {
-                continue; // the destination never routes anywhere
-            }
-            // Cost of v's remaining path to dest (the Dijkstra distance).
-            let via = if v == dest {
-                0.0
-            } else {
-                match &row[v.index()] {
-                    Some(e) => e.stats.mean_rate(),
-                    None => continue, // v cannot reach dest: the link is useless
-                }
-            };
-            let candidate = via + link.quality.rate_distribution().mean();
-            match &row[u.index()] {
-                // u was unreachable and gains a path.
-                None => return true,
-                Some(e) => {
-                    let current = e.stats.mean_rate();
-                    // The last clause covers parallel links (same endpoints,
-                    // equal cost): the scratch Dijkstra keeps the first
-                    // relaxation, i.e. the lowest link id, so restoring a
-                    // lower-id duplicate of the tree edge flips `next_link`
-                    // even though `(cost, next_hop)` is unchanged.
-                    if candidate < current
-                        || (candidate == current
-                            && (v < e.next_hop || (v == e.next_hop && id < e.next_link)))
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
     }
 
     /// Number of brokers the routing was computed for.
@@ -1201,9 +1150,6 @@ mod tests {
                 for d in 0..n {
                     let dest = BrokerId::new(d as u32);
                     let row = &mut routing.table[d];
-                    if !Routing::row_affected(g, row, dest, removed, added) {
-                        continue;
-                    }
                     let crosses_removed = |mut at: usize| {
                         while let Some(e) = row[at] {
                             if removed.contains(&e.next_link) {
@@ -1230,7 +1176,7 @@ mod tests {
                         examined <= bound,
                         "{n} brokers, dest {dest}: examined {examined} links, bound {bound}"
                     );
-                    repaired += 1;
+                    repaired += usize::from(!scratch.touched.is_empty());
                     examined_total += examined;
                 }
                 assert_eq!(routing, scratch_routing, "{n} brokers: repair drifted");

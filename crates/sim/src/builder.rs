@@ -184,8 +184,8 @@ impl SimulationBuilder {
         self
     }
 
-    /// Replaces the whole scheduler configuration (strategy, `r`, ε, `PD`,
-    /// average message size). Implies the detection policy is pinned.
+    /// Replaces the whole scheduler configuration (strategy, `r`, ε).
+    /// Implies the detection policy is pinned.
     pub fn scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.config.scheduler = scheduler;
         self.detection_pinned = true;

@@ -62,7 +62,7 @@ pub struct SimulationConfig {
     pub topology: TopologySpec,
     /// Workload (scenario, rate, duration, ...).
     pub workload: WorkloadConfig,
-    /// Scheduler (strategy, r, ε, PD).
+    /// Scheduler (strategy, r, ε).
     pub scheduler: SchedulerConfig,
     /// Root RNG seed. Topology, workload and scheduling randomness all derive
     /// from it, so a config is fully reproducible.

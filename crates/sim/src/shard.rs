@@ -6,10 +6,11 @@
 //! states homed to it, and the RNG streams of the publishers and links homed
 //! to it — and advances the shards on worker threads under **conservative
 //! time-window synchronisation** in the PDES sense: the processing delay
-//! `PD` is a lookahead bound, so all events in a window `[t₀, t₀ + PD)` can
-//! be processed shard-locally and any cross-shard event they generate lands
-//! at or after the window's end, where the coordinator merges the shards'
-//! outboxes deterministically before opening the next window.
+//! `PD` ([`PROCESSING_DELAY`], a constant above zero) is a lookahead bound,
+//! so all events in a window `[t₀, t₀ + PD)` can be processed shard-locally
+//! and any cross-shard event they generate lands at or after the window's
+//! end, where the coordinator merges the shards' outboxes deterministically
+//! before opening the next window.
 //!
 //! # Why the N-shard run is bit-identical to the sequential run
 //!
@@ -67,6 +68,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
 
+use bdps_core::config::PROCESSING_DELAY;
 use bdps_net::linkmodel::LinkModelKind;
 use bdps_stats::rng::SimRng;
 use bdps_types::time::{Duration, SimTime};
@@ -93,9 +95,8 @@ pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
 /// worker threads, producing a [`SimulationOutcome`] whose report is
 /// bit-identical to the sequential [`Simulation::try_run`].
 ///
-/// Falls back to the sequential loop when sharding cannot help or the
-/// lookahead bound is void: one shard requested, fewer brokers than would
-/// fill two shards, or a zero processing delay (no lookahead).
+/// Falls back to the sequential loop when sharding cannot help: one shard
+/// requested, or fewer brokers than would fill two shards.
 ///
 /// # Errors
 ///
@@ -110,9 +111,8 @@ pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
 /// applied by sibling shards. Both are decided from the configuration and
 /// the shard count alone, before any event is applied.
 pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationOutcome, SimError> {
-    let pd = sim.shared.scheduler.processing_delay;
     let n = shards.min(sim.shared.topology.graph.broker_count());
-    if n <= 1 || pd == Duration::ZERO {
+    if n <= 1 {
         return sim.try_run();
     }
     let model = sim.shared.link_model;
@@ -138,7 +138,7 @@ pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationO
             .peek()
             .map(|e| e.time)
             .filter(|&t| t <= hard_stop);
-        run_era(&mut sim, &mut shards, &homes, t_scen, hard_stop, pd)?;
+        run_era(&mut sim, &mut shards, &homes, t_scen, hard_stop)?;
         let Some(t) = t_scen else { break };
         apply_scenario_instant(&mut sim, &mut shards, &mut scenario_q, t, &homes)?;
     }
@@ -372,7 +372,6 @@ fn run_era(
     homes: &Homes,
     t_scen: Option<SimTime>,
     hard_stop: SimTime,
-    pd: Duration,
 ) -> Result<(), SimError> {
     // Whether a window may start at `t0`: inside the run and strictly
     // before the scenario instant. No such window — consecutive scenario
@@ -420,7 +419,7 @@ fn run_era(
             };
             // Conservative window: every event popped at or before `limit`
             // schedules cross-shard work at ≥ t₀ + PD > limit.
-            let mut limit = (t0 + pd) - EPSILON;
+            let mut limit = (t0 + PROCESSING_DELAY) - EPSILON;
             if let Some(ts) = t_scen {
                 limit = limit.min(ts - EPSILON);
             }

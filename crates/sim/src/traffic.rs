@@ -15,7 +15,7 @@
 //! replay through the same `Totals::emit`.
 
 use bdps_core::broker::BrokerState;
-use bdps_core::config::SchedulerConfig;
+use bdps_core::config::{SchedulerConfig, PROCESSING_DELAY};
 use bdps_core::objective::ObjectiveTracker;
 use bdps_core::queue::QueuedMessage;
 use bdps_filter::index::MatchIndex;
@@ -504,7 +504,7 @@ impl TrafficCore {
         // Hand the message to the attached broker (homed with the
         // publisher); processing takes PD.
         self.push(
-            self.now + sh.scheduler.processing_delay,
+            self.now + PROCESSING_DELAY,
             key::process(None, id),
             EventKind::Process {
                 broker,
@@ -659,7 +659,7 @@ impl TrafficCore {
         self.link_load[link.index()].completed_transfers += 1;
         let (from, to) = sh.endpoints(link);
         self.push(
-            self.now + sh.scheduler.processing_delay,
+            self.now + PROCESSING_DELAY,
             key::process(Some(link), queued.message.id),
             EventKind::Process {
                 broker: to,

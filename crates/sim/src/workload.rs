@@ -1,7 +1,13 @@
 //! Workload configuration and generators (§6.1).
+//!
+//! A run chooses its scenario, publishing rate, period, message size and
+//! arrival process. The rest of the paper's workload is fixed: every message
+//! head carries two attributes `A1`, `A2` drawn from (0, 10), every filter
+//! is `A1 < x1 ∧ A2 < x2` with thresholds from the same range, a PSD bound is
+//! drawn from [10, 30] s and an SSD subscription picks one of the three
+//! [`QosClass::paper_tiers`].
 
 use bdps_filter::filter::Filter;
-use bdps_filter::predicate::Predicate;
 use bdps_filter::subscription::Subscription;
 use bdps_stats::process::{ArrivalProcess, PoissonArrivals};
 use bdps_stats::rng::SimRng;
@@ -11,19 +17,21 @@ use bdps_types::message::{Message, MessageHead};
 use bdps_types::qos::{DelayBound, QosClass};
 use bdps_types::time::{Duration, SimTime};
 
+/// The range attribute values and filter thresholds are drawn from.
+const ATTRIBUTE_RANGE: (f64, f64) = (0.0, 10.0);
+
+/// The range a PSD message's allowed delay is drawn from, in seconds.
+const PSD_DELAY_RANGE_SECS: (f64, f64) = (10.0, 30.0);
+
 /// Which side specifies the delay requirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// Publisher-specified delay (PSD): each message carries a bound drawn
-    /// uniformly from the configured range; subscriptions are best effort.
+    /// uniformly from [10, 30] s; subscriptions are best effort.
     PublisherSpecified,
     /// Subscriber-specified delay (SSD): each subscription carries a QoS
     /// class (delay bound + price); messages carry no bound.
     SubscriberSpecified,
-    /// Both sides specify bounds (the paper's "easily extended" case).
-    Combined,
-    /// No bounds at all.
-    BestEffort,
 }
 
 impl Scenario {
@@ -32,8 +40,6 @@ impl Scenario {
         match self {
             Scenario::PublisherSpecified => "PSD",
             Scenario::SubscriberSpecified => "SSD",
-            Scenario::Combined => "PSD+SSD",
-            Scenario::BestEffort => "best-effort",
         }
     }
 }
@@ -59,16 +65,6 @@ pub struct WorkloadConfig {
     pub duration: Duration,
     /// Message size in KB (50 in the paper).
     pub message_size_kb: f64,
-    /// Number of head attributes (`A1..An`; 2 in the paper).
-    pub num_attributes: usize,
-    /// Range attribute values (and filter thresholds) are drawn from ((0, 10)).
-    pub attribute_range: (f64, f64),
-    /// PSD: the range the per-message allowed delay is drawn from, in seconds
-    /// ([10, 30] in the paper).
-    pub psd_delay_range_secs: (f64, f64),
-    /// SSD: the QoS classes subscriptions are drawn from uniformly
-    /// ({10 s/3, 30 s/2, 60 s/1} in the paper).
-    pub ssd_classes: Vec<QosClass>,
     /// The arrival process.
     pub arrivals: ArrivalKind,
 }
@@ -81,10 +77,6 @@ impl WorkloadConfig {
             publishing_rate_per_min,
             duration: Duration::from_secs(2 * 3600),
             message_size_kb: 50.0,
-            num_attributes: 2,
-            attribute_range: (0.0, 10.0),
-            psd_delay_range_secs: (10.0, 30.0),
-            ssd_classes: QosClass::paper_tiers().to_vec(),
             arrivals: ArrivalKind::Poisson,
         }
     }
@@ -95,12 +87,6 @@ impl WorkloadConfig {
             scenario: Scenario::SubscriberSpecified,
             ..Self::paper_psd(publishing_rate_per_min)
         }
-    }
-
-    /// Shrinks the run to the given duration (useful for tests and smoke runs).
-    pub fn with_duration(mut self, duration: Duration) -> Self {
-        self.duration = duration;
-        self
     }
 
     /// Validates the workload.
@@ -115,42 +101,17 @@ impl WorkloadConfig {
                 "message size must be positive and finite".into(),
             ));
         }
-        if self.num_attributes == 0 {
-            return Err(BdpsError::InvalidConfig(
-                "at least one attribute is required".into(),
-            ));
-        }
-        let (lo, hi) = self.attribute_range;
-        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-            return Err(BdpsError::InvalidConfig(
-                "attribute range must be finite and non-empty".into(),
-            ));
-        }
-        let (lo, hi) = self.psd_delay_range_secs;
-        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-            return Err(BdpsError::InvalidConfig(
-                "PSD delay range must be finite and ordered".into(),
-            ));
-        }
-        if self.scenario == Scenario::SubscriberSpecified && self.ssd_classes.is_empty() {
-            return Err(BdpsError::InvalidConfig(
-                "SSD scenario requires at least one QoS class".into(),
-            ));
-        }
         Ok(())
     }
 
-    /// The attribute name of index `i` (`A1`, `A2`, ...).
-    pub fn attribute_name(i: usize) -> String {
-        format!("A{}", i + 1)
-    }
-
-    /// Generates a message head with uniformly drawn attribute values.
+    /// Generates a message head with uniformly drawn values of `A1` and `A2`.
     pub fn generate_head(&self, rng: &mut SimRng) -> MessageHead {
-        let mut head = MessageHead::with_capacity(self.num_attributes);
-        for i in 0..self.num_attributes {
-            let v = rng.uniform_range(self.attribute_range.0, self.attribute_range.1);
-            head.set(Self::attribute_name(i).as_str(), v);
+        let mut head = MessageHead::with_capacity(2);
+        for name in ["A1", "A2"] {
+            head.set(
+                name,
+                rng.uniform_range(ATTRIBUTE_RANGE.0, ATTRIBUTE_RANGE.1),
+            );
         }
         head
     }
@@ -167,18 +128,15 @@ impl WorkloadConfig {
             .publish_time(publish_time)
             .size_kb(self.message_size_kb)
             .head(self.generate_head(rng));
-        if matches!(
-            self.scenario,
-            Scenario::PublisherSpecified | Scenario::Combined
-        ) {
-            let secs = rng.uniform_range(self.psd_delay_range_secs.0, self.psd_delay_range_secs.1);
+        if self.scenario == Scenario::PublisherSpecified {
+            let secs = rng.uniform_range(PSD_DELAY_RANGE_SECS.0, PSD_DELAY_RANGE_SECS.1);
             builder = builder.publisher_bound(DelayBound::new(Duration::from_secs_f64(secs)));
         }
         builder.build()
     }
 
     /// Generates the subscription of one subscriber: the paper's conjunction
-    /// `A1 < x1 ∧ ... ∧ An < xn` with uniform thresholds, plus the QoS class
+    /// `A1 < x1 ∧ A2 < x2` with uniform thresholds, plus the QoS class
     /// demanded by the scenario.
     pub fn generate_subscription(
         &self,
@@ -186,20 +144,15 @@ impl WorkloadConfig {
         subscriber: SubscriberId,
         rng: &mut SimRng,
     ) -> Subscription {
-        let mut predicates = Vec::with_capacity(self.num_attributes);
-        for i in 0..self.num_attributes {
-            let threshold = rng.uniform_range(self.attribute_range.0, self.attribute_range.1);
-            predicates.push(Predicate::lt(Self::attribute_name(i).as_str(), threshold));
-        }
-        let filter = Filter::new(predicates);
+        let x1 = rng.uniform_range(ATTRIBUTE_RANGE.0, ATTRIBUTE_RANGE.1);
+        let x2 = rng.uniform_range(ATTRIBUTE_RANGE.0, ATTRIBUTE_RANGE.1);
+        let filter = Filter::paper_conjunction(x1, x2);
         match self.scenario {
-            Scenario::SubscriberSpecified | Scenario::Combined => {
-                let class = *rng.choose(&self.ssd_classes);
+            Scenario::SubscriberSpecified => {
+                let class = *rng.choose(&QosClass::paper_tiers());
                 Subscription::with_qos(id, subscriber, filter, class)
             }
-            Scenario::PublisherSpecified | Scenario::BestEffort => {
-                Subscription::best_effort(id, subscriber, filter)
-            }
+            Scenario::PublisherSpecified => Subscription::best_effort(id, subscriber, filter),
         }
     }
 
@@ -413,25 +366,12 @@ mod tests {
         let mut w = WorkloadConfig::paper_psd(10.0);
         w.message_size_kb = 0.0;
         assert!(w.validate().is_err());
-        let mut w = WorkloadConfig::paper_ssd(10.0);
-        w.ssd_classes.clear();
-        assert!(w.validate().is_err());
-        let mut w = WorkloadConfig::paper_psd(10.0);
-        w.attribute_range = (5.0, 5.0);
-        assert!(w.validate().is_err());
-        let mut w = WorkloadConfig::paper_psd(10.0);
-        w.num_attributes = 0;
-        assert!(w.validate().is_err());
         // NaN compares false with everything, so a bare `x <= 0.0` test
         // passes it: every float field must also be asked `is_finite`.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let edits: [fn(&mut WorkloadConfig, f64); 6] = [
+            let edits: [fn(&mut WorkloadConfig, f64); 2] = [
                 |w, x| w.publishing_rate_per_min = x,
                 |w, x| w.message_size_kb = x,
-                |w, x| w.attribute_range.0 = x,
-                |w, x| w.attribute_range.1 = x,
-                |w, x| w.psd_delay_range_secs.0 = x,
-                |w, x| w.psd_delay_range_secs.1 = x,
             ];
             for (field, edit) in edits.iter().enumerate() {
                 let mut w = WorkloadConfig::paper_psd(10.0);
@@ -504,22 +444,6 @@ mod tests {
         let s = w.generate_subscription(SubscriptionId::new(0), SubscriberId::new(0), &mut rng);
         assert!(!s.is_delay_bounded());
         assert_eq!(s.price, Price::unit());
-    }
-
-    #[test]
-    fn combined_scenario_has_both_bounds() {
-        let mut w = WorkloadConfig::paper_psd(10.0);
-        w.scenario = Scenario::Combined;
-        let mut rng = SimRng::seed_from(5);
-        let m = w.generate_message(
-            MessageId::new(1),
-            PublisherId::new(0),
-            SimTime::ZERO,
-            &mut rng,
-        );
-        assert!(m.publisher_bound.is_some());
-        let s = w.generate_subscription(SubscriptionId::new(0), SubscriberId::new(0), &mut rng);
-        assert!(s.is_delay_bounded());
     }
 
     #[test]

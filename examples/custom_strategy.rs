@@ -11,6 +11,7 @@
 //!
 //! Run with: `cargo run --release --example custom_strategy`
 
+use bdps::core::config::PAPER_MESSAGE_SIZE_KB;
 use bdps::core::metrics;
 use bdps::core::strategy::ScheduleContext;
 use bdps::prelude::*;
@@ -31,11 +32,11 @@ impl SchedulingStrategy for DeadlineAwareValue {
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
         // Item-level metric: `success` is evaluated once per class of the
         // copy's targets, then summed over the targets.
-        let eb = metrics::expected_benefit(item, ctx.now, ctx.processing_delay);
+        let eb = metrics::expected_benefit(item, ctx.now);
         // Transmission cost estimate: message size at the queue's mean rate
         // (the same FT estimate the paper's PC metric uses, per KB).
         let send_ms =
-            (item.message.size_kb * ctx.first_send_estimate_ms / ctx.avg_message_size_kb).max(1.0);
+            (item.message.size_kb * ctx.first_send_estimate_ms / PAPER_MESSAGE_SIZE_KB).max(1.0);
         let urgency_boost = {
             let rl_secs = item.avg_remaining_lifetime_ms(ctx.now) / 1_000.0;
             if rl_secs.is_finite() && rl_secs < self.panic_secs {

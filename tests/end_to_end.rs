@@ -332,18 +332,18 @@ fn static_scenario_reproduces_pre_scenario_behaviour() {
 }
 
 #[test]
-fn smaller_mesh_and_best_effort_scenario_work() {
-    let mut workload = WorkloadConfig::paper_psd(6.0).with_duration(Duration::from_secs(300));
-    workload.scenario = Scenario::BestEffort;
+fn smaller_mesh_runs_the_psd_workload() {
     let report = Simulation::builder()
         .topology(TopologySpec::LayeredMesh(LayeredMeshConfig::small()))
-        .workload(workload)
+        .psd(6.0)
+        .duration(Duration::from_secs(300))
         .strategy(StrategyKind::Fifo)
         .seed(3)
         .report();
-    // Without bounds nothing can ever be late or dropped as expired.
-    assert_eq!(report.late, 0);
-    assert_eq!(report.dropped_expired, 0);
+    assert_eq!(report.scenario, "PSD");
+    assert!(report.published > 0);
+    assert!(report.on_time + report.late <= report.interested);
+    // FIFO reads no link model, so §5.4 lets it delete expired copies only.
     assert_eq!(report.dropped_unlikely, 0);
     assert!(report.delivery_rate > 0.9);
 }
@@ -369,6 +369,30 @@ fn simulation_config_has_eight_fields() {
         link_model: _,
         forwarding: _,
     } = Simulation::builder().build_config();
+}
+
+/// The same tripwire, same rule, on the scheduler: the paper's `PD` and the
+/// message size behind `FT` are constants of the model, not fields.
+#[test]
+fn scheduler_config_has_three_fields() {
+    let SchedulerConfig {
+        strategy: _,
+        ebpc_weight: _,
+        invalid_detection: _,
+    } = SchedulerConfig::default();
+}
+
+/// The same tripwire, same rule, on the workload: the attributes, the PSD
+/// bound range and the SSD tiers are the paper's, fixed in the generators.
+#[test]
+fn workload_config_has_five_fields() {
+    let WorkloadConfig {
+        scenario: _,
+        publishing_rate_per_min: _,
+        duration: _,
+        message_size_kb: _,
+        arrivals: _,
+    } = WorkloadConfig::paper_psd(1.0);
 }
 
 /// The names that follow `flag` in `text` (`--bin dynamics` → `dynamics`);

@@ -85,9 +85,7 @@ fn random_item(id: u64, rng: &mut SimRng) -> QueuedMessage {
 fn random_ctx(rng: &mut SimRng) -> ScheduleContext {
     ScheduleContext {
         now: SimTime::from_secs(rng.uniform_usize(10, 40) as u64),
-        processing_delay: Duration::from_millis(2),
         ebpc_weight: rng.uniform(),
-        avg_message_size_kb: 50.0,
         first_send_estimate_ms: rng.uniform_range(0.0, 10_000.0),
     }
 }
@@ -129,8 +127,10 @@ fn every_registered_strategy_is_deterministic_and_finite() {
 /// the message contents.
 #[test]
 fn fifo_pop_order_matches_enqueue_order() {
-    let config =
-        SchedulerConfig::paper(StrategyKind::Fifo).with_invalid_detection(InvalidDetection::Off);
+    let config = SchedulerConfig {
+        invalid_detection: InvalidDetection::Off,
+        ..SchedulerConfig::paper(StrategyKind::Fifo)
+    };
     check(0xF1F0, 200, |rng| {
         let mut queue = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
         let n = rng.uniform_usize(1, 12) as u64;
@@ -409,7 +409,6 @@ fn success_probability_monotonicity() {
             allowed_delay: Duration::from_secs(allowed),
             live: 1,
         };
-        let pd = Duration::from_millis(2);
         let (early, late) = if elapsed_a <= elapsed_b {
             (elapsed_a, elapsed_b)
         } else {
@@ -419,20 +418,14 @@ fn success_probability_monotonicity() {
             &message,
             &target(allowed_secs),
             SimTime::from_secs(early),
-            pd,
         );
-        let p_late = metrics::success_probability(
-            &message,
-            &target(allowed_secs),
-            SimTime::from_secs(late),
-            pd,
-        );
+        let p_late =
+            metrics::success_probability(&message, &target(allowed_secs), SimTime::from_secs(late));
         assert!(p_late <= p_early + 1e-12);
         let p_longer = metrics::success_probability(
             &message,
             &target(allowed_secs + 10),
             SimTime::from_secs(early),
-            pd,
         );
         assert!(p_longer + 1e-12 >= p_early);
         assert!((0.0..=1.0).contains(&p_early));
@@ -464,10 +457,9 @@ fn eb_and_pc_bounds() {
             .collect();
         let item = copy_of(message, &targets, SimTime::ZERO);
         let ft = rng.uniform_range(0.0, 10_000.0);
-        let pd = Duration::from_millis(2);
         let now = SimTime::from_secs(1);
-        let eb = metrics::expected_benefit(&item, now, pd);
-        let pc = metrics::postponing_cost(&item, now, pd, ft);
+        let eb = metrics::expected_benefit(&item, now);
+        let pc = metrics::postponing_cost(&item, now, ft);
         let total_price: f64 = item.targets.iter().map(|t| t.price.as_f64()).sum();
         assert!(eb >= -1e-12);
         assert!(eb <= total_price + 1e-9);
@@ -725,11 +717,8 @@ fn random_front_door(rng: &mut SimRng) -> (SimulationBuilder, usize) {
         _ => Duration::from_secs(rng.uniform_usize(20, 90) as u64),
     };
 
-    let mut scheduler =
+    let scheduler =
         SchedulerConfig::paper(StrategyKind::ALL[rng.uniform_usize(0, StrategyKind::ALL.len())]);
-    if rng.chance(0.15) {
-        scheduler.processing_delay = Duration::ZERO;
-    }
 
     let mut scenario = DynamicScenario::named("front-door");
     if rng.chance(0.5) {
