@@ -44,8 +44,8 @@ fn main() {
                 label.clone(),
                 f1(r.earning_k()),
                 f1(r.message_number_k()),
-                r.dropped_expired.to_string(),
-                r.dropped_unlikely.to_string(),
+                r.dropped_expired().to_string(),
+                r.dropped_unlikely().to_string(),
                 f1(r.delivery_rate_percent()),
             ]
         })

@@ -42,13 +42,13 @@ fn main() {
                 .strategy(StrategyKind::MaxEb)
                 .estimation_error(*err)
                 .seed(opts.seed)
-                .report();
+                .run();
             vec![
                 (*label).to_string(),
                 f1(r.earning_k()),
                 f1(r.delivery_rate_percent()),
                 f1(r.message_number_k()),
-                r.dropped_unlikely.to_string(),
+                r.dropped_unlikely().to_string(),
             ]
         })
         .collect();

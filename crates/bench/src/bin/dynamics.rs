@@ -158,9 +158,9 @@ fn main() {
         }
     }
     let results = run_cells(&cells, &opts.common);
-    let by_label: HashMap<&str, &SimulationReport> = results
+    let by_label: HashMap<&str, &SimulationOutcome> = results
         .iter()
-        .map(|(label, report)| (label.as_str(), report))
+        .map(|(label, outcome)| (label.as_str(), outcome))
         .collect();
 
     let strategy_labels: Vec<&str> = strategies.iter().map(|s| s.label()).collect();
@@ -208,12 +208,13 @@ fn main() {
                     ) else {
                         continue;
                     };
+                    let (exact, agg) = (exact.tracker.total_on_time(), agg.tracker.total_on_time());
                     rows.push(vec![
                         scenario.name.clone(),
                         s.to_string(),
-                        format!("{}", exact.on_time),
-                        format!("{}", agg.on_time),
-                        format!("{:.2}", agg.on_time as f64 / (exact.on_time.max(1)) as f64),
+                        format!("{exact}"),
+                        format!("{agg}"),
+                        format!("{:.2}", agg as f64 / (exact.max(1)) as f64),
                     ]);
                 }
             }
@@ -273,9 +274,9 @@ fn main() {
             println!(
                 "- {}: requeued {}, unsubscribed-drops {}, duplicates {} (must be 0), phases {}",
                 scenario.name,
-                r.requeued,
-                r.dropped_unsubscribed,
-                r.duplicate_deliveries,
+                r.requeued(),
+                r.dropped_unsubscribed(),
+                r.tracker.duplicate_deliveries(),
                 r.phases.len()
             );
         }

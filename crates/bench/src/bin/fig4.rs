@@ -10,7 +10,7 @@
 
 use bdps_bench::{f1, run_cells, series_table, ExperimentOptions};
 use bdps_core::config::StrategyKind;
-use bdps_sim::engine::Simulation;
+use bdps_sim::engine::{Simulation, SimulationOutcome};
 use bdps_sim::runner::SweepCell;
 use bdps_types::time::Duration;
 use std::collections::HashMap;
@@ -50,9 +50,9 @@ fn panel(ssd: bool, opts: &ExperimentOptions) -> String {
     let results = run_cells(&cells, opts);
     let by_label: HashMap<&str, _> = results
         .iter()
-        .map(|(label, report)| (label.as_str(), report))
+        .map(|(label, outcome)| (label.as_str(), outcome))
         .collect();
-    let value = |r: &bdps_sim::report::SimulationReport| {
+    let value = |r: &SimulationOutcome| {
         if ssd {
             f1(r.earning_k())
         } else {

@@ -9,6 +9,7 @@
 use bdps_bench::{
     f1, run_cells, series_table, ExperimentOptions, Selection, PAPER_RATES, PAPER_STRATEGIES,
 };
+use bdps_sim::engine::SimulationOutcome;
 use bdps_sim::runner::strategy_rate_grid_with;
 use std::collections::HashMap;
 
@@ -30,7 +31,7 @@ fn main() {
     let results = run_cells(&cells, &opts);
     let by_label: HashMap<&str, _> = results
         .iter()
-        .map(|(label, report)| (label.as_str(), report))
+        .map(|(label, outcome)| (label.as_str(), outcome))
         .collect();
 
     let labels: Vec<&str> = strategies.iter().map(|s| s.label()).collect();
@@ -57,17 +58,18 @@ fn main() {
     // The paper's headline claims at rate 15 (only meaningful with the
     // default strategy set).
     let at = |s: &str| by_label.get(format!("{s}@rate15").as_str()).copied();
+    let earning = |r: &SimulationOutcome| r.tracker.total_earning().as_f64();
     if let (Some(eb), Some(fifo), Some(rl)) = (at("EB"), at("FIFO"), at("RL")) {
         println!("## Shape checks (paper: EB earns ~5x FIFO and ~10x RL at rate 15; EB traffic ~+23% vs FIFO, ~+64% vs RL)\n");
         println!(
             "- earning ratio EB/FIFO = {:.2}, EB/RL = {:.2}",
-            eb.total_earning / fifo.total_earning.max(1e-9),
-            eb.total_earning / rl.total_earning.max(1e-9)
+            earning(eb) / earning(fifo).max(1e-9),
+            earning(eb) / earning(rl).max(1e-9)
         );
         println!(
             "- traffic overhead EB vs FIFO = {:+.1}%, EB vs RL = {:+.1}%",
-            100.0 * (eb.message_number as f64 / fifo.message_number.max(1) as f64 - 1.0),
-            100.0 * (eb.message_number as f64 / rl.message_number.max(1) as f64 - 1.0)
+            100.0 * (eb.message_number() as f64 / fifo.message_number().max(1) as f64 - 1.0),
+            100.0 * (eb.message_number() as f64 / rl.message_number().max(1) as f64 - 1.0)
         );
     }
 }

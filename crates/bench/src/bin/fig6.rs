@@ -30,7 +30,7 @@ fn main() {
     let results = run_cells(&cells, &opts);
     let by_label: HashMap<&str, _> = results
         .iter()
-        .map(|(label, report)| (label.as_str(), report))
+        .map(|(label, outcome)| (label.as_str(), outcome))
         .collect();
 
     let labels: Vec<&str> = strategies.iter().map(|s| s.label()).collect();
@@ -65,8 +65,8 @@ fn main() {
         );
         println!(
             "- traffic overhead EB vs FIFO = {:+.1}%, EB vs RL = {:+.1}%",
-            100.0 * (eb.message_number as f64 / fifo.message_number.max(1) as f64 - 1.0),
-            100.0 * (eb.message_number as f64 / rl.message_number.max(1) as f64 - 1.0)
+            100.0 * (eb.message_number() as f64 / fifo.message_number().max(1) as f64 - 1.0),
+            100.0 * (eb.message_number() as f64 / rl.message_number().max(1) as f64 - 1.0)
         );
     }
 }

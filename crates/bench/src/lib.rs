@@ -30,7 +30,8 @@
 use bdps_core::config::StrategyKind;
 use bdps_core::strategy::StrategyHandle;
 use bdps_net::linkmodel::LinkModelKind;
-use bdps_sim::report::{render_markdown_table, SimulationReport};
+use bdps_sim::engine::SimulationOutcome;
+use bdps_sim::report::render_markdown_table;
 use bdps_sim::runner::{sweep, SweepCell};
 use bdps_sim::scenario::DynamicScenario;
 use bdps_types::error::BdpsError;
@@ -324,8 +325,11 @@ pub const PAPER_STRATEGIES: [StrategyKind; 4] = [
     StrategyKind::RemainingLifetime,
 ];
 
-/// Runs a set of cells and returns the reports keyed by label.
-pub fn run_cells(cells: &[SweepCell], opts: &ExperimentOptions) -> Vec<(String, SimulationReport)> {
+/// Runs a set of cells and returns the outcomes keyed by label.
+pub fn run_cells(
+    cells: &[SweepCell],
+    opts: &ExperimentOptions,
+) -> Vec<(String, SimulationOutcome)> {
     sweep(cells, opts.threads)
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Only what a run may choose is a field: the strategy, the EBPC weight and
 //! the invalid-message policy. The paper's evaluation fixes the rest of the
-//! model (§6.1), so eq. 4–10 read it from constants: the processing delay
-//! [`PROCESSING_DELAY`] and the message size [`PAPER_MESSAGE_SIZE_KB`] behind
-//! the first-send estimate `FT`.
+//! model (§6.1), so eq. 4–10 read it from a constant: the processing delay
+//! [`PROCESSING_DELAY`]. The first-send estimate `FT` is each copy's own size
+//! at its queue's mean link rate.
 //!
 //! The scheduling strategy itself is pluggable: [`SchedulerConfig::strategy`]
 //! holds a [`StrategyHandle`] (a shared `dyn SchedulingStrategy`), so any
@@ -98,10 +98,6 @@ impl fmt::Display for StrategyKind {
 /// The per-broker, per-message processing delay `PD` (§3.2; 2 ms in the
 /// paper's evaluation). Every hop adds it before a copy is queued.
 pub const PROCESSING_DELAY: Duration = Duration::from_millis(2);
-
-/// The message size in KB behind the first-send estimate `FT`: the time to
-/// send the (not yet chosen) first message when computing `EB'` (§5.2).
-pub const PAPER_MESSAGE_SIZE_KB: f64 = 50.0;
 
 /// How a broker decides to delete queued messages early (§5.4).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -14,7 +14,8 @@
 //! * `EBPC_m = r·EB_m + (1−r)·PC_m` — eq. (10).
 //!
 //! `PD` is the model constant [`PROCESSING_DELAY`]; `FT` is the caller's,
-//! the queue's [`first_send_estimate_ms`](crate::queue::OutputQueue::first_send_estimate_ms).
+//! the copy's own size at the queue's mean link rate
+//! ([`ScheduleContext::first_send_estimate_ms`](crate::strategy::ScheduleContext::first_send_estimate_ms)).
 //!
 //! `success` reads only a target's [`SuccessClass`], so every function here
 //! evaluates it **once per live class** of the copy and then folds the

@@ -35,7 +35,7 @@
 //! left and re-joined at another edge while it was in flight — so
 //! `BrokerState::requeue` widens its mask to every edge.
 
-use crate::config::{InvalidDetection, SchedulerConfig, PAPER_MESSAGE_SIZE_KB};
+use crate::config::{InvalidDetection, SchedulerConfig};
 use crate::metrics;
 use crate::strategy::ScheduleContext;
 use bdps_overlay::pathstats::PathStats;
@@ -342,12 +342,6 @@ impl OutputQueue {
         }
     }
 
-    /// The `FT` estimate of §5.2 for this queue: the paper's message size
-    /// ([`PAPER_MESSAGE_SIZE_KB`]) times the mean per-KB rate of the link.
-    pub fn first_send_estimate_ms(&self) -> f64 {
-        PAPER_MESSAGE_SIZE_KB * self.link_mean_rate_ms_per_kb
-    }
-
     /// Removes expired and (depending on the policy) unlikely messages,
     /// returning a record per removal (§5.4).
     pub fn purge(&mut self, now: SimTime, config: &SchedulerConfig) -> Vec<DropRecord> {
@@ -387,7 +381,7 @@ impl OutputQueue {
         if self.items.is_empty() {
             return None;
         }
-        let ctx = ScheduleContext::new(now, config, self.first_send_estimate_ms());
+        let ctx = ScheduleContext::new(now, config, self.link_mean_rate_ms_per_kb);
         let mut scores = std::mem::take(&mut self.scores);
         scores.clear();
         config.strategy.score_all(&ctx, &self.items, &mut scores);
@@ -703,7 +697,6 @@ mod tests {
         q.push(queued(msg(2, 0, None), vec![target(30, 1, 60.0, 1)], 0));
         assert_eq!(q.len(), 2);
         assert_eq!(q.items().len(), 2);
-        assert_eq!(q.first_send_estimate_ms(), 50.0 * 80.0);
         let drained = q.drain();
         assert_eq!(drained.len(), 2);
         assert!(q.is_empty());
@@ -820,8 +813,8 @@ mod tests {
         (m, targets, enqueued): &FlatItem,
     ) -> f64 {
         let eb = reference::expected_benefit(m, targets, ctx.now);
-        let pc = eb
-            - reference::expected_benefit_delayed(m, targets, ctx.now, ctx.first_send_estimate_ms);
+        let ft = m.size_kb * ctx.link_mean_rate_ms_per_kb;
+        let pc = eb - reference::expected_benefit_delayed(m, targets, ctx.now, ft);
         let rl_ms = reference::avg_remaining_lifetime_ms(m, targets, ctx.now);
         match label {
             "FIFO" => -(enqueued.as_micros() as f64),
@@ -903,7 +896,7 @@ mod tests {
                 for (item, (_, targets, _)) in q.items().iter().zip(&flat) {
                     grouped += usize::from(item.live_classes().count() * 4 <= targets.len());
                 }
-                let ctx = ScheduleContext::new(now, &cfg, q.first_send_estimate_ms());
+                let ctx = ScheduleContext::new(now, &cfg, q.link_mean_rate_ms_per_kb);
                 let mut scores = Vec::new();
                 strategy.score_all(&ctx, q.items(), &mut scores);
                 for ((item, copy), score) in flat.iter().zip(q.items()).zip(&scores) {

@@ -80,21 +80,27 @@ pub struct ScheduleContext {
     pub now: SimTime,
     /// The EB weight `r` of the EBPC metric (eq. 10).
     pub ebpc_weight: f64,
-    /// The `FT` estimate for the queue being scheduled
-    /// ([`PAPER_MESSAGE_SIZE_KB`](crate::config::PAPER_MESSAGE_SIZE_KB)
-    /// times the link's mean per-KB rate), used by PC and EBPC.
-    pub first_send_estimate_ms: f64,
+    /// The mean per-KB rate (ms/KB) of the link the queue being scheduled
+    /// feeds.
+    pub link_mean_rate_ms_per_kb: f64,
 }
 
 impl ScheduleContext {
-    /// Builds a context from the scheduler configuration and the queue's
-    /// first-send estimate.
-    pub fn new(now: SimTime, config: &SchedulerConfig, first_send_estimate_ms: f64) -> Self {
+    /// Builds a context from the scheduler configuration and the mean rate
+    /// of the queue's link.
+    pub fn new(now: SimTime, config: &SchedulerConfig, link_mean_rate_ms_per_kb: f64) -> Self {
         ScheduleContext {
             now,
             ebpc_weight: config.ebpc_weight,
-            first_send_estimate_ms,
+            link_mean_rate_ms_per_kb,
         }
+    }
+
+    /// The `FT` of §5.2 for `item` on this queue, used by PC and EBPC: how
+    /// long sending a copy of `item`'s size ahead of it takes at the link's
+    /// mean rate (every message of the paper's workload has one size).
+    pub fn first_send_estimate_ms(&self, item: &QueuedMessage) -> f64 {
+        item.message.size_kb * self.link_mean_rate_ms_per_kb
     }
 }
 
@@ -200,14 +206,12 @@ impl SchedulingStrategy for MaxPc {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        let ft = ctx.first_send_estimate_ms;
-        metrics::postponing_cost(item, ctx.now, ft)
+        metrics::postponing_cost(item, ctx.now, ctx.first_send_estimate_ms(item))
     }
 
     fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
-        let ft = ctx.first_send_estimate_ms;
         score_all_with(items, scores, |scratch, item| {
-            scratch.postponing_cost(item, ctx.now, ft)
+            scratch.postponing_cost(item, ctx.now, ctx.first_send_estimate_ms(item))
         });
     }
 }
@@ -224,14 +228,14 @@ impl SchedulingStrategy for MaxEbpc {
     }
 
     fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        let (ft, r) = (ctx.first_send_estimate_ms, ctx.ebpc_weight);
-        metrics::ebpc(item, ctx.now, ft, r)
+        let ft = ctx.first_send_estimate_ms(item);
+        metrics::ebpc(item, ctx.now, ft, ctx.ebpc_weight)
     }
 
     fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
-        let (ft, r) = (ctx.first_send_estimate_ms, ctx.ebpc_weight);
         score_all_with(items, scores, |scratch, item| {
-            scratch.ebpc(item, ctx.now, ft, r)
+            let ft = ctx.first_send_estimate_ms(item);
+            scratch.ebpc(item, ctx.now, ft, ctx.ebpc_weight)
         });
     }
 }
@@ -448,7 +452,7 @@ mod tests {
         ScheduleContext {
             now: SimTime::from_secs(2),
             ebpc_weight: 0.5,
-            first_send_estimate_ms: 50.0 * 75.0,
+            link_mean_rate_ms_per_kb: 75.0,
         }
     }
 

@@ -9,8 +9,8 @@
 //!    pins the *sequential* semantics.
 //! 2. **Differentially** — the same model is run through
 //!    [`bdps_sim::run_sharded`] at every shard count from 2 up to one shard
-//!    per broker, and the outcome must match the sequential run on every
-//!    report-visible metric. Combined with (1), any interleaving bug at a
+//!    per broker, and the outcome must match the sequential run's digest
+//!    and every counter beside it. Combined with (1), any interleaving bug at a
 //!    shard boundary either shows up as an invariant violation or as a
 //!    drift from the sequential oracle.
 //!
@@ -20,78 +20,26 @@
 //! and the scenario barrier both happen at the boundary.
 
 use bdps_mc::{explore, ExploreBudget, McModel, ModelTopology};
-use bdps_sim::engine::{ForwardingMode, SimulationOutcome};
+use bdps_sim::engine::{ForwardingMode, ReplayState, SimulationOutcome};
 use bdps_sim::run_sharded;
 use bdps_sim::scenario::ScenarioAction;
 use bdps_types::id::LinkId;
 use bdps_types::time::{Duration, SimTime};
 
-/// Every report-visible metric of an outcome, collected so sequential and
-/// sharded runs can be compared with one `assert_eq!`. Floats are compared
-/// exactly — the executor's effect-log replay promises bit-identical
-/// accumulation order, not just tolerance-close results.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    published: u64,
-    interested: u64,
-    on_time: u64,
-    late: u64,
-    delivery_rate: f64,
-    total_earning: f64,
-    message_number: u64,
-    dropped_expired: u64,
-    dropped_unlikely: u64,
-    dropped_unsubscribed: u64,
-    requeued: u64,
-    duplicate_deliveries: u64,
-    transmissions: u64,
-    completed_transfers: u64,
-    mean_valid_delay_ms: f64,
-    finished_at: SimTime,
-    events_processed: u64,
-    queued_at_end: u64,
-    in_flight_at_end: u64,
-    pending_process_at_end: u64,
-    phases: Vec<(String, u64, u64, u64, u64, u64)>,
-}
-
-fn fingerprint(out: &SimulationOutcome) -> Fingerprint {
-    Fingerprint {
-        published: out.published,
-        interested: out.tracker.total_interested(),
-        on_time: out.tracker.total_on_time(),
-        late: out.tracker.total_late(),
-        delivery_rate: out.tracker.delivery_rate(),
-        total_earning: out.tracker.total_earning().as_f64(),
-        message_number: out.message_number(),
-        dropped_expired: out.dropped_expired(),
-        dropped_unlikely: out.dropped_unlikely(),
-        dropped_unsubscribed: out.dropped_unsubscribed(),
-        requeued: out.requeued(),
-        duplicate_deliveries: out.tracker.duplicate_deliveries(),
-        transmissions: out.transmissions,
-        completed_transfers: out.completed_transfers,
-        mean_valid_delay_ms: out.valid_delays_ms.clone().mean(),
-        finished_at: out.finished_at,
-        events_processed: out.events_processed,
-        queued_at_end: out.queued_at_end,
-        in_flight_at_end: out.in_flight_at_end,
-        pending_process_at_end: out.pending_process_at_end,
-        phases: out
-            .phases
-            .iter()
-            .map(|p| {
-                (
-                    p.label.clone(),
-                    p.published,
-                    p.on_time,
-                    p.late,
-                    p.dropped,
-                    p.transmissions,
-                )
-            })
-            .collect(),
-    }
+/// Everything a sharded run must reproduce: the outcome's
+/// [`replay_state`](SimulationOutcome::replay_state) (digest, counters,
+/// phases, earning and delay summary, all compared exactly — the executor's
+/// effect-log replay promises bit-identical accumulation order) plus the
+/// end-of-run clock and copy accounting.
+fn fingerprint(out: &SimulationOutcome) -> (ReplayState<'_>, SimTime, u64, u64, u64, u64) {
+    (
+        out.replay_state(),
+        out.finished_at,
+        out.events_processed,
+        out.queued_at_end,
+        out.in_flight_at_end,
+        out.pending_process_at_end,
+    )
 }
 
 /// Explores the model exhaustively in every cell, then holds every shard
@@ -109,7 +57,8 @@ fn check_boundary_model(model: &McModel) {
             exploration.counterexample.unwrap().to_json()
         );
 
-        let oracle = fingerprint(&model.build(cell).run());
+        let sequential = model.build(cell).run();
+        let oracle = fingerprint(&sequential);
         if cell == ForwardingMode::Aggregate {
             // The sharded executor rejects aggregate forwarding (edge
             // expansion would race cross-shard churn); those cells are
@@ -117,9 +66,9 @@ fn check_boundary_model(model: &McModel) {
             continue;
         }
         for shards in 2..=model.topology.brokers() {
-            let sharded = fingerprint(&run_sharded(model.build(cell), shards));
+            let sharded = run_sharded(model.build(cell), shards);
             assert_eq!(
-                sharded,
+                fingerprint(&sharded),
                 oracle,
                 "{}: {shards}-shard run drifted from the sequential oracle \
                  under {}",

@@ -9,13 +9,13 @@
 //! use bdps_core::config::StrategyKind;
 //! use bdps_types::time::Duration;
 //!
-//! let report = Simulation::builder()
+//! let outcome = Simulation::builder()
 //!     .ssd(10.0)
 //!     .duration(Duration::from_secs(600))
 //!     .strategy(StrategyKind::MaxEb)
 //!     .seed(42)
-//!     .report();
-//! println!("delivery rate: {:.1} %", report.delivery_rate_percent());
+//!     .run();
+//! println!("delivery rate: {:.1} %", outcome.delivery_rate_percent());
 //! ```
 //!
 //! The builder is also the only way to *make* a [`Simulation`]:
@@ -23,10 +23,10 @@
 //! configuration — workload, scheduler, mesh, the scenario processes'
 //! parameters and every materialised scenario event —
 //! and returns either a complete simulation or a [`SimError`];
-//! [`try_report`](SimulationBuilder::try_report) also runs it on the
+//! [`try_run`](SimulationBuilder::try_run) also runs it on the
 //! sequential loop.
 //! [`build`](SimulationBuilder::build) and
-//! [`report`](SimulationBuilder::report) are the same calls for callers who
+//! [`run`](SimulationBuilder::run) are the same calls for callers who
 //! would rather panic, and
 //! [`try_build_on`](SimulationBuilder::try_build_on) takes a hand-made
 //! [`Topology`] in place of the [`TopologySpec`].
@@ -45,8 +45,7 @@ use bdps_stats::rng::SimRng;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::time::Duration;
 
-use crate::engine::{ForwardingMode, SimError, Simulation};
-use crate::report::SimulationReport;
+use crate::engine::{ForwardingMode, SimError, Simulation, SimulationOutcome};
 use crate::runner::{SimulationConfig, TopologySpec};
 use crate::scenario::DynamicScenario;
 use crate::workload::WorkloadConfig;
@@ -308,14 +307,11 @@ impl SimulationBuilder {
         Simulation::try_new(topology, self.build_config(), sim_rng, self.drain_grace)
     }
 
-    /// Builds, runs to completion on the sequential loop and wraps the
-    /// outcome in a [`SimulationReport`].
-    pub fn try_report(&self) -> std::result::Result<SimulationReport, SimError> {
-        let config = self.build_config();
-        Ok(SimulationReport::from_outcome(
-            &self.try_build()?.try_run()?,
-            &config,
-        ))
+    /// Builds and runs to completion on the sequential loop. The run's
+    /// labels (strategy, scenario, seed, ...) are the builder's own:
+    /// [`build_config`](Self::build_config) reads them back.
+    pub fn try_run(&self) -> std::result::Result<SimulationOutcome, SimError> {
+        self.try_build()?.try_run()
     }
 
     /// [`try_build`](Self::try_build), panicking with the [`SimError`] on an
@@ -324,10 +320,10 @@ impl SimulationBuilder {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`try_report`](Self::try_report), panicking with the [`SimError`] on
-    /// an invalid configuration or a failed run.
-    pub fn report(&self) -> SimulationReport {
-        self.try_report().unwrap_or_else(|e| panic!("{e}"))
+    /// [`try_run`](Self::try_run), panicking with the [`SimError`] on an
+    /// invalid configuration or a failed run.
+    pub fn run(&self) -> SimulationOutcome {
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -413,8 +409,8 @@ mod tests {
             .ebpc_weight(0.7)
             .drain_grace(Duration::from_secs(30));
         assert_eq!(b.build_config().scheduler.ebpc_weight, 0.7);
-        let report = b.report();
-        assert_eq!(report.ebpc_weight, 0.7);
-        assert_eq!(report.strategy, "EBPC");
+        assert_eq!(b.build_config().scheduler.strategy.label(), "EBPC");
+        let outcome = b.run();
+        assert!(outcome.finished_at <= bdps_types::time::SimTime::from_secs(180 + 30));
     }
 }

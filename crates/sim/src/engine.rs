@@ -32,7 +32,6 @@ use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{read_population, SparseTable};
 use bdps_overlay::topology::Topology;
 use bdps_stats::rng::SimRng;
-use bdps_stats::summary::Summary;
 use bdps_types::error::BdpsError;
 use bdps_types::id::{BrokerId, SubscriptionId};
 use bdps_types::time::{Duration, SimTime};
@@ -44,7 +43,7 @@ pub use crate::error::SimError;
 pub use crate::event::{Arrival, EventKind};
 pub use crate::outcome::{
     ConservationBalance, ConservationViolation, DuplicateDeliveryViolation, LinkLoad, PhaseOutcome,
-    SimulationOutcome,
+    ReplayState, SimulationOutcome,
 };
 
 use crate::event::key;
@@ -282,14 +281,7 @@ impl Simulation {
                 #[cfg(feature = "fault-injection")]
                 injected_fault: None,
             },
-            totals: Totals {
-                tracker: ObjectiveTracker::new(),
-                phases: vec![PhaseOutcome::new("run".into(), SimTime::ZERO)],
-                valid_delays_ms: Summary::new(),
-                published: 0,
-                transmissions: 0,
-                completed_transfers: 0,
-            },
+            totals: Totals::new(),
             scenario,
             drain_grace,
         };
@@ -499,6 +491,7 @@ impl Simulation {
             aggregate_entries,
             table_bytes_estimate,
             link_loads: self.link_loads_snapshot(),
+            digest: self.totals.digest,
         }
     }
 

@@ -35,12 +35,13 @@
 //! * [`builder`] — the fluent [`SimulationBuilder`] experiment API
 //!   (`Simulation::builder().topology(..).workload(..).strategy(..).scenario(..).seed(..)`),
 //!   the one place runs are assembled and validated: `try_build` /
-//!   `try_build_on` / `try_report` return a misconfiguration as a
-//!   [`SimError`], `build` / `report` panic with it;
+//!   `try_build_on` / `try_run` return a misconfiguration as a
+//!   [`SimError`], `build` / `run` panic with it;
 //! * [`runner`] — parallel parameter sweeps over builders (one
 //!   [`SweepCell`] per run) across strategies, rates and seeds, and the
 //!   plain-data [`SimulationConfig`] a builder materialises;
-//! * [`report`] — result records and Markdown rendering helpers.
+//! * [`report`] — the paper's axis units and Markdown tables over a
+//!   [`SimulationOutcome`], the one record of a run's result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,9 +67,9 @@ pub use builder::{SimulationBuilder, TableLayout};
 pub use engine::InjectedFault;
 pub use engine::{
     ConservationBalance, ConservationViolation, DuplicateDeliveryViolation, ForwardingMode,
-    LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
+    LinkLoad, PhaseOutcome, ReplayState, SimError, Simulation, SimulationOutcome,
 };
-pub use report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
+pub use report::render_markdown_table;
 pub use runner::{sweep, SimulationConfig, SweepCell, TopologySpec};
 pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent};
 pub use sched::{EventHeap, EventQueue, Scheduled};
@@ -84,7 +85,7 @@ pub mod prelude {
     pub use crate::engine::{
         ForwardingMode, LinkLoad, PhaseOutcome, SimError, Simulation, SimulationOutcome,
     };
-    pub use crate::report::{render_markdown_table, LinkReport, PhaseReport, SimulationReport};
+    pub use crate::report::render_markdown_table;
     pub use crate::runner::{sweep, SimulationConfig, SweepCell, TopologySpec};
     pub use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioEvent};
     pub use crate::sched::EventQueue;

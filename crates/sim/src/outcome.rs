@@ -6,6 +6,7 @@ use bdps_core::objective::ObjectiveTracker;
 use bdps_core::queue::QueuedMessage;
 use bdps_stats::summary::Summary;
 use bdps_types::id::{MessageId, SubscriberId};
+use bdps_types::money::Earning;
 use bdps_types::time::SimTime;
 use std::fmt;
 
@@ -15,7 +16,7 @@ use crate::{engine::ForwardingMode, event::EventKind, scenario::ScenarioAction};
 use bdps_overlay::routing::RouteDelta;
 
 /// Per-phase metric accumulation (see [`ScenarioAction::PhaseMark`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseOutcome {
     /// The phase label ("run" for the implicit first phase).
     pub label: String,
@@ -50,6 +51,28 @@ impl PhaseOutcome {
             transmissions: 0,
             delays_ms: Summary::new(),
         }
+    }
+
+    /// Phase start, in seconds of simulated time.
+    pub fn start_s(&self) -> f64 {
+        self.start.as_secs_f64()
+    }
+
+    /// Phase end, in seconds of simulated time.
+    pub fn end_s(&self) -> f64 {
+        self.end.as_secs_f64()
+    }
+
+    /// Mean delay of the phase's on-time deliveries in ms: 0, not NaN, for a
+    /// phase that delivered nothing (an all-links-down blackout, say).
+    pub fn mean_valid_delay_ms(&self) -> f64 {
+        self.delays_ms.mean()
+    }
+
+    /// 95th-percentile delay of the phase's on-time deliveries in ms: 0, not
+    /// NaN, for a phase that delivered nothing.
+    pub fn p95_valid_delay_ms(&self) -> f64 {
+        self.delays_ms.clone().try_quantile(0.95).unwrap_or(0.0)
     }
 }
 
@@ -87,6 +110,30 @@ pub struct LinkLoad {
     pub work_done_us: f64,
 }
 
+impl LinkLoad {
+    /// Fraction of a run ending at `finished_at` that the link spent with
+    /// at least one flow in flight (`busy_us / finished_at`; 0 for a run
+    /// that ended at t = 0). Under fair sharing a value near 1.0 means the
+    /// link is saturated — the congestion signal delay-only links can never
+    /// show.
+    pub fn utilisation(&self, finished_at: SimTime) -> f64 {
+        match finished_at.as_micros() {
+            0 => 0.0,
+            total_us => self.busy_us as f64 / total_us as f64,
+        }
+    }
+
+    /// Mean number of concurrent flows while busy (`flow_time_us /
+    /// busy_us`; exactly 1.0 under the exclusive constant-delay model, 0
+    /// for a link that was never busy).
+    pub fn mean_concurrency(&self) -> f64 {
+        match self.busy_us {
+            0 => 0.0,
+            busy_us => self.flow_time_us as f64 / busy_us as f64,
+        }
+    }
+}
+
 /// One in-flight flow on a link under fair sharing. The engine keeps these
 /// per link; the pending [`EventKind::FlowComplete`] for its message at
 /// `completes_at` is the flow's live completion event.
@@ -101,6 +148,19 @@ pub(crate) struct LinkFlow {
     /// When the live completion event is scheduled.
     pub(crate) completes_at: SimTime,
 }
+
+/// What [`SimulationOutcome::replay_state`] returns: the digest, the
+/// per-broker counters, the per-link loads, the per-phase breakdowns (the
+/// last one ends at `finished_at`), the earning and the on-time delay
+/// summary.
+pub type ReplayState<'a> = (
+    u64,
+    &'a [BrokerCounters],
+    &'a [LinkLoad],
+    &'a [PhaseOutcome],
+    Earning,
+    &'a Summary,
+);
 
 /// Aggregate results of one simulation run.
 #[derive(Debug, Clone)]
@@ -183,9 +243,36 @@ pub struct SimulationOutcome {
     /// Per-link utilisation/queueing counters, indexed by link id, with
     /// the busy/flow-time integrals closed at `finished_at`.
     pub link_loads: Vec<LinkLoad>,
+    /// Every effect the run applied to its totals — each publication,
+    /// interested-count update, delivery (message, subscriber, price, delay
+    /// in µs, on-time), drop, transmission, completed transfer and phase
+    /// mark — folded in application order through a fixed multiply-rotate
+    /// mix. Two runs that agree on it published the same messages and
+    /// delivered them to the same subscribers with the same delays, in the
+    /// same order. The sharded executor replays its
+    /// shards' effects through the same fold in the sequential order, so it
+    /// reproduces the sequential digest by construction.
+    pub digest: u64,
 }
 
 impl SimulationOutcome {
+    /// What any replay of this run — on any shard count, stepped or not,
+    /// whichever way its configuration was spelled — must reproduce exactly:
+    /// the [`digest`](Self::digest), the state it does not fold (per-broker
+    /// counters, which hold the paper's message number; per-link loads;
+    /// per-phase breakdowns) and the order-sensitive sums (earning, the
+    /// on-time delay summary). The equivalence suites compare runs with it.
+    pub fn replay_state(&self) -> ReplayState<'_> {
+        (
+            self.digest,
+            &self.broker_counters,
+            &self.link_loads,
+            &self.phases,
+            self.tracker.total_earning(),
+            &self.valid_delays_ms,
+        )
+    }
+
     /// The paper's "message number" metric: total messages received by all brokers.
     pub fn message_number(&self) -> u64 {
         self.broker_counters.iter().map(|c| c.received).sum()

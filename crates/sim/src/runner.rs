@@ -1,8 +1,8 @@
 //! Parallel parameter sweeps over builders.
 //!
 //! A [`SweepCell`] is a label plus the [`SimulationBuilder`] that describes
-//! its run, and [`sweep`] runs each cell through the builder's
-//! `try_report`, so a cell reports exactly what its builder reports. The
+//! its run, and [`sweep`] runs each cell through the builder's `try_run`,
+//! so a cell's outcome is exactly what its builder's run returns. The
 //! paper's figures are produced by sweeping a grid of (strategy, publishing
 //! rate) or (strategy, EBPC weight) cells; each cell is an independent
 //! simulation, so the sweep runs cells on scoped worker threads with one RNG
@@ -19,8 +19,7 @@ use bdps_types::error::Result;
 use std::sync::Mutex;
 
 use crate::builder::SimulationBuilder;
-use crate::engine::ForwardingMode;
-use crate::report::SimulationReport;
+use crate::engine::{ForwardingMode, SimulationOutcome};
 use crate::scenario::DynamicScenario;
 use crate::workload::WorkloadConfig;
 
@@ -94,7 +93,7 @@ pub struct SweepCell {
 }
 
 /// Runs every cell, using up to `threads` worker threads, and returns
-/// `(label, report)` pairs in the order the cells were given.
+/// `(label, outcome)` pairs in the order the cells were given.
 ///
 /// A failing cell — a [`SimError`](crate::engine::SimError) or a panic —
 /// does not take the sweep down with it mid-flight: every remaining cell
@@ -102,9 +101,9 @@ pub struct SweepCell {
 /// naming each failed cell (label and seed) and its error. There is no
 /// silent partial result vector — either all cells succeeded or the call
 /// panics with the full casualty list.
-pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationReport)> {
+pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationOutcome)> {
     let next = std::sync::atomic::AtomicUsize::new(0);
-    type Slot = Mutex<Option<std::result::Result<(String, SimulationReport), String>>>;
+    type Slot = Mutex<Option<std::result::Result<(String, SimulationOutcome), String>>>;
     let slots: Vec<Slot> = (0..cells.len()).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1).min(cells.len()) {
@@ -156,9 +155,9 @@ pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationRepo
 
 /// Runs one sweep cell, converting its `SimError` or panic into the cell's
 /// error string so the sweep can keep draining its queue.
-fn run_cell(cell: &SweepCell) -> std::result::Result<(String, SimulationReport), String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell.builder.try_report())) {
-        Ok(Ok(report)) => Ok((cell.label.clone(), report)),
+fn run_cell(cell: &SweepCell) -> std::result::Result<(String, SimulationOutcome), String> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell.builder.try_run())) {
+        Ok(Ok(outcome)) => Ok((cell.label.clone(), outcome)),
         Ok(Err(e)) => Err(e.to_string()),
         Err(payload) => Err(crate::shard::panic_message(payload)),
     }
@@ -198,7 +197,6 @@ pub fn strategy_rate_grid_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Scenario;
     use bdps_core::config::StrategyKind;
     use bdps_types::time::Duration;
 
@@ -218,16 +216,14 @@ mod tests {
     #[test]
     fn run_produces_consistent_report() {
         let builder = quick(StrategyKind::MaxEb, 6.0, false, 1);
-        let report = builder.report();
-        assert_eq!(report.strategy, "EB");
-        assert_eq!(report.scenario, Scenario::PublisherSpecified.label());
-        assert!(report.published > 0);
-        assert!(report.delivery_rate >= 0.0 && report.delivery_rate <= 1.0);
-        assert!(report.message_number >= report.published);
-        assert_eq!(report.seed, 1);
+        let outcome = builder.run();
+        assert!(outcome.published > 0);
+        let rate = outcome.tracker.delivery_rate();
+        assert!((0.0..=1.0).contains(&rate));
+        assert!(outcome.message_number() >= outcome.published);
         // Deterministic.
-        let again = builder.report();
-        assert_eq!(report, again);
+        let again = builder.run();
+        assert_eq!(outcome.replay_state(), again.replay_state());
     }
 
     #[test]
@@ -246,7 +242,11 @@ mod tests {
         assert_eq!(parallel[1].0, "FIFO");
         for (p, s) in parallel.iter().zip(serial.iter()) {
             assert_eq!(p.0, s.0);
-            assert_eq!(p.1, s.1, "parallel and serial sweeps must agree");
+            assert_eq!(
+                p.1.replay_state(),
+                s.1.replay_state(),
+                "parallel and serial sweeps must agree"
+            );
         }
     }
 

@@ -82,7 +82,9 @@ pub enum ScenarioAction {
         link: LinkId,
     },
     /// Starts a new reporting phase; per-phase metrics accumulate under this
-    /// label until the next mark (see `SimulationReport::phases`).
+    /// label until the next mark (see
+    /// [`SimulationOutcome::phases`](crate::engine::SimulationOutcome::phases)).
+    /// The mark is folded into the run digest.
     PhaseMark {
         /// Free-form phase label ("burst", "blackout", ...).
         label: String,

@@ -55,13 +55,17 @@
 //!   coalescing, churn and phase accounting run the exact sequential code),
 //!   then scatters the state out again.
 //!
-//! Fields the engine's outcome exposes for *introspection* rather than for
-//! the paper's metrics — the peak queue length and the scope-interner
-//! hit-rate — are queue-shape-dependent and may differ from the sequential
-//! run; everything [`crate::report::SimulationReport`] is built from is
-//! reproduced exactly. The scope-interner counters are summed over the
-//! shards' pools (each shard interns on its own, so the hit count depends on
-//! the partition).
+//! What the sequential run is reproduced *exactly* is
+//! [`SimulationOutcome::replay_state`]: the run digest — every effect
+//! folded through `Totals::emit` in the `(time, key, idx)` replay order, so
+//! it matches by construction — plus the state the digest does not fold
+//! (per-broker counters, per-link loads, per-phase breakdowns) and the
+//! order-sensitive sums (earning, the on-time delay summary). Fields the
+//! outcome exposes for *introspection* rather than for the paper's metrics
+//! — the peak pending-event count and the scope-interner hit-rate — are
+//! queue-shape-dependent and may differ from the sequential run. The
+//! scope-interner counters are summed over the shards' pools (each shard
+//! interns on its own, so the hit count depends on the partition).
 
 use std::iter::Peekable;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -92,8 +96,9 @@ pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
 }
 
 /// Runs the simulation partitioned into `shards` broker shards advanced by
-/// worker threads, producing a [`SimulationOutcome`] whose report is
-/// bit-identical to the sequential [`Simulation::try_run`].
+/// worker threads, producing a [`SimulationOutcome`] whose
+/// [`replay_state`](SimulationOutcome::replay_state) is bit-identical to
+/// the sequential [`Simulation::try_run`]'s.
 ///
 /// Falls back to the sequential loop when sharding cannot help: one shard
 /// requested, or fewer brokers than would fill two shards.

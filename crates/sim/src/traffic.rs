@@ -67,6 +67,58 @@ pub(crate) enum Effect {
     PhaseStarted { label: Box<str>, at: SimTime },
 }
 
+impl Effect {
+    /// `digest` with this effect folded in: a tag word naming the kind, then
+    /// every field (a delivery's delay in whole microseconds, a phase
+    /// label's length and bytes).
+    fn fold_into(&self, digest: u64) -> u64 {
+        let fold = |words: &[u64]| words.iter().fold(digest, |d, &w| mix(d, w));
+        match *self {
+            Effect::Published {
+                message,
+                interested,
+            } => fold(&[1, message.raw(), interested.into()]),
+            Effect::Interested { message, count } => fold(&[2, message.raw(), count.into()]),
+            Effect::Delivery {
+                message,
+                subscriber,
+                price,
+                delay,
+                on_time,
+            } => fold(&[
+                3,
+                message.raw(),
+                subscriber.raw().into(),
+                price.millis() as u64,
+                delay.as_micros(),
+                on_time.into(),
+            ]),
+            Effect::Dropped { count } => fold(&[4, count]),
+            Effect::Transmission => fold(&[5]),
+            Effect::CompletedTransfer => fold(&[6]),
+            Effect::PhaseStarted { ref label, at } => label
+                .bytes()
+                .fold(fold(&[7, label.len() as u64, at.as_micros()]), |d, b| {
+                    mix(d, b.into())
+                }),
+        }
+    }
+}
+
+/// The digest of a run that has applied no effect yet.
+const DIGEST_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// One step of the run digest: xor the word in, multiply by an odd
+/// constant (2⁶⁴ over the golden ratio), rotate. Written out because the
+/// goldens commit digests, and std's `DefaultHasher` is not specified to
+/// stay the same across Rust releases.
+#[inline]
+fn mix(digest: u64, word: u64) -> u64 {
+    (digest ^ word)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(27)
+}
+
 /// Where a handler's [`Effect`]s go. Handlers are generic over the
 /// sink, so the sequential engine's choice ([`Totals`] itself) inlines to
 /// direct field updates.
@@ -74,9 +126,10 @@ pub(crate) trait EffectSink {
     fn emit(&mut self, effect: Effect);
 }
 
-/// The order-sensitive accumulators: floating-point earning / delay sums
-/// and the per-phase breakdown depend on the order deliveries are recorded
-/// in, so every executor must feed them in canonical `(time, key)` order.
+/// The order-sensitive accumulators: floating-point earning / delay sums,
+/// the per-phase breakdown and the run digest depend on the order effects
+/// are applied in, so every executor must feed them in canonical
+/// `(time, key)` order.
 #[derive(Clone)]
 pub(crate) struct Totals {
     pub(crate) tracker: ObjectiveTracker,
@@ -85,11 +138,31 @@ pub(crate) struct Totals {
     pub(crate) published: u64,
     pub(crate) transmissions: u64,
     pub(crate) completed_transfers: u64,
+    /// Every effect applied so far, folded in order (see
+    /// `SimulationOutcome::digest`).
+    pub(crate) digest: u64,
+}
+
+impl Totals {
+    /// The totals of a run that has applied nothing, in its implicit "run"
+    /// phase.
+    pub(crate) fn new() -> Self {
+        Totals {
+            tracker: ObjectiveTracker::new(),
+            phases: vec![PhaseOutcome::new("run".into(), SimTime::ZERO)],
+            valid_delays_ms: Summary::new(),
+            published: 0,
+            transmissions: 0,
+            completed_transfers: 0,
+            digest: DIGEST_SEED,
+        }
+    }
 }
 
 impl EffectSink for Totals {
     #[inline]
     fn emit(&mut self, effect: Effect) {
+        self.digest = effect.fold_into(self.digest);
         let phase = self.phases.last_mut().expect("at least one phase");
         match effect {
             Effect::Published {
@@ -746,6 +819,55 @@ impl TrafficCore {
 }
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    /// The mix and the fold order of every effect kind, pinned on a fixed
+    /// sequence: the goldens commit digests, so a change to either fails
+    /// here first.
+    #[test]
+    fn the_digest_of_a_fixed_effect_sequence_is_pinned() {
+        let (m1, m2) = (MessageId::new(1), MessageId::new(2));
+        let delivery = |subscriber, delay_us, on_time| Effect::Delivery {
+            message: m1,
+            subscriber: SubscriberId::new(subscriber),
+            price: Price::from_units(3),
+            delay: Duration::from_micros(delay_us),
+            on_time,
+        };
+        let run = |last_delay_us| {
+            let mut totals = Totals::new();
+            for effect in [
+                Effect::Published {
+                    message: m1,
+                    interested: 2,
+                },
+                Effect::Interested {
+                    message: m1,
+                    count: 1,
+                },
+                Effect::Transmission,
+                Effect::CompletedTransfer,
+                delivery(4, 1_500_000, true),
+                Effect::Dropped { count: 2 },
+                Effect::PhaseStarted {
+                    label: "burst".into(),
+                    at: SimTime::from_secs(60),
+                },
+                Effect::Published {
+                    message: m2,
+                    interested: 0,
+                },
+                delivery(5, last_delay_us, false),
+            ] {
+                totals.emit(effect);
+            }
+            totals.digest
+        };
+        assert_eq!(Totals::new().digest, DIGEST_SEED);
+        assert_eq!(run(90_000_000), 0x538D_BB72_8003_18A8);
+        assert_ne!(run(90_000_001), run(90_000_000), "one µs moves it");
+    }
+
     /// A shard worker logs one stamped `Effect` per delivery and the barrier
     /// sorts the log, so the enum stays at the size of its `Delivery` arm.
     #[test]

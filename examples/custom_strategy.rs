@@ -11,7 +11,6 @@
 //!
 //! Run with: `cargo run --release --example custom_strategy`
 
-use bdps::core::config::PAPER_MESSAGE_SIZE_KB;
 use bdps::core::metrics;
 use bdps::core::strategy::ScheduleContext;
 use bdps::prelude::*;
@@ -34,9 +33,8 @@ impl SchedulingStrategy for DeadlineAwareValue {
         // copy's targets, then summed over the targets.
         let eb = metrics::expected_benefit(item, ctx.now);
         // Transmission cost estimate: message size at the queue's mean rate
-        // (the same FT estimate the paper's PC metric uses, per KB).
-        let send_ms =
-            (item.message.size_kb * ctx.first_send_estimate_ms / PAPER_MESSAGE_SIZE_KB).max(1.0);
+        // (the same FT estimate the paper's PC metric uses).
+        let send_ms = ctx.first_send_estimate_ms(item).max(1.0);
         let urgency_boost = {
             let rl_secs = item.avg_remaining_lifetime_ms(ctx.now) / 1_000.0;
             if rl_secs.is_finite() && rl_secs < self.panic_secs {
@@ -65,27 +63,28 @@ fn main() {
         "{:10} {:>14} {:>14} {:>18}",
         "strategy", "delivery (%)", "msg number", "dropped unlikely"
     );
-    for (_, report) in sweep(&cells, 4) {
+    for (strategy, (_, outcome)) in strategies.iter().zip(sweep(&cells, 4)) {
         println!(
             "{:10} {:>14.1} {:>14} {:>18}",
-            report.strategy,
-            report.delivery_rate_percent(),
-            report.message_number,
-            report.dropped_unlikely
+            strategy.label(),
+            outcome.delivery_rate_percent(),
+            outcome.message_number(),
+            outcome.dropped_unlikely()
         );
     }
 
     // One-off runs go through the fluent builder with the same handle.
+    let dav = DeadlineAwareValue { panic_secs: 5.0 };
     let single = Simulation::builder()
         .ssd(10.0)
         .duration(Duration::from_secs(300))
-        .strategy(DeadlineAwareValue { panic_secs: 5.0 })
+        .strategy(dav)
         .seed(7)
-        .report();
+        .run();
     println!(
         "\nbuilder run with {}: earning {:.1}, delivery rate {:.1} %",
-        single.strategy,
-        single.total_earning,
+        dav.name(),
+        single.tracker.total_earning().as_f64(),
         single.delivery_rate_percent()
     );
     println!("\nNo core crate was modified: the strategy lives entirely in this example.");

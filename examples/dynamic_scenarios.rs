@@ -30,55 +30,56 @@ fn main() {
         // A link failure every ~2 minutes, ~30 s downtime each.
         .with_link_failures(LinkFailureConfig::flaky());
 
-    let report = Simulation::builder()
+    let outcome = Simulation::builder()
         .ssd(10.0)
         .duration(Duration::from_secs(900))
         .strategy(StrategyKind::MaxEb)
-        .scenario(chaos)
+        .scenario(chaos.clone())
         .seed(42)
-        .report();
+        .run();
+    let tracker = &outcome.tracker;
 
-    println!("strategy            : {}", report.strategy);
-    println!("dynamics            : {}", report.dynamics);
-    println!("published messages  : {}", report.published);
-    println!("on-time deliveries  : {}", report.on_time);
+    println!("strategy            : {}", StrategyKind::MaxEb.label());
+    println!("dynamics            : {}", chaos.name);
+    println!("published messages  : {}", outcome.published);
+    println!("on-time deliveries  : {}", tracker.total_on_time());
     println!(
         "delivery rate       : {:.1} %",
-        report.delivery_rate_percent()
+        outcome.delivery_rate_percent()
     );
-    println!("total earning       : {:.1}", report.total_earning);
-    println!("requeued (link loss): {}", report.requeued);
-    println!("unsubscribed drops  : {}", report.dropped_unsubscribed);
+    println!(
+        "total earning       : {:.1}",
+        tracker.total_earning().as_f64()
+    );
+    println!("requeued (link loss): {}", outcome.requeued());
+    println!("unsubscribed drops  : {}", outcome.dropped_unsubscribed());
     println!(
         "duplicate deliveries: {} (single-path forwarding keeps this 0)",
-        report.duplicate_deliveries
+        tracker.duplicate_deliveries()
     );
 
     // Bursts and blackouts are visible per phase; empty phases print zeros,
     // never NaN.
-    println!("\nPer-phase breakdown:\n\n{}", report.phase_table());
+    println!("\nPer-phase breakdown:\n\n{}", outcome.phase_table());
 
     // Name-based wiring for CLI-style selection — and proof of replay:
-    // the same name and seed reproduce the run bit-for-bit.
-    let a = Simulation::builder()
+    // the same name and seed reproduce the run bit-for-bit, digest and all.
+    let link_flap = Simulation::builder()
         .ssd(10.0)
         .duration(Duration::from_secs(300))
         .strategy(StrategyKind::MaxEbpc)
         .scenario_named("link-flap")
         .expect("builtin scenario")
-        .seed(7)
-        .report();
-    let b = Simulation::builder()
-        .ssd(10.0)
-        .duration(Duration::from_secs(300))
-        .strategy(StrategyKind::MaxEbpc)
-        .scenario_named("link-flap")
-        .expect("builtin scenario")
-        .seed(7)
-        .report();
-    assert_eq!(a, b, "same seed, same scenario => identical report");
+        .seed(7);
+    let (a, b) = (link_flap.run(), link_flap.run());
+    assert_eq!(
+        a.replay_state(),
+        b.replay_state(),
+        "same seed, same scenario => identical run"
+    );
     println!(
         "\nreplay check        : two '{}' runs with seed 7 agree exactly ({} on-time deliveries)",
-        a.dynamics, a.on_time
+        link_flap.build_config().scenario.name,
+        a.tracker.total_on_time()
     );
 }

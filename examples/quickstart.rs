@@ -14,25 +14,33 @@ fn main() {
     //    50 KB messages at 10 messages/minute each.
     // 3. The EB (maximum Expected Benefit first) scheduling strategy with the
     //    paper's invalid-message detection threshold (epsilon = 0.05 %).
-    let report = Simulation::builder()
+    let builder = Simulation::builder()
         .ssd(10.0)
         .duration(Duration::from_secs(600))
         .strategy(StrategyKind::MaxEb)
-        .seed(42)
-        .report();
+        .seed(42);
+    let config = builder.build_config();
+    let outcome = builder.run();
+    let tracker = &outcome.tracker;
 
-    println!("strategy          : {}", report.strategy);
-    println!("scenario          : {}", report.scenario);
-    println!("published messages: {}", report.published);
-    println!("interested pairs  : {}", report.interested);
-    println!("on-time deliveries: {}", report.on_time);
+    println!("strategy          : {}", config.scheduler.strategy.label());
+    println!("scenario          : {}", config.workload.scenario.label());
+    println!("published messages: {}", outcome.published);
+    println!("interested pairs  : {}", tracker.total_interested());
+    println!("on-time deliveries: {}", tracker.total_on_time());
     println!(
         "delivery rate     : {:.1} %",
-        report.delivery_rate_percent()
+        outcome.delivery_rate_percent()
     );
-    println!("total earning     : {:.1}", report.total_earning);
-    println!("message number    : {}", report.message_number);
-    println!("dropped (expired) : {}", report.dropped_expired);
-    println!("dropped (unlikely): {}", report.dropped_unlikely);
-    println!("mean valid delay  : {:.0} ms", report.mean_valid_delay_ms);
+    println!(
+        "total earning     : {:.1}",
+        tracker.total_earning().as_f64()
+    );
+    println!("message number    : {}", outcome.message_number());
+    println!("dropped (expired) : {}", outcome.dropped_expired());
+    println!("dropped (unlikely): {}", outcome.dropped_unlikely());
+    println!(
+        "mean valid delay  : {:.0} ms",
+        outcome.valid_delays_ms.mean()
+    );
 }

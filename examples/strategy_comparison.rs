@@ -30,14 +30,14 @@ fn main() {
         "{:10} {:>14} {:>16} {:>18} {:>18}",
         "strat", "delivery (%)", "msg number", "dropped expired", "dropped unlikely"
     );
-    for (label, report) in sweep(&cells, 4) {
+    for (label, outcome) in sweep(&cells, 4) {
         println!(
             "{:10} {:>14.1} {:>16} {:>18} {:>18}",
             label,
-            report.delivery_rate_percent(),
-            report.message_number,
-            report.dropped_expired,
-            report.dropped_unlikely
+            outcome.delivery_rate_percent(),
+            outcome.message_number(),
+            outcome.dropped_expired(),
+            outcome.dropped_unlikely()
         );
     }
     println!(

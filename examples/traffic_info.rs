@@ -47,18 +47,18 @@ fn main() {
 
     // Run the paper's SSD workload at a congesting rate under both strategies.
     for strategy in [StrategyKind::MaxEb, StrategyKind::Fifo] {
-        let report = Simulation::builder()
+        let outcome = Simulation::builder()
             .ssd(12.0)
             .duration(Duration::from_secs(600))
             .strategy(strategy)
             .seed(7)
-            .report();
+            .run();
         println!(
             "{:4}  earning {:8.1}  delivery rate {:5.1} %  traffic {:6} receptions",
-            report.strategy,
-            report.total_earning,
-            report.delivery_rate_percent(),
-            report.message_number
+            strategy.label(),
+            outcome.tracker.total_earning().as_f64(),
+            outcome.delivery_rate_percent(),
+            outcome.message_number()
         );
     }
     println!("\nThe EB strategy earns substantially more on the same network because it spends bandwidth on messages that can still meet their bound.");

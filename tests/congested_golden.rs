@@ -10,7 +10,9 @@
 //! allowed delay = min member bound) the same cell recovers to 19,226
 //! on-time while exact mode is bit-identical to the pre-envelope run.
 //!
-//! This test pins those counts exactly; the cell is defined here and
+//! This test pins those counts exactly, and the run digest beside them
+//! (every delivery, drop and transmission folded in order, so it moves
+//! when behaviour does even where the counts stay put); the cell is defined here and
 //! nowhere else (layers [4,4,15,31], 32 subscribers per edge, ssd 30/min,
 //! 300 s, EB strategy, sparse tables, constant links, seed 42). Any
 //! change that silently alters congested aggregate behaviour — envelope
@@ -28,6 +30,7 @@ struct Golden {
     on_time: u64,
     transmissions: u64,
     false_positive_forwards: u64,
+    digest: u64,
 }
 
 /// 992 subscribers on 54 brokers (31 edge brokers × 32 subscribers each).
@@ -42,8 +45,8 @@ fn congested_mesh() -> LayeredMeshConfig {
     config
 }
 
-fn congested_run(forwarding: ForwardingMode) -> SimulationReport {
-    Simulation::builder()
+fn congested_run(forwarding: ForwardingMode) -> Golden {
+    let out = Simulation::builder()
         .layered_mesh(congested_mesh())
         .ssd(30.0)
         .duration(Duration::from_secs(300))
@@ -53,27 +56,28 @@ fn congested_run(forwarding: ForwardingMode) -> SimulationReport {
         .link_model(LinkModelKind::Constant)
         .forwarding(forwarding)
         .seed(42)
-        .report()
+        .run();
+    Golden {
+        published: out.published,
+        on_time: out.tracker.total_on_time(),
+        transmissions: out.transmissions,
+        false_positive_forwards: out.false_positive_forwards(),
+        digest: out.digest,
+    }
 }
 
 /// Exact mode must be unaffected by envelope stamping: these are the same
 /// counts the cell produced before aggregate entries carried envelopes.
 #[test]
 fn congested_cell_exact_forwarding_is_pinned() {
-    let report = congested_run(ForwardingMode::Exact);
-    let observed = Golden {
-        published: report.published,
-        on_time: report.on_time,
-        transmissions: report.transmissions,
-        false_positive_forwards: report.false_positive_forwards,
-    };
     let expected = Golden {
         published: 601,
         on_time: 48_942,
         transmissions: 7_412,
         false_positive_forwards: 0,
+        digest: 0x792B_DAFA_B1D5_87FE,
     };
-    assert_eq!(observed, expected);
+    assert_eq!(congested_run(ForwardingMode::Exact), expected);
 }
 
 /// Aggregate mode with envelope stamping: 19,226 on-time, up from the
@@ -81,18 +85,12 @@ fn congested_cell_exact_forwarding_is_pinned() {
 /// delivered on this exact cell.
 #[test]
 fn congested_cell_aggregate_forwarding_is_pinned() {
-    let report = congested_run(ForwardingMode::Aggregate);
-    let observed = Golden {
-        published: report.published,
-        on_time: report.on_time,
-        transmissions: report.transmissions,
-        false_positive_forwards: report.false_positive_forwards,
-    };
     let expected = Golden {
         published: 601,
         on_time: 19_226,
         transmissions: 5_296,
         false_positive_forwards: 26,
+        digest: 0x4515_0F8F_C5B5_CC69,
     };
-    assert_eq!(observed, expected);
+    assert_eq!(congested_run(ForwardingMode::Aggregate), expected);
 }

@@ -41,24 +41,25 @@ fn paper_topology_routes_are_complete_and_consistent() {
 
 #[test]
 fn paper_scale_run_is_sane_under_the_eb_strategy() {
-    let report = quick(StrategyKind::MaxEb, true, 10.0, 31).report();
+    let out = quick(StrategyKind::MaxEb, true, 10.0, 31).run();
+    let tracker = &out.tracker;
     // 4 publishers x 10 msg/min x 7 minutes ~ 280 messages.
     assert!(
-        report.published > 150 && report.published < 450,
+        out.published > 150 && out.published < 450,
         "published = {}",
-        report.published
+        out.published
     );
     // The workload is tuned for ~25% selectivity over 160 subscribers.
-    let avg_interested = report.interested as f64 / report.published as f64;
+    let avg_interested = tracker.total_interested() as f64 / out.published as f64;
     assert!(
         (20.0..60.0).contains(&avg_interested),
         "average interested subscribers per message = {avg_interested}"
     );
-    assert!(report.delivery_rate > 0.0 && report.delivery_rate <= 1.0);
-    assert!(report.total_earning > 0.0);
-    assert!(report.message_number > report.published);
+    assert!(tracker.delivery_rate() > 0.0 && tracker.delivery_rate() <= 1.0);
+    assert!(tracker.total_earning().as_f64() > 0.0);
+    assert!(out.message_number() > out.published);
     // No (message, subscriber) pair can be delivered twice.
-    assert!(report.on_time + report.late <= report.interested);
+    assert!(tracker.total_on_time() + tracker.total_late() <= tracker.total_interested());
 }
 
 #[test]
@@ -82,7 +83,7 @@ fn congestion_ordering_matches_the_paper() {
         results
             .iter()
             .find(|(l, _)| l == label)
-            .map(|(_, r)| r.delivery_rate)
+            .map(|(_, r)| r.tracker.delivery_rate())
             .unwrap()
     };
     let eb = rate_of("EB");
@@ -95,37 +96,35 @@ fn congestion_ordering_matches_the_paper() {
 
 #[test]
 fn ssd_earning_favours_eb_over_fifo_under_load() {
-    let eb = quick(StrategyKind::MaxEb, true, 12.0, 13).report();
-    let fifo = quick(StrategyKind::Fifo, true, 12.0, 13).report();
+    let eb = quick(StrategyKind::MaxEb, true, 12.0, 13).run();
+    let fifo = quick(StrategyKind::Fifo, true, 12.0, 13).run();
     assert!(
-        eb.total_earning > fifo.total_earning,
+        eb.tracker.total_earning() > fifo.tracker.total_earning(),
         "EB earning {} should exceed FIFO earning {}",
-        eb.total_earning,
-        fifo.total_earning
+        eb.earning_k(),
+        fifo.earning_k()
     );
     // Traffic overhead should stay moderate (the paper reports ~+23% at rate 15).
-    let overhead = eb.message_number as f64 / fifo.message_number as f64;
+    let overhead = eb.message_number() as f64 / fifo.message_number() as f64;
     assert!(overhead < 1.8, "EB traffic overhead too high: {overhead}");
 }
 
 #[test]
 fn ebpc_extreme_weight_equals_eb() {
     // r = 1 makes EBPC identical to EB, so the whole simulation must agree.
-    let eb = quick(StrategyKind::MaxEb, true, 9.0, 5).report();
+    let eb = quick(StrategyKind::MaxEb, true, 9.0, 5).run();
     let ebpc = quick(StrategyKind::MaxEbpc, true, 9.0, 5)
         .ebpc_weight(1.0)
-        .report();
-    assert_eq!(eb.on_time, ebpc.on_time);
-    assert_eq!(eb.total_earning, ebpc.total_earning);
-    assert_eq!(eb.message_number, ebpc.message_number);
+        .run();
+    assert_eq!(eb.replay_state(), ebpc.replay_state());
 }
 
 #[test]
 fn runs_are_reproducible_across_processes_and_parallelism() {
     let builder = quick(StrategyKind::MaxEbpc, false, 9.0, 99);
-    let a = builder.report();
-    let b = builder.report();
-    assert_eq!(a, b);
+    let a = builder.run();
+    let b = builder.run();
+    assert_eq!(a.replay_state(), b.replay_state());
     // The same cell inside a parallel sweep gives the same numbers.
     let cells = vec![
         SweepCell {
@@ -138,10 +137,10 @@ fn runs_are_reproducible_across_processes_and_parallelism() {
         },
     ];
     let swept = sweep(&cells, 2);
-    assert_eq!(swept[0].1, a);
+    assert_eq!(swept[0].1.replay_state(), a.replay_state());
 }
 
-/// A sweep cell runs its builder as given: every setter reaches the report,
+/// A sweep cell runs its builder as given: every setter reaches the run,
 /// including the drain grace, which a sweep once reset to its two-minute
 /// default.
 #[test]
@@ -164,14 +163,14 @@ fn a_sweep_honours_every_builder_setter() {
         },
     ];
     let swept = sweep(&cells, 2);
-    for ((label, report), cell) in swept.iter().zip(&cells) {
+    for ((label, outcome), cell) in swept.iter().zip(&cells) {
         assert_eq!(*label, cell.label);
-        assert_eq!(*report, cell.builder.report(), "{label}");
-        assert_eq!(report.ebpc_weight, 0.7, "{label}");
+        let alone = cell.builder.run();
+        assert_eq!(outcome.replay_state(), alone.replay_state(), "{label}");
     }
     assert_ne!(
-        swept[0].1, swept[1].1,
-        "the drain grace must change the report, or this test is vacuous"
+        swept[0].1.finished_at, swept[1].1.finished_at,
+        "the drain grace must change the run, or this test is vacuous"
     );
 }
 
@@ -182,11 +181,16 @@ fn builder_path_matches_enum_path_for_all_paper_strategies() {
     // through the `StrategyKind` compatibility path.
     for strategy in StrategyKind::ALL {
         for ssd in [false, true] {
-            let enum_path = quick(strategy, ssd, 10.0, 21).report();
+            let enum_path = quick(strategy, ssd, 10.0, 21).run();
             let handle_path = quick(strategy, ssd, 10.0, 21)
                 .strategy(strategy.resolve())
-                .report();
-            assert_eq!(enum_path, handle_path, "{} ssd={ssd}", strategy.label());
+                .run();
+            assert_eq!(
+                enum_path.replay_state(),
+                handle_path.replay_state(),
+                "{} ssd={ssd}",
+                strategy.label()
+            );
         }
     }
 }
@@ -211,26 +215,20 @@ impl SchedulingStrategy for ValuePerKb {
 fn user_defined_strategy_runs_through_broker_and_simulation() {
     // Acceptance: a strategy implemented outside `bdps-core` plugs into the
     // full pipeline through a handle, with no changes to the core crates.
-    let report = Simulation::builder()
+    let builder = Simulation::builder()
         .topology(TopologySpec::LayeredMesh(LayeredMeshConfig::small()))
         .ssd(8.0)
         .duration(Duration::from_secs(300))
         .strategy(ValuePerKb)
-        .seed(11)
-        .report();
-    assert_eq!(report.strategy, "VPK");
-    assert!(report.published > 0);
-    assert!(report.on_time > 0, "custom strategy must still deliver");
-    assert!(report.delivery_rate > 0.0 && report.delivery_rate <= 1.0);
+        .seed(11);
+    assert_eq!(builder.build_config().scheduler.strategy.label(), "VPK");
+    let out = builder.run();
+    assert!(out.published > 0);
+    let on_time = out.tracker.total_on_time();
+    assert!(on_time > 0, "custom strategy must still deliver");
+    assert!(on_time <= out.tracker.total_interested());
     // Deterministic like every other strategy.
-    let again = Simulation::builder()
-        .topology(TopologySpec::LayeredMesh(LayeredMeshConfig::small()))
-        .ssd(8.0)
-        .duration(Duration::from_secs(300))
-        .strategy(ValuePerKb)
-        .seed(11)
-        .report();
-    assert_eq!(report, again);
+    assert_eq!(out.replay_state(), builder.run().replay_state());
 }
 
 #[test]
@@ -279,11 +277,14 @@ fn churn_burst_link_failure_scenario_end_to_end_for_all_five_strategies() {
         assert!(delivered <= outcome.tracker.total_interested());
         assert!(outcome.tracker.total_on_time() > 0, "{}", strategy.label());
 
-        let a = build(strategy).report();
-        let b = build(strategy).report();
-        assert_eq!(a, b, "{} must replay bit-for-bit", strategy.label());
-        assert_eq!(a.dynamics, "chaos");
-        assert!(a.phases.len() > 1, "burst phases should be visible");
+        let again = build(strategy).run();
+        assert_eq!(
+            outcome.replay_state(),
+            again.replay_state(),
+            "{} must replay bit-for-bit",
+            strategy.label()
+        );
+        assert!(outcome.phases.len() > 1, "burst phases should be visible");
     }
 }
 
@@ -299,18 +300,18 @@ fn registry_scenarios_run_through_the_builder() {
         "blackout",
         "chaos",
     ] {
-        let report = Simulation::builder()
+        let builder = Simulation::builder()
             .layered_mesh(LayeredMeshConfig::small())
             .ssd(8.0)
             .duration(Duration::from_secs(180))
             .strategy(StrategyKind::MaxEb)
             .scenario_named(name)
             .unwrap()
-            .seed(5)
-            .report();
-        assert_eq!(report.dynamics, name);
-        assert!(report.published > 0, "{name}");
-        assert_eq!(report.duplicate_deliveries, 0, "{name}");
+            .seed(5);
+        assert_eq!(builder.build_config().scenario.name, name);
+        let out = builder.run();
+        assert!(out.published > 0, "{name}");
+        assert_eq!(out.tracker.duplicate_deliveries(), 0, "{name}");
     }
     assert!(Simulation::builder().scenario_named("nope").is_err());
 }
@@ -325,27 +326,28 @@ fn static_scenario_reproduces_pre_scenario_behaviour() {
     let explicit = default
         .clone()
         .scenario(DynamicScenario::static_scenario())
-        .report();
-    assert_eq!(default.report(), explicit);
+        .run();
+    assert_eq!(default.run().replay_state(), explicit.replay_state());
     assert_eq!(explicit.phases.len(), 1);
     assert_eq!(explicit.phases[0].label, "run");
 }
 
 #[test]
 fn smaller_mesh_runs_the_psd_workload() {
-    let report = Simulation::builder()
+    let builder = Simulation::builder()
         .topology(TopologySpec::LayeredMesh(LayeredMeshConfig::small()))
         .psd(6.0)
         .duration(Duration::from_secs(300))
         .strategy(StrategyKind::Fifo)
-        .seed(3)
-        .report();
-    assert_eq!(report.scenario, "PSD");
-    assert!(report.published > 0);
-    assert!(report.on_time + report.late <= report.interested);
+        .seed(3);
+    assert_eq!(builder.build_config().workload.scenario.label(), "PSD");
+    let out = builder.run();
+    let tracker = &out.tracker;
+    assert!(out.published > 0);
+    assert!(tracker.total_on_time() + tracker.total_late() <= tracker.total_interested());
     // FIFO reads no link model, so §5.4 lets it delete expired copies only.
-    assert_eq!(report.dropped_unlikely, 0);
-    assert!(report.delivery_rate > 0.9);
+    assert_eq!(out.dropped_unlikely(), 0);
+    assert!(tracker.delivery_rate() > 0.9);
 }
 
 /// Tripwire on the knob count: every `SimulationConfig` field, by name, with
@@ -520,7 +522,7 @@ fn library_panic_sites_do_not_grow() {
     };
     // engine.rs: the documented panicking wrappers `run` and `apply`;
     // event.rs: `key::message_id`'s counter-overflow assert. builder.rs:
-    // `build` and `report`. runner.rs: `TopologySpec::build` and `sweep`'s
+    // `build` and `run`. runner.rs: `TopologySpec::build` and `sweep`'s
     // casualty list.
     let committed = [
         ("crates/sim/src/engine.rs", 2),
@@ -591,4 +593,16 @@ fn library_panic_sites_do_not_grow() {
     let builder = library_code("crates/sim/src/builder.rs");
     assert!(!builder.contains("fn from_"));
     assert!(!builder.contains("pub fn shards"));
+    // One description of a result: the outcome. `report.rs` renders it; a
+    // struct copying its fields, or a conversion filling one, would be a
+    // second one.
+    let report = library_code("crates/sim/src/report.rs");
+    for copy in [
+        "fn from_outcome",
+        "struct SimulationReport",
+        "struct PhaseReport",
+        "struct LinkReport",
+    ] {
+        assert!(!report.contains(copy), "report.rs has `{copy}`");
+    }
 }

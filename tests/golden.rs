@@ -1,7 +1,7 @@
-//! Golden-report regression tests.
+//! Golden regression tests.
 //!
-//! These pin the *exact* metrics of fixed-seed runs across all five paper
-//! strategies, so any refactor that silently changes seed behaviour —
+//! These pin the *exact* counts and run digest of fixed-seed runs across all
+//! five paper strategies, so any refactor that silently changes seed behaviour —
 //! event ordering, RNG stream discipline, matching semantics — shows up as
 //! a loud diff instead of a quiet drift. The numbers were produced by the
 //! simulator itself; when a change is *intended* to alter seed behaviour,
@@ -15,7 +15,13 @@
 use bdps::core::config::StrategyKind;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
+use StrategyKind::{Fifo, MaxEb, MaxEbpc, MaxPc, RemainingLifetime};
 
+/// One cell's pinned behaviour. The counts are the paper's metrics and
+/// the copy accounting; the digest
+/// ([`SimulationOutcome::digest`](bdps::sim::SimulationOutcome::digest))
+/// folds every delivery, drop and transmission in order, so it moves when
+/// behaviour does even where every count stays put.
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     published: u64,
@@ -28,125 +34,112 @@ struct Golden {
     transmissions: u64,
     dropped_expired: u64,
     dropped_unlikely: u64,
+    dropped_unsubscribed: u64,
+    requeued: u64,
+    digest: u64,
 }
 
-fn golden_run(strategy: StrategyKind) -> SimulationReport {
+fn golden_run(strategy: StrategyKind, scenario: &str) -> SimulationOutcome {
     Simulation::builder()
         .layered_mesh(LayeredMeshConfig::small())
         .ssd(20.0)
         .duration(Duration::from_secs(300))
         .strategy(strategy)
+        .scenario_named(scenario)
+        .unwrap_or_else(|_| panic!("{scenario} is a builtin scenario"))
         .seed(42)
-        .report()
+        .run()
 }
 
-fn observed(report: &SimulationReport) -> Golden {
+fn observed(out: &SimulationOutcome) -> Golden {
     Golden {
-        published: report.published,
-        interested: report.interested,
-        on_time: report.on_time,
-        late: report.late,
-        earning_milli: (report.total_earning * 1000.0).round() as i64,
-        message_number: report.message_number,
-        transmissions: report.transmissions,
-        dropped_expired: report.dropped_expired,
-        dropped_unlikely: report.dropped_unlikely,
+        published: out.published,
+        interested: out.tracker.total_interested(),
+        on_time: out.tracker.total_on_time(),
+        late: out.tracker.total_late(),
+        earning_milli: out.tracker.total_earning().millis(),
+        message_number: out.message_number(),
+        transmissions: out.transmissions,
+        dropped_expired: out.dropped_expired(),
+        dropped_unlikely: out.dropped_unlikely(),
+        dropped_unsubscribed: out.dropped_unsubscribed(),
+        requeued: out.requeued(),
+        digest: out.digest,
     }
 }
 
-/// The frozen seed-42 behaviour of every paper strategy (static scenario).
+/// The frozen seed-42 behaviour of every paper strategy under the static,
+/// `link-flap` and `chaos` scenarios: `(scenario, strategy, [published,
+/// interested, on_time, late, earning_milli, message_number,
+/// transmissions, dropped_expired, dropped_unlikely, dropped_unsubscribed,
+/// requeued], digest)`.
 ///
 /// `published`/`interested` are identical across strategies: publication
 /// schedules draw from per-publisher RNG streams (not the global stream),
 /// so the offered load is a property of the workload alone and only the
 /// scheduling outcomes differ.
-fn golden_table() -> Vec<(StrategyKind, Golden)> {
-    vec![
-        (
-            StrategyKind::MaxEb,
-            Golden {
-                published: 204,
-                interested: 428,
-                on_time: 379,
-                late: 22,
-                earning_milli: 741000,
-                message_number: 599,
-                transmissions: 395,
-                dropped_expired: 21,
-                dropped_unlikely: 3,
-            },
-        ),
-        (
-            StrategyKind::MaxPc,
-            Golden {
-                published: 204,
-                interested: 428,
-                on_time: 371,
-                late: 34,
-                earning_milli: 719000,
-                message_number: 603,
-                transmissions: 399,
-                dropped_expired: 19,
-                dropped_unlikely: 3,
-            },
-        ),
-        (
-            StrategyKind::MaxEbpc,
-            Golden {
-                published: 204,
-                interested: 428,
-                on_time: 379,
-                late: 23,
-                earning_milli: 741000,
-                message_number: 600,
-                transmissions: 396,
-                dropped_expired: 20,
-                dropped_unlikely: 3,
-            },
-        ),
-        (
-            StrategyKind::Fifo,
-            Golden {
-                published: 204,
-                interested: 428,
-                on_time: 348,
-                late: 58,
-                earning_milli: 654000,
-                message_number: 605,
-                transmissions: 401,
-                dropped_expired: 21,
-                dropped_unlikely: 0,
-            },
-        ),
-        (
-            StrategyKind::RemainingLifetime,
-            Golden {
-                published: 204,
-                interested: 428,
-                on_time: 334,
-                late: 71,
-                earning_milli: 621000,
-                message_number: 611,
-                transmissions: 407,
-                dropped_expired: 17,
-                dropped_unlikely: 0,
-            },
-        ),
-    ]
+#[rustfmt::skip]
+const CELLS: [(&str, StrategyKind, [u64; 11], u64); 15] = [
+    ("static", MaxEb, [204, 428, 379, 22, 741_000, 599, 395, 21, 3, 0, 0], 0x96D1_D04D_0914_614F),
+    ("static", MaxPc, [204, 428, 371, 34, 719_000, 603, 399, 19, 3, 0, 0], 0xB0D1_2C00_1216_7BE4),
+    ("static", MaxEbpc, [204, 428, 379, 23, 741_000, 600, 396, 20, 3, 0, 0], 0xE04C_3498_1189_DFFB),
+    ("static", Fifo, [204, 428, 348, 58, 654_000, 605, 401, 21, 0, 0, 0], 0x5FC9_FFEA_1AA9_F5F5),
+    ("static", RemainingLifetime, [204, 428, 334, 71, 621_000, 611, 407, 17, 0, 0, 0], 0x3A57_FCDC_7F4F_28D3),
+    ("link-flap", MaxEb, [204, 428, 374, 29, 723_000, 598, 395, 19, 5, 0, 1], 0xE89A_71B3_0541_9A1F),
+    ("link-flap", MaxPc, [204, 428, 380, 27, 743_000, 603, 400, 16, 4, 0, 1], 0x92D9_0AB2_0154_D70D),
+    ("link-flap", MaxEbpc, [204, 428, 379, 25, 738_000, 599, 396, 19, 4, 0, 1], 0xC145_53CE_1A95_99AD),
+    ("link-flap", Fifo, [204, 428, 369, 38, 710_000, 606, 403, 20, 0, 0, 1], 0x3A69_90EB_4C5B_9211),
+    ("link-flap", RemainingLifetime, [204, 428, 359, 48, 692_000, 611, 408, 17, 0, 0, 1], 0x7ACB_97A9_61F9_9BC7),
+    ("chaos", MaxEb, [204, 443, 371, 35, 731_000, 601, 398, 21, 7, 1, 1], 0x0B0B_BD5B_CD1F_E31A),
+    ("chaos", MaxPc, [204, 443, 376, 34, 747_000, 606, 403, 19, 5, 1, 1], 0x8AA0_93BC_885C_A479),
+    ("chaos", MaxEbpc, [204, 443, 374, 34, 740_000, 603, 400, 18, 8, 1, 1], 0xB54E_F9D9_8091_F9C0),
+    ("chaos", Fifo, [204, 443, 338, 59, 651_000, 603, 400, 31, 0, 0, 1], 0xD7CE_D795_BA09_1B14),
+    ("chaos", RemainingLifetime, [204, 443, 337, 66, 647_000, 608, 405, 26, 0, 1, 1], 0x4917_9EB7_B406_8373),
+];
+
+/// The pinned cells of `scenario`, as [`Golden`]s.
+fn golden_table(scenario: &str) -> Vec<(StrategyKind, Golden)> {
+    let cells = CELLS.iter().filter(|(name, ..)| *name == scenario);
+    cells
+        .map(|&(_, strategy, c, digest)| {
+            let golden = Golden {
+                published: c[0],
+                interested: c[1],
+                on_time: c[2],
+                late: c[3],
+                earning_milli: c[4] as i64,
+                message_number: c[5],
+                transmissions: c[6],
+                dropped_expired: c[7],
+                dropped_unlikely: c[8],
+                dropped_unsubscribed: c[9],
+                requeued: c[10],
+                digest,
+            };
+            (strategy, golden)
+        })
+        .collect()
+}
+
+/// Runs every pinned cell of `scenario` and lists each one that drifted.
+fn assert_scenario_is_pinned(scenario: &str) {
+    let drifted: Vec<String> = golden_table(scenario)
+        .into_iter()
+        .filter_map(|(strategy, expected)| {
+            let got = observed(&golden_run(strategy, scenario));
+            (got != expected).then(|| format!("{}: {got:?}", strategy.label()))
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "{scenario} drifted from the goldens — if intentional, regenerate these cells:\n{}",
+        drifted.join("\n")
+    );
 }
 
 #[test]
 fn seed_42_metrics_match_the_golden_table_for_all_five_strategies() {
-    for (strategy, expected) in golden_table() {
-        let report = golden_run(strategy);
-        assert_eq!(report.dynamics, "static");
-        assert_eq!(
-            observed(&report),
-            expected,
-            "seed behaviour of {} drifted — if intentional, regenerate the golden table",
-            strategy.label()
-        );
-    }
+    assert_scenario_is_pinned("static");
 }
 
 #[test]
@@ -154,7 +147,7 @@ fn golden_config_differentiates_the_strategies() {
     // Guard against the golden setup degenerating into an uncongested run
     // where every strategy behaves identically (which would make the table
     // above meaningless as a strategy-level regression net).
-    let table = golden_table();
+    let table = golden_table("static");
     let distinct: std::collections::HashSet<i64> =
         table.iter().map(|(_, g)| g.earning_milli).collect();
     assert!(
@@ -165,168 +158,23 @@ fn golden_config_differentiates_the_strategies() {
 
 #[test]
 fn golden_runs_are_stable_within_a_process() {
-    // The same builder invocation twice must reproduce the exact report —
-    // the in-process half of the replay guarantee the golden table rests on.
-    let a = golden_run(StrategyKind::MaxEb);
-    let b = golden_run(StrategyKind::MaxEb);
-    assert_eq!(a, b);
-}
-
-/// Frozen seed-42 behaviour of the `link-flap` dynamic scenario, pinned for
-/// a link-model strategy and a baseline. Like the static table above, these
-/// numbers came from the simulator itself; regenerate them in the same
-/// commit as any intended seed-behaviour change.
-#[derive(Debug, PartialEq, Eq)]
-struct LinkFlapGolden {
-    golden: Golden,
-    requeued: u64,
-}
-
-fn link_flap_golden_table() -> Vec<(StrategyKind, LinkFlapGolden)> {
-    vec![
-        (
-            StrategyKind::MaxEb,
-            LinkFlapGolden {
-                golden: Golden {
-                    published: 204,
-                    interested: 428,
-                    on_time: 374,
-                    late: 29,
-                    earning_milli: 723000,
-                    message_number: 598,
-                    transmissions: 395,
-                    dropped_expired: 19,
-                    dropped_unlikely: 5,
-                },
-                requeued: 1,
-            },
-        ),
-        (
-            StrategyKind::Fifo,
-            LinkFlapGolden {
-                golden: Golden {
-                    published: 204,
-                    interested: 428,
-                    on_time: 369,
-                    late: 38,
-                    earning_milli: 710000,
-                    message_number: 606,
-                    transmissions: 403,
-                    dropped_expired: 20,
-                    dropped_unlikely: 0,
-                },
-                requeued: 1,
-            },
-        ),
-    ]
+    // The same builder invocation twice must reproduce the exact run — the
+    // in-process half of the replay guarantee the golden table rests on.
+    let a = golden_run(MaxEb, "static");
+    let b = golden_run(MaxEb, "static");
+    assert_eq!(a.replay_state(), b.replay_state());
 }
 
 #[test]
 fn seed_42_link_flap_metrics_are_pinned() {
     // A link-failure scenario drives the routing/table repair machinery:
     // route deltas and the aggregate patches that follow them.
-    for (strategy, expected) in link_flap_golden_table() {
-        let report = Simulation::builder()
-            .layered_mesh(LayeredMeshConfig::small())
-            .ssd(20.0)
-            .duration(Duration::from_secs(300))
-            .strategy(strategy)
-            .scenario_named("link-flap")
-            .expect("link-flap is a builtin scenario")
-            .seed(42)
-            .report();
-        assert_eq!(report.dynamics, "link-flap");
-        let observed = LinkFlapGolden {
-            golden: observed(&report),
-            requeued: report.requeued,
-        };
-        assert_eq!(
-            observed,
-            expected,
-            "{} drifted from the link-flap goldens",
-            strategy.label()
-        );
-    }
-}
-
-/// Frozen seed-42 behaviour of the `chaos` scenario (churn + bursts + link
-/// failures — every dynamic table-maintenance path at once), pinned for a
-/// link-model strategy and a baseline. Like the tables above, these numbers
-/// came from the simulator itself; regenerate them in the same commit as any
-/// intended seed-behaviour change.
-#[derive(Debug, PartialEq, Eq)]
-struct ChaosGolden {
-    golden: Golden,
-    dropped_unsubscribed: u64,
-    requeued: u64,
-}
-
-fn chaos_golden_table() -> Vec<(StrategyKind, ChaosGolden)> {
-    vec![
-        (
-            StrategyKind::MaxEb,
-            ChaosGolden {
-                golden: Golden {
-                    published: 204,
-                    interested: 443,
-                    on_time: 371,
-                    late: 35,
-                    earning_milli: 731000,
-                    message_number: 601,
-                    transmissions: 398,
-                    dropped_expired: 21,
-                    dropped_unlikely: 7,
-                },
-                dropped_unsubscribed: 1,
-                requeued: 1,
-            },
-        ),
-        (
-            StrategyKind::Fifo,
-            ChaosGolden {
-                golden: Golden {
-                    published: 204,
-                    interested: 443,
-                    on_time: 338,
-                    late: 59,
-                    earning_milli: 651000,
-                    message_number: 603,
-                    transmissions: 400,
-                    dropped_expired: 31,
-                    dropped_unlikely: 0,
-                },
-                dropped_unsubscribed: 0,
-                requeued: 1,
-            },
-        ),
-    ]
+    assert_scenario_is_pinned("link-flap");
 }
 
 #[test]
 fn seed_42_chaos_metrics_are_pinned() {
     // Chaos drives churn (shared-registry inserts/removals, queue
     // stripping) interleaved with link repairs (aggregate patching).
-    for (strategy, expected) in chaos_golden_table() {
-        let report = Simulation::builder()
-            .layered_mesh(LayeredMeshConfig::small())
-            .ssd(20.0)
-            .duration(Duration::from_secs(300))
-            .strategy(strategy)
-            .scenario_named("chaos")
-            .expect("chaos is a builtin scenario")
-            .seed(42)
-            .report();
-        assert_eq!(report.dynamics, "chaos");
-        let observed = ChaosGolden {
-            golden: observed(&report),
-            dropped_unsubscribed: report.dropped_unsubscribed,
-            requeued: report.requeued,
-        };
-        assert_eq!(
-            observed,
-            expected,
-            "{} drifted from the chaos goldens",
-            strategy.label()
-        );
-    }
+    assert_scenario_is_pinned("chaos");
 }

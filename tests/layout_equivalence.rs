@@ -19,10 +19,10 @@
 //! same order. (`tests/rebuild_equivalence.rs` audits the same runs against a
 //! from-scratch sparse rebuild.)
 //!
-//! The checked run must also end in exactly the report of a plain run built
-//! the way the benchmark harness builds its runs, naming
-//! `TableLayout::Sparse`, so the layout the benchmark selects is the one
-//! checked here.
+//! The checked run must also end in exactly the replay state (digest,
+//! counters, phases, sums) of a plain run built the way the benchmark
+//! harness builds its runs, naming `TableLayout::Sparse`, so the layout the
+//! benchmark selects is the one checked here.
 //!
 //! The hand-built "flap storm" scenario is the adversarial case the random
 //! processes do not reach: hundreds of link events stacked on the *same
@@ -79,9 +79,8 @@ fn table_matches_the_dense_layout(
 
 /// Steps one run, holding every broker's table to the dense layout after
 /// every event of every instant that holds a scenario event, then holds the
-/// checked run's report to the benchmark-style build's. Returns the outcome
-/// and the report.
-fn checked_run(scenario: &DynamicScenario, seed: u64) -> (SimulationOutcome, SimulationReport) {
+/// checked run to the benchmark-style build's. Returns the checked run.
+fn checked_run(scenario: &DynamicScenario, seed: u64) -> SimulationOutcome {
     let build = builder(scenario, seed);
     let what = format!("{scenario}, seed {seed}");
     let outcome = run_with_checks(build.build(), &what, |sim| {
@@ -89,15 +88,15 @@ fn checked_run(scenario: &DynamicScenario, seed: u64) -> (SimulationOutcome, Sim
             table_matches_the_dense_layout(table, sim.routing(), sim.subscriptions())
         })
     });
-    let checked = SimulationReport::from_outcome(&outcome, &build.build_config());
     let benchmarked = builder(scenario, seed)
         .table_layout(TableLayout::Sparse)
-        .report();
+        .run();
     assert_eq!(
-        benchmarked, checked,
+        benchmarked.replay_state(),
+        outcome.replay_state(),
         "the layout-checked run drifted from the benchmark-style run ({scenario}, seed {seed})"
     );
-    (outcome, checked)
+    outcome
 }
 
 /// Checks one registry scenario over a seed range. The seeds together must
@@ -108,7 +107,7 @@ fn check_scenario(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
     let (mut trees, mut pairs) = (0, 0);
     for seed in seeds {
-        let (outcome, _) = checked_run(&scenario, seed);
+        let outcome = checked_run(&scenario, seed);
         trees += outcome.route_trees_recomputed;
         pairs += outcome.route_pairs_changed;
     }
@@ -146,11 +145,11 @@ fn flap_storm_is_layout_independent() {
     // build, and must still resolve the same rows.
     let links = small_mesh_link_count();
     for seed in [3u64, 7, 11] {
-        let (_, report) = checked_run(&flap_storm(seed, links, 240), seed);
+        let outcome = checked_run(&flap_storm(seed, links, 240), seed);
         // The storm must actually stress the rebuild machinery: link events
         // void transfers (requeues) in a congested mesh.
         assert!(
-            report.requeued > 0,
+            outcome.requeued() > 0,
             "storm seed {seed} never caught a transfer in flight"
         );
     }

@@ -9,11 +9,13 @@
 //!
 //! 1. **Selecting the oracle is invisible.** A builder that never mentions
 //!    link models and one that selects `constant` explicitly (by kind, by
-//!    an alias, and through [`LinkModelKind::from_name`]) produce bit-identical
-//!    [`SimulationReport`]s across seeds × adversarial scenarios.
+//!    an alias, and through [`LinkModelKind::from_name`]) reproduce each
+//!    other's [`replay_state`](SimulationOutcome::replay_state) — digest,
+//!    per-broker and per-link counters, phases, earning and delays — across
+//!    seeds × adversarial scenarios.
 //!    (`tests/golden.rs` separately pins the absolute numbers, so together
 //!    these prove the selection path changes nothing.)
-//! 2. **Fair sharing is deterministic and conservative.** Reports replay
+//! 2. **Fair sharing is deterministic and conservative.** Runs replay
 //!    exactly, every delivered copy is accounted
 //!    for, and on a drained run each link's busy time equals the dedicated
 //!    service it handed out (`busy_us ≈ work_done_us`): equal sharing moves
@@ -47,33 +49,39 @@ fn builder(scenario_name: &str) -> SimulationBuilder {
 fn constant_delay_by_kind_or_name_is_bit_identical_to_the_default() {
     // Every way of asking for the constant model — saying nothing, the
     // typed kind, an alias through the builder, the upper-case name through
-    // `from_name` — must produce the same report, whole-report compared
-    // (per-phase breakdowns and the new per-link counters included).
+    // `from_name` — must produce the same run: digest, per-phase breakdowns
+    // and per-link counters included.
     for scenario in SCENARIOS {
         for seed in 1..=10 {
-            let implicit = builder(scenario).seed(seed).report();
+            let implicit = builder(scenario).seed(seed).run();
             let typed = builder(scenario)
                 .link_model(LinkModelKind::Constant)
                 .seed(seed)
-                .report();
+                .run();
             assert_eq!(
-                implicit, typed,
+                implicit.replay_state(),
+                typed.replay_state(),
                 "explicit constant kind drifted from the default ({scenario}, seed {seed})"
             );
             let named = builder(scenario)
                 .link_model_named("delay")
                 .expect("`delay` is a builtin alias")
                 .seed(seed)
-                .report();
-            assert_eq!(implicit, named, "name-based selection drifted ({scenario})");
+                .run();
+            assert_eq!(
+                implicit.replay_state(),
+                named.replay_state(),
+                "name-based selection drifted ({scenario})"
+            );
             let via_from_name = builder(scenario)
                 .link_model(
                     LinkModelKind::from_name("CONSTANT").expect("the lookup is case-insensitive"),
                 )
                 .seed(seed)
-                .report();
+                .run();
             assert_eq!(
-                implicit, via_from_name,
+                implicit.replay_state(),
+                via_from_name.replay_state(),
                 "from_name selection drifted ({scenario})"
             );
         }
@@ -85,16 +93,15 @@ fn constant_delay_links_are_exclusive_and_accounted() {
     // The exclusive model's counters are degenerate by construction: never
     // more than one flow in flight, mean concurrency exactly 1 while busy.
     for scenario in SCENARIOS {
-        let report = builder(scenario).seed(3).report();
-        assert!(!report.links.is_empty(), "per-link counters are reported");
-        for link in &report.links {
+        let out = builder(scenario).seed(3).run();
+        assert!(!out.link_loads.is_empty(), "per-link counters are reported");
+        for (i, link) in out.link_loads.iter().enumerate() {
             assert!(link.peak_flows <= 1, "exclusive model admits one flow");
             if link.transmissions > 0 {
                 assert!(
-                    (link.mean_concurrency - 1.0).abs() < 1e-9,
+                    (link.mean_concurrency() - 1.0).abs() < 1e-9,
                     "busy time and flow time coincide under exclusivity \
-                     ({scenario}, link {})",
-                    link.link
+                     ({scenario}, link {i})"
                 );
             }
         }
@@ -146,23 +153,24 @@ fn fair_share_conserves_link_service_on_drained_runs() {
 fn fair_share_saturates_a_link_under_flash_crowd() {
     // The acceptance scenario: a publisher burst under fair sharing drives
     // at least one link to (near-)continuous occupancy, visible through the
-    // report's utilisation and queueing counters. The publishing rate is
+    // outcome's utilisation and queueing counters. The publishing rate is
     // doubled relative to the differential runs above — the point here is
     // congestion, not equivalence.
-    let report = builder("flash-crowd")
+    let out = builder("flash-crowd")
         .ssd(24.0)
         .link_model(LinkModelKind::FairShare)
         .seed(7)
-        .report();
-    let peak = report.max_link_utilisation();
+        .run();
+    let peak = out.max_link_utilisation();
     assert!(
         peak >= 0.9,
         "flash crowd should saturate a link (max utilisation {peak:.3})"
     );
-    let busiest = report
-        .links
+    let (link, busiest) = out
+        .link_loads
         .iter()
-        .max_by(|a, b| a.utilisation.total_cmp(&b.utilisation))
+        .enumerate()
+        .max_by_key(|(_, load)| load.busy_us)
         .expect("links are reported");
     assert!(
         busiest.peak_flows >= 2,
@@ -173,9 +181,9 @@ fn fair_share_saturates_a_link_under_flash_crowd() {
         "saturation shows up as sender-side queueing"
     );
     // And the rendering helper agrees with the raw counters.
-    let table = report.link_table(3);
+    let table = out.link_table(3);
     assert!(
-        table.contains("util %") && table.contains(&busiest.link.to_string()),
+        table.contains("util %") && table.contains(&link.to_string()),
         "{table}"
     );
 }
@@ -194,17 +202,17 @@ fn fair_share_under_the_flap_storm_stays_deterministic_and_conservative() {
                 .link_model(LinkModelKind::FairShare)
                 .seed(seed)
         };
-        let reference = fair().report();
+        let outcome = fair().run();
         assert!(
-            reference.requeued > 0,
+            outcome.requeued() > 0,
             "storm seed {seed} never caught a flow in flight"
         );
+        let again = fair().run();
         assert_eq!(
-            reference,
-            fair().report(),
+            outcome.replay_state(),
+            again.replay_state(),
             "storm did not replay (seed {seed})"
         );
-        let outcome = fair().build().run();
         outcome.check_conservation().unwrap();
         outcome.check_no_duplicates().unwrap();
     }

@@ -86,7 +86,7 @@ fn random_ctx(rng: &mut SimRng) -> ScheduleContext {
     ScheduleContext {
         now: SimTime::from_secs(rng.uniform_usize(10, 40) as u64),
         ebpc_weight: rng.uniform(),
-        first_send_estimate_ms: rng.uniform_range(0.0, 10_000.0),
+        link_mean_rate_ms_per_kb: rng.uniform_range(0.0, 200.0),
     }
 }
 
@@ -499,21 +499,6 @@ fn random_scenario(rng: &mut SimRng) -> DynamicScenario {
     s
 }
 
-fn scenario_report(
-    scenario: &DynamicScenario,
-    strategy: StrategyKind,
-    seed: u64,
-) -> SimulationReport {
-    Simulation::builder()
-        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-        .ssd(10.0)
-        .duration(Duration::from_secs(240))
-        .strategy(strategy)
-        .scenario(scenario.clone())
-        .seed(seed)
-        .report()
-}
-
 fn scenario_outcome(
     scenario: &DynamicScenario,
     strategy: StrategyKind,
@@ -526,7 +511,6 @@ fn scenario_outcome(
         .strategy(strategy)
         .scenario(scenario.clone())
         .seed(seed)
-        .build()
         .run()
 }
 
@@ -578,15 +562,19 @@ fn scenario_runs_never_duplicate_deliveries() {
     });
 }
 
-/// Same seed ⇒ identical report, with dynamic scenarios enabled.
+/// Same seed ⇒ identical run, with dynamic scenarios enabled.
 #[test]
 fn scenario_runs_replay_identically_for_the_same_seed() {
     check(0x5E_ED, 4, |rng| {
         let scenario = random_scenario(rng);
         let seed = rng.next_u64() % 10_000;
-        let a = scenario_report(&scenario, StrategyKind::MaxEbpc, seed);
-        let b = scenario_report(&scenario, StrategyKind::MaxEbpc, seed);
-        assert_eq!(a, b, "replay drifted (scenario {scenario:?}, seed {seed})");
+        let a = scenario_outcome(&scenario, StrategyKind::MaxEbpc, seed);
+        let b = scenario_outcome(&scenario, StrategyKind::MaxEbpc, seed);
+        assert_eq!(
+            a.replay_state(),
+            b.replay_state(),
+            "replay drifted (scenario {scenario:?}, seed {seed})"
+        );
     });
 }
 
@@ -597,17 +585,17 @@ fn scenario_phase_breakdowns_partition_the_run() {
     check(0x9A5E, 4, |rng| {
         let scenario = random_scenario(rng);
         let seed = rng.next_u64() % 10_000;
-        let report = scenario_report(&scenario, StrategyKind::MaxEb, seed);
-        let published: u64 = report.phases.iter().map(|p| p.published).sum();
-        let on_time: u64 = report.phases.iter().map(|p| p.on_time).sum();
-        let late: u64 = report.phases.iter().map(|p| p.late).sum();
-        assert_eq!(published, report.published);
-        assert_eq!(on_time, report.on_time);
-        assert_eq!(late, report.late);
-        for p in &report.phases {
-            assert!(p.mean_valid_delay_ms.is_finite(), "{p:?}");
-            assert!(p.p95_valid_delay_ms.is_finite(), "{p:?}");
-            assert!(p.start_s <= p.end_s, "{p:?}");
+        let out = scenario_outcome(&scenario, StrategyKind::MaxEb, seed);
+        let published: u64 = out.phases.iter().map(|p| p.published).sum();
+        let on_time: u64 = out.phases.iter().map(|p| p.on_time).sum();
+        let late: u64 = out.phases.iter().map(|p| p.late).sum();
+        assert_eq!(published, out.published);
+        assert_eq!(on_time, out.tracker.total_on_time());
+        assert_eq!(late, out.tracker.total_late());
+        for p in &out.phases {
+            assert!(p.mean_valid_delay_ms().is_finite(), "{p:?}");
+            assert!(p.p95_valid_delay_ms().is_finite(), "{p:?}");
+            assert!(p.start <= p.end, "{p:?}");
         }
     });
 }
@@ -773,7 +761,8 @@ fn random_front_door(rng: &mut SimRng) -> (SimulationBuilder, usize) {
 /// The front door never unwinds: whatever the builder is handed, building
 /// it and running the result on the drawn shard count answers `Ok` or a
 /// structured `SimError`, and every run it accepts also conserves copies,
-/// delivers no pair twice and ends with tables equal to a from-scratch
+/// delivers no pair twice, reproduces the sequential run's replay state on
+/// the drawn shard count and ends with tables equal to a from-scratch
 /// rebuild when built and run sequentially.
 #[test]
 fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
@@ -786,19 +775,18 @@ fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
         let (builder, shards) = random_front_door(rng);
         let config = builder.build_config();
         let answer = catch_unwind(AssertUnwindSafe(|| {
-            let outcome = bdps::sim::try_run_sharded(builder.try_build()?, shards)?;
-            let report = SimulationReport::from_outcome(&outcome, &config);
+            let sharded = bdps::sim::try_run_sharded(builder.try_build()?, shards)?;
             // `run`'s own loop, kept open so the tables can be audited
             // before the simulation is consumed.
             let mut sim = builder.try_build()?;
             let stop = sim.hard_stop();
             while sim.step_next(stop) {}
             let tables = sim.audit_tables();
-            Ok::<_, SimError>((report, sim.into_outcome(), tables))
+            Ok::<_, SimError>((sharded, sim.into_outcome(), tables))
         }))
         .unwrap_or_else(|_| panic!("case {case} unwound on {shards} shards: {config:?}"));
         match answer {
-            Ok((report, outcome, tables)) => {
+            Ok((sharded, outcome, tables)) => {
                 ok += 1;
                 tables.unwrap_or_else(|e| panic!("case {case}: {e}: {config:?}"));
                 outcome
@@ -807,7 +795,11 @@ fn the_builder_front_door_returns_ok_or_err_and_never_unwinds() {
                 outcome
                     .check_no_duplicates()
                     .unwrap_or_else(|v| panic!("case {case}: {v}: {config:?}"));
-                assert_eq!(report.duplicate_deliveries, 0, "case {case}");
+                assert_eq!(
+                    sharded.replay_state(),
+                    outcome.replay_state(),
+                    "case {case}: {shards} shards drifted from the sequential run"
+                );
             }
             Err(e) => {
                 err += 1;
@@ -1440,4 +1432,48 @@ fn routing_stats_match_paths() {
             }
         }
     });
+}
+
+/// A metamorphic relation of the paper's model, size against rate: double
+/// every message's size and halve every link's rate mean and σ. Scaling by
+/// two is exact in binary floating point, so every sampled transfer time,
+/// every `fdl` mean and variance, every `FT` and every route is bit-for-bit
+/// what it was, and so must the whole run be, digest included, for every
+/// paper strategy. No oracle that compares the engine with itself sees a
+/// term that reads the size without the rate (as `FT` once did, at a fixed
+/// 50 KB). Link means stay far above `MIN_RATE_MS_PER_KB`, the floor of
+/// rate sampling, which does not scale.
+#[test]
+fn doubling_sizes_and_halving_link_rates_leaves_every_run_unchanged() {
+    let run = |strategy: StrategyKind, scenario: &str, scale: f64| {
+        let mut rng = SimRng::seed_from(17);
+        let mesh = bdps::overlay::topology::LayeredMeshConfig::small();
+        let topology = Topology::layered_mesh(&mesh, &mut rng, |rng| {
+            LinkQuality::normal(rng.uniform_range(40.0, 80.0) / scale, 8.0 / scale)
+        })
+        .expect("valid mesh");
+        let mut workload = WorkloadConfig::paper_ssd(20.0);
+        workload.message_size_kb *= scale;
+        workload.duration = Duration::from_secs(300);
+        Simulation::builder()
+            .workload(workload)
+            .strategy(strategy)
+            .scenario_named(scenario)
+            .expect("builtin scenario")
+            .try_build_on(topology, SimRng::seed_from(5))
+            .expect("valid run")
+            .run()
+    };
+    for scenario in ["static", "chaos"] {
+        for strategy in StrategyKind::ALL {
+            let (base, scaled) = (run(strategy, scenario, 1.0), run(strategy, scenario, 2.0));
+            assert!(base.tracker.total_on_time() > 0, "the run must deliver");
+            assert_eq!(
+                base.replay_state(),
+                scaled.replay_state(),
+                "{} under {scenario} moved with the size/rate scale",
+                strategy.label()
+            );
+        }
+    }
 }

@@ -12,9 +12,10 @@
 //! members. A patch that skips one destination fails here at the instant it
 //! happens, not whenever a report first shows it.
 //!
-//! The stepped run must also end in exactly the report the same build
-//! produces through the plain `report()` path, so the stepping harness
-//! provably did not perturb the run it audited.
+//! The stepped run must also end in exactly the replay state (digest,
+//! counters, phases, sums) the same build reaches through the plain `run()`
+//! path, so the stepping harness provably did not perturb the run it
+//! audited.
 //!
 //! The hand-built "flap storm" scenario is the adversarial case the random
 //! processes do not reach: hundreds of link events stacked on the *same
@@ -42,19 +43,18 @@ fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
 
 /// Steps one run, auditing its registry, routing and tables against a
 /// from-scratch rebuild after every event of every instant that holds a
-/// scenario event, then holds the stepped run's report to the plain
-/// `report()` of the same build. Returns the outcome and the report.
-fn audited_run(scenario: &DynamicScenario, seed: u64) -> (SimulationOutcome, SimulationReport) {
+/// scenario event, then holds the stepped run to the plain `run()` of the
+/// same build. Returns the stepped run.
+fn audited_run(scenario: &DynamicScenario, seed: u64) -> SimulationOutcome {
     let build = builder(scenario, seed);
     let what = format!("{scenario}, seed {seed}");
-    let outcome = run_with_table_audits(build.build(), &what);
-    let stepped = SimulationReport::from_outcome(&outcome, &build.build_config());
+    let stepped = run_with_table_audits(build.build(), &what);
     assert_eq!(
-        build.report(),
-        stepped,
+        build.run().replay_state(),
+        stepped.replay_state(),
         "the stepped run drifted from the plain run ({scenario}, seed {seed})"
     );
-    (outcome, stepped)
+    stepped
 }
 
 /// Audits one registry scenario over a seed range. The seeds together must
@@ -65,10 +65,10 @@ fn audit_scenario(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
     let (mut trees, mut pairs, mut unsubscribed) = (0, 0, 0);
     for seed in seeds {
-        let (outcome, report) = audited_run(&scenario, seed);
+        let outcome = audited_run(&scenario, seed);
         trees += outcome.route_trees_recomputed;
         pairs += outcome.route_pairs_changed;
-        unsubscribed += report.dropped_unsubscribed;
+        unsubscribed += outcome.dropped_unsubscribed();
     }
     let exercised = match scenario_name {
         "churn" => unsubscribed > 0,
@@ -110,7 +110,7 @@ fn flap_storm_is_engine_independent() {
     // The small mesh has 68 directed links.
     let links = small_mesh_link_count();
     for seed in [3u64, 7, 11] {
-        let (outcome, _) = audited_run(&flap_storm(seed, links, 240), seed);
+        let outcome = audited_run(&flap_storm(seed, links, 240), seed);
         // The storm must actually stress the rebuild machinery: link events
         // void transfers (requeues) in a congested mesh, move routes and
         // patch the aggregates that follow them.
@@ -143,7 +143,7 @@ fn a_batch_that_nets_to_nothing_recomputes_no_tree() {
             blink = blink.at(Duration::from_secs(90), action);
         }
     }
-    let (outcome, _) = audited_run(&blink, 5);
+    let outcome = audited_run(&blink, 5);
     assert_eq!(outcome.route_trees_recomputed, 0);
     assert_eq!(outcome.route_pairs_changed, 0);
     assert_eq!(outcome.entries_retargeted, 0);
@@ -204,14 +204,15 @@ fn leave_of_an_unknown_id_is_a_no_op() {
                 subscription: members[0].0.id,
             },
         );
-    let (_, without) = audited_run(&leaves, seed);
-    let (_, with) = audited_run(&strays, seed);
+    let without = audited_run(&leaves, seed);
+    let with = audited_run(&strays, seed);
     assert_eq!(
-        without, with,
+        without.replay_state(),
+        with.replay_state(),
         "a leave of an unknown id must change nothing"
     );
     assert!(
-        without.dropped_unsubscribed > 0,
+        without.dropped_unsubscribed() > 0,
         "the real leaves must orphan queued copies, or nothing was stripped"
     );
 }
@@ -236,13 +237,13 @@ fn leave_then_rejoin_at_one_instant_passes_the_table_audits() {
             },
         );
     }
-    let (_, left) = audited_run(&leave_only, seed);
-    let (_, rejoined) = audited_run(&rejoin, seed);
+    let left = audited_run(&leave_only, seed).tracker;
+    let rejoined = audited_run(&rejoin, seed);
     // Both halves must take effect: the leave strips queued copies, the
     // rejoin puts the subscriber back in scope of later publications.
-    assert!(rejoined.dropped_unsubscribed > 0);
-    assert!(rejoined.interested > left.interested);
-    assert_eq!(rejoined.duplicate_deliveries, 0);
+    assert!(rejoined.dropped_unsubscribed() > 0);
+    assert!(rejoined.tracker.total_interested() > left.total_interested());
+    assert_eq!(rejoined.tracker.duplicate_deliveries(), 0);
 }
 
 #[test]
@@ -268,12 +269,12 @@ fn join_of_a_live_id_at_another_edge_is_a_leave_then_the_join() {
     }
     // State by state: the old edge lost its row and every other broker
     // re-synced its aggregate towards the group that shrank.
-    let (_, moved) = audited_run(&rehome, seed);
+    let moved = audited_run(&rehome, seed);
     assert!(
-        moved.dropped_unsubscribed > 0,
+        moved.dropped_unsubscribed() > 0,
         "the implied leaves must orphan queued copies, or nothing was stripped"
     );
-    assert_eq!(moved.duplicate_deliveries, 0);
+    assert_eq!(moved.tracker.duplicate_deliveries(), 0);
     let aggregate = builder(&rehome, seed).forwarding(ForwardingMode::Aggregate);
     run_with_table_audits(aggregate.build(), "re-home, aggregate");
 }
@@ -310,13 +311,13 @@ fn an_edge_group_emptied_then_refilled_passes_the_table_audits() {
     }
     // State by state: after the last leave no broker holds a route towards
     // the edge, after the first rejoin every broker that reaches it does.
-    let (_, left) = audited_run(&emptied, seed);
-    let (_, back) = audited_run(&refilled, seed);
+    let left = audited_run(&emptied, seed).tracker;
+    let back = audited_run(&refilled, seed).tracker;
     assert!(
-        back.interested > left.interested,
+        back.total_interested() > left.total_interested(),
         "the refilled group must be in scope of later publications again"
     );
-    assert_eq!(back.duplicate_deliveries, 0);
+    assert_eq!(back.duplicate_deliveries(), 0);
 }
 
 #[test]

@@ -3,10 +3,12 @@
 //! The conservative time-window executor (`bdps::sim::shard`) partitions the
 //! brokers into N shards advanced by worker threads; the single-threaded
 //! loop is retained as the reference. The claim this suite enforces: for any
-//! seed × scenario × strategy, an N-shard run produces a **bit-identical**
-//! [`SimulationReport`] to the 1-shard run — per-phase breakdowns, earning
-//! sums and delay summaries included, which pins the executor's effect-log
-//! replay to the sequential floating-point accumulation order.
+//! seed × scenario × strategy, an N-shard run reproduces the 1-shard run's
+//! [`replay_state`](SimulationOutcome::replay_state) **bit for bit** — the
+//! run digest over every delivery, drop and transmission, per-broker and
+//! per-link counters, per-phase breakdowns, the earning and the delay
+//! summary, which pins the executor's effect-log replay to the sequential
+//! floating-point accumulation order.
 //!
 //! Scenario barriers run the engine's own incremental table repair, and the
 //! shared population registry is read concurrently by shard workers
@@ -21,13 +23,12 @@ use bdps::prelude::*;
 /// single broker.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The report of `builder`'s run on `shards` shards.
-fn sharded_report(builder: &SimulationBuilder, shards: usize) -> SimulationReport {
-    let outcome = bdps::sim::run_sharded(builder.build(), shards);
-    SimulationReport::from_outcome(&outcome, &builder.build_config())
+/// `builder`'s run on `shards` shards.
+fn sharded_run(builder: &SimulationBuilder, shards: usize) -> SimulationOutcome {
+    bdps::sim::run_sharded(builder.build(), shards)
 }
 
-fn report(scenario_name: &str, shards: usize, seed: u64) -> SimulationReport {
+fn run(scenario_name: &str, shards: usize, seed: u64) -> SimulationOutcome {
     let builder = Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
@@ -36,18 +37,18 @@ fn report(scenario_name: &str, shards: usize, seed: u64) -> SimulationReport {
         .scenario_named(scenario_name)
         .unwrap_or_else(|_| panic!("{scenario_name} is a builtin scenario"))
         .seed(seed);
-    sharded_report(&builder, shards)
+    sharded_run(&builder, shards)
 }
 
 /// Runs one scenario over a seed range and asserts that every shard count
-/// reproduces the sequential report bit-for-bit.
+/// reproduces the sequential run bit-for-bit.
 fn assert_shards_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
     for seed in seeds {
-        let oracle = report(scenario_name, 1, seed);
+        let oracle = run(scenario_name, 1, seed);
         for shards in SHARD_COUNTS {
             assert_eq!(
-                report(scenario_name, shards, seed),
-                oracle,
+                run(scenario_name, shards, seed).replay_state(),
+                oracle.replay_state(),
                 "{scenario_name} seed {seed}: {shards}-shard run drifted from the \
                  sequential oracle"
             );
@@ -94,12 +95,12 @@ fn static_reports_are_shard_count_invariant_for_every_strategy() {
                 .duration(Duration::from_secs(240))
                 .strategy(strategy)
                 .seed(seed);
-            let oracle = builder.report();
+            let oracle = builder.run();
             for shards in [2, 4, 8] {
-                let sharded = sharded_report(&builder, shards);
+                let sharded = sharded_run(&builder, shards);
                 assert_eq!(
-                    sharded,
-                    oracle,
+                    sharded.replay_state(),
+                    oracle.replay_state(),
                     "static seed {seed}: {shards}-shard run drifted for {}",
                     strategy.label()
                 );
