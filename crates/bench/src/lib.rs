@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use bdps_core::config::StrategyKind;
 use bdps_core::strategy::StrategyHandle;

@@ -31,7 +31,7 @@ use bdps_overlay::sparse::{
     ResolvedEntry, SparseTable,
 };
 use bdps_overlay::subtable::RetargetOutcome;
-use bdps_types::id::{BrokerId, LinkId, SubscriberId, SubscriptionId};
+use bdps_types::id::{BrokerId, SubscriberId, SubscriptionId};
 use bdps_types::message::Message;
 use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
@@ -50,7 +50,7 @@ pub struct LocalDelivery {
     /// End-to-end delay experienced by the message.
     pub delay: Duration,
     /// The effective allowed delay for this (message, subscription) pair.
-    pub allowed_delay: Duration,
+    pub(crate) allowed_delay: Duration,
     /// Whether the delivery met its bound (`delay ≤ allowed_delay`).
     pub on_time: bool,
 }
@@ -92,9 +92,9 @@ pub struct BrokerCounters {
     /// Copies put back into an output queue after their link failed mid-transfer.
     pub requeued: u64,
     /// Local deliveries that met their deadline.
-    pub delivered_on_time: u64,
+    pub(crate) delivered_on_time: u64,
     /// Local deliveries that missed their deadline.
-    pub delivered_late: u64,
+    pub(crate) delivered_late: u64,
     /// Local deliveries resolved by expanding a covering aggregate at this
     /// edge broker: interior brokers route on aggregates and only edge
     /// brokers expand to concrete subscribers, so this is every local
@@ -130,17 +130,17 @@ pub struct BrokerState {
 }
 
 impl BrokerState {
-    /// Creates a broker with explicit outgoing links
-    /// (`(neighbour, link, mean ms/KB rate)`).
-    pub fn new(
+    /// Creates a broker from the overlay graph: one output queue per outgoing
+    /// link, using each link's estimated mean rate for the `FT` estimate.
+    pub fn from_overlay(
+        graph: &OverlayGraph,
         id: BrokerId,
         table: SparseTable,
-        outgoing: impl IntoIterator<Item = (BrokerId, LinkId, f64)>,
         config: SchedulerConfig,
     ) -> Self {
-        let queues = outgoing
-            .into_iter()
-            .map(|(nb, link, rate)| (nb, OutputQueue::new(nb, link, rate)))
+        let queues = graph
+            .outgoing(id)
+            .map(|l| (l.to, OutputQueue::new(l.quality.rate_distribution().mean())))
             .collect();
         BrokerState {
             id,
@@ -151,21 +151,6 @@ impl BrokerState {
             config,
             scratch: RouterScratch::default(),
         }
-    }
-
-    /// Creates a broker from the overlay graph: one output queue per outgoing
-    /// link, using each link's estimated mean rate for the `FT` estimate.
-    pub fn from_overlay(
-        graph: &OverlayGraph,
-        id: BrokerId,
-        table: SparseTable,
-        config: SchedulerConfig,
-    ) -> Self {
-        let outgoing: Vec<(BrokerId, LinkId, f64)> = graph
-            .outgoing(id)
-            .map(|l| (l.to, l.id, l.quality.rate_distribution().mean()))
-            .collect();
-        BrokerState::new(id, table, outgoing, config)
     }
 
     /// The broker's scheduler configuration.
@@ -823,7 +808,7 @@ mod tests {
     use bdps_overlay::sparse::{aggregate_scope_id, SharedPopulation};
     use bdps_overlay::topology::Topology;
     use bdps_stats::rng::SimRng;
-    use bdps_types::id::{MessageId, PublisherId};
+    use bdps_types::id::MessageId;
     use bdps_types::qos::{DelayBound, QosClass};
     use std::sync::RwLock;
 
@@ -904,7 +889,7 @@ mod tests {
 
     fn msg(id: u64, a1: f64, a2: f64, publish_secs: u64) -> Arc<Message> {
         Arc::new(
-            Message::builder(MessageId::new(id), PublisherId::new(0))
+            Message::builder(MessageId::new(id))
                 .publish_time(SimTime::from_secs(publish_secs))
                 .size_kb(50.0)
                 .attr("A1", a1)
@@ -977,7 +962,7 @@ mod tests {
         let s = setup();
         let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
         let m = Arc::new(
-            Message::builder(MessageId::new(9), PublisherId::new(0))
+            Message::builder(MessageId::new(9))
                 .publish_time(SimTime::ZERO)
                 .publisher_bound(DelayBound::from_secs(5))
                 .attr("A1", 1.0)
@@ -1023,7 +1008,7 @@ mod tests {
         // S0's bound is 10 s and S1 is best-effort, so the queued copy keeps a
         // live target even after a minute; force expiry via a publisher bound.
         let m = Arc::new(
-            Message::builder(MessageId::new(2), PublisherId::new(0))
+            Message::builder(MessageId::new(2))
                 .publish_time(SimTime::ZERO)
                 .publisher_bound(DelayBound::from_secs(5))
                 .attr("A1", 1.0)

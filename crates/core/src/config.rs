@@ -62,15 +62,6 @@ impl StrategyKind {
         }
     }
 
-    /// Whether the strategy needs the probabilistic link model (EB/PC/EBPC do,
-    /// FIFO and RL do not).
-    pub fn uses_link_model(self) -> bool {
-        matches!(
-            self,
-            StrategyKind::MaxEb | StrategyKind::MaxPc | StrategyKind::MaxEbpc
-        )
-    }
-
     /// Resolves the kind to a handle on its boxed strategy implementation.
     pub fn resolve(self) -> StrategyHandle {
         match self {
@@ -187,8 +178,6 @@ mod tests {
         assert_eq!(StrategyKind::MaxEb.label(), "EB");
         assert_eq!(StrategyKind::Fifo.label(), "FIFO");
         assert_eq!(StrategyKind::RemainingLifetime.to_string(), "RL");
-        assert!(StrategyKind::MaxEbpc.uses_link_model());
-        assert!(!StrategyKind::Fifo.uses_link_model());
         assert_eq!(StrategyKind::ALL.len(), 5);
     }
 

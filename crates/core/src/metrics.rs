@@ -41,7 +41,7 @@ pub fn success_probability(message: &Message, class: &SuccessClass, now: SimTime
 /// Like [`success_probability`] but with `extra_delay_ms` added to the future
 /// delay — used for the `EB'` computation where the extra delay is the
 /// first-send estimate `FT` (eq. 6–7).
-pub fn success_probability_with_extra_delay(
+pub(crate) fn success_probability_with_extra_delay(
     message: &Message,
     class: &SuccessClass,
     now: SimTime,
@@ -180,22 +180,13 @@ pub fn expected_benefit(item: &QueuedMessage, now: SimTime) -> f64 {
     ClassScratch::default().expected_benefit(item, now)
 }
 
-/// [`ClassScratch::expected_benefit_delayed`] of one copy.
-pub fn expected_benefit_delayed(
-    item: &QueuedMessage,
-    now: SimTime,
-    first_send_estimate_ms: f64,
-) -> f64 {
-    ClassScratch::default().expected_benefit_delayed(item, now, first_send_estimate_ms)
-}
-
 /// [`ClassScratch::postponing_cost`] of one copy.
 pub fn postponing_cost(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64) -> f64 {
     ClassScratch::default().postponing_cost(item, now, first_send_estimate_ms)
 }
 
 /// [`ClassScratch::ebpc`] of one copy.
-pub fn ebpc(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64, r: f64) -> f64 {
+pub(crate) fn ebpc(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64, r: f64) -> f64 {
     ClassScratch::default().ebpc(item, now, first_send_estimate_ms, r)
 }
 
@@ -204,7 +195,7 @@ pub fn ebpc(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64, r: 
 /// `epsilon`. It stops at the first class that does. For every ε in
 /// `[0, 1]` this is the paper's "delete when even the *most promising*
 /// target is below ε", without scoring the classes after that target.
-pub fn is_likely(item: &QueuedMessage, now: SimTime, epsilon: f64) -> bool {
+pub(crate) fn is_likely(item: &QueuedMessage, now: SimTime, epsilon: f64) -> bool {
     epsilon <= 0.0
         || item
             .live_classes()
@@ -227,15 +218,15 @@ pub(crate) mod reference {
     /// A target that carries its own bound and path statistics.
     #[derive(Debug, Clone, PartialEq)]
     pub(crate) struct FlatTarget {
-        pub subscription: SubscriptionId,
-        pub subscriber: SubscriberId,
-        pub price: Price,
-        pub allowed_delay: Duration,
-        pub stats: PathStats,
+        pub(crate) subscription: SubscriptionId,
+        pub(crate) subscriber: SubscriberId,
+        pub(crate) price: Price,
+        pub(crate) allowed_delay: Duration,
+        pub(crate) stats: PathStats,
     }
 
     impl FlatTarget {
-        pub fn is_expired(&self, message: &Message, now: SimTime) -> bool {
+        pub(crate) fn is_expired(&self, message: &Message, now: SimTime) -> bool {
             self.allowed_delay != Duration::MAX && message.elapsed(now) > self.allowed_delay
         }
     }
@@ -341,13 +332,13 @@ mod tests {
     use super::*;
     use bdps_overlay::pathstats::PathStats;
     use bdps_stats::normal::Normal;
-    use bdps_types::id::{MessageId, PublisherId, SubscriberId, SubscriptionId};
+    use bdps_types::id::{MessageId, SubscriberId, SubscriptionId};
     use bdps_types::money::Price;
     use std::sync::Arc;
 
     fn msg(publish_secs: u64) -> Arc<Message> {
         Arc::new(
-            Message::builder(MessageId::new(1), PublisherId::new(0))
+            Message::builder(MessageId::new(1))
                 .publish_time(SimTime::from_secs(publish_secs))
                 .size_kb(50.0)
                 .build(),
@@ -497,7 +488,7 @@ mod tests {
         for allowed in [3u64, 5, 10, 30, 60] {
             let t = copy(&m, &[target(allowed, 2, 2, 75.0)]);
             let eb = expected_benefit(&t, SimTime::ZERO);
-            let ebd = expected_benefit_delayed(&t, SimTime::ZERO, 3_750.0);
+            let ebd = ClassScratch::default().expected_benefit_delayed(&t, SimTime::ZERO, 3_750.0);
             assert!(ebd <= eb + 1e-12, "allowed {allowed}: {ebd} > {eb}");
         }
     }

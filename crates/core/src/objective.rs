@@ -226,15 +226,6 @@ impl ObjectiveTracker {
         }
         h.finish()
     }
-
-    /// Mean end-to-end delay of on-time deliveries, in milliseconds.
-    pub fn mean_valid_delay_ms(&self) -> f64 {
-        if self.delay_count == 0 {
-            0.0
-        } else {
-            self.delay_sum_ms / self.delay_count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +304,6 @@ mod tests {
         let t = ObjectiveTracker::new();
         assert_eq!(t.delivery_rate(), 0.0);
         assert_eq!(t.total_earning(), Earning::ZERO);
-        assert_eq!(t.mean_valid_delay_ms(), 0.0);
         assert_eq!(t.duplicate_deliveries(), 0);
     }
 
@@ -416,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_delay_counts_only_valid_deliveries() {
+    fn delay_sum_counts_only_valid_deliveries() {
         let mut t = ObjectiveTracker::new();
         t.register_message(MessageId::new(1), 2);
         t.record_delivery(
@@ -433,6 +423,6 @@ mod tests {
             Duration::from_millis(9_000),
             false,
         );
-        assert!((t.mean_valid_delay_ms() - 1_000.0).abs() < 1e-9);
+        assert_eq!((t.delay_sum_ms, t.delay_count), (1_000.0, 1));
     }
 }

@@ -39,7 +39,7 @@ use crate::config::{InvalidDetection, SchedulerConfig};
 use crate::metrics;
 use crate::strategy::ScheduleContext;
 use bdps_overlay::pathstats::PathStats;
-use bdps_types::id::{BrokerId, LinkId, MessageId, SubscriberId, SubscriptionId};
+use bdps_types::id::{BrokerId, MessageId, SubscriberId, SubscriptionId};
 use bdps_types::message::Message;
 use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
@@ -87,7 +87,7 @@ impl SuccessClass {
     /// `Duration::MAX` to infinity (e.g.
     /// [`QueuedMessage::avg_remaining_lifetime_ms`]) would misread it as a
     /// real deadline the moment any time has passed.
-    pub fn remaining_lifetime(&self, message: &Message, now: SimTime) -> Duration {
+    pub(crate) fn remaining_lifetime(&self, message: &Message, now: SimTime) -> Duration {
         if self.allowed_delay == Duration::MAX {
             return Duration::MAX;
         }
@@ -95,7 +95,7 @@ impl SuccessClass {
     }
 
     /// Returns true when the class's deadline has already passed at `now`.
-    pub fn is_expired(&self, message: &Message, now: SimTime) -> bool {
+    pub(crate) fn is_expired(&self, message: &Message, now: SimTime) -> bool {
         self.allowed_delay != Duration::MAX && message.elapsed(now) > self.allowed_delay
     }
 }
@@ -152,7 +152,7 @@ impl QueuedMessage {
 
     /// The class a target with these values joins: the one among the copy's
     /// last eight (`CLASS_PROBE`) that shares its `stats` run and `allowed_delay`,
-    /// or a [new](Self::open_class) one.
+    /// or a new one.
     pub fn class_for(&mut self, stats: PathStats, allowed_delay: Duration) -> u32 {
         let probe = self.classes.iter().rev().take(CLASS_PROBE);
         let mut run = probe.take_while(|c| c.stats == stats);
@@ -164,7 +164,7 @@ impl QueuedMessage {
 
     /// Opens a class without looking for an equal one — what an
     /// envelope-stamped aggregate pseudo-target always gets.
-    pub fn open_class(&mut self, stats: PathStats, allowed_delay: Duration) -> u32 {
+    pub(crate) fn open_class(&mut self, stats: PathStats, allowed_delay: Duration) -> u32 {
         self.classes.push(SuccessClass {
             stats,
             allowed_delay,
@@ -196,7 +196,7 @@ impl QueuedMessage {
     }
 
     /// The classes that still have a member.
-    pub fn live_classes(&self) -> impl Iterator<Item = &SuccessClass> + '_ {
+    pub(crate) fn live_classes(&self) -> impl Iterator<Item = &SuccessClass> + '_ {
         self.classes.iter().filter(|c| c.live > 0)
     }
 
@@ -222,7 +222,7 @@ impl QueuedMessage {
     }
 
     /// Returns true when every target deadline has passed.
-    pub fn fully_expired(&self, now: SimTime) -> bool {
+    pub(crate) fn fully_expired(&self, now: SimTime) -> bool {
         !self.targets.is_empty()
             && self
                 .live_classes()
@@ -232,7 +232,7 @@ impl QueuedMessage {
 
 /// Why a queued message was dropped before transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropReason {
+pub(crate) enum DropReason {
     /// Every target deadline had already passed.
     Expired,
     /// Every target's success probability was below ε (eq. 11).
@@ -262,22 +262,18 @@ impl Stripped {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropRecord {
     /// The dropped message.
-    pub message: MessageId,
+    pub(crate) message: MessageId,
     /// Why it was dropped.
-    pub reason: DropReason,
+    pub(crate) reason: DropReason,
     /// How many targets the copy was still carrying.
-    pub targets: u32,
+    pub(crate) targets: u32,
 }
 
 /// An output queue towards one downstream neighbour.
 #[derive(Debug, Clone)]
 pub struct OutputQueue {
-    /// The neighbour this queue feeds.
-    pub neighbor: BrokerId,
-    /// The outgoing link towards that neighbour.
-    pub link: LinkId,
-    /// Mean per-KB rate of that link (ms/KB), used for the `FT` estimate of EB'.
-    pub link_mean_rate_ms_per_kb: f64,
+    /// Mean per-KB rate of the link the queue feeds (ms/KB), used for the `FT` estimate of EB'.
+    pub(crate) link_mean_rate_ms_per_kb: f64,
     items: Vec<QueuedMessage>,
     /// The OR of the queued copies' [`edges`](QueuedMessage::edges) masks:
     /// grown by every push, cleared when the queue empties and recomputed
@@ -289,11 +285,10 @@ pub struct OutputQueue {
 }
 
 impl OutputQueue {
-    /// Creates an empty queue.
-    pub fn new(neighbor: BrokerId, link: LinkId, link_mean_rate_ms_per_kb: f64) -> Self {
+    /// Creates an empty queue in front of a link of the given mean per-KB
+    /// rate (ms/KB).
+    pub fn new(link_mean_rate_ms_per_kb: f64) -> Self {
         OutputQueue {
-            neighbor,
-            link,
             link_mean_rate_ms_per_kb,
             items: Vec::new(),
             edges: 0,
@@ -344,7 +339,7 @@ impl OutputQueue {
 
     /// Removes expired and (depending on the policy) unlikely messages,
     /// returning a record per removal (§5.4).
-    pub fn purge(&mut self, now: SimTime, config: &SchedulerConfig) -> Vec<DropRecord> {
+    pub(crate) fn purge(&mut self, now: SimTime, config: &SchedulerConfig) -> Vec<DropRecord> {
         let mut dropped = Vec::new();
         self.items.retain(|item| {
             let reason = match config.invalid_detection {
@@ -370,8 +365,8 @@ impl OutputQueue {
 
     /// Selects and removes the next message to transmit according to the
     /// configured strategy. Metrics are recomputed at call time because they
-    /// are time-dependent. Call [`purge`](Self::purge) first to apply the
-    /// invalid-message policy.
+    /// are time-dependent. Selection does not apply the invalid-message
+    /// policy: the broker purges the queue first.
     ///
     /// Selection goes through the strategy's batch
     /// [`score_all`](crate::strategy::SchedulingStrategy::score_all) hook so
@@ -440,12 +435,6 @@ impl OutputQueue {
         self.edges = edges;
         stripped
     }
-
-    /// Drains every queued message (used when tearing a simulation down).
-    pub fn drain(&mut self) -> Vec<QueuedMessage> {
-        self.edges = 0;
-        std::mem::take(&mut self.items)
-    }
 }
 
 #[cfg(test)]
@@ -456,11 +445,10 @@ mod tests {
     use crate::strategy::StrategyHandle;
     use bdps_stats::normal::Normal;
     use bdps_stats::rng::SimRng;
-    use bdps_types::id::PublisherId;
     use bdps_types::qos::DelayBound;
 
     fn msg(id: u64, publish_secs: u64, bound_secs: Option<u64>) -> Arc<Message> {
-        let mut b = Message::builder(MessageId::new(id), PublisherId::new(0))
+        let mut b = Message::builder(MessageId::new(id))
             .publish_time(SimTime::from_secs(publish_secs))
             .size_kb(50.0);
         if let Some(s) = bound_secs {
@@ -526,7 +514,7 @@ mod tests {
 
     #[test]
     fn purge_removes_expired_messages() {
-        let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut q = OutputQueue::new(75.0);
         q.push(queued(msg(1, 0, None), vec![target(10, 1, 60.0, 1)], 0));
         q.push(queued(msg(2, 0, None), vec![target(120, 1, 60.0, 1)], 0));
         let dropped = q.purge(SimTime::from_secs(20), &config(StrategyKind::Fifo));
@@ -542,7 +530,7 @@ mod tests {
             invalid_detection: InvalidDetection::Off,
             ..config(StrategyKind::Fifo)
         };
-        let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut q = OutputQueue::new(75.0);
         q.push(queued(msg(1, 0, None), vec![target(10, 1, 60.0, 1)], 0));
         assert!(q.purge(SimTime::from_secs(500), &cfg).is_empty());
         assert_eq!(q.len(), 1);
@@ -553,14 +541,14 @@ mod tests {
         // A 50 KB message over a 4-hop path at 90 ms/KB needs ~18 s; with a
         // 10 s budget and 8 s already elapsed it is hopeless but not expired.
         let cfg = config(StrategyKind::MaxEb);
-        let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 90.0);
+        let mut q = OutputQueue::new(90.0);
         q.push(queued(msg(1, 0, None), vec![target(10, 1, 90.0, 4)], 0));
         let now = SimTime::from_secs(8);
         let dropped = q.purge(now, &cfg);
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].reason, DropReason::Unlikely);
         // The same situation with detection limited to expiry keeps the message.
-        let mut q2 = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 90.0);
+        let mut q2 = OutputQueue::new(90.0);
         q2.push(queued(msg(1, 0, None), vec![target(10, 1, 90.0, 4)], 0));
         let cfg2 = SchedulerConfig {
             invalid_detection: InvalidDetection::ExpiredOnly,
@@ -572,7 +560,7 @@ mod tests {
     #[test]
     fn fifo_pops_in_arrival_order() {
         let cfg = config(StrategyKind::Fifo);
-        let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut q = OutputQueue::new(75.0);
         q.push(queued(msg(1, 0, None), vec![target(60, 1, 60.0, 1)], 0));
         q.push(queued(msg(2, 1, None), vec![target(10, 3, 60.0, 1)], 1));
         let first = q.pop_next(SimTime::from_secs(2), &cfg).unwrap();
@@ -585,7 +573,7 @@ mod tests {
     #[test]
     fn remaining_lifetime_pops_most_urgent_first() {
         let cfg = config(StrategyKind::RemainingLifetime);
-        let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut q = OutputQueue::new(75.0);
         q.push(queued(msg(1, 0, None), vec![target(60, 1, 60.0, 1)], 0));
         q.push(queued(msg(2, 0, None), vec![target(10, 1, 60.0, 1)], 0));
         let first = q.pop_next(SimTime::from_secs(1), &cfg).unwrap();
@@ -595,7 +583,7 @@ mod tests {
     #[test]
     fn max_eb_prefers_more_valuable_and_more_likely_messages() {
         let cfg = config(StrategyKind::MaxEb);
-        let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut q = OutputQueue::new(75.0);
         // Message 1: one cheap target; message 2: three expensive targets.
         q.push(queued(msg(1, 0, None), vec![target(30, 1, 60.0, 1)], 0));
         let targets = [3, 3, 2]
@@ -613,7 +601,7 @@ mod tests {
 
     #[test]
     fn remove_subscription_strips_targets_and_drops_orphans() {
-        let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut q = OutputQueue::new(75.0);
         let t_keep = FlatTarget {
             subscription: SubscriptionId::new(7),
             ..target(30, 1, 60.0, 1)
@@ -658,7 +646,7 @@ mod tests {
             }
             item
         };
-        let mut q = OutputQueue::new(BrokerId::new(9), LinkId::new(0), 75.0);
+        let mut q = OutputQueue::new(75.0);
         q.push(copy(1, e1, &[3, 4]));
         q.push(copy(2, e2, &[5]));
         assert_eq!(q.edges(), edge_bit(e1) | edge_bit(e2));
@@ -691,14 +679,14 @@ mod tests {
 
     #[test]
     fn queue_bookkeeping() {
-        let mut q = OutputQueue::new(BrokerId::new(3), LinkId::new(9), 80.0);
+        let mut q = OutputQueue::new(80.0);
         assert!(q.is_empty());
         q.push(queued(msg(1, 0, None), vec![target(30, 1, 60.0, 1)], 0));
         q.push(queued(msg(2, 0, None), vec![target(30, 1, 60.0, 1)], 0));
         assert_eq!(q.len(), 2);
         assert_eq!(q.items().len(), 2);
-        let drained = q.drain();
-        assert_eq!(drained.len(), 2);
+        let cfg = config(StrategyKind::Fifo);
+        while q.pop_next(SimTime::ZERO, &cfg).is_some() {}
         assert!(q.is_empty());
     }
 
@@ -733,7 +721,7 @@ mod tests {
                 subscription: leaver,
                 ..leaves
             };
-            let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 90.0);
+            let mut q = OutputQueue::new(90.0);
             q.push(queued(msg(1, 0, None), vec![stays.clone(), leaves], 0));
             assert!(
                 q.clone().purge(now, &cfg).is_empty(),
@@ -885,7 +873,7 @@ mod tests {
                     invalid_detection: policy,
                     ..SchedulerConfig::paper(strategy.clone())
                 };
-                let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+                let mut q = OutputQueue::new(75.0);
                 for (m, targets, at) in &full {
                     q.push(reference::queued(m, targets, *at));
                 }
@@ -950,6 +938,68 @@ mod tests {
         assert!(certain > 50, "{certain} copies kept at p = ε = 1");
     }
 
+    /// Price scaling (ROADMAP item 20b): EB, PC and EBPC are sums of
+    /// `price × probability` terms (eq. 3, 8–10), and doubling an `f64` is
+    /// exact, so doubling every target's price doubles every score bit for
+    /// bit. The queue must then drop the same copies for the same reasons
+    /// and send the rest in the same order.
+    #[test]
+    fn doubling_every_price_changes_no_drop_and_no_send_order() {
+        let policies = [InvalidDetection::PAPER, InvalidDetection::Epsilon(0.4)];
+        let (mut sent, mut dropped) = (0, 0);
+        for case in 0..120u64 {
+            let mut rng = SimRng::seed_from(0x9_41CE).split(case);
+            let flat = random_flat_queue(&mut rng);
+            let now = SimTime::from_secs(rng.uniform_usize(10, 40) as u64);
+            let doubled: Vec<FlatItem> = flat
+                .iter()
+                .map(|(m, targets, at)| {
+                    let targets = targets
+                        .iter()
+                        .map(|t| FlatTarget {
+                            price: t.price.saturating_add(t.price),
+                            ..t.clone()
+                        })
+                        .collect();
+                    (Arc::clone(m), targets, *at)
+                })
+                .collect();
+            let policy = policies[case as usize % policies.len()];
+            for kind in [
+                StrategyKind::MaxEb,
+                StrategyKind::MaxPc,
+                StrategyKind::MaxEbpc,
+            ] {
+                let cfg = SchedulerConfig {
+                    invalid_detection: policy,
+                    ..config(kind)
+                };
+                let run = |items: &[FlatItem]| {
+                    let mut q = OutputQueue::new(75.0);
+                    for (m, targets, at) in items {
+                        q.push(reference::queued(m, targets, *at));
+                    }
+                    let drops = q.purge(now, &cfg);
+                    let order: Vec<MessageId> = std::iter::from_fn(|| q.pop_next(now, &cfg))
+                        .map(|copy| copy.message.id)
+                        .collect();
+                    (drops, order)
+                };
+                let (drops, order) = run(&flat);
+                assert_eq!(
+                    run(&doubled),
+                    (drops.clone(), order.clone()),
+                    "case {case} {kind}"
+                );
+                (sent, dropped) = (sent + order.len(), dropped + drops.len());
+            }
+        }
+        assert!(
+            sent > 1_000 && dropped > 200,
+            "{sent} sent, {dropped} dropped"
+        );
+    }
+
     /// The ε-test's boundary: a class that succeeds with probability
     /// exactly ε keeps its copy, as "drop when the best class is below ε"
     /// does. A zero-σ local path succeeds with probability exactly 1.0.
@@ -969,7 +1019,7 @@ mod tests {
                 invalid_detection: policy,
                 ..config(StrategyKind::MaxEb)
             };
-            let mut q = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+            let mut q = OutputQueue::new(75.0);
             q.push(certain.clone());
             assert_eq!(reference_drop(policy, &item, now), None, "ε = {eps}");
             assert!(q.purge(now, &cfg).is_empty(), "ε = {eps}");

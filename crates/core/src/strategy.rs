@@ -21,8 +21,8 @@
 //! * [`StrategyHandle::from_name`] — the name lookup command-line binaries
 //!   and sweep helpers use, one `match` over the built-ins.
 //!
-//! The five paper strategies ([`Fifo`], [`RemainingLifetime`], [`MaxEb`],
-//! [`MaxPc`], [`MaxEbpc`]) are provided here, plus [`WeightedComposite`], a
+//! The five paper strategies (`Fifo`, `RemainingLifetime`, `MaxEb`,
+//! `MaxPc`, `MaxEbpc`) are provided here, plus [`WeightedComposite`], a
 //! non-paper blend of expected benefit and urgency demonstrating that the
 //! strategy family is open. User crates implement the trait on their own
 //! types and pass them to the simulation through a handle — see
@@ -88,7 +88,11 @@ pub struct ScheduleContext {
 impl ScheduleContext {
     /// Builds a context from the scheduler configuration and the mean rate
     /// of the queue's link.
-    pub fn new(now: SimTime, config: &SchedulerConfig, link_mean_rate_ms_per_kb: f64) -> Self {
+    pub(crate) fn new(
+        now: SimTime,
+        config: &SchedulerConfig,
+        link_mean_rate_ms_per_kb: f64,
+    ) -> Self {
         ScheduleContext {
             now,
             ebpc_weight: config.ebpc_weight,
@@ -139,7 +143,7 @@ pub trait SchedulingStrategy: Send + Sync + fmt::Debug {
 
 /// First-in, first-out (baseline).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
+pub(crate) struct Fifo;
 
 impl SchedulingStrategy for Fifo {
     fn name(&self) -> &str {
@@ -160,7 +164,7 @@ impl SchedulingStrategy for Fifo {
 /// message matching several subscriptions the average remaining lifetime is
 /// used, as in §6.1.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RemainingLifetime;
+pub(crate) struct RemainingLifetime;
 
 impl SchedulingStrategy for RemainingLifetime {
     fn name(&self) -> &str {
@@ -178,7 +182,7 @@ impl SchedulingStrategy for RemainingLifetime {
 
 /// Maximum Expected Benefit first (§5.1).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MaxEb;
+pub(crate) struct MaxEb;
 
 impl SchedulingStrategy for MaxEb {
     fn name(&self) -> &str {
@@ -198,7 +202,7 @@ impl SchedulingStrategy for MaxEb {
 
 /// Maximum Postponing Cost first (§5.2).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MaxPc;
+pub(crate) struct MaxPc;
 
 impl SchedulingStrategy for MaxPc {
     fn name(&self) -> &str {
@@ -220,7 +224,7 @@ impl SchedulingStrategy for MaxPc {
 /// [`ScheduleContext`] so that configuration-level weight sweeps keep
 /// working.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MaxEbpc;
+pub(crate) struct MaxEbpc;
 
 impl SchedulingStrategy for MaxEbpc {
     fn name(&self) -> &str {
@@ -252,12 +256,12 @@ impl SchedulingStrategy for MaxEbpc {
 #[derive(Debug, Clone, Copy)]
 pub struct WeightedComposite {
     /// Weight of the EB term, in `[0, 1]`.
-    pub eb_weight: f64,
+    pub(crate) eb_weight: f64,
 }
 
 impl WeightedComposite {
     /// Creates the composite with the given EB weight (clamped to `[0, 1]`).
-    pub fn new(eb_weight: f64) -> Self {
+    pub(crate) fn new(eb_weight: f64) -> Self {
         WeightedComposite {
             eb_weight: eb_weight.clamp(0.0, 1.0),
         }
@@ -406,7 +410,7 @@ mod tests {
     use crate::metrics::reference::{queued, FlatTarget};
     use bdps_overlay::pathstats::PathStats;
     use bdps_stats::normal::Normal;
-    use bdps_types::id::{MessageId, PublisherId, SubscriberId, SubscriptionId};
+    use bdps_types::id::{MessageId, SubscriberId, SubscriptionId};
     use bdps_types::message::Message;
     use bdps_types::money::Price;
     use bdps_types::time::Duration;
@@ -433,7 +437,7 @@ mod tests {
         enqueue_time: SimTime,
     ) -> QueuedMessage {
         let message = Arc::new(
-            Message::builder(MessageId::new(id), PublisherId::new(0))
+            Message::builder(MessageId::new(id))
                 .publish_time(SimTime::ZERO)
                 .size_kb(50.0)
                 .build(),

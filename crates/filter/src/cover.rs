@@ -21,7 +21,6 @@
 
 use crate::filter::Filter;
 use bdps_types::id::SubscriptionId;
-use bdps_types::message::MessageHead;
 use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
@@ -54,11 +53,6 @@ pub struct CoverForest {
 }
 
 impl CoverForest {
-    /// Creates an empty forest.
-    pub fn new() -> Self {
-        CoverForest::default()
-    }
-
     /// Number of member filters.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -75,33 +69,9 @@ impl CoverForest {
         self.roots.len()
     }
 
-    /// Returns true when `id` is a member.
-    pub fn contains(&self, id: SubscriptionId) -> bool {
-        self.nodes.contains_key(&id)
-    }
-
-    /// The member's filter, when present.
-    pub fn filter_of(&self, id: SubscriptionId) -> Option<&Filter> {
-        self.nodes.get(&id).map(|n| &n.filter)
-    }
-
     /// Iterates the covering set `(id, filter)` in ascending id order.
     pub fn roots(&self) -> impl Iterator<Item = (SubscriptionId, &Filter)> + '_ {
         self.roots.iter().map(|id| (*id, &self.nodes[id].filter))
-    }
-
-    /// Iterates every member `(id, filter)` in ascending id order.
-    pub fn members(&self) -> impl Iterator<Item = (SubscriptionId, &Filter)> + '_ {
-        self.nodes.iter().map(|(id, n)| (*id, &n.filter))
-    }
-
-    /// Returns true when some cover matches the head — the aggregate-level
-    /// test interior brokers route on. Sound: a head matching any member
-    /// matches some cover; false positives are possible and expected.
-    pub fn any_root_matches(&self, head: &MessageHead) -> bool {
-        self.roots
-            .iter()
-            .any(|id| self.nodes[id].filter.matches(head))
     }
 
     /// Adds (or replaces) a member filter.
@@ -251,6 +221,7 @@ mod tests {
     use super::*;
     use crate::predicate::{CompOp, Predicate};
     use bdps_stats::rng::SimRng;
+    use bdps_types::message::MessageHead;
 
     fn sid(i: u32) -> SubscriptionId {
         SubscriptionId::new(i)
@@ -297,6 +268,12 @@ mod tests {
         h.set("A2", rng.uniform_range(-1.0, 11.0));
         h.set("A3", rng.uniform_range(-1.0, 11.0));
         h
+    }
+
+    /// The aggregate-level test interior brokers route on: some cover
+    /// matches the head.
+    fn some_cover_matches(forest: &CoverForest, head: &MessageHead) -> bool {
+        forest.roots().any(|(_, filter)| filter.matches(head))
     }
 
     #[test]
@@ -357,10 +334,9 @@ mod tests {
         check(0xC0FE_0004, 300, |rng| {
             let a = random_filter(rng);
             let b = random_filter(rng);
-            if a.equivalent(&b) {
-                // Mutual covering (`Filter::equivalent`) means the filters
-                // are semantically equivalent: no sampled head can separate
-                // them.
+            if a.covers(&b) && b.covers(&a) {
+                // Mutual covering means the filters are semantically
+                // equivalent: no sampled head can separate them.
                 for _ in 0..30 {
                     let head = random_head(rng);
                     assert_eq!(
@@ -417,7 +393,7 @@ mod tests {
             let members: Vec<(SubscriptionId, Filter)> = (0..n as u32)
                 .map(|i| (sid(i), random_filter(rng)))
                 .collect();
-            let mut forest = CoverForest::new();
+            let mut forest = CoverForest::default();
             for (id, filter) in &members {
                 forest.insert(*id, filter.clone());
             }
@@ -433,16 +409,16 @@ mod tests {
                     .collect();
                 if !exact.is_empty() {
                     assert!(
-                        forest.any_root_matches(&head),
+                        some_cover_matches(&forest, &head),
                         "aggregate missed a matching member (false negative)"
                     );
                 }
                 // Edge expansion: aggregate gate, then member filters.
-                let delivered: Vec<SubscriptionId> = if forest.any_root_matches(&head) {
-                    forest
-                        .members()
+                let delivered: Vec<SubscriptionId> = if some_cover_matches(&forest, &head) {
+                    members
+                        .iter()
                         .filter(|(_, f)| f.matches(&head))
-                        .map(|(id, _)| id)
+                        .map(|(id, _)| *id)
                         .collect()
                 } else {
                     Vec::new()
@@ -458,7 +434,7 @@ mod tests {
     #[test]
     fn forest_invariants_survive_arbitrary_churn() {
         check(0xC0FE_0008, 80, |rng| {
-            let mut forest = CoverForest::new();
+            let mut forest = CoverForest::default();
             let mut live: Vec<(SubscriptionId, Filter)> = Vec::new();
             let mut next = 0u32;
             for _ in 0..rng.uniform_usize(10, 60) {
@@ -478,7 +454,7 @@ mod tests {
                 // Soundness is preserved at every step.
                 let head = random_head(rng);
                 if live.iter().any(|(_, f)| f.matches(&head)) {
-                    assert!(forest.any_root_matches(&head));
+                    assert!(some_cover_matches(&forest, &head));
                 }
             }
         });
@@ -488,7 +464,7 @@ mod tests {
     fn covers_aggregate_to_the_pareto_frontier_on_the_paper_family() {
         // For dominated paper conjunctions the covering set is exactly the
         // Pareto-maximal (x1, x2) pairs — far smaller than the population.
-        let mut forest = CoverForest::new();
+        let mut forest = CoverForest::default();
         let points = [
             (5.0, 5.0),
             (3.0, 3.0), // dominated by (5,5)
@@ -512,7 +488,7 @@ mod tests {
 
     #[test]
     fn insert_replaces_existing_members() {
-        let mut forest = CoverForest::new();
+        let mut forest = CoverForest::default();
         forest.insert(sid(0), Filter::paper_conjunction(5.0, 5.0));
         forest.insert(sid(1), Filter::paper_conjunction(3.0, 3.0));
         assert_eq!(forest.root_count(), 1);
@@ -522,8 +498,10 @@ mod tests {
         assert_eq!(forest.len(), 2);
         let roots: Vec<SubscriptionId> = forest.roots().map(|(id, _)| id).collect();
         assert_eq!(roots, vec![sid(1)]);
-        assert!(forest.contains(sid(0)));
-        assert!(forest.filter_of(sid(0)).is_some());
+        assert_eq!(
+            forest.remove(sid(0)),
+            Some(Filter::paper_conjunction(1.0, 1.0))
+        );
     }
 
     #[test]

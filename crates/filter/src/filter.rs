@@ -25,8 +25,7 @@ use std::sync::Arc;
 /// The predicate list is shared behind an `Arc`: a filter is cloned into
 /// every broker's subscription table and matching index, and at 10⁵
 /// subscribers those copies dominated construction time and memory. Cloning
-/// a filter is a reference-count bump; the rare mutation
-/// ([`and`](Self::and)) copies on write.
+/// a filter is a reference-count bump.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Filter {
     predicates: Arc<Vec<Predicate>>,
@@ -50,14 +49,8 @@ impl Filter {
         Filter::new(vec![Predicate::lt("A1", x1), Predicate::lt("A2", x2)])
     }
 
-    /// Adds a predicate to the conjunction (copy-on-write when shared).
-    pub fn and(mut self, p: Predicate) -> Self {
-        Arc::make_mut(&mut self.predicates).push(p);
-        self
-    }
-
     /// The predicates of the conjunction.
-    pub fn predicates(&self) -> &[Predicate] {
+    pub(crate) fn predicates(&self) -> &[Predicate] {
         &self.predicates
     }
 
@@ -86,12 +79,6 @@ impl Filter {
         self.predicates
             .iter()
             .all(|mine| other.predicates.iter().any(|theirs| theirs.implies(mine)))
-    }
-
-    /// Returns true when the two filters cover each other — equivalent under
-    /// the conservative covering relation (they match the same messages).
-    pub fn equivalent(&self, other: &Filter) -> bool {
-        self.covers(other) && other.covers(self)
     }
 
     /// The covering join of two filters: a filter that covers both operands
@@ -124,7 +111,7 @@ impl Filter {
 
     /// Returns a simplified filter with redundant predicates removed
     /// (a predicate implied by another predicate of the same filter is dropped).
-    pub fn simplified(&self) -> Filter {
+    pub(crate) fn simplified(&self) -> Filter {
         let mut kept: Vec<Predicate> = Vec::with_capacity(self.predicates.len());
         for (i, p) in self.predicates.iter().enumerate() {
             let redundant = self.predicates.iter().enumerate().any(|(j, q)| {
@@ -167,6 +154,7 @@ impl From<Predicate> for Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::CompOp;
 
     fn head(a1: f64, a2: f64) -> MessageHead {
         let mut h = MessageHead::new();
@@ -226,7 +214,11 @@ mod tests {
         assert!(Filter::match_all().covers(&narrow));
         assert!(!narrow.covers(&Filter::match_all()));
         // A filter with an extra attribute is covered by one without it.
-        let extra = narrow.clone().and(Predicate::gt("A3", 0.0));
+        let extra = Filter::new(vec![
+            Predicate::lt("A1", 3.0),
+            Predicate::lt("A2", 3.0),
+            Predicate::new("A3", CompOp::Gt, 0.0),
+        ]);
         assert!(narrow.covers(&extra));
         assert!(!extra.covers(&narrow));
     }
@@ -236,12 +228,14 @@ mod tests {
         let f = Filter::new(vec![
             Predicate::lt("A1", 3.0),
             Predicate::lt("A1", 5.0), // implied by the previous one
-            Predicate::gt("A2", 1.0),
+            Predicate::new("A2", CompOp::Gt, 1.0),
         ]);
         let s = f.simplified();
         assert_eq!(s.len(), 2);
         assert!(s.predicates().contains(&Predicate::lt("A1", 3.0)));
-        assert!(s.predicates().contains(&Predicate::gt("A2", 1.0)));
+        assert!(s
+            .predicates()
+            .contains(&Predicate::new("A2", CompOp::Gt, 1.0)));
         // Duplicate predicates collapse to one.
         let dup = Filter::new(vec![Predicate::lt("A1", 3.0), Predicate::lt("A1", 3.0)]);
         assert_eq!(dup.simplified().len(), 1);

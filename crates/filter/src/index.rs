@@ -249,22 +249,6 @@ impl MatchIndex {
         idx
     }
 
-    /// Number of indexed subscriptions.
-    pub fn len(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    /// Returns true when no subscription is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
-    }
-
-    /// Returns the filter registered for a subscription, if present.
-    pub fn filter_of(&self, id: SubscriptionId) -> Option<&Filter> {
-        let slot = *self.slot_of.get(&id)?;
-        self.slots[slot as usize].filter.as_ref()
-    }
-
     /// Inserts (or replaces) a subscription's filter.
     pub fn insert(&mut self, id: SubscriptionId, filter: Filter) {
         self.remove(id);
@@ -414,8 +398,6 @@ mod tests {
         assert_eq!(idx.matching(&head(3.0, 3.0)), vec![id(1)]);
         assert!(idx.matching(&head(6.0, 3.0)).is_empty());
         assert!(idx.matching(&head(3.0, 6.0)).is_empty());
-        assert_eq!(idx.len(), 1);
-        assert!(!idx.is_empty());
     }
 
     #[test]
@@ -444,11 +426,11 @@ mod tests {
     fn all_operator_kinds() {
         let mut idx = MatchIndex::new();
         idx.insert(id(1), Filter::from(Predicate::lt("A1", 5.0)));
-        idx.insert(id(2), Filter::from(Predicate::le("A1", 5.0)));
-        idx.insert(id(3), Filter::from(Predicate::gt("A1", 5.0)));
+        idx.insert(id(2), Filter::from(Predicate::new("A1", CompOp::Le, 5.0)));
+        idx.insert(id(3), Filter::from(Predicate::new("A1", CompOp::Gt, 5.0)));
         idx.insert(id(4), Filter::from(Predicate::ge("A1", 5.0)));
         idx.insert(id(5), Filter::from(Predicate::eq("A1", 5.0)));
-        idx.insert(id(6), Filter::from(Predicate::ne("A1", 5.0)));
+        idx.insert(id(6), Filter::from(Predicate::new("A1", CompOp::Ne, 5.0)));
 
         let at = |v: f64| idx.matching(&head(v, 0.0));
         assert_eq!(at(4.0), vec![id(1), id(2), id(6)]);
@@ -489,17 +471,16 @@ mod tests {
         idx.insert(id(1), Filter::from(Predicate::lt("A1", 5.0)));
         idx.insert(id(2), Filter::from(Predicate::lt("A1", 8.0)));
         // Replace subscription 1 with a non-matching filter.
-        idx.insert(id(1), Filter::from(Predicate::gt("A1", 100.0)));
+        let replaced = Filter::from(Predicate::new("A1", CompOp::Gt, 100.0));
+        idx.insert(id(1), replaced.clone());
         assert_eq!(idx.matching(&head(3.0, 0.0)), vec![id(2)]);
-        assert_eq!(idx.len(), 2);
 
         let removed = idx.remove(id(2)).unwrap();
         assert_eq!(removed, Filter::from(Predicate::lt("A1", 8.0)));
         assert!(idx.matching(&head(3.0, 0.0)).is_empty());
-        assert_eq!(idx.len(), 1);
         assert!(idx.remove(id(99)).is_none());
-        assert!(idx.filter_of(id(1)).is_some());
-        assert!(idx.filter_of(id(2)).is_none());
+        assert!(idx.remove(id(2)).is_none());
+        assert_eq!(idx.remove(id(1)), Some(replaced));
     }
 
     #[test]
@@ -580,8 +561,8 @@ mod tests {
             let h = head(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
             assert_eq!(idx.matching(&h), idx.matching_bruteforce(&h));
         }
-        assert_eq!(idx.len(), 100);
-        assert!(idx.filter_of(id(200)).is_none());
+        assert_eq!(idx.slot_of.len(), 100);
+        assert!(!idx.slot_of.contains_key(&id(200)));
     }
 
     #[test]
@@ -700,7 +681,7 @@ mod tests {
             }
             let h = head(churn_number(&mut rng), churn_number(&mut rng));
             assert_eq!(idx.matching(&h), idx.matching_bruteforce(&h), "step {step}");
-            assert_eq!(idx.len(), live.len());
+            assert_eq!(idx.slot_of.len(), live.len());
         }
         assert_eq!(idx.attrs.len(), 2);
         assert!(
@@ -724,10 +705,10 @@ mod tests {
     fn from_subscriptions_constructor() {
         let filters = [
             (id(1), Filter::from(Predicate::lt("A1", 5.0))),
-            (id(2), Filter::from(Predicate::gt("A1", 2.0))),
+            (id(2), Filter::from(Predicate::new("A1", CompOp::Gt, 2.0))),
         ];
         let idx = MatchIndex::from_subscriptions(filters.iter().map(|(i, f)| (*i, f)));
-        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.slot_of.len(), 2);
         assert_eq!(idx.matching(&head(3.0, 0.0)), vec![id(1), id(2)]);
     }
 

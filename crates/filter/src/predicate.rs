@@ -36,7 +36,7 @@ impl CompOp {
     }
 
     /// The textual form of the operator.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CompOp::Lt => "<",
             CompOp::Le => "<=",
@@ -63,11 +63,11 @@ impl fmt::Display for CompOp {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// The attribute the predicate constrains.
-    pub attr: AttrName,
+    pub(crate) attr: AttrName,
     /// The comparison operator.
-    pub op: CompOp,
+    pub(crate) op: CompOp,
     /// The constant to compare against.
-    pub value: AttrValue,
+    pub(crate) value: AttrValue,
 }
 
 impl Predicate {
@@ -85,16 +85,6 @@ impl Predicate {
         Self::new(attr, CompOp::Lt, value)
     }
 
-    /// Shorthand for `attr <= value`.
-    pub fn le(attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> Self {
-        Self::new(attr, CompOp::Le, value)
-    }
-
-    /// Shorthand for `attr > value`.
-    pub fn gt(attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> Self {
-        Self::new(attr, CompOp::Gt, value)
-    }
-
     /// Shorthand for `attr >= value`.
     pub fn ge(attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> Self {
         Self::new(attr, CompOp::Ge, value)
@@ -105,13 +95,8 @@ impl Predicate {
         Self::new(attr, CompOp::Eq, value)
     }
 
-    /// Shorthand for `attr != value`.
-    pub fn ne(attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> Self {
-        Self::new(attr, CompOp::Ne, value)
-    }
-
     /// Evaluates the predicate against a message head.
-    pub fn matches(&self, head: &MessageHead) -> bool {
+    pub(crate) fn matches(&self, head: &MessageHead) -> bool {
         match head.get(self.attr.as_str()) {
             Some(v) => self.matches_value(v),
             None => false,
@@ -119,7 +104,7 @@ impl Predicate {
     }
 
     /// Evaluates the predicate against a single attribute value.
-    pub fn matches_value(&self, v: &AttrValue) -> bool {
+    pub(crate) fn matches_value(&self, v: &AttrValue) -> bool {
         match v.partial_cmp_value(&self.value) {
             Some(ord) => self.op.eval_ordering(ord),
             // Non-comparable types: != is vacuously satisfied, everything else fails.
@@ -131,7 +116,7 @@ impl Predicate {
     /// (i.e. `self` ⟹ `other`). Conservative: only decides implication between
     /// predicates on the same attribute with comparable constants; returns
     /// `false` when implication cannot be proven.
-    pub fn implies(&self, other: &Predicate) -> bool {
+    pub(crate) fn implies(&self, other: &Predicate) -> bool {
         if self.attr != other.attr {
             return false;
         }
@@ -186,18 +171,18 @@ mod tests {
         let h = head(3.0, 7.0);
         assert!(Predicate::lt("A1", 5.0).matches(&h));
         assert!(!Predicate::lt("A1", 3.0).matches(&h));
-        assert!(Predicate::le("A1", 3.0).matches(&h));
-        assert!(Predicate::gt("A2", 5.0).matches(&h));
+        assert!(Predicate::new("A1", CompOp::Le, 3.0).matches(&h));
+        assert!(Predicate::new("A2", CompOp::Gt, 5.0).matches(&h));
         assert!(Predicate::ge("A2", 7.0).matches(&h));
         assert!(Predicate::eq("A1", 3.0).matches(&h));
-        assert!(Predicate::ne("A1", 4.0).matches(&h));
+        assert!(Predicate::new("A1", CompOp::Ne, 4.0).matches(&h));
     }
 
     #[test]
     fn missing_attribute_never_matches() {
         let h = head(1.0, 2.0);
         assert!(!Predicate::lt("A3", 100.0).matches(&h));
-        assert!(!Predicate::ne("A3", 100.0).matches(&h));
+        assert!(!Predicate::new("A3", CompOp::Ne, 100.0).matches(&h));
     }
 
     #[test]
@@ -206,7 +191,7 @@ mod tests {
         h.set("sym", "ACME");
         assert!(!Predicate::lt("sym", 5.0).matches(&h));
         assert!(!Predicate::eq("sym", 5.0).matches(&h));
-        assert!(Predicate::ne("sym", 5.0).matches(&h));
+        assert!(Predicate::new("sym", CompOp::Ne, 5.0).matches(&h));
         assert!(Predicate::eq("sym", "ACME").matches(&h));
     }
 
@@ -229,16 +214,18 @@ mod tests {
         assert!(Predicate::lt("A1", 3.0).implies(&Predicate::lt("A1", 5.0)));
         assert!(!Predicate::lt("A1", 5.0).implies(&Predicate::lt("A1", 3.0)));
         // x < 3 implies x <= 3.
-        assert!(Predicate::lt("A1", 3.0).implies(&Predicate::le("A1", 3.0)));
+        assert!(Predicate::lt("A1", 3.0).implies(&Predicate::new("A1", CompOp::Le, 3.0)));
         // x <= 3 does not imply x < 3.
-        assert!(!Predicate::le("A1", 3.0).implies(&Predicate::lt("A1", 3.0)));
+        assert!(!Predicate::new("A1", CompOp::Le, 3.0).implies(&Predicate::lt("A1", 3.0)));
         // x > 5 implies x > 3, x >= 3.
-        assert!(Predicate::gt("A1", 5.0).implies(&Predicate::gt("A1", 3.0)));
-        assert!(Predicate::gt("A1", 5.0).implies(&Predicate::ge("A1", 5.0)));
+        assert!(
+            Predicate::new("A1", CompOp::Gt, 5.0).implies(&Predicate::new("A1", CompOp::Gt, 3.0))
+        );
+        assert!(Predicate::new("A1", CompOp::Gt, 5.0).implies(&Predicate::ge("A1", 5.0)));
         // x == 4 implies x < 5 and x >= 4 and x != 9.
         assert!(Predicate::eq("A1", 4.0).implies(&Predicate::lt("A1", 5.0)));
         assert!(Predicate::eq("A1", 4.0).implies(&Predicate::ge("A1", 4.0)));
-        assert!(Predicate::eq("A1", 4.0).implies(&Predicate::ne("A1", 9.0)));
+        assert!(Predicate::eq("A1", 4.0).implies(&Predicate::new("A1", CompOp::Ne, 9.0)));
         // Different attributes never imply.
         assert!(!Predicate::lt("A1", 3.0).implies(&Predicate::lt("A2", 5.0)));
         // Identity.

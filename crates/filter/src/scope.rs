@@ -67,26 +67,6 @@ impl ScopeSet {
         ScopeSet(Arc::from(ids))
     }
 
-    /// Number of subscriptions in scope.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Returns true when the scope is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Membership test (binary search — the set is sorted by construction).
-    pub fn contains(&self, id: SubscriptionId) -> bool {
-        self.0.binary_search(&id).is_ok()
-    }
-
-    /// The ids, ascending.
-    pub fn ids(&self) -> &[SubscriptionId] {
-        &self.0
-    }
-
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = SubscriptionId> + '_ {
         self.0.iter().copied()
@@ -212,18 +192,8 @@ impl ScopeInterner {
     }
 
     /// Drops every pooled set whose only owner is the pool.
-    pub fn purge(&mut self) {
+    pub(crate) fn purge(&mut self) {
         self.sets.retain(|s| s.ref_count() > 1);
-    }
-
-    /// Number of distinct sets currently pooled.
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Returns true when nothing is pooled.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
     }
 
     /// Total interns served so far.
@@ -248,14 +218,8 @@ mod tests {
     #[test]
     fn membership_and_accessors() {
         let s = ScopeSet::from_sorted(ids(&[1, 3, 5]));
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        assert!(s.contains(SubscriptionId::new(3)));
-        assert!(!s.contains(SubscriptionId::new(4)));
-        assert_eq!(s.iter().count(), 3);
-        assert_eq!(s.ids()[0], SubscriptionId::new(1));
-        assert!(ScopeSet::empty().is_empty());
-        assert!(!ScopeSet::empty().contains(SubscriptionId::new(0)));
+        assert_eq!(s.iter().collect::<Vec<_>>(), ids(&[1, 3, 5]));
+        assert_eq!(ScopeSet::empty().iter().count(), 0);
     }
 
     #[test]
@@ -267,7 +231,7 @@ mod tests {
     #[test]
     fn from_unsorted_sorts_and_dedups() {
         let s = ScopeSet::from_unsorted(ids(&[5, 1, 3, 1]));
-        assert_eq!(s.ids(), ids(&[1, 3, 5]).as_slice());
+        assert_eq!(s.iter().collect::<Vec<_>>(), ids(&[1, 3, 5]));
     }
 
     #[test]
@@ -289,12 +253,12 @@ mod tests {
         let a = pool.intern(&ids(&[1, 2, 3]));
         let b = pool.intern(&ids(&[1, 2, 3]));
         assert!(Arc::ptr_eq(&a.0, &b.0), "equal sets must share storage");
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.sets.len(), 1);
         assert_eq!(pool.hits(), 1);
         assert_eq!(pool.interns(), 2);
         let c = pool.intern(&ids(&[4]));
         assert!(!Arc::ptr_eq(&a.0, &c.0));
-        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.sets.len(), 2);
     }
 
     #[test]
@@ -326,7 +290,7 @@ mod tests {
         let mut hits = 0;
         for set in sets.iter().chain(&sets) {
             let got = pool.intern(set);
-            assert_eq!(got.ids(), set.as_slice());
+            assert_eq!(&*got.0, set.as_slice());
             match first.get(set) {
                 Some(earlier) => {
                     assert!(Arc::ptr_eq(&got.0, &earlier.0), "{set:?} not shared");
@@ -351,10 +315,10 @@ mod tests {
         {
             let _dead = pool.intern(&ids(&[2]));
         }
-        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.sets.len(), 2);
         pool.purge();
-        assert_eq!(pool.len(), 1);
-        assert!(pool.intern(&ids(&[1])).contains(SubscriptionId::new(1)));
+        assert_eq!(pool.sets.len(), 1);
+        assert!(Arc::ptr_eq(&pool.intern(&ids(&[1])).0, &live.0));
         drop(live);
     }
 
@@ -363,8 +327,8 @@ mod tests {
         let mut pool = ScopeInterner::new();
         let a = pool.intern(&[]);
         let b = pool.intern(&[]);
-        assert!(a.is_empty());
+        assert_eq!(a.iter().count(), 0);
         assert_eq!(a, b);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.sets.len(), 1);
     }
 }

@@ -22,7 +22,7 @@ pub struct Subscription {
     /// The content filter describing the subscriber's interest.
     pub filter: Filter,
     /// The subscriber-specified delay bound, if any (SSD scenario).
-    pub delay_bound: Option<DelayBound>,
+    pub(crate) delay_bound: Option<DelayBound>,
     /// The price paid per valid message.
     pub price: Price,
 }
@@ -68,14 +68,6 @@ impl Subscription {
     pub fn is_delay_bounded(&self) -> bool {
         matches!(self.delay_bound, Some(b) if b != DelayBound::UNBOUNDED)
     }
-
-    /// Returns the QoS class of the subscription (unbounded/unit when unspecified).
-    pub fn qos(&self) -> QosClass {
-        QosClass {
-            delay: self.delay_bound.unwrap_or(DelayBound::UNBOUNDED),
-            price: self.price,
-        }
-    }
 }
 
 impl fmt::Display for Subscription {
@@ -103,7 +95,6 @@ mod tests {
         assert_eq!(s.allowed_delay(), Duration::MAX);
         assert!(!s.is_delay_bounded());
         assert_eq!(s.price, Price::unit());
-        assert_eq!(s.qos().price, Price::unit());
     }
 
     #[test]
@@ -118,7 +109,6 @@ mod tests {
         assert_eq!(s.allowed_delay(), Duration::from_secs(10));
         assert!(s.is_delay_bounded());
         assert_eq!(s.price, Price::from_units(3));
-        assert_eq!(s.qos(), qos);
     }
 
     #[test]

@@ -36,9 +36,9 @@ use crate::trace::{ChoiceRecord, Counterexample};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreBudget {
     /// Maximum events applied along any single path.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Maximum events applied across the whole search.
-    pub max_states: u64,
+    pub(crate) max_states: u64,
 }
 
 impl Default for ExploreBudget {
@@ -54,7 +54,7 @@ impl Default for ExploreBudget {
 #[derive(Debug, Clone, Default)]
 pub struct ExploreStats {
     /// Events applied across all branches (post-dedup states visited).
-    pub states: u64,
+    pub(crate) states: u64,
     /// Branches abandoned because their state digest was already visited.
     pub deduped: u64,
     /// Quiescent terminal states reached and checked.
@@ -64,7 +64,7 @@ pub struct ExploreStats {
     /// Largest same-instant frontier seen.
     pub max_frontier: usize,
     /// Deepest path explored, in applied events.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Distinct delivered `(message, subscriber)` pair sets observed at the
     /// terminals, as raw id pairs in sorted order. Unlike the full digests —
     /// which legitimately differ between forwarding modes (traffic counters,
@@ -142,8 +142,6 @@ impl fmt::Display for InvariantViolation {
 /// The outcome of exhaustively exploring one model under one cell.
 #[derive(Debug, Clone)]
 pub struct Exploration {
-    /// The cell explored.
-    pub cell: ForwardingMode,
     /// Search accounting.
     pub stats: ExploreStats,
     /// The first violation found, minimised and replayable; `None` when
@@ -182,7 +180,6 @@ pub fn explore(model: &McModel, cell: ForwardingMode, budget: &ExploreBudget) ->
         .err()
         .map(|violation| build_counterexample(model, cell, violation, path));
     Exploration {
-        cell,
         stats,
         counterexample,
     }

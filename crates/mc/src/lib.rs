@@ -40,10 +40,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod explorer;
-pub mod model;
-pub mod trace;
+mod explorer;
+mod model;
+mod trace;
 
 pub use explorer::{explore, replay, Exploration, ExploreBudget, ExploreStats, InvariantViolation};
 pub use model::{McModel, ModelTopology};

@@ -31,11 +31,11 @@ use bdps_types::time::Duration;
 use bdps_sim::engine::InjectedFault;
 
 /// Maximum brokers a checkable model may have.
-pub const MAX_BROKERS: usize = 4;
+pub(crate) const MAX_BROKERS: usize = 4;
 /// Maximum subscriptions a checkable model may have.
-pub const MAX_SUBSCRIPTIONS: usize = 6;
+pub(crate) const MAX_SUBSCRIPTIONS: usize = 6;
 /// Maximum model events (publications plus explicit scenario events).
-pub const MAX_EVENTS: usize = 10;
+pub(crate) const MAX_EVENTS: usize = 10;
 
 /// The overlay shape of a tiny model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +82,7 @@ pub struct McModel {
     /// Explicit scenario events (link flaps, joins/leaves, rate changes).
     pub events: Vec<(Duration, ScenarioAction)>,
     /// Scheduling strategy brokers select transmissions with.
-    pub strategy: StrategyKind,
+    pub(crate) strategy: StrategyKind,
     /// The link transfer-time model (constant delay by default). Under
     /// [`LinkModelKind::FairShare`] same-instant copies contend on one link
     /// instead of serialising, so the explorer also covers flow-admission
@@ -91,7 +91,7 @@ pub struct McModel {
     /// Seed for subscription filters and message contents.
     pub seed: u64,
     /// How long past the publication period the model keeps draining.
-    pub drain_grace: Duration,
+    pub(crate) drain_grace: Duration,
     /// Whether quiescence must find nothing queued, in flight or
     /// mid-processing. Set false for models that deliberately end with a
     /// dead link holding a backlog.
@@ -127,7 +127,7 @@ impl McModel {
     }
 
     /// Total model events: publications plus explicit scenario events.
-    pub fn event_count(&self) -> usize {
+    pub(crate) fn event_count(&self) -> usize {
         self.publishers.len() * self.publications_per_publisher as usize + self.events.len()
     }
 
@@ -171,7 +171,7 @@ impl McModel {
     /// The publication period implied by the publication schedule: long
     /// enough for every deterministic publication, short enough that no
     /// extra one fits.
-    pub fn duration(&self) -> Duration {
+    pub(crate) fn duration(&self) -> Duration {
         // Publications fire at gap, 2·gap, …, k·gap (each publish schedules
         // the next one gap later and the engine drops events at or past the
         // period end), so k·gap + gap/2 admits exactly k per publisher.

@@ -15,12 +15,12 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChoiceRecord {
     /// The frontier instant, in microseconds since the simulation epoch.
-    pub time_us: u64,
+    pub(crate) time_us: u64,
     /// Label of the event applied first (see `EventKind::label`).
-    pub chosen: String,
+    pub(crate) chosen: String,
     /// Labels of the whole frontier in default scheduling order; the first
     /// entry is the choice a plain run would have made.
-    pub alternatives: Vec<String>,
+    pub(crate) alternatives: Vec<String>,
 }
 
 /// A minimised, replayable witness of an invariant violation.

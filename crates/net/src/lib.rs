@@ -9,29 +9,26 @@
 //! parameters each broker estimates "by some tools of network measurement".
 //! This crate provides:
 //!
-//! * [`link`] — directed overlay links, each carrying one normal per-KB
-//!   rate ([`LinkQuality`]); a fixed rate (the assumption of the QRON-style
-//!   related work the paper contrasts with) is the `σ = 0` case;
-//! * [`linkmodel`] — the tag saying how a link shares itself among
-//!   transfers: the paper's one-transfer-at-a-time link
-//!   ([`LinkModelKind::Constant`], the oracle) or flow-level fair bandwidth
-//!   sharing ([`LinkModelKind::FairShare`]);
+//! * [`link`] — directed overlay links, each carrying one normal per-KB rate
+//!   ([`LinkQuality`](link::LinkQuality)); a fixed rate (the assumption of the
+//!   QRON-style related work the paper contrasts with) is the `σ = 0` case;
+//! * [`linkmodel`] — the tag saying how a link shares itself among transfers: the
+//!   paper's one-transfer-at-a-time link
+//!   ([`LinkModelKind::Constant`](linkmodel::LinkModelKind::Constant), the
+//!   oracle) or flow-level fair bandwidth sharing
+//!   ([`LinkModelKind::FairShare`](linkmodel::LinkModelKind::FairShare));
 //! * [`measure`] — deliberate estimation-error injection for ablation studies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod link;
 pub mod linkmodel;
 pub mod measure;
 
-pub use link::{Link, LinkQuality};
-pub use linkmodel::LinkModelKind;
-pub use measure::EstimationError;
-
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
-    pub use crate::link::{Link, LinkQuality};
+    pub use crate::link::LinkQuality;
     pub use crate::linkmodel::LinkModelKind;
-    pub use crate::measure::EstimationError;
 }

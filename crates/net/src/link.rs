@@ -23,7 +23,7 @@ pub const MIN_RATE_MS_PER_KB: f64 = 0.01;
 pub struct LinkQuality {
     /// The per-KB rate distribution the scheduler believes and the
     /// simulated network samples.
-    pub rate: Normal,
+    pub(crate) rate: Normal,
 }
 
 impl LinkQuality {

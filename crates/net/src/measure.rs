@@ -14,9 +14,9 @@ use bdps_stats::normal::Normal;
 pub struct EstimationError {
     /// Relative bias applied to the mean (+0.2 → the scheduler believes links
     /// are 20 % slower than they really are).
-    pub mean_bias: f64,
+    pub(crate) mean_bias: f64,
     /// Relative bias applied to the standard deviation.
-    pub std_bias: f64,
+    pub(crate) std_bias: f64,
 }
 
 impl EstimationError {

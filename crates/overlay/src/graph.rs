@@ -26,7 +26,7 @@ impl BrokerNode {
     }
 
     /// Returns true when the broker has at least one attached publisher.
-    pub fn is_publisher_broker(&self) -> bool {
+    pub(crate) fn is_publisher_broker(&self) -> bool {
         !self.publishers.is_empty()
     }
 }
@@ -148,18 +148,10 @@ impl OverlayGraph {
     /// `links().filter(|l| l.to == broker)` yields. The routing Dijkstra
     /// relaxes these and breaks equal-cost ties by first relaxation, so route
     /// tables depend on this order.
-    pub fn incoming(&self, broker: BrokerId) -> impl Iterator<Item = &Link> {
+    pub(crate) fn incoming(&self, broker: BrokerId) -> impl Iterator<Item = &Link> {
         self.incoming[broker.index()]
             .iter()
             .map(move |id| &self.links[id.index()])
-    }
-
-    /// The downstream neighbours of a broker (targets of its outgoing links).
-    pub fn neighbors(&self, broker: BrokerId) -> Vec<BrokerId> {
-        let mut ns: Vec<BrokerId> = self.outgoing(broker).map(|l| l.to).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        ns
     }
 
     /// The outgoing link from `from` to `to`, if one exists.
@@ -185,25 +177,9 @@ impl OverlayGraph {
             .collect()
     }
 
-    /// The broker a publisher is attached to, if any.
-    pub fn publisher_broker(&self, publisher: PublisherId) -> Option<BrokerId> {
-        self.brokers
-            .iter()
-            .find(|b| b.publishers.contains(&publisher))
-            .map(|b| b.id)
-    }
-
-    /// The broker a subscriber is attached to, if any.
-    pub fn subscriber_broker(&self, subscriber: SubscriberId) -> Option<BrokerId> {
-        self.brokers
-            .iter()
-            .find(|b| b.subscribers.contains(&subscriber))
-            .map(|b| b.id)
-    }
-
     /// Checks structural validity: at least one broker, no duplicate directed
     /// links, and (weak) connectivity when treating links as undirected.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.brokers.is_empty() {
             return Err(BdpsError::InvalidTopology("graph has no brokers".into()));
         }
@@ -224,7 +200,7 @@ impl OverlayGraph {
 
     /// Returns true when every broker is reachable from broker 0 treating
     /// links as undirected.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         if self.brokers.is_empty() {
             return true;
         }
@@ -277,11 +253,10 @@ mod tests {
         assert_eq!(g.broker_count(), 3);
         assert_eq!(g.link_count(), 5);
         assert_eq!(g.broker(BrokerId::new(1)).layer, Some(1));
-        assert_eq!(
-            g.neighbors(BrokerId::new(0)),
-            vec![BrokerId::new(1), BrokerId::new(2)]
-        );
-        assert_eq!(g.neighbors(BrokerId::new(2)), vec![BrokerId::new(1)]);
+        let neighbors =
+            |b: u32| -> Vec<BrokerId> { g.outgoing(BrokerId::new(b)).map(|l| l.to).collect() };
+        assert_eq!(neighbors(0), vec![BrokerId::new(1), BrokerId::new(2)]);
+        assert_eq!(neighbors(2), vec![BrokerId::new(1)]);
         assert!(g.link_between(BrokerId::new(0), BrokerId::new(2)).is_some());
         assert!(g.link_between(BrokerId::new(2), BrokerId::new(0)).is_none());
         assert_eq!(g.outgoing(BrokerId::new(0)).count(), 2);
@@ -297,15 +272,6 @@ mod tests {
         assert_eq!(g.edge_brokers(), vec![BrokerId::new(2)]);
         assert!(g.broker(BrokerId::new(2)).is_edge());
         assert!(g.broker(BrokerId::new(0)).is_publisher_broker());
-        assert_eq!(
-            g.publisher_broker(PublisherId::new(0)),
-            Some(BrokerId::new(0))
-        );
-        assert_eq!(g.publisher_broker(PublisherId::new(9)), None);
-        assert_eq!(
-            g.subscriber_broker(SubscriberId::new(1)),
-            Some(BrokerId::new(2))
-        );
     }
 
     #[test]

@@ -16,13 +16,15 @@
 //!   `{(subscriber, filter, dl, pr, nb, NN_p, μ_p, σ_p²)}`, built over the
 //!   whole population: the table-level oracle sparse resolution is checked
 //!   against;
-//! * [`sparse`] — the table every broker holds ([`SparseTable`] over the
-//!   shared [`SharedPopulation`] registry): one route per remote
-//!   destination edge and nothing else — local rows are built from the
+//! * [`sparse`] — the table every broker holds
+//!   ([`SparseTable`](sparse::SparseTable) over the shared
+//!   [`SharedPopulation`](sparse::SharedPopulation) registry): one route per
+//!   remote destination edge and nothing else — local rows are built from the
 //!   registry — so per-broker state is independent of the population.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod graph;
 pub mod pathstats;
@@ -31,23 +33,7 @@ pub mod sparse;
 pub mod subtable;
 pub mod topology;
 
-pub use graph::{BrokerNode, OverlayGraph};
-pub use pathstats::PathStats;
-pub use routing::{RouteDelta, RouteEntry, Routing};
-pub use sparse::{
-    AggregateEntry, PopulationHandle, QosEnvelope, ResolvedEntry, SharedPopulation, SparseTable,
-};
-pub use subtable::{RetargetOutcome, SubTableEntry, SubscriptionTable};
-pub use topology::{LayeredMeshConfig, Topology};
-
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
-    pub use crate::graph::{BrokerNode, OverlayGraph};
-    pub use crate::pathstats::PathStats;
-    pub use crate::routing::{RouteDelta, RouteEntry, Routing};
-    pub use crate::sparse::{
-        PopulationHandle, QosEnvelope, ResolvedEntry, SharedPopulation, SparseTable,
-    };
-    pub use crate::subtable::{RetargetOutcome, SubTableEntry, SubscriptionTable};
-    pub use crate::topology::{LayeredMeshConfig, Topology};
+    pub use crate::sparse::{PopulationHandle, SharedPopulation, SparseTable};
 }

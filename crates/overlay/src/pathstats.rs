@@ -16,10 +16,10 @@ pub struct PathStats {
     /// The number of brokers that still have to process the message after the
     /// current one — the paper's `NN_p`. Equal to the number of links on the
     /// path (each link ends at a broker that runs the processing module).
-    pub downstream_brokers: u32,
+    pub(crate) downstream_brokers: u32,
     /// The distribution of the path's per-KB transmission rate in ms/KB —
     /// `TR_p ~ N(μ_p, σ_p²)`.
-    pub rate: Normal,
+    pub(crate) rate: Normal,
 }
 
 impl PathStats {
@@ -59,7 +59,7 @@ impl PathStats {
 
     /// The distribution of the *propagation delay* (ms) of a message of
     /// `size_kb` kilobytes along this path: `size · TR_p`.
-    pub fn propagation_delay_ms(&self, size_kb: f64) -> Normal {
+    pub(crate) fn propagation_delay_ms(&self, size_kb: f64) -> Normal {
         self.rate.scale(size_kb)
     }
 

@@ -20,11 +20,11 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteEntry {
     /// The neighbour to forward to (the paper's `nb`).
-    pub next_hop: BrokerId,
+    pub(crate) next_hop: BrokerId,
     /// The outgoing link towards that neighbour.
-    pub next_link: LinkId,
+    pub(crate) next_link: LinkId,
     /// Statistics of the whole remaining path to the destination.
-    pub stats: PathStats,
+    pub(crate) stats: PathStats,
 }
 
 /// All-pairs single-path routes.
@@ -74,14 +74,6 @@ impl RouteDelta {
             .get(source.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Iterates over every changed `(source, destination)` pair.
-    pub fn pairs(&self) -> impl Iterator<Item = (BrokerId, BrokerId)> + '_ {
-        self.per_source.iter().enumerate().flat_map(|(src, dests)| {
-            let src = BrokerId::new(src as u32);
-            dests.iter().map(move |&dest| (src, dest))
-        })
     }
 }
 
@@ -517,11 +509,6 @@ impl Routing {
         }
     }
 
-    /// Number of brokers the routing was computed for.
-    pub fn broker_count(&self) -> usize {
-        self.broker_count
-    }
-
     /// The route entry at `from` towards `to`; `None` when `from == to` or
     /// `to` is unreachable.
     pub fn route(&self, from: BrokerId, to: BrokerId) -> Option<&RouteEntry> {
@@ -722,7 +709,15 @@ mod tests {
                 }
             }
         }
-        let mut reported: Vec<(BrokerId, BrokerId)> = delta.pairs().collect();
+        let mut reported: Vec<(BrokerId, BrokerId)> = (0..g.broker_count() as u32)
+            .map(BrokerId::new)
+            .flat_map(|src| {
+                delta
+                    .changed_dests(src)
+                    .iter()
+                    .map(move |&dest| (src, dest))
+            })
+            .collect();
         reported.sort_unstable_by_key(|&(s, d)| (d, s));
         expected.sort_unstable_by_key(|&(s, d)| (d, s));
         assert_eq!(reported, expected, "delta must be exact");
@@ -819,7 +814,7 @@ mod tests {
         let mut dead: std::collections::HashSet<LinkId> = batch.into_iter().collect();
         let delta = update_and_check(&g, &mut routing, &dead, &batch, &[]);
         assert!(routing.route(b0, b2).is_none());
-        assert!(delta.pairs().any(|(s, d)| s == b0 && d == b2));
+        assert!(delta.changed_dests(b0).contains(&b2));
         // Restoring re-creates the entries bit-for-bit.
         dead.clear();
         update_and_check(&g, &mut routing, &dead, &[], &batch);

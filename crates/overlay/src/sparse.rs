@@ -18,7 +18,7 @@
 //!   the [`CoverForest`] (the covering set its publish-time summary is
 //!   built from) and its [`QosEnvelope`]. A row for a member
 //!   attached at the resolving broker carries no routed state, so it is
-//!   built from the registry record alone ([`ResolvedEntry::local`]).
+//!   built from the registry record alone (`ResolvedEntry::local`).
 //!
 //! Per-broker state is therefore `O(brokers)`, and every subscription is
 //! stored once instead of once per broker. A from-scratch
@@ -116,7 +116,7 @@ impl SlotTag {
 /// Real subscription ids never carry this bit — population generators mint
 /// ids sequentially from zero — so sentinel and member ids share the scope
 /// machinery without collision.
-pub const AGGREGATE_SCOPE_BIT: u32 = 1 << 31;
+pub(crate) const AGGREGATE_SCOPE_BIT: u32 = 1 << 31;
 
 /// The sentinel scope id standing for "every member attached at `dest`".
 /// Monotone in `dest`, so a scope built from ascending destinations is
@@ -153,7 +153,7 @@ pub struct QosEnvelope {
     /// Sum of member prices (saturating).
     pub earning_sum: Price,
     /// Number of members folded in.
-    pub members: usize,
+    pub(crate) members: usize,
 }
 
 impl QosEnvelope {
@@ -165,7 +165,7 @@ impl QosEnvelope {
     };
 
     /// Folds one member's QoS into the envelope.
-    pub fn fold(self, allowed_delay: Duration, price: Price) -> QosEnvelope {
+    pub(crate) fn fold(self, allowed_delay: Duration, price: Price) -> QosEnvelope {
         QosEnvelope {
             min_allowed_delay: self.min_allowed_delay.min(allowed_delay),
             earning_sum: self.earning_sum.saturating_add(price),
@@ -220,26 +220,15 @@ pub struct GroupCovers {
 }
 
 impl GroupCovers {
-    /// The covering forest over the members' filters.
-    pub fn forest(&self) -> &CoverForest {
-        &self.forest
-    }
-
-    /// The summary filters publish-time aggregate matching consults
-    /// (at most [`root_count`](CoverForest::root_count) of them).
-    pub fn summary(&self) -> &[Filter] {
-        &self.summary
-    }
-
     /// Returns true when some summary filter matches the head — the
     /// aggregate-level publish gate. Sound (no member match is missed);
     /// false positives are possible and bounded by the looseness gate.
-    pub fn summary_matches(&self, head: &MessageHead) -> bool {
+    pub(crate) fn summary_matches(&self, head: &MessageHead) -> bool {
         self.summary.iter().any(|f| f.matches(head))
     }
 
     /// The QoS envelope over the group's **current** members.
-    pub fn envelope(&self) -> QosEnvelope {
+    pub(crate) fn envelope(&self) -> QosEnvelope {
         self.qos_prefix
             .last()
             .copied()
@@ -374,7 +363,7 @@ impl EdgeGroup {
         self.covers.as_ref()
     }
 
-    /// The aggregate-level publish gate ([`GroupCovers::summary_matches`]).
+    /// The aggregate-level publish gate (`GroupCovers::summary_matches`).
     /// A group without covers cannot rule the head out, so it answers true:
     /// the gate stays sound, never a silent "no".
     pub fn summary_matches(&self, head: &MessageHead) -> bool {
@@ -393,7 +382,7 @@ impl EdgeGroup {
 /// [`without_covers`](Self::without_covers) keeps only those: a join or
 /// leave touches nothing else. Aggregate forwarding also reads every
 /// group's [`GroupCovers`] (covering forest, summary, QoS envelope), which
-/// [`from_population`](Self::from_population) and [`new`](Self::new) keep
+/// [`from_population`](Self::from_population) and `new` keep
 /// up to date on every membership change.
 #[derive(Debug, Clone)]
 pub struct SharedPopulation {
@@ -422,7 +411,7 @@ pub struct SharedPopulation {
 
 /// Default looseness bound for summary merges: a join may widen the
 /// estimated match probability by at most this much over its looser operand.
-pub const DEFAULT_COVER_LOOSENESS: f64 = 0.05;
+pub(crate) const DEFAULT_COVER_LOOSENESS: f64 = 0.05;
 
 impl Default for SharedPopulation {
     fn default() -> Self {
@@ -443,7 +432,7 @@ impl Default for SharedPopulation {
 
 impl SharedPopulation {
     /// Creates an empty registry that keeps covers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedPopulation::default()
     }
 
@@ -629,7 +618,7 @@ impl SharedPopulation {
     /// Holds the covering state to the member records: a registry that
     /// keeps covers has them on every group, one that does not on none, and
     /// every kept QoS envelope is *exactly* the fold over the group's
-    /// current members ([`scratch_envelope`](Self::scratch_envelope), an
+    /// current members (`scratch_envelope`, an
     /// independent derivation — not the prefix-fold machinery — so a
     /// prefix-maintenance bug cannot agree with it).
     pub fn audit_covers(&self) -> Result<(), String> {
@@ -668,7 +657,7 @@ impl SharedPopulation {
     /// [`GroupCovers::envelope_at`] exercise an independent derivation.
     /// Commutative folds (min / saturating sum) make the different iteration
     /// orders agree exactly.
-    pub fn scratch_envelope(&self, edge: BrokerId, epoch: u64) -> QosEnvelope {
+    pub(crate) fn scratch_envelope(&self, edge: BrokerId, epoch: u64) -> QosEnvelope {
         let Some(group) = self.by_edge.get(&edge) else {
             return QosEnvelope::EMPTY;
         };
@@ -697,7 +686,7 @@ impl SharedPopulation {
     /// membership pins the registry's full content. Covers are derived
     /// state and stay out, so a registry digests the same with or without
     /// them. Used by the model-checking explorer's state deduplication.
-    pub fn digest_into(&self, h: &mut impl std::hash::Hasher) {
+    pub(crate) fn digest_into(&self, h: &mut impl std::hash::Hasher) {
         h.write_u64(self.epoch);
         h.write_usize(self.by_edge.len());
         for (edge, group) in &self.by_edge {
@@ -715,7 +704,7 @@ impl SharedPopulation {
     }
 
     /// The membership digest as one `u64` (see
-    /// [`digest_into`](Self::digest_into)).
+    /// `digest_into`).
     pub fn state_digest(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -785,7 +774,7 @@ pub struct AggregateEntry {
     /// The neighbour matching messages are forwarded to (`nb`).
     pub next_hop: BrokerId,
     /// The outgoing link towards that neighbour.
-    pub next_link: LinkId,
+    pub(crate) next_link: LinkId,
     /// Statistics of the remaining path to the destination.
     pub stats: PathStats,
 }
@@ -823,7 +812,7 @@ pub struct ResolvedEntry {
     /// The neighbour to forward to, or `None` for local delivery.
     pub next_hop: Option<BrokerId>,
     /// The outgoing link towards the next hop, when remote.
-    pub next_link: Option<LinkId>,
+    pub(crate) next_link: Option<LinkId>,
     /// Statistics of the remaining path to the subscriber.
     pub stats: PathStats,
 }
@@ -845,7 +834,7 @@ impl ResolvedEntry {
 
     /// The row of a member attached at the resolving broker itself: no next
     /// hop, no link, the statistics of a zero-hop path.
-    pub fn local(record: &MemberRecord) -> Self {
+    pub(crate) fn local(record: &MemberRecord) -> Self {
         let sub = &record.subscription;
         ResolvedEntry {
             subscription: sub.id,
@@ -874,7 +863,7 @@ impl ResolvedEntry {
 /// The sparse table of one broker: one aggregate per reachable remote
 /// destination, and a handle to the shared registry. It stores no
 /// subscription: rows for members attached here are built from their
-/// registry records ([`ResolvedEntry::local`]).
+/// registry records (`ResolvedEntry::local`).
 #[derive(Debug, Clone)]
 pub struct SparseTable {
     broker: BrokerId,
@@ -1220,11 +1209,11 @@ mod tests {
                 .unwrap()
                 .covers()
                 .unwrap()
-                .forest()
+                .forest
                 .check_invariants()
                 .unwrap();
             // The narrow newcomer is covered by the wider resident filter.
-            assert_eq!(covers_at(&p, BrokerId::new(2)).forest().root_count(), 1);
+            assert_eq!(covers_at(&p, BrokerId::new(2)).forest.root_count(), 1);
             p.remove(SubscriptionId::new(0));
             assert_eq!(p.group(BrokerId::new(2)).unwrap().len(), 1);
             p.remove(SubscriptionId::new(2));
@@ -1275,8 +1264,8 @@ mod tests {
         assert_eq!(bulk.state_digest(), one_by_one.state_digest());
         for ((edge, a), (_, b)) in bulk.groups().zip(one_by_one.groups()) {
             let (a, b) = (a.covers().unwrap(), b.covers().unwrap());
-            assert_eq!(a.summary(), b.summary(), "summary at {edge}");
-            assert_eq!(a.forest().root_count(), b.forest().root_count());
+            assert_eq!(a.summary, b.summary, "summary at {edge}");
+            assert_eq!(a.forest.root_count(), b.forest.root_count());
             assert_eq!(a.envelope(), b.envelope(), "envelope at {edge}");
         }
     }
@@ -1604,8 +1593,8 @@ mod tests {
             );
         }
         let group = covers_at(&pop, BrokerId::new(0));
-        assert_eq!(group.forest().root_count(), 3);
-        assert_eq!(group.summary().len(), 2, "tight pair merges, wide stays");
+        assert_eq!(group.forest.root_count(), 3);
+        assert_eq!(group.summary.len(), 2, "tight pair merges, wide stays");
         // Soundness: any head matching a member matches the summary.
         for (_, f) in &members {
             for h in [
@@ -1622,10 +1611,10 @@ mod tests {
         // A strict gate (looseness 0) reproduces the covering set exactly.
         let mut group = group.clone();
         group.rebuild_summary(&SelectivityModel::paper_workload(), 0.0);
-        assert_eq!(group.summary().len(), group.forest().root_count());
+        assert_eq!(group.summary.len(), group.forest.root_count());
         // A fully permissive gate collapses the group to one envelope.
         group.rebuild_summary(&SelectivityModel::paper_workload(), 1.0);
-        assert_eq!(group.summary().len(), 1);
+        assert_eq!(group.summary.len(), 1);
     }
 
     #[test]

@@ -23,16 +23,16 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct SubTableEntry {
     /// The subscription (subscriber, filter, delay bound `dl`, price `pr`).
-    pub subscription: Subscription,
+    pub(crate) subscription: Subscription,
     /// The edge broker the subscriber attaches to.
-    pub edge_broker: BrokerId,
+    pub(crate) edge_broker: BrokerId,
     /// The neighbour to forward matching messages to (`nb`), or `None` when
     /// the subscriber is attached to this broker (local delivery).
-    pub next_hop: Option<BrokerId>,
+    pub(crate) next_hop: Option<BrokerId>,
     /// The outgoing link towards `next_hop`, when remote.
-    pub next_link: Option<LinkId>,
+    pub(crate) next_link: Option<LinkId>,
     /// Path statistics from this broker to the subscriber (`NN_p`, `μ_p`, `σ_p²`).
-    pub stats: PathStats,
+    pub(crate) stats: PathStats,
 }
 
 /// Counters of one incremental table patch
@@ -41,11 +41,11 @@ pub struct SubTableEntry {
 pub struct RetargetOutcome {
     /// Entries whose routed fields (next hop, link, path statistics) were
     /// rewritten in place.
-    pub retargeted: u64,
+    pub(crate) retargeted: u64,
     /// Entries inserted because their edge broker became reachable.
-    pub inserted: u64,
+    pub(crate) inserted: u64,
     /// Entries removed because their edge broker became unreachable.
-    pub removed: u64,
+    pub(crate) removed: u64,
 }
 
 impl RetargetOutcome {
@@ -65,32 +65,11 @@ impl RetargetOutcome {
 /// The subscription table of one broker.
 #[derive(Debug, Clone)]
 pub struct SubscriptionTable {
-    broker: BrokerId,
     entries: Vec<SubTableEntry>,
     by_id: HashMap<SubscriptionId, usize>,
 }
 
 impl SubscriptionTable {
-    /// The broker this table belongs to.
-    pub fn broker(&self) -> BrokerId {
-        self.broker
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns true when the table has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All entries.
-    pub fn entries(&self) -> &[SubTableEntry] {
-        &self.entries
-    }
-
     /// The entry for a subscription id, if present.
     pub fn entry(&self, id: SubscriptionId) -> Option<&SubTableEntry> {
         self.by_id.get(&id).map(|&i| &self.entries[i])
@@ -100,7 +79,7 @@ impl SubscriptionTable {
     /// at `edge`, consulting `routing` for remote subscribers. Returns `None`
     /// when the edge broker is currently unreachable (the subscription cannot
     /// be served from here until routing changes).
-    pub fn entry_for(
+    pub(crate) fn entry_for(
         broker: BrokerId,
         routing: &Routing,
         sub: &Subscription,
@@ -145,11 +124,7 @@ impl SubscriptionTable {
             .map(|(i, e)| (e.subscription.id, i))
             .collect();
         debug_assert_eq!(by_id.len(), entries.len(), "duplicate subscription ids");
-        SubscriptionTable {
-            broker,
-            entries,
-            by_id,
-        }
+        SubscriptionTable { entries, by_id }
     }
 }
 
@@ -204,8 +179,7 @@ mod tests {
     fn build_produces_paper_table_fields() {
         let (_topo, routing, subs) = line_setup();
         let table = SubscriptionTable::build(BrokerId::new(0), &routing, &subs);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.broker(), BrokerId::new(0));
+        assert_eq!(table.entries.len(), 2);
 
         let e0 = table.entry(SubscriptionId::new(0)).unwrap();
         assert_eq!(e0.next_hop, Some(BrokerId::new(1)));
@@ -260,7 +234,7 @@ mod tests {
             b,
         )];
         let table = SubscriptionTable::build(a, &routing, &subs);
-        assert!(table.is_empty());
+        assert!(table.entries.is_empty());
     }
 
     #[test]
@@ -287,11 +261,11 @@ mod tests {
         let tables: Vec<SubscriptionTable> = (0..topo.graph.broker_count())
             .map(|i| SubscriptionTable::build(BrokerId::new(i as u32), &routing, &subs))
             .collect();
-        for t in &tables {
-            assert_eq!(t.len(), 160, "broker {} table incomplete", t.broker());
+        for (broker, t) in tables.iter().enumerate() {
+            assert_eq!(t.entries.len(), 160, "broker {broker} table incomplete");
         }
         // First-layer brokers must route everything downstream (no local subscribers).
         let first_layer = &tables[0];
-        assert!(first_layer.entries().iter().all(|e| e.next_hop.is_some()));
+        assert!(first_layer.entries.iter().all(|e| e.next_hop.is_some()));
     }
 }

@@ -52,7 +52,7 @@ impl LayeredMeshConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.layer_sizes.is_empty() || self.layer_sizes.contains(&0) {
             return Err(BdpsError::InvalidConfig(
                 "every layer must contain at least one broker".into(),
@@ -314,14 +314,6 @@ impl Topology {
         }
     }
 
-    /// The broker a subscriber attaches to.
-    pub fn subscriber_broker(&self, s: SubscriberId) -> Option<BrokerId> {
-        self.subscribers
-            .iter()
-            .find(|(id, _)| *id == s)
-            .map(|(_, b)| *b)
-    }
-
     /// The broker a publisher attaches to.
     pub fn publisher_broker(&self, p: PublisherId) -> Option<BrokerId> {
         self.publishers
@@ -445,16 +437,13 @@ mod tests {
         assert_eq!(line.graph.link_count(), 8);
         let star = Topology::star(6, &mut rng, fixed_quality);
         assert_eq!(star.graph.broker_count(), 6);
-        assert_eq!(star.graph.neighbors(BrokerId::new(0)).len(), 5);
+        assert_eq!(star.graph.outgoing(BrokerId::new(0)).count(), 5);
     }
 
     #[test]
     fn attachment_lookup() {
         let mut rng = SimRng::seed_from(6);
         let topo = Topology::paper_topology(&mut rng);
-        let (s, b) = topo.subscribers[42];
-        assert_eq!(topo.subscriber_broker(s), Some(b));
-        assert_eq!(topo.subscriber_broker(SubscriberId::new(9_999)), None);
         let (p, pb) = topo.publishers[2];
         assert_eq!(topo.publisher_broker(p), Some(pb));
     }

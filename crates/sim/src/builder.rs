@@ -1,40 +1,4 @@
 //! The fluent experiment builder.
-//!
-//! [`SimulationBuilder`] is the one way to assemble a run — topology,
-//! workload, strategy, seed — with sensible paper defaults for everything
-//! left unsaid:
-//!
-//! ```no_run
-//! use bdps_sim::engine::Simulation;
-//! use bdps_core::config::StrategyKind;
-//! use bdps_types::time::Duration;
-//!
-//! let outcome = Simulation::builder()
-//!     .ssd(10.0)
-//!     .duration(Duration::from_secs(600))
-//!     .strategy(StrategyKind::MaxEb)
-//!     .seed(42)
-//!     .run();
-//! println!("delivery rate: {:.1} %", outcome.delivery_rate_percent());
-//! ```
-//!
-//! The builder is also the only way to *make* a [`Simulation`]:
-//! [`try_build`](SimulationBuilder::try_build) validates the whole
-//! configuration — workload, scheduler, mesh, the scenario processes'
-//! parameters and every materialised scenario event —
-//! and returns either a complete simulation or a [`SimError`];
-//! [`try_run`](SimulationBuilder::try_run) also runs it on the
-//! sequential loop.
-//! [`build`](SimulationBuilder::build) and
-//! [`run`](SimulationBuilder::run) are the same calls for callers who
-//! would rather panic, and
-//! [`try_build_on`](SimulationBuilder::try_build_on) takes a hand-made
-//! [`Topology`] in place of the [`TopologySpec`].
-//!
-//! A builder is the whole description of a run: a
-//! [`sweep`](crate::runner::sweep) cell carries one, and the sharded
-//! executor takes what it builds
-//! (`try_run_sharded(builder.try_build()?, n)`, see [`crate::shard`]).
 
 use bdps_core::config::{InvalidDetection, SchedulerConfig};
 use bdps_core::strategy::StrategyHandle;
@@ -70,9 +34,44 @@ pub enum TableLayout {
 /// Fluent construction of one simulation run.
 ///
 /// Every setter returns `self`, so experiments read as a single chained
-/// expression; see the [module docs](self) for an example. Defaults: the
-/// paper topology, the PSD workload at rate 10, the EB strategy with the
-/// paper's scheduler settings, seed 0.
+/// expression. Defaults: the paper topology, the PSD workload at rate 10,
+/// the EB strategy with the paper's scheduler settings, seed 0.
+///
+/// [`SimulationBuilder`] is the one way to assemble a run — topology,
+/// workload, strategy, seed — with sensible paper defaults for everything
+/// left unsaid:
+///
+/// ```no_run
+/// use bdps_sim::engine::Simulation;
+/// use bdps_core::config::StrategyKind;
+/// use bdps_types::time::Duration;
+///
+/// let outcome = Simulation::builder()
+///     .ssd(10.0)
+///     .duration(Duration::from_secs(600))
+///     .strategy(StrategyKind::MaxEb)
+///     .seed(42)
+///     .run();
+/// println!("delivery rate: {:.1} %", outcome.delivery_rate_percent());
+/// ```
+///
+/// The builder is also the only way to *make* a [`Simulation`]:
+/// [`try_build`](SimulationBuilder::try_build) validates the whole
+/// configuration — workload, scheduler, mesh, the scenario processes'
+/// parameters and every materialised scenario event —
+/// and returns either a complete simulation or a [`SimError`];
+/// [`try_run`](SimulationBuilder::try_run) also runs it on the
+/// sequential loop.
+/// [`build`](SimulationBuilder::build) and
+/// [`run`](SimulationBuilder::run) are the same calls for callers who
+/// would rather panic, and
+/// [`try_build_on`](SimulationBuilder::try_build_on) takes a hand-made
+/// [`Topology`] in place of the [`TopologySpec`].
+///
+/// A builder is the whole description of a run: a
+/// [`sweep`](crate::runner::sweep) cell carries one, and the sharded
+/// executor takes what it builds
+/// (`try_run_sharded(builder.try_build()?, n)`, see [`crate::shard`]).
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     /// The run as the setters left it; [`build_config`](Self::build_config)
@@ -111,7 +110,7 @@ impl Default for SimulationBuilder {
 
 impl SimulationBuilder {
     /// Starts from the paper defaults (equivalent to `Simulation::builder()`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SimulationBuilder::default()
     }
 
@@ -158,15 +157,6 @@ impl SimulationBuilder {
     pub fn strategy(mut self, strategy: impl Into<StrategyHandle>) -> Self {
         self.config.scheduler.strategy = strategy.into();
         self
-    }
-
-    /// Resolves a strategy by name through [`StrategyHandle::from_name`]
-    /// (`"fifo"`, `"rl"`, `"eb"`, `"pc"`, `"ebpc"`, `"composite"`, their
-    /// aliases or display labels).
-    pub fn strategy_named(self, name: &str) -> Result<Self> {
-        let strategy = StrategyHandle::from_name(name)
-            .ok_or_else(|| BdpsError::unknown_name("strategy", name, &StrategyHandle::NAMES))?;
-        Ok(self.strategy(strategy))
     }
 
     /// Sets the EBPC weight `r` (eq. 10).
@@ -386,21 +376,6 @@ mod tests {
             .workload(WorkloadConfig::paper_ssd(10.0))
             .build_config();
         assert_eq!(own.workload.duration, Duration::from_secs(2 * 3600));
-    }
-
-    #[test]
-    fn strategy_named_resolves_and_rejects() {
-        let b = Simulation::builder().strategy_named("rl").unwrap();
-        assert_eq!(
-            b.build_config().scheduler.strategy,
-            StrategyKind::RemainingLifetime
-        );
-        assert!(Simulation::builder().strategy_named("bogus").is_err());
-        let composite = Simulation::builder().strategy_named("composite").unwrap();
-        assert_eq!(
-            composite.build_config().scheduler.strategy.label(),
-            "COMPOSITE"
-        );
     }
 
     #[test]

@@ -27,7 +27,6 @@ use bdps_core::config::SchedulerConfig;
 use bdps_core::objective::ObjectiveTracker;
 use bdps_filter::subscription::Subscription;
 use bdps_net::link::{LinkQuality, MIN_RATE_MS_PER_KB};
-use bdps_net::linkmodel::LinkModelKind;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{read_population, SparseTable};
 use bdps_overlay::topology::Topology;
@@ -302,16 +301,6 @@ impl Simulation {
             sim.core.schedule_next_publication(&sim.shared, publisher);
         }
         Ok(sim)
-    }
-
-    /// The link model this run uses.
-    pub fn link_model(&self) -> LinkModelKind {
-        self.shared.link_model
-    }
-
-    /// The forwarding mode this run uses.
-    pub fn forwarding(&self) -> ForwardingMode {
-        self.shared.forwarding.mode()
     }
 
     /// The objective bookkeeping accumulated so far — the mid-run view the

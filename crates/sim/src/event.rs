@@ -182,7 +182,7 @@ pub enum Arrival {
 
 impl Arrival {
     /// The message that arrived.
-    pub fn message(&self) -> &Arc<Message> {
+    pub(crate) fn message(&self) -> &Arc<Message> {
         match self {
             Arrival::Published { message, .. } => message,
             Arrival::Forwarded(copy) => &copy.message,

@@ -31,11 +31,11 @@ pub struct PhaseOutcome {
     /// Late local deliveries during the phase.
     pub late: u64,
     /// Copies dropped during the phase (expired, unlikely or unsubscribed).
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Link transmissions started during the phase.
     pub transmissions: u64,
     /// End-to-end delays of on-time deliveries in the phase (ms).
-    pub delays_ms: Summary,
+    pub(crate) delays_ms: Summary,
 }
 
 impl PhaseOutcome {
@@ -54,12 +54,12 @@ impl PhaseOutcome {
     }
 
     /// Phase start, in seconds of simulated time.
-    pub fn start_s(&self) -> f64 {
+    pub(crate) fn start_s(&self) -> f64 {
         self.start.as_secs_f64()
     }
 
     /// Phase end, in seconds of simulated time.
-    pub fn end_s(&self) -> f64 {
+    pub(crate) fn end_s(&self) -> f64 {
         self.end.as_secs_f64()
     }
 
@@ -72,7 +72,7 @@ impl PhaseOutcome {
     /// 95th-percentile delay of the phase's on-time deliveries in ms: 0, not
     /// NaN, for a phase that delivered nothing.
     pub fn p95_valid_delay_ms(&self) -> f64 {
-        self.delays_ms.clone().try_quantile(0.95).unwrap_or(0.0)
+        self.delays_ms.try_quantile(0.95).unwrap_or(0.0)
     }
 }
 
@@ -85,7 +85,7 @@ pub struct LinkLoad {
     /// Transfers started on this link.
     pub transmissions: u64,
     /// Transfers whose copy reached the downstream broker.
-    pub completed_transfers: u64,
+    pub(crate) completed_transfers: u64,
     /// Microseconds the link spent with at least one transfer in flight.
     /// Utilisation = `busy_us` / run duration; a saturated link stays busy
     /// (almost) the whole run.
@@ -168,7 +168,7 @@ pub struct SimulationOutcome {
     /// The paper's objective bookkeeping (delivery rate, earning).
     pub tracker: ObjectiveTracker,
     /// Per-broker counters, indexed by broker id.
-    pub broker_counters: Vec<BrokerCounters>,
+    pub(crate) broker_counters: Vec<BrokerCounters>,
     /// Number of messages published.
     pub published: u64,
     /// Number of link transmissions started.
@@ -321,7 +321,7 @@ impl SimulationOutcome {
     }
 
     /// Total copies handed to links.
-    pub fn sent(&self) -> u64 {
+    pub(crate) fn sent(&self) -> u64 {
         self.broker_counters.iter().map(|c| c.sent).sum()
     }
 
@@ -420,7 +420,7 @@ pub enum ConservationBalance {
 
 impl ConservationBalance {
     /// Stable report name (`"queue"` / `"transfer"`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ConservationBalance::Queue => "queue",
             ConservationBalance::Transfer => "transfer",
@@ -434,14 +434,14 @@ impl ConservationBalance {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConservationViolation {
     /// Which balance broke.
-    pub balance: ConservationBalance,
+    pub(crate) balance: ConservationBalance,
     /// The insertion side of the balance (what went in / started).
-    pub inserted: u64,
+    pub(crate) inserted: u64,
     /// The removal side of the balance (where every copy must be accounted).
-    pub removed: u64,
+    pub(crate) removed: u64,
     /// Every counter contributing to the balance, by name — the full
     /// breakdown, so a report never needs re-deriving from the outcome.
-    pub terms: Vec<(&'static str, u64)>,
+    pub(crate) terms: Vec<(&'static str, u64)>,
 }
 
 impl fmt::Display for ConservationViolation {
@@ -468,9 +468,9 @@ impl fmt::Display for ConservationViolation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DuplicateDeliveryViolation {
     /// Total duplicate deliveries recorded.
-    pub count: u64,
+    pub(crate) count: u64,
     /// The first few offending (message, subscriber) pairs.
-    pub samples: Vec<(MessageId, SubscriberId)>,
+    pub(crate) samples: Vec<(MessageId, SubscriberId)>,
 }
 
 impl fmt::Display for DuplicateDeliveryViolation {

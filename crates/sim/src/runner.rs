@@ -36,7 +36,7 @@ pub enum TopologySpec {
 impl TopologySpec {
     /// Materialises the topology with randomness drawn from `rng`; a
     /// malformed mesh configuration is an error.
-    pub fn try_build(&self, rng: &mut SimRng) -> Result<Topology> {
+    pub(crate) fn try_build(&self, rng: &mut SimRng) -> Result<Topology> {
         match self {
             TopologySpec::Paper => Ok(Topology::paper_topology(rng)),
             TopologySpec::LayeredMesh(cfg) => {
@@ -45,7 +45,7 @@ impl TopologySpec {
         }
     }
 
-    /// [`try_build`](Self::try_build), panicking on a malformed mesh
+    /// `try_build`, panicking on a malformed mesh
     /// configuration.
     pub fn build(&self, rng: &mut SimRng) -> Topology {
         self.try_build(rng).unwrap_or_else(|e| panic!("{e}"))
@@ -221,6 +221,8 @@ mod tests {
         let rate = outcome.tracker.delivery_rate();
         assert!((0.0..=1.0).contains(&rate));
         assert!(outcome.message_number() >= outcome.published);
+        // Reading a delay quantile leaves the outcome as it was.
+        assert!(outcome.valid_delays_ms.try_quantile(0.95).is_some());
         // Deterministic.
         let again = builder.run();
         assert_eq!(outcome.replay_state(), again.replay_state());

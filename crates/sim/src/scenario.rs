@@ -5,7 +5,7 @@
 //! Real deployments are dominated by exactly the opposite: subscribers come
 //! and go, publishers burst, links fail and recover. A [`DynamicScenario`]
 //! describes those dynamics declaratively; before the run starts it is
-//! [materialised](DynamicScenario::materialize) into a concrete, sorted
+//! materialised into a concrete, sorted
 //! stream of [`ScenarioEvent`]s using an RNG stream derived from the run's
 //! root seed, so a scenario run replays **bit-for-bit** for the same seed.
 //!
@@ -96,7 +96,7 @@ impl ScenarioAction {
     /// state digests by the model-checking explorer (`join:f3@b1`,
     /// `leave:f3`, `rate:p0:2`, `rate:all:0.5`, `link-down:l2`, `link-up:l2`,
     /// `phase:<label>`).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             ScenarioAction::SubscriptionJoin {
                 subscription,
@@ -169,7 +169,7 @@ pub(crate) fn validate_events(events: &[ScenarioEvent], graph: &OverlayGraph) ->
 ///
 /// The default scenario is **static** — no events, matching the paper's
 /// evaluation exactly. Explicit events and stochastic processes compose
-/// freely; everything is expanded by [`materialize`](Self::materialize)
+/// freely; everything is expanded by `materialize`
 /// before the run starts, so the same `(scenario, topology, workload, seed)`
 /// quadruple always yields the same event stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,13 +179,13 @@ pub struct DynamicScenario {
     /// Explicit, hand-placed events.
     pub events: Vec<ScenarioEvent>,
     /// Subscription churn process, if any.
-    pub churn: Option<ChurnConfig>,
+    pub(crate) churn: Option<ChurnConfig>,
     /// Publisher burst (MMPP) process, if any.
-    pub bursts: Option<BurstConfig>,
+    pub(crate) bursts: Option<BurstConfig>,
     /// Random link failure process, if any.
-    pub link_failures: Option<LinkFailureConfig>,
+    pub(crate) link_failures: Option<LinkFailureConfig>,
     /// Explicit all-links-down windows.
-    pub blackouts: Vec<BlackoutWindow>,
+    pub(crate) blackouts: Vec<BlackoutWindow>,
 }
 
 impl Default for DynamicScenario {
@@ -314,7 +314,7 @@ impl DynamicScenario {
     /// outage at t = 0). Every float must be finite; the means the samplers
     /// divide by must be positive, rates and the burst multiplier
     /// non-negative, blackout fractions in [0, 1].
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         type Range = (&'static str, fn(f64) -> bool);
         const POSITIVE: Range = ("positive and finite", |x| x > 0.0 && x.is_finite());
         const NON_NEGATIVE: Range = ("non-negative and finite", |x| x >= 0.0 && x.is_finite());
@@ -369,7 +369,7 @@ impl DynamicScenario {
     /// root seed, which is what makes scenario runs replayable. Subscription
     /// ids for churn joins are allocated densely above the initial population
     /// (`topology.subscribers.len()`), matching the engine's numbering.
-    pub fn materialize(
+    pub(crate) fn materialize(
         &self,
         topology: &Topology,
         workload: &WorkloadConfig,

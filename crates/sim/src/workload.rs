@@ -90,7 +90,7 @@ impl WorkloadConfig {
     }
 
     /// Validates the workload.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.publishing_rate_per_min < 0.0 || !self.publishing_rate_per_min.is_finite() {
             return Err(BdpsError::InvalidConfig(
                 "publishing rate must be non-negative".into(),
@@ -105,7 +105,7 @@ impl WorkloadConfig {
     }
 
     /// Generates a message head with uniformly drawn values of `A1` and `A2`.
-    pub fn generate_head(&self, rng: &mut SimRng) -> MessageHead {
+    pub(crate) fn generate_head(&self, rng: &mut SimRng) -> MessageHead {
         let mut head = MessageHead::with_capacity(2);
         for name in ["A1", "A2"] {
             head.set(
@@ -116,15 +116,17 @@ impl WorkloadConfig {
         head
     }
 
-    /// Generates one message published at `publish_time` by `publisher`.
+    /// Generates one message published at `publish_time`. The message id
+    /// already names its publisher; the unused `_publisher` is kept because
+    /// the benchmark harness calls this signature (ROADMAP item 1d).
     pub fn generate_message(
         &self,
         id: MessageId,
-        publisher: PublisherId,
+        _publisher: PublisherId,
         publish_time: SimTime,
         rng: &mut SimRng,
     ) -> Message {
-        let mut builder = Message::builder(id, publisher)
+        let mut builder = Message::builder(id)
             .publish_time(publish_time)
             .size_kb(self.message_size_kb)
             .head(self.generate_head(rng));
@@ -172,7 +174,7 @@ impl WorkloadConfig {
     /// scaled by `multiplier` — the hook dynamic scenarios use to model
     /// bursts (multiplier > 1) and lulls or pauses (multiplier in [0, 1)).
     /// A zero effective rate yields `None` (the publisher is silent).
-    pub fn next_publication_gap_scaled(
+    pub(crate) fn next_publication_gap_scaled(
         &self,
         multiplier: f64,
         rng: &mut SimRng,
@@ -199,7 +201,7 @@ pub struct ChurnConfig {
 
 impl ChurnConfig {
     /// A moderate churn level: one join and one leave per minute.
-    pub fn moderate() -> Self {
+    pub(crate) fn moderate() -> Self {
         ChurnConfig {
             joins_per_min: 1.0,
             leaves_per_min: 1.0,
@@ -210,7 +212,11 @@ impl ChurnConfig {
     /// per minute over `[0, horizon)`, delegating to the workspace's one
     /// Poisson implementation
     /// ([`PoissonArrivals`]).
-    pub fn poisson_instants(per_min: f64, horizon: Duration, rng: &mut SimRng) -> Vec<Duration> {
+    pub(crate) fn poisson_instants(
+        per_min: f64,
+        horizon: Duration,
+        rng: &mut SimRng,
+    ) -> Vec<Duration> {
         if per_min <= 0.0 || !per_min.is_finite() {
             return Vec::new();
         }
@@ -239,7 +245,7 @@ pub struct BurstConfig {
 impl BurstConfig {
     /// A flash-crowd profile: five-minute calm stretches interrupted by
     /// one-minute bursts at four times the base rate.
-    pub fn flash_crowd() -> Self {
+    pub(crate) fn flash_crowd() -> Self {
         BurstConfig {
             mean_calm_secs: 300.0,
             mean_burst_secs: 60.0,
@@ -249,7 +255,11 @@ impl BurstConfig {
 
     /// Samples the alternating `(burst_start, burst_end)` windows over
     /// `[0, horizon)`, starting in the calm state.
-    pub fn sample_windows(&self, horizon: Duration, rng: &mut SimRng) -> Vec<(Duration, Duration)> {
+    pub(crate) fn sample_windows(
+        &self,
+        horizon: Duration,
+        rng: &mut SimRng,
+    ) -> Vec<(Duration, Duration)> {
         let mut windows = Vec::new();
         if self.mean_calm_secs <= 0.0 || self.mean_burst_secs <= 0.0 {
             return windows;
@@ -294,7 +304,7 @@ impl LinkFailureConfig {
     /// A link-flap storm: a failure every two seconds, ~five seconds down,
     /// so outages overlap and routing is in near-constant flux. The
     /// scenario that makes the rebuild path the bottleneck.
-    pub fn storm() -> Self {
+    pub(crate) fn storm() -> Self {
         LinkFailureConfig {
             mean_time_between_failures_secs: 2.0,
             mean_downtime_secs: 5.0,
@@ -303,7 +313,11 @@ impl LinkFailureConfig {
 
     /// Samples `(failure_start, recovery)` windows over `[0, horizon)`.
     /// Windows may overlap — concurrent failures of different links.
-    pub fn sample_windows(&self, horizon: Duration, rng: &mut SimRng) -> Vec<(Duration, Duration)> {
+    pub(crate) fn sample_windows(
+        &self,
+        horizon: Duration,
+        rng: &mut SimRng,
+    ) -> Vec<(Duration, Duration)> {
         let mut windows = Vec::new();
         if self.mean_time_between_failures_secs <= 0.0 || self.mean_downtime_secs <= 0.0 {
             return windows;
@@ -338,7 +352,7 @@ pub struct BlackoutWindow {
 
 impl BlackoutWindow {
     /// Resolves the window to absolute simulation times.
-    pub fn resolve(&self, horizon: Duration) -> (Duration, Duration) {
+    pub(crate) fn resolve(&self, horizon: Duration) -> (Duration, Duration) {
         let start = horizon.mul_f64(self.start_frac.clamp(0.0, 1.0));
         let end = horizon.mul_f64((self.start_frac + self.duration_frac).clamp(0.0, 1.0));
         (start, end.max(start))

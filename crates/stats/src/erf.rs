@@ -1,24 +1,19 @@
-//! Error function, complementary error function and the inverse error
-//! function.
+//! The complementary error function.
 //!
 //! The normal CDF — the quantity the EB metric evaluates for every queued
-//! message — reduces to `erf`. The standard library does not provide it, so
+//! message — reduces to `erfc`. The standard library does not provide it, so
 //! we implement the high-accuracy rational approximation of W. J. Cody
 //! (as popularised by Numerical Recipes' `erfc` routine), giving roughly
 //! 1e-12 relative accuracy over the whole real line, far tighter than the
 //! model noise of the simulation.
 
-/// The error function `erf(x) = 2/√π ∫₀ˣ e^(−t²) dt`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
-/// The complementary error function `erfc(x) = 1 − erf(x)`.
+/// The complementary error function `erfc(x) = 1 − erf(x)`, where
+/// `erf(x) = 2/√π ∫₀ˣ e^(−t²) dt`.
 ///
 /// Uses a Chebyshev-fitted rational approximation on `t = 2/(2+|x|)`
 /// (Numerical Recipes, `erfcc`), then exploits the symmetry
 /// `erfc(−x) = 2 − erfc(x)`. A NaN argument gives NaN.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     erfc_lanes([x])[0]
 }
 
@@ -30,7 +25,7 @@ pub fn erfc(x: f64) -> f64 {
 /// lockstep fills those waits with the other lanes' work; every lane still
 /// performs the same IEEE operations in the same order as `erfc`, which is
 /// the `N = 1` instance of this kernel.
-pub fn erfc_lanes<const N: usize>(x: [f64; N]) -> [f64; N] {
+pub(crate) fn erfc_lanes<const N: usize>(x: [f64; N]) -> [f64; N] {
     let z = x.map(f64::abs);
     let t = z.map(|z| 2.0 / (2.0 + z));
     let ty = t.map(|t| 4.0 * t - 2.0);
@@ -86,50 +81,12 @@ pub fn erfc_lanes<const N: usize>(x: [f64; N]) -> [f64; N] {
     })
 }
 
-/// The inverse error function: `inverse_erf(erf(x)) == x` for `x` in (−1, 1).
-///
-/// Uses the initial approximation of Giles (2012) refined by two steps of
-/// Newton's method on `erf`, which brings the result to full double
-/// precision for arguments away from ±1.
-pub fn inverse_erf(p: f64) -> f64 {
-    if p.is_nan() {
-        return f64::NAN;
-    }
-    if p >= 1.0 {
-        return f64::INFINITY;
-    }
-    if p <= -1.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 0.0 {
-        return 0.0;
-    }
-
-    // Initial guess: Winitzki's approximation.
-    let a = 0.147f64;
-    let ln_term = (1.0 - p * p).ln();
-    let first = 2.0 / (std::f64::consts::PI * a) + ln_term / 2.0;
-    let mut x = (p.signum()) * ((first * first - ln_term / a).sqrt() - first).sqrt();
-
-    // Two Newton refinement steps: f(x) = erf(x) - p, f'(x) = 2/sqrt(pi) e^{-x^2}.
-    let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
-    for _ in 0..2 {
-        let err = erf(x) - p;
-        let deriv = two_over_sqrt_pi * (-x * x).exp();
-        if deriv.abs() < f64::MIN_POSITIVE {
-            break;
-        }
-        x -= err / deriv;
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
 
-    /// Reference values computed with mpmath (50 digits).
+    /// Reference values of `erf`, computed with mpmath (50 digits).
     const ERF_TABLE: &[(f64, f64)] = &[
         (0.0, 0.0),
         (0.1, 0.1124629160182849),
@@ -143,9 +100,9 @@ mod tests {
     ];
 
     #[test]
-    fn erf_matches_reference_values() {
+    fn erfc_matches_reference_values() {
         for &(x, expected) in ERF_TABLE {
-            let got = erf(x);
+            let got = 1.0 - erfc(x);
             assert!(
                 (got - expected).abs() < 1e-10,
                 "erf({x}) = {got}, expected {expected}"
@@ -182,13 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn erfc_is_complement() {
-        for x in [-3.0, -1.0, -0.2, 0.0, 0.4, 1.3, 2.7] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12, "x = {x}");
-        }
-    }
-
-    #[test]
     fn erfc_symmetry() {
         for x in [0.3, 1.1, 2.5] {
             assert!((erfc(-x) - (2.0 - erfc(x))).abs() < 1e-12);
@@ -200,30 +150,14 @@ mod tests {
         assert!(erfc(10.0) < 1e-40);
         assert!(erfc(10.0) > 0.0);
         assert!((erfc(-10.0) - 2.0).abs() < 1e-15);
+        assert!(erfc(f64::NAN).is_nan());
     }
 
     #[test]
-    fn inverse_erf_round_trips() {
-        for p in [-0.999, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.999] {
-            let x = inverse_erf(p);
-            assert!((erf(x) - p).abs() < 1e-10, "p = {p}, x = {x}");
-        }
-    }
-
-    #[test]
-    fn inverse_erf_edge_cases() {
-        assert_eq!(inverse_erf(1.0), f64::INFINITY);
-        assert_eq!(inverse_erf(-1.0), f64::NEG_INFINITY);
-        assert_eq!(inverse_erf(0.0), 0.0);
-        assert!(erf(f64::NAN).is_nan());
-        assert!(inverse_erf(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn erf_is_monotone() {
+    fn erfc_is_monotone() {
         let xs: Vec<f64> = (-40..=40).map(|i| i as f64 * 0.1).collect();
         for w in xs.windows(2) {
-            assert!(erf(w[0]) <= erf(w[1]));
+            assert!(erfc(w[0]) >= erfc(w[1]));
         }
     }
 }

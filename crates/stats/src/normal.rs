@@ -6,9 +6,9 @@
 //! the distribution of a whole path: `TR_p ~ N(Σμ_i, Σσ_i²)` (§3.2). The
 //! success probability of a message (eq. 5) is a normal CDF evaluation.
 
-use crate::erf::{erfc, erfc_lanes, inverse_erf};
+use crate::erf::{erfc, erfc_lanes};
 use crate::rng::SimRng;
-use std::f64::consts::{PI, SQRT_2};
+use std::f64::consts::SQRT_2;
 
 /// Where `0.5·(1 + erf(z))` stops moving: for an erf argument `z ≥ 6` the
 /// formula rounds to exactly 1.0 and for `z ≤ −6` to exactly 0.0 (on a 1e-5
@@ -39,17 +39,6 @@ impl Normal {
         Normal { mean, std_dev }
     }
 
-    /// The standard normal distribution `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal::new(0.0, 1.0)
-    }
-
-    /// Creates a normal distribution from mean and variance.
-    pub fn from_mean_variance(mean: f64, variance: f64) -> Self {
-        assert!(variance >= 0.0, "variance must be non-negative");
-        Normal::new(mean, variance.sqrt())
-    }
-
     /// The mean of the distribution.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -63,15 +52,6 @@ impl Normal {
     /// The variance of the distribution.
     pub fn variance(&self) -> f64 {
         self.std_dev * self.std_dev
-    }
-
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.std_dev == 0.0 {
-            return if x == self.mean { f64::INFINITY } else { 0.0 };
-        }
-        let z = (x - self.mean) / self.std_dev;
-        (-0.5 * z * z).exp() / (self.std_dev * (2.0 * PI).sqrt())
     }
 
     /// Cumulative distribution function `P(X ≤ x)`.
@@ -99,20 +79,8 @@ impl Normal {
         }
     }
 
-    /// Quantile (inverse CDF): the `p`-quantile of the distribution.
-    ///
-    /// `p` outside `[0, 1]` is clamped. `p = 0` and `p = 1` map to −∞/+∞ for
-    /// non-degenerate distributions.
-    pub fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        if self.std_dev == 0.0 {
-            return self.mean;
-        }
-        self.mean + self.std_dev * SQRT_2 * inverse_erf(2.0 * p - 1.0)
-    }
-
     /// Draws one sample using the Box–Muller transform.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         if self.std_dev == 0.0 {
             return self.mean;
         }
@@ -141,7 +109,8 @@ impl Normal {
 
     /// The distribution of the sum of two *independent* normal variables.
     pub fn add_independent(&self, other: &Normal) -> Normal {
-        Normal::from_mean_variance(self.mean + other.mean, self.variance() + other.variance())
+        let variance = self.variance() + other.variance();
+        Normal::new(self.mean + other.mean, variance.sqrt())
     }
 
     /// The distribution of `c · X` for a non-negative constant `c`
@@ -154,18 +123,6 @@ impl Normal {
     /// The distribution of `X + c` for a constant shift `c`.
     pub fn shift(&self, c: f64) -> Normal {
         Normal::new(self.mean + c, self.std_dev)
-    }
-
-    /// Sums a sequence of independent normals; the empty sum is the
-    /// degenerate distribution at zero.
-    pub fn sum<'a>(terms: impl IntoIterator<Item = &'a Normal>) -> Normal {
-        let mut mean = 0.0;
-        let mut var = 0.0;
-        for t in terms {
-            mean += t.mean;
-            var += t.variance();
-        }
-        Normal::from_mean_variance(mean, var)
     }
 }
 
@@ -227,11 +184,16 @@ mod tests {
 
     #[test]
     fn standard_normal_cdf_reference_points() {
-        let n = Normal::standard();
+        let n = Normal::new(0.0, 1.0);
         assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
         assert!((n.cdf(1.0) - 0.8413447460685429).abs() < 1e-10);
         assert!((n.cdf(-1.0) - 0.15865525393145707).abs() < 1e-10);
         assert!((n.cdf(1.959963984540054) - 0.975).abs() < 1e-9);
+        // Shifted and scaled: the same points in units of σ around μ.
+        let shifted = Normal::new(-2.0, 0.7);
+        assert!((shifted.cdf(-2.0) - 0.5).abs() < 1e-12);
+        assert!((shifted.cdf(-2.0 + 0.7 * 1.959963984540054) - 0.975).abs() < 1e-9);
+        assert!((shifted.cdf(-2.0 - 0.7) - 0.15865525393145707).abs() < 1e-10);
     }
 
     /// The saturated tails are the unguarded formula's own values: on a
@@ -240,7 +202,8 @@ mod tests {
     #[test]
     fn cdf_equals_the_unguarded_formula_in_both_tails() {
         let n = Normal::new(3.0, 1.5);
-        let unguarded = |z: f64| 0.5 * (1.0 + crate::erf::erf(z));
+        // erf(z) = 1 − erfc(z), as the unguarded formula always took it.
+        let unguarded = |z: f64| 0.5 * (1.0 + (1.0 - erfc(z)));
         let x_of = |z: f64| 3.0 + z * (1.5 * SQRT_2);
         for i in 0..=345_000 {
             let z = 5.5 + i as f64 * 1e-4;
@@ -293,36 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn pdf_integrates_to_one() {
-        let n = Normal::new(3.0, 2.0);
-        // Trapezoidal integration over +-8 sigma.
-        let steps = 20_000;
-        let lo = 3.0 - 16.0;
-        let hi = 3.0 + 16.0;
-        let h = (hi - lo) / steps as f64;
-        let mut area = 0.0;
-        for i in 0..steps {
-            let x0 = lo + i as f64 * h;
-            area += 0.5 * (n.pdf(x0) + n.pdf(x0 + h)) * h;
-        }
-        assert!((area - 1.0).abs() < 1e-6, "area = {area}");
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        let n = Normal::new(-2.0, 0.7);
-        for p in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-            let x = n.quantile(p);
-            assert!((n.cdf(x) - p).abs() < 1e-9, "p = {p}");
-        }
-    }
-
-    #[test]
     fn degenerate_distribution() {
         let n = Normal::new(5.0, 0.0);
         assert_eq!(n.cdf(4.9), 0.0);
         assert_eq!(n.cdf(5.0), 1.0);
-        assert_eq!(n.quantile(0.3), 5.0);
         let mut rng = SimRng::seed_from(1);
         assert_eq!(n.sample(&mut rng), 5.0);
     }
@@ -342,17 +279,6 @@ mod tests {
         let shifted = a.shift(8.0);
         assert!((shifted.mean() - 58.0).abs() < 1e-12);
         assert!((shifted.std_dev() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sum_of_many() {
-        let links = [Normal::new(50.0, 20.0); 4];
-        let path = Normal::sum(links.iter());
-        assert!((path.mean() - 200.0).abs() < 1e-9);
-        assert!((path.variance() - 1600.0).abs() < 1e-9);
-        let empty = Normal::sum(std::iter::empty());
-        assert_eq!(empty.mean(), 0.0);
-        assert_eq!(empty.std_dev(), 0.0);
     }
 
     #[test]

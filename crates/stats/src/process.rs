@@ -45,7 +45,7 @@ pub struct PoissonArrivals {
 impl PoissonArrivals {
     /// Creates a Poisson process with the given rate in events per second.
     /// A rate of zero produces no arrivals.
-    pub fn per_second(rate_per_sec: f64) -> Self {
+    pub(crate) fn per_second(rate_per_sec: f64) -> Self {
         assert!(rate_per_sec >= 0.0 && rate_per_sec.is_finite());
         PoissonArrivals { rate_per_sec }
     }

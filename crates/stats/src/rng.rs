@@ -124,7 +124,7 @@ impl SimRng {
     }
 
     /// A standard-normal sample via the Box–Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Box-Muller: avoid u1 == 0 so that ln(u1) is finite.
         let u1 = loop {
             let u = self.uniform();

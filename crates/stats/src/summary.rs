@@ -2,14 +2,13 @@
 //!
 //! Experiment runs aggregate per-message delivery latencies, queue lengths
 //! and per-cell results across seeds. These helpers provide the descriptive
-//! statistics printed in EXPERIMENTS.md and by the figure binaries.
+//! statistics the outcome tables and the figure binaries print.
 
 /// A summary of a set of observations kept in full (suitable for the modest
 /// sample counts of a simulation run) with percentile support.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     values: Vec<f64>,
-    sorted: bool,
 }
 
 impl Summary {
@@ -22,7 +21,6 @@ impl Summary {
     pub fn observe(&mut self, x: f64) {
         if x.is_finite() {
             self.values.push(x);
-            self.sorted = false;
         }
     }
 
@@ -38,11 +36,6 @@ impl Summary {
         self.values.len()
     }
 
-    /// Returns true when no observation has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.values.is_empty() {
@@ -52,7 +45,7 @@ impl Summary {
     }
 
     /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.values.len() < 2 {
             return 0.0;
         }
@@ -75,11 +68,11 @@ impl Summary {
         self.values.iter().copied().fold(f64::NAN, f64::max)
     }
 
-    /// The `q`-quantile like [`quantile`](Self::quantile), but `None` when no
+    /// The `q`-quantile like `quantile`, but `None` when no
     /// observation has been recorded. Reporting code that must never emit NaN
     /// (e.g. a scenario phase during which every link was down and nothing
     /// was delivered) should use this and pick its own default.
-    pub fn try_quantile(&mut self, q: f64) -> Option<f64> {
+    pub fn try_quantile(&self, q: f64) -> Option<f64> {
         if self.values.is_empty() {
             None
         } else {
@@ -88,31 +81,24 @@ impl Summary {
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) using linear interpolation between order
-    /// statistics; NaN when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
+    /// statistics; NaN when empty. Reads a sorted copy, so the summary (and
+    /// every equality over it) is left as it was.
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.values.is_empty() {
             return f64::NAN;
         }
-        if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("no NaN stored"));
-            self.sorted = true;
-        }
+        let mut sorted = self.values.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN stored"));
         let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.values.len() - 1) as f64;
+        let pos = q * (sorted.len() - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
         if lo == hi {
-            self.values[lo]
+            sorted[lo]
         } else {
             let frac = pos - lo as f64;
-            self.values[lo] * (1.0 - frac) + self.values[hi] * frac
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
         }
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
     }
 }
 
@@ -129,7 +115,7 @@ mod tests {
         assert!((s.variance() - 2.5).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
-        assert_eq!(s.median(), 3.0);
+        assert_eq!(s.quantile(0.5), 3.0);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 5.0);
         assert!((s.quantile(0.25) - 2.0).abs() < 1e-12);
@@ -145,8 +131,8 @@ mod tests {
 
     #[test]
     fn summary_empty_behaviour() {
-        let mut s = Summary::new();
-        assert!(s.is_empty());
+        let s = Summary::new();
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert!(s.quantile(0.5).is_nan());
         assert!(s.min().is_nan());

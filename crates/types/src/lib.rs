@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod error;
 pub mod id;
@@ -20,21 +21,11 @@ pub mod qos;
 pub mod time;
 pub mod value;
 
-pub use error::{BdpsError, Result};
-pub use id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
-pub use message::{Message, MessageBuilder, MessageHead};
-pub use money::{Earning, Price};
-pub use qos::{DelayBound, QosClass};
-pub use time::{Duration, SimTime};
-pub use value::{AttrName, AttrValue};
-
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
-    pub use crate::error::{BdpsError, Result};
     pub use crate::id::{BrokerId, LinkId, MessageId, PublisherId, SubscriberId, SubscriptionId};
-    pub use crate::message::{Message, MessageBuilder, MessageHead};
-    pub use crate::money::{Earning, Price};
+    pub use crate::message::{Message, MessageHead};
+    pub use crate::money::Price;
     pub use crate::qos::{DelayBound, QosClass};
     pub use crate::time::{Duration, SimTime};
-    pub use crate::value::{AttrName, AttrValue};
 }

@@ -6,12 +6,11 @@
 //! publication time and its publisher-specified delay bound (PSD scenario).
 //! Brokers never open a payload, so [`Message`] carries none.
 
-use crate::id::{MessageId, PublisherId};
+use crate::id::MessageId;
 use crate::qos::DelayBound;
 use crate::time::{Duration, SimTime};
 use crate::value::{AttrName, AttrValue};
 use std::fmt;
-use std::sync::Arc;
 
 /// The attribute/value pairs of a message head.
 ///
@@ -53,11 +52,6 @@ impl MessageHead {
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .ok()
             .map(|pos| &self.attrs[pos].1)
-    }
-
-    /// Returns true when the named attribute is present.
-    pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
     }
 
     /// Number of attributes in the head.
@@ -105,16 +99,14 @@ impl fmt::Display for MessageHead {
 
 /// A published message.
 ///
-/// Messages are reference-counted ([`Arc`]) by brokers so that a single copy
+/// Messages are reference-counted ([`Arc`](std::sync::Arc)) by brokers so that a single copy
 /// can sit in many output queues at once.
 #[derive(Debug, Clone)]
 pub struct Message {
     /// Globally unique, publication-ordered identifier.
     pub id: MessageId,
-    /// The publisher that produced the message.
-    pub publisher: PublisherId,
     /// Simulated time at which the message was published.
-    pub publish_time: SimTime,
+    pub(crate) publish_time: SimTime,
     /// Size of the message in kilobytes (the paper's unit for transmission rates).
     pub size_kb: f64,
     /// Delay bound attached by the publisher (PSD scenario), if any.
@@ -124,9 +116,16 @@ pub struct Message {
 }
 
 impl Message {
-    /// Starts building a message with the given id and publisher.
-    pub fn builder(id: MessageId, publisher: PublisherId) -> MessageBuilder {
-        MessageBuilder::new(id, publisher)
+    /// Starts building a message with the given id, published at time zero
+    /// with the paper's default message size (50 KB).
+    pub fn builder(id: MessageId) -> MessageBuilder {
+        MessageBuilder {
+            id,
+            publish_time: SimTime::ZERO,
+            size_kb: 50.0,
+            publisher_bound: None,
+            head: MessageHead::new(),
+        }
     }
 
     /// The delay that has already occurred for this message at time `now` —
@@ -136,36 +135,18 @@ impl Message {
         now.duration_since(self.publish_time)
     }
 
-    /// The absolute expiry instant implied by the publisher bound, if any.
-    pub fn publisher_deadline(&self) -> Option<SimTime> {
-        self.publisher_bound
-            .map(|b| self.publish_time + b.duration())
-    }
-
     /// Remaining lifetime with respect to the publisher bound at time `now`.
     /// Returns `None` when the publisher did not specify a bound.
     pub fn remaining_lifetime(&self, now: SimTime) -> Option<Duration> {
         self.publisher_bound
             .map(|b| b.duration().saturating_sub(self.elapsed(now)))
     }
-
-    /// True when the publisher bound (if any) has already been exceeded at `now`.
-    pub fn is_expired(&self, now: SimTime) -> bool {
-        match self.publisher_deadline() {
-            Some(deadline) => now > deadline,
-            None => false,
-        }
-    }
 }
-
-/// A shared, immutable handle to a message.
-pub type SharedMessage = Arc<Message>;
 
 /// Builder for [`Message`].
 #[derive(Debug, Clone)]
 pub struct MessageBuilder {
     id: MessageId,
-    publisher: PublisherId,
     publish_time: SimTime,
     size_kb: f64,
     publisher_bound: Option<DelayBound>,
@@ -173,18 +154,6 @@ pub struct MessageBuilder {
 }
 
 impl MessageBuilder {
-    /// Creates a builder with the paper's default message size (50 KB).
-    pub fn new(id: MessageId, publisher: PublisherId) -> Self {
-        MessageBuilder {
-            id,
-            publisher,
-            publish_time: SimTime::ZERO,
-            size_kb: 50.0,
-            publisher_bound: None,
-            head: MessageHead::new(),
-        }
-    }
-
     /// Sets the publication time.
     pub fn publish_time(mut self, t: SimTime) -> Self {
         self.publish_time = t;
@@ -219,7 +188,6 @@ impl MessageBuilder {
     pub fn build(self) -> Message {
         Message {
             id: self.id,
-            publisher: self.publisher,
             publish_time: self.publish_time,
             size_kb: self.size_kb,
             publisher_bound: self.publisher_bound,
@@ -233,7 +201,7 @@ mod tests {
     use super::*;
 
     fn msg() -> Message {
-        Message::builder(MessageId::new(1), PublisherId::new(0))
+        Message::builder(MessageId::new(1))
             .publish_time(SimTime::from_secs(100))
             .size_kb(50.0)
             .publisher_bound(DelayBound::from_secs(10))
@@ -251,8 +219,6 @@ mod tests {
         head.set("A1", 9.0);
         assert_eq!(head.len(), 2);
         assert_eq!(head.get("A1").unwrap().as_f64(), Some(9.0));
-        assert!(head.contains("A2"));
-        assert!(!head.contains("A3"));
         assert!(head.get("missing").is_none());
     }
 
@@ -278,36 +244,23 @@ mod tests {
         let now = SimTime::from_secs(104);
         assert_eq!(m.elapsed(now), Duration::from_secs(4));
         assert_eq!(m.remaining_lifetime(now), Some(Duration::from_secs(6)));
-        assert!(!m.is_expired(now));
         let later = SimTime::from_secs(111);
-        assert!(m.is_expired(later));
         assert_eq!(m.remaining_lifetime(later), Some(Duration::ZERO));
-        assert_eq!(m.publisher_deadline(), Some(SimTime::from_secs(110)));
     }
 
     #[test]
     fn unbounded_message_never_expires() {
-        let m = Message::builder(MessageId::new(2), PublisherId::new(1))
+        let m = Message::builder(MessageId::new(2))
             .publish_time(SimTime::from_secs(5))
             .build();
-        assert!(!m.is_expired(SimTime::from_secs(1_000_000)));
-        assert_eq!(m.remaining_lifetime(SimTime::ZERO), None);
-        assert_eq!(m.publisher_deadline(), None);
+        assert_eq!(m.remaining_lifetime(SimTime::from_secs(1_000_000)), None);
     }
 
     #[test]
     fn builder_defaults() {
-        let m = Message::builder(MessageId::new(3), PublisherId::new(2)).build();
+        let m = Message::builder(MessageId::new(3)).build();
         assert_eq!(m.size_kb, 50.0);
         assert_eq!(m.publish_time, SimTime::ZERO);
         assert!(m.head.is_empty());
-    }
-
-    #[test]
-    fn shared_message_is_cheap_to_clone() {
-        let m = Arc::new(msg());
-        let m2 = Arc::clone(&m);
-        assert_eq!(m2.id, m.id);
-        assert_eq!(Arc::strong_count(&m), 2);
     }
 }

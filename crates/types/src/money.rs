@@ -34,12 +34,6 @@ impl Price {
         Price(units * MILLIS_PER_UNIT)
     }
 
-    /// Creates a price from a raw milli-unit count (the inverse of
-    /// [`Price::millis`]).
-    pub const fn from_millis(millis: i64) -> Self {
-        Price(millis)
-    }
-
     /// Adds two prices, saturating at `i64::MAX` milli-units — envelope
     /// earning sums over large edge groups must never wrap.
     pub const fn saturating_add(self, rhs: Price) -> Price {
@@ -54,11 +48,6 @@ impl Price {
     /// Returns the raw milli-unit count.
     pub const fn millis(self) -> i64 {
         self.0
-    }
-
-    /// Returns true if the price is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -75,11 +64,6 @@ pub struct Earning(i64);
 impl Earning {
     /// No earnings.
     pub const ZERO: Earning = Earning(0);
-
-    /// Creates an earning amount from whole units.
-    pub const fn from_units(units: i64) -> Self {
-        Earning(units * MILLIS_PER_UNIT)
-    }
 
     /// Returns the earnings in fractional units.
     pub fn as_f64(self) -> f64 {
@@ -157,27 +141,25 @@ mod tests {
     fn price_construction() {
         assert_eq!(Price::from_units(3).as_f64(), 3.0);
         assert_eq!(Price::unit().as_f64(), 1.0);
-        assert!(Price::ZERO.is_zero());
     }
 
     #[test]
     fn earning_accumulates_exactly() {
         let mut e = Earning::ZERO;
         for _ in 0..1_000 {
-            e.credit(Price::from_millis(100));
+            e.credit(Price::from_units(3));
         }
-        assert_eq!(e.as_f64(), 100.0);
+        assert_eq!(e.as_f64(), 3_000.0);
     }
 
     #[test]
-    fn price_millis_round_trip_and_saturating_sum() {
-        assert_eq!(Price::from_millis(2_500).millis(), 2_500);
+    fn price_saturating_sum() {
         assert_eq!(
             Price::from_units(3).saturating_add(Price::from_units(2)),
             Price::from_units(5)
         );
-        let huge = Price::from_millis(i64::MAX);
-        assert_eq!(huge.saturating_add(Price::unit()), huge);
+        let huge = Price::from_units(i64::MAX / MILLIS_PER_UNIT);
+        assert_eq!(huge.saturating_add(Price::unit()).millis(), i64::MAX);
     }
 
     #[test]
@@ -188,8 +170,8 @@ mod tests {
 
     #[test]
     fn earning_arithmetic() {
-        let a = Earning::from_units(5);
-        let b = Earning::from_units(3);
+        let a = Earning::from(Price::from_units(5));
+        let b = Earning::from(Price::from_units(3));
         assert_eq!((a + b).as_f64(), 8.0);
         assert_eq!((a - b).as_f64(), 2.0);
         assert_eq!((a + Price::from_units(1)).as_f64(), 6.0);
@@ -201,6 +183,6 @@ mod tests {
     fn ordering_and_display() {
         assert!(Price::from_units(1) < Price::from_units(2));
         assert_eq!(Price::from_units(2).to_string(), "2.000");
-        assert_eq!(Earning::from_units(2).to_string(), "2.000");
+        assert_eq!(Earning::from(Price::from_units(2)).to_string(), "2.000");
     }
 }

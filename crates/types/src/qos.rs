@@ -58,11 +58,6 @@ impl QosClass {
             QosClass::new(DelayBound::from_secs(60), Price::from_units(1)),
         ]
     }
-
-    /// A best-effort class: unbounded delay, unit price.
-    pub fn best_effort() -> Self {
-        QosClass::new(DelayBound::UNBOUNDED, Price::unit())
-    }
 }
 
 #[cfg(test)]
@@ -76,13 +71,6 @@ mod tests {
         assert_eq!(tiers[0].price, Price::from_units(3));
         assert_eq!(tiers[2].delay.duration(), Duration::from_secs(60));
         assert_eq!(tiers[2].price, Price::from_units(1));
-    }
-
-    #[test]
-    fn best_effort_class() {
-        let c = QosClass::best_effort();
-        assert_eq!(c.delay, DelayBound::UNBOUNDED);
         assert_eq!(DelayBound::UNBOUNDED.duration(), Duration::MAX);
-        assert_eq!(c.price, Price::unit());
     }
 }

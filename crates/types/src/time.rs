@@ -86,11 +86,6 @@ impl Duration {
         Duration(self.0.saturating_sub(other.0))
     }
 
-    /// Checked addition, returning `None` on overflow.
-    pub fn checked_add(self, other: Duration) -> Option<Duration> {
-        self.0.checked_add(other.0).map(Duration)
-    }
-
     /// Returns true if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -99,24 +94,6 @@ impl Duration {
     /// Multiplies the duration by a non-negative scalar, saturating on overflow.
     pub fn mul_f64(self, factor: f64) -> Duration {
         Duration::from_millis_f64(self.as_millis_f64() * factor)
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: Duration) -> Duration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: Duration) -> Duration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -201,19 +178,9 @@ impl SimTime {
         SimTime(secs * MICROS_PER_SEC)
     }
 
-    /// Creates an instant from fractional seconds since the epoch.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime::ZERO + Duration::from_secs_f64(secs)
-    }
-
     /// Returns the instant in whole microseconds since the epoch.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Returns the instant as fractional milliseconds since the epoch.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / MICROS_PER_MS as f64
     }
 
     /// Returns the instant as fractional seconds since the epoch.
@@ -296,7 +263,7 @@ mod tests {
     fn simtime_arithmetic() {
         let t0 = SimTime::from_secs(5);
         let t1 = t0 + Duration::from_millis(250);
-        assert_eq!(t1.as_millis_f64(), 5_250.0);
+        assert_eq!(t1.as_micros(), 5_250_000);
         assert_eq!(t1.duration_since(t0), Duration::from_millis(250));
         assert_eq!(t0.duration_since(t1), Duration::ZERO);
         assert_eq!(t1 - t0, Duration::from_millis(250));
@@ -332,13 +299,5 @@ mod tests {
         assert_eq!(Duration::from_millis(1).to_string(), "1.000ms");
         assert_eq!(Duration::from_secs(2).to_string(), "2.000s");
         assert_eq!(SimTime::from_secs(3).to_string(), "t=3.000s");
-    }
-
-    #[test]
-    fn min_max_helpers() {
-        let a = Duration::from_millis(1);
-        let b = Duration::from_millis(2);
-        assert_eq!(a.min(b), a);
-        assert_eq!(a.max(b), b);
     }
 }

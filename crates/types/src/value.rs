@@ -16,11 +16,6 @@ use std::fmt;
 pub struct AttrName(String);
 
 impl AttrName {
-    /// Creates an attribute name.
-    pub fn new(name: impl Into<String>) -> Self {
-        AttrName(name.into())
-    }
-
     /// Returns the name as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0
@@ -79,14 +74,6 @@ impl AttrValue {
         }
     }
 
-    /// Returns the value as a string slice if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            AttrValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Compares two values, returning `None` when the types are not comparable
     /// (e.g. a string against a number) or when a float comparison involves a NaN.
     pub fn partial_cmp_value(&self, other: &AttrValue) -> Option<Ordering> {
@@ -105,7 +92,7 @@ impl AttrValue {
 
     /// Returns true when the two values are equal under the comparison rules
     /// of [`partial_cmp_value`](Self::partial_cmp_value).
-    pub fn value_eq(&self, other: &AttrValue) -> bool {
+    pub(crate) fn value_eq(&self, other: &AttrValue) -> bool {
         self.partial_cmp_value(other) == Some(Ordering::Equal)
     }
 }
@@ -205,7 +192,6 @@ mod tests {
     fn accessors() {
         assert_eq!(AttrValue::Int(7).as_f64(), Some(7.0));
         assert_eq!(AttrValue::Float(2.5).as_f64(), Some(2.5));
-        assert_eq!(AttrValue::from("x").as_str(), Some("x"));
         assert_eq!(AttrValue::from(true).as_f64(), None);
     }
 
@@ -213,6 +199,6 @@ mod tests {
     fn display() {
         assert_eq!(AttrValue::Float(1.5).to_string(), "1.5");
         assert_eq!(AttrValue::from("hi").to_string(), "\"hi\"");
-        assert_eq!(AttrName::new("A1").to_string(), "A1");
+        assert_eq!(AttrName::from("A1").to_string(), "A1");
     }
 }

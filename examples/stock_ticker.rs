@@ -70,7 +70,7 @@ fn main() {
     let now = SimTime::from_millis(2);
     for (id, volume, secs) in quotes {
         let msg = Arc::new(
-            Message::builder(MessageId::new(id), PublisherId::new(0))
+            Message::builder(MessageId::new(id))
                 .publish_time(SimTime::ZERO)
                 .size_kb(50.0)
                 .publisher_bound(DelayBound::from_secs(secs))

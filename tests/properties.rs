@@ -74,7 +74,7 @@ fn random_item(id: u64, rng: &mut SimRng) -> QueuedMessage {
         .collect();
     targets.sort_by_key(|t| t.0);
     targets.dedup_by_key(|t| t.0);
-    let message = Message::builder(MessageId::new(id), PublisherId::new(0))
+    let message = Message::builder(MessageId::new(id))
         .publish_time(SimTime::from_millis(rng.uniform_usize(0, 5_000) as u64))
         .size_kb(rng.uniform_range(10.0, 100.0))
         .build();
@@ -132,7 +132,7 @@ fn fifo_pop_order_matches_enqueue_order() {
         ..SchedulerConfig::paper(StrategyKind::Fifo)
     };
     check(0xF1F0, 200, |rng| {
-        let mut queue = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut queue = OutputQueue::new(75.0);
         let n = rng.uniform_usize(1, 12) as u64;
         for i in 0..n {
             let mut item = random_item(i, rng);
@@ -193,7 +193,7 @@ fn remove_subscription_matches_the_retain_reference() {
             }
         }
 
-        let mut queue = OutputQueue::new(BrokerId::new(1), LinkId::new(0), 75.0);
+        let mut queue = OutputQueue::new(75.0);
         for item in &items {
             queue.push(item.clone());
         }
@@ -395,7 +395,7 @@ fn success_probability_monotonicity() {
         let hops = rng.uniform_usize(1, 4);
         let rate = rng.uniform_range(50.0, 100.0);
         let message = Arc::new(
-            Message::builder(MessageId::new(1), PublisherId::new(0))
+            Message::builder(MessageId::new(1))
                 .publish_time(SimTime::ZERO)
                 .size_kb(50.0)
                 .build(),
@@ -437,7 +437,7 @@ fn success_probability_monotonicity() {
 #[test]
 fn eb_and_pc_bounds() {
     check(0xEBC, 300, |rng| {
-        let message = Message::builder(MessageId::new(1), PublisherId::new(0))
+        let message = Message::builder(MessageId::new(1))
             .publish_time(SimTime::ZERO)
             .size_kb(50.0)
             .build();
@@ -1297,7 +1297,7 @@ fn a_link_arrival_routes_its_copy_as_a_scoped_arrival_would() {
             BrokerState::from_overlay(&topo.graph, b, table, config.clone())
         };
 
-        let mut message = Message::builder(MessageId::new(1), PublisherId::new(0))
+        let mut message = Message::builder(MessageId::new(1))
             .publish_time(SimTime::ZERO)
             .size_kb(50.0);
         if rng.chance(0.3) {
