@@ -18,8 +18,8 @@ use std::sync::Arc;
 /// is the empty filter, it [`covers`](Self::covers) every other filter, and
 /// [`cover_join`](Self::cover_join) with it yields the empty filter again —
 /// the top element of the covering order. Code that inspects
-/// [`is_empty`](Self::is_empty) or `predicates().is_empty()` must never read
-/// an empty predicate list as "matches nothing". A filter that matches
+/// `predicates().is_empty()` must never read an empty predicate list as
+/// "matches nothing". A filter that matches
 /// nothing deliberately has no `Filter` representation.
 ///
 /// The predicate list is shared behind an `Arc`: a filter is cloned into
@@ -55,15 +55,8 @@ impl Filter {
     }
 
     /// The number of predicates.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.predicates.len()
-    }
-
-    /// Returns true when the filter has no predicates — i.e. when it is
-    /// [`match_all`](Self::match_all), the *top* of the covering order.
-    /// An empty filter matches everything, never nothing.
-    pub fn is_empty(&self) -> bool {
-        self.predicates.is_empty()
     }
 
     /// Evaluates the filter against a message head.
@@ -169,7 +162,6 @@ mod tests {
         assert!(!f.matches(&head(5.0, 4.9)));
         assert!(!f.matches(&head(3.0, 6.0)));
         assert_eq!(f.len(), 2);
-        assert!(!f.is_empty());
     }
 
     #[test]
@@ -191,7 +183,7 @@ mod tests {
         // that must keep matching every publication.
         let narrow = Filter::paper_conjunction(2.0, 2.0);
         let join = narrow.cover_join(&Filter::match_all());
-        assert!(join.is_empty());
+        assert_eq!(join.len(), 0);
         assert_eq!(join, Filter::match_all());
         assert!(join.matches(&head(9.0, 9.0)));
         assert!(join.matches(&MessageHead::new()));

@@ -429,7 +429,7 @@ mod tests {
         idx.insert(id(2), Filter::from(Predicate::new("A1", CompOp::Le, 5.0)));
         idx.insert(id(3), Filter::from(Predicate::new("A1", CompOp::Gt, 5.0)));
         idx.insert(id(4), Filter::from(Predicate::ge("A1", 5.0)));
-        idx.insert(id(5), Filter::from(Predicate::eq("A1", 5.0)));
+        idx.insert(id(5), Filter::from(Predicate::new("A1", CompOp::Eq, 5.0)));
         idx.insert(id(6), Filter::from(Predicate::new("A1", CompOp::Ne, 5.0)));
 
         let at = |v: f64| idx.matching(&head(v, 0.0));
@@ -456,8 +456,10 @@ mod tests {
     #[test]
     fn string_and_bool_predicates() {
         let mut idx = MatchIndex::new();
-        idx.insert(id(1), Filter::from(Predicate::eq("road", "M25")));
-        idx.insert(id(2), Filter::from(Predicate::eq("closed", true)));
+        let road = Predicate::new("road", CompOp::Eq, "M25");
+        let closed = Predicate::new("closed", CompOp::Eq, true);
+        idx.insert(id(1), Filter::from(road));
+        idx.insert(id(2), Filter::from(closed));
         let mut h = MessageHead::new();
         h.set("road", "M25").set("closed", false);
         assert_eq!(idx.matching(&h), vec![id(1)]);

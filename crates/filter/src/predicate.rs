@@ -90,11 +90,6 @@ impl Predicate {
         Self::new(attr, CompOp::Ge, value)
     }
 
-    /// Shorthand for `attr == value`.
-    pub fn eq(attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> Self {
-        Self::new(attr, CompOp::Eq, value)
-    }
-
     /// Evaluates the predicate against a message head.
     pub(crate) fn matches(&self, head: &MessageHead) -> bool {
         match head.get(self.attr.as_str()) {
@@ -174,7 +169,7 @@ mod tests {
         assert!(Predicate::new("A1", CompOp::Le, 3.0).matches(&h));
         assert!(Predicate::new("A2", CompOp::Gt, 5.0).matches(&h));
         assert!(Predicate::ge("A2", 7.0).matches(&h));
-        assert!(Predicate::eq("A1", 3.0).matches(&h));
+        assert!(Predicate::new("A1", CompOp::Eq, 3.0).matches(&h));
         assert!(Predicate::new("A1", CompOp::Ne, 4.0).matches(&h));
     }
 
@@ -190,9 +185,9 @@ mod tests {
         let mut h = MessageHead::new();
         h.set("sym", "ACME");
         assert!(!Predicate::lt("sym", 5.0).matches(&h));
-        assert!(!Predicate::eq("sym", 5.0).matches(&h));
+        assert!(!Predicate::new("sym", CompOp::Eq, 5.0).matches(&h));
         assert!(Predicate::new("sym", CompOp::Ne, 5.0).matches(&h));
-        assert!(Predicate::eq("sym", "ACME").matches(&h));
+        assert!(Predicate::new("sym", CompOp::Eq, "ACME").matches(&h));
     }
 
     #[test]
@@ -200,7 +195,7 @@ mod tests {
         let mut h = MessageHead::new();
         h.set("n", 5i64);
         assert!(Predicate::lt("n", 5.5).matches(&h));
-        assert!(Predicate::eq("n", 5.0).matches(&h));
+        assert!(Predicate::new("n", CompOp::Eq, 5.0).matches(&h));
     }
 
     #[test]
@@ -223,9 +218,10 @@ mod tests {
         );
         assert!(Predicate::new("A1", CompOp::Gt, 5.0).implies(&Predicate::ge("A1", 5.0)));
         // x == 4 implies x < 5 and x >= 4 and x != 9.
-        assert!(Predicate::eq("A1", 4.0).implies(&Predicate::lt("A1", 5.0)));
-        assert!(Predicate::eq("A1", 4.0).implies(&Predicate::ge("A1", 4.0)));
-        assert!(Predicate::eq("A1", 4.0).implies(&Predicate::new("A1", CompOp::Ne, 9.0)));
+        let four = Predicate::new("A1", CompOp::Eq, 4.0);
+        assert!(four.implies(&Predicate::lt("A1", 5.0)));
+        assert!(four.implies(&Predicate::ge("A1", 4.0)));
+        assert!(four.implies(&Predicate::new("A1", CompOp::Ne, 9.0)));
         // Different attributes never imply.
         assert!(!Predicate::lt("A1", 3.0).implies(&Predicate::lt("A2", 5.0)));
         // Identity.
@@ -236,6 +232,7 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(Predicate::lt("A1", 5.0).to_string(), "A1 < 5");
-        assert_eq!(Predicate::eq("sym", "ACME").to_string(), "sym == \"ACME\"");
+        let acme = Predicate::new("sym", CompOp::Eq, "ACME");
+        assert_eq!(acme.to_string(), "sym == \"ACME\"");
     }
 }

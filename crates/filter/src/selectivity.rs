@@ -82,11 +82,10 @@ mod tests {
             (m.predicate_selectivity(&Predicate::new("A1", CompOp::Gt, 7.5)) - 0.25).abs() < 1e-12
         );
         assert!((m.predicate_selectivity(&Predicate::ge("A2", 0.0)) - 1.0).abs() < 1e-12);
-        assert_eq!(m.predicate_selectivity(&Predicate::eq("A1", 5.0)), 0.0);
-        assert_eq!(
-            m.predicate_selectivity(&Predicate::new("A1", CompOp::Ne, 5.0)),
-            1.0
-        );
+        let five = Predicate::new("A1", CompOp::Eq, 5.0);
+        let not_five = Predicate::new("A1", CompOp::Ne, 5.0);
+        assert_eq!(m.predicate_selectivity(&five), 0.0);
+        assert_eq!(m.predicate_selectivity(&not_five), 1.0);
         // A point has no mass: `<=` is `<`.
         assert_eq!(
             m.predicate_selectivity(&Predicate::new("A1", CompOp::Le, 5.0)),
@@ -101,7 +100,8 @@ mod tests {
     fn unknown_attribute_is_conservative() {
         let m = SelectivityModel::paper_workload();
         assert_eq!(m.predicate_selectivity(&Predicate::lt("A9", 1.0)), 1.0);
-        assert_eq!(m.predicate_selectivity(&Predicate::eq("sym", "ACME")), 1.0);
+        let acme = Predicate::new("sym", CompOp::Eq, "ACME");
+        assert_eq!(m.predicate_selectivity(&acme), 1.0);
     }
 
     #[test]

@@ -342,16 +342,6 @@ pub struct EdgeGroup {
 }
 
 impl EdgeGroup {
-    /// Number of members attached at this edge.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns true when no member is attached.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Member ids, ascending.
     pub fn ids(&self) -> &[SubscriptionId] {
         &self.ids
@@ -539,7 +529,7 @@ impl SharedPopulation {
             if let Some(covers) = &mut group.covers {
                 covers.remove(id, record.join_epoch);
             }
-            if group.is_empty() {
+            if group.ids.is_empty() {
                 self.by_edge.remove(&record.edge);
             } else {
                 self.refresh_summary(record.edge);
@@ -1204,7 +1194,7 @@ mod tests {
                 BrokerId::new(2),
             );
             assert_eq!(p.len(), 3);
-            assert_eq!(p.group(BrokerId::new(2)).unwrap().len(), 2);
+            assert_eq!(p.group(BrokerId::new(2)).unwrap().ids().len(), 2);
             p.group(BrokerId::new(2))
                 .unwrap()
                 .covers()
@@ -1215,7 +1205,7 @@ mod tests {
             // The narrow newcomer is covered by the wider resident filter.
             assert_eq!(covers_at(&p, BrokerId::new(2)).forest.root_count(), 1);
             p.remove(SubscriptionId::new(0));
-            assert_eq!(p.group(BrokerId::new(2)).unwrap().len(), 1);
+            assert_eq!(p.group(BrokerId::new(2)).unwrap().ids().len(), 1);
             p.remove(SubscriptionId::new(2));
             assert!(p.group(BrokerId::new(2)).is_none(), "empty groups drop");
             assert_eq!(p.len(), 1);

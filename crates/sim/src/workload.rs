@@ -9,7 +9,6 @@
 
 use bdps_filter::filter::Filter;
 use bdps_filter::subscription::Subscription;
-use bdps_stats::process::{ArrivalProcess, PoissonArrivals};
 use bdps_stats::rng::SimRng;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{MessageId, PublisherId, SubscriberId, SubscriptionId};
@@ -209,22 +208,27 @@ impl ChurnConfig {
     }
 
     /// Draws the arrival instants of a Poisson stream at `per_min` events
-    /// per minute over `[0, horizon)`, delegating to the workspace's one
-    /// Poisson implementation
-    /// ([`PoissonArrivals`]).
+    /// per minute over `[0, horizon)`: exponential gaps from
+    /// [`SimRng::exponential`], the draw publication gaps use too. A gap
+    /// that rounds to zero microseconds ends the stream.
     pub(crate) fn poisson_instants(
         per_min: f64,
         horizon: Duration,
         rng: &mut SimRng,
     ) -> Vec<Duration> {
+        let mut instants = Vec::new();
         if per_min <= 0.0 || !per_min.is_finite() {
-            return Vec::new();
+            return instants;
         }
-        PoissonArrivals::per_minute(per_min)
-            .arrivals_in(SimTime::ZERO, SimTime::ZERO + horizon, rng)
-            .into_iter()
-            .map(|t| t.duration_since(SimTime::ZERO))
-            .collect()
+        let mut t = Duration::ZERO;
+        loop {
+            let gap = Duration::from_secs_f64(rng.exponential(per_min / 60.0));
+            t += gap;
+            if gap.is_zero() || t >= horizon {
+                return instants;
+            }
+            instants.push(t);
+        }
     }
 }
 
@@ -403,7 +407,7 @@ mod tests {
         let w = WorkloadConfig::paper_psd(10.0);
         let mut rng = SimRng::seed_from(1);
         let head = w.generate_head(&mut rng);
-        assert_eq!(head.len(), 2);
+        assert_eq!(head.iter().count(), 2);
         for name in ["A1", "A2"] {
             let v = head.get(name).unwrap().as_f64().unwrap();
             assert!((0.0..10.0).contains(&v));
@@ -443,7 +447,7 @@ mod tests {
             let s = w.generate_subscription(SubscriptionId::new(i), SubscriberId::new(i), &mut rng);
             assert!(s.is_delay_bounded());
             seen_prices.insert(s.price.millis());
-            assert_eq!(s.filter.len(), 2);
+            assert_eq!(s.filter.to_string().split(" && ").count(), 2);
         }
         // All three paper tiers show up.
         assert!(seen_prices.contains(&Price::from_units(1).millis()));

@@ -9,7 +9,6 @@
 //! * [`normal`] — the normal distribution (cdf over a from-scratch
 //!   complementary error function, sampling, closure under addition and
 //!   positive scaling, truncation at zero);
-//! * [`process`] — the Poisson arrival process used by workload generators;
 //! * [`rng`] — a seedable, reproducible RNG wrapper shared by all crates;
 //! * [`summary`] — streaming summaries for reporting simulation results.
 
@@ -19,7 +18,6 @@
 
 mod erf;
 pub mod normal;
-pub mod process;
 pub mod rng;
 pub mod summary;
 

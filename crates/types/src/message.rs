@@ -54,16 +54,6 @@ impl MessageHead {
             .map(|pos| &self.attrs[pos].1)
     }
 
-    /// Number of attributes in the head.
-    pub fn len(&self) -> usize {
-        self.attrs.len()
-    }
-
-    /// Returns true when the head has no attributes.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
-    }
-
     /// Iterates over the attributes in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&AttrName, &AttrValue)> {
         self.attrs.iter().map(|(n, v)| (n, v))
@@ -214,10 +204,10 @@ mod tests {
     fn head_set_get_and_replace() {
         let mut head = MessageHead::new();
         head.set("A2", 2.0).set("A1", 1.0);
-        assert_eq!(head.len(), 2);
+        assert_eq!(head.iter().count(), 2);
         assert_eq!(head.get("A1").unwrap().as_f64(), Some(1.0));
         head.set("A1", 9.0);
-        assert_eq!(head.len(), 2);
+        assert_eq!(head.iter().count(), 2);
         assert_eq!(head.get("A1").unwrap().as_f64(), Some(9.0));
         assert!(head.get("missing").is_none());
     }
@@ -235,7 +225,7 @@ mod tests {
     fn head_display() {
         let head: MessageHead = vec![("A1", 1.0), ("A2", 2.0)].into_iter().collect();
         assert_eq!(head.to_string(), "{A1=1, A2=2}");
-        assert!(MessageHead::new().is_empty());
+        assert_eq!(MessageHead::new().iter().count(), 0);
     }
 
     #[test]
@@ -261,6 +251,6 @@ mod tests {
         let m = Message::builder(MessageId::new(3)).build();
         assert_eq!(m.size_kb, 50.0);
         assert_eq!(m.publish_time, SimTime::ZERO);
-        assert!(m.head.is_empty());
+        assert_eq!(m.head.iter().count(), 0);
     }
 }

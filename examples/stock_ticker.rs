@@ -31,7 +31,7 @@ fn main() {
             Subscription::best_effort(
                 SubscriptionId::new(0),
                 SubscriberId::new(0),
-                Filter::from(Predicate::eq("symbol", "ACME")),
+                Filter::from(Predicate::new("symbol", CompOp::Eq, "ACME")),
             ),
             BrokerId::new(2),
         ),
@@ -40,7 +40,7 @@ fn main() {
                 SubscriptionId::new(1),
                 SubscriberId::new(1),
                 Filter::new(vec![
-                    Predicate::eq("symbol", "ACME"),
+                    Predicate::new("symbol", CompOp::Eq, "ACME"),
                     Predicate::ge("volume", 10_000.0),
                 ]),
             ),

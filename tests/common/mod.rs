@@ -1,6 +1,8 @@
-//! Helpers shared by the differential-oracle suites
-//! (`rebuild_equivalence.rs`, `layout_equivalence.rs`,
-//! `forwarding_equivalence.rs`, `linkmodel_equivalence.rs`).
+//! Helpers shared by the differential-oracle suites: the differential grid
+//! and its hand-built scenarios (`rebuild_equivalence.rs`), the forwarding
+//! delivery-set oracle (`forwarding_equivalence.rs`) and the fair-share
+//! physics tests (`linkmodel_equivalence.rs`). [`run_with_checks`] is the
+//! one stepping loop they audit runs with.
 
 use bdps::prelude::*;
 use bdps::sim::engine::EventKind;
@@ -39,8 +41,9 @@ pub fn small_mesh_link_count() -> u32 {
 /// multi-depth failures (a link downed twice needs two recoveries), flaps
 /// fully contained between two events, and unbalanced downs that leave
 /// links dead at the horizon. This is the adversarial case the random
-/// scenario processes do not reach; both oracle suites run the *same*
-/// storm so a generator change can never weaken one of them silently.
+/// scenario processes do not reach; the differential grid and the
+/// fair-share suite run the *same* storm so a generator change can never
+/// weaken one of them silently.
 #[allow(dead_code)] // each test binary uses its own subset of the helpers
 pub fn flap_storm(seed: u64, links: u32, horizon_secs: u64) -> DynamicScenario {
     let mut rng = SimRng::seed_from(seed ^ 0xF1A9_5708);
@@ -108,26 +111,29 @@ pub fn flap_storm(seed: u64, links: u32, horizon_secs: u64) -> DynamicScenario {
     scenario
 }
 
-/// Runs `sim` to its hard stop with the engine's own stepping, calling
-/// [`Simulation::audit_tables`] after every event of every instant that
-/// holds a scenario event — routing must equal a from-scratch
-/// `Routing::compute_filtered`, every broker's table a from-scratch build,
-/// every envelope the fold over its members.
+/// When [`run_with_checks`] calls its check.
 #[allow(dead_code)] // each test binary uses its own subset of the helpers
-pub fn run_with_table_audits(sim: Simulation, what: &str) -> SimulationOutcome {
-    run_with_checks(sim, what, Simulation::audit_tables)
+#[derive(Clone, Copy)]
+pub enum Audit {
+    /// After every event of every instant that holds a scenario event.
+    ScenarioInstants,
+    /// After every `n`-th event.
+    Every(u64),
 }
 
-/// [`run_with_table_audits`] with the audit supplied: `check` runs after
-/// every event of every instant that holds a scenario event, and the run
-/// panics, naming `what` and the instant, on the first error it returns.
+/// Runs `sim` to its hard stop with the engine's own stepping, calling
+/// `check` when `audit` says and once more at the end; the run panics,
+/// naming `what` and the instant, on the first error it returns. Returns
+/// the outcome.
 #[allow(dead_code)] // each test binary uses its own subset of the helpers
 pub fn run_with_checks(
     mut sim: Simulation,
     what: &str,
+    audit: Audit,
     mut check: impl FnMut(&Simulation) -> std::result::Result<(), String>,
 ) -> SimulationOutcome {
     let stop = sim.hard_stop();
+    let mut applied = 0u64;
     loop {
         // Look at the next instant and put it back whole, so the engine's
         // same-instant rebuild coalescing peeks at the batch it sees in
@@ -143,10 +149,17 @@ pub fn run_with_checks(
             sim.push_back(event);
         }
         while sim.step_next(now) {
-            if has_scenario {
-                check(&sim).unwrap_or_else(|e| panic!("{what}: table audit failed at {now}: {e}"));
+            applied += 1;
+            let due = match audit {
+                Audit::ScenarioInstants => has_scenario,
+                Audit::Every(n) => applied.is_multiple_of(n),
+            };
+            if due {
+                check(&sim).unwrap_or_else(|e| panic!("{what}: audit failed at {now}: {e}"));
             }
         }
     }
+    check(&sim).unwrap_or_else(|e| panic!("{what}: audit failed at the hard stop: {e}"));
+    assert!(applied > 0, "{what}: the run applied no event");
     sim.into_outcome()
 }

@@ -9,12 +9,9 @@
 //!
 //! 1. **Selecting the oracle is invisible.** A builder that never mentions
 //!    link models and one that selects `constant` explicitly (by kind, by
-//!    an alias, and through [`LinkModelKind::from_name`]) reproduce each
-//!    other's [`replay_state`](SimulationOutcome::replay_state) — digest,
-//!    per-broker and per-link counters, phases, earning and delays — across
-//!    seeds × adversarial scenarios.
-//!    (`tests/golden.rs` separately pins the absolute numbers, so together
-//!    these prove the selection path changes nothing.)
+//!    an alias, and through [`LinkModelKind::from_name`]) build equal
+//!    configurations; the model is a plain field of the configuration, so
+//!    their runs are one run. (`tests/golden.rs` pins that run's numbers.)
 //! 2. **Fair sharing is deterministic and conservative.** Runs replay
 //!    exactly, every delivered copy is accounted
 //!    for, and on a drained run each link's busy time equals the dedicated
@@ -49,43 +46,22 @@ fn builder(scenario_name: &str) -> SimulationBuilder {
 fn constant_delay_by_kind_or_name_is_bit_identical_to_the_default() {
     // Every way of asking for the constant model — saying nothing, the
     // typed kind, an alias through the builder, the upper-case name through
-    // `from_name` — must produce the same run: digest, per-phase breakdowns
-    // and per-link counters included.
-    for scenario in SCENARIOS {
-        for seed in 1..=10 {
-            let implicit = builder(scenario).seed(seed).run();
-            let typed = builder(scenario)
-                .link_model(LinkModelKind::Constant)
-                .seed(seed)
-                .run();
-            assert_eq!(
-                implicit.replay_state(),
-                typed.replay_state(),
-                "explicit constant kind drifted from the default ({scenario}, seed {seed})"
-            );
-            let named = builder(scenario)
-                .link_model_named("delay")
-                .expect("`delay` is a builtin alias")
-                .seed(seed)
-                .run();
-            assert_eq!(
-                implicit.replay_state(),
-                named.replay_state(),
-                "name-based selection drifted ({scenario})"
-            );
-            let via_from_name = builder(scenario)
-                .link_model(
-                    LinkModelKind::from_name("CONSTANT").expect("the lookup is case-insensitive"),
-                )
-                .seed(seed)
-                .run();
-            assert_eq!(
-                implicit.replay_state(),
-                via_from_name.replay_state(),
-                "from_name selection drifted ({scenario})"
-            );
-        }
-    }
+    // `from_name` — builds the same configuration. The model is a plain
+    // field of it, so the runs are the same runs.
+    let implicit = Simulation::builder().build_config();
+    let typed = Simulation::builder()
+        .link_model(LinkModelKind::Constant)
+        .build_config();
+    let named = Simulation::builder()
+        .link_model_named("delay")
+        .expect("`delay` is a builtin alias")
+        .build_config();
+    let via_from_name = Simulation::builder()
+        .link_model(LinkModelKind::from_name("CONSTANT").expect("the lookup is case-insensitive"))
+        .build_config();
+    assert_eq!(typed, implicit, "explicit constant kind");
+    assert_eq!(named, implicit, "name-based selection");
+    assert_eq!(via_from_name, implicit, "from_name selection");
 }
 
 #[test]

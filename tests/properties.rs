@@ -1163,7 +1163,7 @@ fn a_registry_without_covers_tracks_the_full_one_through_churn() {
             let populated_after_leave = |pop: &SharedPopulation, id: SubscriptionId| {
                 pop.member(id)
                     .and_then(|r| pop.group(r.edge))
-                    .is_some_and(|g| g.len() > 1)
+                    .is_some_and(|g| g.ids().len() > 1)
             };
             let roll = rng.uniform();
             if roll < 0.4 {

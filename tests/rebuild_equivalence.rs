@@ -1,129 +1,360 @@
-//! State-level audit of the engine's incremental table maintenance.
+//! The differential grid: every small-mesh run the oracles hold to, as one
+//! table of rows and the checks each row opts into.
 //!
-//! After link events the engine recomputes only the affected destination
-//! trees and patches only the aggregates whose route entry changed; joins
-//! and leaves touch interior tables only when they open or empty an edge
-//! group. This suite looks *inside* a run: it steps the engine through the
-//! most adversarial link-dynamics and churn scenarios and, at every instant
-//! that holds a scenario event, calls [`Simulation::audit_tables`] after
-//! every event of the instant — the registry must equal the population list,
-//! routing a from-scratch `Routing::compute_filtered`, every broker's table
-//! a from-scratch `SparseTable::build`, every envelope the fold over its
-//! members. A patch that skips one destination fails here at the instant it
-//! happens, not whenever a report first shows it.
+//! A [`Row`] is a builder [`Recipe`] — forwarding mode, SSD publishing
+//! rate, duration, strategy, when its runs are audited and which further
+//! [`Check`]s they get — plus the scenario it runs, its seeds and the
+//! [`Guard`]s its runs must pass so that no check is vacuous. Every run of
+//! every row is stepped by the engine's own `step_next`, audited, must
+//! conserve every copy and deliver no pair twice, and gets its checks:
 //!
-//! The stepped run must also end in exactly the replay state (digest,
-//! counters, phases, sums) the same build reaches through the plain `run()`
-//! path, so the stepping harness provably did not perturb the run it
-//! audited.
+//! - **Scenario audits.** After every event of each instant that holds a
+//!   scenario event, [`Simulation::audit_tables`] holds the registry to the
+//!   population list, routing to a from-scratch `Routing::compute_filtered`,
+//!   every broker's table to a from-scratch `SparseTable::build` and every
+//!   envelope to the fold over its members; in the same pass every broker's
+//!   table must resolve the whole population to exactly the rows of the
+//!   dense `SubscriptionTable` built from scratch, routed fields included.
+//!   A patch that skips one destination fails at the instant it happens.
+//! - **Cadence audits.** `audit_tables` every 32 events and at the end: the
+//!   congested aggregate-forwarding rows, where joins and leaves hit edge
+//!   groups while stamped envelope bounds rank and shed interior copies.
+//! - **Plain run.** The stepped run ends in exactly the
+//!   [`replay_state`](SimulationOutcome::replay_state) (digest, counters,
+//!   phases, sums) of a plain `run()` of the same build, so the stepping
+//!   did not perturb the run it audited.
+//! - **Shards.** `run_sharded` at 2, 4 and 8 shards reproduces the plain
+//!   run's replay state bit for bit: scenario barriers run the engine's own
+//!   table repair, and shard workers read the shared registry mid-window.
+//!   8 exceeds the small mesh's per-layer broker counts, so some shards own
+//!   a single broker.
 //!
-//! The hand-built "flap storm" scenario is the adversarial case the random
-//! processes do not reach: hundreds of link events stacked on the *same
-//! instant* (exercising the engine's rebuild coalescing), nested multi-depth
-//! failures (a link downed twice needs two recoveries), flaps fully
-//! contained between two events, and links left dead at the horizon. The
-//! hand-built churn scenarios below aim at the join / leave arms: unknown
-//! ids, a leave and a rejoin at one instant, a join that re-homes a live id,
-//! and an edge group emptied and then refilled.
+//! The rows: the registry's `link-flap`, `blackout`, `churn` and `chaos`
+//! on seeds 1–10 of the small mesh at SSD 12 for 240 s under EBPC (all but
+//! `blackout` also sharded), the hand-built flap storm on the same build,
+//! and the congested aggregate rows (SSD 30, 300 s, EB) under `churn` and
+//! `chaos`. 180 simulations in all.
+//!
+//! The hand-built churn scenarios beside the grid aim at the join / leave
+//! arms: unknown ids, a leave and a rejoin at one instant, a join that
+//! re-homes a live id, and an edge group emptied and then refilled.
 
+use bdps::overlay::sparse::ResolvedEntry;
+use bdps::overlay::subtable::SubscriptionTable;
+use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
 
 mod common;
-use common::{flap_storm, run_with_table_audits, small_mesh_link_count};
+use common::{flap_storm, run_with_checks, small_mesh_link_count, Audit};
 
-fn builder(scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
-    Simulation::builder()
-        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-        .ssd(12.0)
-        .duration(Duration::from_secs(240))
-        .strategy(StrategyKind::MaxEbpc)
-        .scenario(scenario.clone())
-        .seed(seed)
+/// A check beyond the audits that a [`Recipe`] opts into (see the module
+/// docs).
+#[derive(Clone, Copy, PartialEq)]
+enum Check {
+    PlainRun,
+    Shards,
 }
 
-/// Steps one run, auditing its registry, routing and tables against a
-/// from-scratch rebuild after every event of every instant that holds a
-/// scenario event, then holds the stepped run to the plain `run()` of the
-/// same build. Returns the stepped run.
-fn audited_run(scenario: &DynamicScenario, seed: u64) -> SimulationOutcome {
-    let build = builder(scenario, seed);
-    let what = format!("{scenario}, seed {seed}");
-    let stepped = run_with_table_audits(build.build(), &what);
-    assert_eq!(
-        build.run().replay_state(),
-        stepped.replay_state(),
-        "the stepped run drifted from the plain run ({scenario}, seed {seed})"
-    );
-    stepped
+/// What a row's runs must have done for its checks to bite.
+#[derive(Clone, Copy, Debug)]
+enum Guard {
+    /// Link events moved routes and retargeted aggregates.
+    RoutesMoved,
+    /// Leaves orphaned queued copies.
+    LeavesOrphaned,
+    /// Link events voided transfers in flight.
+    Requeued,
+    /// Something was delivered on time.
+    OnTime,
 }
 
-/// Audits one registry scenario over a seed range. The seeds together must
-/// have done what the scenario is for — moved routes, or (for churn) let
-/// subscriptions go — at an audited instant, or the audit is vacuous.
-fn audit_scenario(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
-    let scenario = DynamicScenario::from_name(scenario_name)
-        .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
-    let (mut trees, mut pairs, mut unsubscribed) = (0, 0, 0);
-    for seed in seeds {
-        let outcome = audited_run(&scenario, seed);
-        trees += outcome.route_trees_recomputed;
-        pairs += outcome.route_pairs_changed;
-        unsubscribed += outcome.dropped_unsubscribed();
+impl Guard {
+    fn holds(self, outcome: &SimulationOutcome) -> bool {
+        match self {
+            Guard::RoutesMoved => {
+                outcome.route_trees_recomputed > 0
+                    && outcome.route_pairs_changed > 0
+                    && outcome.entries_retargeted > 0
+            }
+            Guard::LeavesOrphaned => outcome.dropped_unsubscribed() > 0,
+            Guard::Requeued => outcome.requeued() > 0,
+            Guard::OnTime => outcome.tracker.total_on_time() > 0,
+        }
     }
-    let exercised = match scenario_name {
-        "churn" => unsubscribed > 0,
-        _ => trees > 0 && pairs > 0,
+}
+
+/// How a row's runs are built, and what is checked of them.
+#[derive(Clone, Copy)]
+struct Recipe {
+    forwarding: ForwardingMode,
+    /// SSD publishing rate, messages per publisher per minute.
+    rate: f64,
+    secs: u64,
+    strategy: StrategyKind,
+    /// When the stepped run is audited. At scenario instants the dense
+    /// layout is checked in the same pass as `audit_tables`.
+    audit: Audit,
+    checks: &'static [Check],
+}
+
+/// The build every oracle runs on: the small mesh, congested at SSD 12,
+/// for 240 s under EBPC.
+const SMALL_MESH: Recipe = Recipe {
+    forwarding: ForwardingMode::Exact,
+    rate: 12.0,
+    secs: 240,
+    strategy: StrategyKind::MaxEbpc,
+    audit: Audit::ScenarioInstants,
+    checks: &[Check::PlainRun],
+};
+
+const SMALL_MESH_SHARDED: Recipe = Recipe {
+    checks: &[Check::PlainRun, Check::Shards],
+    ..SMALL_MESH
+};
+
+/// Publishing at 30 msgs/min saturates the small mesh, so stamped envelope
+/// bounds actively rank and shed interior copies while churn mutates the
+/// very groups the stamps were folded from.
+const CONGESTED_AGGREGATE: Recipe = Recipe {
+    forwarding: ForwardingMode::Aggregate,
+    rate: 30.0,
+    secs: 300,
+    strategy: StrategyKind::MaxEb,
+    audit: Audit::Every(32),
+    checks: &[],
+};
+
+#[derive(Clone, Copy, Debug)]
+enum Scenario {
+    Named(&'static str),
+    /// [`flap_storm`] over the recipe's duration, seeded by the run's seed.
+    FlapStorm,
+}
+
+/// How many of a row's runs each of its guards must hold on.
+#[derive(Clone, Copy)]
+enum Quorum {
+    SomeRun,
+    EveryRun,
+}
+
+struct Row {
+    recipe: Recipe,
+    scenario: Scenario,
+    seeds: &'static [u64],
+    guards: &'static [Guard],
+    quorum: Quorum,
+}
+
+const SEEDS_1_TO_10: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+
+impl Recipe {
+    fn builder(&self, scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
+        Simulation::builder()
+            .layered_mesh(LayeredMeshConfig::small())
+            .ssd(self.rate)
+            .duration(Duration::from_secs(self.secs))
+            .strategy(self.strategy)
+            .forwarding(self.forwarding)
+            .scenario(scenario.clone())
+            .seed(seed)
+    }
+
+    /// Steps one run of this recipe under `scenario`, applies every check
+    /// the recipe opts into, and returns the stepped run.
+    fn run(&self, scenario: &DynamicScenario, seed: u64) -> SimulationOutcome {
+        let build = self.builder(scenario, seed);
+        let what = format!("{scenario}, seed {seed}");
+        let dense = matches!(self.audit, Audit::ScenarioInstants);
+        let stepped = run_with_checks(build.build(), &what, self.audit, |sim| {
+            sim.audit_tables()?;
+            if dense {
+                tables_match_the_dense_layout(sim)?;
+            }
+            Ok(())
+        });
+        stepped.check_conservation().unwrap();
+        stepped.check_no_duplicates().unwrap();
+        if self.checks.contains(&Check::PlainRun) || self.checks.contains(&Check::Shards) {
+            let plain = build.run();
+            if self.checks.contains(&Check::PlainRun) {
+                assert_eq!(
+                    plain.replay_state(),
+                    stepped.replay_state(),
+                    "the stepped run drifted from the plain run ({what})"
+                );
+            }
+            if self.checks.contains(&Check::Shards) {
+                for shards in [2, 4, 8] {
+                    assert_eq!(
+                        bdps::sim::run_sharded(build.build(), shards).replay_state(),
+                        plain.replay_state(),
+                        "the {shards}-shard run drifted from the plain run ({what})"
+                    );
+                }
+            }
+        }
+        stepped
+    }
+}
+
+/// Holds every broker's live table to a dense table built from scratch
+/// over the population list, against the routing the live table was last
+/// rebuilt on: scoped resolution of every listed subscription must give
+/// the dense rows.
+fn tables_match_the_dense_layout(sim: &Simulation) -> std::result::Result<(), String> {
+    let subs = sim.subscriptions();
+    let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
+    sim.tables().try_for_each(|table| {
+        let broker = table.broker();
+        let dense = SubscriptionTable::build(broker, sim.routing(), subs);
+        let mut resolved: Vec<ResolvedEntry> = Vec::new();
+        table.resolve_scope(&scope, |e, _| resolved.push(e));
+        let expected: Vec<ResolvedEntry> = scope
+            .iter()
+            .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
+            .collect();
+        if resolved != expected {
+            let first = resolved.iter().zip(&expected).position(|(a, b)| a != b);
+            return Err(format!(
+                "broker {broker} resolves the population to {} rows, the dense layout to {} \
+                 (first difference at row {first:?})",
+                resolved.len(),
+                expected.len()
+            ));
+        }
+        Ok(())
+    })
+}
+
+/// Runs every seed of `row`, one thread each (a sharded run spends most of
+/// its time waiting on its own barriers), and holds the runs to the row's
+/// guards.
+fn run_row(row: &Row) {
+    let outcomes: Vec<SimulationOutcome> = std::thread::scope(|s| {
+        let runs: Vec<_> = row
+            .seeds
+            .iter()
+            .map(|&seed| {
+                s.spawn(move || {
+                    let scenario = match row.scenario {
+                        Scenario::Named(name) => DynamicScenario::from_name(name)
+                            .unwrap_or_else(|| panic!("{name} is a builtin scenario")),
+                        Scenario::FlapStorm => {
+                            flap_storm(seed, small_mesh_link_count(), row.recipe.secs)
+                        }
+                    };
+                    row.recipe.run(&scenario, seed)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    let needed = match row.quorum {
+        Quorum::SomeRun => 1,
+        Quorum::EveryRun => outcomes.len(),
     };
-    assert!(exercised, "{scenario_name} never exercised what it audits");
+    for guard in row.guards {
+        let held = outcomes.iter().filter(|o| guard.holds(o)).count();
+        assert!(
+            held >= needed,
+            "{:?}: {guard:?} held on {held} of {} runs, so the checks may never have bitten",
+            row.scenario,
+            outcomes.len()
+        );
+    }
 }
 
 #[test]
 fn link_flap_reports_are_engine_independent_on_seeds_1_to_10() {
-    audit_scenario("link-flap", 1..=10);
+    run_row(&Row {
+        recipe: SMALL_MESH_SHARDED,
+        scenario: Scenario::Named("link-flap"),
+        seeds: SEEDS_1_TO_10,
+        guards: &[Guard::RoutesMoved],
+        quorum: Quorum::SomeRun,
+    });
 }
 
 #[test]
 fn blackout_reports_are_engine_independent_on_seeds_1_to_10() {
-    // The mass transition: every aggregate disappears when the mesh goes
-    // dark and must reappear with fresh routed fields on recovery.
-    audit_scenario("blackout", 1..=10);
+    // The mass transition: every remote route disappears when the mesh
+    // goes dark and must reappear with fresh routed fields on recovery.
+    run_row(&Row {
+        recipe: SMALL_MESH,
+        scenario: Scenario::Named("blackout"),
+        seeds: SEEDS_1_TO_10,
+        guards: &[Guard::RoutesMoved],
+        quorum: Quorum::EveryRun,
+    });
 }
 
 #[test]
 fn churn_reports_are_engine_independent_on_seeds_1_to_10() {
-    // Churn exercises the shared-registry path: joins register once
-    // globally and expand at the edge, leaves strip queued copies and drop
-    // the route towards an emptied group.
-    audit_scenario("churn", 1..=10);
+    // Joins register once globally and expand at the edge; leaves strip
+    // queued copies and drop the route towards an emptied group.
+    run_row(&Row {
+        recipe: SMALL_MESH_SHARDED,
+        scenario: Scenario::Named("churn"),
+        seeds: SEEDS_1_TO_10,
+        guards: &[Guard::LeavesOrphaned],
+        quorum: Quorum::SomeRun,
+    });
 }
 
 #[test]
 fn chaos_reports_are_engine_independent_on_seeds_1_to_10() {
-    // Chaos combines churn, bursts and link failures, so the audit also
-    // covers subscription joins/leaves interleaved with rebuilds (a join
-    // during an outage must patch in on recovery).
-    audit_scenario("chaos", 1..=10);
+    // Churn, bursts and link failures interleaved: a join during an outage
+    // must patch in on recovery.
+    run_row(&Row {
+        recipe: SMALL_MESH_SHARDED,
+        scenario: Scenario::Named("chaos"),
+        seeds: SEEDS_1_TO_10,
+        guards: &[Guard::RoutesMoved],
+        quorum: Quorum::SomeRun,
+    });
 }
 
 #[test]
 fn flap_storm_is_engine_independent() {
-    // The small mesh has 68 directed links.
-    let links = small_mesh_link_count();
-    for seed in [3u64, 7, 11] {
-        let outcome = audited_run(&flap_storm(seed, links, 240), seed);
-        // The storm must actually stress the rebuild machinery: link events
-        // void transfers (requeues) in a congested mesh, move routes and
-        // patch the aggregates that follow them.
-        assert!(
-            outcome.requeued() > 0,
-            "storm seed {seed} never caught a transfer in flight"
-        );
-        assert!(
-            outcome.route_trees_recomputed > 0 && outcome.route_pairs_changed > 0,
-            "storm seed {seed} never moved a route"
-        );
-        assert!(outcome.entries_retargeted > 0, "storm seed {seed}");
-    }
+    // The storm's same-instant floods are where an incremental patch does
+    // least like a from-scratch build.
+    run_row(&Row {
+        recipe: SMALL_MESH,
+        scenario: Scenario::FlapStorm,
+        seeds: &[3, 7, 11],
+        guards: &[Guard::Requeued, Guard::RoutesMoved],
+        quorum: Quorum::EveryRun,
+    });
+}
+
+#[test]
+fn envelopes_stay_consistent_under_churn() {
+    // Churn is what the envelopes exist for: the incremental prefix folds
+    // are held to the scratch fold on long member lists.
+    run_row(&Row {
+        recipe: CONGESTED_AGGREGATE,
+        scenario: Scenario::Named("churn"),
+        seeds: &[7, 42, 20060816],
+        guards: &[Guard::OnTime],
+        quorum: Quorum::EveryRun,
+    });
+}
+
+#[test]
+fn envelopes_stay_consistent_under_chaos() {
+    // Retargets rewrite the routes towards edge groups while leaves shrink
+    // the groups' envelopes in place.
+    run_row(&Row {
+        recipe: CONGESTED_AGGREGATE,
+        scenario: Scenario::Named("chaos"),
+        seeds: &[20060816],
+        guards: &[Guard::OnTime],
+        quorum: Quorum::EveryRun,
+    });
 }
 
 #[test]
@@ -143,7 +374,7 @@ fn a_batch_that_nets_to_nothing_recomputes_no_tree() {
             blink = blink.at(Duration::from_secs(90), action);
         }
     }
-    let outcome = audited_run(&blink, 5);
+    let outcome = SMALL_MESH.run(&blink, 5);
     assert_eq!(outcome.route_trees_recomputed, 0);
     assert_eq!(outcome.route_pairs_changed, 0);
     assert_eq!(outcome.entries_retargeted, 0);
@@ -157,10 +388,9 @@ fn a_batch_that_nets_to_nothing_recomputes_no_tree() {
 /// scenarios below target (every run of one seed draws the same population,
 /// whatever the scenario).
 fn population(seed: u64) -> Vec<(Subscription, BrokerId)> {
-    Simulation::builder()
-        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-        .ssd(12.0)
-        .seed(seed)
+    let none = DynamicScenario::named("static");
+    SMALL_MESH
+        .builder(&none, seed)
         .build()
         .subscriptions()
         .to_vec()
@@ -204,8 +434,8 @@ fn leave_of_an_unknown_id_is_a_no_op() {
                 subscription: members[0].0.id,
             },
         );
-    let without = audited_run(&leaves, seed);
-    let with = audited_run(&strays, seed);
+    let without = SMALL_MESH.run(&leaves, seed);
+    let with = SMALL_MESH.run(&strays, seed);
     assert_eq!(
         without.replay_state(),
         with.replay_state(),
@@ -237,8 +467,8 @@ fn leave_then_rejoin_at_one_instant_passes_the_table_audits() {
             },
         );
     }
-    let left = audited_run(&leave_only, seed).tracker;
-    let rejoined = audited_run(&rejoin, seed);
+    let left = SMALL_MESH.run(&leave_only, seed).tracker;
+    let rejoined = SMALL_MESH.run(&rejoin, seed);
     // Both halves must take effect: the leave strips queued copies, the
     // rejoin puts the subscriber back in scope of later publications.
     assert!(rejoined.dropped_unsubscribed() > 0);
@@ -269,14 +499,18 @@ fn join_of_a_live_id_at_another_edge_is_a_leave_then_the_join() {
     }
     // State by state: the old edge lost its row and every other broker
     // re-synced its aggregate towards the group that shrank.
-    let moved = audited_run(&rehome, seed);
+    let moved = SMALL_MESH.run(&rehome, seed);
     assert!(
         moved.dropped_unsubscribed() > 0,
         "the implied leaves must orphan queued copies, or nothing was stripped"
     );
     assert_eq!(moved.tracker.duplicate_deliveries(), 0);
-    let aggregate = builder(&rehome, seed).forwarding(ForwardingMode::Aggregate);
-    run_with_table_audits(aggregate.build(), "re-home, aggregate");
+    let aggregate = Recipe {
+        forwarding: ForwardingMode::Aggregate,
+        checks: &[],
+        ..SMALL_MESH
+    };
+    aggregate.run(&rehome, seed);
 }
 
 #[test]
@@ -311,8 +545,8 @@ fn an_edge_group_emptied_then_refilled_passes_the_table_audits() {
     }
     // State by state: after the last leave no broker holds a route towards
     // the edge, after the first rejoin every broker that reaches it does.
-    let left = audited_run(&emptied, seed).tracker;
-    let back = audited_run(&refilled, seed).tracker;
+    let left = SMALL_MESH.run(&emptied, seed).tracker;
+    let back = SMALL_MESH.run(&refilled, seed).tracker;
     assert!(
         back.total_interested() > left.total_interested(),
         "the refilled group must be in scope of later publications again"
@@ -325,7 +559,7 @@ fn runs_report_aggregate_counters() {
     // The observability half of the table: aggregates exist, every local
     // delivery is an edge expansion, and no table is ever rebuilt whole.
     let outcome = Simulation::builder()
-        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
+        .layered_mesh(LayeredMeshConfig::small())
         .ssd(10.0)
         .duration(Duration::from_secs(180))
         .strategy(StrategyKind::MaxEb)

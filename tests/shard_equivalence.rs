@@ -1,112 +1,59 @@
-//! Differential-oracle suite for the sharded multi-core executor.
+//! Sharded-executor tests beside the differential grid.
 //!
 //! The conservative time-window executor (`bdps::sim::shard`) partitions the
 //! brokers into N shards advanced by worker threads; the single-threaded
-//! loop is retained as the reference. The claim this suite enforces: for any
-//! seed × scenario × strategy, an N-shard run reproduces the 1-shard run's
+//! loop is retained as the reference. The claim: an N-shard run reproduces
+//! the sequential run's
 //! [`replay_state`](SimulationOutcome::replay_state) **bit for bit** — the
 //! run digest over every delivery, drop and transmission, per-broker and
 //! per-link counters, per-phase breakdowns, the earning and the delay
 //! summary, which pins the executor's effect-log replay to the sequential
-//! floating-point accumulation order.
-//!
-//! Scenario barriers run the engine's own incremental table repair, and the
-//! shared population registry is read concurrently by shard workers
-//! mid-window.
+//! floating-point accumulation order. The differential grid
+//! (`tests/rebuild_equivalence.rs`) holds its `link-flap`, `churn` and
+//! `chaos` rows to it at 2, 4 and 8 shards; this suite adds the static
+//! runs of every strategy, the interner counters and the same-instant
+//! replay order.
 
 use bdps::core::config::StrategyKind;
 use bdps::prelude::*;
-
-/// Shard counts the suite holds to the sequential oracle. 1 is the oracle
-/// itself (and exercises the executor's fallback to the sequential loop); 8
-/// exceeds the small mesh's per-layer broker counts, so some shards own a
-/// single broker.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// `builder`'s run on `shards` shards.
-fn sharded_run(builder: &SimulationBuilder, shards: usize) -> SimulationOutcome {
-    bdps::sim::run_sharded(builder.build(), shards)
-}
-
-fn run(scenario_name: &str, shards: usize, seed: u64) -> SimulationOutcome {
-    let builder = Simulation::builder()
-        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-        .ssd(12.0)
-        .duration(Duration::from_secs(240))
-        .strategy(StrategyKind::MaxEbpc)
-        .scenario_named(scenario_name)
-        .unwrap_or_else(|_| panic!("{scenario_name} is a builtin scenario"))
-        .seed(seed);
-    sharded_run(&builder, shards)
-}
-
-/// Runs one scenario over a seed range and asserts that every shard count
-/// reproduces the sequential run bit-for-bit.
-fn assert_shards_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
-    for seed in seeds {
-        let oracle = run(scenario_name, 1, seed);
-        for shards in SHARD_COUNTS {
-            assert_eq!(
-                run(scenario_name, shards, seed).replay_state(),
-                oracle.replay_state(),
-                "{scenario_name} seed {seed}: {shards}-shard run drifted from the \
-                 sequential oracle"
-            );
-        }
-    }
-}
-
-// The three dynamic scenarios cover the three classes of global state the
-// shard barriers must serialise: churn (shared population registry +
-// subscription tables), link-flap (routing rebuilds + voided transfers) and
-// chaos (all of it at once, interleaved).
-
-#[test]
-fn churn_reports_are_shard_count_invariant() {
-    assert_shards_agree("churn", 1..=10);
-}
-
-#[test]
-fn link_flap_reports_are_shard_count_invariant() {
-    assert_shards_agree("link-flap", 1..=10);
-}
-
-#[test]
-fn chaos_reports_are_shard_count_invariant() {
-    assert_shards_agree("chaos", 1..=10);
-}
 
 /// The static scenario has no barriers at all after the publisher seeding —
 /// the purest test of the window protocol itself (and of the per-entity RNG
 /// stream discipline), across all five paper strategies.
 #[test]
 fn static_reports_are_shard_count_invariant_for_every_strategy() {
-    for strategy in [
-        StrategyKind::MaxEb,
-        StrategyKind::MaxPc,
-        StrategyKind::MaxEbpc,
-        StrategyKind::Fifo,
-        StrategyKind::RemainingLifetime,
-    ] {
-        for seed in 1..=3 {
-            let builder = Simulation::builder()
-                .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-                .ssd(20.0)
-                .duration(Duration::from_secs(240))
-                .strategy(strategy)
-                .seed(seed);
-            let oracle = builder.run();
-            for shards in [2, 4, 8] {
-                let sharded = sharded_run(&builder, shards);
-                assert_eq!(
-                    sharded.replay_state(),
-                    oracle.replay_state(),
-                    "static seed {seed}: {shards}-shard run drifted for {}",
-                    strategy.label()
-                );
-            }
+    // One thread per strategy: the sharded runs spend most of their time
+    // waiting on their own barriers.
+    std::thread::scope(|s| {
+        for strategy in [
+            StrategyKind::MaxEb,
+            StrategyKind::MaxPc,
+            StrategyKind::MaxEbpc,
+            StrategyKind::Fifo,
+            StrategyKind::RemainingLifetime,
+        ] {
+            s.spawn(move || {
+                for seed in 1..=3 {
+                    let builder = Simulation::builder()
+                        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
+                        .ssd(20.0)
+                        .duration(Duration::from_secs(240))
+                        .strategy(strategy)
+                        .seed(seed);
+                    let oracle = builder.run();
+                    for shards in [2, 4, 8] {
+                        let sharded = bdps::sim::run_sharded(builder.build(), shards);
+                        assert_eq!(
+                            sharded.replay_state(),
+                            oracle.replay_state(),
+                            "static seed {seed}: {shards}-shard run drifted for {}",
+                            strategy.label()
+                        );
+                    }
+                }
+            });
         }
-    }
+    });
 }
 
 /// The scope-interner counters are introspection, and the hit count depends
