@@ -1,8 +1,11 @@
 //! Helpers shared by the differential-oracle suites: the differential grid
-//! and its hand-built scenarios (`rebuild_equivalence.rs`), the forwarding
+//! ([`grid`], run by `rebuild_equivalence.rs`, `layout_equivalence.rs` and
+//! `shard_equivalence.rs`) and its flap storm, the forwarding
 //! delivery-set oracle (`forwarding_equivalence.rs`) and the fair-share
 //! physics tests (`linkmodel_equivalence.rs`). [`run_with_checks`] is the
 //! one stepping loop they audit runs with.
+
+pub mod grid;
 
 use bdps::prelude::*;
 use bdps::sim::engine::EventKind;

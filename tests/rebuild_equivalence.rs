@@ -1,117 +1,36 @@
-//! The differential grid: every small-mesh run the oracles hold to, as one
-//! table of rows and the checks each row opts into.
+//! Incremental table maintenance against from-scratch rebuilds, on the
+//! differential grid (`tests/common/grid.rs`) and on hand-built scenarios.
 //!
-//! A [`Row`] is a builder [`Recipe`] — forwarding mode, SSD publishing
-//! rate, duration, strategy, when its runs are audited and which further
-//! [`Check`]s they get — plus the scenario it runs, its seeds and the
-//! [`Guard`]s its runs must pass so that no check is vacuous. Every run of
-//! every row is stepped by the engine's own `step_next`, audited, must
-//! conserve every copy and deliver no pair twice, and gets its checks:
-//!
-//! - **Scenario audits.** After every event of each instant that holds a
-//!   scenario event, [`Simulation::audit_tables`] holds the registry to the
-//!   population list, routing to a from-scratch `Routing::compute_filtered`,
-//!   every broker's table to a from-scratch `SparseTable::build` and every
-//!   envelope to the fold over its members; in the same pass every broker's
-//!   table must resolve the whole population to exactly the rows of the
-//!   dense `SubscriptionTable` built from scratch, routed fields included.
-//!   A patch that skips one destination fails at the instant it happens.
-//! - **Cadence audits.** `audit_tables` every 32 events and at the end: the
-//!   congested aggregate-forwarding rows, where joins and leaves hit edge
-//!   groups while stamped envelope bounds rank and shed interior copies.
-//! - **Plain run.** The stepped run ends in exactly the
-//!   [`replay_state`](SimulationOutcome::replay_state) (digest, counters,
-//!   phases, sums) of a plain `run()` of the same build, so the stepping
-//!   did not perturb the run it audited.
-//! - **Shards.** `run_sharded` at 2, 4 and 8 shards reproduces the plain
-//!   run's replay state bit for bit: scenario barriers run the engine's own
-//!   table repair, and shard workers read the shared registry mid-window.
-//!   8 exceeds the small mesh's per-layer broker counts, so some shards own
-//!   a single broker.
-//!
-//! The rows: the registry's `link-flap`, `blackout`, `churn` and `chaos`
-//! on seeds 1–10 of the small mesh at SSD 12 for 240 s under EBPC (all but
-//! `blackout` also sharded), the hand-built flap storm on the same build,
-//! and the congested aggregate rows (SSD 30, 300 s, EB) under `churn` and
-//! `chaos`. 180 simulations in all.
+//! Every grid row runs here with the table audits and the plain run: after
+//! every event of each instant that holds a scenario event,
+//! [`Simulation::audit_tables`] holds the registry, routing, every broker's
+//! table and every envelope to their from-scratch rebuilds, and the stepped
+//! run must end in the plain run's replay state. The congested
+//! aggregate-forwarding rows (SSD 30, 300 s, EB, under `churn` and `chaos`)
+//! are audited every 32 events instead, where joins and leaves hit edge
+//! groups while stamped envelope bounds rank and shed interior copies.
 //!
 //! The hand-built churn scenarios beside the grid aim at the join / leave
 //! arms: unknown ids, a leave and a rejoin at one instant, a join that
-//! re-homes a live id, and an edge group emptied and then refilled.
+//! re-homes a live id, and an edge group emptied and then refilled. Their
+//! runs get the table audits and the dense layout in one stepped pass, and
+//! the plain run.
 
-use bdps::overlay::sparse::ResolvedEntry;
-use bdps::overlay::subtable::SubscriptionTable;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
 
 mod common;
-use common::{flap_storm, run_with_checks, small_mesh_link_count, Audit};
-
-/// A check beyond the audits that a [`Recipe`] opts into (see the module
-/// docs).
-#[derive(Clone, Copy, PartialEq)]
-enum Check {
-    PlainRun,
-    Shards,
-}
-
-/// What a row's runs must have done for its checks to bite.
-#[derive(Clone, Copy, Debug)]
-enum Guard {
-    /// Link events moved routes and retargeted aggregates.
-    RoutesMoved,
-    /// Leaves orphaned queued copies.
-    LeavesOrphaned,
-    /// Link events voided transfers in flight.
-    Requeued,
-    /// Something was delivered on time.
-    OnTime,
-}
-
-impl Guard {
-    fn holds(self, outcome: &SimulationOutcome) -> bool {
-        match self {
-            Guard::RoutesMoved => {
-                outcome.route_trees_recomputed > 0
-                    && outcome.route_pairs_changed > 0
-                    && outcome.entries_retargeted > 0
-            }
-            Guard::LeavesOrphaned => outcome.dropped_unsubscribed() > 0,
-            Guard::Requeued => outcome.requeued() > 0,
-            Guard::OnTime => outcome.tracker.total_on_time() > 0,
-        }
-    }
-}
-
-/// How a row's runs are built, and what is checked of them.
-#[derive(Clone, Copy)]
-struct Recipe {
-    forwarding: ForwardingMode,
-    /// SSD publishing rate, messages per publisher per minute.
-    rate: f64,
-    secs: u64,
-    strategy: StrategyKind,
-    /// When the stepped run is audited. At scenario instants the dense
-    /// layout is checked in the same pass as `audit_tables`.
-    audit: Audit,
-    checks: &'static [Check],
-}
-
-/// The build every oracle runs on: the small mesh, congested at SSD 12,
-/// for 240 s under EBPC.
-const SMALL_MESH: Recipe = Recipe {
-    forwarding: ForwardingMode::Exact,
-    rate: 12.0,
-    secs: 240,
-    strategy: StrategyKind::MaxEbpc,
-    audit: Audit::ScenarioInstants,
-    checks: &[Check::PlainRun],
+use common::grid::{
+    run_row, Check, Guard, Quorum, Recipe, Row, Scenario, BLACKOUT, CHAOS, CHURN, FLAP_STORM,
+    LINK_FLAP, SMALL_MESH,
 };
+use common::{small_mesh_link_count, Audit};
 
-const SMALL_MESH_SHARDED: Recipe = Recipe {
-    checks: &[Check::PlainRun, Check::Shards],
-    ..SMALL_MESH
-};
+/// The checks every grid row runs with here.
+const REBUILD: &[Check] = &[Check::Tables, Check::PlainRun];
+
+/// The checks the hand-built scenarios run with.
+const AUDITED: &[Check] = &[Check::Tables, Check::DenseLayout, Check::PlainRun];
 
 /// Publishing at 30 msgs/min saturates the small mesh, so stamped envelope
 /// bounds actively rank and shed interior copies while churn mutates the
@@ -122,239 +41,59 @@ const CONGESTED_AGGREGATE: Recipe = Recipe {
     secs: 300,
     strategy: StrategyKind::MaxEb,
     audit: Audit::Every(32),
-    checks: &[],
 };
-
-#[derive(Clone, Copy, Debug)]
-enum Scenario {
-    Named(&'static str),
-    /// [`flap_storm`] over the recipe's duration, seeded by the run's seed.
-    FlapStorm,
-}
-
-/// How many of a row's runs each of its guards must hold on.
-#[derive(Clone, Copy)]
-enum Quorum {
-    SomeRun,
-    EveryRun,
-}
-
-struct Row {
-    recipe: Recipe,
-    scenario: Scenario,
-    seeds: &'static [u64],
-    guards: &'static [Guard],
-    quorum: Quorum,
-}
-
-const SEEDS_1_TO_10: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-
-impl Recipe {
-    fn builder(&self, scenario: &DynamicScenario, seed: u64) -> SimulationBuilder {
-        Simulation::builder()
-            .layered_mesh(LayeredMeshConfig::small())
-            .ssd(self.rate)
-            .duration(Duration::from_secs(self.secs))
-            .strategy(self.strategy)
-            .forwarding(self.forwarding)
-            .scenario(scenario.clone())
-            .seed(seed)
-    }
-
-    /// Steps one run of this recipe under `scenario`, applies every check
-    /// the recipe opts into, and returns the stepped run.
-    fn run(&self, scenario: &DynamicScenario, seed: u64) -> SimulationOutcome {
-        let build = self.builder(scenario, seed);
-        let what = format!("{scenario}, seed {seed}");
-        let dense = matches!(self.audit, Audit::ScenarioInstants);
-        let stepped = run_with_checks(build.build(), &what, self.audit, |sim| {
-            sim.audit_tables()?;
-            if dense {
-                tables_match_the_dense_layout(sim)?;
-            }
-            Ok(())
-        });
-        stepped.check_conservation().unwrap();
-        stepped.check_no_duplicates().unwrap();
-        if self.checks.contains(&Check::PlainRun) || self.checks.contains(&Check::Shards) {
-            let plain = build.run();
-            if self.checks.contains(&Check::PlainRun) {
-                assert_eq!(
-                    plain.replay_state(),
-                    stepped.replay_state(),
-                    "the stepped run drifted from the plain run ({what})"
-                );
-            }
-            if self.checks.contains(&Check::Shards) {
-                for shards in [2, 4, 8] {
-                    assert_eq!(
-                        bdps::sim::run_sharded(build.build(), shards).replay_state(),
-                        plain.replay_state(),
-                        "the {shards}-shard run drifted from the plain run ({what})"
-                    );
-                }
-            }
-        }
-        stepped
-    }
-}
-
-/// Holds every broker's live table to a dense table built from scratch
-/// over the population list, against the routing the live table was last
-/// rebuilt on: scoped resolution of every listed subscription must give
-/// the dense rows.
-fn tables_match_the_dense_layout(sim: &Simulation) -> std::result::Result<(), String> {
-    let subs = sim.subscriptions();
-    let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
-    sim.tables().try_for_each(|table| {
-        let broker = table.broker();
-        let dense = SubscriptionTable::build(broker, sim.routing(), subs);
-        let mut resolved: Vec<ResolvedEntry> = Vec::new();
-        table.resolve_scope(&scope, |e, _| resolved.push(e));
-        let expected: Vec<ResolvedEntry> = scope
-            .iter()
-            .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
-            .collect();
-        if resolved != expected {
-            let first = resolved.iter().zip(&expected).position(|(a, b)| a != b);
-            return Err(format!(
-                "broker {broker} resolves the population to {} rows, the dense layout to {} \
-                 (first difference at row {first:?})",
-                resolved.len(),
-                expected.len()
-            ));
-        }
-        Ok(())
-    })
-}
-
-/// Runs every seed of `row`, one thread each (a sharded run spends most of
-/// its time waiting on its own barriers), and holds the runs to the row's
-/// guards.
-fn run_row(row: &Row) {
-    let outcomes: Vec<SimulationOutcome> = std::thread::scope(|s| {
-        let runs: Vec<_> = row
-            .seeds
-            .iter()
-            .map(|&seed| {
-                s.spawn(move || {
-                    let scenario = match row.scenario {
-                        Scenario::Named(name) => DynamicScenario::from_name(name)
-                            .unwrap_or_else(|| panic!("{name} is a builtin scenario")),
-                        Scenario::FlapStorm => {
-                            flap_storm(seed, small_mesh_link_count(), row.recipe.secs)
-                        }
-                    };
-                    row.recipe.run(&scenario, seed)
-                })
-            })
-            .collect();
-        runs.into_iter()
-            .map(|run| run.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    let needed = match row.quorum {
-        Quorum::SomeRun => 1,
-        Quorum::EveryRun => outcomes.len(),
-    };
-    for guard in row.guards {
-        let held = outcomes.iter().filter(|o| guard.holds(o)).count();
-        assert!(
-            held >= needed,
-            "{:?}: {guard:?} held on {held} of {} runs, so the checks may never have bitten",
-            row.scenario,
-            outcomes.len()
-        );
-    }
-}
 
 #[test]
 fn link_flap_reports_are_engine_independent_on_seeds_1_to_10() {
-    run_row(&Row {
-        recipe: SMALL_MESH_SHARDED,
-        scenario: Scenario::Named("link-flap"),
-        seeds: SEEDS_1_TO_10,
-        guards: &[Guard::RoutesMoved],
-        quorum: Quorum::SomeRun,
-    });
+    run_row(&LINK_FLAP, REBUILD);
 }
 
 #[test]
 fn blackout_reports_are_engine_independent_on_seeds_1_to_10() {
-    // The mass transition: every remote route disappears when the mesh
-    // goes dark and must reappear with fresh routed fields on recovery.
-    run_row(&Row {
-        recipe: SMALL_MESH,
-        scenario: Scenario::Named("blackout"),
-        seeds: SEEDS_1_TO_10,
-        guards: &[Guard::RoutesMoved],
-        quorum: Quorum::EveryRun,
-    });
+    run_row(&BLACKOUT, REBUILD);
 }
 
 #[test]
 fn churn_reports_are_engine_independent_on_seeds_1_to_10() {
-    // Joins register once globally and expand at the edge; leaves strip
-    // queued copies and drop the route towards an emptied group.
-    run_row(&Row {
-        recipe: SMALL_MESH_SHARDED,
-        scenario: Scenario::Named("churn"),
-        seeds: SEEDS_1_TO_10,
-        guards: &[Guard::LeavesOrphaned],
-        quorum: Quorum::SomeRun,
-    });
+    run_row(&CHURN, REBUILD);
 }
 
 #[test]
 fn chaos_reports_are_engine_independent_on_seeds_1_to_10() {
-    // Churn, bursts and link failures interleaved: a join during an outage
-    // must patch in on recovery.
-    run_row(&Row {
-        recipe: SMALL_MESH_SHARDED,
-        scenario: Scenario::Named("chaos"),
-        seeds: SEEDS_1_TO_10,
-        guards: &[Guard::RoutesMoved],
-        quorum: Quorum::SomeRun,
-    });
+    run_row(&CHAOS, REBUILD);
 }
 
 #[test]
 fn flap_storm_is_engine_independent() {
-    // The storm's same-instant floods are where an incremental patch does
-    // least like a from-scratch build.
-    run_row(&Row {
-        recipe: SMALL_MESH,
-        scenario: Scenario::FlapStorm,
-        seeds: &[3, 7, 11],
-        guards: &[Guard::Requeued, Guard::RoutesMoved],
-        quorum: Quorum::EveryRun,
-    });
+    run_row(&FLAP_STORM, REBUILD);
 }
 
 #[test]
 fn envelopes_stay_consistent_under_churn() {
     // Churn is what the envelopes exist for: the incremental prefix folds
     // are held to the scratch fold on long member lists.
-    run_row(&Row {
+    let row = Row {
         recipe: CONGESTED_AGGREGATE,
         scenario: Scenario::Named("churn"),
         seeds: &[7, 42, 20060816],
         guards: &[Guard::OnTime],
         quorum: Quorum::EveryRun,
-    });
+    };
+    run_row(&row, &[Check::Tables]);
 }
 
 #[test]
 fn envelopes_stay_consistent_under_chaos() {
     // Retargets rewrite the routes towards edge groups while leaves shrink
     // the groups' envelopes in place.
-    run_row(&Row {
+    let row = Row {
         recipe: CONGESTED_AGGREGATE,
         scenario: Scenario::Named("chaos"),
         seeds: &[20060816],
         guards: &[Guard::OnTime],
         quorum: Quorum::EveryRun,
-    });
+    };
+    run_row(&row, &[Check::Tables]);
 }
 
 #[test]
@@ -374,7 +113,7 @@ fn a_batch_that_nets_to_nothing_recomputes_no_tree() {
             blink = blink.at(Duration::from_secs(90), action);
         }
     }
-    let outcome = SMALL_MESH.run(&blink, 5);
+    let outcome = SMALL_MESH.run(&blink, 5, AUDITED);
     assert_eq!(outcome.route_trees_recomputed, 0);
     assert_eq!(outcome.route_pairs_changed, 0);
     assert_eq!(outcome.entries_retargeted, 0);
@@ -434,8 +173,8 @@ fn leave_of_an_unknown_id_is_a_no_op() {
                 subscription: members[0].0.id,
             },
         );
-    let without = SMALL_MESH.run(&leaves, seed);
-    let with = SMALL_MESH.run(&strays, seed);
+    let without = SMALL_MESH.run(&leaves, seed, AUDITED);
+    let with = SMALL_MESH.run(&strays, seed, AUDITED);
     assert_eq!(
         without.replay_state(),
         with.replay_state(),
@@ -467,8 +206,8 @@ fn leave_then_rejoin_at_one_instant_passes_the_table_audits() {
             },
         );
     }
-    let left = SMALL_MESH.run(&leave_only, seed).tracker;
-    let rejoined = SMALL_MESH.run(&rejoin, seed);
+    let left = SMALL_MESH.run(&leave_only, seed, AUDITED).tracker;
+    let rejoined = SMALL_MESH.run(&rejoin, seed, AUDITED);
     // Both halves must take effect: the leave strips queued copies, the
     // rejoin puts the subscriber back in scope of later publications.
     assert!(rejoined.dropped_unsubscribed() > 0);
@@ -499,7 +238,7 @@ fn join_of_a_live_id_at_another_edge_is_a_leave_then_the_join() {
     }
     // State by state: the old edge lost its row and every other broker
     // re-synced its aggregate towards the group that shrank.
-    let moved = SMALL_MESH.run(&rehome, seed);
+    let moved = SMALL_MESH.run(&rehome, seed, AUDITED);
     assert!(
         moved.dropped_unsubscribed() > 0,
         "the implied leaves must orphan queued copies, or nothing was stripped"
@@ -507,10 +246,9 @@ fn join_of_a_live_id_at_another_edge_is_a_leave_then_the_join() {
     assert_eq!(moved.tracker.duplicate_deliveries(), 0);
     let aggregate = Recipe {
         forwarding: ForwardingMode::Aggregate,
-        checks: &[],
         ..SMALL_MESH
     };
-    aggregate.run(&rehome, seed);
+    aggregate.run(&rehome, seed, &[Check::Tables, Check::DenseLayout]);
 }
 
 #[test]
@@ -545,8 +283,8 @@ fn an_edge_group_emptied_then_refilled_passes_the_table_audits() {
     }
     // State by state: after the last leave no broker holds a route towards
     // the edge, after the first rejoin every broker that reaches it does.
-    let left = SMALL_MESH.run(&emptied, seed).tracker;
-    let back = SMALL_MESH.run(&refilled, seed).tracker;
+    let left = SMALL_MESH.run(&emptied, seed, AUDITED).tracker;
+    let back = SMALL_MESH.run(&refilled, seed, AUDITED).tracker;
     assert!(
         back.total_interested() > left.total_interested(),
         "the refilled group must be in scope of later publications again"

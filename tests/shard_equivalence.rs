@@ -1,4 +1,6 @@
-//! Sharded-executor tests beside the differential grid.
+//! Sharded-executor tests: the differential grid's dynamic rows, the static
+//! runs of every strategy, the interner counters and the same-instant
+//! replay order.
 //!
 //! The conservative time-window executor (`bdps::sim::shard`) partitions the
 //! brokers into N shards advanced by worker threads; the single-threaded
@@ -8,14 +10,34 @@
 //! run digest over every delivery, drop and transmission, per-broker and
 //! per-link counters, per-phase breakdowns, the earning and the delay
 //! summary, which pins the executor's effect-log replay to the sequential
-//! floating-point accumulation order. The differential grid
-//! (`tests/rebuild_equivalence.rs`) holds its `link-flap`, `churn` and
-//! `chaos` rows to it at 2, 4 and 8 shards; this suite adds the static
-//! runs of every strategy, the interner counters and the same-instant
-//! replay order.
+//! floating-point accumulation order. The grid rows
+//! (`tests/common/grid.rs`, `Check::Shards`) hold it at 2, 4 and 8 shards.
 
 use bdps::core::config::StrategyKind;
 use bdps::prelude::*;
+
+mod common;
+use common::grid::{run_row, Check, CHAOS, CHURN, LINK_FLAP};
+
+// The three dynamic rows cover the three classes of global state the shard
+// barriers must serialise: churn (shared population registry +
+// subscription tables), link-flap (routing rebuilds + voided transfers) and
+// chaos (all of it at once, interleaved).
+
+#[test]
+fn churn_reports_are_shard_count_invariant() {
+    run_row(&CHURN, &[Check::Shards]);
+}
+
+#[test]
+fn link_flap_reports_are_shard_count_invariant() {
+    run_row(&LINK_FLAP, &[Check::Shards]);
+}
+
+#[test]
+fn chaos_reports_are_shard_count_invariant() {
+    run_row(&CHAOS, &[Check::Shards]);
+}
 
 /// The static scenario has no barriers at all after the publisher seeding —
 /// the purest test of the window protocol itself (and of the per-entity RNG
