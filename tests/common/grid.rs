@@ -1,40 +1,17 @@
-//! The differential grid: every small-mesh run the oracles hold to, as one
-//! table of rows and the checks a suite runs them with.
+//! The differential grid: the small-mesh runs the oracles hold to, as one
+//! table of rows that each suite runs with its own [`Check`]s.
 //!
 //! A [`Row`] is a builder [`Recipe`] — forwarding mode, SSD publishing
 //! rate, duration, strategy and when its stepped runs are audited — plus
 //! the scenario it runs, its seeds and the [`Guard`]s its runs must pass so
-//! that no check is vacuous. [`run_row`] runs every seed of a row with the
-//! [`Check`]s the calling suite names; every run must conserve every copy
-//! and deliver no pair twice:
-//!
-//! - **Table audits** ([`Check::Tables`]). At the recipe's [`Audit`]
-//!   instants, [`Simulation::audit_tables`] holds the registry to the
-//!   population list, routing to a from-scratch `Routing::compute_filtered`,
-//!   every broker's table to a from-scratch `SparseTable::build` and every
-//!   envelope to the fold over its members. A patch that skips one
-//!   destination fails at the instant it happens.
-//! - **Dense layout** ([`Check::DenseLayout`]). At the same instants, in the
-//!   same stepped pass, every broker's table must resolve the whole
-//!   population to exactly the rows of the dense `SubscriptionTable` built
-//!   from scratch, routed fields included.
-//! - **Plain run** ([`Check::PlainRun`]). The stepped run ends in exactly
-//!   the [`replay_state`](SimulationOutcome::replay_state) (digest,
-//!   counters, phases, sums) of a plain `run()` of the same build, so the
-//!   stepping did not perturb the run it audited.
-//! - **Shards** ([`Check::Shards`]). `run_sharded` at 2, 4 and 8 shards
-//!   reproduces the plain run's replay state bit for bit: scenario barriers
-//!   run the engine's own table repair, and shard workers read the shared
-//!   registry mid-window. 8 exceeds the small mesh's per-layer broker
-//!   counts, so some shards own a single broker.
-//!
-//! The rows here are the registry's `link-flap`, `blackout`, `churn` and
-//! `chaos` on seeds 1–10 of the small mesh at SSD 12 for 240 s under EBPC,
-//! and the hand-built flap storm on the same build. Each suite runs them
-//! with its own checks: `rebuild_equivalence` with the table audits and the
-//! plain run (every row), `layout_equivalence` with the dense layout
-//! (`link-flap`, `blackout`, `chaos`, the storm) and `shard_equivalence`
-//! with the shards (`link-flap`, `churn`, `chaos`).
+//! that no check is vacuous. Every run must also conserve every copy and
+//! deliver no pair twice. The rows here are the registry's `link-flap`,
+//! `blackout`, `churn` and `chaos` on seeds 1–10 of the small mesh at
+//! SSD 12 for 240 s under EBPC, and the hand-built flap storm on the same
+//! build. `rebuild_equivalence` runs every row with the table audits and
+//! the plain run, `layout_equivalence` runs `link-flap`, `blackout`,
+//! `chaos` and the storm with the dense layout, and `shard_equivalence`
+//! runs `link-flap`, `churn` and `chaos` with the shards.
 #![allow(dead_code)] // each test binary uses its own subset of the grid
 
 use bdps::overlay::sparse::ResolvedEntry;
@@ -44,12 +21,25 @@ use bdps::prelude::*;
 
 use super::{flap_storm, run_with_checks, small_mesh_link_count, Audit};
 
-/// A check a suite runs a row with (see the module docs).
+/// A check a suite runs a row with. The first two share one stepped pass.
 #[derive(Clone, Copy, PartialEq)]
 pub enum Check {
+    /// At the recipe's [`Audit`] instants, [`Simulation::audit_tables`]
+    /// holds the registry to the population list, routing, every broker's
+    /// table and every envelope to from-scratch rebuilds, so a patch that
+    /// skips one destination fails at the instant it happens.
     Tables,
+    /// At the same instants every broker's table must resolve the whole
+    /// population to exactly the rows of the dense `SubscriptionTable`
+    /// built from scratch, routed fields included.
     DenseLayout,
+    /// The stepped run ends in exactly the
+    /// [`replay_state`](SimulationOutcome::replay_state) of a plain `run()`
+    /// of the same build, so the stepping did not perturb what it audited.
     PlainRun,
+    /// `run_sharded` at 2, 4 and 8 shards reproduces the sequential run's
+    /// replay state bit for bit; 8 exceeds the small mesh's per-layer broker
+    /// counts, so some shards own a single broker.
     Shards,
 }
 
@@ -125,46 +115,31 @@ pub struct Row {
     pub quorum: Quorum,
 }
 
-const SEEDS_1_TO_10: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+/// A small-mesh row over seeds 1–10 of a registry scenario.
+const fn seeds_1_to_10(name: &'static str, guards: &'static [Guard], quorum: Quorum) -> Row {
+    Row {
+        recipe: SMALL_MESH,
+        scenario: Scenario::Named(name),
+        seeds: &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+        guards,
+        quorum,
+    }
+}
 
-pub const LINK_FLAP: Row = Row {
-    recipe: SMALL_MESH,
-    scenario: Scenario::Named("link-flap"),
-    seeds: SEEDS_1_TO_10,
-    guards: &[Guard::RoutesMoved],
-    quorum: Quorum::SomeRun,
-};
+pub const LINK_FLAP: Row = seeds_1_to_10("link-flap", &[Guard::RoutesMoved], Quorum::SomeRun);
 
 /// The mass transition: every remote route disappears when the mesh goes
 /// dark and must reappear with fresh routed fields on recovery.
-pub const BLACKOUT: Row = Row {
-    recipe: SMALL_MESH,
-    scenario: Scenario::Named("blackout"),
-    seeds: SEEDS_1_TO_10,
-    guards: &[Guard::RoutesMoved],
-    quorum: Quorum::EveryRun,
-};
+pub const BLACKOUT: Row = seeds_1_to_10("blackout", &[Guard::RoutesMoved], Quorum::EveryRun);
 
 /// Joins register once globally and expand at the edge; leaves strip
 /// queued copies and drop the route towards an emptied group. The guard
 /// holds on only some seeds, so it cannot be per run.
-pub const CHURN: Row = Row {
-    recipe: SMALL_MESH,
-    scenario: Scenario::Named("churn"),
-    seeds: SEEDS_1_TO_10,
-    guards: &[Guard::LeavesOrphaned],
-    quorum: Quorum::SomeRun,
-};
+pub const CHURN: Row = seeds_1_to_10("churn", &[Guard::LeavesOrphaned], Quorum::SomeRun);
 
 /// Churn, bursts and link failures interleaved: a join during an outage
 /// must patch in on recovery.
-pub const CHAOS: Row = Row {
-    recipe: SMALL_MESH,
-    scenario: Scenario::Named("chaos"),
-    seeds: SEEDS_1_TO_10,
-    guards: &[Guard::RoutesMoved],
-    quorum: Quorum::SomeRun,
-};
+pub const CHAOS: Row = seeds_1_to_10("chaos", &[Guard::RoutesMoved], Quorum::SomeRun);
 
 /// The storm's same-instant floods are where an incremental patch does
 /// least like a from-scratch build.
@@ -188,8 +163,8 @@ impl Recipe {
             .seed(seed)
     }
 
-    /// Runs this recipe under `scenario` with `checks`, and returns the
-    /// stepped run (the plain run when no check steps it).
+    /// Runs this recipe under `scenario` with `checks` and returns the run:
+    /// stepped when a check audits it, plain otherwise.
     pub fn run(
         &self,
         scenario: &DynamicScenario,
@@ -200,8 +175,8 @@ impl Recipe {
         let what = format!("{scenario}, seed {seed}");
         let tables = checks.contains(&Check::Tables);
         let dense = checks.contains(&Check::DenseLayout);
-        let stepped = (tables || dense).then(|| {
-            run_with_checks(build.build(), &what, self.audit, |sim| {
+        let outcome = if tables || dense {
+            let stepped = run_with_checks(build.build(), &what, self.audit, |sim| {
                 if tables {
                     sim.audit_tables()?;
                 }
@@ -209,35 +184,27 @@ impl Recipe {
                     tables_match_the_dense_layout(sim)?;
                 }
                 Ok(())
-            })
-        });
-        // A plain run only when a check compares against it, or when no
-        // check steps the run at all.
-        let compared = checks
-            .iter()
-            .any(|c| matches!(c, Check::PlainRun | Check::Shards));
-        let plain = (compared || stepped.is_none()).then(|| build.run());
-        if checks.contains(&Check::PlainRun) {
-            let stepped = stepped
-                .as_ref()
-                .expect("the plain-run check needs a stepped run");
-            assert_eq!(
-                plain.as_ref().unwrap().replay_state(),
-                stepped.replay_state(),
-                "the stepped run drifted from the plain run ({what})"
-            );
-        }
+            });
+            if checks.contains(&Check::PlainRun) {
+                assert_eq!(
+                    build.run().replay_state(),
+                    stepped.replay_state(),
+                    "the stepped run drifted from the plain run ({what})"
+                );
+            }
+            stepped
+        } else {
+            build.run()
+        };
         if checks.contains(&Check::Shards) {
-            let plain = plain.as_ref().unwrap();
             for shards in [2, 4, 8] {
                 assert_eq!(
                     bdps::sim::run_sharded(build.build(), shards).replay_state(),
-                    plain.replay_state(),
-                    "the {shards}-shard run drifted from the plain run ({what})"
+                    outcome.replay_state(),
+                    "the {shards}-shard run drifted from the sequential run ({what})"
                 );
             }
         }
-        let outcome = stepped.or(plain).expect("a run was made");
         outcome.check_conservation().unwrap();
         outcome.check_no_duplicates().unwrap();
         outcome

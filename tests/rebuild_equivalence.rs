@@ -1,20 +1,11 @@
-//! Incremental table maintenance against from-scratch rebuilds, on the
-//! differential grid (`tests/common/grid.rs`) and on hand-built scenarios.
-//!
-//! Every grid row runs here with the table audits and the plain run: after
-//! every event of each instant that holds a scenario event,
-//! [`Simulation::audit_tables`] holds the registry, routing, every broker's
-//! table and every envelope to their from-scratch rebuilds, and the stepped
-//! run must end in the plain run's replay state. The congested
-//! aggregate-forwarding rows (SSD 30, 300 s, EB, under `churn` and `chaos`)
-//! are audited every 32 events instead, where joins and leaves hit edge
-//! groups while stamped envelope bounds rank and shed interior copies.
-//!
-//! The hand-built churn scenarios beside the grid aim at the join / leave
-//! arms: unknown ids, a leave and a rejoin at one instant, a join that
-//! re-homes a live id, and an edge group emptied and then refilled. Their
-//! runs get the table audits and the dense layout in one stepped pass, and
-//! the plain run.
+//! Incremental table maintenance against from-scratch rebuilds: every row
+//! of the differential grid (`tests/common/grid.rs`) with the table audits
+//! and the plain run; the congested aggregate-forwarding rows, audited
+//! every 32 events while joins and leaves hit the edge groups whose
+//! envelopes rank and shed interior copies; and hand-built churn aimed at
+//! the join / leave arms (unknown ids, a leave and a rejoin at one instant,
+//! a re-homed live id, an edge group emptied and refilled), audited with
+//! the dense layout in the same pass.
 
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;

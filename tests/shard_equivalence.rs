@@ -1,6 +1,4 @@
-//! Sharded-executor tests: the differential grid's dynamic rows, the static
-//! runs of every strategy, the interner counters and the same-instant
-//! replay order.
+//! Differential-oracle suite for the sharded multi-core executor.
 //!
 //! The conservative time-window executor (`bdps::sim::shard`) partitions the
 //! brokers into N shards advanced by worker threads; the single-threaded
@@ -10,8 +8,7 @@
 //! run digest over every delivery, drop and transmission, per-broker and
 //! per-link counters, per-phase breakdowns, the earning and the delay
 //! summary, which pins the executor's effect-log replay to the sequential
-//! floating-point accumulation order. The grid rows
-//! (`tests/common/grid.rs`, `Check::Shards`) hold it at 2, 4 and 8 shards.
+//! floating-point accumulation order.
 
 use bdps::core::config::StrategyKind;
 use bdps::prelude::*;
@@ -19,10 +16,11 @@ use bdps::prelude::*;
 mod common;
 use common::grid::{run_row, Check, CHAOS, CHURN, LINK_FLAP};
 
-// The three dynamic rows cover the three classes of global state the shard
-// barriers must serialise: churn (shared population registry +
-// subscription tables), link-flap (routing rebuilds + voided transfers) and
-// chaos (all of it at once, interleaved).
+// The differential grid's dynamic rows (`tests/common/grid.rs`) at 2, 4 and
+// 8 shards cover the three classes of global state the shard barriers must
+// serialise: churn (shared population registry + subscription tables),
+// link-flap (routing rebuilds + voided transfers) and chaos (all of it at
+// once, interleaved).
 
 #[test]
 fn churn_reports_are_shard_count_invariant() {
