@@ -481,6 +481,9 @@ impl Simulation {
             table_bytes_estimate,
             link_loads: self.link_loads_snapshot(),
             digest: self.totals.digest,
+            shard_windows: 0,
+            shard_parallel_windows: 0,
+            shard_handoffs: 0,
         }
     }
 

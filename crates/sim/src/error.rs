@@ -24,11 +24,13 @@ pub enum SimError {
         /// Which mutation was abandoned.
         during: &'static str,
     },
-    /// A shard worker thread panicked mid-window (sharded executor only).
+    /// A shard's window panicked (sharded executor only), on a worker
+    /// thread or on the calling thread, which runs the windows only one
+    /// shard has work in and one shard of every other window.
     WorkerPanicked {
-        /// The shard whose worker died.
+        /// The shard whose window panicked.
         shard: usize,
-        /// The payload of the worker's panic.
+        /// The payload of the panic.
         message: String,
     },
     /// The sharded executor was asked to run a non-constant link model.

@@ -253,6 +253,16 @@ pub struct SimulationOutcome {
     /// shards' effects through the same fold in the sequential order, so it
     /// reproduces the sequential digest by construction.
     pub digest: u64,
+    /// Conservative time windows the sharded executor ran (see
+    /// [`crate::shard`]); 0 on a sequential run.
+    pub shard_windows: u64,
+    /// Those of the windows in which two or more shards had events due.
+    pub shard_parallel_windows: u64,
+    /// Shard windows handed to a worker thread: in a window with `k` due
+    /// shards the calling thread runs one and hands off `k − 1`, so a run
+    /// whose windows each had at most two due shards hands off exactly
+    /// [`shard_parallel_windows`](Self::shard_parallel_windows).
+    pub shard_handoffs: u64,
 }
 
 impl SimulationOutcome {

@@ -4,19 +4,33 @@
 //! `(time, key)` order. This module partitions the brokers into `N`
 //! contiguous shards — each owning a per-shard event queue, the broker
 //! states homed to it, and the RNG streams of the publishers and links homed
-//! to it — and advances the shards on worker threads under **conservative
-//! time-window synchronisation** in the PDES sense: the processing delay
-//! `PD` ([`PROCESSING_DELAY`], a constant above zero) is a lookahead bound,
-//! so all events in a window `[t₀, t₀ + PD)` can be processed shard-locally
+//! to it — and advances them under **conservative time-window
+//! synchronisation** in the PDES sense: the processing delay `PD`
+//! ([`PROCESSING_DELAY`], a constant above zero) is a lookahead bound, so
+//! all events in a window `[t₀, t₀ + PD)` can be processed shard-locally
 //! and any cross-shard event they generate lands at or after the window's
-//! end, where the coordinator merges the shards' outboxes deterministically
-//! before opening the next window.
+//! end, where the coordinator routes the shards' outboxes before opening
+//! the next window.
+//!
+//! # Who runs a window
+//!
+//! The calling thread is the coordinator. A window in which one shard has
+//! work at or before its limit — most windows, since a `PD`-wide window
+//! holds a couple of events — runs on the coordinator, its effects going
+//! straight into the totals as in the sequential loop. In a window with
+//! `k ≥ 2` due shards the coordinator runs one of them and hands the other
+//! `k − 1` to worker threads. The `N − 1` workers are spawned once per run
+//! and joined on every way out of it; a job carries the shard it advances
+//! and an `Arc` of the `Shared` context, and comes back with both, so at
+//! each barrier the coordinator holds the only reference and may write the
+//! context. [`SimulationOutcome`] reports the window counts
+//! (`shard_windows`, `shard_parallel_windows`, `shard_handoffs`).
 //!
 //! # Why the N-shard run is bit-identical to the sequential run
 //!
 //! * **Disjoint state, one set of handlers.** A shard is a
 //!   `TrafficCore` — the same type the sequential engine steps — holding
-//!   a contiguous block of the brokers, and its worker runs the engine's own
+//!   a contiguous block of the brokers, and a window runs the engine's own
 //!   traffic handlers on it (`TrafficCore::apply`; there is no second copy
 //!   of the broker loop here). Every handler writes only the core state of
 //!   the entity that owns the event — the publisher's RNG/counter for
@@ -30,7 +44,7 @@
 //!   completed transfer schedules at the *receiving* broker, always at
 //!   `t + PD`. A window whose pop limit is `t₀ + PD − 1µs` therefore only
 //!   produces cross-shard events strictly after the limit, which the next
-//!   window's merge delivers before they are due: no shard ever misses an
+//!   window's routing delivers before they are due: no shard ever misses an
 //!   event, regardless of interleaving.
 //! * **Entity-owned RNG streams.** Publication gaps, message content and
 //!   transfer times are drawn from per-entity streams derived from the seed
@@ -40,20 +54,25 @@
 //! * **Ordered effect replay.** Global accumulations whose result is
 //!   order-sensitive (the objective tracker's floating-point earning/delay
 //!   sums, the per-phase delay summaries) are reached by the handlers only
-//!   through an `EffectSink`. The sequential engine's sink is the totals
-//!   themselves; a worker's sink logs each effect stamped with the event's
-//!   canonical `(time, key)` and a per-event emission index, and at every
-//!   window barrier the coordinator sorts the union of the logs by
-//!   `(time, key, idx)` — the exact order the sequential loop applies them
-//!   in — and feeds them to the same `Totals::emit`.
+//!   through an `EffectSink`. A window with one due shard uses the totals
+//!   themselves as the sink, like the sequential engine: no other shard has
+//!   an event at or before the limit and the shard pops in `(time, key)`
+//!   order, so its effects arrive in the sequential order. In a window with
+//!   several due shards each shard logs its effects stamped with the
+//!   event's canonical `(time, key)` and a per-event emission index, and the
+//!   coordinator sorts the union of the logs by `(time, key, idx)` — the
+//!   exact order the sequential loop applies them in — and feeds them to the
+//!   same `Totals::emit`.
 //! * **Scenario barriers.** Scenario events (rank-0 keys, always applied
 //!   before same-instant traffic) mutate genuinely global state: routing,
 //!   subscription tables, the shared population registry. The coordinator
-//!   stops the windows before each scenario instant, gathers the shards
-//!   back into the [`Simulation`], applies the instant's scenario batch
-//!   through the engine's own [`Simulation::try_apply`] (so rebuild
-//!   coalescing, churn and phase accounting run the exact sequential code),
-//!   then scatters the state out again.
+//!   stops the windows before each scenario instant, moves into the
+//!   simulation's core the shard state the instant's batch touches (see
+//!   `Touches`: broker states for joins, leaves and link events, link slots
+//!   only for a link recovery, publisher slots only for a rate change),
+//!   applies the batch through the engine's own `ScenarioCore::apply` (so
+//!   rebuild coalescing, churn and phase accounting run the exact
+//!   sequential code), then moves that state back.
 //!
 //! What the sequential run is reproduced *exactly* is
 //! [`SimulationOutcome::replay_state`]: the run digest — every effect
@@ -68,8 +87,9 @@
 //! interns on its own, so the hit count depends on the partition).
 
 use std::iter::Peekable;
+use std::mem::{swap, take};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use bdps_core::config::PROCESSING_DELAY;
@@ -78,14 +98,18 @@ use bdps_stats::rng::SimRng;
 use bdps_types::time::{Duration, SimTime};
 
 use crate::engine::{EventKind, ForwardingMode, SimError, Simulation, SimulationOutcome};
+use crate::scenario::ScenarioAction;
+use crate::scenario_apply::ScenarioCore;
 use crate::sched::{EventQueue, Scheduled};
-use crate::traffic::{Effect, EffectSink, Shared, TrafficCore};
+use crate::traffic::{Effect, EffectSink, Shared, Totals, TrafficCore};
 
 /// Windows pop up to `W1 − ε` inclusive; one microsecond is the clock's
 /// resolution, so `W1 − ε` is "strictly before `W1`".
 const EPSILON: Duration = Duration::from_micros(1);
 
-/// Runs the simulation on `shards` worker threads, panicking on the failures
+const HELD: &str = "a worker still held the shared context after its window";
+
+/// Runs the simulation on `shards` broker shards, panicking on the failures
 /// [`try_run_sharded`] surfaces as [`SimError`] (mirrors
 /// [`Simulation::run`]).
 pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
@@ -95,8 +119,9 @@ pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
     }
 }
 
-/// Runs the simulation partitioned into `shards` broker shards advanced by
-/// worker threads, producing a [`SimulationOutcome`] whose
+/// Runs the simulation partitioned into `shards` broker shards, advanced by
+/// the calling thread and one worker thread per further shard, producing a
+/// [`SimulationOutcome`] whose
 /// [`replay_state`](SimulationOutcome::replay_state) is bit-identical to
 /// the sequential [`Simulation::try_run`]'s.
 ///
@@ -114,8 +139,10 @@ pub fn run_sharded(sim: Simulation, shards: usize) -> SimulationOutcome {
 /// rejected ([`SimError::ShardedForwardingUnsupported`]): edge expansion
 /// reads the shared population registry at delivery time, racing churn
 /// applied by sibling shards. Both are decided from the configuration and
-/// the shard count alone, before any event is applied.
-pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationOutcome, SimError> {
+/// the shard count alone, before any event is applied. A panic inside a
+/// window, on a worker or on the calling thread, is
+/// [`SimError::WorkerPanicked`].
+pub fn try_run_sharded(sim: Simulation, shards: usize) -> Result<SimulationOutcome, SimError> {
     let n = shards.min(sim.shared.topology.graph.broker_count());
     if n <= 1 {
         return sim.try_run();
@@ -132,46 +159,68 @@ pub fn try_run_sharded(mut sim: Simulation, shards: usize) -> Result<SimulationO
 
     let homes = Homes::build(&sim, n);
     let hard_stop = sim.hard_stop();
-    let (mut shards, scenario_q) = init_shards(&mut sim, &homes, n);
+    let Simulation {
+        mut core,
+        shared,
+        mut totals,
+        mut scenario,
+        drain_grace,
+    } = sim;
+    let (mut run, scenario_q) = Coordinator::new(&mut core, shared, homes, n, hard_stop);
     let mut scenario_q = scenario_q.into_iter().peekable();
 
-    loop {
-        // Scenario keys rank lowest, so the windows stop strictly before the
-        // next scenario instant and its batch applies before any traffic at
-        // that instant — exactly the sequential pop order.
-        let t_scen = scenario_q
-            .peek()
-            .map(|e| e.time)
-            .filter(|&t| t <= hard_stop);
-        run_era(&mut sim, &mut shards, &homes, t_scen, hard_stop)?;
-        let Some(t) = t_scen else { break };
-        apply_scenario_instant(&mut sim, &mut shards, &mut scenario_q, t, &homes)?;
-    }
+    // Leaving the scope drops `workers`, closing every job channel, and
+    // joins the threads — on the error paths too.
+    thread::scope(|s| -> Result<(), SimError> {
+        let workers = Workers::spawn(s, n - 1);
+        loop {
+            // Scenario keys rank lowest, so the windows stop strictly before
+            // the next scenario instant and its batch applies before any
+            // traffic at that instant — exactly the sequential pop order.
+            let t_scen = scenario_q
+                .peek()
+                .map(|e| e.time)
+                .filter(|&t| t <= hard_stop);
+            run.run_era(&workers, &mut totals, t_scen)?;
+            let Some(t) = t_scen else { return Ok(()) };
+            run.apply_scenario_instant(&mut core, &mut totals, &mut scenario, &mut scenario_q, t)?;
+        }
+    })?;
 
     // Finalise: merge the shards back, return unprocessed events (past the
     // hard stop) to the global queue so the end-of-run conservation
     // accounting sees them, and advance the clock to the last applied event.
-    gather(&mut sim, &mut shards, &homes);
+    run.gather(&mut core, Touches::ALL);
     let (mut interns, mut hits) = (0, 0);
-    for Shard { core, .. } in &mut shards {
-        while let Some(e) = core.events.pop() {
-            sim.core.events.push(e);
+    for Shard { core: shard, .. } in &mut run.shards {
+        while let Some(e) = shard.events.pop() {
+            core.events.push(e);
         }
-        sim.core.events_processed += core.events_processed;
-        sim.core.peak_pending = sim.core.peak_pending.max(core.peak_pending);
-        sim.core.now = sim.core.now.max(core.now);
-        interns += core.scope_interner.interns();
-        hits += core.scope_interner.hits();
+        core.events_processed += shard.events_processed;
+        core.peak_pending = core.peak_pending.max(shard.peak_pending);
+        core.now = core.now.max(shard.now);
+        interns += shard.scope_interner.interns();
+        hits += shard.scope_interner.hits();
     }
     for e in scenario_q {
-        sim.core.events.push(e);
+        core.events.push(e);
     }
+    let sim = Simulation {
+        core,
+        shared: Arc::try_unwrap(run.shared).map_err(|_| lost(HELD))?,
+        totals,
+        scenario,
+        drain_grace,
+    };
     // Every shard interned into its own pool; the outcome reports the
     // traffic they served together (a partition-dependent value — a scope
     // shared across shards is allocated once per shard).
     let mut outcome = sim.into_outcome();
     outcome.scope_interns += interns;
     outcome.scope_intern_hits += hits;
+    outcome.shard_windows = run.windows;
+    outcome.shard_parallel_windows = run.parallel_windows;
+    outcome.shard_handoffs = run.handoffs;
     Ok(outcome)
 }
 
@@ -218,9 +267,10 @@ impl Homes {
     }
 }
 
-/// What one worker advances: a [`TrafficCore`] holding the shard's block of
+/// What one window advances: a [`TrafficCore`] holding the shard's block of
 /// brokers (and the live slots of the publishers and links homed to it),
-/// plus the log its handlers' effects go to.
+/// plus the log its handlers' effects go to when other shards run beside
+/// it.
 struct Shard {
     core: TrafficCore,
     log: EffectLog,
@@ -230,11 +280,41 @@ impl Shard {
     fn peek_time(&self) -> Option<SimTime> {
         self.core.events.peek().map(|(t, _)| t)
     }
+
+    /// Pops and applies every event at or before `limit`, including the
+    /// shard-local follow-ups those events schedule inside the window — the
+    /// engine's own handlers on this shard's core — logging the effects for
+    /// the ordered merge.
+    fn run_logged(&mut self, shared: &Shared, limit: SimTime) {
+        while let Some(entry) = self.core.events.pop_if_at_or_before(limit) {
+            self.log.next = (entry.time, entry.seq, 0);
+            self.core.apply(shared, &mut self.log, entry);
+        }
+    }
+
+    /// Like [`run_logged`](Self::run_logged), with the totals as the sink:
+    /// exact when no other shard has an event at or before `limit`.
+    fn run_alone(&mut self, shared: &Shared, totals: &mut Totals, limit: SimTime) {
+        while let Some(entry) = self.core.events.pop_if_at_or_before(limit) {
+            self.core.apply(shared, totals, entry);
+        }
+    }
 }
 
-/// The workers' [`EffectSink`]: instead of touching the order-sensitive
-/// totals, stamp each effect with its canonical replay coordinates — the
-/// emitting event's `(time, key)` and the emission index within it.
+impl Default for Shard {
+    /// The empty stand-in a shard leaves behind while a worker holds it.
+    fn default() -> Self {
+        Shard {
+            core: TrafficCore::new(Vec::new(), Vec::new(), 0),
+            log: EffectLog::default(),
+        }
+    }
+}
+
+/// The windows' [`EffectSink`] when several shards run: instead of touching
+/// the order-sensitive totals, stamp each effect with its canonical replay
+/// coordinates — the emitting event's `(time, key)` and the emission index
+/// within it.
 #[derive(Default)]
 struct EffectLog {
     entries: Vec<(Stamp, Effect)>,
@@ -250,251 +330,352 @@ impl EffectSink for EffectLog {
     }
 }
 
-/// Builds the per-shard cores and splits the simulation's state into them.
-/// Scenario events — coordinator-owned — are returned separately, in
-/// `(time, key)` order.
-fn init_shards(
-    sim: &mut Simulation,
-    homes: &Homes,
-    n: usize,
-) -> (Vec<Shard>, Vec<Scheduled<EventKind>>) {
-    // Placeholder streams: only the slots of entities homed to a shard ever
-    // go live, by swapping with the simulation's (see `swap_entities`).
-    let idle = |len: usize| (0..len).map(|_| SimRng::seed_from(0)).collect();
-    let mut shards: Vec<Shard> = (0..n)
-        .map(|s| Shard {
-            core: TrafficCore::new(
-                idle(sim.core.publisher_rng.len()),
-                idle(sim.core.link_rng.len()),
-                // n ≤ brokers, so every shard's block is non-empty.
-                homes.shard_of_broker.partition_point(|&home| home < s),
-            ),
-            log: EffectLog::default(),
-        })
-        .collect();
-    scatter(sim, &mut shards, homes);
-    let mut scenario_q = Vec::new();
-    while let Some(e) = sim.core.events.pop() {
-        if matches!(e.item, EventKind::Scenario { .. }) {
-            scenario_q.push(e);
-        } else {
-            shards[homes.of(&e.item)].core.accept(e);
-        }
-    }
-    (shards, scenario_q)
+/// A shard's window handed to a worker. The worker sends the whole job
+/// back, `Arc` included, so once every job of a window has returned the
+/// coordinator holds the only reference to the context.
+struct Job {
+    index: usize,
+    shard: Shard,
+    shared: Arc<Shared>,
+    limit: SimTime,
 }
 
-/// Swaps the per-publisher and per-link slots between the simulation's core
-/// and the core each entity is homed to — its own inverse, so it serves both
-/// directions: whichever side does not own a slot holds a value nobody
-/// reads. (Flow tables and publish epochs stay put: the guards in
-/// [`try_run_sharded`] keep both empty on a sharded run.)
-fn swap_entities(sim: &mut TrafficCore, shards: &mut [Shard], homes: &Homes) {
-    use std::mem::swap;
-    for (i, &s) in homes.publisher.iter().enumerate() {
-        let core = &mut shards[s].core;
-        swap(&mut sim.publisher_rng[i], &mut core.publisher_rng[i]);
-        swap(&mut sim.next_message[i], &mut core.next_message[i]);
-    }
-    for (i, &s) in homes.link.iter().enumerate() {
-        let core = &mut shards[s].core;
-        swap(&mut sim.link_rng[i], &mut core.link_rng[i]);
-        swap(&mut sim.link_busy[i], &mut core.link_busy[i]);
-        swap(&mut sim.link_last_change[i], &mut core.link_last_change[i]);
-        swap(&mut sim.link_load[i], &mut core.link_load[i]);
-    }
+/// The run's worker threads: one job channel each, one completion channel
+/// back. A worker lives until its job channel closes or its window panics.
+struct Workers {
+    jobs: Vec<mpsc::Sender<Job>>,
+    done: mpsc::Receiver<Result<Job, SimError>>,
 }
 
-/// Moves the shard-owned state back into the simulation's core (for a
-/// scenario barrier or finalisation). Inverse of [`scatter`].
-fn gather(sim: &mut Simulation, shards: &mut [Shard], homes: &Homes) {
-    debug_assert!(sim.core.brokers.is_empty(), "gather on an un-scattered sim");
-    for shard in shards.iter_mut() {
-        sim.core.brokers.append(&mut shard.core.brokers);
-        debug_assert!(shard.log.entries.is_empty() && shard.core.outbox.is_empty());
-    }
-    swap_entities(&mut sim.core, shards, homes);
-}
-
-/// Distributes the simulation's broker states and entity slots out to the
-/// shard cores. Inverse of [`gather`].
-fn scatter(sim: &mut Simulation, shards: &mut [Shard], homes: &Homes) {
-    for (broker, &s) in sim.core.brokers.drain(..).zip(&homes.shard_of_broker) {
-        shards[s].core.brokers.push(broker);
-    }
-    swap_entities(&mut sim.core, shards, homes);
-}
-
-/// Applies the full scenario batch at instant `t` through the engine's own
-/// handlers: gather the shards into the simulation, inject the instant's
-/// scenario events into the global queue (so the rebuild-coalescing peek
-/// sees exactly the same same-instant batch the sequential run would),
-/// apply them in key order, then route any follow-up traffic they minted
-/// (rate-change publications, post-recovery transfers) and scatter back.
-fn apply_scenario_instant(
-    sim: &mut Simulation,
-    shards: &mut [Shard],
-    scenario_q: &mut Peekable<impl Iterator<Item = Scheduled<EventKind>>>,
-    t: SimTime,
-    homes: &Homes,
-) -> Result<(), SimError> {
-    gather(sim, shards, homes);
-    while let Some(e) = scenario_q.next_if(|e| e.time == t) {
-        sim.core.events.push(e);
-    }
-    loop {
-        let next_is_scenario = matches!(
-            sim.core.events.peek(),
-            Some((pt, EventKind::Scenario { .. })) if pt == t
-        );
-        if !next_is_scenario {
-            break;
-        }
-        let e = sim.core.events.pop().expect("peeked event");
-        sim.try_apply(e)?;
-    }
-    // Whatever the batch scheduled is ordinary traffic owned by some shard;
-    // hand it over for the following windows (its times are ≥ t, so the
-    // next window cannot have passed it).
-    while let Some(e) = sim.core.events.pop() {
-        shards[homes.of(&e.item)].core.accept(e);
-    }
-    scatter(sim, shards, homes);
-    Ok(())
-}
-
-/// Runs windows until every pending traffic event is past `hard_stop` or at
-/// or beyond the next scenario instant `t_scen`.
-///
-/// Workers persist for the whole era: each owns a job channel over which the
-/// coordinator sends `(shard, limit)` and a shared completion channel going
-/// back. A window sends only the shards with work at or before the limit;
-/// returned shards have their outboxes routed and their effect logs merged —
-/// sorted by `(time, key, idx)` — into the simulation's totals.
-fn run_era(
-    sim: &mut Simulation,
-    shards: &mut Vec<Shard>,
-    homes: &Homes,
-    t_scen: Option<SimTime>,
-    hard_stop: SimTime,
-) -> Result<(), SimError> {
-    // Whether a window may start at `t0`: inside the run and strictly
-    // before the scenario instant. No such window — consecutive scenario
-    // instants, a drained run — means no era, and no threads.
-    let due = |t0: SimTime| t0 <= hard_stop && t_scen.is_none_or(|ts| t0 < ts);
-    if !shards.iter().filter_map(Shard::peek_time).any(due) {
-        return Ok(());
-    }
-    let n = shards.len();
-    let shared = &sim.shared;
-    let totals = &mut sim.totals;
-    let mut slots: Vec<Option<Shard>> = shards.drain(..).map(Some).collect();
-
-    let result = thread::scope(|s| -> Result<(), SimError> {
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Shard, String>)>();
-        let mut job_tx: Vec<mpsc::SyncSender<(Shard, SimTime)>> = Vec::with_capacity(n);
-        for shard in 0..n {
-            let (tx, rx) = mpsc::sync_channel::<(Shard, SimTime)>(1);
-            job_tx.push(tx);
-            let done = done_tx.clone();
-            s.spawn(move || {
-                while let Ok((mut job, limit)) = rx.recv() {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        run_window(&mut job, shared, limit);
-                        job
-                    }))
-                    .map_err(panic_message);
-                    let died = outcome.is_err();
-                    if done.send((shard, outcome)).is_err() || died {
-                        return;
+impl Workers {
+    fn spawn<'scope>(s: &'scope thread::Scope<'scope, '_>, count: usize) -> Workers {
+        let (done_tx, done) = mpsc::channel();
+        let jobs = (0..count)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel::<Job>();
+                let done = done_tx.clone();
+                s.spawn(move || {
+                    while let Ok(mut job) = rx.recv() {
+                        let ran =
+                            guarded(job.index, || job.shard.run_logged(&job.shared, job.limit));
+                        let died = ran.is_err();
+                        if done.send(ran.map(|()| job)).is_err() || died {
+                            return;
+                        }
                     }
-                }
-            });
-        }
-        drop(done_tx);
+                });
+                tx
+            })
+            .collect();
+        Workers { jobs, done }
+    }
+}
 
-        let mut merged: Vec<(Stamp, Effect)> = Vec::new();
-        loop {
-            let t0 = slots
-                .iter()
-                .filter_map(|c| c.as_ref().and_then(Shard::peek_time))
-                .min();
-            let Some(t0) = t0.filter(|&t0| due(t0)) else {
-                break;
-            };
+/// Runs one shard's window, turning a panic into
+/// [`SimError::WorkerPanicked`] for that shard.
+fn guarded(shard: usize, window: impl FnOnce()) -> Result<(), SimError> {
+    catch_unwind(AssertUnwindSafe(window)).map_err(|payload| SimError::WorkerPanicked {
+        shard,
+        message: panic_message(payload),
+    })
+}
+
+/// A worker that is gone, or a context a job did not give back: neither
+/// happens unless a window panicked, which is reported first.
+fn lost(what: &str) -> SimError {
+    SimError::WorkerPanicked {
+        shard: usize::MAX,
+        message: what.into(),
+    }
+}
+
+/// Which shard-homed state a scenario batch reads or writes, and so what
+/// its barrier moves into the simulation's core and back. Joins, leaves and
+/// link events rewrite broker tables and queues; a link recovery also pumps
+/// the recovered link (`try_send`: its busy flag, stream and load); a rate
+/// change restarts publication chains (publisher streams); a phase mark
+/// only emits an effect. A link failure voids in-flight transfers through
+/// the shared failure generation, and a sharded run has no flow tables, so
+/// it moves no link slot.
+#[derive(Clone, Copy, Default)]
+struct Touches {
+    brokers: bool,
+    publishers: bool,
+    links: bool,
+}
+
+impl Touches {
+    const ALL: Touches = Touches {
+        brokers: true,
+        publishers: true,
+        links: true,
+    };
+
+    fn add(&mut self, action: &ScenarioAction) {
+        match action {
+            ScenarioAction::SubscriptionJoin { .. }
+            | ScenarioAction::SubscriptionLeave { .. }
+            | ScenarioAction::LinkDown { .. } => self.brokers = true,
+            ScenarioAction::LinkUp { .. } => {
+                self.brokers = true;
+                self.links = true;
+            }
+            ScenarioAction::PublisherRate { .. } => self.publishers = true,
+            ScenarioAction::PhaseMark { .. } => {}
+        }
+    }
+}
+
+/// The coordinator's state for one sharded run: the shards, the context
+/// they read, and the window counters.
+struct Coordinator {
+    homes: Homes,
+    shards: Vec<Shard>,
+    shared: Arc<Shared>,
+    hard_stop: SimTime,
+    windows: u64,
+    parallel_windows: u64,
+    handoffs: u64,
+    /// Reused per window: the due shards, the merged effect logs and an
+    /// outbox being routed.
+    due: Vec<usize>,
+    merged: Vec<(Stamp, Effect)>,
+    routed: Vec<Scheduled<EventKind>>,
+}
+
+impl Coordinator {
+    /// Builds the `n` shard cores and moves the simulation core's state out
+    /// into them. Scenario events — coordinator-owned — are returned
+    /// separately, in `(time, key)` order.
+    fn new(
+        core: &mut TrafficCore,
+        shared: Shared,
+        homes: Homes,
+        n: usize,
+        hard_stop: SimTime,
+    ) -> (Coordinator, Vec<Scheduled<EventKind>>) {
+        // Placeholder streams: only the slots of entities homed to a shard
+        // ever go live, by swapping with the simulation's (see `swap_slots`).
+        let idle = |len: usize| (0..len).map(|_| SimRng::seed_from(0)).collect();
+        let shards = (0..n)
+            .map(|s| Shard {
+                core: TrafficCore::new(
+                    idle(core.publisher_rng.len()),
+                    idle(core.link_rng.len()),
+                    // n ≤ brokers, so every shard's block is non-empty.
+                    homes.shard_of_broker.partition_point(|&home| home < s),
+                ),
+                log: EffectLog::default(),
+            })
+            .collect();
+        let mut run = Coordinator {
+            homes,
+            shards,
+            shared: Arc::new(shared),
+            hard_stop,
+            windows: 0,
+            parallel_windows: 0,
+            handoffs: 0,
+            due: Vec::with_capacity(n),
+            merged: Vec::new(),
+            routed: Vec::new(),
+        };
+        run.scatter(core, Touches::ALL);
+        let mut scenario_q = Vec::new();
+        while let Some(e) = core.events.pop() {
+            if matches!(e.item, EventKind::Scenario { .. }) {
+                scenario_q.push(e);
+            } else {
+                run.shards[run.homes.of(&e.item)].core.accept(e);
+            }
+        }
+        (run, scenario_q)
+    }
+
+    /// Moves the state `touches` names from the shards into `core` (for a
+    /// scenario barrier or finalisation). Inverse of [`scatter`](Self::scatter).
+    fn gather(&mut self, core: &mut TrafficCore, touches: Touches) {
+        for shard in &mut self.shards {
+            debug_assert!(shard.log.entries.is_empty() && shard.core.outbox.is_empty());
+            if touches.brokers {
+                core.brokers.append(&mut shard.core.brokers);
+            }
+        }
+        self.swap_slots(core, touches);
+    }
+
+    /// Moves the state `touches` names from `core` back out to the shards.
+    /// Inverse of [`gather`](Self::gather).
+    fn scatter(&mut self, core: &mut TrafficCore, touches: Touches) {
+        if touches.brokers {
+            for (broker, &s) in core.brokers.drain(..).zip(&self.homes.shard_of_broker) {
+                self.shards[s].core.brokers.push(broker);
+            }
+        }
+        self.swap_slots(core, touches);
+    }
+
+    /// Swaps the per-publisher and per-link slots `touches` names between
+    /// `core` and the core each entity is homed to — its own inverse, so it
+    /// serves both directions: whichever side does not own a slot holds a
+    /// value nobody reads. (Flow tables and publish epochs stay put: the
+    /// guards in [`try_run_sharded`] keep both empty on a sharded run.)
+    fn swap_slots(&mut self, core: &mut TrafficCore, touches: Touches) {
+        if touches.publishers {
+            for (i, &s) in self.homes.publisher.iter().enumerate() {
+                let home = &mut self.shards[s].core;
+                swap(&mut core.publisher_rng[i], &mut home.publisher_rng[i]);
+                swap(&mut core.next_message[i], &mut home.next_message[i]);
+            }
+        }
+        if touches.links {
+            for (i, &s) in self.homes.link.iter().enumerate() {
+                let home = &mut self.shards[s].core;
+                swap(&mut core.link_rng[i], &mut home.link_rng[i]);
+                swap(&mut core.link_busy[i], &mut home.link_busy[i]);
+                swap(&mut core.link_last_change[i], &mut home.link_last_change[i]);
+                swap(&mut core.link_load[i], &mut home.link_load[i]);
+            }
+        }
+    }
+
+    /// Applies the full scenario batch at instant `t` through the engine's
+    /// own handlers: inject the instant's scenario events into `core`'s
+    /// queue (so the rebuild-coalescing peek sees exactly the same
+    /// same-instant batch the sequential run would), gather what the batch
+    /// touches, apply the events in key order, hand any follow-up traffic
+    /// they minted (rate-change publications, post-recovery transfers) to
+    /// its shard, and scatter back.
+    fn apply_scenario_instant(
+        &mut self,
+        core: &mut TrafficCore,
+        totals: &mut Totals,
+        scenario: &mut ScenarioCore,
+        scenario_q: &mut Peekable<impl Iterator<Item = Scheduled<EventKind>>>,
+        t: SimTime,
+    ) -> Result<(), SimError> {
+        let mut touches = Touches::default();
+        while let Some(e) = scenario_q.next_if(|e| e.time == t) {
+            if let EventKind::Scenario { action } = &e.item {
+                touches.add(action);
+            }
+            core.events.push(e);
+        }
+        self.gather(core, touches);
+        let shared = Arc::get_mut(&mut self.shared).ok_or_else(|| lost(HELD))?;
+        // The queue holds this instant's scenario events and what they
+        // schedule — traffic at or after `t`, which ranks after every
+        // scenario event at `t` — so the batch applies in full before the
+        // first traffic event pops.
+        while let Some(e) = core.events.pop() {
+            match e.item {
+                EventKind::Scenario { action } => {
+                    scenario.apply(core, shared, totals, action, e.time)?
+                }
+                _ => self.shards[self.homes.of(&e.item)].core.accept(e),
+            }
+        }
+        self.scatter(core, touches);
+        Ok(())
+    }
+
+    /// Runs windows until every pending traffic event is past the hard stop
+    /// or at or beyond the next scenario instant `t_scen`.
+    fn run_era(
+        &mut self,
+        workers: &Workers,
+        totals: &mut Totals,
+        t_scen: Option<SimTime>,
+    ) -> Result<(), SimError> {
+        let hard_stop = self.hard_stop;
+        // Whether a window may start at `t0`: inside the run and strictly
+        // before the scenario instant.
+        let due = |t0: SimTime| t0 <= hard_stop && t_scen.is_none_or(|ts| t0 < ts);
+        while let Some(t0) = self
+            .shards
+            .iter()
+            .filter_map(Shard::peek_time)
+            .min()
+            .filter(|&t0| due(t0))
+        {
             // Conservative window: every event popped at or before `limit`
             // schedules cross-shard work at ≥ t₀ + PD > limit.
             let mut limit = (t0 + PROCESSING_DELAY) - EPSILON;
             if let Some(ts) = t_scen {
                 limit = limit.min(ts - EPSILON);
             }
-            limit = limit.min(hard_stop);
+            self.run_window(workers, totals, limit.min(hard_stop))?;
+        }
+        Ok(())
+    }
 
-            let mut outstanding = 0usize;
-            for (shard, tx) in job_tx.iter().enumerate() {
-                let due = slots[shard]
-                    .as_ref()
-                    .and_then(Shard::peek_time)
-                    .is_some_and(|t| t <= limit);
-                if due {
-                    let job = slots[shard].take().expect("shard is home");
-                    if tx.send((job, limit)).is_err() {
-                        return Err(SimError::WorkerPanicked {
-                            shard,
-                            message: "worker exited before the window was dispatched".into(),
-                        });
-                    }
-                    outstanding += 1;
-                }
+    /// Runs one window: the first due shard on this thread, every other due
+    /// shard on a worker; then merges the effect logs in replay order and
+    /// routes the outboxes.
+    fn run_window(
+        &mut self,
+        workers: &Workers,
+        totals: &mut Totals,
+        limit: SimTime,
+    ) -> Result<(), SimError> {
+        self.windows += 1;
+        self.due.clear();
+        let is_due = |s: &Shard| s.peek_time().is_some_and(|t| t <= limit);
+        self.due
+            .extend((0..self.shards.len()).filter(|&i| is_due(&self.shards[i])));
+        let Some((&own, others)) = self.due.split_first() else {
+            return Ok(());
+        };
+        if others.is_empty() {
+            let (shard, shared) = (&mut self.shards[own], &*self.shared);
+            guarded(own, || shard.run_alone(shared, totals, limit))?;
+        } else {
+            self.parallel_windows += 1;
+            for (worker, &index) in workers.jobs.iter().zip(others) {
+                let job = Job {
+                    index,
+                    shard: take(&mut self.shards[index]),
+                    shared: Arc::clone(&self.shared),
+                    limit,
+                };
+                worker
+                    .send(job)
+                    .map_err(|_| lost("a worker exited before its window"))?;
+                self.handoffs += 1;
             }
-            for _ in 0..outstanding {
-                let (shard, outcome) = done_rx.recv().map_err(|_| SimError::WorkerPanicked {
-                    shard: usize::MAX,
-                    message: "all workers exited mid-window".into(),
-                })?;
-                match outcome {
-                    Ok(mut job) => {
-                        merged.append(&mut job.log.entries);
-                        slots[shard] = Some(job);
-                    }
-                    Err(message) => return Err(SimError::WorkerPanicked { shard, message }),
-                }
+            let (shard, shared) = (&mut self.shards[own], &*self.shared);
+            guarded(own, || shard.run_logged(shared, limit))?;
+            self.merged.append(&mut self.shards[own].log.entries);
+            for _ in others {
+                let Job {
+                    index, mut shard, ..
+                } = workers
+                    .done
+                    .recv()
+                    .map_err(|_| lost("every worker exited mid-window"))??;
+                self.merged.append(&mut shard.log.entries);
+                self.shards[index] = shard;
             }
             // Replay in the exact order the sequential loop applies them,
             // through the same update code.
-            merged.sort_by_key(|&(stamp, _)| stamp);
-            for (_, effect) in merged.drain(..) {
+            self.merged.sort_by_key(|&(stamp, _)| stamp);
+            for (_, effect) in self.merged.drain(..) {
                 totals.emit(effect);
             }
-            for shard in 0..n {
-                let home = slots[shard].as_mut().expect("every shard is home");
-                for ev in std::mem::take(&mut home.core.outbox) {
-                    debug_assert!(ev.time > limit, "cross-shard event inside the window");
-                    let dest = slots[homes.of(&ev.item)]
-                        .as_mut()
-                        .expect("every shard is home");
-                    dest.core.accept(ev);
-                }
+        }
+        // Only the shards that ran can have sent anything.
+        for &i in &self.due {
+            swap(&mut self.routed, &mut self.shards[i].core.outbox);
+            for ev in self.routed.drain(..) {
+                debug_assert!(ev.time > limit, "cross-shard event inside the window");
+                self.shards[self.homes.of(&ev.item)].core.accept(ev);
             }
         }
         Ok(())
-    });
-
-    shards.extend(slots.into_iter().flatten());
-    result
-}
-
-/// Pops and applies every event of one shard at or before `limit`,
-/// including the shard-local follow-ups those events schedule inside the
-/// window — the engine's own handlers, run on this shard's core.
-fn run_window(shard: &mut Shard, shared: &Shared, limit: SimTime) {
-    while let Some(entry) = shard.core.events.pop_if_at_or_before(limit) {
-        shard.log.next = (entry.time, entry.seq, 0);
-        shard.core.apply(shared, &mut shard.log, entry);
     }
 }
 
-/// Extracts a human-readable message from a worker's panic payload.
+/// Extracts a human-readable message from a window's panic payload.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()

@@ -11,7 +11,8 @@
 //! build. `rebuild_equivalence` runs every row with the table audits and
 //! the plain run, `layout_equivalence` runs `link-flap`, `blackout`,
 //! `chaos` and the storm with the dense layout, and `shard_equivalence`
-//! runs `link-flap`, `churn` and `chaos` with the shards.
+//! runs `link-flap`, `churn`, `chaos` and a heavier churn row with the
+//! shards.
 #![allow(dead_code)] // each test binary uses its own subset of the grid
 
 use bdps::overlay::sparse::ResolvedEntry;
@@ -98,6 +99,8 @@ pub enum Scenario {
     Named(&'static str),
     /// [`flap_storm`] over the recipe's duration, seeded by the run's seed.
     FlapStorm,
+    /// Churn alone, this many joins and as many leaves per minute.
+    Churn(f64),
 }
 
 /// How many of a row's runs each of its guards must hold on.
@@ -136,6 +139,16 @@ pub const BLACKOUT: Row = seeds_1_to_10("blackout", &[Guard::RoutesMoved], Quoru
 /// queued copies and drop the route towards an emptied group. The guard
 /// holds on only some seeds, so it cannot be per run.
 pub const CHURN: Row = seeds_1_to_10("churn", &[Guard::LeavesOrphaned], Quorum::SomeRun);
+
+/// Thirty joins and thirty leaves a minute: at this rate leaves orphan
+/// queued copies on every seed, so the leave-stripping path runs in each.
+pub const HEAVY_CHURN: Row = Row {
+    recipe: SMALL_MESH,
+    scenario: Scenario::Churn(30.0),
+    seeds: &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    guards: &[Guard::LeavesOrphaned],
+    quorum: Quorum::EveryRun,
+};
 
 /// Churn, bursts and link failures interleaved: a join during an outage
 /// must patch in on recovery.
@@ -240,9 +253,8 @@ fn tables_match_the_dense_layout(sim: &Simulation) -> std::result::Result<(), St
     })
 }
 
-/// Runs every seed of `row` with `checks`, one thread each (a sharded run spends most of
-/// its time waiting on its own barriers), and holds the runs to the row's
-/// guards.
+/// Runs every seed of `row` with `checks`, one thread each, and holds the
+/// runs to the row's guards.
 pub fn run_row(row: &Row, checks: &[Check]) {
     let outcomes: Vec<SimulationOutcome> = std::thread::scope(|s| {
         let runs: Vec<_> = row
@@ -256,6 +268,11 @@ pub fn run_row(row: &Row, checks: &[Check]) {
                         Scenario::FlapStorm => {
                             flap_storm(seed, small_mesh_link_count(), row.recipe.secs)
                         }
+                        Scenario::Churn(per_min) => DynamicScenario::named("heavy-churn")
+                            .with_churn(ChurnConfig {
+                                joins_per_min: per_min,
+                                leaves_per_min: per_min,
+                            }),
                     };
                     row.recipe.run(&scenario, seed, checks)
                 })

@@ -523,7 +523,7 @@ fn library_panic_sites_do_not_grow() {
     // engine.rs: the documented panicking wrappers `run` and `apply`;
     // event.rs: `key::message_id`'s counter-overflow assert. builder.rs:
     // `build` and `run`. runner.rs: `TopologySpec::build` and `sweep`'s
-    // casualty list.
+    // casualty list. shard.rs: the panicking wrapper `run_sharded`.
     let committed = [
         ("crates/sim/src/engine.rs", 2),
         ("crates/sim/src/error.rs", 0),
@@ -533,7 +533,7 @@ fn library_panic_sites_do_not_grow() {
         ("crates/sim/src/scenario_apply.rs", 0),
         ("crates/sim/src/builder.rs", 2),
         ("crates/sim/src/runner.rs", 2),
-        ("crates/sim/src/shard.rs", 5),
+        ("crates/sim/src/shard.rs", 1),
         ("crates/sim/src/traffic.rs", 1),
         ("crates/sim/src/sched.rs", 0),
         ("crates/core/src/broker.rs", 0),
@@ -542,7 +542,7 @@ fn library_panic_sites_do_not_grow() {
     // The first six are what `engine.rs` alone was (3) before it was split:
     // a site must not escape the census by moving.
     assert!(committed[..6].iter().map(|(_, n)| n).sum::<usize>() <= 3);
-    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 18);
+    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 14);
     for (file, allowed) in committed {
         let code = library_code(file);
         let asserts = ["assert!(", "assert_eq!(", "assert_ne!("]

@@ -14,7 +14,7 @@ use bdps::core::config::StrategyKind;
 use bdps::prelude::*;
 
 mod common;
-use common::grid::{run_row, Check, CHAOS, CHURN, LINK_FLAP};
+use common::grid::{run_row, Check, CHAOS, CHURN, HEAVY_CHURN, LINK_FLAP};
 
 // The differential grid's dynamic rows (`tests/common/grid.rs`) at 2, 4 and
 // 8 shards cover the three classes of global state the shard barriers must
@@ -25,6 +25,40 @@ use common::grid::{run_row, Check, CHAOS, CHURN, LINK_FLAP};
 #[test]
 fn churn_reports_are_shard_count_invariant() {
     run_row(&CHURN, &[Check::Shards]);
+}
+
+/// The registry `churn` row orphans a queued copy on only some seeds; this
+/// row's leaves strip queued copies on every seed, at every shard count.
+#[test]
+fn heavy_churn_reports_are_shard_count_invariant() {
+    run_row(&HEAVY_CHURN, &[Check::Shards]);
+}
+
+/// A certificate for the window dispatch: a window with one due shard runs
+/// on the calling thread, so only windows with two or more due shards hand
+/// a shard to a worker — one hand-off each at two shards. Handing off every
+/// due shard, or every window, breaks the equality; the counts are exact
+/// and repeat run for run, unlike a wall time.
+#[test]
+fn only_parallel_windows_hand_off_at_two_shards() {
+    let scenario = DynamicScenario::from_name("churn").expect("churn is a builtin scenario");
+    let build = CHURN.recipe.builder(&scenario, CHURN.seeds[0]);
+    let counts =
+        |o: &SimulationOutcome| (o.shard_windows, o.shard_parallel_windows, o.shard_handoffs);
+    assert_eq!(
+        counts(&build.run()),
+        (0, 0, 0),
+        "a sequential run has no windows"
+    );
+    let (windows, parallel, handoffs) = counts(&bdps::sim::run_sharded(build.build(), 2));
+    assert!(parallel > 0, "no window had two due shards");
+    assert_eq!(handoffs, parallel);
+    assert!(parallel < windows);
+    assert_eq!(
+        counts(&bdps::sim::run_sharded(build.build(), 2)),
+        (windows, parallel, handoffs),
+        "window counts differ between two runs of one seed"
+    );
 }
 
 #[test]
@@ -42,38 +76,32 @@ fn chaos_reports_are_shard_count_invariant() {
 /// stream discipline), across all five paper strategies.
 #[test]
 fn static_reports_are_shard_count_invariant_for_every_strategy() {
-    // One thread per strategy: the sharded runs spend most of their time
-    // waiting on their own barriers.
-    std::thread::scope(|s| {
-        for strategy in [
-            StrategyKind::MaxEb,
-            StrategyKind::MaxPc,
-            StrategyKind::MaxEbpc,
-            StrategyKind::Fifo,
-            StrategyKind::RemainingLifetime,
-        ] {
-            s.spawn(move || {
-                for seed in 1..=3 {
-                    let builder = Simulation::builder()
-                        .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
-                        .ssd(20.0)
-                        .duration(Duration::from_secs(240))
-                        .strategy(strategy)
-                        .seed(seed);
-                    let oracle = builder.run();
-                    for shards in [2, 4, 8] {
-                        let sharded = bdps::sim::run_sharded(builder.build(), shards);
-                        assert_eq!(
-                            sharded.replay_state(),
-                            oracle.replay_state(),
-                            "static seed {seed}: {shards}-shard run drifted for {}",
-                            strategy.label()
-                        );
-                    }
-                }
-            });
+    for strategy in [
+        StrategyKind::MaxEb,
+        StrategyKind::MaxPc,
+        StrategyKind::MaxEbpc,
+        StrategyKind::Fifo,
+        StrategyKind::RemainingLifetime,
+    ] {
+        for seed in 1..=3 {
+            let builder = Simulation::builder()
+                .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
+                .ssd(20.0)
+                .duration(Duration::from_secs(240))
+                .strategy(strategy)
+                .seed(seed);
+            let oracle = builder.run();
+            for shards in [2, 4, 8] {
+                let sharded = bdps::sim::run_sharded(builder.build(), shards);
+                assert_eq!(
+                    sharded.replay_state(),
+                    oracle.replay_state(),
+                    "static seed {seed}: {shards}-shard run drifted for {}",
+                    strategy.label()
+                );
+            }
         }
-    });
+    }
 }
 
 /// The scope-interner counters are introspection, and the hit count depends
@@ -153,4 +181,40 @@ fn same_instant_effects_replay_in_the_sequential_order() {
     );
     let sharded = bdps::sim::run_sharded(build(), 2);
     assert_eq!(sharded.valid_delays_ms, sequential.valid_delays_ms);
+}
+
+/// A window that panics — whether the calling thread or a worker ran it —
+/// ends the run with [`SimError::WorkerPanicked`] carrying the payload, and
+/// the call returns, so every worker thread was joined.
+#[test]
+fn a_panicking_window_is_an_error_and_the_workers_are_joined() {
+    #[derive(Debug)]
+    struct GivesUp;
+    impl SchedulingStrategy for GivesUp {
+        fn name(&self) -> &str {
+            "gives-up"
+        }
+        fn priority(&self, ctx: &bdps::core::strategy::ScheduleContext, _: &QueuedMessage) -> f64 {
+            assert!(ctx.now < SimTime::from_secs(60), "the strategy gave up");
+            1.0
+        }
+    }
+    for shards in [2, 4, 8] {
+        let sim = Simulation::builder()
+            .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
+            .ssd(12.0)
+            .duration(Duration::from_secs(240))
+            .strategy(GivesUp)
+            .seed(1)
+            .build();
+        match bdps::sim::try_run_sharded(sim, shards) {
+            Err(SimError::WorkerPanicked { message, .. }) => {
+                assert!(message.contains("the strategy gave up"), "{message}")
+            }
+            other => panic!(
+                "{shards} shards: expected a caught panic, got {:?}",
+                other.map(|o| o.digest)
+            ),
+        }
+    }
 }
