@@ -83,7 +83,7 @@ pub enum InvariantViolation {
     Conservation(ConservationViolation),
     /// Routing or a broker table diverged from a from-scratch rebuild.
     TableAudit(String),
-    /// The model required full drainage but quiescence left copies behind.
+    /// Quiescence left copies behind.
     Stranded {
         /// Copies still in output queues.
         queued: u64,
@@ -161,7 +161,6 @@ struct Ctx<'a> {
     stats: ExploreStats,
     seen: HashSet<u64>,
     path: Vec<ChoiceRecord>,
-    require_quiescence: bool,
 }
 
 /// Exhaustively explores every same-instant interleaving of `model` under
@@ -172,7 +171,6 @@ pub fn explore(model: &McModel, cell: ForwardingMode, budget: &ExploreBudget) ->
         stats: ExploreStats::default(),
         seen: HashSet::new(),
         path: Vec::new(),
-        require_quiescence: model.require_quiescence,
     };
     let result = dfs(model.build(cell), 0, &mut ctx);
     let Ctx { stats, path, .. } = ctx;
@@ -206,7 +204,7 @@ fn dfs(mut sim: Simulation, mut depth: usize, ctx: &mut Ctx<'_>) -> Result<(), I
                     .map(|(m, s)| (m.raw(), s.raw()))
                     .collect(),
             );
-            return check_terminal(&sim, ctx.require_quiescence);
+            return check_terminal(&sim);
         }
         if frontier.len() > ctx.stats.max_frontier {
             ctx.stats.max_frontier = frontier.len();
@@ -286,20 +284,20 @@ fn check_step(sim: &Simulation) -> Result<(), InvariantViolation> {
     Ok(())
 }
 
-fn check_terminal(sim: &Simulation, require_quiescence: bool) -> Result<(), InvariantViolation> {
+/// The terminal invariants: every per-event invariant, and nothing left
+/// queued, in flight or mid-processing.
+fn check_terminal(sim: &Simulation) -> Result<(), InvariantViolation> {
     check_step(sim)?;
-    if require_quiescence {
-        let outcome = sim.outcome_snapshot();
-        if outcome.queued_at_end != 0
-            || outcome.in_flight_at_end != 0
-            || outcome.pending_process_at_end != 0
-        {
-            return Err(InvariantViolation::Stranded {
-                queued: outcome.queued_at_end,
-                in_flight: outcome.in_flight_at_end,
-                pending_process: outcome.pending_process_at_end,
-            });
-        }
+    let outcome = sim.outcome_snapshot();
+    if outcome.queued_at_end != 0
+        || outcome.in_flight_at_end != 0
+        || outcome.pending_process_at_end != 0
+    {
+        return Err(InvariantViolation::Stranded {
+            queued: outcome.queued_at_end,
+            in_flight: outcome.in_flight_at_end,
+            pending_process: outcome.pending_process_at_end,
+        });
     }
     Ok(())
 }
@@ -319,7 +317,7 @@ pub fn replay(
     loop {
         let mut frontier = sim.take_frontier(sim.hard_stop());
         if frontier.is_empty() {
-            return check_terminal(&sim, model.require_quiescence).err();
+            return check_terminal(&sim).err();
         }
         let pick = if frontier.len() > 1 && next < choices.len() {
             let wanted = &choices[next].chosen;
@@ -401,6 +399,9 @@ fn minimize(
 mod tests {
     use super::*;
     use crate::model::{McModel, ModelTopology};
+    use bdps_sim::scenario::ScenarioAction;
+    use bdps_types::id::LinkId;
+    use bdps_types::time::Duration;
 
     fn two_publisher_line() -> McModel {
         let mut m = McModel::named("two-publisher-line", ModelTopology::Line(3));
@@ -436,6 +437,42 @@ mod tests {
         let model = two_publisher_line();
         for cell in ForwardingMode::ALL {
             assert!(replay(&model, cell, &[]).is_none(), "{cell}");
+        }
+    }
+
+    /// The explorer's self-test on a fault-free engine: l0 (B0→B1) fails
+    /// while the t = 5 s publication crosses it and never recovers, so the
+    /// copies queued behind it can never drain. Every cell must report the
+    /// stranding with a trace that survives a JSON round trip and replays to
+    /// the same violation.
+    #[test]
+    fn a_copy_stranded_behind_a_dead_link_is_caught_with_a_replayable_trace() {
+        let mut model = McModel::named("stranded-behind-l0", ModelTopology::Line(3));
+        model.publishers = vec![0, 2];
+        model.subscribers = vec![0, 1, 1, 2];
+        model.publications_per_publisher = 2;
+        model.events = vec![(
+            Duration::from_millis(5_300),
+            ScenarioAction::LinkDown {
+                link: LinkId::new(0),
+            },
+        )];
+        for cell in ForwardingMode::ALL {
+            let cex = explore(&model, cell, &ExploreBudget::default())
+                .counterexample
+                .unwrap_or_else(|| panic!("{cell}: a dead link must strand copies"));
+            assert_eq!(cex.kind, "stranded", "{cell}: {}", cex.violation);
+            assert_eq!(cex.model, model.name);
+            assert_eq!(cex.seed, model.seed);
+
+            let parsed = Counterexample::from_json(&cex.to_json())
+                .expect("emitted counterexample must parse back");
+            assert_eq!(parsed, cex, "{cell}: JSON round trip must be lossless");
+            let replay_cell = ForwardingMode::from_name(&parsed.cell).expect("cell name parses");
+            assert_eq!(replay_cell, cell);
+            let violation = replay(&model, replay_cell, &parsed.choices)
+                .expect("replaying the trace must reproduce the violation");
+            assert_eq!(violation.kind(), "stranded", "{cell}");
         }
     }
 

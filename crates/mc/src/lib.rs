@@ -14,8 +14,8 @@
 //! * **Table/routing agreement** — routing and every broker's subscription
 //!   table always equal a from-scratch rebuild at the last-rebuilt link
 //!   liveness, mid-flap-batch included;
-//! * **No stranded copies at quiescence** — when the model expects full
-//!   drainage, nothing is left queued, in flight or mid-processing.
+//! * **No stranded copies at quiescence** — every terminal state holds
+//!   nothing queued, in flight or mid-processing.
 //!
 //! Why this is sound: every event handler schedules its successors strictly
 //! later than the event itself (processing delay and transfer times are
@@ -47,5 +47,5 @@ mod model;
 mod trace;
 
 pub use explorer::{explore, replay, Exploration, ExploreBudget, ExploreStats, InvariantViolation};
-pub use model::{McModel, ModelTopology};
+pub use model::{McModel, ModelTopology, HOP_MS};
 pub use trace::{ChoiceRecord, Counterexample};

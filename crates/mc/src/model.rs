@@ -3,7 +3,8 @@
 //!
 //! A [`McModel`] is a complete, deterministic description of a miniature
 //! BDPS deployment: a line or star of at most [`MAX_BROKERS`] brokers with
-//! fixed-rate links, explicitly placed publishers and subscribers,
+//! fixed-rate links carrying fixed-size messages ([`HOP_MS`] per hop),
+//! explicitly placed publishers and subscribers, FIFO brokers,
 //! deterministic publication arrivals, and an optional list of explicit
 //! scenario events (link flaps, joins/leaves, rate changes). The model is
 //! small enough that the explorer can enumerate **every** ordering of
@@ -12,7 +13,7 @@
 //! [`McModel::build`] materialises the model into a [`Simulation`] for one
 //! cell — exact or aggregate forwarding — through the same
 //! `SimulationBuilder` every other run uses (`try_build_on` over the
-//! hand-made line or star, with the model's `drain_grace`). Exploring both
+//! hand-made line or star, with a generous drain grace). Exploring both
 //! cells of [`ForwardingMode::ALL`] exhaustively cross-checks the
 //! configurations the integration-level differential oracles only sample.
 
@@ -27,15 +28,23 @@ use bdps_stats::rng::SimRng;
 use bdps_types::id::{BrokerId, PublisherId, SubscriberId};
 use bdps_types::time::Duration;
 
-#[cfg(feature = "fault-injection")]
-use bdps_sim::engine::InjectedFault;
-
 /// Maximum brokers a checkable model may have.
 pub(crate) const MAX_BROKERS: usize = 4;
 /// Maximum subscriptions a checkable model may have.
 pub(crate) const MAX_SUBSCRIPTIONS: usize = 6;
 /// Maximum model events (publications plus explicit scenario events).
 pub(crate) const MAX_EVENTS: usize = 10;
+
+/// Per-KB rate (ms/KB) of every link; deterministic transfer times keep the
+/// branching confined to genuinely simultaneous events.
+const LINK_RATE_MS_PER_KB: f64 = 20.0;
+/// Size (KB) of every message; with fixed-rate links this pins transfer
+/// times.
+const MESSAGE_SIZE_KB: f64 = 50.0;
+/// Time (ms) one copy takes to cross one link: 50 KB × 20 ms/KB = 1 s.
+pub const HOP_MS: f64 = MESSAGE_SIZE_KB * LINK_RATE_MS_PER_KB;
+/// How long past the publication period a model keeps draining.
+const DRAIN_GRACE: Duration = Duration::from_secs(600);
 
 /// The overlay shape of a tiny model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +73,6 @@ pub struct McModel {
     pub name: String,
     /// The overlay shape.
     pub topology: ModelTopology,
-    /// Fixed per-KB link rate (ms/KB) of every link; deterministic transfer
-    /// times keep the branching confined to genuinely simultaneous events.
-    pub link_rate_ms_per_kb: f64,
     /// Broker index each publisher attaches to. Every publisher publishes on
     /// the same deterministic schedule, so `k` publishers produce `k`-way
     /// same-instant publication frontiers.
@@ -77,12 +83,8 @@ pub struct McModel {
     pub publications_per_publisher: u32,
     /// Gap between consecutive publications of one publisher.
     pub publish_gap: Duration,
-    /// Message size (KB); with fixed-rate links this pins transfer times.
-    pub message_size_kb: f64,
     /// Explicit scenario events (link flaps, joins/leaves, rate changes).
     pub events: Vec<(Duration, ScenarioAction)>,
-    /// Scheduling strategy brokers select transmissions with.
-    pub(crate) strategy: StrategyKind,
     /// The link transfer-time model (constant delay by default). Under
     /// [`LinkModelKind::FairShare`] same-instant copies contend on one link
     /// instead of serialising, so the explorer also covers flow-admission
@@ -90,39 +92,22 @@ pub struct McModel {
     pub link_model: LinkModelKind,
     /// Seed for subscription filters and message contents.
     pub seed: u64,
-    /// How long past the publication period the model keeps draining.
-    pub(crate) drain_grace: Duration,
-    /// Whether quiescence must find nothing queued, in flight or
-    /// mid-processing. Set false for models that deliberately end with a
-    /// dead link holding a backlog.
-    pub require_quiescence: bool,
-    /// Deliberately broken invariant to arm (explorer self-test).
-    #[cfg(feature = "fault-injection")]
-    pub fault: Option<InjectedFault>,
 }
 
 impl McModel {
-    /// A model skeleton with sane defaults: 50 KB messages, 20 ms/KB links
-    /// (1 s per hop), four publications per publisher 5 s apart, a generous
-    /// drain grace, full quiescence required.
+    /// A model skeleton with sane defaults: four publications per publisher
+    /// 5 s apart over constant-delay links.
     pub fn named(name: impl Into<String>, topology: ModelTopology) -> Self {
         McModel {
             name: name.into(),
             topology,
-            link_rate_ms_per_kb: 20.0,
             publishers: Vec::new(),
             subscribers: Vec::new(),
             publications_per_publisher: 4,
             publish_gap: Duration::from_secs(5),
-            message_size_kb: 50.0,
             events: Vec::new(),
-            strategy: StrategyKind::Fifo,
             link_model: LinkModelKind::default(),
             seed: 1,
-            drain_grace: Duration::from_secs(600),
-            require_quiescence: true,
-            #[cfg(feature = "fault-injection")]
-            fault: None,
         }
     }
 
@@ -189,15 +174,11 @@ impl McModel {
     /// have) — model bounds are authoring errors, not runtime conditions.
     pub fn build(&self, cell: ForwardingMode) -> Simulation {
         self.validate().expect("invalid mc model");
-        let rate = self.link_rate_ms_per_kb;
         let mut topo_rng = SimRng::seed_from(self.seed);
+        let fixed = |_: &mut SimRng| LinkQuality::fixed(LINK_RATE_MS_PER_KB);
         let mut topo = match self.topology {
-            ModelTopology::Line(n) => {
-                Topology::line(n, &mut topo_rng, |_| LinkQuality::fixed(rate))
-            }
-            ModelTopology::Star(n) => {
-                Topology::star(n, &mut topo_rng, |_| LinkQuality::fixed(rate))
-            }
+            ModelTopology::Line(n) => Topology::line(n, &mut topo_rng, fixed),
+            ModelTopology::Star(n) => Topology::star(n, &mut topo_rng, fixed),
         };
         for (i, &b) in self.publishers.iter().enumerate() {
             let p = PublisherId::new(i as u32);
@@ -215,7 +196,7 @@ impl McModel {
         let gap_secs = self.publish_gap.as_millis_f64() / 1_000.0;
         let mut workload = WorkloadConfig::paper_ssd(60.0 / gap_secs);
         workload.duration = self.duration();
-        workload.message_size_kb = self.message_size_kb;
+        workload.message_size_kb = MESSAGE_SIZE_KB;
         workload.arrivals = ArrivalKind::Deterministic;
 
         let mut scenario = DynamicScenario::named(self.name.clone());
@@ -223,21 +204,15 @@ impl McModel {
             scenario = scenario.at(*at, action.clone());
         }
 
-        #[allow(unused_mut)]
-        let mut sim = Simulation::builder()
+        Simulation::builder()
             .workload(workload)
-            .scheduler(SchedulerConfig::paper(self.strategy))
+            .scheduler(SchedulerConfig::paper(StrategyKind::Fifo))
             .scenario(scenario)
             .link_model(self.link_model)
             .forwarding(cell)
-            .drain_grace(self.drain_grace)
+            .drain_grace(DRAIN_GRACE)
             .try_build_on(topo, SimRng::seed_from(self.seed))
-            .unwrap_or_else(|e| panic!("invalid mc model: {e}"));
-        #[cfg(feature = "fault-injection")]
-        if let Some(fault) = self.fault {
-            sim.inject_fault(fault);
-        }
-        sim
+            .unwrap_or_else(|e| panic!("invalid mc model: {e}"))
     }
 }
 

@@ -1,7 +1,6 @@
 //! Looking at a simulation from outside the run loop: the model checker's
-//! branching primitive ([`Simulation::fork`]), its state digest, the
-//! from-scratch table audit, and the armed faults that prove both catch real
-//! violations.
+//! branching primitive ([`Simulation::fork`]), its state digest and the
+//! from-scratch table audit.
 
 use bdps_core::queue::edge_bit;
 use bdps_overlay::routing::Routing;
@@ -15,26 +14,6 @@ use std::sync::{Arc, RwLock};
 use crate::engine::{ForwardingMode, Simulation};
 use crate::outcome::LinkFlow;
 use crate::sched::EventQueue;
-
-/// A deliberately broken protocol invariant, compiled in only under the
-/// `fault-injection` feature and armed via [`Simulation::inject_fault`].
-///
-/// The faults recreate the *classes* of the two historical oracle-found bugs
-/// so the model-checking explorer (`bdps-mc`) can prove it detects real
-/// violations: a conservation break (copies vanishing) and a duplicate
-/// delivery. An unarmed build behaves bit-identically to one without the
-/// feature.
-#[cfg(feature = "fault-injection")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// A transfer voided by a link failure silently drops its copy instead
-    /// of requeueing it — breaking the transfer-balance conservation law
-    /// (the historical flap-voiding bug class).
-    VoidedTransferVanishes,
-    /// Every local delivery is recorded twice — breaking the
-    /// no-duplicate-delivery audit.
-    DoubleDelivery,
-}
 
 impl Simulation {
     /// Deep-clones the simulation into an independent branch: every piece of
@@ -324,14 +303,5 @@ impl Simulation {
             ));
         }
         pop.audit_covers()
-    }
-
-    /// Arms a deliberately broken invariant, proving the model-checking
-    /// explorer catches real violations (see `bdps-mc`'s fault-injection
-    /// suite). Compiled only with the `fault-injection` feature; without the
-    /// fault armed, behaviour is untouched.
-    #[cfg(feature = "fault-injection")]
-    pub fn inject_fault(&mut self, fault: InjectedFault) {
-        self.shared.injected_fault = Some(fault);
     }
 }

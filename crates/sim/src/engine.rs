@@ -36,8 +36,6 @@ use bdps_types::id::{BrokerId, SubscriptionId};
 use bdps_types::time::{Duration, SimTime};
 use std::fmt;
 
-#[cfg(feature = "fault-injection")]
-pub use crate::audit::InjectedFault;
 pub use crate::error::SimError;
 pub use crate::event::{Arrival, EventKind};
 pub use crate::outcome::{
@@ -277,8 +275,6 @@ impl Simulation {
                 publish_gen: vec![0; publisher_slots],
                 forwarding,
                 population,
-                #[cfg(feature = "fault-injection")]
-                injected_fault: None,
             },
             totals: Totals::new(),
             scenario,

@@ -31,8 +31,6 @@ use bdps_types::time::{Duration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-#[cfg(feature = "fault-injection")]
-use crate::audit::InjectedFault;
 use crate::engine::ForwardingMode;
 use crate::event::{key, Arrival, EventKind};
 use crate::outcome::{LinkFlow, LinkLoad, PhaseOutcome};
@@ -233,10 +231,6 @@ pub(crate) struct Shared {
     pub(crate) forwarding: Forwarding,
     /// The population registry every broker table references.
     pub(crate) population: PopulationHandle,
-    /// Deliberately broken invariant, if armed (see [`InjectedFault`]).
-    /// `None` keeps behaviour bit-identical to a build without the feature.
-    #[cfg(feature = "fault-injection")]
-    pub(crate) injected_fault: Option<InjectedFault>,
 }
 
 /// A [`ForwardingMode`] with the publish-time state only it reads.
@@ -631,20 +625,13 @@ impl TrafficCore {
             }
         };
         for d in &outcome.local {
-            let delivery = || Effect::Delivery {
+            sink.emit(Effect::Delivery {
                 message: message.id,
                 subscriber: d.subscriber,
                 price: d.price,
                 delay: d.delay,
                 on_time: d.on_time,
-            };
-            sink.emit(delivery());
-            #[cfg(feature = "fault-injection")]
-            if sh.injected_fault == Some(InjectedFault::DoubleDelivery) {
-                // Deliberately record the delivery a second time — the
-                // duplicate audit must flag this in every interleaving.
-                sink.emit(delivery());
-            }
+            });
         }
         for neighbor in outcome.enqueued_to {
             if let Some(link) = sh.link_of[broker.index()][neighbor.index()] {
@@ -666,12 +653,6 @@ impl TrafficCore {
         self.link_busy[link.index()] = false;
         if sh.link_alive(link) && gen == sh.link_fail_gen[link.index()] {
             return self.finish_transfer(sh, sink, link, queued);
-        }
-        #[cfg(feature = "fault-injection")]
-        if sh.injected_fault == Some(InjectedFault::VoidedTransferVanishes) {
-            // Deliberately drop the voided copy instead of requeueing it —
-            // the transfer-balance conservation law must flag this.
-            return;
         }
         // The link died while the copy was in flight (possibly flapping back
         // up before completion — the generation check catches that case):

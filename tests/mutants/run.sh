@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Mutation census for the table-maintenance and arrival-routing code.
-# Applies every one-hunk mutant in tests/mutants/*.patch, one at a time, to
+# Mutation census of the library: one-hunk mutants of its table
+# maintenance, arrival routing, event order, link models, sharded executor,
+# objective bookkeeping and the copy-conservation and delivery laws.
+# Applies every mutant in tests/mutants/*.patch, one at a time, to
 # a scratch git worktree of HEAD, runs
 # `cargo test --workspace --release --offline --no-fail-fast` there and
 # writes the kill matrix — which tests fail under which mutant — to
@@ -16,8 +18,11 @@
 #
 # The worktree, the one CARGO_TARGET_DIR every mutant shares and the
 # per-mutant test logs live under $MUTANTS_SCRATCH (default: a fresh mktemp
-# directory). Not part of CI: every mutant rebuilds and reruns the whole
-# release suite (30–60 s each on a 2-vCPU machine).
+# directory). The census is not part of CI: every mutant rebuilds and reruns
+# the whole release suite (30–60 s each on a 2-vCPU machine). CI runs two of
+# its patches against one `bdps-mc` target each instead: 38 must fail
+# `--test exhaustive` with a duplicate-delivery counterexample and 39
+# `--test regressions` with a conservation one (the `mc` job).
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
