@@ -207,8 +207,8 @@ pub struct MatchIndex {
     /// Per-attribute predicate indexes, sorted by name like a message head.
     attrs: Vec<(AttrName, AttrIndex)>,
     slots: Vec<Slot>,
-    /// Each indexed id's live slot. Consulted by `insert`, `remove` and
-    /// `filter_of` only, never by a match.
+    /// Each indexed id's live slot. Consulted by `insert` and `remove`
+    /// only, never by a match.
     slot_of: HashMap<SubscriptionId, u32>,
 }
 

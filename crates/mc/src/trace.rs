@@ -5,8 +5,7 @@
 //! [`ForwardingMode`](bdps_sim::engine::ForwardingMode) name, the violated
 //! invariant, and the ordered branch [`ChoiceRecord`]s. Traces serialise to a single JSON
 //! object so CI can upload them as artifacts; the writer and its minimal
-//! parser are hand-written here (the workspace has no external packages),
-//! and this is the repository's only wire format.
+//! parser are hand-written here (the workspace has no external packages).
 
 use std::fmt::Write as _;
 

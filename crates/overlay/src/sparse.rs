@@ -426,12 +426,11 @@ impl SharedPopulation {
         SharedPopulation::default()
     }
 
-    /// Builds the registry, covers included, from a population (the
-    /// engine's subscription list; ids must be distinct). Each group's
-    /// summary is built once, after its last member.
-    pub fn from_population(subscriptions: &[(Subscription, BrokerId)]) -> Self {
+    /// Builds the registry, covers included, from a population (ids must be
+    /// distinct). Each group's summary is built once, after its last member.
+    pub fn from_population(subscriptions: impl AsRef<[(Subscription, BrokerId)]>) -> Self {
         let mut pop = SharedPopulation::new();
-        for (sub, edge) in subscriptions {
+        for (sub, edge) in subscriptions.as_ref() {
             pop.register(sub.clone(), *edge);
         }
         if let Some(model) = &pop.selectivity {
@@ -568,6 +567,11 @@ impl SharedPopulation {
     /// The record of one subscription.
     pub fn member(&self, id: SubscriptionId) -> Option<&MemberRecord> {
         self.members.get(id.index())?.as_ref()
+    }
+
+    /// Every registered record, in ascending subscription id order.
+    pub fn members(&self) -> impl Iterator<Item = &MemberRecord> + '_ {
+        self.members.iter().flatten()
     }
 
     /// The tag of one subscription id's slot — vacant ones included — or

@@ -5,9 +5,7 @@
 use bdps_core::queue::edge_bit;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{aggregate_scope_dest, read_population, PopulationHandle, SparseTable};
-use bdps_types::id::{BrokerId, SubscriptionId};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::{Arc, RwLock};
 
@@ -129,20 +127,8 @@ impl Simulation {
         for b in &self.core.brokers {
             h.write_u64(b.state_digest());
         }
+        // Membership: each edge's member ids and their join epochs.
         h.write_u64(read_population(&self.shared.population).state_digest());
-        // Population membership, in id order: the entry order is not logical
-        // state.
-        let mut members: Vec<(u32, u32)> = self
-            .subscriptions()
-            .iter()
-            .map(|(sub, edge)| (sub.id.raw(), edge.raw()))
-            .collect();
-        members.sort_unstable();
-        h.write_usize(members.len());
-        for (id, edge) in members {
-            h.write_u32(id);
-            h.write_u32(edge);
-        }
         h.write_u64(self.totals.tracker.state_digest());
         h.finish()
     }
@@ -150,10 +136,9 @@ impl Simulation {
     /// Verifies that routing and every broker's subscription table agree
     /// with a from-scratch rebuild — the table/routing-consistency invariant
     /// the model checker asserts in every interleaving. The registry the
-    /// tables are rebuilt from is itself first held to the scenario core's
-    /// own population list, so the two records of who is subscribed where
-    /// cannot drift apart unnoticed. Last, the queued copies' edge masks are
-    /// held to the targets they carry.
+    /// tables are rebuilt from is itself first held to its own records.
+    /// Last, the queued copies' edge masks are held to the targets they
+    /// carry.
     ///
     /// The reference point is the link liveness **as of the last rebuild**
     /// (`link_alive_at_rebuild`): while a coalesced same-instant link batch
@@ -243,44 +228,27 @@ impl Simulation {
         Ok(())
     }
 
-    /// Holds the shared registry to the scenario core's population list:
-    /// each edge group's member ids, and each member's recorded edge, must
-    /// be exactly what the list says. The table audit rebuilds from the
-    /// registry, so without this a registry that kept (or lost) a member the
-    /// list disagrees on would rebuild into the same wrong tables. The
-    /// registry's slot tags are then held to its records, and its covers —
-    /// kept exactly when the run forwards by aggregate — to its members.
+    /// Holds the shared registry — the run's one record of who is
+    /// subscribed where — to itself: its edge groups hold exactly its
+    /// registered count, and every group member is recorded at that group's
+    /// edge. The table audit rebuilds from the groups, so a group that kept
+    /// (or lost) a member its records disagree on would rebuild into the
+    /// same wrong tables. The slot tags are then held to the records, and
+    /// the covers — kept exactly when the run forwards by aggregate — to the
+    /// members.
     fn audit_registry(&self) -> Result<(), String> {
-        let mut listed: BTreeMap<BrokerId, Vec<SubscriptionId>> = BTreeMap::new();
-        for (sub, edge) in &self.scenario.subscriptions.entries {
-            listed.entry(*edge).or_default().push(sub.id);
-        }
         let pop = read_population(&self.shared.population);
-        let registered: BTreeMap<BrokerId, &[SubscriptionId]> = pop
-            .groups()
-            .map(|(edge, group)| (edge, group.ids()))
-            .collect();
-        let members = self.scenario.subscriptions.entries.len();
-        if registered.len() != listed.len() || pop.len() != members {
+        let grouped: usize = pop.groups().map(|(_, group)| group.ids().len()).sum();
+        if grouped != pop.len() {
             return Err(format!(
-                "the registry has {} members in {} edge groups, the population list {} in {}",
-                pop.len(),
-                registered.len(),
-                members,
-                listed.len()
+                "the registry's edge groups hold {grouped} members, its records {}",
+                pop.len()
             ));
         }
-        for ((edge, ids), (listed_edge, listed_ids)) in registered.iter().zip(&mut listed) {
-            listed_ids.sort_unstable();
-            if edge != listed_edge || ids != listed_ids {
-                return Err(format!(
-                    "the registry's group at {edge} holds {ids:?}, the population list \
-                     has {listed_ids:?} at {listed_edge}"
-                ));
-            }
-            for &id in *ids {
+        for (edge, group) in pop.groups() {
+            for &id in group.ids() {
                 match pop.member(id).map(|record| record.edge) {
-                    Some(recorded) if recorded == *edge => {}
+                    Some(recorded) if recorded == edge => {}
                     other => {
                         return Err(format!(
                             "member {id} of {edge}'s group is recorded at {other:?}"

@@ -117,7 +117,9 @@ impl fmt::Display for ForwardingMode {
 /// Its state is four groups split along who may write what: the traffic
 /// `core`, the `shared` context only scenario actions mutate, the
 /// order-sensitive `totals` both reach through an effect sink, and the
-/// `scenario` core — population and routing, which traffic never touches.
+/// `scenario` core — routing, which traffic never touches. Who is
+/// subscribed where lives once, in the population registry `shared` holds
+/// and every broker table reads.
 pub struct Simulation {
     pub(crate) core: TrafficCore,
     pub(crate) shared: Shared,
@@ -235,7 +237,7 @@ impl Simulation {
         // randomness (replay stays exact whatever the scenario does).
         let mut scenario_rng = rng.split(0x5CE7_A210);
         let scenario_events = scenario.materialize(&topology, &workload, &mut scenario_rng);
-        crate::scenario::validate_events(&scenario_events, &topology.graph)?;
+        crate::scenario::validate_events(&scenario_events, &topology.graph, subscriptions.len())?;
 
         // Link bookkeeping.
         let n = topology.graph.broker_count();
@@ -258,8 +260,9 @@ impl Simulation {
             .map(|i| rng.split(LINK_STREAM_BASE + i as u64))
             .collect();
 
-        let scenario = ScenarioCore::new(believed_graph, subscriptions);
-        let (brokers, population, forwarding) = scenario.build_brokers(&scheduler, forwarding);
+        let scenario = ScenarioCore::new(believed_graph);
+        let (brokers, population, forwarding) =
+            scenario.build_brokers(&subscriptions, &scheduler, forwarding);
         let mut sim = Simulation {
             core: TrafficCore::new(publisher_rng, link_rng, 0),
             shared: Shared {
@@ -305,10 +308,14 @@ impl Simulation {
         &self.totals.tracker
     }
 
-    /// The subscription population of this run (changes under churn; in no
-    /// particular order once a subscription has left).
-    pub fn subscriptions(&self) -> &[(Subscription, BrokerId)] {
-        &self.scenario.subscriptions.entries
+    /// A copy of the subscription population of this run as it stands
+    /// (changes under churn), in ascending subscription id order, read
+    /// from the registry every table shares.
+    pub fn subscriptions(&self) -> Vec<(Subscription, BrokerId)> {
+        read_population(&self.shared.population)
+            .members()
+            .map(|record| (record.subscription.clone(), record.edge))
+            .collect()
     }
 
     /// The routing every broker's table was last rebuilt against (it lags
@@ -942,11 +949,16 @@ mod tests {
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
         };
-        let joiner = WorkloadConfig::paper_ssd(8.0).generate_subscription(
-            SubscriptionId::new(500),
-            SubscriberId::new(500),
-            &mut SimRng::seed_from(1),
-        );
+        let joiner = |id: u32| {
+            WorkloadConfig::paper_ssd(8.0).generate_subscription(
+                SubscriptionId::new(id),
+                SubscriberId::new(id),
+                &mut SimRng::seed_from(1),
+            )
+        };
+        // One join past the densest minting would size the registry's slot
+        // vectors to 2³¹ entries.
+        let far = (1 << 31) - 1;
         let cases = [
             (
                 ScenarioAction::LinkDown {
@@ -962,10 +974,17 @@ mod tests {
             ),
             (
                 ScenarioAction::SubscriptionJoin {
-                    subscription: joiner,
+                    subscription: joiner(500),
                     broker: BrokerId::new(brokers),
                 },
                 format!("join:f500@b{brokers}"),
+            ),
+            (
+                ScenarioAction::SubscriptionJoin {
+                    subscription: joiner(far),
+                    broker: BrokerId::new(0),
+                },
+                format!("join:f{far}@b0"),
             ),
             (
                 ScenarioAction::PublisherRate {
@@ -1216,9 +1235,9 @@ mod tests {
         };
         let subscription = sim
             .subscriptions()
-            .iter()
+            .into_iter()
             .find(|(sub, _)| sub.id == id)
-            .map(|(sub, _)| sub.clone())
+            .map(|(sub, _)| sub)
             .unwrap();
         let inject = |sim: &mut Simulation, k: u64, action: ScenarioAction| {
             let (time, seq) = (sim.core.now, key::scenario((1 << 40) + k));

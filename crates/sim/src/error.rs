@@ -5,18 +5,19 @@ use std::fmt;
 
 /// A structured, recoverable simulation failure.
 ///
-/// The engine used to turn a poisoned population lock into a second panic
-/// (`.expect("population lock")`), so one panicking `sweep` worker cascaded
-/// into every sibling cell sharing the registry. Read paths now recover the
-/// guard ([`bdps_overlay::sparse::read_population`]); write paths — where a
-/// half-applied churn action could leave the registry inconsistent — surface
-/// this error instead.
+/// A poisoned population lock must not become a second panic, or one
+/// panicking `sweep` worker would cascade into every sibling cell sharing
+/// the registry. Read paths recover the guard
+/// ([`bdps_overlay::sparse::read_population`]); write paths — where a
+/// half-applied churn action could leave the registry inconsistent —
+/// surface this error instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The configuration cannot be built into a run: an out-of-range
     /// workload or scheduler value, a malformed mesh, an overlay past the
-    /// canonical event-key limits, or a scenario event naming a link or
-    /// broker the graph does not have. Decided before any event is applied.
+    /// canonical event-key limits, a scenario event naming a link or broker
+    /// the graph does not have, or a join id past the densest minting the
+    /// input allows. Decided before any event is applied.
     InvalidConfig(BdpsError),
     /// The shared population registry's write lock was poisoned by a panic
     /// in another thread; the pending mutation was not applied.

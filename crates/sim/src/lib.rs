@@ -17,7 +17,7 @@
 //!   core** (brokers, event queue, per-publisher / per-link streams, link
 //!   occupancy, clock), the **shared context** only scenario actions mutate
 //!   (topology, filter index, link liveness, rates, population registry), the
-//!   **scenario core** traffic never touches (population, routing and its repair)
+//!   **scenario core** traffic never touches (routing and its repair)
 //!   and the **order-sensitive totals** (objective tracker, phases, delay
 //!   summary). Two cores, one sink: the traffic handlers (the paper's broker
 //!   loop) and the scenario handlers (everything around it) are each written once

@@ -128,15 +128,28 @@ pub struct ScenarioEvent {
     pub action: ScenarioAction,
 }
 
-/// Checks a materialised event stream against the overlay it will run on:
-/// a link event must name a link of `graph`, a join a broker of `graph` (and
-/// an id without the aggregate sentinel bit), a rate change a finite
-/// multiplier. Unchecked, those surface mid-run — as an index panic, a
-/// subscriber no route reaches, a muted publisher. A leave of an id nobody
-/// holds and a rate change for a publisher the topology does not have are
-/// no-ops by design and pass.
-pub(crate) fn validate_events(events: &[ScenarioEvent], graph: &OverlayGraph) -> Result<()> {
+/// Checks a materialised event stream against the overlay it will run on
+/// and the `initial` population size: a link event must name a link of
+/// `graph`, a join a broker of `graph` (and an id without the aggregate
+/// sentinel bit), a rate change a finite multiplier. Unchecked, those
+/// surface mid-run — as an index panic, a subscriber no route reaches, a
+/// muted publisher. A join's subscription and subscriber ids must also
+/// stay below `initial` plus the stream's join count, the densest minting
+/// the input allows: the registry and the delivery bitsets are slot
+/// vectors indexed by those ids, so one far id would allocate up to it. A
+/// leave of an id nobody holds and a rate change for a publisher the
+/// topology does not have are no-ops by design and pass.
+pub(crate) fn validate_events(
+    events: &[ScenarioEvent],
+    graph: &OverlayGraph,
+    initial: usize,
+) -> Result<()> {
     let (links, brokers) = (graph.link_count(), graph.broker_count());
+    let joins = events
+        .iter()
+        .filter(|e| matches!(e.action, ScenarioAction::SubscriptionJoin { .. }))
+        .count();
+    let ids = initial + joins;
     for (index, event) in events.iter().enumerate() {
         let problem = match &event.action {
             ScenarioAction::LinkDown { link } | ScenarioAction::LinkUp { link }
@@ -151,6 +164,14 @@ pub(crate) fn validate_events(events: &[ScenarioEvent], graph: &OverlayGraph) ->
                 if aggregate_scope_dest(subscription.id).is_some() =>
             {
                 "the subscription id carries the aggregate sentinel bit".into()
+            }
+            ScenarioAction::SubscriptionJoin { subscription, .. }
+                if subscription.id.index().max(subscription.subscriber.index()) >= ids =>
+            {
+                format!(
+                    "ids must stay below {ids} ({initial} initial subscriptions plus {joins} \
+                     joins)"
+                )
             }
             ScenarioAction::PublisherRate { multiplier, .. } if !multiplier.is_finite() => {
                 "the rate multiplier must be finite".into()

@@ -16,7 +16,6 @@ use bdps_overlay::sparse::{read_population, PopulationHandle, SharedPopulation, 
 use bdps_overlay::subtable::RetargetOutcome;
 use bdps_types::id::{BrokerId, LinkId, PublisherId, SubscriptionId};
 use bdps_types::time::SimTime;
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 use crate::engine::ForwardingMode;
@@ -25,49 +24,6 @@ use crate::event::EventKind;
 use crate::scenario::ScenarioAction;
 use crate::sched::EventQueue;
 use crate::traffic::{Effect, EffectSink, Forwarding, Shared, TrafficCore};
-
-/// The subscription population, addressable by id.
-///
-/// `entries` is the slice `Simulation::subscriptions` exposes; `slot` maps
-/// an id to its position, so a leave is a hash lookup and a swap-remove
-/// instead of a scan and a `memmove` over 10⁵ entries. Entries are in
-/// insertion order until the first leave and in no particular order after
-/// it: every consumer keys or sorts by id (tables, the registry, the state
-/// digest).
-#[derive(Clone)]
-pub(crate) struct Population {
-    pub(crate) entries: Vec<(Subscription, BrokerId)>,
-    slot: HashMap<SubscriptionId, usize>,
-}
-
-impl Population {
-    fn new(entries: Vec<(Subscription, BrokerId)>) -> Self {
-        let slot = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (sub, _))| (sub.id, i))
-            .collect();
-        Population { entries, slot }
-    }
-
-    /// Adds a subscription attached at `edge`. The id is not live: a join
-    /// removes it first.
-    fn insert(&mut self, subscription: Subscription, edge: BrokerId) {
-        let previous = self.slot.insert(subscription.id, self.entries.len());
-        debug_assert!(previous.is_none(), "join of a live id skipped its leave");
-        self.entries.push((subscription, edge));
-    }
-
-    /// Removes a subscription, returning the edge broker it was attached at.
-    fn remove(&mut self, id: SubscriptionId) -> Option<BrokerId> {
-        let i = self.slot.remove(&id)?;
-        let (_, edge) = self.entries.swap_remove(i);
-        if let Some((moved, _)) = self.entries.get(i) {
-            self.slot.insert(moved.id, i);
-        }
-        Some(edge)
-    }
-}
 
 /// Write-locks the population registry for one churn mutation. A poisoned
 /// lock is not recoverable here — a half-registered subscription would
@@ -92,11 +48,12 @@ pub(crate) struct ScenarioCounters {
     pub(crate) copies_scanned_on_leave: u64,
 }
 
-/// The state scenario actions maintain and traffic never touches: who is
-/// subscribed where, and the routing every broker table was derived from.
+/// The state scenario actions maintain and traffic never touches: the
+/// routing every broker table was derived from. Who is subscribed where is
+/// the shared registry's (`Shared::population`), the run's only record of
+/// it.
 #[derive(Clone)]
 pub(crate) struct ScenarioCore {
-    pub(crate) subscriptions: Population,
     /// The graph the schedulers and routing believe in (identical to the true
     /// graph unless an estimation error is configured). Kept so routing can
     /// be repaired when links fail or recover.
@@ -111,14 +68,9 @@ pub(crate) struct ScenarioCore {
 }
 
 impl ScenarioCore {
-    /// Routing over `believed_graph` with every link alive, and the initial
-    /// population.
-    pub(crate) fn new(
-        believed_graph: OverlayGraph,
-        subscriptions: Vec<(Subscription, BrokerId)>,
-    ) -> Self {
+    /// Routing over `believed_graph` with every link alive.
+    pub(crate) fn new(believed_graph: OverlayGraph) -> Self {
         ScenarioCore {
-            subscriptions: Population::new(subscriptions),
             routing: Routing::compute(&believed_graph),
             routing_dirty: false,
             link_alive_at_rebuild: vec![true; believed_graph.link_count()],
@@ -127,10 +79,11 @@ impl ScenarioCore {
         }
     }
 
-    /// Materialises the per-broker state (tables and queues), the
-    /// population registry the tables share and the publish-time matching
-    /// state. Tables are built from the believed graph (what measurement
-    /// reports), while transfer times are sampled from the true graph.
+    /// Materialises the per-broker state (tables and queues), the registry
+    /// the tables share (holding `subscriptions`, the initial population)
+    /// and the publish-time matching state. Tables are built from the
+    /// believed graph (what measurement reports), while transfer times are
+    /// sampled from the true graph.
     ///
     /// The one place the forwarding mode picks the state it reads: exact
     /// forwarding gets the global filter index and a registry without
@@ -139,20 +92,20 @@ impl ScenarioCore {
     /// built.
     pub(crate) fn build_brokers(
         &self,
+        subscriptions: &[(Subscription, BrokerId)],
         scheduler: &SchedulerConfig,
         forwarding: ForwardingMode,
     ) -> (Vec<BrokerState>, PopulationHandle, Forwarding) {
         let graph = &self.believed_graph;
-        let entries = &self.subscriptions.entries;
         let (registry, forwarding) = match forwarding {
             ForwardingMode::Exact => (
-                SharedPopulation::without_covers(entries),
+                SharedPopulation::without_covers(subscriptions),
                 Forwarding::Exact(MatchIndex::from_subscriptions(
-                    entries.iter().map(|(s, _)| (s.id, &s.filter)),
+                    subscriptions.iter().map(|(s, _)| (s.id, &s.filter)),
                 )),
             ),
             ForwardingMode::Aggregate => (
-                SharedPopulation::from_population(entries),
+                SharedPopulation::from_population(subscriptions),
                 Forwarding::Aggregate,
             ),
         };
@@ -274,7 +227,7 @@ impl ScenarioCore {
         let opened = {
             let mut population = write_population(&shared.population, "subscription join")?;
             let opened = population.group(broker).is_none();
-            population.insert(subscription.clone(), broker);
+            population.insert(subscription, broker);
             opened
         };
         if opened {
@@ -282,7 +235,6 @@ impl ScenarioCore {
                 b.sync_aggregate(&self.routing, broker, true);
             }
         }
-        self.subscriptions.insert(subscription, broker);
         Ok(())
     }
 
@@ -293,20 +245,19 @@ impl ScenarioCore {
         sink: &mut impl EffectSink,
         id: SubscriptionId,
     ) -> Result<(), SimError> {
-        // An id nobody holds is in no index, table or queued copy.
-        let Some(edge) = self.subscriptions.remove(id) else {
-            return Ok(());
+        // An id nobody holds is in no index, table or queued copy. Every
+        // other broker's route towards the edge goes only if this leave
+        // emptied the edge's group; no table holds a row of the id.
+        let (edge, emptied) = {
+            let mut population = write_population(&shared.population, "subscription leave")?;
+            let Some(record) = population.remove(id) else {
+                return Ok(());
+            };
+            (record.edge, population.group(record.edge).is_none())
         };
         if let Forwarding::Exact(index) = &mut shared.forwarding {
             index.remove(id);
         }
-        // Every other broker's route towards the edge goes only if this
-        // leave emptied the edge's group; no table holds a row of the id.
-        let emptied = {
-            let mut population = write_population(&shared.population, "subscription leave")?;
-            population.remove(id);
-            population.group(edge).is_none()
-        };
         let mut stripped = Stripped::default();
         for b in &mut core.brokers {
             if emptied {

@@ -225,15 +225,15 @@ impl Recipe {
 }
 
 /// Holds every broker's live table to a dense table built from scratch
-/// over the population list, against the routing the live table was last
-/// rebuilt on: scoped resolution of every listed subscription must give
-/// the dense rows.
+/// over the registered population, against the routing the live table was
+/// last rebuilt on: scoped resolution of every registered subscription must
+/// give the dense rows.
 fn tables_match_the_dense_layout(sim: &Simulation) -> std::result::Result<(), String> {
     let subs = sim.subscriptions();
     let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
     sim.tables().try_for_each(|table| {
         let broker = table.broker();
-        let dense = SubscriptionTable::build(broker, sim.routing(), subs);
+        let dense = SubscriptionTable::build(broker, sim.routing(), &subs);
         let mut resolved: Vec<ResolvedEntry> = Vec::new();
         table.resolve_scope(&scope, |e, _| resolved.push(e));
         let expected: Vec<ResolvedEntry> = scope

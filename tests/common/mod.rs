@@ -9,6 +9,7 @@ pub mod grid;
 
 use bdps::prelude::*;
 use bdps::sim::engine::EventKind;
+use std::collections::BTreeMap;
 
 /// The delivery set of a finished run: every `(message, subscriber)` pair
 /// delivered (on time or late), sorted. This is the oracle currency of the
@@ -128,6 +129,10 @@ pub enum Audit {
 /// `check` when `audit` says and once more at the end; the run panics,
 /// naming `what` and the instant, on the first error it returns. Returns
 /// the outcome.
+///
+/// Beside `check`, the loop keeps its own record of who is subscribed
+/// where, folded from the joins and leaves it sees in each frontier, and
+/// holds the engine's registry to it after every instant that churned.
 #[allow(dead_code)] // each test binary uses its own subset of the helpers
 pub fn run_with_checks(
     mut sim: Simulation,
@@ -137,6 +142,11 @@ pub fn run_with_checks(
 ) -> SimulationOutcome {
     let stop = sim.hard_stop();
     let mut applied = 0u64;
+    let mut members: BTreeMap<SubscriptionId, BrokerId> = sim
+        .subscriptions()
+        .into_iter()
+        .map(|(sub, edge)| (sub.id, edge))
+        .collect();
     loop {
         // Look at the next instant and put it back whole, so the engine's
         // same-instant rebuild coalescing peeks at the batch it sees in
@@ -145,9 +155,24 @@ pub fn run_with_checks(
         let Some(now) = frontier.first().map(|e| e.time) else {
             break;
         };
-        let has_scenario = frontier
-            .iter()
-            .any(|e| matches!(e.item, EventKind::Scenario { .. }));
+        // The frontier is in application order, and a join of a live id
+        // moves it: the map's insert is the engine's leave-then-join.
+        let (mut has_scenario, mut churned) = (false, false);
+        for event in &frontier {
+            let EventKind::Scenario { action } = &event.item else {
+                continue;
+            };
+            has_scenario = true;
+            match action {
+                ScenarioAction::SubscriptionJoin {
+                    subscription,
+                    broker,
+                } => members.insert(subscription.id, *broker),
+                ScenarioAction::SubscriptionLeave { subscription } => members.remove(subscription),
+                _ => continue,
+            };
+            churned = true;
+        }
         for event in frontier {
             sim.push_back(event);
         }
@@ -160,6 +185,19 @@ pub fn run_with_checks(
             if due {
                 check(&sim).unwrap_or_else(|e| panic!("{what}: audit failed at {now}: {e}"));
             }
+        }
+        if churned {
+            let registered: Vec<(SubscriptionId, BrokerId)> = sim
+                .subscriptions()
+                .into_iter()
+                .map(|(sub, edge)| (sub.id, edge))
+                .collect();
+            let expected: Vec<(SubscriptionId, BrokerId)> =
+                members.iter().map(|(id, edge)| (*id, *edge)).collect();
+            assert_eq!(
+                registered, expected,
+                "{what}: the registry disagrees with the joins and leaves applied at {now}"
+            );
         }
     }
     check(&sim).unwrap_or_else(|e| panic!("{what}: audit failed at the hard stop: {e}"));

@@ -613,9 +613,16 @@ fn hazardous(rng: &mut SimRng, valid: f64) -> f64 {
 }
 
 /// One hand-placed scenario action over ids drawn from ranges that straddle
-/// what the mesh has (`brokers`, `links`, ≤ 6 publishers, ≤ 9 initial
-/// subscriptions), so known, unknown and duplicate ids all occur.
-fn random_action(rng: &mut SimRng, brokers: usize, links: usize) -> ScenarioAction {
+/// what the mesh has (`brokers`, `links`, ≤ 6 publishers, `subscriptions`
+/// initial subscriptions), so known, unknown and duplicate ids all occur. A
+/// join id is drawn just past the initial population: the front door
+/// rejects one at or above it plus the stream's join count.
+fn random_action(
+    rng: &mut SimRng,
+    brokers: usize,
+    links: usize,
+    subscriptions: usize,
+) -> ScenarioAction {
     match rng.uniform_usize(0, 6) {
         0 => ScenarioAction::LinkDown {
             link: LinkId::new(rng.uniform_usize(0, links + 2) as u32),
@@ -626,7 +633,7 @@ fn random_action(rng: &mut SimRng, brokers: usize, links: usize) -> ScenarioActi
         2 => {
             let id = match rng.uniform_usize(0, 30) {
                 0 => (1 << 31) | 3, // the aggregate sentinel bit
-                _ => rng.uniform_usize(0, 24) as u32,
+                _ => rng.uniform_usize(0, subscriptions + 2) as u32,
             };
             ScenarioAction::SubscriptionJoin {
                 subscription: WorkloadConfig::paper_ssd(1.0).generate_subscription(
@@ -676,6 +683,7 @@ fn random_front_door(rng: &mut SimRng) -> (SimulationBuilder, usize) {
         subscribers_per_edge_broker: rng.uniform_usize(0, 4),
     };
     let brokers = mesh.broker_count();
+    let subscriptions = mesh.layer_sizes.last().unwrap_or(&0) * mesh.subscribers_per_edge_broker;
     // Directed links: a lower-layer broker pairs with `fan_in` upper ones
     // (all of them when `fan_in` is 0), both directions.
     let links: usize = (1..layers)
@@ -712,7 +720,7 @@ fn random_front_door(rng: &mut SimRng) -> (SimulationBuilder, usize) {
     if rng.chance(0.5) {
         for _ in 0..rng.uniform_usize(1, 4) {
             let at = Duration::from_secs(rng.uniform_usize(0, 60) as u64);
-            scenario = scenario.at(at, random_action(rng, brokers, links));
+            scenario = scenario.at(at, random_action(rng, brokers, links, subscriptions));
         }
     }
 

@@ -119,11 +119,7 @@ fn a_batch_that_nets_to_nothing_recomputes_no_tree() {
 /// whatever the scenario).
 fn population(seed: u64) -> Vec<(Subscription, BrokerId)> {
     let none = DynamicScenario::named("static");
-    SMALL_MESH
-        .builder(&none, seed)
-        .build()
-        .subscriptions()
-        .to_vec()
+    SMALL_MESH.builder(&none, seed).build().subscriptions()
 }
 
 #[test]

@@ -164,7 +164,7 @@ fn summary_rebuilds_certify_that_only_aggregate_runs_maintain_covers() {
     let mut sim = sim(ForwardingMode::Aggregate);
     let mut model = Model::default();
     for (sub, edge) in sim.subscriptions() {
-        model.attach(sub.id, *edge);
+        model.attach(sub.id, edge);
     }
     let (mut joins, mut leaves) = (0, 0);
     let stop = sim.hard_stop();
