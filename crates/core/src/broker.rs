@@ -91,10 +91,6 @@ pub struct BrokerCounters {
     pub dropped_unsubscribed: u64,
     /// Copies put back into an output queue after their link failed mid-transfer.
     pub requeued: u64,
-    /// Local deliveries that met their deadline.
-    pub(crate) delivered_on_time: u64,
-    /// Local deliveries that missed their deadline.
-    pub(crate) delivered_late: u64,
     /// Local deliveries resolved by expanding a covering aggregate at this
     /// edge broker: interior brokers route on aggregates and only edge
     /// brokers expand to concrete subscribers, so this is every local
@@ -209,8 +205,6 @@ impl BrokerState {
             c.dropped_unlikely,
             c.dropped_unsubscribed,
             c.requeued,
-            c.delivered_on_time,
-            c.delivered_late,
             c.expanded_at_edge,
             c.false_positive_forwards,
             c.false_positive_drops_at_edge,
@@ -467,9 +461,6 @@ impl BrokerState {
         local: Vec<LocalDelivery>,
         copies: Vec<(BrokerId, QueuedMessage)>,
     ) -> ArrivalOutcome {
-        let on_time = local.iter().filter(|d| d.on_time).count() as u64;
-        self.counters.delivered_on_time += on_time;
-        self.counters.delivered_late += local.len() as u64 - on_time;
         self.counters.expanded_at_edge += local.len() as u64;
         let mut outcome = ArrivalOutcome {
             local,
@@ -930,7 +921,7 @@ mod tests {
         assert_eq!(b0.queued_total(), 1);
         assert_eq!(b0.counters.received, 1);
         assert_eq!(b0.counters.enqueued, 1);
-        assert_eq!(b0.counters.delivered_on_time, 1);
+        assert_eq!(b0.counters.expanded_at_edge, 1);
         let q = b0.queue(BrokerId::new(1)).unwrap();
         assert_eq!(q.items()[0].targets.len(), 2);
     }
@@ -954,7 +945,7 @@ mod tests {
         let outcome = arrive(&mut b0, msg(1, 1.0, 1.0, 0), SimTime::from_secs(40));
         assert_eq!(outcome.local.len(), 1);
         assert!(!outcome.local[0].on_time);
-        assert_eq!(b0.counters.delivered_late, 1);
+        assert_eq!(b0.counters.expanded_at_edge, 1);
     }
 
     #[test]

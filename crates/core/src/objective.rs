@@ -10,7 +10,6 @@
 
 use bdps_types::id::{MessageId, SubscriberId};
 use bdps_types::money::{Earning, Price};
-use bdps_types::time::Duration;
 use std::collections::HashMap;
 
 /// Per-message delivery bookkeeping.
@@ -53,8 +52,6 @@ pub struct ObjectiveTracker {
     /// name the same message, so the map is probed once per batch.
     last: usize,
     total_earning: Earning,
-    delay_sum_ms: f64,
-    delay_count: u64,
     duplicate_deliveries: u64,
     /// The first few offending pairs (capped at
     /// [`DUPLICATE_SAMPLE_CAP`]), so violation reports can name the exact
@@ -129,7 +126,6 @@ impl ObjectiveTracker {
         message: MessageId,
         subscriber: SubscriberId,
         price: Price,
-        delay: Duration,
         on_time: bool,
     ) {
         let stat = self.stat(message);
@@ -142,8 +138,6 @@ impl ObjectiveTracker {
         if on_time {
             stat.delivered_on_time += 1;
             self.total_earning.credit(price);
-            self.delay_sum_ms += delay.as_millis_f64();
-            self.delay_count += 1;
         } else {
             stat.delivered_late += 1;
         }
@@ -201,8 +195,8 @@ impl ObjectiveTracker {
     }
 
     /// Hashes the tracker's complete delivery bookkeeping (message stats,
-    /// earning, delay accumulators and the duplicate audit) in deterministic
-    /// sorted order, for the model-checking explorer's state deduplication.
+    /// earning and the duplicate audit) in deterministic sorted order, for
+    /// the model-checking explorer's state deduplication.
     pub fn state_digest(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -215,8 +209,6 @@ impl ObjectiveTracker {
             h.write_u32(stat.delivered_late);
         }
         h.write_u64(self.total_earning.as_f64().to_bits());
-        h.write_u64(self.delay_sum_ms.to_bits());
-        h.write_u64(self.delay_count);
         h.write_u64(self.duplicate_deliveries);
         for stat in &msgs {
             for subscriber in stat.reached() {
@@ -239,19 +231,12 @@ mod tests {
         t.register_message(MessageId::new(2), 2);
         // Message 1 reaches 3 of 4 in time, message 2 reaches 0 of 2.
         for i in 0..3 {
-            t.record_delivery(
-                MessageId::new(1),
-                SubscriberId::new(i),
-                Price::unit(),
-                Duration::from_secs(5),
-                true,
-            );
+            t.record_delivery(MessageId::new(1), SubscriberId::new(i), Price::unit(), true);
         }
         t.record_delivery(
             MessageId::new(2),
             SubscriberId::new(9),
             Price::unit(),
-            Duration::from_secs(40),
             false,
         );
         assert_eq!(t.total_interested(), 6);
@@ -269,7 +254,6 @@ mod tests {
             MessageId::new(1),
             SubscriberId::new(0),
             Price::from_units(3),
-            Duration::from_secs(2),
             true,
         );
         t.register_message(MessageId::new(2), 3);
@@ -277,7 +261,6 @@ mod tests {
             MessageId::new(2),
             SubscriberId::new(0),
             Price::from_units(3),
-            Duration::from_secs(2),
             true,
         );
         // Subscriber 1 pays 1 and receives one valid and one late message.
@@ -285,14 +268,12 @@ mod tests {
             MessageId::new(1),
             SubscriberId::new(1),
             Price::from_units(1),
-            Duration::from_secs(2),
             true,
         );
         t.record_delivery(
             MessageId::new(2),
             SubscriberId::new(1),
             Price::from_units(1),
-            Duration::from_secs(90),
             false,
         );
         assert_eq!(t.total_earning().as_f64(), 7.0);
@@ -316,7 +297,6 @@ mod tests {
                 MessageId::new(1),
                 SubscriberId::new(sub),
                 Price::unit(),
-                Duration::from_secs(1),
                 true,
             );
         };
@@ -335,7 +315,6 @@ mod tests {
             MessageId::new(2),
             SubscriberId::new(0),
             Price::unit(),
-            Duration::from_secs(1),
             false,
         );
         deliver(&mut t, 700);
@@ -367,13 +346,7 @@ mod tests {
         let mut t = ObjectiveTracker::new();
         for (m, s) in deliveries {
             let (m, s) = (MessageId::new(m), SubscriberId::new(s));
-            t.record_delivery(
-                m,
-                s,
-                Price::unit(),
-                Duration::from_secs(1),
-                s.raw() % 2 == 0,
-            );
+            t.record_delivery(m, s, Price::unit(), s.raw() % 2 == 0);
         }
         let mut expected: Vec<_> = deliveries
             .iter()
@@ -386,43 +359,16 @@ mod tests {
         let mut u = ObjectiveTracker::new();
         for &(m, s) in deliveries.iter().rev() {
             let (m, s) = (MessageId::new(m), SubscriberId::new(s));
-            u.record_delivery(
-                m,
-                s,
-                Price::unit(),
-                Duration::from_secs(1),
-                s.raw() % 2 == 0,
-            );
+            u.record_delivery(m, s, Price::unit(), s.raw() % 2 == 0);
         }
         assert_eq!(u.delivered_pairs(), expected);
         assert_eq!(t.state_digest(), u.state_digest());
         let late = |t: &mut ObjectiveTracker, s| {
             let (m, s) = (MessageId::new(2), SubscriberId::new(s));
-            t.record_delivery(m, s, Price::unit(), Duration::from_secs(1), false)
+            t.record_delivery(m, s, Price::unit(), false)
         };
         late(&mut t, 5);
         late(&mut u, 6);
         assert_ne!(t.state_digest(), u.state_digest());
-    }
-
-    #[test]
-    fn delay_sum_counts_only_valid_deliveries() {
-        let mut t = ObjectiveTracker::new();
-        t.register_message(MessageId::new(1), 2);
-        t.record_delivery(
-            MessageId::new(1),
-            SubscriberId::new(0),
-            Price::unit(),
-            Duration::from_millis(1_000),
-            true,
-        );
-        t.record_delivery(
-            MessageId::new(1),
-            SubscriberId::new(1),
-            Price::unit(),
-            Duration::from_millis(9_000),
-            false,
-        );
-        assert_eq!((t.delay_sum_ms, t.delay_count), (1_000.0, 1));
     }
 }

@@ -28,7 +28,7 @@ use bdps_types::time::{Duration, SimTime};
 
 /// Everything a sharded run must reproduce: the outcome's
 /// [`replay_state`](SimulationOutcome::replay_state) (digest, counters,
-/// phases, earning and delay summary, all compared exactly — the executor's
+/// phases, earning and delay record, all compared exactly — the executor's
 /// effect-log replay promises bit-identical accumulation order) plus the
 /// end-of-run clock and copy accounting.
 fn fingerprint(out: &SimulationOutcome) -> (ReplayState<'_>, SimTime, u64, u64, u64, u64) {

@@ -57,9 +57,6 @@ impl Simulation {
         for &counter in &self.core.next_message {
             h.write_u64(counter);
         }
-        h.write_u64(self.totals.published);
-        h.write_u64(self.totals.transmissions);
-        h.write_u64(self.totals.completed_transfers);
         for r in self.core.publisher_rng.iter().chain(&self.core.link_rng) {
             for w in r.state_words() {
                 h.write_u64(w);

@@ -419,6 +419,12 @@ impl Simulation {
     /// consuming the simulation — the explorer snapshots outcomes at
     /// quiescence while keeping the state for further checks.
     pub fn outcome_snapshot(&self) -> SimulationOutcome {
+        self.outcome_with(self.totals.clone())
+    }
+
+    /// The outcome of the run so far, with `totals` (this run's, moved or
+    /// cloned) as its results.
+    fn outcome_with(&self, totals: Totals) -> SimulationOutcome {
         let (core, repairs) = (&self.core, self.scenario.counters);
         // End-of-run accounting for the conservation invariants: whatever is
         // left in the event queue is either in flight on a link or inside a
@@ -436,14 +442,12 @@ impl Simulation {
             _ => {}
         });
         in_flight_at_end += core.link_flows.iter().map(|f| f.len() as u64).sum::<u64>();
-        let mut phases = self.totals.phases.clone();
-        for i in 0..phases.len() {
-            phases[i].end = if i + 1 < phases.len() {
-                phases[i + 1].start
-            } else {
-                core.now
-            };
-        }
+        // Each closed phase ended where the next began; the open one ends now.
+        let mut phases = totals.closed_phases;
+        phases.push(PhaseOutcome {
+            end: core.now,
+            ..totals.phase
+        });
 
         let aggregate_entries: u64 = core
             .brokers
@@ -458,13 +462,14 @@ impl Simulation {
                 .map(|b| b.table().bytes_estimate())
                 .sum::<u64>();
 
+        let link_loads = self.link_loads_snapshot();
         SimulationOutcome {
-            tracker: self.totals.tracker.clone(),
+            tracker: totals.tracker,
             broker_counters: core.brokers.iter().map(|b| b.counters).collect(),
-            published: self.totals.published,
-            transmissions: self.totals.transmissions,
-            completed_transfers: self.totals.completed_transfers,
-            valid_delays_ms: self.totals.valid_delays_ms.clone(),
+            published: phases.iter().map(|p| p.published).sum(),
+            transmissions: phases.iter().map(|p| p.transmissions).sum(),
+            completed_transfers: link_loads.iter().map(|l| l.completed_transfers).sum(),
+            valid_delays_ms: totals.valid_delays_ms,
             finished_at: core.now,
             queued_at_end,
             in_flight_at_end,
@@ -482,8 +487,8 @@ impl Simulation {
             summary_rebuilds: population.summary_rebuilds(),
             aggregate_entries,
             table_bytes_estimate,
-            link_loads: self.link_loads_snapshot(),
-            digest: self.totals.digest,
+            link_loads,
+            digest: totals.digest,
             shard_windows: 0,
             shard_parallel_windows: 0,
             shard_handoffs: 0,
@@ -508,8 +513,9 @@ impl Simulation {
 
     /// Consumes the simulation and returns the outcome (the tail of
     /// [`run`](Self::run)).
-    pub fn into_outcome(self) -> SimulationOutcome {
-        self.outcome_snapshot()
+    pub fn into_outcome(mut self) -> SimulationOutcome {
+        let totals = std::mem::replace(&mut self.totals, Totals::new());
+        self.outcome_with(totals)
     }
 }
 
@@ -628,7 +634,7 @@ mod tests {
         out.check_conservation().unwrap();
         assert_eq!(out.phases.len(), 1);
         assert_eq!(out.phases[0].label, "run");
-        assert_eq!(out.phases[0].published, out.published);
+        assert_eq!(out.phases[0].on_time, out.tracker.total_on_time());
         assert_eq!(out.phases[0].end, out.finished_at);
         assert_eq!(out.tracker.duplicate_deliveries(), 0);
     }
@@ -783,9 +789,10 @@ mod tests {
         );
         assert!(dynamic.phases.len() > 1, "burst phases must be recorded");
         assert!(dynamic.phases.iter().any(|p| p.label == "burst"));
-        // Published totals across phases account for every message.
-        let phase_sum: u64 = dynamic.phases.iter().map(|p| p.published).sum();
-        assert_eq!(phase_sum, dynamic.published);
+        // The phases' on-time counts account for every on-time delivery the
+        // tracker saw.
+        let phase_sum: u64 = dynamic.phases.iter().map(|p| p.on_time).sum();
+        assert_eq!(phase_sum, dynamic.tracker.total_on_time());
         dynamic.check_conservation().unwrap();
     }
 

@@ -19,7 +19,7 @@
 //!   (topology, filter index, link liveness, rates, population registry), the
 //!   **scenario core** traffic never touches (routing and its repair)
 //!   and the **order-sensitive totals** (objective tracker, phases, delay
-//!   summary). Two cores, one sink: the traffic handlers (the paper's broker
+//!   record). Two cores, one sink: the traffic handlers (the paper's broker
 //!   loop) and the scenario handlers (everything around it) are each written once
 //!   against (core, shared, effect sink);
 //! * [`shard`] — the sharded executor: conservative `PD`-lookahead windows

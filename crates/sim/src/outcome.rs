@@ -15,7 +15,9 @@ use crate::{engine::ForwardingMode, event::EventKind, scenario::ScenarioAction};
 #[cfg(doc)]
 use bdps_overlay::routing::RouteDelta;
 
-/// Per-phase metric accumulation (see [`ScenarioAction::PhaseMark`]).
+/// Per-phase metric accumulation (see [`ScenarioAction::PhaseMark`]). Its
+/// on-time delays are its slice of the run's one delay record, read through
+/// [`SimulationOutcome::phase_delays_ms`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseOutcome {
     /// The phase label ("run" for the implicit first phase).
@@ -26,7 +28,7 @@ pub struct PhaseOutcome {
     pub end: SimTime,
     /// Messages published during the phase.
     pub published: u64,
-    /// On-time local deliveries during the phase.
+    /// On-time local deliveries during the phase (its slice's length).
     pub on_time: u64,
     /// Late local deliveries during the phase.
     pub late: u64,
@@ -34,12 +36,12 @@ pub struct PhaseOutcome {
     pub(crate) dropped: u64,
     /// Link transmissions started during the phase.
     pub transmissions: u64,
-    /// End-to-end delays of on-time deliveries in the phase (ms).
-    pub(crate) delays_ms: Summary,
+    /// Where the phase's slice of the delay record starts.
+    pub(crate) delays_from: usize,
 }
 
 impl PhaseOutcome {
-    pub(crate) fn new(label: String, start: SimTime) -> Self {
+    pub(crate) fn new(label: String, start: SimTime, delays_from: usize) -> Self {
         PhaseOutcome {
             label,
             start,
@@ -49,7 +51,7 @@ impl PhaseOutcome {
             late: 0,
             dropped: 0,
             transmissions: 0,
-            delays_ms: Summary::new(),
+            delays_from,
         }
     }
 
@@ -61,18 +63,6 @@ impl PhaseOutcome {
     /// Phase end, in seconds of simulated time.
     pub(crate) fn end_s(&self) -> f64 {
         self.end.as_secs_f64()
-    }
-
-    /// Mean delay of the phase's on-time deliveries in ms: 0, not NaN, for a
-    /// phase that delivered nothing (an all-links-down blackout, say).
-    pub fn mean_valid_delay_ms(&self) -> f64 {
-        self.delays_ms.mean()
-    }
-
-    /// 95th-percentile delay of the phase's on-time deliveries in ms: 0, not
-    /// NaN, for a phase that delivered nothing.
-    pub fn p95_valid_delay_ms(&self) -> f64 {
-        self.delays_ms.try_quantile(0.95).unwrap_or(0.0)
     }
 }
 
@@ -150,9 +140,9 @@ pub(crate) struct LinkFlow {
 }
 
 /// What [`SimulationOutcome::replay_state`] returns: the digest, the
-/// per-broker counters, the per-link loads, the per-phase breakdowns (the
-/// last one ends at `finished_at`), the earning and the on-time delay
-/// summary.
+/// per-broker counters, the per-link loads, the per-phase breakdowns (counts
+/// and slice starts; the last one ends at `finished_at`), the earning and
+/// the on-time delay record.
 pub type ReplayState<'a> = (
     u64,
     &'a [BrokerCounters],
@@ -169,14 +159,15 @@ pub struct SimulationOutcome {
     pub tracker: ObjectiveTracker,
     /// Per-broker counters, indexed by broker id.
     pub(crate) broker_counters: Vec<BrokerCounters>,
-    /// Number of messages published.
+    /// Number of messages published (the phases' sum).
     pub published: u64,
-    /// Number of link transmissions started.
+    /// Number of link transmissions started (the phases' sum).
     pub transmissions: u64,
-    /// Transmissions whose copy reached the downstream broker (the rest were
-    /// requeued after a link failure or were still in flight at the end).
+    /// Transmissions whose copy reached the downstream broker (the link loads'
+    /// sum; the rest were requeued after a failure or were still in flight).
     pub completed_transfers: u64,
-    /// Summary of end-to-end delays of on-time deliveries (ms).
+    /// End-to-end delays of on-time deliveries (ms), in recorded order: the
+    /// run's one record of them, which the phases' slices tile in order.
     pub valid_delays_ms: Summary,
     /// The simulated time at which the run ended.
     pub finished_at: SimTime,
@@ -271,7 +262,7 @@ impl SimulationOutcome {
     /// the [`digest`](Self::digest), the state it does not fold (per-broker
     /// counters, which hold the paper's message number; per-link loads;
     /// per-phase breakdowns) and the order-sensitive sums (earning, the
-    /// on-time delay summary). The equivalence suites compare runs with it.
+    /// on-time delay record). The equivalence suites compare runs with it.
     pub fn replay_state(&self) -> ReplayState<'_> {
         (
             self.digest,
@@ -281,6 +272,17 @@ impl SimulationOutcome {
             self.tracker.total_earning(),
             &self.valid_delays_ms,
         )
+    }
+
+    /// The on-time delays of `phase` (ms): its slice of
+    /// [`valid_delays_ms`](Self::valid_delays_ms), empty (mean 0) for a phase
+    /// that delivered nothing.
+    pub fn phase_delays_ms(&self, phase: &PhaseOutcome) -> Summary {
+        let slice = phase.delays_from..phase.delays_from + phase.on_time as usize;
+        let values = self.valid_delays_ms.values().get(slice).unwrap_or_default();
+        let mut delays = Summary::new();
+        delays.extend(values.iter().copied());
+        delays
     }
 
     /// The paper's "message number" metric: total messages received by all brokers.

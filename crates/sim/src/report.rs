@@ -11,6 +11,7 @@ impl SimulationOutcome {
             .phases
             .iter()
             .map(|p| {
+                let delays = self.phase_delays_ms(p);
                 vec![
                     p.label.clone(),
                     format!("{:.0}-{:.0}", p.start_s(), p.end_s()),
@@ -19,8 +20,8 @@ impl SimulationOutcome {
                     p.late.to_string(),
                     p.dropped.to_string(),
                     p.transmissions.to_string(),
-                    format!("{:.1}", p.mean_valid_delay_ms()),
-                    format!("{:.1}", p.p95_valid_delay_ms()),
+                    format!("{:.1}", delays.mean()),
+                    format!("{:.1}", delays.try_quantile(0.95).unwrap_or(0.0)),
                 ]
             })
             .collect();
@@ -187,6 +188,7 @@ mod tests {
         use bdps_types::time::SimTime;
         // An all-links-down window: the phase saw traffic attempts but no
         // delivery at all. Every statistic must come out finite.
+        let mut out = small_run(0);
         let mut phase = PhaseOutcome {
             label: "blackout".into(),
             start: SimTime::from_secs(100),
@@ -196,17 +198,20 @@ mod tests {
             late: 0,
             dropped: 12,
             transmissions: 0,
-            delays_ms: bdps_stats::summary::Summary::new(),
+            delays_from: 0,
         };
-        assert_eq!(phase.mean_valid_delay_ms(), 0.0);
-        assert_eq!(phase.p95_valid_delay_ms(), 0.0);
+        let delays = out.phase_delays_ms(&phase);
+        assert_eq!(delays.mean(), 0.0);
+        assert_eq!(delays.try_quantile(0.95), None);
         assert_eq!(phase.start_s(), 100.0);
         assert_eq!(phase.end_s(), 200.0);
-        // A phase with deliveries reports real statistics.
-        phase.delays_ms.extend([100.0, 200.0, 300.0]);
-        phase.on_time = 3;
-        assert_eq!(phase.mean_valid_delay_ms(), 200.0);
-        assert!(phase.p95_valid_delay_ms() >= 200.0);
+        // A phase with deliveries reads its slice of the run's delay record.
+        out.valid_delays_ms.extend([5.0, 100.0, 200.0, 300.0, 7.0]);
+        (phase.delays_from, phase.on_time) = (1, 3);
+        let delays = out.phase_delays_ms(&phase);
+        assert_eq!(delays.values(), [100.0, 200.0, 300.0]);
+        assert_eq!(delays.mean(), 200.0);
+        assert!(delays.try_quantile(0.95) >= Some(200.0));
     }
 
     #[test]
@@ -222,8 +227,7 @@ mod tests {
         assert_eq!(out.valid_delays_ms.mean(), 0.0);
         assert_eq!(out.max_link_utilisation(), 0.0);
         for phase in &out.phases {
-            assert!(phase.mean_valid_delay_ms().is_finite());
-            assert!(phase.p95_valid_delay_ms().is_finite());
+            assert_eq!(out.phase_delays_ms(phase).count(), 0);
         }
         for link in &out.link_loads {
             assert!(link.utilisation(out.finished_at).is_finite());
@@ -238,7 +242,7 @@ mod tests {
         use crate::engine::PhaseOutcome;
         use bdps_types::time::SimTime;
         let mut out = small_run(0);
-        let mut blackout = PhaseOutcome::new("blackout".into(), SimTime::ZERO);
+        let mut blackout = PhaseOutcome::new("blackout".into(), SimTime::ZERO, 0);
         blackout.end = SimTime::from_secs(10);
         out.phases = vec![blackout];
         let table = out.phase_table();

@@ -52,9 +52,9 @@
 //!   entities interleave — each shard replays exactly the draws the
 //!   sequential run makes.
 //! * **Ordered effect replay.** Global accumulations whose result is
-//!   order-sensitive (the objective tracker's floating-point earning/delay
-//!   sums, the per-phase delay summaries) are reached by the handlers only
-//!   through an `EffectSink`. A window with one due shard uses the totals
+//!   order-sensitive (the objective tracker's floating-point earning sum,
+//!   the on-time delay record the phases slice) are reached by the handlers
+//!   only through an `EffectSink`. A window with one due shard uses the totals
 //!   themselves as the sink, like the sequential engine: no other shard has
 //!   an event at or before the limit and the shard pops in `(time, key)`
 //!   order, so its effects arrive in the sequential order. In a window with
@@ -79,7 +79,7 @@
 //! folded through `Totals::emit` in the `(time, key, idx)` replay order, so
 //! it matches by construction — plus the state the digest does not fold
 //! (per-broker counters, per-link loads, per-phase breakdowns) and the
-//! order-sensitive sums (earning, the on-time delay summary). Fields the
+//! order-sensitive sums (earning, the on-time delay record). Fields the
 //! outcome exposes for *introspection* rather than for the paper's metrics
 //! — the peak pending-event count and the scope-interner hit-rate — are
 //! queue-shape-dependent and may differ from the sequential run. The

@@ -124,18 +124,19 @@ pub(crate) trait EffectSink {
     fn emit(&mut self, effect: Effect);
 }
 
-/// The order-sensitive accumulators: floating-point earning / delay sums,
-/// the per-phase breakdown and the run digest depend on the order effects
-/// are applied in, so every executor must feed them in canonical
-/// `(time, key)` order.
+/// The order-sensitive accumulators: floating-point earning sums, the
+/// on-time delay record, the per-phase breakdown and the run digest depend
+/// on the order effects are applied in, so every executor must feed them in
+/// canonical `(time, key)` order.
 #[derive(Clone)]
 pub(crate) struct Totals {
     pub(crate) tracker: ObjectiveTracker,
-    pub(crate) phases: Vec<PhaseOutcome>,
+    /// The phase effects currently land in.
+    pub(crate) phase: PhaseOutcome,
+    /// The phases before it, in order.
+    pub(crate) closed_phases: Vec<PhaseOutcome>,
+    /// Every on-time delivery's delay (ms): the run's one record of them.
     pub(crate) valid_delays_ms: Summary,
-    pub(crate) published: u64,
-    pub(crate) transmissions: u64,
-    pub(crate) completed_transfers: u64,
     /// Every effect applied so far, folded in order (see
     /// `SimulationOutcome::digest`).
     pub(crate) digest: u64,
@@ -147,11 +148,9 @@ impl Totals {
     pub(crate) fn new() -> Self {
         Totals {
             tracker: ObjectiveTracker::new(),
-            phases: vec![PhaseOutcome::new("run".into(), SimTime::ZERO)],
+            phase: PhaseOutcome::new("run".into(), SimTime::ZERO, 0),
+            closed_phases: Vec::new(),
             valid_delays_ms: Summary::new(),
-            published: 0,
-            transmissions: 0,
-            completed_transfers: 0,
             digest: DIGEST_SEED,
         }
     }
@@ -161,13 +160,12 @@ impl EffectSink for Totals {
     #[inline]
     fn emit(&mut self, effect: Effect) {
         self.digest = effect.fold_into(self.digest);
-        let phase = self.phases.last_mut().expect("at least one phase");
+        let phase = &mut self.phase;
         match effect {
             Effect::Published {
                 message,
                 interested,
             } => {
-                self.published += 1;
                 phase.published += 1;
                 self.tracker.register_message(message, interested);
             }
@@ -180,23 +178,22 @@ impl EffectSink for Totals {
                 on_time,
             } => {
                 self.tracker
-                    .record_delivery(message, subscriber, price, delay, on_time);
+                    .record_delivery(message, subscriber, price, on_time);
                 if on_time {
                     phase.on_time += 1;
-                    phase.delays_ms.observe(delay.as_millis_f64());
                     self.valid_delays_ms.observe(delay.as_millis_f64());
                 } else {
                     phase.late += 1;
                 }
             }
             Effect::Dropped { count } => phase.dropped += count,
-            Effect::Transmission => {
-                self.transmissions += 1;
-                phase.transmissions += 1;
-            }
-            Effect::CompletedTransfer => self.completed_transfers += 1,
+            Effect::Transmission => phase.transmissions += 1,
+            // Counted per link, in `LinkLoad::completed_transfers`.
+            Effect::CompletedTransfer => {}
             Effect::PhaseStarted { label, at } => {
-                self.phases.push(PhaseOutcome::new(label.into(), at))
+                let next = PhaseOutcome::new(label.into(), at, self.valid_delays_ms.count());
+                let closed = std::mem::replace(phase, next);
+                self.closed_phases.push(PhaseOutcome { end: at, ..closed });
             }
         }
     }

@@ -31,6 +31,11 @@ impl Summary {
         }
     }
 
+    /// The observations, in the order they were recorded.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Number of observations.
     pub fn count(&self) -> usize {
         self.values.len()

@@ -6,6 +6,8 @@
 //! The counters are thread-local, so the other tests of this binary, running
 //! on their own threads, cannot leak into a measurement. A measured build
 //! must therefore allocate and keep its memory on the measuring thread.
+//! The live bytes' high-water mark is kept too, so a step that copies a
+//! structure and frees the original still shows the copy.
 
 use bdps::prelude::*;
 use bdps::sim::workload::WorkloadConfig;
@@ -15,11 +17,16 @@ use std::cell::Cell;
 thread_local! {
     /// Bytes allocated minus bytes freed by this thread.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since a measurement reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(delta: isize) {
     // `try_with`: a thread being torn down frees after its counter is gone.
-    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 /// [`System`], counting every byte it hands out and takes back.
@@ -127,5 +134,31 @@ fn a_registry_without_covers_holds_a_fraction_of_the_full_one() {
         share <= EXACT_SHARE_PERCENT,
         "the registry without covers holds {exact_bytes} bytes, {share} % of the full \
          registry's {full_bytes}"
+    );
+}
+
+/// A finished run hands its results to the outcome by moving them: the
+/// on-time delays live in one record, and `into_outcome` never holds a
+/// second copy of it, even for a moment.
+#[test]
+fn an_outcome_moves_the_runs_delay_record_instead_of_copying_it() {
+    // Built and stepped here, so every byte of the run is on this thread.
+    let mut sim = Simulation::builder()
+        .ssd(6.0)
+        .duration(Duration::from_secs(1_200))
+        .seed(7)
+        .build();
+    let stop = sim.hard_stop();
+    while sim.step_next(stop) {}
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let outcome = sim.into_outcome();
+    let peak = (PEAK.with(Cell::get) - before) as usize;
+    let on_time = outcome.valid_delays_ms.count();
+    assert!(on_time >= 10_000, "only {on_time} on-time pairs");
+    assert!(
+        peak < 8 * on_time,
+        "into_outcome held {peak} bytes above its start, a delay record {}",
+        8 * on_time
     );
 }

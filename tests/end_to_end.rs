@@ -534,7 +534,7 @@ fn library_panic_sites_do_not_grow() {
         ("crates/sim/src/builder.rs", 2),
         ("crates/sim/src/runner.rs", 2),
         ("crates/sim/src/shard.rs", 1),
-        ("crates/sim/src/traffic.rs", 1),
+        ("crates/sim/src/traffic.rs", 0),
         ("crates/sim/src/sched.rs", 0),
         ("crates/core/src/broker.rs", 0),
         ("crates/overlay/src/sparse.rs", 4),
@@ -542,7 +542,7 @@ fn library_panic_sites_do_not_grow() {
     // The first six are what `engine.rs` alone was (3) before it was split:
     // a site must not escape the census by moving.
     assert!(committed[..6].iter().map(|(_, n)| n).sum::<usize>() <= 3);
-    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 14);
+    assert!(committed.iter().map(|(_, n)| n).sum::<usize>() <= 13);
     for (file, allowed) in committed {
         let code = library_code(file);
         let asserts = ["assert!(", "assert_eq!(", "assert_ne!("]

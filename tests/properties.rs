@@ -579,24 +579,31 @@ fn scenario_runs_replay_identically_for_the_same_seed() {
 }
 
 /// Per-phase breakdowns partition the run: phase-level counts add up to the
-/// run totals and no phase statistic is NaN, even for empty phases.
+/// tracker's totals, the phases' slices of the run's one delay record tile
+/// it in order, each slice as long as its phase's on-time count, and no
+/// phase statistic is NaN, even for empty phases.
 #[test]
 fn scenario_phase_breakdowns_partition_the_run() {
     check(0x9A5E, 4, |rng| {
         let scenario = random_scenario(rng);
         let seed = rng.next_u64() % 10_000;
         let out = scenario_outcome(&scenario, StrategyKind::MaxEb, seed);
-        let published: u64 = out.phases.iter().map(|p| p.published).sum();
         let on_time: u64 = out.phases.iter().map(|p| p.on_time).sum();
         let late: u64 = out.phases.iter().map(|p| p.late).sum();
-        assert_eq!(published, out.published);
         assert_eq!(on_time, out.tracker.total_on_time());
         assert_eq!(late, out.tracker.total_late());
+        let mut tiled = Vec::new();
         for p in &out.phases {
-            assert!(p.mean_valid_delay_ms().is_finite(), "{p:?}");
-            assert!(p.p95_valid_delay_ms().is_finite(), "{p:?}");
+            let delays = out.phase_delays_ms(p);
+            assert_eq!(delays.count() as u64, p.on_time, "{p:?}");
+            assert!(delays.mean().is_finite(), "{p:?}");
             assert!(p.start <= p.end, "{p:?}");
+            tiled.extend_from_slice(delays.values());
         }
+        assert!(
+            tiled == out.valid_delays_ms.values(),
+            "the phases' slices do not tile the delay record (scenario {scenario:?}, seed {seed})"
+        );
     });
 }
 
@@ -614,40 +621,43 @@ fn hazardous(rng: &mut SimRng, valid: f64) -> f64 {
 
 /// One hand-placed scenario action over ids drawn from ranges that straddle
 /// what the mesh has (`brokers`, `links`, ≤ 6 publishers, `subscriptions`
-/// initial subscriptions), so known, unknown and duplicate ids all occur. A
-/// join id is drawn just past the initial population: the front door
-/// rejects one at or above it plus the stream's join count.
+/// initial subscriptions), so known, unknown and duplicate ids all occur.
+/// Joins and leaves are drawn twice as often as the other kinds, their ids
+/// from one range just past the initial population: the front door rejects
+/// a join id at or above it plus the stream's join count.
 fn random_action(
     rng: &mut SimRng,
     brokers: usize,
     links: usize,
     subscriptions: usize,
 ) -> ScenarioAction {
-    match rng.uniform_usize(0, 6) {
+    match rng.uniform_usize(0, 8) {
         0 => ScenarioAction::LinkDown {
             link: LinkId::new(rng.uniform_usize(0, links + 2) as u32),
         },
         1 => ScenarioAction::LinkUp {
             link: LinkId::new(rng.uniform_usize(0, links + 2) as u32),
         },
-        2 => {
+        2 | 3 => {
             let id = match rng.uniform_usize(0, 30) {
                 0 => (1 << 31) | 3, // the aggregate sentinel bit
                 _ => rng.uniform_usize(0, subscriptions + 2) as u32,
             };
+            // Mostly a broker the mesh has: an unknown one fails the run.
+            let reach = brokers + if rng.chance(0.1) { 2 } else { 0 };
             ScenarioAction::SubscriptionJoin {
                 subscription: WorkloadConfig::paper_ssd(1.0).generate_subscription(
                     SubscriptionId::new(id),
                     SubscriberId::new(id & 0xff),
                     rng,
                 ),
-                broker: BrokerId::new(rng.uniform_usize(0, brokers + 2) as u32),
+                broker: BrokerId::new(rng.uniform_usize(0, reach) as u32),
             }
         }
-        3 => ScenarioAction::SubscriptionLeave {
-            subscription: SubscriptionId::new(rng.uniform_usize(0, 24) as u32),
+        4 | 5 => ScenarioAction::SubscriptionLeave {
+            subscription: SubscriptionId::new(rng.uniform_usize(0, subscriptions + 2) as u32),
         },
-        4 => ScenarioAction::PublisherRate {
+        6 => ScenarioAction::PublisherRate {
             publisher: rng
                 .chance(0.7)
                 .then(|| PublisherId::new(rng.uniform_usize(0, 9) as u32)),
@@ -717,8 +727,8 @@ fn random_front_door(rng: &mut SimRng) -> (SimulationBuilder, usize) {
         SchedulerConfig::paper(StrategyKind::ALL[rng.uniform_usize(0, StrategyKind::ALL.len())]);
 
     let mut scenario = DynamicScenario::named("front-door");
-    if rng.chance(0.5) {
-        for _ in 0..rng.uniform_usize(1, 4) {
+    if rng.chance(0.85) {
+        for _ in 0..rng.uniform_usize(1, 5) {
             let at = Duration::from_secs(rng.uniform_usize(0, 60) as u64);
             scenario = scenario.at(at, random_action(rng, brokers, links, subscriptions));
         }

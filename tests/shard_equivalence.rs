@@ -138,9 +138,9 @@ fn sharded_outcome_sums_the_shards_scope_interner_traffic() {
 /// takes one publication gap minus `PD`. A copy therefore arrives exactly
 /// as the next local publication at its receiver is processed, so at one
 /// instant two brokers each deliver locally (delay `PD`) and remotely
-/// (one gap more). The outcome's delay summaries keep observations in the
-/// order they were applied, so they must match the sequential run's
-/// value for value.
+/// (one gap more). The outcome's delay record keeps observations in the
+/// order they were applied, so it must match the sequential run's value for
+/// value.
 #[test]
 fn same_instant_effects_replay_in_the_sequential_order() {
     const GAP_MS: f64 = 6_000.0;
