@@ -17,7 +17,7 @@ fn main() {
 
     let policies: Vec<(&str, InvalidDetection)> = vec![
         ("off", InvalidDetection::Off),
-        ("expired-only", InvalidDetection::ExpiredOnly),
+        ("expired-only", InvalidDetection::EXPIRED_ONLY),
         ("eps=0.05% (paper)", InvalidDetection::Epsilon(5e-4)),
         ("eps=1%", InvalidDetection::Epsilon(1e-2)),
         ("eps=5%", InvalidDetection::Epsilon(5e-2)),

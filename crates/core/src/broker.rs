@@ -81,8 +81,6 @@ pub struct BrokerCounters {
     pub received: u64,
     /// Copies enqueued towards downstream neighbours.
     pub enqueued: u64,
-    /// Copies handed to the link layer for transmission.
-    pub sent: u64,
     /// Copies dropped because every target had expired.
     pub dropped_expired: u64,
     /// Copies dropped because no target had a success probability ≥ ε.
@@ -200,7 +198,6 @@ impl BrokerState {
         for v in [
             c.received,
             c.enqueued,
-            c.sent,
             c.dropped_expired,
             c.dropped_unlikely,
             c.dropped_unsubscribed,
@@ -513,7 +510,6 @@ impl BrokerState {
         self.queued -= dropped.len();
         if message.is_some() {
             self.queued -= 1;
-            self.counters.sent += 1;
         }
         NextSend { message, dropped }
     }
@@ -980,7 +976,7 @@ mod tests {
         let send = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(10));
         assert!(send.message.is_some());
         assert!(send.dropped.is_empty());
-        assert_eq!(b0.counters.sent, 1);
+        assert_eq!(b0.queue(BrokerId::new(1)).unwrap().len(), 1);
         let send2 = b0.next_to_send(BrokerId::new(1), SimTime::from_millis(12));
         assert!(send2.message.is_some());
         assert!(b0.queue(BrokerId::new(1)).unwrap().is_empty());

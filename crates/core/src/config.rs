@@ -95,8 +95,6 @@ pub const PROCESSING_DELAY: Duration = Duration::from_millis(2);
 pub enum InvalidDetection {
     /// Never delete anything before transmission (lower bound baseline).
     Off,
-    /// Delete only messages whose every target deadline has already expired.
-    ExpiredOnly,
     /// Delete messages that are expired *or* whose success probability is
     /// below ε for every matching subscription (eq. 11). The paper uses
     /// ε = 0.05 %.
@@ -106,6 +104,9 @@ pub enum InvalidDetection {
 impl InvalidDetection {
     /// The paper's setting: ε = 0.05 % = 0.0005.
     pub const PAPER: InvalidDetection = InvalidDetection::Epsilon(5e-4);
+    /// Delete only messages whose every target deadline has already
+    /// expired: no probability is below ε = 0.
+    pub const EXPIRED_ONLY: InvalidDetection = InvalidDetection::Epsilon(0.0);
 }
 
 /// Configuration shared by every broker of a simulation run.

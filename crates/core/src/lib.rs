@@ -17,8 +17,9 @@
 //!   classes) with strategy-driven selection and expired/unlikely-message purging
 //!   (eq. 11);
 //! * [`strategy`] — the pluggable scheduling surface: the
-//!   [`SchedulingStrategy`](strategy::SchedulingStrategy) trait (per-item
-//!   `priority` plus a batch `score_all` hot-path hook), the five paper
+//!   [`SchedulingStrategy`](strategy::SchedulingStrategy) trait (one
+//!   `priority` per queued copy, scored into the queue's reusable
+//!   [`ClassScratch`](metrics::ClassScratch)), the five paper
 //!   strategies (FIFO, minimum Remaining Lifetime first, maximum EB first,
 //!   maximum PC first, maximum EBPC first), the non-paper
 //!   [`WeightedComposite`](strategy::WeightedComposite) blend, the type-erased

@@ -17,10 +17,10 @@
 //! the copy's own size at the queue's mean link rate
 //! ([`ScheduleContext::first_send_estimate_ms`](crate::strategy::ScheduleContext::first_send_estimate_ms)).
 //!
-//! `success` reads only a target's [`SuccessClass`], so every function here
-//! evaluates it **once per live class** of the copy and then folds the
-//! targets reading `p[class]`. The fold still runs over the targets in their
-//! ascending-id order: floating-point addition is not associative, and
+//! `success` reads only a target's [`SuccessClass`], so every [`ClassScratch`]
+//! method evaluates it **once per live class** of the copy and then folds
+//! the targets reading `p[class]`. The fold still runs over the targets in
+//! their ascending-id order: floating-point addition is not associative, and
 //! summing per class first would move every score by an ulp or two — enough
 //! to flip a tie and with it a whole run. Same inputs to the same function in
 //! the same order keeps every score bit-identical to the per-target formula
@@ -35,30 +35,14 @@ use bdps_types::time::{Duration, SimTime};
 /// The probability that `message` reaches a subscriber of `class` within its
 /// allowed delay, assuming every remaining broker sends it first (eq. 5).
 pub fn success_probability(message: &Message, class: &SuccessClass, now: SimTime) -> f64 {
-    success_probability_with_extra_delay(message, class, now, 0.0)
-}
-
-/// Like [`success_probability`] but with `extra_delay_ms` added to the future
-/// delay — used for the `EB'` computation where the extra delay is the
-/// first-send estimate `FT` (eq. 6–7).
-pub(crate) fn success_probability_with_extra_delay(
-    message: &Message,
-    class: &SuccessClass,
-    now: SimTime,
-    extra_delay_ms: f64,
-) -> f64 {
-    let remaining_ms = match remaining_budget_ms(message, class, now) {
-        Ok(ms) => ms,
-        Err(p) => return p,
-    };
-    let budget_ms = remaining_ms - extra_delay_ms;
-    if budget_ms <= 0.0 {
-        return 0.0;
+    match remaining_budget_ms(message, class, now) {
+        Ok(budget_ms) if budget_ms > 0.0 => class
+            .stats
+            .future_delay_ms(message.size_kb, PROCESSING_DELAY)
+            .cdf(budget_ms),
+        Ok(_) => 0.0,
+        Err(p) => p,
     }
-    class
-        .stats
-        .future_delay_ms(message.size_kb, PROCESSING_DELAY)
-        .cdf(budget_ms)
 }
 
 /// Eq. 5 up to its delay budget: `Err(p)` when the class alone decides
@@ -75,11 +59,11 @@ fn remaining_budget_ms(message: &Message, class: &SuccessClass, now: SimTime) ->
     Ok((class.allowed_delay - elapsed).as_millis_f64())
 }
 
-/// The per-class probabilities of the copy being scored. A strategy's
-/// [`score_all`](crate::strategy::SchedulingStrategy::score_all) keeps one
-/// for the whole selection, so scoring a queue allocates its buffers once,
-/// not once per copy; the item-level functions below use a fresh one per
-/// call.
+/// The per-class probabilities of the copy being scored. Each output queue
+/// keeps one and hands it to every
+/// [`priority`](crate::strategy::SchedulingStrategy::priority) call, so its
+/// buffers grow to the widest copy once and selection allocates nothing
+/// after that. Every method below overwrites what the last copy left.
 #[derive(Debug, Clone, Default)]
 pub struct ClassScratch {
     /// `p[k·classes + i]`: class `i`'s success probability under the `k`-th
@@ -175,21 +159,6 @@ impl ClassScratch {
     }
 }
 
-/// [`ClassScratch::expected_benefit`] of one copy.
-pub fn expected_benefit(item: &QueuedMessage, now: SimTime) -> f64 {
-    ClassScratch::default().expected_benefit(item, now)
-}
-
-/// [`ClassScratch::postponing_cost`] of one copy.
-pub fn postponing_cost(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64) -> f64 {
-    ClassScratch::default().postponing_cost(item, now, first_send_estimate_ms)
-}
-
-/// [`ClassScratch::ebpc`] of one copy.
-pub(crate) fn ebpc(item: &QueuedMessage, now: SimTime, first_send_estimate_ms: f64, r: f64) -> f64 {
-    ClassScratch::default().ebpc(item, now, first_send_estimate_ms, r)
-}
-
 /// The invalid-message test (eq. 11), from the side that keeps the copy:
 /// whether some live class still succeeds with probability at least
 /// `epsilon`. It stops at the first class that does. For every ε in
@@ -249,7 +218,9 @@ pub(crate) mod reference {
         item
     }
 
-    pub(crate) fn success_probability_with_extra_delay(
+    /// Eq. 5 for one target, with `extra_delay_ms` added to its future delay
+    /// (`FT` for `EB'`, eq. 6–7).
+    pub(crate) fn success_after(
         message: &Message,
         target: &FlatTarget,
         now: SimTime,
@@ -280,10 +251,7 @@ pub(crate) mod reference {
     ) -> f64 {
         targets
             .iter()
-            .map(|t| {
-                success_probability_with_extra_delay(message, t, now, first_send_estimate_ms)
-                    * t.price.as_f64()
-            })
+            .map(|t| success_after(message, t, now, first_send_estimate_ms) * t.price.as_f64())
             .sum()
     }
 
@@ -298,7 +266,7 @@ pub(crate) mod reference {
     ) -> f64 {
         targets
             .iter()
-            .map(|t| success_probability_with_extra_delay(message, t, now, 0.0))
+            .map(|t| success_after(message, t, now, 0.0))
             .fold(0.0, f64::max)
     }
 
@@ -406,34 +374,36 @@ mod tests {
     #[test]
     fn expected_benefit_sums_price_weighted_probabilities() {
         let m = msg(0);
+        let mut scratch = ClassScratch::default();
         // A target that (almost) surely succeeds and one that surely fails.
         let sure = target(600, 3, 1, 60.0);
         let hopeless = FlatTarget {
             allowed_delay: Duration::from_millis(10),
             ..target(1, 2, 4, 90.0)
         };
-        let eb = expected_benefit(&copy(&m, &[sure.clone(), hopeless]), SimTime::ZERO);
+        let eb = scratch.expected_benefit(&copy(&m, &[sure.clone(), hopeless]), SimTime::ZERO);
         assert!((eb - 3.0).abs() < 1e-3, "eb = {eb}");
         // EB scales with price.
         let pricier = FlatTarget {
             price: Price::from_units(6),
             ..sure
         };
-        let eb2 = expected_benefit(&copy(&m, &[pricier]), SimTime::ZERO);
+        let eb2 = scratch.expected_benefit(&copy(&m, &[pricier]), SimTime::ZERO);
         assert!((eb2 - 6.0).abs() < 2e-3);
-        assert_eq!(expected_benefit(&copy(&m, &[]), SimTime::ZERO), 0.0);
+        assert_eq!(scratch.expected_benefit(&copy(&m, &[]), SimTime::ZERO), 0.0);
     }
 
     #[test]
     fn postponing_cost_is_nonnegative_and_higher_for_urgent_messages() {
         let m = msg(0);
+        let mut scratch = ClassScratch::default();
         let ft = 50.0 * 75.0; // FT: 50 KB at 75 ms/KB
                               // Urgent: the deadline barely fits the path.
         let urgent = target(4, 1, 1, 60.0);
         // Relaxed: plenty of slack.
         let relaxed = target(60, 1, 1, 60.0);
-        let pc_urgent = postponing_cost(&copy(&m, &[urgent]), SimTime::ZERO, ft);
-        let pc_relaxed = postponing_cost(&copy(&m, &[relaxed]), SimTime::ZERO, ft);
+        let pc_urgent = scratch.postponing_cost(&copy(&m, &[urgent]), SimTime::ZERO, ft);
+        let pc_relaxed = scratch.postponing_cost(&copy(&m, &[relaxed]), SimTime::ZERO, ft);
         assert!(pc_urgent >= 0.0);
         assert!(pc_relaxed >= 0.0);
         assert!(
@@ -445,20 +415,21 @@ mod tests {
             allowed_delay: Duration::from_millis(1),
             ..target(1, 1, 3, 90.0)
         };
-        let pc_hopeless = postponing_cost(&copy(&m, &[hopeless]), SimTime::ZERO, ft);
+        let pc_hopeless = scratch.postponing_cost(&copy(&m, &[hopeless]), SimTime::ZERO, ft);
         assert!(pc_hopeless.abs() < 1e-9);
     }
 
     #[test]
     fn ebpc_interpolates_between_pc_and_eb() {
         let m = msg(0);
+        let mut scratch = ClassScratch::default();
         let ft = 3_750.0;
         let targets = copy(&m, &[target(15, 2, 2, 60.0), target(30, 1, 1, 60.0)]);
-        let eb = expected_benefit(&targets, SimTime::ZERO);
-        let pc = postponing_cost(&targets, SimTime::ZERO, ft);
-        let at_zero = ebpc(&targets, SimTime::ZERO, ft, 0.0);
-        let at_one = ebpc(&targets, SimTime::ZERO, ft, 1.0);
-        let mid = ebpc(&targets, SimTime::ZERO, ft, 0.5);
+        let eb = scratch.expected_benefit(&targets, SimTime::ZERO);
+        let pc = scratch.postponing_cost(&targets, SimTime::ZERO, ft);
+        let at_zero = scratch.ebpc(&targets, SimTime::ZERO, ft, 0.0);
+        let at_one = scratch.ebpc(&targets, SimTime::ZERO, ft, 1.0);
+        let mid = scratch.ebpc(&targets, SimTime::ZERO, ft, 0.5);
         assert!((at_zero - pc).abs() < 1e-12);
         assert!((at_one - eb).abs() < 1e-12);
         assert!((mid - 0.5 * (eb + pc)).abs() < 1e-12);
@@ -485,10 +456,11 @@ mod tests {
     #[test]
     fn delayed_benefit_never_exceeds_immediate_benefit() {
         let m = msg(0);
+        let mut scratch = ClassScratch::default();
         for allowed in [3u64, 5, 10, 30, 60] {
             let t = copy(&m, &[target(allowed, 2, 2, 75.0)]);
-            let eb = expected_benefit(&t, SimTime::ZERO);
-            let ebd = ClassScratch::default().expected_benefit_delayed(&t, SimTime::ZERO, 3_750.0);
+            let eb = scratch.expected_benefit(&t, SimTime::ZERO);
+            let ebd = scratch.expected_benefit_delayed(&t, SimTime::ZERO, 3_750.0);
             assert!(ebd <= eb + 1e-12, "allowed {allowed}: {ebd} > {eb}");
         }
     }

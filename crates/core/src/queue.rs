@@ -36,7 +36,7 @@
 //! `BrokerState::requeue` widens its mask to every edge.
 
 use crate::config::{InvalidDetection, SchedulerConfig};
-use crate::metrics;
+use crate::metrics::{self, ClassScratch};
 use crate::strategy::ScheduleContext;
 use bdps_overlay::pathstats::PathStats;
 use bdps_types::id::{BrokerId, MessageId, SubscriberId, SubscriptionId};
@@ -279,9 +279,9 @@ pub struct OutputQueue {
     /// grown by every push, cleared when the queue empties and recomputed
     /// from the survivors whenever a leave scans the queue.
     edges: u64,
-    /// Scratch buffer reused across selections so the batch-scoring hot path
-    /// does not allocate per decision.
-    scores: Vec<f64>,
+    /// The per-class probabilities every score of every selection is
+    /// computed in, so selecting allocates nothing once it has grown.
+    scratch: ClassScratch,
 }
 
 impl OutputQueue {
@@ -292,7 +292,7 @@ impl OutputQueue {
             link_mean_rate_ms_per_kb,
             items: Vec::new(),
             edges: 0,
-            scores: Vec::new(),
+            scratch: ClassScratch::default(),
         }
     }
 
@@ -368,34 +368,21 @@ impl OutputQueue {
     /// are time-dependent. Selection does not apply the invalid-message
     /// policy: the broker purges the queue first.
     ///
-    /// Selection goes through the strategy's batch
-    /// [`score_all`](crate::strategy::SchedulingStrategy::score_all) hook so
-    /// implementations can amortise per-queue work; the scratch score buffer
-    /// is reused across calls.
+    /// Every copy is scored into the queue's one [`ClassScratch`].
     pub fn pop_next(&mut self, now: SimTime, config: &SchedulerConfig) -> Option<QueuedMessage> {
         if self.items.is_empty() {
             return None;
         }
         let ctx = ScheduleContext::new(now, config, self.link_mean_rate_ms_per_kb);
-        let mut scores = std::mem::take(&mut self.scores);
-        scores.clear();
-        config.strategy.score_all(&ctx, &self.items, &mut scores);
-        debug_assert_eq!(
-            scores.len(),
-            self.items.len(),
-            "score_all must yield one score per item"
-        );
-        let mut best_idx = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for (i, &score) in scores.iter().enumerate().take(self.items.len()) {
+        let mut best = (0, f64::NEG_INFINITY);
+        for (i, item) in self.items.iter().enumerate() {
+            let score = config.strategy.priority(&ctx, item, &mut self.scratch);
             // Strictly greater keeps FIFO order among ties (stable choice).
-            if score > best_score {
-                best_score = score;
-                best_idx = i;
+            if score > best.1 {
+                best = (i, score);
             }
         }
-        self.scores = scores;
-        let picked = self.items.remove(best_idx);
+        let picked = self.items.remove(best.0);
         self.forget_edges_if_empty();
         Some(picked)
     }
@@ -551,7 +538,7 @@ mod tests {
         let mut q2 = OutputQueue::new(90.0);
         q2.push(queued(msg(1, 0, None), vec![target(10, 1, 90.0, 4)], 0));
         let cfg2 = SchedulerConfig {
-            invalid_detection: InvalidDetection::ExpiredOnly,
+            invalid_detection: InvalidDetection::EXPIRED_ONLY,
             ..cfg
         };
         assert!(q2.purge(now, &cfg2).is_empty());
@@ -706,7 +693,7 @@ mod tests {
                 DropReason::Unlikely,
             ),
             (
-                InvalidDetection::ExpiredOnly,
+                InvalidDetection::EXPIRED_ONLY,
                 target(5, 1, 60.0, 1),
                 target(120, 1, 60.0, 1),
                 DropReason::Expired,
@@ -845,7 +832,6 @@ mod tests {
         // (zero-σ local paths, unbounded members, saturated tails).
         let policies = [
             InvalidDetection::Off,
-            InvalidDetection::ExpiredOnly,
             InvalidDetection::PAPER,
             InvalidDetection::Epsilon(0.4),
             InvalidDetection::Epsilon(0.0),
@@ -885,14 +871,13 @@ mod tests {
                     grouped += usize::from(item.live_classes().count() * 4 <= targets.len());
                 }
                 let ctx = ScheduleContext::new(now, &cfg, q.link_mean_rate_ms_per_kb);
-                let mut scores = Vec::new();
-                strategy.score_all(&ctx, q.items(), &mut scores);
-                for ((item, copy), score) in flat.iter().zip(q.items()).zip(&scores) {
+                // One scratch for every copy, as `pop_next` scores them.
+                let mut scratch = ClassScratch::default();
+                for (item, copy) in flat.iter().zip(q.items()) {
+                    let score = strategy.priority(&ctx, copy, &mut scratch);
                     let want = reference_score(strategy.label(), &ctx, item);
                     let what = format!("case {case} {name} copy {}", item.0.id);
-                    assert_eq!(score.to_bits(), want.to_bits(), "score_all, {what}");
-                    let single = strategy.priority(&ctx, copy);
-                    assert_eq!(single.to_bits(), want.to_bits(), "priority, {what}");
+                    assert_eq!(score.to_bits(), want.to_bits(), "{what}");
                 }
 
                 let mut want_dropped = Vec::new();

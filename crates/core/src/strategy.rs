@@ -7,13 +7,11 @@
 //!
 //! The surface has three layers:
 //!
-//! * [`SchedulingStrategy`] — the trait a strategy implements: a per-item
-//!   [`priority`](SchedulingStrategy::priority) plus an optional batch
-//!   [`score_all`](SchedulingStrategy::score_all) hook the queue calls on the
-//!   hot path so a strategy can amortise per-queue work — the built-in EB /
-//!   PC / EBPC / COMPOSITE override it to score a whole queue through one
-//!   [`ClassScratch`], evaluating `success` once per
-//!   [success class](crate::queue) of each copy;
+//! * [`SchedulingStrategy`] — the trait a strategy implements: one
+//!   [`priority`](SchedulingStrategy::priority) per queued copy, handed the
+//!   queue's [`ClassScratch`] so that the built-in EB / PC / EBPC /
+//!   COMPOSITE evaluate `success` once per [success class](crate::queue)
+//!   of the copy without allocating per selection;
 //! * [`StrategyHandle`] — a cheaply clonable, type-erased handle
 //!   (`Arc<dyn SchedulingStrategy>`) threaded through
 //!   [`SchedulerConfig`], the output queues
@@ -62,7 +60,7 @@
 //! `tests/forwarding_equivalence.rs`).
 
 use crate::config::SchedulerConfig;
-use crate::metrics::{self, ClassScratch};
+use crate::metrics::ClassScratch;
 use crate::queue::QueuedMessage;
 use bdps_types::time::SimTime;
 use std::fmt;
@@ -72,8 +70,8 @@ use std::sync::Arc;
 /// Everything a strategy needs to score one queued message.
 ///
 /// The context is a plain-data snapshot taken once per scheduling decision;
-/// it deliberately does not borrow the configuration so that strategies can
-/// be scored in batch without aliasing the queue.
+/// it deliberately does not borrow the configuration, so the queue can score
+/// its copies into its own scratch without aliasing it.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleContext {
     /// The current simulated time.
@@ -111,27 +109,27 @@ impl ScheduleContext {
 /// A scheduling strategy: a priority function over queued messages.
 ///
 /// Implementations must be deterministic — the same `(ctx, item)` pair must
-/// always produce the same score — and return finite values for valid inputs
-/// (messages whose targets carry bounded deadlines), because the queue
-/// compares scores with `>` and ties are broken by arrival order.
+/// always produce the same score, whatever the scratch held — and return
+/// finite values for valid inputs (messages whose targets carry bounded
+/// deadlines), because the queue compares scores with `>` and ties are
+/// broken by arrival order.
 pub trait SchedulingStrategy: Send + Sync + fmt::Debug {
     /// The strategy's display name (e.g. `"EB"`), used in reports, name
     /// lookups and equality checks between handles.
     fn name(&self) -> &str;
 
     /// The priority of one queued message — larger means "send sooner".
-    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64;
-
-    /// Scores a whole queue in one pass, appending one score per item (in
-    /// order) to `scores`, which arrives empty.
     ///
-    /// The default implementation calls [`priority`](Self::priority) per
-    /// item; strategies with shared per-queue work (normalisation terms,
-    /// cached link statistics) can override this to amortise it — the output
-    /// queue always selects through this hook on the hot path.
-    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
-        scores.extend(items.iter().map(|item| self.priority(ctx, item)));
-    }
+    /// `scratch` is the queue's, reused for every copy of every selection; it
+    /// holds whatever the last scored copy left in it. A strategy that needs
+    /// `success` calls its methods ([`ClassScratch::expected_benefit`],
+    /// ...), which overwrite it; the others ignore it.
+    fn priority(
+        &self,
+        ctx: &ScheduleContext,
+        item: &QueuedMessage,
+        scratch: &mut ClassScratch,
+    ) -> f64;
 
     /// Whether the strategy consults the probabilistic link model. FIFO and
     /// RL do not, which also drives the §5.4 default that they only delete
@@ -150,7 +148,7 @@ impl SchedulingStrategy for Fifo {
         "FIFO"
     }
 
-    fn priority(&self, _ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
+    fn priority(&self, _ctx: &ScheduleContext, item: &QueuedMessage, _: &mut ClassScratch) -> f64 {
         // Earlier enqueue time wins; negate so larger = earlier.
         -(item.enqueue_time.as_micros() as f64)
     }
@@ -171,7 +169,7 @@ impl SchedulingStrategy for RemainingLifetime {
         "RL"
     }
 
-    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
+    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage, _: &mut ClassScratch) -> f64 {
         -item.avg_remaining_lifetime_ms(ctx.now)
     }
 
@@ -189,14 +187,13 @@ impl SchedulingStrategy for MaxEb {
         "EB"
     }
 
-    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        metrics::expected_benefit(item, ctx.now)
-    }
-
-    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
-        score_all_with(items, scores, |scratch, item| {
-            scratch.expected_benefit(item, ctx.now)
-        });
+    fn priority(
+        &self,
+        ctx: &ScheduleContext,
+        item: &QueuedMessage,
+        scratch: &mut ClassScratch,
+    ) -> f64 {
+        scratch.expected_benefit(item, ctx.now)
     }
 }
 
@@ -209,14 +206,13 @@ impl SchedulingStrategy for MaxPc {
         "PC"
     }
 
-    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        metrics::postponing_cost(item, ctx.now, ctx.first_send_estimate_ms(item))
-    }
-
-    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
-        score_all_with(items, scores, |scratch, item| {
-            scratch.postponing_cost(item, ctx.now, ctx.first_send_estimate_ms(item))
-        });
+    fn priority(
+        &self,
+        ctx: &ScheduleContext,
+        item: &QueuedMessage,
+        scratch: &mut ClassScratch,
+    ) -> f64 {
+        scratch.postponing_cost(item, ctx.now, ctx.first_send_estimate_ms(item))
     }
 }
 
@@ -231,16 +227,14 @@ impl SchedulingStrategy for MaxEbpc {
         "EBPC"
     }
 
-    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
+    fn priority(
+        &self,
+        ctx: &ScheduleContext,
+        item: &QueuedMessage,
+        scratch: &mut ClassScratch,
+    ) -> f64 {
         let ft = ctx.first_send_estimate_ms(item);
-        metrics::ebpc(item, ctx.now, ft, ctx.ebpc_weight)
-    }
-
-    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
-        score_all_with(items, scores, |scratch, item| {
-            let ft = ctx.first_send_estimate_ms(item);
-            scratch.ebpc(item, ctx.now, ft, ctx.ebpc_weight)
-        });
+        scratch.ebpc(item, ctx.now, ft, ctx.ebpc_weight)
     }
 }
 
@@ -274,42 +268,23 @@ impl Default for WeightedComposite {
     }
 }
 
-impl WeightedComposite {
-    fn blend(&self, eb: f64, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        // `avg_remaining_lifetime_ms` is +∞ for purely best-effort targets,
-        // for which the urgency term cleanly vanishes.
-        let urgency = 1.0 / (1.0 + item.avg_remaining_lifetime_ms(ctx.now) / 1_000.0);
-        self.eb_weight * eb + (1.0 - self.eb_weight) * urgency
-    }
-}
-
 impl SchedulingStrategy for WeightedComposite {
     fn name(&self) -> &str {
         "COMPOSITE"
     }
 
-    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        let eb = metrics::expected_benefit(item, ctx.now);
-        self.blend(eb, ctx, item)
+    fn priority(
+        &self,
+        ctx: &ScheduleContext,
+        item: &QueuedMessage,
+        scratch: &mut ClassScratch,
+    ) -> f64 {
+        let eb = scratch.expected_benefit(item, ctx.now);
+        // `avg_remaining_lifetime_ms` is +∞ for purely best-effort targets,
+        // for which the urgency term cleanly vanishes.
+        let urgency = 1.0 / (1.0 + item.avg_remaining_lifetime_ms(ctx.now) / 1_000.0);
+        self.eb_weight * eb + (1.0 - self.eb_weight) * urgency
     }
-
-    fn score_all(&self, ctx: &ScheduleContext, items: &[QueuedMessage], scores: &mut Vec<f64>) {
-        score_all_with(items, scores, |scratch, item| {
-            let eb = scratch.expected_benefit(item, ctx.now);
-            self.blend(eb, ctx, item)
-        });
-    }
-}
-
-/// The `score_all` of every built-in strategy that evaluates `success`: one
-/// [`ClassScratch`] serves the whole selection.
-fn score_all_with(
-    items: &[QueuedMessage],
-    scores: &mut Vec<f64>,
-    mut score: impl FnMut(&mut ClassScratch, &QueuedMessage) -> f64,
-) {
-    let mut scratch = ClassScratch::default();
-    scores.extend(items.iter().map(|item| score(&mut scratch, item)));
 }
 
 /// A cheaply clonable, type-erased handle to a scheduling strategy.
@@ -460,8 +435,13 @@ mod tests {
         }
     }
 
+    /// `strategy`'s priority of `item`, scored into a fresh scratch.
+    fn score(strategy: &dyn SchedulingStrategy, c: &ScheduleContext, item: &QueuedMessage) -> f64 {
+        strategy.priority(c, item, &mut ClassScratch::default())
+    }
+
     fn p(strategy: &dyn SchedulingStrategy, item: &QueuedMessage) -> f64 {
-        strategy.priority(&ctx(), item)
+        score(strategy, &ctx(), item)
     }
 
     #[test]
@@ -496,9 +476,9 @@ mod tests {
         let safe = item(2, 0, 60, 1, 1);
         let mut c = ctx();
         c.ebpc_weight = 1.0;
-        assert!((MaxEbpc.priority(&c, &urgent) - p(&MaxEb, &urgent)).abs() < 1e-12);
+        assert!((score(&MaxEbpc, &c, &urgent) - p(&MaxEb, &urgent)).abs() < 1e-12);
         c.ebpc_weight = 0.0;
-        assert!((MaxEbpc.priority(&c, &safe) - p(&MaxPc, &safe)).abs() < 1e-12);
+        assert!((score(&MaxEbpc, &c, &safe) - p(&MaxPc, &safe)).abs() < 1e-12);
     }
 
     #[test]
@@ -507,40 +487,15 @@ mod tests {
         // Pure EB weight reproduces EB.
         let eb_only = WeightedComposite::new(1.0);
         let x = item(1, 0, 30, 3, 1);
-        assert!((eb_only.priority(&c, &x) - p(&MaxEb, &x)).abs() < 1e-12);
+        assert!((score(&eb_only, &c, &x) - p(&MaxEb, &x)).abs() < 1e-12);
         // Pure urgency weight prefers the tighter deadline regardless of price.
         let urgency_only = WeightedComposite::new(0.0);
         assert!(
-            urgency_only.priority(&c, &item(1, 0, 8, 1, 1))
-                > urgency_only.priority(&c, &item(2, 0, 60, 3, 1))
+            score(&urgency_only, &c, &item(1, 0, 8, 1, 1))
+                > score(&urgency_only, &c, &item(2, 0, 60, 3, 1))
         );
         // Weights outside [0, 1] are clamped.
         assert_eq!(WeightedComposite::new(7.0).eb_weight, 1.0);
-    }
-
-    #[test]
-    fn score_all_default_matches_priority() {
-        let items = vec![
-            item(1, 0, 10, 1, 1),
-            item(2, 1, 30, 2, 2),
-            item(3, 2, 60, 3, 1),
-        ];
-        let c = ctx();
-        for strategy in [
-            StrategyHandle::new(Fifo),
-            StrategyHandle::new(RemainingLifetime),
-            StrategyHandle::new(MaxEb),
-            StrategyHandle::new(MaxPc),
-            StrategyHandle::new(MaxEbpc),
-            StrategyHandle::new(WeightedComposite::default()),
-        ] {
-            let mut scores = Vec::new();
-            strategy.score_all(&c, &items, &mut scores);
-            assert_eq!(scores.len(), items.len());
-            for (s, i) in scores.iter().zip(items.iter()) {
-                assert_eq!(*s, strategy.priority(&c, i), "{}", strategy.label());
-            }
-        }
     }
 
     /// A copy whose single target mimics one built at an `enqueue_secs`
@@ -578,18 +533,18 @@ mod tests {
             StrategyHandle::new(WeightedComposite::default()),
         ];
         for strategy in &strategies {
-            let score = strategy.priority(&c, &copy);
-            assert!(!score.is_nan(), "{} produced NaN", strategy.label());
+            let first = score(&**strategy, &c, &copy);
+            assert!(!first.is_nan(), "{} produced NaN", strategy.label());
             // Scoring is deterministic: same copy, same score.
-            assert_eq!(score, strategy.priority(&c, &copy), "{}", strategy.label());
+            assert_eq!(first, score(&**strategy, &c, &copy), "{}", strategy.label());
         }
         // RL maps the infinite lifetime to the lowest possible priority —
         // never a huge finite number competing with real deadlines.
-        assert_eq!(RemainingLifetime.priority(&c, &copy), f64::NEG_INFINITY);
+        assert_eq!(score(&RemainingLifetime, &c, &copy), f64::NEG_INFINITY);
         // COMPOSITE's urgency term cleanly vanishes; only the EB term stays.
         let composite = WeightedComposite::new(0.5);
-        let eb = MaxEb.priority(&c, &copy);
-        assert_eq!(composite.priority(&c, &copy), 0.5 * eb);
+        let eb = score(&MaxEb, &c, &copy);
+        assert_eq!(score(&composite, &c, &copy), 0.5 * eb);
         // EB of a zero-price unbounded copy is exactly zero (probability 1,
         // price 0) — not an overflowed artefact.
         assert_eq!(eb, 0.0);
@@ -598,9 +553,14 @@ mod tests {
         // ordering is deterministic.
         let twin = stamped(2, Duration::MAX, Price::ZERO);
         for strategy in &strategies {
-            let mut scores = Vec::new();
-            strategy.score_all(&c, &[copy.clone(), twin.clone()], &mut scores);
-            assert_eq!(scores[0], scores[1], "{}", strategy.label());
+            let mut scratch = ClassScratch::default();
+            let first = strategy.priority(&c, &copy, &mut scratch);
+            assert_eq!(
+                first,
+                strategy.priority(&c, &twin, &mut scratch),
+                "{}",
+                strategy.label()
+            );
         }
     }
 
@@ -613,17 +573,17 @@ mod tests {
         let rich = stamped(1, Duration::from_secs(30), Price::from_units(5));
         let poor = stamped(2, Duration::from_secs(30), Price::unit());
         assert!(
-            MaxEb.priority(&c, &rich) > MaxEb.priority(&c, &poor),
+            score(&MaxEb, &c, &rich) > score(&MaxEb, &c, &poor),
             "EB must prefer the larger earning sum at equal bounds"
         );
         let tight = stamped(3, Duration::from_secs(10), Price::unit());
         let loose = stamped(4, Duration::from_secs(60), Price::unit());
         assert!(
-            RemainingLifetime.priority(&c, &tight) > RemainingLifetime.priority(&c, &loose),
+            score(&RemainingLifetime, &c, &tight) > score(&RemainingLifetime, &c, &loose),
             "RL must prefer the tighter envelope min bound"
         );
         // An envelope whose min bound already passed: expired, hence
-        // purgeable under ExpiredOnly detection — the shedding the sentinel
+        // purgeable under expired-only detection — the shedding the sentinel
         // era could never trigger for aggregate copies.
         let dead = stamped(5, Duration::from_secs(1), Price::from_units(5));
         assert!(dead.classes[0].is_expired(&dead.message, c.now));

@@ -266,7 +266,7 @@ impl SimulationBuilder {
         if !self.detection_pinned && !config.scheduler.strategy.uses_link_model() {
             // §5.4: FIFO and RL have no probabilistic model to consult, so
             // they only delete already-expired messages.
-            config.scheduler.invalid_detection = InvalidDetection::ExpiredOnly;
+            config.scheduler.invalid_detection = InvalidDetection::EXPIRED_ONLY;
         }
         if let Some(duration) = self.duration_override {
             config.workload.duration = duration;
@@ -343,12 +343,12 @@ mod tests {
         let fifo = small(StrategyKind::Fifo).build_config();
         assert_eq!(
             fifo.scheduler.invalid_detection,
-            InvalidDetection::ExpiredOnly
+            InvalidDetection::EXPIRED_ONLY
         );
         let rl = small(StrategyKind::RemainingLifetime).build_config();
         assert_eq!(
             rl.scheduler.invalid_detection,
-            InvalidDetection::ExpiredOnly
+            InvalidDetection::EXPIRED_ONLY
         );
         let eb = small(StrategyKind::MaxEb).build_config();
         assert_eq!(eb.scheduler.invalid_detection, InvalidDetection::PAPER);

@@ -332,11 +332,6 @@ impl SimulationOutcome {
             .sum()
     }
 
-    /// Total copies handed to links.
-    pub(crate) fn sent(&self) -> u64 {
-        self.broker_counters.iter().map(|c| c.sent).sum()
-    }
-
     /// Copies that crossed at least one link only to expand to zero members
     /// at their edge broker — the traffic cost of covering-aggregate false
     /// positives (non-zero only under [`ForwardingMode::Aggregate`]).
@@ -366,9 +361,12 @@ impl SimulationOutcome {
     ///    unsubscribed) or is still queued;
     /// 2. **Transfer balance** — every transmission either completed,
     ///    was requeued after a link failure, or is still in flight.
+    ///
+    /// Both balances read the one count of transmissions, so a copy that
+    /// leaves its queue without starting a transfer breaks the first.
     pub fn check_conservation(&self) -> Result<(), ConservationViolation> {
         let inserted = self.enqueued() + self.requeued();
-        let removed = self.sent()
+        let removed = self.transmissions
             + self.dropped_expired()
             + self.dropped_unlikely()
             + self.dropped_unsubscribed()
@@ -381,7 +379,7 @@ impl SimulationOutcome {
                 terms: vec![
                     ("enqueued", self.enqueued()),
                     ("requeued", self.requeued()),
-                    ("sent", self.sent()),
+                    ("transmissions", self.transmissions),
                     ("dropped_expired", self.dropped_expired()),
                     ("dropped_unlikely", self.dropped_unlikely()),
                     ("dropped_unsubscribed", self.dropped_unsubscribed()),

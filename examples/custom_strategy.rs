@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example custom_strategy`
 
-use bdps::core::metrics;
+use bdps::core::metrics::ClassScratch;
 use bdps::core::strategy::ScheduleContext;
 use bdps::prelude::*;
 use bdps::sim::runner::{strategy_rate_grid_with, sweep};
@@ -28,10 +28,15 @@ impl SchedulingStrategy for DeadlineAwareValue {
         "DAV"
     }
 
-    fn priority(&self, ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
-        // Item-level metric: `success` is evaluated once per class of the
-        // copy's targets, then summed over the targets.
-        let eb = metrics::expected_benefit(item, ctx.now);
+    fn priority(
+        &self,
+        ctx: &ScheduleContext,
+        item: &QueuedMessage,
+        scratch: &mut ClassScratch,
+    ) -> f64 {
+        // The queue's scratch evaluates `success` once per class of the
+        // copy's targets, then sums over the targets.
+        let eb = scratch.expected_benefit(item, ctx.now);
         // Transmission cost estimate: message size at the queue's mean rate
         // (the same FT estimate the paper's PC metric uses).
         let send_ms = ctx.first_send_estimate_ms(item).max(1.0);

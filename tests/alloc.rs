@@ -1,7 +1,8 @@
 //! Memory certificates, counted by the allocator rather than read off a
 //! process's peak RSS: this binary installs a counting global allocator over
 //! [`System`] and measures the live bytes a structure holds as the bytes its
-//! construction left allocated.
+//! construction left allocated, and the allocations a hot path makes as the
+//! calls the allocator saw.
 //!
 //! The counters are thread-local, so the other tests of this binary, running
 //! on their own threads, cannot leak into a measurement. A measured build
@@ -9,20 +10,29 @@
 //! The live bytes' high-water mark is kept too, so a step that copies a
 //! structure and frees the original still shows the copy.
 
+use bdps::core::queue::OutputQueue;
+use bdps::overlay::pathstats::PathStats;
 use bdps::prelude::*;
 use bdps::sim::workload::WorkloadConfig;
+use bdps::stats::normal::Normal;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Bytes allocated minus bytes freed by this thread.
     static LIVE: Cell<isize> = const { Cell::new(0) };
     /// The most `LIVE` has been since a measurement reset it.
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Allocations and reallocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note(delta: isize) {
     // `try_with`: a thread being torn down frees after its counter is gone.
+    if delta > 0 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
     let _ = LIVE.try_with(|live| {
         live.set(live.get() + delta);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
@@ -161,4 +171,49 @@ fn an_outcome_moves_the_runs_delay_record_instead_of_copying_it() {
         "into_outcome held {peak} bytes above its start, a delay record {}",
         8 * on_time
     );
+}
+
+/// A queued copy of 12 targets in 6 success classes: three paths of one to
+/// three hops, each under a 10 s and a 30 s bound.
+fn six_class_copy(id: u64) -> QueuedMessage {
+    let message = Message::builder(MessageId::new(id))
+        .publish_time(SimTime::from_millis(100 * id))
+        .size_kb(50.0)
+        .build();
+    let mut copy = QueuedMessage::new(Arc::new(message), SimTime::from_secs(4));
+    let hop = Normal::new(60.0, 20.0);
+    for j in 0..12u32 {
+        let stats = PathStats::from_links(vec![&hop; 1 + j as usize / 4]);
+        let bound = Duration::from_secs([10, 30][j as usize % 2]);
+        let class = copy.class_for(stats, bound);
+        let (sub, subscriber) = (SubscriptionId::new(j), SubscriberId::new(j));
+        copy.push_target(sub, subscriber, Price::unit(), 0, class, BrokerId::new(0));
+    }
+    copy
+}
+
+/// Selecting from an output queue allocates nothing once the queue's class
+/// scratch has grown to its widest copy: every strategy scores every copy
+/// of every selection into that one scratch.
+#[test]
+fn a_warm_queue_selects_without_allocating() {
+    for name in StrategyHandle::NAMES {
+        let config = SchedulerConfig::paper(StrategyHandle::from_name(name).unwrap());
+        let mut queue = OutputQueue::new(75.0);
+        for id in 0..40 {
+            queue.push(six_class_copy(id));
+        }
+        assert_eq!(queue.items()[0].classes.len(), 6);
+        let now = SimTime::from_secs(5);
+        queue.pop_next(now, &config).expect("the warm-up selection");
+        let before = ALLOCATIONS.with(Cell::get);
+        for _ in 0..30 {
+            queue.pop_next(now, &config).expect("a queued copy");
+        }
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(
+            made, 0,
+            "{name}: 30 warm selections made {made} allocations"
+        );
+    }
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full paper pipeline from topology to
 //! objective metrics.
 
+use bdps::core::metrics::ClassScratch;
 use bdps::core::strategy::ScheduleContext;
 use bdps::overlay::routing::Routing;
 use bdps::overlay::topology::{LayeredMeshConfig, Topology};
@@ -205,7 +206,7 @@ impl SchedulingStrategy for ValuePerKb {
         "VPK"
     }
 
-    fn priority(&self, _ctx: &ScheduleContext, item: &QueuedMessage) -> f64 {
+    fn priority(&self, _ctx: &ScheduleContext, item: &QueuedMessage, _: &mut ClassScratch) -> f64 {
         let value: f64 = item.targets.iter().map(|t| t.price.as_f64()).sum();
         value / item.message.size_kb.max(1e-9)
     }

@@ -19,13 +19,14 @@
 # The worktree, the one CARGO_TARGET_DIR every mutant shares and the
 # per-mutant test logs live under $MUTANTS_SCRATCH (default: a fresh mktemp
 # directory). The census is not part of CI: every mutant rebuilds and reruns
-# the whole release suite (30–60 s each on a 2-vCPU machine). CI runs four
+# the whole release suite (30–60 s each on a 2-vCPU machine). CI runs five
 # of its patches against one target each instead: 38 must fail `bdps-mc`'s
 # `--test exhaustive` with a duplicate-delivery counterexample and 39
 # `--test regressions` with a conservation one (the `mc` job), 40 must
 # fail `--test rebuild_equivalence` with the stepper's "registry disagrees"
-# message and 41 `--test properties` with the phase property's "do not tile
-# the delay record" (the release-test job).
+# message, 41 `--test properties` with the phase property's "do not tile
+# the delay record" and 42 `--test properties` with "queue balance
+# violated" (the release-test job).
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)

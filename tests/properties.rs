@@ -6,7 +6,7 @@
 //! deterministic and the failures reproducible (the case index is reported
 //! on panic).
 
-use bdps::core::metrics;
+use bdps::core::metrics::{self, ClassScratch};
 use bdps::core::queue::{OutputQueue, SuccessClass};
 use bdps::core::strategy::ScheduleContext;
 use bdps::overlay::pathstats::PathStats;
@@ -91,8 +91,9 @@ fn random_ctx(rng: &mut SimRng) -> ScheduleContext {
 }
 
 /// For every built-in strategy: `priority` is deterministic, finite for
-/// valid (bounded-deadline) inputs, and `score_all` agrees with per-item
-/// scoring.
+/// valid (bounded-deadline) inputs, and blind to what its scratch held: a
+/// score from the scratch the queue keeps across copies equals the score
+/// from a fresh scratch.
 #[test]
 fn every_registered_strategy_is_deterministic_and_finite() {
     let names = StrategyHandle::NAMES;
@@ -103,20 +104,17 @@ fn every_registered_strategy_is_deterministic_and_finite() {
         let ctx = random_ctx(rng);
         for name in &names {
             let strategy = StrategyHandle::from_name(name).expect("builtin resolves");
-            let mut scores = Vec::new();
-            strategy.score_all(&ctx, &items, &mut scores);
-            assert_eq!(scores.len(), items.len(), "{name}: one score per item");
-            for (item, &score) in items.iter().zip(&scores) {
+            let mut kept = ClassScratch::default();
+            for item in &items {
+                let score = strategy.priority(&ctx, item, &mut kept);
                 assert!(score.is_finite(), "{name}: non-finite priority {score}");
                 assert_eq!(
-                    score,
-                    strategy.priority(&ctx, item),
-                    "{name}: score_all must match priority"
-                );
-                assert_eq!(
-                    strategy.priority(&ctx, item),
-                    strategy.priority(&ctx, item),
-                    "{name}: priority must be deterministic"
+                    score.to_bits(),
+                    strategy
+                        .priority(&ctx, item, &mut ClassScratch::default())
+                        .to_bits(),
+                    "{name}: a score from a scratch that last held another copy must equal \
+                     the score from a fresh scratch"
                 );
             }
         }
@@ -458,8 +456,9 @@ fn eb_and_pc_bounds() {
         let item = copy_of(message, &targets, SimTime::ZERO);
         let ft = rng.uniform_range(0.0, 10_000.0);
         let now = SimTime::from_secs(1);
-        let eb = metrics::expected_benefit(&item, now);
-        let pc = metrics::postponing_cost(&item, now, ft);
+        let mut scratch = ClassScratch::default();
+        let eb = scratch.expected_benefit(&item, now);
+        let pc = scratch.postponing_cost(&item, now, ft);
         let total_price: f64 = item.targets.iter().map(|t| t.price.as_f64()).sum();
         assert!(eb >= -1e-12);
         assert!(eb <= total_price + 1e-9);

@@ -194,7 +194,12 @@ fn a_panicking_window_is_an_error_and_the_workers_are_joined() {
         fn name(&self) -> &str {
             "gives-up"
         }
-        fn priority(&self, ctx: &bdps::core::strategy::ScheduleContext, _: &QueuedMessage) -> f64 {
+        fn priority(
+            &self,
+            ctx: &bdps::core::strategy::ScheduleContext,
+            _: &QueuedMessage,
+            _: &mut bdps::core::metrics::ClassScratch,
+        ) -> f64 {
             assert!(ctx.now < SimTime::from_secs(60), "the strategy gave up");
             1.0
         }
