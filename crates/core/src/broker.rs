@@ -8,20 +8,20 @@
 //! targets an upstream broker resolved — and the broker only resolves them
 //! against its table.
 //! Whenever a link becomes free the broker asks the corresponding queue for
-//! the next message under the configured scheduling strategy, after purging
-//! expired and unlikely messages (§5.4).
+//! the next message under the configured scheduling strategy, dropping
+//! expired and unlikely messages (§5.4) in the same pass.
 //!
 //! The broker is a pure state machine: it never advances time and never
 //! performs I/O. The discrete-event simulator drives it through three
 //! arrival entry points, one per arrival kind —
-//! [`BrokerState::handle_arrival_scoped`] for a publication handed to its
-//! first broker, [`BrokerState::handle_arrival_forwarded`] for a copy that
-//! crossed a link and [`BrokerState::handle_arrival_aggregate`] under
-//! aggregate forwarding — and asks [`BrokerState::next_to_send`] whenever a
-//! link frees.
+//! [`BrokerState::arrive_scoped`] for a publication handed to its first
+//! broker, [`BrokerState::arrive_forwarded`] for a copy that crossed a link
+//! and [`BrokerState::arrive_aggregate`] under aggregate forwarding — each
+//! writing into an [`ArrivalOutcome`] the simulator lends it, and asks
+//! [`BrokerState::next_to_send`] whenever a link frees.
 
 use crate::config::SchedulerConfig;
-use crate::queue::{DropReason, DropRecord, OutputQueue, QueuedMessage, Stripped};
+use crate::queue::{CopyDraft, DropReason, DropRecord, OutputQueue, QueuedMessage, Stripped};
 use bdps_filter::scope::ScopeSet;
 use bdps_overlay::graph::OverlayGraph;
 use bdps_overlay::pathstats::PathStats;
@@ -35,7 +35,6 @@ use bdps_types::id::{BrokerId, SubscriberId, SubscriptionId};
 use bdps_types::message::Message;
 use bdps_types::money::Price;
 use bdps_types::time::{Duration, SimTime};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A delivery to a subscriber attached to this broker.
@@ -55,19 +54,74 @@ pub struct LocalDelivery {
     pub on_time: bool,
 }
 
-/// The outcome of processing one arriving message.
+/// The outcome of processing one arriving message, and the buffers the
+/// next arrival reuses: a simulator keeps one and lends it to every arrival
+/// it applies, so that an arrival allocates only the copies it keeps, each
+/// at its exact length. Between arrivals it holds capacity and nothing
+/// else: its staged copies keep no message alive.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalOutcome {
     /// Deliveries to local subscribers.
     pub local: Vec<LocalDelivery>,
-    /// Neighbours for which a copy was enqueued.
+    /// Neighbours for which a copy was enqueued, ascending.
     pub enqueued_to: Vec<BrokerId>,
+    staging: Staging,
+}
+
+impl ArrivalOutcome {
+    /// Empties the outcome for an arrival whose rows come from a forwarded
+    /// copy with `carried` classes (0 for any other arrival).
+    fn begin(&mut self, carried: usize) {
+        self.local.clear();
+        self.enqueued_to.clear();
+        let staging = &mut self.staging;
+        staging.staged = 0;
+        staging.carried.clear();
+        staging.carried.resize(carried, (0, 0));
+    }
+}
+
+/// What an arrival builds before it keeps anything: the router's class
+/// lookups and the copies it stages, one per next hop.
+#[derive(Debug, Clone, Default)]
+struct Staging {
+    /// The current run's classes, by effective bound.
+    classes: Vec<(Duration, u32)>,
+    /// Per class of the forwarded copy being routed: the last run a target
+    /// of it joined a class in, and that class.
+    carried: Vec<(u32, u32)>,
+    /// The copies being built, by next hop: the first `staged` are this
+    /// arrival's, the rest spare buffers.
+    drafts: Vec<(BrokerId, CopyDraft)>,
+    staged: usize,
+}
+
+impl Staging {
+    /// The position in `drafts` of the copy this arrival is building towards
+    /// `neighbor`, opened on first use in a spare draft. A broker has a
+    /// handful of neighbours and an arrival looks one up per run of one edge
+    /// broker, so the scan is short.
+    fn copy_towards(&mut self, neighbor: BrokerId) -> usize {
+        let staged = &self.drafts[..self.staged];
+        if let Some(at) = staged.iter().rposition(|(nb, _)| *nb == neighbor) {
+            return at;
+        }
+        if self.staged == self.drafts.len() {
+            self.drafts.push((neighbor, CopyDraft::default()));
+        }
+        let (nb, draft) = &mut self.drafts[self.staged];
+        *nb = neighbor;
+        draft.clear();
+        self.staged += 1;
+        self.staged - 1
+    }
 }
 
 /// The outcome of asking a queue for its next transmission.
 #[derive(Debug, Clone, Default)]
 pub struct NextSend {
-    /// The message to transmit, if any survived purging.
+    /// The message to transmit, if any survived the invalid-message
+    /// detection.
     pub message: Option<QueuedMessage>,
     /// Messages dropped by the invalid-message detection while selecting.
     pub dropped: Vec<DropRecord>,
@@ -113,14 +167,13 @@ pub struct BrokerState {
     /// The broker's counters.
     pub counters: BrokerCounters,
     table: SparseTable,
-    queues: HashMap<BrokerId, OutputQueue>,
+    /// One output queue per downstream neighbour, ascending by neighbour.
+    queues: Vec<(BrokerId, OutputQueue)>,
     /// Copies held across all output queues, kept in step at every push and
     /// pop so a subscription leave can pass over the brokers — most of them,
     /// at any instant — that hold nothing to strip.
     queued: usize,
     config: SchedulerConfig,
-    /// The class lookups of the last arrival, kept for the next one.
-    scratch: RouterScratch,
 }
 
 impl BrokerState {
@@ -132,10 +185,12 @@ impl BrokerState {
         table: SparseTable,
         config: SchedulerConfig,
     ) -> Self {
-        let queues = graph
+        // Every topology links an ordered broker pair at most once.
+        let mut queues: Vec<(BrokerId, OutputQueue)> = graph
             .outgoing(id)
             .map(|l| (l.to, OutputQueue::new(l.quality.rate_distribution().mean())))
             .collect();
+        queues.sort_unstable_by_key(|(nb, _)| *nb);
         BrokerState {
             id,
             counters: BrokerCounters::default(),
@@ -143,7 +198,6 @@ impl BrokerState {
             queues,
             queued: 0,
             config,
-            scratch: RouterScratch::default(),
         }
     }
 
@@ -159,21 +213,20 @@ impl BrokerState {
 
     /// The downstream neighbours this broker can forward to.
     pub fn neighbors(&self) -> Vec<BrokerId> {
-        let mut ns: Vec<BrokerId> = self.queues.keys().copied().collect();
-        ns.sort_unstable();
-        ns
+        self.queues.iter().map(|(nb, _)| *nb).collect()
     }
 
     /// The output queue towards a neighbour.
     pub fn queue(&self, neighbor: BrokerId) -> Option<&OutputQueue> {
-        self.queues.get(&neighbor)
+        let at = self.queues.binary_search_by_key(&neighbor, |(nb, _)| *nb);
+        at.ok().map(|at| &self.queues[at].1)
     }
 
     /// Total number of queued message copies across all output queues.
     pub fn queued_total(&self) -> usize {
         debug_assert_eq!(
             self.queued,
-            self.queues.values().map(OutputQueue::len).sum::<usize>()
+            self.queues.iter().map(|(_, q)| q.len()).sum::<usize>()
         );
         self.queued
     }
@@ -209,8 +262,7 @@ impl BrokerState {
             h.write_u64(v);
         }
         self.table.digest_into(&mut h);
-        for neighbor in self.neighbors() {
-            let q = &self.queues[&neighbor];
+        for (neighbor, q) in &self.queues {
             h.write_u32(neighbor.raw());
             h.write_usize(q.len());
             for item in q.items() {
@@ -225,20 +277,17 @@ impl BrokerState {
         h.finish()
     }
 
-    /// Processes a publication at its first broker: local deliveries plus
-    /// enqueueing one copy per relevant downstream neighbour, for exactly the
-    /// subscriptions in `scope`. `now` is the time at which the processing
-    /// module finishes (i.e. arrival time plus `PD`).
+    /// Processes a publication at its first broker into `out`: local
+    /// deliveries plus staging one copy per relevant downstream neighbour,
+    /// for exactly the subscriptions in `scope`, and enqueueing the staged
+    /// copies. `now` is the time at which the processing module finishes
+    /// (i.e. arrival time plus `PD`).
     ///
     /// Under the paper's single-path routing a message copy forwarded to a
     /// neighbour is responsible for exactly the subscriptions the upstream
     /// broker grouped onto that neighbour; the copy therefore carries that
     /// subscription set and the receiving broker must not re-expand it (doing
     /// so would create duplicate deliveries along alternative mesh paths).
-    /// `scope = None` resolves nothing: the arrival is counted and routes no
-    /// row. The engine always passes `Some`; the `Option` is kept only
-    /// because the benchmark harness calls this with one; ROADMAP item 1d
-    /// removes it.
     ///
     /// **Contract:** the scope must consist of subscription ids whose
     /// filters matched the message when the scope was frozen (the simulator
@@ -248,20 +297,20 @@ impl BrokerState {
     /// is the only remaining condition, which turns arrival processing into
     /// one pass over the scope, independent of the total population: per id
     /// one registry probe and one push; per *run* of ids behind one edge
-    /// broker one aggregate lookup and one copy; per `(run, QoS bound)` one
-    /// success class. A copy that crossed a link arrives through
-    /// [`handle_arrival_forwarded`](Self::handle_arrival_forwarded) instead,
-    /// which routes the same way without re-reading the registry.
-    pub fn handle_arrival_scoped(
+    /// broker one aggregate lookup and one staged copy; per `(run, QoS
+    /// bound)` one success class. A copy that crossed a link arrives through
+    /// [`arrive_forwarded`](Self::arrive_forwarded) instead, which routes the
+    /// same way without re-reading the registry.
+    pub fn arrive_scoped(
         &mut self,
-        message: Arc<Message>,
+        out: &mut ArrivalOutcome,
+        message: &Arc<Message>,
         now: SimTime,
-        scope: Option<&ScopeSet>,
-    ) -> ArrivalOutcome {
+        scope: &ScopeSet,
+    ) {
         self.counters.received += 1;
-        let scratch = std::mem::take(&mut self.scratch);
-        let mut router = Router::new(self.id, &message, now, scratch, 0);
-        let mut place = |e: ResolvedEntry, incarnation: u32| {
+        let mut router = Router::new(self.id, message, now, out, 0);
+        let place = |e: ResolvedEntry, incarnation: u32| {
             if router.edge != Some(e.edge) {
                 router.enter_run(e.edge, e.next_hop.map(|nb| (nb, e.stats)));
             }
@@ -270,20 +319,33 @@ impl BrokerState {
                 subscriber: e.subscriber,
                 price: e.price,
                 incarnation,
-                bound: effective_allowed_delay(&message, e.allowed_delay),
+                bound: effective_allowed_delay(message, e.allowed_delay),
             };
             router.push(row, None);
         };
-        if let Some(scope) = scope {
-            self.table.resolve_scope(scope, &mut place);
-        }
-        self.finish_routed(router)
+        self.table.resolve_scope(scope, place);
+        self.finish_arrival(out, message, now);
     }
 
-    /// Processes a copy that crossed a link: the upstream broker's
-    /// [`QueuedMessage`] itself, whose targets are exactly the subscriptions
-    /// it grouped onto this broker, each with the subscriber, price and
-    /// effective bound it resolved.
+    /// [`arrive_scoped`](Self::arrive_scoped) into a fresh outcome, which it
+    /// returns. `scope = None` resolves nothing: the arrival is counted and
+    /// routes no row. Kept only because the benchmark harness calls it;
+    /// ROADMAP item 1d removes it.
+    pub fn handle_arrival_scoped(
+        &mut self,
+        message: Arc<Message>,
+        now: SimTime,
+        scope: Option<&ScopeSet>,
+    ) -> ArrivalOutcome {
+        let mut out = ArrivalOutcome::default();
+        self.arrive_scoped(&mut out, &message, now, scope.unwrap_or(&ScopeSet::empty()));
+        out
+    }
+
+    /// Processes a copy that crossed a link into `out`: the upstream
+    /// broker's [`QueuedMessage`] itself, whose targets are exactly the
+    /// subscriptions it grouped onto this broker, each with the subscriber,
+    /// price and effective bound it resolved.
     ///
     /// A target whose registry slot still has the incarnation the target
     /// carries is routed as carried, plus the slot's edge broker — no record
@@ -292,16 +354,16 @@ impl BrokerState {
     /// (a leave and a join of the same id, perhaps at another edge, price
     /// or bound) is re-resolved from its record exactly as a scoped arrival
     /// would. The rows then route as in
-    /// [`handle_arrival_scoped`](Self::handle_arrival_scoped): the outcome
-    /// equals a scoped arrival over the copy's target ids.
-    pub fn handle_arrival_forwarded(
+    /// [`arrive_scoped`](Self::arrive_scoped): the outcome equals a scoped
+    /// arrival over the copy's target ids.
+    pub fn arrive_forwarded(
         &mut self,
+        out: &mut ArrivalOutcome,
         copy: QueuedMessage,
         now: SimTime,
-    ) -> ArrivalOutcome {
+    ) {
         self.counters.received += 1;
-        let scratch = std::mem::take(&mut self.scratch);
-        let mut router = Router::new(self.id, &copy.message, now, scratch, copy.classes.len());
+        let mut router = Router::new(self.id, &copy.message, now, out, copy.classes.len());
         {
             let pop = read_population(self.table.population());
             for t in &copy.targets {
@@ -334,15 +396,15 @@ impl BrokerState {
                 router.push(row, carried);
             }
         }
-        self.finish_routed(router)
+        self.finish_arrival(out, &copy.message, now);
     }
 
     /// Processes an arriving message whose scope consists of **aggregate
-    /// sentinels** (see [`bdps_overlay::sparse::aggregate_scope_id`]): one id
-    /// per destination edge broker instead of one per subscription — the
-    /// aggregate-scoped forwarding hot path. `ids` are the publication scope
-    /// at the publisher hand-off and the carried copy's target ids after a
-    /// link.
+    /// sentinels** (see [`bdps_overlay::sparse::aggregate_scope_id`]) into
+    /// `out`: one id per destination edge broker instead of one per
+    /// subscription — the aggregate-scoped forwarding hot path. `ids` are the
+    /// publication scope at the publisher hand-off and the carried copy's
+    /// target ids after a link.
     ///
     /// A sentinel naming *this* broker expands here, once, at the edge:
     /// the shared registry's group is enumerated, members that joined after
@@ -366,17 +428,17 @@ impl BrokerState {
     /// `via_link` is true when the copy arrived over a link (false for the
     /// publisher hand-off) and attributes zero-match expansions to
     /// `false_positive_forwards`.
-    pub fn handle_arrival_aggregate(
+    pub fn arrive_aggregate(
         &mut self,
-        message: Arc<Message>,
+        out: &mut ArrivalOutcome,
+        message: &Arc<Message>,
         now: SimTime,
         ids: impl IntoIterator<Item = SubscriptionId>,
         publish_epoch: u64,
         via_link: bool,
-    ) -> ArrivalOutcome {
+    ) {
         self.counters.received += 1;
-        let mut local = Vec::new();
-        let mut copies = Vec::new();
+        out.begin(0);
         {
             let pop = read_population(self.table.population());
             for id in ids {
@@ -385,7 +447,7 @@ impl BrokerState {
                     continue;
                 };
                 if dest == self.id {
-                    let before = local.len();
+                    let before = out.local.len();
                     if let Some(group) = pop.group(dest) {
                         for &member in group.ids() {
                             // `audit_tables` holds every group id to a
@@ -400,10 +462,11 @@ impl BrokerState {
                             if !record.subscription.filter.matches(&message.head) {
                                 continue;
                             }
-                            local.push(local_delivery(&message, now, Row::of(record, &message)));
+                            let row = Row::of(record, message);
+                            out.local.push(local_delivery(message, now, row));
                         }
                     }
-                    if local.len() == before {
+                    if out.local.len() == before {
                         self.counters.false_positive_drops_at_edge += 1;
                         if via_link {
                             self.counters.false_positive_forwards += 1;
@@ -425,92 +488,60 @@ impl BrokerState {
                     }
                     // Sentinels are monotone in the destination, so each
                     // copy's target list stays ascending.
-                    let at = copy_towards(&mut copies, agg.next_hop, &message, now);
-                    let copy = &mut copies[at].1;
-                    let bound = effective_allowed_delay(&message, envelope.min_allowed_delay);
-                    let class = copy.open_class(agg.stats, bound);
+                    let at = out.staging.copy_towards(agg.next_hop);
+                    let draft = &mut out.staging.drafts[at].1;
+                    let bound = effective_allowed_delay(message, envelope.min_allowed_delay);
+                    let class = draft.open_class(agg.stats, bound);
                     let subscriber = SubscriberId::new(dest.raw());
-                    copy.push_target(id, subscriber, envelope.earning_sum, 0, class, dest);
+                    draft.push_target(id, subscriber, envelope.earning_sum, 0, class, dest);
                 }
             }
         }
-        self.finish_arrival(local, copies)
-    }
-
-    /// Finishes an arrival a [`Router`] routed, keeping its scratch for the
-    /// next one.
-    fn finish_routed(&mut self, router: Router) -> ArrivalOutcome {
-        let Router {
-            local,
-            copies,
-            scratch,
-            ..
-        } = router;
-        self.scratch = scratch;
-        self.finish_arrival(local, copies)
+        self.finish_arrival(out, message, now);
     }
 
     /// Counts an arrival's local deliveries — each one an aggregate
-    /// expansion at this edge broker — and pushes the copies it built onto
-    /// their neighbours' queues.
-    fn finish_arrival(
-        &mut self,
-        local: Vec<LocalDelivery>,
-        copies: Vec<(BrokerId, QueuedMessage)>,
-    ) -> ArrivalOutcome {
-        self.counters.expanded_at_edge += local.len() as u64;
-        let mut outcome = ArrivalOutcome {
-            local,
-            enqueued_to: Vec::new(),
-        };
-        self.enqueue(copies, &mut outcome);
-        outcome
-    }
-
-    /// Pushes the copies an arrival built onto their neighbours' queues, in
-    /// ascending neighbour order so forwarding work is deterministic.
-    fn enqueue(
-        &mut self,
-        mut copies: Vec<(BrokerId, QueuedMessage)>,
-        outcome: &mut ArrivalOutcome,
-    ) {
-        copies.sort_unstable_by_key(|(neighbor, _)| *neighbor);
-        for (neighbor, mut copy) in copies {
-            let Some(queue) = self.queues.get_mut(&neighbor) else {
+    /// expansion at this edge broker — and pushes the copies it staged onto
+    /// their neighbours' queues, in ascending neighbour order so forwarding
+    /// work is deterministic. Each copy is allocated here, at its exact
+    /// length; the drafts stay behind for the next arrival.
+    fn finish_arrival(&mut self, out: &mut ArrivalOutcome, message: &Arc<Message>, now: SimTime) {
+        self.counters.expanded_at_edge += out.local.len() as u64;
+        let staging = &mut out.staging;
+        let staged = &mut staging.drafts[..staging.staged];
+        staged.sort_unstable_by_key(|(neighbor, _)| *neighbor);
+        for (neighbor, draft) in staged.iter() {
+            let Some(queue) = queue_mut(&mut self.queues, *neighbor) else {
                 // Routing pointed at a neighbour we have no link to; this
                 // indicates an inconsistent setup and is simply skipped.
                 continue;
             };
-            // A copy waits in queues and in flight for seconds: give back
-            // the slack its vectors grew with.
-            copy.targets.shrink_to_fit();
-            copy.classes.shrink_to_fit();
-            queue.push(copy);
+            queue.push(draft.to_copy(message, now));
             self.queued += 1;
             self.counters.enqueued += 1;
-            outcome.enqueued_to.push(neighbor);
+            out.enqueued_to.push(*neighbor);
         }
-        debug_assert!(outcome.enqueued_to.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(out.enqueued_to.windows(2).all(|w| w[0] < w[1]));
     }
 
-    /// Chooses the next message to transmit towards `neighbor`, applying the
-    /// invalid-message detection first.
+    /// Chooses the next message to transmit towards `neighbor` in one pass
+    /// over its queue: the invalid-message detection (§5.4) drops copies
+    /// as the strategy scores them, reading the probabilities the score
+    /// computed.
     pub fn next_to_send(&mut self, neighbor: BrokerId, now: SimTime) -> NextSend {
-        let Some(queue) = self.queues.get_mut(&neighbor) else {
+        let Some(queue) = queue_mut(&mut self.queues, neighbor) else {
             return NextSend::default();
         };
-        let dropped = queue.purge(now, &self.config);
+        let mut dropped = Vec::new();
+        let detection = self.config.invalid_detection;
+        let message = queue.take_next(now, &self.config, detection, &mut dropped);
         for d in &dropped {
             match d.reason {
                 DropReason::Expired => self.counters.dropped_expired += 1,
                 DropReason::Unlikely => self.counters.dropped_unlikely += 1,
             }
         }
-        let message = queue.pop_next(now, &self.config);
-        self.queued -= dropped.len();
-        if message.is_some() {
-            self.queued -= 1;
-        }
+        self.queued -= dropped.len() + usize::from(message.is_some());
         NextSend { message, dropped }
     }
 
@@ -541,7 +572,7 @@ impl BrokerState {
         if self.queued == 0 {
             return stripped;
         }
-        for q in self.queues.values_mut() {
+        for (_, q) in &mut self.queues {
             stripped.absorb(q.remove_subscription(id, edge));
         }
         self.queued -= stripped.orphaned as usize;
@@ -566,7 +597,7 @@ impl BrokerState {
     /// balance that `SimulationOutcome::check_conservation` enforces.
     #[must_use]
     pub fn requeue(&mut self, neighbor: BrokerId, mut item: QueuedMessage) -> bool {
-        match self.queues.get_mut(&neighbor) {
+        match queue_mut(&mut self.queues, neighbor) {
             Some(queue) => {
                 item.edges = u64::MAX;
                 queue.push(item);
@@ -579,22 +610,13 @@ impl BrokerState {
     }
 }
 
-/// The position in `copies` of the copy an arrival is building towards
-/// `neighbor`, opened on first use. A broker has a handful of neighbours and
-/// an arrival looks one up per run of one edge broker, so the scan is short.
-fn copy_towards(
-    copies: &mut Vec<(BrokerId, QueuedMessage)>,
+/// The output queue towards `neighbor` among a broker's `queues`.
+fn queue_mut(
+    queues: &mut [(BrokerId, OutputQueue)],
     neighbor: BrokerId,
-    message: &Arc<Message>,
-    now: SimTime,
-) -> usize {
-    match copies.iter().rposition(|(nb, _)| *nb == neighbor) {
-        Some(at) => at,
-        None => {
-            copies.push((neighbor, QueuedMessage::new(Arc::clone(message), now)));
-            copies.len() - 1
-        }
-    }
+) -> Option<&mut OutputQueue> {
+    let at = queues.binary_search_by_key(&neighbor, |(nb, _)| *nb).ok()?;
+    Some(&mut queues[at].1)
 }
 
 /// One row an arrival routes: a target as resolved, with its effective
@@ -641,9 +663,9 @@ fn local_delivery(message: &Message, now: SimTime, row: Row) -> LocalDelivery {
 enum RunDest {
     /// The run's edge broker is this one: deliver.
     Local,
-    /// Append to the copy at this position of `copies`, whose targets in
-    /// the run all share the aggregate's path statistics and the run's
-    /// `edge`.
+    /// Append to the draft at this position of the staged copies, whose
+    /// targets in the run all share the aggregate's path statistics and the
+    /// run's `edge`.
     Copy {
         at: usize,
         stats: PathStats,
@@ -653,7 +675,8 @@ enum RunDest {
     Unserved,
 }
 
-/// Routes an arrival's rows onto local deliveries and per-neighbour copies.
+/// Routes an arrival's rows onto local deliveries and per-neighbour staged
+/// copies, in the [`ArrivalOutcome`] it was lent.
 /// Rows come in ascending id order, and ids are minted edge by edge, so they
 /// arrive in runs of one edge broker: the route and the copy are settled
 /// once per run ([`enter_run`](Self::enter_run)), a success class once per
@@ -661,27 +684,14 @@ enum RunDest {
 /// copy — and a row is one push.
 struct Router<'a> {
     broker: BrokerId,
-    message: &'a Arc<Message>,
+    message: &'a Message,
     now: SimTime,
-    local: Vec<LocalDelivery>,
-    copies: Vec<(BrokerId, QueuedMessage)>,
+    out: &'a mut ArrivalOutcome,
     /// The current run's edge broker (`None` before the first row).
     edge: Option<BrokerId>,
     dest: RunDest,
     /// Runs entered so far: the current run's number.
     run: u32,
-    scratch: RouterScratch,
-}
-
-/// A router's class lookups, reused from arrival to arrival so that routing
-/// allocates nothing but the copies it builds.
-#[derive(Debug, Clone, Default)]
-struct RouterScratch {
-    /// The current run's classes, by effective bound.
-    classes: Vec<(Duration, u32)>,
-    /// Per class of the forwarded copy being routed: the last run a target
-    /// of it joined a class in, and that class.
-    carried: Vec<(u32, u32)>,
 }
 
 impl<'a> Router<'a> {
@@ -689,23 +699,20 @@ impl<'a> Router<'a> {
     /// `carried` classes (0 for a publication).
     fn new(
         broker: BrokerId,
-        message: &'a Arc<Message>,
+        message: &'a Message,
         now: SimTime,
-        mut scratch: RouterScratch,
+        out: &'a mut ArrivalOutcome,
         carried: usize,
     ) -> Self {
-        scratch.carried.clear();
-        scratch.carried.resize(carried, (0, 0));
+        out.begin(carried);
         Router {
             broker,
             message,
             now,
-            local: Vec::new(),
-            copies: Vec::new(),
+            out,
             edge: None,
             dest: RunDest::Unserved,
             run: 0,
-            scratch,
         }
     }
 
@@ -715,11 +722,12 @@ impl<'a> Router<'a> {
     fn enter_run(&mut self, edge: BrokerId, route: Option<(BrokerId, PathStats)>) {
         self.edge = Some(edge);
         self.run += 1;
-        self.scratch.classes.clear();
+        let staging = &mut self.out.staging;
+        staging.classes.clear();
         self.dest = match route {
             _ if edge == self.broker => RunDest::Local,
             Some((next_hop, stats)) => RunDest::Copy {
-                at: copy_towards(&mut self.copies, next_hop, self.message, self.now),
+                at: staging.copy_towards(next_hop),
                 stats,
                 edge,
             },
@@ -731,20 +739,23 @@ impl<'a> Router<'a> {
     /// in the forwarded copy it came in, when it is routed as carried.
     fn push(&mut self, row: Row, carried: Option<u32>) {
         match self.dest {
-            RunDest::Local => self.local.push(local_delivery(self.message, self.now, row)),
+            RunDest::Local => {
+                let delivery = local_delivery(self.message, self.now, row);
+                self.out.local.push(delivery);
+            }
             RunDest::Copy { at, stats, edge } => {
                 let class = self.class_in_run(at, stats, row.bound, carried);
-                let copy = &mut self.copies[at].1;
+                let draft = &mut self.out.staging.drafts[at].1;
                 let (id, subscriber, price) = (row.subscription, row.subscriber, row.price);
-                copy.push_target(id, subscriber, price, row.incarnation, class, edge);
+                draft.push_target(id, subscriber, price, row.incarnation, class, edge);
             }
             RunDest::Unserved => {}
         }
     }
 
     /// The class a row with effective `bound` joins in the current run's
-    /// copy (at `at`, path `stats`): one of the run's classes, or one
-    /// [`QueuedMessage::class_for`] per `(run, bound)`. Every target of a
+    /// draft (at `at`, path `stats`): one of the run's classes, or one
+    /// [`CopyDraft::class_for`] per `(run, bound)`. Every target of a
     /// `carried` class has the same bound, so that class's answer is kept
     /// for the rest of the run.
     fn class_in_run(
@@ -754,23 +765,23 @@ impl<'a> Router<'a> {
         bound: Duration,
         carried: Option<u32>,
     ) -> u32 {
-        let scratch = &mut self.scratch;
+        let staging = &mut self.out.staging;
         if let Some(c) = carried {
-            let (run, class) = scratch.carried[c as usize];
+            let (run, class) = staging.carried[c as usize];
             if run == self.run {
                 return class;
             }
         }
-        let class = match scratch.classes.iter().find(|(b, _)| *b == bound) {
+        let class = match staging.classes.iter().find(|(b, _)| *b == bound) {
             Some(&(_, class)) => class,
             None => {
-                let class = self.copies[at].1.class_for(stats, bound);
-                scratch.classes.push((bound, class));
+                let class = staging.drafts[at].1.class_for(stats, bound);
+                staging.classes.push((bound, class));
                 class
             }
         };
         if let Some(c) = carried {
-            scratch.carried[c as usize] = (self.run, class);
+            staging.carried[c as usize] = (self.run, class);
         }
         class
     }
@@ -883,6 +894,20 @@ mod tests {
                 .attr("A2", a2)
                 .build(),
         )
+    }
+
+    /// An aggregate-scoped arrival, into a fresh outcome.
+    fn aggregate(
+        b: &mut BrokerState,
+        message: Arc<Message>,
+        now: SimTime,
+        ids: impl IntoIterator<Item = SubscriptionId>,
+        publish_epoch: u64,
+        via_link: bool,
+    ) -> ArrivalOutcome {
+        let mut out = ArrivalOutcome::default();
+        b.arrive_aggregate(&mut out, &message, now, ids, publish_epoch, via_link);
+        out
     }
 
     /// A publication as the engine hands it to its first broker: scoped to
@@ -1178,7 +1203,8 @@ mod tests {
         // Head (1,1) matches every filter. At B0 the self sentinel expands
         // to local S2; the two remote sentinels share the copy towards B1.
         let mut b0 = make(0);
-        let outcome = b0.handle_arrival_aggregate(
+        let outcome = aggregate(
+            &mut b0,
             msg(1, 1.0, 1.0, 0),
             SimTime::from_millis(2),
             scope.iter(),
@@ -1213,7 +1239,8 @@ mod tests {
         // Head (8.5, 8.5) matches only S1 (filter 9,9 at B1). B0's own
         // expansion comes up empty — a false positive, but not a
         // false-positive *forward* because the copy never crossed a link.
-        let outcome = b0.handle_arrival_aggregate(
+        let outcome = aggregate(
+            &mut b0,
             msg(2, 8.5, 8.5, 0),
             SimTime::from_millis(4),
             scope.iter(),
@@ -1228,7 +1255,8 @@ mod tests {
         // a counted false-positive forward.
         let remote_scope = ScopeSet::from_sorted(vec![aggregate_scope_id(BrokerId::new(2))]);
         let mut b2 = make(2);
-        let outcome = b2.handle_arrival_aggregate(
+        let outcome = aggregate(
+            &mut b2,
             msg(2, 8.5, 8.5, 0),
             SimTime::from_millis(6),
             remote_scope.iter(),
@@ -1243,7 +1271,8 @@ mod tests {
         // Epoch gating: a publish snapshotted before any member joined
         // delivers to nobody, even though filters match.
         let mut b1 = make(1);
-        let outcome = b1.handle_arrival_aggregate(
+        let outcome = aggregate(
+            &mut b1,
             msg(3, 1.0, 1.0, 0),
             SimTime::from_millis(8),
             [aggregate_scope_id(BrokerId::new(1))],
@@ -1289,7 +1318,14 @@ mod tests {
         let now = SimTime::from_millis(2);
         arrive(&mut broker, msg(1, 1.0, 1.0, 0), now);
         broker.handle_arrival_scoped(msg(2, 1.0, 1.0, 0), now, Some(&scope));
-        broker.handle_arrival_aggregate(msg(3, 1.0, 1.0, 0), now, sentinels.iter(), epoch, false);
+        aggregate(
+            &mut broker,
+            msg(3, 1.0, 1.0, 0),
+            now,
+            sentinels.iter(),
+            epoch,
+            false,
+        );
         let copies = broker.queue(BrokerId::new(1)).unwrap().items();
         assert_eq!(copies.len(), 3);
         assert_eq!(broker.queued_total(), 3);
@@ -1382,7 +1418,14 @@ mod tests {
                 .map(|e| aggregate_scope_id(*e))
                 .collect::<Vec<_>>(),
         );
-        broker.handle_arrival_aggregate(msg(2, 1.0, 1.0, 0), now, sentinels.iter(), epoch, false);
+        aggregate(
+            &mut broker,
+            msg(2, 1.0, 1.0, 0),
+            now,
+            sentinels.iter(),
+            epoch,
+            false,
+        );
         let mut pseudo_targets = 0;
         for neighbor in broker.neighbors() {
             let copy = &broker.queue(neighbor).unwrap().items()[1];

@@ -9,13 +9,14 @@
 //!   `r`, the invalid-message detection policy (ε), the per-broker processing
 //!   delay `PD` and the average message size used for the `FT` estimate;
 //! * [`metrics`] — the success probability (eq. 5), Expected Benefit
-//!   (eq. 3), delayed Expected Benefit `EB'` (eq. 8), Postponing Cost
-//!   (eq. 9) and EBPC (eq. 10) computations, evaluated once per
+//!   (eq. 3), Postponing Cost (eq. 9, through the delayed benefit `EB'` of
+//!   eq. 8) and EBPC (eq. 10) computations, evaluated once per
 //!   [`SuccessClass`](queue::SuccessClass) of a queued copy;
 //! * [`queue`] — per-neighbour output queues of
 //!   [`QueuedMessage`](queue::QueuedMessage)s (targets grouped into success
-//!   classes) with strategy-driven selection and expired/unlikely-message purging
-//!   (eq. 11);
+//!   classes, built through a [`CopyDraft`](queue::CopyDraft)) whose one
+//!   selection pass drops expired and unlikely messages (eq. 11) as it scores
+//!   the rest;
 //! * [`strategy`] — the pluggable scheduling surface: the
 //!   [`SchedulingStrategy`](strategy::SchedulingStrategy) trait (one
 //!   `priority` per queued copy, scored into the queue's reusable
@@ -49,6 +50,6 @@ pub mod strategy;
 pub mod prelude {
     pub use crate::broker::BrokerState;
     pub use crate::config::{InvalidDetection, SchedulerConfig, StrategyKind};
-    pub use crate::queue::{MatchedTarget, QueuedMessage};
+    pub use crate::queue::{CopyDraft, MatchedTarget, QueuedMessage};
     pub use crate::strategy::{SchedulingStrategy, StrategyHandle, WeightedComposite};
 }

@@ -63,13 +63,18 @@ fn remaining_budget_ms(message: &Message, class: &SuccessClass, now: SimTime) ->
 /// keeps one and hands it to every
 /// [`priority`](crate::strategy::SchedulingStrategy::priority) call, so its
 /// buffers grow to the widest copy once and selection allocates nothing
-/// after that. Every method below overwrites what the last copy left.
+/// after that. Every method below overwrites what the last copy left, and
+/// the queue's ε-test reads what it wrote for the copy it just scored.
 #[derive(Debug, Clone, Default)]
 pub struct ClassScratch {
     /// `p[k·classes + i]`: class `i`'s success probability under the `k`-th
-    /// extra delay of the last [`fill`](Self::fill).
+    /// extra delay of the last [`fill`](Self::fill). Every fill's first
+    /// extra delay is 0: `p[i]` is eq. 5 itself.
     p: Vec<f64>,
     batch: CdfBatch,
+    /// The address of the copy the last fill was for, and its instant;
+    /// `None` after a [`forget`](Self::forget).
+    filled: Option<(usize, SimTime)>,
 }
 
 impl ClassScratch {
@@ -77,6 +82,7 @@ impl ClassScratch {
     /// in one pass: the CDFs a class does not decide alone go through one
     /// [`CdfBatch`], so the ones that still need erfc share its lanes.
     fn fill(&mut self, item: &QueuedMessage, now: SimTime, extra_delays_ms: &[f64]) {
+        debug_assert_eq!(extra_delays_ms.first(), Some(&0.0));
         let n = item.classes.len();
         self.p.clear();
         // No target names a dead class, so its slots are never read.
@@ -104,6 +110,7 @@ impl ClassScratch {
             }
         }
         self.batch.flush(&mut self.p);
+        self.filled = Some((address(item), now));
     }
 
     /// Eq. 3 over the probabilities of the `k`-th extra delay of the last
@@ -118,22 +125,12 @@ impl ClassScratch {
 
     /// The Expected Benefit of sending the message first (eq. 3).
     pub fn expected_benefit(&mut self, item: &QueuedMessage, now: SimTime) -> f64 {
-        self.expected_benefit_delayed(item, now, 0.0)
-    }
-
-    /// The Expected Benefit of sending the message *second* on the current
-    /// broker (eq. 8), where `first_send_estimate_ms` is the paper's `FT`.
-    pub fn expected_benefit_delayed(
-        &mut self,
-        item: &QueuedMessage,
-        now: SimTime,
-        first_send_estimate_ms: f64,
-    ) -> f64 {
-        self.fill(item, now, &[first_send_estimate_ms]);
+        self.fill(item, now, &[0.0]);
         self.benefit(item, 0)
     }
 
-    /// The Postponing Cost `PC = EB − EB'` (eq. 9).
+    /// The Postponing Cost `PC = EB − EB'` (eq. 9), where
+    /// `first_send_estimate_ms` is the paper's `FT` (eq. 6–8).
     pub fn postponing_cost(
         &mut self,
         item: &QueuedMessage,
@@ -157,6 +154,24 @@ impl ClassScratch {
         let pc = eb - self.benefit(item, 1);
         r * eb + (1.0 - r) * pc
     }
+
+    /// Forgets which copy the last fill was for, so that nothing filled
+    /// before is taken for the next copy at the same address.
+    pub(crate) fn forget(&mut self) {
+        self.filled = None;
+    }
+
+    /// Eq. 5 for every class of `item` at `now` — a dead class's slot is
+    /// meaningless — when the last fill was for exactly that copy and
+    /// instant; else `None`.
+    pub(crate) fn zero_delay_fill(&self, item: &QueuedMessage, now: SimTime) -> Option<&[f64]> {
+        (self.filled == Some((address(item), now))).then(|| &self.p[..item.classes.len()])
+    }
+}
+
+/// A copy's identity while it sits in its queue: its address.
+fn address(item: &QueuedMessage) -> usize {
+    std::ptr::from_ref(item) as usize
 }
 
 /// The invalid-message test (eq. 11), from the side that keeps the copy:
@@ -164,11 +179,25 @@ impl ClassScratch {
 /// `epsilon`. It stops at the first class that does. For every ε in
 /// `[0, 1]` this is the paper's "delete when even the *most promising*
 /// target is below ε", without scoring the classes after that target.
-pub(crate) fn is_likely(item: &QueuedMessage, now: SimTime, epsilon: f64) -> bool {
+/// `fill` holds the classes' probabilities when scoring already computed
+/// them ([`ClassScratch::zero_delay_fill`]); without it they are evaluated
+/// here.
+pub(crate) fn is_likely(
+    item: &QueuedMessage,
+    now: SimTime,
+    epsilon: f64,
+    fill: Option<&[f64]>,
+) -> bool {
+    let p = |i: usize, class: &SuccessClass| match fill {
+        Some(p) => p[i],
+        None => success_probability(&item.message, class, now),
+    };
     epsilon <= 0.0
         || item
-            .live_classes()
-            .any(|c| success_probability(&item.message, c, now) >= epsilon)
+            .classes
+            .iter()
+            .enumerate()
+            .any(|(i, c)| c.live > 0 && p(i, c) >= epsilon)
 }
 
 /// The flat per-target formulas the class-scored functions above replaced,
@@ -176,7 +205,7 @@ pub(crate) fn is_likely(item: &QueuedMessage, now: SimTime, epsilon: f64) -> boo
 #[cfg(test)]
 pub(crate) mod reference {
     use crate::config::PROCESSING_DELAY;
-    use crate::queue::QueuedMessage;
+    use crate::queue::{CopyDraft, QueuedMessage};
     use bdps_overlay::pathstats::PathStats;
     use bdps_types::id::{BrokerId, SubscriberId, SubscriptionId};
     use bdps_types::message::Message;
@@ -210,12 +239,12 @@ pub(crate) mod reference {
         targets: &[FlatTarget],
         enqueue_time: SimTime,
     ) -> QueuedMessage {
-        let mut item = QueuedMessage::new(Arc::clone(message), enqueue_time);
+        let mut draft = CopyDraft::default();
         for t in targets {
-            let class = item.class_for(t.stats, t.allowed_delay);
-            item.push_target(t.subscription, t.subscriber, t.price, 0, class, EDGE);
+            let class = draft.class_for(t.stats, t.allowed_delay);
+            draft.push_target(t.subscription, t.subscriber, t.price, 0, class, EDGE);
         }
-        item
+        draft.to_copy(message, enqueue_time)
     }
 
     /// Eq. 5 for one target, with `extra_delay_ms` added to its future delay
@@ -444,24 +473,38 @@ mod tests {
             ..target(1, 1, 3, 90.0)
         };
         let both = copy(&m, &[bad.clone(), good]);
-        assert!(is_likely(&both, SimTime::ZERO, 0.99));
+        assert!(is_likely(&both, SimTime::ZERO, 0.99, None));
         let only_bad = copy(&m, &[bad]);
-        assert!(!is_likely(&only_bad, SimTime::ZERO, 5e-4));
+        assert!(!is_likely(&only_bad, SimTime::ZERO, 5e-4, None));
         // ε = 0 keeps every copy, even one with no live class left.
-        assert!(is_likely(&only_bad, SimTime::ZERO, 0.0));
-        assert!(is_likely(&copy(&m, &[]), SimTime::ZERO, 0.0));
-        assert!(!is_likely(&copy(&m, &[]), SimTime::ZERO, 5e-4));
+        assert!(is_likely(&only_bad, SimTime::ZERO, 0.0, None));
+        assert!(is_likely(&copy(&m, &[]), SimTime::ZERO, 0.0, None));
+        assert!(!is_likely(&copy(&m, &[]), SimTime::ZERO, 5e-4, None));
     }
 
+    /// What scoring leaves in the scratch is eq. 5 of each class of the
+    /// copy it scored, at the instant it scored it, and only of that copy
+    /// at that instant: another copy, another instant or a forgotten fill
+    /// reads as no fill.
     #[test]
-    fn delayed_benefit_never_exceeds_immediate_benefit() {
+    fn a_fill_answers_only_for_its_copy_and_instant() {
         let m = msg(0);
         let mut scratch = ClassScratch::default();
-        for allowed in [3u64, 5, 10, 30, 60] {
-            let t = copy(&m, &[target(allowed, 2, 2, 75.0)]);
-            let eb = scratch.expected_benefit(&t, SimTime::ZERO);
-            let ebd = scratch.expected_benefit_delayed(&t, SimTime::ZERO, 3_750.0);
-            assert!(ebd <= eb + 1e-12, "allowed {allowed}: {ebd} > {eb}");
+        let item = copy(&m, &[target(12, 1, 2, 60.0), target(60, 1, 1, 60.0)]);
+        let other = item.clone();
+        let now = SimTime::from_secs(3);
+        assert_eq!(scratch.zero_delay_fill(&item, now), None);
+        scratch.postponing_cost(&item, now, 3_750.0);
+        let fill = scratch
+            .zero_delay_fill(&item, now)
+            .expect("filled for the copy");
+        assert_eq!(fill.len(), 2);
+        for (p, class) in fill.iter().zip(&item.classes) {
+            assert_eq!(p.to_bits(), success_probability(&m, class, now).to_bits());
         }
+        assert_eq!(scratch.zero_delay_fill(&other, now), None);
+        assert_eq!(scratch.zero_delay_fill(&item, SimTime::from_secs(4)), None);
+        scratch.forget();
+        assert_eq!(scratch.zero_delay_fill(&item, now), None);
     }
 }

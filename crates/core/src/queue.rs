@@ -28,7 +28,7 @@
 //!
 //! **Invariant:** every target a queued copy holds, whose subscription is
 //! still registered, is attached at an edge whose bit the copy's mask has.
-//! [`QueuedMessage::push_target`] sets the bit of the edge it is given, so a
+//! [`CopyDraft::push_target`] sets the bit of the edge it is given, so a
 //! copy cannot hold a target without it; a leave strips the id from every
 //! copy with its bit, so no copy keeps the id past its leave; and a copy
 //! that comes back from a failed link was never re-routed — its id may have
@@ -101,7 +101,7 @@ impl SuccessClass {
 }
 
 /// How many of a copy's most recently opened classes
-/// [`QueuedMessage::class_for`] compares a new target with. Id-ordered
+/// [`CopyDraft::class_for`] compares a new target with. Id-ordered
 /// scopes arrive in runs of one edge broker, so a run's few classes (one per
 /// QoS bound) sit at the tail; the cap keeps a population with one bound per
 /// subscriber linear.
@@ -138,16 +138,60 @@ pub struct QueuedMessage {
 }
 
 impl QueuedMessage {
-    /// A copy with no target yet; fill it with
-    /// [`push_target`](Self::push_target) in ascending subscription order.
-    pub fn new(message: Arc<Message>, enqueue_time: SimTime) -> Self {
-        QueuedMessage {
-            message,
-            targets: Vec::new(),
-            classes: Vec::new(),
-            enqueue_time,
-            edges: 0,
+    /// The classes that still have a member.
+    pub(crate) fn live_classes(&self) -> impl Iterator<Item = &SuccessClass> + '_ {
+        self.classes.iter().filter(|c| c.live > 0)
+    }
+
+    /// Average remaining lifetime over all targets (the paper's RL tie-break
+    /// for messages with several subscribers, §6.1), in milliseconds.
+    pub fn avg_remaining_lifetime_ms(&self, now: SimTime) -> f64 {
+        if self.targets.is_empty() {
+            return 0.0;
         }
+        let total: f64 = self
+            .targets
+            .iter()
+            .map(|t| {
+                let rl = self.classes[t.class as usize].remaining_lifetime(&self.message, now);
+                if rl == Duration::MAX {
+                    f64::INFINITY
+                } else {
+                    rl.as_millis_f64()
+                }
+            })
+            .sum();
+        total / self.targets.len() as f64
+    }
+
+    /// Returns true when every target deadline has passed.
+    pub(crate) fn fully_expired(&self, now: SimTime) -> bool {
+        !self.targets.is_empty()
+            && self
+                .live_classes()
+                .all(|c| c.is_expired(&self.message, now))
+    }
+}
+
+/// A copy's targets, classes and edge mask while an arrival builds them,
+/// held apart from any message: an arrival keeps its drafts' buffers for
+/// the next one, and a draft it keeps becomes a [`QueuedMessage`] whose
+/// vectors are allocated once, at their exact length
+/// ([`to_copy`](Self::to_copy)). Fill it with
+/// [`push_target`](Self::push_target) in ascending subscription order.
+#[derive(Debug, Clone, Default)]
+pub struct CopyDraft {
+    targets: Vec<MatchedTarget>,
+    classes: Vec<SuccessClass>,
+    edges: u64,
+}
+
+impl CopyDraft {
+    /// Empties the draft for the next copy, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.targets.clear();
+        self.classes.clear();
+        self.edges = 0;
     }
 
     /// The class a target with these values joins: the one among the copy's
@@ -195,38 +239,17 @@ impl QueuedMessage {
         });
     }
 
-    /// The classes that still have a member.
-    pub(crate) fn live_classes(&self) -> impl Iterator<Item = &SuccessClass> + '_ {
-        self.classes.iter().filter(|c| c.live > 0)
-    }
-
-    /// Average remaining lifetime over all targets (the paper's RL tie-break
-    /// for messages with several subscribers, §6.1), in milliseconds.
-    pub fn avg_remaining_lifetime_ms(&self, now: SimTime) -> f64 {
-        if self.targets.is_empty() {
-            return 0.0;
+    /// The copy of `message` this draft describes, entering its queue at
+    /// `enqueue_time`. A copy waits in queues and in flight for seconds, so
+    /// its vectors hold no slack.
+    pub fn to_copy(&self, message: &Arc<Message>, enqueue_time: SimTime) -> QueuedMessage {
+        QueuedMessage {
+            message: Arc::clone(message),
+            targets: self.targets.clone(),
+            classes: self.classes.clone(),
+            enqueue_time,
+            edges: self.edges,
         }
-        let total: f64 = self
-            .targets
-            .iter()
-            .map(|t| {
-                let rl = self.classes[t.class as usize].remaining_lifetime(&self.message, now);
-                if rl == Duration::MAX {
-                    f64::INFINITY
-                } else {
-                    rl.as_millis_f64()
-                }
-            })
-            .sum();
-        total / self.targets.len() as f64
-    }
-
-    /// Returns true when every target deadline has passed.
-    pub(crate) fn fully_expired(&self, now: SimTime) -> bool {
-        !self.targets.is_empty()
-            && self
-                .live_classes()
-                .all(|c| c.is_expired(&self.message, now))
     }
 }
 
@@ -280,7 +303,8 @@ pub struct OutputQueue {
     /// from the survivors whenever a leave scans the queue.
     edges: u64,
     /// The per-class probabilities every score of every selection is
-    /// computed in, so selecting allocates nothing once it has grown.
+    /// computed in — and the ε-test reads — so selecting allocates nothing
+    /// once it has grown.
     scratch: ClassScratch,
 }
 
@@ -337,18 +361,56 @@ impl OutputQueue {
         }
     }
 
-    /// Removes expired and (depending on the policy) unlikely messages,
-    /// returning a record per removal (§5.4).
-    pub(crate) fn purge(&mut self, now: SimTime, config: &SchedulerConfig) -> Vec<DropRecord> {
-        let mut dropped = Vec::new();
+    /// Selects and removes the next message to transmit according to the
+    /// configured strategy. Metrics are recomputed at call time because they
+    /// are time-dependent. This is the broker's selection pass with the
+    /// invalid-message policy off: every queued copy competes.
+    pub fn pop_next(&mut self, now: SimTime, config: &SchedulerConfig) -> Option<QueuedMessage> {
+        self.take_next(now, config, InvalidDetection::Off, &mut Vec::new())
+    }
+
+    /// The one pass a free link runs over its queue: drops every copy the
+    /// `detection` policy finds invalid (§5.4), recording each in `dropped`
+    /// in queue order, and removes and returns the copy the strategy scores
+    /// highest among the rest, the first of equal scores.
+    ///
+    /// An expired copy is dropped unscored. Any other copy is scored into the
+    /// queue's one [`ClassScratch`], and the ε-test (eq. 11) then reads the
+    /// class probabilities that scoring left there for this copy at `now` —
+    /// EB, PC, EBPC and COMPOSITE leave them — so no `success` is evaluated
+    /// twice. A strategy that left none (FIFO, RL, a custom one) has
+    /// [`metrics::is_likely`] evaluate them.
+    pub(crate) fn take_next(
+        &mut self,
+        now: SimTime,
+        config: &SchedulerConfig,
+        detection: InvalidDetection,
+        dropped: &mut Vec<DropRecord>,
+    ) -> Option<QueuedMessage> {
+        let ctx = ScheduleContext::new(now, config, self.link_mean_rate_ms_per_kb);
+        let scratch = &mut self.scratch;
+        // Copy addresses repeat from pass to pass, never within one.
+        scratch.forget();
+        let (mut best, mut kept) = ((0, f64::NEG_INFINITY), 0);
         self.items.retain(|item| {
-            let reason = match config.invalid_detection {
-                InvalidDetection::Off => None,
-                _ if item.fully_expired(now) => Some(DropReason::Expired),
-                InvalidDetection::Epsilon(eps) if !metrics::is_likely(item, now, eps) => {
-                    Some(DropReason::Unlikely)
+            let reason = if detection != InvalidDetection::Off && item.fully_expired(now) {
+                Some(DropReason::Expired)
+            } else {
+                let score = config.strategy.priority(&ctx, item, scratch);
+                let fill = scratch.zero_delay_fill(item, now);
+                match detection {
+                    InvalidDetection::Epsilon(eps) if !metrics::is_likely(item, now, eps, fill) => {
+                        Some(DropReason::Unlikely)
+                    }
+                    _ => {
+                        // Strictly greater keeps FIFO order among ties.
+                        if score > best.1 {
+                            best = (kept, score);
+                        }
+                        kept += 1;
+                        None
+                    }
                 }
-                _ => None,
             };
             if let Some(reason) = reason {
                 dropped.push(DropRecord {
@@ -359,32 +421,9 @@ impl OutputQueue {
             }
             reason.is_none()
         });
+        let picked = (kept > 0).then(|| self.items.remove(best.0));
         self.forget_edges_if_empty();
-        dropped
-    }
-
-    /// Selects and removes the next message to transmit according to the
-    /// configured strategy. Metrics are recomputed at call time because they
-    /// are time-dependent. Selection does not apply the invalid-message
-    /// policy: the broker purges the queue first.
-    ///
-    /// Every copy is scored into the queue's one [`ClassScratch`].
-    pub fn pop_next(&mut self, now: SimTime, config: &SchedulerConfig) -> Option<QueuedMessage> {
-        if self.items.is_empty() {
-            return None;
-        }
-        let ctx = ScheduleContext::new(now, config, self.link_mean_rate_ms_per_kb);
-        let mut best = (0, f64::NEG_INFINITY);
-        for (i, item) in self.items.iter().enumerate() {
-            let score = config.strategy.priority(&ctx, item, &mut self.scratch);
-            // Strictly greater keeps FIFO order among ties (stable choice).
-            if score > best.1 {
-                best = (i, score);
-            }
-        }
-        let picked = self.items.remove(best.0);
-        self.forget_edges_if_empty();
-        Some(picked)
+        picked
     }
 
     /// Removes one subscription, attached at edge broker `edge`, from every
@@ -429,7 +468,7 @@ mod tests {
     use super::*;
     use crate::config::StrategyKind;
     use crate::metrics::reference::{self, FlatTarget};
-    use crate::strategy::StrategyHandle;
+    use crate::strategy::{SchedulingStrategy, StrategyHandle};
     use bdps_stats::normal::Normal;
     use bdps_stats::rng::SimRng;
     use bdps_types::qos::DelayBound;
@@ -464,6 +503,16 @@ mod tests {
 
     fn config(strategy: StrategyKind) -> SchedulerConfig {
         SchedulerConfig::paper(strategy)
+    }
+
+    /// The drops of the selection pass under `config`'s policy; the copy it
+    /// picks goes back into the queue.
+    fn purge(q: &mut OutputQueue, now: SimTime, config: &SchedulerConfig) -> Vec<DropRecord> {
+        let mut dropped = Vec::new();
+        if let Some(copy) = q.take_next(now, config, config.invalid_detection, &mut dropped) {
+            q.push(copy);
+        }
+        dropped
     }
 
     /// A copy holds one target per subscription it serves, so the
@@ -504,7 +553,7 @@ mod tests {
         let mut q = OutputQueue::new(75.0);
         q.push(queued(msg(1, 0, None), vec![target(10, 1, 60.0, 1)], 0));
         q.push(queued(msg(2, 0, None), vec![target(120, 1, 60.0, 1)], 0));
-        let dropped = q.purge(SimTime::from_secs(20), &config(StrategyKind::Fifo));
+        let dropped = purge(&mut q, SimTime::from_secs(20), &config(StrategyKind::Fifo));
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].message, MessageId::new(1));
         assert_eq!(dropped[0].reason, DropReason::Expired);
@@ -519,7 +568,7 @@ mod tests {
         };
         let mut q = OutputQueue::new(75.0);
         q.push(queued(msg(1, 0, None), vec![target(10, 1, 60.0, 1)], 0));
-        assert!(q.purge(SimTime::from_secs(500), &cfg).is_empty());
+        assert!(purge(&mut q, SimTime::from_secs(500), &cfg).is_empty());
         assert_eq!(q.len(), 1);
     }
 
@@ -531,7 +580,7 @@ mod tests {
         let mut q = OutputQueue::new(90.0);
         q.push(queued(msg(1, 0, None), vec![target(10, 1, 90.0, 4)], 0));
         let now = SimTime::from_secs(8);
-        let dropped = q.purge(now, &cfg);
+        let dropped = purge(&mut q, now, &cfg);
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].reason, DropReason::Unlikely);
         // The same situation with detection limited to expiry keeps the message.
@@ -541,7 +590,7 @@ mod tests {
             invalid_detection: InvalidDetection::EXPIRED_ONLY,
             ..cfg
         };
-        assert!(q2.purge(now, &cfg2).is_empty());
+        assert!(purge(&mut q2, now, &cfg2).is_empty());
     }
 
     #[test]
@@ -625,13 +674,13 @@ mod tests {
     fn a_leave_searches_only_copies_with_its_edge_bit() {
         let (e1, e2, e65) = (BrokerId::new(1), BrokerId::new(2), BrokerId::new(65));
         let copy = |id: u64, edge: BrokerId, subs: &[u32]| {
-            let mut item = QueuedMessage::new(msg(id, 0, None), SimTime::ZERO);
-            let class = item.open_class(PathStats::local(), Duration::MAX);
+            let mut draft = CopyDraft::default();
+            let class = draft.open_class(PathStats::local(), Duration::MAX);
             for &s in subs {
                 let (sub, subscriber) = (SubscriptionId::new(s), SubscriberId::new(s));
-                item.push_target(sub, subscriber, Price::unit(), 0, class, edge);
+                draft.push_target(sub, subscriber, Price::unit(), 0, class, edge);
             }
-            item
+            draft.to_copy(&msg(id, 0, None), SimTime::ZERO)
         };
         let mut q = OutputQueue::new(75.0);
         q.push(copy(1, e1, &[3, 4]));
@@ -711,7 +760,7 @@ mod tests {
             let mut q = OutputQueue::new(90.0);
             q.push(queued(msg(1, 0, None), vec![stays.clone(), leaves], 0));
             assert!(
-                q.clone().purge(now, &cfg).is_empty(),
+                purge(&mut q.clone(), now, &cfg).is_empty(),
                 "the copy is worth sending"
             );
             assert_eq!(q.remove_subscription(leaver, reference::EDGE).orphaned, 0);
@@ -719,7 +768,7 @@ mod tests {
             assert_eq!((copy.classes.len(), copy.live_classes().count()), (2, 1));
             let flat = (msg(1, 0, None), vec![stays], SimTime::ZERO);
             assert_eq!(reference_drop(policy, &flat, now), Some(verdict));
-            let dropped = q.purge(now, &cfg);
+            let dropped = purge(&mut q, now, &cfg);
             assert_eq!(dropped.len(), 1);
             assert_eq!((dropped[0].reason, dropped[0].targets), (verdict, 1));
         }
@@ -823,8 +872,9 @@ mod tests {
 
     /// Class scoring *is* the per-target formula: over seeded random queues,
     /// for every built-in strategy and every invalid-message policy, each
-    /// score agrees with the flat reference to the bit, `purge` drops the
-    /// same copies for the same reasons and `pop_next` picks the same copy.
+    /// score agrees with the flat reference to the bit, and the selection
+    /// pass drops the same copies for the same reasons and picks the same
+    /// copy.
     #[test]
     fn class_scoring_is_the_per_target_formula_bit_for_bit() {
         // ε = 0 and ε = 1 are the ends `SchedulerConfig::validate` admits;
@@ -892,7 +942,9 @@ mod tests {
                         None => survivors.push(item),
                     }
                 }
-                assert_eq!(q.purge(now, &cfg), want_dropped, "case {case} {name}");
+                let mut dropped = Vec::new();
+                let popped = q.take_next(now, &cfg, policy, &mut dropped);
+                assert_eq!(dropped, want_dropped, "case {case} {name}");
                 if policy == InvalidDetection::Epsilon(1.0) {
                     certain += survivors.len();
                 }
@@ -907,7 +959,7 @@ mod tests {
                         best = (Some(item), score);
                     }
                 }
-                let popped = q.pop_next(now, &cfg).map(|copy| copy.message.id);
+                let popped = popped.map(|copy| copy.message.id);
                 assert_eq!(popped, best.0.map(|item| item.0.id), "case {case} {name}");
             }
         }
@@ -921,6 +973,142 @@ mod tests {
             "classes must actually group targets: {grouped}"
         );
         assert!(certain > 50, "{certain} copies kept at p = ε = 1");
+    }
+
+    /// Scores a copy of an even-numbered message by EB and any other by
+    /// arrival order: a strategy that leaves the scratch filled for some
+    /// copies only, as a custom one may.
+    #[derive(Debug)]
+    struct EvenEb;
+
+    impl SchedulingStrategy for EvenEb {
+        fn name(&self) -> &str {
+            "EVEN-EB"
+        }
+
+        fn priority(
+            &self,
+            ctx: &ScheduleContext,
+            item: &QueuedMessage,
+            scratch: &mut ClassScratch,
+        ) -> f64 {
+            if item.message.id.raw().is_multiple_of(2) {
+                scratch.expected_benefit(item, ctx.now)
+            } else {
+                -(item.enqueue_time.as_micros() as f64)
+            }
+        }
+    }
+
+    /// The selection as two passes, the way it was written before it took
+    /// one: purge every invalid copy, evaluating the ε-test's probabilities
+    /// afresh, then score the survivors, each into a fresh scratch.
+    fn two_pass_next(
+        q: &mut OutputQueue,
+        now: SimTime,
+        config: &SchedulerConfig,
+    ) -> (Vec<DropRecord>, Option<QueuedMessage>) {
+        let mut dropped = Vec::new();
+        q.items.retain(|item| {
+            let reason = match config.invalid_detection {
+                InvalidDetection::Off => None,
+                _ if item.fully_expired(now) => Some(DropReason::Expired),
+                InvalidDetection::Epsilon(eps) if !metrics::is_likely(item, now, eps, None) => {
+                    Some(DropReason::Unlikely)
+                }
+                _ => None,
+            };
+            if let Some(reason) = reason {
+                dropped.push(DropRecord {
+                    message: item.message.id,
+                    reason,
+                    targets: item.targets.len() as u32,
+                });
+            }
+            reason.is_none()
+        });
+        let ctx = ScheduleContext::new(now, config, q.link_mean_rate_ms_per_kb);
+        let mut best = (0, f64::NEG_INFINITY);
+        for (i, item) in q.items.iter().enumerate() {
+            let score = config
+                .strategy
+                .priority(&ctx, item, &mut ClassScratch::default());
+            if score > best.1 {
+                best = (i, score);
+            }
+        }
+        let picked = (!q.items.is_empty()).then(|| q.items.remove(best.0));
+        (dropped, picked)
+    }
+
+    /// The one selection pass is the two it replaced. Over seeded random
+    /// queues, for every built-in strategy and one that fills the scratch
+    /// for some copies only, under every policy, each step — a selection,
+    /// then perhaps a fresh copy into the slot the pick vacated and perhaps
+    /// a later instant — drops the same copies in the same order, picks the
+    /// same copy and leaves the same queue.
+    #[test]
+    fn one_pass_selection_is_purge_then_pop() {
+        let policies = [
+            InvalidDetection::Off,
+            InvalidDetection::EXPIRED_ONLY,
+            InvalidDetection::PAPER,
+            InvalidDetection::Epsilon(1.0),
+        ];
+        let strategies = StrategyHandle::NAMES
+            .iter()
+            .filter_map(|name| StrategyHandle::from_name(name))
+            .chain([StrategyHandle::new(EvenEb)]);
+        let strategies: Vec<StrategyHandle> = strategies.collect();
+        assert_eq!(strategies.len(), StrategyHandle::NAMES.len() + 1);
+        let ids = |q: &OutputQueue| q.items().iter().map(|c| c.message.id).collect::<Vec<_>>();
+        let (mut picked, mut unlikely, mut expired) = (0, 0, 0);
+        for case in 0..160u64 {
+            let policy = policies[case as usize % policies.len()];
+            for strategy in &strategies {
+                let mut rng = SimRng::seed_from(0x1_9A55).split(case);
+                let (queued, arriving) = (random_flat_queue(&mut rng), random_flat_queue(&mut rng));
+                let cfg = SchedulerConfig {
+                    invalid_detection: policy,
+                    ..SchedulerConfig::paper(strategy.clone())
+                };
+                let mut one = OutputQueue::new(75.0);
+                for (m, targets, at) in &queued {
+                    one.push(reference::queued(m, targets, *at));
+                }
+                let mut two = one.clone();
+                let mut arriving = arriving.iter();
+                let mut now = SimTime::from_secs(rng.uniform_usize(10, 40) as u64);
+                for step in 0..6 {
+                    let what = format!("case {case} {strategy} step {step} at {now:?}");
+                    let mut dropped = Vec::new();
+                    let pick = one.take_next(now, &cfg, policy, &mut dropped);
+                    let (want_dropped, want) = two_pass_next(&mut two, now, &cfg);
+                    assert_eq!(dropped, want_dropped, "{what}");
+                    let pick = pick.map(|copy| copy.message.id);
+                    assert_eq!(pick, want.map(|copy| copy.message.id), "{what}");
+                    assert_eq!(ids(&one), ids(&two), "{what}");
+                    picked += usize::from(pick.is_some());
+                    let dropped_as = |r| dropped.iter().filter(|d| d.reason == r).count();
+                    unlikely += dropped_as(DropReason::Unlikely);
+                    expired += dropped_as(DropReason::Expired);
+                    if rng.chance(0.5) {
+                        if let Some((m, targets, at)) = arriving.next() {
+                            one.push(reference::queued(m, targets, *at));
+                            two.push(reference::queued(m, targets, *at));
+                        }
+                    }
+                    if rng.chance(0.3) {
+                        now += Duration::from_millis(rng.uniform_usize(1, 3_000) as u64);
+                    }
+                }
+            }
+        }
+        // The generator reaches every branch the comparison is about.
+        assert!(
+            picked > 2_000 && unlikely > 50 && expired > 500,
+            "{picked} picked, {unlikely} unlikely, {expired} expired"
+        );
     }
 
     /// Price scaling (ROADMAP item 20b): EB, PC and EBPC are sums of
@@ -964,10 +1152,11 @@ mod tests {
                     for (m, targets, at) in items {
                         q.push(reference::queued(m, targets, *at));
                     }
-                    let drops = q.purge(now, &cfg);
-                    let order: Vec<MessageId> = std::iter::from_fn(|| q.pop_next(now, &cfg))
-                        .map(|copy| copy.message.id)
-                        .collect();
+                    let mut drops = Vec::new();
+                    let order: Vec<MessageId> =
+                        std::iter::from_fn(|| q.take_next(now, &cfg, policy, &mut drops))
+                            .map(|copy| copy.message.id)
+                            .collect();
                     (drops, order)
                 };
                 let (drops, order) = run(&flat);
@@ -1007,7 +1196,7 @@ mod tests {
             let mut q = OutputQueue::new(75.0);
             q.push(certain.clone());
             assert_eq!(reference_drop(policy, &item, now), None, "ε = {eps}");
-            assert!(q.purge(now, &cfg).is_empty(), "ε = {eps}");
+            assert!(purge(&mut q, now, &cfg).is_empty(), "ε = {eps}");
         }
     }
 }

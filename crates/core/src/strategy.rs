@@ -123,7 +123,9 @@ pub trait SchedulingStrategy: Send + Sync + fmt::Debug {
     /// `scratch` is the queue's, reused for every copy of every selection; it
     /// holds whatever the last scored copy left in it. A strategy that needs
     /// `success` calls its methods ([`ClassScratch::expected_benefit`],
-    /// ...), which overwrite it; the others ignore it.
+    /// ...), which overwrite it; the others ignore it. What a method leaves
+    /// there for `item` at `ctx.now` is what the queue's ε-test reads next,
+    /// instead of evaluating `success` again.
     fn priority(
         &self,
         ctx: &ScheduleContext,

@@ -14,7 +14,7 @@
 //! on its block of brokers with a sink that logs the effects for ordered
 //! replay through the same `Totals::emit`.
 
-use bdps_core::broker::BrokerState;
+use bdps_core::broker::{ArrivalOutcome, BrokerState};
 use bdps_core::config::{SchedulerConfig, PROCESSING_DELAY};
 use bdps_core::objective::ObjectiveTracker;
 use bdps_core::queue::QueuedMessage;
@@ -315,6 +315,9 @@ pub(crate) struct TrafficCore {
     /// Scratch `(completes, message)` buffer reused across
     /// `reschedule_flows` calls.
     flow_scratch: Vec<(SimTime, MessageId)>,
+    /// The outcome of the arrival being applied, lent to its broker: one
+    /// per core, so its buffers serve every broker's arrivals.
+    arrival: ArrivalOutcome,
     pub(crate) events_processed: u64,
     pub(crate) peak_pending: usize,
     /// The time of the last applied event.
@@ -342,6 +345,7 @@ impl TrafficCore {
             scope_interner: ScopeInterner::new(),
             scope_scratch: Vec::new(),
             flow_scratch: Vec::new(),
+            arrival: ArrivalOutcome::default(),
             events_processed: 0,
             peak_pending: 0,
             now: SimTime::ZERO,
@@ -586,56 +590,56 @@ impl TrafficCore {
         arrival: Arrival,
     ) {
         let now = self.now;
-        let message = Arc::clone(arrival.message());
-        let outcome = match sh.forwarding {
-            Forwarding::Exact(_) => {
-                let b = self.broker_mut(broker);
+        let id = arrival.message().id;
+        let b = &mut self.brokers[broker.index() - self.broker_lo];
+        let out = &mut self.arrival;
+        match sh.forwarding {
+            Forwarding::Exact(_) => match arrival {
+                Arrival::Published { message, scope } => {
+                    b.arrive_scoped(out, &message, now, &scope)
+                }
+                Arrival::Forwarded(copy) => b.arrive_forwarded(out, copy, now),
+            },
+            Forwarding::Aggregate => {
+                let epoch = self.publish_epoch.get(&id).copied().unwrap_or(0);
                 match arrival {
                     Arrival::Published { message, scope } => {
-                        b.handle_arrival_scoped(message, now, Some(&scope))
-                    }
-                    Arrival::Forwarded(copy) => b.handle_arrival_forwarded(copy, now),
-                }
-            }
-            Forwarding::Aggregate => {
-                let epoch = self.publish_epoch.get(&message.id).copied().unwrap_or(0);
-                let b = self.broker_mut(broker);
-                let outcome = match arrival {
-                    Arrival::Published { message, scope } => {
-                        b.handle_arrival_aggregate(message, now, scope.iter(), epoch, false)
+                        b.arrive_aggregate(out, &message, now, scope.iter(), epoch, false)
                     }
                     Arrival::Forwarded(copy) => {
                         let ids = copy.targets.iter().map(|t| t.subscription);
-                        b.handle_arrival_aggregate(Arc::clone(&copy.message), now, ids, epoch, true)
+                        b.arrive_aggregate(out, &copy.message, now, ids, epoch, true)
                     }
-                };
+                }
                 // The interested count accumulates edge by edge: each
                 // expansion contributes exactly the members it resolved, so
                 // once every copy lands total_interested equals the delivered
                 // count (aggregate mode has no "interested but undelivered"
                 // notion — the oracle compares delivery sets, not rates).
                 sink.emit(Effect::Interested {
-                    message: message.id,
-                    count: outcome.local.len() as u32,
+                    message: id,
+                    count: out.local.len() as u32,
                 });
-                outcome
             }
-        };
-        for d in &outcome.local {
+        }
+        for d in &self.arrival.local {
             sink.emit(Effect::Delivery {
-                message: message.id,
+                message: id,
                 subscriber: d.subscriber,
                 price: d.price,
                 delay: d.delay,
                 on_time: d.on_time,
             });
         }
-        for neighbor in outcome.enqueued_to {
+        // Lent out while the sends run: none of them is an arrival.
+        let enqueued_to = std::mem::take(&mut self.arrival.enqueued_to);
+        for &neighbor in &enqueued_to {
             if let Some(link) = sh.link_of[broker.index()][neighbor.index()] {
                 self.note_queue_peak(link, broker, neighbor);
             }
             self.try_send(sh, sink, broker, neighbor);
         }
+        self.arrival.enqueued_to = enqueued_to;
     }
 
     fn on_send_complete(
@@ -698,7 +702,7 @@ impl TrafficCore {
     /// A copy finished crossing `link`: the copy itself arrives at the
     /// downstream broker, where processing takes PD, and the link pulls its
     /// next copy. Nothing is rebuilt or interned: the receiver routes the
-    /// carried targets ([`BrokerState::handle_arrival_forwarded`]).
+    /// carried targets ([`BrokerState::arrive_forwarded`]).
     fn finish_transfer(
         &mut self,
         sh: &Shared,

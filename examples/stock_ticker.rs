@@ -114,5 +114,9 @@ fn main() {
         "queued behind it: {} quote(s)",
         gateway.queue(BrokerId::new(1)).unwrap().len()
     );
-    println!("broker counters: {:?}", gateway.counters);
+    let c = &gateway.counters;
+    println!(
+        "broker counters: received {}, delivered locally {}, enqueued {}, dropped expired {}, dropped unlikely {}",
+        c.received, c.expanded_at_edge, c.enqueued, c.dropped_expired, c.dropped_unlikely
+    );
 }

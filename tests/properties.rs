@@ -6,6 +6,7 @@
 //! deterministic and the failures reproducible (the case index is reported
 //! on panic).
 
+use bdps::core::broker::ArrivalOutcome;
 use bdps::core::metrics::{self, ClassScratch};
 use bdps::core::queue::{OutputQueue, SuccessClass};
 use bdps::core::strategy::ScheduleContext;
@@ -57,13 +58,13 @@ fn edge_of(id: SubscriptionId) -> BrokerId {
 
 /// The copy of `message` serving `targets`, built the way the broker does.
 fn copy_of(message: Message, targets: &[ResolvedTarget], enqueue_time: SimTime) -> QueuedMessage {
-    let mut item = QueuedMessage::new(Arc::new(message), enqueue_time);
+    let mut draft = CopyDraft::default();
     for &(subscription, subscriber, price, allowed_delay, stats) in targets {
-        let class = item.class_for(stats, allowed_delay);
+        let class = draft.class_for(stats, allowed_delay);
         let edge = edge_of(subscription);
-        item.push_target(subscription, subscriber, price, 0, class, edge);
+        draft.push_target(subscription, subscriber, price, 0, class, edge);
     }
-    item
+    draft.to_copy(&Arc::new(message), enqueue_time)
 }
 
 /// A queued copy whose targets honour the queue's invariant: strictly
@@ -1363,7 +1364,8 @@ fn a_link_arrival_routes_its_copy_as_a_scoped_arrival_would() {
             };
             let receiver = broker_at(b);
             let (mut via_link, mut scoped) = (receiver.clone(), receiver.clone());
-            let link_outcome = via_link.handle_arrival_forwarded(copy.clone(), arrived_at);
+            let mut link_outcome = ArrivalOutcome::default();
+            via_link.arrive_forwarded(&mut link_outcome, copy.clone(), arrived_at);
             let ids = ScopeSet::from_sorted(
                 copy.targets
                     .iter()
