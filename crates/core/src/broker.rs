@@ -5,8 +5,9 @@
 //! copy per relevant downstream neighbour into that neighbour's output queue.
 //! Here the match happens once, when a message is published: every arrival
 //! carries the subscriptions it is for — the publish-time scope or the
-//! targets an upstream broker resolved — and the broker only resolves them
-//! against its table.
+//! targets an upstream broker resolved — and the broker only resolves each
+//! one into the paper's table entry: a row (its registry record's, or the
+//! one a copy carried) joined with the table's route to its edge broker.
 //! Whenever a link becomes free the broker asks the corresponding queue for
 //! the next message under the configured scheduling strategy, dropping
 //! expired and unlikely messages (§5.4) in the same pass.
@@ -28,7 +29,7 @@ use bdps_overlay::pathstats::PathStats;
 use bdps_overlay::routing::Routing;
 use bdps_overlay::sparse::{
     aggregate_scope_dest, read_population, EdgeGroup, MemberRecord, PopulationHandle, QosEnvelope,
-    ResolvedEntry, SparseTable,
+    SparseTable,
 };
 use bdps_overlay::subtable::RetargetOutcome;
 use bdps_types::id::{BrokerId, SubscriberId, SubscriptionId};
@@ -296,11 +297,11 @@ impl BrokerState {
     /// subscription's filter never changes, presence in this broker's table
     /// is the only remaining condition, which turns arrival processing into
     /// one pass over the scope, independent of the total population: per id
-    /// one registry probe and one push; per *run* of ids behind one edge
-    /// broker one aggregate lookup and one staged copy; per `(run, QoS
+    /// one registry record read and one push; per *run* of ids behind one
+    /// edge broker one aggregate lookup and one staged copy; per `(run, QoS
     /// bound)` one success class. A copy that crossed a link arrives through
     /// [`arrive_forwarded`](Self::arrive_forwarded) instead, which routes the
-    /// same way without re-reading the registry.
+    /// same way without re-reading an unchanged record.
     pub fn arrive_scoped(
         &mut self,
         out: &mut ArrivalOutcome,
@@ -309,21 +310,16 @@ impl BrokerState {
         scope: &ScopeSet,
     ) {
         self.counters.received += 1;
-        let mut router = Router::new(self.id, message, now, out, 0);
-        let place = |e: ResolvedEntry, incarnation: u32| {
-            if router.edge != Some(e.edge) {
-                router.enter_run(e.edge, e.next_hop.map(|nb| (nb, e.stats)));
+        {
+            let mut router = Router::new(&self.table, message, now, out, 0);
+            let pop = read_population(self.table.population());
+            for id in scope.iter() {
+                let Some(record) = pop.member(id) else {
+                    continue; // left the population since the scope froze
+                };
+                router.push(record.edge, Row::of(record, message), None);
             }
-            let row = Row {
-                subscription: e.subscription,
-                subscriber: e.subscriber,
-                price: e.price,
-                incarnation,
-                bound: effective_allowed_delay(message, e.allowed_delay),
-            };
-            router.push(row, None);
-        };
-        self.table.resolve_scope(scope, place);
+        }
         self.finish_arrival(out, message, now);
     }
 
@@ -363,8 +359,8 @@ impl BrokerState {
         now: SimTime,
     ) {
         self.counters.received += 1;
-        let mut router = Router::new(self.id, &copy.message, now, out, copy.classes.len());
         {
+            let mut router = Router::new(&self.table, &copy.message, now, out, copy.classes.len());
             let pop = read_population(self.table.population());
             for t in &copy.targets {
                 let Some(tag) = pop.slot(t.subscription) else {
@@ -389,11 +385,7 @@ impl BrokerState {
                     };
                     (record.edge, Row::of(record, &copy.message), None)
                 };
-                if router.edge != Some(edge) {
-                    let route = self.table.aggregate(edge).map(|a| (a.next_hop, a.stats));
-                    router.enter_run(edge, route);
-                }
-                router.push(row, carried);
+                router.push(edge, row, carried);
             }
         }
         self.finish_arrival(out, &copy.message, now);
@@ -679,11 +671,10 @@ enum RunDest {
 /// copies, in the [`ArrivalOutcome`] it was lent.
 /// Rows come in ascending id order, and ids are minted edge by edge, so they
 /// arrive in runs of one edge broker: the route and the copy are settled
-/// once per run ([`enter_run`](Self::enter_run)), a success class once per
-/// `(run, bound)` — and looked up once per `(run, class)` of a forwarded
-/// copy — and a row is one push.
+/// once per run, a success class once per `(run, bound)` — and looked up
+/// once per `(run, class)` of a forwarded copy — and a row is one push.
 struct Router<'a> {
-    broker: BrokerId,
+    table: &'a SparseTable,
     message: &'a Message,
     now: SimTime,
     out: &'a mut ArrivalOutcome,
@@ -695,10 +686,10 @@ struct Router<'a> {
 }
 
 impl<'a> Router<'a> {
-    /// A router for an arrival whose rows come from a forwarded copy with
-    /// `carried` classes (0 for a publication).
+    /// A router over `table`'s routes for an arrival whose rows come from a
+    /// forwarded copy with `carried` classes (0 for a publication).
     fn new(
-        broker: BrokerId,
+        table: &'a SparseTable,
         message: &'a Message,
         now: SimTime,
         out: &'a mut ArrivalOutcome,
@@ -706,7 +697,7 @@ impl<'a> Router<'a> {
     ) -> Self {
         out.begin(carried);
         Router {
-            broker,
+            table,
             message,
             now,
             out,
@@ -716,28 +707,26 @@ impl<'a> Router<'a> {
         }
     }
 
-    /// Starts the run of rows attached at `edge`, reached along `route`
-    /// (next hop, path statistics) when `edge` is remote; a remote edge
-    /// without a route is not served here.
-    fn enter_run(&mut self, edge: BrokerId, route: Option<(BrokerId, PathStats)>) {
-        self.edge = Some(edge);
-        self.run += 1;
-        let staging = &mut self.out.staging;
-        staging.classes.clear();
-        self.dest = match route {
-            _ if edge == self.broker => RunDest::Local,
-            Some((next_hop, stats)) => RunDest::Copy {
-                at: staging.copy_towards(next_hop),
-                stats,
-                edge,
-            },
-            None => RunDest::Unserved,
-        };
-    }
-
-    /// Routes one row of the current run. `carried` names the row's class
-    /// in the forwarded copy it came in, when it is routed as carried.
-    fn push(&mut self, row: Row, carried: Option<u32>) {
+    /// Routes one row attached at `edge`. A new edge starts a run, delivered
+    /// here when `edge` is this broker, else onto the copy towards its
+    /// aggregate's next hop, or nowhere without one. `carried` names the
+    /// row's class in the forwarded copy it came in, when routed as carried.
+    fn push(&mut self, edge: BrokerId, row: Row, carried: Option<u32>) {
+        if self.edge != Some(edge) {
+            self.edge = Some(edge);
+            self.run += 1;
+            let staging = &mut self.out.staging;
+            staging.classes.clear();
+            self.dest = match self.table.aggregate(edge) {
+                _ if edge == self.table.broker() => RunDest::Local,
+                Some(route) => RunDest::Copy {
+                    at: staging.copy_towards(route.next_hop),
+                    stats: route.stats,
+                    edge,
+                },
+                None => RunDest::Unserved,
+            };
+        }
         match self.dest {
             RunDest::Local => {
                 let delivery = local_delivery(self.message, self.now, row);
@@ -1140,6 +1129,48 @@ mod tests {
         b0.sync_aggregate(&s.routing, edge, true);
         let outcome = arrive(&mut b0, msg(3, 1.0, 1.0, 0), SimTime::from_millis(6));
         assert_eq!(outcome.enqueued_to, vec![BrokerId::new(1)]);
+    }
+
+    /// A target carries the incarnation it was resolved under. One whose
+    /// slot was left and re-joined while its copy crossed the link is
+    /// resolved again from the new record — here at the receiving broker
+    /// itself, with another price and bound — never routed as carried.
+    #[test]
+    fn a_link_arrival_re_resolves_a_target_whose_slot_re_joined() {
+        let s = setup();
+        let s0 = SubscriptionId::new(0);
+        let mut b0 = broker(&s, 0, StrategyKind::MaxEb);
+        let scope = ScopeSet::from_sorted(vec![s0]);
+        b0.handle_arrival_scoped(msg(1, 1.0, 1.0, 0), SimTime::from_millis(2), Some(&scope));
+        let copy = b0
+            .next_to_send(BrokerId::new(1), SimTime::from_millis(2))
+            .message
+            .expect("a copy towards B1");
+        let carried = &copy.targets[0];
+        let bound = copy.classes[carried.class as usize].allowed_delay;
+        assert_eq!(
+            (carried.subscription, carried.price, bound),
+            (s0, Price::from_units(3), Duration::from_secs(10))
+        );
+        // S0 leaves B2 and re-joins at B1, at price 7 with a 20 s bound.
+        {
+            let mut pop = s.pop.write().unwrap();
+            pop.remove(s0);
+            let qos = QosClass::new(DelayBound::from_secs(20), Price::from_units(7));
+            let filter = Filter::paper_conjunction(5.0, 5.0);
+            let sub = Subscription::with_qos(s0, SubscriberId::new(0), filter, qos);
+            pop.insert(sub, BrokerId::new(1));
+        }
+        let mut b1 = broker(&s, 1, StrategyKind::MaxEb);
+        let mut out = ArrivalOutcome::default();
+        b1.arrive_forwarded(&mut out, copy, SimTime::from_secs(5));
+        assert!(out.enqueued_to.is_empty());
+        assert_eq!(out.local.len(), 1);
+        let d = &out.local[0];
+        assert_eq!(
+            (d.subscription, d.price, d.allowed_delay, d.on_time),
+            (s0, Price::from_units(7), Duration::from_secs(20), true)
+        );
     }
 
     #[test]

@@ -16,28 +16,29 @@
 //!   references through an `Arc` — including, per edge broker, the member
 //!   group and, when aggregate forwarding reads them, its [`GroupCovers`]:
 //!   the [`CoverForest`] (the covering set its publish-time summary is
-//!   built from) and its [`QosEnvelope`]. A row for a member
-//!   attached at the resolving broker carries no routed state, so it is
-//!   built from the registry record alone (`ResolvedEntry::local`).
+//!   built from) and its [`QosEnvelope`].
 //!
-//! Per-broker state is therefore `O(brokers)`, and every subscription is
-//! stored once instead of once per broker. A from-scratch
+//! A table keeps routes only: the broker makes a row by joining a member's
+//! registry record with the aggregate towards the member's edge broker (no
+//! route for a member attached at the broker itself). Per-broker state is
+//! therefore `O(brokers)`, and every subscription is stored once instead of
+//! once per broker. A from-scratch
 //! [`SubscriptionTable::build`](crate::subtable::SubscriptionTable::build)
-//! over the whole population stays the table-level oracle: resolving a
-//! scope through a sparse table must yield exactly the rows that replicated
-//! table would hold (this module's tests and `tests/properties.rs`), and the
-//! engine's table audit holds every incrementally maintained table to a
-//! from-scratch [`SparseTable::build`].
+//! over the whole population stays the table-level oracle: that join must
+//! give exactly the rows the replicated table holds
+//! ([`SubscriptionTable::check_sparse`](crate::subtable::SubscriptionTable::check_sparse),
+//! run by this module's tests and `tests/properties.rs`), and the engine's
+//! table audit holds every incrementally maintained table to a from-scratch
+//! [`SparseTable::build`].
 
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
-use crate::subtable::{RetargetOutcome, SubTableEntry};
+use crate::subtable::RetargetOutcome;
 use bdps_filter::cover::CoverForest;
 use bdps_filter::filter::Filter;
-use bdps_filter::scope::ScopeSet;
 use bdps_filter::selectivity::SelectivityModel;
 use bdps_filter::subscription::Subscription;
-use bdps_types::id::{BrokerId, LinkId, SubscriberId, SubscriptionId};
+use bdps_types::id::{BrokerId, LinkId, SubscriptionId};
 use bdps_types::message::MessageHead;
 use bdps_types::money::Price;
 use bdps_types::time::Duration;
@@ -786,78 +787,10 @@ impl AggregateEntry {
     }
 }
 
-/// One table row, resolved at arrival time — everything the broker state
-/// machine needs to deliver locally or build a queued copy's target. Every
-/// row is assembled from the subscription's registry record; a remote row
-/// adds the per-destination aggregate's route.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResolvedEntry {
-    /// The subscription this row serves.
-    pub subscription: SubscriptionId,
-    /// The edge broker it attaches to.
-    pub edge: BrokerId,
-    /// The subscriber that owns it.
-    pub subscriber: SubscriberId,
-    /// The price paid per valid delivery.
-    pub price: Price,
-    /// The subscriber-specified allowed delay (`Duration::MAX` when
-    /// unbounded).
-    pub allowed_delay: Duration,
-    /// The neighbour to forward to, or `None` for local delivery.
-    pub next_hop: Option<BrokerId>,
-    /// The outgoing link towards the next hop, when remote.
-    pub(crate) next_link: Option<LinkId>,
-    /// Statistics of the remaining path to the subscriber.
-    pub stats: PathStats,
-}
-
-impl ResolvedEntry {
-    /// Resolves a materialised dense entry.
-    pub fn from_entry(e: &SubTableEntry) -> Self {
-        ResolvedEntry {
-            subscription: e.subscription.id,
-            edge: e.edge_broker,
-            subscriber: e.subscription.subscriber,
-            price: e.subscription.price,
-            allowed_delay: e.subscription.allowed_delay(),
-            next_hop: e.next_hop,
-            next_link: e.next_link,
-            stats: e.stats,
-        }
-    }
-
-    /// The row of a member attached at the resolving broker itself: no next
-    /// hop, no link, the statistics of a zero-hop path.
-    pub(crate) fn local(record: &MemberRecord) -> Self {
-        let sub = &record.subscription;
-        ResolvedEntry {
-            subscription: sub.id,
-            edge: record.edge,
-            subscriber: sub.subscriber,
-            price: sub.price,
-            allowed_delay: sub.allowed_delay(),
-            next_hop: None,
-            next_link: None,
-            stats: PathStats::local(),
-        }
-    }
-
-    /// The row of a remote member: its fields, routed along the aggregate
-    /// towards its edge broker.
-    fn remote(record: &MemberRecord, route: &AggregateEntry) -> Self {
-        ResolvedEntry {
-            next_hop: Some(route.next_hop),
-            next_link: Some(route.next_link),
-            stats: route.stats,
-            ..ResolvedEntry::local(record)
-        }
-    }
-}
-
 /// The sparse table of one broker: one aggregate per reachable remote
 /// destination, and a handle to the shared registry. It stores no
-/// subscription: rows for members attached here are built from their
-/// registry records (`ResolvedEntry::local`).
+/// subscription and builds no row: the broker joins each registry record
+/// with the route towards its edge broker itself.
 #[derive(Debug, Clone)]
 pub struct SparseTable {
     broker: BrokerId,
@@ -990,45 +923,6 @@ impl SparseTable {
         }
     }
 
-    /// Resolves every subscription of a frozen scope in scope order, calling
-    /// `f` with each row this broker can currently serve and the incarnation
-    /// of the record it was built from (see [`SlotTag`]) — the row source of
-    /// a publisher hand-off. Every id is one registry slot read (one
-    /// read-lock for the whole scope): a member attached here resolves from
-    /// its record alone, a remote one through the per-destination aggregate.
-    /// A subscription that has left the population, or whose edge broker is
-    /// unreachable, is skipped — exactly the rows a
-    /// [`SubscriptionTable::build`](crate::subtable::SubscriptionTable::build)
-    /// over the population would not hold.
-    pub fn resolve_scope(&self, scope: &ScopeSet, mut f: impl FnMut(ResolvedEntry, u32)) {
-        let pop = read_population(&self.population);
-        // Ids are minted edge by edge, so an id-ordered scope comes in runs
-        // of one edge broker: the aggregate of the previous row usually
-        // serves this one.
-        let mut run: Option<(BrokerId, Option<&AggregateEntry>)> = None;
-        for id in scope.iter() {
-            let Some(record) = pop.member(id) else {
-                continue; // left the population since the scope froze
-            };
-            if record.edge == self.broker {
-                f(ResolvedEntry::local(record), record.incarnation);
-                continue;
-            }
-            let agg = match run {
-                Some((edge, agg)) if edge == record.edge => agg,
-                _ => {
-                    let agg = self.aggregates.get(&record.edge);
-                    run = Some((record.edge, agg));
-                    agg
-                }
-            };
-            let Some(agg) = agg else {
-                continue; // unreachable: not served here
-            };
-            f(ResolvedEntry::remote(record, agg), record.incarnation);
-        }
-    }
-
     /// Rough bytes of this broker's own state — its aggregates; the shared
     /// registry is counted separately, once.
     pub fn bytes_estimate(&self) -> u64 {
@@ -1102,8 +996,9 @@ mod tests {
         pop.group(edge).and_then(EdgeGroup::covers).unwrap()
     }
 
-    /// Resolution oracle: the sparse table resolves every scope id exactly
-    /// as a full-population [`SubscriptionTable::build`] materialises it.
+    /// Resolution oracle: the sparse table joins every registered id into
+    /// exactly the row a full-population [`SubscriptionTable::build`]
+    /// materialises.
     fn assert_matches_dense(
         broker: BrokerId,
         routing: &Routing,
@@ -1112,15 +1007,10 @@ mod tests {
     ) {
         let dense = SubscriptionTable::build(broker, routing, subs);
         let sparse = SparseTable::build(broker, routing, pop);
-        let all_ids: Vec<SubscriptionId> = subs.iter().map(|(s, _)| s.id).collect();
-        let scope = ScopeSet::from_unsorted(all_ids);
-        let mut resolved = Vec::new();
-        sparse.resolve_scope(&scope, |e, _| resolved.push(e));
-        let expected: Vec<ResolvedEntry> = scope
-            .iter()
-            .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
-            .collect();
-        assert_eq!(resolved, expected, "scope resolution drifted at {broker}");
+        let ids = subs.iter().map(|(s, _)| s.id);
+        dense
+            .check_sparse(&sparse, &read_population(pop), ids)
+            .unwrap();
     }
 
     #[test]
@@ -1168,11 +1058,8 @@ mod tests {
         let outcome = table.sync_aggregate(&severed, BrokerId::new(2));
         assert_eq!(outcome.removed, 1);
         assert_eq!(table.aggregate_count(), 1);
-        // The scope no longer resolves the severed subscription.
-        let scope = ScopeSet::from_unsorted(vec![SubscriptionId::new(0)]);
-        let mut seen = 0;
-        table.resolve_scope(&scope, |_, _| seen += 1);
-        assert_eq!(seen, 0);
+        // The severed subscription's edge has no route.
+        assert!(table.aggregate(BrokerId::new(2)).is_none());
 
         // Restore: the aggregate reappears with fresh routed fields.
         let outcome = table.sync_aggregate(&healthy, BrokerId::new(2));
@@ -1337,12 +1224,7 @@ mod tests {
         let pop = handle(&subs);
         let table = SparseTable::build(a, &routing, &pop);
         assert_eq!(table.aggregate_count(), 0);
-        let mut resolved = Vec::new();
-        table.resolve_scope(
-            &ScopeSet::from_sorted(vec![SubscriptionId::new(0)]),
-            |e, _| resolved.push(e),
-        );
-        assert!(resolved.is_empty());
+        assert!(table.aggregate(b).is_none());
     }
 
     #[test]

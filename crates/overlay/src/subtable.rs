@@ -8,20 +8,22 @@
 //! protocol a deployed system would run, but deterministic and
 //! side-effect-free, which keeps the simulator honest.
 //!
-//! No broker holds one: a [`SparseTable`](crate::sparse::SparseTable) keeps
-//! routes only and builds every row from the shared registry. Built over the
-//! whole population, [`SubscriptionTable::build`] is the dense oracle that
-//! sparse resolution is tested against.
+//! No broker holds one: a [`SparseTable`] keeps routes only, and a broker
+//! joins each registry record with the route towards its edge broker. Built
+//! over the whole population, [`SubscriptionTable::build`] is the dense
+//! oracle that join is checked against, through
+//! [`SubscriptionTable::check_sparse`].
 
 use crate::pathstats::PathStats;
 use crate::routing::Routing;
+use crate::sparse::{SharedPopulation, SparseTable};
 use bdps_filter::subscription::Subscription;
 use bdps_types::id::{BrokerId, LinkId, SubscriptionId};
 use std::collections::HashMap;
 
 /// One entry of a broker's subscription table.
 #[derive(Debug, Clone)]
-pub struct SubTableEntry {
+pub(crate) struct SubTableEntry {
     /// The subscription (subscriber, filter, delay bound `dl`, price `pr`).
     pub(crate) subscription: Subscription,
     /// The edge broker the subscriber attaches to.
@@ -71,7 +73,7 @@ pub struct SubscriptionTable {
 
 impl SubscriptionTable {
     /// The entry for a subscription id, if present.
-    pub fn entry(&self, id: SubscriptionId) -> Option<&SubTableEntry> {
+    pub(crate) fn entry(&self, id: SubscriptionId) -> Option<&SubTableEntry> {
         self.by_id.get(&id).map(|&i| &self.entries[i])
     }
 
@@ -125,6 +127,41 @@ impl SubscriptionTable {
             .collect();
         debug_assert_eq!(by_id.len(), entries.len(), "duplicate subscription ids");
         SubscriptionTable { entries, by_id }
+    }
+
+    /// Holds `sparse` (same broker, registry `pop`) to this table at every
+    /// id of `ids`: the id's record joined with the sparse route to its edge
+    /// broker (none at the broker itself) must be exactly this table's
+    /// entry, and an id with no entry here must have no record or no route.
+    pub fn check_sparse(
+        &self,
+        sparse: &SparseTable,
+        pop: &SharedPopulation,
+        ids: impl IntoIterator<Item = SubscriptionId>,
+    ) -> Result<(), String> {
+        let broker = sparse.broker();
+        for id in ids {
+            let joined = pop.member(id).and_then(|record| {
+                let route = if record.edge == broker {
+                    (None, None, PathStats::local())
+                } else {
+                    let a = sparse.aggregate(record.edge)?;
+                    (Some(a.next_hop), Some(a.next_link), a.stats)
+                };
+                Some((&record.subscription, record.edge, route))
+            });
+            let dense = self.entry(id).map(|e| {
+                let route = (e.next_hop, e.next_link, e.stats);
+                (&e.subscription, e.edge_broker, route)
+            });
+            if joined != dense {
+                return Err(format!(
+                    "broker {broker} resolves subscription {id} to {joined:?}, \
+                     the dense table to {dense:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

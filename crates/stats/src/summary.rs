@@ -93,7 +93,7 @@ impl Summary {
             return f64::NAN;
         }
         let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN stored"));
+        sorted.sort_by(f64::total_cmp);
         let q = q.clamp(0.0, 1.0);
         let pos = q * (sorted.len() - 1) as f64;
         let lo = pos.floor() as usize;

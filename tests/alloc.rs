@@ -281,9 +281,10 @@ fn line_brokers(config: &SchedulerConfig) -> [BrokerState; 3] {
 }
 
 /// An arrival allocates exactly the copies it keeps, one `targets` and one
-/// `classes` each at their exact length: a warm arrival of a copy that
-/// crossed a link and goes on over one next hop makes two allocations, and
-/// one that only delivers locally makes none.
+/// `classes` each at their exact length: a warm publication at its first
+/// broker and a warm arrival of a copy that crossed a link, each going on
+/// over one next hop, make two allocations, and one that only delivers
+/// locally makes none.
 #[test]
 fn a_warm_arrival_allocates_only_the_copy_it_keeps() {
     let config = SchedulerConfig::paper(StrategyKind::MaxEb);
@@ -301,7 +302,9 @@ fn a_warm_arrival_allocates_only_the_copy_it_keeps() {
                 .build(),
         );
         let now = SimTime::from_secs(id) + Duration::from_millis(2);
+        let before = ALLOCATIONS.with(Cell::get);
         b0.arrive_scoped(&mut out0, &message, now, &scope);
+        let published = ALLOCATIONS.with(Cell::get) - before;
         let copy = b0
             .next_to_send(to_b1, now)
             .message
@@ -321,6 +324,10 @@ fn a_warm_arrival_allocates_only_the_copy_it_keeps() {
         let local = ALLOCATIONS.with(Cell::get) - before;
         assert_eq!(out2.local.len(), 3);
         if id > 0 {
+            assert_eq!(
+                published, 2,
+                "publication {id} at B0 made {published} allocations"
+            );
             assert_eq!(
                 forwarded, 2,
                 "arrival {id} at B1 made {forwarded} allocations"

@@ -15,7 +15,7 @@
 //! shards.
 #![allow(dead_code)] // each test binary uses its own subset of the grid
 
-use bdps::overlay::sparse::ResolvedEntry;
+use bdps::overlay::sparse::read_population;
 use bdps::overlay::subtable::SubscriptionTable;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
@@ -30,8 +30,8 @@ pub enum Check {
     /// table and every envelope to from-scratch rebuilds, so a patch that
     /// skips one destination fails at the instant it happens.
     Tables,
-    /// At the same instants every broker's table must resolve the whole
-    /// population to exactly the rows of the dense `SubscriptionTable`
+    /// At the same instants every broker's table must join the whole
+    /// population into exactly the rows of the dense `SubscriptionTable`
     /// built from scratch, routed fields included.
     DenseLayout,
     /// The stepped run ends in exactly the
@@ -226,30 +226,14 @@ impl Recipe {
 
 /// Holds every broker's live table to a dense table built from scratch
 /// over the registered population, against the routing the live table was
-/// last rebuilt on: scoped resolution of every registered subscription must
-/// give the dense rows.
+/// last rebuilt on: every registered subscription's record joined with the
+/// live table's route must give the dense row.
 fn tables_match_the_dense_layout(sim: &Simulation) -> std::result::Result<(), String> {
     let subs = sim.subscriptions();
-    let scope = ScopeSet::from_unsorted(subs.iter().map(|(sub, _)| sub.id).collect());
     sim.tables().try_for_each(|table| {
-        let broker = table.broker();
-        let dense = SubscriptionTable::build(broker, sim.routing(), &subs);
-        let mut resolved: Vec<ResolvedEntry> = Vec::new();
-        table.resolve_scope(&scope, |e, _| resolved.push(e));
-        let expected: Vec<ResolvedEntry> = scope
-            .iter()
-            .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
-            .collect();
-        if resolved != expected {
-            let first = resolved.iter().zip(&expected).position(|(a, b)| a != b);
-            return Err(format!(
-                "broker {broker} resolves the population to {} rows, the dense layout to {} \
-                 (first difference at row {first:?})",
-                resolved.len(),
-                expected.len()
-            ));
-        }
-        Ok(())
+        let dense = SubscriptionTable::build(table.broker(), sim.routing(), &subs);
+        let pop = read_population(table.population());
+        dense.check_sparse(table, &pop, subs.iter().map(|(sub, _)| sub.id))
     })
 }
 

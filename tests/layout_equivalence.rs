@@ -1,9 +1,10 @@
 //! Table-layout oracle: on the differential grid's runs
 //! (`tests/common/grid.rs`), at every instant that holds a scenario event,
-//! each broker's live `SparseTable` must resolve the whole population to
-//! exactly the rows of a dense `SubscriptionTable` built from scratch —
-//! one full entry per subscription, each routed on its own — routed fields
-//! included.
+//! every registered subscription's record, joined with each broker's live
+//! `SparseTable` route towards its edge, must give exactly the row of a
+//! dense `SubscriptionTable` built from scratch — one full entry per
+//! subscription, each routed on its own — routed fields included
+//! (`SubscriptionTable::check_sparse`).
 
 mod common;
 use common::grid::{run_row, Check, BLACKOUT, CHAOS, FLAP_STORM, LINK_FLAP};

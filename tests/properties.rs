@@ -1013,7 +1013,7 @@ fn repaired_routing_equals_scratch_on_a_layered_mesh_under_storm_batches() {
 /// rows and routed fields.
 #[test]
 fn sparse_tables_match_dense_and_incremental_matches_scratch() {
-    use bdps::overlay::sparse::{ResolvedEntry, SharedPopulation, SparseTable};
+    use bdps::overlay::sparse::{read_population, SharedPopulation, SparseTable};
     use bdps::overlay::subtable::SubscriptionTable;
     use std::sync::{Arc, RwLock};
 
@@ -1118,22 +1118,11 @@ fn sparse_tables_match_dense_and_incremental_matches_scratch() {
 
             // Oracle (b): the sparse table resolves exactly the dense
             // table's delivery set.
-            let all_ids: Vec<SubscriptionId> = subs.iter().map(|(s, _)| s.id).collect();
-            let scope = ScopeSet::from_unsorted(all_ids);
+            let pop = read_population(&population);
             for table in &sparse {
                 let dense = SubscriptionTable::build(table.broker(), &routing, &subs);
-                let mut resolved: Vec<ResolvedEntry> = Vec::new();
-                table.resolve_scope(&scope, |e, _| resolved.push(e));
-                let expected: Vec<ResolvedEntry> = scope
-                    .iter()
-                    .filter_map(|id| dense.entry(id).map(ResolvedEntry::from_entry))
-                    .collect();
-                assert_eq!(
-                    resolved,
-                    expected,
-                    "scoped resolution drifted at {}",
-                    table.broker()
-                );
+                let ids = subs.iter().map(|(s, _)| s.id);
+                dense.check_sparse(table, &pop, ids).unwrap();
             }
         }
     });
